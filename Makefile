@@ -15,7 +15,7 @@ COVER_PKGS := ./internal/model/ ./internal/serve/
 # elasticity tier landed.
 CLUSTER_COVER_FLOOR := 80.0
 
-.PHONY: build test race sched-soak golden differential adapt-gate grammar-gate cover fuzz bench loadgate chaos-gate chaos-soak trace-gate fmt fmt-check vet serve ci
+.PHONY: build test race sched-soak golden differential adapt-gate grammar-gate cover fuzz bench bench-smoke loadgate chaos-gate chaos-soak trace-gate fmt fmt-check vet serve ci
 
 build:
 	$(GO) build ./...
@@ -26,29 +26,31 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Continuous-scheduler churn soak: join/leave/preempt cycling, the
-# step-wise decode API and the scheduler-mode byte-identity proof under
-# the race detector with shuffled order. The explicit -timeout turns a
-# wedged scheduler into a fast failure instead of a hung CI runner.
+# Continuous-scheduler churn soak: join/leave/preempt cycling (with the
+# engine-vs-direct-decode byte-identity check), backpressure and the
+# step-wise decode API under the race detector with shuffled order. The
+# explicit -timeout turns a wedged scheduler into a fast failure
+# instead of a hung CI runner.
 sched-soak:
 	$(GO) test -race -shuffle=on -timeout 600s \
-		-run 'TestContinuous|TestScheduler|TestStepwise|TestQueueFullBackpressure' \
+		-run 'TestContinuous|TestSchedulerChurnSoak|TestStepwise' \
 		-v ./internal/serve/ ./internal/core/
 
 # Byte-identical decode outputs through the drafter/verifier pipeline:
-# the legacy modes against fixtures captured from the pre-refactor
+# ntp/medusa/ours against fixtures captured from the pre-refactor
 # loop, plus the tree strategies pinned the day they landed. Regenerate
 # deliberately with: go test -run TestGolden ./internal/core/ -update
 golden:
 	$(GO) test -run TestGolden -v ./internal/core/
 
-# Byte-identical outputs across session-cache modes ({off, whole-prompt
-# LRU, token-prefix trie} × the full strategy matrix, tree strategies
-# included), across adapt modes ({controller off, shadow, applied} for
-# fully-pinned requests), plus the tree losslessness proof (greedy
-# lookup-tree == linear prompt-lookup == NTP, byte for byte): the gates
-# that make the prefix cache, tree drafting and the speculation
-# controller admissible at all.
+# Byte-identical outputs across session-cache modes ({off, token-prefix
+# trie, trie under randomized park/drop/resume preemption} × the full
+# strategy matrix, tree strategies included), across adapt modes
+# ({controller off, shadow, applied} for fully-pinned requests), plus
+# the tree losslessness proof (greedy lookup-tree == linear
+# prompt-lookup == NTP, byte for byte): the gates that make the prefix
+# cache, preemption, tree drafting and the speculation controller
+# admissible at all.
 differential:
 	$(GO) test -run 'TestDifferentialCacheModes|TestDifferentialAdaptModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless' -v ./internal/experiments/ ./internal/core/
 
@@ -80,8 +82,8 @@ grammar-gate:
 	$(GO) test -v ./internal/core/spec/grammar/
 
 # The latency-under-load gate: short-request p95 with one long decode
-# in flight must stay within 1.5x of unloaded under the continuous
-# scheduler, while the micro-batch baseline must fail the same bound.
+# in flight must stay within 1.5x of unloaded, with the long decode
+# demonstrably preempted.
 loadgate:
 	$(GO) test -run TestLoadBenchLatencyGate -v -timeout 600s ./internal/experiments/
 
@@ -159,6 +161,12 @@ bench:
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp sweep -json BENCH_7.json | tee -a bench_output.txt
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim -json BENCH_8.json | tee -a bench_output.txt
 
+# The repo benchmark's smoke pass: real vgend processes over loopback
+# HTTP on all four workloads at reduced length, every response checked
+# against the committed digests in benchmark/expected/ (about 27 s).
+bench-smoke:
+	$(GO) run ./benchmark -smoke
+
 fmt:
 	gofmt -w .
 
@@ -177,4 +185,4 @@ serve:
 serve-fleet:
 	$(GO) run ./cmd/vgend -replicas 4 -shed-policy deadline,priority,budget
 
-ci: build fmt-check vet race sched-soak golden differential adapt-gate grammar-gate cover fuzz loadgate chaos-gate chaos-soak trace-gate bench
+ci: build fmt-check vet race sched-soak golden differential adapt-gate grammar-gate cover fuzz loadgate chaos-gate chaos-soak trace-gate bench bench-smoke

@@ -71,7 +71,9 @@ func setup(b *testing.B) {
 // evalQuality runs the reduced Table I protocol for one model/suite.
 func evalQuality(m *model.Model, probs []bench.Problem, samples int) (fn, syn []metrics.PromptResult) {
 	dec := core.NewDecoder(m)
-	mode := core.ModeForScheme(m.Scheme())
+	// Only the three paper schemes reach here; each decodes with the
+	// strategy of the same name.
+	strategy := m.Scheme().String()
 	for pi, p := range probs {
 		cF, cS := 0, 0
 		for s := 0; s < samples; s++ {
@@ -79,7 +81,7 @@ func evalQuality(m *model.Model, probs []bench.Problem, samples int) (fn, syn []
 			if s%2 == 1 {
 				temp = 0.6
 			}
-			res := dec.Generate(p.Prompt, core.Options{Mode: mode, Temperature: temp, Seed: int64(pi*100 + s)})
+			res := dec.Generate(p.Prompt, core.Options{Strategy: strategy, Temperature: temp, Seed: int64(pi*100 + s)})
 			if bench.CheckSyntax(res.Text) {
 				cS++
 				if bench.CheckFunction(res.Text, p) {
@@ -142,7 +144,7 @@ func speedOf(m *model.Model, prompts []string, opts core.Options) float64 {
 	var secs []float64
 	for i, prompt := range prompts {
 		greedy := dec.Generate(prompt, opts)
-		sampled := dec.Generate(prompt, core.Options{Mode: opts.Mode, Strategy: opts.Strategy, Temperature: 0.8, Seed: int64(i), DisableIntegrity: opts.DisableIntegrity, TopK: opts.TopK, Epsilon: opts.Epsilon, Delta: opts.Delta})
+		sampled := dec.Generate(prompt, core.Options{Strategy: opts.Strategy, Temperature: 0.8, Seed: int64(i), DisableIntegrity: opts.DisableIntegrity, TopK: opts.TopK, Epsilon: opts.Epsilon, Delta: opts.Delta})
 		tokens = append(tokens, len(greedy.CleanTokens), len(sampled.CleanTokens))
 		secs = append(secs, greedy.SimulatedMS/1000, sampled.SimulatedMS/1000)
 	}
@@ -162,9 +164,9 @@ func benchSpeed(b *testing.B, modelName string) {
 	prompts := speedPrompts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ntp := speedOf(models[modelName+"/NTP"], prompts, core.Options{Mode: core.ModeNTP})
-		medusa := speedOf(models[modelName+"/Medusa"], prompts, core.Options{Mode: core.ModeMedusa})
-		ours := speedOf(models[modelName+"/Ours"], prompts, core.Options{Mode: core.ModeOurs})
+		ntp := speedOf(models[modelName+"/NTP"], prompts, core.Options{Strategy: "ntp"})
+		medusa := speedOf(models[modelName+"/Medusa"], prompts, core.Options{Strategy: "medusa"})
+		ours := speedOf(models[modelName+"/Ours"], prompts, core.Options{Strategy: "ours"})
 		b.ReportMetric(ntp, "NTP_tok/s")
 		b.ReportMetric(medusa, "Medusa_tok/s")
 		b.ReportMetric(ours, "Ours_tok/s")
@@ -179,7 +181,7 @@ func BenchmarkTable2_CodeT5p(b *testing.B)   { benchSpeed(b, "CodeT5p") }
 // --- Strategy matrix: every decoding strategy under one harness ---
 
 // BenchmarkStrategyMatrix compares the canned drafter/verifier
-// pairings — the legacy three plus self-speculative prompt lookup on
+// pairings — the paper's three plus self-speculative prompt lookup on
 // the NTP backbone — reporting simulated tokens/s per strategy (CI
 // smoke target for the pluggable pipeline).
 func BenchmarkStrategyMatrix(b *testing.B) {
@@ -192,6 +194,7 @@ func BenchmarkStrategyMatrix(b *testing.B) {
 		{"Medusa", "medusa"},
 		{"NTP", "prompt-lookup"},
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var ntp float64
@@ -248,6 +251,7 @@ func BenchmarkTreeDraft(b *testing.B) {
 		}
 		return accepted, nodesPerStep, util
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pairs {
@@ -272,7 +276,7 @@ func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, scheme := range []model.Scheme{model.SchemeOurs, model.SchemeMedusa, model.SchemeNTP} {
 			m := models["CodeLlama/"+scheme.String()]
-			speed := speedOf(m, prompts[:20], core.Options{Mode: core.ModeForScheme(scheme)})
+			speed := speedOf(m, prompts[:20], core.Options{Strategy: scheme.String()})
 			fn, _ := evalQuality(m, bench.RTLLM(), 4)
 			b.ReportMetric(speed, scheme.String()+"_tok/s")
 			b.ReportMetric(100*metrics.MeanPassAtK(fn, 4), scheme.String()+"_funcPass@4_%")
@@ -289,7 +293,7 @@ func BenchmarkFig5(b *testing.B) {
 		for _, scheme := range []model.Scheme{model.SchemeOurs, model.SchemeMedusa, model.SchemeNTP} {
 			m := models["CodeLlama/"+scheme.String()]
 			dec := core.NewDecoder(m)
-			res := dec.Generate(experiments.Fig5Prompt, core.Options{Mode: core.ModeForScheme(scheme)})
+			res := dec.Generate(experiments.Fig5Prompt, core.Options{Strategy: scheme.String()})
 			b.ReportMetric(float64(res.Steps), scheme.String()+"_steps")
 		}
 	}
@@ -318,15 +322,15 @@ func BenchmarkFig6(b *testing.B) {
 // --- Ablations (DESIGN.md §5) ---
 
 // BenchmarkAblationIntegrity isolates the [FRAG] integrity check:
-// ModeOurs with and without truncation.
+// the "ours" strategy with and without truncation.
 func BenchmarkAblationIntegrity(b *testing.B) {
 	setup(b)
 	m := models["CodeLlama/Ours"]
 	prompts := speedPrompts()[:20]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		with := speedOf(m, prompts, core.Options{Mode: core.ModeOurs})
-		without := speedOf(m, prompts, core.Options{Mode: core.ModeOurs, DisableIntegrity: true})
+		with := speedOf(m, prompts, core.Options{Strategy: "ours"})
+		without := speedOf(m, prompts, core.Options{Strategy: "ours", DisableIntegrity: true})
 		fnW, synW := evalQuality(m, bench.RTLLM(), 2)
 		b.ReportMetric(with, "with_tok/s")
 		b.ReportMetric(without, "without_tok/s")
@@ -342,8 +346,8 @@ func BenchmarkAblationLabels(b *testing.B) {
 	prompts := speedPrompts()[:20]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		masked := speedOf(models["CodeLlama/Ours"], prompts, core.Options{Mode: core.ModeOurs})
-		nomask := speedOf(models["CodeLlama/Ours-nomask"], prompts, core.Options{Mode: core.ModeOurs})
+		masked := speedOf(models["CodeLlama/Ours"], prompts, core.Options{Strategy: "ours"})
+		nomask := speedOf(models["CodeLlama/Ours-nomask"], prompts, core.Options{Strategy: "ours"})
 		b.ReportMetric(masked, "masked_tok/s")
 		b.ReportMetric(nomask, "nomask_tok/s")
 	}
@@ -361,7 +365,7 @@ func BenchmarkAblationHeads(b *testing.B) {
 			m := model.Train(benchTk, cfg, model.SchemeOurs, benchEx)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.ReportMetric(speedOf(m, prompts, core.Options{Mode: core.ModeOurs}), "tok/s")
+				b.ReportMetric(speedOf(m, prompts, core.Options{Strategy: "ours"}), "tok/s")
 			}
 		})
 	}
@@ -376,7 +380,7 @@ func BenchmarkAblationAcceptance(b *testing.B) {
 		b.Run(fmt.Sprintf("eps=%.1f_delta=%.1f", cfg.eps, cfg.delta), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := speedOf(m, prompts, core.Options{Mode: core.ModeOurs, Epsilon: cfg.eps, Delta: cfg.delta})
+				s := speedOf(m, prompts, core.Options{Strategy: "ours", Epsilon: cfg.eps, Delta: cfg.delta})
 				b.ReportMetric(s, "tok/s")
 			}
 		})
@@ -394,6 +398,7 @@ func BenchmarkFleetRouting(b *testing.B) {
 	setup(b)
 	m := models["CodeLlama/Ours"]
 	prompts := speedPrompts()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.FleetBench(m, prompts, experiments.FleetBenchConfig{
@@ -414,11 +419,12 @@ func BenchmarkFleetRouting(b *testing.B) {
 // BenchmarkPrefixBench lands the prefix-cache comparison in the bench
 // artifact: prompt tokens recomputed per cache mode on the shared-stem
 // workload, plus the trie's partial-hit count. The trie row's
-// recomputed column sitting far below the whole-prompt row's is the
-// headline of the token-prefix trie cache.
+// recomputed column sitting far below the off row's is the headline of
+// the token-prefix trie cache.
 func BenchmarkPrefixBench(b *testing.B) {
 	setup(b)
 	m := models["CodeLlama/Ours"]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows := experiments.PrefixBench(m, experiments.PrefixBenchConfig{})
@@ -435,23 +441,24 @@ func BenchmarkPrefixBench(b *testing.B) {
 // --- Engine wall-clock benchmarks (real CPU throughput, not the cost
 // model): tokens generated per real second of decoder work. ---
 
-func benchEngine(b *testing.B, modelKey string, mode core.Mode) {
+func benchEngine(b *testing.B, modelKey, strategy string) {
 	setup(b)
 	m := models[modelKey]
 	dec := core.NewDecoder(m)
 	prompt := bench.RTLLM()[12].Prompt
+	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		res := dec.Generate(prompt, core.Options{Mode: mode, Temperature: 0.4, Seed: int64(i)})
+		res := dec.Generate(prompt, core.Options{Strategy: strategy, Temperature: 0.4, Seed: int64(i)})
 		total += len(res.Tokens)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "wallclock_tok/s")
 }
 
-func BenchmarkEngineOurs(b *testing.B)   { benchEngine(b, "CodeLlama/Ours", core.ModeOurs) }
-func BenchmarkEngineMedusa(b *testing.B) { benchEngine(b, "CodeLlama/Medusa", core.ModeMedusa) }
-func BenchmarkEngineNTP(b *testing.B)    { benchEngine(b, "CodeLlama/NTP", core.ModeNTP) }
+func BenchmarkEngineOurs(b *testing.B)   { benchEngine(b, "CodeLlama/Ours", "ours") }
+func BenchmarkEngineMedusa(b *testing.B) { benchEngine(b, "CodeLlama/Medusa", "medusa") }
+func BenchmarkEngineNTP(b *testing.B)    { benchEngine(b, "CodeLlama/NTP", "ntp") }
 
 // BenchmarkSimulator measures the event-driven simulator on a
 // register-file testbench (the functional-evaluation hot path).

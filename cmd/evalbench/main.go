@@ -173,19 +173,16 @@ func main() {
 		fmt.Println()
 	}
 	if want("load") {
-		fmt.Println("## Load bench — short-request p95 with one long decode in flight, per scheduler")
-		rows, err := runner.RunLoadBench(experiments.LoadBenchConfig{})
+		fmt.Println("## Load bench — short-request p95 with one long decode in flight")
+		row, err := runner.RunLoadBench(experiments.LoadBenchConfig{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load bench: %v\n", err)
 			os.Exit(1)
 		}
-		doc.Load = rows
-		for _, row := range rows {
-			fmt.Printf("  %-10s shorts=%3d  unloaded p95=%7.3fms  loaded p95=%7.3fms  ratio=%.2f  preemptions=%d  long_decodes=%d\n",
-				row.Scheduler, row.Shorts, row.UnloadedP95MS, row.LoadedP95MS,
-				row.LatencyRatio, row.Preemptions, row.LongDecodes)
-		}
-		fmt.Println()
+		doc.Load = []experiments.LoadBenchRow{row}
+		fmt.Printf("  shorts=%3d  unloaded p95=%7.3fms  loaded p95=%7.3fms  ratio=%.2f  preemptions=%d  long_decodes=%d\n\n",
+			row.Shorts, row.UnloadedP95MS, row.LoadedP95MS,
+			row.LatencyRatio, row.Preemptions, row.LongDecodes)
 	}
 	if want("sweep") {
 		fmt.Println("## Load sweep — adaptive speculation controller vs the static (strategy, budget) grid")

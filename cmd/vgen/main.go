@@ -27,7 +27,7 @@ import (
 
 func main() {
 	schemeName := flag.String("scheme", "ours", "training scheme: ours, medusa or ntp")
-	strategy := flag.String("strategy", "", "decoding strategy by registry name (default: the scheme's natural mode; see -list-strategies)")
+	strategy := flag.String("strategy", "", "decoding strategy by registry name (default: the one named like -scheme; see -list-strategies)")
 	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget per step for tree strategies (0 = default)")
 	items := flag.Int("items", 3400, "corpus items")
 	temp := flag.Float64("temp", 0, "sampling temperature (0 = greedy)")
@@ -69,15 +69,15 @@ func main() {
 	tk := tokenizer.Train(corpus, cfg.VocabSize)
 	m := model.Train(tk, cfg, scheme, examples)
 
-	if *strategy != "" {
-		if _, err := core.ResolveStrategy(*strategy, false); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
+	if *strategy == "" {
+		*strategy = *schemeName
+	}
+	if _, err := core.ResolveStrategy(*strategy, false); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(2)
 	}
 	dec := core.NewDecoder(m)
 	res := dec.Generate(prompt, core.Options{
-		Mode:        core.ModeForScheme(scheme),
 		Strategy:    *strategy,
 		Temperature: *temp,
 		TreeBudget:  *treeBudget,

@@ -9,8 +9,8 @@
 //	POST /v1/generate  — {"prompt": "..."} or {"prompts": [...]};
 //	                     {"strategy": "ntp"|"medusa"|"ours"|
 //	                     "prompt-lookup"} routes the request to any
-//	                     registered decoding strategy (default: the
-//	                     legacy "mode" field, default "ours");
+//	                     registered decoding strategy ("mode" is an
+//	                     alias of the field; default "ours");
 //	                     {"model": "codellama"} targets one backbone in
 //	                     fleet mode; {"priority": "high"|"normal"|
 //	                     "low"} and {"client": "..."} feed the
@@ -61,10 +61,9 @@
 // counters).
 //
 // Usage: vgend [-addr :8080] [-model codellama|codet5p] [-scheme ours]
-// [-items 3400] [-workers N] [-queue N]
-// [-scheduler continuous|microbatch] [-max-batch N] [-preempt-quantum N]
-// [-batch N] [-cache N]
-// [-prefix-cache trie|whole|off|N] [-prefix-cache-bytes N] [-no-dedup]
+// [-items 3400] [-seed N] [-workers N] [-queue N]
+// [-max-batch N] [-preempt-quantum N] [-cache N]
+// [-prefix-cache trie|off] [-prefix-cache-bytes N] [-no-dedup]
 // [-tree-budget N] [-adapt off|shadow|on] [-replicas N] [-models specs]
 // [-router prefix-affinity|least-loaded|round-robin|random]
 // [-shed-policy none|deadline,priority,budget] [-budget-tps N]
@@ -72,12 +71,11 @@
 // [-min-replicas N] [-max-replicas N] [-list-strategies]
 // [-trace] [-pprof] [-log text|json|off]
 //
-// Dispatch defaults to the continuous scheduler: requests join and
-// leave the running batch at every verification sweep, and a decode
-// that holds a slot for -preempt-quantum sweeps while others wait is
-// checkpointed (its session pages stay pinned in the prefix trie) and
-// resumed later — long decodes cannot head-of-line-block short ones.
-// -scheduler microbatch restores the legacy worker pool.
+// Dispatch is a continuous scheduler: requests join and leave the
+// running batch at every verification sweep, and a decode that holds a
+// slot for -preempt-quantum sweeps while others wait is checkpointed
+// (its session pages stay pinned in the prefix trie) and resumed later
+// — long decodes cannot head-of-line-block short ones.
 //
 // The tree strategies (medusa-tree, lookup-tree, ours-tree, and the
 // grammar-constrained grammar-tree / grammar-lookup-tree; see
@@ -105,7 +103,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -189,24 +186,13 @@ func newLogger(mode string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("unknown -log mode %q (want text, json or off)", mode)
 }
 
-// parsePrefixCache maps the -prefix-cache flag onto the serve config:
-// the mode names trie/whole/off, or — for pre-trie deployments that
-// passed an entry count — a bare integer selecting whole-prompt mode
-// with that capacity (0 the default capacity, negative disables,
-// matching the old flag exactly).
-func parsePrefixCache(s string) (mode string, size int, err error) {
-	if n, perr := strconv.Atoi(s); perr == nil {
-		if n < 0 {
-			return serve.PrefixCacheOff, -1, nil
-		}
-		return serve.PrefixCacheWhole, n, nil
-	}
-	mode, err = serve.ParsePrefixCacheMode(s)
-	if mode == serve.PrefixCacheOff {
-		size = -1
-	}
-	return mode, size, err
-}
+// Connection-level limits of the HTTP listener: a client that never
+// finishes its request headers, or parks an idle keep-alive connection,
+// is cut off instead of holding a goroutine and a socket forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -216,15 +202,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus/training seed")
 	workers := flag.Int("workers", 0, "decoder workers per replica (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 256, "request queue bound per replica")
-	scheduler := flag.String("scheduler", serve.SchedContinuous,
-		"dispatch architecture per replica: continuous (requests join/leave the running batch at every verification step, long decodes preempted) or microbatch (legacy worker pool)")
-	maxBatch := flag.Int("max-batch", 0, "continuous scheduler: max decodes in the running batch (0 = 2*workers, min 8)")
-	preemptQuantum := flag.Int("preempt-quantum", 0, "continuous scheduler: sweeps a decode may hold a slot while others wait (0 = 64, negative disables preemption)")
-	batch := flag.Int("batch", 8, "micro-batch size (microbatch scheduler)")
-	window := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch linger (microbatch scheduler)")
+	maxBatch := flag.Int("max-batch", 0, "max decodes in the running batch (0 = 2*workers, min 8)")
+	preemptQuantum := flag.Int("preempt-quantum", 0, "sweeps a decode may hold a batch slot while others wait (0 = 64, negative disables preemption)")
 	cache := flag.Int("cache", 512, "LRU cache entries per replica (negative disables)")
-	prefixCache := flag.String("prefix-cache", "trie",
-		"prompt-session cache per replica: trie (token-prefix trie, partial reuse), whole (whole-prompt LRU), off; a legacy integer selects whole mode with that capacity (negative disables)")
+	prefixCache := flag.String("prefix-cache", serve.PrefixCacheTrie,
+		"prompt-session cache per replica: trie (token-prefix trie, partial reuse) or off")
 	prefixCacheBytes := flag.Int64("prefix-cache-bytes", 0, "trie prefix-cache byte budget per replica (0 = 64 MiB)")
 	noDedup := flag.Bool("no-dedup", false, "disable single-flight dedup of identical in-flight requests")
 	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget per step for tree strategies when the request sets none (0 = decoder default)")
@@ -291,11 +273,7 @@ func main() {
 		}
 		resolved[i] = resolvedSpec{replicaSpec: spec, cfg: cfg, sch: scheme}
 	}
-	prefixMode, prefixSize, err := parsePrefixCache(*prefixCache)
-	if err != nil {
-		fail(err)
-	}
-	schedMode, err := serve.ParseSchedulerMode(*scheduler)
+	prefixMode, err := serve.ParsePrefixCacheMode(*prefixCache)
 	if err != nil {
 		fail(err)
 	}
@@ -357,14 +335,10 @@ func main() {
 	engCfg := serve.Config{
 		Workers:           *workers,
 		QueueSize:         *queue,
-		Scheduler:         schedMode,
 		MaxBatch:          *maxBatch,
 		PreemptQuantum:    *preemptQuantum,
-		BatchSize:         *batch,
-		BatchWindow:       *window,
 		CacheSize:         *cache,
 		PrefixCacheMode:   prefixMode,
-		PrefixCacheSize:   prefixSize,
 		PrefixCacheBytes:  *prefixCacheBytes,
 		DefaultTreeBudget: *treeBudget,
 		NoDedup:           *noDedup,
@@ -438,7 +412,12 @@ func main() {
 	if logger != nil {
 		server = server.WithLogger(logger)
 	}
-	srv := &http.Server{Addr: *addr, Handler: server.Handler()}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           server.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -29,7 +29,7 @@ func main() {
 	dec := core.NewDecoder(m)
 	res := dec.Generate(
 		"Create an 8-bit up-counter named counter_8bit with clock clk and synchronous reset rst. The count value is output on q.",
-		core.Options{Mode: core.ModeOurs},
+		core.Options{Strategy: "ours"},
 	)
 	fmt.Println(res.Text)
 	fmt.Printf("decoded in %d steps (%.2f tokens/step), simulated %.0f ms\n",

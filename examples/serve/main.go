@@ -1,7 +1,7 @@
 // Example serve: embed the concurrent generation engine in-process —
-// train a model, dispatch a micro-batched prompt burst over the worker
-// pool, replay it to watch the LRU cache short-circuit, and stream one
-// generation fragment-by-fragment.
+// train a model, dispatch a prompt burst through the continuous
+// scheduler, replay it to watch the LRU cache short-circuit, and stream
+// one generation fragment-by-fragment.
 package main
 
 import (
@@ -27,9 +27,10 @@ func main() {
 	tk := tokenizer.Train(texts, cfg.VocabSize)
 	m := model.Train(tk, cfg, model.SchemeOurs, examples)
 
-	// 2. Start an engine: a worker pool with micro-batching and an LRU
-	// over completed generations. vgend serves exactly this over HTTP.
-	eng := serve.NewEngine(m, serve.Config{Workers: 4, BatchSize: 8, CacheSize: 64})
+	// 2. Start an engine: a continuous scheduler stepping the running
+	// batch one verification sweep at a time, and an LRU over completed
+	// generations. vgend serves exactly this over HTTP.
+	eng := serve.NewEngine(m, serve.Config{Workers: 4, CacheSize: 64})
 	defer eng.Close()
 
 	// 3. Dispatch a burst of eight prompts as one batch.
@@ -39,7 +40,7 @@ func main() {
 		prompts[i] = examples[i].Prompt
 		reqs[i] = serve.Request{
 			Prompt:  prompts[i],
-			Options: core.Options{Mode: core.ModeOurs, Temperature: 0.4, Seed: int64(i)},
+			Options: core.Options{Strategy: "ours", Temperature: 0.4, Seed: int64(i)},
 		}
 	}
 	for i, resp := range eng.GenerateBatch(context.Background(), reqs) {
@@ -64,7 +65,7 @@ func main() {
 	fmt.Println("\nstreaming data_register:")
 	resp, err := eng.Generate(context.Background(), serve.Request{
 		Prompt:  "Create a simple Verilog module named data_register that assigns a 4-bit input data_in to a 4-bit output data_out on the positive edge of clk.",
-		Options: core.Options{Mode: core.ModeOurs},
+		Options: core.Options{Strategy: "ours"},
 		OnStep: func(ev core.StepEvent) {
 			fmt.Printf("  step %2d: %2d tokens %q\n", ev.Step, len(ev.Tokens), ev.Text)
 		},
@@ -77,6 +78,6 @@ func main() {
 
 	// 6. Engine metrics — what vgend exposes on GET /metrics.
 	met := eng.Metrics()
-	fmt.Printf("\nmetrics: requests=%d cacheHitRate=%.2f tok/s(wall)=%.0f tok/s(sim)=%.1f meanBatch=%.1f\n",
-		met.Requests, met.CacheHitRate, met.TokensPerSecWall, met.TokensPerSecSim, met.MeanBatchSize)
+	fmt.Printf("\nmetrics: requests=%d cacheHitRate=%.2f tok/s(wall)=%.0f tok/s(sim)=%.1f meanSweepOccupancy=%.1f\n",
+		met.Requests, met.CacheHitRate, met.TokensPerSecWall, met.TokensPerSecSim, met.MeanSweepOccupancy)
 }

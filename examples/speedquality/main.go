@@ -28,7 +28,8 @@ func main() {
 	for _, scheme := range []model.Scheme{model.SchemeOurs, model.SchemeMedusa, model.SchemeNTP} {
 		m := model.Train(tk, cfg, scheme, examples)
 		dec := core.NewDecoder(m)
-		res := dec.Generate(prompt, core.Options{Mode: core.ModeForScheme(scheme)})
+		// Each scheme decodes with the strategy of the same name.
+		res := dec.Generate(prompt, core.Options{Strategy: scheme.String()})
 		fmt.Printf("%-8v %6d %8d %9.1f t/s %8v\n",
 			scheme, res.Steps, len(res.CleanTokens), res.TokensPerSecond(),
 			verilog.Check(res.Text) == nil)

@@ -8,7 +8,7 @@
 //   - Routing: which replica serves a request. The default policy is
 //     prefix-affinity consistent hashing (rendezvous form) with a
 //     least-loaded fallback, so shared-prefix workloads concentrate on
-//     one replica where its result LRU, prefix GenCache and
+//     one replica where its result LRU, prefix trie and
 //     single-flight table can actually hit; round-robin, random and
 //     pure least-loaded routers exist for comparison and as the
 //     fleet-bench control group.
@@ -452,7 +452,6 @@ func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) 
 func withDefaultStrategy(req serve.Request, r *Replica) serve.Request {
 	if r.defaultStrategy != "" && req.NoExplicitStrategy {
 		req.Options.Strategy = r.defaultStrategy
-		req.Options.Mode = 0
 	}
 	return req
 }

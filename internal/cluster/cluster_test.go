@@ -47,7 +47,7 @@ func fixture(tb testing.TB) (*model.Model, []string) {
 }
 
 func testOptions(seed int64) core.Options {
-	return core.Options{Mode: core.ModeOurs, Temperature: 0.6, MaxNewTokens: 48, Seed: seed}
+	return core.Options{Strategy: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: seed}
 }
 
 // newFleet builds a fleet of n identical replicas over the fixture
@@ -69,15 +69,15 @@ func newFleet(tb testing.TB, n int, router Router, policies []ShedPolicy, engCfg
 
 // TestSingleReplicaByteIdentical is the golden determinism gate at the
 // fleet layer: a 1-replica fleet must produce byte-identical output to
-// the bare decoder for every legacy mode — the cluster layer adds
+// the bare decoder for the paper's three methods — the cluster layer adds
 // routing and admission, never decoding behavior.
 func TestSingleReplicaByteIdentical(t *testing.T) {
 	m, prompts := fixture(t)
 	f := newFleet(t, 1, nil, nil, serve.Config{Workers: 2, CacheSize: -1})
 	dec := core.NewDecoder(m)
-	for _, mode := range []core.Mode{core.ModeNTP, core.ModeMedusa, core.ModeOurs} {
+	for _, mode := range []string{"ntp", "medusa", "ours"} {
 		for i, prompt := range prompts[:4] {
-			opts := core.Options{Mode: mode, Temperature: 0.4, MaxNewTokens: 48, Seed: int64(i)}
+			opts := core.Options{Strategy: mode, Temperature: 0.4, MaxNewTokens: 48, Seed: int64(i)}
 			resp, err := f.Generate(context.Background(), serve.Request{Prompt: prompt, Options: opts})
 			if err != nil {
 				t.Fatalf("mode %v prompt %d: %v", mode, i, err)
@@ -212,7 +212,7 @@ func TestReplicaDefaultStrategy(t *testing.T) {
 
 	// No explicit choice: the replica default applies.
 	resp, err := f.Generate(context.Background(), serve.Request{
-		Prompt: prompts[0], Options: core.Options{Mode: core.ModeOurs, MaxNewTokens: 32}, NoExplicitStrategy: true,
+		Prompt: prompts[0], Options: core.Options{Strategy: "ours", MaxNewTokens: 32}, NoExplicitStrategy: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestReplicaDefaultStrategy(t *testing.T) {
 func TestMixedPriorityLoadAccounted(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 4, nil, []ShedPolicy{PriorityPolicy{}},
-		serve.Config{Workers: 1, QueueSize: 2, BatchSize: 1, CacheSize: -1})
+		serve.Config{Workers: 1, QueueSize: 2, CacheSize: -1})
 
 	const clients = 32
 	priorities := []serve.Priority{serve.PriorityHigh, serve.PriorityNormal, serve.PriorityLow}

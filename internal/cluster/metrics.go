@@ -173,21 +173,12 @@ func aggregate(ms []serve.Metrics) serve.Metrics {
 		a.PrefixCacheMisses += m.PrefixCacheMisses
 		a.PrefixCacheTokensSaved += m.PrefixCacheTokensSaved
 		a.PrefixCacheEntries += m.PrefixCacheEntries
-		a.Batches += m.Batches
 		a.QueueDepth += m.QueueDepth
 		a.Workers += m.Workers
-		// Scheduler identity: uniform fleets report their mode, mixed
-		// fleets say so instead of pretending one replica speaks for all.
-		switch {
-		case a.Scheduler == "":
-			a.Scheduler = m.Scheduler
-		case a.Scheduler != m.Scheduler:
-			a.Scheduler = "mixed"
-		}
-		// Adapt mode aggregates like Scheduler: uniform fleets report
-		// the mode, mixed fleets say so. Counters sum; the ladder rung
-		// and smoothed signals report the hottest replica (a fleet is
-		// as degraded as its most-loaded member).
+		// Adapt mode: uniform fleets report the mode, mixed fleets say
+		// so instead of pretending one replica speaks for all. Counters
+		// sum; the ladder rung and smoothed signals report the hottest
+		// replica (a fleet is as degraded as its most-loaded member).
 		switch {
 		case a.Adapt == "":
 			a.Adapt = m.Adapt
@@ -241,7 +232,6 @@ func aggregate(ms []serve.Metrics) serve.Metrics {
 				a.AcceptDepthHist[i] += v
 			}
 		}
-		a.MeanBatchSize += m.MeanBatchSize * float64(m.Batches)
 		steps += float64(m.Steps)
 		accepted += m.MeanAccepted * float64(m.Steps)
 		if m.TokensPerSecSim > 0 {
@@ -286,11 +276,6 @@ func aggregate(ms []serve.Metrics) serve.Metrics {
 	if lookups := a.PrefixCacheHits + a.PrefixCachePartialHits + a.PrefixCacheMisses; lookups > 0 {
 		a.PrefixCacheHitRate = float64(a.PrefixCacheHits+a.PrefixCachePartialHits) / float64(lookups)
 	}
-	if a.Batches > 0 {
-		a.MeanBatchSize /= float64(a.Batches)
-	} else {
-		a.MeanBatchSize = 0
-	}
 	if steps > 0 {
 		a.MeanAccepted = accepted / steps
 	}
@@ -324,7 +309,6 @@ func aggregate(ms []serve.Metrics) serve.Metrics {
 		}
 		a.PerStrategy[name] = agg
 	}
-	a.PerMode = a.PerStrategy
 	return a
 }
 
@@ -491,7 +475,7 @@ func (f *Fleet) WritePrometheusTo(w io.Writer, uptimeS float64) {
 	// are full (hot replicas) and where long decodes are being displaced.
 	fmt.Fprintf(w, "# HELP vgend_replica_sched_occupancy Running decodes over batch slots, per replica.\n# TYPE vgend_replica_sched_occupancy gauge\n")
 	for _, r := range m.PerReplica {
-		fmt.Fprintf(w, "vgend_replica_sched_occupancy{replica=%q,scheduler=%q} %g\n", r.Name, r.Engine.Scheduler, r.Engine.SchedOccupancy)
+		fmt.Fprintf(w, "vgend_replica_sched_occupancy{replica=%q} %g\n", r.Name, r.Engine.SchedOccupancy)
 	}
 	fmt.Fprintf(w, "# HELP vgend_replica_sched_preemptions_total Decodes preempted (parked with pages pinned), per replica.\n# TYPE vgend_replica_sched_preemptions_total counter\n")
 	for _, r := range m.PerReplica {

@@ -132,7 +132,7 @@ func TestDedupLeaderShedFollowerRetriesFleet(t *testing.T) {
 	gate := make(chan struct{})
 	shedFirst := &gatedPolicy{gate: gate, seen: make(chan struct{})}
 	f, err := New(
-		[]ReplicaSpec{{Model: m, Engine: serve.Config{Workers: 1, QueueSize: 16, BatchSize: 1, CacheSize: -1}}},
+		[]ReplicaSpec{{Model: m, Engine: serve.Config{Workers: 1, QueueSize: 16, CacheSize: -1}}},
 		Config{Policies: []ShedPolicy{shedFirst}})
 	if err != nil {
 		t.Fatal(err)

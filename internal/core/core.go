@@ -17,8 +17,8 @@
 //
 // The decoding loop itself is strategy-agnostic: drafting and
 // acceptance live behind the Drafter/Verifier interfaces of
-// internal/core/spec, and the paper's three modes are canned pairings
-// (StrategyForMode). Options.Strategy selects any registered pairing by
+// internal/core/spec, and the paper's three methods are canned pairings
+// in its registry. Options.Strategy selects any registered pairing by
 // name — including self-speculative prompt lookup, which needs no
 // trained heads at all, and the tree-drafting lifts (medusa-tree,
 // lookup-tree, ours-tree), whose branching draft trees are verified in
@@ -34,6 +34,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -44,65 +45,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/tokenizer"
 )
-
-// Mode selects the decoding strategy.
-type Mode int
-
-// Decoding modes compared in the paper.
-const (
-	// ModeNTP decodes one token per step (conventional decoding).
-	ModeNTP Mode = iota
-	// ModeMedusa is vanilla Medusa speculative decoding: heads draft,
-	// typical acceptance screens, no fragment alignment.
-	ModeMedusa
-	// ModeOurs is Medusa plus the paper's integrity check: accepted
-	// runs are truncated at the last [FRAG] so decoding stops align
-	// with syntactically significant tokens.
-	ModeOurs
-)
-
-// String names the mode as in the paper's tables.
-func (m Mode) String() string {
-	switch m {
-	case ModeNTP:
-		return "NTP"
-	case ModeMedusa:
-		return "Medusa"
-	case ModeOurs:
-		return "Ours"
-	}
-	return "?"
-}
-
-// ModeForScheme returns the natural decoding mode for a training scheme.
-func ModeForScheme(s model.Scheme) Mode {
-	switch s {
-	case model.SchemeNTP:
-		return ModeNTP
-	case model.SchemeMedusa:
-		return ModeMedusa
-	default:
-		return ModeOurs
-	}
-}
-
-// StrategyForMode re-expresses a legacy decoding mode as its canned
-// drafter/verifier pairing. disableIntegrity ablates the [FRAG]
-// integrity wrapper of ModeOurs (Options.DisableIntegrity).
-func StrategyForMode(m Mode, disableIntegrity bool) spec.Strategy {
-	switch m {
-	case ModeNTP:
-		return spec.NTP()
-	case ModeMedusa:
-		return spec.Medusa()
-	default:
-		s := spec.Ours()
-		if disableIntegrity {
-			s = spec.WithoutIntegrity(s)
-		}
-		return s
-	}
-}
 
 // ResolveStrategy resolves a strategy name ("ntp", "medusa", "ours",
 // "prompt-lookup" or an alias — see spec.Named) to its pairing,
@@ -136,13 +78,8 @@ func StrategyListing() string {
 
 // Options controls one decode call. Zero values select defaults.
 type Options struct {
-	// Mode selects NTP / Medusa / Ours decoding. Ignored when Strategy
-	// is set.
-	Mode Mode
 	// Strategy selects the decoding strategy by name ("ntp", "medusa",
-	// "ours", "prompt-lookup"; see spec.Named). Empty derives the
-	// strategy from Mode — full backward compatibility with the legacy
-	// three-way switch.
+	// "ours", "prompt-lookup"; see spec.Named). Empty selects "ntp".
 	Strategy string
 	// Temperature 0 decodes greedily; >0 samples the base token.
 	Temperature float64
@@ -163,8 +100,8 @@ type Options struct {
 	// tree-drafting strategies (medusa-tree, lookup-tree, ours-tree);
 	// <= 0 selects spec.DefaultTreeBudget. Linear strategies ignore it.
 	TreeBudget int
-	// DisableIntegrity ablates the [FRAG] integrity check in ModeOurs
-	// (used by the ablation benchmarks).
+	// DisableIntegrity ablates the [FRAG] integrity check of the
+	// strategies that carry it (used by the ablation benchmarks).
 	DisableIntegrity bool
 	// Seed drives the sampling RNG; decodes are fully deterministic
 	// given (model, prompt, options).
@@ -190,46 +127,31 @@ func (o Options) withDefaults(m *model.Model) Options {
 	return o
 }
 
-// strategy resolves the options' decoding strategy: the named one when
-// Strategy is set, otherwise the legacy mode's canned pairing.
-func (o Options) strategy() (spec.Strategy, error) {
-	if o.Strategy != "" {
-		return ResolveStrategy(o.Strategy, o.DisableIntegrity)
-	}
-	return StrategyForMode(o.Mode, o.DisableIntegrity), nil
-}
+// strategyName is the name the options select: Strategy, or "ntp" when
+// it is empty.
+func (o Options) strategyName() string { return cmp.Or(o.Strategy, "ntp") }
 
 // StrategyLabel returns the canonical display name of the strategy
 // these options select ("NTP", "Medusa", "Ours", "PromptLookup") —
 // the key serving metrics and benchmark tables group by. An unknown
 // Strategy name is returned verbatim so the error stays visible.
 func (o Options) StrategyLabel() string {
-	if o.Strategy != "" {
-		if s, ok := spec.Named(o.Strategy); ok {
-			return s.Name
-		}
-		return o.Strategy
+	if s, ok := spec.Named(o.strategyName()); ok {
+		return s.Name
 	}
-	return o.Mode.String()
+	return o.Strategy
 }
 
 // Canonical rewrites the options so equivalent decodes compare equal:
 // the strategy is expressed by its canonical display name (aliases and
-// the legacy Mode spelling collapse onto it) and Mode is zeroed, since
-// strategy() ignores it once Strategy is set. Decoding behaviour is
+// the empty spelling of "ntp" collapse onto it). Decoding behaviour is
 // unchanged — the serving layer canonicalizes before using Options as
 // a cache or single-flight key so "pl", "prompt-lookup" and
-// "PromptLookup" (or mode "ours" vs strategy "ours") share one entry.
-// Unknown strategy names pass through untouched and fail at decode
-// time as before.
+// "PromptLookup" share one entry. Unknown strategy names pass through
+// untouched and fail at decode time as before.
 func (o Options) Canonical() Options {
-	name := o.Strategy
-	if name == "" {
-		name = o.Mode.String()
-	}
-	if s, ok := spec.Named(name); ok {
+	if s, ok := spec.Named(o.strategyName()); ok {
 		o.Strategy = s.Name
-		o.Mode = 0
 		// TreeBudget canonicalizes too, so requests that decode
 		// identically share one cache entry and one flight: linear
 		// strategies ignore the field entirely (zeroed), and for tree
@@ -319,8 +241,8 @@ const noRepeatN = 10
 // the unit of streaming for the serving layer. Tokens are the ids
 // actually appended to the sequence this step (after acceptance
 // screening, integrity truncation and budget clipping); Text is their
-// cleaned decoding (special markers stripped), which for ModeOurs is a
-// run of complete syntactic fragments.
+// cleaned decoding (special markers stripped), which for the "ours"
+// strategy is a run of complete syntactic fragments.
 type StepEvent struct {
 	// Step is the 1-based forward-pass index.
 	Step int
@@ -341,15 +263,14 @@ type StepFn func(StepEvent)
 // session, repetition tracker) lives on the stack of each call, so a
 // single Decoder — or many Decoders sharing one Model — may decode
 // concurrently, provided the Model is no longer being trained. An
-// optional model.SessionCache (WithSessionCache) shares prompt-derived
-// session state across decodes: the whole-prompt LRU reuses identical
-// prompts, the prefix trie additionally forks mid-prompt sessions for
-// prompts sharing a token prefix. Gen values are immutable after
-// construction and a forked session equals a fresh build, so the cache
-// changes nothing about outputs.
+// optional model.TrieCache (WithSessionCache) shares prompt-derived
+// session state across decodes: identical prompts reuse one session
+// and prompts sharing a token prefix fork it mid-prompt. Gen values
+// are immutable after construction and a forked session equals a
+// fresh build, so the cache changes nothing about outputs.
 type Decoder struct {
 	m        *model.Model
-	genCache model.SessionCache
+	sessions *model.TrieCache // nil: every decode prepares its own session
 }
 
 // repState tracks generated clean-token n-grams for the no-repeat rule.
@@ -387,34 +308,16 @@ func (r *repState) push(id int) {
 // NewDecoder wraps a model for decoding.
 func NewDecoder(m *model.Model) *Decoder { return &Decoder{m: m} }
 
-// WithGenCache attaches a whole-prompt session cache (legacy spelling
-// of WithSessionCache, kept for embedders).
-func (d *Decoder) WithGenCache(c *model.GenCache) *Decoder {
-	if c == nil {
-		return d.WithSessionCache(nil)
-	}
-	return d.WithSessionCache(c)
-}
-
 // WithSessionCache attaches a shared prompt-state cache: decodes of a
 // prompt already seen (by any decoder sharing the cache) reuse its
 // prepared generation session instead of re-deriving keyword seeds,
-// copy sets and code-line marks — and with a model.TrieCache, decodes
-// of a prompt sharing a token prefix with an earlier one fork the
-// cached prefix session and prepare only the suffix. Returns the
-// decoder for chaining.
-func (d *Decoder) WithSessionCache(c model.SessionCache) *Decoder {
-	d.genCache = c
+// copy sets and code-line marks, and decodes of a prompt sharing a
+// token prefix with an earlier one fork the cached prefix session and
+// prepare only the suffix. nil detaches it. Returns the decoder for
+// chaining.
+func (d *Decoder) WithSessionCache(c *model.TrieCache) *Decoder {
+	d.sessions = c
 	return d
-}
-
-// newGen prepares (or fetches from the shared cache) the generation
-// session for a prompt.
-func (d *Decoder) newGen(promptIDs []int) *model.Gen {
-	if d.genCache != nil {
-		return d.genCache.Gen(d.m, promptIDs)
-	}
-	return d.m.NewGen(promptIDs)
 }
 
 // Generate produces a completion for a natural-language description.
@@ -447,27 +350,13 @@ func (d *Decoder) GenerateStream(ctx context.Context, desc string, opts Options,
 }
 
 // GenerateFrom decodes starting from explicit prompt token ids. Like
-// Generate it panics on an unknown Options.Strategy name; use
-// GenerateFromCtx to receive the error instead.
+// Generate it panics on an unknown Options.Strategy name.
 func (d *Decoder) GenerateFrom(promptIDs []int, opts Options) *Result {
 	res, err := d.generate(context.Background(), promptIDs, opts, nil)
 	if err != nil {
 		panic(err)
 	}
 	return res
-}
-
-// GenerateFromCtx is GenerateFrom with cancellation (see GenerateCtx).
-func (d *Decoder) GenerateFromCtx(ctx context.Context, promptIDs []int, opts Options) (*Result, error) {
-	return d.generate(ctx, promptIDs, opts, nil)
-}
-
-// GenerateStreamFrom is GenerateStream starting from explicit prompt
-// token ids. The serving layer tokenizes each prompt once — for its
-// canonical cache/single-flight key — and hands the ids straight to
-// the decode, so the hot path never re-encodes the same text.
-func (d *Decoder) GenerateStreamFrom(ctx context.Context, promptIDs []int, opts Options, onStep StepFn) (*Result, error) {
-	return d.generate(ctx, promptIDs, opts, onStep)
 }
 
 // generate is the decoding loop shared by all entry points, expressed

@@ -76,8 +76,9 @@ func goldenMatrix(t *testing.T) []goldenCase {
 		}
 	}
 	for _, scheme := range []model.Scheme{model.SchemeNTP, model.SchemeMedusa, model.SchemeOurs} {
-		mode := ModeForScheme(scheme)
-		decode(scheme, mode.String(), "", Options{Mode: mode})
+		// Recorded under the "mode" label with an empty strategy field;
+		// a scheme's name is also its strategy's display name.
+		decode(scheme, scheme.String(), "", Options{Strategy: scheme.String()})
 	}
 	for _, sc := range []struct {
 		scheme   model.Scheme

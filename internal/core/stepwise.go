@@ -70,14 +70,14 @@ type DecodeState struct {
 // BeginDecode prepares a resumable decode from explicit prompt token
 // ids. The only error is an unknown Options.Strategy name — the same
 // contract as generate. The prompt session is acquired immediately
-// (leased, when the session cache supports page pinning), so the first
-// Step pays no preparation cost.
+// (leased, when a session cache is attached), so the first Step pays no
+// preparation cost.
 func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options, onStep StepFn) (*DecodeState, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.withDefaults(d.m)
-	strat, err := opts.strategy()
+	strat, err := ResolveStrategy(opts.strategyName(), opts.DisableIntegrity)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +100,8 @@ func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options
 		prep := tr.Start(s.span, trace.KindSessionPrep, "")
 		s.gen, s.lease = d.acquireGen(promptIDs)
 		prep.SetAttrInt("prompt_tokens", int64(len(promptIDs)))
-		if pc, ok := d.genCache.(interface{ CachedPrefixLen([]int) int }); ok {
-			prep.SetAttrInt("trie_hit_depth", int64(pc.CachedPrefixLen(promptIDs)))
+		if d.sessions != nil {
+			prep.SetAttrInt("trie_hit_depth", int64(d.sessions.CachedPrefixLen(promptIDs)))
 		}
 		prep.End()
 	} else {
@@ -317,16 +317,16 @@ func (s *DecodeState) Steps() int { return s.res.Steps }
 func (s *DecodeState) Tokens() int { return len(s.res.Tokens) }
 
 // LeasedPages reports how many session pages the decode currently
-// holds pinned (zero on non-leasing caches).
+// holds pinned (zero without a session cache).
 func (s *DecodeState) LeasedPages() int { return s.lease.Pages() }
 
-// acquireGen fetches the prompt session, holding a page lease when the
-// session cache supports pinning (the trie). Non-leasing caches and
-// the cacheless path return a nil lease — safe to Release regardless.
+// acquireGen fetches the prompt session, holding a page lease on the
+// session cache when one is attached. The cacheless path returns a nil
+// lease — safe to Release regardless.
 func (d *Decoder) acquireGen(promptIDs []int) (*model.Gen, *model.SessionLease) {
-	if lc, ok := d.genCache.(model.LeasingCache); ok {
-		l := lc.Acquire(d.m, promptIDs)
+	if d.sessions != nil {
+		l := d.sessions.Acquire(d.m, promptIDs)
 		return l.Gen(), l
 	}
-	return d.newGen(promptIDs), nil
+	return d.m.NewGen(promptIDs), nil
 }

@@ -3,12 +3,12 @@
 // optimizations earn their speedups only if measured — and trusted —
 // honestly, and a session cache is only admissible if it provably
 // changes nothing about outputs. RunDiffTest decodes the full strategy
-// matrix four times — no session cache, whole-prompt LRU, token-prefix
-// trie, and a trie-backed step-wise decode preempted (parked, sometimes
-// dropped, resumed) at randomized step boundaries — over a workload
-// built to stress every reuse path (shared stems, prefix extensions and
+// matrix three times — no session cache, token-prefix trie, and a
+// trie-backed step-wise decode preempted (parked, sometimes dropped,
+// resumed) at randomized step boundaries — over a workload built to
+// stress every reuse path (shared stems, prefix extensions and
 // truncations, exact repeats) and requires byte-identical results per
-// (prompt, strategy, seed). The fourth mode is the continuous
+// (prompt, strategy, seed). The third mode is the continuous
 // scheduler's admissibility proof: checkpoint/resume at any sweep
 // boundary, with or without the session pages surviving the park, must
 // never change bytes. CI runs it as a dedicated job next to the golden
@@ -67,8 +67,8 @@ type DiffReport struct {
 	Preemptions, Drops uint64
 }
 
-// diffModes labels the four session-cache configurations under test.
-var diffModes = []string{"off", "whole", "trie", "preempt"}
+// diffModes labels the three session-cache configurations under test.
+var diffModes = []string{"off", "trie", "preempt"}
 
 // RunDiffTest decodes every StrategyMatrix entry over the workload with
 // all three cache modes and returns an error on the first output
@@ -98,7 +98,6 @@ func (r *Runner) RunDiffTest(cfg DiffConfig) (DiffReport, error) {
 			trie := model.NewTrieCache(0)
 			decs := map[string]*core.Decoder{
 				"off":     core.NewDecoder(m),
-				"whole":   core.NewDecoder(m).WithSessionCache(model.NewGenCache(256)),
 				"trie":    core.NewDecoder(m).WithSessionCache(trie),
 				"preempt": core.NewDecoder(m).WithSessionCache(model.NewTrieCache(0)),
 			}

@@ -4,12 +4,12 @@ import "testing"
 
 // TestDifferentialCacheModes is the cache-admissibility gate CI runs
 // next to the golden determinism job: across the full strategy matrix,
-// decoding with the token-prefix trie cache, with the whole-prompt
-// LRU, and through the step-wise API under randomized preemption
-// (park / drop pages / resume at step boundaries) must all be
-// byte-identical to decoding with no session cache at all, per
-// (prompt, strategy, seed) — and the run must actually have forked
-// mid-prompt sessions and injected preemptions, or it proved nothing.
+// decoding with the token-prefix trie cache and through the step-wise
+// API under randomized preemption (park / drop pages / resume at step
+// boundaries) must both be byte-identical to decoding with no session
+// cache at all, per (prompt, strategy, seed) — and the run must
+// actually have forked mid-prompt sessions and injected preemptions,
+// or it proved nothing.
 func TestDifferentialCacheModes(t *testing.T) {
 	r := NewRunner(quickSetup())
 	report, err := r.RunDiffTest(DiffConfig{})
@@ -28,7 +28,7 @@ func TestDifferentialCacheModes(t *testing.T) {
 	if report.Preemptions == 0 || report.Drops == 0 {
 		t.Fatalf("differential run exercised no preemption (%d parks, %d drops)", report.Preemptions, report.Drops)
 	}
-	t.Logf("differential run clean: %d cases byte-identical across {off, whole, trie, preempt}, %d mid-prompt forks, %d preemptions (%d page drops)",
+	t.Logf("differential run clean: %d cases byte-identical across {off, trie, preempt}, %d mid-prompt forks, %d preemptions (%d page drops)",
 		report.Cases, report.PartialHits, report.Preemptions, report.Drops)
 }
 
@@ -70,14 +70,15 @@ func TestDifferentialAdaptModes(t *testing.T) {
 
 // TestPrefixBenchTrieRecomputesFewer pins the performance half of the
 // acceptance criteria: on the shared-stem workload the trie cache must
-// recompute strictly fewer prompt tokens than the whole-prompt LRU
-// (which in turn must beat no cache at all), because only the trie can
-// reuse the stems that dominate the workload.
+// recompute strictly fewer prompt tokens than a cache that could only
+// reuse exact repeats — the workload is submitted twice, so that bound
+// is half the prompt tokens — because only forking the stems that
+// dominate the workload gets below it.
 func TestPrefixBenchTrieRecomputesFewer(t *testing.T) {
 	r := NewRunner(quickSetup())
-	rows := r.RunPrefixBench(PrefixBenchConfig{})
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (off, whole, trie)", len(rows))
+	rows := r.RunPrefixBench(PrefixBenchConfig{Repeats: 2})
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (off, trie)", len(rows))
 	}
 	byMode := map[string]PrefixBenchRow{}
 	for _, row := range rows {
@@ -86,22 +87,15 @@ func TestPrefixBenchTrieRecomputesFewer(t *testing.T) {
 			row.Mode, row.Requests, row.PromptTokens, row.TokensRecomputed,
 			row.TokensSaved, row.Hits, row.PartialHits, row.HitRate)
 	}
-	off, whole, trie := byMode["off"], byMode["whole"], byMode["trie"]
+	off, trie := byMode["off"], byMode["trie"]
 	if off.TokensSaved != 0 || off.TokensRecomputed != off.PromptTokens {
 		t.Fatalf("cache-off saved tokens: %+v", off)
 	}
-	if whole.TokensRecomputed >= off.TokensRecomputed {
-		t.Fatalf("whole-prompt cache saved nothing: whole=%d off=%d",
-			whole.TokensRecomputed, off.TokensRecomputed)
-	}
-	if trie.TokensRecomputed >= whole.TokensRecomputed {
-		t.Fatalf("trie recomputed %d tokens, want fewer than whole-prompt's %d",
-			trie.TokensRecomputed, whole.TokensRecomputed)
+	if exactOnly := off.PromptTokens / 2; trie.TokensRecomputed >= exactOnly {
+		t.Fatalf("trie recomputed %d tokens, want fewer than the %d an exact-repeat cache would",
+			trie.TokensRecomputed, exactOnly)
 	}
 	if trie.PartialHits == 0 {
 		t.Fatal("trie saw no partial hits on a shared-stem workload")
-	}
-	if whole.PartialHits != 0 {
-		t.Fatalf("whole-prompt cache reported partial hits: %+v", whole)
 	}
 }

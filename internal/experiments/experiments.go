@@ -88,7 +88,9 @@ func (s Setup) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Schemes compared everywhere, in the paper's column order.
+// Schemes compared everywhere, in the paper's column order. Each is
+// decoded with the strategy of the same name (scheme.String() is that
+// strategy's display name in the spec registry).
 var Schemes = []model.Scheme{model.SchemeOurs, model.SchemeMedusa, model.SchemeNTP}
 
 // SizeLabel renders a subset size the way the paper does (items/1000,
@@ -214,7 +216,7 @@ func (r *Runner) newEngine(m *model.Model) *serve.Engine {
 func (r *Runner) evalSuite(m *model.Model, suite []bench.Problem, seedBase int64) []promptOutcome {
 	eng := r.newEngine(m)
 	defer eng.Close()
-	mode := core.ModeForScheme(m.Scheme())
+	strategy := m.Scheme().String()
 	n := r.setup.Samples
 	nTemps := len(r.setup.Temps)
 
@@ -226,7 +228,7 @@ func (r *Runner) evalSuite(m *model.Model, suite []bench.Problem, seedBase int64
 				reqs = append(reqs, serve.Request{
 					Prompt: suite[i].Prompt,
 					Options: core.Options{
-						Mode:        mode,
+						Strategy:    strategy,
 						Temperature: temp,
 						Seed:        promptSeed + int64(ti*1000+s),
 					},
@@ -349,7 +351,7 @@ func (r *Runner) RunTable2() []SpeedRow {
 		speeds := map[model.Scheme]float64{}
 		for _, scheme := range Schemes {
 			m := model.Train(tk, cfg, scheme, r.examples)
-			mode := core.ModeForScheme(scheme)
+			strategy := scheme.String()
 
 			// Each prompt decodes greedily and sampled at T=0.8; the
 			// pairs dispatch through the shared worker pool and land
@@ -357,8 +359,8 @@ func (r *Runner) RunTable2() []SpeedRow {
 			reqs := make([]serve.Request, 0, 2*len(prompts))
 			for i, prompt := range prompts {
 				reqs = append(reqs,
-					serve.Request{Prompt: prompt, Options: core.Options{Mode: mode}},
-					serve.Request{Prompt: prompt, Options: core.Options{Mode: mode, Temperature: 0.8, Seed: int64(i)}})
+					serve.Request{Prompt: prompt, Options: core.Options{Strategy: strategy}},
+					serve.Request{Prompt: prompt, Options: core.Options{Strategy: strategy, Temperature: 0.8, Seed: int64(i)}})
 			}
 			eng := r.newEngine(m)
 			resps := eng.GenerateBatch(context.Background(), reqs)
@@ -517,7 +519,7 @@ func (r *Runner) RunFig5() []Fig5Row {
 	for _, scheme := range Schemes {
 		m := model.Train(tk, cfg, scheme, r.examples)
 		dec := core.NewDecoder(m)
-		res := dec.Generate(Fig5Prompt, core.Options{Mode: core.ModeForScheme(scheme)})
+		res := dec.Generate(Fig5Prompt, core.Options{Strategy: scheme.String()})
 		rows = append(rows, Fig5Row{Method: scheme.String(), Steps: res.Steps, Tokens: len(res.CleanTokens)})
 	}
 	return rows

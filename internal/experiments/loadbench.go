@@ -17,19 +17,17 @@ import (
 
 // LoadBench measures the quantity the continuous scheduler exists to
 // protect: short-request latency while a long decode shares the engine.
-// Each scheduler mode runs the same two phases on one engine —
-// unloaded (sequential short decodes, nothing else in flight) and
-// loaded (the same shorts while a background client keeps exactly one
-// long decode in flight throughout) — and the row reports the loaded /
-// unloaded p95 ratio. Under the micro-batch worker pool a short behind
-// a long waits for the long's entire remainder, so the ratio explodes;
-// the continuous scheduler preempts the long at the next sweep
-// boundary and the ratio stays near 1. CI pins that contrast.
+// One engine runs two phases — unloaded (sequential short decodes,
+// nothing else in flight) and loaded (the same shorts while a
+// background client keeps exactly one long decode in flight
+// throughout) — and the row reports the loaded / unloaded p95 ratio. A
+// dispatcher that ran each admitted decode to completion would make a
+// short wait for the long's entire remainder; the scheduler preempts
+// the long at the next sweep boundary and the ratio stays near 1. CI
+// pins that bound.
 
 // LoadBenchConfig sizes the latency-under-load scenario.
 type LoadBenchConfig struct {
-	// Schedulers are the engine modes to compare (default both).
-	Schedulers []string
 	// Shorts is the measured short-request count per phase (default 60).
 	Shorts int
 	// ShortTokens/LongTokens bound the two decode lengths (defaults
@@ -41,7 +39,7 @@ type LoadBenchConfig struct {
 	// arrival gap that lets the long decode accumulate residency, as
 	// interactive traffic does.
 	ThinkTime time.Duration
-	// PreemptQuantum is the continuous scheduler's residency bound in
+	// PreemptQuantum is the scheduler's residency bound in
 	// sweeps (default 4 — above the typical short decode's step count,
 	// so shorts run to completion once admitted, but small enough that
 	// a resumed long decode yields within about a millisecond of a
@@ -54,9 +52,6 @@ type LoadBenchConfig struct {
 const loadBenchSeedBase = 1000
 
 func (c LoadBenchConfig) withDefaults() LoadBenchConfig {
-	if len(c.Schedulers) == 0 {
-		c.Schedulers = []string{serve.SchedContinuous, serve.SchedMicroBatch}
-	}
 	if c.Shorts <= 0 {
 		c.Shorts = 60
 	}
@@ -75,11 +70,10 @@ func (c LoadBenchConfig) withDefaults() LoadBenchConfig {
 	return c
 }
 
-// LoadBenchRow is one scheduler mode's measured outcome. Latencies are
-// wall-clock at the client, in milliseconds.
+// LoadBenchRow is the measured outcome. Latencies are wall-clock at the
+// client, in milliseconds.
 type LoadBenchRow struct {
-	Scheduler string
-	Shorts    int
+	Shorts int
 	// Unloaded/Loaded short-request latency.
 	UnloadedMeanMS, UnloadedP95MS float64
 	LoadedMeanMS, LoadedP95MS     float64
@@ -87,20 +81,18 @@ type LoadBenchRow struct {
 	LatencyRatio float64
 	// LongDecodes counts background long decodes completed during the
 	// loaded phase; Preemptions/Resumes are the scheduler's counters
-	// after it (zero under micro-batch, which cannot preempt).
+	// after it.
 	LongDecodes          int
 	Preemptions, Resumes uint64
 }
 
-// LoadBench runs the two-phase scenario once per scheduler mode. Both
-// engines are configured identically — one worker, one batch slot —
-// so the only difference is the dispatch architecture: can a decode
-// yield the engine mid-flight, or does admission mean running to
-// completion?
-func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) ([]LoadBenchRow, error) {
+// LoadBench runs the two-phase scenario on an engine with one worker
+// and one batch slot, so a short can only run if the long decode
+// yields the engine mid-flight.
+func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) (LoadBenchRow, error) {
 	cfg = cfg.withDefaults()
 	if len(prompts) < 2 {
-		return nil, fmt.Errorf("load bench needs at least 2 prompts, got %d", len(prompts))
+		return LoadBenchRow{}, fmt.Errorf("load bench needs at least 2 prompts, got %d", len(prompts))
 	}
 	// The gate measures scheduler-induced latency, not collector-induced
 	// latency: the background decode allocates on every step, and on a
@@ -113,31 +105,18 @@ func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) ([]LoadBen
 	defer debug.SetGCPercent(gcPct)
 	runtime.GC()
 	longPrompt, shortPrompts := prompts[0], prompts[1:]
-	var rows []LoadBenchRow
-	for _, sched := range cfg.Schedulers {
-		eng := serve.NewEngine(m, serve.Config{
-			Scheduler: sched, Workers: 1, MaxBatch: 1,
-			PreemptQuantum: cfg.PreemptQuantum,
-			QueueSize:      4 * cfg.Shorts, CacheSize: -1, NoDedup: true,
-		})
-		row, err := driveLoad(eng, sched, longPrompt, shortPrompts, cfg)
-		eng.Close()
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// driveLoad measures one engine through both phases.
-func driveLoad(eng *serve.Engine, sched, longPrompt string, shortPrompts []string, cfg LoadBenchConfig) (LoadBenchRow, error) {
+	eng := serve.NewEngine(m, serve.Config{
+		Workers: 1, MaxBatch: 1,
+		PreemptQuantum: cfg.PreemptQuantum,
+		QueueSize:      4 * cfg.Shorts, CacheSize: -1, NoDedup: true,
+	})
+	defer eng.Close()
 	ctx := context.Background()
 	shortReq := func(i int, seed int64) serve.Request {
 		return serve.Request{
 			Prompt: shortPrompts[i%len(shortPrompts)],
 			Options: core.Options{
-				Mode: core.ModeOurs, Temperature: 0.6,
+				Strategy: "ours", Temperature: 0.6,
 				MaxNewTokens: cfg.ShortTokens, Seed: seed,
 			},
 		}
@@ -146,7 +125,7 @@ func driveLoad(eng *serve.Engine, sched, longPrompt string, shortPrompts []strin
 	// pays first-touch prompt preparation the other skipped.
 	for i := range shortPrompts {
 		if resp, err := eng.Generate(ctx, shortReq(i, -1)); err != nil || resp.Err != nil {
-			return LoadBenchRow{}, fmt.Errorf("%s warmup %d: %v / %v", sched, i, err, resp.Err)
+			return LoadBenchRow{}, fmt.Errorf("warmup %d: %v / %v", i, err, resp.Err)
 		}
 	}
 
@@ -168,7 +147,7 @@ func driveLoad(eng *serve.Engine, sched, longPrompt string, shortPrompts []strin
 			t0 := time.Now()
 			resp, err := eng.Generate(ctx, shortReq(i, seedBase+int64(i)))
 			if err != nil || resp.Err != nil {
-				return nil, fmt.Errorf("%s short %d: %v / %v", sched, i, err, resp.Err)
+				return nil, fmt.Errorf("short %d: %v / %v", i, err, resp.Err)
 			}
 			if i >= rampShorts {
 				lat = append(lat, float64(time.Since(t0))/float64(time.Millisecond))
@@ -205,7 +184,7 @@ func driveLoad(eng *serve.Engine, sched, longPrompt string, shortPrompts []strin
 			}
 			resp, err := eng.Generate(ctx, req)
 			if err != nil || resp.Err != nil {
-				longErr <- fmt.Errorf("%s long decode %d: %v / %v", sched, n, err, resp.Err)
+				longErr <- fmt.Errorf("long decode %d: %v / %v", n, err, resp.Err)
 				longDone <- n
 				return
 			}
@@ -233,7 +212,6 @@ func driveLoad(eng *serve.Engine, sched, longPrompt string, shortPrompts []strin
 
 	mt := eng.Metrics()
 	row := LoadBenchRow{
-		Scheduler:   sched,
 		Shorts:      cfg.Shorts,
 		LongDecodes: longDecodes,
 		Preemptions: mt.Preemptions - preBefore,
@@ -259,7 +237,7 @@ func meanAndP95(lat []float64) (mean, p95 float64) {
 
 // RunLoadBench trains one model and runs the latency-under-load
 // scenario over the benchmark prompt set.
-func (r *Runner) RunLoadBench(cfg LoadBenchConfig) ([]LoadBenchRow, error) {
+func (r *Runner) RunLoadBench(cfg LoadBenchConfig) (LoadBenchRow, error) {
 	mcfg := r.setup.Models[0]
 	m := model.Train(r.toks[mcfg.Name], mcfg, model.SchemeOurs, r.examples)
 	return LoadBench(m, r.speedPrompts(), cfg)

@@ -2,9 +2,10 @@
 // change: how many prompt tokens of session preparation each
 // prefix-cache mode recomputes on a shared-stem workload — the traffic
 // shape the fleet's affinity router deliberately concentrates onto one
-// replica. The whole-prompt LRU only reuses exact repeats; the trie
-// additionally forks the shared stems, so its tokens-recomputed column
-// drops well below the LRU's (pinned by TestPrefixBenchTrieRecomputesFewer).
+// replica. The trie reuses exact repeats and additionally forks the
+// shared stems, so its tokens-recomputed column drops well below what
+// exact-repeat reuse alone could reach (pinned by
+// TestPrefixBenchTrieRecomputesFewer).
 package experiments
 
 import (
@@ -87,8 +88,8 @@ type PrefixBenchRow struct {
 	// PromptTokens is the total session-preparation work submitted
 	// (canonical prompt tokens across all decoded requests); TokensSaved
 	// is how much of it the cache skipped; TokensRecomputed is what was
-	// actually paid. Off recomputes everything, whole-prompt saves exact
-	// repeats, the trie also saves the shared stems.
+	// actually paid. Off recomputes everything; the trie saves exact
+	// repeats and the shared stems.
 	PromptTokens     uint64
 	TokensSaved      uint64
 	TokensRecomputed uint64
@@ -115,7 +116,7 @@ func PrefixBench(m *model.Model, cfg PrefixBenchConfig) []PrefixBenchRow {
 	}
 
 	var rows []PrefixBenchRow
-	for _, mode := range []string{serve.PrefixCacheOff, serve.PrefixCacheWhole, serve.PrefixCacheTrie} {
+	for _, mode := range []string{serve.PrefixCacheOff, serve.PrefixCacheTrie} {
 		eng := serve.NewEngine(m, serve.Config{
 			Workers:         cfg.Workers,
 			CacheSize:       -1, // every request must decode (and look up its session)
@@ -161,7 +162,7 @@ func benchPrefixOptions(seed int64, maxNew int) core.Options {
 }
 
 // RunPrefixBench trains one model on the full corpus and runs the
-// shared-stem workload across all three prefix-cache modes.
+// shared-stem workload across both prefix-cache modes.
 func (r *Runner) RunPrefixBench(cfg PrefixBenchConfig) []PrefixBenchRow {
 	mcfg := r.setup.Models[0]
 	m := model.Train(r.toks[mcfg.Name], mcfg, model.SchemeOurs, r.examples)

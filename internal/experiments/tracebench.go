@@ -103,7 +103,7 @@ func driveTraceMode(m *model.Model, prompts []string, cfg TraceBenchConfig, trac
 		return serve.Request{
 			Prompt: prompts[i%len(prompts)],
 			Options: core.Options{
-				Mode: core.ModeOurs, Temperature: 0.6,
+				Strategy: "ours", Temperature: 0.6,
 				MaxNewTokens: cfg.Tokens, Seed: int64(i),
 			},
 		}

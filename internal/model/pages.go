@@ -22,11 +22,10 @@ package model
 
 // SessionLease pins the trie pages backing one decode's prompt session
 // for the lifetime of the decode (or its parked checkpoint). Obtained
-// from a LeasingCache; Release is idempotent and nil-safe, so callers
-// on cacheless or non-leasing paths can hold a nil lease and release
-// it unconditionally.
+// from TrieCache.Acquire; Release is idempotent and nil-safe, so the
+// cacheless path can hold a nil lease and release it unconditionally.
 type SessionLease struct {
-	c     *TrieCache // nil: nothing pinned (foreign model or plain cache)
+	c     *TrieCache // nil: nothing pinned (foreign model)
 	gen   *Gen
 	nodes []*trieNode
 	bytes int64
@@ -80,22 +79,10 @@ func (l *SessionLease) Release() {
 	l.nodes = nil
 }
 
-// LeasingCache is a SessionCache whose sessions can be pinned against
-// eviction for the lifetime of a decode. The trie cache implements it;
-// the whole-prompt LRU and cacheless paths do not (their callers hold
-// a nil lease).
-type LeasingCache interface {
-	SessionCache
-	// Acquire is Gen plus page pinning: the returned lease holds the
-	// session and references on the trie pages along the prompt's
-	// prefix path. The caller must Release when the decode finishes or
-	// is dropped.
-	Acquire(m *Model, promptIDs []int) *SessionLease
-}
-
-// Acquire implements LeasingCache: fetch (or build) the prompt's
+// Acquire is Gen plus page pinning: fetch (or build) the prompt's
 // session exactly like Gen, then pin every session-bearing node on the
 // prompt's prefix path — the page set a preempted decode parks with.
+// The caller must Release when the decode finishes or is dropped.
 // Concurrent eviction between the fetch and the pin walk can only
 // shrink the pinned set (the session pointer itself stays valid), so
 // the lease is always safe, at worst smaller than ideal.

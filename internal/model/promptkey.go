@@ -8,8 +8,7 @@ import (
 // layer that keys on a prompt — the decoder's own conditioning, the
 // serving layer's result-cache and single-flight keys, and the prefix
 // trie — derives its key through these helpers, so the key spaces can
-// never drift apart (previously the serving layer canonicalized on its
-// own and the session caches hashed raw id slices independently).
+// never drift apart.
 
 // CanonicalPromptIDs renders a natural-language description into the
 // exact token-id sequence the decoder conditions on: <bos> plus the
@@ -35,44 +34,22 @@ func PromptKeyString(ids []int) string {
 	return string(b)
 }
 
-// PromptKey hashes a prompt id sequence (FNV-1a over ids and length) —
-// the fast map key of the whole-prompt session cache, which guards the
-// hash with an exact prompt comparison (see GenCache).
-func PromptKey(promptIDs []int) uint64 {
-	h := uint64(14695981039346656037)
-	mixByte := func(b uint64) {
-		h ^= b & 0xFF
-		h *= 1099511628211
-	}
-	mix := func(v uint64) {
-		for s := 0; s < 32; s += 8 {
-			mixByte(v >> uint(s))
-		}
-	}
-	mix(uint64(len(promptIDs)))
-	for _, id := range promptIDs {
-		mix(uint64(id))
-	}
-	return h
-}
-
-// SessionStats is the common counter snapshot of a session cache.
+// SessionStats is the counter snapshot of the session cache.
 type SessionStats struct {
 	// Hits counts exact whole-prompt reuses; PartialHits counts reuses
-	// of a strict prefix (trie cache only — the whole-prompt LRU can
-	// only hit exactly); Misses counts from-scratch session builds.
+	// of a strict prefix; Misses counts from-scratch session builds.
 	Hits, PartialHits, Misses uint64
 	// TokensSaved is the total number of prompt tokens whose session
 	// preparation was skipped by reuse (full prompt length on an exact
 	// hit, matched prefix length on a partial hit).
 	TokensSaved uint64
 	// Entries is the current number of cached sessions; Bytes is the
-	// cache's estimated retained memory (trie cache only).
+	// cache's estimated retained memory.
 	Entries int
 	Bytes   int64
 	// PinnedPages/PinnedBytes count the sessions currently held
 	// resident by live decode leases and their retained bytes; Leases
-	// is the lifetime Acquire count (trie cache only — zero elsewhere).
+	// is the lifetime Acquire count.
 	PinnedPages int
 	PinnedBytes int64
 	Leases      uint64
@@ -88,15 +65,4 @@ func (s SessionStats) HitRate() float64 {
 		return float64(s.Hits+s.PartialHits) / float64(l)
 	}
 	return 0
-}
-
-// SessionCache is a shared store of prepared generation sessions. Both
-// implementations — the whole-prompt LRU (GenCache) and the token-
-// prefix trie (TrieCache) — return sessions identical to m.NewGen's,
-// so a cache never changes decode outputs, only the work of preparing
-// them. Implementations are safe for concurrent use and the returned
-// *Gen is shared and immutable.
-type SessionCache interface {
-	Gen(m *Model, promptIDs []int) *Gen
-	SessionStats() SessionStats
 }

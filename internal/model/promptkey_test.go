@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/tokenizer"
@@ -32,7 +33,6 @@ func TestPromptKeyTrickyPrompts(t *testing.T) {
 		name string
 		ids  []int
 		key  string
-		hash uint64
 	}
 	var all []keyed
 	for _, p := range prompts {
@@ -40,23 +40,17 @@ func TestPromptKeyTrickyPrompts(t *testing.T) {
 		if len(ids) == 0 || ids[0] != tokenizer.BosID {
 			t.Fatalf("%s: canonical ids must start with <bos>, got %v", p.name, ids)
 		}
-		all = append(all, keyed{name: p.name, ids: ids, key: PromptKeyString(ids), hash: PromptKey(ids)})
+		all = append(all, keyed{name: p.name, ids: ids, key: PromptKeyString(ids)})
 	}
 	for i, a := range all {
 		for j, b := range all {
 			if i >= j {
 				continue
 			}
-			idsEqual := samePrompt(a.ids, b.ids)
+			idsEqual := slices.Equal(a.ids, b.ids)
 			if (a.key == b.key) != idsEqual {
 				t.Errorf("%s vs %s: key equality %v but token equality %v",
 					a.name, b.name, a.key == b.key, idsEqual)
-			}
-			// The FNV fast key must agree with token equality too on
-			// this table (it is collision-guarded where used, but the
-			// table should not collide).
-			if idsEqual && a.hash != b.hash {
-				t.Errorf("%s vs %s: same tokens, different hash", a.name, b.name)
 			}
 		}
 	}
@@ -74,15 +68,12 @@ func TestPromptKeyTrickyPrompts(t *testing.T) {
 
 // TestPromptKeyPrefixNotEqualWhole guards the classic concatenation
 // pitfall: a prompt that is a strict token prefix of another must never
-// share its key or hash.
+// share its key.
 func TestPromptKeyPrefixNotEqualWhole(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
 	full := CanonicalPromptIDs(tk, "Create an 8-bit counter with synchronous reset.")
 	prefix := full[:len(full)-3]
 	if PromptKeyString(full) == PromptKeyString(prefix) {
 		t.Fatal("prefix and whole prompt share a string key")
-	}
-	if PromptKey(full) == PromptKey(prefix) {
-		t.Fatal("prefix and whole prompt share a hash")
 	}
 }

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// TrieCache is a token-prefix trie of prepared generation sessions —
-// the successor of the whole-prompt GenCache LRU. Where the LRU can
-// only reuse a session when the entire prompt matches, the trie keys
-// sessions on true token prefixes: a lookup returns the longest cached
-// prefix of the requested prompt, and the missing suffix is prepared by
-// a copy-on-extend Gen.Fork over only the uncached tokens. On fleets
-// where the affinity router concentrates shared-prefix traffic, this
-// turns "miss, rebuild everything" into "partial hit, extend the stem"
-// — the tokens-recomputed-per-request drop PrefixBench measures.
+// TrieCache is a token-prefix trie of prepared generation sessions
+// (*Gen). Preparing a Gen walks the whole prompt — keyword extraction
+// with IDF filtering, the copy-boost token set, code-line marking — so
+// the trie keys sessions on true token prefixes: a lookup returns the
+// longest cached prefix of the requested prompt, and the missing suffix
+// is prepared by a copy-on-extend Gen.Fork over only the uncached
+// tokens. Sessions returned are identical to m.NewGen's, so the cache
+// never changes decode outputs, only the work of preparing them. On
+// fleets where the affinity router concentrates shared-prefix traffic,
+// this turns "miss, rebuild everything" into "partial hit, extend the
+// stem" — the tokens-recomputed-per-request drop PrefixBench measures.
 //
 // Structure: a compressed (radix) trie over token ids. Nodes are
 // immutable from a reader's point of view — sessions (*Gen) never
@@ -31,8 +33,9 @@ import (
 // longer lead anywhere are pruned). Unlike an entry-count LRU this
 // accounts long prompts as costing more than short ones.
 //
-// Like GenCache, a TrieCache binds to the first Model it serves and
-// bypasses itself for any other model.
+// A TrieCache binds to the first Model it serves; sessions are
+// model-specific, so lookups with a different model bypass the cache
+// rather than cross-contaminate.
 type TrieCache struct {
 	mu       sync.Mutex
 	m        *Model
@@ -372,7 +375,7 @@ func (c *TrieCache) evictLocked(keep *trieNode) {
 	}
 }
 
-// SessionStats implements SessionCache.
+// SessionStats snapshots the cache's counters.
 func (c *TrieCache) SessionStats() SessionStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

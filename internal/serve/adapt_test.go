@@ -9,49 +9,9 @@ import (
 	"repro/internal/core"
 )
 
-// TestParseSchedulerModeTable: satellite coverage for the mode parser —
-// documented spellings parse, empty selects the documented default, and
-// case variants or unknown names return errors instead of silently
-// picking a scheduler.
-func TestParseSchedulerModeTable(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    string
-		wantErr bool
-	}{
-		{"", SchedContinuous, false},
-		{"continuous", SchedContinuous, false},
-		{"microbatch", SchedMicroBatch, false},
-		{"micro-batch", SchedMicroBatch, false},
-		{"workers", SchedMicroBatch, false},
-		{"Continuous", "", true},
-		{"CONTINUOUS", "", true},
-		{"MicroBatch", "", true},
-		{" continuous", "", true},
-		{"continuous ", "", true},
-		{"batch", "", true},
-		{"sequential", "", true},
-	}
-	for _, tc := range cases {
-		got, err := ParseSchedulerMode(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseSchedulerMode(%q) = %q, want error", tc.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseSchedulerMode(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("ParseSchedulerMode(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestParseAdaptModeTable: same contract for the adaptive-speculation
-// mode parser.
+// TestParseAdaptModeTable: documented spellings parse, empty selects
+// the documented default, and case variants or unknown names return
+// errors instead of silently picking a mode.
 func TestParseAdaptModeTable(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -294,7 +254,7 @@ func TestAdaptPrometheusFamilies(t *testing.T) {
 func TestContinuousAdaptChurn(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{
-		Scheduler: SchedContinuous, Workers: 2, MaxBatch: 2,
+		Workers: 2, MaxBatch: 2,
 		PreemptQuantum: 2, QueueSize: 64, CacheSize: -1, NoDedup: true,
 		Adapt: AdaptOn,
 	})

@@ -124,6 +124,20 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 			t.Errorf("400 response carries no minted %s header", RequestIDHeader)
 		}
 	})
+
+	t.Run("oversized body 413", func(t *testing.T) {
+		e := NewEngine(m, Config{Workers: 1})
+		defer e.Close()
+		ts := httptest.NewServer(NewServer(e).Handler())
+		defer ts.Close()
+		resp := postBody(t, ts.URL, "big-echo-1", map[string]any{"prompt": strings.Repeat("x", maxBodyBytes)})
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("status = %d from a body past the cap, want 413", resp.StatusCode)
+		}
+		if got := resp.Header.Get(RequestIDHeader); got != "big-echo-1" {
+			t.Errorf("%s = %q, want big-echo-1", RequestIDHeader, got)
+		}
+	})
 }
 
 // TestSpanTreeShape: the recorded span tree of a preempted request has
@@ -133,7 +147,7 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 // from sweep workers against debug-endpoint snapshots.
 func TestSpanTreeShape(t *testing.T) {
 	m, prompts := fixture(t)
-	e := NewEngine(m, Config{Workers: 1, Scheduler: SchedContinuous, MaxBatch: 1,
+	e := NewEngine(m, Config{Workers: 1, MaxBatch: 1,
 		PreemptQuantum: 1, CacheSize: -1, NoDedup: true})
 	defer e.Close()
 	tracer := trace.New(trace.Config{})

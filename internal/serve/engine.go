@@ -10,28 +10,25 @@
 // on the prefix trie — whenever shorter work is waiting, then resumed
 // round-robin. That keeps the verifier's batch full (the regime where
 // speculative decoding actually pays) and keeps one long generation
-// from serializing every short request behind it, which the legacy
-// worker-pool/micro-batch loop (Config.Scheduler = SchedMicroBatch,
-// retained as the LoadBench baseline) provably cannot. Around the
+// from serializing every short request behind it. Around the
 // scheduler sit a bounded request queue with explicit backpressure, an
 // LRU cache keyed on (model, prompt, options, seed) that
 // short-circuits repeat generations, a single-flight table that
 // collapses concurrent identical submissions onto one decode, and a
-// shared prefix cache (model.SessionCache: a token-prefix trie by
-// default, the legacy whole-prompt LRU on request) that reuses
-// prompt-derived session state across requests — including partial
-// reuse, where a prompt sharing only a token prefix with earlier
-// traffic forks the cached prefix session and prepares just the
-// suffix. Decoding stays deterministic per seed regardless of
+// shared prefix cache (model.TrieCache, a token-prefix trie) that
+// reuses prompt-derived session state across requests — including
+// partial reuse, where a prompt sharing only a token prefix with
+// earlier traffic forks the cached prefix session and prepares just
+// the suffix. Decoding stays deterministic per seed regardless of
 // scheduling: each request carries its own RNG seed in core.Options,
 // preemption checkpoints fall only between verification sweeps (which
 // the step-wise loop makes output-invariant by construction), and
 // decodes share nothing but the read-only model and the immutable
 // cached sessions.
 //
-// Requests choose their decoding strategy per call (core.Options.Mode
-// or the named Options.Strategy), so one daemon serves NTP, Medusa,
-// Ours and PromptLookup traffic side by side with per-strategy metrics.
+// Requests choose their decoding strategy per call
+// (core.Options.Strategy), so one daemon serves NTP, Medusa, Ours and
+// PromptLookup traffic side by side with per-strategy metrics.
 package serve
 
 import (
@@ -136,58 +133,35 @@ func ParsePriority(s string) (Priority, error) {
 
 // Config sizes an Engine. Zero values select defaults.
 type Config struct {
-	// Scheduler selects the dispatch architecture: SchedContinuous
-	// (the default) advances every in-flight decode one verification
-	// sweep at a time, admitting and retiring requests at step
-	// boundaries and preempting long decodes when others wait;
-	// SchedMicroBatch is the legacy worker-pool loop that dedicates a
-	// worker to each decode from start to finish (kept as the
-	// latency-under-load baseline). NewEngine panics on any other
-	// spelling; validate external input with ParseSchedulerMode.
-	Scheduler string
-	// MaxBatch caps concurrently running decodes under the continuous
-	// scheduler — the batch the per-sweep verification is batched
-	// across (default max(8, 2×Workers)). Requests past it queue, and
-	// parked decodes wait for a slot. Ignored by SchedMicroBatch.
+	// MaxBatch caps concurrently running decodes — the batch the
+	// per-sweep verification is batched across (default
+	// max(8, 2×Workers)). Requests past it queue, and parked decodes
+	// wait for a slot.
 	MaxBatch int
 	// PreemptQuantum is how many verification sweeps a decode may hold
 	// a batch slot while other requests are waiting before it is
 	// preempted: parked with its session pages pinned, its slot handed
 	// over, resumed round-robin. 0 selects the default (64); negative
-	// disables preemption. Ignored by SchedMicroBatch.
+	// disables preemption.
 	PreemptQuantum int
-	// Workers is the number of decode goroutines: the worker-pool size
-	// under SchedMicroBatch, the per-sweep parallelism under
-	// SchedContinuous (default GOMAXPROCS).
+	// Workers is the per-sweep decode parallelism (default GOMAXPROCS).
 	Workers int
 	// QueueSize bounds the pending-request queue (default 256). A full
 	// queue blocks Generate and rejects TryGenerate.
 	QueueSize int
-	// BatchSize caps how many queued requests one micro-batch carries
-	// to a worker (default 8; SchedMicroBatch only).
-	BatchSize int
-	// BatchWindow is how long the batcher lingers for a batch to fill
-	// before dispatching it short (default 2ms; SchedMicroBatch only).
-	BatchWindow time.Duration
 	// CacheSize is the LRU capacity in generations: 0 selects the
 	// default (512), negative disables caching (the benchmark harness
 	// disables it so every decode pays its simulated cost).
 	CacheSize int
-	// PrefixCacheMode selects the shared prompt-session cache
-	// implementation: PrefixCacheTrie (the default) keys sessions on
-	// true token prefixes and forks cached prefix sessions over only
-	// the uncached suffix; PrefixCacheWhole is the legacy whole-prompt
-	// LRU; PrefixCacheOff disables session caching. Whatever the mode,
+	// PrefixCacheMode selects the shared prompt-session cache:
+	// PrefixCacheTrie (the default) keys sessions on true token
+	// prefixes and forks cached prefix sessions over only the uncached
+	// suffix; PrefixCacheOff disables session caching. Either way
 	// outputs are byte-identical — the cache only changes how much
 	// session preparation is recomputed (pinned by the differential
 	// harness in internal/experiments). NewEngine panics on any other
 	// spelling; validate external input with ParsePrefixCacheMode.
 	PrefixCacheMode string
-	// PrefixCacheSize is the whole-prompt cache capacity in prompts: 0
-	// selects the default (256). Negative disables session caching
-	// entirely (legacy spelling of PrefixCacheOff, honoured in every
-	// mode).
-	PrefixCacheSize int
 	// PrefixCacheBytes caps the trie cache's estimated retained memory
 	// (0 selects model.DefaultTrieBytes).
 	PrefixCacheBytes int64
@@ -211,9 +185,8 @@ type Config struct {
 	// strategy and budget choices are never overridden, so outputs stay
 	// byte-identical per (prompt, seed, strategy, budget) whatever the
 	// controller decides. The load-degradation ladder is driven by the
-	// continuous scheduler's sweep signals; under SchedMicroBatch only
-	// queue wait feeds it. NewEngine panics on any other spelling;
-	// validate external input with ParseAdaptMode.
+	// scheduler's sweep signals and queue wait. NewEngine panics on any
+	// other spelling; validate external input with ParseAdaptMode.
 	Adapt string
 	// NoDedup disables single-flight deduplication of identical
 	// concurrent requests (diagnostics; dedup never changes outputs
@@ -229,8 +202,7 @@ type Config struct {
 	// behalf (see resolve).
 	Admit func(ctx context.Context, req Request) error
 	// StepFault, if set, is the fault-injection plane: it is consulted
-	// once per verification sweep of every running decode (continuous
-	// scheduler) or once per decode (micro-batch pool). A returned
+	// once per verification sweep of every running decode. A returned
 	// error aborts the decode with that error (a crashed replica); a
 	// hook that blocks wedges the decode — and, because sweeps are
 	// synchronous, the whole scheduler — until it returns (a hung
@@ -242,9 +214,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Scheduler == "" {
-		c.Scheduler = SchedContinuous
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -260,17 +229,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 512
-	}
-	if c.PrefixCacheSize == 0 {
-		c.PrefixCacheSize = 256
 	}
 	if c.PrefixCacheMode == "" {
 		c.PrefixCacheMode = PrefixCacheTrie
@@ -283,32 +243,9 @@ const (
 	// PrefixCacheTrie is the token-prefix trie with copy-on-extend
 	// sessions (the default).
 	PrefixCacheTrie = "trie"
-	// PrefixCacheWhole is the legacy whole-prompt session LRU.
-	PrefixCacheWhole = "whole"
 	// PrefixCacheOff disables session caching.
 	PrefixCacheOff = "off"
 )
-
-// Scheduler modes (Config.Scheduler, vgend -scheduler).
-const (
-	// SchedContinuous is the continuous batcher: join/leave at every
-	// verification sweep, preemptible long decodes (the default).
-	SchedContinuous = "continuous"
-	// SchedMicroBatch is the legacy worker-pool micro-batch loop.
-	SchedMicroBatch = "microbatch"
-)
-
-// ParseSchedulerMode validates a scheduler mode name (empty selects
-// the continuous default).
-func ParseSchedulerMode(s string) (string, error) {
-	switch s {
-	case "", SchedContinuous:
-		return SchedContinuous, nil
-	case SchedMicroBatch, "micro-batch", "workers":
-		return SchedMicroBatch, nil
-	}
-	return "", fmt.Errorf("unknown scheduler mode %q (want continuous or microbatch)", s)
-}
 
 // Speculation-controller modes (Config.Adapt, vgend -adapt).
 const (
@@ -342,12 +279,10 @@ func ParsePrefixCacheMode(s string) (string, error) {
 	switch s {
 	case "", PrefixCacheTrie:
 		return PrefixCacheTrie, nil
-	case PrefixCacheWhole:
-		return PrefixCacheWhole, nil
 	case PrefixCacheOff, "none":
 		return PrefixCacheOff, nil
 	}
-	return "", fmt.Errorf("unknown prefix-cache mode %q (want trie, whole or off)", s)
+	return "", fmt.Errorf("unknown prefix-cache mode %q (want trie or off)", s)
 }
 
 // Request is one generation to perform.
@@ -356,15 +291,15 @@ type Request struct {
 	// training prompt template by the decoder).
 	Prompt string
 	// Options forwards to core.Decoder; the zero value decodes
-	// greedily in NTP mode with model defaults.
+	// greedily with the "ntp" strategy and model defaults.
 	Options core.Options
 	// OnStep, if set, streams decoding steps as they complete. The
-	// callback runs on the worker goroutine; streaming requests bypass
+	// callback runs on a sweep goroutine; streaming requests bypass
 	// the cache on both read and write (a cache hit has no steps to
 	// replay, and a stored result would lie about having streamed).
 	// Because the callback typically captures caller-owned state (an
 	// HTTP response writer), Generate does not return a streaming
-	// request — even on context cancellation — until the worker is
+	// request — even on context cancellation — until the scheduler is
 	// done with it and the callback can no longer fire; the decode
 	// loop polls the context every forward pass, so that wait stays
 	// short.
@@ -380,8 +315,8 @@ type Request struct {
 	// Client identifies the submitter for per-client budget policies
 	// (empty submitters share one anonymous bucket).
 	Client string
-	// NoExplicitStrategy marks a request that named neither a decoding
-	// mode nor a strategy — its Options carry the fleet-wide default. A
+	// NoExplicitStrategy marks a request that named no strategy (under
+	// either wire spelling) — its Options carry the fleet-wide default. A
 	// fleet replica configured with its own DefaultStrategy substitutes
 	// that for such requests; explicit choices are never overridden.
 	NoExplicitStrategy bool
@@ -401,8 +336,8 @@ type Response struct {
 	Deduped bool
 	// Err is the per-request error (context cancellation, ErrClosed).
 	Err error
-	// Wall is the worker's decode time (zero for cached responses; the
-	// leader's decode time for deduplicated ones).
+	// Wall is the decode's own step time (zero for cached responses;
+	// the leader's decode time for deduplicated ones).
 	Wall time.Duration
 	// QueueWait is how long the request sat in the bounded queue before
 	// a scheduler slot picked it up (zero for cache hits; the leader's
@@ -423,13 +358,13 @@ type Response struct {
 type task struct {
 	req Request
 	// promptIDs is the prompt's canonical tokenization, computed once at
-	// submission (it also derives key); the worker decodes from it
+	// submission (it also derives key); the scheduler decodes from it
 	// directly instead of re-encoding the prompt text.
 	promptIDs []int
 	ctx       context.Context
-	done      chan *Response // buffered(1): workers never block on delivery
-	// enqueued is when the task entered the queue; the worker accounts
-	// the pickup delay as queue-wait time.
+	done      chan *Response // buffered(1): the scheduler never blocks on delivery
+	// enqueued is when the task entered the queue; the scheduler
+	// accounts the pickup delay as queue-wait time.
 	enqueued time.Time
 	// wait is the measured queue wait, recorded at pickup and echoed on
 	// the Response; qspan is the queue span when the request is traced.
@@ -437,7 +372,7 @@ type task struct {
 	qspan *trace.Span
 	// key is the request's canonical cache key (always set); fl carries
 	// the single-flight registration when this task leads one, and the
-	// worker resolves the flight on completion.
+	// scheduler resolves the flight on completion.
 	key cacheKey
 	fl  *flight
 }
@@ -450,14 +385,14 @@ type flight struct {
 	resp *Response
 }
 
-// Engine dispatches generation requests over a decoder worker pool.
+// Engine dispatches generation requests through the continuous
+// scheduler (sched.go).
 type Engine struct {
 	m        *model.Model
 	cfg      Config
 	queue    chan *task
-	batches  chan []*task
-	cache    *lruCache          // nil when disabled
-	genCache model.SessionCache // nil when disabled; trie or whole-prompt LRU per cfg
+	cache    *lruCache        // nil when disabled
+	sessions *model.TrieCache // nil when PrefixCacheOff
 
 	flightMu sync.Mutex // guards inflight
 	inflight map[cacheKey]*flight
@@ -485,8 +420,8 @@ type Engine struct {
 	st stats
 }
 
-// NewEngine starts a worker pool over m. The model must be fully
-// trained before the first request: workers read it concurrently and
+// NewEngine starts the scheduler over m. The model must be fully
+// trained before the first request: sweeps read it concurrently and
 // model training is not synchronized with reads.
 func NewEngine(m *model.Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
@@ -494,7 +429,6 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		m:        m,
 		cfg:      cfg,
 		queue:    make(chan *task, cfg.QueueSize),
-		batches:  make(chan []*task, cfg.Workers),
 		inflight: map[cacheKey]*flight{},
 		keyMemo:  map[string][]int{},
 		quit:     make(chan struct{}),
@@ -510,13 +444,8 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 	if err != nil {
 		panic("serve: " + err.Error())
 	}
-	if cfg.PrefixCacheSize > 0 {
-		switch mode {
-		case PrefixCacheWhole:
-			e.genCache = model.NewGenCache(cfg.PrefixCacheSize)
-		case PrefixCacheTrie:
-			e.genCache = model.NewTrieCache(cfg.PrefixCacheBytes)
-		}
+	if mode == PrefixCacheTrie {
+		e.sessions = model.NewTrieCache(cfg.PrefixCacheBytes)
 	}
 	e.st.perStrategy = map[string]*strategyStats{}
 	adaptMode, err := ParseAdaptMode(cfg.Adapt)
@@ -538,33 +467,19 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		}
 		e.ctrl = ctrl
 	}
-	sched, err := ParseSchedulerMode(cfg.Scheduler)
-	if err != nil {
-		panic("serve: " + err.Error())
-	}
-	switch sched {
-	case SchedMicroBatch:
-		e.wg.Add(1)
-		go e.batcher()
-		for i := 0; i < cfg.Workers; i++ {
-			e.wg.Add(1)
-			go e.worker()
-		}
-	default:
-		e.wg.Add(1)
-		go e.scheduler()
-	}
+	e.wg.Add(1)
+	go e.scheduler()
 	return e
 }
 
 // Model exposes the engine's model (the HTTP layer reports its name).
 func (e *Engine) Model() *model.Model { return e.m }
 
-// Workers reports the pool size.
+// Workers reports the per-sweep decode parallelism.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // QueueDepth reports the number of requests waiting in the queue (not
-// yet picked up by the batcher).
+// yet admitted by the scheduler).
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // QueueCap reports the bounded queue's capacity (admission policies
@@ -589,7 +504,7 @@ func (e *Engine) TryGenerate(ctx context.Context, req Request) (*Response, error
 // whole slice is in flight together; responses align index-for-index
 // with reqs (never nil), with per-request failures on Response.Err.
 // Determinism per seed makes the outcome independent of how the batch
-// lands on workers.
+// is scheduled.
 func (e *Engine) GenerateBatch(ctx context.Context, reqs []Request) []*Response {
 	return e.generateBatch(ctx, reqs, true)
 }
@@ -702,14 +617,6 @@ func (e *Engine) submit(ctx context.Context, req Request, wait bool) (*Response,
 	return e.resolve(ctx, req, ids, key, wait)
 }
 
-// prefixProber is implemented by session caches that can report the
-// deepest cached prefix of a prompt without mutating any state (the
-// token-prefix trie). The controller's prefix-reuse feature degrades
-// to zero on caches that cannot.
-type prefixProber interface {
-	CachedPrefixLen(ids []int) int
-}
-
 // adaptFeatures computes the cheap prompt features the controller
 // classifies on: the canonical token count (memoized — repeat traffic
 // pays nothing), a read-only prefix-trie probe, and one lexer pass.
@@ -720,8 +627,8 @@ func (e *Engine) adaptFeatures(req Request) adapt.Features {
 		MaxNewTokens: req.Options.MaxNewTokens,
 		Construct:    adapt.Classify(req.Prompt),
 	}
-	if p, ok := e.genCache.(prefixProber); ok {
-		f.CachedTokens = p.CachedPrefixLen(ids)
+	if e.sessions != nil {
+		f.CachedTokens = e.sessions.CachedPrefixLen(ids)
 	}
 	return f
 }
@@ -748,7 +655,6 @@ func (e *Engine) applyAdapt(req Request) Request {
 	}
 	if d.Rerouted {
 		req.Options.Strategy = d.Strategy
-		req.Options.Mode = 0
 	}
 	// Sized budgets only fill a hole the decoder would otherwise fill
 	// with its static default: an explicit request budget or a pinned
@@ -790,7 +696,7 @@ func (e *Engine) canonicalOptions(o core.Options) core.Options {
 }
 
 // canonicalize tokenizes a request's prompt exactly once, returning the
-// canonical token ids (which the worker decodes from) and the derived
+// canonical token ids (which the scheduler decodes from) and the derived
 // cache/single-flight key. Both go through the same shared helpers the
 // decoder and the prefix trie key on (model.CanonicalPromptIDs +
 // model.PromptKeyString): spellings that tokenize identically — and
@@ -863,7 +769,7 @@ func (e *Engine) resolve(ctx context.Context, req Request, ids []int, key cacheK
 		}
 		if req.OnStep != nil {
 			// No early return for streaming requests: the caller's OnStep
-			// state must not outlive this call while a worker can still
+			// state must not outlive this call while a sweep can still
 			// invoke it (see Request.OnStep).
 			resp := <-t.done
 			return resp, resp.Err
@@ -872,7 +778,7 @@ func (e *Engine) resolve(ctx context.Context, req Request, ids []int, key cacheK
 		case resp := <-t.done:
 			return resp, resp.Err
 		case <-ctx.Done():
-			// The task stays queued; the worker will observe the dead
+			// The task stays queued; the scheduler will observe the dead
 			// context and discard it into the buffered done channel.
 			return nil, ctx.Err()
 		}
@@ -1036,7 +942,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, wait bool,
 }
 
 // Close stops accepting requests, drains everything already queued
-// through the workers, and waits for them to exit. Safe to call once.
+// through the scheduler, and waits for it to exit. Safe to call once.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -1047,142 +953,13 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.mu.Unlock()
 	// No submission can be mid-send now: enqueue holds the read lock
-	// across its send, and closed gates new ones. Signal the batcher to
-	// drain what remains and shut the pool down.
+	// across its send, and closed gates new ones. Signal the scheduler
+	// to drain what remains and exit.
 	close(e.quit)
 	e.wg.Wait()
 }
 
-// batcher groups queued tasks into micro-batches: a batch dispatches
-// when it reaches BatchSize or when BatchWindow elapses after its first
-// request arrived, whichever comes first.
-func (e *Engine) batcher() {
-	defer e.wg.Done()
-	defer close(e.batches)
-	for {
-		var first *task
-		select {
-		case first = <-e.queue:
-		case <-e.quit:
-			e.drain()
-			return
-		}
-		batch := []*task{first}
-		// Adaptive dispatch: batching only pays when the pool is
-		// saturated (there is no vectorized forward pass to amortize),
-		// so if a worker slot is free, hand the request over
-		// immediately rather than lingering — lingering would
-		// serialize co-arriving requests onto one worker while the
-		// others idle.
-		select {
-		case e.batches <- batch:
-			e.st.batch(len(batch))
-			continue
-		default:
-		}
-		timer := time.NewTimer(e.cfg.BatchWindow)
-	fill:
-		for len(batch) < e.cfg.BatchSize {
-			select {
-			case t := <-e.queue:
-				batch = append(batch, t)
-			case <-timer.C:
-				break fill
-			case <-e.quit:
-				break fill
-			}
-		}
-		timer.Stop()
-		e.st.batch(len(batch))
-		e.batches <- batch
-	}
-}
-
-// drain flushes the post-Close queue remnant to the workers as final
-// batches. The queue cannot grow anymore, so a bounded loop suffices.
-func (e *Engine) drain() {
-	var batch []*task
-	flush := func() {
-		if len(batch) > 0 {
-			e.st.batch(len(batch))
-			e.batches <- batch
-			batch = nil
-		}
-	}
-	for {
-		select {
-		case t := <-e.queue:
-			batch = append(batch, t)
-			if len(batch) == e.cfg.BatchSize {
-				flush()
-			}
-		default:
-			flush()
-			return
-		}
-	}
-}
-
-// worker owns one decoder — sharing the engine's prefix cache — and
-// serves batches until the batcher closes the feed.
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	dec := core.NewDecoder(e.m).WithSessionCache(e.genCache)
-	for batch := range e.batches {
-		for _, t := range batch {
-			e.serveTask(dec, t)
-		}
-	}
-}
-
-// serveTask runs one generation and delivers its Response — to the
-// submitting caller and, when the task leads a single-flight, to every
-// follower sharing it.
-func (e *Engine) serveTask(dec *core.Decoder, t *task) {
-	wait := time.Since(t.enqueued)
-	t.wait = wait
-	t.pickedUp()
-	e.st.queueWait(wait)
-	if e.ctrl != nil {
-		e.ctrl.ObserveQueueWait(wait.Seconds() * 1000)
-	}
-	label := t.req.Options.StrategyLabel()
-	if err := t.ctx.Err(); err != nil {
-		e.st.cancel()
-		e.finish(t, &Response{Err: err, Strategy: label, QueueWait: wait})
-		return
-	}
-	start := time.Now()
-	var res *core.Result
-	var err error
-	if e.cfg.StepFault != nil {
-		// Fault-injection plane (micro-batch path): the pool has no
-		// per-sweep boundary, so the hook is consulted once per decode.
-		err = e.cfg.StepFault(t.ctx)
-		res = &core.Result{}
-	}
-	if err == nil {
-		res, err = dec.GenerateStreamFrom(t.ctx, t.promptIDs, t.req.Options, t.req.OnStep)
-	}
-	wall := time.Since(start)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			e.st.cancel()
-		} else {
-			e.st.fail()
-		}
-		e.finish(t, &Response{Result: res, Err: err, Wall: wall, Strategy: label, QueueWait: wait})
-		return
-	}
-	if e.cache != nil && t.req.OnStep == nil {
-		e.cache.add(t.key, res)
-	}
-	e.st.complete(label, res, wall)
-	e.observeResult(t.req, label, res)
-	e.finish(t, &Response{Result: res, Wall: wall, Strategy: label, QueueWait: wait})
-}
-
-// pickedUp closes the task's queue span at scheduler/worker pickup.
+// pickedUp closes the task's queue span at scheduler pickup.
 func (t *task) pickedUp() {
 	if t.qspan != nil {
 		t.qspan.SetAttrInt("wait_us", t.wait.Microseconds())

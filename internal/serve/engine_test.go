@@ -43,7 +43,7 @@ func fixture(tb testing.TB) (*model.Model, []string) {
 }
 
 func testOptions(seed int64) core.Options {
-	return core.Options{Mode: core.ModeOurs, Temperature: 0.6, MaxNewTokens: 48, Seed: seed}
+	return core.Options{Strategy: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: seed}
 }
 
 // TestBatchMatchesDirectDecoder pins the engine's two core guarantees:
@@ -175,90 +175,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestQueueFullBackpressure wedges the single worker mid-decode via a
-// blocking OnStep, fills every pipeline slot (queue, batcher hand,
-// batch channel), and checks both backpressure behaviours: TryGenerate
-// fails fast with ErrQueueFull while Generate blocks until its context
-// deadline. The slot census is micro-batch plumbing, so the test pins
-// SchedMicroBatch; the continuous scheduler's backpressure contract is
-// pinned by TestContinuousBackpressure in sched_test.go.
-func TestQueueFullBackpressure(t *testing.T) {
-	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{
-		Scheduler: SchedMicroBatch,
-		Workers:   1, QueueSize: 1, BatchSize: 1,
-		BatchWindow: time.Millisecond, CacheSize: -1,
-	})
-	defer eng.Close()
-	ctx := context.Background()
-
-	release := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
-	gate := func(core.StepEvent) {
-		once.Do(func() { close(started) })
-		<-release
-	}
-	gatedErr := make(chan error, 1)
-	go func() {
-		_, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: testOptions(1), OnStep: gate})
-		gatedErr <- err
-	}()
-	<-started // worker is now stalled inside a decode
-
-	// With the worker stalled, exactly three more tasks fit: one in the
-	// batch channel, one in the batcher's hand, one in the queue. Keep
-	// filling until a rejection arrives after all slots are taken.
-	successes := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		req := Request{Prompt: prompts[1], Options: testOptions(int64(successes))}
-		ids, key := eng.canonicalize(req)
-		_, err := eng.enqueue(ctx, req, ids, false, key, nil)
-		if err == nil {
-			successes++
-		} else if errors.Is(err, ErrQueueFull) && successes >= 3 {
-			break
-		} else if !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("unexpected enqueue error: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled (successes=%d)", successes)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Fail-fast path: the public TryGenerate rejects immediately.
-	if _, err := eng.TryGenerate(ctx, Request{Prompt: prompts[2], Options: testOptions(99)}); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("TryGenerate on full queue: err=%v, want ErrQueueFull", err)
-	}
-	// Batch fail-fast: every item reports the rejection instead of
-	// blocking past the queue bound.
-	for i, resp := range eng.TryGenerateBatch(ctx, []Request{
-		{Prompt: prompts[2], Options: testOptions(97)},
-		{Prompt: prompts[3], Options: testOptions(98)},
-	}) {
-		if !errors.Is(resp.Err, ErrQueueFull) {
-			t.Errorf("TryGenerateBatch item %d on full queue: err=%v, want ErrQueueFull", i, resp.Err)
-		}
-	}
-	// Blocking path: Generate waits for a slot until its deadline.
-	short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
-	defer cancel()
-	if _, err := eng.Generate(short, Request{Prompt: prompts[2], Options: testOptions(99)}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Generate on full queue: err=%v, want DeadlineExceeded", err)
-	}
-
-	if got := eng.Metrics().Rejected; got < 2 {
-		t.Errorf("rejected=%d, want >= 2", got)
-	}
-
-	close(release)
-	if err := <-gatedErr; err != nil {
-		t.Errorf("gated request failed after release: %v", err)
-	}
-}
-
 // TestCancelMidGeneration cancels a request's context from inside its
 // own decode loop and expects the context error back promptly.
 func TestCancelMidGeneration(t *testing.T) {
@@ -297,7 +213,7 @@ func TestCancelMidGeneration(t *testing.T) {
 // discards the dead task without decoding it.
 func TestCancelWhileQueued(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, QueueSize: 4, BatchSize: 1, CacheSize: -1})
+	eng := NewEngine(m, Config{Workers: 1, QueueSize: 4, CacheSize: -1})
 
 	release := make(chan struct{})
 	var once sync.Once
@@ -410,7 +326,7 @@ func TestCloseDrainsThenRejects(t *testing.T) {
 // whole exchange.
 func TestSingleFlightDedup(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, BatchSize: 1, CacheSize: -1})
+	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, CacheSize: -1})
 	defer eng.Close()
 	ctx := context.Background()
 
@@ -510,7 +426,7 @@ func TestSingleFlightDedup(t *testing.T) {
 // still gets a full result.
 func TestDedupLeaderCancelFollowerSurvives(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, BatchSize: 1, CacheSize: -1})
+	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, CacheSize: -1})
 	defer eng.Close()
 
 	release := make(chan struct{})
@@ -580,7 +496,7 @@ func TestDedupLeaderCancelFollowerSurvives(t *testing.T) {
 // above yields one decode per client.
 func TestDedupDisabled(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, BatchSize: 1, CacheSize: -1, NoDedup: true})
+	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, CacheSize: -1, NoDedup: true})
 	defer eng.Close()
 
 	const clients = 4
@@ -653,16 +569,16 @@ func TestCacheSharedAcrossStrategySpellings(t *testing.T) {
 			t.Errorf("spelling %q did not share the cached decode", alias)
 		}
 	}
-	// The mode spelling of a named strategy shares too.
-	if _, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: core.Options{Mode: core.ModeOurs, MaxNewTokens: 32, Seed: 6}}); err != nil {
+	// The empty spelling of ntp shares too.
+	if _, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: core.Options{MaxNewTokens: 32, Seed: 6}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: core.Options{Strategy: "ours", MaxNewTokens: 32, Seed: 6}})
+	resp, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: core.Options{Strategy: "ntp", MaxNewTokens: 32, Seed: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Cached {
-		t.Error("mode and strategy spellings of Ours did not share a cache entry")
+		t.Error("empty and named spellings of NTP did not share a cache entry")
 	}
 	if got := eng.Metrics().Completed; got != 2 {
 		t.Errorf("completed=%d, want 2 (one per distinct decode)", got)
@@ -691,7 +607,7 @@ func TestPrefixCacheReuse(t *testing.T) {
 
 // TestPrefixCacheModesByteIdentical runs the same workload — including
 // shared-stem prompts that only a prefix trie can partially reuse —
-// through engines in all three prefix-cache modes and requires
+// through engines in both prefix-cache modes and requires
 // byte-identical responses: the session cache may only change how much
 // preparation is recomputed, never what is decoded.
 func TestPrefixCacheModesByteIdentical(t *testing.T) {
@@ -725,25 +641,18 @@ func TestPrefixCacheModesByteIdentical(t *testing.T) {
 				t.Errorf("trie mode reported no savings: tokens=%d rate=%g",
 					mt.PrefixCacheTokensSaved, mt.PrefixCacheHitRate)
 			}
-		case PrefixCacheWhole:
-			if mt.PrefixCachePartialHits != 0 {
-				t.Errorf("whole-prompt mode reported partial hits: %+v", mt)
-			}
 		}
 		return resps
 	}
-	base := run(PrefixCacheOff)
-	for _, mode := range []string{PrefixCacheWhole, PrefixCacheTrie} {
-		got := run(mode)
-		for i := range base {
-			if base[i].Err != nil || got[i].Err != nil {
-				t.Fatalf("request %d failed: %v / %v", i, base[i].Err, got[i].Err)
-			}
-			if got[i].Result.Text != base[i].Result.Text ||
-				got[i].Result.Steps != base[i].Result.Steps ||
-				got[i].Result.SimulatedMS != base[i].Result.SimulatedMS {
-				t.Fatalf("mode %s request %d diverged from cache-off", mode, i)
-			}
+	base, got := run(PrefixCacheOff), run(PrefixCacheTrie)
+	for i := range base {
+		if base[i].Err != nil || got[i].Err != nil {
+			t.Fatalf("request %d failed: %v / %v", i, base[i].Err, got[i].Err)
+		}
+		if got[i].Result.Text != base[i].Result.Text ||
+			got[i].Result.Steps != base[i].Result.Steps ||
+			got[i].Result.SimulatedMS != base[i].Result.SimulatedMS {
+			t.Fatalf("trie request %d diverged from cache-off", i)
 		}
 	}
 }
@@ -932,6 +841,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = Request{Prompt: prompts[i], Options: testOptions(int64(i))}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	tokens := 0
 	for i := 0; i < b.N; i++ {

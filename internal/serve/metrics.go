@@ -26,10 +26,7 @@ type stats struct {
 	cacheMisses uint64
 	dedupHits   uint64
 
-	batches      uint64
-	batchedTasks uint64
-
-	// Continuous-scheduler counters: sweeps and the tasks they
+	// Scheduler counters: sweeps and the tasks they
 	// stepped (their ratio is the mean batch occupancy), preemptions
 	// (decodes parked mid-flight) and resumes; running/parked are the
 	// scheduler's current-state gauges, refreshed every loop pass.
@@ -141,8 +138,8 @@ func (s *stats) shed() {
 	s.shedded++
 }
 
-// queueWait accounts the delay between a task entering the queue and a
-// worker picking it up (recorded for every dequeued task, including
+// queueWait accounts the delay between a task entering the queue and
+// the scheduler admitting it (recorded for every dequeued task, including
 // ones whose context died while waiting — that wait is precisely the
 // signal).
 func (s *stats) queueWait(d time.Duration) {
@@ -170,13 +167,6 @@ func (s *stats) fail() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.failed++
-}
-
-func (s *stats) batch(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.batches++
-	s.batchedTasks += uint64(n)
 }
 
 func (s *stats) sweep(n int) {
@@ -288,10 +278,10 @@ type Metrics struct {
 	// HTTP 429s in fleet mode).
 	Shed uint64 `json:"shed"`
 
-	// QueueWaitSeconds is the summed queue-wait time (enqueue to worker
-	// pickup) of every dequeued task; QueueWaitMaxSeconds is the worst
-	// single wait observed. Together with Completed they expose how
-	// long requests sit behind the worker pool under load.
+	// QueueWaitSeconds is the summed queue-wait time (enqueue to
+	// scheduler pickup) of every dequeued task; QueueWaitMaxSeconds is
+	// the worst single wait observed. Together with Completed they
+	// expose how long requests sit behind the running batch under load.
 	QueueWaitSeconds    float64 `json:"queue_wait_s"`
 	QueueWaitMaxSeconds float64 `json:"queue_wait_max_s"`
 
@@ -310,8 +300,8 @@ type Metrics struct {
 
 	// PrefixCacheHits counts exact whole-prompt session reuses;
 	// PrefixCachePartialHits counts partial reuses (a cached strict
-	// token prefix was forked over the uncached suffix — trie mode
-	// only); PrefixCacheMisses counts from-scratch session builds.
+	// token prefix was forked over the uncached suffix);
+	// PrefixCacheMisses counts from-scratch session builds.
 	// PrefixCacheTokensSaved totals the prompt tokens whose session
 	// preparation reuse skipped, and PrefixCacheHitRate is
 	// (hits+partial)/lookups. PrefixCacheEntries is the population.
@@ -322,24 +312,17 @@ type Metrics struct {
 	PrefixCacheHitRate     float64 `json:"prefix_cache_hit_rate"`
 	PrefixCacheEntries     int     `json:"prefix_cache_entries"`
 
-	Batches uint64 `json:"batches"`
-	// MeanBatchSize is tasks per dispatched micro-batch (zero under
-	// the continuous scheduler, which has no micro-batches).
-	MeanBatchSize float64 `json:"mean_batch_size"`
-	QueueDepth    int     `json:"queue_depth"`
-	Workers       int     `json:"workers"`
+	QueueDepth int `json:"queue_depth"`
+	Workers    int `json:"workers"`
 
-	// Scheduler names the dispatch architecture ("continuous",
-	// "microbatch"); SchedMaxBatch is the continuous batch's slot
-	// count. SchedRunning/SchedParked are the scheduler's current
-	// batch membership and parked-decode count; SchedOccupancy is
+	// SchedMaxBatch is the running batch's slot count.
+	// SchedRunning/SchedParked are the scheduler's current batch
+	// membership and parked-decode count; SchedOccupancy is
 	// running/MaxBatch. Sweeps counts verification sweeps and
 	// MeanSweepOccupancy the tasks each stepped — the utilization the
 	// continuous batcher exists to raise. Preemptions counts decodes
 	// parked mid-flight to make room (their session pages stay pinned
-	// on the trie); Resumes counts their returns to the batch. All
-	// zero under SchedMicroBatch except Scheduler itself.
-	Scheduler          string  `json:"scheduler"`
+	// on the trie); Resumes counts their returns to the batch.
 	SchedMaxBatch      int     `json:"sched_max_batch"`
 	SchedRunning       int     `json:"sched_running"`
 	SchedParked        int     `json:"sched_parked"`
@@ -351,8 +334,7 @@ type Metrics struct {
 
 	// PrefixCachePinnedPages/Bytes are the session pages currently
 	// held resident by in-flight and parked decode leases;
-	// PrefixCacheLeases counts lifetime lease acquisitions (trie
-	// prefix-cache mode only).
+	// PrefixCacheLeases counts lifetime lease acquisitions.
 	PrefixCachePinnedPages int    `json:"prefix_pinned_pages"`
 	PrefixCachePinnedBytes int64  `json:"prefix_pinned_bytes"`
 	PrefixCacheLeases      uint64 `json:"prefix_leases"`
@@ -378,12 +360,12 @@ type Metrics struct {
 	// contributed across grammar-strategy decodes.
 	GrammarPrunedNodes uint64 `json:"grammar_pruned_nodes"`
 	GrammarDraftTokens uint64 `json:"grammar_draft_tokens"`
-	// WallSeconds is summed worker decode time (busy time, not
-	// wall-clock span: with W workers it accrues up to W seconds per
-	// second).
+	// WallSeconds is summed decode step time (busy time, not
+	// wall-clock span: with W sweep workers it accrues up to W seconds
+	// per second).
 	WallSeconds float64 `json:"wall_seconds"`
-	// TokensPerSecWall is clean tokens per worker-busy-second — the
-	// engine's real single-worker decode throughput.
+	// TokensPerSecWall is clean tokens per busy-second — the engine's
+	// real single-thread decode throughput.
 	TokensPerSecWall float64 `json:"tokens_per_sec_wall"`
 	// TokensPerSecSim is clean tokens over simulated GPU seconds.
 	TokensPerSecSim float64 `json:"tokens_per_sec_sim"`
@@ -414,10 +396,8 @@ type Metrics struct {
 	AdaptLevelChanges  uint64  `json:"adapt_level_changes"`
 	AdaptShadowed      uint64  `json:"adapt_shadowed"`
 
-	// PerStrategy groups counters by decoding strategy. PerMode is the
-	// same map under the legacy key for pre-strategy consumers.
+	// PerStrategy groups counters by decoding strategy.
 	PerStrategy map[string]StrategyMetrics `json:"per_strategy"`
-	PerMode     map[string]StrategyMetrics `json:"per_mode"`
 }
 
 // Metrics snapshots the engine's counters.
@@ -436,10 +416,8 @@ func (e *Engine) Metrics() Metrics {
 		CacheHits:           e.st.cacheHits,
 		CacheMisses:         e.st.cacheMisses,
 		DedupHits:           e.st.dedupHits,
-		Batches:             e.st.batches,
 		QueueDepth:          len(e.queue),
 		Workers:             e.cfg.Workers,
-		Scheduler:           e.cfg.Scheduler,
 		SchedMaxBatch:       e.cfg.MaxBatch,
 		SchedRunning:        e.st.running,
 		SchedParked:         e.st.parked,
@@ -468,8 +446,8 @@ func (e *Engine) Metrics() Metrics {
 	e.flightMu.Lock()
 	m.Inflight = len(e.inflight)
 	e.flightMu.Unlock()
-	if e.genCache != nil {
-		st := e.genCache.SessionStats()
+	if e.sessions != nil {
+		st := e.sessions.SessionStats()
 		m.PrefixCacheHits = st.Hits
 		m.PrefixCachePartialHits = st.PartialHits
 		m.PrefixCacheMisses = st.Misses
@@ -485,9 +463,6 @@ func (e *Engine) Metrics() Metrics {
 	}
 	if m.Sweeps > 0 {
 		m.MeanSweepOccupancy = float64(e.st.sweptTasks) / float64(m.Sweeps)
-	}
-	if m.Batches > 0 {
-		m.MeanBatchSize = float64(e.st.batchedTasks) / float64(m.Batches)
 	}
 	if m.Steps > 0 {
 		m.MeanAccepted = float64(e.st.rawTokens) / float64(m.Steps)
@@ -540,7 +515,6 @@ func (e *Engine) Metrics() Metrics {
 		}
 		m.PerStrategy[name] = sm
 	}
-	m.PerMode = m.PerStrategy
 	return m
 }
 
@@ -551,7 +525,6 @@ func (e *Engine) Healthz() map[string]any {
 		"status":      "ok",
 		"model":       e.m.Config().Name,
 		"scheme":      e.m.Scheme().String(),
-		"scheduler":   e.cfg.Scheduler,
 		"workers":     e.Workers(),
 		"queue_depth": e.QueueDepth(),
 	}

@@ -46,12 +46,9 @@ func writePrometheus(w io.Writer, m Metrics, uptimeS float64, modelName string) 
 	g("prefix_cache_hit_rate", "Fraction of session lookups reusing any prefix (exact or partial).", m.PrefixCacheHitRate)
 	g("prefix_cache_entries", "Current prompt-session cache population.", float64(m.PrefixCacheEntries))
 
-	c("batches_total", "Dispatched micro-batches.", m.Batches)
-	g("mean_batch_size", "Tasks per dispatched micro-batch.", m.MeanBatchSize)
 	g("queue_depth", "Requests waiting in the queue.", float64(m.QueueDepth))
 	g("workers", "Decoder worker pool size.", float64(m.Workers))
 
-	fmt.Fprintf(w, "# HELP vgend_sched_info Dispatch architecture (value is always 1).\n# TYPE vgend_sched_info gauge\nvgend_sched_info{scheduler=%q} 1\n", m.Scheduler)
 	g("sched_max_batch", "Continuous-scheduler batch slots.", float64(m.SchedMaxBatch))
 	g("sched_running", "Decodes currently in the running batch.", float64(m.SchedRunning))
 	g("sched_parked", "Preempted decodes parked awaiting a slot.", float64(m.SchedParked))

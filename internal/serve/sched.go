@@ -12,9 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the continuous scheduler (Config.Scheduler =
-// SchedContinuous): the replacement for the worker-pool/micro-batch
-// loop. One goroutine owns the batch membership; each iteration it
+// This file is the continuous scheduler. One goroutine owns the batch
+// membership; each iteration it
 //
 //  1. admits queued requests and resumes parked decodes into free
 //     batch slots (up to MaxBatch), alternating between the two
@@ -23,8 +22,7 @@ import (
 //     exactly one core.DecodeState.Step, parallelized across up to
 //     Workers goroutines (on real hardware this is the single batched
 //     tree-verification forward pass over all in-flight requests),
-//  3. retires finished decodes (their slots free immediately — no
-//     micro-batch to drain), and
+//  3. retires finished decodes (their slots free immediately), and
 //  4. preempts decodes that have held a slot for PreemptQuantum
 //     sweeps while other work is waiting: the decode parks with its
 //     session pages pinned (core.DecodeState.Park) and re-enters
@@ -34,8 +32,7 @@ import (
 // verification step, and a long decode can never serialize short
 // requests behind it for more than a quantum. Preemption checkpoints
 // fall only between sweeps, which the step-wise decode loop makes
-// output-invariant, so scheduling — like worker scheduling before it —
-// never changes bytes.
+// output-invariant, so scheduling never changes bytes.
 
 // schedTask is one decode's residency in the continuous scheduler.
 type schedTask struct {
@@ -55,9 +52,8 @@ type schedTask struct {
 	// done latches Step reporting completion (set from sweep workers,
 	// read by the scheduler after the sweep barrier).
 	done bool
-	// wall accumulates this decode's own step time — busy time, kept
-	// comparable to the worker pool's per-decode wall even though the
-	// decode now shares the engine with the whole batch.
+	// wall accumulates this decode's own step time — busy time, not
+	// residency: the decode shares the engine with the whole batch.
 	wall time.Duration
 	// residency counts sweeps since admission or last resume — the
 	// preemption clock.
@@ -71,10 +67,10 @@ type schedTask struct {
 
 // scheduler is the continuous dispatch loop. It exits once quit is
 // closed and every queued, running and parked decode has been retired
-// (Close drains, same contract as the micro-batch path).
+// (Close drains).
 func (e *Engine) scheduler() {
 	defer e.wg.Done()
-	dec := core.NewDecoder(e.m).WithSessionCache(e.genCache)
+	dec := core.NewDecoder(e.m).WithSessionCache(e.sessions)
 	var running, parked, retired []*schedTask
 	quitting := false
 	fromParked := false
@@ -281,9 +277,9 @@ func (e *Engine) stepOne(dec *core.Decoder, x *schedTask) bool {
 	return x.st.Step()
 }
 
-// retire finalizes a finished decode and delivers its Response — the
-// continuous scheduler's counterpart of serveTask, with identical
-// accounting and single-flight resolution.
+// retire finalizes a finished decode and delivers its Response — to
+// the submitting caller and, when the task leads a single-flight, to
+// every follower sharing it.
 func (e *Engine) retire(x *schedTask) {
 	if x.st == nil {
 		// Never began: cancelled while queued, or an unknown strategy.

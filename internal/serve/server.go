@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,6 +20,11 @@ import (
 // maxBatchPrompts bounds one POST /v1/generate batch; bigger requests
 // get a 400 instead of an unbounded task allocation.
 const maxBatchPrompts = 128
+
+// maxBodyBytes bounds one POST /v1/generate body; a bigger one gets a
+// 413 instead of being decoded into memory. A full batch of
+// maxBatchPrompts prompts at several KiB each fits with room to spare.
+const maxBodyBytes = 1 << 20
 
 // Backend is what the HTTP layer serves: a single Engine or a
 // multi-replica cluster.Fleet. Generation goes through the fail-fast
@@ -115,11 +121,12 @@ type GenerateRequest struct {
 	Prompt string `json:"prompt,omitempty"`
 	// Prompts decodes a batch; results align index-for-index.
 	Prompts []string `json:"prompts,omitempty"`
-	// Mode is "ours" (default), "medusa" or "ntp".
+	// Mode is an alias of Strategy (the field's older name); Strategy
+	// wins when both are set.
 	Mode string `json:"mode,omitempty"`
-	// Strategy selects a decoding strategy by name ("ntp", "medusa",
-	// "ours", "prompt-lookup"); it supersedes Mode when set, and is the
-	// only way to reach strategies the legacy mode enum cannot name.
+	// Strategy selects a decoding strategy by registry name ("ntp",
+	// "medusa", "ours", "prompt-lookup", ...; see core.StrategyListing).
+	// A request naming none decodes with "ours".
 	Strategy string `json:"strategy,omitempty"`
 	// Temperature 0 decodes greedily.
 	Temperature float64 `json:"temperature,omitempty"`
@@ -173,18 +180,6 @@ type GenerateResult struct {
 	Replica string `json:"replica,omitempty"`
 }
 
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "", "ours":
-		return core.ModeOurs, nil
-	case "medusa":
-		return core.ModeMedusa, nil
-	case "ntp":
-		return core.ModeNTP, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want ours, medusa or ntp)", s)
-}
-
 func (gr GenerateRequest) options() (core.Options, error) {
 	if gr.TreeBudget < 0 {
 		return core.Options{}, fmt.Errorf("tree_budget must be >= 0, got %d", gr.TreeBudget)
@@ -196,20 +191,12 @@ func (gr GenerateRequest) options() (core.Options, error) {
 		TreeBudget:   gr.TreeBudget,
 		Seed:         gr.Seed,
 	}
-	if gr.Strategy != "" {
-		// Validate at the API edge so a typo is a 400, not a queued
-		// request that fails at decode time.
-		if _, err := core.ResolveStrategy(gr.Strategy, false); err != nil {
-			return core.Options{}, err
-		}
-		opts.Strategy = gr.Strategy
-		return opts, nil
-	}
-	mode, err := parseMode(gr.Mode)
-	if err != nil {
+	opts.Strategy = cmp.Or(gr.Strategy, gr.Mode, "ours")
+	// Validate at the API edge so a typo is a 400, not a queued
+	// request that fails at decode time.
+	if _, err := core.ResolveStrategy(opts.Strategy, false); err != nil {
 		return core.Options{}, err
 	}
-	opts.Mode = mode
 	return opts, nil
 }
 
@@ -253,8 +240,13 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var gr GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&gr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&gr); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	single := gr.Prompt != ""
@@ -280,7 +272,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			Options: o,
 			Model:   gr.Model,
 			// Replica default-strategy substitution applies only when
-			// the caller named neither a mode nor a strategy.
+			// the caller named no strategy under either spelling.
 			NoExplicitStrategy: gr.Mode == "" && gr.Strategy == "",
 			Priority:           priority,
 			Client:             gr.Client,
@@ -393,9 +385,9 @@ func (s *Server) streamGenerate(w http.ResponseWriter, r *http.Request, req Requ
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	req.OnStep = func(ev core.StepEvent) {
-		// Runs on the engine worker goroutine. Safe: for streaming
+		// Runs on an engine sweep goroutine. Safe: for streaming
 		// requests TryGenerate does not return — even when the client
-		// disconnects mid-decode — until the worker is finished and
+		// disconnects mid-decode — until the decode is finished and
 		// this callback can no longer fire, so the handler goroutine
 		// never writes concurrently and the ResponseWriter never
 		// outlives the handler.

@@ -151,9 +151,9 @@ func TestServerConcurrentLoadAndMetrics(t *testing.T) {
 	if em.CacheHits+em.CacheMisses < clients {
 		t.Errorf("cache accounting missing: %+v", em)
 	}
-	ours, ok := em.PerMode["Ours"]
+	ours, ok := em.PerStrategy["Ours"]
 	if !ok {
-		t.Fatalf("per-mode metrics missing Ours: %v", em.PerMode)
+		t.Fatalf("per-strategy metrics missing Ours: %v", em.PerStrategy)
 	}
 	if ours.MeanAccepted < 1 {
 		t.Errorf("mean accepted %f, want >= 1", ours.MeanAccepted)
@@ -274,6 +274,55 @@ func TestServerStrategyField(t *testing.T) {
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown strategy: status %d, want 400", bad.StatusCode)
 	}
+
+	// The wire spellings: "mode" is an alias of "strategy" (same cache
+	// key, same bytes), and a request naming neither decodes with ours
+	// and is marked as having made no explicit choice.
+	rec := &recordingBackend{Engine: NewEngine(eng.Model(), Config{Workers: 1, CacheSize: 8})}
+	defer rec.Close()
+	rsrv := httptest.NewServer(NewBackendServer(rec).Handler())
+	defer rsrv.Close()
+	var first GenerateResult
+	for i, tc := range []struct {
+		body         GenerateRequest
+		label        string
+		noExplicit   bool
+		cachedAsPrev bool
+	}{
+		{GenerateRequest{Mode: "medusa"}, "Medusa", false, false},
+		{GenerateRequest{Strategy: "medusa"}, "Medusa", false, true},
+		{GenerateRequest{Mode: "ntp", Strategy: "medusa"}, "Medusa", false, true},
+		{GenerateRequest{}, "Ours", true, false},
+	} {
+		tc.body.Prompt, tc.body.MaxNewTokens, tc.body.Seed = fixPrompts[1], 32, 5
+		resp := postJSON(t, rsrv.URL+"/v1/generate", tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("spelling %d: status %d", i, resp.StatusCode)
+		}
+		got := decodeBody[GenerateResult](t, resp)
+		if got.Mode != tc.label || rec.last.NoExplicitStrategy != tc.noExplicit {
+			t.Errorf("spelling %d: label %q explicit=%v, want %q explicit=%v",
+				i, got.Mode, !rec.last.NoExplicitStrategy, tc.label, !tc.noExplicit)
+		}
+		if i == 0 {
+			first = got
+		}
+		if tc.cachedAsPrev && (!got.Cached || got.Text != first.Text) {
+			t.Errorf("spelling %d did not share the first spelling's cached decode", i)
+		}
+	}
+}
+
+// recordingBackend is an Engine that remembers the last single request
+// the HTTP layer handed it.
+type recordingBackend struct {
+	*Engine
+	last Request
+}
+
+func (b *recordingBackend) TryGenerate(ctx context.Context, req Request) (*Response, error) {
+	b.last = req
+	return b.Engine.TryGenerate(ctx, req)
 }
 
 func TestServerMetricsPrometheus(t *testing.T) {
@@ -373,6 +422,7 @@ func TestServerRequestValidation(t *testing.T) {
 		{"neither prompt nor prompts", GenerateRequest{}},
 		{"both prompt and prompts", GenerateRequest{Prompt: "a", Prompts: []string{"b"}}},
 		{"unknown mode", GenerateRequest{Prompt: "a", Mode: "warp"}},
+		{"unknown strategy behind a valid mode", GenerateRequest{Prompt: "a", Mode: "ours", Strategy: "warp"}},
 		{"unknown priority", GenerateRequest{Prompt: "a", Priority: "urgent"}},
 		{"stream with batch", GenerateRequest{Prompts: []string{"a", "b"}, Stream: true}},
 		{"oversized batch", GenerateRequest{Prompts: make([]string, maxBatchPrompts+1)}},
