@@ -15,7 +15,7 @@ COVER_PKGS := ./internal/model/ ./internal/serve/
 # elasticity tier landed.
 CLUSTER_COVER_FLOOR := 80.0
 
-.PHONY: build test race sched-soak golden differential adapt-gate grammar-gate cover fuzz bench bench-smoke loadgate chaos-gate chaos-soak trace-gate fmt fmt-check vet serve ci
+.PHONY: build test race sched-soak golden differential adapt-gate grammar-gate cover fuzz bench bench-smoke loadgate chaos-gate chaos-soak trace-gate fmt fmt-check vet loc serve ci
 
 build:
 	$(GO) build ./...
@@ -176,6 +176,11 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside benchmark/ — the number a simplification PR
+# quotes before and after, so "net-negative" is one command.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
 # Train and serve the generation daemon on :8080.
 serve:

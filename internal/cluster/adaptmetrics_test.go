@@ -85,8 +85,8 @@ func TestFleetAggregatesAdaptMetrics(t *testing.T) {
 // TestAggregateMixedAdapt pins the identity rule and the
 // hottest-replica gauges on synthetic snapshots.
 func TestAggregateMixedAdapt(t *testing.T) {
-	a := aggregate([]serve.Metrics{
-		{Adapt: serve.AdaptOn, AdaptLevel: 1, AdaptLevelName: "linear", AdaptOccupancy: 0.9, AdaptDecisions: 10, AdaptReroutes: 4, AdaptLevelChanges: 2},
+	a := serve.Aggregate([]serve.Metrics{
+		{Adapt: serve.AdaptOn, AdaptLevel: 1, AdaptOccupancy: 0.9, AdaptDecisions: 10, AdaptReroutes: 4, AdaptLevelChanges: 2},
 		{Adapt: serve.AdaptOff, AdaptLevel: 0, AdaptOccupancy: 0.2},
 		{Adapt: serve.AdaptOn, AdaptLevel: 0, AdaptOccupancy: 0.5, AdaptDecisions: 5, AdaptReroutes: 1},
 	})

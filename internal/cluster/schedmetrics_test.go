@@ -107,15 +107,15 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 // occupancy weights each replica by its sweeps, so an idle replica
 // does not dilute it.
 func TestAggregateSweepWeightedOccupancy(t *testing.T) {
-	a := aggregate([]serve.Metrics{
-		{SchedMaxBatch: 4, Sweeps: 30, MeanSweepOccupancy: 2.0, Preemptions: 3, Resumes: 3},
+	a := serve.Aggregate([]serve.Metrics{
+		{SchedMaxBatch: 4, Sweeps: 30, SweptTasks: 60, Preemptions: 3, Resumes: 3},
 		{SchedMaxBatch: 0, Sweeps: 0},
-		{SchedMaxBatch: 2, Sweeps: 10, MeanSweepOccupancy: 1.0, Preemptions: 1, Resumes: 1},
+		{SchedMaxBatch: 2, Sweeps: 10, SweptTasks: 10, Preemptions: 1, Resumes: 1},
 	})
 	if a.SchedMaxBatch != 6 || a.Sweeps != 40 || a.Preemptions != 4 || a.Resumes != 4 {
 		t.Fatalf("scheduler sums wrong: %+v", a)
 	}
-	// (2.0*30 + 1.0*10) / 40 = 1.75
+	// (60 + 10) / 40 = 1.75
 	if a.MeanSweepOccupancy != 1.75 {
 		t.Fatalf("sweep-weighted occupancy %f, want 1.75", a.MeanSweepOccupancy)
 	}

@@ -78,27 +78,37 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 		defer close(block)
 		ts := httptest.NewServer(NewServer(e).Handler())
 		defer ts.Close()
-		// Saturate: the first request wedges in decode, the next fills
-		// the 1-slot queue; once QueueDepth reads full, a further
-		// submission must bounce with 503 — no timing dependence.
+		// Saturate: the first request wedges in decode, and only once
+		// the scheduler holds it does the next go in to fill the 1-slot
+		// queue (submitted together, the second can bounce off the
+		// first still sitting in the queue, which then never refills);
+		// once QueueDepth reads full, a further submission must bounce
+		// with 503 — no timing dependence.
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
+		submit := func(seed int64) {
 			wg.Add(1)
-			go func(seed int64) {
+			go func() {
 				defer wg.Done()
 				_, _ = e.TryGenerate(ctx, Request{Prompt: prompts[0], Options: testOptions(seed)})
-			}(int64(i))
+			}()
 		}
 		defer wg.Wait()
 		defer cancel()
-		deadline := time.Now().Add(5 * time.Second)
-		for e.QueueDepth() < 1 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		waitFor := func(what string, ok func() bool) {
+			t.Helper()
+			deadline := time.Now().Add(5 * time.Second)
+			for !ok() && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if !ok() {
+				t.Fatal(what)
+			}
 		}
-		if e.QueueDepth() < 1 {
-			t.Fatal("queue never saturated")
-		}
+		submit(0)
+		waitFor("first request never reached the batch", func() bool { return e.Metrics().SchedRunning == 1 })
+		submit(1)
+		waitFor("queue never saturated", func() bool { return e.QueueDepth() == 1 })
 		resp := postBody(t, ts.URL, "full-echo-1", map[string]any{"prompt": prompts[1], "seed": 100})
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d from a saturated queue, want 503", resp.StatusCode)

@@ -447,7 +447,7 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 	if mode == PrefixCacheTrie {
 		e.sessions = model.NewTrieCache(cfg.PrefixCacheBytes)
 	}
-	e.st.perStrategy = map[string]*strategyStats{}
+	e.st.init()
 	adaptMode, err := ParseAdaptMode(cfg.Adapt)
 	if err != nil {
 		panic("serve: " + err.Error())
@@ -650,7 +650,7 @@ func (e *Engine) applyAdapt(req Request) Request {
 		TreeBudget: req.Options.TreeBudget,
 	})
 	if e.adaptMode != AdaptOn {
-		e.st.adaptShadow()
+		e.st.count(&e.st.m.AdaptShadowed)
 		return req
 	}
 	if d.Rerouted {
@@ -882,7 +882,7 @@ func (e *Engine) cacheLookup(req Request, key cacheKey) *Response {
 		e.st.cacheHit(req.Options.StrategyLabel())
 		return &Response{Result: res, Cached: true, Strategy: req.Options.StrategyLabel()}
 	}
-	e.st.cacheMiss()
+	e.st.count(&e.st.m.CacheMisses)
 	return nil
 }
 
@@ -913,7 +913,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, wait bool,
 				adm.SetAttr("outcome", "rejected")
 			}
 			adm.End()
-			e.st.shed()
+			e.st.count(&e.st.m.Shed)
 			return nil, err
 		}
 		adm.End()
@@ -936,7 +936,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, wait bool,
 	default:
 		t.qspan.SetAttr("outcome", "queue_full")
 		t.qspan.End()
-		e.st.reject()
+		e.st.count(&e.st.m.Rejected)
 		return nil, ErrQueueFull
 	}
 }

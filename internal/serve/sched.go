@@ -92,7 +92,7 @@ func (e *Engine) scheduler() {
 		x.st.Resume()
 		x.park.End()
 		x.park = nil
-		e.st.resume()
+		e.st.count(&e.st.m.Resumes)
 		running = append(running, x)
 	}
 	// admitOne fills one free slot, alternating between the queue and
@@ -177,7 +177,7 @@ func (e *Engine) scheduler() {
 					x.park = tr.Start(x.st.TraceSpan(), trace.KindPark, "")
 					x.park.SetAttrInt("residency", int64(x.residency))
 				}
-				e.st.preempt()
+				e.st.count(&e.st.m.Preemptions)
 				parked = append(parked, x)
 			default:
 				keep = append(keep, x)
@@ -284,11 +284,11 @@ func (e *Engine) retire(x *schedTask) {
 	if x.st == nil {
 		// Never began: cancelled while queued, or an unknown strategy.
 		if errors.Is(x.beginErr, context.Canceled) || errors.Is(x.beginErr, context.DeadlineExceeded) {
-			e.st.cancel()
+			e.st.count(&e.st.m.Canceled)
 			e.finish(x.t, &Response{Err: x.beginErr, Strategy: x.label, QueueWait: x.t.wait})
 			return
 		}
-		e.st.fail()
+		e.st.count(&e.st.m.Failed)
 		e.finish(x.t, &Response{Result: &core.Result{}, Err: x.beginErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
 		return
 	}
@@ -304,9 +304,9 @@ func (e *Engine) retire(x *schedTask) {
 			sp.End()
 		}
 		if errors.Is(x.faultErr, context.Canceled) || errors.Is(x.faultErr, context.DeadlineExceeded) {
-			e.st.cancel()
+			e.st.count(&e.st.m.Canceled)
 		} else {
-			e.st.fail()
+			e.st.count(&e.st.m.Failed)
 		}
 		e.finish(x.t, &Response{Result: &core.Result{}, Err: x.faultErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
 		return
@@ -314,9 +314,9 @@ func (e *Engine) retire(x *schedTask) {
 	res, err := x.st.Finish()
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			e.st.cancel()
+			e.st.count(&e.st.m.Canceled)
 		} else {
-			e.st.fail()
+			e.st.count(&e.st.m.Failed)
 		}
 		e.finish(x.t, &Response{Result: res, Err: err, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
 		return
