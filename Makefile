@@ -1,5 +1,7 @@
-# Targets mirror .github/workflows/ci.yml step for step, so a local
-# `make ci` reproduces exactly what CI runs.
+# Every CI job is `make <target>` for one target of the `ci` list at
+# the bottom (.github/workflows/ci.yml runs them as one matrix), so a
+# local `make ci` reproduces exactly what CI runs, and each gate's
+# rationale lives once: in the comment above its target.
 
 GO ?= go
 # bash for pipefail: a failing benchmark must not hide behind tee.
@@ -23,14 +25,21 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector. Shuffled test order catches
+# inter-test state leaks; the race detector covers the fleet's
+# concurrent mixed-priority load scenario
+# (cluster.TestMixedPriorityLoadAccounted). The root package's
+# TestMakefileGatesResolve rides here: every -run alternative below
+# must still name a test, and the ci list must equal the CI matrix.
 race:
 	$(GO) test -race -shuffle=on ./...
 
 # Continuous-scheduler churn soak: join/leave/preempt cycling (with the
 # engine-vs-direct-decode byte-identity check), backpressure and the
-# step-wise decode API under the race detector with shuffled order. The
-# explicit -timeout turns a wedged scheduler into a fast failure
-# instead of a hung CI runner.
+# step-wise decode API under the race detector, shuffled so admission
+# order varies run to run. The explicit -timeout turns a wedged
+# scheduler (a sweep that never returns, a lost resume) into a fast
+# failure instead of a hung CI runner.
 sched-soak:
 	$(GO) test -race -shuffle=on -timeout 600s \
 		-run 'TestContinuous|TestSchedulerChurnSoak|TestStepwise' \
@@ -107,19 +116,21 @@ chaos-soak:
 		-run 'TestChaosChurnSoak|TestBreaker|TestHedge|TestSteal|TestAutoscale|TestDrain|TestRollingSwap|TestSwapUnknownModelRejected' \
 		-v ./internal/experiments/ ./internal/cluster/
 
-# The tracing gate: decode throughput with the span layer live must
-# stay within 5% of tracing-off (tracing defaults on in vgend, so this
-# is what keeps the default honest), tracing must not change a single
-# generated byte, the span-tree shape and debug surface run under the
-# race detector, and evalbench regenerates BENCH_10.json (the on/off
-# throughput rows) for the CI artifact.
+# The tracing gate: best-of-N decode throughput with a live tracer
+# assembling the full span tree per request must stay within 5% of
+# tracing-off (tracing defaults on in vgend, so this is what keeps the
+# default honest; -v logs the on/off rows), and tracing must not change
+# a single generated byte. Then, under the race detector because spans
+# are claimed from concurrent attempt goroutines: the span-tree shape
+# (queue/decode/sweep/park nesting with preemption forced on), the
+# request-ID echo on every error path, the hedged-wedged-primary
+# /debug/requests postmortem e2e and the phase-metrics exposition.
 trace-gate:
 	$(GO) test -run 'TestTraceOverheadGate|TestTraceByteIdentity' -v -timeout 600s ./internal/experiments/
 	$(GO) test -race -timeout 600s \
 		-run 'TestSpanTreeShape|TestRequestIDEchoedOnErrorPaths|TestDebugSurfaceHedgedWedgedPrimary|TestPhaseMetricsExposed' \
 		-v ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -timeout 600s ./internal/trace/ ./internal/promtest/
-	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp trace -json BENCH_10.json | tee trace_gate_output.txt
 
 # Coverage gate over the prefix-cache packages: fails if total coverage
 # of internal/model + internal/serve drops below COVER_FLOOR — then the
@@ -141,29 +152,34 @@ cover:
 # prefix-soundness invariant the grammar oracle rests on) and the
 # draft-tree arena (insert/walk/longest-accepted-path invariants),
 # each for a short budget on top of the committed seed corpora
-# (testdata/fuzz/). Run longer locally with -fuzztime.
-FUZZTIME ?= 10s
+# (testdata/fuzz/). Run longer locally with FUZZTIME=5m.
+FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTrieLookupInsert -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/
 
-# Engine wall-clock throughput + strategy matrix + tree drafting +
-# fleet routing + prefix-cache + scheduler-load smoke; CI uploads
-# bench_output.txt as an artifact. Run `go test -bench=. ./...` for the
-# full paper harness. The evalbench lines regenerate BENCH_7.json (the
-# adaptive load sweep's structured rows) and BENCH_8.json (the grammar
-# bench's accepted-length comparison plus the sim-pass-rate tier) —
-# both uploaded by CI.
+# Engine wall-clock throughput + the strategy matrix (every strategy's
+# speed, accepted length and tree columns) + scheduler-load smoke, then
+# one evalbench process — one corpus, each model trained once — for the
+# structured rows: the adaptive load sweep (throughput, p50/p95, mean
+# accepted length and controller counters per load point and
+# configuration, plus the measured decode profiles), the grammar
+# comparison, the sim-pass-rate tier and the tracing on/off rows. CI
+# uploads bench_output.txt and evalbench_rows.json as one artifact
+# (pipefail: a failing benchmark must not hide behind tee). Run
+# `go test -bench=. ./...` for the full paper harness.
 bench:
-	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkTreeDraft|BenchmarkFleetRouting|BenchmarkPrefixBench|BenchmarkLoadBench' -benchtime=1x ./... | tee bench_output.txt
-	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp sweep -json BENCH_7.json | tee -a bench_output.txt
-	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim -json BENCH_8.json | tee -a bench_output.txt
+	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench' -benchtime=1x ./... | tee bench_output.txt
+	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp sweep,grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback
-# HTTP on all four workloads at reduced length, every response checked
-# against the committed digests in benchmark/expected/ (about 27 s).
+# HTTP on all four BENCHMARK.json workloads at reduced length; every
+# response digest, replay and repeat is checked against the committed
+# benchmark/expected/*.sha256, so a change that moves generated bytes —
+# or breaks a flag, route or metrics key the benchmark uses — fails
+# (about 27 s).
 bench-smoke:
 	$(GO) run ./benchmark -smoke
 
@@ -190,4 +206,6 @@ serve:
 serve-fleet:
 	$(GO) run ./cmd/vgend -replicas 4 -shed-policy deadline,priority,budget
 
-ci: build fmt-check vet race sched-soak golden differential adapt-gate grammar-gate cover fuzz loadgate chaos-gate chaos-soak trace-gate bench bench-smoke
+# The CI matrix in .github/workflows/ci.yml lists exactly these targets
+# (TestMakefileGatesResolve holds the two lists equal).
+ci: build fmt-check vet race sched-soak golden differential adapt-gate grammar-gate chaos-gate chaos-soak trace-gate cover fuzz loadgate bench bench-smoke

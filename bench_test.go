@@ -6,8 +6,8 @@
 //
 //	BenchmarkTable1_*     — quality grid cells (pass@k, Pass Rate)
 //	BenchmarkTable2_*     — simulated tokens/s + speedup per method
-//	BenchmarkStrategyMatrix — tokens/s per decoding strategy (NTP,
-//	                        Medusa, Ours, PromptLookup) in one harness
+//	BenchmarkStrategyMatrix — the experiments.Runner's strategy matrix:
+//	                        every column of every decoding strategy
 //	BenchmarkFig1         — speed vs pass@10 scatter points
 //	BenchmarkFig5         — decoding steps on the data_register example
 //	BenchmarkFig6         — the CodeT5p pass@5 slice
@@ -180,89 +180,31 @@ func BenchmarkTable2_CodeT5p(b *testing.B)   { benchSpeed(b, "CodeT5p") }
 
 // --- Strategy matrix: every decoding strategy under one harness ---
 
-// BenchmarkStrategyMatrix compares the canned drafter/verifier
-// pairings — the paper's three plus self-speculative prompt lookup on
-// the NTP backbone — reporting simulated tokens/s per strategy (CI
-// smoke target for the pluggable pipeline).
+// BenchmarkStrategyMatrix runs the experiments.Runner's strategy matrix
+// at Quick scale — the same fold evalbench and the tree/grammar gates
+// read — and reports each row's columns: simulated tokens/s and
+// speedup, mean accepted length (the quantity tree and grammar drafting
+// exist to raise) and, for the tree strategies, draft nodes per step
+// and node-budget utilization (CI smoke target for the pluggable
+// pipeline and the tree subsystem). Models are trained before the
+// timer starts.
 func BenchmarkStrategyMatrix(b *testing.B) {
-	setup(b)
-	prompts := speedPrompts()
-	// ntp leads so every later row can report its speedup against it.
-	matrix := []struct{ scheme, strategy string }{
-		{"NTP", "ntp"},
-		{"Ours", "ours"},
-		{"Medusa", "medusa"},
-		{"NTP", "prompt-lookup"},
+	quick := experiments.Quick()
+	r := experiments.NewRunner(quick)
+	for _, entry := range experiments.StrategyMatrix {
+		r.Model(quick.Models[0], entry.Scheme)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ntp float64
-		for _, entry := range matrix {
-			m := models["CodeLlama/"+entry.scheme]
-			s := speedOf(m, prompts, core.Options{Strategy: entry.strategy})
-			label := (core.Options{Strategy: entry.strategy}).StrategyLabel()
-			b.ReportMetric(s, label+"_tok/s")
-			if entry.strategy == "ntp" {
-				ntp = s
+		for _, row := range r.RunStrategyMatrix() {
+			b.ReportMetric(row.TokensPerSec, row.Strategy+"_tok/s")
+			b.ReportMetric(row.Speedup, row.Strategy+"_speedup")
+			b.ReportMetric(row.MeanAccepted, row.Strategy+"_accepted")
+			if row.NodesPerStep > 0 {
+				b.ReportMetric(row.NodesPerStep, row.Strategy+"_nodes/step")
+				b.ReportMetric(row.BudgetUtilization, row.Strategy+"_budget_util")
 			}
-			if ntp > 0 {
-				b.ReportMetric(metrics.Speedup(s, ntp), label+"_speedup")
-			}
-		}
-	}
-}
-
-// BenchmarkTreeDraft compares every tree-drafting strategy against its
-// linear counterpart on the same trained model — the quantity token-
-// tree drafting exists to raise is mean accepted length, reported per
-// side together with draft nodes per step and node-budget utilization
-// (CI smoke target for the tree subsystem; experiments.RunTreeBench is
-// the full harness).
-func BenchmarkTreeDraft(b *testing.B) {
-	setup(b)
-	prompts := speedPrompts()
-	pairs := []struct{ scheme, linear, tree string }{
-		{"Medusa", "medusa", "medusa-tree"},
-		{"Ours", "ours", "ours-tree"},
-		{"NTP", "prompt-lookup", "lookup-tree"},
-	}
-	side := func(m *model.Model, strategy string) (accepted, nodesPerStep, util float64) {
-		dec := core.NewDecoder(m)
-		var toks, steps, nodes, budget int
-		for pi, prompt := range prompts {
-			for _, opts := range []core.Options{
-				{Strategy: strategy},
-				{Strategy: strategy, Temperature: 0.8, Seed: int64(pi)},
-			} {
-				res := dec.Generate(prompt, opts)
-				toks += len(res.Tokens)
-				steps += res.Steps
-				nodes += res.TreeNodes
-				budget += res.TreeBudget
-			}
-		}
-		if steps > 0 {
-			accepted = float64(toks) / float64(steps)
-			nodesPerStep = float64(nodes) / float64(steps)
-		}
-		if budget > 0 {
-			util = float64(nodes) / float64(budget)
-		}
-		return accepted, nodesPerStep, util
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pairs {
-			m := models["CodeLlama/"+p.scheme]
-			linAccepted, _, _ := side(m, p.linear)
-			treeAccepted, nodesPerStep, util := side(m, p.tree)
-			label := (core.Options{Strategy: p.tree}).StrategyLabel()
-			b.ReportMetric(linAccepted, label+"_linear_accepted")
-			b.ReportMetric(treeAccepted, label+"_tree_accepted")
-			b.ReportMetric(nodesPerStep, label+"_nodes/step")
-			b.ReportMetric(util, label+"_budget_util")
 		}
 	}
 }
@@ -384,57 +326,6 @@ func BenchmarkAblationAcceptance(b *testing.B) {
 				b.ReportMetric(s, "tok/s")
 			}
 		})
-	}
-}
-
-// --- Fleet routing: measured wall-clock load scenario per routing
-// policy (CI smoke target for the cluster layer). ---
-
-// BenchmarkFleetRouting drives the shared-prefix workload at a
-// 4-replica fleet once per routing policy and reports the fleet
-// cache-hit rate, client-side p95 latency and requests/s — the table
-// where prefix-affinity must beat random routing on cache hits.
-func BenchmarkFleetRouting(b *testing.B) {
-	setup(b)
-	m := models["CodeLlama/Ours"]
-	prompts := speedPrompts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FleetBench(m, prompts, experiments.FleetBenchConfig{
-			Replicas: 4, Clients: 6, Rounds: 8, Prompts: 6,
-			Routers: []string{"prefix-affinity", "least-loaded", "round-robin", "random"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rows {
-			b.ReportMetric(row.CacheHitRate, row.Router+"_hit_rate")
-			b.ReportMetric(row.P95WallMS, row.Router+"_p95_ms")
-			b.ReportMetric(row.ThroughputRPS, row.Router+"_rps")
-		}
-	}
-}
-
-// BenchmarkPrefixBench lands the prefix-cache comparison in the bench
-// artifact: prompt tokens recomputed per cache mode on the shared-stem
-// workload, plus the trie's partial-hit count. The trie row's
-// recomputed column sitting far below the off row's is the headline of
-// the token-prefix trie cache.
-func BenchmarkPrefixBench(b *testing.B) {
-	setup(b)
-	m := models["CodeLlama/Ours"]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.PrefixBench(m, experiments.PrefixBenchConfig{})
-		for _, row := range rows {
-			b.ReportMetric(float64(row.TokensRecomputed), row.Mode+"_recomputed_toks")
-			b.ReportMetric(row.HitRate, row.Mode+"_hit_rate")
-			if row.Mode == "trie" {
-				b.ReportMetric(float64(row.PartialHits), "trie_partial_hits")
-			}
-		}
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/serve"
 )
 
@@ -45,35 +43,19 @@ var adaptDiffModes = []string{serve.AdaptOff, serve.AdaptShadow, serve.AdaptOn}
 // error on the first output divergence. Session caching and dedup are
 // disabled so every decode runs end to end — the comparison is about
 // the controller's influence on the decode itself, not cache keying.
-func (r *Runner) RunAdaptDiff(cfg DiffConfig) (AdaptDiffReport, error) {
-	cfg = cfg.withDefaults()
-	prompts := SharedStemPrompts(cfg.Families, cfg.Variants)
+func (r *Runner) RunAdaptDiff() (AdaptDiffReport, error) {
+	prompts := SharedStemPrompts(diffFamilies, diffVariants)
 	prompts = append(prompts, prompts[0]+" Add an active-high enable input en.")
 	var report AdaptDiffReport
 	ctx := context.Background()
 	for _, mcfg := range r.setup.Models {
-		tk := r.toks[mcfg.Name]
-		trained := map[model.Scheme]*model.Model{}
 		for _, entry := range StrategyMatrix {
-			m := trained[entry.Scheme]
-			if m == nil {
-				m = model.Train(tk, mcfg, entry.Scheme, r.examples)
-				trained[entry.Scheme] = m
-			}
+			m := r.Model(mcfg, entry.Scheme)
 			// Every request is fully pinned: explicit strategy, explicit
 			// tree budget (inert for linear drafters, but identical across
 			// engines), fixed seed. The applied controller has no hole to
 			// fill, so any byte it changes is a violation.
-			var optsSet []core.Options
-			optsSet = append(optsSet, core.Options{
-				Strategy: entry.Strategy, TreeBudget: 48, MaxNewTokens: cfg.MaxNewTokens,
-			})
-			for _, seed := range cfg.Seeds {
-				optsSet = append(optsSet, core.Options{
-					Strategy: entry.Strategy, TreeBudget: 48,
-					Temperature: 0.8, Seed: seed, MaxNewTokens: cfg.MaxNewTokens,
-				})
-			}
+			optsSet := diffOptions(entry.Strategy, 48)
 			engs := make(map[string]*serve.Engine, len(adaptDiffModes))
 			for _, mode := range adaptDiffModes {
 				engs[mode] = serve.NewEngine(m, serve.Config{

@@ -180,71 +180,29 @@ func (p *FaultPlane) Hook(i int) func(ctx context.Context) error {
 	}
 }
 
-// ChaosBenchConfig sizes one chaos scenario: a three-phase workload
-// (before / during / after) against a hedging, breaker-guarded fleet,
-// with cfg.Fault injected into the hottest replica for the middle
-// phase.
-type ChaosBenchConfig struct {
-	// Replicas is the fleet size (default 3).
-	Replicas int
-	// Clients is the concurrent load-generator count (default 6).
-	Clients int
-	// Rounds is requests per client per phase (default 6).
-	Rounds int
-	// Prompts is the distinct-prompt count (default 6).
-	Prompts int
-	// Workers sizes each replica engine (default 1 — a single wedged
-	// decode stalls the whole replica, the worst case).
-	Workers int
-	// Fault is the kind injected for the during phase (FaultNone runs
-	// the unfaulted baseline the gate compares against).
-	Fault FaultKind
-	// SlowBy parameterizes FaultSlow (default 5ms per sweep).
-	SlowBy time.Duration
-	// ErrEvery parameterizes FaultErrRate (default 2: every 2nd decode).
-	ErrEvery uint64
-	// HedgeAfter is the fleet hedge timer (default 25ms) — the only
-	// thing that gets a request off a wedged replica.
-	HedgeAfter time.Duration
-	// BreakerThreshold / BreakerCooldown configure the per-replica
-	// circuit breakers (defaults 2 / 150ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-}
-
-func (c ChaosBenchConfig) withDefaults() ChaosBenchConfig {
-	if c.Replicas <= 0 {
-		c.Replicas = 3
-	}
-	if c.Clients <= 0 {
-		c.Clients = 6
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 6
-	}
-	if c.Prompts <= 0 {
-		c.Prompts = 6
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.SlowBy <= 0 {
-		c.SlowBy = 5 * time.Millisecond
-	}
-	if c.ErrEvery < 1 {
-		c.ErrEvery = 2
-	}
-	if c.HedgeAfter <= 0 {
-		c.HedgeAfter = 25 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 2
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 150 * time.Millisecond
-	}
-	return c
-}
+// One chaos scenario's sizes: a three-phase workload (before / during
+// / after) against a hedging, breaker-guarded fleet. The only thing a
+// caller varies is the fault kind.
+const (
+	// chaosReplicas is the fleet size, chaosClients the concurrent
+	// load-generator count, chaosRounds the requests per client per
+	// phase and chaosPrompts the distinct-prompt count.
+	chaosReplicas, chaosClients, chaosRounds, chaosPrompts = 3, 6, 6, 6
+	// chaosWorkers sizes each replica engine: with one worker a single
+	// wedged decode stalls the whole replica, the worst case.
+	chaosWorkers = 1
+	// chaosSlowBy is FaultSlow's stall per sweep and chaosErrEvery
+	// FaultErrRate's modulus (every 2nd decode fails).
+	chaosSlowBy   = 5 * time.Millisecond
+	chaosErrEvery = 2
+	// chaosHedgeAfter is the fleet hedge timer — the only thing that
+	// gets a request off a wedged replica.
+	chaosHedgeAfter = 25 * time.Millisecond
+	// chaosBreakerThreshold / chaosBreakerCooldown configure the
+	// per-replica circuit breakers.
+	chaosBreakerThreshold = 2
+	chaosBreakerCooldown  = 150 * time.Millisecond
+)
 
 // ChaosPhase is one phase's client-side measurement.
 type ChaosPhase struct {
@@ -286,66 +244,65 @@ type ChaosResult struct {
 }
 
 // ChaosBench runs one chaos scenario: a before phase to find the
-// hottest (most-serving) replica, the fault injected there for the
-// during phase, then heal, a breaker-cooldown pause, and an after
-// phase. Every phase reuses the same client/prompt schedule with
+// hottest (most-serving) replica, fault injected there for the during
+// phase (FaultNone runs the unfaulted baseline the gate compares
+// against), then heal, a breaker-cooldown pause, and an after phase. Every phase reuses the same client/prompt schedule with
 // phase-distinct seeds, so decodes are real work (no cache or dedup
 // short-circuits) and the three phases are comparable.
-func ChaosBench(m *model.Model, prompts []string, cfg ChaosBenchConfig) (*ChaosResult, error) {
-	cfg = cfg.withDefaults()
-	if len(prompts) < cfg.Prompts {
-		return nil, fmt.Errorf("chaos bench needs %d prompts, got %d", cfg.Prompts, len(prompts))
+func ChaosBench(m *model.Model, prompts []string, fault FaultKind) (*ChaosResult, error) {
+	if len(prompts) < chaosPrompts {
+		return nil, fmt.Errorf("chaos bench needs %d prompts, got %d", chaosPrompts, len(prompts))
 	}
-	prompts = prompts[:cfg.Prompts]
+	prompts = prompts[:chaosPrompts]
 
-	plane := NewFaultPlane(cfg.Replicas)
-	specs := make([]cluster.ReplicaSpec, cfg.Replicas)
+	plane := NewFaultPlane(chaosReplicas)
+	specs := make([]cluster.ReplicaSpec, chaosReplicas)
 	for i := range specs {
 		specs[i] = cluster.ReplicaSpec{
 			Model: m,
 			Engine: serve.Config{
-				Workers:   cfg.Workers,
+				Workers:   chaosWorkers,
 				CacheSize: -1, // real decodes only: a cache hit skips the fault plane
 				StepFault: plane.Hook(i),
 			},
 		}
 	}
 	fleet, err := cluster.New(specs, cluster.Config{
-		HedgeAfter:       cfg.HedgeAfter,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
+		HedgeAfter:       chaosHedgeAfter,
+		BreakerThreshold: chaosBreakerThreshold,
+		BreakerCooldown:  chaosBreakerCooldown,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer fleet.Close()
 
-	res := &ChaosResult{Fault: cfg.Fault.String()}
+	res := &ChaosResult{Fault: fault.String()}
 
-	before, served := runChaosPhase(fleet, prompts, cfg, "before", 0)
+	before, served := runChaosPhase(fleet, prompts, "before", 0)
 	res.Before = before
 
 	// Fault the replica that served the most before-phase traffic: the
 	// affinity hotspot, where the fault hurts most.
 	target := hottestReplica(fleet, served)
 	res.Target = fleet.Replicas()[target].Name()
-	switch cfg.Fault {
+	switch fault {
 	case FaultSlow:
-		plane.InjectSlow(target, cfg.SlowBy)
+		plane.InjectSlow(target, chaosSlowBy)
 	case FaultErrRate:
-		plane.InjectErrRate(target, cfg.ErrEvery)
+		plane.InjectErrRate(target, chaosErrEvery)
 	default:
-		plane.Inject(target, cfg.Fault)
+		plane.Inject(target, fault)
 	}
 
-	res.During, _ = runChaosPhase(fleet, prompts, cfg, "during", 1)
+	res.During, _ = runChaosPhase(fleet, prompts, "during", 1)
 
 	plane.Heal(target)
 	// Let the breaker cool down and re-admit the healed replica before
 	// measuring recovery.
-	time.Sleep(cfg.BreakerCooldown + 50*time.Millisecond)
+	time.Sleep(chaosBreakerCooldown + 50*time.Millisecond)
 
-	res.After, _ = runChaosPhase(fleet, prompts, cfg, "after", 2)
+	res.After, _ = runChaosPhase(fleet, prompts, "after", 2)
 
 	fm := fleet.Metrics()
 	res.Hedges = fm.Hedges
@@ -359,18 +316,18 @@ func ChaosBench(m *model.Model, prompts []string, cfg ChaosBenchConfig) (*ChaosR
 
 // runChaosPhase fires one phase of the workload and classifies every
 // outcome. The returned map counts responses per serving replica.
-func runChaosPhase(fleet *cluster.Fleet, prompts []string, cfg ChaosBenchConfig, name string, phase int) (ChaosPhase, map[string]int) {
-	total := cfg.Clients * cfg.Rounds
+func runChaosPhase(fleet *cluster.Fleet, prompts []string, name string, phase int) (ChaosPhase, map[string]int) {
+	const total = chaosClients * chaosRounds
 	latencies := make([]float64, 0, total)
 	served := map[string]int{}
 	out := ChaosPhase{Name: name, Requests: total}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < chaosClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for k := 0; k < cfg.Rounds; k++ {
+			for k := 0; k < chaosRounds; k++ {
 				req := serve.Request{
 					Prompt: prompts[(c+k)%len(prompts)],
 					// Phase-and-request-distinct seeds: no two requests

@@ -44,7 +44,7 @@ func requireAvailable(t *testing.T, label string, res *ChaosResult) {
 // three attempts (wall-clock on shared runners is noisy); the
 // availability half never does.
 func TestChaosRecoveryGate(t *testing.T) {
-	m, prompts := loadBenchModel(t)
+	m, prompts := testRunner().ServingFixture()
 	for _, tc := range []struct {
 		fault FaultKind
 		// check asserts the fault actually exercised the machinery it
@@ -74,12 +74,12 @@ func TestChaosRecoveryGate(t *testing.T) {
 		t.Run(tc.fault.String(), func(t *testing.T) {
 			var lastErr error
 			for attempt := 1; attempt <= 3; attempt++ {
-				base, err := ChaosBench(m, prompts, ChaosBenchConfig{Fault: FaultNone})
+				base, err := ChaosBench(m, prompts, FaultNone)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireAvailable(t, "baseline", base)
-				res, err := ChaosBench(m, prompts, ChaosBenchConfig{Fault: tc.fault})
+				res, err := ChaosBench(m, prompts, tc.fault)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +205,7 @@ func TestChaosChurnSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	m, prompts := loadBenchModel(t)
+	m, prompts := testRunner().ServingFixture()
 	const replicas = 3
 	plane := NewFaultPlane(replicas)
 	specs := make([]cluster.ReplicaSpec, replicas)

@@ -24,31 +24,60 @@ import (
 	"repro/internal/model"
 )
 
-// DiffConfig sizes the differential run.
-type DiffConfig struct {
-	// Families/Variants size the shared-stem workload (defaults 2 × 3).
-	Families, Variants int
-	// Seeds are the sampled-decode seeds per prompt; a greedy decode is
-	// always included (default: one seed).
-	Seeds []int64
-	// MaxNewTokens bounds each decode (default 48).
-	MaxNewTokens int
+// The differential workload, shared by RunDiffTest, RunAdaptDiff and
+// RunTreeLossless.
+const (
+	// diffFamilies × diffVariants size the shared-stem prompt set: later
+	// prompts fork the sessions earlier ones of the same stem left
+	// behind.
+	diffFamilies, diffVariants = 2, 3
+	// diffSeed is the sampled decode's seed; a greedy decode of every
+	// (prompt, strategy) is always included beside it.
+	diffSeed = 7
+	// diffMaxNewTokens bounds each decode.
+	diffMaxNewTokens = 48
+)
+
+// diffOptions is the per-prompt option set of a differential run: one
+// greedy decode and one sampled at diffSeed. treeBudget 0 leaves the
+// strategy's own budget.
+func diffOptions(strategy string, treeBudget int) []core.Options {
+	greedy := core.Options{Strategy: strategy, TreeBudget: treeBudget, MaxNewTokens: diffMaxNewTokens}
+	sampled := greedy
+	sampled.Temperature, sampled.Seed = 0.8, diffSeed
+	return []core.Options{greedy, sampled}
 }
 
-func (c DiffConfig) withDefaults() DiffConfig {
-	if c.Families <= 0 {
-		c.Families = 2
+// SharedStemPrompts builds a workload of prompt families: each family
+// shares one long instruction stem (the "Please act as a professional
+// Verilog designer..." boilerplate plus a module description) and
+// diverges only in a short trailing requirement. This is the
+// n-variants-per-task shape of benchmark sweeps and retry traffic —
+// the shape the fleet's affinity router deliberately concentrates onto
+// one replica, and the one the prefix trie exists to fork.
+func SharedStemPrompts(families, variants int) []string {
+	stems := []string{
+		"Please act as a professional Verilog designer. Create a synchronous FIFO named fifo_unit with clock clk, reset rst, write enable wen and read enable ren",
+		"Please act as a professional Verilog designer. Create a module named alu_unit that takes two 8-bit operands a and b and an opcode op",
+		"Please act as a professional Verilog designer. Create a finite state machine named fsm_unit with clock clk and an asynchronous active-low reset rst_n",
+		"Please act as a professional Verilog designer. Create a parameterizable shift register named shift_unit with clock clk and serial input sin",
+		"Please act as a professional Verilog designer. Create a priority encoder named enc_unit over an 8-bit one-hot input req",
+		"Please act as a professional Verilog designer. Create an up-down counter named cnt_unit with clock clk, reset rst and direction input dir",
 	}
-	if c.Variants <= 0 {
-		c.Variants = 3
+	tails := []string{
+		"and a %d-bit data path.",
+		"with a depth of %d entries.",
+		"raising a flag after %d cycles.",
+		"with an output width of %d bits.",
 	}
-	if len(c.Seeds) == 0 {
-		c.Seeds = []int64{7}
+	var out []string
+	for f := 0; f < families; f++ {
+		stem := stems[f%len(stems)]
+		for v := 0; v < variants; v++ {
+			out = append(out, fmt.Sprintf("%s %s", stem, fmt.Sprintf(tails[v%len(tails)], 2+v)))
+		}
 	}
-	if c.MaxNewTokens <= 0 {
-		c.MaxNewTokens = 48
-	}
-	return c
+	return out
 }
 
 // DiffReport summarizes a clean differential run.
@@ -75,9 +104,8 @@ var diffModes = []string{"off", "trie", "preempt"}
 // divergence. Caches persist across the whole workload within one
 // (model, scheme) pairing, so later prompts hit sessions forked from
 // earlier ones — the trie is compared in its working state, not cold.
-func (r *Runner) RunDiffTest(cfg DiffConfig) (DiffReport, error) {
-	cfg = cfg.withDefaults()
-	prompts := SharedStemPrompts(cfg.Families, cfg.Variants)
+func (r *Runner) RunDiffTest() (DiffReport, error) {
+	prompts := SharedStemPrompts(diffFamilies, diffVariants)
 	// Reuse-path stressors: an exact repeat, a prefix truncation and an
 	// extension of the first stem prompt.
 	prompts = append(prompts,
@@ -87,14 +115,8 @@ func (r *Runner) RunDiffTest(cfg DiffConfig) (DiffReport, error) {
 	)
 	var report DiffReport
 	for _, mcfg := range r.setup.Models {
-		tk := r.toks[mcfg.Name]
-		trained := map[model.Scheme]*model.Model{}
 		for _, entry := range StrategyMatrix {
-			m := trained[entry.Scheme]
-			if m == nil {
-				m = model.Train(tk, mcfg, entry.Scheme, r.examples)
-				trained[entry.Scheme] = m
-			}
+			m := r.Model(mcfg, entry.Scheme)
 			trie := model.NewTrieCache(0)
 			decs := map[string]*core.Decoder{
 				"off":     core.NewDecoder(m),
@@ -104,15 +126,8 @@ func (r *Runner) RunDiffTest(cfg DiffConfig) (DiffReport, error) {
 			// Deterministic preemption schedule, fixed per matrix entry
 			// so a failure replays identically.
 			rng := rand.New(rand.NewSource(42))
-			var optsSet []core.Options
-			optsSet = append(optsSet, core.Options{Strategy: entry.Strategy, MaxNewTokens: cfg.MaxNewTokens})
-			for _, seed := range cfg.Seeds {
-				optsSet = append(optsSet, core.Options{
-					Strategy: entry.Strategy, Temperature: 0.8, Seed: seed, MaxNewTokens: cfg.MaxNewTokens,
-				})
-			}
 			for pi, prompt := range prompts {
-				for _, opts := range optsSet {
+				for _, opts := range diffOptions(entry.Strategy, 0) {
 					var ref *core.Result
 					for _, mode := range diffModes {
 						var res *core.Result
@@ -197,12 +212,11 @@ type TreeLosslessReport struct {
 // drafter, and the run must show drafting actually engaged (strictly
 // fewer steps than NTP overall), or the gate proved nothing.
 func (r *Runner) RunTreeLossless() (TreeLosslessReport, error) {
-	prompts := SharedStemPrompts(2, 3)
+	prompts := SharedStemPrompts(diffFamilies, diffVariants)
 	prompts = append(prompts, prompts[0]+" Add an active-high enable input en.")
 	var report TreeLosslessReport
 	for _, mcfg := range r.setup.Models {
-		m := model.Train(r.toks[mcfg.Name], mcfg, model.SchemeNTP, r.examples)
-		dec := core.NewDecoder(m)
+		dec := core.NewDecoder(r.Model(mcfg, model.SchemeNTP))
 		for pi, prompt := range prompts {
 			ntp := dec.Generate(prompt, core.Options{Strategy: "ntp"})
 			lin := dec.Generate(prompt, core.Options{Strategy: "prompt-lookup"})
@@ -251,16 +265,8 @@ func sameBytes(want, got *core.Result) error {
 // sameResult compares two decodes for byte identity — tokens, steps,
 // truncation accounting and the simulated cost model must all agree.
 func sameResult(want, got *core.Result) error {
-	if got.Text != want.Text {
-		return fmt.Errorf("text diverged\n got: %q\nwant: %q", got.Text, want.Text)
-	}
-	if len(got.Tokens) != len(want.Tokens) {
-		return fmt.Errorf("token count %d, want %d", len(got.Tokens), len(want.Tokens))
-	}
-	for i := range want.Tokens {
-		if got.Tokens[i] != want.Tokens[i] {
-			return fmt.Errorf("token %d is %d, want %d", i, got.Tokens[i], want.Tokens[i])
-		}
+	if err := sameBytes(want, got); err != nil {
+		return err
 	}
 	if got.Steps != want.Steps || got.TruncatedTokens != want.TruncatedTokens {
 		return fmt.Errorf("steps=%d truncated=%d, want steps=%d truncated=%d",

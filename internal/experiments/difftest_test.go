@@ -1,6 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/serve"
+)
 
 // TestDifferentialCacheModes is the cache-admissibility gate CI runs
 // next to the golden determinism job: across the full strategy matrix,
@@ -11,8 +18,7 @@ import "testing"
 // actually have forked mid-prompt sessions and injected preemptions,
 // or it proved nothing.
 func TestDifferentialCacheModes(t *testing.T) {
-	r := NewRunner(quickSetup())
-	report, err := r.RunDiffTest(DiffConfig{})
+	report, err := testRunner().RunDiffTest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +49,7 @@ func TestDifferentialCacheModes(t *testing.T) {
 // shadow decision left unapplied, and zero reroutes of pinned
 // requests.
 func TestDifferentialAdaptModes(t *testing.T) {
-	r := NewRunner(quickSetup())
-	report, err := r.RunAdaptDiff(DiffConfig{})
+	report, err := testRunner().RunAdaptDiff()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,34 +73,67 @@ func TestDifferentialAdaptModes(t *testing.T) {
 		report.Cases, report.Decisions)
 }
 
-// TestPrefixBenchTrieRecomputesFewer pins the performance half of the
-// acceptance criteria: on the shared-stem workload the trie cache must
-// recompute strictly fewer prompt tokens than a cache that could only
-// reuse exact repeats — the workload is submitted twice, so that bound
-// is half the prompt tokens — because only forking the stems that
-// dominate the workload gets below it.
+// TestTreeLosslessGate runs the differential losslessness proof CI
+// pins next to the cache-mode gate: greedy lookup-tree byte streams
+// equal linear prompt-lookup's (and NTP's) on every model, in no more
+// steps than linear, with drafting demonstrably engaged.
+func TestTreeLosslessGate(t *testing.T) {
+	report, err := testRunner().RunTreeLossless()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Cases == 0 {
+		t.Fatal("no cases compared")
+	}
+	t.Logf("lossless: %d cases byte-identical; steps ntp=%d linear=%d tree=%d",
+		report.Cases, report.StepsNTP, report.StepsLinear, report.StepsTree)
+}
+
+// TestPrefixBenchTrieRecomputesFewer pins what the token-prefix trie
+// exists to change: on a shared-stem workload (4 stems × 4 variants)
+// the trie must recompute strictly fewer prompt tokens of session
+// preparation than a cache that could only reuse exact repeats — the
+// workload is submitted twice with fresh seeds, so that bound is half
+// the prompt tokens — because only forking the stems that dominate the
+// workload gets below it. Decodes are sampled so they cost real work
+// and bounded at 32 tokens so the work stays on session preparation;
+// the result LRU is off so every request looks up its session.
 func TestPrefixBenchTrieRecomputesFewer(t *testing.T) {
-	r := NewRunner(quickSetup())
-	rows := r.RunPrefixBench(PrefixBenchConfig{Repeats: 2})
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (off, trie)", len(rows))
+	m, _ := testRunner().ServingFixture()
+	var reqs []serve.Request
+	var promptTokens uint64
+	for round := 0; round < 2; round++ {
+		for i, p := range SharedStemPrompts(4, 4) {
+			promptTokens += uint64(len(model.CanonicalPromptIDs(m.Tokenizer(), p)))
+			reqs = append(reqs, serve.Request{Prompt: p, Options: core.Options{
+				Temperature: 0.6, MaxNewTokens: 32, Seed: int64(round*1000 + i),
+			}})
+		}
 	}
-	byMode := map[string]PrefixBenchRow{}
-	for _, row := range rows {
-		byMode[row.Mode] = row
-		t.Logf("%-6s requests=%d prompt_tokens=%d recomputed=%d saved=%d hits=%d partial=%d hit_rate=%.2f",
-			row.Mode, row.Requests, row.PromptTokens, row.TokensRecomputed,
-			row.TokensSaved, row.Hits, row.PartialHits, row.HitRate)
+	byMode := map[string]serve.Metrics{}
+	for _, mode := range []string{serve.PrefixCacheOff, serve.PrefixCacheTrie} {
+		eng := serve.NewEngine(m, serve.Config{Workers: 2, CacheSize: -1, PrefixCacheMode: mode})
+		for i, resp := range eng.GenerateBatch(context.Background(), reqs) {
+			if resp.Err != nil {
+				t.Fatalf("%s request %d: %v", mode, i, resp.Err)
+			}
+		}
+		mt := eng.Metrics()
+		eng.Close()
+		byMode[mode] = mt
+		t.Logf("%-4s requests=%d prompt_tokens=%d recomputed=%d saved=%d hits=%d partial=%d hit_rate=%.2f",
+			mode, len(reqs), promptTokens, promptTokens-mt.PrefixCacheTokensSaved,
+			mt.PrefixCacheTokensSaved, mt.PrefixCacheHits, mt.PrefixCachePartialHits, mt.PrefixCacheHitRate)
 	}
-	off, trie := byMode["off"], byMode["trie"]
-	if off.TokensSaved != 0 || off.TokensRecomputed != off.PromptTokens {
-		t.Fatalf("cache-off saved tokens: %+v", off)
+	off, trie := byMode[serve.PrefixCacheOff], byMode[serve.PrefixCacheTrie]
+	if off.PrefixCacheTokensSaved != 0 {
+		t.Fatalf("cache-off saved %d tokens", off.PrefixCacheTokensSaved)
 	}
-	if exactOnly := off.PromptTokens / 2; trie.TokensRecomputed >= exactOnly {
+	if recomputed, exactOnly := promptTokens-trie.PrefixCacheTokensSaved, promptTokens/2; recomputed >= exactOnly {
 		t.Fatalf("trie recomputed %d tokens, want fewer than the %d an exact-repeat cache would",
-			trie.TokensRecomputed, exactOnly)
+			recomputed, exactOnly)
 	}
-	if trie.PartialHits == 0 {
+	if trie.PrefixCachePartialHits == 0 {
 		t.Fatal("trie saw no partial hits on a shared-stem workload")
 	}
 }

@@ -9,12 +9,15 @@
 //	Fig. 5   — decoding step counts for the data_register example.
 //	Fig. 6   — the CodeT5p pass@5 slice of Table I.
 //
-// Beyond the paper, RunStrategyMatrix compares every registered
-// decoding strategy — the legacy three plus self-speculative prompt
-// lookup — under the Table II protocol in one harness.
+// Beyond the paper, RunStrategyMatrix decodes every registered
+// strategy under the Table II protocol in one fold; Table II itself
+// (Table2) and the tree and grammar comparisons (Compare) are views of
+// its rows, so each column is defined once. The Runner owns what the
+// harnesses share: Model memoises full-corpus training, decode is the
+// one dispatch path, speedSchedule the one greedy + T=0.8 schedule.
 //
-// Scale knobs let the same code run as a quick smoke test (CI) or as the
-// full harness (cmd/evalbench).
+// The Setup scale knobs let the same code run as a quick smoke test
+// (CI) or as the full harness (cmd/evalbench).
 package experiments
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -118,14 +122,6 @@ type QualityCell struct {
 	SynPass1, SynPass5, SynPass10, SynRate float64
 }
 
-// SpeedRow is one Table II row half (per model).
-type SpeedRow struct {
-	Model        string
-	Method       string
-	TokensPerSec float64
-	Speedup      float64
-}
-
 // Fig5Row reports decoding steps for the worked example (Fig. 5).
 type Fig5Row struct {
 	Method string
@@ -133,30 +129,18 @@ type Fig5Row struct {
 	Tokens int
 }
 
-// Results bundles everything a full run produces.
-type Results struct {
-	Setup   Setup
-	Stats   dataset.Stats
-	Table1  []QualityCell
-	Table2  []SpeedRow
-	Fig5    []Fig5Row
-	Corpora int // refined corpus size
-}
-
-// trainedSet holds the per-scheme models for one backbone config at one
-// data size.
-type trainedSet struct {
-	byScheme map[model.Scheme]*model.Model
-}
-
-// Runner caches the corpus and incrementally trained models across
-// experiments.
+// Runner caches the corpus, the tokenizers and every model trained on
+// the full corpus, and owns the decode protocol the harnesses share.
 type Runner struct {
 	setup    Setup
 	examples []model.Example
 	stats    dataset.Stats
 	// tokenizers per model config name.
 	toks map[string]*tokenizer.Tokenizer
+
+	mu sync.Mutex
+	// models memoises Model, keyed "<config name>/<scheme>".
+	models map[string]*model.Model
 }
 
 // NewRunner builds the corpus (running the full refinement pipeline)
@@ -166,7 +150,11 @@ func NewRunner(setup Setup) *Runner {
 		Seed:  setup.Seed,
 		Items: setup.CorpusItems,
 	})
-	r := &Runner{setup: setup, examples: examples, stats: stats, toks: map[string]*tokenizer.Tokenizer{}}
+	r := &Runner{
+		setup: setup, examples: examples, stats: stats,
+		toks:   map[string]*tokenizer.Tokenizer{},
+		models: map[string]*model.Model{},
+	}
 	for _, cfg := range setup.Models {
 		var corpus []string
 		// Tokenizers train on a bounded sample of the corpus text for
@@ -183,28 +171,51 @@ func NewRunner(setup Setup) *Runner {
 	return r
 }
 
-// Examples exposes the refined corpus (tools use it).
-func (r *Runner) Examples() []model.Example { return r.examples }
+// Model returns cfg's backbone trained with scheme on the full corpus,
+// training it on first use, so a process trains each pairing once
+// however many experiments decode with it (decoding never mutates a
+// model). The lock is held across training: two callers asking for the
+// same pairing must not both pay for it.
+func (r *Runner) Model(cfg model.Config, scheme model.Scheme) *model.Model {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	key := cfg.Name + "/" + scheme.String()
+	m := r.models[key]
+	if m == nil {
+		m = model.Train(r.toks[cfg.Name], cfg, scheme, r.examples)
+		r.models[key] = m
+	}
+	return m
+}
+
+// ServingFixture is what the serving-side harnesses (load, sweep,
+// trace, chaos) run on: the first backbone trained with the paper's
+// scheme, and the Table II prompt set.
+func (r *Runner) ServingFixture() (*model.Model, []string) {
+	return r.Model(r.setup.Models[0], model.SchemeOurs), r.speedPrompts()
+}
 
 // Stats exposes the refinement stats.
 func (r *Runner) Stats() dataset.Stats { return r.stats }
 
-// Tokenizer returns the tokenizer for a model config.
-func (r *Runner) Tokenizer(cfg model.Config) *tokenizer.Tokenizer { return r.toks[cfg.Name] }
-
-// promptOutcome is the per-prompt sample tally for one criterion.
-type promptOutcome struct {
-	fn  metrics.PromptResult
-	syn metrics.PromptResult
-}
-
-// newEngine sizes a serve.Engine for one trained model by the Setup's
-// workers knob. The harness and the vgend daemon share this dispatch
-// path, so benchmark-table concurrency is the serving concurrency. The
-// LRU is disabled: every decode must pay its simulated cost, and the
-// seed schedule never repeats a (prompt, options) pair anyway.
-func (r *Runner) newEngine(m *model.Model) *serve.Engine {
-	return serve.NewEngine(m, serve.Config{Workers: r.setup.workers(), CacheSize: -1})
+// decode dispatches reqs through a fresh serve.Engine sized by the
+// Setup's workers knob and returns the responses in submission order.
+// The harness and the vgend daemon share this dispatch path, so
+// benchmark-table concurrency is the serving concurrency. The LRU is
+// disabled: every decode must pay its simulated cost, and no schedule
+// here repeats a (prompt, options) pair anyway.
+func (r *Runner) decode(m *model.Model, reqs []serve.Request) []*serve.Response {
+	eng := serve.NewEngine(m, serve.Config{Workers: r.setup.workers(), CacheSize: -1})
+	defer eng.Close()
+	resps := eng.GenerateBatch(context.Background(), reqs)
+	for _, resp := range resps {
+		if resp.Err != nil {
+			// Background context, engine closed only after the batch
+			// returns: unreachable outside programmer error.
+			panic(resp.Err)
+		}
+	}
+	return resps
 }
 
 // evalSuite evaluates one model on one benchmark suite: every (prompt,
@@ -212,10 +223,9 @@ func (r *Runner) newEngine(m *model.Model) *serve.Engine {
 // then the tally keeps the best per-temperature accuracy per prompt
 // (the paper picks the highest accuracy across temperatures). Seeds
 // are assigned per (prompt, temperature, sample), so the outcome is
-// identical at any worker count.
-func (r *Runner) evalSuite(m *model.Model, suite []bench.Problem, seedBase int64) []promptOutcome {
-	eng := r.newEngine(m)
-	defer eng.Close()
+// identical at any worker count. It returns the per-prompt sample
+// tallies under the function and the syntax criterion.
+func (r *Runner) evalSuite(m *model.Model, suite []bench.Problem, seedBase int64) (fn, syn []metrics.PromptResult) {
 	strategy := m.Scheme().String()
 	n := r.setup.Samples
 	nTemps := len(r.setup.Temps)
@@ -236,20 +246,14 @@ func (r *Runner) evalSuite(m *model.Model, suite []bench.Problem, seedBase int64
 			}
 		}
 	}
-	resps := eng.GenerateBatch(context.Background(), reqs)
+	resps := r.decode(m, reqs)
 
-	out := make([]promptOutcome, len(suite))
 	for i := range suite {
 		bestFn, bestSyn := 0, 0
 		for ti := 0; ti < nTemps; ti++ {
 			cFn, cSyn := 0, 0
 			for s := 0; s < n; s++ {
 				resp := resps[(i*nTemps+ti)*n+s]
-				if resp.Err != nil {
-					// Background context, drained engine: unreachable
-					// outside programmer error.
-					panic(resp.Err)
-				}
 				if bench.CheckSyntax(resp.Result.Text) {
 					cSyn++
 					if bench.CheckFunction(resp.Result.Text, suite[i]) {
@@ -264,21 +268,14 @@ func (r *Runner) evalSuite(m *model.Model, suite []bench.Problem, seedBase int64
 				bestSyn = cSyn
 			}
 		}
-		out[i] = promptOutcome{
-			fn:  metrics.PromptResult{N: n, C: bestFn},
-			syn: metrics.PromptResult{N: n, C: bestSyn},
-		}
+		fn = append(fn, metrics.PromptResult{N: n, C: bestFn})
+		syn = append(syn, metrics.PromptResult{N: n, C: bestSyn})
 	}
-	return out
+	return fn, syn
 }
 
-// cellFrom aggregates suite outcomes into a Table I cell.
-func cellFrom(modelName string, size int, benchmark, method string, outcomes []promptOutcome) QualityCell {
-	var fn, syn []metrics.PromptResult
-	for _, o := range outcomes {
-		fn = append(fn, o.fn)
-		syn = append(syn, o.syn)
-	}
+// cellFrom aggregates a suite's tallies into a Table I cell.
+func cellFrom(modelName string, size int, benchmark, method string, fn, syn []metrics.PromptResult) QualityCell {
 	pct := func(x float64) float64 { return 100 * x }
 	return QualityCell{
 		Model: modelName, DataSize: size, Benchmark: benchmark, Method: method,
@@ -312,8 +309,8 @@ func (r *Runner) RunTable1() []QualityCell {
 					name  string
 					probs []bench.Problem
 				}{{"RTLLM", rtllm}, {"VGen", vgen}} {
-					outcomes := r.evalSuite(m, suite.probs, r.setup.Seed*1000+int64(num))
-					cells = append(cells, cellFrom(cfg.Name, len(sub), suite.name, scheme.String(), outcomes))
+					fn, syn := r.evalSuite(m, suite.probs, r.setup.Seed*1000+int64(num))
+					cells = append(cells, cellFrom(cfg.Name, len(sub), suite.name, scheme.String(), fn, syn))
 				}
 			}
 		}
@@ -339,54 +336,18 @@ func (r *Runner) speedPrompts() []string {
 	return out
 }
 
-// RunTable2 measures simulated generation speed per method on models
-// trained with the full corpus (paper protocol: each prompt decoded
-// greedily and with sampling at T=0.8; speed is eq. 3 over all outputs;
-// speedup is vs the same backbone trained with NTP).
-func (r *Runner) RunTable2() []SpeedRow {
-	var rows []SpeedRow
-	prompts := r.speedPrompts()
-	for _, cfg := range r.setup.Models {
-		tk := r.toks[cfg.Name]
-		speeds := map[model.Scheme]float64{}
-		for _, scheme := range Schemes {
-			m := model.Train(tk, cfg, scheme, r.examples)
-			strategy := scheme.String()
-
-			// Each prompt decodes greedily and sampled at T=0.8; the
-			// pairs dispatch through the shared worker pool and land
-			// back in submission order.
-			reqs := make([]serve.Request, 0, 2*len(prompts))
-			for i, prompt := range prompts {
-				reqs = append(reqs,
-					serve.Request{Prompt: prompt, Options: core.Options{Strategy: strategy}},
-					serve.Request{Prompt: prompt, Options: core.Options{Strategy: strategy, Temperature: 0.8, Seed: int64(i)}})
-			}
-			eng := r.newEngine(m)
-			resps := eng.GenerateBatch(context.Background(), reqs)
-			eng.Close()
-			tokens := make([]int, len(resps))
-			secs := make([]float64, len(resps))
-			for i, resp := range resps {
-				if resp.Err != nil {
-					panic(resp.Err)
-				}
-				tokens[i] = len(resp.Result.CleanTokens)
-				secs[i] = resp.Result.SimulatedMS / 1000
-			}
-			speeds[scheme] = metrics.Speed(tokens, secs)
-		}
-		ntp := speeds[model.SchemeNTP]
-		for _, scheme := range Schemes {
-			rows = append(rows, SpeedRow{
-				Model:        cfg.Name,
-				Method:       scheme.String(),
-				TokensPerSec: speeds[scheme],
-				Speedup:      metrics.Speedup(speeds[scheme], ntp),
-			})
-		}
+// speedSchedule is the Table II protocol's request list (paper: each
+// prompt decoded greedily and with sampling at T=0.8; speed is eq. 3
+// over all outputs). Each prompt's pair dispatches through the shared
+// worker pool and lands back in submission order.
+func speedSchedule(prompts []string, strategy string) []serve.Request {
+	reqs := make([]serve.Request, 0, 2*len(prompts))
+	for i, prompt := range prompts {
+		reqs = append(reqs,
+			serve.Request{Prompt: prompt, Options: core.Options{Strategy: strategy}},
+			serve.Request{Prompt: prompt, Options: core.Options{Strategy: strategy, Temperature: 0.8, Seed: int64(i)}})
 	}
-	return rows
+	return reqs
 }
 
 // MatrixEntry pairs a training scheme with a decoding strategy — one
@@ -402,8 +363,9 @@ type MatrixEntry struct {
 // modes on their natural schemes, self-speculative prompt lookup on
 // the plain NTP backbone — the drafter that needs no trained heads at
 // all, so it accelerates exactly the model Medusa cannot — and the
-// three tree-drafting lifts on the same schemes as their linear
-// counterparts, so every tree row isolates the drafting shape.
+// tree-drafting and grammar-constrained lifts on the same schemes as
+// the strategies they extend, so every such row isolates the drafting
+// shape (TreePairs) or the oracle (GrammarPairs).
 var StrategyMatrix = []MatrixEntry{
 	{Scheme: model.SchemeOurs, Strategy: "ours"},
 	{Scheme: model.SchemeOurs, Strategy: "ours-tree"},
@@ -416,94 +378,188 @@ var StrategyMatrix = []MatrixEntry{
 	{Scheme: model.SchemeNTP, Strategy: "grammar-lookup-tree"},
 }
 
-// StrategyRow is one strategy-matrix result row.
+// StrategyRow is one strategy-matrix result row: everything the
+// harness reports about decoding one strategy over the Table II
+// schedule. Table II, the tree comparison and the grammar comparison
+// all read these columns.
 type StrategyRow struct {
-	Model    string
-	Scheme   string
+	Model  string
+	Scheme string
+	// Strategy is the registry display name ("OursTree").
 	Strategy string
 	// TokensPerSec is the eq. 3 simulated speed over the prompt set.
 	TokensPerSec float64
-	// Speedup is versus the ntp row of the same model.
+	// Speedup is versus the NTP row of the same model (paper: the same
+	// backbone trained with NTP).
 	Speedup float64
-	// MeanAccepted is raw tokens emitted per decoding step.
+	// MeanAccepted is raw tokens emitted per decoding step — tokens
+	// surviving verification per forward pass, the quantity the whole
+	// speedup rests on ("A Theoretical Perspective for Speculative
+	// Decoding Algorithm": expected accepted length drives the
+	// wall-clock gain).
 	MeanAccepted float64
 	// WallMSPerToken is measured wall-clock decoder milliseconds per
 	// clean token — real CPU cost next to the simulated speedup, the
 	// honest accounting "Speculative Decoding: Performance or
-	// Illusion?" calls for. On this substrate drafting is nearly free,
-	// so strategies that cut step counts also cut wall-clock; on a GPU
-	// the two columns can diverge, which is exactly why both are shown.
+	// Illusion?" calls for. Tree verification walks more nodes per step
+	// and the grammar oracle re-lexes the draft tail on every candidate;
+	// this is where that CPU cost shows. On a GPU this column and the
+	// simulated one can diverge, which is exactly why both are shown.
 	WallMSPerToken float64
+	// NodesPerStep is mean draft-tree nodes proposed per step and
+	// BudgetUtilization nodes proposed over node budget available: how
+	// much of its budget a tree drafter actually filled. Zero for
+	// linear strategies.
+	NodesPerStep, BudgetUtilization float64
+	// PrunedPerStep is mean draft nodes the syntax oracle rejected per
+	// step and GrammarTokensPerStep mean construct-chain tokens drafted
+	// per step: how hard the oracle worked. Zero without an oracle.
+	PrunedPerStep, GrammarTokensPerStep float64
 }
 
-// RunStrategyMatrix measures simulated generation speed for every
-// (scheme, strategy) pairing of StrategyMatrix under the Table II
-// protocol (greedy + T=0.8 per prompt, dispatch through the shared
-// worker pool). Models are trained once per scheme and reused across
-// strategies, so the matrix isolates the decoding strategy.
+// RunStrategyMatrix decodes the Table II schedule with every
+// (scheme, strategy) pairing of StrategyMatrix and folds each batch
+// into a row. Models come from Model, so strategies sharing a scheme
+// decode on the same trained model and the matrix isolates the
+// decoding strategy.
 func (r *Runner) RunStrategyMatrix() []StrategyRow {
 	var rows []StrategyRow
 	prompts := r.speedPrompts()
 	for _, cfg := range r.setup.Models {
-		tk := r.toks[cfg.Name]
-		trained := map[model.Scheme]*model.Model{}
-		speeds := map[string]float64{}
-		accepted := map[string]float64{}
-		wallPerToken := map[string]float64{}
+		first := len(rows)
+		var ntp float64
 		for _, entry := range StrategyMatrix {
-			m := trained[entry.Scheme]
-			if m == nil {
-				m = model.Train(tk, cfg, entry.Scheme, r.examples)
-				trained[entry.Scheme] = m
-			}
-			reqs := make([]serve.Request, 0, 2*len(prompts))
-			for i, prompt := range prompts {
-				reqs = append(reqs,
-					serve.Request{Prompt: prompt, Options: core.Options{Strategy: entry.Strategy}},
-					serve.Request{Prompt: prompt, Options: core.Options{Strategy: entry.Strategy, Temperature: 0.8, Seed: int64(i)}})
-			}
-			eng := r.newEngine(m)
-			resps := eng.GenerateBatch(context.Background(), reqs)
-			eng.Close()
+			resps := r.decode(r.Model(cfg, entry.Scheme), speedSchedule(prompts, entry.Strategy))
+			row := StrategyRow{Model: cfg.Name, Scheme: entry.Scheme.String(), Strategy: displayName(entry.Strategy)}
 			tokens := make([]int, len(resps))
 			secs := make([]float64, len(resps))
-			var rawTokens, steps, cleanTokens, wallMS float64
+			var raw, steps, clean, wallMS, nodes, budget, pruned, grammar float64
 			for i, resp := range resps {
-				if resp.Err != nil {
-					panic(resp.Err)
-				}
-				tokens[i] = len(resp.Result.CleanTokens)
-				secs[i] = resp.Result.SimulatedMS / 1000
-				rawTokens += float64(len(resp.Result.Tokens))
-				steps += float64(resp.Result.Steps)
-				cleanTokens += float64(len(resp.Result.CleanTokens))
+				res := resp.Result
+				tokens[i] = len(res.CleanTokens)
+				secs[i] = res.SimulatedMS / 1000
+				raw += float64(len(res.Tokens))
+				steps += float64(res.Steps)
+				clean += float64(len(res.CleanTokens))
 				wallMS += float64(resp.Wall) / float64(time.Millisecond)
+				nodes += float64(res.TreeNodes)
+				budget += float64(res.TreeBudget)
+				pruned += float64(res.GrammarPruned)
+				grammar += float64(res.GrammarDraftTokens)
 			}
-			speeds[entry.Strategy] = metrics.Speed(tokens, secs)
+			row.TokensPerSec = metrics.Speed(tokens, secs)
 			if steps > 0 {
-				accepted[entry.Strategy] = rawTokens / steps
+				row.MeanAccepted = raw / steps
+				row.NodesPerStep = nodes / steps
+				row.PrunedPerStep = pruned / steps
+				row.GrammarTokensPerStep = grammar / steps
 			}
-			if cleanTokens > 0 {
-				wallPerToken[entry.Strategy] = wallMS / cleanTokens
+			if clean > 0 {
+				row.WallMSPerToken = wallMS / clean
 			}
+			if budget > 0 {
+				row.BudgetUtilization = nodes / budget
+			}
+			if entry.Strategy == "ntp" {
+				ntp = row.TokensPerSec
+			}
+			rows = append(rows, row)
 		}
-		for _, entry := range StrategyMatrix {
-			label := entry.Strategy
-			if s, err := core.ResolveStrategy(entry.Strategy, false); err == nil {
-				label = s.Name
-			}
-			rows = append(rows, StrategyRow{
-				Model:          cfg.Name,
-				Scheme:         entry.Scheme.String(),
-				Strategy:       label,
-				TokensPerSec:   speeds[entry.Strategy],
-				Speedup:        metrics.Speedup(speeds[entry.Strategy], speeds["ntp"]),
-				MeanAccepted:   accepted[entry.Strategy],
-				WallMSPerToken: wallPerToken[entry.Strategy],
-			})
+		for i := first; i < len(rows); i++ {
+			rows[i].Speedup = metrics.Speedup(rows[i].TokensPerSec, ntp)
 		}
 	}
 	return rows
+}
+
+// displayName resolves a registry name to its display spelling,
+// passing unknown names through.
+func displayName(strategy string) string {
+	return core.Options{Strategy: strategy}.StrategyLabel()
+}
+
+// Table2 is the paper's Table II as a view of the matrix: per model,
+// the rows of the three methods decoded on their own scheme, in the
+// paper's column order.
+func Table2(rows []StrategyRow) []StrategyRow {
+	var out []StrategyRow
+	for _, name := range modelsOf(rows) {
+		for _, scheme := range Schemes {
+			for _, row := range rows {
+				if row.Model == name && row.Strategy == scheme.String() {
+					out = append(out, row)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Pair names a strategy and the lift that extends it (registry names);
+// both decode on the same scheme in StrategyMatrix, so a pair differs
+// in exactly one thing.
+type Pair struct{ Base, Lift string }
+
+// TreePairs is the linear-vs-tree comparison axis: every tree strategy
+// against its exact linear counterpart, so the only difference is the
+// drafting shape.
+var TreePairs = []Pair{
+	{Base: "medusa", Lift: "medusa-tree"},
+	{Base: "ours", Lift: "ours-tree"},
+	{Base: "prompt-lookup", Lift: "lookup-tree"},
+}
+
+// GrammarPairs is the grammar comparison axis: each grammar strategy
+// against the ungated tree drafter it extends, so the only difference
+// is the oracle — syntactically doomed branches pruned before the
+// verifier pays for them, idiomatic constructs drafted as whole chains.
+var GrammarPairs = []Pair{
+	{Base: "ours-tree", Lift: "grammar-tree"},
+	{Base: "lookup-tree", Lift: "grammar-lookup-tree"},
+}
+
+// PairRow is one (model, pair) comparison: the two matrix rows side by
+// side.
+type PairRow struct {
+	Base, Lift StrategyRow
+	// AcceptedGain is Lift.MeanAccepted / Base.MeanAccepted (> 1 means
+	// the lift's drafts survive verification longer).
+	AcceptedGain float64
+}
+
+// Compare views the matrix as pair comparisons: per model, one row per
+// pair.
+func Compare(rows []StrategyRow, pairs []Pair) []PairRow {
+	var out []PairRow
+	for _, name := range modelsOf(rows) {
+		byStrategy := map[string]StrategyRow{}
+		for _, row := range rows {
+			if row.Model == name {
+				byStrategy[row.Strategy] = row
+			}
+		}
+		for _, pair := range pairs {
+			pr := PairRow{Base: byStrategy[displayName(pair.Base)], Lift: byStrategy[displayName(pair.Lift)]}
+			if pr.Base.MeanAccepted > 0 {
+				pr.AcceptedGain = pr.Lift.MeanAccepted / pr.Base.MeanAccepted
+			}
+			out = append(out, pr)
+		}
+	}
+	return out
+}
+
+// modelsOf lists the distinct model names of rows in first-seen order.
+func modelsOf(rows []StrategyRow) []string {
+	var names []string
+	seen := map[string]bool{}
+	for _, row := range rows {
+		if !seen[row.Model] {
+			seen[row.Model] = true
+			names = append(names, row.Model)
+		}
+	}
+	return names
 }
 
 // Fig5Prompt is the paper's worked example (Fig. 5).
@@ -513,13 +569,10 @@ const Fig5Prompt = `Please act as a professional Verilog designer. Create a simp
 // and reports step counts (paper: Ours 14, Medusa 24, NTP 77 — the
 // ordering and rough ratios are the reproduction target).
 func (r *Runner) RunFig5() []Fig5Row {
-	cfg := r.setup.Models[0]
-	tk := r.toks[cfg.Name]
 	var rows []Fig5Row
 	for _, scheme := range Schemes {
-		m := model.Train(tk, cfg, scheme, r.examples)
-		dec := core.NewDecoder(m)
-		res := dec.Generate(Fig5Prompt, core.Options{Strategy: scheme.String()})
+		m := r.Model(r.setup.Models[0], scheme)
+		res := r.decode(m, []serve.Request{{Prompt: Fig5Prompt, Options: core.Options{Strategy: scheme.String()}}})[0].Result
 		rows = append(rows, Fig5Row{Method: scheme.String(), Steps: res.Steps, Tokens: len(res.CleanTokens)})
 	}
 	return rows
@@ -533,9 +586,9 @@ type Fig1Point struct {
 	FuncPass10   float64
 }
 
-// Fig1 derives the scatter points from computed tables (largest data
-// size, first model, RTLLM benchmark).
-func Fig1(t1 []QualityCell, t2 []SpeedRow, modelName string) []Fig1Point {
+// Fig1 derives the scatter points from Table I and the Table2 view
+// (largest data size, first model, RTLLM benchmark).
+func Fig1(t1 []QualityCell, t2 []StrategyRow, modelName string) []Fig1Point {
 	maxSize := 0
 	for _, c := range t1 {
 		if c.Model == modelName && c.DataSize > maxSize {
@@ -548,8 +601,8 @@ func Fig1(t1 []QualityCell, t2 []SpeedRow, modelName string) []Fig1Point {
 			continue
 		}
 		for _, c := range t1 {
-			if c.Model == modelName && c.Benchmark == "RTLLM" && c.DataSize == maxSize && c.Method == row.Method {
-				pts = append(pts, Fig1Point{Method: row.Method, TokensPerSec: row.TokensPerSec, FuncPass10: c.FuncPass10})
+			if c.Model == modelName && c.Benchmark == "RTLLM" && c.DataSize == maxSize && c.Method == row.Strategy {
+				pts = append(pts, Fig1Point{Method: row.Strategy, TokensPerSec: row.TokensPerSec, FuncPass10: c.FuncPass10})
 			}
 		}
 	}

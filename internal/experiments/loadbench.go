@@ -26,49 +26,29 @@ import (
 // the long at the next sweep boundary and the ratio stays near 1. CI
 // pins that bound.
 
-// LoadBenchConfig sizes the latency-under-load scenario.
-type LoadBenchConfig struct {
-	// Shorts is the measured short-request count per phase (default 60).
-	Shorts int
-	// ShortTokens/LongTokens bound the two decode lengths (defaults
-	// 12 / 192). Shorts use the paper's speculative strategy; the long
-	// decode is plain NTP — one token per forward pass, the worst case
-	// to sit behind.
-	ShortTokens, LongTokens int
-	// ThinkTime is the client pause between shorts (default 2ms): the
-	// arrival gap that lets the long decode accumulate residency, as
-	// interactive traffic does.
-	ThinkTime time.Duration
-	// PreemptQuantum is the scheduler's residency bound in
-	// sweeps (default 4 — above the typical short decode's step count,
-	// so shorts run to completion once admitted, but small enough that
-	// a resumed long decode yields within about a millisecond of a
-	// short arriving).
-	PreemptQuantum int
-}
-
-// loadBenchSeedBase seeds the measured shorts; both phases reuse it so
-// they decode the identical request set.
-const loadBenchSeedBase = 1000
-
-func (c LoadBenchConfig) withDefaults() LoadBenchConfig {
-	if c.Shorts <= 0 {
-		c.Shorts = 60
-	}
-	if c.ShortTokens <= 0 {
-		c.ShortTokens = 12
-	}
-	if c.LongTokens <= 0 {
-		c.LongTokens = 192
-	}
-	if c.ThinkTime <= 0 {
-		c.ThinkTime = 2 * time.Millisecond
-	}
-	if c.PreemptQuantum <= 0 {
-		c.PreemptQuantum = 4
-	}
-	return c
-}
+// The latency-under-load scenario's sizes. Nobody varies them: the
+// gate, the benchmark and evalbench all measure this one scenario.
+const (
+	// loadShorts is the measured short-request count per phase.
+	loadShorts = 60
+	// loadShortTokens/loadLongTokens bound the two decode lengths.
+	// Shorts use the paper's speculative strategy; the long decode is
+	// plain NTP — one token per forward pass, the worst case to sit
+	// behind.
+	loadShortTokens, loadLongTokens = 12, 192
+	// loadThinkTime is the client pause between shorts: the arrival gap
+	// that lets the long decode accumulate residency, as interactive
+	// traffic does.
+	loadThinkTime = 2 * time.Millisecond
+	// loadPreemptQuantum is the scheduler's residency bound in sweeps —
+	// above the typical short decode's step count, so shorts run to
+	// completion once admitted, but small enough that a resumed long
+	// decode yields within about a millisecond of a short arriving.
+	loadPreemptQuantum = 4
+	// loadBenchSeedBase seeds the measured shorts; both phases reuse it
+	// so they decode the identical request set.
+	loadBenchSeedBase = 1000
+)
 
 // LoadBenchRow is the measured outcome. Latencies are wall-clock at the
 // client, in milliseconds.
@@ -89,8 +69,7 @@ type LoadBenchRow struct {
 // LoadBench runs the two-phase scenario on an engine with one worker
 // and one batch slot, so a short can only run if the long decode
 // yields the engine mid-flight.
-func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) (LoadBenchRow, error) {
-	cfg = cfg.withDefaults()
+func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	if len(prompts) < 2 {
 		return LoadBenchRow{}, fmt.Errorf("load bench needs at least 2 prompts, got %d", len(prompts))
 	}
@@ -107,8 +86,8 @@ func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) (LoadBench
 	longPrompt, shortPrompts := prompts[0], prompts[1:]
 	eng := serve.NewEngine(m, serve.Config{
 		Workers: 1, MaxBatch: 1,
-		PreemptQuantum: cfg.PreemptQuantum,
-		QueueSize:      4 * cfg.Shorts, CacheSize: -1, NoDedup: true,
+		PreemptQuantum: loadPreemptQuantum,
+		QueueSize:      4 * loadShorts, CacheSize: -1, NoDedup: true,
 	})
 	defer eng.Close()
 	ctx := context.Background()
@@ -117,7 +96,7 @@ func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) (LoadBench
 			Prompt: shortPrompts[i%len(shortPrompts)],
 			Options: core.Options{
 				Strategy: "ours", Temperature: 0.6,
-				MaxNewTokens: cfg.ShortTokens, Seed: seed,
+				MaxNewTokens: loadShortTokens, Seed: seed,
 			},
 		}
 	}
@@ -141,9 +120,9 @@ func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) (LoadBench
 	// Both phases discard identically so neither gets a head start.
 	const rampShorts = 16
 	measure := func(seedBase int64) ([]float64, error) {
-		lat := make([]float64, 0, cfg.Shorts)
-		for i := 0; i < rampShorts+cfg.Shorts; i++ {
-			time.Sleep(cfg.ThinkTime)
+		lat := make([]float64, 0, loadShorts)
+		for i := 0; i < rampShorts+loadShorts; i++ {
+			time.Sleep(loadThinkTime)
 			t0 := time.Now()
 			resp, err := eng.Generate(ctx, shortReq(i, seedBase+int64(i)))
 			if err != nil || resp.Err != nil {
@@ -176,7 +155,7 @@ func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) (LoadBench
 			req := serve.Request{
 				Prompt: longPrompt,
 				Options: core.Options{
-					Strategy: "ntp", MaxNewTokens: cfg.LongTokens, Seed: int64(n),
+					Strategy: "ntp", MaxNewTokens: loadLongTokens, Seed: int64(n),
 				},
 				// The first step of the first long decode opens the gate:
 				// shorts are only measured against a genuinely loaded engine.
@@ -212,7 +191,7 @@ func LoadBench(m *model.Model, prompts []string, cfg LoadBenchConfig) (LoadBench
 
 	mt := eng.Metrics()
 	row := LoadBenchRow{
-		Shorts:      cfg.Shorts,
+		Shorts:      loadShorts,
 		LongDecodes: longDecodes,
 		Preemptions: mt.Preemptions - preBefore,
 		Resumes:     mt.Resumes,
@@ -235,10 +214,17 @@ func meanAndP95(lat []float64) (mean, p95 float64) {
 	return sum / float64(len(lat)), percentile(sorted, 0.95)
 }
 
-// RunLoadBench trains one model and runs the latency-under-load
-// scenario over the benchmark prompt set.
-func (r *Runner) RunLoadBench(cfg LoadBenchConfig) (LoadBenchRow, error) {
-	mcfg := r.setup.Models[0]
-	m := model.Train(r.toks[mcfg.Name], mcfg, model.SchemeOurs, r.examples)
-	return LoadBench(m, r.speedPrompts(), cfg)
+// percentile reads the p-quantile from sorted values (nearest-rank).
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(p*float64(len(sorted))+0.5) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }

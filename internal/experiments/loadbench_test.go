@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/model"
 )
 
 // maxLoadedRatio is the CI latency-under-load gate: with one long
@@ -15,23 +13,16 @@ import (
 // the scheduler.
 const maxLoadedRatio = 1.5
 
-func loadBenchModel(tb testing.TB) (*model.Model, []string) {
-	tb.Helper()
-	r := NewRunner(quickSetup())
-	mcfg := r.setup.Models[0]
-	return model.Train(r.toks[mcfg.Name], mcfg, model.SchemeOurs, r.examples), r.speedPrompts()
-}
-
 // TestLoadBenchLatencyGate pins the scheduler's whole point as a CI
 // bench: short-request p95 holds under load. Wall-clock measurement on
 // shared CI runners is noisy, so the gate gets up to three attempts;
 // the bound itself sits well clear of the measurement (the ratio lands
 // near 1.1x).
 func TestLoadBenchLatencyGate(t *testing.T) {
-	m, prompts := loadBenchModel(t)
+	m, prompts := testRunner().ServingFixture()
 	var lastErr error
 	for attempt := 1; attempt <= 3; attempt++ {
-		row, err := LoadBench(m, prompts, LoadBenchConfig{})
+		row, err := LoadBench(m, prompts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,16 +44,32 @@ func TestLoadBenchLatencyGate(t *testing.T) {
 // BenchmarkLoadBench reports the gated latencies as benchmark metrics
 // so the CI bench-smoke artifact carries them per run.
 func BenchmarkLoadBench(b *testing.B) {
-	m, prompts := loadBenchModel(b)
+	m, prompts := testRunner().ServingFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		row, err := LoadBench(m, prompts, LoadBenchConfig{})
+		row, err := LoadBench(m, prompts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(row.UnloadedP95MS, "unloaded_p95_ms")
 		b.ReportMetric(row.LoadedP95MS, "loaded_p95_ms")
 		b.ReportMetric(row.LatencyRatio, "p95_ratio")
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		p    float64
+		want float64
+	}{{0.25, 3}, {0.5, 5}, {0.9, 9}, {0.99, 10}, {1.0, 10}}
+	for _, tc := range cases {
+		if got := percentile(sorted, tc.p); got != tc.want {
+			t.Errorf("percentile(%.2f) = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	if got := percentile(nil, 0.5); got != 0 {
+		t.Errorf("empty percentile = %v", got)
 	}
 }

@@ -27,77 +27,38 @@ import (
 	"repro/internal/model"
 )
 
-// LoadSweepConfig sizes the simulated load sweep.
-type LoadSweepConfig struct {
-	// LoadFracs are the offered-load points as fractions of the best
-	// static configuration's short-request capacity (default
-	// 0.15 / 0.50 / 0.85 — an idle engine, mid load, near saturation).
-	LoadFracs []float64
-	// Requests is the measured arrival count per point and Ramp the
-	// warmup arrivals excluded from latency/throughput stats while the
-	// controller converges and the queue transient its cold-start
-	// measurements cause drains back out (defaults 160 / 384; statics
-	// ramp identically so neither side gets a head start). The ramp is
-	// sized for the worst case: near saturation the drain margin is
-	// thin, so a few tree-monopoly measurement decodes early on leave a
-	// backlog that takes hundreds of sweeps to clear.
-	Requests, Ramp int
-	// ShortTokens/LongTokens are the two decode lengths; every
-	// LongEvery-th arrival is long, adding the batch lumpiness that
-	// makes admission contend (defaults 32 / 96 / 7). Latency
-	// percentiles are over shorts only.
-	ShortTokens, LongTokens, LongEvery int
-	// TokenBudget is the verification slots one sweep can spend across
-	// the batch and MaxBatch the admission slots (defaults 16 / 8):
-	// the regime where a wide draft tree buys latency by monopolizing
-	// sweeps and linear drafting buys throughput by sharing them.
-	TokenBudget, MaxBatch int
-	// QueueCap scales the controller's queue-pressure signal
-	// (default 64). SweepMS is simulated wall time per sweep
-	// (default 5).
-	QueueCap int
-	SweepMS  float64
-	// ProfilePrompts caps the real decodes per configuration during
-	// profiling (default 6).
-	ProfilePrompts int
-}
+// sweepLoadFracs are the offered-load points as fractions of the best
+// static configuration's capacity — an idle engine, mid load, near
+// saturation.
+var sweepLoadFracs = [...]float64{0.15, 0.50, 0.85}
 
-func (c LoadSweepConfig) withDefaults() LoadSweepConfig {
-	if len(c.LoadFracs) == 0 {
-		c.LoadFracs = []float64{0.15, 0.50, 0.85}
-	}
-	if c.Requests <= 0 {
-		c.Requests = 160
-	}
-	if c.Ramp <= 0 {
-		c.Ramp = 384
-	}
-	if c.ShortTokens <= 0 {
-		c.ShortTokens = 32
-	}
-	if c.LongTokens <= 0 {
-		c.LongTokens = 96
-	}
-	if c.LongEvery <= 0 {
-		c.LongEvery = 7
-	}
-	if c.TokenBudget <= 0 {
-		c.TokenBudget = 16
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.SweepMS <= 0 {
-		c.SweepMS = 5
-	}
-	if c.ProfilePrompts <= 0 {
-		c.ProfilePrompts = 6
-	}
-	return c
-}
+const (
+	// sweepRequests is the measured arrival count per point and
+	// sweepRamp the warmup arrivals excluded from latency/throughput
+	// stats while the controller converges and the queue transient its
+	// cold-start measurements cause drains back out (statics ramp
+	// identically so neither side gets a head start). The ramp is sized
+	// for the worst case: near saturation the drain margin is thin, so a
+	// few tree-monopoly measurement decodes early on leave a backlog
+	// that takes hundreds of sweeps to clear.
+	sweepRequests, sweepRamp = 160, 384
+	// sweepShortTokens/sweepLongTokens are the two decode lengths; every
+	// sweepLongEvery-th arrival is long, adding the batch lumpiness that
+	// makes admission contend. Latency percentiles are over shorts only.
+	sweepShortTokens, sweepLongTokens, sweepLongEvery = 32, 96, 7
+	// sweepTokenBudget is the verification slots one sweep can spend
+	// across the batch and sweepMaxBatch the admission slots: the regime
+	// where a wide draft tree buys latency by monopolizing sweeps and
+	// linear drafting buys throughput by sharing them.
+	sweepTokenBudget, sweepMaxBatch = 16, 8
+	// sweepQueueCap scales the controller's queue-pressure signal.
+	sweepQueueCap = 64
+	// sweepMS is simulated wall time per sweep.
+	sweepMS = 5.0
+	// sweepProfilePrompts caps the real decodes per configuration during
+	// profiling, the sweep's only non-simulated cost.
+	sweepProfilePrompts = 6
+)
 
 // SweepProfile is one configuration's measured decode behavior, the
 // simulator's unit of work. Slots per sweep model the batched
@@ -130,15 +91,15 @@ func (p SweepProfile) Name() string {
 // MEAN decode length (shorts and longs both arrive, so sizing load
 // against shorts alone would push the top load point past saturation
 // for every configuration and the sweep would only compare backlogs).
-func (p SweepProfile) capacity(cfg LoadSweepConfig) float64 {
-	conc := int(float64(cfg.TokenBudget) / p.SlotsPerStep)
+func (p SweepProfile) capacity() float64 {
+	conc := int(float64(sweepTokenBudget) / p.SlotsPerStep)
 	if conc < 1 {
 		conc = 1
 	}
-	if conc > cfg.MaxBatch {
-		conc = cfg.MaxBatch
+	if conc > sweepMaxBatch {
+		conc = sweepMaxBatch
 	}
-	mean := float64((cfg.LongEvery-1)*cfg.ShortTokens+cfg.LongTokens) / float64(cfg.LongEvery)
+	mean := float64((sweepLongEvery-1)*sweepShortTokens+sweepLongTokens) / float64(sweepLongEvery)
 	return float64(conc) * p.TokPerStep / mean
 }
 
@@ -185,7 +146,7 @@ type simRequest struct {
 // configuration and measures the per-step behavior the simulator (and
 // the controller's feedback loop) runs on. Greedy decodes, so the
 // profiles are deterministic.
-func profileConfigs(m *model.Model, prompts []string, cfg LoadSweepConfig) ([]*SweepProfile, error) {
+func profileConfigs(m *model.Model, prompts []string) ([]*SweepProfile, error) {
 	grid := []struct {
 		strategy string
 		budget   int
@@ -196,8 +157,8 @@ func profileConfigs(m *model.Model, prompts []string, cfg LoadSweepConfig) ([]*S
 		{"PromptLookup", 0},
 		{"NTP", 0},
 	}
-	if len(prompts) > cfg.ProfilePrompts {
-		prompts = prompts[:cfg.ProfilePrompts]
+	if len(prompts) > sweepProfilePrompts {
+		prompts = prompts[:sweepProfilePrompts]
 	}
 	dec := core.NewDecoder(m)
 	var out []*SweepProfile
@@ -269,19 +230,19 @@ func snapProfile(profiles []*SweepProfile, d adapt.Decision) *SweepProfile {
 // buildArrivals lays out one load point's deterministic schedule:
 // uniform spacing at the offered rate, every LongEvery-th arrival
 // long, the first Ramp arrivals unmeasured.
-func buildArrivals(lambda float64, cfg LoadSweepConfig) []*simRequest {
-	n := cfg.Ramp + cfg.Requests
+func buildArrivals(lambda float64) []*simRequest {
+	n := sweepRamp + sweepRequests
 	reqs := make([]*simRequest, n)
 	for i := 0; i < n; i++ {
 		r := &simRequest{
 			arrival:  int(float64(i) / lambda),
-			tokens:   cfg.ShortTokens,
-			measured: i >= cfg.Ramp,
+			tokens:   sweepShortTokens,
+			measured: i >= sweepRamp,
 			doneAt:   -1,
 		}
-		if (i+1)%cfg.LongEvery == 0 {
+		if (i+1)%sweepLongEvery == 0 {
 			r.long = true
-			r.tokens = cfg.LongTokens
+			r.tokens = sweepLongTokens
 		}
 		r.feat = adapt.Features{PromptTokens: 24, MaxNewTokens: r.tokens, Construct: "seq"}
 		reqs[i] = r
@@ -297,8 +258,8 @@ func buildArrivals(lambda float64, cfg LoadSweepConfig) []*simRequest {
 // per sweep, and the controller sees exactly what the serving engine
 // would show it: occupancy and queue pressure each sweep, queue wait
 // at admission, a decode outcome at retirement.
-func simulate(profiles []*SweepProfile, static *SweepProfile, ctrl *adapt.Controller, lambda float64, cfg LoadSweepConfig) LoadSweepRow {
-	reqs := buildArrivals(lambda, cfg)
+func simulate(profiles []*SweepProfile, static *SweepProfile, ctrl *adapt.Controller, lambda float64) LoadSweepRow {
+	reqs := buildArrivals(lambda)
 	for _, r := range reqs {
 		r.profile = static
 	}
@@ -324,24 +285,24 @@ func simulate(profiles []*SweepProfile, static *SweepProfile, ctrl *adapt.Contro
 		for _, r := range running {
 			used += r.profile.SlotsPerStep
 		}
-		for len(queue) > 0 && len(running) < cfg.MaxBatch {
+		for len(queue) > 0 && len(running) < sweepMaxBatch {
 			r := queue[0]
-			if len(running) > 0 && used+r.profile.SlotsPerStep > float64(cfg.TokenBudget) {
+			if len(running) > 0 && used+r.profile.SlotsPerStep > float64(sweepTokenBudget) {
 				break
 			}
 			queue = queue[1:]
 			if ctrl != nil {
-				ctrl.ObserveQueueWait(float64(sweep-r.arrival) * cfg.SweepMS)
+				ctrl.ObserveQueueWait(float64(sweep-r.arrival) * sweepMS)
 			}
 			used += r.profile.SlotsPerStep
 			running = append(running, r)
 		}
 		if ctrl != nil && len(running) > 0 {
-			qf := float64(len(queue)) / float64(cfg.QueueCap)
+			qf := float64(len(queue)) / float64(sweepQueueCap)
 			if qf > 1 {
 				qf = 1
 			}
-			ctrl.ObserveSweep(float64(len(running))/float64(cfg.MaxBatch), qf)
+			ctrl.ObserveSweep(float64(len(running))/float64(sweepMaxBatch), qf)
 		}
 		keep := running[:0]
 		for _, r := range running {
@@ -363,7 +324,7 @@ func simulate(profiles []*SweepProfile, static *SweepProfile, ctrl *adapt.Contro
 						// that is what the score signal charges: a wide
 						// tree that accepts no more than its linear
 						// counterpart must score worse, not tie.
-						SimulatedMS: float64(steps) * p.SlotsPerStep * cfg.SweepMS,
+						SimulatedMS: float64(steps) * p.SlotsPerStep * sweepMS,
 					})
 				}
 			} else {
@@ -399,11 +360,11 @@ func simulate(profiles []*SweepProfile, static *SweepProfile, ctrl *adapt.Contro
 		tokens += float64(r.tokens)
 		sweeps += math.Ceil(float64(r.tokens) / r.profile.TokPerStep)
 		if !r.long {
-			lat = append(lat, float64(r.doneAt-r.arrival)*cfg.SweepMS)
+			lat = append(lat, float64(r.doneAt-r.arrival)*sweepMS)
 		}
 	}
 	if span := lastDone - firstArrival; span > 0 {
-		row.ThroughputRPS = float64(completed) / (float64(span) * cfg.SweepMS / 1000)
+		row.ThroughputRPS = float64(completed) / (float64(span) * sweepMS / 1000)
 	}
 	if sweeps > 0 {
 		row.MeanAccepted = tokens / sweeps
@@ -423,24 +384,23 @@ func simulate(profiles []*SweepProfile, static *SweepProfile, ctrl *adapt.Contro
 // LoadSweep profiles the configuration grid with real decodes, then
 // sweeps offered load over every static configuration and over the
 // live controller. Rows are grouped per load point, statics first.
-func LoadSweep(m *model.Model, prompts []string, cfg LoadSweepConfig) ([]LoadSweepRow, []*SweepProfile, error) {
-	cfg = cfg.withDefaults()
-	profiles, err := profileConfigs(m, prompts, cfg)
+func LoadSweep(m *model.Model, prompts []string) ([]LoadSweepRow, []*SweepProfile, error) {
+	profiles, err := profileConfigs(m, prompts)
 	if err != nil {
 		return nil, nil, err
 	}
 	var capacity float64
 	for _, p := range profiles {
-		if c := p.capacity(cfg); c > capacity {
+		if c := p.capacity(); c > capacity {
 			capacity = c
 		}
 	}
 	var rows []LoadSweepRow
-	for _, frac := range cfg.LoadFracs {
+	for _, frac := range sweepLoadFracs {
 		lambda := frac * capacity
-		loadRPS := lambda / (cfg.SweepMS / 1000)
+		loadRPS := lambda / (sweepMS / 1000)
 		for _, p := range profiles {
-			row := simulate(profiles, p, nil, lambda, cfg)
+			row := simulate(profiles, p, nil, lambda)
 			row.LoadFrac, row.LoadRPS = frac, loadRPS
 			rows = append(rows, row)
 		}
@@ -453,17 +413,9 @@ func LoadSweep(m *model.Model, prompts []string, cfg LoadSweepConfig) ([]LoadSwe
 		if err != nil {
 			return rows, profiles, err
 		}
-		row := simulate(profiles, nil, ctrl, lambda, cfg)
+		row := simulate(profiles, nil, ctrl, lambda)
 		row.LoadFrac, row.LoadRPS = frac, loadRPS
 		rows = append(rows, row)
 	}
 	return rows, profiles, nil
-}
-
-// RunLoadSweep trains the paper's scheme and sweeps offered load over
-// the benchmark prompt set.
-func (r *Runner) RunLoadSweep(cfg LoadSweepConfig) ([]LoadSweepRow, []*SweepProfile, error) {
-	mcfg := r.setup.Models[0]
-	m := model.Train(r.toks[mcfg.Name], mcfg, model.SchemeOurs, r.examples)
-	return LoadSweep(m, r.speedPrompts(), cfg)
 }

@@ -17,8 +17,7 @@ import (
 // a regression in either the control law or the decode strategies
 // moves these rows reproducibly.
 func TestLoadSweepControllerDominates(t *testing.T) {
-	r := NewRunner(quickSetup())
-	rows, profiles, err := r.RunLoadSweep(LoadSweepConfig{})
+	rows, profiles, err := LoadSweep(testRunner().ServingFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +128,12 @@ func TestLoadSweepControllerDominates(t *testing.T) {
 // simulation, controller — replays identically, which is what lets CI
 // assert on its rows at all.
 func TestLoadSweepDeterministic(t *testing.T) {
-	r := NewRunner(quickSetup())
-	cfg := LoadSweepConfig{LoadFracs: []float64{0.5}, Requests: 48, Ramp: 16}
-	a, _, err := r.RunLoadSweep(cfg)
+	m, prompts := testRunner().ServingFixture()
+	a, _, err := LoadSweep(m, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := r.RunLoadSweep(cfg)
+	b, _, err := LoadSweep(m, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,26 +11,17 @@
 package experiments
 
 import (
-	"context"
-
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/serve"
 )
 
-// SimEntry pairs a training scheme with a decoding strategy for the
-// sim-pass-rate comparison.
-type SimEntry struct {
-	Scheme   model.Scheme
-	Strategy string
-}
-
 // SimStrategies is the sim-bench comparison axis: the plain NTP
 // baseline, the paper's tree drafter, and its grammar-constrained
 // lift — the pair the quality claim is about — plus the lossless
 // grammar lookup variant on the NTP backbone.
-var SimStrategies = []SimEntry{
+var SimStrategies = []MatrixEntry{
 	{Scheme: model.SchemeNTP, Strategy: "ntp"},
 	{Scheme: model.SchemeOurs, Strategy: "ours-tree"},
 	{Scheme: model.SchemeOurs, Strategy: "grammar-tree"},
@@ -51,40 +42,23 @@ type SimBenchRow struct {
 }
 
 // RunSimBench decodes every benchmark problem greedily with each
-// SimStrategies entry (one trained model per scheme, reused across
-// strategies) and scores the outputs by parse and by testbench
+// SimStrategies entry and scores the outputs by parse and by testbench
 // simulation. Greedy decoding keeps the tier deterministic, so the
 // rates are stable gates rather than samples.
 func (r *Runner) RunSimBench() []SimBenchRow {
 	problems := bench.All()
 	var rows []SimBenchRow
 	for _, cfg := range r.setup.Models {
-		tk := r.toks[cfg.Name]
-		trained := map[model.Scheme]*model.Model{}
 		for _, entry := range SimStrategies {
-			m := trained[entry.Scheme]
-			if m == nil {
-				m = model.Train(tk, cfg, entry.Scheme, r.examples)
-				trained[entry.Scheme] = m
+			reqs := make([]serve.Request, len(problems))
+			for i, p := range problems {
+				reqs[i] = serve.Request{Prompt: p.Prompt, Options: core.Options{Strategy: entry.Strategy}}
 			}
-			reqs := make([]serve.Request, 0, len(problems))
-			for _, p := range problems {
-				reqs = append(reqs, serve.Request{
-					Prompt:  p.Prompt,
-					Options: core.Options{Strategy: entry.Strategy},
-				})
-			}
-			eng := r.newEngine(m)
-			resps := eng.GenerateBatch(context.Background(), reqs)
-			eng.Close()
 			row := SimBenchRow{
 				Model: cfg.Name, Scheme: entry.Scheme.String(),
 				Strategy: displayName(entry.Strategy), Problems: len(problems),
 			}
-			for i, resp := range resps {
-				if resp.Err != nil {
-					panic(resp.Err)
-				}
+			for i, resp := range r.decode(r.Model(cfg, entry.Scheme), reqs) {
 				design := resp.Result.Text
 				if bench.CheckSyntax(design) {
 					row.SyntaxOK++

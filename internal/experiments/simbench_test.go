@@ -13,8 +13,7 @@ func TestSimBenchPassRateFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	r := NewRunner(quickSetup())
-	rows := r.RunSimBench()
+	rows := testRunner().RunSimBench()
 	if len(rows) != len(SimStrategies) {
 		t.Fatalf("rows = %d, want %d (one model in Quick setup)", len(rows), len(SimStrategies))
 	}

@@ -23,30 +23,17 @@ import (
 // modes must produce byte-identical generations, because a tracer that
 // changes decode behavior is observing a different system.
 
-// TraceBenchConfig sizes the overhead measurement.
-type TraceBenchConfig struct {
-	// Requests per timed pass (default 24).
-	Requests int
-	// Tokens bounds each decode (default 32).
-	Tokens int
-	// Repeats is the number of timed passes per mode; the row keeps the
-	// fastest (default 5). Min-of-N is the standard defense against
-	// scheduler and GC noise in a wall-clock gate.
-	Repeats int
-}
-
-func (c TraceBenchConfig) withDefaults() TraceBenchConfig {
-	if c.Requests <= 0 {
-		c.Requests = 24
-	}
-	if c.Tokens <= 0 {
-		c.Tokens = 32
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 5
-	}
-	return c
-}
+const (
+	// traceRequests is the request count per timed pass and traceTokens
+	// the bound on each decode.
+	traceRequests, traceTokens = 24, 32
+	// TraceRepeats is the number of timed passes per mode the overhead
+	// gate and evalbench run; the row keeps the fastest. Min-of-N is the
+	// standard defense against scheduler and GC noise in a wall-clock
+	// gate. (The byte-identity test runs one: it compares the recorded
+	// texts, not the timing.)
+	TraceRepeats = 5
+)
 
 // TraceBenchRow is one tracing mode's measured outcome.
 type TraceBenchRow struct {
@@ -63,17 +50,17 @@ type TraceBenchRow struct {
 	Dropped int64 `json:"dropped,omitempty"`
 }
 
-// TraceBench measures both modes and returns their rows ("off" first)
-// plus the generated texts per mode for the byte-identity differential.
-func TraceBench(m *model.Model, prompts []string, cfg TraceBenchConfig) ([]TraceBenchRow, [][]string, error) {
-	cfg = cfg.withDefaults()
+// TraceBench measures both modes over repeats timed passes each and
+// returns their rows ("off" first) plus the generated texts per mode
+// for the byte-identity differential.
+func TraceBench(m *model.Model, prompts []string, repeats int) ([]TraceBenchRow, [][]string, error) {
 	if len(prompts) == 0 {
 		return nil, nil, fmt.Errorf("trace bench needs prompts")
 	}
 	var rows []TraceBenchRow
 	var texts [][]string
 	for _, mode := range []string{"off", "on"} {
-		row, modeTexts, err := driveTraceMode(m, prompts, cfg, mode == "on")
+		row, modeTexts, err := driveTraceMode(m, prompts, repeats, mode)
 		if err != nil {
 			return rows, texts, err
 		}
@@ -84,19 +71,15 @@ func TraceBench(m *model.Model, prompts []string, cfg TraceBenchConfig) ([]Trace
 }
 
 // driveTraceMode runs all repeats of one mode on a fresh engine.
-func driveTraceMode(m *model.Model, prompts []string, cfg TraceBenchConfig, traced bool) (TraceBenchRow, []string, error) {
+func driveTraceMode(m *model.Model, prompts []string, repeats int, mode string) (TraceBenchRow, []string, error) {
 	eng := serve.NewEngine(m, serve.Config{
 		Workers: 1, CacheSize: -1, NoDedup: true,
-		QueueSize: cfg.Requests + 4,
+		QueueSize: traceRequests + 4,
 	})
 	defer eng.Close()
 	var tracer *trace.Tracer
-	if traced {
-		tracer = trace.New(trace.Config{RingSize: cfg.Requests * (cfg.Repeats + 1)})
-	}
-	mode := "off"
-	if traced {
-		mode = "on"
+	if mode == "on" {
+		tracer = trace.New(trace.Config{RingSize: traceRequests * (repeats + 1)})
 	}
 
 	req := func(i int) serve.Request {
@@ -104,14 +87,14 @@ func driveTraceMode(m *model.Model, prompts []string, cfg TraceBenchConfig, trac
 			Prompt: prompts[i%len(prompts)],
 			Options: core.Options{
 				Strategy: "ours", Temperature: 0.6,
-				MaxNewTokens: cfg.Tokens, Seed: int64(i),
+				MaxNewTokens: traceTokens, Seed: int64(i),
 			},
 		}
 	}
 	runPass := func(pass int, record []string) (time.Duration, int, error) {
 		tokens := 0
 		t0 := time.Now()
-		for i := 0; i < cfg.Requests; i++ {
+		for i := 0; i < traceRequests; i++ {
 			ctx := context.Background()
 			var tr *trace.Trace
 			if tracer != nil {
@@ -136,7 +119,7 @@ func driveTraceMode(m *model.Model, prompts []string, cfg TraceBenchConfig, trac
 
 	// Warmup pass: session preparation and trie growth happen here, so
 	// the timed passes of both modes start from the same cache state.
-	texts := make([]string, cfg.Requests)
+	texts := make([]string, traceRequests)
 	if _, _, err := runPass(-1, texts); err != nil {
 		return TraceBenchRow{}, nil, err
 	}
@@ -150,9 +133,9 @@ func driveTraceMode(m *model.Model, prompts []string, cfg TraceBenchConfig, trac
 	gcPct := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPct)
 
-	row := TraceBenchRow{Tracing: mode, Requests: cfg.Requests, Repeats: cfg.Repeats}
+	row := TraceBenchRow{Tracing: mode, Requests: traceRequests, Repeats: repeats}
 	best := time.Duration(0)
-	for pass := 0; pass < cfg.Repeats; pass++ {
+	for pass := 0; pass < repeats; pass++ {
 		d, tokens, err := runPass(pass, nil)
 		if err != nil {
 			return TraceBenchRow{}, nil, err
@@ -173,12 +156,4 @@ func driveTraceMode(m *model.Model, prompts []string, cfg TraceBenchConfig, trac
 		}
 	}
 	return row, texts, nil
-}
-
-// RunTraceBench trains one model and runs the tracing overhead bench
-// over the benchmark prompt set.
-func (r *Runner) RunTraceBench(cfg TraceBenchConfig) ([]TraceBenchRow, [][]string, error) {
-	mcfg := r.setup.Models[0]
-	m := model.Train(r.toks[mcfg.Name], mcfg, model.SchemeOurs, r.examples)
-	return TraceBench(m, r.speedPrompts(), cfg)
 }

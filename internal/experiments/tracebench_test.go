@@ -15,10 +15,10 @@ const maxTraceOverheadPct = 5.0
 // throughput on identical workloads. Wall-clock on shared CI runners
 // is noisy even under min-of-N, so the gate gets up to three attempts.
 func TestTraceOverheadGate(t *testing.T) {
-	m, prompts := loadBenchModel(t)
+	m, prompts := testRunner().ServingFixture()
 	var lastErr error
 	for attempt := 1; attempt <= 3; attempt++ {
-		rows, _, err := TraceBench(m, prompts, TraceBenchConfig{})
+		rows, _, err := TraceBench(m, prompts, TraceRepeats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,8 +51,8 @@ func TestTraceOverheadGate(t *testing.T) {
 // the whole bench workload. A tracer that changes generated bytes is
 // not an observer.
 func TestTraceByteIdentity(t *testing.T) {
-	m, prompts := loadBenchModel(t)
-	rows, texts, err := TraceBench(m, prompts, TraceBenchConfig{Repeats: 1})
+	m, prompts := testRunner().ServingFixture()
+	rows, texts, err := TraceBench(m, prompts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
