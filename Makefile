@@ -17,7 +17,7 @@ COVER_PKGS := ./internal/model/ ./internal/serve/
 # elasticity tier landed.
 CLUSTER_COVER_FLOOR := 80.0
 
-.PHONY: build test race sched-soak golden differential adapt-gate grammar-gate cover fuzz bench bench-smoke loadgate chaos-gate chaos-soak trace-gate fmt fmt-check vet loc serve ci
+.PHONY: build test race sched-soak golden differential grammar-gate cover fuzz bench bench-smoke loadgate chaos-gate chaos-soak trace-gate fmt fmt-check vet loc serve serve-fleet ci
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,8 @@ test:
 # concurrent mixed-priority load scenario
 # (cluster.TestMixedPriorityLoadAccounted). The root package's
 # TestMakefileGatesResolve rides here: every -run alternative below
-# must still name a test, and the ci list must equal the CI matrix.
+# must still name a test, .PHONY must list exactly the defined targets,
+# and the ci list must equal the CI matrix.
 race:
 	$(GO) test -race -shuffle=on ./...
 
@@ -54,27 +55,12 @@ golden:
 
 # Byte-identical outputs across session-cache modes ({off, token-prefix
 # trie, trie under randomized park/drop/resume preemption} × the full
-# strategy matrix, tree strategies included), across adapt modes
-# ({controller off, shadow, applied} for fully-pinned requests), plus
-# the tree losslessness proof (greedy lookup-tree == linear
-# prompt-lookup == NTP, byte for byte): the gates that make the prefix
-# cache, preemption, tree drafting and the speculation controller
-# admissible at all.
+# strategy matrix, tree strategies included), plus the tree
+# losslessness proof (greedy lookup-tree == linear prompt-lookup ==
+# NTP, byte for byte): the gates that make the prefix cache,
+# preemption and tree drafting admissible at all.
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestDifferentialAdaptModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless' -v ./internal/experiments/ ./internal/core/
-
-# The adaptive-speculation gate: (1) the load-sweep dominance claim —
-# across swept load points the self-tuning controller must sit on the
-# throughput/p95 frontier of the static (strategy, budget) grid,
-# strictly beating some static pair at both extremes, on a
-# deterministic simulation over measured decode profiles; (2) the
-# adapt-mode differential (shadow/on byte-identical to off for pinned
-# requests); (3) continuous-scheduler churn with the controller
-# applied, under the race detector with shuffled order.
-adapt-gate:
-	$(GO) test -run 'TestLoadSweepControllerDominates|TestLoadSweepDeterministic|TestDifferentialAdaptModes' -v -timeout 600s ./internal/experiments/
-	$(GO) test -race -shuffle=on -timeout 600s -run 'TestAdapt|TestContinuousAdaptChurn|TestParseAdaptModeTable' -v ./internal/serve/
-	$(GO) test -race -shuffle=on -timeout 600s ./internal/core/spec/adapt/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless' -v ./internal/experiments/ ./internal/core/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length
@@ -83,8 +69,8 @@ adapt-gate:
 # equal NTP's, and grammar decodes are deterministic with stats; (3)
 # the sim-pass-rate floor — testbench simulation pass rates of the
 # grammar strategies never drop below their ungated counterparts'.
-# (The cache-mode/adapt-mode differentials already cover the grammar
-# strategies via the strategy matrix in the differential target.)
+# (The cache-mode differential already covers the grammar strategies
+# via the strategy matrix in the differential target.)
 grammar-gate:
 	$(GO) test -run 'TestGrammarBenchGrammarBeatsOursTree|TestSimBenchPassRateFloor' -v -timeout 600s ./internal/experiments/
 	$(GO) test -run 'TestGrammarLookupTreeGreedyLossless|TestGrammarDecodeStatsAndDeterminism|TestGrammarAcceptsAtLeastOursTree' -v ./internal/core/
@@ -163,16 +149,14 @@ fuzz:
 # Engine wall-clock throughput + the strategy matrix (every strategy's
 # speed, accepted length and tree columns) + scheduler-load smoke, then
 # one evalbench process — one corpus, each model trained once — for the
-# structured rows: the adaptive load sweep (throughput, p50/p95, mean
-# accepted length and controller counters per load point and
-# configuration, plus the measured decode profiles), the grammar
-# comparison, the sim-pass-rate tier and the tracing on/off rows. CI
+# structured rows: the grammar comparison, the sim-pass-rate tier and
+# the tracing on/off rows. CI
 # uploads bench_output.txt and evalbench_rows.json as one artifact
 # (pipefail: a failing benchmark must not hide behind tee). Run
 # `go test -bench=. ./...` for the full paper harness.
 bench:
 	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench' -benchtime=1x ./... | tee bench_output.txt
-	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp sweep,grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
+	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback
 # HTTP on all four BENCHMARK.json workloads at reduced length; every
@@ -208,4 +192,4 @@ serve-fleet:
 
 # The CI matrix in .github/workflows/ci.yml lists exactly these targets
 # (TestMakefileGatesResolve holds the two lists equal).
-ci: build fmt-check vet race sched-soak golden differential adapt-gate grammar-gate chaos-gate chaos-soak trace-gate cover fuzz loadgate bench bench-smoke
+ci: build fmt-check vet race sched-soak golden differential grammar-gate chaos-gate chaos-soak trace-gate cover fuzz loadgate bench bench-smoke

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	evalbench -exp table1|table2|matrix|tree|grammar|sim|load|sweep|trace|diff|fig1|fig5|fig6|all
+//	evalbench -exp table1|table2|matrix|tree|grammar|sim|load|trace|diff|fig1|fig5|fig6|all
 //	          [-quick] [-items N] [-samples N] [-seed N] [-json rows.json]
 //
 // -exp takes one name or a comma-separated list; the experiments table
@@ -22,10 +22,7 @@
 // tier: greedy decodes of every benchmark problem are elaborated and
 // run against their self-checking testbenches, and the rows report
 // sim-pass rate next to syntax rate per strategy. "load" measures
-// short-request p95 with one long decode in flight. "sweep" runs the
-// adaptive-speculation load sweep: offered load swept over every static
-// (strategy, budget) configuration and over the live self-tuning
-// controller, on decode profiles measured from real decodes. "trace"
+// short-request p95 with one long decode in flight. "trace"
 // prices the tracing layer: the same decode workload runs with tracing
 // off and on, the rows report best-of-N throughput for each, and the
 // run fails if the two modes' generations are not byte-identical.
@@ -35,7 +32,7 @@
 // equal linear prompt-lookup's (the tree losslessness proof).
 //
 // -json writes the structured rows of the matrix, tree, grammar, sim,
-// load, sweep and trace experiments (whichever ran) as one JSON
+// load and trace experiments (whichever ran) as one JSON
 // document; `make bench` writes evalbench_rows.json this way and CI
 // uploads it.
 package main
@@ -60,14 +57,12 @@ import (
 // benchDoc accumulates the structured rows of the experiments that
 // emit them; -json serializes whichever fields were filled.
 type benchDoc struct {
-	Matrix        []experiments.StrategyRow   `json:"matrix,omitempty"`
-	Tree          []experiments.PairRow       `json:"tree,omitempty"`
-	Grammar       []experiments.PairRow       `json:"grammar,omitempty"`
-	Sim           []experiments.SimBenchRow   `json:"sim,omitempty"`
-	Load          []experiments.LoadBenchRow  `json:"load,omitempty"`
-	SweepProfiles []*experiments.SweepProfile `json:"sweep_profiles,omitempty"`
-	Sweep         []experiments.LoadSweepRow  `json:"sweep,omitempty"`
-	Trace         []experiments.TraceBenchRow `json:"trace,omitempty"`
+	Matrix  []experiments.StrategyRow   `json:"matrix,omitempty"`
+	Tree    []experiments.PairRow       `json:"tree,omitempty"`
+	Grammar []experiments.PairRow       `json:"grammar,omitempty"`
+	Sim     []experiments.SimBenchRow   `json:"sim,omitempty"`
+	Load    []experiments.LoadBenchRow  `json:"load,omitempty"`
+	Trace   []experiments.TraceBenchRow `json:"trace,omitempty"`
 }
 
 // session is one evalbench process: the runner, where the report goes,
@@ -128,15 +123,6 @@ var experimentTable = []experiment{
 		fmt.Fprintf(s.out, "  shorts=%3d  unloaded p95=%7.3fms  loaded p95=%7.3fms  ratio=%.2f  preemptions=%d  long_decodes=%d\n\n",
 			row.Shorts, row.UnloadedP95MS, row.LoadedP95MS,
 			row.LatencyRatio, row.Preemptions, row.LongDecodes)
-		return nil
-	}},
-	{"sweep", "Load sweep — adaptive speculation controller vs the static (strategy, budget) grid", func(s *session) error {
-		rows, profiles, err := experiments.LoadSweep(s.runner.ServingFixture())
-		if err != nil {
-			return err
-		}
-		s.doc.Sweep, s.doc.SweepProfiles = rows, profiles
-		printLoadSweep(s.out, rows, profiles)
 		return nil
 	}},
 	{"trace", "Trace bench — decode throughput with tracing off vs on, plus byte-identity", runTrace},
@@ -270,7 +256,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	temps := fs.String("temps", "", "override temperatures, comma-separated (e.g. 0.2,0.6)")
 	sizes := fs.String("sizes", "", "override data-size numerators over 4 (e.g. 2,4)")
 	speedPrompts := fs.Int("speedprompts", 0, "override Table II prompt count")
-	jsonOut := fs.String("json", "", "write the matrix/tree/grammar/sim/load/sweep/trace rows that ran as one JSON document to this path")
+	jsonOut := fs.String("json", "", "write the matrix/tree/grammar/sim/load/trace rows that ran as one JSON document to this path")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -336,38 +322,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "# wrote %s\n", *jsonOut)
 	}
 	return 0
-}
-
-// printLoadSweep renders the measured decode profiles, then the rows
-// grouped per load point with the adaptive row last in each group.
-func printLoadSweep(w io.Writer, rows []experiments.LoadSweepRow, profiles []*experiments.SweepProfile) {
-	fmt.Fprintf(w, "  %-14s %9s %11s %8s %11s\n", "profile", "tok/step", "slots/step", "ms/tok", "nodes/step")
-	for _, p := range profiles {
-		fmt.Fprintf(w, "  %-14s %9.2f %11.2f %8.2f %11.2f\n",
-			p.Name(), p.TokPerStep, p.SlotsPerStep, p.MSPerTok, p.NodesPerStep)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  %-5s %-14s %8s %8s %8s %9s %10s %11s %7s\n",
-		"load", "config", "rps", "p50 ms", "p95 ms", "accepted", "decisions", "downgrades", "level")
-	lastFrac := -1.0
-	for _, r := range rows {
-		if r.LoadFrac != lastFrac {
-			fmt.Fprintln(w, "  "+strings.Repeat("-", 88))
-			lastFrac = r.LoadFrac
-		}
-		extra := []string{"", "", ""}
-		if r.Adaptive {
-			extra = []string{
-				fmt.Sprintf("%d", r.Decisions),
-				fmt.Sprintf("%d", r.Downgrades),
-				r.FinalLevel,
-			}
-		}
-		fmt.Fprintf(w, "  %-5.2f %-14s %8.2f %8.1f %8.1f %9.2f %10s %11s %7s\n",
-			r.LoadFrac, r.Config, r.ThroughputRPS, r.P50MS, r.P95MS, r.MeanAccepted,
-			extra[0], extra[1], extra[2])
-	}
-	fmt.Fprintln(w)
 }
 
 // printMatrix renders strategy-matrix rows — the whole matrix or the

@@ -64,7 +64,7 @@
 // [-items 3400] [-seed N] [-workers N] [-queue N]
 // [-max-batch N] [-preempt-quantum N] [-cache N]
 // [-prefix-cache trie|off] [-prefix-cache-bytes N] [-no-dedup]
-// [-tree-budget N] [-adapt off|shadow|on] [-replicas N] [-models specs]
+// [-tree-budget N] [-replicas N] [-models specs]
 // [-router prefix-affinity|least-loaded|round-robin|random]
 // [-shed-policy none|deadline,priority,budget] [-budget-tps N]
 // [-budget-burst N] [-hedge-after D] [-steal] [-autoscale]
@@ -84,14 +84,6 @@
 // that do not carry their own "tree_budget" field. The grammar
 // strategies additionally report oracle work through /metrics
 // (grammar_pruned_nodes, grammar_draft_tokens).
-//
-// -adapt enables the self-tuning speculation controller per replica:
-// "shadow" records the controller's decisions in /metrics without
-// applying any, "on" additionally sizes draft-tree budgets from the
-// measured accept-depth distribution, degrades drafting as load rises
-// (tree → linear → no draft) and routes requests that named no
-// strategy to the best-scoring drafter per prompt class. Requests
-// that pin a strategy or budget are never overridden.
 package main
 
 import (
@@ -210,8 +202,6 @@ func main() {
 	prefixCacheBytes := flag.Int64("prefix-cache-bytes", 0, "trie prefix-cache byte budget per replica (0 = 64 MiB)")
 	noDedup := flag.Bool("no-dedup", false, "disable single-flight dedup of identical in-flight requests")
 	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget per step for tree strategies when the request sets none (0 = decoder default)")
-	adaptFlag := flag.String("adapt", serve.AdaptOff,
-		"adaptive speculation per replica: off, shadow (record controller decisions without applying them) or on (size tree budgets, degrade drafting under load, route default-strategy requests)")
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
 	modelsFlag := flag.String("models", "", "replica specs model[:scheme[:strategy]], comma-separated (empty: -model/-scheme)")
@@ -277,10 +267,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	adaptMode, err := serve.ParseAdaptMode(*adaptFlag)
-	if err != nil {
-		fail(err)
-	}
 	policies, err := cluster.ParsePolicies(*shedPolicy, *budgetTPS, *budgetBurst)
 	if err != nil {
 		fail(err)
@@ -342,7 +328,6 @@ func main() {
 		PrefixCacheBytes:  *prefixCacheBytes,
 		DefaultTreeBudget: *treeBudget,
 		NoDedup:           *noDedup,
-		Adapt:             adaptMode,
 	}
 
 	var backend serve.Backend

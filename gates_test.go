@@ -13,8 +13,10 @@ import (
 // 'A|B'` passes with "no tests to run" when A and B no longer exist, so
 // a renamed or moved test silently turns its gate green: here every
 // alternative of every -run pattern in the Makefile must match at least
-// one func Test… in the packages that line names. And since CI runs
-// `make <target>` over a list, that list must be `make ci`'s.
+// one func Test… in the packages that line names. .PHONY must list
+// exactly the defined targets, so a deleted target cannot linger there.
+// And since CI runs `make <target>` over a list, that list must be
+// `make ci`'s.
 func TestMakefileGatesResolve(t *testing.T) {
 	raw, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -56,11 +58,22 @@ func TestMakefileGatesResolve(t *testing.T) {
 		t.Fatalf("checked only %d -run alternatives; the Makefile parse is broken", checked)
 	}
 
-	var ci []string
+	var ci, phony, targets []string
+	target := regexp.MustCompile(`^([a-z][a-z0-9-]*):([^=]|$)`)
 	for _, line := range strings.Split(makefile, "\n") {
+		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			phony = strings.Fields(rest)
+		} else if m := target.FindStringSubmatch(line); m != nil {
+			targets = append(targets, m[1])
+		}
 		if rest, ok := strings.CutPrefix(line, "ci:"); ok {
 			ci = strings.Fields(rest)
 		}
+	}
+	slices.Sort(phony)
+	slices.Sort(targets)
+	if len(targets) == 0 || !slices.Equal(phony, targets) {
+		t.Errorf(".PHONY and the defined targets differ:\n  .PHONY:  %v\n  targets: %v", phony, targets)
 	}
 	workflow, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {

@@ -8,10 +8,9 @@ import (
 
 // The autoscaler grows and shrinks the fleet on the signals the
 // cluster already measures: queue-wait time accumulating in the
-// replica engines and admission sheds. Like the adapt controller's
-// score-gated rungs, every action needs sustained evidence (patience
-// ticks) and is followed by a cooldown, so one bursty tick can never
-// flap the fleet size.
+// replica engines and admission sheds. Every action needs sustained
+// evidence (patience ticks) and is followed by a cooldown, so one
+// bursty tick can never flap the fleet size.
 
 // AutoscaleConfig tunes the replica autoscaler.
 type AutoscaleConfig struct {

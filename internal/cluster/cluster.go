@@ -63,9 +63,10 @@ type ReplicaSpec struct {
 	// Engine sizes the replica's serve.Engine. The Admit hook is owned
 	// by the fleet and must be nil here.
 	Engine serve.Config
-	// DefaultStrategy, when set, replaces the fleet-wide default for
+	// DefaultStrategy, when set, replaces the wire default ("ours") for
 	// requests that named neither a mode nor a strategy (see
-	// serve.Request.NoExplicitStrategy). Explicit choices always win.
+	// serve.Request.NoExplicitStrategy). It is the only consumer of
+	// that flag. Explicit choices always win.
 	DefaultStrategy string
 }
 

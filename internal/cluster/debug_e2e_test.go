@@ -81,27 +81,27 @@ func descendsFrom(spans []trace.SpanSnapshot, i, anc int) bool {
 	return false
 }
 
+// firstRouter always picks the first candidate, so a test knows the
+// primary before it sends anything.
+type firstRouter struct{}
+
+func (firstRouter) Name() string { return "first" }
+
+func (firstRouter) Pick(_ string, candidates []*Replica) *Replica { return candidates[0] }
+
 func TestDebugSurfaceHedgedWedgedPrimary(t *testing.T) {
 	_, prompts := fixture(t)
 	f, faults := newFaultyFleet(t, 2,
-		Config{HedgeAfter: 15 * time.Millisecond},
+		Config{HedgeAfter: 15 * time.Millisecond, Router: firstRouter{}},
 		serve.Config{Workers: 1, CacheSize: -1})
 	tracer := trace.New(trace.Config{})
 	ts := httptest.NewServer(serve.NewBackendServer(f).WithTracer(tracer).Handler())
 	defer ts.Close()
 
-	// Warmup probe: learn where affinity routes this prompt, then wedge
-	// exactly that replica so the next request's primary attempt hangs.
-	warm, wresp := postGen(t, ts.URL, "warmup", prompts[1], 0)
-	if wresp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status = %d", wresp.StatusCode)
-	}
-	routed, _ := warm["replica"].(string)
-	if routed == "" {
-		t.Fatal("warmup response named no replica")
-	}
-	_, fault := replicaByName(t, f, faults, routed)
-	fault.set(faultWedge)
+	// The router always picks the first replica: wedge it so the
+	// request's primary attempt hangs.
+	routed := f.Replicas()[0].Name()
+	faults[0].set(faultWedge)
 
 	const id = "e2e-wedged-primary"
 	out, resp := postGen(t, ts.URL, id, prompts[1], 1)
@@ -165,7 +165,7 @@ func TestDebugSurfaceHedgedWedgedPrimary(t *testing.T) {
 		t.Fatalf("no router span recorded\n%s", tree)
 	}
 	if got := attr(*router, "replica"); got != routed {
-		t.Errorf("router chose %q, warmup said %q\n%s", got, routed, tree)
+		t.Errorf("router chose %q, want the first replica %q\n%s", got, routed, tree)
 	}
 
 	// The losing primary attempt: on the wedged replica, closed, and

@@ -202,7 +202,6 @@ func (f *Fleet) WritePrometheusTo(w io.Writer, uptimeS float64) {
 		x.Sample("vgend_replica_breaker_state", "Circuit state per replica (0 closed, 1 open, 2 half-open).", breaker, "replica", r.Name, "state", r.BreakerState)
 		draining := map[string]int{"draining": 1}[r.State]
 		x.Sample("vgend_replica_draining", "Replica lifecycle state (1 = draining).", draining, "replica", r.Name)
-		x.Sample("vgend_replica_adapt_level", "Load-degradation rung per replica (0 tree, 1 linear, 2 nodraft).", r.Engine.AdaptLevel, "replica", r.Name, "mode", r.Engine.Adapt)
 	}
 	x.Render(w)
 }

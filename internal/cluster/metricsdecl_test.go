@@ -16,13 +16,11 @@ import (
 // sums it now carries: after a round-robin run that decodes every
 // strategy on both replicas, each fleet per-strategy rate must equal
 // the folded numerator over the folded denominator — not a
-// completed-decode-weighted blend of the replicas' own rates — and the
-// fleet's rung name must follow from its folded rung, as an engine's
-// does.
+// completed-decode-weighted blend of the replicas' own rates.
 func TestFleetPerStrategyRatesExact(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{
-		Workers: 1, MaxBatch: 2, CacheSize: -1, NoDedup: true, Adapt: serve.AdaptShadow,
+		Workers: 1, MaxBatch: 2, CacheSize: -1, NoDedup: true,
 	})
 	strategies := []string{"ours-tree", "ntp", "ours"}
 	for i := 0; i < 4*len(strategies); i++ {
@@ -71,8 +69,54 @@ func TestFleetPerStrategyRatesExact(t *testing.T) {
 	if !blended {
 		t.Error("the completed-weighted blend equals the exact rate for every strategy; the run cannot tell them apart")
 	}
-	if fm.Fleet.AdaptLevel != 0 || fm.Fleet.AdaptLevelName != "tree" {
-		t.Errorf("fleet rung %d/%q, want 0/tree (an engine at rung 0 says tree)", fm.Fleet.AdaptLevel, fm.Fleet.AdaptLevelName)
+}
+
+// TestFleetAggregatesAdaptMetrics pins the fleet roll-up of the
+// accept-depth observability that tuning the speculation depth reads:
+// requests spread over both replicas, each per-strategy accept-depth
+// histogram of the fleet is the element-wise sum of the replicas' ones,
+// and the per-strategy accept-depth family appears in the fleet
+// exposition.
+func TestFleetAggregatesAdaptMetrics(t *testing.T) {
+	_, prompts := fixture(t)
+	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{
+		Workers: 1, MaxBatch: 2, CacheSize: -1, NoDedup: true,
+	})
+	for i := 0; i < 6; i++ {
+		req := serve.Request{Prompt: prompts[i], Options: testOptions(int64(i))}
+		if resp, err := f.Generate(context.Background(), req); err != nil || resp.Err != nil {
+			t.Fatalf("request %d: %v / %v", i, err, resp.Err)
+		}
+	}
+
+	fm := f.Metrics()
+	for _, r := range fm.PerReplica {
+		if r.Engine.Completed == 0 {
+			t.Fatalf("replica %s decoded nothing; aggregation untested", r.Name)
+		}
+	}
+	if len(fm.Fleet.PerStrategy) == 0 {
+		t.Fatal("fleet reports no per-strategy metrics")
+	}
+	for name, agg := range fm.Fleet.PerStrategy {
+		if len(agg.AcceptDepthHist) == 0 {
+			t.Fatalf("strategy %s: fleet lost the accept-depth histogram", name)
+		}
+		sum := make([]uint64, len(agg.AcceptDepthHist))
+		for _, r := range fm.PerReplica {
+			for i, v := range r.Engine.PerStrategy[name].AcceptDepthHist {
+				sum[i] += v
+			}
+		}
+		if !reflect.DeepEqual(sum, agg.AcceptDepthHist) {
+			t.Fatalf("strategy %s: fleet accept-depth histogram %v, per-replica sum %v", name, agg.AcceptDepthHist, sum)
+		}
+	}
+
+	var sb strings.Builder
+	f.WritePrometheusTo(&sb, 1)
+	if want := `vgend_strategy_accept_depth_total{strategy="Ours",depth="1"}`; !strings.Contains(sb.String(), want) {
+		t.Errorf("fleet exposition missing %q", want)
 	}
 }
 
@@ -116,7 +160,7 @@ func TestMetricsDeclarationsWellFormed(t *testing.T) {
 			}
 			jsonKeys[key] = true
 			agg := sf.Tag.Get("agg")
-			if agg != "" && agg != "max" && agg != "uniform" && agg != "derived" {
+			if agg != "" && agg != "max" && agg != "derived" {
 				t.Errorf("%s: unknown agg rule %q", where, agg)
 			}
 			elem := sf.Type

@@ -119,14 +119,13 @@ func scrapeSurface(t *testing.T, body, url string) []string {
 
 // currentSurface drives the scripted run — one engine, then a
 // 2-replica round-robin fleet under the priority and budget policies,
-// both with the speculation controller in shadow mode and tracing on,
-// every surfaceStrategies entry decoded on every engine, one result
-// cache hit and one shed — and returns the sorted surface of both
-// bodies.
+// both with tracing on, every surfaceStrategies entry decoded on every
+// engine, one result cache hit and one shed — and returns the sorted
+// surface of both bodies.
 func currentSurface(t *testing.T) []string {
 	t.Helper()
 	m, prompts := fixture(t)
-	engCfg := serve.Config{Workers: 1, MaxBatch: 2, CacheSize: 8, Adapt: serve.AdaptShadow}
+	engCfg := serve.Config{Workers: 1, MaxBatch: 2, CacheSize: 8}
 	post := func(url string, i int, client string) int {
 		raw, _ := json.Marshal(serve.GenerateRequest{
 			Prompt: prompts[i%len(prompts)], Strategy: surfaceStrategies[i%len(surfaceStrategies)],
@@ -177,14 +176,33 @@ func currentSurface(t *testing.T) []string {
 	return lines
 }
 
+// retiredSurfacePrefixes lists the metric names deleted on purpose
+// since the golden was captured, as prefixes of a surface line's leaf
+// name (the last JSON key, or the Prometheus family): the speculation
+// controller's JSON keys, families and per-replica families.
+var retiredSurfacePrefixes = []string{"adapt", "vgend_adapt_", "vgend_replica_adapt_"}
+
+// retiredSurface reports whether a surface line names a retired metric.
+func retiredSurface(line string) bool {
+	name := strings.Fields(line)[2]
+	leaf := name[strings.LastIndexByte(name, '.')+1:]
+	for _, p := range retiredSurfacePrefixes {
+		if strings.HasPrefix(leaf, p) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestMetricsSurfaceSuperset is the nothing-lost gate for /metrics:
 // testdata/metrics_surface.golden lists every JSON key path and every
 // Prometheus (family, type, label names) of the engine and fleet
 // bodies as the scripted run produced them at commit 7208a57 — the
 // last one with hand-written exposition code — and the current surface
-// must contain each line. Additions are logged (-v), not failed, and
-// never written back: to retire a name on purpose, delete its lines
-// from the golden by hand.
+// must contain each line, except the lines of names retired on purpose
+// (retiredSurfacePrefixes), which must be gone. Additions are logged
+// (-v), not failed, and never written back: the golden stays the
+// record of what that commit exposed.
 func TestMetricsSurfaceSuperset(t *testing.T) {
 	got := currentSurface(t)
 	raw, err := os.ReadFile(surfaceGolden)
@@ -198,7 +216,10 @@ func TestMetricsSurfaceSuperset(t *testing.T) {
 	want := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		want[line] = true
-		if !have[line] {
+		switch retired := retiredSurface(line); {
+		case retired && have[line]:
+			t.Errorf("retired name still exposed: %s", line)
+		case !retired && !have[line]:
 			t.Errorf("surface lost: %s", line)
 		}
 	}

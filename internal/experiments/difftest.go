@@ -24,8 +24,7 @@ import (
 	"repro/internal/model"
 )
 
-// The differential workload, shared by RunDiffTest, RunAdaptDiff and
-// RunTreeLossless.
+// The differential workload, shared by RunDiffTest and RunTreeLossless.
 const (
 	// diffFamilies × diffVariants size the shared-stem prompt set: later
 	// prompts fork the sessions earlier ones of the same stem left

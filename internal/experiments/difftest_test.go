@@ -38,41 +38,6 @@ func TestDifferentialCacheModes(t *testing.T) {
 		report.Cases, report.PartialHits, report.Preemptions, report.Drops)
 }
 
-// TestDifferentialAdaptModes is the controller half of the
-// admissibility story: with every request fully pinned (explicit
-// strategy, tree budget and seed), engines running the speculation
-// controller off, in shadow, and applied must produce byte-identical
-// results across the strategy matrix — the controller may only choose
-// WHICH lossless configuration runs, never change the output of a
-// given one. The run must also prove the controller was live: one
-// recorded decision per submission in shadow and on modes, every
-// shadow decision left unapplied, and zero reroutes of pinned
-// requests.
-func TestDifferentialAdaptModes(t *testing.T) {
-	report, err := testRunner().RunAdaptDiff()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 families × 3 variants + 1 extension stressor = 7 prompts; each
-	// decoded greedily plus once per seed, per strategy-matrix entry.
-	wantCases := len(StrategyMatrix) * 7 * 2
-	if report.Cases != wantCases {
-		t.Fatalf("compared %d cases, want %d", report.Cases, wantCases)
-	}
-	// Shadow and on each decided once per submission.
-	if want := uint64(2 * wantCases); report.Decisions != want {
-		t.Fatalf("controllers recorded %d decisions, want %d", report.Decisions, want)
-	}
-	if want := uint64(wantCases); report.Shadowed != want {
-		t.Fatalf("shadowed %d decisions, want %d (every shadow decision)", report.Shadowed, want)
-	}
-	if report.Reroutes != 0 {
-		t.Fatalf("applied controller rerouted %d pinned requests, want 0", report.Reroutes)
-	}
-	t.Logf("adapt differential clean: %d cases byte-identical across {off, shadow, on}, %d decisions recorded, 0 reroutes",
-		report.Cases, report.Decisions)
-}
-
 // TestTreeLosslessGate runs the differential losslessness proof CI
 // pins next to the cache-mode gate: greedy lookup-tree byte streams
 // equal linear prompt-lookup's (and NTP's) on every model, in no more

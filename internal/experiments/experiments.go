@@ -188,8 +188,8 @@ func (r *Runner) Model(cfg model.Config, scheme model.Scheme) *model.Model {
 	return m
 }
 
-// ServingFixture is what the serving-side harnesses (load, sweep,
-// trace, chaos) run on: the first backbone trained with the paper's
+// ServingFixture is what the serving-side harnesses (load, trace,
+// chaos) run on: the first backbone trained with the paper's
 // scheme, and the Table II prompt set.
 func (r *Runner) ServingFixture() (*model.Model, []string) {
 	return r.Model(r.setup.Models[0], model.SchemeOurs), r.speedPrompts()

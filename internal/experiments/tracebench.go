@@ -52,108 +52,134 @@ type TraceBenchRow struct {
 
 // TraceBench measures both modes over repeats timed passes each and
 // returns their rows ("off" first) plus the generated texts per mode
-// for the byte-identity differential.
+// for the byte-identity differential. The two modes run on their own
+// engines but in lockstep: each request of a pass goes to both, back to
+// back, in an order that alternates request by request, and a mode's
+// pass time is the sum of its own requests' times. A burst of machine
+// load then lands on both modes alike instead of reading as tracing
+// overhead, as it did when one mode's passes all ran before the
+// other's.
 func TraceBench(m *model.Model, prompts []string, repeats int) ([]TraceBenchRow, [][]string, error) {
 	if len(prompts) == 0 {
 		return nil, nil, fmt.Errorf("trace bench needs prompts")
 	}
-	var rows []TraceBenchRow
-	var texts [][]string
-	for _, mode := range []string{"off", "on"} {
-		row, modeTexts, err := driveTraceMode(m, prompts, repeats, mode)
-		if err != nil {
-			return rows, texts, err
-		}
-		rows = append(rows, row)
-		texts = append(texts, modeTexts)
-	}
-	return rows, texts, nil
-}
-
-// driveTraceMode runs all repeats of one mode on a fresh engine.
-func driveTraceMode(m *model.Model, prompts []string, repeats int, mode string) (TraceBenchRow, []string, error) {
-	eng := serve.NewEngine(m, serve.Config{
-		Workers: 1, CacheSize: -1, NoDedup: true,
-		QueueSize: traceRequests + 4,
-	})
-	defer eng.Close()
-	var tracer *trace.Tracer
-	if mode == "on" {
-		tracer = trace.New(trace.Config{RingSize: traceRequests * (repeats + 1)})
-	}
-
-	req := func(i int) serve.Request {
-		return serve.Request{
-			Prompt: prompts[i%len(prompts)],
-			Options: core.Options{
-				Strategy: "ours", Temperature: 0.6,
-				MaxNewTokens: traceTokens, Seed: int64(i),
-			},
-		}
-	}
-	runPass := func(pass int, record []string) (time.Duration, int, error) {
-		tokens := 0
-		t0 := time.Now()
-		for i := 0; i < traceRequests; i++ {
-			ctx := context.Background()
-			var tr *trace.Trace
-			if tracer != nil {
-				tr = tracer.StartTrace(fmt.Sprintf("tracebench-%d-%d", pass, i))
-				root := tr.Start(nil, trace.KindRequest, "tracebench")
-				ctx = trace.ContextWithSpan(trace.NewContext(ctx, tr), root)
-			}
-			resp, err := eng.Generate(ctx, req(i))
-			if tr != nil {
-				tr.Finish("200")
-			}
-			if err != nil || resp.Err != nil {
-				return 0, 0, fmt.Errorf("trace bench %s request %d: %v / %v", mode, i, err, resp.Err)
-			}
-			tokens += len(resp.Result.CleanTokens)
-			if record != nil {
-				record[i] = resp.Result.Text
-			}
-		}
-		return time.Since(t0), tokens, nil
+	modes := []*traceMode{newTraceMode(m, prompts, repeats, "off"), newTraceMode(m, prompts, repeats, "on")}
+	for _, tm := range modes {
+		defer tm.eng.Close()
 	}
 
 	// Warmup pass: session preparation and trie growth happen here, so
 	// the timed passes of both modes start from the same cache state.
-	texts := make([]string, traceRequests)
-	if _, _, err := runPass(-1, texts); err != nil {
-		return TraceBenchRow{}, nil, err
+	texts := make([][]string, len(modes))
+	for k, tm := range modes {
+		texts[k] = make([]string, traceRequests)
+		for i := range texts[k] {
+			_, _, text, err := tm.request(-1, i)
+			if err != nil {
+				return nil, nil, err
+			}
+			texts[k][i] = text
+		}
 	}
 
 	// Same rationale as the load gate: measure tracing overhead, not
-	// collector scheduling. The GC-off window is scoped per mode with a
-	// forced collection first — letting one mode's garbage pile into the
-	// other's timed passes skews the comparison far more than tracing
-	// itself does.
-	runtime.GC()
+	// collector scheduling. The collector is off for the timed passes and
+	// a forced collection precedes each one, so no pass pays for an
+	// earlier pass's garbage.
 	gcPct := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPct)
-
-	row := TraceBenchRow{Tracing: mode, Requests: traceRequests, Repeats: repeats}
-	best := time.Duration(0)
+	best := make([]time.Duration, len(modes))
 	for pass := 0; pass < repeats; pass++ {
-		d, tokens, err := runPass(pass, nil)
-		if err != nil {
-			return TraceBenchRow{}, nil, err
+		runtime.GC()
+		wall := make([]time.Duration, len(modes))
+		tokens := make([]int, len(modes))
+		for i := 0; i < traceRequests; i++ {
+			for j := range modes {
+				k := j
+				if (pass+i)%2 == 1 {
+					k = len(modes) - 1 - j
+				}
+				d, n, _, err := modes[k].request(pass, i)
+				if err != nil {
+					return nil, nil, err
+				}
+				wall[k] += d
+				tokens[k] += n
+			}
 		}
-		if best == 0 || d < best {
-			best = d
-			row.Tokens = tokens
+		for k, tm := range modes {
+			if best[k] == 0 || wall[k] < best[k] {
+				best[k] = wall[k]
+				tm.row.Tokens = tokens[k]
+			}
 		}
 	}
-	row.BestWallMS = float64(best) / float64(time.Millisecond)
-	if best > 0 {
-		row.TokensPerSec = float64(row.Tokens) / best.Seconds()
-	}
-	if tracer != nil {
-		for _, snap := range tracer.Completed() {
-			row.Spans += len(snap.Spans)
-			row.Dropped += snap.Dropped
+
+	rows := make([]TraceBenchRow, len(modes))
+	for k, tm := range modes {
+		row := tm.row
+		row.BestWallMS = float64(best[k]) / float64(time.Millisecond)
+		if best[k] > 0 {
+			row.TokensPerSec = float64(row.Tokens) / best[k].Seconds()
 		}
+		if tm.tracer != nil {
+			for _, snap := range tm.tracer.Completed() {
+				row.Spans += len(snap.Spans)
+				row.Dropped += snap.Dropped
+			}
+		}
+		rows[k] = row
 	}
-	return row, texts, nil
+	return rows, texts, nil
+}
+
+// traceMode is one tracing mode's engine, tracer (nil when off) and row.
+type traceMode struct {
+	eng     *serve.Engine
+	tracer  *trace.Tracer
+	prompts []string
+	row     TraceBenchRow
+}
+
+func newTraceMode(m *model.Model, prompts []string, repeats int, mode string) *traceMode {
+	tm := &traceMode{
+		eng: serve.NewEngine(m, serve.Config{
+			Workers: 1, CacheSize: -1, NoDedup: true,
+			QueueSize: traceRequests + 4,
+		}),
+		prompts: prompts,
+		row:     TraceBenchRow{Tracing: mode, Requests: traceRequests, Repeats: repeats},
+	}
+	if mode == "on" {
+		tm.tracer = trace.New(trace.Config{RingSize: traceRequests * (repeats + 1)})
+	}
+	return tm
+}
+
+// request drives request i of a pass and returns its wall time, clean
+// token count and generated text.
+func (tm *traceMode) request(pass, i int) (time.Duration, int, string, error) {
+	t0 := time.Now()
+	ctx := context.Background()
+	var tr *trace.Trace
+	if tm.tracer != nil {
+		tr = tm.tracer.StartTrace(fmt.Sprintf("tracebench-%d-%d", pass, i))
+		root := tr.Start(nil, trace.KindRequest, "tracebench")
+		ctx = trace.ContextWithSpan(trace.NewContext(ctx, tr), root)
+	}
+	resp, err := tm.eng.Generate(ctx, serve.Request{
+		Prompt: tm.prompts[i%len(tm.prompts)],
+		Options: core.Options{
+			Strategy: "ours", Temperature: 0.6,
+			MaxNewTokens: traceTokens, Seed: int64(i),
+		},
+	})
+	if tr != nil {
+		tr.Finish("200")
+	}
+	d := time.Since(t0)
+	if err != nil || resp.Err != nil {
+		return 0, 0, "", fmt.Errorf("trace bench %s request %d: %v / %v", tm.row.Tracing, i, err, resp.Err)
+	}
+	return d, len(resp.Result.CleanTokens), resp.Result.Text, nil
 }

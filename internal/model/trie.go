@@ -395,7 +395,7 @@ func (c *TrieCache) SessionStats() SessionStats {
 // CachedPrefixLen reports the depth (token count) of the deepest
 // cached session prefix of ids, without mutating hit/miss stats, the
 // LRU order or the trie itself — the read-only probe behind the
-// adaptive speculation controller's prefix-reuse feature.
+// session_prep span's trie_hit_depth trace attribute.
 func (c *TrieCache) CachedPrefixLen(ids []int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

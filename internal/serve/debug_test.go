@@ -135,6 +135,23 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 		}
 	})
 
+	for _, n := range []int{-1, maxNewTokensCap + 1} {
+		t.Run(fmt.Sprintf("max_new_tokens %d 400", n), func(t *testing.T) {
+			e := NewEngine(m, Config{Workers: 1})
+			defer e.Close()
+			ts := httptest.NewServer(NewServer(e).Handler())
+			defer ts.Close()
+			id := fmt.Sprintf("cap-echo-%d", n)
+			resp := postBody(t, ts.URL, id, map[string]any{"prompt": prompts[0], "max_new_tokens": n})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			if got := resp.Header.Get(RequestIDHeader); got != id {
+				t.Errorf("%s = %q, want %s", RequestIDHeader, got, id)
+			}
+		})
+	}
+
 	t.Run("oversized body 413", func(t *testing.T) {
 		e := NewEngine(m, Config{Workers: 1})
 		defer e.Close()

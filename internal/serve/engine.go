@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/core/spec/adapt"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -171,23 +170,6 @@ type Config struct {
 	// budget are never overridden; zero leaves the decoder's default
 	// (spec.DefaultTreeBudget) in charge.
 	DefaultTreeBudget int
-	// Adapt selects the load-aware speculation controller
-	// (internal/core/spec/adapt): AdaptOff (the default) disables it;
-	// AdaptShadow consults the controller for every submission and
-	// records its decisions in /metrics without applying any — the
-	// rollout mode; AdaptOn applies them. Applied decisions are
-	// deliberately narrow so the controller stays lossless: requests
-	// that named neither a mode nor a strategy
-	// (Request.NoExplicitStrategy) may be rerouted to the controller's
-	// strategy pick, and tree decodes that left Options.TreeBudget
-	// unset get a budget sized from the live accept-depth distribution
-	// (skipped when DefaultTreeBudget pins a static one). Explicit
-	// strategy and budget choices are never overridden, so outputs stay
-	// byte-identical per (prompt, seed, strategy, budget) whatever the
-	// controller decides. The load-degradation ladder is driven by the
-	// scheduler's sweep signals and queue wait. NewEngine panics on any
-	// other spelling; validate external input with ParseAdaptMode.
-	Adapt string
 	// NoDedup disables single-flight deduplication of identical
 	// concurrent requests (diagnostics; dedup never changes outputs
 	// because decodes are deterministic per (prompt, options, seed)).
@@ -247,32 +229,6 @@ const (
 	PrefixCacheOff = "off"
 )
 
-// Speculation-controller modes (Config.Adapt, vgend -adapt).
-const (
-	// AdaptOff disables the controller (the default).
-	AdaptOff = "off"
-	// AdaptOn applies controller decisions to eligible requests.
-	AdaptOn = "on"
-	// AdaptShadow records every decision without applying any: metrics
-	// show what the controller would have done while outputs provably
-	// match AdaptOff.
-	AdaptShadow = "shadow"
-)
-
-// ParseAdaptMode validates an adaptive-speculation mode name (empty
-// selects off).
-func ParseAdaptMode(s string) (string, error) {
-	switch s {
-	case "", AdaptOff:
-		return AdaptOff, nil
-	case AdaptOn:
-		return AdaptOn, nil
-	case AdaptShadow:
-		return AdaptShadow, nil
-	}
-	return "", fmt.Errorf("unknown adapt mode %q (want on, shadow or off)", s)
-}
-
 // ParsePrefixCacheMode validates a prefix-cache mode name (empty
 // selects the trie default).
 func ParsePrefixCacheMode(s string) (string, error) {
@@ -316,9 +272,10 @@ type Request struct {
 	// (empty submitters share one anonymous bucket).
 	Client string
 	// NoExplicitStrategy marks a request that named no strategy (under
-	// either wire spelling) — its Options carry the fleet-wide default. A
-	// fleet replica configured with its own DefaultStrategy substitutes
-	// that for such requests; explicit choices are never overridden.
+	// either wire spelling) — its Options carry the wire default "ours"
+	// (GenerateRequest.options). Engines ignore it; a fleet replica
+	// configured with its own DefaultStrategy substitutes that for such
+	// requests. Explicit choices are never overridden.
 	NoExplicitStrategy bool
 }
 
@@ -406,11 +363,6 @@ type Engine struct {
 	memoMu  sync.RWMutex
 	keyMemo map[string][]int
 
-	// ctrl is the adaptive speculation controller (nil when Adapt is
-	// off); adaptMode is the parsed Config.Adapt.
-	ctrl      *adapt.Controller
-	adaptMode string
-
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -448,25 +400,6 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		e.sessions = model.NewTrieCache(cfg.PrefixCacheBytes)
 	}
 	e.st.init()
-	adaptMode, err := ParseAdaptMode(cfg.Adapt)
-	if err != nil {
-		panic("serve: " + err.Error())
-	}
-	e.adaptMode = adaptMode
-	if adaptMode != AdaptOff {
-		// Routing candidates depend on what the model was trained with:
-		// without Medusa heads the head-based strategies cannot draft,
-		// so routing is restricted to self-speculative and plain ones.
-		cands := []string{"OursTree", "Ours", "PromptLookup", "NTP"}
-		if m.Scheme() == model.SchemeNTP {
-			cands = []string{"LookupTree", "PromptLookup", "NTP"}
-		}
-		ctrl, err := adapt.New(adapt.Config{Candidates: cands})
-		if err != nil {
-			panic("serve: " + err.Error())
-		}
-		e.ctrl = ctrl
-	}
 	e.wg.Add(1)
 	go e.scheduler()
 	return e
@@ -522,7 +455,6 @@ func (e *Engine) generateBatch(ctx context.Context, reqs []Request, wait bool) [
 			out[i] = &Response{Err: err}
 			continue
 		}
-		req = e.applyAdapt(req)
 		// Canonical options make equivalently-spelled requests share
 		// cache entries and flights (see core.Options.Canonical).
 		req.Options = e.canonicalOptions(req.Options)
@@ -605,7 +537,6 @@ func (e *Engine) submit(ctx context.Context, req Request, wait bool) (*Response,
 	if err := e.modelMismatch(req); err != nil {
 		return nil, err
 	}
-	req = e.applyAdapt(req)
 	// Canonical options make equivalently-spelled requests share cache
 	// entries and flights (see core.Options.Canonical).
 	req.Options = e.canonicalOptions(req.Options)
@@ -615,72 +546,6 @@ func (e *Engine) submit(ctx context.Context, req Request, wait bool) (*Response,
 		return resp, nil
 	}
 	return e.resolve(ctx, req, ids, key, wait)
-}
-
-// adaptFeatures computes the cheap prompt features the controller
-// classifies on: the canonical token count (memoized — repeat traffic
-// pays nothing), a read-only prefix-trie probe, and one lexer pass.
-func (e *Engine) adaptFeatures(req Request) adapt.Features {
-	ids := e.canonicalIDs(req.Prompt)
-	f := adapt.Features{
-		PromptTokens: len(ids),
-		MaxNewTokens: req.Options.MaxNewTokens,
-		Construct:    adapt.Classify(req.Prompt),
-	}
-	if e.sessions != nil {
-		f.CachedTokens = e.sessions.CachedPrefixLen(ids)
-	}
-	return f
-}
-
-// applyAdapt consults the speculation controller for one submission.
-// It runs BEFORE canonicalOptions, so an applied decision changes the
-// request's cache/single-flight key exactly as if the client had
-// spelled the chosen configuration itself — adapted and explicit
-// requests for the same configuration share entries and flights. In
-// shadow mode the decision is recorded and nothing changes.
-func (e *Engine) applyAdapt(req Request) Request {
-	if e.ctrl == nil {
-		return req
-	}
-	canon := req.Options.Canonical()
-	d := e.ctrl.Decide(e.adaptFeatures(req), adapt.Request{
-		Strategy:   canon.StrategyLabel(),
-		Explicit:   !req.NoExplicitStrategy,
-		TreeBudget: req.Options.TreeBudget,
-	})
-	if e.adaptMode != AdaptOn {
-		e.st.count(&e.st.m.AdaptShadowed)
-		return req
-	}
-	if d.Rerouted {
-		req.Options.Strategy = d.Strategy
-	}
-	// Sized budgets only fill a hole the decoder would otherwise fill
-	// with its static default: an explicit request budget or a pinned
-	// engine-wide DefaultTreeBudget always wins.
-	if d.TreeBudget > 0 && req.Options.TreeBudget <= 0 && e.cfg.DefaultTreeBudget <= 0 {
-		req.Options.TreeBudget = d.TreeBudget
-	}
-	return req
-}
-
-// observeResult feeds a finished decode back into the controller's
-// per-strategy and per-class estimates.
-func (e *Engine) observeResult(req Request, label string, res *core.Result) {
-	if e.ctrl == nil {
-		return
-	}
-	f := e.adaptFeatures(req)
-	e.ctrl.Observe(adapt.Outcome{
-		Strategy:        label,
-		Class:           adapt.ClassOf(f),
-		AcceptedPerStep: res.AcceptedPerStep,
-		TreeNodes:       res.TreeNodes,
-		TreeBudget:      res.TreeBudget,
-		CleanTokens:     len(res.CleanTokens),
-		SimulatedMS:     res.SimulatedMS,
-	})
 }
 
 // canonicalOptions applies the engine-level option defaults (the

@@ -17,7 +17,7 @@ type probeMetrics struct {
 	Name    string                `json:"name"`
 	Hits    uint64                `json:"hits" prom:"probe_hits_total" help:"A counter."`
 	Peak    float64               `json:"peak" prom:"probe_peak" help:"A max gauge." agg:"max"`
-	Mode    string                `json:"mode" prom:"probe_info" label:"mode" help:"A uniform string." agg:"uniform"`
+	Mode    string                `json:"mode" prom:"probe_info" label:"mode" help:"An info string."`
 	Rate    float64               `json:"rate" prom:"probe_rate" help:"A derived gauge." agg:"derived"`
 	Depth   []uint64              `json:"depth" prom:"probe_depth_total" label:"depth" help:"A bucket slice."`
 	ByKind  map[string]uint64     `json:"by_kind" prom:"probe_by_kind_total" label:"kind" help:"A labelled map."`
@@ -115,7 +115,7 @@ func TestProbeMetricThroughJSONExpositionAndFold(t *testing.T) {
 	for _, p := range []probeMetrics{a, b, probe(1, 0.4, "on")} {
 		fold(reflect.ValueOf(&sum).Elem(), reflect.ValueOf(p), "")
 	}
-	if sum.Hits != 8 || sum.Peak != 0.9 || sum.Mode != "on" || sum.Rate != 0 || sum.Quiet != 21 {
+	if sum.Hits != 8 || sum.Peak != 0.9 || sum.Rate != 0 || sum.Quiet != 21 {
 		t.Errorf("scalar fold: %+v", sum)
 	}
 	if !reflect.DeepEqual(sum.Depth, []uint64{8, 3, 5}) || !reflect.DeepEqual(sum.ByKind, map[string]uint64{"a": 8, "b": 3}) {
@@ -126,9 +126,5 @@ func TestProbeMetricThroughJSONExpositionAndFold(t *testing.T) {
 	}
 	if a.Depth[0] != 3 || a.Pairs["q"].Depth[0] != 3 {
 		t.Errorf("fold wrote through to a source: %+v", a)
-	}
-	fold(reflect.ValueOf(&sum).Elem(), reflect.ValueOf(probe(1, 0, "off")), "")
-	if sum.Mode != "mixed" {
-		t.Errorf("non-uniform mode folds to %q, want mixed", sum.Mode)
 	}
 }

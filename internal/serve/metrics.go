@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/core/spec/adapt"
 )
 
 // stats accumulates engine counters straight into a Metrics value under
@@ -174,9 +173,8 @@ type StrategyMetrics struct {
 	GrammarDraftTokens uint64 `json:"grammar_draft_tokens" prom:"vgend_strategy_grammar_draft_tokens_total" help:"Construct-chain draft nodes per strategy."`
 	// AcceptDepthHist buckets this strategy's decoding steps by
 	// accepted length (entry i = steps emitting i+1 tokens, last entry
-	// open-ended) — the distribution the adaptive controller sizes this
-	// strategy's tree budget from, exported so metrics agree with what
-	// the controller sees.
+	// open-ended); the per-strategy rows partition the engine-wide
+	// AcceptDepthHist.
 	AcceptDepthHist []uint64 `json:"accept_depth_hist" prom:"vgend_strategy_accept_depth_total" label:"depth" help:"Decoding steps by accepted length per strategy (last bucket open-ended)."`
 }
 
@@ -193,9 +191,8 @@ type StrategyMetrics struct {
 //     under label:"<name>"; a map or slice of structs puts the key (or
 //     the element's Name) under that label on every family inside. A
 //     json omitempty field renders only when non-zero.
-//   - agg:"max|uniform|derived" — how Aggregate folds it across
-//     replicas: summed by default, max keeps the hottest replica's
-//     value, uniform a string all replicas agree on (else "mixed"), and
+//   - agg:"max|derived" — how Aggregate folds it across replicas:
+//     summed by default, max keeps the hottest replica's value, and
 //     derived fields are recomputed from the folded sums by derive, as
 //     they are for an engine's own snapshot.
 //   - replica:"<family>" — a second family the field is exported under
@@ -310,34 +307,6 @@ type Metrics struct {
 	// TokensPerSecSim is clean tokens over simulated GPU seconds.
 	TokensPerSecSim float64 `json:"tokens_per_sec_sim" prom:"vgend_tokens_per_sec_sim" help:"Clean tokens per simulated GPU second (paper eq. 3)." agg:"derived"`
 
-	// Adapt names the speculation controller's mode ("off", "shadow",
-	// "on"; always rendered, so dashboards can tell "controller off"
-	// from "metric missing"); the remaining Adapt* fields mirror the
-	// controller's own snapshot. AdaptLevel is the load-degradation
-	// rung (0 tree, 1 linear, 2 nodraft) and AdaptLevelName its
-	// spelling; the smoothed signals it runs on are AdaptOccupancy /
-	// AdaptQueueFrac / AdaptQueueWaitMS (a fleet is as degraded as its
-	// hottest replica). AdaptDecisions counts Decide calls (shadow included),
-	// AdaptReroutes strategy substitutions, AdaptBudgetResizes sized
-	// tree budgets, AdaptDowngrades decisions made above the tree rung,
-	// AdaptExplorations deterministic exploration slots,
-	// AdaptLevelChanges rung moves, and AdaptShadowed decisions that
-	// shadow mode recorded without applying. All zero when Adapt is
-	// "off".
-	Adapt              string  `json:"adapt" prom:"vgend_adapt_info" label:"mode" help:"Speculation-controller mode (value is always 1)." agg:"uniform"`
-	AdaptLevel         int     `json:"adapt_level" prom:"vgend_adapt_level" help:"Load-degradation rung (0 tree, 1 linear, 2 nodraft)." agg:"max"`
-	AdaptLevelName     string  `json:"adapt_level_name,omitempty" agg:"derived"`
-	AdaptOccupancy     float64 `json:"adapt_occupancy" prom:"vgend_adapt_occupancy" help:"Controller's smoothed batch occupancy." agg:"max"`
-	AdaptQueueFrac     float64 `json:"adapt_queue_frac" prom:"vgend_adapt_queue_frac" help:"Controller's smoothed queue pressure." agg:"max"`
-	AdaptQueueWaitMS   float64 `json:"adapt_queue_wait_ms" prom:"vgend_adapt_queue_wait_ms" help:"Controller's smoothed queue wait (ms)." agg:"max"`
-	AdaptDecisions     uint64  `json:"adapt_decisions" prom:"vgend_adapt_decisions_total" replica:"vgend_replica_adapt_decisions_total" help:"Controller decisions (shadow mode included)."`
-	AdaptReroutes      uint64  `json:"adapt_reroutes" prom:"vgend_adapt_reroutes_total" help:"Strategy substitutions decided."`
-	AdaptBudgetResizes uint64  `json:"adapt_budget_resizes" prom:"vgend_adapt_budget_resizes_total" help:"Draft-tree budgets sized from the accept-depth EWMA."`
-	AdaptDowngrades    uint64  `json:"adapt_downgrades" prom:"vgend_adapt_downgrades_total" help:"Decisions made above the tree rung (load-degraded)."`
-	AdaptExplorations  uint64  `json:"adapt_explorations" prom:"vgend_adapt_explorations_total" help:"Deterministic exploration slots routed."`
-	AdaptLevelChanges  uint64  `json:"adapt_level_changes" prom:"vgend_adapt_level_changes_total" help:"Load-degradation rung moves."`
-	AdaptShadowed      uint64  `json:"adapt_shadowed" prom:"vgend_adapt_shadowed_total" help:"Decisions recorded but not applied (shadow mode)."`
-
 	// PerStrategy groups counters by decoding strategy.
 	PerStrategy map[string]StrategyMetrics `json:"per_strategy" label:"strategy"`
 }
@@ -362,9 +331,6 @@ func (m *Metrics) derive() {
 	m.TreeBudgetUtilization = ratio(float64(m.TreeNodes), float64(m.TreeBudget))
 	m.TokensPerSecWall = ratio(float64(m.CleanTokens), m.WallSeconds)
 	m.TokensPerSecSim = ratio(float64(m.CleanTokens), m.SimSeconds)
-	if m.Adapt != AdaptOff {
-		m.AdaptLevelName = adapt.Level(m.AdaptLevel).String()
-	}
 	for name, sm := range m.PerStrategy {
 		sm.MeanAccepted = ratio(float64(sm.RawTokens), float64(sm.Steps))
 		sm.TokensPerSecSim = ratio(float64(sm.CleanTokens), sm.SimSeconds)
@@ -395,20 +361,6 @@ func (e *Engine) Metrics() Metrics {
 		m.PrefixCachePinnedPages = st.PinnedPages
 		m.PrefixCachePinnedBytes = st.PinnedBytes
 		m.PrefixCacheLeases = st.Leases
-	}
-	m.Adapt = e.adaptMode
-	if e.ctrl != nil {
-		snap := e.ctrl.Snapshot()
-		m.AdaptLevel = int(snap.Level)
-		m.AdaptOccupancy = snap.Occupancy
-		m.AdaptQueueFrac = snap.QueueFrac
-		m.AdaptQueueWaitMS = snap.QueueWaitMS
-		m.AdaptDecisions = snap.Decisions
-		m.AdaptReroutes = snap.Reroutes
-		m.AdaptBudgetResizes = snap.BudgetResizes
-		m.AdaptDowngrades = snap.Downgrades
-		m.AdaptExplorations = snap.Explorations
-		m.AdaptLevelChanges = snap.LevelChanges
 	}
 	m.derive()
 	return m

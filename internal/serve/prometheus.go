@@ -119,9 +119,9 @@ func (x *Exposition) walk(v reflect.Value, tag string, labels []string) {
 }
 
 // Aggregate folds per-replica engine snapshots into one fleet-wide
-// engine-shaped snapshot by the fields' agg tags (see Metrics): sums,
-// hottest-replica maxima and uniform-or-"mixed" strings, then the rates
-// derived over the folded sums exactly as an engine derives its own.
+// engine-shaped snapshot by the fields' agg tags (see Metrics): sums and
+// hottest-replica maxima, then the rates derived over the folded sums
+// exactly as an engine derives its own.
 func Aggregate(ms []Metrics) Metrics {
 	a := Metrics{PerStrategy: map[string]StrategyMetrics{}}
 	for _, m := range ms {
@@ -137,12 +137,6 @@ func Aggregate(ms []Metrics) Metrics {
 func fold(d, s reflect.Value, agg string) {
 	switch {
 	case agg == "derived":
-	case agg == "uniform":
-		if d.String() == "" {
-			d.Set(s)
-		} else if d.String() != s.String() {
-			d.SetString("mixed")
-		}
 	case agg == "max":
 		if d.CanFloat() && d.Float() < s.Float() || d.CanInt() && d.Int() < s.Int() {
 			d.Set(s)

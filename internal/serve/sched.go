@@ -80,9 +80,6 @@ func (e *Engine) scheduler() {
 		t.wait = wait
 		t.pickedUp()
 		e.st.queueWait(wait)
-		if e.ctrl != nil {
-			e.ctrl.ObserveQueueWait(wait.Seconds() * 1000)
-		}
 		running = append(running, &schedTask{t: t, label: t.req.Options.StrategyLabel()})
 	}
 	resume := func() {
@@ -157,7 +154,6 @@ func (e *Engine) scheduler() {
 			continue
 		}
 		e.st.schedGauges(len(running), len(parked))
-		e.observeSweep(len(running), len(parked))
 
 		e.sweep(dec, running)
 
@@ -325,19 +321,5 @@ func (e *Engine) retire(x *schedTask) {
 		e.cache.add(x.t.key, res)
 	}
 	e.st.complete(x.label, res, x.wall)
-	e.observeResult(x.t.req, x.label, res)
 	e.finish(x.t, &Response{Result: res, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
-}
-
-// observeSweep is the scheduler's per-sweep consultation of the
-// speculation controller: batch occupancy (running over batch slots)
-// and queue pressure (queued + parked over queue capacity) drive the
-// load-degradation ladder.
-func (e *Engine) observeSweep(running, parked int) {
-	if e.ctrl == nil {
-		return
-	}
-	occ := float64(running) / float64(e.cfg.MaxBatch)
-	q := float64(len(e.queue)+parked) / float64(cap(e.queue))
-	e.ctrl.ObserveSweep(occ, q)
 }

@@ -26,6 +26,14 @@ const maxBatchPrompts = 128
 // maxBatchPrompts prompts at several KiB each fits with room to spare.
 const maxBodyBytes = 1 << 20
 
+// maxNewTokensCap bounds one generation's max_new_tokens; a bigger (or
+// negative) value gets a 400. A decode's cost grows with its length and
+// the scheduler preempts long decodes but never ends one early, so the
+// wire must not let one request buy unbounded work. The cap sits well
+// above every built-in model's default length (at most 2000 tokens)
+// and above what any shipped client asks for.
+const maxNewTokensCap = 4096
+
 // Backend is what the HTTP layer serves: a single Engine or a
 // multi-replica cluster.Fleet. Generation goes through the fail-fast
 // submission paths (backpressure must surface, not block the handler);
@@ -130,7 +138,8 @@ type GenerateRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Temperature 0 decodes greedily.
 	Temperature float64 `json:"temperature,omitempty"`
-	// MaxNewTokens bounds the generation (0 = model default).
+	// MaxNewTokens bounds the generation (0 = model default); negative
+	// or above maxNewTokensCap is a 400.
 	MaxNewTokens int `json:"max_new_tokens,omitempty"`
 	// TopK is candidates per head position (0 = default 3).
 	TopK int `json:"top_k,omitempty"`
@@ -166,9 +175,13 @@ type GenerateResult struct {
 	Steps        int     `json:"steps"`
 	MeanAccepted float64 `json:"mean_accepted"`
 	SimulatedMS  float64 `json:"simulated_ms"`
-	TokensPerSec float64 `json:"tokens_per_sec"`
-	Cached       bool    `json:"cached"`
-	WallMS       float64 `json:"wall_ms"`
+	// TokensPerSecSim is clean tokens over simulated GPU time (the
+	// paper's eq. 3); TokensPerSecWall is clean tokens over WallMS, the
+	// decode's measured step time (0 on a cache hit, which ran no decode).
+	TokensPerSecSim  float64 `json:"tokens_per_sec_sim"`
+	TokensPerSecWall float64 `json:"tokens_per_sec_wall"`
+	Cached           bool    `json:"cached"`
+	WallMS           float64 `json:"wall_ms"`
 	// QueueMS is the time this request spent queued before a batch slot
 	// picked it up — with wall_ms it splits latency into queue vs
 	// decode, which vgenc surfaces in its load summary. Omitted when the
@@ -183,6 +196,9 @@ type GenerateResult struct {
 func (gr GenerateRequest) options() (core.Options, error) {
 	if gr.TreeBudget < 0 {
 		return core.Options{}, fmt.Errorf("tree_budget must be >= 0, got %d", gr.TreeBudget)
+	}
+	if gr.MaxNewTokens < 0 || gr.MaxNewTokens > maxNewTokensCap {
+		return core.Options{}, fmt.Errorf("max_new_tokens must be in [0, %d], got %d", maxNewTokensCap, gr.MaxNewTokens)
 	}
 	opts := core.Options{
 		Temperature:  gr.Temperature,
@@ -220,17 +236,18 @@ func resultJSON(resp *Response, requestLabel string) GenerateResult {
 		label = requestLabel
 	}
 	return GenerateResult{
-		Text:         res.Text,
-		Mode:         label,
-		Tokens:       len(res.CleanTokens),
-		Steps:        res.Steps,
-		MeanAccepted: res.MeanAccepted(),
-		SimulatedMS:  res.SimulatedMS,
-		TokensPerSec: res.TokensPerSecond(),
-		Cached:       resp.Cached,
-		WallMS:       float64(resp.Wall) / float64(time.Millisecond),
-		QueueMS:      float64(resp.QueueWait) / float64(time.Millisecond),
-		Replica:      resp.Replica,
+		Text:             res.Text,
+		Mode:             label,
+		Tokens:           len(res.CleanTokens),
+		Steps:            res.Steps,
+		MeanAccepted:     res.MeanAccepted(),
+		SimulatedMS:      res.SimulatedMS,
+		TokensPerSecSim:  res.TokensPerSecond(),
+		TokensPerSecWall: ratio(float64(len(res.CleanTokens)), resp.Wall.Seconds()),
+		Cached:           resp.Cached,
+		WallMS:           float64(resp.Wall) / float64(time.Millisecond),
+		QueueMS:          float64(resp.QueueWait) / float64(time.Millisecond),
+		Replica:          resp.Replica,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,9 +54,8 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 
 func TestServerSingleGenerate(t *testing.T) {
 	srv, eng := testServer(t, Config{Workers: 2})
-	resp := postJSON(t, srv.URL+"/v1/generate", GenerateRequest{
-		Prompt: fixPrompts[0], Mode: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: 100,
-	})
+	req := GenerateRequest{Prompt: fixPrompts[0], Mode: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: 100}
+	resp := postJSON(t, srv.URL+"/v1/generate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -67,8 +67,20 @@ func TestServerSingleGenerate(t *testing.T) {
 	if got.Mode != "Ours" || got.Steps != direct.Steps || got.Tokens != len(direct.CleanTokens) {
 		t.Errorf("result metadata wrong: %+v", got)
 	}
-	if got.TokensPerSec <= 0 || got.MeanAccepted < 1 {
+	if got.TokensPerSecSim <= 0 || got.MeanAccepted < 1 {
 		t.Errorf("implausible speed metadata: %+v", got)
+	}
+	if want := float64(got.Tokens) / (got.WallMS / 1000); got.WallMS <= 0 || math.Abs(got.TokensPerSecWall-want) > 1e-6*want {
+		t.Errorf("tokens_per_sec_wall = %v, want tokens/wall = %v", got.TokensPerSecWall, want)
+	}
+	// The same request again is a cache hit: no decode ran, so its wall
+	// rate is 0 beside the simulated one, and the unlabelled key is gone.
+	again := decodeBody[map[string]any](t, postJSON(t, srv.URL+"/v1/generate", req))
+	if again["cached"] != true || again["tokens_per_sec_wall"] != 0.0 || again["tokens_per_sec_sim"] != got.TokensPerSecSim {
+		t.Errorf("cache hit rates: %v", again)
+	}
+	if _, ok := again["tokens_per_sec"]; ok {
+		t.Error("result still carries the unlabelled tokens_per_sec key")
 	}
 }
 

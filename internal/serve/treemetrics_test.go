@@ -222,3 +222,45 @@ func TestEngineDefaultTreeBudget(t *testing.T) {
 			explicit.Result.TreeBudget, explicit.Result.Steps, want)
 	}
 }
+
+// TestStrategyAcceptDepthHistAgrees: the per-strategy accept-depth
+// histograms must partition the global one — same buckets, summing to
+// the same mass.
+func TestStrategyAcceptDepthHistAgrees(t *testing.T) {
+	m, prompts := fixture(t)
+	eng := NewEngine(m, Config{Workers: 2, CacheSize: -1, NoDedup: true})
+	defer eng.Close()
+	ctx := context.Background()
+	for i, p := range prompts[:6] {
+		strat := "ours"
+		if i%2 == 1 {
+			strat = "ours-tree"
+		}
+		if _, err := eng.Generate(ctx, Request{Prompt: p, Options: core.Options{Strategy: strat, MaxNewTokens: 32, Seed: int64(i)}}); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	mm := eng.Metrics()
+	if len(mm.PerStrategy) < 2 {
+		t.Fatalf("expected two strategies, got %v", len(mm.PerStrategy))
+	}
+	sum := make([]uint64, len(mm.AcceptDepthHist))
+	for name, sm := range mm.PerStrategy {
+		if len(sm.AcceptDepthHist) != len(mm.AcceptDepthHist) {
+			t.Fatalf("strategy %s hist has %d buckets, global %d", name, len(sm.AcceptDepthHist), len(mm.AcceptDepthHist))
+		}
+		var mass uint64
+		for i, v := range sm.AcceptDepthHist {
+			sum[i] += v
+			mass += v
+		}
+		if mass == 0 {
+			t.Fatalf("strategy %s recorded an empty accept-depth histogram", name)
+		}
+	}
+	for i := range sum {
+		if sum[i] != mm.AcceptDepthHist[i] {
+			t.Fatalf("bucket %d: per-strategy sum %d != global %d", i, sum[i], mm.AcceptDepthHist[i])
+		}
+	}
+}
