@@ -48,10 +48,13 @@ sched-soak:
 
 # Byte-identical decode outputs through the drafter/verifier pipeline:
 # ntp/medusa/ours against fixtures captured from the pre-refactor
-# loop, plus the tree strategies pinned the day they landed. Regenerate
-# deliberately with: go test -run TestGolden ./internal/core/ -update
+# loop, plus the tree strategies pinned the day they landed, at 1, 2
+# and 8 procs. Then the allocation gate: ntp and ours decodes stay under
+# 40 heap allocations per clean token (3.5 and 9.6 measured; 61 and 166
+# before the model was frozen). Regenerate the fixtures deliberately
+# with: go test -run TestGolden ./internal/core/ -update
 golden:
-	$(GO) test -run TestGolden -v ./internal/core/
+	$(GO) test -cpu 1,2,8 -run 'TestGolden|TestGateAllocsDecode' -v ./internal/core/
 
 # Byte-identical outputs across session-cache modes ({off, token-prefix
 # trie, trie under randomized park/drop/resume preemption} × the full
@@ -133,21 +136,25 @@ cover:
 	awk -v t="$$total" -v f="$(CLUSTER_COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 	{ echo "cluster coverage below floor" >&2; exit 1; }
 
-# Native fuzzing smoke: the trie lookup/insert invariant, the Verilog
-# lexer, the full parser (no-panic, *SyntaxError contract, and the
-# prefix-soundness invariant the grammar oracle rests on) and the
+# Native fuzzing smoke: the trie lookup/insert invariant, the frozen
+# n-gram table (equal to the map reference, thaw→refreeze the
+# identity), the Verilog lexer, the full parser (no-panic,
+# *SyntaxError contract, and the prefix-soundness invariant the
+# grammar oracle rests on) and the
 # draft-tree arena (insert/walk/longest-accepted-path invariants),
 # each for a short budget on top of the committed seed corpora
 # (testdata/fuzz/). Run longer locally with FUZZTIME=5m.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTrieLookupInsert -fuzztime $(FUZZTIME) ./internal/model/
+	$(GO) test -run '^$$' -fuzz FuzzFrozenTable -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/
 
 # Engine wall-clock throughput + the strategy matrix (every strategy's
-# speed, accepted length and tree columns) + scheduler-load smoke, then
+# speed, accepted length and tree columns) + scheduler-load smoke + the
+# model's per-call Forward/BaseDist cost (ns, B and allocs per op), then
 # one evalbench process — one corpus, each model trained once — for the
 # structured rows: the grammar comparison, the sim-pass-rate tier and
 # the tracing on/off rows. CI
@@ -155,7 +162,7 @@ fuzz:
 # (pipefail: a failing benchmark must not hide behind tee). Run
 # `go test -bench=. ./...` for the full paper harness.
 bench:
-	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench' -benchtime=1x ./... | tee bench_output.txt
+	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist' -benchtime=1x ./... | tee bench_output.txt
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback

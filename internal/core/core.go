@@ -273,36 +273,63 @@ type Decoder struct {
 	sessions *model.TrieCache // nil: every decode prepares its own session
 }
 
-// repState tracks generated clean-token n-grams for the no-repeat rule.
-type repState struct {
-	clean []int
-	seen  map[uint64]bool
+// repWindow holds the last noRepeatN−1 clean tokens, oldest first; n
+// counts how many are filled. It is a value, so a probe that extends the
+// history hypothetically is a copy on the stack.
+type repWindow struct {
+	toks [noRepeatN - 1]int
+	n    int
 }
 
-func (r *repState) key(last []int) uint64 {
+// push slides id into the window.
+func (w *repWindow) push(id int) {
+	if w.n < len(w.toks) {
+		w.toks[w.n] = id
+		w.n++
+		return
+	}
+	copy(w.toks[:], w.toks[1:])
+	w.toks[len(w.toks)-1] = id
+}
+
+// gram hashes the n-gram the window completes with id (FNV-1a), or
+// reports false while the window is not yet full.
+func (w *repWindow) gram(id int) (uint64, bool) {
+	if w.n < len(w.toks) {
+		return 0, false
+	}
 	h := uint64(14695981039346656037)
-	for _, id := range last {
-		h ^= uint64(id)
+	for _, t := range w.toks {
+		h ^= uint64(t)
 		h *= 1099511628211
 	}
-	return h
+	h ^= uint64(id)
+	h *= 1099511628211
+	return h, true
+}
+
+// repState tracks generated clean-token n-grams for the no-repeat rule.
+type repState struct {
+	win  repWindow
+	seen map[uint64]bool
 }
 
 // wouldRepeat reports whether appending id creates a duplicate n-gram.
-func (r *repState) wouldRepeat(id int) bool {
-	if len(r.clean) < noRepeatN-1 {
-		return false
-	}
-	gram := append(append([]int{}, r.clean[len(r.clean)-(noRepeatN-1):]...), id)
-	return r.seen[r.key(gram)]
+func (r *repState) wouldRepeat(id int) bool { return r.repeatsAfter(&r.win, id) }
+
+// repeatsAfter reports whether id, following the window w (the history
+// plus tokens not yet pushed), completes an n-gram already generated.
+func (r *repState) repeatsAfter(w *repWindow, id int) bool {
+	h, ok := w.gram(id)
+	return ok && r.seen[h]
 }
 
 // push records a clean token.
 func (r *repState) push(id int) {
-	r.clean = append(r.clean, id)
-	if len(r.clean) >= noRepeatN {
-		r.seen[r.key(r.clean[len(r.clean)-noRepeatN:])] = true
+	if h, ok := r.win.gram(id); ok {
+		r.seen[h] = true
 	}
+	r.win.push(id)
 }
 
 // NewDecoder wraps a model for decoding.

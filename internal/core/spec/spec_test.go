@@ -7,7 +7,7 @@ import (
 	"repro/internal/tokenizer"
 )
 
-func dist(pairs map[int]float64) model.Dist { return model.Dist{P: pairs} }
+func dist(pairs map[int]float64) model.Dist { return model.NewDist(pairs) }
 
 func TestIntegrityTruncate(t *testing.T) {
 	F := tokenizer.FragID

@@ -50,7 +50,7 @@ type DecodeState struct {
 	stepCost float64
 	maxLen   int
 	tail     string
-	rep      *repState
+	rep      repState
 
 	done     bool
 	finished bool
@@ -92,7 +92,7 @@ func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options
 		seq:       append([]int(nil), promptIDs...),
 		res:       &Result{},
 		stepCost:  d.stepCostMS(strat),
-		rep:       &repState{seen: map[uint64]bool{}},
+		rep:       repState{seen: map[uint64]bool{}},
 	}
 	if tr := trace.FromContext(ctx); tr != nil {
 		s.tr = tr
@@ -166,7 +166,7 @@ func (s *DecodeState) Step() bool {
 	}
 
 	// The base model's own prediction is always kept.
-	base := d.sampleBase(fw.Base, opts, s.rng, s.rep)
+	base := d.sampleBase(fw.Base, opts, s.rng, &s.rep)
 	accepted := []int{base}
 
 	prunedBefore := res.GrammarPruned
@@ -192,17 +192,16 @@ func (s *DecodeState) Step() bool {
 		}
 	}
 	// Drafts that would extend a repeated n-gram are cut too.
-	cleanProbe := append([]int(nil), s.rep.clean...)
+	probe := s.rep.win
 	for i, id := range accepted {
 		if tokenizer.IsSpecial(id) {
 			continue
 		}
-		probe := &repState{clean: cleanProbe, seen: s.rep.seen}
-		if i > 0 && probe.wouldRepeat(id) {
+		if i > 0 && s.rep.repeatsAfter(&probe, id) {
 			accepted = accepted[:i]
 			break
 		}
-		cleanProbe = append(cleanProbe, id)
+		probe.push(id)
 	}
 
 	// Finalize the accepted run (the [FRAG] integrity truncation of

@@ -1,0 +1,67 @@
+package model_test
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/dataset"
+	"repro/internal/model"
+	"repro/internal/tokenizer"
+)
+
+// decode trains the model vgend serves at its default flags and returns
+// a session plus a decode of the first bench prompt: the prompt and 100
+// greedy tokens.
+var decode = sync.OnceValues(func() (*model.Gen, []int) {
+	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 3400})
+	var corpus []string
+	for _, ex := range examples[:min(len(examples), 1500)] {
+		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
+	}
+	cfg := model.CodeLlamaSim()
+	m := model.Train(tokenizer.Train(corpus, cfg.VocabSize), cfg, model.SchemeOurs, examples)
+	prompt := model.CanonicalPromptIDs(m.Tokenizer(), bench.All()[0].Prompt)
+	g := m.NewGen(prompt)
+	seq := append([]int(nil), prompt...)
+	for len(seq) < len(prompt)+100 {
+		next := g.BaseDist(seq).Argmax()
+		if next == tokenizer.EosID {
+			break
+		}
+		seq = append(seq, next)
+	}
+	return g, seq
+})
+
+// positions returns every decode position's context, prompt excluded,
+// so a benchmark op costs what an average decoding step does.
+func positions(g *model.Gen, seq []int) [][]int {
+	var out [][]int
+	for n := g.PromptLen() + 1; n <= len(seq); n++ {
+		out = append(out, seq[:n])
+	}
+	return out
+}
+
+// BenchmarkForward is one full forward pass (base plus ten heads), the
+// per-step model cost of a head-drafting strategy.
+func BenchmarkForward(b *testing.B) {
+	g, seq := decode()
+	ctxs := positions(g, seq)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		g.Forward(ctxs[i%len(ctxs)])
+	}
+}
+
+// BenchmarkBaseDist is one base-model posterior, the per-position cost
+// of verification and of NTP decoding.
+func BenchmarkBaseDist(b *testing.B) {
+	g, seq := decode()
+	ctxs := positions(g, seq)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		g.BaseDist(ctxs[i%len(ctxs)])
+	}
+}

@@ -17,128 +17,142 @@
 package model
 
 import (
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
-// Dist is a sparse probability distribution over token ids. Mass not
-// present in P is treated as (approximately) zero; distributions are
-// always normalized at construction.
+// entry is one (token id, value) pair: a successor count in a frozen
+// n-gram table, a probability in a Dist.
+type entry struct {
+	id int32
+	v  float64
+}
+
+// Dist is a sparse probability distribution over token ids: the support
+// as a slice sorted by ascending id. Ids outside it have probability
+// zero. Distributions are normalized at construction, and every sum over
+// one runs in ascending id order, so a Dist and everything derived from
+// it are bitwise repeatable. A Dist is immutable; copies share storage.
 type Dist struct {
-	P map[int]float64
+	e []entry
+}
+
+// NewDist builds a distribution from an id→probability map, taken as
+// given (callers normalize). It is for tests and tools; the model builds
+// its distributions directly.
+func NewDist(p map[int]float64) Dist {
+	e := make([]entry, 0, len(p))
+	for _, id := range slices.Sorted(maps.Keys(p)) {
+		e = append(e, entry{int32(id), p[id]})
+	}
+	return Dist{e: e}
 }
 
 // Prob returns the probability of token id.
-func (d Dist) Prob(id int) float64 { return d.P[id] }
+func (d Dist) Prob(id int) float64 {
+	if i, ok := d.find(id); ok {
+		return d.e[i].v
+	}
+	return 0
+}
+
+// find binary-searches the support for id.
+func (d Dist) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(d.e, id, func(e entry, id int) int { return int(e.id) - id })
+}
 
 // Entropy returns the Shannon entropy (nats) of the distribution — the
 // H(p_base) term of the paper's typical-acceptance rule (eq. 1).
 func (d Dist) Entropy() float64 {
 	h := 0.0
-	for _, p := range d.P {
-		if p > 0 {
-			h -= p * math.Log(p)
+	for _, e := range d.e {
+		if e.v > 0 {
+			h -= e.v * math.Log(e.v)
 		}
 	}
 	return h
 }
 
 // Argmax returns the most probable token, breaking ties by the smaller
-// id for determinism.
+// id for determinism (-1 for an empty distribution).
 func (d Dist) Argmax() int {
 	best, bestP := -1, -1.0
-	for id, p := range d.P {
-		if p > bestP || (p == bestP && id < best) {
-			best, bestP = id, p
+	for _, e := range d.e {
+		if e.v > bestP {
+			best, bestP = int(e.id), e.v
 		}
 	}
 	return best
 }
 
 // TopK returns the k most probable token ids in descending probability
-// (ties by ascending id).
+// (ties by ascending id), by partial selection over the support.
 func (d Dist) TopK(k int) []int {
-	type tp struct {
-		id int
-		p  float64
+	k = max(0, min(k, len(d.e)))
+	out := make([]int, 0, k) // support indices until the final pass
+	if k == 0 {
+		return out
 	}
-	all := make([]tp, 0, len(d.P))
-	for id, p := range d.P {
-		all = append(all, tp{id, p})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].p != all[j].p {
-			return all[i].p > all[j].p
+	for i, e := range d.e {
+		if len(out) == k {
+			// Ascending ids: an equal probability loses to the incumbent.
+			if e.v <= d.e[out[k-1]].v {
+				continue
+			}
+			out = out[:k-1]
 		}
-		return all[i].id < all[j].id
-	})
-	if k > len(all) {
-		k = len(all)
+		j := len(out)
+		out = append(out, i)
+		for ; j > 0 && d.e[out[j-1]].v < e.v; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = i
 	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].id
+	for j, i := range out {
+		out[j] = int(d.e[i].id)
 	}
 	return out
 }
 
 // Sample draws a token at the given temperature using u ∈ [0,1).
-// Temperature 0 (or below) is greedy. Iteration order is made
-// deterministic by sorting ids.
+// Temperature 0 (or below) is greedy. The CDF is walked in ascending id
+// order over the tempered weights p^(1/T); the weights are recomputed on
+// the walk rather than stored (math.Pow is deterministic).
 func (d Dist) Sample(temp, u float64) int {
 	if temp <= 0 {
 		return d.Argmax()
 	}
-	ids := make([]int, 0, len(d.P))
-	for id := range d.P {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	// Temperature reshaping: p^(1/T), renormalized.
 	inv := 1.0 / temp
 	total := 0.0
-	w := make([]float64, len(ids))
-	for i, id := range ids {
-		w[i] = math.Pow(d.P[id], inv)
-		total += w[i]
+	for _, e := range d.e {
+		total += math.Pow(e.v, inv)
 	}
 	if total <= 0 {
 		return d.Argmax()
 	}
 	target := u * total
 	acc := 0.0
-	for i, id := range ids {
-		acc += w[i]
+	for _, e := range d.e {
+		acc += math.Pow(e.v, inv)
 		if target < acc {
-			return id
+			return int(e.id)
 		}
 	}
-	return ids[len(ids)-1]
+	return int(d.e[len(d.e)-1].id)
 }
 
-// normalize scales the map to sum to one (no-op for empty maps).
-func normalize(p map[int]float64) {
+// normalize scales the values of an id-sorted run to sum to one,
+// summing in ascending id order (no-op when the mass is not positive).
+func normalize(e []entry) {
 	total := 0.0
-	for _, v := range p {
-		total += v
+	for _, x := range e {
+		total += x.v
 	}
 	if total <= 0 {
 		return
 	}
-	for k, v := range p {
-		p[k] = v / total
+	for i := range e {
+		e[i].v /= total
 	}
-}
-
-// mix returns (1-g)*a + g*b over the union support, normalized.
-func mix(a, b map[int]float64, g float64) map[int]float64 {
-	out := make(map[int]float64, len(a)+len(b))
-	for k, v := range a {
-		out[k] += (1 - g) * v
-	}
-	for k, v := range b {
-		out[k] += g * v
-	}
-	normalize(out)
-	return out
 }

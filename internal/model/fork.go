@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/tokenizer"
@@ -35,7 +36,23 @@ type forkState struct {
 // descends from: NewGen is literally a Fork of it, so "fresh build" and
 // "fork chain" cannot diverge — they are the same code path.
 func (m *Model) emptyGen() *Gen {
-	return &Gen{m: m, promptToks: map[int]bool{}, codePos: []bool{}, fork: &forkState{}}
+	return &Gen{m: m, codePos: []bool{}, fork: &forkState{}}
+}
+
+// idSet is a set of token ids as a bitset.
+type idSet []uint64
+
+func (s idSet) has(id int) bool {
+	w := uint(id) >> 6
+	return w < uint(len(s)) && s[w]&(1<<(uint(id)&63)) != 0
+}
+
+func (s *idSet) add(id int) {
+	w := uint(id) >> 6
+	for w >= uint(len(*s)) {
+		*s = append(*s, 0)
+	}
+	(*s)[w] |= 1 << (uint(id) & 63)
 }
 
 // Forkable reports whether this session carries the resumable state
@@ -63,12 +80,10 @@ func (g *Gen) Fork(extra []int) *Gen {
 	}
 	m := g.m
 	n := g.promptLen + len(extra)
-	ng := &Gen{m: m, promptLen: n, promptToks: make(map[int]bool, len(g.promptToks)+8)}
-	for id := range g.promptToks {
-		ng.promptToks[id] = true
-	}
+	ng := &Gen{m: m, promptLen: n, promptToks: slices.Clone(g.promptToks)}
 
-	// Clean text and copy-boost set advance over the suffix only.
+	// Clean text and copy-boost set advance over the suffix only. Ids
+	// outside the vocabulary are never boosted: no table predicts them.
 	var sb strings.Builder
 	sb.Grow(len(g.fork.cleanText) + 4*len(extra))
 	sb.WriteString(g.fork.cleanText)
@@ -78,8 +93,8 @@ func (g *Gen) Fork(extra []int) *Gen {
 		}
 		text := m.tok.Token(id)
 		sb.WriteString(text)
-		if isContentToken(text) {
-			ng.promptToks[id] = true
+		if isContentToken(text) && uint(id) < uint(m.tok.VocabSize()) {
+			ng.promptToks.add(id)
 		}
 	}
 	cleanText := sb.String()
@@ -157,7 +172,7 @@ func codeyLine(s string) bool {
 func (g *Gen) MemBytes() int64 {
 	b := int64(96) // struct, headers, trie bookkeeping
 	b += int64(len(g.seeds)) * 8
-	b += int64(len(g.promptToks)) * 16
+	b += int64(len(g.promptToks)) * 8
 	b += int64(len(g.codePos))
 	if g.fork != nil {
 		b += int64(len(g.fork.cleanText)) + int64(len(g.fork.pendingLine)) + 48

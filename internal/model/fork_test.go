@@ -3,7 +3,7 @@ package model
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/tokenizer"
@@ -25,13 +25,8 @@ func genEquiv(t *testing.T, got, want *Gen, id string) {
 			t.Fatalf("%s: seed %d is %d, want %d", id, i, got.seeds[i], want.seeds[i])
 		}
 	}
-	if len(got.promptToks) != len(want.promptToks) {
-		t.Fatalf("%s: %d prompt toks, want %d", id, len(got.promptToks), len(want.promptToks))
-	}
-	for tok := range want.promptToks {
-		if !got.promptToks[tok] {
-			t.Fatalf("%s: prompt tok %d missing", id, tok)
-		}
+	if !slices.Equal(got.promptToks, want.promptToks) {
+		t.Fatalf("%s: prompt toks %x, want %x", id, got.promptToks, want.promptToks)
 	}
 	if len(got.codePos) != len(want.codePos) {
 		t.Fatalf("%s: codePos len %d, want %d", id, len(got.codePos), len(want.codePos))
@@ -63,13 +58,8 @@ func genFingerprint(g *Gen) uint64 {
 	for _, s := range g.seeds {
 		fmt.Fprintf(h, "s%d;", s)
 	}
-	toks := make([]int, 0, len(g.promptToks))
-	for tok := range g.promptToks {
-		toks = append(toks, tok)
-	}
-	sort.Ints(toks)
-	for _, tok := range toks {
-		fmt.Fprintf(h, "t%d;", tok)
+	for _, w := range g.promptToks {
+		fmt.Fprintf(h, "t%x;", w)
 	}
 	for _, b := range g.codePos {
 		fmt.Fprintf(h, "%v;", b)

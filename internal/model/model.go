@@ -2,7 +2,9 @@ package model
 
 import (
 	"math"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/frag"
 	"repro/internal/tokenizer"
@@ -185,10 +187,19 @@ func (m *Model) NumHeads() int { return len(m.heads) }
 func (m *Model) TrainedExamples() int { return m.trained }
 
 // TrainMore ingests additional examples incrementally — the data-size
-// sweep of Table I trains once per subset boundary and keeps going.
+// sweep of Table I trains once per subset boundary and keeps going. The
+// tables are thawed into their training form for the call and frozen
+// again at its end.
 func (m *Model) TrainMore(examples []Example) {
+	tables := append([]*ngramTable{m.base, m.kw}, m.heads...)
+	for _, t := range tables {
+		t.thaw()
+	}
 	for _, ex := range examples {
 		m.trainOne(ex)
+	}
+	for _, t := range tables {
+		t.freeze()
 	}
 }
 
@@ -347,7 +358,7 @@ type Gen struct {
 	seeds     []uint64
 	// promptToks are content tokens present in the prompt, eligible
 	// for the copy boost.
-	promptToks map[int]bool
+	promptToks idSet
 	// codePos marks prompt token positions that lie on code-like lines
 	// (verbatim module headers in VGen-style prompts). Induction
 	// proposals from these positions may bypass the support gate.
@@ -434,28 +445,26 @@ const filterCap = 40
 // example-specific prose into long context levels).
 const promptAnchor = 4
 
-// filterTail returns the context view all tables are trained on: the
-// last filterCap non-FRAG tokens of seq, oldest first, with the
+// filterTail appends to dst the context view all tables are trained on:
+// the last filterCap non-FRAG tokens of seq, oldest first, with the
 // trailing run of FRAG markers (capped at 2) retained so fragment
 // open/close states remain distinguishable.
-func filterTail(seq []int) []int {
-	out := make([]int, 0, filterCap+2)
+func filterTail(dst, seq []int) []int {
 	trail := 0
 	for i := len(seq) - 1; i >= 0 && seq[i] == tokenizer.FragID && trail < 2; i-- {
 		trail++
 	}
-	for i := len(seq) - 1 - trailIdx(seq); i >= 0 && len(out) < filterCap; i-- {
+	start := len(dst)
+	for i := len(seq) - 1 - trailIdx(seq); i >= 0 && len(dst)-start < filterCap; i-- {
 		if seq[i] != tokenizer.FragID {
-			out = append(out, seq[i])
+			dst = append(dst, seq[i])
 		}
 	}
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
-	}
+	slices.Reverse(dst[start:])
 	for t := 0; t < trail; t++ {
-		out = append(out, tokenizer.FragID)
+		dst = append(dst, tokenizer.FragID)
 	}
-	return out
+	return dst
 }
 
 // trailIdx counts trailing FRAG markers (uncapped) on seq.
@@ -467,34 +476,59 @@ func trailIdx(seq []int) int {
 	return n
 }
 
-// clippedView returns the context view respecting the prompt clip.
-func (g *Gen) clippedView(seq []int) []int {
-	if g.clipOff || g.promptLen <= promptAnchor {
-		return filterTail(seq)
-	}
-	// Tokens before promptLen-promptAnchor are invisible to contexts.
-	lo := g.promptLen - promptAnchor
-	tail := seq[lo:]
-	return filterTail(tail)
+// scratch is one prediction call's working memory. It cannot live on
+// Gen, which the prefix trie shares across concurrent decodes, so each
+// Forward or BaseDist call takes one from scratchPool and returns it.
+type scratch struct {
+	view []int     // the filtered context view
+	tbl  []entry   // the distribution being built
+	kw   []entry   // one keyword expert's prediction
+	kwd  []float64 // per tbl entry: the keyword experts' best probability
+	out  []entry   // Forward's finished distributions, back to back
+	ends []int     // where each of them ends in out
 }
 
-// Forward runs one step of the model over seq (prompt + generated).
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// clippedView builds the context view respecting the prompt clip into
+// sc.view.
+func (g *Gen) clippedView(sc *scratch, seq []int) []int {
+	if !g.clipOff && g.promptLen > promptAnchor {
+		// Tokens before promptLen-promptAnchor are invisible to contexts.
+		seq = seq[g.promptLen-promptAnchor:]
+	}
+	sc.view = filterTail(sc.view[:0], seq)
+	return sc.view
+}
+
+// Forward runs one step of the model over seq (prompt + generated). All
+// the distributions it returns share one allocation.
 func (g *Gen) Forward(seq []int) Forward {
-	var fw Forward
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	matchJ, matchK := g.findInduction(seq)
-	fview := g.clippedView(seq)
-	fw.Base = g.baseAt(seq, fview, matchJ, matchK)
-	fw.Heads = make([]Dist, len(g.m.heads))
+	fview := g.clippedView(sc, seq)
+	sc.out = append(sc.out[:0], g.baseAt(sc, seq, fview, matchJ, matchK)...)
+	sc.ends = append(sc.ends[:0], len(sc.out))
 	for i, h := range g.m.heads {
-		fw.Heads[i] = g.distAt(h, seq, fview, matchJ, matchK, i+2)
+		sc.out = append(sc.out, g.distAt(sc, h, seq, fview, matchJ, matchK, i+2)...)
+		sc.ends = append(sc.ends, len(sc.out))
+	}
+	all := slices.Clone(sc.out)
+	fw := Forward{Base: Dist{e: all[:sc.ends[0]:sc.ends[0]]}, Heads: make([]Dist, len(g.m.heads))}
+	for i := range fw.Heads {
+		lo, hi := sc.ends[i], sc.ends[i+1]
+		fw.Heads[i] = Dist{e: all[lo:hi:hi]}
 	}
 	return fw
 }
 
 // BaseDist returns the base model's next-token distribution.
 func (g *Gen) BaseDist(seq []int) Dist {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	matchJ, matchK := g.findInduction(seq)
-	return g.baseAt(seq, g.clippedView(seq), matchJ, matchK)
+	return Dist{e: slices.Clone(g.baseAt(sc, seq, g.clippedView(sc, seq), matchJ, matchK))}
 }
 
 // kwFloor is the probability floor applied to the keyword expert so
@@ -502,9 +536,9 @@ func (g *Gen) BaseDist(seq []int) Dist {
 const kwFloor = 0.02
 
 // baseAt combines the base table with keyword conditioning (product of
-// experts) and the shared induction match.
-func (g *Gen) baseAt(seq, fview []int, matchJ, matchK int) Dist {
-	table := g.m.base.predict(fview)
+// experts) and the shared induction match. The result lives in sc.tbl.
+func (g *Gen) baseAt(sc *scratch, seq, fview []int, matchJ, matchK int) []entry {
+	table := g.m.base.predict(sc.tbl[:0], fview, 0)
 	// Strip trailing FRAG markers for the keyword view.
 	kwView := fview
 	for len(kwView) > 0 && kwView[len(kwView)-1] == tokenizer.FragID {
@@ -514,17 +548,26 @@ func (g *Gen) baseAt(seq, fview []int, matchJ, matchK int) Dist {
 		// Each token keeps its best supporting evidence across the
 		// prompt's keywords (max, not mean: averaging dilutes the one
 		// keyword that knows the answer with the many that don't).
-		kwd := map[int]float64{}
+		kwd := slices.Grow(sc.kwd[:0], len(table))[:len(table)]
+		clear(kwd)
+		sc.kwd = kwd
 		hits := 0
 		for _, seed := range g.seeds {
-			d := g.m.kw.predictSeeded(kwView, seed)
-			if len(d) == 0 {
+			sc.kw = g.m.kw.predict(sc.kw[:0], kwView, seed)
+			if len(sc.kw) == 0 {
 				continue
 			}
 			hits++
-			for id, p := range d {
-				if p > kwd[id] {
-					kwd[id] = p
+			i := 0 // both runs are id-sorted: one merge pass
+			for _, e := range sc.kw {
+				for i < len(table) && table[i].id < e.id {
+					i++
+				}
+				if i == len(table) {
+					break
+				}
+				if table[i].id == e.id && e.v > kwd[i] {
+					kwd[i] = e.v
 				}
 			}
 		}
@@ -535,66 +578,69 @@ func (g *Gen) baseAt(seq, fview []int, matchJ, matchK int) Dist {
 			// machinery vs content) is its own to decide.
 			eta := g.m.cfg.PromptBlend
 			contentMass, newMass := 0.0, 0.0
-			for id, p := range table {
-				if tokenizer.IsSpecial(id) {
+			for i, e := range table {
+				if tokenizer.IsSpecial(int(e.id)) {
 					continue
 				}
-				contentMass += p
-				table[id] = p * math.Pow(kwFloor+kwd[id], eta)
-				newMass += table[id]
+				contentMass += e.v
+				table[i].v = e.v * math.Pow(kwFloor+kwd[i], eta)
+				newMass += table[i].v
 			}
 			if newMass > 0 {
 				scale := contentMass / newMass
-				for id := range table {
-					if !tokenizer.IsSpecial(id) {
-						table[id] *= scale
+				for i, e := range table {
+					if !tokenizer.IsSpecial(int(e.id)) {
+						table[i].v *= scale
 					}
 				}
 			}
 		}
 	}
 	g.copyBoost(table)
-	return g.finish(table, seq, matchJ, matchK, 1)
+	sc.tbl = g.finish(table, seq, matchJ, matchK, 1)
+	return sc.tbl
 }
 
 // copyBoost multiplies the probability of prompt content tokens — the
 // identifier-copying bias of instruction-tuned code models. Like the
 // keyword expert it is pool-preserving: boosted mass is taken from
 // other content tokens, never from structural machinery.
-func (g *Gen) copyBoost(table map[int]float64) {
+func (g *Gen) copyBoost(table []entry) {
 	boost := g.m.cfg.PromptCopyBoost
 	if boost <= 1 || len(g.promptToks) == 0 {
 		return
 	}
 	contentMass, newMass := 0.0, 0.0
 	changed := false
-	for id, p := range table {
-		if tokenizer.IsSpecial(id) {
+	for i, e := range table {
+		if tokenizer.IsSpecial(int(e.id)) {
 			continue
 		}
-		contentMass += p
-		if g.promptToks[id] {
-			table[id] = p * boost
+		contentMass += e.v
+		if g.promptToks.has(int(e.id)) {
+			table[i].v = e.v * boost
 			changed = true
 		}
-		newMass += table[id]
+		newMass += table[i].v
 	}
 	if !changed || newMass <= 0 {
 		return
 	}
 	scale := contentMass / newMass
-	for id := range table {
-		if !tokenizer.IsSpecial(id) {
-			table[id] *= scale
+	for i, e := range table {
+		if !tokenizer.IsSpecial(int(e.id)) {
+			table[i].v *= scale
 		}
 	}
 }
 
-// distAt blends a head table with the shared induction match.
-func (g *Gen) distAt(t *ngramTable, seq, fview []int, matchJ, matchK, offset int) Dist {
-	table := t.predict(fview)
+// distAt blends a head table with the shared induction match. The
+// result lives in sc.tbl.
+func (g *Gen) distAt(sc *scratch, t *ngramTable, seq, fview []int, matchJ, matchK, offset int) []entry {
+	table := t.predict(sc.tbl[:0], fview, 0)
 	g.copyBoost(table)
-	return g.finish(table, seq, matchJ, matchK, offset)
+	sc.tbl = g.finish(table, seq, matchJ, matchK, offset)
+	return sc.tbl
 }
 
 // inductionSupportGate is the minimum table probability an induction
@@ -603,7 +649,9 @@ func (g *Gen) distAt(t *ngramTable, seq, fview []int, matchJ, matchK, offset int
 // the prompt verbatim.
 const inductionSupportGate = 0.005
 
-func (g *Gen) finish(table map[int]float64, seq []int, matchJ, matchK, offset int) Dist {
+// finish blends the induction proposal into an id-sorted table, in
+// place where it can, and returns the final distribution's entries.
+func (g *Gen) finish(table []entry, seq []int, matchJ, matchK, offset int) []entry {
 	if matchJ >= 0 && matchJ+offset < g.promptLen {
 		proposal := seq[matchJ+offset]
 		// For [FRAG]-trained models, induction proposals (which come
@@ -615,24 +663,34 @@ func (g *Gen) finish(table map[int]float64, seq []int, matchJ, matchK, offset in
 		if !tokenizer.IsSpecial(proposal) {
 			propText = g.m.tok.Token(proposal)
 		}
+		d := Dist{e: table}
 		fromCode := matchJ+offset < len(g.codePos) && g.codePos[matchJ+offset]
-		supported := table[proposal] >= inductionSupportGate ||
+		supported := d.Prob(proposal) >= inductionSupportGate ||
 			(fromCode && isContentOrCodePunct(propText))
-		if table[tokenizer.FragID] < 0.5 && supported && !isWhitespaceTok(propText) {
+		if d.Prob(tokenizer.FragID) < 0.5 && supported && !isWhitespaceTok(propText) {
 			// Confidence grows with match length: a minimal match
 			// mixes at CopyStrength, an 8-token match approaches
 			// certainty — long verbatim echoes of the prompt (module
 			// headers) must override sparse short-context table hits.
 			gw := 1 - math.Pow(1-g.m.cfg.CopyStrength, float64(matchK-1)/2)
-			props := map[int]float64{proposal: 1}
-			return Dist{P: mix(table, props, gw)}
+			// Mix (1-gw)·table + gw·[proposal], normalized.
+			for i := range table {
+				table[i].v = (1 - gw) * table[i].v
+			}
+			if i, ok := d.find(proposal); ok {
+				table[i].v += gw
+			} else {
+				table = slices.Insert(table, i, entry{int32(proposal), gw})
+			}
+			normalize(table)
+			return table
 		}
 	}
 	if len(table) == 0 {
 		// Cold start: escape to <eos> so generation terminates.
-		return Dist{P: map[int]float64{tokenizer.EosID: 1}}
+		return append(table, entry{tokenizer.EosID, 1})
 	}
-	return Dist{P: table}
+	return table
 }
 
 // findInduction locates the longest (k >= minInduction) re-occurrence
@@ -687,13 +745,6 @@ func (m *Model) BaseDist(seq []int) Dist {
 	return g.BaseDist(seq)
 }
 
-// HeadDist is the session-free analogue of BaseDist for head i.
-func (m *Model) HeadDist(i int, seq []int) Dist {
-	g := &Gen{m: m, promptLen: len(seq), clipOff: true}
-	matchJ, matchK := g.findInduction(seq)
-	return g.distAt(m.heads[i], seq, filterTail(seq), matchJ, matchK, i+2)
-}
-
 // Forward is a session-free convenience wrapper (tests/tools).
 func (m *Model) Forward(seq []int) Forward {
 	g := &Gen{m: m, promptLen: len(seq), clipOff: true}
@@ -715,9 +766,3 @@ func (g *Gen) Tokenizer() *tokenizer.Tokenizer { return g.m.tok }
 
 // KwDF exposes a keyword's document frequency (diagnostics).
 func (m *Model) KwDF(w string) int { return m.kwDF[w] }
-
-// KwDist exposes the keyword-conditioned prediction for a sequence
-// (diagnostics for tools).
-func (m *Model) KwDist(seq []int, w string) Dist {
-	return Dist{P: m.kw.predictSeeded(filterTail(seq), kwSeed(w))}
-}

@@ -1,7 +1,10 @@
 package model
 
 import (
+	"maps"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,7 +70,7 @@ func smallCfg() Config {
 }
 
 func TestDistBasics(t *testing.T) {
-	d := Dist{P: map[int]float64{7: 0.5, 8: 0.3, 9: 0.2}}
+	d := NewDist(map[int]float64{7: 0.5, 8: 0.3, 9: 0.2})
 	if d.Argmax() != 7 {
 		t.Fatalf("Argmax = %d", d.Argmax())
 	}
@@ -89,7 +92,7 @@ func TestDistBasics(t *testing.T) {
 }
 
 func TestSampleProperty(t *testing.T) {
-	d := Dist{P: map[int]float64{1: 0.25, 2: 0.25, 3: 0.5}}
+	d := NewDist(map[int]float64{1: 0.25, 2: 0.25, 3: 0.5})
 	f := func(u float64, temp float64) bool {
 		u = math.Abs(u)
 		u -= math.Floor(u) // into [0,1)
@@ -101,6 +104,48 @@ func TestSampleProperty(t *testing.T) {
 		return id >= 1 && id <= 3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDistMatchesSortedDefinitions pins TopK's partial selection,
+// Argmax and Sample to their definitions over the fully sorted support,
+// on distributions with many exact ties.
+func TestDistMatchesSortedDefinitions(t *testing.T) {
+	f := func(raw []uint8, u float64, k uint8) bool {
+		p := map[int]float64{}
+		for i, r := range raw {
+			p[i*3%50] = float64(r%4+1) / 8 // few distinct values: ties
+		}
+		d := NewDist(p)
+		ids := slices.Sorted(maps.Keys(p))
+		byProb := slices.Clone(ids)
+		sort.SliceStable(byProb, func(i, j int) bool { return p[byProb[i]] > p[byProb[j]] })
+		n := min(int(k%8), len(ids))
+		if !slices.Equal(d.TopK(int(k%8)), byProb[:n]) {
+			return false
+		}
+		if len(ids) > 0 && d.Argmax() != byProb[0] {
+			return false
+		}
+		if len(ids) == 0 {
+			return d.Argmax() == -1 && len(d.TopK(3)) == 0
+		}
+		u = math.Abs(u) - math.Floor(math.Abs(u))
+		total := 0.0
+		for _, id := range ids {
+			total += math.Pow(p[id], 1/0.7)
+		}
+		want, acc := ids[len(ids)-1], 0.0
+		for _, id := range ids {
+			if acc += math.Pow(p[id], 1/0.7); u*total < acc {
+				want = id
+				break
+			}
+		}
+		return d.Sample(0.7, u) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,7 +202,7 @@ func TestJointTrainingPollutesBase(t *testing.T) {
 			promptLen := len(ids)
 			ids = append(ids, encode(ex.Code)...)
 			for p := promptLen + 20; p < len(ids); p += 3 {
-				total += entropyOf(m.base.predict(filterTail(ids[:p])))
+				total += Dist{e: m.base.predict(nil, filterTail(nil, ids[:p]), 0)}.Entropy()
 				n++
 			}
 		}
@@ -190,17 +235,6 @@ func TestJointTrainingPollutesBase(t *testing.T) {
 	if hOurs >= hNoMask {
 		t.Fatalf("masked labels should clean the backbone: ours=%f nomask=%f", hOurs, hNoMask)
 	}
-}
-
-// entropyOf is a test helper over raw probability maps.
-func entropyOf(p map[int]float64) float64 {
-	h := 0.0
-	for _, v := range p {
-		if v > 0 {
-			h -= v * math.Log(v)
-		}
-	}
-	return h
 }
 
 func TestInductionCopyEchoesHeader(t *testing.T) {
@@ -236,12 +270,12 @@ func TestForwardShape(t *testing.T) {
 	if len(fw.Heads) != 10 {
 		t.Fatalf("heads = %d", len(fw.Heads))
 	}
-	if len(fw.Base.P) == 0 {
+	if len(fw.Base.e) == 0 {
 		t.Fatal("empty base distribution")
 	}
 	sum := 0.0
-	for _, p := range fw.Base.P {
-		sum += p
+	for _, e := range fw.Base.e {
+		sum += e.v
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("base distribution sums to %f", sum)
@@ -265,14 +299,45 @@ func TestTrainMoreIncremental(t *testing.T) {
 	}
 }
 
+// sameForward fails unless two forward passes agree bit for bit on
+// every entry of the base and every head distribution.
+func sameForward(t *testing.T, what string, a, b Forward) {
+	t.Helper()
+	same := func(x, y Dist) bool {
+		return slices.EqualFunc(x.e, y.e, func(p, q entry) bool {
+			return p.id == q.id && math.Float64bits(p.v) == math.Float64bits(q.v)
+		})
+	}
+	if !same(a.Base, b.Base) {
+		t.Fatalf("%s: base distributions differ", what)
+	}
+	if len(a.Heads) != len(b.Heads) {
+		t.Fatalf("%s: %d heads vs %d", what, len(a.Heads), len(b.Heads))
+	}
+	for i := range a.Heads {
+		if !same(a.Heads[i], b.Heads[i]) {
+			t.Fatalf("%s: head %d distributions differ", what, i)
+		}
+	}
+}
+
+// TestNgramDeterminism: two trainings on the same data, and repeated
+// calls on one model, give bitwise-identical Forward passes on every
+// context of the fixture's decodes. Every sum over a distribution runs
+// in ascending id order, so nothing rests on map iteration order.
 func TestNgramDeterminism(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
 	a := Train(tk, smallCfg(), SchemeOurs, trainExamples)
 	b := Train(tk, smallCfg(), SchemeOurs, trainExamples)
-	seq := tk.Encode(FormatPrompt("Create an 8-bit counter with synchronous reset."))
-	da, db := a.BaseDist(seq), b.BaseDist(seq)
-	if da.Argmax() != db.Argmax() || math.Abs(da.Entropy()-db.Entropy()) > 1e-12 {
-		t.Fatal("training is not deterministic")
+	gens, seqs := decodeContexts(a)
+	for i, seq := range seqs {
+		want := gens[i].Forward(seq)
+		sameForward(t, "retrained", want, b.NewGen(seq[:gens[i].promptLen]).Forward(seq))
+		if i%7 == 0 {
+			for r := 0; r < 20; r++ {
+				sameForward(t, "repeat call", want, gens[i].Forward(seq))
+			}
+		}
 	}
 }
 

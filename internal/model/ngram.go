@@ -1,21 +1,109 @@
 package model
 
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
+
 // ngramTable is a set of context→successor count tables over a ladder
 // of context lengths. Short lengths are dense (0,1,2,3,4); longer
 // reaches use a skip ladder (6, 8, 12, 16) so the table can span a
 // whole module header without storing every intermediate order.
 // Counts are float64 so weighted (joint-training interference) updates
 // compose cleanly with ordinary observations.
+//
+// A table has two forms. During a TrainMore call each level is a tally,
+// cheap to update (counts). At the end of the call every level is
+// frozen into flat, pointer-free arrays (frozen) and its tally dropped,
+// so the garbage collector never walks a trained model; prediction reads
+// only the frozen form. The next TrainMore thaws the arrays back into
+// tallies with every count and total exactly as they were, so training
+// in several calls equals training in one.
 type ngramTable struct {
 	levels []int // ascending context lengths
-	// orders[i] maps a hash of the last levels[i] tokens to successors.
-	orders []map[uint64]*succ
+	// counts[i] tallies level i's observations; nil outside TrainMore.
+	counts []tally
+	// frozen[i] is level i compiled; empty during TrainMore.
+	frozen []level
 }
 
-// succ is a successor distribution under one context.
+// tally is one level in training form: the contexts in order of first
+// observation, indexed by the hash of their last levels[i] tokens.
+type tally struct {
+	index   map[uint64]int32 // context hash → position in ctxs
+	ctxs    []succ
+	entries int // successor entries over all ctxs
+}
+
+func newTally(ctxs int) tally {
+	return tally{index: make(map[uint64]int32, ctxs), ctxs: make([]succ, 0, ctxs)}
+}
+
+// succ is one context's successor counts and their total. Most contexts
+// have one or two successors, so the counts are a short run searched
+// linearly; an id index is built only once the run outgrows linearMax.
 type succ struct {
-	total  float64
-	counts map[int]float64
+	key   uint64
+	total float64
+	run   []entry
+	index map[int32]int32 // id → position in run; nil while short
+}
+
+const linearMax = 16
+
+// add counts one observation of id, reporting whether id is new here.
+func (s *succ) add(id int32, weight float64) bool {
+	s.total += weight
+	if s.index == nil {
+		for j := range s.run {
+			if s.run[j].id == id {
+				s.run[j].v += weight
+				return false
+			}
+		}
+	} else if j, ok := s.index[id]; ok {
+		s.run[j].v += weight
+		return false
+	}
+	s.run = append(s.run, entry{id, weight})
+	if s.index != nil {
+		s.index[id] = int32(len(s.run) - 1)
+	}
+	s.indexIfLong()
+	return true
+}
+
+// indexIfLong builds the id index once the run outgrows linearMax.
+func (s *succ) indexIfLong() {
+	if s.index != nil || len(s.run) <= linearMax {
+		return
+	}
+	s.index = make(map[int32]int32, 2*len(s.run))
+	for j, e := range s.run {
+		s.index[e.id] = int32(j)
+	}
+}
+
+// level is one ladder level frozen: open-addressed context records
+// (linear probing from a Fibonacci hash, load at most 1/2) over one slab
+// holding each context's successor counts as a run sorted by id. Runs
+// and slot insertions follow the order of first observation, so the
+// layout is a function of the training data alone.
+type level struct {
+	slots []slot
+	shift uint // 64 − log2(len(slots))
+	slab  []entry
+	ctxs  int // occupied slots
+}
+
+// slot is one context record: its hash, total count and successor run
+// slab[start:start+n]. n == 0 marks an empty slot (an observed context
+// always has a successor).
+type slot struct {
+	key      uint64
+	total    float64
+	start, n int32
 }
 
 // ladder returns the context-length ladder for a maximum reach.
@@ -32,13 +120,12 @@ func ladder(maxCtx int) []int {
 	return out
 }
 
+// maxLevels is the longest ladder (ladder(16)).
+const maxLevels = 9
+
 func newNgramTable(maxCtx int) *ngramTable {
-	t := &ngramTable{levels: ladder(maxCtx)}
-	t.orders = make([]map[uint64]*succ, len(t.levels))
-	for i := range t.orders {
-		t.orders[i] = map[uint64]*succ{}
-	}
-	return t
+	levels := ladder(maxCtx)
+	return &ngramTable{levels: levels, frozen: make([]level, len(levels))}
 }
 
 // ctxHash hashes the last k elements of ctx (FNV-1a over token ids),
@@ -78,14 +165,111 @@ func (t *ngramTable) addRange(ctx []int, next int, weight float64, loK int, seed
 			continue
 		}
 		h := ctxHash(ctx, k, seed)
-		s := t.orders[i][h]
-		if s == nil {
-			s = &succ{counts: map[int]float64{}}
-			t.orders[i][h] = s
+		c := &t.counts[i]
+		n, ok := c.index[h]
+		if !ok {
+			n = int32(len(c.ctxs))
+			c.index[h] = n
+			c.ctxs = append(c.ctxs, succ{key: h})
 		}
-		s.counts[next] += weight
-		s.total += weight
+		if c.ctxs[n].add(int32(next), weight) {
+			c.entries++
+		}
 	}
+}
+
+// thaw turns the frozen levels back into tallies, releasing each level's
+// arrays as its tally is built.
+func (t *ngramTable) thaw() {
+	t.counts = make([]tally, len(t.levels))
+	for i := range t.frozen {
+		t.counts[i] = t.frozen[i].thaw()
+		t.frozen[i] = level{}
+	}
+}
+
+// freeze compiles the tallies, dropping each level's tally once compiled
+// so the two forms of the whole table never coexist.
+func (t *ngramTable) freeze() {
+	for i := range t.counts {
+		t.frozen[i] = freezeLevel(t.counts[i])
+		t.counts[i] = tally{}
+	}
+	t.counts = nil
+}
+
+// fibMul is 2^64/φ: multiplying by it spreads the hash's entropy into
+// the top bits, which index the slots.
+const fibMul = 0x9E3779B97F4A7C15
+
+func (l *level) home(key uint64) int { return int((key * fibMul) >> l.shift) }
+
+// find returns the record of the context hashing to key, or nil.
+func (l *level) find(key uint64) *slot {
+	if len(l.slots) == 0 {
+		return nil
+	}
+	mask := len(l.slots) - 1
+	for i := l.home(key); ; i = (i + 1) & mask {
+		s := &l.slots[i]
+		if s.n == 0 {
+			return nil
+		}
+		if s.key == key {
+			return s
+		}
+	}
+}
+
+func freezeLevel(c tally) level {
+	var l level
+	if len(c.ctxs) == 0 {
+		return l
+	}
+	l.slab = make([]entry, 0, c.entries)
+	b := bits.Len(uint(2*len(c.ctxs) - 1)) // 2^b >= 2·len(ctxs)
+	l.slots = make([]slot, 1<<b)
+	l.shift = uint(64 - b)
+	l.ctxs = len(c.ctxs)
+	mask := len(l.slots) - 1
+	for _, s := range c.ctxs {
+		start := len(l.slab)
+		l.slab = append(l.slab, s.run...)
+		run := l.slab[start:]
+		slices.SortFunc(run, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+		i := l.home(s.key)
+		for l.slots[i].n != 0 {
+			i = (i + 1) & mask
+		}
+		l.slots[i] = slot{key: s.key, total: s.total, start: int32(start), n: int32(len(run))}
+	}
+	return l
+}
+
+// thaw rebuilds the level's tally, counts and totals bit for bit and
+// contexts in their order of first observation, so a refreeze reproduces
+// the level exactly.
+func (l *level) thaw() tally {
+	c := newTally(l.ctxs)
+	c.entries = len(l.slab)
+	// Runs lie in the slab in order of first observation: visiting them
+	// by start restores it.
+	at := make([]int32, len(l.slab)) // 1 + the slot whose run starts here
+	for i, s := range l.slots {
+		if s.n != 0 {
+			at[s.start] = int32(i) + 1
+		}
+	}
+	for _, i := range at {
+		if i == 0 {
+			continue
+		}
+		s := l.slots[i-1]
+		c.index[s.key] = int32(len(c.ctxs))
+		c.ctxs = append(c.ctxs, succ{key: s.key, total: s.total, run: slices.Clone(l.slab[s.start : s.start+s.n])})
+		c.ctxs[len(c.ctxs)-1].indexIfLong()
+	}
+	return c
 }
 
 // wbScale tempers the Witten-Bell novelty estimate: a level with total
@@ -96,58 +280,72 @@ func (t *ngramTable) addRange(ctx []int, next int, weight float64, loK int, seed
 // cannot leak into sharp predictions.
 const wbScale = 0.15
 
-// predict builds the interpolated distribution for the next token given
-// ctx, using tempered Witten-Bell confidence at each ladder level.
-func (t *ngramTable) predict(ctx []int) map[int]float64 {
-	return t.predictSeeded(ctx, 0)
-}
-
-func (t *ngramTable) predictSeeded(ctx []int, seed uint64) map[int]float64 {
-	out := map[int]float64{}
+// predict appends to dst the interpolated distribution for the next
+// token given ctx, using tempered Witten-Bell confidence at each ladder
+// level (seed selects a keyword-conditioned table; 0 the plain one).
+// The appended run is sorted by id and normalized in ascending id order;
+// each id's mass is summed over the levels longest context first, the
+// order the backoff walk visits them, so every value is reproducible
+// bit for bit.
+func (t *ngramTable) predict(dst []entry, ctx []int, seed uint64) []entry {
+	// The backoff walk picks the contributing levels, longest first.
+	var runs [maxLevels][]entry
+	var scale, totals [maxLevels]float64
+	n := 0
 	weight := 1.0
 	for i := len(t.levels) - 1; i >= 0; i-- {
 		k := t.levels[i]
 		if k > len(ctx) {
 			continue
 		}
-		s := t.orders[i][ctxHash(ctx, k, seed)]
+		l := &t.frozen[i]
+		s := l.find(ctxHash(ctx, k, seed))
 		if s == nil || s.total <= 0 {
 			continue
 		}
-		keep := s.total / (s.total + wbScale*float64(len(s.counts)))
+		keep := s.total / (s.total + wbScale*float64(s.n))
 		if k == 0 {
 			keep = 1 // terminal level keeps all remaining mass
 		}
-		for id, c := range s.counts {
-			out[id] += weight * keep * (c / s.total)
-		}
+		runs[n], scale[n], totals[n] = l.slab[s.start:s.start+s.n], weight*keep, s.total
+		n++
 		weight *= 1 - keep
 		if weight < 1e-9 {
 			break
 		}
 	}
-	normalize(out)
-	return out
-}
-
-// seen reports whether the longest fitting ladder context was observed.
-func (t *ngramTable) seen(ctx []int) bool {
-	for i := len(t.levels) - 1; i >= 0; i-- {
-		k := t.levels[i]
-		if k > len(ctx) {
-			continue
+	// Merge the id-sorted runs.
+	start := len(dst)
+	for {
+		var next int32
+		found := false
+		for _, r := range runs[:n] {
+			if len(r) > 0 && (!found || r[0].id < next) {
+				next, found = r[0].id, true
+			}
 		}
-		return t.orders[i][ctxHash(ctx, k, 0)] != nil
+		if !found {
+			break
+		}
+		acc := 0.0
+		for j, r := range runs[:n] {
+			if len(r) > 0 && r[0].id == next {
+				acc += scale[j] * (r[0].v / totals[j])
+				runs[j] = r[1:]
+			}
+		}
+		dst = append(dst, entry{next, acc})
 	}
-	return false
+	normalize(dst[start:])
+	return dst
 }
 
 // size returns the total number of distinct contexts across levels
 // (used by tests and diagnostics).
 func (t *ngramTable) size() int {
 	n := 0
-	for _, m := range t.orders {
-		n += len(m)
+	for _, l := range t.frozen {
+		n += l.ctxs
 	}
 	return n
 }

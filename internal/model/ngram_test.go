@@ -1,0 +1,270 @@
+package model
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/tokenizer"
+)
+
+// refTable is the map form the frozen tables replaced, kept as the
+// reference predictor: per level, context hash → successor counts.
+type refTable struct {
+	levels []int
+	orders []map[uint64]*refSucc
+}
+
+type refSucc struct {
+	total  float64
+	counts map[int]float64
+}
+
+func newRefTable(maxCtx int) *refTable {
+	r := &refTable{levels: ladder(maxCtx)}
+	for range r.levels {
+		r.orders = append(r.orders, map[uint64]*refSucc{})
+	}
+	return r
+}
+
+func (r *refTable) addRange(ctx []int, next int, weight float64, loK int, seed uint64) {
+	for i, k := range r.levels {
+		if k > len(ctx) || k < loK {
+			continue
+		}
+		h := ctxHash(ctx, k, seed)
+		s := r.orders[i][h]
+		if s == nil {
+			s = &refSucc{counts: map[int]float64{}}
+			r.orders[i][h] = s
+		}
+		s.counts[next] += weight
+		s.total += weight
+	}
+}
+
+// refOf rebuilds the reference form from a table's tallies.
+func refOf(t *ngramTable) *refTable {
+	r := &refTable{levels: t.levels}
+	for _, c := range t.counts {
+		m := map[uint64]*refSucc{}
+		for _, s := range c.ctxs {
+			counts := map[int]float64{}
+			for _, e := range s.run {
+				counts[int(e.id)] = e.v
+			}
+			m[s.key] = &refSucc{total: s.total, counts: counts}
+		}
+		r.orders = append(r.orders, m)
+	}
+	return r
+}
+
+// predict is the map predictor, normalized in ascending id order.
+// fractional reports whether a contributing context carried a
+// non-integer count — joint-training pollution.
+func (r *refTable) predict(ctx []int, seed uint64) (out map[int]float64, fractional bool) {
+	out = map[int]float64{}
+	weight := 1.0
+	for i := len(r.levels) - 1; i >= 0; i-- {
+		k := r.levels[i]
+		if k > len(ctx) {
+			continue
+		}
+		s := r.orders[i][ctxHash(ctx, k, seed)]
+		if s == nil || s.total <= 0 {
+			continue
+		}
+		keep := s.total / (s.total + wbScale*float64(len(s.counts)))
+		if k == 0 {
+			keep = 1
+		}
+		for id, c := range s.counts {
+			out[id] += weight * keep * (c / s.total)
+			fractional = fractional || c != math.Trunc(c)
+		}
+		weight *= 1 - keep
+		if weight < 1e-9 {
+			break
+		}
+	}
+	ids := slices.Sorted(maps.Keys(out))
+	total := 0.0
+	for _, id := range ids {
+		total += out[id]
+	}
+	if total > 0 {
+		for _, id := range ids {
+			out[id] /= total
+		}
+	}
+	return out, fractional
+}
+
+// sameAsRef fails unless the frozen prediction equals the reference bit
+// for bit.
+func sameAsRef(t *testing.T, what string, got []entry, want map[int]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: support %d, reference %d", what, len(got), len(want))
+	}
+	for i, e := range got {
+		w, ok := want[int(e.id)]
+		if !ok || math.Float64bits(e.v) != math.Float64bits(w) || (i > 0 && got[i-1].id >= e.id) {
+			t.Fatalf("%s: entry %d = (%d, %v), reference %v (present %v)", what, i, e.id, e.v, w, ok)
+		}
+	}
+}
+
+// trainWithRef trains like Train and also returns every table's
+// tallies, taken just before the freeze, in reference form.
+func trainWithRef(tk *tokenizer.Tokenizer, scheme Scheme, examples []Example) (*Model, map[*ngramTable]*refTable) {
+	m := New(tk, smallCfg(), scheme)
+	tables := append([]*ngramTable{m.base, m.kw}, m.heads...)
+	for _, t := range tables {
+		t.thaw()
+	}
+	for _, ex := range examples {
+		m.trainOne(ex)
+	}
+	ref := map[*ngramTable]*refTable{}
+	for _, t := range tables {
+		ref[t] = refOf(t)
+		t.freeze()
+	}
+	return m, ref
+}
+
+// decodeContexts returns each fixture prompt's session and every prefix
+// of its greedy base-only decode (the contexts the golden decodes see).
+func decodeContexts(m *Model) (gens []*Gen, seqs [][]int) {
+	for _, ex := range trainExamples {
+		prompt := CanonicalPromptIDs(m.tok, ex.Prompt)
+		g := m.NewGen(prompt)
+		seq := slices.Clone(prompt)
+		for len(seq) < len(prompt)+150 {
+			gens, seqs = append(gens, g), append(seqs, slices.Clone(seq))
+			next := g.BaseDist(seq).Argmax()
+			if next == tokenizer.EosID {
+				break
+			}
+			seq = append(seq, next)
+		}
+	}
+	return gens, seqs
+}
+
+// TestFrozenMatchesReference runs the frozen predictor and the map
+// reference over every context of the fixture's greedy decodes, for the
+// base table, every head and every keyword seed of the session.
+func TestFrozenMatchesReference(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	for _, scheme := range []Scheme{SchemeNTP, SchemeMedusa, SchemeOurs} {
+		m, ref := trainWithRef(tk, scheme, trainExamples)
+		gens, seqs := decodeContexts(m)
+		sc := new(scratch)
+		kwHits, polluted := 0, 0
+		for i, seq := range seqs {
+			g := gens[i]
+			view := g.clippedView(sc, seq)
+			want, frac := ref[m.base].predict(view, 0)
+			sameAsRef(t, scheme.String()+" base", m.base.predict(nil, view, 0), want)
+			if frac {
+				polluted++
+			}
+			for h, head := range m.heads {
+				want, _ := ref[head].predict(view, 0)
+				sameAsRef(t, fmt.Sprintf("%v head %d", scheme, h), head.predict(nil, view, 0), want)
+			}
+			kwView := view
+			for len(kwView) > 0 && kwView[len(kwView)-1] == tokenizer.FragID {
+				kwView = kwView[:len(kwView)-1]
+			}
+			for _, seed := range g.seeds {
+				want, _ := ref[m.kw].predict(kwView, seed)
+				sameAsRef(t, scheme.String()+" keyword", m.kw.predict(nil, kwView, seed), want)
+				if len(want) > 0 {
+					kwHits++
+				}
+			}
+		}
+		t.Logf("%v: %d contexts, %d keyword predictions, %d base predictions over polluted counts", scheme, len(seqs), kwHits, polluted)
+		if kwHits == 0 {
+			t.Errorf("%v: no keyword-seeded prediction was compared", scheme)
+		}
+		if scheme != SchemeNTP && polluted == 0 {
+			t.Errorf("%v: no prediction read a polluted long level", scheme)
+		}
+	}
+}
+
+// TestTrainMoreRefreeze: training in two calls, with a thaw and refreeze
+// between them, builds exactly the model one call builds.
+func TestTrainMoreRefreeze(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	var examples []Example
+	for i := 0; i < 4; i++ {
+		examples = append(examples, trainExamples...)
+	}
+	whole := Train(tk, smallCfg(), SchemeOurs, examples)
+	split := Train(tk, smallCfg(), SchemeOurs, examples[:5])
+	split.TrainMore(examples[5:])
+	if !reflect.DeepEqual(whole, split) {
+		t.Fatal("Train(a∪b) and Train(a)+TrainMore(b) built different models")
+	}
+	gens, seqs := decodeContexts(whole)
+	for i, seq := range seqs {
+		sameForward(t, "split", gens[i].Forward(seq), split.NewGen(seq[:gens[i].promptLen]).Forward(seq))
+	}
+}
+
+// FuzzFrozenTable feeds weighted observations (any loK, three seeds) to
+// a table and to the map reference. Each 4-byte group is one
+// observation: the next token, its weight, loK and the seed; the context
+// is everything observed before it. The frozen predictor must equal the
+// reference on every context, thawing must restore the reference's
+// counts exactly, and thaw→refreeze must rebuild the same arrays.
+func FuzzFrozenTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 7, 0, 0, 2, 7, 0, 0, 1, 7, 0, 0, 2, 7, 0, 0})              // a repeating pair
+	f.Add([]byte{3, 1, 5, 0, 3, 2, 5, 1, 4, 3, 6, 2, 3, 15, 0, 0, 4, 9, 2, 1}) // pollution-only long levels, seeds
+	f.Add([]byte{0, 0, 0, 0, 11, 255, 255, 255, 0, 0, 0, 0, 11, 255, 255, 255})
+	seeds := []uint64{0, 7, 0xdeadbeef}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxCtx = 6
+		tbl, ref := newNgramTable(maxCtx), newRefTable(maxCtx)
+		tbl.thaw()
+		var hist []int
+		for i := 0; i+4 <= len(data) && i < 4*256; i += 4 {
+			next := int(data[i] % (2 * linearMax)) // short and indexed runs
+			weight := float64(data[i+1]%16+1) / 8
+			loK := int(data[i+2] % 8)
+			seed := seeds[int(data[i+3])%len(seeds)]
+			ctx := hist[max(0, len(hist)-8):]
+			tbl.addRange(ctx, next, weight, loK, seed)
+			ref.addRange(ctx, next, weight, loK, seed)
+			hist = append(hist, next)
+		}
+		tbl.freeze()
+		for p := 0; p <= len(hist); p++ {
+			ctx := hist[max(0, p-8):p]
+			for _, seed := range seeds {
+				want, _ := ref.predict(ctx, seed)
+				sameAsRef(t, "frozen", tbl.predict(nil, ctx, seed), want)
+			}
+		}
+		frozen := slices.Clone(tbl.frozen)
+		tbl.thaw()
+		if thawed := refOf(tbl); !reflect.DeepEqual(thawed, ref) {
+			t.Fatal("thaw did not restore the training counts")
+		}
+		tbl.freeze()
+		if !reflect.DeepEqual(frozen, tbl.frozen) {
+			t.Fatal("thaw→refreeze changed the frozen table")
+		}
+	})
+}

@@ -95,20 +95,10 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 		}
 		defer wg.Wait()
 		defer cancel()
-		waitFor := func(what string, ok func() bool) {
-			t.Helper()
-			deadline := time.Now().Add(5 * time.Second)
-			for !ok() && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if !ok() {
-				t.Fatal(what)
-			}
-		}
 		submit(0)
-		waitFor("first request never reached the batch", func() bool { return e.Metrics().SchedRunning == 1 })
+		waitFor(t, "first request never reached the batch", func() bool { return e.Metrics().SchedRunning == 1 })
 		submit(1)
-		waitFor("queue never saturated", func() bool { return e.QueueDepth() == 1 })
+		waitFor(t, "queue never saturated", func() bool { return e.QueueDepth() == 1 })
 		resp := postBody(t, ts.URL, "full-echo-1", map[string]any{"prompt": prompts[1], "seed": 100})
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d from a saturated queue, want 503", resp.StatusCode)
@@ -167,6 +157,19 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 	})
 }
 
+// waitFor polls ok for up to 5 s and fails the test with what if it
+// never holds.
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !ok() {
+		t.Fatal(what)
+	}
+}
+
 // TestSpanTreeShape: the recorded span tree of a preempted request has
 // the canonical shape — request root, queue span, decode span with
 // park spans nested under it — and the response reports its queue_ms.
@@ -174,12 +177,27 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 // from sweep workers against debug-endpoint snapshots.
 func TestSpanTreeShape(t *testing.T) {
 	m, prompts := fixture(t)
+	// The step hook holds the first decode in its first sweep until the
+	// second request waits behind it, so the two overlap however fast a
+	// decode is.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
 	e := NewEngine(m, Config{Workers: 1, MaxBatch: 1,
-		PreemptQuantum: 1, CacheSize: -1, NoDedup: true})
+		PreemptQuantum: 1, CacheSize: -1, NoDedup: true,
+		StepFault: func(ctx context.Context) error {
+			select {
+			case <-release:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}})
 	defer e.Close()
 	tracer := trace.New(trace.Config{})
 	ts := httptest.NewServer(NewServer(e).WithTracer(tracer).Handler())
 	defer ts.Close()
+	defer open()
 
 	// Two concurrent decodes against one batch slot with a 1-sweep
 	// quantum: whichever holds the slot parks as soon as the other
@@ -203,7 +221,12 @@ func TestSpanTreeShape(t *testing.T) {
 			_ = json.NewDecoder(resp.Body).Decode(&out)
 			queueMS[i] = out.QueueMS
 		}(i, id)
+		if i == 0 {
+			waitFor(t, "first request never reached the batch", func() bool { return e.Metrics().SchedRunning == 1 })
+		}
 	}
+	waitFor(t, "second request never queued", func() bool { return e.QueueDepth() == 1 })
+	open()
 	wg.Wait()
 	for i, id := range ids {
 		if status[i] != http.StatusOK {

@@ -622,11 +622,16 @@ func TestPrefixCacheModesByteIdentical(t *testing.T) {
 	run := func(mode string) []*Response {
 		eng := NewEngine(m, Config{Workers: 2, CacheSize: -1, PrefixCacheMode: mode})
 		defer eng.Close()
-		reqs := make([]Request, len(workload))
+		// One at a time, so the trie's contents at each lookup are fixed:
+		// the second stem prompt finds the stem the first one shares.
+		resps := make([]*Response, len(workload))
 		for i, p := range workload {
-			reqs[i] = Request{Prompt: p, Options: testOptions(int64(i))}
+			resp, err := eng.Generate(context.Background(), Request{Prompt: p, Options: testOptions(int64(i))})
+			if err != nil {
+				t.Fatalf("%s request %d: %v", mode, i, err)
+			}
+			resps[i] = resp
 		}
-		resps := eng.GenerateBatch(context.Background(), reqs)
 		mt := eng.Metrics()
 		switch mode {
 		case PrefixCacheOff:
