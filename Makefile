@@ -98,11 +98,12 @@ chaos-gate:
 # kill/wedge/slow/error-rate across the replicas of a hedging, stealing,
 # breaker-guarded fleet while clients hammer it, alongside the
 # elasticity unit tier (breakers, hedges, stealing, autoscaling, drain,
-# rolling swap). The explicit -timeout turns a wedged dispatch into a
-# fast failure instead of a hung CI runner.
+# streamed requests that are never raced or replayed, batch items that
+# fail over). The explicit -timeout turns a wedged dispatch into a fast
+# failure instead of a hung CI runner.
 chaos-soak:
 	$(GO) test -race -shuffle=on -timeout 600s \
-		-run 'TestChaosChurnSoak|TestBreaker|TestHedge|TestSteal|TestAutoscale|TestDrain|TestRollingSwap|TestSwapUnknownModelRejected' \
+		-run 'TestChaosChurnSoak|TestBreaker|TestHedge|TestSteal|TestAutoscale|TestDrain|TestStreamedRequestNeverHedged|TestStreamedRequestFailsOverOnlyBeforeFirstStep|TestBatchItemsFailOver' \
 		-v ./internal/experiments/ ./internal/cluster/
 
 # The tracing gate: best-of-N decode throughput with a live tracer

@@ -34,14 +34,14 @@
 // /debug/requests?id=<X-Request-ID> alone.
 //
 // Fleet mode starts when -replicas > 1, -models lists more than one
-// spec (or one with a default strategy), a -shed-policy is set, a
-// non-default -router is chosen, or any elasticity feature
-// (-hedge-after, -steal, -autoscale) is enabled; with none of those
-// the daemon runs the exact single-engine path of previous releases.
+// spec (or one with a default strategy), a -shed-policy is set, or any
+// elasticity feature (-hedge-after, -steal, -autoscale) is enabled;
+// with none of those the daemon runs the exact single-engine path of
+// previous releases.
 // Replica specs are model[:scheme[:default-strategy]], e.g.
 //
 //	vgend -replicas 4 -shed-policy deadline,priority,budget
-//	vgend -models codellama:ours,codet5p:ntp:prompt-lookup -router prefix-affinity
+//	vgend -models codellama:ours,codet5p:ntp:prompt-lookup
 //	vgend -replicas 3 -hedge-after 50ms -steal -autoscale -max-replicas 6
 //
 // Requests are routed per prefix-affinity consistent hashing (with a
@@ -65,7 +65,6 @@
 // [-max-batch N] [-preempt-quantum N] [-cache N]
 // [-prefix-cache trie|off] [-prefix-cache-bytes N] [-no-dedup]
 // [-tree-budget N] [-replicas N] [-models specs]
-// [-router prefix-affinity|least-loaded|round-robin|random]
 // [-shed-policy none|deadline,priority,budget] [-budget-tps N]
 // [-budget-burst N] [-hedge-after D] [-steal] [-autoscale]
 // [-min-replicas N] [-max-replicas N] [-list-strategies]
@@ -205,7 +204,6 @@ func main() {
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
 	modelsFlag := flag.String("models", "", "replica specs model[:scheme[:strategy]], comma-separated (empty: -model/-scheme)")
-	routerName := flag.String("router", "prefix-affinity", "fleet routing: prefix-affinity, least-loaded, round-robin or random")
 	shedPolicy := flag.String("shed-policy", "none", "admission chain: none, or a comma list of deadline, priority, budget")
 	budgetTPS := flag.Float64("budget-tps", 0, "budget policy: sustained tokens/s per client (0 = default)")
 	budgetBurst := flag.Float64("budget-burst", 0, "budget policy: burst tokens per client (0 = default)")
@@ -271,20 +269,15 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	router, err := cluster.NewRouter(*routerName)
-	if err != nil {
-		fail(err)
-	}
 	if (*minReplicas != 0 || *maxReplicas != 0) && !*autoscale {
 		fail(fmt.Errorf("-min-replicas/-max-replicas require -autoscale"))
 	}
-	// A non-default router is an explicit ask for the cluster layer,
-	// even with one replica — silently ignoring it would leave the
-	// operator believing a routing policy is active. So are the
-	// resilience/elasticity features: hedging, stealing, autoscaling.
+	// The resilience/elasticity features — hedging, stealing,
+	// autoscaling — are an explicit ask for the cluster layer, even with
+	// one replica: silently ignoring one would leave the operator
+	// believing it is active.
 	fleetMode := *replicas > 1 || len(specs) > 1 || len(policies) > 0 ||
-		specs[0].strategy != "" || *routerName != "prefix-affinity" ||
-		*hedgeAfter > 0 || *steal || *autoscale
+		specs[0].strategy != "" || *hedgeAfter > 0 || *steal || *autoscale
 	n := *replicas
 	if n < len(specs) {
 		n = len(specs)
@@ -352,7 +345,6 @@ func main() {
 			}
 		}
 		fleet, err := cluster.New(replicaSpecs, cluster.Config{
-			Router:     router,
 			Policies:   policies,
 			HedgeAfter: *hedgeAfter,
 			Steal:      *steal,
@@ -386,7 +378,7 @@ func main() {
 			elastic += fmt.Sprintf(", autoscale %d..%d", lo, hi)
 		}
 		logInfo("serving fleet",
-			"replicas", n, "router", router.Name(), "shed", shed,
+			"replicas", n, "shed", shed,
 			"elasticity", strings.TrimPrefix(elastic, ", "), "addr", *addr)
 	}
 

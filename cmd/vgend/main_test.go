@@ -27,8 +27,9 @@ const vgendTestArgs = "VGEND_TEST_ARGS"
 // TestParsePrefixCache pins the -prefix-cache flag: the two mode names
 // (and their documented aliases) parse, and every retired spelling —
 // the whole-prompt mode, a bare entry count, the -scheduler flag that
-// went with the worker pool — exits 2 before training starts, with a
-// message that names the surviving trie and off modes.
+// went with the worker pool, the -router flag that went with the
+// comparison routers — exits 2 before training starts, with a message
+// that names the surviving trie and off modes.
 func TestParsePrefixCache(t *testing.T) {
 	for in, want := range map[string]string{
 		"":     serve.PrefixCacheTrie,
@@ -45,6 +46,7 @@ func TestParsePrefixCache(t *testing.T) {
 		{"-prefix-cache 256", `unknown prefix-cache mode "256" (want trie or off)`},
 		{"-prefix-cache trie:64", "(want trie or off)"},
 		{"-scheduler x", "flag provided but not defined: -scheduler"},
+		{"-router round-robin", "flag provided but not defined: -router"},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), vgendTestArgs+"="+c.args)

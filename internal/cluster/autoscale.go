@@ -12,60 +12,35 @@ import (
 // evidence (patience ticks) and is followed by a cooldown, so one
 // bursty tick can never flap the fleet size.
 
-// AutoscaleConfig tunes the replica autoscaler.
+// AutoscaleConfig turns the replica autoscaler on and bounds it.
 type AutoscaleConfig struct {
 	// Enabled turns the autoscaler on.
 	Enabled bool
 	// Min and Max clamp the fleet size. Min defaults to the configured
 	// replica count; Max defaults to 2× Min.
 	Min, Max int
-	// Interval is the sampling cadence (default 250ms). Zero or
-	// negative disables the background ticker — Tick is then driven
-	// manually (deterministic tests).
-	Interval time.Duration
-	// UpLoad is the mean per-replica backlog (queued + inflight) that
-	// votes to scale up (default 2× the template's workers).
-	UpLoad float64
-	// UpPatience ticks of sustained pressure add a replica (default 2);
-	// DownPatience ticks of a fully idle fleet remove one (default 8).
-	UpPatience, DownPatience int
-	// Cooldown ticks after any action during which no further action is
-	// taken (default 4) — the hysteresis gap.
-	Cooldown int
 }
 
-func (c AutoscaleConfig) withDefaults(baseReplicas, workers int) AutoscaleConfig {
-	if c.Min <= 0 {
-		c.Min = baseReplicas
-	}
-	if c.Max <= 0 {
-		c.Max = 2 * c.Min
-	}
-	if c.Interval == 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.UpLoad <= 0 {
-		if workers < 1 {
-			workers = 1
-		}
-		c.UpLoad = float64(2 * workers)
-	}
-	if c.UpPatience <= 0 {
-		c.UpPatience = 2
-	}
-	if c.DownPatience <= 0 {
-		c.DownPatience = 8
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 4
-	}
-	return c
-}
+// The controller's tuning: it samples every autoscaleInterval;
+// autoscaleUpPatience ticks of sustained pressure add a replica,
+// autoscaleDownPatience ticks of a fully idle fleet remove one, and
+// autoscaleCooldown ticks after any action take no further action (the
+// hysteresis gap). Pressure starts at a mean per-replica backlog of
+// twice the template's workers (autoscaler.upLoad).
+const (
+	autoscaleInterval     = 250 * time.Millisecond
+	autoscaleUpPatience   = 2
+	autoscaleDownPatience = 8
+	autoscaleCooldown     = 4
+)
 
 // autoscaler holds the controller state between ticks.
 type autoscaler struct {
-	f   *Fleet
-	cfg AutoscaleConfig
+	f        *Fleet
+	min, max int
+	// upLoad is the mean per-replica backlog (queued + inflight) that
+	// votes to scale up.
+	upLoad float64
 
 	mu            sync.Mutex
 	upVotes       int
@@ -75,45 +50,41 @@ type autoscaler struct {
 	lastQueueWait float64
 }
 
+// newAutoscaler resolves cfg's bounds against the fleet; New starts
+// its loop.
 func newAutoscaler(f *Fleet, cfg AutoscaleConfig) (*autoscaler, error) {
-	cfg = cfg.withDefaults(len(f.Replicas()), f.template.Engine.Workers)
+	n := len(f.Replicas())
+	if cfg.Min <= 0 {
+		cfg.Min = n
+	}
+	if cfg.Max <= 0 {
+		cfg.Max = 2 * cfg.Min
+	}
 	if cfg.Max < cfg.Min {
 		return nil, fmt.Errorf("cluster: autoscale max %d < min %d", cfg.Max, cfg.Min)
 	}
-	if len(f.Replicas()) > cfg.Max {
-		return nil, fmt.Errorf("cluster: %d replicas exceed autoscale max %d", len(f.Replicas()), cfg.Max)
+	if n > cfg.Max {
+		return nil, fmt.Errorf("cluster: %d replicas exceed autoscale max %d", n, cfg.Max)
 	}
-	a := &autoscaler{f: f, cfg: cfg, lastSheds: f.shedTotal()}
-	if cfg.Interval > 0 {
-		f.wg.Add(1)
-		go a.loop()
-	}
-	return a, nil
+	workers := max(f.template.Engine.Workers, 1)
+	return &autoscaler{f: f, min: cfg.Min, max: cfg.Max, upLoad: float64(2 * workers), lastSheds: f.shedTotal()}, nil
 }
 
 func (a *autoscaler) loop() {
 	defer a.f.wg.Done()
-	t := time.NewTicker(a.cfg.Interval)
+	t := time.NewTicker(autoscaleInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-a.f.quit:
 			return
 		case <-t.C:
-			a.f.AutoscaleTick()
+			a.tick()
 		}
 	}
 }
 
-// AutoscaleTick samples the fleet and takes at most one scaling
-// action. Exported so tests (and operators driving Interval<=0) can
-// step the controller deterministically; a no-op without autoscaling.
-func (f *Fleet) AutoscaleTick() {
-	if f.auto != nil {
-		f.auto.tick()
-	}
-}
-
+// tick samples the fleet and takes at most one scaling action.
 func (a *autoscaler) tick() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -145,8 +116,8 @@ func (a *autoscaler) tick() {
 
 	// Pressure: sustained backlog, requests shed, or queue-wait still
 	// accumulating. Idle: nothing queued, nothing waiting, nothing shed.
-	pressure := perReplica >= a.cfg.UpLoad || shedDelta > 0 ||
-		(waitDelta > 0 && perReplica >= a.cfg.UpLoad/2)
+	pressure := perReplica >= a.upLoad || shedDelta > 0 ||
+		(waitDelta > 0 && perReplica >= a.upLoad/2)
 	idle := totalLoad == 0 && shedDelta == 0 && waitDelta == 0
 
 	switch {
@@ -161,18 +132,18 @@ func (a *autoscaler) tick() {
 		a.downVotes = 0
 	}
 
-	if a.upVotes >= a.cfg.UpPatience && len(reps) < a.cfg.Max {
+	if a.upVotes >= autoscaleUpPatience && len(reps) < a.max {
 		if _, err := a.f.addReplica(); err == nil {
 			a.upVotes = 0
-			a.cooldown = a.cfg.Cooldown
+			a.cooldown = autoscaleCooldown
 		}
 		return
 	}
-	if a.downVotes >= a.cfg.DownPatience && len(reps) > a.cfg.Min {
+	if a.downVotes >= autoscaleDownPatience && len(reps) > a.min {
 		if victim := a.f.scaleDownVictim(); victim != nil {
 			a.f.retireReplica(victim)
 			a.downVotes = 0
-			a.cooldown = a.cfg.Cooldown
+			a.cooldown = autoscaleCooldown
 		}
 	}
 }
@@ -183,5 +154,5 @@ func (f *Fleet) AutoscaleBounds() (int, int) {
 	if f.auto == nil {
 		return 0, 0
 	}
-	return f.auto.cfg.Min, f.auto.cfg.Max
+	return f.auto.min, f.auto.max
 }

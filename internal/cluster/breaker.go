@@ -161,16 +161,6 @@ func (b *breaker) trip() {
 	b.opens.Add(1)
 }
 
-// reset returns the breaker to a pristine closed state (used after a
-// model swap installs a fresh engine).
-func (b *breaker) reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = BreakerClosed
-	b.failures = 0
-	b.probes = 0
-}
-
 // snapshot reports the current state and the open-trip count.
 func (b *breaker) snapshot() (breakerState, uint64) {
 	b.mu.Lock()

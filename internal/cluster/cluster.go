@@ -5,13 +5,11 @@
 //
 // Four concerns live here and nowhere else:
 //
-//   - Routing: which replica serves a request. The default policy is
-//     prefix-affinity consistent hashing (rendezvous form) with a
-//     least-loaded fallback, so shared-prefix workloads concentrate on
-//     one replica where its result LRU, prefix trie and
-//     single-flight table can actually hit; round-robin, random and
-//     pure least-loaded routers exist for comparison and as the
-//     fleet-bench control group.
+//   - Routing: which replica serves a request. Prefix-affinity
+//     consistent hashing (rendezvous form) with a least-loaded
+//     fallback, so shared-prefix workloads concentrate on one replica
+//     where its result LRU, prefix trie and single-flight table can
+//     actually hit.
 //   - Admission: whether a routed request may enter its replica's
 //     queue. Pluggable ShedPolicy chains (deadline, priority classes,
 //     per-client token budgets) run inside the engine's Admit hook —
@@ -22,10 +20,9 @@
 //   - Resilience and elasticity: per-replica circuit breakers route
 //     traffic away from faulting members (dispatch.go), hedged retries
 //     cover the latency tail of a wedged replica, work stealing
-//     rebalances affinity hotspots, replicas drain gracefully and swap
-//     models without a restart (lifecycle.go), and an autoscaler grows
-//     and shrinks the fleet on queue-wait and shed pressure
-//     (autoscale.go).
+//     rebalances affinity hotspots, and an autoscaler grows the fleet
+//     on queue-wait and shed pressure and retires what it added by
+//     draining it gracefully (autoscale.go, lifecycle.go).
 //   - Aggregation: fleet-level metrics — per-replica engine snapshots
 //     plus fleet-wide sums, shed/routing/breaker/scale counters and a
 //     decode-time EWMA — in JSON and Prometheus forms.
@@ -72,7 +69,8 @@ type ReplicaSpec struct {
 
 // Config assembles a Fleet.
 type Config struct {
-	// Router picks replicas (default: prefix-affinity).
+	// Router picks replicas (nil: prefix-affinity, the only policy;
+	// tests plug fixed choices in here).
 	Router Router
 	// Policies is the admission chain, applied in order; empty admits
 	// everything (the engines' queue-full backstop still rejects).
@@ -105,18 +103,15 @@ const (
 	stateDraining
 )
 
-// Replica is one running fleet member.
+// Replica is one running fleet member. Its engine, model and scheme
+// are fixed when it is built.
 type Replica struct {
 	name            string
 	defaultStrategy string
-	engCfg          serve.Config // rebuild recipe for model swaps
+	modelName       string
+	scheme          string
 
-	// mu guards the swap-mutable identity fields.
-	mu        sync.Mutex
-	modelName string
-	scheme    string
-
-	eng     atomic.Pointer[serve.Engine]
+	eng     *serve.Engine
 	state   atomic.Int32 // stateActive / stateDraining
 	breaker *breaker
 	scaled  bool // added by the autoscaler (only these scale back down)
@@ -130,22 +125,9 @@ type Replica struct {
 // Name returns the replica's identity.
 func (r *Replica) Name() string { return r.name }
 
-// Engine exposes the replica's engine (tests and the fleet bench read
+// Engine exposes the replica's engine (tests and the chaos bench read
 // its metrics directly).
-func (r *Replica) Engine() *serve.Engine { return r.eng.Load() }
-
-// ModelName reports the replica's current model (swap-safe).
-func (r *Replica) ModelName() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.modelName
-}
-
-func (r *Replica) schemeName() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.scheme
-}
+func (r *Replica) Engine() *serve.Engine { return r.eng }
 
 // Draining reports whether the replica has stopped admitting new work.
 func (r *Replica) Draining() bool { return r.state.Load() == stateDraining }
@@ -166,7 +148,7 @@ func (r *Replica) serveable() bool {
 // the resilience machinery.
 type Fleet struct {
 	// mu guards the member set (replicas, byModel, nextID) against
-	// scaling and swaps; the hot path takes it only to snapshot.
+	// scaling; the hot path takes it only to snapshot.
 	mu       sync.RWMutex
 	replicas []*Replica
 	byModel  map[string][]*Replica
@@ -206,7 +188,6 @@ type elasticStats struct {
 	failovers  atomic.Uint64 // retries on a sibling after a replica fault
 	steals     atomic.Uint64 // requests served by a non-routed replica
 	drains     atomic.Uint64 // drains started
-	swaps      atomic.Uint64 // completed model swaps
 	scaleUps   atomic.Uint64 // autoscaler replica additions
 	scaleDowns atomic.Uint64 // autoscaler replica removals
 }
@@ -268,6 +249,8 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 			return nil, err
 		}
 		f.auto = a
+		f.wg.Add(1)
+		go a.loop()
 	}
 	return f, nil
 }
@@ -291,7 +274,6 @@ func (f *Fleet) buildReplica(spec ReplicaSpec, name string, scaled bool) (*Repli
 		modelName:       spec.Model.Config().Name,
 		scheme:          spec.Model.Scheme().String(),
 		defaultStrategy: spec.DefaultStrategy,
-		engCfg:          spec.Engine,
 		scaled:          scaled,
 		breaker:         newBreaker(f.cfg.BreakerThreshold, f.cfg.BreakerCooldown, nil),
 	}
@@ -299,7 +281,7 @@ func (f *Fleet) buildReplica(spec ReplicaSpec, name string, scaled bool) (*Repli
 	if len(f.policies) > 0 {
 		engCfg.Admit = f.admitFunc(r)
 	}
-	r.eng.Store(serve.NewEngine(spec.Model, engCfg))
+	r.eng = serve.NewEngine(spec.Model, engCfg)
 	f.mu.Lock()
 	f.replicas = append(f.replicas, r)
 	for _, key := range modelKeys(r.modelName) {
@@ -330,9 +312,6 @@ func (f *Fleet) Replicas() []*Replica {
 	copy(out, f.replicas)
 	return out
 }
-
-// Router reports the active routing policy's name.
-func (f *Fleet) Router() string { return f.router.Name() }
 
 // Close stops the background machinery (stealers, autoscaler, pending
 // scale-downs), then drains and stops every replica engine.
@@ -430,7 +409,7 @@ func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) 
 	f.st.mu.Unlock()
 	var sp *trace.Span
 	if tr := trace.FromContext(ctx); tr != nil {
-		sp = tr.Start(trace.SpanFromContext(ctx), trace.KindRouter, f.router.Name())
+		sp = tr.Start(trace.SpanFromContext(ctx), trace.KindRouter, routerName)
 	}
 	cands, err := f.candidates(req.Model)
 	if err != nil {
@@ -501,17 +480,23 @@ func (f *Fleet) generate(ctx context.Context, req serve.Request, wait bool) (*se
 	if err != nil {
 		return nil, err
 	}
+	return f.serveItem(ctx, req, r, wait)
+}
+
+// serveItem serves one routed request and releases the inflight count
+// route took for it.
+func (f *Fleet) serveItem(ctx context.Context, req serve.Request, r *Replica, wait bool) (*serve.Response, error) {
 	defer r.inflight.Add(-1)
 	resp, served, err := f.serveRouted(ctx, req, r, wait)
 	f.observe(resp)
 	return tag(resp, served), err
 }
 
-// GenerateBatch routes every item, dispatches the per-replica groups
-// concurrently (each through the engine's own batch path, so items
-// within a group are in flight together), and reassembles responses
-// index-for-index. Batches are not hedged — they are the bench/bulk
-// path; per-request hedging covers the interactive tail.
+// GenerateBatch routes every item first, so items earlier in the batch
+// raise the load later ones are routed by, then serves the items
+// concurrently, each on the single-request path (stealing, hedging,
+// failover and breaker accounting included), and returns responses
+// index-for-index with per-item failures on Response.Err.
 func (f *Fleet) GenerateBatch(ctx context.Context, reqs []serve.Request) []*serve.Response {
 	return f.generateBatch(ctx, reqs, true)
 }
@@ -524,39 +509,34 @@ func (f *Fleet) TryGenerateBatch(ctx context.Context, reqs []serve.Request) []*s
 
 func (f *Fleet) generateBatch(ctx context.Context, reqs []serve.Request, wait bool) []*serve.Response {
 	out := make([]*serve.Response, len(reqs))
-	groups := map[*Replica][]int{}
+	routed := make([]*Replica, len(reqs))
 	for i, req := range reqs {
 		r, err := f.route(ctx, req)
 		if err != nil {
 			out[i] = &serve.Response{Err: err}
 			continue
 		}
-		groups[r] = append(groups[r], i)
+		routed[i] = r
 	}
+	// One goroutine per item, as the engine's batch path holds one task
+	// per item; the HTTP layer caps a batch's length.
 	var wg sync.WaitGroup
-	for r, idxs := range groups {
+	for i, r := range routed {
+		if r == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(r *Replica, idxs []int) {
+		go func() {
 			defer wg.Done()
-			// route already counted these items into inflight.
-			defer r.inflight.Add(int64(-len(idxs)))
-			sub := make([]serve.Request, len(idxs))
-			for j, i := range idxs {
-				sub[j] = withDefaultStrategy(reqs[i], r)
+			resp, err := f.serveItem(ctx, reqs[i], r, wait)
+			if err != nil {
+				if resp == nil {
+					resp = &serve.Response{}
+				}
+				resp.Err = err
 			}
-			eng := r.Engine()
-			var resps []*serve.Response
-			if wait {
-				resps = eng.GenerateBatch(ctx, sub)
-			} else {
-				resps = eng.TryGenerateBatch(ctx, sub)
-			}
-			for j, i := range idxs {
-				f.recordBreaker(r, resps[j], nil)
-				f.observe(resps[j])
-				out[i] = tag(resps[j], r)
-			}
-		}(r, idxs)
+			out[i] = resp
+		}()
 	}
 	wg.Wait()
 	return out

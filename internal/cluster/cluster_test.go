@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,6 +68,21 @@ func newFleet(tb testing.TB, n int, router Router, policies []ShedPolicy, engCfg
 	tb.Cleanup(f.Close)
 	return f
 }
+
+// Test-local routers, plugged in through the Router seam: round-robin
+// for a deterministic spread, least-loaded to see load at routing time,
+// and seeded random as the control prefix affinity must beat.
+type (
+	roundRobinRouter  struct{ n atomic.Uint64 }
+	leastLoadedRouter struct{}
+	randomRouter      struct{ rng *rand.Rand } // single-goroutine use
+)
+
+func (r *roundRobinRouter) Pick(_ string, c []*Replica) *Replica {
+	return c[(r.n.Add(1)-1)%uint64(len(c))]
+}
+func (leastLoadedRouter) Pick(_ string, c []*Replica) *Replica { return leastLoaded(c) }
+func (r randomRouter) Pick(_ string, c []*Replica) *Replica    { return c[r.rng.Intn(len(c))] }
 
 // TestSingleReplicaByteIdentical is the golden determinism gate at the
 // fleet layer: a 1-replica fleet must produce byte-identical output to
@@ -129,11 +146,11 @@ func TestPrefixAffinityConcentrates(t *testing.T) {
 	}
 }
 
-// TestAffinityBeatsRandomOnCacheHits is the fleet-bench headline as a
-// correctness gate: for a shared-prefix workload (repeated prompts and
-// seeds), prefix-affinity routing yields a strictly better result-LRU
-// hit rate than random routing, because repeats of one prompt all land
-// where its result is cached.
+// TestAffinityBeatsRandomOnCacheHits is the routing policy's reason to
+// exist as a correctness gate: for a shared-prefix workload (repeated
+// prompts and seeds), prefix-affinity routing yields a strictly better
+// result-LRU hit rate than random routing, because repeats of one
+// prompt all land where its result is cached.
 func TestAffinityBeatsRandomOnCacheHits(t *testing.T) {
 	_, prompts := fixture(t)
 	run := func(router Router) float64 {
@@ -149,7 +166,7 @@ func TestAffinityBeatsRandomOnCacheHits(t *testing.T) {
 		return f.Metrics().Fleet.CacheHitRate
 	}
 	affinity := run(newPrefixAffinity())
-	random := run(newRandomRouter(1))
+	random := run(randomRouter{rand.New(rand.NewSource(1))})
 	if affinity <= random {
 		t.Fatalf("affinity hit rate %.3f not better than random %.3f", affinity, random)
 	}
@@ -336,24 +353,8 @@ func TestQueueWaitVisible(t *testing.T) {
 	}
 }
 
-// TestRoundRobinSpreads sanity-checks the comparison router.
-func TestRoundRobinSpreads(t *testing.T) {
-	_, prompts := fixture(t)
-	f := newFleet(t, 3, &roundRobinRouter{}, nil, serve.Config{Workers: 1, CacheSize: -1})
-	for i := 0; i < 6; i++ {
-		if _, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Options: testOptions(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, r := range f.Replicas() {
-		if got := r.routed.Load(); got != 2 {
-			t.Errorf("replica %s routed %d, want 2", r.Name(), got)
-		}
-	}
-}
-
-// TestBatchRoutesAndReassembles: fleet batches split per replica and
-// come back index-aligned.
+// TestBatchRoutesAndReassembles: fleet batch items spread over the
+// replicas and come back index-aligned, byte-identical to direct decodes.
 func TestBatchRoutesAndReassembles(t *testing.T) {
 	m, prompts := fixture(t)
 	f := newFleet(t, 3, nil, nil, serve.Config{Workers: 2, CacheSize: -1})
@@ -421,14 +422,20 @@ func TestBudgetPolicyStructLiteral(t *testing.T) {
 	}
 }
 
+// TestNewRouterNames: prefix affinity is the only router, by name or
+// by default; any other name is refused.
 func TestNewRouterNames(t *testing.T) {
-	for _, name := range []string{"", "prefix-affinity", "least-loaded", "round-robin", "random"} {
-		if _, err := NewRouter(name); err != nil {
+	for _, name := range []string{"", "prefix-affinity"} {
+		if r, err := NewRouter(name); err != nil {
 			t.Errorf("NewRouter(%q): %v", name, err)
+		} else if _, ok := r.(*prefixAffinity); !ok {
+			t.Errorf("NewRouter(%q) = %T, want *prefixAffinity", name, r)
 		}
 	}
-	if _, err := NewRouter("warp"); err == nil {
-		t.Error("unknown router accepted")
+	for _, name := range []string{"least-loaded", "round-robin", "random", "warp"} {
+		if _, err := NewRouter(name); err == nil {
+			t.Errorf("NewRouter(%q) accepted", name)
+		}
 	}
 }
 

@@ -85,8 +85,6 @@ func descendsFrom(spans []trace.SpanSnapshot, i, anc int) bool {
 // primary before it sends anything.
 type firstRouter struct{}
 
-func (firstRouter) Name() string { return "first" }
-
 func (firstRouter) Pick(_ string, candidates []*Replica) *Replica { return candidates[0] }
 
 func TestDebugSurfaceHedgedWedgedPrimary(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -170,51 +171,39 @@ func retryable(resp *serve.Response, err error, ctx context.Context) bool {
 	return true
 }
 
-// pickAlternate chooses an untried, serveable sibling carrying the
-// same model as the primary, by rendezvous order for the key — the
-// consistent "second choice" every hedge and failover of this prompt
-// family agrees on. Nil when no sibling qualifies or the dispatch
-// budget is spent.
-func (f *Fleet) pickAlternate(key string, primary *Replica, tried map[string]bool) *Replica {
-	if len(tried) >= maxDispatchReplicas {
-		return nil
-	}
-	cands, err := f.candidates(primary.ModelName())
+// pickAlternate chooses a serveable sibling carrying the primary's
+// model, by rendezvous order for the key — the consistent "second
+// choice" every hedge and failover of this prompt family agrees on.
+// Untried siblings come first, while fewer than maxDispatchReplicas
+// have been tried; then any sibling with no attempt outstanding, which
+// re-admits a replica whose earlier attempt concluded and whose breaker
+// has readmitted it (when some attempt never concludes — a wedged
+// replica holds its attempt until cancellation — that is the only way
+// to answer a client with no deadline of its own). Nil when nothing
+// qualifies. The attempt budgets are the callers'.
+func (f *Fleet) pickAlternate(key string, primary *Replica, tried, outstanding map[string]bool) *Replica {
+	cands, err := f.candidates(primary.modelName)
 	if err != nil {
 		return nil
 	}
-	pool := make([]*Replica, 0, len(cands))
-	for _, r := range cands {
-		if !tried[r.name] && r.serveable() {
-			pool = append(pool, r)
+	pick := func(exclude map[string]bool) *Replica {
+		pool := make([]*Replica, 0, len(cands))
+		for _, r := range cands {
+			if !exclude[r.name] && r.serveable() {
+				pool = append(pool, r)
+			}
+		}
+		if len(pool) == 0 {
+			return nil
+		}
+		return f.router.Pick(key, pool)
+	}
+	if len(tried) < maxDispatchReplicas {
+		if r := pick(tried); r != nil {
+			return r
 		}
 	}
-	if len(pool) == 0 {
-		return nil
-	}
-	return f.router.Pick(key, pool)
-}
-
-// pickRetry re-admits previously tried replicas once their attempt has
-// concluded: when the untried budget is spent but some attempt never
-// concludes (a wedged replica holds its attempt until cancellation), a
-// healed, breaker-readmitted sibling is the only way to answer a
-// client that has no deadline of its own.
-func (f *Fleet) pickRetry(key string, primary *Replica, outstanding map[string]bool) *Replica {
-	cands, err := f.candidates(primary.ModelName())
-	if err != nil {
-		return nil
-	}
-	pool := make([]*Replica, 0, len(cands))
-	for _, r := range cands {
-		if !outstanding[r.name] && r.serveable() {
-			pool = append(pool, r)
-		}
-	}
-	if len(pool) == 0 {
-		return nil
-	}
-	return f.router.Pick(key, pool)
+	return pick(outstanding)
 }
 
 // exhausted converts a spent retry budget into the documented shed
@@ -224,18 +213,30 @@ func (f *Fleet) pickRetry(key string, primary *Replica, outstanding map[string]b
 // contract). The cause rides in the reason so operators see what the
 // retries died on.
 func (f *Fleet) exhausted(primary *Replica, err error) error {
-	if cands, cerr := f.candidates(primary.ModelName()); cerr != nil || len(cands) < 2 {
+	if cands, cerr := f.candidates(primary.modelName); cerr != nil || len(cands) < 2 {
 		return err
-	}
-	cooldown := f.cfg.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
 	}
 	return &serve.ShedError{
 		Policy:     "fleet",
 		Reason:     fmt.Sprintf("retry budget exhausted across replicas: %v", err),
-		RetryAfter: cooldown,
+		RetryAfter: primary.breaker.cooldown,
 	}
+}
+
+// streamGuard wraps a streamed request's OnStep so dispatch can tell
+// whether any step has reached the client; nil for unstreamed
+// requests, which keeps their path free of the allocation.
+func streamGuard(req *serve.Request) *atomic.Bool {
+	if req.OnStep == nil {
+		return nil
+	}
+	streamed := new(atomic.Bool)
+	onStep := req.OnStep
+	req.OnStep = func(ev core.StepEvent) {
+		streamed.Store(true)
+		onStep(ev)
+	}
+	return streamed
 }
 
 // dispatch runs one routed request with hedging and failover. It
@@ -244,27 +245,32 @@ func (f *Fleet) exhausted(primary *Replica, err error) error {
 // stealer serves work routed elsewhere). The primary's inflight
 // counter is owned by the caller (route incremented it); alternates
 // are accounted here.
+//
+// A streamed request is never hedged — two attempts would stream the
+// same steps twice, and a loser could still call OnStep after the
+// winner returned — and fails over only while none of its steps has
+// reached the client. A fault after that is returned as-is, so the
+// stream ends with its error line instead of restarting.
 func (f *Fleet) dispatch(ctx context.Context, req serve.Request, primary *Replica, wait bool, role string) (*serve.Response, *Replica, error) {
 	key := affinityKey(req.Prompt)
 	tried := map[string]bool{primary.name: true}
+	streamed := streamGuard(&req)
 
-	if f.cfg.HedgeAfter <= 0 {
-		// Sequential path: no goroutines, no timers. A lone replica
-		// sees exactly one engine call — byte-identical to pre-fleet.
+	if f.cfg.HedgeAfter <= 0 || streamed != nil {
+		// Inline path: no goroutines, no timers. A lone replica sees
+		// exactly one engine call — byte-identical to pre-fleet.
 		resp, err, sp := f.sendTraced(ctx, req, primary, wait, role)
 		f.recordBreaker(primary, resp, err)
 		served := primary
 		attempts := 1
 		for retryable(resp, err, ctx) {
-			if attempts >= maxDispatchAttempts {
-				return resp, served, f.exhausted(primary, err)
+			if streamed != nil && streamed.Load() {
+				return resp, served, err
 			}
-			alt := f.pickAlternate(key, primary, tried)
-			if alt == nil {
-				// Untried siblings are spent; re-admit concluded ones
-				// the breakers have readmitted (nothing is outstanding
-				// on this path — every attempt has concluded).
-				alt = f.pickRetry(key, primary, map[string]bool{})
+			var alt *Replica
+			if attempts < maxDispatchAttempts {
+				// Every attempt here has concluded: nothing is outstanding.
+				alt = f.pickAlternate(key, primary, tried, nil)
 			}
 			if alt == nil {
 				return resp, served, f.exhausted(primary, err)
@@ -304,9 +310,28 @@ func (f *Fleet) dispatch(ctx context.Context, req serve.Request, primary *Replic
 	primaryDone := false
 	outstanding := map[string]bool{primary.name: true}
 	hedgeLaunched := map[string]bool{}
+	// next launches an alternate as a hedge or a failover, if one
+	// qualifies.
+	next := func(role string) bool {
+		alt := f.pickAlternate(key, primary, tried, outstanding)
+		if alt == nil {
+			return false
+		}
+		tried[alt.name] = true
+		outstanding[alt.name] = true
+		attempts++
+		pending++
+		if role == roleHedge {
+			hedgeLaunched[alt.name] = true
+			f.elastic.hedges.Add(1)
+		} else {
+			f.elastic.failovers.Add(1)
+		}
+		launch(alt, true, role)
+		return true
+	}
 	timer := time.NewTimer(f.cfg.HedgeAfter)
 	defer timer.Stop()
-	var last outcome
 	for {
 		select {
 		case o := <-ch:
@@ -330,55 +355,24 @@ func (f *Fleet) dispatch(ctx context.Context, req serve.Request, primary *Replic
 				}
 				return o.resp, o.r, o.err
 			}
-			last = o
 			if pending > 0 {
 				continue // the other attempts may still win
 			}
 			// Every attempt in flight has faulted: fail over now
-			// rather than waiting for the hedge timer — untried
-			// siblings first, then breaker-readmitted retries of
-			// concluded ones. A spent budget (or an empty pool) is the
-			// protocol answer, not the raw fault.
-			var alt *Replica
-			if attempts < maxDispatchAttempts {
-				if alt = f.pickAlternate(key, primary, tried); alt == nil {
-					alt = f.pickRetry(key, primary, outstanding)
-				}
+			// rather than waiting for the hedge timer. A spent budget
+			// (or an empty pool) is the protocol answer, not the raw
+			// fault.
+			if attempts >= maxDispatchAttempts || !next(roleFailover) {
+				return o.resp, o.r, f.exhausted(primary, o.err)
 			}
-			if alt == nil {
-				return last.resp, last.r, f.exhausted(primary, last.err)
-			}
-			tried[alt.name] = true
-			outstanding[alt.name] = true
-			attempts++
-			f.elastic.failovers.Add(1)
-			launch(alt, true, roleFailover)
-			pending++
 		case <-timer.C:
 			// Each firing may race one more replica, bounded by the
-			// outstanding-attempt and total-attempt budgets: untried
-			// siblings first, then — once the untried budget is spent
-			// on attempts that never conclude (a wedged replica holds
-			// its attempt until actx dies) — previously tried siblings
-			// that have concluded and been readmitted by their
-			// breakers. The timer always rearms: a no-candidate moment
-			// (every sibling's breaker open) can resolve one cooldown
-			// later, and without the rearm a wedged primary would pin
-			// this request forever.
+			// outstanding-attempt and total-attempt budgets. The timer
+			// always rearms: a no-candidate moment (every sibling's
+			// breaker open) can resolve one cooldown later, and without
+			// the rearm a wedged primary would pin this request forever.
 			if len(outstanding) < maxDispatchReplicas && attempts < maxDispatchAttempts {
-				alt := f.pickAlternate(key, primary, tried)
-				if alt == nil {
-					alt = f.pickRetry(key, primary, outstanding)
-				}
-				if alt != nil {
-					tried[alt.name] = true
-					outstanding[alt.name] = true
-					hedgeLaunched[alt.name] = true
-					attempts++
-					f.elastic.hedges.Add(1)
-					launch(alt, true, roleHedge)
-					pending++
-				}
+				next(roleHedge)
 			}
 			timer.Reset(f.cfg.HedgeAfter)
 		case <-ctx.Done():

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -279,85 +281,81 @@ func TestHedgeCoversWedgedReplica(t *testing.T) {
 
 // --- autoscaler ---
 
-// TestAutoscaleUpAndDown drives the controller with manual ticks:
-// sustained per-replica backlog adds a member (after UpPatience ticks
-// and not during cooldown), a sustained idle fleet removes the
-// autoscaled member again, and the configured floor holds.
+// TestAutoscaleUpAndDown drives the controller by hand, without its
+// ticker: sustained per-replica backlog adds a member (after
+// autoscaleUpPatience ticks and not during cooldown), a sustained idle
+// fleet drains the autoscaled member away again, and the configured
+// floor holds.
 func TestAutoscaleUpAndDown(t *testing.T) {
-	f, _ := newFaultyFleet(t, 1, Config{Autoscale: AutoscaleConfig{
-		Enabled:      true,
-		Min:          1,
-		Max:          2,
-		Interval:     -1, // manual ticks only
-		UpLoad:       2,
-		UpPatience:   2,
-		DownPatience: 2,
-		Cooldown:     1,
-	}}, serve.Config{Workers: 1, CacheSize: -1})
+	f, _ := newFaultyFleet(t, 1, Config{}, serve.Config{Workers: 1, CacheSize: -1})
+	a, err := newAutoscaler(f, AutoscaleConfig{Enabled: true, Min: 1, Max: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.auto = a
+	ticks := func(n int) {
+		for i := 0; i < n; i++ {
+			a.tick()
+		}
+	}
 
 	base := f.Replicas()[0]
-	base.inflight.Add(4) // synthetic sustained backlog
+	base.inflight.Add(4) // synthetic sustained backlog, above 2 × 1 worker
 
-	f.AutoscaleTick() // vote 1
+	ticks(autoscaleUpPatience - 1)
 	if got := len(f.Replicas()); got != 1 {
-		t.Fatalf("scaled up after one tick (%d replicas) — no hysteresis", got)
+		t.Fatalf("scaled up after %d ticks (%d replicas) — no hysteresis", autoscaleUpPatience-1, got)
 	}
-	f.AutoscaleTick() // vote 2 -> scale up
+	ticks(1)
 	if got := len(f.Replicas()); got != 2 {
 		t.Fatalf("replicas=%d after sustained pressure, want 2", got)
 	}
-	if m := f.Metrics(); m.ScaleUps != 1 {
-		t.Errorf("scale_ups=%d, want 1", m.ScaleUps)
+	if m := f.Metrics(); m.ScaleUps != 1 || m.AutoscaleMin != 1 || m.AutoscaleMax != 2 {
+		t.Errorf("scale_ups=%d bounds=%d..%d, want 1 and 1..2", m.ScaleUps, m.AutoscaleMin, m.AutoscaleMax)
 	}
 	added := f.Replicas()[1]
 	if !added.scaled {
 		t.Error("added replica not marked autoscaled")
 	}
 
-	// At Max: further pressure must not add more.
-	f.AutoscaleTick() // cooldown tick
-	f.AutoscaleTick()
-	f.AutoscaleTick()
+	// At Max: further pressure, past the cooldown, must not add more.
+	ticks(autoscaleCooldown + autoscaleUpPatience + 1)
 	if got := len(f.Replicas()); got != 2 {
 		t.Fatalf("replicas=%d, autoscaler exceeded Max=2", got)
 	}
 
 	// Idle: the autoscaled member drains away; the floor member stays.
 	base.inflight.Add(-4)
-	for i := 0; i < 6; i++ {
-		f.AutoscaleTick()
-	}
+	ticks(autoscaleDownPatience)
 	eventually(t, 2*time.Second, "scale-down drain to finish", func() bool {
 		return len(f.Replicas()) == 1
 	})
 	if f.Replicas()[0] != base {
 		t.Error("scale-down removed the configured replica, not the autoscaled one")
 	}
-	if m := f.Metrics(); m.ScaleDowns != 1 {
-		t.Errorf("scale_downs=%d, want 1", m.ScaleDowns)
+	if m := f.Metrics(); m.ScaleDowns != 1 || m.Drains != 1 {
+		t.Errorf("scale_downs=%d drains=%d, want 1/1", m.ScaleDowns, m.Drains)
 	}
 	// Fully idle forever: never dips below Min.
-	for i := 0; i < 8; i++ {
-		f.AutoscaleTick()
-	}
+	ticks(autoscaleCooldown + 2*autoscaleDownPatience)
 	if got := len(f.Replicas()); got != 1 {
 		t.Errorf("replicas=%d, autoscaler violated Min=1", got)
 	}
 }
 
-// --- drain and rolling swap ---
+// --- drain ---
 
 // TestDrainExcludesFromRouting: a draining replica receives no new
-// routes, and Activate returns it to the candidate set.
+// routes, and drain returns at once when it holds no work.
 func TestDrainExcludesFromRouting(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 2, nil, nil, serve.Config{Workers: 1, CacheSize: -1})
 	r0 := f.Replicas()[0]
 
-	if err := f.Drain(context.Background(), r0); err != nil {
+	r0.state.Store(stateDraining)
+	if err := f.drain(r0); err != nil {
 		t.Fatalf("drain of an idle replica: %v", err)
 	}
-	routedBefore := r0.routed.Load()
 	for seed := int64(0); seed < 6; seed++ {
 		for p := 0; p < 4; p++ {
 			if _, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[p], Options: testOptions(seed)}); err != nil {
@@ -365,94 +363,11 @@ func TestDrainExcludesFromRouting(t *testing.T) {
 			}
 		}
 	}
-	if got := r0.routed.Load(); got != routedBefore {
-		t.Errorf("draining replica routed %d new requests", got-routedBefore)
+	if got := r0.routed.Load(); got != 0 {
+		t.Errorf("draining replica routed %d new requests", got)
 	}
-	if m := f.Metrics(); m.Drains != 1 || m.PerReplica[0].State != "draining" {
-		t.Errorf("drains=%d state=%q, want 1/draining", m.Drains, m.PerReplica[0].State)
-	}
-
-	f.Activate(r0)
-	eventually(t, 2*time.Second, "reactivated replica to route", func() bool {
-		for p := 0; p < 8; p++ {
-			if _, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[p], Options: testOptions(123)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return r0.routed.Load() > routedBefore
-	})
-}
-
-// TestRollingSwapZeroErrors is the rolling-upgrade guarantee: with
-// client traffic in flight, SwapModel drains and restarts each replica
-// on the new model one at a time, and no client ever sees an error
-// (the other replica absorbs routed work; races onto a closing engine
-// fail over transparently).
-func TestRollingSwapZeroErrors(t *testing.T) {
-	_, prompts := fixture(t)
-	m2 := fixNTP // same backbone name, different training scheme
-	f := newFleet(t, 2, nil, nil, serve.Config{Workers: 2, CacheSize: -1})
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var clientErrs atomic.Uint64
-	var served atomic.Uint64
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for seed := int64(0); ; seed++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Explicit strategy: valid under both training schemes.
-				_, err := f.Generate(context.Background(), serve.Request{
-					Prompt:  prompts[c%8],
-					Options: testOptions(seed*4 + int64(c)),
-				})
-				if err != nil {
-					clientErrs.Add(1)
-				} else {
-					served.Add(1)
-				}
-			}
-		}(c)
-	}
-
-	// Let traffic establish, then roll the fleet onto the new model.
-	time.Sleep(30 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := f.SwapModel(ctx, m2); err != nil {
-		t.Fatalf("rolling swap: %v", err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	if n := clientErrs.Load(); n != 0 {
-		t.Errorf("%d client-visible errors during the rolling swap, want 0", n)
-	}
-	if served.Load() == 0 {
-		t.Fatal("no requests served around the swap")
-	}
-	fm := f.Metrics()
-	if fm.Swaps != 2 {
-		t.Errorf("swaps=%d, want 2", fm.Swaps)
-	}
-	for _, pr := range fm.PerReplica {
-		if pr.Scheme != "NTP" {
-			t.Errorf("replica %s still on scheme %s after swap", pr.Name, pr.Scheme)
-		}
-		if pr.State != "active" {
-			t.Errorf("replica %s left %s after swap", pr.Name, pr.State)
-		}
-	}
-	// The swapped fleet still serves its model aliases.
-	if _, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Model: "codet5p", Options: testOptions(7)}); err != nil {
-		t.Errorf("model alias broken after swap: %v", err)
+	if m := f.Metrics(); m.PerReplica[0].State != "draining" {
+		t.Errorf("state=%q, want draining", m.PerReplica[0].State)
 	}
 }
 
@@ -533,11 +448,182 @@ func TestStealJobContextCancel(t *testing.T) {
 	faults[0].set(faultNone)
 }
 
-// TestSwapUnknownModelRejected documents the SwapModel contract.
-func TestSwapUnknownModelRejected(t *testing.T) {
-	f := newFleet(t, 1, nil, nil, serve.Config{Workers: 1, CacheSize: -1})
-	if err := f.SwapModel(context.Background(), nil); err == nil {
-		t.Error("nil-model swap accepted")
+// --- streamed and batch requests ---
+
+// sweepFault is a StepFault hook that counts its calls — one per sweep
+// of each running decode, so with one request in flight the count is
+// that decode's sweep index — slows every sweep by delay, and fails
+// the failAt-th (0: never).
+type sweepFault struct {
+	calls  atomic.Int32
+	failAt int32
+	delay  time.Duration
+}
+
+func (s *sweepFault) hook(ctx context.Context) error {
+	n := s.calls.Add(1)
+	if s.delay > 0 {
+		select {
+		case <-time.After(s.delay):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	_ = fmt.Sprintf("%v", f.Metrics().Swaps)
+	if n == s.failAt {
+		return fmt.Errorf("injected: fault at sweep %d", n)
+	}
+	return nil
+}
+
+// newSweepFleet builds one replica per hook.
+func newSweepFleet(tb testing.TB, cfg Config, faults ...*sweepFault) *Fleet {
+	tb.Helper()
+	m, _ := fixture(tb)
+	specs := make([]ReplicaSpec, len(faults))
+	for i, sf := range faults {
+		specs[i] = ReplicaSpec{Model: m, Engine: serve.Config{Workers: 1, CacheSize: -1, StepFault: sf.hook}}
+	}
+	f, err := New(specs, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(f.Close)
+	return f
+}
+
+// streamLog records the step indices a streamed request delivers and
+// counts the steps that arrive after the request returned.
+type streamLog struct {
+	mu       sync.Mutex
+	steps    []int
+	returned bool
+	late     int
+}
+
+func (l *streamLog) onStep(ev core.StepEvent) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.returned {
+		l.late++
+	}
+	l.steps = append(l.steps, ev.Step)
+}
+
+func (l *streamLog) finish() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.returned = true
+}
+
+// expect checks that steps 1..n arrived exactly once, in order, and
+// none after the request returned.
+func (l *streamLog) expect(tb testing.TB, n int) {
+	tb.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ok := len(l.steps) == n
+	for i := 0; ok && i < n; i++ {
+		ok = l.steps[i] == i+1
+	}
+	if !ok {
+		tb.Errorf("streamed steps %v, want 1..%d once each", l.steps, n)
+	}
+	if l.late > 0 {
+		tb.Errorf("%d steps delivered after the request returned", l.late)
+	}
+}
+
+func streamedRequest(prompt string, log *streamLog) serve.Request {
+	return serve.Request{
+		Prompt:  prompt,
+		Options: core.Options{Strategy: "ntp", MaxNewTokens: 48, Seed: 1},
+		OnStep:  log.onStep,
+	}
+}
+
+// TestStreamedRequestNeverHedged: with hedging on and every sweep slow
+// enough for the hedge timer to fire many times over, a streamed
+// request still runs on one replica — each step reaches the client
+// once, in order, and none after the request returned.
+func TestStreamedRequestNeverHedged(t *testing.T) {
+	_, prompts := fixture(t)
+	f := newSweepFleet(t, Config{HedgeAfter: 5 * time.Millisecond},
+		&sweepFault{delay: 2 * time.Millisecond}, &sweepFault{delay: 2 * time.Millisecond})
+	var log streamLog
+	resp, err := f.TryGenerate(context.Background(), streamedRequest(prompts[0], &log))
+	log.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a raced attempt's late steps
+	log.expect(t, resp.Result.Steps)
+	if h := f.Metrics().Hedges; h != 0 {
+		t.Errorf("hedges=%d for a streamed request, want 0", h)
+	}
+}
+
+// TestStreamedRequestFailsOverOnlyBeforeFirstStep: a fault before any
+// step streamed fails over and the sibling streams 1..n once; a fault
+// after steps reached the client is returned as-is — not replayed from
+// step 1 on a sibling, and not turned into a shed the HTTP layer would
+// answer with a status after the stream began.
+func TestStreamedRequestFailsOverOnlyBeforeFirstStep(t *testing.T) {
+	_, prompts := fixture(t)
+	t.Run("first sweep", func(t *testing.T) {
+		f := newSweepFleet(t, Config{Router: firstRouter{}}, &sweepFault{failAt: 1}, &sweepFault{})
+		var log streamLog
+		resp, err := f.TryGenerate(context.Background(), streamedRequest(prompts[0], &log))
+		log.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := f.Replicas()[1].Name(); resp.Replica != want {
+			t.Errorf("served by %q, want the sibling %q", resp.Replica, want)
+		}
+		log.expect(t, resp.Result.Steps)
+		if n := f.Metrics().Failovers; n != 1 {
+			t.Errorf("failovers=%d, want 1", n)
+		}
+	})
+	t.Run("sweep 10", func(t *testing.T) {
+		f := newSweepFleet(t, Config{Router: firstRouter{}}, &sweepFault{failAt: 10}, &sweepFault{})
+		var log streamLog
+		_, err := f.TryGenerate(context.Background(), streamedRequest(prompts[0], &log))
+		log.finish()
+		var shed *serve.ShedError
+		if err == nil || errors.As(err, &shed) || !strings.Contains(err.Error(), "injected") {
+			t.Fatalf("err=%v, want the raw injected fault", err)
+		}
+		log.expect(t, 9)
+		if n := f.Metrics().Failovers; n != 0 {
+			t.Errorf("failovers=%d after steps streamed, want 0", n)
+		}
+	})
+}
+
+// TestBatchItemsFailOver: batch items take the single-request path, so
+// with one replica of two killed every item is still answered — the
+// items routed to the dead replica fail over like single requests do.
+func TestBatchItemsFailOver(t *testing.T) {
+	_, prompts := fixture(t)
+	f, faults := newFaultyFleet(t, 2, Config{Router: &roundRobinRouter{}}, serve.Config{Workers: 1, CacheSize: -1})
+	faults[0].set(faultKill)
+	reqs := make([]serve.Request, 8)
+	for i := range reqs {
+		reqs[i] = serve.Request{Prompt: prompts[i], Options: testOptions(int64(i))}
+	}
+	dead := f.Replicas()[0]
+	for i, resp := range f.TryGenerateBatch(context.Background(), reqs) {
+		if resp.Err != nil {
+			t.Errorf("item %d: %v", i, resp.Err)
+		} else if resp.Replica == dead.Name() {
+			t.Errorf("item %d answered by the killed replica", i)
+		}
+	}
+	if got := dead.routed.Load(); got != 4 {
+		t.Fatalf("killed replica routed %d of 8 items, want 4", got)
+	}
+	if m := f.Metrics(); m.Failovers < 4 {
+		t.Errorf("failovers=%d, want >= 4 (one per item routed to the killed replica)", m.Failovers)
+	}
 }

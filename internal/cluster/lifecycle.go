@@ -1,121 +1,35 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/serve"
 )
 
-// This file is the replica lifecycle: graceful drain (stop admitting,
-// finish what's queued), rolling model swap (drain → restart the
-// engine on a new model → rejoin), and the add/remove primitives the
-// autoscaler drives. Through all of it, clients see at most the
+// This file is the replica lifecycle: the add/remove primitives the
+// autoscaler drives, with graceful drain (stop admitting, finish what's
+// queued) before a removal. Through all of it, clients see at most the
 // documented shed/backpressure protocol: a draining replica is
 // invisible to the router, in-flight work completes, and a request
 // that races onto a closing engine gets ErrClosed — which dispatch
 // treats as retryable and fails over to a sibling.
 
-// drainPoll is the cadence at which Drain re-checks for quiescence.
+// drainPoll is the cadence at which drain re-checks for quiescence.
 const drainPoll = 2 * time.Millisecond
 
-// Drain marks the replica draining — the router stops sending it new
-// work — and blocks until its queue and in-flight requests have fully
-// drained, the context dies, or the fleet shuts down. On failure the
-// replica is left draining; callers own re-activation.
-func (f *Fleet) Drain(ctx context.Context, r *Replica) error {
-	if r.state.CompareAndSwap(stateActive, stateDraining) {
-		f.elastic.drains.Add(1)
-	}
-	for {
-		if r.inflight.Load() == 0 && r.Engine().QueueDepth() == 0 {
-			return nil
-		}
+// drain blocks until a draining replica's queue and in-flight requests
+// have emptied, or the fleet shuts down.
+func (f *Fleet) drain(r *Replica) error {
+	for r.inflight.Load() != 0 || r.eng.QueueDepth() != 0 {
 		select {
-		case <-ctx.Done():
-			return ctx.Err()
 		case <-f.quit:
 			return serve.ErrClosed
 		case <-time.After(drainPoll):
 		}
 	}
-}
-
-// Activate returns a drained (or still-draining) replica to service.
-func (f *Fleet) Activate(r *Replica) {
-	r.state.Store(stateActive)
-}
-
-// SwapModel rolls the whole fleet onto a new model, one replica at a
-// time: drain → close the old engine → start a fresh engine (same
-// sizing, same admission hook) on the new model → rejoin the routing
-// set. At every instant all but one replica are serving, so a
-// multi-replica fleet upgrades with zero client-visible errors beyond
-// the shed protocol. On error the current replica is reactivated
-// as-is and the roll stops.
-func (f *Fleet) SwapModel(ctx context.Context, m *model.Model) error {
-	if m == nil {
-		return fmt.Errorf("cluster: swap needs a model")
-	}
-	for _, r := range f.Replicas() {
-		if err := f.swapReplica(ctx, r, m); err != nil {
-			f.Activate(r)
-			return fmt.Errorf("cluster: swap %s: %w", r.name, err)
-		}
-	}
 	return nil
-}
-
-// swapReplica swaps one member's engine onto a new model.
-func (f *Fleet) swapReplica(ctx context.Context, r *Replica, m *model.Model) error {
-	if err := f.Drain(ctx, r); err != nil {
-		return err
-	}
-	r.Engine().Close()
-	engCfg := r.engCfg
-	if len(f.policies) > 0 {
-		engCfg.Admit = f.admitFunc(r)
-	}
-	eng := serve.NewEngine(m, engCfg)
-
-	f.mu.Lock()
-	f.dropFromModelIndexLocked(r)
-	r.mu.Lock()
-	r.modelName = m.Config().Name
-	r.scheme = m.Scheme().String()
-	r.mu.Unlock()
-	r.eng.Store(eng)
-	for _, key := range modelKeys(m.Config().Name) {
-		f.byModel[key] = append(f.byModel[key], r)
-	}
-	f.mu.Unlock()
-
-	// Fresh engine, fresh record: whatever tripped the old circuit
-	// died with the old engine.
-	r.breaker.reset()
-	f.elastic.swaps.Add(1)
-	f.Activate(r)
-	return nil
-}
-
-// dropFromModelIndexLocked removes r from every byModel bucket (caller
-// holds f.mu).
-func (f *Fleet) dropFromModelIndexLocked(r *Replica) {
-	for key, reps := range f.byModel {
-		keep := reps[:0]
-		for _, o := range reps {
-			if o != r {
-				keep = append(keep, o)
-			}
-		}
-		if len(keep) == 0 {
-			delete(f.byModel, key)
-		} else {
-			f.byModel[key] = keep
-		}
-	}
 }
 
 // addReplica clones the fleet template into a new autoscaled member
@@ -145,14 +59,15 @@ func (f *Fleet) addReplica() (*Replica, error) {
 func (f *Fleet) removeReplica(r *Replica) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	keep := f.replicas[:0]
-	for _, o := range f.replicas {
-		if o != r {
-			keep = append(keep, o)
+	isR := func(o *Replica) bool { return o == r }
+	f.replicas = slices.DeleteFunc(f.replicas, isR)
+	for key, reps := range f.byModel {
+		if reps = slices.DeleteFunc(reps, isR); len(reps) > 0 {
+			f.byModel[key] = reps
+		} else {
+			delete(f.byModel, key)
 		}
 	}
-	f.replicas = keep
-	f.dropFromModelIndexLocked(r)
 }
 
 // scaleDownVictim picks the most recently added autoscaled, active
@@ -181,7 +96,7 @@ func (f *Fleet) retireReplica(r *Replica) {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		if err := f.Drain(context.Background(), r); err != nil {
+		if err := f.drain(r); err != nil {
 			return // fleet closing; Close owns the engine now
 		}
 		f.removeReplica(r)

@@ -48,21 +48,19 @@ type Metrics struct {
 	ShedByPolicy   map[string]uint64 `json:"shed_by_policy" prom:"vgend_fleet_shed_by_policy_total" label:"policy" help:"Admission drops per shedding policy."`
 	ShedByPriority map[string]uint64 `json:"shed_by_priority" prom:"vgend_fleet_shed_by_priority_total" label:"priority" help:"Admission drops per priority class."`
 	UnknownModel   uint64            `json:"unknown_model" prom:"vgend_fleet_unknown_model_total" help:"Requests naming a model no replica serves."`
-	// AffinityPicks/SpillPicks split prefix-affinity routing decisions
-	// (zero for other routers).
+	// AffinityPicks/SpillPicks split prefix-affinity routing decisions.
 	AffinityPicks uint64 `json:"affinity_picks" prom:"vgend_fleet_affinity_picks_total" help:"Prefix-affinity picks kept on the affine replica."`
 	SpillPicks    uint64 `json:"spill_picks" prom:"vgend_fleet_spill_picks_total" help:"Prefix-affinity picks spilled to least-loaded."`
 	// MeanDecodeMS is the decode-time EWMA admission math runs on.
 	MeanDecodeMS float64 `json:"mean_decode_ms" prom:"vgend_fleet_mean_decode_ms" help:"EWMA of decode wall time (admission estimate)."`
 	// Resilience counters: hedges launched/won, failovers to a sibling
-	// after a fault, requests served by a non-routed replica (steals),
-	// drains started and model swaps completed.
+	// after a fault, requests served by a non-routed replica (steals)
+	// and drains started.
 	Hedges    uint64 `json:"hedges" prom:"vgend_fleet_hedges_total" help:"Hedged attempts launched against a second replica."`
 	HedgeWins uint64 `json:"hedge_wins" prom:"vgend_fleet_hedge_wins_total" help:"Hedges that answered before the primary replica."`
 	Failovers uint64 `json:"failovers" prom:"vgend_fleet_failovers_total" help:"Retries on a sibling after a replica fault."`
 	Steals    uint64 `json:"steals" prom:"vgend_fleet_steals_total" help:"Requests served by a non-routed replica (work stealing)."`
 	Drains    uint64 `json:"drains" prom:"vgend_fleet_drains_total" help:"Replica drains started."`
-	Swaps     uint64 `json:"swaps" prom:"vgend_fleet_swaps_total" help:"Rolling model swaps completed."`
 	// Autoscaler actions and bounds (bounds zero, and absent from both
 	// bodies, when autoscaling is off).
 	ScaleUps     uint64 `json:"scale_ups" prom:"vgend_fleet_scale_ups_total" help:"Replicas added by the autoscaler."`
@@ -76,24 +74,17 @@ type Metrics struct {
 	PerReplica []ReplicaMetrics `json:"per_replica" label:"replica"`
 }
 
-// routerStats is implemented by routers that split their decisions
-// (prefix affinity's affine vs spill counters).
-type routerStats interface {
-	Stats() (affine, spill uint64)
-}
-
 // Metrics snapshots the fleet.
 func (f *Fleet) Metrics() Metrics {
 	replicas := f.Replicas()
 	m := Metrics{
-		Router:     f.router.Name(),
+		Router:     routerName,
 		Replicas:   len(replicas),
 		Hedges:     f.elastic.hedges.Load(),
 		HedgeWins:  f.elastic.hedgeWins.Load(),
 		Failovers:  f.elastic.failovers.Load(),
 		Steals:     f.elastic.steals.Load(),
 		Drains:     f.elastic.drains.Load(),
-		Swaps:      f.elastic.swaps.Load(),
 		ScaleUps:   f.elastic.scaleUps.Load(),
 		ScaleDowns: f.elastic.scaleDowns.Load(),
 	}
@@ -108,8 +99,8 @@ func (f *Fleet) Metrics() Metrics {
 	for _, v := range m.ShedByPolicy {
 		m.Shed += v
 	}
-	if rs, ok := f.router.(routerStats); ok {
-		m.AffinityPicks, m.SpillPicks = rs.Stats()
+	if p, ok := f.router.(*prefixAffinity); ok {
+		m.AffinityPicks, m.SpillPicks = p.affine.Load(), p.spill.Load()
 	}
 	engines := make([]serve.Metrics, 0, len(replicas))
 	for _, r := range replicas {
@@ -122,8 +113,8 @@ func (f *Fleet) Metrics() Metrics {
 		bst, opens := r.breaker.snapshot()
 		m.PerReplica = append(m.PerReplica, ReplicaMetrics{
 			Name:            r.name,
-			Model:           r.ModelName(),
-			Scheme:          r.schemeName(),
+			Model:           r.modelName,
+			Scheme:          r.scheme,
 			DefaultStrategy: r.defaultStrategy,
 			Routed:          r.routed.Load(),
 			Inflight:        r.inflight.Load(),
@@ -152,8 +143,8 @@ func (f *Fleet) Healthz() map[string]any {
 		bst, _ := r.breaker.snapshot()
 		replicas = append(replicas, map[string]any{
 			"name":        r.name,
-			"model":       r.ModelName(),
-			"scheme":      r.schemeName(),
+			"model":       r.modelName,
+			"scheme":      r.scheme,
 			"workers":     eng.Workers(),
 			"queue_depth": eng.QueueDepth(),
 			"state":       state,
@@ -163,16 +154,15 @@ func (f *Fleet) Healthz() map[string]any {
 	seen := map[string]bool{}
 	var models []string
 	for _, r := range members {
-		name := r.ModelName()
-		if !seen[name] {
-			seen[name] = true
-			models = append(models, name)
+		if !seen[r.modelName] {
+			seen[r.modelName] = true
+			models = append(models, r.modelName)
 		}
 	}
 	sort.Strings(models)
 	return map[string]any{
 		"status":   "ok",
-		"router":   f.router.Name(),
+		"router":   routerName,
 		"models":   models,
 		"replicas": replicas,
 	}

@@ -4,35 +4,30 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 )
 
 // Router picks the replica that serves one request from the candidates
 // that carry the requested model. Candidates are never empty and arrive
-// in fleet order, so index-based tie-breaks are deterministic.
+// in fleet order, so index-based tie-breaks are deterministic. The
+// fleet routes by prefix affinity; the interface is the seam tests
+// plug fixed-choice routers into.
 type Router interface {
-	// Name is the flag/metrics spelling of the policy.
-	Name() string
 	// Pick chooses a replica for the routing key (the request's prompt
 	// prefix — see affinityKey).
 	Pick(key string, candidates []*Replica) *Replica
 }
 
-// NewRouter resolves a routing policy by its flag spelling.
+// routerName is the routing policy's spelling in metrics, /healthz and
+// trace spans.
+const routerName = "prefix-affinity"
+
+// NewRouter returns the prefix-affinity router; "" names it too.
 func NewRouter(name string) (Router, error) {
-	switch name {
-	case "", "prefix-affinity":
-		return newPrefixAffinity(), nil
-	case "least-loaded":
-		return leastLoadedRouter{}, nil
-	case "round-robin":
-		return &roundRobinRouter{}, nil
-	case "random":
-		return newRandomRouter(1), nil
+	if name != "" && name != routerName {
+		return nil, fmt.Errorf("unknown router %q (want %s)", name, routerName)
 	}
-	return nil, fmt.Errorf("unknown router %q (want prefix-affinity, least-loaded, round-robin or random)", name)
+	return newPrefixAffinity(), nil
 }
 
 // affinityPrefixLen bounds how much of the prompt feeds the routing
@@ -77,8 +72,6 @@ type prefixAffinity struct {
 
 func newPrefixAffinity() *prefixAffinity { return &prefixAffinity{} }
 
-func (p *prefixAffinity) Name() string { return "prefix-affinity" }
-
 func (p *prefixAffinity) Pick(key string, candidates []*Replica) *Replica {
 	best := candidates[0]
 	bestScore := routeScore(key, best.name)
@@ -101,12 +94,6 @@ func (p *prefixAffinity) Pick(key string, candidates []*Replica) *Replica {
 	return best
 }
 
-// Stats reports how many picks stayed affine vs spilled to the
-// least-loaded fallback.
-func (p *prefixAffinity) Stats() (affine, spill uint64) {
-	return p.affine.Load(), p.spill.Load()
-}
-
 // spillMinLoad is the backlog (queued + inflight) below which the
 // affine replica is always kept: tiny queues drain faster than a cold
 // cache rebuilds.
@@ -123,42 +110,4 @@ func leastLoaded(candidates []*Replica) *Replica {
 		}
 	}
 	return best
-}
-
-// leastLoadedRouter always picks the smallest backlog — the classic
-// load balancer, blind to cache locality.
-type leastLoadedRouter struct{}
-
-func (leastLoadedRouter) Name() string { return "least-loaded" }
-func (leastLoadedRouter) Pick(_ string, candidates []*Replica) *Replica {
-	return leastLoaded(candidates)
-}
-
-// roundRobinRouter cycles through candidates regardless of key or load.
-type roundRobinRouter struct {
-	n atomic.Uint64
-}
-
-func (*roundRobinRouter) Name() string { return "round-robin" }
-func (r *roundRobinRouter) Pick(_ string, candidates []*Replica) *Replica {
-	return candidates[(r.n.Add(1)-1)%uint64(len(candidates))]
-}
-
-// randomRouter picks uniformly at random — the routing-policy control
-// in the fleet bench (what prefix affinity must beat on cache hits).
-// Seeded so bench runs are reproducible.
-type randomRouter struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newRandomRouter(seed int64) *randomRouter {
-	return &randomRouter{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (*randomRouter) Name() string { return "random" }
-func (r *randomRouter) Pick(_ string, candidates []*Replica) *Replica {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return candidates[r.rng.Intn(len(candidates))]
 }

@@ -59,8 +59,7 @@ func TestRendezvousScoreTies(t *testing.T) {
 	// must win for every key, whichever twin comes first.
 	f := newFleet(t, 2, nil, nil, serve.Config{Workers: 1, CacheSize: -1})
 	r := f.Replicas()[0]
-	twin := &Replica{name: r.Name()}
-	twin.eng.Store(r.Engine()) // Pick reads load via the engine
+	twin := &Replica{name: r.Name(), eng: r.Engine()} // Pick reads load via the engine
 	router := newPrefixAffinity()
 	for _, key := range []string{"", "a", "tie-break"} {
 		if got := router.Pick(key, []*Replica{r, twin}); got != r {
@@ -95,8 +94,7 @@ func TestLeastLoadedSaturationTies(t *testing.T) {
 		affineWant := router.Pick(key, reps)
 		_ = affineWant
 	}
-	_, spills := router.Stats()
-	if spills != 0 {
+	if spills := router.spill.Load(); spills != 0 {
 		t.Errorf("uniformly saturated fleet spilled %d picks — spill must need an idle sibling", spills)
 	}
 
@@ -111,7 +109,7 @@ func TestLeastLoadedSaturationTies(t *testing.T) {
 	if got := spillRouter.Pick(key, reps); got != least {
 		t.Errorf("drowning affine replica not spilled (got %s, want %s)", got.Name(), least.Name())
 	}
-	if _, spills := spillRouter.Stats(); spills != 1 {
+	if spills := spillRouter.spill.Load(); spills != 1 {
 		t.Errorf("spill counter = %d, want 1", spills)
 	}
 }

@@ -179,8 +179,9 @@ func currentSurface(t *testing.T) []string {
 // retiredSurfacePrefixes lists the metric names deleted on purpose
 // since the golden was captured, as prefixes of a surface line's leaf
 // name (the last JSON key, or the Prometheus family): the speculation
-// controller's JSON keys, families and per-replica families.
-var retiredSurfacePrefixes = []string{"adapt", "vgend_adapt_", "vgend_replica_adapt_"}
+// controller's JSON keys, families and per-replica families, and the
+// fleet's model-swap counter.
+var retiredSurfacePrefixes = []string{"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total"}
 
 // retiredSurface reports whether a surface line names a retired metric.
 func retiredSurface(line string) bool {
