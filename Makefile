@@ -48,11 +48,14 @@ sched-soak:
 
 # Byte-identical decode outputs through the drafter/verifier pipeline:
 # ntp/medusa/ours against fixtures captured from the pre-refactor
-# loop, plus the tree strategies pinned the day they landed, at 1, 2
-# and 8 procs. Then the allocation gate: ntp and ours decodes stay under
-# 40 heap allocations per clean token (3.5 and 9.6 measured; 61 and 166
-# before the model was frozen). Regenerate the fixtures deliberately
-# with: go test -run TestGolden ./internal/core/ -update
+# loop, the three first tree strategies pinned the day they landed, and
+# the two grammar strategies plus every tree case's node and grammar
+# counts pinned before the drafters shared one Draft contract, at 1, 2
+# and 8 procs. Then the allocation gate: each of the nine strategies
+# stays within 1.25x of its measured heap allocations per clean token
+# (ntp 3.5, ours 9.6 ... grammar-tree 98.6; the table is in
+# allocs_test.go). Regenerate the fixtures deliberately with:
+# go test -run TestGolden ./internal/core/ -update
 golden:
 	$(GO) test -cpu 1,2,8 -run 'TestGolden|TestGateAllocsDecode' -v ./internal/core/
 

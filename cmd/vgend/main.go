@@ -64,7 +64,7 @@
 // [-items 3400] [-seed N] [-workers N] [-queue N]
 // [-max-batch N] [-preempt-quantum N] [-cache N]
 // [-prefix-cache trie|off] [-prefix-cache-bytes N] [-no-dedup]
-// [-tree-budget N] [-replicas N] [-models specs]
+// [-replicas N] [-models specs]
 // [-shed-policy none|deadline,priority,budget] [-budget-tps N]
 // [-budget-burst N] [-hedge-after D] [-steal] [-autoscale]
 // [-min-replicas N] [-max-replicas N] [-list-strategies]
@@ -79,8 +79,8 @@
 // The tree strategies (medusa-tree, lookup-tree, ours-tree, and the
 // grammar-constrained grammar-tree / grammar-lookup-tree; see
 // -list-strategies) draft a branching candidate tree per decoding
-// step; -tree-budget sets the daemon-wide node budget for requests
-// that do not carry their own "tree_budget" field. The grammar
+// step under the node budget a request carries in its "tree_budget"
+// field (the decoder default when it carries none). The grammar
 // strategies additionally report oracle work through /metrics
 // (grammar_pruned_nodes, grammar_draft_tokens).
 package main
@@ -200,7 +200,6 @@ func main() {
 		"prompt-session cache per replica: trie (token-prefix trie, partial reuse) or off")
 	prefixCacheBytes := flag.Int64("prefix-cache-bytes", 0, "trie prefix-cache byte budget per replica (0 = 64 MiB)")
 	noDedup := flag.Bool("no-dedup", false, "disable single-flight dedup of identical in-flight requests")
-	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget per step for tree strategies when the request sets none (0 = decoder default)")
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
 	modelsFlag := flag.String("models", "", "replica specs model[:scheme[:strategy]], comma-separated (empty: -model/-scheme)")
@@ -228,9 +227,6 @@ func main() {
 	if *listStrategies {
 		fmt.Print(core.StrategyListing())
 		return
-	}
-	if *treeBudget < 0 {
-		fail(fmt.Errorf("-tree-budget must be >= 0, got %d", *treeBudget))
 	}
 
 	specs, err := parseModels(*modelsFlag, *modelName, *schemeName)
@@ -312,15 +308,14 @@ func main() {
 	logInfo("training done", "corpus", fmt.Sprint(stats), "elapsed", time.Since(start).Round(time.Millisecond).String())
 
 	engCfg := serve.Config{
-		Workers:           *workers,
-		QueueSize:         *queue,
-		MaxBatch:          *maxBatch,
-		PreemptQuantum:    *preemptQuantum,
-		CacheSize:         *cache,
-		PrefixCacheMode:   prefixMode,
-		PrefixCacheBytes:  *prefixCacheBytes,
-		DefaultTreeBudget: *treeBudget,
-		NoDedup:           *noDedup,
+		Workers:          *workers,
+		QueueSize:        *queue,
+		MaxBatch:         *maxBatch,
+		PreemptQuantum:   *preemptQuantum,
+		CacheSize:        *cache,
+		PrefixCacheMode:  prefixMode,
+		PrefixCacheBytes: *prefixCacheBytes,
+		NoDedup:          *noDedup,
 	}
 
 	var backend serve.Backend

@@ -28,8 +28,9 @@ const vgendTestArgs = "VGEND_TEST_ARGS"
 // (and their documented aliases) parse, and every retired spelling —
 // the whole-prompt mode, a bare entry count, the -scheduler flag that
 // went with the worker pool, the -router flag that went with the
-// comparison routers — exits 2 before training starts, with a message
-// that names the surviving trie and off modes.
+// comparison routers, the daemon-wide -tree-budget (a request carries
+// its own "tree_budget") — exits 2 before training starts, with a
+// message that names the surviving trie and off modes.
 func TestParsePrefixCache(t *testing.T) {
 	for in, want := range map[string]string{
 		"":     serve.PrefixCacheTrie,
@@ -47,6 +48,7 @@ func TestParsePrefixCache(t *testing.T) {
 		{"-prefix-cache trie:64", "(want trie or off)"},
 		{"-scheduler x", "flag provided but not defined: -scheduler"},
 		{"-router round-robin", "flag provided but not defined: -router"},
+		{"-tree-budget 5", "flag provided but not defined: -tree-budget"},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), vgendTestArgs+"="+c.args)

@@ -17,14 +17,15 @@
 //
 // The decoding loop itself is strategy-agnostic: drafting and
 // acceptance live behind the Drafter/Verifier interfaces of
-// internal/core/spec, and the paper's three methods are canned pairings
-// in its registry. Options.Strategy selects any registered pairing by
-// name — including self-speculative prompt lookup, which needs no
-// trained heads at all, and the tree-drafting lifts (medusa-tree,
-// lookup-tree, ours-tree), whose branching draft trees are verified in
-// one pass per step with the deepest surviving root path accepted
-// (acceptTree); linear drafting is the width-1 special case of the
-// same walk (acceptDrafts).
+// internal/core/spec, and the paper's three methods are rows of its
+// registry. Options.Strategy selects any registered pairing by name —
+// including self-speculative prompt lookup, which needs no trained
+// heads at all, and the tree-drafting lifts (medusa-tree, lookup-tree,
+// ours-tree, grammar-tree, grammar-lookup-tree). Every step's draft is
+// one spec.Draft, an optional tree plus a chain, screened by one walk
+// (accept): the tree in one sweep, the chain adaptively below each
+// surviving leaf — or from the root when there is no tree, which is
+// linear drafting as the width-1 case of the same walk.
 //
 // A latency cost model (per-forward-pass milliseconds, calibrated so
 // the NTP baselines match the paper's tokens/s) converts step counts
@@ -108,10 +109,18 @@ type Options struct {
 	Seed int64
 }
 
+// withDefaults fills every unset knob the decoder defaults, the token
+// budget from the model's MaxTokens.
 func (o Options) withDefaults(m *model.Model) Options {
 	if o.MaxNewTokens == 0 {
 		o.MaxNewTokens = m.Config().MaxTokens
 	}
+	return o.knobDefaults()
+}
+
+// knobDefaults fills the model-independent defaults. Each is stated
+// here once: withDefaults decodes with them and Canonical folds them.
+func (o Options) knobDefaults() Options {
 	if o.TopK == 0 {
 		o.TopK = 3
 	}
@@ -144,26 +153,26 @@ func (o Options) StrategyLabel() string {
 
 // Canonical rewrites the options so equivalent decodes compare equal:
 // the strategy is expressed by its canonical display name (aliases and
-// the empty spelling of "ntp" collapse onto it). Decoding behaviour is
-// unchanged — the serving layer canonicalizes before using Options as
-// a cache or single-flight key so "pl", "prompt-lookup" and
-// "PromptLookup" share one entry. Unknown strategy names pass through
-// untouched and fail at decode time as before.
+// the empty spelling of "ntp" collapse onto it), unset knobs take the
+// defaults the decoder would apply, and knobs the strategy ignores —
+// TreeBudget without a tree drafter, DisableIntegrity without the
+// integrity check — are zeroed. Decoding behaviour is unchanged — the
+// serving layer canonicalizes before using Options as a cache or
+// single-flight key so "pl", "prompt-lookup" and "PromptLookup" (or
+// top_k 3 and no top_k) share one entry. Unknown strategy names pass
+// through untouched and fail at decode time as before.
 func (o Options) Canonical() Options {
-	if s, ok := spec.Named(o.strategyName()); ok {
-		o.Strategy = s.Name
-		// TreeBudget canonicalizes too, so requests that decode
-		// identically share one cache entry and one flight: linear
-		// strategies ignore the field entirely (zeroed), and for tree
-		// strategies an unset budget means exactly the decoder default
-		// (see withDefaults).
-		if _, isTree := s.Drafter.(spec.TreeDrafter); isTree {
-			if o.TreeBudget <= 0 {
-				o.TreeBudget = spec.DefaultTreeBudget
-			}
-		} else {
-			o.TreeBudget = 0
-		}
+	s, ok := spec.Named(o.strategyName())
+	if !ok {
+		return o
+	}
+	o = o.knobDefaults()
+	o.Strategy = s.Name
+	if !spec.IsTree(s.Drafter) {
+		o.TreeBudget = 0
+	}
+	if _, wrapped := s.Verifier.(spec.Integrity); !wrapped {
+		o.DisableIntegrity = false
 	}
 	return o
 }
@@ -430,107 +439,70 @@ func (d *Decoder) sampleBase(dist model.Dist, opts Options, rng *rand.Rand, rep 
 	return id // everything repeats: let it through rather than deadlock
 }
 
-// acceptDrafts runs a linear strategy's draft/verify exchange for one
-// step as the width-1 special case of the tree walk: each draft
-// position's candidates become the children of the single frontier
-// node, the verifier picks at most one of them against the base
-// model's posterior with all previously accepted tokens in context —
-// the analogue of Medusa's verification pass — and the accepted chain
-// is the (trivially deepest) root path. The walk ends at the first
-// position the verifier rejects outright (the "longest accepted prefix
-// among all candidates"). Returned tokens exclude the base token.
-func (d *Decoder) acceptDrafts(gen *model.Gen, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options) []int {
-	src := strat.Drafter.BeginStep(spec.DraftCtx{
-		Gen:     gen,
-		Seq:     seq,
-		Prefix:  prefix,
-		Forward: fw,
-		TopK:    opts.TopK,
-	})
-	if src == nil {
-		return nil
-	}
-	params := spec.VerifyParams{Epsilon: opts.Epsilon, Delta: opts.Delta}
-	// The accepted chain is the whole tree here: candidates the
-	// verifier rejects never become nodes (they would be dead weight on
-	// the serving hot path), so each position contributes at most one
-	// Add — the width-1 frontier.
-	t := tree.New(0) // the chain's length is bounded by the drafter's run
-	cur := tree.Root
-	// ctx is the hypothetical sequence including accepted tokens.
-	ctx := append(append([]int(nil), seq...), prefix...)
-	for i := 0; ; i++ {
-		cands := src.Candidates(i)
-		if len(cands) == 0 {
-			break
-		}
-		// Verification distribution: the base model's posterior at
-		// this position given everything accepted so far.
-		ver := gen.BaseDist(ctx)
-		choice := strat.Verifier.Accept(ver, cands, params)
-		if choice < 0 {
-			break
-		}
-		cur, _ = t.Add(cur, choice, tree.OriginLinear)
-		ctx = append(ctx, choice)
-		if choice == tokenizer.EosID {
-			break
-		}
-	}
-	return t.PathTokens(cur, nil)
-}
-
-// acceptTree runs a tree strategy's draft/verify exchange for one
-// step: the drafter proposes a branching candidate tree, and one
-// verification sweep scores it — for every node whose ancestry
-// survived, the children are screened (best-first, each on its own)
-// against the base model's posterior conditioned on the root-to-parent
+// accept runs one step's draft/verify exchange and appends the
+// accepted draft tokens to prefix (the tokens accepted so far this
+// step, base token first). It also returns the number of tree nodes
+// proposed, for the budget-utilization metrics, and the draft's
+// grammar stats.
+//
+// Without a tree the chain is walked from the root — linear drafting:
+// each position's candidates are screened against the base posterior
+// with everything accepted so far in context (the analogue of Medusa's
+// verification pass), and the first outright rejection ends the walk.
+// The whole accepted chain is kept.
+//
+// With a tree, one verification sweep scores it: for every node whose
+// ancestry survived, the children are screened (best-first, each on its
+// own) against the base posterior conditioned on the root-to-parent
 // path, exactly the path each candidate claims to extend. A rejection
-// prunes one subtree instead of killing the step, which is the whole
-// point of drafting a tree. Drafters with position-conditioned
-// candidates (spec.ChainExtender: Medusa heads) then grow a chain tail
-// below every surviving leaf — the same adaptive longest-prefix walk
-// linear drafting runs once, here run once per survivor, so the walk
-// the linear loop would have taken is always among the tree's paths.
+// prunes one subtree instead of killing the step. The chain then grows
+// below every surviving leaf, so the walk the linear loop would have
+// taken is always among the tree's paths. The winning path maximizes
+// the verifier's POST-Finalize kept length (first-discovered on ties):
+// for plain verifiers that is the deepest accepted root path; under the
+// [FRAG] integrity wrapper a deep path ending mid-fragment loses to a
+// shallower one ending on a fragment boundary, so tree search composes
+// with the paper's §III-B check instead of fighting it. A tree with no
+// draft nodes proposes nothing, chain or not.
 //
-// The winning path maximizes the verifier's POST-Finalize kept length
-// (first-discovered on ties): for plain verifiers that is simply the
-// deepest accepted root path; under the [FRAG] integrity wrapper a
-// deep path ending mid-fragment loses to a shallower one ending on a
-// fragment boundary, so tree search composes with the paper's §III-B
-// check instead of fighting it.
-//
-// On real hardware this is one batched forward pass over all tree
+// On real hardware the tree is one batched forward pass over all tree
 // positions (tree attention); here rejected subtrees short-circuit,
 // which changes nothing about outputs — their scores could only be
 // discarded. The simulated cost model charges the step exactly like
-// its linear counterpart. Also returns the number of draft nodes
-// proposed, for the budget-utilization metrics, and the grammar draft
-// stats when the drafter reports them (spec.StatsTreeDrafter).
-func (d *Decoder) acceptTree(gen *model.Gen, seq, prefix []int, fw model.Forward, strat spec.Strategy, td spec.TreeDrafter, opts Options) ([]int, int, spec.DraftStats) {
-	dc := spec.DraftCtx{
+// its linear counterpart.
+func (d *Decoder) accept(gen *model.Gen, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options) ([]int, int, spec.DraftStats) {
+	dr := strat.Drafter.Draft(spec.DraftCtx{
 		Gen:     gen,
 		Seq:     seq,
 		Prefix:  prefix,
 		Forward: fw,
 		TopK:    opts.TopK,
-	}
-	var gs spec.DraftStats
-	var t *tree.Tree
-	if std, ok := td.(spec.StatsTreeDrafter); ok {
-		t, gs = std.BuildTreeStats(dc, opts.TreeBudget)
-	} else {
-		t = td.BuildTree(dc, opts.TreeBudget)
-	}
-	if t == nil || t.DraftNodes() == 0 {
-		return nil, 0, gs
+	}, opts.TreeBudget)
+	t := dr.Tree
+	if t == nil && dr.Chain.Empty() || t != nil && t.DraftNodes() == 0 {
+		return prefix, 0, dr.Stats // nothing proposed
 	}
 	params := spec.VerifyParams{Epsilon: opts.Epsilon, Delta: opts.Delta}
+	// ctx is the hypothetical sequence including accepted tokens; walks
+	// extend it in its spare capacity, which never disturbs ctx itself.
 	ctx := append(append([]int(nil), seq...), prefix...)
+
+	if t == nil {
+		// Candidates the verifier rejects never become nodes (they would
+		// be dead weight on the serving hot path), so the chain is the
+		// whole tree, and its length is bounded by the drafter's.
+		t = tree.New(0)
+		var buf [16]int
+		ids := walkChain(gen, t, tree.Root, ctx, dr.Chain, strat.Verifier, params, buf[:0])
+		if len(ids) == 0 {
+			return prefix, 0, dr.Stats
+		}
+		return t.PathTokens(ids[len(ids)-1], prefix), 0, dr.Stats
+	}
 
 	// Sweep the static tree: accepted nodes in discovery order, leaves
 	// (accepted nodes with no accepted children) remembered for the
-	// chain tails.
+	// chain.
 	accepted := []int{}
 	var leaves []int
 	queue := []int{tree.Root}
@@ -564,10 +536,11 @@ func (d *Decoder) acceptTree(gen *model.Gen, seq, prefix []int, fw model.Forward
 		}
 	}
 
-	// Grow the adaptive chain tails below every surviving leaf.
-	if ext, ok := td.(spec.ChainExtender); ok {
+	if !dr.Chain.Empty() {
 		for _, leaf := range leaves {
-			accepted = append(accepted, d.extendChain(gen, t, leaf, ctx, ext, dc, strat, params)...)
+			if t.Node(leaf).Token != tokenizer.EosID {
+				accepted = walkChain(gen, t, leaf, t.PathTokens(leaf, ctx), dr.Chain, strat.Verifier, params, accepted)
+			}
 		}
 	}
 
@@ -580,38 +553,29 @@ func (d *Decoder) acceptTree(gen *model.Gen, seq, prefix []int, fw model.Forward
 			best, bestKept = n, kept
 		}
 	}
-	return t.PathTokens(best, nil), t.DraftNodes(), gs
+	return t.PathTokens(best, prefix), t.DraftNodes(), dr.Stats
 }
 
-// extendChain continues drafting below an accepted tree leaf with the
-// extender's position-conditioned candidates — the width-1 adaptive
-// walk of the linear loop, rooted at the leaf's path. New nodes land
-// in the tree (budget permitting) so the node accounting stays honest;
-// the accepted chain node ids are returned for path selection.
-func (d *Decoder) extendChain(gen *model.Gen, t *tree.Tree, leaf int, ctx []int, ext spec.ChainExtender, dc spec.DraftCtx, strat spec.Strategy, params spec.VerifyParams) []int {
-	if t.Node(leaf).Token == tokenizer.EosID {
-		return nil
-	}
-	cur := leaf
-	walk := append([]int(nil), ctx...)
-	walk = t.PathTokens(cur, walk)
-	var out []int
-	for depth := t.Depth(cur); ; depth++ {
-		cands := ext.Extend(dc, depth)
+// walkChain is the adaptive chain walk: starting below node from, whose
+// context (sequence, accepted prefix and root path) is walk, it screens
+// the chain's candidates for each next position against the base
+// posterior, adds the verifier's choice to the tree, and ends at the
+// first rejection, <eos>, an exhausted chain or a full tree. The
+// accepted node ids are appended to out.
+func walkChain(gen *model.Gen, t *tree.Tree, from int, walk []int, chain spec.Chain, v spec.Verifier, params spec.VerifyParams, out []int) []int {
+	for cur := from; ; {
+		cands := chain.Candidates(t.Depth(cur))
 		if len(cands) == 0 {
 			return out
 		}
-		ver := gen.BaseDist(walk)
-		choice := strat.Verifier.Accept(ver, cands, params)
+		choice := v.Accept(gen.BaseDist(walk), cands, params)
 		if choice < 0 {
 			return out
 		}
-		id, _ := t.Add(cur, choice, tree.OriginHead)
-		if id < 0 {
+		if cur, _ = t.Add(cur, choice, tree.OriginLinear); cur < 0 {
 			return out // budget exhausted
 		}
-		cur = id
-		out = append(out, id)
+		out = append(out, cur)
 		walk = append(walk, choice)
 		if choice == tokenizer.EosID {
 			return out
@@ -630,12 +594,18 @@ func finalizedLen(v spec.Verifier, prefix, path []int) int {
 }
 
 // stepCostMS is the simulated cost of one forward pass under the given
-// strategy: the backbone plus the drafter's extra cost (all heads for
-// Medusa-style drafting, nothing for NTP or self-speculative lookup).
-// Exposed for the cost-model tests.
+// strategy: the backbone, plus every head's cost when the drafter
+// consumes heads (Medusa-style drafting; NTP and self-speculative
+// lookup add nothing). Exposed for the cost-model tests.
 func (d *Decoder) stepCostMS(strat spec.Strategy) float64 {
 	cfg := d.m.Config()
-	return cfg.StepLatencyMS + strat.Drafter.ExtraCostMS(cfg, d.m.NumHeads())
+	if !strat.Drafter.NeedsHeads() {
+		return cfg.StepLatencyMS
+	}
+	// The conversion rounds the head cost before the sum, so no platform
+	// fuses a multiply-add and SimulatedMS stays bit-identical everywhere.
+	heads := float64(float64(d.m.NumHeads()) * cfg.HeadLatencyMS)
+	return cfg.StepLatencyMS + heads
 }
 
 // stripSpecials removes all reserved special tokens from ids.

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core/spec"
+	"repro/internal/core/spec/tree"
 	"repro/internal/model"
 	"repro/internal/tokenizer"
 	"repro/internal/verilog"
@@ -235,19 +237,62 @@ func TestStepCostModel(t *testing.T) {
 	cfg := m.Config()
 	wantNTP := cfg.StepLatencyMS
 	wantSpec := cfg.StepLatencyMS + float64(m.NumHeads())*cfg.HeadLatencyMS
-	if got := d.stepCostMS(spec.NTP()); got != wantNTP {
-		t.Fatalf("NTP step cost = %f, want %f", got, wantNTP)
+	// Drafters that consume heads pay every head's cost; ntp and the
+	// self-speculative lookups (linear or tree) pay the backbone only.
+	for name, want := range map[string]float64{
+		"ntp": wantNTP, "prompt-lookup": wantNTP, "lookup-tree": wantNTP, "grammar-lookup-tree": wantNTP,
+		"medusa": wantSpec, "ours": wantSpec, "medusa-tree": wantSpec, "ours-tree": wantSpec, "grammar-tree": wantSpec,
+	} {
+		s, err := ResolveStrategy(name, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.stepCostMS(s); got != want {
+			t.Errorf("%s step cost = %f, want %f", name, got, want)
+		}
 	}
-	if got := d.stepCostMS(spec.Ours()); got != wantSpec {
-		t.Fatalf("Ours step cost = %f, want %f", got, wantSpec)
+}
+
+// fixedDrafter is a test-local Drafter proposing one fixed draft.
+type fixedDrafter struct{ draft spec.Draft }
+
+func (fixedDrafter) Name() string                          { return "fixed" }
+func (fixedDrafter) NeedsHeads() bool                      { return false }
+func (f fixedDrafter) Draft(spec.DraftCtx, int) spec.Draft { return f.draft }
+
+// TestAcceptDraftShapes pins the two rules of the one walk: without a
+// tree the chain is walked from the root and kept whole, and a tree
+// with no draft nodes proposes nothing even when a chain is present.
+func TestAcceptDraftShapes(t *testing.T) {
+	m := trained(t, model.SchemeNTP)
+	d := NewDecoder(m)
+	opts := Options{}.withDefaults(m)
+	seq := model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[0].Prompt)
+	gen := m.NewGen(seq)
+	// The greedy continuation after the base token: greedy-exact
+	// screening accepts every token of it.
+	ctx := append([]int(nil), seq...)
+	var greedy []int
+	for range 4 {
+		id := gen.BaseDist(ctx).Argmax()
+		greedy = append(greedy, id)
+		ctx = append(ctx, id)
 	}
-	// Self-speculative lookup drafts without heads: backbone cost only.
-	pl, err := ResolveStrategy("prompt-lookup", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.stepCostMS(pl); got != wantNTP {
-		t.Fatalf("PromptLookup step cost = %f, want %f", got, wantNTP)
+	base, run := greedy[:1], greedy[1:]
+	chain := spec.Chain{Run: run}
+	for _, c := range []struct {
+		name string
+		tree *tree.Tree
+		want []int
+	}{
+		{"no tree walks the chain from the root", nil, greedy},
+		{"empty tree drafts nothing", tree.New(opts.TreeBudget), base},
+	} {
+		strat := spec.Strategy{Name: "fixed", Drafter: fixedDrafter{spec.Draft{Tree: c.tree, Chain: chain}}, Verifier: spec.GreedyExact{}}
+		got, nodes, _ := d.accept(gen, seq, append([]int(nil), base...), model.Forward{}, strat, opts)
+		if !slices.Equal(got, c.want) || nodes != 0 {
+			t.Errorf("%s: accepted %v with %d nodes, want %v with 0", c.name, got, nodes, c.want)
+		}
 	}
 }
 
@@ -463,6 +508,25 @@ func TestOptionsCanonical(t *testing.T) {
 	// …and the empty spelling collapses onto ntp.
 	if (Options{}).Canonical() != (Options{Strategy: "ntp"}).Canonical() {
 		t.Error("empty and named spellings of NTP diverge")
+	}
+	// Spelled-out defaults and knobs the strategy ignores fold onto the
+	// unset spelling; knobs that change the decode do not.
+	for _, c := range []struct {
+		a, b Options
+		same bool
+	}{
+		{Options{Strategy: "ours"}, Options{Strategy: "ours", TopK: 3}, true},
+		{Options{Strategy: "ours"}, Options{Strategy: "ours", Epsilon: 0.3, Delta: 1.2}, true},
+		{Options{Strategy: "ours"}, Options{Strategy: "ours", TopK: 4}, false},
+		{Options{Strategy: "medusa"}, Options{Strategy: "medusa", DisableIntegrity: true}, true},
+		{Options{Strategy: "ours"}, Options{Strategy: "ours", DisableIntegrity: true}, false},
+		{Options{Strategy: "ours"}, Options{Strategy: "ours", TreeBudget: 5}, true},
+		{Options{Strategy: "ours-tree"}, Options{Strategy: "ours-tree", TreeBudget: spec.DefaultTreeBudget}, true},
+		{Options{Strategy: "ours-tree"}, Options{Strategy: "ours-tree", TreeBudget: 5}, false},
+	} {
+		if got := c.a.Canonical() == c.b.Canonical(); got != c.same {
+			t.Errorf("%+v and %+v canonically equal = %v, want %v", c.a, c.b, got, c.same)
+		}
 	}
 	// Canonicalization never changes the decode.
 	m := trained(t, model.SchemeOurs)

@@ -37,15 +37,20 @@ type goldenCase struct {
 	Truncated int     `json:"truncated"`
 	SimMS     float64 `json:"sim_ms"`
 	Text      string  `json:"text"`
+	// Draft accounting, zero (and omitted) for linear strategies so the
+	// legacy block's committed bytes stay as captured.
+	TreeNodes          int `json:"tree_nodes,omitempty"`
+	GrammarPruned      int `json:"grammar_pruned,omitempty"`
+	GrammarDraftTokens int `json:"grammar_draft_tokens,omitempty"`
 }
 
 const goldenPath = "testdata/golden.json"
 
 // goldenMatrix runs the fixed decode matrix: every legacy mode on its
 // natural scheme, three prompts, greedy and sampled, two seeds — then
-// the tree strategies on the same schemes, appended AFTER the legacy
-// block so the legacy cases keep their committed positions (and bytes)
-// forever.
+// the tree strategies (grammar pair last) on the same schemes, appended
+// AFTER the legacy block so the legacy cases keep their committed
+// positions (and bytes) forever.
 func goldenMatrix(t *testing.T) []goldenCase {
 	t.Helper()
 	var out []goldenCase
@@ -69,7 +74,8 @@ func goldenMatrix(t *testing.T) []goldenCase {
 						Prompt: pi, Temp: temp, Seed: seed,
 						Tokens: append([]int{}, res.Tokens...), Steps: res.Steps,
 						Truncated: res.TruncatedTokens, SimMS: res.SimulatedMS,
-						Text: res.Text,
+						Text: res.Text, TreeNodes: res.TreeNodes,
+						GrammarPruned: res.GrammarPruned, GrammarDraftTokens: res.GrammarDraftTokens,
 					})
 				}
 			}
@@ -87,6 +93,8 @@ func goldenMatrix(t *testing.T) []goldenCase {
 		{model.SchemeMedusa, "medusa-tree"},
 		{model.SchemeNTP, "lookup-tree"},
 		{model.SchemeOurs, "ours-tree"},
+		{model.SchemeOurs, "grammar-tree"},
+		{model.SchemeNTP, "grammar-lookup-tree"},
 	} {
 		decode(sc.scheme, "", sc.strategy, Options{Strategy: sc.strategy})
 	}
@@ -139,6 +147,10 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 		if g.SimMS != w.SimMS {
 			t.Errorf("%s: simulated ms %v, want %v", id, g.SimMS, w.SimMS)
+		}
+		if g.TreeNodes != w.TreeNodes || g.GrammarPruned != w.GrammarPruned || g.GrammarDraftTokens != w.GrammarDraftTokens {
+			t.Errorf("%s: tree_nodes=%d grammar_pruned=%d grammar_draft_tokens=%d, want %d/%d/%d", id,
+				g.TreeNodes, g.GrammarPruned, g.GrammarDraftTokens, w.TreeNodes, w.GrammarPruned, w.GrammarDraftTokens)
 		}
 		if len(g.Tokens) != len(w.Tokens) {
 			t.Errorf("%s: %d tokens, want %d", id, len(g.Tokens), len(w.Tokens))

@@ -1,9 +1,6 @@
 package spec
 
-import (
-	"repro/internal/model"
-	"repro/internal/tokenizer"
-)
+import "repro/internal/tokenizer"
 
 // NoDraft proposes nothing: the strategy decodes one token per forward
 // pass (conventional NTP decoding).
@@ -15,11 +12,8 @@ func (NoDraft) Name() string { return "no-draft" }
 // NeedsHeads reports that no head distributions are consumed.
 func (NoDraft) NeedsHeads() bool { return false }
 
-// ExtraCostMS adds nothing to the backbone pass.
-func (NoDraft) ExtraCostMS(model.Config, int) float64 { return 0 }
-
-// BeginStep proposes nothing.
-func (NoDraft) BeginStep(DraftCtx) CandidateSource { return nil }
+// Draft proposes nothing.
+func (NoDraft) Draft(DraftCtx, int) Draft { return Draft{} }
 
 // MedusaHeads drafts from the model's trained decoding heads: draft
 // position i proposes the top-k candidates of head i, exactly Medusa's
@@ -32,43 +26,20 @@ func (MedusaHeads) Name() string { return "medusa-heads" }
 // NeedsHeads reports that head distributions are required.
 func (MedusaHeads) NeedsHeads() bool { return true }
 
-// ExtraCostMS charges every head's forward cost, the Medusa latency
-// model of core's cost model.
-func (MedusaHeads) ExtraCostMS(cfg model.Config, numHeads int) float64 {
-	return float64(numHeads) * cfg.HeadLatencyMS
+// Draft exposes the step's head distributions as the chain; a model
+// with no trained heads (an NTP backbone asked to decode medusa-style)
+// proposes nothing at all.
+func (MedusaHeads) Draft(dc DraftCtx, _ int) Draft {
+	return Draft{Chain: Chain{Heads: dc.Forward.Heads, TopK: dc.TopK}}
 }
 
-// BeginStep exposes the step's head distributions as candidate
-// columns; a model with no trained heads (an NTP backbone asked to
-// decode medusa-style) proposes nothing at all.
-func (MedusaHeads) BeginStep(dc DraftCtx) CandidateSource {
-	if len(dc.Forward.Heads) == 0 {
-		return nil
-	}
-	return headSource{heads: dc.Forward.Heads, topK: dc.TopK}
-}
-
-// headSource serves top-k candidates per head position.
-type headSource struct {
-	heads []model.Dist
-	topK  int
-}
-
-// Candidates returns head i's top-k proposals.
-func (h headSource) Candidates(i int) []int {
-	if i >= len(h.heads) {
-		return nil
-	}
-	return h.heads[i].TopK(h.topK)
-}
-
-// Prompt-lookup defaults: matches shorter than defaultMinMatch fire on
+// Prompt-lookup shape: matches shorter than lookupMinMatch fire on
 // purely structural patterns (a lone "input" keyword) and derail
-// drafting into noise; spans longer than defaultMaxSpan stop paying off
+// drafting into noise; spans longer than lookupSpan stop paying off
 // because the verifier rejects the tail anyway.
 const (
-	defaultMinMatch  = 3
-	defaultMaxSpan   = 10
+	lookupMinMatch   = 3
+	lookupSpan       = 10
 	maxLookupSuffix  = 8
 	minLookupHistory = 2
 )
@@ -82,42 +53,28 @@ const (
 // extremely template-heavy (port lists, sensitivity lists, case arms),
 // so lookup hits are frequent; no trained heads are needed, and the
 // drafting cost is zero forward passes.
-type PromptLookup struct {
-	// MinMatch is the shortest suffix worth matching (default 3).
-	MinMatch int
-	// MaxSpan caps draft tokens proposed per step (default 10).
-	MaxSpan int
-}
+type PromptLookup struct{}
 
 // Name identifies the drafter.
 func (PromptLookup) Name() string { return "prompt-lookup" }
 
-// NeedsHeads reports that no head distributions are consumed.
+// NeedsHeads reports that no head distributions are consumed: an
+// n-gram scan is free next to a forward pass, which is the whole appeal
+// of self-speculative drafting.
 func (PromptLookup) NeedsHeads() bool { return false }
 
-// ExtraCostMS adds nothing: an n-gram scan is free next to a forward
-// pass, which is the whole appeal of self-speculative drafting.
-func (PromptLookup) ExtraCostMS(model.Config, int) float64 { return 0 }
+// Draft matches the current suffix against the full sequence and
+// proposes the continuation of its most recent previous occurrence as
+// the chain.
+func (PromptLookup) Draft(dc DraftCtx, _ int) Draft {
+	return Draft{Chain: Chain{Run: lookupRun(dc.sequence(), lookupMinMatch, lookupSpan)}}
+}
 
-// BeginStep matches the current suffix against the full sequence and
-// proposes the continuation of its most recent previous occurrence.
-func (p PromptLookup) BeginStep(dc DraftCtx) CandidateSource {
-	minMatch := p.MinMatch
-	if minMatch <= 0 {
-		minMatch = defaultMinMatch
-	}
-	maxSpan := p.MaxSpan
-	if maxSpan <= 0 {
-		maxSpan = defaultMaxSpan
-	}
+// sequence is Seq followed by Prefix, in a fresh slice.
+func (dc DraftCtx) sequence() []int {
 	seq := make([]int, 0, len(dc.Seq)+len(dc.Prefix))
 	seq = append(seq, dc.Seq...)
-	seq = append(seq, dc.Prefix...)
-	run := lookupRun(seq, minMatch, maxSpan)
-	if len(run) == 0 {
-		return nil
-	}
-	return runSource{run: run}
+	return append(seq, dc.Prefix...)
 }
 
 // lookupRun finds the longest suffix of seq (capped at maxLookupSuffix)
@@ -167,18 +124,4 @@ func lookupRun(seq []int, minMatch, maxSpan int) []int {
 		}
 	}
 	return nil
-}
-
-// runSource serves one precomputed draft run, a single candidate per
-// position.
-type runSource struct {
-	run []int
-}
-
-// Candidates returns the run's token at position i.
-func (r runSource) Candidates(i int) []int {
-	if i >= len(r.run) {
-		return nil
-	}
-	return r.run[i : i+1]
 }

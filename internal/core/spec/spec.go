@@ -1,38 +1,43 @@
 // Package spec decomposes speculative decoding into two orthogonal,
 // composable pieces:
 //
-//   - a Drafter proposes candidate continuations for the positions after
-//     the base model's own next token (Medusa heads, self-speculative
-//     prompt lookup, or nothing at all for conventional decoding);
+//   - a Drafter proposes one step's Draft for the positions after the
+//     base model's own next token: Medusa heads, self-speculative prompt
+//     lookup, a branching draft tree, or nothing at all for
+//     conventional decoding;
 //   - a Verifier screens those proposals against the base model's
 //     posterior (typical acceptance, greedy-exact) and finalizes the
 //     accepted run (optionally truncating it at the last [FRAG] marker —
 //     the paper's integrity check).
 //
 // A Strategy is one named (Drafter, Verifier) pairing. The paper's three
-// decoding modes are canned pairings (see Named): NTP = NoDraft, Medusa
+// decoding modes are registry rows (see Named): NTP = NoDraft, Medusa
 // = MedusaHeads × TypicalAcceptance, Ours = MedusaHeads ×
 // Integrity(TypicalAcceptance). New strategies compose without touching
 // the decoding loop in internal/core — PromptLookup is the first:
 // a drafter that needs no trained heads at all.
 //
-// Drafters may also propose a branching, multi-candidate draft TREE
-// (TreeDrafter; MedusaTree, LookupTree, HybridTree over the arena in
-// internal/core/spec/tree): top-k candidates per position fan out, one
-// verification sweep screens every branch, and the longest surviving
-// root path is accepted — a rejection prunes a subtree instead of
-// killing the step. Every verifier composes unchanged; linear
-// strategies run as the width-1 special case of the same tree walk.
+// A Draft is an optional tree plus a chain. The tree (over the arena in
+// internal/core/spec/tree) fans top-k candidates out per position, so
+// one verification sweep screens every branch and a rejection prunes a
+// subtree instead of killing the step; the five tree strategies are
+// values of one tree drafter (see IsTree). The chain proposes
+// position-conditioned candidates — head i's top-k, or the i-th token
+// of a lookup run — and is walked adaptively, from the root when there
+// is no tree and below every surviving tree leaf when there is: a
+// linear draft is the width-1 case of the same walk. Every verifier
+// composes unchanged.
 //
 // Implementations must be stateless and safe for concurrent use: one
 // Strategy value is shared by every decoder worker in a serving pool.
-// Per-step state lives in the CandidateSource a Drafter returns.
+// Per-step state lives in the Draft a Drafter returns.
 package spec
 
 import (
 	"sort"
 	"strings"
 
+	"repro/internal/core/spec/tree"
 	"repro/internal/model"
 )
 
@@ -57,30 +62,66 @@ type DraftCtx struct {
 	TopK int
 }
 
-// CandidateSource supplies the draft proposals of one decoding step.
-type CandidateSource interface {
-	// Candidates returns the proposals for draft position i (0-based),
-	// best first. An empty slice ends drafting for the step; positions
-	// are consulted strictly in order, each at most once.
-	Candidates(i int) []int
+// Draft is one step's proposal. With a nil Tree the Chain is walked
+// from the root; otherwise the tree is screened first and the Chain
+// continues below each surviving leaf, and a tree with no draft nodes
+// proposes nothing at all.
+type Draft struct {
+	Tree  *tree.Tree
+	Chain Chain
+	// Stats reports what grammar constraint did to the tree.
+	Stats DraftStats
 }
 
-// Drafter proposes candidate continuations after the base token.
+// Chain supplies position-conditioned candidates: at most one of Heads
+// and Run is set. The zero Chain proposes nothing.
+type Chain struct {
+	// Heads are the head distributions; position i proposes head i's
+	// top TopK tokens, best first.
+	Heads []model.Dist
+	TopK  int
+	// Run is a lookup continuation; position i proposes Run[i] alone.
+	Run []int
+}
+
+// Candidates returns the proposals for draft position i (0-based, the
+// depth below the root), best first; empty ends the walk.
+func (c Chain) Candidates(i int) []int {
+	if i < len(c.Run) {
+		return c.Run[i : i+1]
+	}
+	if i < len(c.Heads) {
+		return c.Heads[i].TopK(c.TopK)
+	}
+	return nil
+}
+
+// Empty reports whether the chain proposes nothing at any position.
+func (c Chain) Empty() bool { return len(c.Run) == 0 && len(c.Heads) == 0 }
+
+// DraftStats reports what grammar constraint did to one step's draft
+// tree — the numerators behind the serve/cluster grammar metrics.
+type DraftStats struct {
+	// PrunedNodes counts draft tokens withheld because the syntax
+	// oracle classified their path as a doomed continuation (the
+	// verification budget they would have burned).
+	PrunedNodes int
+	// GrammarTokens counts draft nodes contributed by synthesized
+	// construct chains (origin grammar, dedup-adjusted).
+	GrammarTokens int
+}
+
+// Drafter proposes each step's draft.
 type Drafter interface {
 	// Name identifies the drafter in docs and diagnostics.
 	Name() string
 	// NeedsHeads reports whether the drafter consumes head
-	// distributions: when false the decoder skips computing them —
-	// a forward pass is base-only.
+	// distributions: when false the decoder skips computing them — a
+	// forward pass is base-only, and the cost model charges no heads.
 	NeedsHeads() bool
-	// ExtraCostMS is the drafter's addition to the simulated cost of
-	// one forward pass (the cost model of core: a backbone pass costs
-	// cfg.StepLatencyMS; Medusa heads add numHeads·cfg.HeadLatencyMS;
-	// self-speculative lookup adds nothing).
-	ExtraCostMS(cfg model.Config, numHeads int) float64
-	// BeginStep prepares this step's proposals. It may return nil to
-	// propose nothing.
-	BeginStep(dc DraftCtx) CandidateSource
+	// Draft proposes this step's draft; a tree holds at most budget
+	// draft nodes (>= 1) and never extends past an <eos> token.
+	Draft(dc DraftCtx, budget int) Draft
 }
 
 // VerifyParams carries the acceptance hyper-parameters (Options.Epsilon
@@ -125,69 +166,60 @@ func WithoutIntegrity(s Strategy) Strategy {
 	return s
 }
 
-// NTP is conventional next-token-prediction decoding: no drafts, one
-// token per forward pass. The verifier is never consulted.
-func NTP() Strategy {
-	return Strategy{Name: "NTP", Drafter: NoDraft{}, Verifier: AcceptNone{}}
-}
-
-// Medusa is vanilla Medusa speculative decoding: trained heads draft,
-// typical acceptance screens, no fragment alignment.
-func Medusa() Strategy {
-	return Strategy{Name: "Medusa", Drafter: MedusaHeads{}, Verifier: TypicalAcceptance{}}
-}
-
-// Ours is the paper's method: Medusa heads screened by typical
-// acceptance, with the accepted run truncated at the last [FRAG] marker
-// so every decoding step ends on a complete syntactic fragment.
-func Ours() Strategy {
-	return Strategy{Name: "Ours", Drafter: MedusaHeads{}, Verifier: Integrity{Inner: TypicalAcceptance{}}}
-}
-
-// PromptLookupStrategy is self-speculative decoding without extra
-// heads: n-gram matches against the prompt and the generated suffix
-// draft the continuation, screened greedy-exact so greedy decodes stay
-// lossless versus NTP. It works on any trained model — including plain
-// NTP backbones that cannot run Medusa.
-//
-// At temperature > 0 only the non-drafted (base) positions sample;
-// accepted draft positions carry the argmax, so sampled outputs skew
-// greedier than NTP sampling at the same temperature. The strategy
-// matrix reports its sampled rows under that caveat; a sampling-aware
-// acceptance rule is a ROADMAP item.
-func PromptLookupStrategy() Strategy {
-	return Strategy{Name: "PromptLookup", Drafter: PromptLookup{}, Verifier: GreedyExact{}}
+// IsTree reports whether d drafts branching trees — the tree
+// strategies' node budget applies to it.
+func IsTree(d Drafter) bool {
+	_, ok := d.(treeDrafter)
+	return ok
 }
 
 // registry is the single source of truth for named strategies: one
-// entry per strategy with its canonical lookup name and any aliases.
-// The display name (Strategy.Name) is accepted automatically, since
+// row per strategy with its canonical lookup name and any aliases. The
+// display name (Strategy.Name) is accepted automatically, since
 // lookups lowercase their input.
+//
+// ntp is conventional next-token decoding: no drafts, one token per
+// forward pass. medusa is vanilla Medusa: trained heads draft, typical
+// acceptance screens. ours is the paper's method: medusa with the
+// accepted run truncated at the last [FRAG] marker so every step ends
+// on a complete syntactic fragment.
+//
+// prompt-lookup is self-speculative decoding without heads, screened
+// greedy-exact so greedy decodes stay lossless versus NTP on any
+// trained model. At temperature > 0 only the base positions sample;
+// accepted draft positions carry the argmax, so sampled outputs skew
+// greedier than NTP sampling (a sampling-aware acceptance rule is a
+// ROADMAP item).
+//
+// The tree rows lift those pairings into branching form (see
+// treeDrafter); the integrity check acts on the accepted path after the
+// tree walk picks it, so it composes unchanged, and the greedy-exact
+// rows stay byte-identical to NTP at temperature 0.
 var registry = []struct {
 	canonical string
 	aliases   []string
-	make      func() Strategy
+	strategy  Strategy
 }{
-	{"ntp", nil, NTP},
-	{"medusa", nil, Medusa},
-	{"ours", nil, Ours},
-	{"prompt-lookup", []string{"promptlookup", "pl"}, PromptLookupStrategy},
-	{"medusa-tree", []string{"medusatree", "mt"}, MedusaTreeStrategy},
-	{"lookup-tree", []string{"lookuptree", "lt"}, LookupTreeStrategy},
-	{"ours-tree", []string{"ourstree", "tree"}, OursTreeStrategy},
-	{"grammar-tree", []string{"grammartree", "gt", "grammar"}, GrammarTreeStrategy},
-	{"grammar-lookup-tree", []string{"grammarlookuptree", "glt"}, GrammarLookupTreeStrategy},
+	{"ntp", nil, Strategy{"NTP", NoDraft{}, AcceptNone{}}},
+	{"medusa", nil, Strategy{"Medusa", MedusaHeads{}, TypicalAcceptance{}}},
+	{"ours", nil, Strategy{"Ours", MedusaHeads{}, Integrity{TypicalAcceptance{}}}},
+	{"prompt-lookup", []string{"promptlookup", "pl"}, Strategy{"PromptLookup", PromptLookup{}, GreedyExact{}}},
+	{"medusa-tree", []string{"medusatree", "mt"}, Strategy{"MedusaTree", medusaTree, TypicalAcceptance{}}},
+	{"lookup-tree", []string{"lookuptree", "lt"}, Strategy{"LookupTree", lookupTree, GreedyExact{}}},
+	{"ours-tree", []string{"ourstree", "tree"}, Strategy{"OursTree", hybridTree, Integrity{TypicalAcceptance{}}}},
+	{"grammar-tree", []string{"grammartree", "gt", "grammar"}, Strategy{"GrammarTree", grammarTree, Integrity{TypicalAcceptance{}}}},
+	{"grammar-lookup-tree", []string{"grammarlookuptree", "glt"}, Strategy{"GrammarLookupTree", grammarLookupTree, GreedyExact{}}},
 }
 
-// named maps normalized strategy names (and aliases) to constructors,
+// named maps normalized strategy names (and aliases) to strategies,
 // derived from registry.
-var named = func() map[string]func() Strategy {
-	out := map[string]func() Strategy{}
+var named = func() map[string]Strategy {
+	out := map[string]Strategy{}
 	for _, e := range registry {
-		out[e.canonical] = e.make
-		out[strings.ToLower(e.make().Name)] = e.make
+		out[e.canonical] = e.strategy
+		out[strings.ToLower(e.strategy.Name)] = e.strategy
 		for _, a := range e.aliases {
-			out[a] = e.make
+			out[a] = e.strategy
 		}
 	}
 	return out
@@ -197,11 +229,8 @@ var named = func() map[string]func() Strategy {
 // names are listed by Names; display names ("Ours", "PromptLookup")
 // and registered aliases ("pl") are accepted too.
 func Named(name string) (Strategy, bool) {
-	f, ok := named[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return Strategy{}, false
-	}
-	return f(), true
+	s, ok := named[strings.ToLower(strings.TrimSpace(name))]
+	return s, ok
 }
 
 // Names returns the canonical strategy names, sorted — the vocabulary
@@ -238,15 +267,14 @@ type Info struct {
 func Registered() []Info {
 	out := make([]Info, 0, len(registry))
 	for _, e := range registry {
-		s := e.make()
-		_, isTree := s.Drafter.(TreeDrafter)
+		s := e.strategy
 		out = append(out, Info{
 			Canonical:  e.canonical,
 			Display:    s.Name,
 			Aliases:    append([]string(nil), e.aliases...),
 			Drafter:    s.Drafter.Name(),
 			Verifier:   s.Verifier.Name(),
-			Tree:       isTree,
+			Tree:       IsTree(s.Drafter),
 			NeedsHeads: s.Drafter.NeedsHeads(),
 		})
 	}

@@ -162,24 +162,23 @@ func TestPromptLookupRun(t *testing.T) {
 	}
 }
 
-func TestPromptLookupBeginStepUsesPrefix(t *testing.T) {
+func TestPromptLookupDraftUsesPrefix(t *testing.T) {
 	// The just-sampled base token participates in the suffix: Seq ends
 	// with (a b), Prefix holds (c); suffix (a b c) matches history.
-	pl := PromptLookup{}
 	dc := DraftCtx{
 		Seq:    []int{10, 11, 12, 13, 10, 11},
 		Prefix: []int{12},
 	}
-	src := pl.BeginStep(dc)
-	if src == nil {
-		t.Fatal("no draft despite a suffix match through the prefix")
+	d := PromptLookup{}.Draft(dc, DefaultTreeBudget)
+	if d.Tree != nil || d.Chain.Empty() {
+		t.Fatalf("draft = %+v, want a chain and no tree despite the budget", d)
 	}
-	if cands := src.Candidates(0); len(cands) != 1 || cands[0] != 13 {
+	if cands := d.Chain.Candidates(0); len(cands) != 1 || cands[0] != 13 {
 		t.Fatalf("candidates(0) = %v, want [13]", cands)
 	}
 	// Positions past the run are empty.
 	for i := 0; ; i++ {
-		if len(src.Candidates(i)) == 0 {
+		if len(d.Chain.Candidates(i)) == 0 {
 			break
 		}
 		if i > 16 {
@@ -217,41 +216,40 @@ func TestNamedRegistry(t *testing.T) {
 		t.Fatalf("Names() = %v", Names())
 	}
 	pl, _ := Named("prompt-lookup")
+	// Not needing heads is also what makes its drafting free in the
+	// cost model (core.TestStepCostModel).
 	if pl.Drafter.NeedsHeads() {
 		t.Fatal("prompt-lookup should not need heads")
-	}
-	if pl.Drafter.ExtraCostMS(model.CodeLlamaSim(), 10) != 0 {
-		t.Fatal("prompt-lookup drafting must be free in the cost model")
 	}
 }
 
 func TestNoDraftAndAcceptNone(t *testing.T) {
-	if src := (NoDraft{}).BeginStep(DraftCtx{}); src != nil {
-		t.Fatal("NoDraft proposed candidates")
+	if d := (NoDraft{}).Draft(DraftCtx{}, DefaultTreeBudget); d.Tree != nil || !d.Chain.Empty() {
+		t.Fatalf("NoDraft proposed %+v", d)
 	}
 	if got := (AcceptNone{}).Accept(dist(map[int]float64{1: 1}), []int{1}, VerifyParams{}); got != -1 {
 		t.Fatalf("AcceptNone accepted %d", got)
 	}
 	// A heads drafter on a headless model proposes nothing (the NTP
 	// backbone fast path).
-	if src := (MedusaHeads{}).BeginStep(DraftCtx{TopK: 3}); src != nil {
-		t.Fatal("MedusaHeads drafted without heads")
+	if d := (MedusaHeads{}).Draft(DraftCtx{TopK: 3}, 0); d.Tree != nil || !d.Chain.Empty() {
+		t.Fatalf("MedusaHeads drafted without heads: %+v", d)
 	}
 }
 
-func TestMedusaHeadsSource(t *testing.T) {
+func TestMedusaHeadsChain(t *testing.T) {
 	fw := model.Forward{Heads: []model.Dist{
 		dist(map[int]float64{1: 0.6, 2: 0.4}),
 		dist(map[int]float64{3: 1.0}),
 	}}
-	src := (MedusaHeads{}).BeginStep(DraftCtx{Forward: fw, TopK: 2})
-	if got := src.Candidates(0); len(got) != 2 || got[0] != 1 {
+	chain := (MedusaHeads{}).Draft(DraftCtx{Forward: fw, TopK: 2}, 0).Chain
+	if got := chain.Candidates(0); len(got) != 2 || got[0] != 1 {
 		t.Fatalf("head 0 candidates = %v", got)
 	}
-	if got := src.Candidates(1); len(got) != 1 || got[0] != 3 {
+	if got := chain.Candidates(1); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("head 1 candidates = %v", got)
 	}
-	if got := src.Candidates(2); got != nil {
+	if got := chain.Candidates(2); got != nil {
 		t.Fatalf("past-last head proposed %v", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package tree provides the draft-tree arena of token-tree speculative
-// drafting: a compact, parent-indexed node store a TreeDrafter fills
-// with branching candidate continuations and a tree verifier walks in
-// one pass.
+// drafting: a compact, parent-indexed node store a spec.Draft carries
+// with branching candidate continuations and the decoder's accept walk
+// screens in one pass.
 //
 // Linear speculative drafting proposes ONE continuation run per step;
 // the first verifier rejection kills the whole tail, wasting the rest
@@ -32,8 +32,8 @@ type Origin uint8
 const (
 	// OriginRoot marks the root sentinel only.
 	OriginRoot Origin = iota
-	// OriginLinear marks nodes inserted by the width-1 lift of a linear
-	// drafter (the chain special case of the tree walk).
+	// OriginLinear marks nodes grown by the chain walk: a linear
+	// draft from the root, or the chain below a surviving tree leaf.
 	OriginLinear
 	// OriginHead marks nodes drafted from a Medusa head's top-k.
 	OriginHead
@@ -91,8 +91,8 @@ type Tree struct {
 
 // New returns an empty tree (root only). budget caps the number of
 // draft nodes (root excluded): Add refuses insertions past it. A
-// budget <= 0 is unbounded — the width-1 linear lift uses that, since
-// its chain is already bounded by the drafter's own run length.
+// budget <= 0 is unbounded — a linear draft's walk uses that, since its
+// chain is already bounded by the drafter's own run length.
 func New(budget int) *Tree {
 	t := &Tree{budget: budget}
 	t.nodes = append(t.nodes, Node{Token: -1, Parent: none, Origin: OriginRoot, firstChild: none, lastChild: none, nextSibling: none})

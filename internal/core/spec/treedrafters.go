@@ -1,9 +1,13 @@
 package spec
 
 import (
+	"strings"
+
+	"repro/internal/core/spec/grammar"
 	"repro/internal/core/spec/tree"
 	"repro/internal/model"
 	"repro/internal/tokenizer"
+	"repro/internal/verilog"
 )
 
 // DefaultTreeBudget is the default per-step draft-tree node cap
@@ -13,109 +17,197 @@ import (
 // k=3 with 10 heads: 12 static + 9·8 tail = 84 nodes.
 const DefaultTreeBudget = 96
 
-// TreeDrafter is a Drafter that proposes a branching draft tree
-// instead of one linear run: top-k candidates per position fan out so
-// a verifier rejection prunes one subtree rather than killing the whole
-// tail. The embedded Drafter contract still holds (Name, NeedsHeads,
-// ExtraCostMS); BeginStep is unused — the decoding loop consults
-// BuildTree for strategies whose drafter implements this interface.
-type TreeDrafter interface {
-	Drafter
-	// BuildTree proposes this step's draft tree under a node budget
-	// (>= 1; DefaultTreeBudget when the caller left it unset). It may
-	// return nil, or a tree with no draft nodes, to propose nothing.
-	// Nodes must never extend past an <eos> token.
-	BuildTree(dc DraftCtx, budget int) *tree.Tree
-}
-
-// staticHeadLevels is how many draft positions the Medusa tree
+// staticHeadLevels is how many draft positions the head fan-out
 // branches at full top-k width before handing over to the adaptive
-// chain tail (ChainExtender). Two levels keep the static tree a
-// superset of every path the linear walk can take through its first
-// two positions — the containment that makes tree acceptance never
-// shorter than linear acceptance — at k + k² nodes.
+// chain tail. Two levels keep the static tree a superset of every path
+// the linear walk can take through its first two positions — the
+// containment that makes tree acceptance never shorter than linear
+// acceptance — at k + k² nodes.
 const staticHeadLevels = 2
 
-// ChainExtender is implemented by tree drafters whose candidates are
-// position-conditioned rather than path-conditioned (Medusa heads:
-// head i proposes for draft position i whatever the path). After the
-// tree walk screens the static levels, every surviving branch
-// continues chain-style with Extend's full per-position candidate
-// lists — the same adaptive longest-prefix walk linear Medusa runs,
-// one per survivor instead of one total. Path-conditioned drafters
-// (prompt lookup) cannot extend: their continuations are already laid
-// into the tree in full.
-type ChainExtender interface {
-	// Extend returns the candidates for draft position depth, best
-	// first; empty ends the extension.
-	Extend(dc DraftCtx, depth int) []int
+// Tree lookup shape: lookupBranches caps how many distinct n-gram
+// match continuations branch from the root (more just spends budget on
+// stale history, since matches are collected newest-first). Grammar
+// drafting deepens the lookup half: pruning doomed branches pays for
+// deeper speculation, so each surviving run may extend further and more
+// matches branch.
+const (
+	lookupBranches  = 4
+	grammarSpan     = 16
+	grammarBranches = 6
+)
+
+// treeDrafter proposes a branching draft tree, laid out in one budget
+// in this order so shared paths dedup into shared nodes: lookup match
+// runs (span > 0), synthesized grammar construct chains (grammar), and
+// the first staticHeadLevels head positions at full top-k width
+// (heads). With heads, the head chain then continues below every
+// surviving leaf — the same adaptive walk linear Medusa runs, once per
+// survivor instead of once in total. Lookup continuations are
+// path-conditioned and laid into the tree in full, so they carry no
+// chain.
+//
+// With grammar set, every branch is screened by the incremental Verilog
+// syntax oracle (internal/core/spec/grammar) before it spends
+// verification budget: a path that cannot lex/parse as a continuation
+// of the generated text is withheld. The oracle is a pure function of
+// the decoded generated text, so the drafter stays deterministic given
+// (Seq, Prefix); when that text cannot be classified the oracle
+// disables itself and the drafter degrades to its ungated form.
+type treeDrafter struct {
+	name     string
+	span     int // lookup tokens per branch; 0 disables the lookup half
+	branches int // distinct lookup continuations
+	heads    bool
+	grammar  bool
 }
 
-// MedusaTree lifts MedusaHeads into branching form: draft position i
-// still proposes from head i's distribution, but instead of one chain
-// screened candidate-by-candidate, the first staticHeadLevels
-// positions fan out at full top-k width and every surviving branch
-// grows its own chain tail (ChainExtender). Identical token sets per
-// position — the heads are position-conditioned, not path-conditioned
-// — but each tree path is verified against its own path-conditioned
-// posterior, which is where the extra accepted length comes from: the
-// static levels contain every prefix the linear walk could accept, so
-// the deepest surviving path is never shorter than linear Medusa's,
-// and branches the linear walk would have abandoned get to run their
-// own tails.
-type MedusaTree struct{}
+// The five tree drafters.
+var (
+	// medusaTree lifts MedusaHeads into branching form. The heads are
+	// position-conditioned, so the token sets per position are the
+	// linear drafter's; but each path is verified against its own
+	// path-conditioned posterior, the static levels contain every
+	// prefix the linear walk could accept, and branches the linear walk
+	// would have abandoned run their own tails.
+	medusaTree = treeDrafter{name: "medusa-tree", heads: true}
+	// lookupTree lifts PromptLookup: every sufficiently long
+	// re-occurrence of the current suffix proposes its continuation,
+	// led by the linear drafter's run whenever that drafts at all.
+	// Screened greedy-exact, greedy decodes stay byte-identical to
+	// linear prompt lookup and to NTP however the branches fare.
+	lookupTree = treeDrafter{name: "lookup-tree", span: lookupSpan, branches: lookupBranches}
+	// hybridTree unions both: lookup runs first (deep template echoes —
+	// RTL is template-heavy, so a match usually survives deepest), then
+	// head branches fill the remaining budget, and surviving lookup
+	// chains get head-guided tails past their span.
+	hybridTree = treeDrafter{name: "hybrid-tree", span: lookupSpan, branches: lookupBranches, heads: true}
+	// grammarTree is hybridTree with oracle pruning, construct chains
+	// (sensitivity lists, begin/closer skeletons, port-list
+	// continuations) and the deeper lookup half the freed budget funds.
+	grammarTree = treeDrafter{name: "grammar-tree", span: grammarSpan, branches: grammarBranches, heads: true, grammar: true}
+	// grammarLookupTree is the headless form for NTP backbones: the
+	// deepened, pruned lookup tree plus construct chains.
+	grammarLookupTree = treeDrafter{name: "grammar-lookup-tree", span: grammarSpan, branches: grammarBranches, grammar: true}
+)
 
 // Name identifies the drafter.
-func (MedusaTree) Name() string { return "medusa-tree" }
+func (td treeDrafter) Name() string { return td.name }
 
-// NeedsHeads reports that head distributions are required.
-func (MedusaTree) NeedsHeads() bool { return true }
+// NeedsHeads reports whether the head half is on; the lookup half and
+// the oracle run beside the model and cost nothing in the cost model.
+func (td treeDrafter) NeedsHeads() bool { return td.heads }
 
-// ExtraCostMS charges every head's forward cost, exactly like linear
-// Medusa drafting: the tree is built from the same single forward pass.
-func (MedusaTree) ExtraCostMS(cfg model.Config, numHeads int) float64 {
-	return float64(numHeads) * cfg.HeadLatencyMS
-}
-
-// BeginStep proposes nothing — tree drafters draft through BuildTree.
-func (MedusaTree) BeginStep(DraftCtx) CandidateSource { return nil }
-
-// BuildTree fans the heads' top candidates into a draft tree.
-func (MedusaTree) BuildTree(dc DraftCtx, budget int) *tree.Tree {
-	if len(dc.Forward.Heads) == 0 {
-		return nil
+// Draft builds the step's budgeted tree and reports what the oracle
+// pruned and contributed. With nothing to draft from it returns the
+// zero Draft, which proposes nothing.
+func (td treeDrafter) Draft(dc DraftCtx, budget int) Draft {
+	var runs [][]int
+	if td.span > 0 {
+		runs = lookupRuns(dc.sequence(), lookupMinMatch, td.span, td.branches)
+	}
+	var heads []model.Dist
+	if td.heads {
+		heads = dc.Forward.Heads
+	}
+	if len(runs) == 0 && len(heads) == 0 && (!td.grammar || dc.Gen == nil) {
+		return Draft{}
+	}
+	var oracle *grammar.Step
+	var tok *tokenizer.Tokenizer
+	if td.grammar {
+		oracle, tok = beginOracle(dc)
 	}
 	t := tree.New(budget)
-	growHeadTree(t, []int{tree.Root}, dc)
-	return t
+	d := Draft{Tree: t, Chain: Chain{Heads: heads, TopK: dc.TopK}}
+
+	// Lookup runs, each truncated at the first token whose path the
+	// oracle condemns (the rest of the run could only be verified
+	// against a continuation that cannot parse). A full tree admits no
+	// new node, so budget exhaustion ends the whole build.
+	for _, run := range runs {
+		parent := tree.Root
+		ext := ""
+		for i, id := range run {
+			if oracle != nil {
+				next := ext + tokenText(tok, id)
+				if oracle.Check(next) == verilog.PrefixInvalid {
+					d.Stats.PrunedNodes += len(run) - i
+					break
+				}
+				ext = next
+			}
+			node, _ := t.Add(parent, id, tree.OriginLookup)
+			if node < 0 {
+				return d
+			}
+			parent = node
+			if id == tokenizer.EosID {
+				break
+			}
+		}
+	}
+
+	// Synthesized construct chains from the root — whole idiomatic
+	// continuations the verifier screens like any other branch.
+	if oracle != nil {
+		for _, text := range oracle.Constructs() {
+			parent := tree.Root
+			for _, id := range tok.Encode(text) {
+				node, added := t.Add(parent, id, tree.OriginGrammar)
+				if node < 0 {
+					return d
+				}
+				if added {
+					d.Stats.GrammarTokens++
+				}
+				parent = node
+			}
+		}
+	}
+
+	growHeads(t, heads, dc.TopK, oracle, tok, &d.Stats)
+	return d
 }
 
-// growHeadTree expands frontier through the first staticHeadLevels
-// head distributions at full top-k width, honouring the budget and
-// never extending past <eos>. Deeper positions belong to the adaptive
-// chain tail (ChainExtender). Shared with the hybrid drafter, which
-// seeds a different frontier into the same expansion.
-func growHeadTree(t *tree.Tree, frontier []int, dc DraftCtx) {
-	for d, head := range dc.Forward.Heads {
+// growHeads expands the root through the first staticHeadLevels head
+// distributions at full top-k width, honouring the budget, never
+// extending past <eos>, and (with an oracle) withholding candidates
+// whose path text cannot parse. Deeper positions belong to the chain.
+func growHeads(t *tree.Tree, heads []model.Dist, topK int, oracle *grammar.Step, tok *tokenizer.Tokenizer, st *DraftStats) {
+	type extNode struct {
+		id  int
+		ext string
+	}
+	frontier := []extNode{{tree.Root, ""}}
+	for d, head := range heads {
 		if d >= staticHeadLevels {
 			return
 		}
-		cands := head.TopK(dc.TopK)
+		cands := head.TopK(topK)
 		if len(cands) == 0 {
 			return
 		}
-		var next []int
+		next := make([]extNode, 0, len(frontier)*len(cands))
 		for _, p := range frontier {
-			if p != tree.Root && t.Node(p).Token == tokenizer.EosID {
+			if p.id != tree.Root && t.Node(p.id).Token == tokenizer.EosID {
 				continue
 			}
 			for _, c := range cands {
-				id, added := t.Add(p, c, tree.OriginHead)
+				ext := p.ext
+				if oracle != nil {
+					ext += tokenText(tok, c)
+					if oracle.Check(ext) == verilog.PrefixInvalid {
+						st.PrunedNodes++
+						continue
+					}
+				}
+				id, added := t.Add(p.id, c, tree.OriginHead)
 				if id < 0 {
 					return // budget exhausted
 				}
 				if added {
-					next = append(next, id)
+					next = append(next, extNode{id, ext})
 				}
 			}
 		}
@@ -123,106 +215,6 @@ func growHeadTree(t *tree.Tree, frontier []int, dc DraftCtx) {
 			return
 		}
 		frontier = next
-	}
-}
-
-// Extend serves head depth's full top-k — the chain tail's candidates,
-// identical to what the linear walk would consult at that position.
-func (MedusaTree) Extend(dc DraftCtx, depth int) []int {
-	if depth >= len(dc.Forward.Heads) {
-		return nil
-	}
-	return dc.Forward.Heads[depth].TopK(dc.TopK)
-}
-
-// Lookup-tree defaults: defaultMaxBranches caps how many distinct
-// n-gram match continuations branch from the root; more just spends
-// budget on stale history, since matches are collected newest-first.
-const defaultMaxBranches = 4
-
-// LookupTree lifts PromptLookup into branching form: instead of only
-// the most recent previous occurrence of the current suffix, every
-// sufficiently long re-occurrence proposes its continuation run, and
-// the distinct runs branch from the root (shared prefixes dedup into
-// shared nodes). Whenever the linear drafter proposes at all, its run
-// leads the branches (longest match, most recent occurrence — the
-// same scan order), so the tree's candidate set contains the linear
-// one; where linear aborts on a newest occurrence with an empty
-// continuation (a <bos> boundary), the tree keeps scanning older
-// occurrences — strictly more drafting, never less. Screened
-// greedy-exact (the lookup-tree strategy), greedy decodes stay
-// lossless either way: every accepted token is the base argmax, so
-// the emitted byte stream equals linear prompt-lookup's — and NTP's —
-// regardless of how the branches fare.
-type LookupTree struct {
-	// MinMatch is the shortest suffix worth matching (default 3).
-	MinMatch int
-	// MaxSpan caps draft tokens per branch (default 10).
-	MaxSpan int
-	// MaxBranches caps distinct match continuations (default 4).
-	MaxBranches int
-}
-
-// Name identifies the drafter.
-func (LookupTree) Name() string { return "lookup-tree" }
-
-// NeedsHeads reports that no head distributions are consumed.
-func (LookupTree) NeedsHeads() bool { return false }
-
-// ExtraCostMS adds nothing, like linear prompt lookup.
-func (LookupTree) ExtraCostMS(model.Config, int) float64 { return 0 }
-
-// BeginStep proposes nothing — tree drafters draft through BuildTree.
-func (LookupTree) BeginStep(DraftCtx) CandidateSource { return nil }
-
-// BuildTree branches every distinct match continuation from the root.
-func (p LookupTree) BuildTree(dc DraftCtx, budget int) *tree.Tree {
-	runs := p.runs(dc)
-	if len(runs) == 0 {
-		return nil
-	}
-	t := tree.New(budget)
-	insertRuns(t, runs)
-	return t
-}
-
-// runs collects the distinct lookup continuations for this step,
-// best-first (longest match, most recent occurrence leads — the linear
-// drafter's run). Shared with the hybrid drafter.
-func (p LookupTree) runs(dc DraftCtx) [][]int {
-	minMatch := p.MinMatch
-	if minMatch <= 0 {
-		minMatch = defaultMinMatch
-	}
-	maxSpan := p.MaxSpan
-	if maxSpan <= 0 {
-		maxSpan = defaultMaxSpan
-	}
-	maxBranches := p.MaxBranches
-	if maxBranches <= 0 {
-		maxBranches = defaultMaxBranches
-	}
-	seq := make([]int, 0, len(dc.Seq)+len(dc.Prefix))
-	seq = append(seq, dc.Seq...)
-	seq = append(seq, dc.Prefix...)
-	return lookupRuns(seq, minMatch, maxSpan, maxBranches)
-}
-
-// insertRuns lays the runs into the tree as root chains, sharing
-// prefixes through Add's per-parent dedup, stopping at the budget.
-func insertRuns(t *tree.Tree, runs [][]int) {
-	for _, run := range runs {
-		parent := tree.Root
-		for _, id := range run {
-			node, _ := t.Add(parent, id, tree.OriginLookup)
-			if node < 0 {
-				return // budget exhausted
-			}
-			parent = node
-			if id == tokenizer.EosID {
-				break
-			}
-		}
 	}
 }
 
@@ -294,70 +286,35 @@ func runKey(run []int) string {
 	return string(b)
 }
 
-// HybridTree unions both drafting mechanisms under one node budget:
-// lookup match continuations first (deep, high-confidence template
-// echoes — RTL is template-heavy, so when a match exists it usually
-// survives deepest), then Medusa head branches fill the remaining
-// budget from the root. Shared paths dedup into shared nodes.
-type HybridTree struct {
-	// Lookup configures the lookup half (zero values = defaults).
-	Lookup LookupTree
-}
-
-// Name identifies the drafter.
-func (HybridTree) Name() string { return "hybrid-tree" }
-
-// NeedsHeads reports that head distributions are required (the Medusa
-// half consumes them; the lookup half is free either way).
-func (HybridTree) NeedsHeads() bool { return true }
-
-// ExtraCostMS charges the heads, like Medusa drafting; the lookup half
-// adds nothing.
-func (HybridTree) ExtraCostMS(cfg model.Config, numHeads int) float64 {
-	return float64(numHeads) * cfg.HeadLatencyMS
-}
-
-// BeginStep proposes nothing — tree drafters draft through BuildTree.
-func (HybridTree) BeginStep(DraftCtx) CandidateSource { return nil }
-
-// BuildTree inserts the lookup chains, then grows head branches from
-// the root into whatever budget remains.
-func (h HybridTree) BuildTree(dc DraftCtx, budget int) *tree.Tree {
-	runs := h.Lookup.runs(dc)
-	if len(runs) == 0 && len(dc.Forward.Heads) == 0 {
-		return nil
+// beginOracle decodes the generated region (everything after the
+// prompt, plus the tokens already accepted this step) back into text
+// and opens the syntax oracle over it, returning it with the tokenizer
+// that renders candidate text. Both are nil when the context carries
+// no session or tokenizer (pure-drafter unit tests).
+func beginOracle(dc DraftCtx) (*grammar.Step, *tokenizer.Tokenizer) {
+	if dc.Gen == nil {
+		return nil, nil
 	}
-	t := tree.New(budget)
-	insertRuns(t, runs)
-	growHeadTree(t, []int{tree.Root}, dc)
-	return t
+	tok := dc.Gen.Tokenizer()
+	if tok == nil {
+		return nil, nil
+	}
+	start := min(dc.Gen.PromptLen(), len(dc.Seq))
+	var sb strings.Builder
+	for _, id := range dc.Seq[start:] {
+		sb.WriteString(tokenText(tok, id))
+	}
+	for _, id := range dc.Prefix {
+		sb.WriteString(tokenText(tok, id))
+	}
+	return grammar.Begin(sb.String()), tok
 }
 
-// Extend serves head depth's full top-k, like MedusaTree — surviving
-// lookup chains get head-guided tails past their match span too.
-func (h HybridTree) Extend(dc DraftCtx, depth int) []int {
-	return MedusaTree{}.Extend(dc, depth)
-}
-
-// MedusaTreeStrategy is tree-structured Medusa: head candidates fan
-// into a draft tree, typical acceptance screens every branch, the
-// deepest surviving root path wins.
-func MedusaTreeStrategy() Strategy {
-	return Strategy{Name: "MedusaTree", Drafter: MedusaTree{}, Verifier: TypicalAcceptance{}}
-}
-
-// LookupTreeStrategy is tree-structured self-speculative lookup:
-// every n-gram match branches, greedy-exact screening keeps greedy
-// decodes byte-identical to linear prompt lookup (and to NTP).
-func LookupTreeStrategy() Strategy {
-	return Strategy{Name: "LookupTree", Drafter: LookupTree{}, Verifier: GreedyExact{}}
-}
-
-// OursTreeStrategy is the paper's method in tree form: Medusa head
-// branches unioned with lookup matches, screened by typical acceptance
-// and truncated at the last [FRAG] marker — fragment-aligned stops
-// compose with tree drafting unchanged, since the integrity check acts
-// on the accepted path after the tree walk picks it.
-func OursTreeStrategy() Strategy {
-	return Strategy{Name: "OursTree", Drafter: HybridTree{}, Verifier: Integrity{Inner: TypicalAcceptance{}}}
+// tokenText renders one token id's surface text; specials ([FRAG],
+// <eos>, ...) render empty — they carry no bytes the oracle sees.
+func tokenText(tok *tokenizer.Tokenizer, id int) string {
+	if tokenizer.IsSpecial(id) {
+		return ""
+	}
+	return tok.Token(id)
 }

@@ -21,11 +21,13 @@ func TestTreeStrategiesRegistered(t *testing.T) {
 		if s.Name != display {
 			t.Errorf("Named(%q).Name = %q, want %q", name, s.Name, display)
 		}
-		if _, isTree := s.Drafter.(TreeDrafter); !isTree {
-			t.Errorf("Named(%q) drafter %T is not a TreeDrafter", name, s.Drafter)
+		if !IsTree(s.Drafter) {
+			t.Errorf("Named(%q) drafter %T is not a tree drafter", name, s.Drafter)
 		}
-		if src := s.Drafter.BeginStep(DraftCtx{}); src != nil {
-			t.Errorf("Named(%q) tree drafter proposed linear candidates", name)
+		// Nothing to draft from (no heads, no history): no tree and an
+		// empty chain, which proposes nothing.
+		if d := s.Drafter.Draft(DraftCtx{}, DefaultTreeBudget); d.Tree != nil || !d.Chain.Empty() {
+			t.Errorf("Named(%q) drafted from nothing: %+v", name, d)
 		}
 	}
 	// ours-tree composes with the integrity ablation like ours does.
@@ -73,7 +75,8 @@ func TestMedusaTreeBuild(t *testing.T) {
 		dist(map[int]float64{20: 0.6, 21: 0.4}),
 		dist(map[int]float64{30: 1.0}),
 	}}
-	tr := (MedusaTree{}).BuildTree(DraftCtx{Forward: fw, TopK: 3}, DefaultTreeBudget)
+	d := medusaTree.Draft(DraftCtx{Forward: fw, TopK: 3}, DefaultTreeBudget)
+	tr := d.Tree
 	if tr == nil {
 		t.Fatal("no tree built")
 	}
@@ -103,15 +106,14 @@ func TestMedusaTreeBuild(t *testing.T) {
 		t.Fatalf("draft nodes = %d, want 9", tr.DraftNodes())
 	}
 	// The chain tail reads the remaining heads position by position.
-	ext := (MedusaTree{}).Extend(DraftCtx{Forward: fw, TopK: 3}, 2)
-	if len(ext) != 1 || ext[0] != 30 {
-		t.Fatalf("Extend(2) = %v, want [30]", ext)
+	if ext := d.Chain.Candidates(2); len(ext) != 1 || ext[0] != 30 {
+		t.Fatalf("Candidates(2) = %v, want [30]", ext)
 	}
-	if ext := (MedusaTree{}).Extend(DraftCtx{Forward: fw, TopK: 3}, 3); ext != nil {
-		t.Fatalf("Extend past the last head = %v", ext)
+	if ext := d.Chain.Candidates(3); ext != nil {
+		t.Fatalf("Candidates past the last head = %v", ext)
 	}
 	// A tight budget truncates instead of overflowing.
-	small := (MedusaTree{}).BuildTree(DraftCtx{Forward: fw, TopK: 3}, 4)
+	small := medusaTree.Draft(DraftCtx{Forward: fw, TopK: 3}, 4).Tree
 	if small.DraftNodes() != 4 {
 		t.Fatalf("budget-4 tree has %d draft nodes", small.DraftNodes())
 	}
@@ -119,8 +121,8 @@ func TestMedusaTreeBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No heads, no tree (the NTP-backbone fast path).
-	if tr := (MedusaTree{}).BuildTree(DraftCtx{TopK: 3}, 8); tr != nil {
-		t.Fatal("MedusaTree drafted without heads")
+	if tr := medusaTree.Draft(DraftCtx{TopK: 3}, 8).Tree; tr != nil {
+		t.Fatal("medusaTree drafted without heads")
 	}
 }
 
@@ -129,7 +131,7 @@ func TestMedusaTreeStopsAtEos(t *testing.T) {
 		dist(map[int]float64{tokenizer.EosID: 1.0}),
 		dist(map[int]float64{20: 1.0}),
 	}}
-	tr := (MedusaTree{}).BuildTree(DraftCtx{Forward: fw, TopK: 1}, DefaultTreeBudget)
+	tr := medusaTree.Draft(DraftCtx{Forward: fw, TopK: 1}, DefaultTreeBudget).Tree
 	if tr.DraftNodes() != 1 {
 		t.Fatalf("draft nodes = %d, want 1 (nothing extends past <eos>)", tr.DraftNodes())
 	}
@@ -166,9 +168,14 @@ func TestLookupRunsLeadsWithLinearRun(t *testing.T) {
 
 func TestLookupTreeBuildsSharedPrefixBranches(t *testing.T) {
 	seq := []int{7, 8, 9, 40, 41, 99, 7, 8, 9, 40, 55, 99, 7, 8, 9}
-	tr := (LookupTree{}).BuildTree(DraftCtx{Seq: seq}, DefaultTreeBudget)
+	d := lookupTree.Draft(DraftCtx{Seq: seq}, DefaultTreeBudget)
+	tr := d.Tree
 	if tr == nil {
 		t.Fatal("no tree built")
+	}
+	// Lookup continuations are laid into the tree in full: no chain.
+	if !d.Chain.Empty() {
+		t.Fatalf("lookup tree carries a chain: %+v", d.Chain)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -195,9 +202,14 @@ func TestHybridTreeUnionsBranches(t *testing.T) {
 		dist(map[int]float64{40: 0.6, 90: 0.4}), // 40 dedups into the lookup chain
 		dist(map[int]float64{91: 1.0}),
 	}}
-	tr := (HybridTree{}).BuildTree(DraftCtx{Seq: seq, Forward: fw, TopK: 2}, DefaultTreeBudget)
+	d := hybridTree.Draft(DraftCtx{Seq: seq, Forward: fw, TopK: 2}, DefaultTreeBudget)
+	tr := d.Tree
 	if tr == nil {
 		t.Fatal("no tree built")
+	}
+	// Surviving branches continue with the head chain.
+	if got := d.Chain.Candidates(0); len(got) != 2 || got[0] != 40 {
+		t.Fatalf("chain candidates(0) = %v, want head 0's top-2", got)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)

@@ -171,15 +171,14 @@ func (s *DecodeState) Step() bool {
 
 	prunedBefore := res.GrammarPruned
 	if base != tokenizer.EosID {
-		if td, ok := s.strat.Drafter.(spec.TreeDrafter); ok {
-			drafts, nodes, gs := d.acceptTree(gen, s.seq, accepted, fw, s.strat, td, opts)
-			res.TreeNodes += nodes
+		var nodes int
+		var gs spec.DraftStats
+		accepted, nodes, gs = d.accept(gen, s.seq, accepted, fw, s.strat, opts)
+		res.TreeNodes += nodes
+		res.GrammarPruned += gs.PrunedNodes
+		res.GrammarDraftTokens += gs.GrammarTokens
+		if spec.IsTree(s.strat.Drafter) {
 			res.TreeBudget += opts.TreeBudget
-			res.GrammarPruned += gs.PrunedNodes
-			res.GrammarDraftTokens += gs.GrammarTokens
-			accepted = append(accepted, drafts...)
-		} else {
-			accepted = append(accepted, d.acceptDrafts(gen, s.seq, accepted, fw, s.strat, opts)...)
 		}
 	}
 	if sweep != nil {

@@ -164,12 +164,6 @@ type Config struct {
 	// PrefixCacheBytes caps the trie cache's estimated retained memory
 	// (0 selects model.DefaultTrieBytes).
 	PrefixCacheBytes int64
-	// DefaultTreeBudget, when positive, fills Options.TreeBudget for
-	// requests that left it unset — the daemon-wide draft-tree node
-	// budget behind vgend -tree-budget. Requests naming their own
-	// budget are never overridden; zero leaves the decoder's default
-	// (spec.DefaultTreeBudget) in charge.
-	DefaultTreeBudget int
 	// NoDedup disables single-flight deduplication of identical
 	// concurrent requests (diagnostics; dedup never changes outputs
 	// because decodes are deterministic per (prompt, options, seed)).
@@ -457,7 +451,7 @@ func (e *Engine) generateBatch(ctx context.Context, reqs []Request, wait bool) [
 		}
 		// Canonical options make equivalently-spelled requests share
 		// cache entries and flights (see core.Options.Canonical).
-		req.Options = e.canonicalOptions(req.Options)
+		req.Options = req.Options.Canonical()
 		reqs[i] = req
 		e.st.request(req.Options.StrategyLabel())
 		ids, key := e.canonicalize(req)
@@ -539,25 +533,13 @@ func (e *Engine) submit(ctx context.Context, req Request, wait bool) (*Response,
 	}
 	// Canonical options make equivalently-spelled requests share cache
 	// entries and flights (see core.Options.Canonical).
-	req.Options = e.canonicalOptions(req.Options)
+	req.Options = req.Options.Canonical()
 	e.st.request(req.Options.StrategyLabel())
 	ids, key := e.canonicalize(req)
 	if resp := e.cacheLookup(req, key); resp != nil {
 		return resp, nil
 	}
 	return e.resolve(ctx, req, ids, key, wait)
-}
-
-// canonicalOptions applies the engine-level option defaults (the
-// draft-tree node budget) and canonicalizes the strategy spelling so
-// equivalently-spelled requests share cache entries and flights. The
-// budget default runs BEFORE canonicalization so a request relying on
-// the daemon default and one spelling it explicitly key identically.
-func (e *Engine) canonicalOptions(o core.Options) core.Options {
-	if e.cfg.DefaultTreeBudget > 0 && o.TreeBudget == 0 {
-		o.TreeBudget = e.cfg.DefaultTreeBudget
-	}
-	return o.Canonical()
 }
 
 // canonicalize tokenizes a request's prompt exactly once, returning the

@@ -151,6 +151,40 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	}
 }
 
+// TestCacheFoldsSpelledDefaults: a request spelling out a default the
+// decoder applies anyway (top_k 3, ε 0.3 / δ 1.2, the integrity
+// ablation on a strategy without the check) decodes identically, so it
+// must hit the entry the unset spelling stored.
+func TestCacheFoldsSpelledDefaults(t *testing.T) {
+	m, prompts := fixture(t)
+	eng := NewEngine(m, Config{Workers: 1, CacheSize: 8})
+	defer eng.Close()
+	ctx := context.Background()
+	medusa := testOptions(22)
+	medusa.Strategy = "medusa"
+	for i, unset := range []core.Options{testOptions(20), testOptions(21), medusa} {
+		spelled := unset
+		switch i {
+		case 0:
+			spelled.TopK = 3
+		case 1:
+			spelled.Epsilon, spelled.Delta = 0.3, 1.2
+		case 2:
+			spelled.DisableIntegrity = true
+		}
+		if _, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: unset}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: spelled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Cached {
+			t.Errorf("%+v missed the entry %+v stored", spelled, unset)
+		}
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := newLRUCache(2)
 	k := func(i int) cacheKey { return cacheKey{prompt: fmt.Sprintf("p%d", i)} }

@@ -47,7 +47,7 @@ func TestContinuousBackpressure(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		req := Request{Prompt: prompts[1], Options: testOptions(int64(successes))}
-		req.Options = eng.canonicalOptions(req.Options)
+		req.Options = req.Options.Canonical()
 		ids, key := eng.canonicalize(req)
 		_, err := eng.enqueue(ctx, req, ids, false, key, nil)
 		if err == nil {

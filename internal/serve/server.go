@@ -145,7 +145,7 @@ type GenerateRequest struct {
 	TopK int `json:"top_k,omitempty"`
 	// TreeBudget caps draft-tree nodes per decoding step for the tree
 	// strategies (medusa-tree, lookup-tree, ours-tree); 0 selects the
-	// daemon default (vgend -tree-budget, else the decoder default).
+	// decoder default.
 	// Negative is a 400. Linear strategies ignore it.
 	TreeBudget int `json:"tree_budget,omitempty"`
 	// Seed fixes the sampling RNG; generations are deterministic given

@@ -190,25 +190,12 @@ func TestTreeMetricsPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestEngineDefaultTreeBudget pins the daemon-wide budget default: a
-// request leaving TreeBudget unset decodes under Config.
-// DefaultTreeBudget, an explicit budget survives untouched.
-func TestEngineDefaultTreeBudget(t *testing.T) {
+// TestEngineTreeBudget pins the per-request budget: an explicit
+// TreeBudget reaches the decoder untouched.
+func TestEngineTreeBudget(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, CacheSize: -1, DefaultTreeBudget: 5})
+	eng := NewEngine(m, Config{Workers: 1, CacheSize: -1})
 	defer eng.Close()
-
-	resp, err := eng.Generate(context.Background(), Request{
-		Prompt:  prompts[0],
-		Options: core.Options{Strategy: "ours-tree", MaxNewTokens: 24},
-	})
-	if err != nil || resp.Err != nil {
-		t.Fatalf("decode failed: %v / %v", err, resp.Err)
-	}
-	if want := resp.Result.Steps * 5; resp.Result.TreeBudget != want {
-		t.Fatalf("tree budget %d over %d steps, want %d (engine default 5)",
-			resp.Result.TreeBudget, resp.Result.Steps, want)
-	}
 
 	explicit, err := eng.Generate(context.Background(), Request{
 		Prompt:  prompts[0],
