@@ -36,11 +36,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Continuous-scheduler churn soak: join/leave/preempt cycling (with the
-# engine-vs-direct-decode byte-identity check), backpressure and the
-# step-wise decode API under the race detector, shuffled so admission
-# order varies run to run. The explicit -timeout turns a wedged
-# scheduler (a sweep that never returns, a lost resume) into a fast
-# failure instead of a hung CI runner.
+# engine-vs-direct-decode byte-identity check and no single-flight
+# registration left after the drain), backpressure and the step-wise
+# decode API (interleaved decodes on one trie, the session_prep
+# trie_hit_depth) under the race detector, shuffled so admission order
+# varies run to run. The explicit -timeout turns a wedged scheduler (a
+# sweep that never returns, a lost resume) into a fast failure instead
+# of a hung CI runner.
 sched-soak:
 	$(GO) test -race -shuffle=on -timeout 600s \
 		-run 'TestContinuous|TestSchedulerChurnSoak|TestStepwise' \
@@ -59,9 +61,10 @@ sched-soak:
 golden:
 	$(GO) test -cpu 1,2,8 -run 'TestGolden|TestGateAllocsDecode' -v ./internal/core/
 
-# Byte-identical outputs across session-cache modes ({off, token-prefix
-# trie, trie under randomized park/drop/resume preemption} × the full
-# strategy matrix, tree strategies included), plus the tree
+# Byte-identical outputs with and without the session cache ({off,
+# token-prefix trie, every decode of a matrix entry alive at once on
+# one trie and stepped in a reshuffled round-robin} × the full strategy
+# matrix, tree strategies included), plus the tree
 # losslessness proof (greedy lookup-tree == linear prompt-lookup ==
 # NTP, byte for byte): the gates that make the prefix cache,
 # preemption and tree drafting admissible at all.

@@ -63,8 +63,7 @@
 // Usage: vgend [-addr :8080] [-model codellama|codet5p] [-scheme ours]
 // [-items 3400] [-seed N] [-workers N] [-queue N]
 // [-max-batch N] [-preempt-quantum N] [-cache N]
-// [-prefix-cache trie|off] [-prefix-cache-bytes N] [-no-dedup]
-// [-replicas N] [-models specs]
+// [-prefix-cache-bytes N] [-replicas N] [-models specs]
 // [-shed-policy none|deadline,priority,budget] [-budget-tps N]
 // [-budget-burst N] [-hedge-after D] [-steal] [-autoscale]
 // [-min-replicas N] [-max-replicas N] [-list-strategies]
@@ -72,9 +71,10 @@
 //
 // Dispatch is a continuous scheduler: requests join and leave the
 // running batch at every verification sweep, and a decode that holds a
-// slot for -preempt-quantum sweeps while others wait is checkpointed
-// (its session pages stay pinned in the prefix trie) and resumed later
-// — long decodes cannot head-of-line-block short ones.
+// slot for -preempt-quantum sweeps while others wait is parked, keeping
+// its own decode state, and resumed later — long decodes cannot
+// head-of-line-block short ones. Prompt sessions are shared across
+// requests through a token-prefix trie bounded by -prefix-cache-bytes.
 //
 // The tree strategies (medusa-tree, lookup-tree, ours-tree, and the
 // grammar-constrained grammar-tree / grammar-lookup-tree; see
@@ -196,10 +196,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max decodes in the running batch (0 = 2*workers, min 8)")
 	preemptQuantum := flag.Int("preempt-quantum", 0, "sweeps a decode may hold a batch slot while others wait (0 = 64, negative disables preemption)")
 	cache := flag.Int("cache", 512, "LRU cache entries per replica (negative disables)")
-	prefixCache := flag.String("prefix-cache", serve.PrefixCacheTrie,
-		"prompt-session cache per replica: trie (token-prefix trie, partial reuse) or off")
 	prefixCacheBytes := flag.Int64("prefix-cache-bytes", 0, "trie prefix-cache byte budget per replica (0 = 64 MiB)")
-	noDedup := flag.Bool("no-dedup", false, "disable single-flight dedup of identical in-flight requests")
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
 	modelsFlag := flag.String("models", "", "replica specs model[:scheme[:strategy]], comma-separated (empty: -model/-scheme)")
@@ -257,10 +254,6 @@ func main() {
 		}
 		resolved[i] = resolvedSpec{replicaSpec: spec, cfg: cfg, sch: scheme}
 	}
-	prefixMode, err := serve.ParsePrefixCacheMode(*prefixCache)
-	if err != nil {
-		fail(err)
-	}
 	policies, err := cluster.ParsePolicies(*shedPolicy, *budgetTPS, *budgetBurst)
 	if err != nil {
 		fail(err)
@@ -313,9 +306,7 @@ func main() {
 		MaxBatch:         *maxBatch,
 		PreemptQuantum:   *preemptQuantum,
 		CacheSize:        *cache,
-		PrefixCacheMode:  prefixMode,
 		PrefixCacheBytes: *prefixCacheBytes,
-		NoDedup:          *noDedup,
 	}
 
 	var backend serve.Backend

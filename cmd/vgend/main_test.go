@@ -6,8 +6,6 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
-
-	"repro/internal/serve"
 )
 
 // TestMain lets the test binary stand in for the daemon: re-executed
@@ -24,48 +22,33 @@ func TestMain(m *testing.M) {
 
 const vgendTestArgs = "VGEND_TEST_ARGS"
 
-// TestParsePrefixCache pins the -prefix-cache flag: the two mode names
-// (and their documented aliases) parse, and every retired spelling —
-// the whole-prompt mode, a bare entry count, the -scheduler flag that
-// went with the worker pool, the -router flag that went with the
-// comparison routers, the daemon-wide -tree-budget (a request carries
-// its own "tree_budget") — exits 2 before training starts, with a
-// message that names the surviving trie and off modes.
-func TestParsePrefixCache(t *testing.T) {
-	for in, want := range map[string]string{
-		"":     serve.PrefixCacheTrie,
-		"trie": serve.PrefixCacheTrie,
-		"off":  serve.PrefixCacheOff,
-		"none": serve.PrefixCacheOff,
-	} {
-		if got, err := serve.ParsePrefixCacheMode(in); err != nil || got != want {
-			t.Errorf("%q: got (%q, %v), want %q", in, got, err, want)
-		}
-	}
-	for _, c := range []struct{ args, want string }{
-		{"-prefix-cache whole", `unknown prefix-cache mode "whole" (want trie or off)`},
-		{"-prefix-cache 256", `unknown prefix-cache mode "256" (want trie or off)`},
-		{"-prefix-cache trie:64", "(want trie or off)"},
-		{"-scheduler x", "flag provided but not defined: -scheduler"},
-		{"-router round-robin", "flag provided but not defined: -router"},
-		{"-tree-budget 5", "flag provided but not defined: -tree-budget"},
+// TestRetiredFlagsRefused pins the flags that were deleted: the
+// -prefix-cache mode switch (the trie is the only session cache), the
+// -no-dedup escape hatch, the -scheduler flag that went with the worker
+// pool, the -router flag that went with the comparison routers and the
+// daemon-wide -tree-budget (a request carries its own "tree_budget").
+// Each exits 2 as an undefined flag before training starts.
+func TestRetiredFlagsRefused(t *testing.T) {
+	for _, args := range []string{
+		"-prefix-cache trie",
+		"-no-dedup",
+		"-scheduler x",
+		"-router round-robin",
+		"-tree-budget 5",
 	} {
 		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), vgendTestArgs+"="+c.args)
+		cmd.Env = append(os.Environ(), vgendTestArgs+"="+args)
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("vgend %s: err=%v, want exit status 2\n%s", c.args, err, out)
+			t.Errorf("vgend %s: err=%v, want exit status 2\n%s", args, err, out)
 			continue
 		}
-		if !strings.Contains(string(out), c.want) {
-			t.Errorf("vgend %s: output lacks %q:\n%s", c.args, c.want, out)
-		}
-		if !strings.Contains(string(out), "trie") || !strings.Contains(string(out), "off") {
-			t.Errorf("vgend %s: output does not name the trie and off modes:\n%s", c.args, out)
+		if want := "flag provided but not defined: " + strings.Fields(args)[0]; !strings.Contains(string(out), want) {
+			t.Errorf("vgend %s: output lacks %q:\n%s", args, want, out)
 		}
 		if strings.Contains(string(out), "building corpus") {
-			t.Errorf("vgend %s: started training before rejecting the flag:\n%s", c.args, out)
+			t.Errorf("vgend %s: started training before rejecting the flag:\n%s", args, out)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 func TestFleetPerStrategyRatesExact(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{
-		Workers: 1, MaxBatch: 2, CacheSize: -1, NoDedup: true,
+		Workers: 1, MaxBatch: 2, CacheSize: -1,
 	})
 	strategies := []string{"ours-tree", "ntp", "ours"}
 	for i := 0; i < 4*len(strategies); i++ {
@@ -80,7 +80,7 @@ func TestFleetPerStrategyRatesExact(t *testing.T) {
 func TestFleetAggregatesAdaptMetrics(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{
-		Workers: 1, MaxBatch: 2, CacheSize: -1, NoDedup: true,
+		Workers: 1, MaxBatch: 2, CacheSize: -1,
 	})
 	for i := 0; i < 6; i++ {
 		req := serve.Request{Prompt: prompts[i], Options: testOptions(int64(i))}

@@ -27,7 +27,7 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 	}
 
 	fm := f.Metrics()
-	var sweeps, leases uint64
+	var sweeps, lookups uint64
 	var maxBatch int
 	var weightedOcc float64
 	replicasWithSweeps := 0
@@ -36,7 +36,7 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 			replicasWithSweeps++
 		}
 		sweeps += r.Engine.Sweeps
-		leases += r.Engine.PrefixCacheLeases
+		lookups += r.Engine.PrefixCacheHits + r.Engine.PrefixCachePartialHits + r.Engine.PrefixCacheMisses
 		maxBatch += r.Engine.SchedMaxBatch
 		weightedOcc += r.Engine.MeanSweepOccupancy * float64(r.Engine.Sweeps)
 	}
@@ -47,14 +47,14 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 		t.Fatalf("fleet sweeps/slots %d/%d, per-replica sums %d/%d",
 			fm.Fleet.Sweeps, fm.Fleet.SchedMaxBatch, sweeps, maxBatch)
 	}
-	if fm.Fleet.PrefixCacheLeases != leases || leases == 0 {
-		t.Fatalf("fleet leases %d, per-replica sum %d (want equal, nonzero)", fm.Fleet.PrefixCacheLeases, leases)
+	if got := fm.Fleet.PrefixCacheHits + fm.Fleet.PrefixCachePartialHits + fm.Fleet.PrefixCacheMisses; got != lookups || lookups != 6 {
+		t.Fatalf("fleet trie lookups %d, per-replica sum %d (want equal, one per request)", got, lookups)
 	}
 	if want := weightedOcc / float64(sweeps); fm.Fleet.MeanSweepOccupancy != want {
 		t.Fatalf("fleet sweep occupancy %f, want %f (sweep-weighted)", fm.Fleet.MeanSweepOccupancy, want)
 	}
-	// Quiesced fleet: no decode in flight, so nothing pinned anywhere.
-	if fm.Fleet.SchedRunning != 0 || fm.Fleet.SchedParked != 0 || fm.Fleet.PrefixCachePinnedPages != 0 {
+	// Quiesced fleet: no decode in flight.
+	if fm.Fleet.SchedRunning != 0 || fm.Fleet.SchedParked != 0 {
 		t.Fatalf("quiesced fleet holds residency: %+v", fm.Fleet)
 	}
 
@@ -65,14 +65,14 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 		"vgend_sched_sweeps_total ",
 		`vgend_replica_sched_occupancy{replica="r0:`,
 		`vgend_replica_sched_preemptions_total{replica="r1:`,
-		`vgend_replica_prefix_pinned_pages{replica="r0:`,
+		`vgend_replica_prefix_tokens_saved_total{replica="r0:`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("fleet exposition missing %q", want)
 		}
 	}
 	// Retired names, spelled in halves so a grep for them finds nothing.
-	for _, gone := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`} {
+	for _, gone := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`, "vgend_prefix_" + "pinned", "vgend_prefix_" + "leases", "vgend_replica_prefix_" + "pinned"} {
 		if strings.Contains(body, gone) {
 			t.Errorf("fleet exposition still carries %s", gone)
 		}

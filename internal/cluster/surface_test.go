@@ -179,9 +179,13 @@ func currentSurface(t *testing.T) []string {
 // retiredSurfacePrefixes lists the metric names deleted on purpose
 // since the golden was captured, as prefixes of a surface line's leaf
 // name (the last JSON key, or the Prometheus family): the speculation
-// controller's JSON keys, families and per-replica families, and the
-// fleet's model-swap counter.
-var retiredSurfacePrefixes = []string{"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total"}
+// controller's JSON keys, families and per-replica families, the
+// fleet's model-swap counter, and the session page-lease keys and
+// families.
+var retiredSurfacePrefixes = []string{
+	"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total",
+	"prefix_pinned_", "prefix_leases", "vgend_prefix_pinned_", "vgend_prefix_leases_total", "vgend_replica_prefix_pinned_pages",
+}
 
 // retiredSurface reports whether a surface line names a retired metric.
 func retiredSurface(line string) bool {

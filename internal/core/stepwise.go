@@ -15,24 +15,24 @@ import (
 // This file is the step-wise decode API: the same loop generate() runs
 // internally, exposed one verification sweep at a time so an external
 // scheduler can interleave many decodes — step every in-flight request
-// once, retire the finished, preempt the over-quantum — instead of
-// dedicating a goroutine to each from start to finish. All loop state
-// lives in the DecodeState, so a decode can be checkpointed after any
-// Step, parked indefinitely, and resumed later with byte-identical
-// output: the sequence of (Forward, sample, accept, finalize)
-// operations is exactly the one the monolithic loop would have run,
-// regardless of where the checkpoints fall. generate() itself is just
-// BeginDecode + Step-to-completion + Finish, which makes that identity
-// true by construction rather than by test alone (the preemption
+// once, retire the finished, skip the over-quantum for a while —
+// instead of dedicating a goroutine to each from start to finish. All
+// loop state lives in the DecodeState, including its own immutable
+// session (*Gen), so a decode can sit unstepped for any number of
+// sweeps and continue with byte-identical output: the sequence of
+// (Forward, sample, accept, finalize) operations is exactly the one the
+// monolithic loop would have run, however the steps of many decodes
+// interleave. generate() itself is just BeginDecode +
+// Step-to-completion + Finish, which makes that identity true by
+// construction rather than by test alone (the interleaving
 // differential gate in internal/experiments pins it anyway).
 
-// DecodeState is one resumable in-flight decode. Create with
-// Decoder.BeginDecode, advance with Step until it reports completion,
-// collect with Finish. Between steps the state may be parked (Park),
-// its session pages dropped (Drop) and re-acquired (Resume) — none of
-// which changes the tokens it will produce. A DecodeState is not safe
-// for concurrent use; the scheduler steps each state from one
-// goroutine at a time.
+// DecodeState is one in-flight decode. Create with Decoder.BeginDecode,
+// advance with Step until it reports completion, collect with Finish.
+// It holds its prompt session for its whole life, so eviction from the
+// session cache never touches it. A DecodeState is not safe for
+// concurrent use; the scheduler steps each state from one goroutine at
+// a time.
 type DecodeState struct {
 	d      *Decoder
 	ctx    context.Context
@@ -40,10 +40,7 @@ type DecodeState struct {
 	strat  spec.Strategy
 	onStep StepFn
 	rng    *rand.Rand
-
-	promptIDs []int
-	gen       *model.Gen
-	lease     *model.SessionLease
+	gen    *model.Gen
 
 	seq      []int
 	res      *Result
@@ -54,7 +51,6 @@ type DecodeState struct {
 
 	done     bool
 	finished bool
-	parked   bool
 	err      error
 
 	// Tracing state: nil when the request context carries no trace, in
@@ -69,8 +65,8 @@ type DecodeState struct {
 
 // BeginDecode prepares a resumable decode from explicit prompt token
 // ids. The only error is an unknown Options.Strategy name — the same
-// contract as generate. The prompt session is acquired immediately
-// (leased, when a session cache is attached), so the first Step pays no
+// contract as generate. The prompt session is prepared (or taken from
+// the session cache) immediately, so the first Step pays no
 // preparation cost.
 func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options, onStep StepFn) (*DecodeState, error) {
 	if ctx == nil {
@@ -82,30 +78,30 @@ func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options
 		return nil, err
 	}
 	s := &DecodeState{
-		d:         d,
-		ctx:       ctx,
-		opts:      opts,
-		strat:     strat,
-		onStep:    onStep,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		promptIDs: promptIDs,
-		seq:       append([]int(nil), promptIDs...),
-		res:       &Result{},
-		stepCost:  d.stepCostMS(strat),
-		rep:       repState{seen: map[uint64]bool{}},
+		d:        d,
+		ctx:      ctx,
+		opts:     opts,
+		strat:    strat,
+		onStep:   onStep,
+		rng:      rand.New(rand.NewSource(opts.Seed)),
+		seq:      append([]int(nil), promptIDs...),
+		res:      &Result{},
+		stepCost: d.stepCostMS(strat),
+		rep:      repState{seen: map[uint64]bool{}},
 	}
 	if tr := trace.FromContext(ctx); tr != nil {
 		s.tr = tr
 		s.span = tr.Start(trace.SpanFromContext(ctx), trace.KindDecode, opts.Strategy)
 		prep := tr.Start(s.span, trace.KindSessionPrep, "")
-		s.gen, s.lease = d.acquireGen(promptIDs)
+		var depth int
+		s.gen, depth = d.sessionGen(promptIDs)
 		prep.SetAttrInt("prompt_tokens", int64(len(promptIDs)))
 		if d.sessions != nil {
-			prep.SetAttrInt("trie_hit_depth", int64(d.sessions.CachedPrefixLen(promptIDs)))
+			prep.SetAttrInt("trie_hit_depth", int64(depth))
 		}
 		prep.End()
 	} else {
-		s.gen, s.lease = d.acquireGen(promptIDs)
+		s.gen, _ = d.sessionGen(promptIDs)
 	}
 	s.maxLen = len(promptIDs) + opts.MaxNewTokens
 	if cfgMax := d.m.Config().MaxTokens; s.maxLen > cfgMax+len(promptIDs) {
@@ -132,11 +128,6 @@ func (s *DecodeState) Step() bool {
 		s.err = err
 		s.done = true
 		return true
-	}
-	if s.gen == nil {
-		// Dropped pages and stepped without an explicit Resume:
-		// re-acquire here so the call order cannot corrupt a decode.
-		s.gen, s.lease = s.d.acquireGen(s.promptIDs)
 	}
 	d, gen, opts, res, tk := s.d, s.gen, s.opts, s.res, s.d.m.Tokenizer()
 
@@ -248,15 +239,13 @@ func (s *DecodeState) Step() bool {
 }
 
 // Finish seals the decode and returns its Result — partial, with the
-// context's error, when a Step observed cancellation. The session
-// lease is released; Finish is idempotent.
+// context's error, when a Step observed cancellation. Finish is
+// idempotent.
 func (s *DecodeState) Finish() (*Result, error) {
 	if !s.finished {
 		s.finished = true
 		s.res.CleanTokens = stripSpecials(s.res.Tokens)
 		s.res.Text = s.d.m.Tokenizer().DecodeClean(s.res.Tokens)
-		s.lease.Release()
-		s.lease = nil
 		if s.span != nil {
 			s.span.SetAttrInt("sweeps", int64(s.res.Steps))
 			s.span.SetAttrInt("tokens", int64(len(s.res.Tokens)))
@@ -274,57 +263,16 @@ func (s *DecodeState) Finish() (*Result, error) {
 	return s.res, s.err
 }
 
-// Park checkpoints the decode between sweeps: the scheduler's
-// preemption. The session pages stay leased (pinned in the trie) so a
-// later Resume is free — preempt = park the page set.
-func (s *DecodeState) Park() { s.parked = true }
-
-// Parked reports whether the decode is currently parked.
-func (s *DecodeState) Parked() bool { return s.parked }
-
-// Drop releases a parked decode's session pages — the deep form of
-// preemption, for memory pressure. The decode remains resumable: the
-// next Resume (or Step) re-acquires an equivalent session from the
-// cache, rebuilding at most the evicted suffix. Outputs are unchanged
-// either way, because cached, forked and fresh sessions are
-// interchangeable by construction.
-func (s *DecodeState) Drop() {
-	s.lease.Release()
-	s.lease = nil
-	s.gen = nil
-}
-
-// Resume returns a parked decode to runnable, re-acquiring session
-// pages if they were dropped.
-func (s *DecodeState) Resume() {
-	s.parked = false
-	if s.gen == nil && !s.finished {
-		s.gen, s.lease = s.d.acquireGen(s.promptIDs)
-	}
-}
-
 // TraceSpan exposes the decode's span (nil when untraced) so the
-// scheduler can nest park/resume spans under it.
+// scheduler can nest park spans under it.
 func (s *DecodeState) TraceSpan() *trace.Span { return s.span }
 
-// Steps reports the forward passes taken so far (scheduler quantum
-// accounting).
-func (s *DecodeState) Steps() int { return s.res.Steps }
-
-// Tokens reports the raw tokens emitted so far.
-func (s *DecodeState) Tokens() int { return len(s.res.Tokens) }
-
-// LeasedPages reports how many session pages the decode currently
-// holds pinned (zero without a session cache).
-func (s *DecodeState) LeasedPages() int { return s.lease.Pages() }
-
-// acquireGen fetches the prompt session, holding a page lease on the
-// session cache when one is attached. The cacheless path returns a nil
-// lease — safe to Release regardless.
-func (d *Decoder) acquireGen(promptIDs []int) (*model.Gen, *model.SessionLease) {
+// sessionGen prepares the prompt session, through the session cache
+// when one is attached, and reports how many leading prompt tokens the
+// cache already held (0 without a cache).
+func (d *Decoder) sessionGen(promptIDs []int) (*model.Gen, int) {
 	if d.sessions != nil {
-		l := d.sessions.Acquire(d.m, promptIDs)
-		return l.Gen(), l
+		return d.sessions.GenDepth(d.m, promptIDs)
 	}
-	return d.m.NewGen(promptIDs), nil
+	return d.m.NewGen(promptIDs), 0
 }

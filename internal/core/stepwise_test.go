@@ -4,49 +4,24 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
-// stepwiseDecode drives the step API to completion, optionally parking
-// (and sometimes dropping pages) at rng-chosen step boundaries — the
-// exact call sequence the continuous scheduler issues around a
-// preemption.
-func stepwiseDecode(t *testing.T, d *Decoder, promptIDs []int, opts Options, rng *rand.Rand) *Result {
-	t.Helper()
-	st, err := d.BeginDecode(context.Background(), promptIDs, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !st.Step() {
-		if rng != nil && rng.Intn(3) == 0 {
-			st.Park()
-			if !st.Parked() {
-				t.Fatal("Park did not park")
-			}
-			if rng.Intn(2) == 0 {
-				st.Drop()
-			}
-			st.Resume()
-		}
-	}
-	res, err := st.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestStepwiseMatchesGenerate: driving the step API one sweep at a
-// time — with preemptions, page drops and resumes scattered at random
-// boundaries — must be byte-identical to the monolithic generate path,
-// for every strategy, on a shared trie cache.
+// TestStepwiseMatchesGenerate: many decodes alive at once on one shared
+// trie, stepped round-robin in an order reshuffled every round — the
+// interleaving the continuous scheduler produces — must each be
+// byte-identical to the monolithic generate path, for every strategy.
 func TestStepwiseMatchesGenerate(t *testing.T) {
 	m := trained(t, model.SchemeOurs)
-	cache := model.NewTrieCache(0)
-	d := NewDecoder(m).WithSessionCache(cache)
-	rng := rand.New(rand.NewSource(99))
+	d := NewDecoder(m).WithSessionCache(model.NewTrieCache(0))
+	ids := model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[1].Prompt)
+	var wants []*Result
+	var states []*DecodeState
+	var names []string
 	for _, strat := range []string{"ntp", "medusa", "ours", "prompt-lookup", "ours-tree"} {
 		for seed := int64(0); seed < 3; seed++ {
 			opts := Options{Strategy: strat, MaxNewTokens: 48, Seed: seed}
@@ -54,15 +29,94 @@ func TestStepwiseMatchesGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids := model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[1].Prompt)
-			got := stepwiseDecode(t, d, ids, opts, rng)
-			if !reflect.DeepEqual(got.Tokens, want.Tokens) || got.Text != want.Text || got.Steps != want.Steps {
-				t.Fatalf("%s seed %d: step-wise decode diverged from generate", strat, seed)
+			st, err := d.BeginDecode(context.Background(), ids, opts, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			wants, states = append(wants, want), append(states, st)
+			names = append(names, strat+"/seed="+strconv.FormatInt(seed, 10))
 		}
 	}
-	if st := cache.SessionStats(); st.PinnedPages != 0 || st.PinnedBytes != 0 {
-		t.Fatalf("leases leaked after Finish: %+v", st)
+	order := make([]int, len(states))
+	for i := range order {
+		order[i] = i
+	}
+	rng := rand.New(rand.NewSource(99))
+	interleaved := 0
+	for len(order) > 0 {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		next := order[:0]
+		for _, i := range order {
+			if len(order) >= 2 {
+				interleaved++
+			}
+			if !states[i].Step() {
+				next = append(next, i)
+			}
+		}
+		order = next
+	}
+	if interleaved == 0 {
+		t.Fatal("no step ran with another decode live")
+	}
+	for i, st := range states {
+		got, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Tokens, wants[i].Tokens) || got.Text != wants[i].Text || got.Steps != wants[i].Steps {
+			t.Fatalf("%s: interleaved step-wise decode diverged from generate", names[i])
+		}
+	}
+}
+
+// TestStepwiseTrieHitDepth: the session_prep span's trie_hit_depth is
+// what the trie held before this decode looked the prompt up — 0 on a
+// cold trie, the stem's length for a prompt extending a decoded one,
+// the whole prompt on a repeat.
+func TestStepwiseTrieHitDepth(t *testing.T) {
+	m := trained(t, model.SchemeNTP)
+	d := NewDecoder(m).WithSessionCache(model.NewTrieCache(0))
+	ids := model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[0].Prompt)
+	stem := ids[:2*len(ids)/3]
+	tracer := trace.New(trace.Config{})
+	depth := func(promptIDs []int) string {
+		t.Helper()
+		tr := tracer.StartTrace(trace.NewID())
+		st, err := d.BeginDecode(trace.NewContext(context.Background(), tr), promptIDs, Options{MaxNewTokens: 4}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !st.Step() {
+		}
+		if _, err := st.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.SnapshotNow().Spans {
+			if sp.Kind != trace.KindSessionPrep {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if a.Key == "trie_hit_depth" {
+					return a.Value
+				}
+			}
+		}
+		t.Fatal("session_prep span carries no trie_hit_depth")
+		return ""
+	}
+	for _, c := range []struct {
+		what   string
+		prompt []int
+		want   int
+	}{
+		{"cold trie", stem, 0},
+		{"extension of the stem", ids, len(stem)},
+		{"repeat", ids, len(ids)},
+	} {
+		if got := depth(c.prompt); got != strconv.Itoa(c.want) {
+			t.Errorf("%s: trie_hit_depth=%s, want %d", c.what, got, c.want)
+		}
 	}
 }
 
@@ -99,41 +153,5 @@ func TestStepwiseUnknownStrategy(t *testing.T) {
 	d := NewDecoder(m)
 	if _, err := d.BeginDecode(context.Background(), []int{1}, Options{Strategy: "nope"}, nil); err == nil {
 		t.Fatal("unknown strategy did not error")
-	}
-}
-
-// TestStepwiseLeasesPages: on a leasing cache a decode holds its pages
-// pinned across a park, frees them on Drop, and re-pins on Resume.
-func TestStepwiseLeasesPages(t *testing.T) {
-	m := trained(t, model.SchemeOurs)
-	cache := model.NewTrieCache(0)
-	d := NewDecoder(m).WithSessionCache(cache)
-	ids := model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[2].Prompt)
-	st, err := d.BeginDecode(context.Background(), ids, Options{Strategy: "ours", MaxNewTokens: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LeasedPages() < 1 {
-		t.Fatal("decode holds no page lease on a trie cache")
-	}
-	st.Park()
-	if cache.SessionStats().PinnedPages < 1 {
-		t.Fatal("parked decode dropped its pins")
-	}
-	st.Drop()
-	if got := cache.SessionStats().PinnedPages; got != 0 {
-		t.Fatalf("pinned pages after Drop = %d, want 0", got)
-	}
-	st.Resume()
-	if st.LeasedPages() < 1 {
-		t.Fatal("Resume did not re-acquire pages")
-	}
-	for !st.Step() {
-	}
-	if _, err := st.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.SessionStats().PinnedPages; got != 0 {
-		t.Fatalf("pinned pages after Finish = %d, want 0", got)
 	}
 }

@@ -3,16 +3,15 @@
 // optimizations earn their speedups only if measured — and trusted —
 // honestly, and a session cache is only admissible if it provably
 // changes nothing about outputs. RunDiffTest decodes the full strategy
-// matrix three times — no session cache, token-prefix trie, and a
-// trie-backed step-wise decode preempted (parked, sometimes dropped,
-// resumed) at randomized step boundaries — over a workload built to
-// stress every reuse path (shared stems, prefix extensions and
+// matrix three times — no session cache, token-prefix trie, and every
+// decode of a matrix entry alive at once on one shared trie, stepped
+// round-robin in a reshuffled order each round — over a workload built
+// to stress every reuse path (shared stems, prefix extensions and
 // truncations, exact repeats) and requires byte-identical results per
 // (prompt, strategy, seed). The third mode is the continuous
-// scheduler's admissibility proof: checkpoint/resume at any sweep
-// boundary, with or without the session pages surviving the park, must
-// never change bytes. CI runs it as a dedicated job next to the golden
-// determinism gate.
+// scheduler's admissibility proof: however the steps of concurrent
+// decodes interleave, each decode's bytes must not change. CI runs it
+// as a dedicated job next to the golden determinism gate.
 package experiments
 
 import (
@@ -82,27 +81,23 @@ func SharedStemPrompts(families, variants int) []string {
 // DiffReport summarizes a clean differential run.
 type DiffReport struct {
 	// Cases is the number of (prompt, strategy, seed) decodes compared
-	// (each decoded three times, once per cache mode).
+	// (each decoded three times, once per mode).
 	Cases int
 	// PartialHits is the trie's partial-hit count across the run —
 	// proof the comparison actually exercised mid-prompt forks rather
 	// than trivially re-deriving every session.
 	PartialHits uint64
-	// Preemptions counts park/resume interruptions injected into the
-	// step-wise decodes (Drops of those additionally discarded the
-	// decode's session pages mid-flight) — proof the preemption mode
-	// actually checkpointed rather than decoding straight through.
-	Preemptions, Drops uint64
+	// Interleaved counts the interleaved mode's steps taken while at
+	// least two decodes were live — proof that mode interleaved rather
+	// than decoding each state straight through.
+	Interleaved uint64
 }
 
-// diffModes labels the three session-cache configurations under test.
-var diffModes = []string{"off", "trie", "preempt"}
-
-// RunDiffTest decodes every StrategyMatrix entry over the workload with
-// all three cache modes and returns an error on the first output
-// divergence. Caches persist across the whole workload within one
-// (model, scheme) pairing, so later prompts hit sessions forked from
-// earlier ones — the trie is compared in its working state, not cold.
+// RunDiffTest decodes every StrategyMatrix entry over the workload in
+// all three modes and returns an error on the first output divergence.
+// Caches persist across the whole workload within one (model, scheme)
+// pairing, so later prompts hit sessions forked from earlier ones — the
+// trie is compared in its working state, not cold.
 func (r *Runner) RunDiffTest() (DiffReport, error) {
 	prompts := SharedStemPrompts(diffFamilies, diffVariants)
 	// Reuse-path stressors: an exact repeat, a prefix truncation and an
@@ -117,39 +112,39 @@ func (r *Runner) RunDiffTest() (DiffReport, error) {
 		for _, entry := range StrategyMatrix {
 			m := r.Model(mcfg, entry.Scheme)
 			trie := model.NewTrieCache(0)
-			decs := map[string]*core.Decoder{
-				"off":     core.NewDecoder(m),
-				"trie":    core.NewDecoder(m).WithSessionCache(trie),
-				"preempt": core.NewDecoder(m).WithSessionCache(model.NewTrieCache(0)),
-			}
-			// Deterministic preemption schedule, fixed per matrix entry
-			// so a failure replays identically.
-			rng := rand.New(rand.NewSource(42))
+			off := core.NewDecoder(m)
+			cached := core.NewDecoder(m).WithSessionCache(trie)
+			shared := core.NewDecoder(m).WithSessionCache(model.NewTrieCache(0))
+			var refs []*core.Result
+			var states []*core.DecodeState
+			var labels []string
 			for pi, prompt := range prompts {
+				ids := model.CanonicalPromptIDs(m.Tokenizer(), prompt)
 				for _, opts := range diffOptions(entry.Strategy, 0) {
-					var ref *core.Result
-					for _, mode := range diffModes {
-						var res *core.Result
-						if mode == "preempt" {
-							var err error
-							if res, err = preemptedDecode(decs[mode], m, prompt, opts, rng, &report); err != nil {
-								return report, fmt.Errorf("%s/%s: preempted decode failed on prompt %d: %w",
-									mcfg.Name, entry.Strategy, pi, err)
-							}
-						} else {
-							res = decs[mode].Generate(prompt, opts)
-						}
-						if mode == "off" {
-							ref = res
-							report.Cases++
-							continue
-						}
-						if err := sameResult(ref, res); err != nil {
-							return report, fmt.Errorf(
-								"%s/%s: cache mode %q diverged from cache-off on prompt %d (temp=%g seed=%d): %w",
-								mcfg.Name, entry.Strategy, mode, pi, opts.Temperature, opts.Seed, err)
-						}
+					label := fmt.Sprintf("%s/%s: prompt %d (temp=%g seed=%d)",
+						mcfg.Name, entry.Strategy, pi, opts.Temperature, opts.Seed)
+					ref := off.Generate(prompt, opts)
+					report.Cases++
+					if err := sameResult(ref, cached.Generate(prompt, opts)); err != nil {
+						return report, fmt.Errorf("%s: trie diverged from cache-off: %w", label, err)
 					}
+					st, err := shared.BeginDecode(context.Background(), ids, opts, nil)
+					if err != nil {
+						return report, fmt.Errorf("%s: %w", label, err)
+					}
+					refs, states, labels = append(refs, ref), append(states, st), append(labels, label)
+				}
+			}
+			// Deterministic interleaving, fixed per matrix entry so a
+			// failure replays identically.
+			report.Interleaved += interleave(states, rand.New(rand.NewSource(42)))
+			for i, st := range states {
+				res, err := st.Finish()
+				if err != nil {
+					return report, fmt.Errorf("%s: interleaved decode failed: %w", labels[i], err)
+				}
+				if err := sameResult(refs[i], res); err != nil {
+					return report, fmt.Errorf("%s: interleaved decode diverged from cache-off: %w", labels[i], err)
 				}
 			}
 			report.PartialHits += trie.SessionStats().PartialHits
@@ -158,38 +153,33 @@ func (r *Runner) RunDiffTest() (DiffReport, error) {
 	if report.PartialHits == 0 {
 		return report, fmt.Errorf("differential run never forked a mid-prompt session; the trie went untested")
 	}
-	if report.Preemptions == 0 || report.Drops == 0 {
-		return report, fmt.Errorf("differential run injected %d preemptions (%d page drops); the checkpoint/resume path went untested",
-			report.Preemptions, report.Drops)
+	if report.Interleaved == 0 {
+		return report, fmt.Errorf("differential run never stepped a decode while another was live; interleaving went untested")
 	}
 	return report, nil
 }
 
-// preemptedDecode runs one decode through the step-wise API, parking it
-// at randomized step boundaries the way the continuous scheduler does —
-// sometimes additionally dropping its session pages, as happens when a
-// parked decode's pinned prefix is released under memory pressure —
-// then resuming. The returned Result must be byte-identical to the
-// uninterrupted decode; RunDiffTest enforces that against the cache-off
-// reference.
-func preemptedDecode(dec *core.Decoder, m *model.Model, prompt string, opts core.Options, rng *rand.Rand, report *DiffReport) (*core.Result, error) {
-	st, err := dec.BeginDecode(context.Background(), model.CanonicalPromptIDs(m.Tokenizer(), prompt), opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	for !st.Step() {
-		if rng.Intn(3) != 0 {
-			continue
+// interleave steps every state to completion round-robin, in an order
+// rng reshuffles each round — the interleaving the continuous scheduler
+// produces — and returns how many steps ran while at least two decodes
+// were live.
+func interleave(states []*core.DecodeState, rng *rand.Rand) uint64 {
+	live := append([]*core.DecodeState(nil), states...)
+	var n uint64
+	for len(live) > 0 {
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		next := live[:0]
+		for _, st := range live {
+			if len(live) >= 2 {
+				n++
+			}
+			if !st.Step() {
+				next = append(next, st)
+			}
 		}
-		st.Park()
-		report.Preemptions++
-		if rng.Intn(2) == 0 {
-			st.Drop()
-			report.Drops++
-		}
-		st.Resume()
+		live = next
 	}
-	return st.Finish()
+	return n
 }
 
 // TreeLosslessReport summarizes a clean lossless run.

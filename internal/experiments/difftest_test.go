@@ -11,12 +11,12 @@ import (
 
 // TestDifferentialCacheModes is the cache-admissibility gate CI runs
 // next to the golden determinism job: across the full strategy matrix,
-// decoding with the token-prefix trie cache and through the step-wise
-// API under randomized preemption (park / drop pages / resume at step
-// boundaries) must both be byte-identical to decoding with no session
-// cache at all, per (prompt, strategy, seed) — and the run must
-// actually have forked mid-prompt sessions and injected preemptions,
-// or it proved nothing.
+// decoding with the token-prefix trie cache, and decoding with every
+// decode of a matrix entry alive at once and stepped in a reshuffled
+// round-robin order, must both be byte-identical to decoding with no
+// session cache at all, per (prompt, strategy, seed) — and the run must
+// actually have forked mid-prompt sessions and interleaved steps, or it
+// proved nothing.
 func TestDifferentialCacheModes(t *testing.T) {
 	report, err := testRunner().RunDiffTest()
 	if err != nil {
@@ -31,11 +31,11 @@ func TestDifferentialCacheModes(t *testing.T) {
 	if report.PartialHits == 0 {
 		t.Fatal("differential run exercised no mid-prompt forks")
 	}
-	if report.Preemptions == 0 || report.Drops == 0 {
-		t.Fatalf("differential run exercised no preemption (%d parks, %d drops)", report.Preemptions, report.Drops)
+	if report.Interleaved == 0 {
+		t.Fatal("differential run interleaved no steps")
 	}
-	t.Logf("differential run clean: %d cases byte-identical across {off, trie, preempt}, %d mid-prompt forks, %d preemptions (%d page drops)",
-		report.Cases, report.PartialHits, report.Preemptions, report.Drops)
+	t.Logf("differential run clean: %d cases byte-identical across {off, trie, interleave}, %d mid-prompt forks, %d interleaved steps",
+		report.Cases, report.PartialHits, report.Interleaved)
 }
 
 // TestTreeLosslessGate runs the differential losslessness proof CI
@@ -75,30 +75,23 @@ func TestPrefixBenchTrieRecomputesFewer(t *testing.T) {
 			}})
 		}
 	}
-	byMode := map[string]serve.Metrics{}
-	for _, mode := range []string{serve.PrefixCacheOff, serve.PrefixCacheTrie} {
-		eng := serve.NewEngine(m, serve.Config{Workers: 2, CacheSize: -1, PrefixCacheMode: mode})
-		for i, resp := range eng.GenerateBatch(context.Background(), reqs) {
-			if resp.Err != nil {
-				t.Fatalf("%s request %d: %v", mode, i, resp.Err)
-			}
+	eng := serve.NewEngine(m, serve.Config{Workers: 2, CacheSize: -1})
+	for i, resp := range eng.GenerateBatch(context.Background(), reqs) {
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
 		}
-		mt := eng.Metrics()
-		eng.Close()
-		byMode[mode] = mt
-		t.Logf("%-4s requests=%d prompt_tokens=%d recomputed=%d saved=%d hits=%d partial=%d hit_rate=%.2f",
-			mode, len(reqs), promptTokens, promptTokens-mt.PrefixCacheTokensSaved,
-			mt.PrefixCacheTokensSaved, mt.PrefixCacheHits, mt.PrefixCachePartialHits, mt.PrefixCacheHitRate)
 	}
-	off, trie := byMode[serve.PrefixCacheOff], byMode[serve.PrefixCacheTrie]
-	if off.PrefixCacheTokensSaved != 0 {
-		t.Fatalf("cache-off saved %d tokens", off.PrefixCacheTokensSaved)
-	}
-	if recomputed, exactOnly := promptTokens-trie.PrefixCacheTokensSaved, promptTokens/2; recomputed >= exactOnly {
+	mt := eng.Metrics()
+	eng.Close()
+	recomputed, exactOnly := promptTokens-mt.PrefixCacheTokensSaved, promptTokens/2
+	t.Logf("requests=%d prompt_tokens=%d recomputed=%d saved=%d hits=%d partial=%d hit_rate=%.2f",
+		len(reqs), promptTokens, recomputed, mt.PrefixCacheTokensSaved,
+		mt.PrefixCacheHits, mt.PrefixCachePartialHits, mt.PrefixCacheHitRate)
+	if recomputed >= exactOnly {
 		t.Fatalf("trie recomputed %d tokens, want fewer than the %d an exact-repeat cache would",
 			recomputed, exactOnly)
 	}
-	if trie.PrefixCachePartialHits == 0 {
+	if mt.PrefixCachePartialHits == 0 {
 		t.Fatal("trie saw no partial hits on a shared-stem workload")
 	}
 }

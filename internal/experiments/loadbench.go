@@ -87,7 +87,7 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	eng := serve.NewEngine(m, serve.Config{
 		Workers: 1, MaxBatch: 1,
 		PreemptQuantum: loadPreemptQuantum,
-		QueueSize:      4 * loadShorts, CacheSize: -1, NoDedup: true,
+		QueueSize:      4 * loadShorts, CacheSize: -1,
 	})
 	defer eng.Close()
 	ctx := context.Background()

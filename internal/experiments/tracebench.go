@@ -144,7 +144,7 @@ type traceMode struct {
 func newTraceMode(m *model.Model, prompts []string, repeats int, mode string) *traceMode {
 	tm := &traceMode{
 		eng: serve.NewEngine(m, serve.Config{
-			Workers: 1, CacheSize: -1, NoDedup: true,
+			Workers: 1, CacheSize: -1,
 			QueueSize: traceRequests + 4,
 		}),
 		prompts: prompts,

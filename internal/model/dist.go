@@ -14,6 +14,11 @@
 // asserted today (internal/experiments) is only that each speculative
 // scheme's simulated speedup over NTP exceeds 1.5; ROADMAP item 1
 // tracks reproducing the orderings.
+//
+// A prompt's conditioning state is a session (*Gen), immutable once
+// built, so each decode simply holds its own. TrieCache shares sessions
+// across decodes by token prefix, forking a cached prefix over only the
+// uncached suffix, and evicts by byte budget in LRU order.
 package model
 
 import (

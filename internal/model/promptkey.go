@@ -47,12 +47,6 @@ type SessionStats struct {
 	// cache's estimated retained memory.
 	Entries int
 	Bytes   int64
-	// PinnedPages/PinnedBytes count the sessions currently held
-	// resident by live decode leases and their retained bytes; Leases
-	// is the lifetime Acquire count.
-	PinnedPages int
-	PinnedBytes int64
-	Leases      uint64
 }
 
 // Lookups is the total number of cache probes.

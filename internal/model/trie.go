@@ -31,7 +31,10 @@ import (
 // last touch, and when the estimated retained bytes exceed the budget
 // the stalest sessions are dropped (and structural nodes that no
 // longer lead anywhere are pruned). Unlike an entry-count LRU this
-// accounts long prompts as costing more than short ones.
+// accounts long prompts as costing more than short ones. A decode
+// holds its own *Gen, which stays valid after eviction, so the trie
+// can evict any session at any time: eviction only costs a later
+// lookup a rebuild.
 //
 // A TrieCache binds to the first Model it serves; sessions are
 // model-specific, so lookups with a different model bypass the cache
@@ -48,13 +51,6 @@ type TrieCache struct {
 	hits, partialHits, misses uint64
 	tokensSaved               uint64
 	depthHits                 [TrieDepthBuckets]uint64
-
-	// Page-lease accounting (see pages.go): pinnedPages counts nodes
-	// with pins > 0, pinnedBytes their retained session bytes, leases
-	// the lifetime Acquire calls.
-	pinnedPages int
-	pinnedBytes int64
-	leases      uint64
 }
 
 // DefaultTrieBytes is the byte budget selected by NewTrieCache(0).
@@ -79,10 +75,6 @@ type trieNode struct {
 	genBytes int64
 	el       *list.Element // LRU slot while gen != nil
 	touch    uint64
-	// pins is the page refcount: the number of live SessionLeases
-	// holding this node's session resident. Eviction skips pinned
-	// nodes (see pages.go).
-	pins int
 }
 
 // NewTrieCache creates a prefix trie holding sessions within an
@@ -120,13 +112,22 @@ func depthBucket(d int) int {
 // identical to m.NewGen(promptIDs). Safe for concurrent use; the
 // returned *Gen is shared and immutable.
 func (c *TrieCache) Gen(m *Model, promptIDs []int) *Gen {
+	g, _ := c.GenDepth(m, promptIDs)
+	return g
+}
+
+// GenDepth is Gen that also reports how many leading prompt tokens the
+// cache already held a session for: len(promptIDs) on an exact hit,
+// the forked prefix's length on a partial hit, 0 on a miss (and for a
+// foreign model, which bypasses the cache).
+func (c *TrieCache) GenDepth(m *Model, promptIDs []int) (*Gen, int) {
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = m
 	} else if c.m != m {
 		// Foreign model: sessions would be wrong, skip the cache.
 		c.mu.Unlock()
-		return m.NewGen(promptIDs)
+		return m.NewGen(promptIDs), 0
 	}
 	best, depth := c.lookupLocked(promptIDs)
 	c.clock++
@@ -141,7 +142,7 @@ func (c *TrieCache) Gen(m *Model, promptIDs []int) *Gen {
 		c.depthHits[depthBucket(depth)]++
 		g := best.gen
 		c.mu.Unlock()
-		return g
+		return g, depth
 	case best != nil:
 		c.partialHits++
 		c.tokensSaved += uint64(depth)
@@ -203,7 +204,7 @@ func (c *TrieCache) Gen(m *Model, promptIDs []int) *Gen {
 		}
 		c.mu.Unlock()
 	}
-	return g
+	return g, depth
 }
 
 // lookupLocked walks the trie along promptIDs and returns the deepest
@@ -346,10 +347,8 @@ func (c *TrieCache) insertLocked(ids []int, g *Gen) (leaf, split *trieNode) {
 
 // evictLocked drops the stalest sessions until the byte budget holds,
 // never touching keep (the session just inserted — the cache must stay
-// useful even when one session exceeds the budget) and never touching
-// pinned nodes (pages leased by in-flight or parked decodes — see
-// pages.go), which are skipped in place rather than ending the scan so
-// stale unpinned sessions behind them are still reclaimed. Structural
+// useful even when one session exceeds the budget), which is skipped in
+// place so stale sessions behind it are still reclaimed. Structural
 // nodes left childless and session-less are pruned upward;
 // single-child structural chains are kept un-merged (re-merging edges
 // buys little once spans are shared, and keeps eviction O(evicted)).
@@ -357,14 +356,14 @@ func (c *TrieCache) evictLocked(keep *trieNode) {
 	for e := c.lru.Back(); e != nil && c.bytes > c.maxBytes; {
 		node := e.Value.(*trieNode)
 		prev := e.Prev()
-		if node == keep || node.pins > 0 {
+		if node == keep {
 			e = prev
 			continue
 		}
 		c.lru.Remove(e)
 		c.bytes -= node.genBytes
 		node.gen, node.genBytes, node.el = nil, 0, nil
-		for n := node; n != c.root && n.gen == nil && n.pins == 0 && len(n.children) == 0; {
+		for n := node; n != c.root && n.gen == nil && len(n.children) == 0; {
 			p := n.parent
 			delete(p.children, n.span[0])
 			c.bytes -= spanBytes(n.span)
@@ -386,21 +385,7 @@ func (c *TrieCache) SessionStats() SessionStats {
 		TokensSaved: c.tokensSaved,
 		Entries:     c.lru.Len(),
 		Bytes:       c.bytes,
-		PinnedPages: c.pinnedPages,
-		PinnedBytes: c.pinnedBytes,
-		Leases:      c.leases,
 	}
-}
-
-// CachedPrefixLen reports the depth (token count) of the deepest
-// cached session prefix of ids, without mutating hit/miss stats, the
-// LRU order or the trie itself — the read-only probe behind the
-// session_prep span's trie_hit_depth trace attribute.
-func (c *TrieCache) CachedPrefixLen(ids []int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, depth := c.lookupLocked(ids)
-	return depth
 }
 
 // DepthHits returns the per-depth histogram of prefix reuse: bucket i

@@ -46,15 +46,21 @@ func TestTrieExactHitSharesSession(t *testing.T) {
 }
 
 // TestTriePartialHitExtends: a prompt extending a cached one must fork
-// from it (partial hit) and still equal a fresh build.
+// from it (partial hit), report the cached prefix as its depth, and
+// still equal a fresh build.
 func TestTriePartialHitExtends(t *testing.T) {
 	m, tk := trieFixture(t)
 	c := NewTrieCache(0)
 	prompts := stemPrompts(tk, 2)
 	short := prompts[0][:20]
-	c.Gen(m, short)
+	if _, depth := c.GenDepth(m, short); depth != 0 {
+		t.Fatalf("cold lookup depth %d, want 0", depth)
+	}
 	full := prompts[0]
-	g := c.Gen(m, full)
+	g, depth := c.GenDepth(m, full)
+	if depth != 20 {
+		t.Fatalf("extension depth %d, want 20 (the cached prefix)", depth)
+	}
 	st := c.SessionStats()
 	if st.PartialHits != 1 {
 		t.Fatalf("partial hits %d, want 1 (stats %+v)", st.PartialHits, st)
@@ -128,7 +134,9 @@ func TestTrieForeignModelBypasses(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len=%d, want 1", c.Len())
 	}
-	c.Gen(other, ids)
+	if _, depth := c.GenDepth(other, ids); depth != 0 {
+		t.Fatalf("foreign model reported cached depth %d, want 0", depth)
+	}
 	if c.Len() != 1 {
 		t.Fatal("foreign model's session entered the trie")
 	}

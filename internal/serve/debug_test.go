@@ -65,7 +65,7 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 
 	t.Run("queue-full 503", func(t *testing.T) {
 		block := make(chan struct{})
-		e := NewEngine(m, Config{Workers: 1, QueueSize: 1, MaxBatch: 1, CacheSize: -1, NoDedup: true,
+		e := NewEngine(m, Config{Workers: 1, QueueSize: 1, MaxBatch: 1, CacheSize: -1,
 			StepFault: func(ctx context.Context) error {
 				select {
 				case <-block:
@@ -184,7 +184,7 @@ func TestSpanTreeShape(t *testing.T) {
 	var releaseOnce sync.Once
 	open := func() { releaseOnce.Do(func() { close(release) }) }
 	e := NewEngine(m, Config{Workers: 1, MaxBatch: 1,
-		PreemptQuantum: 1, CacheSize: -1, NoDedup: true,
+		PreemptQuantum: 1, CacheSize: -1,
 		StepFault: func(ctx context.Context) error {
 			select {
 			case <-release:

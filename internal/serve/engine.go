@@ -6,14 +6,14 @@
 // in-flight decode advances one verification sweep at a time through
 // the step-wise core API, requests join the running batch the moment a
 // slot frees and leave it the step they finish, and long decodes are
-// preempted — checkpointed after a sweep, their session pages parked
-// on the prefix trie — whenever shorter work is waiting, then resumed
-// round-robin. That keeps the verifier's batch full (the regime where
-// speculative decoding actually pays) and keeps one long generation
-// from serializing every short request behind it. Around the
-// scheduler sit a bounded request queue with explicit backpressure, an
-// LRU cache keyed on (model, prompt, options, seed) that
-// short-circuits repeat generations, a single-flight table that
+// preempted — set aside after a sweep, holding their own decode state,
+// and skipped by later sweeps — whenever shorter work is waiting, then
+// resumed round-robin. That keeps the verifier's batch full (the
+// regime where speculative decoding actually pays) and keeps one long
+// generation from serializing every short request behind it. Around
+// the scheduler sit a bounded request queue with explicit
+// backpressure, an LRU cache keyed on (model, prompt, options, seed)
+// that short-circuits repeat generations, a single-flight table that
 // collapses concurrent identical submissions onto one decode, and a
 // shared prefix cache (model.TrieCache, a token-prefix trie) that
 // reuses prompt-derived session state across requests — including
@@ -21,10 +21,10 @@
 // earlier traffic forks the cached prefix session and prepares just
 // the suffix. Decoding stays deterministic per seed regardless of
 // scheduling: each request carries its own RNG seed in core.Options,
-// preemption checkpoints fall only between verification sweeps (which
-// the step-wise loop makes output-invariant by construction), and
-// decodes share nothing but the read-only model and the immutable
-// cached sessions.
+// preemption falls only between verification sweeps (which the
+// step-wise loop makes output-invariant by construction), and decodes
+// share nothing but the read-only model and the immutable cached
+// sessions.
 //
 // Requests choose their decoding strategy per call
 // (core.Options.Strategy), so one daemon serves NTP, Medusa, Ours and
@@ -139,9 +139,8 @@ type Config struct {
 	MaxBatch int
 	// PreemptQuantum is how many verification sweeps a decode may hold
 	// a batch slot while other requests are waiting before it is
-	// preempted: parked with its session pages pinned, its slot handed
-	// over, resumed round-robin. 0 selects the default (64); negative
-	// disables preemption.
+	// preempted: parked, its slot handed over, resumed round-robin. 0
+	// selects the default (64); negative disables preemption.
 	PreemptQuantum int
 	// Workers is the per-sweep decode parallelism (default GOMAXPROCS).
 	Workers int
@@ -152,22 +151,11 @@ type Config struct {
 	// default (512), negative disables caching (the benchmark harness
 	// disables it so every decode pays its simulated cost).
 	CacheSize int
-	// PrefixCacheMode selects the shared prompt-session cache:
-	// PrefixCacheTrie (the default) keys sessions on true token
-	// prefixes and forks cached prefix sessions over only the uncached
-	// suffix; PrefixCacheOff disables session caching. Either way
-	// outputs are byte-identical — the cache only changes how much
-	// session preparation is recomputed (pinned by the differential
-	// harness in internal/experiments). NewEngine panics on any other
-	// spelling; validate external input with ParsePrefixCacheMode.
-	PrefixCacheMode string
-	// PrefixCacheBytes caps the trie cache's estimated retained memory
-	// (0 selects model.DefaultTrieBytes).
+	// PrefixCacheBytes caps the shared prompt-session trie's estimated
+	// retained memory (0 selects model.DefaultTrieBytes). The trie only
+	// changes how much session preparation is recomputed, never the
+	// output (pinned by the differential harness in internal/experiments).
 	PrefixCacheBytes int64
-	// NoDedup disables single-flight deduplication of identical
-	// concurrent requests (diagnostics; dedup never changes outputs
-	// because decodes are deterministic per (prompt, options, seed)).
-	NoDedup bool
 	// Admit, if set, gates every submission that would consume a queue
 	// slot: a non-nil error (typically a *ShedError) rejects the
 	// request before it is enqueued. Cache hits and single-flight
@@ -175,7 +163,7 @@ type Config struct {
 	// cluster layer installs its load-shedding policy chain here, after
 	// the single-flight registration, so a shed leader resolves its
 	// flight with the shed error and followers retry on their own
-	// behalf (see resolve).
+	// behalf (see Engine.wait).
 	Admit func(ctx context.Context, req Request) error
 	// StepFault, if set, is the fault-injection plane: it is consulted
 	// once per verification sweep of every running decode. A returned
@@ -208,31 +196,7 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 512
 	}
-	if c.PrefixCacheMode == "" {
-		c.PrefixCacheMode = PrefixCacheTrie
-	}
 	return c
-}
-
-// Prefix-cache modes (Config.PrefixCacheMode, vgend -prefix-cache).
-const (
-	// PrefixCacheTrie is the token-prefix trie with copy-on-extend
-	// sessions (the default).
-	PrefixCacheTrie = "trie"
-	// PrefixCacheOff disables session caching.
-	PrefixCacheOff = "off"
-)
-
-// ParsePrefixCacheMode validates a prefix-cache mode name (empty
-// selects the trie default).
-func ParsePrefixCacheMode(s string) (string, error) {
-	switch s {
-	case "", PrefixCacheTrie:
-		return PrefixCacheTrie, nil
-	case PrefixCacheOff, "none":
-		return PrefixCacheOff, nil
-	}
-	return "", fmt.Errorf("unknown prefix-cache mode %q (want trie or off)", s)
 }
 
 // Request is one generation to perform.
@@ -342,8 +306,8 @@ type Engine struct {
 	m        *model.Model
 	cfg      Config
 	queue    chan *task
-	cache    *lruCache        // nil when disabled
-	sessions *model.TrieCache // nil when PrefixCacheOff
+	cache    *lruCache // nil when disabled
+	sessions *model.TrieCache
 
 	flightMu sync.Mutex // guards inflight
 	inflight map[cacheKey]*flight
@@ -375,23 +339,13 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		m:        m,
 		cfg:      cfg,
 		queue:    make(chan *task, cfg.QueueSize),
+		sessions: model.NewTrieCache(cfg.PrefixCacheBytes),
 		inflight: map[cacheKey]*flight{},
 		keyMemo:  map[string][]int{},
 		quit:     make(chan struct{}),
 	}
 	if cfg.CacheSize > 0 {
 		e.cache = newLRUCache(cfg.CacheSize)
-	}
-	// An unknown mode is programmer error (the HTTP/flag layers validate
-	// their own input): panic rather than silently picking a cache with
-	// a different memory profile than the one asked for — the same
-	// contract as Generate's panic on an unknown strategy name.
-	mode, err := ParsePrefixCacheMode(cfg.PrefixCacheMode)
-	if err != nil {
-		panic("serve: " + err.Error())
-	}
-	if mode == PrefixCacheTrie {
-		e.sessions = model.NewTrieCache(cfg.PrefixCacheBytes)
 	}
 	e.st.init()
 	e.wg.Add(1)
@@ -436,65 +390,32 @@ func (e *Engine) GenerateBatch(ctx context.Context, reqs []Request) []*Response 
 	return e.generateBatch(ctx, reqs, true)
 }
 
-func (e *Engine) generateBatch(ctx context.Context, reqs []Request, wait bool) []*Response {
+func (e *Engine) generateBatch(ctx context.Context, reqs []Request, block bool) []*Response {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tasks := make([]*task, len(reqs))
-	flights := make([]*flight, len(reqs))
+	started := make([]pending, len(reqs))
 	out := make([]*Response, len(reqs))
-	reqs = append([]Request(nil), reqs...) // canonicalized copy; the caller's slice stays untouched
 	for i, req := range reqs {
-		if err := e.modelMismatch(req); err != nil {
+		p, resp, err := e.start(ctx, req, block)
+		switch {
+		case err != nil:
 			out[i] = &Response{Err: err}
-			continue
-		}
-		// Canonical options make equivalently-spelled requests share
-		// cache entries and flights (see core.Options.Canonical).
-		req.Options = req.Options.Canonical()
-		reqs[i] = req
-		e.st.request(req.Options.StrategyLabel())
-		ids, key := e.canonicalize(req)
-		if resp := e.cacheLookup(req, key); resp != nil {
+		case resp != nil:
 			out[i] = resp
-			continue
+		default:
+			started[i] = p
 		}
-		t, f, err := e.startOrJoin(ctx, req, ids, key, wait)
-		if err != nil {
-			out[i] = &Response{Err: err}
-			continue
-		}
-		tasks[i], flights[i] = t, f
 	}
-	for i, t := range tasks {
-		if f := flights[i]; f != nil {
-			resp := waitFlight(ctx, f)
-			if leaderAborted(resp, ctx) || leaderShed(resp) {
-				// The leader's client died (or its submission was shed),
-				// not this item's: decode fresh under the batch's own
-				// context and admission fate (see resolve).
-				ids, key := e.canonicalize(reqs[i])
-				fresh, err := e.resolve(ctx, reqs[i], ids, key, wait)
-				if err != nil {
-					fresh = &Response{Err: err}
-				}
-				resp = fresh
-			}
-			out[i] = resp
+	for i, p := range started {
+		if out[i] != nil {
 			continue
 		}
-		if t == nil {
-			continue
+		resp, err := e.wait(ctx, p, block)
+		if resp == nil {
+			resp = &Response{Err: err}
 		}
-		if reqs[i].OnStep != nil {
-			out[i] = <-t.done // see Request.OnStep: no early return
-			continue
-		}
-		select {
-		case out[i] = <-t.done:
-		case <-ctx.Done():
-			out[i] = &Response{Err: ctx.Err()}
-		}
+		out[i] = resp
 	}
 	return out
 }
@@ -524,12 +445,33 @@ func (e *Engine) modelMismatch(req Request) error {
 	return fmt.Errorf("%w: %q (this engine serves %s)", ErrUnknownModel, req.Model, e.m.Config().Name)
 }
 
-func (e *Engine) submit(ctx context.Context, req Request, wait bool) (*Response, error) {
+func (e *Engine) submit(ctx context.Context, req Request, block bool) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	p, resp, err := e.start(ctx, req, block)
+	if resp != nil || err != nil {
+		return resp, err
+	}
+	return e.wait(ctx, p, block)
+}
+
+// pending is a started submission: the task it leads or the flight it
+// joined (exactly one is set), plus the canonical request a follower
+// resubmits when its leader's fate was not its own.
+type pending struct {
+	req Request
+	ids []int
+	key cacheKey
+	t   *task
+	f   *flight
+}
+
+// start runs a submission up to the wait: the model check, accounting
+// and the result LRU (a hit comes back as resp), then startOrJoin.
+func (e *Engine) start(ctx context.Context, req Request, block bool) (p pending, resp *Response, err error) {
 	if err := e.modelMismatch(req); err != nil {
-		return nil, err
+		return p, nil, err
 	}
 	// Canonical options make equivalently-spelled requests share cache
 	// entries and flights (see core.Options.Canonical).
@@ -537,9 +479,11 @@ func (e *Engine) submit(ctx context.Context, req Request, wait bool) (*Response,
 	e.st.request(req.Options.StrategyLabel())
 	ids, key := e.canonicalize(req)
 	if resp := e.cacheLookup(req, key); resp != nil {
-		return resp, nil
+		return p, resp, nil
 	}
-	return e.resolve(ctx, req, ids, key, wait)
+	p = pending{req: req, ids: ids, key: key}
+	p.t, p.f, err = e.startOrJoin(ctx, req, ids, key, block)
+	return p, nil, err
 }
 
 // canonicalize tokenizes a request's prompt exactly once, returning the
@@ -593,42 +537,38 @@ func (e *Engine) requestKey(req Request) cacheKey {
 	return key
 }
 
-// resolve runs the submission flow after accounting and cache lookup:
-// lead a decode or join an identical in-flight one, then wait. A
-// follower whose flight fails with the LEADER's context error — the
-// leader's client went away, not ours — retries with a fresh
-// submission rather than inheriting a cancellation it did not cause;
-// each retry either becomes the new leader (decoding under this
+// wait blocks on a started submission's outcome. A follower whose
+// flight fails with the LEADER's context error — the leader's client
+// went away, not ours — or with the leader's admission refusal retries
+// with a fresh submission rather than inheriting a fate it did not
+// cause; each retry either becomes the new leader (decoding under this
 // caller's own live context) or joins a newer flight, so the loop
 // always makes progress.
-func (e *Engine) resolve(ctx context.Context, req Request, ids []int, key cacheKey, wait bool) (*Response, error) {
-	for {
-		t, f, err := e.startOrJoin(ctx, req, ids, key, wait)
-		if err != nil {
+func (e *Engine) wait(ctx context.Context, p pending, block bool) (*Response, error) {
+	for p.f != nil {
+		resp := waitFlight(ctx, p.f)
+		if !leaderAborted(resp, ctx) && !leaderShed(resp) {
+			return resp, resp.Err
+		}
+		var err error
+		if p.t, p.f, err = e.startOrJoin(ctx, p.req, p.ids, p.key, block); err != nil {
 			return nil, err
 		}
-		if f != nil {
-			resp := waitFlight(ctx, f)
-			if leaderAborted(resp, ctx) || leaderShed(resp) {
-				continue
-			}
-			return resp, resp.Err
-		}
-		if req.OnStep != nil {
-			// No early return for streaming requests: the caller's OnStep
-			// state must not outlive this call while a sweep can still
-			// invoke it (see Request.OnStep).
-			resp := <-t.done
-			return resp, resp.Err
-		}
-		select {
-		case resp := <-t.done:
-			return resp, resp.Err
-		case <-ctx.Done():
-			// The task stays queued; the scheduler will observe the dead
-			// context and discard it into the buffered done channel.
-			return nil, ctx.Err()
-		}
+	}
+	if p.req.OnStep != nil {
+		// No early return for streaming requests: the caller's OnStep
+		// state must not outlive this call while a sweep can still
+		// invoke it (see Request.OnStep).
+		resp := <-p.t.done
+		return resp, resp.Err
+	}
+	select {
+	case resp := <-p.t.done:
+		return resp, resp.Err
+	case <-ctx.Done():
+		// The task stays queued; the scheduler will observe the dead
+		// context and discard it into the buffered done channel.
+		return nil, ctx.Err()
 	}
 }
 
@@ -661,10 +601,10 @@ func leaderShed(resp *Response) bool {
 // task is enqueued carrying a registered flight. Identical submissions
 // arriving while the leader is in flight become followers: they get
 // the flight to wait on instead of a task, and no second decode runs.
-// Streaming requests and disabled dedup bypass the gate entirely.
-func (e *Engine) startOrJoin(ctx context.Context, req Request, ids []int, key cacheKey, wait bool) (*task, *flight, error) {
-	if e.cfg.NoDedup || req.OnStep != nil {
-		t, err := e.enqueue(ctx, req, ids, wait, key, nil)
+// Streaming requests bypass the gate entirely.
+func (e *Engine) startOrJoin(ctx context.Context, req Request, ids []int, key cacheKey, block bool) (*task, *flight, error) {
+	if req.OnStep != nil {
+		t, err := e.enqueue(ctx, req, ids, block, key, nil)
 		return t, nil, err
 	}
 	e.flightMu.Lock()
@@ -676,7 +616,7 @@ func (e *Engine) startOrJoin(ctx context.Context, req Request, ids []int, key ca
 	f := &flight{done: make(chan struct{})}
 	e.inflight[key] = f
 	e.flightMu.Unlock()
-	t, err := e.enqueue(ctx, req, ids, wait, key, f)
+	t, err := e.enqueue(ctx, req, ids, block, key, f)
 	if err != nil {
 		// Resolve the flight so followers that joined between the
 		// registration and this failure do not hang; they share the
@@ -737,7 +677,7 @@ func (e *Engine) cacheLookup(req Request, key cacheKey) *Response {
 // send so Close's write lock cannot proceed while a submission is in
 // flight — after Close acquires it, the queue's contents are final and
 // can be drained exactly once.
-func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, wait bool, key cacheKey, fl *flight) (*task, error) {
+func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, block bool, key cacheKey, fl *flight) (*task, error) {
 	t := &task{req: req, promptIDs: ids, ctx: ctx, done: make(chan *Response, 1), key: key, fl: fl}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -767,7 +707,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, wait bool,
 	}
 	t.qspan = tr.Start(parent, trace.KindQueue, "")
 	t.enqueued = time.Now()
-	if wait {
+	if block {
 		select {
 		case e.queue <- t:
 			return t, nil

@@ -526,33 +526,6 @@ func TestDedupLeaderCancelFollowerSurvives(t *testing.T) {
 	}
 }
 
-// TestDedupDisabled pins the NoDedup escape hatch: the same wedge as
-// above yields one decode per client.
-func TestDedupDisabled(t *testing.T) {
-	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, CacheSize: -1, NoDedup: true})
-	defer eng.Close()
-
-	const clients = 4
-	reqs := make([]Request, clients)
-	for i := range reqs {
-		reqs[i] = Request{Prompt: prompts[1], Options: testOptions(7)}
-	}
-	resps := eng.GenerateBatch(context.Background(), reqs)
-	for i, resp := range resps {
-		if resp.Err != nil {
-			t.Fatalf("client %d: %v", i, resp.Err)
-		}
-		if resp.Deduped {
-			t.Errorf("client %d deduped with dedup disabled", i)
-		}
-	}
-	mt := eng.Metrics()
-	if mt.Completed != clients || mt.DedupHits != 0 {
-		t.Errorf("completed=%d dedup_hits=%d, want %d/0", mt.Completed, mt.DedupHits, clients)
-	}
-}
-
 // TestDedupWithinBatch: identical items inside one GenerateBatch share
 // one decode too (the flight registers at submission, before waiting).
 func TestDedupWithinBatch(t *testing.T) {
@@ -639,10 +612,10 @@ func TestPrefixCacheReuse(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheModesByteIdentical runs the same workload — including
+// TestPrefixCacheModesByteIdentical runs a workload — including
 // shared-stem prompts that only a prefix trie can partially reuse —
-// through engines in both prefix-cache modes and requires
-// byte-identical responses: the session cache may only change how much
+// through an engine and requires responses byte-identical to a direct
+// decoder with no session cache: the trie may only change how much
 // preparation is recomputed, never what is decoded.
 func TestPrefixCacheModesByteIdentical(t *testing.T) {
 	m, prompts := fixture(t)
@@ -653,46 +626,27 @@ func TestPrefixCacheModesByteIdentical(t *testing.T) {
 		stem + " a synchronous clear input clr.",
 		prompts[0], // exact repeat
 	}
-	run := func(mode string) []*Response {
-		eng := NewEngine(m, Config{Workers: 2, CacheSize: -1, PrefixCacheMode: mode})
-		defer eng.Close()
-		// One at a time, so the trie's contents at each lookup are fixed:
-		// the second stem prompt finds the stem the first one shares.
-		resps := make([]*Response, len(workload))
-		for i, p := range workload {
-			resp, err := eng.Generate(context.Background(), Request{Prompt: p, Options: testOptions(int64(i))})
-			if err != nil {
-				t.Fatalf("%s request %d: %v", mode, i, err)
-			}
-			resps[i] = resp
+	eng := NewEngine(m, Config{Workers: 2, CacheSize: -1})
+	defer eng.Close()
+	direct := core.NewDecoder(m)
+	// One at a time, so the trie's contents at each lookup are fixed:
+	// the second stem prompt finds the stem the first one shares.
+	for i, p := range workload {
+		resp, err := eng.Generate(context.Background(), Request{Prompt: p, Options: testOptions(int64(i))})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
-		mt := eng.Metrics()
-		switch mode {
-		case PrefixCacheOff:
-			if mt.PrefixCacheEntries != 0 || mt.PrefixCacheHits+mt.PrefixCachePartialHits != 0 {
-				t.Errorf("off mode cached sessions: %+v", mt)
-			}
-		case PrefixCacheTrie:
-			if mt.PrefixCachePartialHits == 0 {
-				t.Errorf("trie mode saw no partial hits on shared stems: %+v", mt)
-			}
-			if mt.PrefixCacheTokensSaved == 0 || mt.PrefixCacheHitRate == 0 {
-				t.Errorf("trie mode reported no savings: tokens=%d rate=%g",
-					mt.PrefixCacheTokensSaved, mt.PrefixCacheHitRate)
-			}
+		want := direct.Generate(p, testOptions(int64(i)))
+		if resp.Result.Text != want.Text || resp.Result.Steps != want.Steps || resp.Result.SimulatedMS != want.SimulatedMS {
+			t.Fatalf("request %d diverged from the cacheless decoder", i)
 		}
-		return resps
 	}
-	base, got := run(PrefixCacheOff), run(PrefixCacheTrie)
-	for i := range base {
-		if base[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("request %d failed: %v / %v", i, base[i].Err, got[i].Err)
-		}
-		if got[i].Result.Text != base[i].Result.Text ||
-			got[i].Result.Steps != base[i].Result.Steps ||
-			got[i].Result.SimulatedMS != base[i].Result.SimulatedMS {
-			t.Fatalf("trie request %d diverged from cache-off", i)
-		}
+	mt := eng.Metrics()
+	if mt.PrefixCachePartialHits == 0 {
+		t.Errorf("trie saw no partial hits on shared stems: %+v", mt)
+	}
+	if mt.PrefixCacheTokensSaved == 0 || mt.PrefixCacheHitRate == 0 {
+		t.Errorf("trie reported no savings: tokens=%d rate=%g", mt.PrefixCacheTokensSaved, mt.PrefixCacheHitRate)
 	}
 }
 

@@ -251,9 +251,8 @@ type Metrics struct {
 	// running/MaxBatch. Sweeps counts verification sweeps, SweptTasks
 	// the decodes they stepped, and MeanSweepOccupancy their ratio —
 	// the utilization the continuous batcher exists to raise.
-	// Preemptions counts decodes parked mid-flight to make room (their
-	// session pages stay pinned on the trie); Resumes counts their
-	// returns to the batch.
+	// Preemptions counts decodes parked mid-flight to make room;
+	// Resumes counts their returns to the batch.
 	SchedMaxBatch      int     `json:"sched_max_batch" prom:"vgend_sched_max_batch" help:"Continuous-scheduler batch slots."`
 	SchedRunning       int     `json:"sched_running" prom:"vgend_sched_running" help:"Decodes currently in the running batch."`
 	SchedParked        int     `json:"sched_parked" prom:"vgend_sched_parked" help:"Preempted decodes parked awaiting a slot."`
@@ -261,15 +260,8 @@ type Metrics struct {
 	Sweeps             uint64  `json:"sched_sweeps" prom:"vgend_sched_sweeps_total" help:"Verification sweeps over the running batch."`
 	SweptTasks         uint64  `json:"sched_swept_tasks" prom:"vgend_sched_swept_tasks_total" help:"Decodes stepped, summed over verification sweeps."`
 	MeanSweepOccupancy float64 `json:"sched_mean_sweep_occupancy" prom:"vgend_sched_mean_sweep_occupancy" help:"Decodes stepped per verification sweep." agg:"derived"`
-	Preemptions        uint64  `json:"sched_preemptions" prom:"vgend_sched_preemptions_total" replica:"vgend_replica_sched_preemptions_total" help:"Decodes preempted (parked with pages pinned)."`
+	Preemptions        uint64  `json:"sched_preemptions" prom:"vgend_sched_preemptions_total" replica:"vgend_replica_sched_preemptions_total" help:"Decodes preempted (parked awaiting a slot)."`
 	Resumes            uint64  `json:"sched_resumes" prom:"vgend_sched_resumes_total" help:"Parked decodes resumed into the batch."`
-
-	// PrefixCachePinnedPages/Bytes are the session pages currently
-	// held resident by in-flight and parked decode leases;
-	// PrefixCacheLeases counts lifetime lease acquisitions.
-	PrefixCachePinnedPages int    `json:"prefix_pinned_pages" prom:"vgend_prefix_pinned_pages" replica:"vgend_replica_prefix_pinned_pages" help:"Session pages pinned by in-flight/parked decode leases."`
-	PrefixCachePinnedBytes int64  `json:"prefix_pinned_bytes" prom:"vgend_prefix_pinned_bytes" help:"Estimated bytes held resident by page leases."`
-	PrefixCacheLeases      uint64 `json:"prefix_leases" prom:"vgend_prefix_leases_total" help:"Session page leases acquired."`
 
 	// CleanTokens, RawTokens (markers included), Steps, WallSeconds and
 	// SimSeconds are the sums the rates below divide. The rates are
@@ -351,17 +343,12 @@ func (e *Engine) Metrics() Metrics {
 	e.flightMu.Lock()
 	m.Inflight = len(e.inflight)
 	e.flightMu.Unlock()
-	if e.sessions != nil {
-		st := e.sessions.SessionStats()
-		m.PrefixCacheHits = st.Hits
-		m.PrefixCachePartialHits = st.PartialHits
-		m.PrefixCacheMisses = st.Misses
-		m.PrefixCacheTokensSaved = st.TokensSaved
-		m.PrefixCacheEntries = st.Entries
-		m.PrefixCachePinnedPages = st.PinnedPages
-		m.PrefixCachePinnedBytes = st.PinnedBytes
-		m.PrefixCacheLeases = st.Leases
-	}
+	st := e.sessions.SessionStats()
+	m.PrefixCacheHits = st.Hits
+	m.PrefixCachePartialHits = st.PartialHits
+	m.PrefixCacheMisses = st.Misses
+	m.PrefixCacheTokensSaved = st.TokensSaved
+	m.PrefixCacheEntries = st.Entries
 	m.derive()
 	return m
 }

@@ -24,14 +24,14 @@ import (
 //     tree-verification forward pass over all in-flight requests),
 //  3. retires finished decodes (their slots free immediately), and
 //  4. preempts decodes that have held a slot for PreemptQuantum
-//     sweeps while other work is waiting: the decode parks with its
-//     session pages pinned (core.DecodeState.Park) and re-enters
-//     round-robin.
+//     sweeps while other work is waiting: the decode moves to the
+//     parked list, where sweeps skip it, and re-enters round-robin.
 //
 // Requests therefore join and leave the running batch at every
 // verification step, and a long decode can never serialize short
-// requests behind it for more than a quantum. Preemption checkpoints
-// fall only between sweeps, which the step-wise decode loop makes
+// requests behind it for more than a quantum. A parked decode keeps
+// its core.DecodeState — session included — untouched, and preemption
+// falls only between sweeps, which the step-wise decode loop makes
 // output-invariant, so scheduling never changes bytes.
 
 // schedTask is one decode's residency in the continuous scheduler.
@@ -46,8 +46,7 @@ type schedTask struct {
 	// was already dead, or its options named an unknown strategy.
 	beginErr error
 	// faultErr is a mid-decode abort injected by Config.StepFault (the
-	// chaos plane): the decode has live state that must be dropped, not
-	// finished.
+	// chaos plane): the decode is abandoned, not finished.
 	faultErr error
 	// done latches Step reporting completion (set from sweep workers,
 	// read by the scheduler after the sweep barrier).
@@ -86,7 +85,6 @@ func (e *Engine) scheduler() {
 		x := parked[0]
 		parked = parked[1:]
 		x.residency = 0
-		x.st.Resume()
 		x.park.End()
 		x.park = nil
 		e.st.count(&e.st.m.Resumes)
@@ -167,7 +165,6 @@ func (e *Engine) scheduler() {
 			case x.done:
 				retired = append(retired, x)
 			case waiters && e.cfg.PreemptQuantum > 0 && x.residency >= e.cfg.PreemptQuantum:
-				x.st.Park()
 				x.parks++
 				if tr := trace.FromContext(x.t.ctx); tr != nil {
 					x.park = tr.Start(x.st.TraceSpan(), trace.KindPark, "")
@@ -293,8 +290,7 @@ func (e *Engine) retire(x *schedTask) {
 	}
 	if x.faultErr != nil {
 		// Injected fault mid-decode: the state is abandoned, not
-		// finished — Drop releases its pinned session pages.
-		x.st.Drop()
+		// finished; only its span needs closing.
 		if sp := x.st.TraceSpan(); sp != nil {
 			sp.SetAttr("error", x.faultErr.Error())
 			sp.End()

@@ -99,12 +99,12 @@ func TestContinuousBackpressure(t *testing.T) {
 // resumed — repeatedly — and every request (long included) must still
 // produce exactly the bytes a direct decoder produces — linear, tree
 // and lookup strategies alike. This is the serving-layer pin on
-// "scheduling and preemption checkpoints never change outputs".
+// "scheduling and preemption never change outputs".
 func TestContinuousPreemptionRoundRobin(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{
 		Workers: 1, MaxBatch: 1, PreemptQuantum: 2,
-		QueueSize: 16, CacheSize: -1, NoDedup: true,
+		QueueSize: 16, CacheSize: -1,
 	})
 	defer eng.Close()
 
@@ -179,12 +179,12 @@ func TestContinuousPreemptionRoundRobin(t *testing.T) {
 // clients, mixed long/short/streaming/cancelled traffic, a tiny
 // quantum and a small batch, then a full accounting check — every
 // submission reaches exactly one terminal state, nothing hangs, no
-// page lease outlives its decode.
+// single-flight registration outlives its decode.
 func TestSchedulerChurnSoak(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{
 		Workers: 2, MaxBatch: 2, PreemptQuantum: 1,
-		QueueSize: 64, CacheSize: -1, NoDedup: true,
+		QueueSize: 64, CacheSize: -1,
 	})
 
 	const clients, perClient = 6, 5
@@ -252,8 +252,8 @@ func TestSchedulerChurnSoak(t *testing.T) {
 	if mt.Preemptions < 1 || mt.Resumes < 1 {
 		t.Fatalf("churn soak saw no preemption (preemptions=%d resumes=%d)", mt.Preemptions, mt.Resumes)
 	}
-	if mt.PrefixCachePinnedPages != 0 || mt.PrefixCachePinnedBytes != 0 {
-		t.Fatalf("page leases leaked after drain: %+v", mt)
+	if mt.Inflight != 0 {
+		t.Fatalf("single-flight registrations leaked after drain: %d", mt.Inflight)
 	}
 	if mt.SchedRunning != 0 || mt.SchedParked != 0 {
 		t.Fatalf("scheduler drained dirty: running=%d parked=%d", mt.SchedRunning, mt.SchedParked)
@@ -264,8 +264,9 @@ func TestSchedulerChurnSoak(t *testing.T) {
 // to end: occupancy gauges bounded by MaxBatch, sweep occupancy
 // positive after traffic, the Prometheus families present, every JSON
 // key the repo benchmark scrapes present, and the names that went with
-// the micro-batch pool and the per-mode alias absent from both shapes
-// (spelled in halves so a grep for the retired names finds nothing).
+// the micro-batch pool, the per-mode alias and the page leases absent
+// from both shapes (spelled in halves so a grep for the retired names
+// finds nothing).
 func TestContinuousMetricsSurface(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{Workers: 2, MaxBatch: 4, CacheSize: -1})
@@ -289,13 +290,13 @@ func TestContinuousMetricsSurface(t *testing.T) {
 	eng.WritePrometheusTo(&b, 1)
 	for _, fam := range []string{
 		"vgend_sched_sweeps_total", "vgend_sched_preemptions_total",
-		"vgend_sched_occupancy", "vgend_prefix_pinned_pages",
+		"vgend_sched_occupancy", "vgend_sched_parked",
 	} {
 		if !strings.Contains(b.String(), fam) {
 			t.Fatalf("prometheus output missing %s", fam)
 		}
 	}
-	for _, fam := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`} {
+	for _, fam := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`, "vgend_prefix_" + "pinned", "vgend_prefix_" + "leases"} {
 		if strings.Contains(b.String(), fam) {
 			t.Errorf("prometheus output still carries %s", fam)
 		}
@@ -325,7 +326,7 @@ func TestContinuousMetricsSurface(t *testing.T) {
 			t.Errorf("engine /metrics body lacks %q, which benchmark/metrics.go reads", key)
 		}
 	}
-	for _, key := range []string{"batches", "mean_batch" + "_size", "scheduler", "per" + "_mode"} {
+	for _, key := range []string{"batches", "mean_batch" + "_size", "scheduler", "per" + "_mode", "prefix_" + "pinned_pages", "prefix_" + "pinned_bytes", "prefix_" + "leases"} {
 		if _, ok := body[key]; ok {
 			t.Errorf("engine /metrics body still carries %q", key)
 		}

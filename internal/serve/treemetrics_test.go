@@ -215,7 +215,7 @@ func TestEngineTreeBudget(t *testing.T) {
 // the same mass.
 func TestStrategyAcceptDepthHistAgrees(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 2, CacheSize: -1, NoDedup: true})
+	eng := NewEngine(m, Config{Workers: 2, CacheSize: -1})
 	defer eng.Close()
 	ctx := context.Background()
 	for i, p := range prompts[:6] {
