@@ -11,7 +11,7 @@
 //	vgenc [-addr http://localhost:8080] [-n 2] [-c 4] [-strategy NAME]
 //	      [-model NAME] [-priority high|normal|low] [-client NAME]
 //	      [-tree-budget N] [-max-retries 5] [-timeout 30s] [-stream]
-//	      [-hedge-after D] [-long-every N] [-long-tokens 192] [prompt ...]
+//	      [-long-every N] [-long-tokens 192] [prompt ...]
 //
 // Prompts come from the arguments; with none, a built-in shared-stem
 // workload (the PrefixBench families) is replayed — the traffic shape
@@ -19,13 +19,10 @@
 // repeats the whole list with fresh seeds; -c bounds in-flight
 // requests. -stream consumes responses as NDJSON; a shed received after
 // partial stream output counts as a failed attempt (backed off and
-// resubmitted like any 429/503), never as a success. -hedge-after races
-// a duplicate request when the first hasn't answered within the given
-// duration — tail-latency insurance against a slow or wedged replica;
-// the server's single-flight dedup absorbs the duplicate's decode cost.
-// -long-every mixes a long decode into every Nth request — the load
-// shape the daemon's continuous scheduler preempts around. Exit status
-// is non-zero if any request ultimately failed.
+// resubmitted like any 429/503), never as a success. -long-every mixes
+// a long decode into every Nth request — the load shape the daemon's
+// continuous scheduler preempts around. Exit status is non-zero if any
+// request ultimately failed.
 package main
 
 import (
@@ -41,7 +38,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -140,7 +136,6 @@ func workload() []string {
 type result struct {
 	ok      bool
 	retries int
-	hedges  int
 	wall    time.Duration
 	// queueMS/decodeMS are the server-reported phase split for the
 	// winning attempt (zero against servers that predate queue_ms).
@@ -263,70 +258,14 @@ func attemptOnce(client *http.Client, addr string, req generateRequest) attemptR
 	}
 }
 
-// attemptHedged performs one logical attempt with optional client-side
-// hedging: when the first exchange hasn't concluded within hedgeAfter,
-// an identical duplicate is raced against it and the first OK wins. A
-// non-OK verdict (shed or terminal failure) only stands once every
-// in-flight exchange has returned it — a primary's 429 must not
-// pre-empt a hedge that is about to deliver the result. The loser is
-// not cancelled: it carries the same (prompt, seed) request, so the
-// server's single-flight dedup rides it on the winner's decode. The
-// `after` timer is injectable so tests can fire the hedge without real
-// sleeps; nil means time.After. Returns the winning attempt's verdict
-// and whether a hedge was launched.
-func attemptHedged(client *http.Client, addr string, req generateRequest, hedgeAfter time.Duration, after func(time.Duration) <-chan time.Time) (attemptResult, bool) {
-	if hedgeAfter <= 0 {
-		return attemptOnce(client, addr, req), false
-	}
-	if after == nil {
-		after = time.After
-	}
-	ch := make(chan attemptResult, 2)
-	run := func() {
-		ch <- attemptOnce(client, addr, req)
-	}
-	go run()
-	pending, hedged := 1, false
-	timer := after(hedgeAfter)
-	var last attemptResult
-	for {
-		select {
-		case r := <-ch:
-			pending--
-			if r.outcome == attemptOK {
-				return r, hedged
-			}
-			// Prefer reporting the retryable verdict: if one exchange
-			// shed and the other failed terminally, the request is
-			// still worth resubmitting.
-			if last.outcome != attemptShed || r.outcome == attemptShed {
-				last = r
-			}
-			if pending > 0 {
-				continue // the other exchange may still deliver
-			}
-			return last, hedged
-		case <-timer:
-			timer = nil // time.After fires once; a nil channel blocks
-			hedged = true
-			pending++
-			go run()
-		}
-	}
-}
-
 // replayOne submits one generation, backing off per Retry-After on shed
 // responses — a 429/503 status or its in-stream equivalent — up to
-// maxRetries resubmissions, hedging each attempt after hedgeAfter (0:
-// no hedging; after nil: real timer).
-func replayOne(client *http.Client, addr string, req generateRequest, maxRetries int, hedgeAfter time.Duration, after func(time.Duration) <-chan time.Time) result {
+// maxRetries resubmissions.
+func replayOne(client *http.Client, addr string, req generateRequest, maxRetries int) result {
 	start := time.Now()
 	var res result
 	for {
-		a, hedged := attemptHedged(client, addr, req, hedgeAfter, after)
-		if hedged {
-			res.hedges++
-		}
+		a := attemptOnce(client, addr, req)
 		switch a.outcome {
 		case attemptOK:
 			res.ok = true
@@ -370,7 +309,6 @@ func main() {
 	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget to request (0: server default)")
 	maxRetries := flag.Int("max-retries", 5, "resubmissions per request after shed responses")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
-	hedgeAfter := flag.Duration("hedge-after", 0, "race a duplicate request after this wait (0: no hedging)")
 	stream := flag.Bool("stream", false, "request NDJSON streaming responses")
 	longEvery := flag.Int("long-every", 0, "make every Nth request a long decode (0: none)")
 	longTokens := flag.Int("long-tokens", 192, "max_new_tokens for long decodes (with -long-every)")
@@ -409,14 +347,14 @@ func main() {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i] = replayOne(client, strings.TrimRight(*addr, "/"), req, *maxRetries, *hedgeAfter, nil)
+			results[i] = replayOne(client, strings.TrimRight(*addr, "/"), req, *maxRetries)
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
 	var ok, failed int
-	var retries, hedges atomic.Int64
+	var retries int
 	var walls []time.Duration
 	var queueMS, decodeMS []float64
 	for _, r := range results {
@@ -428,14 +366,13 @@ func main() {
 		} else {
 			failed++
 		}
-		retries.Add(int64(r.retries))
-		hedges.Add(int64(r.hedges))
+		retries += r.retries
 	}
 	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
 	sort.Float64s(queueMS)
 	sort.Float64s(decodeMS)
-	fmt.Printf("requests=%d ok=%d failed=%d retries=%d hedges=%d elapsed=%s rps=%.1f p50=%s p95=%s p99=%s\n",
-		len(reqs), ok, failed, retries.Load(), hedges.Load(), elapsed.Round(time.Millisecond),
+	fmt.Printf("requests=%d ok=%d failed=%d retries=%d elapsed=%s rps=%.1f p50=%s p95=%s p99=%s\n",
+		len(reqs), ok, failed, retries, elapsed.Round(time.Millisecond),
 		float64(ok)/elapsed.Seconds(),
 		percentile(walls, 0.50).Round(time.Millisecond), percentile(walls, 0.95).Round(time.Millisecond),
 		percentile(walls, 0.99).Round(time.Millisecond))

@@ -57,7 +57,7 @@ func TestReplayHonoursRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p"}, 5, 0, nil)
+	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p"}, 5)
 	if !res.ok {
 		t.Fatal("replay did not succeed")
 	}
@@ -97,7 +97,7 @@ func TestStreamShedAfterPartialOutputIsFailedAttempt(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p", Stream: true}, 5, 0, nil)
+	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p", Stream: true}, 5)
 	if !res.ok {
 		t.Fatal("replay did not succeed after shed attempts")
 	}
@@ -120,7 +120,7 @@ func TestStreamWithoutResultLineIsNotSuccess(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p", Stream: true}, 5, 0, nil)
+	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p", Stream: true}, 5)
 	if res.ok {
 		t.Fatal("replay claimed success from a stream that never delivered a result line")
 	}
@@ -140,7 +140,7 @@ func TestReplayGivesUpAtMaxRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p"}, 2, 0, nil)
+	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p"}, 2)
 	if res.ok {
 		t.Fatal("replay claimed success from a shedding server")
 	}
@@ -149,123 +149,5 @@ func TestReplayGivesUpAtMaxRetries(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 { // initial + 2 retries
 		t.Fatalf("server saw %d calls, want 3", got)
-	}
-}
-
-// firedTimer is the injected hedge timer: a channel that is already
-// hot, so the hedge launches on the select's first pass — no real
-// sleeps anywhere in the hedging tests.
-func firedTimer(time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- time.Time{}
-	return ch
-}
-
-// TestHedgeFiredPrimaryWins: the hedge is launched (the timer fires
-// while the primary is still on the wire), the hedge attempt fails
-// terminally, and the primary then delivers — the request must succeed
-// with zero retries, and the hedge's failure must not pre-empt the
-// pending primary. The handler sequences the race: the primary blocks
-// until the hedge has arrived, so the interleaving is pinned, not
-// timing-dependent.
-func TestHedgeFiredPrimaryWins(t *testing.T) {
-	var calls atomic.Int64
-	hedgeArrived := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch calls.Add(1) {
-		case 1: // primary: wait out the hedge, then deliver
-			<-hedgeArrived
-			_ = json.NewEncoder(w).Encode(map[string]any{"text": "module m; endmodule"})
-		default: // hedge: terminal failure
-			close(hedgeArrived)
-			w.WriteHeader(http.StatusInternalServerError)
-		}
-	}))
-	defer srv.Close()
-
-	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p"}, 5, time.Millisecond, firedTimer)
-	if !res.ok {
-		t.Fatal("request failed although the primary delivered")
-	}
-	if res.retries != 0 {
-		t.Fatalf("retries = %d, want 0 (the hedge's failure is not a shed)", res.retries)
-	}
-	if res.hedges != 1 {
-		t.Fatalf("hedges = %d, want 1", res.hedges)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2 (primary + hedge)", got)
-	}
-}
-
-// TestHedgeBothFailIsTerminal: when the primary and the hedge both
-// fail terminally, the logical attempt is a terminal failure — no
-// retry loop, no false success.
-func TestHedgeBothFailIsTerminal(t *testing.T) {
-	var calls atomic.Int64
-	hedgeArrived := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			<-hedgeArrived // hold the primary until the hedge is in flight
-		} else {
-			close(hedgeArrived)
-		}
-		w.WriteHeader(http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-
-	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p"}, 5, time.Millisecond, firedTimer)
-	if res.ok {
-		t.Fatal("replay claimed success although both attempts failed")
-	}
-	if res.retries != 0 {
-		t.Fatalf("retries = %d, want 0 (terminal failures are not sheds)", res.retries)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2", got)
-	}
-}
-
-// TestHedgeWinsAfterPrimaryShed: the primary comes back 429 while the
-// hedge is still in flight — the shed must not stand as the attempt's
-// verdict; the hedge's 200 wins and the request succeeds with zero
-// retries and zero backoff sleeps.
-func TestHedgeWinsAfterPrimaryShed(t *testing.T) {
-	var calls atomic.Int64
-	hedgeArrived := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch calls.Add(1) {
-		case 1: // primary: shed once the hedge is racing
-			<-hedgeArrived
-			w.Header().Set("Retry-After", "30") // a sleep this long would blow the test timeout
-			w.WriteHeader(http.StatusTooManyRequests)
-		default: // hedge: delivers
-			close(hedgeArrived)
-			_ = json.NewEncoder(w).Encode(map[string]any{"text": "module m; endmodule"})
-		}
-	}))
-	defer srv.Close()
-
-	done := make(chan result, 1)
-	go func() {
-		done <- replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p"}, 5, time.Millisecond, firedTimer)
-	}()
-	var res result
-	select {
-	case res = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("replay hung — primary's 429 likely triggered its 30s backoff instead of yielding to the hedge")
-	}
-	if !res.ok {
-		t.Fatal("request failed although the hedge delivered")
-	}
-	if res.retries != 0 {
-		t.Fatalf("retries = %d, want 0 (the winning hedge cancels the shed verdict)", res.retries)
-	}
-	if res.hedges != 1 {
-		t.Fatalf("hedges = %d, want 1", res.hedges)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2", got)
 	}
 }

@@ -34,38 +34,37 @@
 // /debug/requests?id=<X-Request-ID> alone.
 //
 // Fleet mode starts when -replicas > 1, -models lists more than one
-// spec (or one with a default strategy), a -shed-policy is set, or any
-// elasticity feature (-hedge-after, -steal, -autoscale) is enabled;
+// spec (or one with a default strategy), a -shed-policy is set, or an
+// elasticity feature (-steal, -autoscale) is enabled;
 // with none of those the daemon runs the exact single-engine path of
 // previous releases.
 // Replica specs are model[:scheme[:default-strategy]], e.g.
 //
 //	vgend -replicas 4 -shed-policy deadline,priority,budget
 //	vgend -models codellama:ours,codet5p:ntp:prompt-lookup
-//	vgend -replicas 3 -hedge-after 50ms -steal -autoscale -max-replicas 6
+//	vgend -replicas 3 -steal -autoscale -max-replicas 6
 //
 // Requests are routed per prefix-affinity consistent hashing (with a
 // least-loaded fallback), so shared-prefix traffic concentrates where
 // its caches are warm; shed requests always get an explicit 429/503
 // with a Retry-After header.
 //
-// The fleet self-heals and scales: every replica carries a circuit
-// breaker (consecutive faults open it, routing steers around it, a
-// cooldown probe closes it again); -hedge-after races a second replica
-// when the routed one is slow or wedged and fails over on replica
-// faults; -steal lets idle replicas pull queued overflow from affinity
+// Each request gets exactly one attempt, on the replica the router (or
+// a stealer) picked: replicas sharing a (model, scheme) pair decode with
+// the same immutable model, so a request that fails would fail the same
+// way on a sibling, and its error comes back as itself. The fleet
+// scales: -steal lets idle replicas pull queued overflow from affinity
 // hotspots; -autoscale grows the fleet on sustained queue-wait or shed
 // pressure and shrinks it when idle, within [-min-replicas,
-// -max-replicas]. All of it is observable via /metrics
-// (vgend_fleet_scale_*, vgend_replica_breaker_*, hedge/failover/steal
-// counters).
+// -max-replicas]. Both are observable via /metrics (vgend_fleet_scale_*,
+// vgend_fleet_steals_total, vgend_replica_stolen_total).
 //
 // Usage: vgend [-addr :8080] [-model codellama|codet5p] [-scheme ours]
 // [-items 3400] [-seed N] [-workers N] [-queue N]
 // [-max-batch N] [-preempt-quantum N] [-cache N]
 // [-prefix-cache-bytes N] [-replicas N] [-models specs]
 // [-shed-policy none|deadline,priority,budget] [-budget-tps N]
-// [-budget-burst N] [-hedge-after D] [-steal] [-autoscale]
+// [-budget-burst N] [-steal] [-autoscale]
 // [-min-replicas N] [-max-replicas N] [-list-strategies]
 // [-trace] [-pprof] [-log text|json|off]
 //
@@ -203,7 +202,6 @@ func main() {
 	shedPolicy := flag.String("shed-policy", "none", "admission chain: none, or a comma list of deadline, priority, budget")
 	budgetTPS := flag.Float64("budget-tps", 0, "budget policy: sustained tokens/s per client (0 = default)")
 	budgetBurst := flag.Float64("budget-burst", 0, "budget policy: burst tokens per client (0 = default)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fleet: race a second replica when the routed one hasn't answered within this wait (0 = no hedging)")
 	steal := flag.Bool("steal", false, "fleet: let idle replicas steal queued overflow from affinity hotspots")
 	autoscale := flag.Bool("autoscale", false, "fleet: scale the replica count with load, between -min-replicas and -max-replicas")
 	minReplicas := flag.Int("min-replicas", 0, "autoscaler floor (0 = the starting replica count; requires -autoscale)")
@@ -261,12 +259,11 @@ func main() {
 	if (*minReplicas != 0 || *maxReplicas != 0) && !*autoscale {
 		fail(fmt.Errorf("-min-replicas/-max-replicas require -autoscale"))
 	}
-	// The resilience/elasticity features — hedging, stealing,
-	// autoscaling — are an explicit ask for the cluster layer, even with
-	// one replica: silently ignoring one would leave the operator
-	// believing it is active.
+	// The elasticity features — stealing, autoscaling — are an explicit
+	// ask for the cluster layer, even with one replica: silently ignoring
+	// one would leave the operator believing it is active.
 	fleetMode := *replicas > 1 || len(specs) > 1 || len(policies) > 0 ||
-		specs[0].strategy != "" || *hedgeAfter > 0 || *steal || *autoscale
+		specs[0].strategy != "" || *steal || *autoscale
 	n := *replicas
 	if n < len(specs) {
 		n = len(specs)
@@ -331,9 +328,8 @@ func main() {
 			}
 		}
 		fleet, err := cluster.New(replicaSpecs, cluster.Config{
-			Policies:   policies,
-			HedgeAfter: *hedgeAfter,
-			Steal:      *steal,
+			Policies: policies,
+			Steal:    *steal,
 			Autoscale: cluster.AutoscaleConfig{
 				Enabled: *autoscale,
 				Min:     *minReplicas,
@@ -353,9 +349,6 @@ func main() {
 			shed = strings.Join(names, ",")
 		}
 		elastic := ""
-		if *hedgeAfter > 0 {
-			elastic += fmt.Sprintf(", hedge %s", *hedgeAfter)
-		}
 		if *steal {
 			elastic += ", steal"
 		}

@@ -25,9 +25,10 @@ const vgendTestArgs = "VGEND_TEST_ARGS"
 // TestRetiredFlagsRefused pins the flags that were deleted: the
 // -prefix-cache mode switch (the trie is the only session cache), the
 // -no-dedup escape hatch, the -scheduler flag that went with the worker
-// pool, the -router flag that went with the comparison routers and the
-// daemon-wide -tree-budget (a request carries its own "tree_budget").
-// Each exits 2 as an undefined flag before training starts.
+// pool, the -router flag that went with the comparison routers, the
+// daemon-wide -tree-budget (a request carries its own "tree_budget") and
+// the -hedge-after flag that went with hedged dispatch. Each exits 2 as
+// an undefined flag before training starts.
 func TestRetiredFlagsRefused(t *testing.T) {
 	for _, args := range []string{
 		"-prefix-cache trie",
@@ -35,6 +36,7 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		"-scheduler x",
 		"-router round-robin",
 		"-tree-budget 5",
+		"-hedge-after 50ms",
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), vgendTestArgs+"="+args)

@@ -17,19 +17,21 @@
 //     publishes its drop and followers retry on their own behalf. A
 //     shed request always gets an explicit error carrying a
 //     Retry-After hint; nothing is dropped silently.
-//   - Resilience and elasticity: per-replica circuit breakers route
-//     traffic away from faulting members (dispatch.go), hedged retries
-//     cover the latency tail of a wedged replica, work stealing
-//     rebalances affinity hotspots, and an autoscaler grows the fleet
-//     on queue-wait and shed pressure and retires what it added by
+//   - Elasticity: each request gets one attempt, on the routed replica
+//     or on an idle sibling that steals it from an affinity hotspot
+//     (dispatch.go); nothing is retried on another replica, because a
+//     decode is fully determined by (prompt, options, seed) and every
+//     replica of a (model, scheme) pair shares one immutable model, so a
+//     fault belongs to the request. An autoscaler grows the fleet on
+//     queue-wait and shed pressure and retires what it added by
 //     draining it gracefully (autoscale.go, lifecycle.go).
 //   - Aggregation: fleet-level metrics — per-replica engine snapshots
-//     plus fleet-wide sums, shed/routing/breaker/scale counters and a
+//     plus fleet-wide sums, shed/routing/steal/scale counters and a
 //     decode-time EWMA — in JSON and Prometheus forms.
 //
 // A Fleet implements serve.Backend, so cmd/vgend serves it over the
-// same HTTP handlers as a single engine. With one replica, no policies
-// and hedging off, the fleet adds nothing to the decode path: outputs
+// same HTTP handlers as a single engine. With one replica and no
+// policies the fleet adds nothing to the decode path: outputs
 // are byte-identical to the bare engine's (pinned by
 // TestSingleReplicaByteIdentical).
 package cluster
@@ -75,19 +77,6 @@ type Config struct {
 	// Policies is the admission chain, applied in order; empty admits
 	// everything (the engines' queue-full backstop still rejects).
 	Policies []ShedPolicy
-	// HedgeAfter, when positive, races a second replica for any request
-	// the first hasn't answered within this duration — latency-tail
-	// cover for a slow or wedged member. A hedge winning by timeout is
-	// the wedge signal that feeds the loser's circuit breaker. Zero
-	// disables hedging (and keeps the single-replica path byte-
-	// identical to the bare engine).
-	HedgeAfter time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// replica's circuit open (default 3); BreakerCooldown is the open
-	// dwell before a half-open probe (default 1s). Breakers are always
-	// on — with no faults they never trip.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Steal enables work stealing: a routed request whose replica is
 	// backlogged is offered to a fleet-wide queue that any idle replica
 	// may serve, so prefix-affinity hotspots shed overflow to idle
@@ -111,10 +100,9 @@ type Replica struct {
 	modelName       string
 	scheme          string
 
-	eng     *serve.Engine
-	state   atomic.Int32 // stateActive / stateDraining
-	breaker *breaker
-	scaled  bool // added by the autoscaler (only these scale back down)
+	eng    *serve.Engine
+	state  atomic.Int32 // stateActive / stateDraining
+	scaled bool         // added by the autoscaler (only these scale back down)
 
 	routed   atomic.Uint64 // requests routed here
 	inflight atomic.Int64  // routed and not yet answered
@@ -125,8 +113,8 @@ type Replica struct {
 // Name returns the replica's identity.
 func (r *Replica) Name() string { return r.name }
 
-// Engine exposes the replica's engine (tests and the chaos bench read
-// its metrics directly).
+// Engine exposes the replica's engine (tests read its metrics
+// directly).
 func (r *Replica) Engine() *serve.Engine { return r.eng }
 
 // Draining reports whether the replica has stopped admitting new work.
@@ -138,14 +126,22 @@ func (r *Replica) load() int {
 	return r.Engine().QueueDepth() + int(r.inflight.Load())
 }
 
-// serveable reports whether the router may send new work here: active
-// and with a circuit that would admit a request.
-func (r *Replica) serveable() bool {
-	return r.state.Load() == stateActive && r.breaker.ready()
+// acquire takes an in-flight count on r unless r is draining. The
+// count is taken before the state is read, and retireReplica flips the
+// state before drain reads the count, so either drain waits for this
+// request or acquire sees the drain: an engine never closes under a
+// request it was picked for.
+func (r *Replica) acquire() bool {
+	r.inflight.Add(1)
+	if r.Draining() {
+		r.inflight.Add(-1)
+		return false
+	}
+	return true
 }
 
 // Fleet owns the replicas and fronts them with routing, admission and
-// the resilience machinery.
+// the elasticity machinery.
 type Fleet struct {
 	// mu guards the member set (replicas, byModel, nextID) against
 	// scaling; the hot path takes it only to snapshot.
@@ -180,12 +176,9 @@ type fleetStats struct {
 	meanDecodeMS float64
 }
 
-// elasticStats counts the resilience machinery's actions (lock-free:
+// elasticStats counts the elasticity machinery's actions (lock-free:
 // every field is written from hot paths).
 type elasticStats struct {
-	hedges     atomic.Uint64 // hedge attempts launched
-	hedgeWins  atomic.Uint64 // hedges that answered before the primary
-	failovers  atomic.Uint64 // retries on a sibling after a replica fault
 	steals     atomic.Uint64 // requests served by a non-routed replica
 	drains     atomic.Uint64 // drains started
 	scaleUps   atomic.Uint64 // autoscaler replica additions
@@ -275,7 +268,6 @@ func (f *Fleet) buildReplica(spec ReplicaSpec, name string, scaled bool) (*Repli
 		scheme:          spec.Model.Scheme().String(),
 		defaultStrategy: spec.DefaultStrategy,
 		scaled:          scaled,
-		breaker:         newBreaker(f.cfg.BreakerThreshold, f.cfg.BreakerCooldown, nil),
 	}
 	engCfg := spec.Engine
 	if len(f.policies) > 0 {
@@ -382,20 +374,35 @@ func (f *Fleet) candidates(modelName string) ([]*Replica, error) {
 	return nil, fmt.Errorf("%w: %q", serve.ErrUnknownModel, modelName)
 }
 
-// serveableOf filters candidates to members the router may use: active
-// and breaker-ready. When none qualify the full set comes back —
-// availability beats purity; a fleet of open breakers still serves.
-func serveableOf(cands []*Replica) []*Replica {
+// activeOf filters candidates to the members the router may use: the
+// ones not draining.
+func activeOf(cands []*Replica) []*Replica {
 	ok := make([]*Replica, 0, len(cands))
 	for _, r := range cands {
-		if r.serveable() {
+		if !r.Draining() {
 			ok = append(ok, r)
 		}
 	}
-	if len(ok) == 0 {
-		return cands
-	}
 	return ok
+}
+
+// pick chooses an active candidate for key and takes its in-flight
+// count. A replica retired between the choice and the count is released
+// and the choice made again among the members still active. With no
+// active candidate at all the full set serves — availability beats
+// purity.
+func (f *Fleet) pick(key string, cands []*Replica) *Replica {
+	for {
+		active := activeOf(cands)
+		if len(active) == 0 {
+			r := f.router.Pick(key, cands)
+			r.inflight.Add(1)
+			return r
+		}
+		if r := f.router.Pick(key, active); r.acquire() {
+			return r
+		}
+	}
 }
 
 // route picks the serving replica. The replica's inflight counter is
@@ -417,18 +424,17 @@ func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) 
 		sp.End()
 		return nil, err
 	}
-	r := f.router.Pick(affinityKey(req.Prompt), serveableOf(cands))
+	r := f.pick(affinityKey(req.Prompt), cands)
 	sp.SetAttr("replica", r.name)
 	sp.SetAttrInt("candidates", int64(len(cands)))
 	sp.End()
 	r.routed.Add(1)
-	r.inflight.Add(1)
 	return r, nil
 }
 
 // withDefaultStrategy applies the serving replica's default-strategy
-// substitution — at send time, not route time, because hedges and
-// failovers may serve on a different replica than the routed one.
+// substitution — at send time, not route time, because a stealer may
+// serve on a different replica than the routed one.
 func withDefaultStrategy(req serve.Request, r *Replica) serve.Request {
 	if r.defaultStrategy != "" && req.NoExplicitStrategy {
 		req.Options.Strategy = r.defaultStrategy
@@ -494,9 +500,9 @@ func (f *Fleet) serveItem(ctx context.Context, req serve.Request, r *Replica, wa
 
 // GenerateBatch routes every item first, so items earlier in the batch
 // raise the load later ones are routed by, then serves the items
-// concurrently, each on the single-request path (stealing, hedging,
-// failover and breaker accounting included), and returns responses
-// index-for-index with per-item failures on Response.Err.
+// concurrently, each on the single-request path (stealing included),
+// and returns responses index-for-index with per-item failures on
+// Response.Err.
 func (f *Fleet) GenerateBatch(ctx context.Context, reqs []serve.Request) []*serve.Response {
 	return f.generateBatch(ctx, reqs, true)
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,28 +14,12 @@ import (
 	"repro/internal/serve"
 )
 
-// --- fault plane for in-package tests ---
+// wedgeFault is one replica's StepFault hook: while on, every decode
+// blocks until its context dies.
+type wedgeFault struct{ on atomic.Bool }
 
-// faultKind is the injectable failure mode of one replica's engine.
-type faultKind int32
-
-const (
-	faultNone  faultKind = iota
-	faultKill            // every decode fails immediately
-	faultWedge           // every decode blocks until its context dies
-)
-
-// testFault is one replica's controllable fault, wired in as the
-// engine's StepFault hook.
-type testFault struct{ mode atomic.Int32 }
-
-func (tf *testFault) set(k faultKind) { tf.mode.Store(int32(k)) }
-
-func (tf *testFault) hook(ctx context.Context) error {
-	switch faultKind(tf.mode.Load()) {
-	case faultKill:
-		return errors.New("injected: replica fault")
-	case faultWedge:
+func (w *wedgeFault) hook(ctx context.Context) error {
+	if w.on.Load() {
 		<-ctx.Done()
 		return ctx.Err()
 	}
@@ -43,14 +27,14 @@ func (tf *testFault) hook(ctx context.Context) error {
 }
 
 // newFaultyFleet builds n identical replicas whose engines each carry
-// a controllable fault hook.
-func newFaultyFleet(tb testing.TB, n int, cfg Config, engCfg serve.Config) (*Fleet, []*testFault) {
+// a wedge hook.
+func newFaultyFleet(tb testing.TB, n int, cfg Config, engCfg serve.Config) (*Fleet, []*wedgeFault) {
 	tb.Helper()
 	m, _ := fixture(tb)
-	faults := make([]*testFault, n)
+	faults := make([]*wedgeFault, n)
 	specs := make([]ReplicaSpec, n)
 	for i := range specs {
-		faults[i] = &testFault{}
+		faults[i] = &wedgeFault{}
 		ec := engCfg
 		ec.StepFault = faults[i].hook
 		specs[i] = ReplicaSpec{Model: m, Engine: ec}
@@ -61,18 +45,6 @@ func newFaultyFleet(tb testing.TB, n int, cfg Config, engCfg serve.Config) (*Fle
 	}
 	tb.Cleanup(f.Close)
 	return f, faults
-}
-
-// replicaByName finds a fleet member and its fault handle.
-func replicaByName(tb testing.TB, f *Fleet, faults []*testFault, name string) (*Replica, *testFault) {
-	tb.Helper()
-	for i, r := range f.Replicas() {
-		if r.Name() == name {
-			return r, faults[i]
-		}
-	}
-	tb.Fatalf("no replica named %q", name)
-	return nil, nil
 }
 
 // eventually polls cond until it holds or the deadline passes.
@@ -86,197 +58,6 @@ func eventually(tb testing.TB, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	tb.Fatalf("timed out waiting for %s", what)
-}
-
-// --- circuit breaker ---
-
-// TestBreakerStateMachine drives the closed/open/half-open cycle with
-// an injected clock: consecutive failures trip the circuit, the
-// cooldown gates the probe, the probe's outcome decides recovery, and
-// neutral outcomes release the probe without judging the replica.
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreaker(3, time.Second, func() time.Time { return now })
-
-	if !b.ready() || !b.allow() {
-		t.Fatal("fresh breaker must pass traffic")
-	}
-	b.onSuccess()
-
-	// Two failures: still closed (threshold 3); an interleaved success
-	// resets the streak.
-	b.onFailure()
-	b.onFailure()
-	if st, _ := b.snapshot(); st != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v, want closed", st)
-	}
-	b.onSuccess()
-	b.onFailure()
-	b.onFailure()
-	if st, _ := b.snapshot(); st != BreakerClosed {
-		t.Fatal("success must reset the consecutive-failure streak")
-	}
-
-	// Third consecutive failure trips it.
-	b.onFailure()
-	if st, opens := b.snapshot(); st != BreakerOpen || opens != 1 {
-		t.Fatalf("state=%v opens=%d, want open/1", st, opens)
-	}
-	if b.ready() || b.allow() {
-		t.Fatal("open breaker inside cooldown must fail fast")
-	}
-
-	// Cooldown elapses: exactly one probe passes.
-	now = now.Add(time.Second)
-	if !b.ready() {
-		t.Fatal("cooled-down breaker must offer a probe")
-	}
-	if !b.allow() {
-		t.Fatal("first probe must be admitted")
-	}
-	if b.ready() || b.allow() {
-		t.Fatal("half-open breaker must admit only one probe at a time")
-	}
-	// Neutral outcome (the probe was shed): slot released, state held.
-	b.onNeutral()
-	if st, _ := b.snapshot(); st != BreakerHalfOpen {
-		t.Fatalf("state after neutral probe = %v, want half-open", st)
-	}
-	if !b.allow() {
-		t.Fatal("released probe slot must re-admit")
-	}
-	// Failed probe: straight back to open.
-	b.onFailure()
-	if st, opens := b.snapshot(); st != BreakerOpen || opens != 2 {
-		t.Fatalf("state=%v opens=%d after failed probe, want open/2", st, opens)
-	}
-
-	// Second recovery: successful probe closes it for good.
-	now = now.Add(time.Second)
-	if !b.allow() {
-		t.Fatal("second probe must be admitted")
-	}
-	b.onSuccess()
-	if st, _ := b.snapshot(); st != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", st)
-	}
-	if !b.ready() || !b.allow() {
-		t.Fatal("recovered breaker must pass traffic")
-	}
-}
-
-// TestBreakerRoutesAround: a killed replica's circuit opens after the
-// failure threshold and the router stops sending it traffic; every
-// client request still succeeds via failover. After the fault heals
-// and the cooldown elapses, a probe closes the circuit and affinity
-// resumes.
-func TestBreakerRoutesAround(t *testing.T) {
-	_, prompts := fixture(t)
-	f, faults := newFaultyFleet(t, 3,
-		Config{BreakerThreshold: 2, BreakerCooldown: 300 * time.Millisecond},
-		serve.Config{Workers: 1, CacheSize: -1})
-
-	// Discover the affine replica for this prompt family.
-	first, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Options: testOptions(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	affine, fault := replicaByName(t, f, faults, first.Replica)
-	fault.set(faultKill)
-
-	for seed := int64(1); seed <= 6; seed++ {
-		resp, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Options: testOptions(seed)})
-		if err != nil {
-			t.Fatalf("seed %d: client saw fault: %v", seed, err)
-		}
-		if resp.Replica == affine.Name() {
-			t.Fatalf("seed %d: served by the killed replica", seed)
-		}
-	}
-	if _, opens := affine.breaker.snapshot(); opens == 0 {
-		t.Error("killed replica breaker never tripped")
-	}
-	m := f.Metrics()
-	if m.Failovers < 2 {
-		t.Errorf("failovers=%d, want >=2 (threshold failures before the trip)", m.Failovers)
-	}
-	// Once open, traffic routes around the dead member — at most the
-	// occasional half-open probe (which fails over transparently) may
-	// still land there.
-	routedBefore := affine.routed.Load()
-	for seed := int64(7); seed <= 9; seed++ {
-		if _, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Options: testOptions(seed)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := affine.routed.Load(); got > routedBefore+2 {
-		t.Errorf("open-circuit replica still taking traffic (%d -> %d)", routedBefore, got)
-	}
-
-	// Heal, wait out the cooldown, and confirm the probe closes the
-	// circuit and affinity returns.
-	fault.set(faultNone)
-	time.Sleep(320 * time.Millisecond)
-	eventually(t, 2*time.Second, "breaker to close and affinity to resume", func() bool {
-		resp, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Options: testOptions(99)})
-		if err != nil {
-			return false
-		}
-		st, _ := affine.breaker.snapshot()
-		return st == BreakerClosed && resp.Replica == affine.Name()
-	})
-}
-
-// TestHedgeCoversWedgedReplica: a wedged replica (decodes hang until
-// cancelled) never answers, but clients don't wait for it — the hedge
-// fires after HedgeAfter, a sibling serves the request, and the
-// hedge-win-by-timeout signal opens the wedged member's circuit.
-func TestHedgeCoversWedgedReplica(t *testing.T) {
-	_, prompts := fixture(t)
-	f, faults := newFaultyFleet(t, 3,
-		Config{HedgeAfter: 20 * time.Millisecond, BreakerThreshold: 2, BreakerCooldown: 150 * time.Millisecond},
-		serve.Config{Workers: 1, CacheSize: -1})
-
-	first, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[1], Options: testOptions(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wedged, fault := replicaByName(t, f, faults, first.Replica)
-	fault.set(faultWedge)
-
-	for seed := int64(1); seed <= 4; seed++ {
-		start := time.Now()
-		resp, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[1], Options: testOptions(seed)})
-		if err != nil {
-			t.Fatalf("seed %d: client saw wedge: %v", seed, err)
-		}
-		if resp.Replica == wedged.Name() {
-			t.Fatalf("seed %d: answered by the wedged replica", seed)
-		}
-		if waited := time.Since(start); waited > 5*time.Second {
-			t.Fatalf("seed %d: hedge did not cover the wedge (waited %s)", seed, waited)
-		}
-	}
-	m := f.Metrics()
-	if m.Hedges == 0 || m.HedgeWins == 0 {
-		t.Errorf("hedges=%d hedge_wins=%d, want both > 0", m.Hedges, m.HedgeWins)
-	}
-	// The circuit must have tripped on the wedge-timeout signals. (It
-	// may already be half-open again at snapshot time if a cooldown
-	// elapsed — probing is allowed, judging is what matters.)
-	if st, opens := wedged.breaker.snapshot(); opens == 0 || st == BreakerClosed {
-		t.Errorf("wedged replica breaker state=%v opens=%d, want tripped", st, opens)
-	}
-
-	// Heal and recover: after the cooldown a probe closes the circuit.
-	fault.set(faultNone)
-	eventually(t, 3*time.Second, "wedged replica to rejoin", func() bool {
-		resp, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[1], Options: testOptions(50)})
-		if err != nil {
-			return false
-		}
-		return resp.Replica == wedged.Name()
-	})
 }
 
 // --- autoscaler ---
@@ -417,7 +198,7 @@ func TestStealJobContextCancel(t *testing.T) {
 	_, prompts := fixture(t)
 	f, faults := newFaultyFleet(t, 1, Config{Steal: true}, serve.Config{Workers: 1, QueueSize: 8, CacheSize: -1})
 	// Wedge the only replica so nothing drains and jobs pile up.
-	faults[0].set(faultWedge)
+	faults[0].on.Store(true)
 
 	var wg sync.WaitGroup
 	outcomes := make([]error, 6)
@@ -445,31 +226,21 @@ func TestStealJobContextCancel(t *testing.T) {
 			t.Errorf("request %d: %v, want context.Canceled", i, err)
 		}
 	}
-	faults[0].set(faultNone)
+	faults[0].on.Store(false)
 }
 
-// --- streamed and batch requests ---
+// --- a request's own error ---
 
 // sweepFault is a StepFault hook that counts its calls — one per sweep
 // of each running decode, so with one request in flight the count is
-// that decode's sweep index — slows every sweep by delay, and fails
-// the failAt-th (0: never).
+// that decode's sweep index — and fails the failAt-th (0: never).
 type sweepFault struct {
 	calls  atomic.Int32
 	failAt int32
-	delay  time.Duration
 }
 
-func (s *sweepFault) hook(ctx context.Context) error {
-	n := s.calls.Add(1)
-	if s.delay > 0 {
-		select {
-		case <-time.After(s.delay):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	if n == s.failAt {
+func (s *sweepFault) hook(context.Context) error {
+	if n := s.calls.Add(1); n == s.failAt {
 		return fmt.Errorf("injected: fault at sweep %d", n)
 	}
 	return nil
@@ -541,89 +312,140 @@ func streamedRequest(prompt string, log *streamLog) serve.Request {
 	}
 }
 
-// TestStreamedRequestNeverHedged: with hedging on and every sweep slow
-// enough for the hedge timer to fire many times over, a streamed
-// request still runs on one replica — each step reaches the client
-// once, in order, and none after the request returned.
-func TestStreamedRequestNeverHedged(t *testing.T) {
+// TestFleetRequestErrorNotReplayed: every replica of a (model, scheme)
+// pair decodes the same (prompt, options, seed) the same way, so a
+// request that fails would fail on any sibling. A single request and a
+// batch item naming an unknown strategy, and a streamed request that
+// faults after its first step, each fail exactly once across the fleet
+// and return their own error — not a shed, which HTTP would turn into a
+// 429 asking the client to resend — and the fleet serves the next
+// request normally.
+func TestFleetRequestErrorNotReplayed(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newSweepFleet(t, Config{HedgeAfter: 5 * time.Millisecond},
-		&sweepFault{delay: 2 * time.Millisecond}, &sweepFault{delay: 2 * time.Millisecond})
-	var log streamLog
-	resp, err := f.TryGenerate(context.Background(), streamedRequest(prompts[0], &log))
-	log.finish()
-	if err != nil {
-		t.Fatal(err)
+	bad := core.Options{Strategy: "no-such-strategy", MaxNewTokens: 16, Seed: 1}
+	cases := []struct {
+		name   string
+		failAt int32 // the fleet-wide sweep the StepFault fails (0: never)
+		run    func(t *testing.T, f *Fleet) error
+	}{
+		{"single", 0, func(t *testing.T, f *Fleet) error {
+			resp, err := f.TryGenerate(context.Background(), serve.Request{Prompt: prompts[0], Options: bad})
+			return firstErr(resp, err)
+		}},
+		{"batch item", 0, func(t *testing.T, f *Fleet) error {
+			out := f.TryGenerateBatch(context.Background(), []serve.Request{
+				{Prompt: prompts[0], Options: bad},
+				{Prompt: prompts[1], Options: testOptions(1)},
+			})
+			if out[1].Err != nil {
+				t.Errorf("healthy batch item: %v", out[1].Err)
+			}
+			return out[0].Err
+		}},
+		{"streamed", 2, func(t *testing.T, f *Fleet) error {
+			var log streamLog
+			resp, err := f.TryGenerate(context.Background(), streamedRequest(prompts[0], &log))
+			log.finish()
+			log.expect(t, 1)
+			return firstErr(resp, err)
+		}},
 	}
-	time.Sleep(20 * time.Millisecond) // room for a raced attempt's late steps
-	log.expect(t, resp.Result.Steps)
-	if h := f.Metrics().Hedges; h != 0 {
-		t.Errorf("hedges=%d for a streamed request, want 0", h)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sf := &sweepFault{failAt: c.failAt}
+			f := newSweepFleet(t, Config{}, sf, sf)
+			err := c.run(t, f)
+			var shed *serve.ShedError
+			if err == nil || errors.As(err, &shed) {
+				t.Fatalf("err = %v, want the request's own error", err)
+			}
+			var failed uint64
+			for _, r := range f.Metrics().PerReplica {
+				failed += r.Engine.Failed
+			}
+			if failed != 1 {
+				t.Errorf("failed decodes across the fleet = %d, want 1 (the request replayed on a sibling)", failed)
+			}
+			resp, err := f.TryGenerate(context.Background(), serve.Request{Prompt: prompts[2], Options: testOptions(7)})
+			if err = firstErr(resp, err); err != nil {
+				t.Errorf("next request: %v", err)
+			}
+		})
 	}
 }
 
-// TestStreamedRequestFailsOverOnlyBeforeFirstStep: a fault before any
-// step streamed fails over and the sibling streams 1..n once; a fault
-// after steps reached the client is returned as-is — not replayed from
-// step 1 on a sibling, and not turned into a shed the HTTP layer would
-// answer with a status after the stream began.
-func TestStreamedRequestFailsOverOnlyBeforeFirstStep(t *testing.T) {
+// retiringRouter picks the most recently added replica and, when that
+// is an autoscaled one, retires it and lets the drain finish before
+// returning it: the retirement lands exactly between the router's choice
+// and the in-flight count the choice takes, the window a scale-down can
+// hit under live traffic. The drain sees no work, so it removes the
+// replica and closes its engine; Close is idempotent and returns once
+// the engine is closed.
+type retiringRouter struct{ f *Fleet }
+
+func (rr *retiringRouter) Pick(_ string, candidates []*Replica) *Replica {
+	last := candidates[len(candidates)-1]
+	if last.scaled {
+		rr.f.retireReplica(last)
+		for slices.Contains(rr.f.Replicas(), last) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		last.Engine().Close()
+	}
+	return last
+}
+
+// TestDrainRaceNeverClosesUnderARequest retires replicas while clients
+// keep routing at them. The router and the stealers both pick a replica
+// before taking its in-flight count, and a retirement landing in
+// between must not let drain close the engine under the request: across
+// every retire cycle, no client sees ErrClosed.
+func TestDrainRaceNeverClosesUnderARequest(t *testing.T) {
+	const cycles = 200
 	_, prompts := fixture(t)
-	t.Run("first sweep", func(t *testing.T) {
-		f := newSweepFleet(t, Config{Router: firstRouter{}}, &sweepFault{failAt: 1}, &sweepFault{})
-		var log streamLog
-		resp, err := f.TryGenerate(context.Background(), streamedRequest(prompts[0], &log))
-		log.finish()
-		if err != nil {
+	rr := &retiringRouter{}
+	f, _ := newFaultyFleet(t, 1, Config{Router: rr, Steal: true}, serve.Config{Workers: 1, CacheSize: -1})
+	rr.f = f
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopClients := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	t.Cleanup(stopClients)
+	var served, closed atomic.Int64
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				opts := core.Options{Strategy: "ntp", MaxNewTokens: 4, Seed: int64(c*100000 + i)}
+				resp, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[i%len(prompts)], Options: opts})
+				switch err = firstErr(resp, err); {
+				case errors.Is(err, serve.ErrClosed):
+					closed.Add(1)
+				case err != nil:
+					t.Errorf("client %d: %v", c, err)
+				default:
+					served.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < cycles; i++ {
+		if _, err := f.addReplica(); err != nil {
 			t.Fatal(err)
 		}
-		if want := f.Replicas()[1].Name(); resp.Replica != want {
-			t.Errorf("served by %q, want the sibling %q", resp.Replica, want)
-		}
-		log.expect(t, resp.Result.Steps)
-		if n := f.Metrics().Failovers; n != 1 {
-			t.Errorf("failovers=%d, want 1", n)
-		}
-	})
-	t.Run("sweep 10", func(t *testing.T) {
-		f := newSweepFleet(t, Config{Router: firstRouter{}}, &sweepFault{failAt: 10}, &sweepFault{})
-		var log streamLog
-		_, err := f.TryGenerate(context.Background(), streamedRequest(prompts[0], &log))
-		log.finish()
-		var shed *serve.ShedError
-		if err == nil || errors.As(err, &shed) || !strings.Contains(err.Error(), "injected") {
-			t.Fatalf("err=%v, want the raw injected fault", err)
-		}
-		log.expect(t, 9)
-		if n := f.Metrics().Failovers; n != 0 {
-			t.Errorf("failovers=%d after steps streamed, want 0", n)
-		}
-	})
-}
-
-// TestBatchItemsFailOver: batch items take the single-request path, so
-// with one replica of two killed every item is still answered — the
-// items routed to the dead replica fail over like single requests do.
-func TestBatchItemsFailOver(t *testing.T) {
-	_, prompts := fixture(t)
-	f, faults := newFaultyFleet(t, 2, Config{Router: &roundRobinRouter{}}, serve.Config{Workers: 1, CacheSize: -1})
-	faults[0].set(faultKill)
-	reqs := make([]serve.Request, 8)
-	for i := range reqs {
-		reqs[i] = serve.Request{Prompt: prompts[i], Options: testOptions(int64(i))}
+		eventually(t, 5*time.Second, "the added replica to be retired", func() bool {
+			return f.elastic.scaleDowns.Load() == uint64(i+1)
+		})
 	}
-	dead := f.Replicas()[0]
-	for i, resp := range f.TryGenerateBatch(context.Background(), reqs) {
-		if resp.Err != nil {
-			t.Errorf("item %d: %v", i, resp.Err)
-		} else if resp.Replica == dead.Name() {
-			t.Errorf("item %d answered by the killed replica", i)
-		}
+	stopClients()
+	if n := closed.Load(); n != 0 {
+		t.Errorf("%d requests hit a closed engine across %d retire cycles", n, cycles)
 	}
-	if got := dead.routed.Load(); got != 4 {
-		t.Fatalf("killed replica routed %d of 8 items, want 4", got)
-	}
-	if m := f.Metrics(); m.Failovers < 4 {
-		t.Errorf("failovers=%d, want >= 4 (one per item routed to the killed replica)", m.Failovers)
-	}
+	t.Logf("%d requests served across %d retire cycles", served.Load(), cycles)
 }

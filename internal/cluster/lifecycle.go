@@ -12,9 +12,10 @@ import (
 // autoscaler drives, with graceful drain (stop admitting, finish what's
 // queued) before a removal. Through all of it, clients see at most the
 // documented shed/backpressure protocol: a draining replica is
-// invisible to the router, in-flight work completes, and a request
-// that races onto a closing engine gets ErrClosed — which dispatch
-// treats as retryable and fails over to a sibling.
+// invisible to the router and in-flight work completes. A request
+// cannot race onto a closing engine: the router and the stealers take a
+// replica's in-flight count before checking that it is still active
+// (Replica.acquire), and drain waits for that count to reach zero.
 
 // drainPoll is the cadence at which drain re-checks for quiescence.
 const drainPoll = 2 * time.Millisecond

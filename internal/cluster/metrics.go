@@ -25,12 +25,8 @@ type ReplicaMetrics struct {
 	Routed   uint64 `json:"routed"`
 	Inflight int64  `json:"inflight"`
 	Stolen   uint64 `json:"stolen" prom:"vgend_replica_stolen_total" help:"Requests served here that were routed elsewhere."`
-	// State is the lifecycle state ("active" or "draining");
-	// BreakerState is the circuit state ("closed", "open",
-	// "half-open") and BreakerOpens counts its trips.
-	State        string `json:"state"`
-	BreakerState string `json:"breaker_state"`
-	BreakerOpens uint64 `json:"breaker_opens" prom:"vgend_replica_breaker_opens_total" help:"Circuit trips per replica."`
+	// State is the lifecycle state ("active" or "draining").
+	State string `json:"state"`
 	// Engine is the replica engine's own snapshot; the exposition
 	// carries its replica-tagged fields.
 	Engine serve.Metrics `json:"engine" families:"replica"`
@@ -53,14 +49,10 @@ type Metrics struct {
 	SpillPicks    uint64 `json:"spill_picks" prom:"vgend_fleet_spill_picks_total" help:"Prefix-affinity picks spilled to least-loaded."`
 	// MeanDecodeMS is the decode-time EWMA admission math runs on.
 	MeanDecodeMS float64 `json:"mean_decode_ms" prom:"vgend_fleet_mean_decode_ms" help:"EWMA of decode wall time (admission estimate)."`
-	// Resilience counters: hedges launched/won, failovers to a sibling
-	// after a fault, requests served by a non-routed replica (steals)
-	// and drains started.
-	Hedges    uint64 `json:"hedges" prom:"vgend_fleet_hedges_total" help:"Hedged attempts launched against a second replica."`
-	HedgeWins uint64 `json:"hedge_wins" prom:"vgend_fleet_hedge_wins_total" help:"Hedges that answered before the primary replica."`
-	Failovers uint64 `json:"failovers" prom:"vgend_fleet_failovers_total" help:"Retries on a sibling after a replica fault."`
-	Steals    uint64 `json:"steals" prom:"vgend_fleet_steals_total" help:"Requests served by a non-routed replica (work stealing)."`
-	Drains    uint64 `json:"drains" prom:"vgend_fleet_drains_total" help:"Replica drains started."`
+	// Elasticity counters: requests served by a non-routed replica
+	// (steals) and drains started.
+	Steals uint64 `json:"steals" prom:"vgend_fleet_steals_total" help:"Requests served by a non-routed replica (work stealing)."`
+	Drains uint64 `json:"drains" prom:"vgend_fleet_drains_total" help:"Replica drains started."`
 	// Autoscaler actions and bounds (bounds zero, and absent from both
 	// bodies, when autoscaling is off).
 	ScaleUps     uint64 `json:"scale_ups" prom:"vgend_fleet_scale_ups_total" help:"Replicas added by the autoscaler."`
@@ -80,9 +72,6 @@ func (f *Fleet) Metrics() Metrics {
 	m := Metrics{
 		Router:     routerName,
 		Replicas:   len(replicas),
-		Hedges:     f.elastic.hedges.Load(),
-		HedgeWins:  f.elastic.hedgeWins.Load(),
-		Failovers:  f.elastic.failovers.Load(),
 		Steals:     f.elastic.steals.Load(),
 		Drains:     f.elastic.drains.Load(),
 		ScaleUps:   f.elastic.scaleUps.Load(),
@@ -110,7 +99,6 @@ func (f *Fleet) Metrics() Metrics {
 		if r.Draining() {
 			state = "draining"
 		}
-		bst, opens := r.breaker.snapshot()
 		m.PerReplica = append(m.PerReplica, ReplicaMetrics{
 			Name:            r.name,
 			Model:           r.modelName,
@@ -120,8 +108,6 @@ func (f *Fleet) Metrics() Metrics {
 			Inflight:        r.inflight.Load(),
 			Stolen:          r.stolen.Load(),
 			State:           state,
-			BreakerState:    bst.String(),
-			BreakerOpens:    opens,
 			Engine:          em,
 		})
 	}
@@ -140,7 +126,6 @@ func (f *Fleet) Healthz() map[string]any {
 		if r.Draining() {
 			state = "draining"
 		}
-		bst, _ := r.breaker.snapshot()
 		replicas = append(replicas, map[string]any{
 			"name":        r.name,
 			"model":       r.modelName,
@@ -148,7 +133,6 @@ func (f *Fleet) Healthz() map[string]any {
 			"workers":     eng.Workers(),
 			"queue_depth": eng.QueueDepth(),
 			"state":       state,
-			"breaker":     bst.String(),
 		})
 	}
 	seen := map[string]bool{}
@@ -188,8 +172,6 @@ func (f *Fleet) WritePrometheusTo(w io.Writer, uptimeS float64) {
 	x.Sample("vgend_fleet_scale_replicas", "Current fleet size as the autoscaler sees it.", m.Replicas)
 	for _, r := range m.PerReplica {
 		x.Sample("vgend_replica_routed_total", "Requests routed per replica.", r.Routed, "replica", r.Name, "model", r.Model)
-		breaker := map[string]int{"open": 1, "half-open": 2}[r.BreakerState]
-		x.Sample("vgend_replica_breaker_state", "Circuit state per replica (0 closed, 1 open, 2 half-open).", breaker, "replica", r.Name, "state", r.BreakerState)
 		draining := map[string]int{"draining": 1}[r.State]
 		x.Sample("vgend_replica_draining", "Replica lifecycle state (1 = draining).", draining, "replica", r.Name)
 	}

@@ -71,13 +71,13 @@ func TestFleetPerStrategyRatesExact(t *testing.T) {
 	}
 }
 
-// TestFleetAggregatesAdaptMetrics pins the fleet roll-up of the
-// accept-depth observability that tuning the speculation depth reads:
-// requests spread over both replicas, each per-strategy accept-depth
+// TestFleetAggregatesAcceptDepth pins the fleet roll-up of the
+// accept-depth observability: requests spread over both replicas, each
+// per-strategy accept-depth
 // histogram of the fleet is the element-wise sum of the replicas' ones,
 // and the per-strategy accept-depth family appears in the fleet
 // exposition.
-func TestFleetAggregatesAdaptMetrics(t *testing.T) {
+func TestFleetAggregatesAcceptDepth(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{
 		Workers: 1, MaxBatch: 2, CacheSize: -1,

@@ -14,7 +14,7 @@ import (
 )
 
 // TestFleetPrometheusExpositionWellFormed sweeps the fleet server's
-// text exposition — per-replica families, shed counters, breaker and
+// text exposition — per-replica families, shed counters and
 // elasticity gauges, plus the tracer's phase family — through the
 // promtest linter. The fleet body is the richest exposition the daemon
 // can emit (replica names land in label values), so this is where a

@@ -180,11 +180,14 @@ func currentSurface(t *testing.T) []string {
 // since the golden was captured, as prefixes of a surface line's leaf
 // name (the last JSON key, or the Prometheus family): the speculation
 // controller's JSON keys, families and per-replica families, the
-// fleet's model-swap counter, and the session page-lease keys and
+// fleet's model-swap counter, the session page-lease keys and families,
+// and the hedge, failover and circuit-breaker counters, keys and
 // families.
 var retiredSurfacePrefixes = []string{
 	"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total",
 	"prefix_pinned_", "prefix_leases", "vgend_prefix_pinned_", "vgend_prefix_leases_total", "vgend_replica_prefix_pinned_pages",
+	"hedges", "hedge_wins", "failovers", "breaker_", "vgend_fleet_hedges_total", "vgend_fleet_hedge_wins_total",
+	"vgend_fleet_failovers_total", "vgend_replica_breaker_",
 }
 
 // retiredSurface reports whether a surface line names a retired metric.

@@ -189,7 +189,7 @@ func (r *Runner) Model(cfg model.Config, scheme model.Scheme) *model.Model {
 }
 
 // ServingFixture is what the serving-side harnesses (load, trace,
-// chaos) run on: the first backbone trained with the paper's
+// the cache-mode differential) run on: the first backbone trained with the paper's
 // scheme, and the Table II prompt set.
 func (r *Runner) ServingFixture() (*model.Model, []string) {
 	return r.Model(r.setup.Models[0], model.SchemeOurs), r.speedPrompts()

@@ -171,9 +171,10 @@ type Config struct {
 	// hook that blocks wedges the decode — and, because sweeps are
 	// synchronous, the whole scheduler — until it returns (a hung
 	// replica); a hook that sleeps models a slow one. Hooks MUST honour
-	// ctx and return once it dies, or Close can wedge behind them. Used
-	// by the chaos/fault-injection tier (internal/experiments) to prove
-	// the fleet's breakers and hedges recover; nil in production.
+	// ctx and return once it dies, or Close can wedge behind them. Tests
+	// use it to fault or wedge a decode mid-flight (serve's debug
+	// surface, the fleet's steal-queue cancellation and per-request
+	// errors); nil in production.
 	StepFault func(ctx context.Context) error
 }
 

@@ -45,8 +45,8 @@ type schedTask struct {
 	// beginErr is a terminal pre-decode outcome: the task's context
 	// was already dead, or its options named an unknown strategy.
 	beginErr error
-	// faultErr is a mid-decode abort injected by Config.StepFault (the
-	// chaos plane): the decode is abandoned, not finished.
+	// faultErr is a mid-decode abort injected by Config.StepFault: the
+	// decode is abandoned, not finished.
 	faultErr error
 	// done latches Step reporting completion (set from sweep workers,
 	// read by the scheduler after the sweep barrier).

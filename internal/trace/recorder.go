@@ -10,8 +10,8 @@ import (
 // completed traces plus an always-retained reservoir of the K slowest
 // traces seen since startup, so the interesting outliers survive long
 // after the ring has cycled past them. It stores live *Trace pointers
-// and snapshots at read time, which lets hedged-loser spans that End
-// after Trace.Finish still appear in the recorded tree.
+// and snapshots at read time, which lets spans that End after
+// Trace.Finish still appear in the recorded tree.
 type recorder struct {
 	mu   sync.Mutex
 	ring []*Trace // ring[next-1] is the newest entry

@@ -27,7 +27,7 @@ import (
 const (
 	KindRequest      = "request"       // root: one per served request
 	KindRouter       = "router"        // cluster routing decision
-	KindAttempt      = "attempt"       // one dispatch attempt (primary/hedge/failover/steal)
+	KindAttempt      = "attempt"       // the request's attempt on a replica (primary/steal)
 	KindAdmission    = "admission"     // shed-policy chain evaluation
 	KindSingleFlight = "single_flight" // follower waiting on a dedup leader
 	KindQueue        = "queue"         // enqueue -> scheduler pickup
@@ -244,8 +244,7 @@ func (tr *Trace) Start(parent *Span, kind, name string) *Span {
 }
 
 // Finish closes the trace with a status and hands it to the flight
-// recorder. Idempotent; spans may still End (hedged losers) after
-// Finish — they land in the recorded snapshot because the recorder
+// recorder. Idempotent; spans may still End after Finish — they land in the recorded snapshot because the recorder
 // stores the live *Trace and snapshots at read time.
 func (tr *Trace) Finish(status string) {
 	if tr == nil {
@@ -397,9 +396,9 @@ func (tr *Trace) SnapshotNow() Snapshot {
 
 // Tree renders the span tree as indented text, one span per line:
 //
-//	request 12.4ms ok
-//	  attempt [replica=r0 role=primary outcome=wedged] 9.1ms
-//	  attempt [replica=r1 role=hedge outcome=ok won=true] 3.2ms
+//	request 3.4ms ok
+//	  router [replica=r0 candidates=2] 0.0ms
+//	  attempt [replica=r0 role=primary outcome=ok] 3.2ms
 //	    queue 0.3ms
 //	    decode [steps=7] 2.8ms
 func (snap Snapshot) Tree() string {

@@ -86,7 +86,7 @@ func TestLateSpanEndVisibleAfterFinish(t *testing.T) {
 	loser := tr.Start(root, KindAttempt, "r1")
 	root.End()
 	tr.Finish("ok")
-	// Hedged loser ends after the trace finished: must still show up
+	// A span that ends after the trace finished must still show up
 	// closed in the recorded snapshot.
 	loser.SetAttr("outcome", "canceled")
 	loser.End()
