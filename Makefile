@@ -12,9 +12,9 @@ SHELL := /bin/bash
 # landed; CI fails below the floor so cache/fork coverage cannot rot.
 COVER_FLOOR := 87.0
 COVER_PKGS := ./internal/model/ ./internal/serve/
-# Separate floor for the cluster layer (routing, shedding, stealing,
-# autoscaling and drain). Recorded at 89.0% with one attempt per
-# request.
+# Separate floor for the cluster layer (routing, dispatch and work
+# stealing over a fixed replica set). Recorded at 91.9% once the
+# admission chain, autoscaler and drain were deleted.
 CLUSTER_COVER_FLOOR := 80.0
 
 .PHONY: build test race sched-soak golden differential grammar-gate cover fuzz bench bench-smoke loadgate trace-gate fmt fmt-check vet loc serve serve-fleet ci
@@ -27,10 +27,10 @@ test:
 
 # The whole suite under the race detector. Shuffled test order catches
 # inter-test state leaks; the race detector covers the fleet's
-# concurrent mixed-priority load scenario
-# (cluster.TestMixedPriorityLoadAccounted) and its elasticity tier
-# (TestSteal*, TestAutoscale*, TestDrain*, the last including replicas
-# retired while clients route at them). The root package's
+# concurrent fail-fast load scenario (cluster.TestFailFastLoadAccounted),
+# its work stealing (TestSteal*) and the single-flight follower that
+# retries after its leader bounced off a full queue
+# (serve.TestDedupLeaderBouncedFollowerRetries). The root package's
 # TestMakefileGatesResolve rides here: every -run alternative below
 # must still name a test, .PHONY must list exactly the defined targets,
 # and the ci list must equal the CI matrix.
@@ -182,9 +182,9 @@ loc:
 serve:
 	$(GO) run ./cmd/vgend
 
-# Train once, serve a 4-replica fleet with the full shedding chain.
+# Train once, serve a 4-replica fleet with work stealing.
 serve-fleet:
-	$(GO) run ./cmd/vgend -replicas 4 -shed-policy deadline,priority,budget
+	$(GO) run ./cmd/vgend -replicas 4 -steal
 
 # The CI matrix in .github/workflows/ci.yml lists exactly these targets
 # (TestMakefileGatesResolve holds the two lists equal).

@@ -1,17 +1,15 @@
 // Command vgenc is a minimal load client for the vgend daemon: it
 // replays a prompt workload over POST /v1/generate with bounded
 // concurrency, and — unlike a naive loop — honours the Retry-After
-// header vgend attaches to every 429 (admission shed) and 503 (queue
-// full) response, backing off exactly as long as the server asked
-// before resubmitting. The daemon's load-shedding policies assume
-// cooperating clients; this is the cooperating client.
+// header of every 503 (vgend's full queue) and 429 (which a proxy in
+// front of it may send), backing off exactly as long as the server
+// asked before resubmitting.
 //
 // Usage:
 //
 //	vgenc [-addr http://localhost:8080] [-n 2] [-c 4] [-strategy NAME]
-//	      [-model NAME] [-priority high|normal|low] [-client NAME]
-//	      [-tree-budget N] [-max-retries 5] [-timeout 30s] [-stream]
-//	      [-long-every N] [-long-tokens 192] [prompt ...]
+//	      [-model NAME] [-tree-budget N] [-max-retries 5] [-timeout 30s]
+//	      [-stream] [-long-every N] [-long-tokens 192] [prompt ...]
 //
 // Prompts come from the arguments; with none, a built-in shared-stem
 // workload (the PrefixBench families) is replayed — the traffic shape
@@ -46,8 +44,6 @@ type generateRequest struct {
 	Prompt       string `json:"prompt"`
 	Strategy     string `json:"strategy,omitempty"`
 	Model        string `json:"model,omitempty"`
-	Priority     string `json:"priority,omitempty"`
-	Client       string `json:"client,omitempty"`
 	TreeBudget   int    `json:"tree_budget,omitempty"`
 	MaxNewTokens int    `json:"max_new_tokens,omitempty"`
 	Seed         int64  `json:"seed,omitempty"`
@@ -148,16 +144,15 @@ type attemptOutcome int
 
 const (
 	attemptOK   attemptOutcome = iota // final result received
-	attemptShed                       // shed or queue-full: back off and resubmit
+	attemptShed                       // 429 or queue-full: back off and resubmit
 	attemptFail                       // terminal: transport error, bad status, broken stream
 )
 
 // retryableStreamError reports whether a final NDJSON error line names
-// a shed or queue-full condition — the stream-mode equivalents of a 429
-// or 503 status, delivered in-band because response headers were
-// already on the wire.
+// a queue-full condition — the stream-mode equivalent of a 503 status,
+// delivered in-band because response headers were already on the wire.
 func retryableStreamError(msg string) bool {
-	return strings.Contains(msg, "queue full") || strings.Contains(msg, "request shed")
+	return strings.Contains(msg, "queue full")
 }
 
 // attemptResult is one HTTP exchange's verdict: the outcome, the
@@ -304,8 +299,6 @@ func main() {
 	c := flag.Int("c", 4, "concurrent in-flight requests")
 	strategy := flag.String("strategy", "", "decoding strategy to request (empty: server default)")
 	modelName := flag.String("model", "", "backbone to request in fleet mode")
-	priority := flag.String("priority", "", "admission class: high, normal or low")
-	clientName := flag.String("client", "vgenc", "client name for per-client budget policies")
 	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget to request (0: server default)")
 	maxRetries := flag.Int("max-retries", 5, "resubmissions per request after shed responses")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
@@ -322,8 +315,7 @@ func main() {
 	for rep := 0; rep < *n; rep++ {
 		for i, p := range prompts {
 			req := generateRequest{
-				Prompt: p, Strategy: *strategy, Model: *modelName,
-				Priority: *priority, Client: *clientName, TreeBudget: *treeBudget,
+				Prompt: p, Strategy: *strategy, Model: *modelName, TreeBudget: *treeBudget,
 				Seed: int64(rep*1000 + i), Stream: *stream,
 			}
 			// The mixed load shape the continuous scheduler is built

@@ -2,7 +2,7 @@
 // simulated speculative-decoding model(s) once at startup, then serves
 // generations over HTTP — through a single internal/serve engine, or
 // in fleet mode through an internal/cluster fleet of engine replicas
-// with prefix-affinity routing and pluggable load shedding.
+// with prefix-affinity routing.
 //
 // Endpoints:
 //
@@ -12,13 +12,11 @@
 //	                     registered decoding strategy ("mode" is an
 //	                     alias of the field; default "ours");
 //	                     {"model": "codellama"} targets one backbone in
-//	                     fleet mode; {"priority": "high"|"normal"|
-//	                     "low"} and {"client": "..."} feed the
-//	                     load-shedding policies; {"stream": true}
-//	                     switches to NDJSON streaming (single prompt).
+//	                     fleet mode; {"stream": true} switches to
+//	                     NDJSON streaming (single prompt).
 //	GET  /healthz      — liveness plus model/pool (or fleet) identity.
 //	GET  /metrics      — engine counters (fleet mode adds per-replica
-//	                     detail, shed and routing counters). JSON by
+//	                     detail, routing and steal counters). JSON by
 //	                     default; ?format=prometheus (or a Prometheus
 //	                     Accept header) selects the text exposition.
 //	                     Tracing mode adds vgend_phase_seconds_total.
@@ -34,39 +32,31 @@
 // /debug/requests?id=<X-Request-ID> alone.
 //
 // Fleet mode starts when -replicas > 1, -models lists more than one
-// spec (or one with a default strategy), a -shed-policy is set, or an
-// elasticity feature (-steal, -autoscale) is enabled;
-// with none of those the daemon runs the exact single-engine path of
-// previous releases.
+// spec (or one with a default strategy), or -steal is set; with none
+// of those the daemon runs the exact single-engine path of previous
+// releases. The replicas are built at startup and never change.
 // Replica specs are model[:scheme[:default-strategy]], e.g.
 //
-//	vgend -replicas 4 -shed-policy deadline,priority,budget
+//	vgend -replicas 4 -steal
 //	vgend -models codellama:ours,codet5p:ntp:prompt-lookup
-//	vgend -replicas 3 -steal -autoscale -max-replicas 6
 //
 // Requests are routed per prefix-affinity consistent hashing (with a
 // least-loaded fallback), so shared-prefix traffic concentrates where
-// its caches are warm; shed requests always get an explicit 429/503
-// with a Retry-After header.
+// its caches are warm; a request that finds its replica's queue full
+// gets an explicit 503 with a Retry-After header.
 //
 // Each request gets exactly one attempt, on the replica the router (or
 // a stealer) picked: replicas sharing a (model, scheme) pair decode with
 // the same immutable model, so a request that fails would fail the same
-// way on a sibling, and its error comes back as itself. The fleet
-// scales: -steal lets idle replicas pull queued overflow from affinity
-// hotspots; -autoscale grows the fleet on sustained queue-wait or shed
-// pressure and shrinks it when idle, within [-min-replicas,
-// -max-replicas]. Both are observable via /metrics (vgend_fleet_scale_*,
-// vgend_fleet_steals_total, vgend_replica_stolen_total).
+// way on a sibling, and its error comes back as itself. -steal lets
+// idle replicas pull queued overflow from affinity hotspots, observable
+// via /metrics (vgend_fleet_steals_total, vgend_replica_stolen_total).
 //
 // Usage: vgend [-addr :8080] [-model codellama|codet5p] [-scheme ours]
 // [-items 3400] [-seed N] [-workers N] [-queue N]
 // [-max-batch N] [-preempt-quantum N] [-cache N]
 // [-prefix-cache-bytes N] [-replicas N] [-models specs]
-// [-shed-policy none|deadline,priority,budget] [-budget-tps N]
-// [-budget-burst N] [-steal] [-autoscale]
-// [-min-replicas N] [-max-replicas N] [-list-strategies]
-// [-trace] [-pprof] [-log text|json|off]
+// [-steal] [-list-strategies] [-trace] [-pprof] [-log text|json|off]
 //
 // Dispatch is a continuous scheduler: requests join and leave the
 // running batch at every verification sweep, and a decode that holds a
@@ -199,13 +189,7 @@ func main() {
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
 	modelsFlag := flag.String("models", "", "replica specs model[:scheme[:strategy]], comma-separated (empty: -model/-scheme)")
-	shedPolicy := flag.String("shed-policy", "none", "admission chain: none, or a comma list of deadline, priority, budget")
-	budgetTPS := flag.Float64("budget-tps", 0, "budget policy: sustained tokens/s per client (0 = default)")
-	budgetBurst := flag.Float64("budget-burst", 0, "budget policy: burst tokens per client (0 = default)")
 	steal := flag.Bool("steal", false, "fleet: let idle replicas steal queued overflow from affinity hotspots")
-	autoscale := flag.Bool("autoscale", false, "fleet: scale the replica count with load, between -min-replicas and -max-replicas")
-	minReplicas := flag.Int("min-replicas", 0, "autoscaler floor (0 = the starting replica count; requires -autoscale)")
-	maxReplicas := flag.Int("max-replicas", 0, "autoscaler ceiling (0 = twice the floor; requires -autoscale)")
 	traceOn := flag.Bool("trace", true, "per-request tracing: flight recorder behind /debug/requests and /debug/trace, vgend_phase_seconds_total in /metrics")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logMode := flag.String("log", "text", "structured logging: text, json or off")
@@ -252,18 +236,10 @@ func main() {
 		}
 		resolved[i] = resolvedSpec{replicaSpec: spec, cfg: cfg, sch: scheme}
 	}
-	policies, err := cluster.ParsePolicies(*shedPolicy, *budgetTPS, *budgetBurst)
-	if err != nil {
-		fail(err)
-	}
-	if (*minReplicas != 0 || *maxReplicas != 0) && !*autoscale {
-		fail(fmt.Errorf("-min-replicas/-max-replicas require -autoscale"))
-	}
-	// The elasticity features — stealing, autoscaling — are an explicit
-	// ask for the cluster layer, even with one replica: silently ignoring
-	// one would leave the operator believing it is active.
-	fleetMode := *replicas > 1 || len(specs) > 1 || len(policies) > 0 ||
-		specs[0].strategy != "" || *steal || *autoscale
+	// -steal is an explicit ask for the cluster layer, even with one
+	// replica: silently ignoring it would leave the operator believing
+	// it is active.
+	fleetMode := *replicas > 1 || len(specs) > 1 || specs[0].strategy != "" || *steal
 	n := *replicas
 	if n < len(specs) {
 		n = len(specs)
@@ -327,38 +303,12 @@ func main() {
 				DefaultStrategy: spec.strategy,
 			}
 		}
-		fleet, err := cluster.New(replicaSpecs, cluster.Config{
-			Policies: policies,
-			Steal:    *steal,
-			Autoscale: cluster.AutoscaleConfig{
-				Enabled: *autoscale,
-				Min:     *minReplicas,
-				Max:     *maxReplicas,
-			},
-		})
+		fleet, err := cluster.New(replicaSpecs, cluster.Config{Steal: *steal})
 		if err != nil {
 			fail(err)
 		}
 		backend, closeBackend = fleet, fleet.Close
-		names := make([]string, 0, len(policies))
-		for _, p := range policies {
-			names = append(names, p.Name())
-		}
-		shed := "none"
-		if len(names) > 0 {
-			shed = strings.Join(names, ",")
-		}
-		elastic := ""
-		if *steal {
-			elastic += ", steal"
-		}
-		if *autoscale {
-			lo, hi := fleet.AutoscaleBounds()
-			elastic += fmt.Sprintf(", autoscale %d..%d", lo, hi)
-		}
-		logInfo("serving fleet",
-			"replicas", n, "shed", shed,
-			"elasticity", strings.TrimPrefix(elastic, ", "), "addr", *addr)
+		logInfo("serving fleet", "replicas", n, "steal", *steal, "addr", *addr)
 	}
 
 	server := serve.NewBackendServer(backend).WithPprof(*pprofOn)

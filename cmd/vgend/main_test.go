@@ -26,9 +26,11 @@ const vgendTestArgs = "VGEND_TEST_ARGS"
 // -prefix-cache mode switch (the trie is the only session cache), the
 // -no-dedup escape hatch, the -scheduler flag that went with the worker
 // pool, the -router flag that went with the comparison routers, the
-// daemon-wide -tree-budget (a request carries its own "tree_budget") and
-// the -hedge-after flag that went with hedged dispatch. Each exits 2 as
-// an undefined flag before training starts.
+// daemon-wide -tree-budget (a request carries its own "tree_budget"),
+// the -hedge-after flag that went with hedged dispatch, and the
+// admission-chain and autoscaler flags that went with the fixed
+// replica set. Each exits 2 as an undefined flag before training
+// starts.
 func TestRetiredFlagsRefused(t *testing.T) {
 	for _, args := range []string{
 		"-prefix-cache trie",
@@ -37,6 +39,12 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		"-router round-robin",
 		"-tree-budget 5",
 		"-hedge-after 50ms",
+		"-shed-policy priority",
+		"-budget-tps 100",
+		"-budget-burst 100",
+		"-autoscale",
+		"-min-replicas 2",
+		"-max-replicas 4",
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), vgendTestArgs+"="+args)

@@ -3,46 +3,39 @@
 // (possibly different backbones, training schemes or default decoding
 // strategies) — behind one front door.
 //
-// Four concerns live here and nowhere else:
+// The member set is fixed when New builds it: no replica joins, leaves
+// or drains while the fleet runs. Three concerns live here and nowhere
+// else:
 //
 //   - Routing: which replica serves a request. Prefix-affinity
 //     consistent hashing (rendezvous form) with a least-loaded
 //     fallback, so shared-prefix workloads concentrate on one replica
 //     where its result LRU, prefix trie and single-flight table can
 //     actually hit.
-//   - Admission: whether a routed request may enter its replica's
-//     queue. Pluggable ShedPolicy chains (deadline, priority classes,
-//     per-client token budgets) run inside the engine's Admit hook —
-//     after the single-flight registration — so a shed leader
-//     publishes its drop and followers retry on their own behalf. A
-//     shed request always gets an explicit error carrying a
-//     Retry-After hint; nothing is dropped silently.
-//   - Elasticity: each request gets one attempt, on the routed replica
+//   - Dispatch: each request gets one attempt, on the routed replica
 //     or on an idle sibling that steals it from an affinity hotspot
 //     (dispatch.go); nothing is retried on another replica, because a
 //     decode is fully determined by (prompt, options, seed) and every
 //     replica of a (model, scheme) pair shares one immutable model, so a
-//     fault belongs to the request. An autoscaler grows the fleet on
-//     queue-wait and shed pressure and retires what it added by
-//     draining it gracefully (autoscale.go, lifecycle.go).
+//     fault belongs to the request. A full queue answers ErrQueueFull,
+//     which the HTTP layer turns into 503 with a Retry-After header.
 //   - Aggregation: fleet-level metrics — per-replica engine snapshots
-//     plus fleet-wide sums, shed/routing/steal/scale counters and a
-//     decode-time EWMA — in JSON and Prometheus forms.
+//     plus fleet-wide sums and routing/steal counters — in JSON and
+//     Prometheus forms.
 //
 // A Fleet implements serve.Backend, so cmd/vgend serves it over the
-// same HTTP handlers as a single engine. With one replica and no
-// policies the fleet adds nothing to the decode path: outputs
-// are byte-identical to the bare engine's (pinned by
-// TestSingleReplicaByteIdentical).
+// same HTTP handlers as a single engine. With one replica the fleet
+// adds nothing to the decode path: outputs are byte-identical to the
+// bare engine's (pinned by TestSingleReplicaByteIdentical).
 package cluster
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -59,8 +52,7 @@ type ReplicaSpec struct {
 	// Replicas may share one *model.Model (it is read-only after
 	// training); each still gets its own engine and caches.
 	Model *model.Model
-	// Engine sizes the replica's serve.Engine. The Admit hook is owned
-	// by the fleet and must be nil here.
+	// Engine sizes the replica's serve.Engine.
 	Engine serve.Config
 	// DefaultStrategy, when set, replaces the wire default ("ours") for
 	// requests that named neither a mode nor a strategy (see
@@ -74,23 +66,12 @@ type Config struct {
 	// Router picks replicas (nil: prefix-affinity, the only policy;
 	// tests plug fixed choices in here).
 	Router Router
-	// Policies is the admission chain, applied in order; empty admits
-	// everything (the engines' queue-full backstop still rejects).
-	Policies []ShedPolicy
 	// Steal enables work stealing: a routed request whose replica is
 	// backlogged is offered to a fleet-wide queue that any idle replica
-	// may serve, so prefix-affinity hotspots shed overflow to idle
+	// may serve, so prefix-affinity hotspots hand overflow to idle
 	// siblings instead of queueing behind the hot set.
 	Steal bool
-	// Autoscale grows and shrinks the fleet at runtime (autoscale.go).
-	Autoscale AutoscaleConfig
 }
-
-// Replica lifecycle states (Replica.state).
-const (
-	stateActive int32 = iota
-	stateDraining
-)
 
 // Replica is one running fleet member. Its engine, model and scheme
 // are fixed when it is built.
@@ -100,9 +81,7 @@ type Replica struct {
 	modelName       string
 	scheme          string
 
-	eng    *serve.Engine
-	state  atomic.Int32 // stateActive / stateDraining
-	scaled bool         // added by the autoscaler (only these scale back down)
+	eng *serve.Engine
 
 	routed   atomic.Uint64 // requests routed here
 	inflight atomic.Int64  // routed and not yet answered
@@ -117,86 +96,31 @@ func (r *Replica) Name() string { return r.name }
 // directly).
 func (r *Replica) Engine() *serve.Engine { return r.eng }
 
-// Draining reports whether the replica has stopped admitting new work.
-func (r *Replica) Draining() bool { return r.state.Load() == stateDraining }
-
 // load is the replica's current backlog: queued plus routed-but-
 // unanswered requests. Routers order replicas by it.
 func (r *Replica) load() int {
 	return r.Engine().QueueDepth() + int(r.inflight.Load())
 }
 
-// acquire takes an in-flight count on r unless r is draining. The
-// count is taken before the state is read, and retireReplica flips the
-// state before drain reads the count, so either drain waits for this
-// request or acquire sees the drain: an engine never closes under a
-// request it was picked for.
-func (r *Replica) acquire() bool {
-	r.inflight.Add(1)
-	if r.Draining() {
-		r.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-// Fleet owns the replicas and fronts them with routing, admission and
-// the elasticity machinery.
+// Fleet owns the replicas and fronts them with routing and work
+// stealing. The member set (replicas, byModel) is written only by New,
+// so the hot path reads it without a lock.
 type Fleet struct {
-	// mu guards the member set (replicas, byModel, nextID) against
-	// scaling; the hot path takes it only to snapshot.
-	mu       sync.RWMutex
 	replicas []*Replica
 	byModel  map[string][]*Replica
-	nextID   int
 
-	router   Router
-	policies []ShedPolicy
-	cfg      Config
-	template ReplicaSpec // clone source for autoscaled replicas
-
+	router Router
 	stealq chan *stealJob
 	quit   chan struct{}
 	wg     sync.WaitGroup
-	auto   *autoscaler
 
-	st      fleetStats
-	elastic elasticStats
+	requests     atomic.Uint64 // fleet submissions, before routing
+	unknownModel atomic.Uint64 // requests naming a model no replica serves
+	steals       atomic.Uint64 // requests served by a non-routed replica
 }
 
-// fleetStats accumulates fleet-level counters under one mutex.
-type fleetStats struct {
-	mu             sync.Mutex
-	requests       uint64
-	shedByPolicy   map[string]uint64
-	shedByPriority map[string]uint64
-	unknownModel   uint64
-	// meanDecodeMS is an EWMA of completed decode wall times; admission
-	// deadline math runs on it.
-	meanDecodeMS float64
-}
-
-// elasticStats counts the elasticity machinery's actions (lock-free:
-// every field is written from hot paths).
-type elasticStats struct {
-	steals     atomic.Uint64 // requests served by a non-routed replica
-	drains     atomic.Uint64 // drains started
-	scaleUps   atomic.Uint64 // autoscaler replica additions
-	scaleDowns atomic.Uint64 // autoscaler replica removals
-}
-
-func (f *Fleet) shedTotal() uint64 {
-	f.st.mu.Lock()
-	defer f.st.mu.Unlock()
-	var n uint64
-	for _, v := range f.st.shedByPolicy {
-		n += v
-	}
-	return n
-}
-
-// New builds and starts a fleet. Each spec's engine is created here so
-// the fleet can install its admission hook; specs must not set one.
+// New builds and starts a fleet: one engine per spec, plus one steal
+// loop per replica when cfg.Steal is set.
 func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: fleet needs at least one replica")
@@ -205,82 +129,47 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 		cfg.Router = newPrefixAffinity()
 	}
 	f := &Fleet{
-		byModel:  map[string][]*Replica{},
-		router:   cfg.Router,
-		policies: cfg.Policies,
-		cfg:      cfg,
-		template: specs[0],
-		quit:     make(chan struct{}),
+		byModel: map[string][]*Replica{},
+		router:  cfg.Router,
+		quit:    make(chan struct{}),
 	}
-	f.st.shedByPolicy = map[string]uint64{}
-	f.st.shedByPriority = map[string]uint64{}
+	// Validate every spec before starting any engine, so an error
+	// leaves nothing running.
 	for i, spec := range specs {
 		if spec.Model == nil {
 			return nil, fmt.Errorf("cluster: replica %d has no model", i)
 		}
+		if spec.DefaultStrategy != "" {
+			if _, err := core.ResolveStrategy(spec.DefaultStrategy, false); err != nil {
+				return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
+			}
+		}
+	}
+	for i, spec := range specs {
 		name := spec.Name
 		if name == "" {
 			name = fmt.Sprintf("r%d:%s/%s", i, spec.Model.Config().Name, spec.Model.Scheme().String())
 		}
-		if _, err := f.buildReplica(spec, name, false); err != nil {
-			return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
+		r := &Replica{
+			name:            name,
+			modelName:       spec.Model.Config().Name,
+			scheme:          spec.Model.Scheme().String(),
+			defaultStrategy: spec.DefaultStrategy,
+			eng:             serve.NewEngine(spec.Model, spec.Engine),
+		}
+		f.replicas = append(f.replicas, r)
+		for _, key := range modelKeys(r.modelName) {
+			f.byModel[key] = append(f.byModel[key], r)
 		}
 	}
-	f.nextID = len(specs)
 	if cfg.Steal {
 		f.stealq = make(chan *stealJob, stealQueueCap)
-		f.mu.RLock()
 		for _, r := range f.replicas {
-			f.startStealer(r)
+			f.wg.Add(1)
+			go f.stealer(r)
 		}
-		f.mu.RUnlock()
-	}
-	if cfg.Autoscale.Enabled {
-		a, err := newAutoscaler(f, cfg.Autoscale)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.auto = a
-		f.wg.Add(1)
-		go a.loop()
 	}
 	return f, nil
-}
-
-// buildReplica constructs, registers and starts one member. The name
-// must be unique; callers outside New must not hold f.mu.
-func (f *Fleet) buildReplica(spec ReplicaSpec, name string, scaled bool) (*Replica, error) {
-	if spec.Model == nil {
-		return nil, fmt.Errorf("no model")
-	}
-	if spec.Engine.Admit != nil {
-		return nil, fmt.Errorf("sets Engine.Admit (owned by the fleet)")
-	}
-	if spec.DefaultStrategy != "" {
-		if _, err := core.ResolveStrategy(spec.DefaultStrategy, false); err != nil {
-			return nil, err
-		}
-	}
-	r := &Replica{
-		name:            name,
-		modelName:       spec.Model.Config().Name,
-		scheme:          spec.Model.Scheme().String(),
-		defaultStrategy: spec.DefaultStrategy,
-		scaled:          scaled,
-	}
-	engCfg := spec.Engine
-	if len(f.policies) > 0 {
-		engCfg.Admit = f.admitFunc(r)
-	}
-	r.eng = serve.NewEngine(spec.Model, engCfg)
-	f.mu.Lock()
-	f.replicas = append(f.replicas, r)
-	for _, key := range modelKeys(r.modelName) {
-		f.byModel[key] = append(f.byModel[key], r)
-	}
-	f.mu.Unlock()
-	return r, nil
 }
 
 // modelKeys lists the spellings a replica's model answers to: the
@@ -296,113 +185,31 @@ func modelKeys(name string) []string {
 	return keys
 }
 
-// Replicas snapshots the fleet members in construction order.
-func (f *Fleet) Replicas() []*Replica {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]*Replica, len(f.replicas))
-	copy(out, f.replicas)
-	return out
-}
+// Replicas returns the fleet members in construction order.
+func (f *Fleet) Replicas() []*Replica { return slices.Clone(f.replicas) }
 
-// Close stops the background machinery (stealers, autoscaler, pending
-// scale-downs), then drains and stops every replica engine.
+// Close stops the stealers, then drains and stops every replica
+// engine.
 func (f *Fleet) Close() {
 	close(f.quit)
 	f.wg.Wait()
-	for _, r := range f.Replicas() {
+	for _, r := range f.replicas {
 		r.Engine().Close()
 	}
-}
-
-// admitFunc binds the policy chain to one replica: the engine calls it
-// for every submission that would consume a queue slot.
-func (f *Fleet) admitFunc(r *Replica) func(ctx context.Context, req serve.Request) error {
-	return func(ctx context.Context, req serve.Request) error {
-		load := f.loadAt(r)
-		for _, p := range f.policies {
-			if err := p.Admit(ctx, req, load); err != nil {
-				f.st.mu.Lock()
-				f.st.shedByPolicy[p.Name()]++
-				f.st.shedByPriority[req.Priority.String()]++
-				f.st.mu.Unlock()
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// loadAt snapshots the admission Load for one replica.
-func (f *Fleet) loadAt(r *Replica) Load {
-	eng := r.Engine()
-	l := Load{
-		QueueDepth: eng.QueueDepth(),
-		QueueCap:   eng.QueueCap(),
-		Workers:    eng.Workers(),
-		Inflight:   int(r.inflight.Load()),
-	}
-	for _, o := range f.Replicas() {
-		l.FleetQueueDepth += o.Engine().QueueDepth()
-		l.FleetInflight += int(o.inflight.Load())
-	}
-	f.st.mu.Lock()
-	l.MeanDecodeMS = f.st.meanDecodeMS
-	f.st.mu.Unlock()
-	return l
 }
 
 // candidates returns the replicas serving the request's model (all of
 // them for an empty model), or an ErrUnknownModel-wrapped error.
 func (f *Fleet) candidates(modelName string) ([]*Replica, error) {
-	f.mu.RLock()
-	var reps []*Replica
-	if modelName == "" {
-		reps = f.replicas
-	} else {
-		reps = f.byModel[strings.ToLower(modelName)]
+	cands := f.replicas
+	if modelName != "" {
+		cands = f.byModel[strings.ToLower(modelName)]
 	}
-	cands := make([]*Replica, len(reps))
-	copy(cands, reps)
-	f.mu.RUnlock()
 	if len(cands) > 0 {
 		return cands, nil
 	}
-	f.st.mu.Lock()
-	f.st.unknownModel++
-	f.st.mu.Unlock()
+	f.unknownModel.Add(1)
 	return nil, fmt.Errorf("%w: %q", serve.ErrUnknownModel, modelName)
-}
-
-// activeOf filters candidates to the members the router may use: the
-// ones not draining.
-func activeOf(cands []*Replica) []*Replica {
-	ok := make([]*Replica, 0, len(cands))
-	for _, r := range cands {
-		if !r.Draining() {
-			ok = append(ok, r)
-		}
-	}
-	return ok
-}
-
-// pick chooses an active candidate for key and takes its in-flight
-// count. A replica retired between the choice and the count is released
-// and the choice made again among the members still active. With no
-// active candidate at all the full set serves — availability beats
-// purity.
-func (f *Fleet) pick(key string, cands []*Replica) *Replica {
-	for {
-		active := activeOf(cands)
-		if len(active) == 0 {
-			r := f.router.Pick(key, cands)
-			r.inflight.Add(1)
-			return r
-		}
-		if r := f.router.Pick(key, active); r.acquire() {
-			return r
-		}
-	}
 }
 
 // route picks the serving replica. The replica's inflight counter is
@@ -411,9 +218,7 @@ func (f *Fleet) pick(key string, cands []*Replica) *Replica {
 // in a batch raise the load later items are routed by. Every caller
 // must decrement after the engine answers.
 func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) {
-	f.st.mu.Lock()
-	f.st.requests++
-	f.st.mu.Unlock()
+	f.requests.Add(1)
 	var sp *trace.Span
 	if tr := trace.FromContext(ctx); tr != nil {
 		sp = tr.Start(trace.SpanFromContext(ctx), trace.KindRouter, routerName)
@@ -424,7 +229,8 @@ func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) 
 		sp.End()
 		return nil, err
 	}
-	r := f.pick(affinityKey(req.Prompt), cands)
+	r := f.router.Pick(affinityKey(req.Prompt), cands)
+	r.inflight.Add(1)
 	sp.SetAttr("replica", r.name)
 	sp.SetAttrInt("candidates", int64(len(cands)))
 	sp.End()
@@ -442,21 +248,6 @@ func withDefaultStrategy(req serve.Request, r *Replica) serve.Request {
 	return req
 }
 
-// observe folds one outcome into the fleet's decode-time EWMA.
-func (f *Fleet) observe(resp *serve.Response) {
-	if resp == nil || resp.Err != nil || resp.Cached || resp.Deduped || resp.Wall <= 0 {
-		return
-	}
-	wallMS := float64(resp.Wall) / float64(time.Millisecond)
-	f.st.mu.Lock()
-	if f.st.meanDecodeMS == 0 {
-		f.st.meanDecodeMS = wallMS
-	} else {
-		f.st.meanDecodeMS = 0.8*f.st.meanDecodeMS + 0.2*wallMS
-	}
-	f.st.mu.Unlock()
-}
-
 // tag returns a per-caller copy of resp carrying the serving replica's
 // name. A copy, not a mutation: the engine may still share the
 // original with single-flight followers.
@@ -470,7 +261,7 @@ func tag(resp *serve.Response, r *Replica) *serve.Response {
 }
 
 // Generate routes one request and blocks for a queue slot if the
-// replica is saturated (admission policies still apply).
+// replica is saturated.
 func (f *Fleet) Generate(ctx context.Context, req serve.Request) (*serve.Response, error) {
 	return f.generate(ctx, req, true)
 }
@@ -494,7 +285,6 @@ func (f *Fleet) generate(ctx context.Context, req serve.Request, wait bool) (*se
 func (f *Fleet) serveItem(ctx context.Context, req serve.Request, r *Replica, wait bool) (*serve.Response, error) {
 	defer r.inflight.Add(-1)
 	resp, served, err := f.serveRouted(ctx, req, r, wait)
-	f.observe(resp)
 	return tag(resp, served), err
 }
 

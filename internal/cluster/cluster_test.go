@@ -3,12 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -53,15 +51,15 @@ func testOptions(seed int64) core.Options {
 }
 
 // newFleet builds a fleet of n identical replicas over the fixture
-// model with the given router and policies.
-func newFleet(tb testing.TB, n int, router Router, policies []ShedPolicy, engCfg serve.Config) *Fleet {
+// model with the given router.
+func newFleet(tb testing.TB, n int, router Router, engCfg serve.Config) *Fleet {
 	tb.Helper()
 	m, _ := fixture(tb)
 	specs := make([]ReplicaSpec, n)
 	for i := range specs {
 		specs[i] = ReplicaSpec{Model: m, Engine: engCfg}
 	}
-	f, err := New(specs, Config{Router: router, Policies: policies})
+	f, err := New(specs, Config{Router: router})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,10 +85,10 @@ func (r randomRouter) Pick(_ string, c []*Replica) *Replica    { return c[r.rng.
 // TestSingleReplicaByteIdentical is the golden determinism gate at the
 // fleet layer: a 1-replica fleet must produce byte-identical output to
 // the bare decoder for the paper's three methods — the cluster layer adds
-// routing and admission, never decoding behavior.
+// routing, never decoding behavior.
 func TestSingleReplicaByteIdentical(t *testing.T) {
 	m, prompts := fixture(t)
-	f := newFleet(t, 1, nil, nil, serve.Config{Workers: 2, CacheSize: -1})
+	f := newFleet(t, 1, nil, serve.Config{Workers: 2, CacheSize: -1})
 	dec := core.NewDecoder(m)
 	for _, mode := range []string{"ntp", "medusa", "ours"} {
 		for i, prompt := range prompts[:4] {
@@ -117,7 +115,7 @@ func TestSingleReplicaByteIdentical(t *testing.T) {
 // depend on: every request for one prompt lands on one replica.
 func TestPrefixAffinityConcentrates(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 4, nil, nil, serve.Config{Workers: 1, CacheSize: -1})
+	f := newFleet(t, 4, nil, serve.Config{Workers: 1, CacheSize: -1})
 	for seed := int64(0); seed < 6; seed++ {
 		if _, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Options: testOptions(seed)}); err != nil {
 			t.Fatal(err)
@@ -154,7 +152,7 @@ func TestPrefixAffinityConcentrates(t *testing.T) {
 func TestAffinityBeatsRandomOnCacheHits(t *testing.T) {
 	_, prompts := fixture(t)
 	run := func(router Router) float64 {
-		f := newFleet(t, 4, router, nil, serve.Config{Workers: 2, CacheSize: 64})
+		f := newFleet(t, 4, router, serve.Config{Workers: 2, CacheSize: 64})
 		for rep := 0; rep < 6; rep++ {
 			for p := 0; p < 8; p++ {
 				req := serve.Request{Prompt: prompts[p], Options: testOptions(int64(p))}
@@ -253,21 +251,18 @@ func TestReplicaDefaultStrategy(t *testing.T) {
 	}
 }
 
-// TestMixedPriorityLoadAccounted is the acceptance scenario: a
-// 4-replica fleet under concurrent mixed-priority fail-fast load (tiny
-// queues, priority shedding active) must account for every request —
-// each one either succeeds or returns an explicit shed/backpressure
-// error carrying a Retry-After hint. Nothing may vanish. Run with
-// -race in CI.
-func TestMixedPriorityLoadAccounted(t *testing.T) {
+// TestFailFastLoadAccounted is the acceptance scenario: a 4-replica
+// fleet under concurrent fail-fast load (tiny queues) must account for
+// every request — each one either succeeds or returns ErrQueueFull,
+// which the HTTP layer answers with 503 and a Retry-After header, and
+// the fleet's summed rejections equal what the clients saw. Nothing
+// may vanish. Run with -race in CI.
+func TestFailFastLoadAccounted(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 4, nil, []ShedPolicy{PriorityPolicy{}},
-		serve.Config{Workers: 1, QueueSize: 2, CacheSize: -1})
+	f := newFleet(t, 4, nil, serve.Config{Workers: 1, QueueSize: 2, CacheSize: -1})
 
 	const clients = 32
-	priorities := []serve.Priority{serve.PriorityHigh, serve.PriorityNormal, serve.PriorityLow}
 	type outcome struct {
-		ok   bool
 		err  error
 		resp *serve.Response
 	}
@@ -278,55 +273,36 @@ func TestMixedPriorityLoadAccounted(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			resp, err := f.TryGenerate(context.Background(), serve.Request{
-				Prompt:   prompts[c%len(prompts)],
-				Options:  testOptions(int64(c)),
-				Priority: priorities[c%len(priorities)],
+				Prompt:  prompts[c%len(prompts)],
+				Options: testOptions(int64(c)),
 			})
-			outcomes[c] = outcome{ok: err == nil, err: err, resp: resp}
+			outcomes[c] = outcome{err: err, resp: resp}
 		}(c)
 	}
 	wg.Wait()
 
-	served, shed, rejected := 0, 0, 0
+	served, rejected := 0, 0
 	for c, o := range outcomes {
 		switch {
-		case o.ok:
+		case o.err == nil:
 			if o.resp == nil || o.resp.Result == nil || o.resp.Result.Text == "" {
 				t.Errorf("client %d: success without a result", c)
 			}
 			served++
+		case errors.Is(o.err, serve.ErrQueueFull):
+			rejected++
 		default:
-			var se *serve.ShedError
-			switch {
-			case errors.As(o.err, &se):
-				if se.RetryAfterSeconds() < 1 {
-					t.Errorf("client %d: shed without a Retry-After hint: %v", c, o.err)
-				}
-				shed++
-			case errors.Is(o.err, serve.ErrQueueFull):
-				rejected++
-			default:
-				t.Errorf("client %d: unexplained failure: %v", c, o.err)
-			}
+			t.Errorf("client %d: unexplained failure: %v", c, o.err)
 		}
 	}
-	if served+shed+rejected != clients {
-		t.Fatalf("accounting leak: served=%d shed=%d rejected=%d of %d", served, shed, rejected, clients)
+	if served+rejected != clients {
+		t.Fatalf("accounting leak: served=%d rejected=%d of %d", served, rejected, clients)
 	}
 	if served == 0 {
 		t.Error("no request served at all")
 	}
-	fm := f.Metrics()
-	if fm.Shed != uint64(shed) {
-		t.Errorf("fleet shed=%d, clients saw %d", fm.Shed, shed)
-	}
-	if shed > 0 {
-		if fm.ShedByPolicy["priority"] != uint64(shed) {
-			t.Errorf("shed_by_policy[priority]=%d, want %d", fm.ShedByPolicy["priority"], shed)
-		}
-		if fm.ShedByPriority["high"] > 0 {
-			t.Errorf("high-priority requests shed by the priority policy: %v", fm.ShedByPriority)
-		}
+	if fm := f.Metrics(); fm.Fleet.Rejected != uint64(rejected) {
+		t.Errorf("fleet rejected=%d, clients saw %d", fm.Fleet.Rejected, rejected)
 	}
 }
 
@@ -334,7 +310,7 @@ func TestMixedPriorityLoadAccounted(t *testing.T) {
 // accumulates in engine metrics and aggregates across the fleet.
 func TestQueueWaitVisible(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 2, nil, nil, serve.Config{Workers: 1, CacheSize: -1})
+	f := newFleet(t, 2, nil, serve.Config{Workers: 1, CacheSize: -1})
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -357,7 +333,7 @@ func TestQueueWaitVisible(t *testing.T) {
 // replicas and come back index-aligned, byte-identical to direct decodes.
 func TestBatchRoutesAndReassembles(t *testing.T) {
 	m, prompts := fixture(t)
-	f := newFleet(t, 3, nil, nil, serve.Config{Workers: 2, CacheSize: -1})
+	f := newFleet(t, 3, nil, serve.Config{Workers: 2, CacheSize: -1})
 	reqs := make([]serve.Request, 12)
 	for i := range reqs {
 		reqs[i] = serve.Request{Prompt: prompts[i%6], Options: testOptions(int64(i))}
@@ -389,7 +365,7 @@ func TestBatchRoutesAndReassembles(t *testing.T) {
 // splits an idle fleet's batch evenly.
 func TestBatchLoadVisibleToRouter(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 3, leastLoadedRouter{}, nil, serve.Config{Workers: 2, CacheSize: -1})
+	f := newFleet(t, 3, leastLoadedRouter{}, serve.Config{Workers: 2, CacheSize: -1})
 	reqs := make([]serve.Request, 12)
 	for i := range reqs {
 		reqs[i] = serve.Request{Prompt: prompts[i%6], Options: testOptions(int64(i))}
@@ -403,22 +379,6 @@ func TestBatchLoadVisibleToRouter(t *testing.T) {
 		if got := r.routed.Load(); got != 4 {
 			t.Errorf("replica %s routed %d of 12, want an even 4", r.Name(), got)
 		}
-	}
-}
-
-// TestBudgetPolicyStructLiteral: the exported fields invite literal
-// construction, which must behave like NewBudgetPolicy instead of
-// panicking on the nil bucket map / clock.
-func TestBudgetPolicyStructLiteral(t *testing.T) {
-	p := &BudgetPolicy{TokensPerSec: 100, Burst: 150}
-	req := serve.Request{Client: "lit", Options: core.Options{MaxNewTokens: 100}}
-	if err := p.Admit(context.Background(), req, Load{}); err != nil {
-		t.Fatalf("first literal-policy admission failed: %v", err)
-	}
-	err := p.Admit(context.Background(), req, Load{})
-	var se *serve.ShedError
-	if !errors.As(err, &se) || se.Policy != "budget" {
-		t.Fatalf("second admission: err=%v, want budget shed", err)
 	}
 }
 
@@ -439,50 +399,11 @@ func TestNewRouterNames(t *testing.T) {
 	}
 }
 
-func TestParsePolicies(t *testing.T) {
-	ps, err := ParsePolicies("deadline,priority,budget", 0, 0)
-	if err != nil || len(ps) != 3 {
-		t.Fatalf("chain parse: %v (%d policies)", err, len(ps))
-	}
-	wantNames := []string{"deadline", "priority", "budget"}
-	for i, p := range ps {
-		if p.Name() != wantNames[i] {
-			t.Errorf("policy %d = %q, want %q", i, p.Name(), wantNames[i])
-		}
-	}
-	if ps, err := ParsePolicies("none", 0, 0); err != nil || ps != nil {
-		t.Errorf("none: %v %v", ps, err)
-	}
-	if _, err := ParsePolicies("warp", 0, 0); err == nil {
-		t.Error("unknown policy accepted")
-	}
-}
-
 func TestFleetConstructionErrors(t *testing.T) {
-	m, _ := fixture(t)
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("empty fleet accepted")
 	}
 	if _, err := New([]ReplicaSpec{{Model: nil}}, Config{}); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := New([]ReplicaSpec{{Model: m, Engine: serve.Config{
-		Admit: func(context.Context, serve.Request) error { return nil },
-	}}}, Config{}); err == nil {
-		t.Error("caller-owned Admit hook accepted")
-	}
-}
-
-func TestShedErrorRendering(t *testing.T) {
-	se := &serve.ShedError{Policy: "budget", Reason: "over budget", RetryAfter: 1500 * time.Millisecond}
-	if se.RetryAfterSeconds() != 2 {
-		t.Errorf("RetryAfterSeconds=%d, want 2 (ceil)", se.RetryAfterSeconds())
-	}
-	if (&serve.ShedError{}).RetryAfterSeconds() != 1 {
-		t.Error("zero RetryAfter must floor to 1s")
-	}
-	if msg := se.Error(); msg == "" || !errors.As(error(se), new(*serve.ShedError)) {
-		t.Errorf("ShedError not error-shaped: %q", msg)
-	}
-	_ = fmt.Sprintf("%v", se)
 }

@@ -89,7 +89,7 @@ func (firstRouter) Pick(_ string, candidates []*Replica) *Replica { return candi
 
 func TestDebugSurfaceFleetRequest(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 2, firstRouter{}, nil, serve.Config{Workers: 1, CacheSize: -1})
+	f := newFleet(t, 2, firstRouter{}, serve.Config{Workers: 1, CacheSize: -1})
 	tracer := trace.New(trace.Config{})
 	ts := httptest.NewServer(serve.NewBackendServer(f).WithTracer(tracer).Handler())
 	defer ts.Close()

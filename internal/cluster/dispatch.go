@@ -34,12 +34,9 @@ const (
 // outcomeLabel classifies one attempt's result for its span.
 func outcomeLabel(resp *serve.Response, err error) string {
 	e := firstErr(resp, err)
-	var shed *serve.ShedError
 	switch {
 	case e == nil:
 		return "ok"
-	case errors.As(e, &shed):
-		return "shed"
 	case errors.Is(e, serve.ErrQueueFull):
 		return "queue_full"
 	case errors.Is(e, context.Canceled), errors.Is(e, context.DeadlineExceeded):
@@ -175,13 +172,6 @@ func (f *Fleet) serveRouted(ctx context.Context, req serve.Request, r *Replica, 
 	}
 }
 
-// startStealer launches one replica's steal loop (caller must hold no
-// locks that Close waits on).
-func (f *Fleet) startStealer(r *Replica) {
-	f.wg.Add(1)
-	go f.stealer(r)
-}
-
 // stealer pulls overflow work whenever its replica has spare capacity.
 // The poll tick bounds how stale the capacity check can be; the claim
 // CAS keeps service exactly-once against the submitter's fallbacks.
@@ -200,7 +190,7 @@ func (f *Fleet) stealer(r *Replica) {
 		// count against their routed replica's inflight and would
 		// otherwise starve its own stealer forever.
 		busy := r.Engine().QueueDepth() + int(r.serving.Load())
-		if r.Draining() || busy >= stealCapacity(r) {
+		if busy >= stealCapacity(r) {
 			select {
 			case <-f.quit:
 				return
@@ -220,24 +210,19 @@ func (f *Fleet) stealer(r *Replica) {
 	}
 }
 
-// serveStolen runs a claimed job on the stealing replica r. A replica
-// retired since the stealer's capacity check may already be closing its
-// engine; the job then goes back to its routed replica, whose in-flight
-// count the submitter holds, so that engine cannot close under it.
+// serveStolen runs a claimed job on the stealing replica r, which may
+// be the routed replica itself.
 func (f *Fleet) serveStolen(r *Replica, job *stealJob) outcome {
-	served := job.routed
-	if r.acquire() {
-		defer r.inflight.Add(-1)
-		served = r
-	}
+	r.inflight.Add(1)
+	defer r.inflight.Add(-1)
 	role := rolePrimary
-	if served != job.routed {
+	if r != job.routed {
 		role = roleSteal
 	}
-	resp, err := f.sendTraced(job.ctx, job.req, served, job.wait, role)
-	if served != job.routed {
-		f.elastic.steals.Add(1)
-		served.stolen.Add(1)
+	resp, err := f.sendTraced(job.ctx, job.req, r, job.wait, role)
+	if r != job.routed {
+		f.steals.Add(1)
+		r.stolen.Add(1)
 	}
-	return outcome{resp, err, served}
+	return outcome{resp, err, r}
 }

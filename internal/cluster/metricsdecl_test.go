@@ -19,7 +19,7 @@ import (
 // completed-decode-weighted blend of the replicas' own rates.
 func TestFleetPerStrategyRatesExact(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{
+	f := newFleet(t, 2, &roundRobinRouter{}, serve.Config{
 		Workers: 1, MaxBatch: 2, CacheSize: -1,
 	})
 	strategies := []string{"ours-tree", "ntp", "ours"}
@@ -79,7 +79,7 @@ func TestFleetPerStrategyRatesExact(t *testing.T) {
 // exposition.
 func TestFleetAggregatesAcceptDepth(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{
+	f := newFleet(t, 2, &roundRobinRouter{}, serve.Config{
 		Workers: 1, MaxBatch: 2, CacheSize: -1,
 	})
 	for i := 0; i < 6; i++ {
@@ -212,8 +212,6 @@ func TestDocumentedFamiliesExist(t *testing.T) {
 			exposed[fields[2]] = true
 		}
 	}
-	// The autoscaler's bounds are exported only when autoscaling is on.
-	exposed["vgend_fleet_scale_min_replicas"], exposed["vgend_fleet_scale_max_replicas"] = true, true
 
 	read := func(file string) string {
 		raw, err := os.ReadFile("../../" + file)

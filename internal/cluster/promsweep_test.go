@@ -14,18 +14,14 @@ import (
 )
 
 // TestFleetPrometheusExpositionWellFormed sweeps the fleet server's
-// text exposition — per-replica families, shed counters and
-// elasticity gauges, plus the tracer's phase family — through the
+// text exposition — per-replica families and the fleet's routing and
+// steal counters, plus the tracer's phase family — through the
 // promtest linter. The fleet body is the richest exposition the daemon
 // can emit (replica names land in label values), so this is where a
 // label-escaping regression would surface first.
 func TestFleetPrometheusExpositionWellFormed(t *testing.T) {
 	_, prompts := fixture(t)
-	policies, err := ParsePolicies("priority", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newFleet(t, 2, nil, policies, serve.Config{Workers: 1, CacheSize: 8})
+	f := newFleet(t, 2, nil, serve.Config{Workers: 1, CacheSize: 8})
 	ts := httptest.NewServer(serve.NewBackendServer(f).WithTracer(trace.New(trace.Config{})).Handler())
 	defer ts.Close()
 

@@ -18,7 +18,7 @@ import (
 // one shape whichever backend answers).
 func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 	_, prompts := fixture(t)
-	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{Workers: 1, MaxBatch: 2, CacheSize: -1})
+	f := newFleet(t, 2, &roundRobinRouter{}, serve.Config{Workers: 1, MaxBatch: 2, CacheSize: -1})
 	for i := 0; i < 6; i++ {
 		req := serve.Request{Prompt: prompts[i], Options: testOptions(int64(i))}
 		if resp, err := f.Generate(context.Background(), req); err != nil || resp.Err != nil {

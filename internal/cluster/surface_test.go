@@ -118,18 +118,17 @@ func scrapeSurface(t *testing.T, body, url string) []string {
 }
 
 // currentSurface drives the scripted run — one engine, then a
-// 2-replica round-robin fleet under the priority and budget policies,
-// both with tracing on, every surfaceStrategies entry decoded on every
-// engine, one result cache hit and one shed — and returns the sorted
-// surface of both bodies.
+// 2-replica round-robin fleet, both with tracing on, every
+// surfaceStrategies entry decoded on every engine and one result cache
+// hit — and returns the sorted surface of both bodies.
 func currentSurface(t *testing.T) []string {
 	t.Helper()
 	m, prompts := fixture(t)
 	engCfg := serve.Config{Workers: 1, MaxBatch: 2, CacheSize: 8}
-	post := func(url string, i int, client string) int {
+	post := func(url string, i int) int {
 		raw, _ := json.Marshal(serve.GenerateRequest{
 			Prompt: prompts[i%len(prompts)], Strategy: surfaceStrategies[i%len(surfaceStrategies)],
-			Temperature: 0.6, MaxNewTokens: 64, Seed: int64(i), Client: client,
+			Temperature: 0.6, MaxNewTokens: 64, Seed: int64(i),
 		})
 		resp, err := http.Post(url+"/v1/generate", "application/json", bytes.NewReader(raw))
 		if err != nil {
@@ -145,31 +144,20 @@ func currentSurface(t *testing.T) []string {
 	es := httptest.NewServer(serve.NewServer(e).WithTracer(trace.New(trace.Config{})).Handler())
 	defer es.Close()
 	for i := range surfaceStrategies {
-		if code := post(es.URL, i, ""); code != http.StatusOK {
+		if code := post(es.URL, i); code != http.StatusOK {
 			t.Fatalf("engine request %d: status %d", i, code)
 		}
 	}
-	post(es.URL, 0, "") // result-cache hit
+	post(es.URL, 0) // result-cache hit
 	lines := scrapeSurface(t, "engine", es.URL)
 
-	policies, err := ParsePolicies("priority", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One ~64-token request per client, then that client sheds.
-	policies = append(policies, NewBudgetPolicy(1, 100))
-	f := newFleet(t, 2, &roundRobinRouter{}, policies, engCfg)
+	f := newFleet(t, 2, &roundRobinRouter{}, engCfg)
 	fs := httptest.NewServer(serve.NewBackendServer(f).WithTracer(trace.New(trace.Config{})).Handler())
 	defer fs.Close()
 	for i := 0; i < 2*len(surfaceStrategies); i++ {
-		if code := post(fs.URL, i, fmt.Sprintf("c%d", i)); code != http.StatusOK {
+		if code := post(fs.URL, i); code != http.StatusOK {
 			t.Fatalf("fleet request %d: status %d", i, code)
 		}
-	}
-	// A fresh request (admission runs behind the result cache) from a
-	// client whose bucket the first one drained.
-	if code := post(fs.URL, 2*len(surfaceStrategies), "c0"); code != http.StatusTooManyRequests {
-		t.Fatalf("over-budget request: status %d, want 429", code)
 	}
 	lines = append(lines, scrapeSurface(t, "fleet", fs.URL)...)
 	sort.Strings(lines)
@@ -181,13 +169,17 @@ func currentSurface(t *testing.T) []string {
 // name (the last JSON key, or the Prometheus family): the speculation
 // controller's JSON keys, families and per-replica families, the
 // fleet's model-swap counter, the session page-lease keys and families,
-// and the hedge, failover and circuit-breaker counters, keys and
-// families.
+// the hedge, failover and circuit-breaker counters, keys and families,
+// and the admission chain's, autoscaler's and replica drain's keys
+// (shed_by_* map leaves included), families and phase.
 var retiredSurfacePrefixes = []string{
 	"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total",
 	"prefix_pinned_", "prefix_leases", "vgend_prefix_pinned_", "vgend_prefix_leases_total", "vgend_replica_prefix_pinned_pages",
 	"hedges", "hedge_wins", "failovers", "breaker_", "vgend_fleet_hedges_total", "vgend_fleet_hedge_wins_total",
 	"vgend_fleet_failovers_total", "vgend_replica_breaker_",
+	"shed", "budget", "normal", "drains", "scale_", "autoscale_", "mean_decode_ms", "state", "admission",
+	"vgend_shed_total", "vgend_fleet_shed", "vgend_fleet_drains_total", "vgend_fleet_scale_",
+	"vgend_fleet_mean_decode_ms", "vgend_replica_draining",
 }
 
 // retiredSurface reports whether a surface line names a retired metric.

@@ -18,7 +18,7 @@ func TestFleetAggregatesTreeMetrics(t *testing.T) {
 	_, prompts := fixture(t)
 	// Round-robin spreads the decodes so more than one replica holds
 	// histogram mass — otherwise the sum check proves nothing.
-	f := newFleet(t, 2, &roundRobinRouter{}, nil, serve.Config{Workers: 1, CacheSize: -1})
+	f := newFleet(t, 2, &roundRobinRouter{}, serve.Config{Workers: 1, CacheSize: -1})
 	for i := 0; i < 6; i++ {
 		req := serve.Request{
 			Prompt:  prompts[i],

@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the server's debuggability surface: the request-ID
-// middleware (every response path, including 429 sheds and 503
-// backpressure, carries X-Request-ID), per-request trace assembly for
+// middleware (every response path, including 503 backpressure, carries
+// X-Request-ID), per-request trace assembly for
 // /v1/generate, structured request logging, the /debug/requests and
 // /debug/trace flight-recorder endpoints, and the per-phase duration
 // metric family fed by the tracer.
@@ -56,8 +56,8 @@ func (w *statusWriter) Flush() {
 // middleware is the outermost handler layer: request-ID assignment and
 // echo, trace creation around /v1/generate, and one structured log
 // line per request. The ID header is set before the inner handler
-// runs, so every response path — success, shed, backpressure, panic-
-// free error — carries it.
+// runs, so every response path — success, backpressure, panic-free
+// error — carries it.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)

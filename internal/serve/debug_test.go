@@ -35,33 +35,13 @@ func postBody(t *testing.T, url, id string, body map[string]any) *http.Response 
 	return resp
 }
 
-// TestRequestIDEchoedOnErrorPaths: satellite contract — shed (429),
-// queue-full (503) and bad-request (400) responses all carry the
+// TestRequestIDEchoedOnErrorPaths: queue-full (503) and bad-request
+// (400) responses all carry the
 // X-Request-ID header, echoing the caller's when one was sent and
 // minting one otherwise. Without the header a failed request cannot be
 // correlated with server-side traces at all.
 func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 	m, prompts := fixture(t)
-
-	t.Run("shed 429", func(t *testing.T) {
-		e := NewEngine(m, Config{Workers: 1, CacheSize: -1,
-			Admit: func(ctx context.Context, req Request) error {
-				return &ShedError{Policy: "test", Reason: "always", RetryAfter: time.Second}
-			}})
-		defer e.Close()
-		ts := httptest.NewServer(NewServer(e).Handler())
-		defer ts.Close()
-		resp := postBody(t, ts.URL, "shed-echo-1", map[string]any{"prompt": prompts[0]})
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("status = %d, want 429", resp.StatusCode)
-		}
-		if got := resp.Header.Get(RequestIDHeader); got != "shed-echo-1" {
-			t.Errorf("%s = %q, want shed-echo-1", RequestIDHeader, got)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Error("shed response lost its Retry-After header")
-		}
-	})
 
 	t.Run("queue-full 503", func(t *testing.T) {
 		block := make(chan struct{})

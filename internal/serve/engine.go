@@ -60,76 +60,6 @@ var (
 	ErrUnknownModel = errors.New("serve: no replica serves the requested model")
 )
 
-// ShedError is an admission-control rejection: the request was dropped
-// by a load-shedding policy before consuming a queue slot or decode
-// work. The HTTP layer maps it to 429 with a Retry-After header.
-type ShedError struct {
-	// Policy names the shedding policy that dropped the request
-	// ("deadline", "priority", "budget").
-	Policy string
-	// Reason is the human-readable drop explanation.
-	Reason string
-	// RetryAfter is the suggested client backoff.
-	RetryAfter time.Duration
-}
-
-func (e *ShedError) Error() string {
-	return fmt.Sprintf("serve: request shed by %s policy: %s (retry after %s)", e.Policy, e.Reason, e.RetryAfter.Round(time.Millisecond))
-}
-
-// RetryAfterSeconds renders the backoff as whole seconds for the HTTP
-// Retry-After header (minimum 1: a zero header is meaningless to
-// clients).
-func (e *ShedError) RetryAfterSeconds() int {
-	s := int(e.RetryAfter / time.Second)
-	if e.RetryAfter%time.Second != 0 {
-		s++
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// Priority is a request's admission class. The zero value is
-// PriorityNormal, so requests that never think about priorities get the
-// middle class. Engines ignore priority entirely — it exists for
-// cluster-level admission policies, which shed lower classes first
-// under load.
-type Priority int
-
-// Priority classes, shed in reverse order (Low first, High last).
-const (
-	PriorityNormal Priority = iota
-	PriorityHigh
-	PriorityLow
-)
-
-// String names the class as the HTTP API spells it.
-func (p Priority) String() string {
-	switch p {
-	case PriorityHigh:
-		return "high"
-	case PriorityLow:
-		return "low"
-	}
-	return "normal"
-}
-
-// ParsePriority parses the HTTP API spelling of a priority class; empty
-// selects PriorityNormal.
-func ParsePriority(s string) (Priority, error) {
-	switch s {
-	case "", "normal":
-		return PriorityNormal, nil
-	case "high":
-		return PriorityHigh, nil
-	case "low":
-		return PriorityLow, nil
-	}
-	return 0, fmt.Errorf("unknown priority %q (want high, normal or low)", s)
-}
-
 // Config sizes an Engine. Zero values select defaults.
 type Config struct {
 	// MaxBatch caps concurrently running decodes — the batch the
@@ -156,15 +86,6 @@ type Config struct {
 	// changes how much session preparation is recomputed, never the
 	// output (pinned by the differential harness in internal/experiments).
 	PrefixCacheBytes int64
-	// Admit, if set, gates every submission that would consume a queue
-	// slot: a non-nil error (typically a *ShedError) rejects the
-	// request before it is enqueued. Cache hits and single-flight
-	// followers bypass the gate — they consume no decode work. The
-	// cluster layer installs its load-shedding policy chain here, after
-	// the single-flight registration, so a shed leader resolves its
-	// flight with the shed error and followers retry on their own
-	// behalf (see Engine.wait).
-	Admit func(ctx context.Context, req Request) error
 	// StepFault, if set, is the fault-injection plane: it is consulted
 	// once per verification sweep of every running decode. A returned
 	// error aborts the decode with that error (a crashed replica); a
@@ -224,12 +145,6 @@ type Request struct {
 	// one model — ignores it; a cluster.Fleet routes on it and fails
 	// with ErrUnknownModel when no replica serves the name.
 	Model string
-	// Priority is the request's admission class. Engines ignore it;
-	// cluster shedding policies drop lower classes first under load.
-	Priority Priority
-	// Client identifies the submitter for per-client budget policies
-	// (empty submitters share one anonymous bucket).
-	Client string
 	// NoExplicitStrategy marks a request that named no strategy (under
 	// either wire spelling) — its Options carry the wire default "ours"
 	// (GenerateRequest.options). Engines ignore it; a fleet replica
@@ -363,10 +278,6 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 // QueueDepth reports the number of requests waiting in the queue (not
 // yet admitted by the scheduler).
 func (e *Engine) QueueDepth() int { return len(e.queue) }
-
-// QueueCap reports the bounded queue's capacity (admission policies
-// compute occupancy against it).
-func (e *Engine) QueueCap() int { return cap(e.queue) }
 
 // Generate runs one request, blocking for a queue slot if the engine is
 // saturated. The returned error (context cancellation, ErrClosed) is
@@ -540,7 +451,7 @@ func (e *Engine) requestKey(req Request) cacheKey {
 
 // wait blocks on a started submission's outcome. A follower whose
 // flight fails with the LEADER's context error — the leader's client
-// went away, not ours — or with the leader's admission refusal retries
+// went away, not ours — or with the leader's queue-full bounce retries
 // with a fresh submission rather than inheriting a fate it did not
 // cause; each retry either becomes the new leader (decoding under this
 // caller's own live context) or joins a newer flight, so the loop
@@ -548,7 +459,7 @@ func (e *Engine) requestKey(req Request) cacheKey {
 func (e *Engine) wait(ctx context.Context, p pending, block bool) (*Response, error) {
 	for p.f != nil {
 		resp := waitFlight(ctx, p.f)
-		if !leaderAborted(resp, ctx) && !leaderShed(resp) {
+		if !leaderAborted(resp, ctx) && !leaderBounced(resp) {
 			return resp, resp.Err
 		}
 		var err error
@@ -584,17 +495,16 @@ func leaderAborted(resp *Response, ctx context.Context) bool {
 	return errors.Is(resp.Err, context.Canceled) || errors.Is(resp.Err, context.DeadlineExceeded)
 }
 
-// leaderShed reports a follower outcome where the flight leader's
-// SUBMISSION was refused — shed by an admission policy or bounced off a
-// full queue. That fate belongs to the leader's arrival, not to the
-// decode (none ever ran), so followers retry on their own behalf and
-// face admission themselves rather than inheriting a drop they were
-// never charged for. Each retry either leads a fresh submission (whose
-// own shed error it rightfully owns) or joins a newer flight, so the
-// retry loop always makes progress.
-func leaderShed(resp *Response) bool {
-	var shed *ShedError
-	return errors.Is(resp.Err, ErrQueueFull) || errors.As(resp.Err, &shed)
+// leaderBounced reports a follower outcome where the flight leader's
+// SUBMISSION bounced off a full queue. That fate belongs to the
+// leader's arrival, not to the decode (none ever ran), so followers
+// retry on their own behalf and face the queue themselves rather than
+// inheriting a rejection they were never charged for. Each retry
+// either leads a fresh submission (whose own ErrQueueFull it
+// rightfully owns) or joins a newer flight, so the retry loop always
+// makes progress.
+func leaderBounced(resp *Response) bool {
+	return errors.Is(resp.Err, ErrQueueFull)
 }
 
 // startOrJoin is the single-flight gate in front of the queue. The
@@ -685,28 +595,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, block bool
 	if e.closed {
 		return nil, ErrClosed
 	}
-	tr, parent := trace.FromContext(ctx), trace.SpanFromContext(ctx)
-	// Admission control sits in front of the queue: a shed request
-	// never holds a slot, and because the single-flight registration
-	// already happened, a shed leader publishes its drop to followers
-	// (who then retry for themselves — see leaderShed).
-	if e.cfg.Admit != nil {
-		adm := tr.Start(parent, trace.KindAdmission, "")
-		if err := e.cfg.Admit(ctx, req); err != nil {
-			var shed *ShedError
-			if errors.As(err, &shed) {
-				adm.SetAttr("outcome", "shed")
-				adm.SetAttr("policy", shed.Policy)
-			} else {
-				adm.SetAttr("outcome", "rejected")
-			}
-			adm.End()
-			e.st.count(&e.st.m.Shed)
-			return nil, err
-		}
-		adm.End()
-	}
-	t.qspan = tr.Start(parent, trace.KindQueue, "")
+	t.qspan = trace.FromContext(ctx).Start(trace.SpanFromContext(ctx), trace.KindQueue, "")
 	t.enqueued = time.Now()
 	if block {
 		select {

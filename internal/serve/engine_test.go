@@ -736,41 +736,88 @@ func TestQueueWaitAccounting(t *testing.T) {
 	}
 }
 
-// TestAdmitHookSheds pins the engine-side admission gate: a refusing
-// Admit hook sheds before any queue slot is consumed, the shed counter
-// moves, and cache hits bypass the gate entirely (they cost nothing).
-func TestAdmitHookSheds(t *testing.T) {
+// TestDedupLeaderBouncedFollowerRetries: a single-flight leader that
+// bounces off a full queue must not take its follower down with it.
+// The follower joined a flight whose decode never ran, so it retries on
+// its own behalf (leaderBounced) and, once the queue drains, decodes
+// the same bytes as a direct decode. The window between the leader's
+// flight registration and its bounce is held open by taking e.mu, which
+// enqueue needs, until the follower has joined.
+func TestDedupLeaderBouncedFollowerRetries(t *testing.T) {
 	m, prompts := fixture(t)
-	var allow atomic.Bool
-	allow.Store(true)
-	eng := NewEngine(m, Config{Workers: 1, CacheSize: 8, Admit: func(ctx context.Context, req Request) error {
-		if allow.Load() {
-			return nil
-		}
-		return &ShedError{Policy: "test", Reason: "closed for business", RetryAfter: 2 * time.Second}
-	}})
-	defer eng.Close()
-	ctx := context.Background()
-	req := Request{Prompt: prompts[0], Options: testOptions(1)}
+	block := make(chan struct{})
+	e := NewEngine(m, Config{Workers: 1, QueueSize: 1, MaxBatch: 1, CacheSize: -1,
+		StepFault: func(ctx context.Context) error {
+			select {
+			case <-block:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}})
+	defer e.Close()
+	// On any exit: let the window close, then unwedge the decodes so
+	// Close can drain.
+	release := sync.OnceFunc(func() { close(block) })
+	defer release()
+	inflight := func() int {
+		e.flightMu.Lock()
+		defer e.flightMu.Unlock()
+		return len(e.inflight)
+	}
 
-	if _, err := eng.Generate(ctx, req); err != nil {
-		t.Fatal(err)
+	// Wedge one decode in the batch, then fill the 1-slot queue.
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for seed := int64(0); seed < 2; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = e.Generate(ctx, Request{Prompt: prompts[0], Options: testOptions(seed)})
+		}()
+		if seed == 0 {
+			waitFor(t, "first request never reached the batch", func() bool { return e.Metrics().SchedRunning == 1 })
+		}
 	}
-	allow.Store(false)
-	var shed *ShedError
-	if _, err := eng.Generate(ctx, Request{Prompt: prompts[1], Options: testOptions(2)}); !errors.As(err, &shed) {
-		t.Fatalf("err=%v, want ShedError", err)
+	waitFor(t, "queue never saturated", func() bool { return e.QueueDepth() == 1 })
+
+	req := Request{Prompt: prompts[1], Options: testOptions(7)}
+	e.mu.Lock()
+	unlock := sync.OnceFunc(e.mu.Unlock)
+	defer unlock()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := e.TryGenerate(ctx, req)
+		leaderErr <- err
+	}()
+	waitFor(t, "leader never registered its flight", func() bool { return inflight() == 3 })
+	type outcome struct {
+		resp *Response
+		err  error
 	}
-	if shed.RetryAfterSeconds() != 2 {
-		t.Errorf("RetryAfterSeconds=%d, want 2", shed.RetryAfterSeconds())
+	follower := make(chan outcome, 1)
+	go func() {
+		resp, err := e.Generate(ctx, req)
+		follower <- outcome{resp, err}
+	}()
+	waitFor(t, "follower never joined the flight", func() bool { return e.Metrics().DedupHits == 1 })
+	unlock()
+
+	if err := <-leaderErr; !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("leader err=%v, want ErrQueueFull", err)
 	}
-	// The earlier result is cached; a repeat bypasses admission.
-	resp, err := eng.Generate(ctx, req)
-	if err != nil || !resp.Cached {
-		t.Errorf("cached repeat should bypass admission: %v %+v", err, resp)
+	release()
+	got := <-follower
+	if got.err != nil {
+		t.Fatalf("follower inherited the leader's bounce: %v", got.err)
 	}
-	if got := eng.Metrics().Shed; got != 1 {
-		t.Errorf("shed=%d, want 1", got)
+	direct := core.NewDecoder(m).Generate(req.Prompt, req.Options)
+	if got.resp.Result == nil || got.resp.Result.Text != direct.Text {
+		t.Error("follower's retried decode diverges from the direct decode")
+	}
+	if rej := e.Metrics().Rejected; rej != 1 {
+		t.Errorf("rejected=%d, want 1 (the leader only)", rej)
 	}
 }
 

@@ -204,9 +204,6 @@ type Metrics struct {
 	Failed    uint64 `json:"failed" prom:"vgend_failed_total" help:"Decodes ended by non-context errors."`
 	// Rejected counts TryGenerate backpressure rejections (HTTP 503s).
 	Rejected uint64 `json:"rejected" prom:"vgend_rejected_total" help:"Backpressure rejections (queue full)."`
-	// Shed counts admission-control drops (Config.Admit refusals —
-	// HTTP 429s in fleet mode).
-	Shed uint64 `json:"shed" prom:"vgend_shed_total" help:"Admission-control drops (load-shedding policies)."`
 
 	// QueueWaitSeconds is the summed queue-wait time (enqueue to
 	// scheduler pickup) of every dequeued task; QueueWaitMaxSeconds is

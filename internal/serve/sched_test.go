@@ -313,7 +313,7 @@ func TestContinuousMetricsSurface(t *testing.T) {
 	// read (the fleet body carries the same key set: see cluster's
 	// TestFleetAggregatesSchedulerMetrics).
 	for _, key := range []string{
-		"requests", "completed", "rejected", "shed", "steps", "clean_tokens",
+		"requests", "completed", "rejected", "steps", "clean_tokens",
 		"queue_wait_s", "queue_wait_max_s", "wall_seconds",
 		"cache_hits", "dedup_hits",
 		"prefix_cache_hits", "prefix_partial_hits", "prefix_cache_misses",

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -101,8 +100,8 @@ func (s *Server) WithPprof(on bool) *Server {
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // Handler returns the route mux, wrapped in the request-ID/logging
-// middleware so every response path — including 429 sheds and 503
-// backpressure — carries the X-Request-ID header.
+// middleware so every response path — including 503 backpressure —
+// carries the X-Request-ID header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/generate", s.handleGenerate)
@@ -158,13 +157,6 @@ type GenerateRequest struct {
 	// in fleet mode ("codellama", "codet5p"); empty accepts any. An
 	// unknown name is a 400.
 	Model string `json:"model,omitempty"`
-	// Priority is the admission class: "high", "normal" (default) or
-	// "low". Load-shedding policies drop lower classes first; a shed
-	// request gets 429 with a Retry-After header.
-	Priority string `json:"priority,omitempty"`
-	// Client identifies the caller for per-client token-budget
-	// throttling (empty callers share one anonymous bucket).
-	Client string `json:"client,omitempty"`
 }
 
 // GenerateResult is one generation in a response body.
@@ -277,11 +269,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	priority, err := ParsePriority(gr.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	modeName := opts.StrategyLabel()
 	mkReq := func(prompt string, o core.Options) Request {
 		return Request{
@@ -291,8 +278,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			// Replica default-strategy substitution applies only when
 			// the caller named no strategy under either spelling.
 			NoExplicitStrategy: gr.Mode == "" && gr.Strategy == "",
-			Priority:           priority,
-			Client:             gr.Client,
 		}
 	}
 
@@ -338,30 +323,17 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeRetryAfter is the shared overload-response helper: every path
-// that refuses work for load reasons — queue-full backpressure and
-// admission-control shedding alike — answers with an explicit status
-// and a Retry-After header, the contract load balancers and polite
-// clients expect.
-func writeRetryAfter(w http.ResponseWriter, status, seconds int, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(seconds))
-	writeError(w, status, err)
-}
-
 // writeSubmissionError maps the submission-refusal errors shared by
-// the JSON and streaming paths — admission shedding (429 with the
-// policy's Retry-After), queue-full backpressure (503 with
-// Retry-After) and unknown model (400) — and reports whether it owned
-// the error. These are exactly the failures that occur before any
-// response bytes exist, so the streaming handler can reuse the mapping
-// verbatim.
+// the JSON and streaming paths — queue-full backpressure (503 with a
+// Retry-After header, the contract load balancers and polite clients
+// expect) and unknown model (400) — and reports whether it owned the
+// error. These are exactly the failures that occur before any response
+// bytes exist, so the streaming handler can reuse the mapping verbatim.
 func writeSubmissionError(w http.ResponseWriter, err error) bool {
-	var shed *ShedError
 	switch {
-	case errors.As(err, &shed):
-		writeRetryAfter(w, http.StatusTooManyRequests, shed.RetryAfterSeconds(), err)
 	case errors.Is(err, ErrQueueFull):
-		writeRetryAfter(w, http.StatusServiceUnavailable, 1, err)
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrUnknownModel):
 		writeError(w, http.StatusBadRequest, err)
 	default:

@@ -364,7 +364,6 @@ func TestServerMetricsPrometheus(t *testing.T) {
 		"# TYPE vgend_requests_total counter",
 		"vgend_requests_total 1",
 		"vgend_dedup_hits_total 0",
-		"vgend_shed_total 0",
 		"vgend_queue_wait_seconds_total",
 		"vgend_queue_wait_max_seconds",
 		"vgend_prefix_cache_misses_total 1",
@@ -435,7 +434,6 @@ func TestServerRequestValidation(t *testing.T) {
 		{"both prompt and prompts", GenerateRequest{Prompt: "a", Prompts: []string{"b"}}},
 		{"unknown mode", GenerateRequest{Prompt: "a", Mode: "warp"}},
 		{"unknown strategy behind a valid mode", GenerateRequest{Prompt: "a", Mode: "ours", Strategy: "warp"}},
-		{"unknown priority", GenerateRequest{Prompt: "a", Priority: "urgent"}},
 		{"stream with batch", GenerateRequest{Prompts: []string{"a", "b"}, Stream: true}},
 		{"oversized batch", GenerateRequest{Prompts: make([]string, maxBatchPrompts+1)}},
 	}
@@ -445,6 +443,24 @@ func TestServerRequestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+	// The retired admission fields are ignored, not refused: a body that
+	// still carries "priority" and "client" is served exactly like the
+	// same body without them, so old clients keep working.
+	var texts []string
+	for _, body := range []map[string]any{
+		{"prompt": "a", "seed": 3, "priority": "urgent", "client": "old"},
+		{"prompt": "a", "seed": 3},
+	} {
+		resp := postJSON(t, srv.URL+"/v1/generate", body)
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("%v: status %d, want 200", body, resp.StatusCode)
+		}
+		texts = append(texts, decodeBody[GenerateResult](t, resp).Text)
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("retired fields changed the text: %q vs %q", texts[0], texts[1])
 	}
 	getResp, err := http.Get(srv.URL + "/v1/generate")
 	if err != nil {

@@ -28,7 +28,6 @@ const (
 	KindRequest      = "request"       // root: one per served request
 	KindRouter       = "router"        // cluster routing decision
 	KindAttempt      = "attempt"       // the request's attempt on a replica (primary/steal)
-	KindAdmission    = "admission"     // shed-policy chain evaluation
 	KindSingleFlight = "single_flight" // follower waiting on a dedup leader
 	KindQueue        = "queue"         // enqueue -> scheduler pickup
 	KindDecode       = "decode"        // BeginDecode -> Finish
