@@ -28,23 +28,23 @@ test:
 # The whole suite under the race detector. Shuffled test order catches
 # inter-test state leaks; the race detector covers the fleet's
 # concurrent fail-fast load scenario (cluster.TestFailFastLoadAccounted),
-# its work stealing (TestSteal*) and the single-flight follower that
-# retries after its leader bounced off a full queue
-# (serve.TestDedupLeaderBouncedFollowerRetries). The root package's
+# its work stealing (TestSteal*) and the scheduler's FIFO admission
+# behind a decode that keeps its slot (serve.TestContinuousFIFO). The
+# root package's
 # TestMakefileGatesResolve rides here: every -run alternative below
 # must still name a test, .PHONY must list exactly the defined targets,
 # and the ci list must equal the CI matrix.
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Continuous-scheduler churn soak: join/leave/preempt cycling (with the
-# engine-vs-direct-decode byte-identity check and no single-flight
-# registration left after the drain), backpressure and the step-wise
-# decode API (interleaved decodes on one trie, the session_prep
-# trie_hit_depth) under the race detector, shuffled so admission order
-# varies run to run. The explicit -timeout turns a wedged scheduler (a
-# sweep that never returns, a lost resume) into a fast failure instead
-# of a hung CI runner.
+# Continuous-scheduler churn soak: join/leave cycling through a small
+# batch (with a clean drain), FIFO admission with the
+# engine-vs-direct-decode byte-identity check, backpressure and the
+# step-wise decode API (interleaved decodes on one trie, the
+# session_prep trie_hit_depth) under the race detector, shuffled so
+# admission order varies run to run. The explicit -timeout turns a
+# wedged scheduler (a sweep that never returns, a queued request never
+# admitted) into a fast failure instead of a hung CI runner.
 sched-soak:
 	$(GO) test -race -shuffle=on -timeout 600s \
 		-run 'TestContinuous|TestSchedulerChurnSoak|TestStepwise' \
@@ -69,7 +69,7 @@ golden:
 # matrix, tree strategies included), plus the tree
 # losslessness proof (greedy lookup-tree == linear prompt-lookup ==
 # NTP, byte for byte): the gates that make the prefix cache,
-# preemption and tree drafting admissible at all.
+# interleaved batching and tree drafting admissible at all.
 differential:
 	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless' -v ./internal/experiments/ ./internal/core/
 
@@ -88,8 +88,9 @@ grammar-gate:
 	$(GO) test -v ./internal/core/spec/grammar/
 
 # The latency-under-load gate: short-request p95 with one long decode
-# in flight must stay within 1.5x of unloaded, with the long decode
-# demonstrably preempted.
+# in flight must stay within 1.5x of unloaded, on two workers at the
+# default batch width, with some loaded-phase sweep demonstrably
+# stepping a short beside the long.
 loadgate:
 	$(GO) test -run TestLoadBenchLatencyGate -v -timeout 600s ./internal/experiments/
 
@@ -99,8 +100,9 @@ loadgate:
 # default honest; -v logs the on/off rows), and tracing must not change
 # a single generated byte. Then, under the race detector because spans
 # are claimed from concurrent sweep workers and batch-item goroutines:
-# the span-tree shape (queue/decode/sweep/park nesting with preemption
-# forced on), the request-ID echo on every error path, the fleet
+# the span-tree shape (queue/decode/session_prep/sweep nesting, with a
+# second request queued behind a full batch), the request-ID echo on
+# every error path, the fleet
 # request's /debug/requests postmortem e2e and the phase-metrics
 # exposition.
 trace-gate:

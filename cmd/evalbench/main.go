@@ -22,14 +22,17 @@
 // tier: greedy decodes of every benchmark problem are elaborated and
 // run against their self-checking testbenches, and the rows report
 // sim-pass rate next to syntax rate per strategy. "load" measures
-// short-request p95 with one long decode in flight. "trace"
+// short-request p95 with one long decode in flight, the shorts running
+// beside it in the continuous batch, and prints how many loaded-phase
+// sweeps ran and how many decodes they stepped. "trace"
 // prices the tracing layer: the same decode workload runs with tracing
 // off and on, the rows report best-of-N throughput for each, and the
 // run fails if the two modes' generations are not byte-identical.
 // "diff" asserts that decoding with no session cache, with the prefix
-// trie, and with the trie under randomized preemption is byte-identical
-// across the strategy matrix AND that greedy lookup-tree byte streams
-// equal linear prompt-lookup's (the tree losslessness proof).
+// trie, and with every decode of an entry interleaved step by step on
+// one shared trie is byte-identical across the strategy matrix AND
+// that greedy lookup-tree byte streams equal linear prompt-lookup's
+// (the tree losslessness proof).
 //
 // -json writes the structured rows of the matrix, tree, grammar, sim,
 // load and trace experiments (whichever ran) as one JSON
@@ -114,19 +117,19 @@ var experimentTable = []experiment{
 		printSimBench(s.out, s.doc.Sim)
 		return nil
 	}},
-	{"load", "Load bench — short-request p95 with one long decode in flight", func(s *session) error {
+	{"load", "Load bench — short-request p95 with one long decode in flight, shorts batched beside it", func(s *session) error {
 		row, err := experiments.LoadBench(s.runner.ServingFixture())
 		if err != nil {
 			return err
 		}
 		s.doc.Load = []experiments.LoadBenchRow{row}
-		fmt.Fprintf(s.out, "  shorts=%3d  unloaded p95=%7.3fms  loaded p95=%7.3fms  ratio=%.2f  preemptions=%d  long_decodes=%d\n\n",
+		fmt.Fprintf(s.out, "  shorts=%3d  unloaded p95=%7.3fms  loaded p95=%7.3fms  ratio=%.2f  sweeps=%d  swept_tasks=%d  long_decodes=%d\n\n",
 			row.Shorts, row.UnloadedP95MS, row.LoadedP95MS,
-			row.LatencyRatio, row.Preemptions, row.LongDecodes)
+			row.LatencyRatio, row.Sweeps, row.SweptTasks, row.LongDecodes)
 		return nil
 	}},
 	{"trace", "Trace bench — decode throughput with tracing off vs on, plus byte-identity", runTrace},
-	{"diff", "Differential — byte-identity of {off, trie, trie under preemption} session handling across the strategy matrix", func(s *session) error {
+	{"diff", "Differential — byte-identity of {off, trie, interleaved on one trie} session handling across the strategy matrix", func(s *session) error {
 		report, err := s.runner.RunDiffTest()
 		if err != nil {
 			return err

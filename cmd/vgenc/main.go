@@ -9,7 +9,7 @@
 //
 //	vgenc [-addr http://localhost:8080] [-n 2] [-c 4] [-strategy NAME]
 //	      [-model NAME] [-tree-budget N] [-max-retries 5] [-timeout 30s]
-//	      [-stream] [-long-every N] [-long-tokens 192] [prompt ...]
+//	      [-stream] [prompt ...]
 //
 // Prompts come from the arguments; with none, a built-in shared-stem
 // workload (the PrefixBench families) is replayed — the traffic shape
@@ -17,10 +17,10 @@
 // repeats the whole list with fresh seeds; -c bounds in-flight
 // requests. -stream consumes responses as NDJSON; a shed received after
 // partial stream output counts as a failed attempt (backed off and
-// resubmitted like any 429/503), never as a success. -long-every mixes
-// a long decode into every Nth request — the load shape the daemon's
-// continuous scheduler preempts around. Exit status is non-zero if any
-// request ultimately failed.
+// resubmitted like any 429/503), never as a success. Every request
+// decodes to its model's natural end (a generation stops at
+// endmodule), so decode length is set by the prompt, the strategy and
+// the seed. Exit status is non-zero if any request ultimately failed.
 package main
 
 import (
@@ -41,13 +41,12 @@ import (
 
 // generateRequest mirrors the serve.GenerateRequest fields vgenc uses.
 type generateRequest struct {
-	Prompt       string `json:"prompt"`
-	Strategy     string `json:"strategy,omitempty"`
-	Model        string `json:"model,omitempty"`
-	TreeBudget   int    `json:"tree_budget,omitempty"`
-	MaxNewTokens int    `json:"max_new_tokens,omitempty"`
-	Seed         int64  `json:"seed,omitempty"`
-	Stream       bool   `json:"stream,omitempty"`
+	Prompt     string `json:"prompt"`
+	Strategy   string `json:"strategy,omitempty"`
+	Model      string `json:"model,omitempty"`
+	TreeBudget int    `json:"tree_budget,omitempty"`
+	Seed       int64  `json:"seed,omitempty"`
+	Stream     bool   `json:"stream,omitempty"`
 }
 
 // ndjsonLine is one line of a streaming response — the subset of the
@@ -303,8 +302,6 @@ func main() {
 	maxRetries := flag.Int("max-retries", 5, "resubmissions per request after shed responses")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 	stream := flag.Bool("stream", false, "request NDJSON streaming responses")
-	longEvery := flag.Int("long-every", 0, "make every Nth request a long decode (0: none)")
-	longTokens := flag.Int("long-tokens", 192, "max_new_tokens for long decodes (with -long-every)")
 	flag.Parse()
 
 	prompts := flag.Args()
@@ -314,17 +311,10 @@ func main() {
 	var reqs []generateRequest
 	for rep := 0; rep < *n; rep++ {
 		for i, p := range prompts {
-			req := generateRequest{
+			reqs = append(reqs, generateRequest{
 				Prompt: p, Strategy: *strategy, Model: *modelName, TreeBudget: *treeBudget,
 				Seed: int64(rep*1000 + i), Stream: *stream,
-			}
-			// The mixed load shape the continuous scheduler is built
-			// for: mostly short interactive requests with a periodic
-			// long decode that the server must preempt around.
-			if *longEvery > 0 && len(reqs)%*longEvery == *longEvery-1 {
-				req.MaxNewTokens = *longTokens
-			}
-			reqs = append(reqs, req)
+			})
 		}
 	}
 

@@ -54,16 +54,16 @@
 //
 // Usage: vgend [-addr :8080] [-model codellama|codet5p] [-scheme ours]
 // [-items 3400] [-seed N] [-workers N] [-queue N]
-// [-max-batch N] [-preempt-quantum N] [-cache N]
-// [-prefix-cache-bytes N] [-replicas N] [-models specs]
+// [-max-batch N] [-cache N] [-replicas N] [-models specs]
 // [-steal] [-list-strategies] [-trace] [-pprof] [-log text|json|off]
 //
 // Dispatch is a continuous scheduler: requests join and leave the
-// running batch at every verification sweep, and a decode that holds a
-// slot for -preempt-quantum sweeps while others wait is parked, keeping
-// its own decode state, and resumed later — long decodes cannot
-// head-of-line-block short ones. Prompt sessions are shared across
-// requests through a token-prefix trie bounded by -prefix-cache-bytes.
+// running batch at every verification sweep, so a short request runs
+// beside a long decode instead of behind it. A decode keeps its slot
+// until it finishes; when all -max-batch slots are held, a queued
+// request waits, in arrival order, for the next one to free. Prompt
+// sessions are shared across requests through a token-prefix trie
+// (64 MiB per replica).
 //
 // The tree strategies (medusa-tree, lookup-tree, ours-tree, and the
 // grammar-constrained grammar-tree / grammar-lookup-tree; see
@@ -183,9 +183,7 @@ func main() {
 	workers := flag.Int("workers", 0, "decoder workers per replica (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 256, "request queue bound per replica")
 	maxBatch := flag.Int("max-batch", 0, "max decodes in the running batch (0 = 2*workers, min 8)")
-	preemptQuantum := flag.Int("preempt-quantum", 0, "sweeps a decode may hold a batch slot while others wait (0 = 64, negative disables preemption)")
 	cache := flag.Int("cache", 512, "LRU cache entries per replica (negative disables)")
-	prefixCacheBytes := flag.Int64("prefix-cache-bytes", 0, "trie prefix-cache byte budget per replica (0 = 64 MiB)")
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
 	modelsFlag := flag.String("models", "", "replica specs model[:scheme[:strategy]], comma-separated (empty: -model/-scheme)")
@@ -274,12 +272,10 @@ func main() {
 	logInfo("training done", "corpus", fmt.Sprint(stats), "elapsed", time.Since(start).Round(time.Millisecond).String())
 
 	engCfg := serve.Config{
-		Workers:          *workers,
-		QueueSize:        *queue,
-		MaxBatch:         *maxBatch,
-		PreemptQuantum:   *preemptQuantum,
-		CacheSize:        *cache,
-		PrefixCacheBytes: *prefixCacheBytes,
+		Workers:   *workers,
+		QueueSize: *queue,
+		MaxBatch:  *maxBatch,
+		CacheSize: *cache,
 	}
 
 	var backend serve.Backend

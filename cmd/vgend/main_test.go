@@ -29,8 +29,10 @@ const vgendTestArgs = "VGEND_TEST_ARGS"
 // daemon-wide -tree-budget (a request carries its own "tree_budget"),
 // the -hedge-after flag that went with hedged dispatch, and the
 // admission-chain and autoscaler flags that went with the fixed
-// replica set. Each exits 2 as an undefined flag before training
-// starts.
+// replica set, and the scheduler's -preempt-quantum and the trie's
+// -prefix-cache-bytes (a decode keeps its slot until it finishes; the
+// trie budget is a constant). Each exits 2 as an undefined flag before
+// training starts.
 func TestRetiredFlagsRefused(t *testing.T) {
 	for _, args := range []string{
 		"-prefix-cache trie",
@@ -45,6 +47,8 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		"-autoscale",
 		"-min-replicas 2",
 		"-max-replicas 4",
+		"-preempt-quantum 4",
+		"-prefix-cache-bytes 1024",
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), vgendTestArgs+"="+args)

@@ -10,8 +10,7 @@
 //   - Routing: which replica serves a request. Prefix-affinity
 //     consistent hashing (rendezvous form) with a least-loaded
 //     fallback, so shared-prefix workloads concentrate on one replica
-//     where its result LRU, prefix trie and single-flight table can
-//     actually hit.
+//     where its result LRU and prefix trie can actually hit.
 //   - Dispatch: each request gets one attempt, on the routed replica
 //     or on an idle sibling that steals it from an affinity hotspot
 //     (dispatch.go); nothing is retried on another replica, because a
@@ -158,7 +157,7 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 			eng:             serve.NewEngine(spec.Model, spec.Engine),
 		}
 		f.replicas = append(f.replicas, r)
-		for _, key := range modelKeys(r.modelName) {
+		for _, key := range serve.ModelKeys(r.modelName) {
 			f.byModel[key] = append(f.byModel[key], r)
 		}
 	}
@@ -170,19 +169,6 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 		}
 	}
 	return f, nil
-}
-
-// modelKeys lists the spellings a replica's model answers to: the
-// config name, case-folded, plus the daemon-flag alias without the
-// "-sim" suffix ("CodeT5p-sim" serves both "codet5p-sim" and
-// "codet5p").
-func modelKeys(name string) []string {
-	lower := strings.ToLower(name)
-	keys := []string{lower}
-	if trimmed := strings.TrimSuffix(lower, "-sim"); trimmed != lower {
-		keys = append(keys, trimmed)
-	}
-	return keys
 }
 
 // Replicas returns the fleet members in construction order.
@@ -248,16 +234,14 @@ func withDefaultStrategy(req serve.Request, r *Replica) serve.Request {
 	return req
 }
 
-// tag returns a per-caller copy of resp carrying the serving replica's
-// name. A copy, not a mutation: the engine may still share the
-// original with single-flight followers.
+// tag stamps the serving replica's name on resp. Every engine Response
+// belongs to its one caller (a cache hit shares only its Result), so
+// the stamp goes on in place.
 func tag(resp *serve.Response, r *Replica) *serve.Response {
-	if resp == nil {
-		return nil
+	if resp != nil {
+		resp.Replica = r.name
 	}
-	tagged := *resp
-	tagged.Replica = r.name
-	return &tagged
+	return resp
 }
 
 // Generate routes one request and blocks for a queue slot if the

@@ -175,8 +175,13 @@ func TestAffinityBeatsRandomOnCacheHits(t *testing.T) {
 	}
 }
 
-// TestModelRouting: requests naming a model reach only replicas
-// serving it; unknown names fail loudly with ErrUnknownModel.
+// TestModelRouting runs one table of model spellings against a
+// two-model fleet and against a single CodeT5p-sim engine. Both apply
+// the one rule serve.ModelKeys states — the case-folded config name, or
+// that name without "-sim" — so a request naming a model reaches only
+// the replicas serving it, the engine accepts exactly the spellings the
+// fleet routes to its model, and a name nothing serves fails loudly
+// with ErrUnknownModel on both.
 func TestModelRouting(t *testing.T) {
 	m, prompts := fixture(t)
 	f, err := New([]ReplicaSpec{
@@ -187,25 +192,41 @@ func TestModelRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	eng := serve.NewEngine(m, serve.Config{Workers: 1, CacheSize: -1})
+	defer eng.Close()
 
-	// Every codellama request must land on replica b — the daemon-flag
-	// spelling and the config name both route.
-	for i, name := range []string{"codellama", "CodeLlama-sim", "codellama", "codellama-sim"} {
-		resp, err := f.Generate(context.Background(), serve.Request{
-			Prompt: prompts[i], Model: name, Options: core.Options{Strategy: "ntp", MaxNewTokens: 32},
-		})
-		if err != nil {
-			t.Fatalf("model %q: %v", name, err)
+	for i, tc := range []struct {
+		name    string
+		replica string // the fleet replica serving it; "" = unknown model
+	}{
+		{"codellama", "b"},
+		{"CodeLlama-sim", "b"},
+		{"CODET5P", "a"},
+		{"codet5p-sim", "a"},
+		{"gpt", ""},
+	} {
+		req := serve.Request{Prompt: prompts[i], Model: tc.name, Options: core.Options{Strategy: "ntp", MaxNewTokens: 32}}
+		resp, err := f.Generate(context.Background(), req)
+		switch {
+		case tc.replica == "" && !errors.Is(err, serve.ErrUnknownModel):
+			t.Errorf("fleet on %q: err=%v, want ErrUnknownModel", tc.name, err)
+		case tc.replica != "" && err != nil:
+			t.Errorf("fleet refused %q: %v", tc.name, err)
+		case tc.replica != "" && resp.Replica != tc.replica:
+			t.Errorf("fleet served %q on %q, want %q", tc.name, resp.Replica, tc.replica)
 		}
-		if resp.Replica != "b" {
-			t.Errorf("model %q served by %q, want b", name, resp.Replica)
+		_, err = eng.Generate(context.Background(), req)
+		if tc.replica == "a" && err != nil {
+			t.Errorf("engine refused %q: %v", tc.name, err)
+		}
+		if tc.replica != "a" && !errors.Is(err, serve.ErrUnknownModel) {
+			t.Errorf("engine on %q: err=%v, want ErrUnknownModel", tc.name, err)
 		}
 	}
-	if got := f.Replicas()[0].routed.Load(); got != 0 {
-		t.Errorf("codet5p replica served %d codellama requests", got)
-	}
-	if _, err := f.Generate(context.Background(), serve.Request{Prompt: prompts[0], Model: "gpt4"}); !errors.Is(err, serve.ErrUnknownModel) {
-		t.Errorf("unknown model err=%v, want ErrUnknownModel", err)
+	for _, r := range f.Replicas() {
+		if got := r.routed.Load(); got != 2 {
+			t.Errorf("replica %s routed %d requests, want 2 (its two spellings)", r.name, got)
+		}
 	}
 	if got := f.Metrics().UnknownModel; got != 1 {
 		t.Errorf("unknown_model=%d, want 1", got)

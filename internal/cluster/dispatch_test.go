@@ -63,7 +63,7 @@ func TestStealRebalances(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// One prompt family, distinct seeds: all affinity-routed to
-			// one replica, none collapsible by single-flight.
+			// one replica, none answerable from the result cache.
 			_, errs[i] = f.Generate(context.Background(), serve.Request{Prompt: prompts[2], Options: testOptions(int64(i))})
 		}(i)
 	}

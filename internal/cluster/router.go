@@ -34,7 +34,7 @@ func NewRouter(name string) (Router, error) {
 // hash. Hashing only a prefix sends prompts that share their opening —
 // retries, n-samples-per-prompt sweeps, templated families — to the
 // same replica, which is where per-replica caches (result LRU, prefix
-// trie, single-flight table) can actually hit.
+// trie) can actually hit.
 const affinityPrefixLen = 96
 
 // affinityKey derives the routing key for a prompt.

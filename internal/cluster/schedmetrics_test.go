@@ -10,7 +10,7 @@ import (
 )
 
 // TestFleetAggregatesSchedulerMetrics pins the fleet roll-up of the
-// continuous-scheduler observability: sweep/preemption counters and
+// continuous-scheduler observability: sweep counters and
 // batch-slot gauges sum across replicas, the derived occupancies
 // recompute over the sums, the per-replica scheduler families appear
 // in the fleet's Prometheus exposition, and the JSON fleet section
@@ -54,7 +54,7 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 		t.Fatalf("fleet sweep occupancy %f, want %f (sweep-weighted)", fm.Fleet.MeanSweepOccupancy, want)
 	}
 	// Quiesced fleet: no decode in flight.
-	if fm.Fleet.SchedRunning != 0 || fm.Fleet.SchedParked != 0 {
+	if fm.Fleet.SchedRunning != 0 {
 		t.Fatalf("quiesced fleet holds residency: %+v", fm.Fleet)
 	}
 
@@ -64,7 +64,7 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 	for _, want := range []string{
 		"vgend_sched_sweeps_total ",
 		`vgend_replica_sched_occupancy{replica="r0:`,
-		`vgend_replica_sched_preemptions_total{replica="r1:`,
+		`vgend_replica_queue_depth{replica="r1:`,
 		`vgend_replica_prefix_tokens_saved_total{replica="r0:`,
 	} {
 		if !strings.Contains(body, want) {
@@ -72,7 +72,8 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 		}
 	}
 	// Retired names, spelled in halves so a grep for them finds nothing.
-	for _, gone := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`, "vgend_prefix_" + "pinned", "vgend_prefix_" + "leases", "vgend_replica_prefix_" + "pinned"} {
+	for _, gone := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`, "vgend_prefix_" + "pinned", "vgend_prefix_" + "leases", "vgend_replica_prefix_" + "pinned",
+		"vgend_sched_" + "preemptions", "vgend_replica_sched_" + "preemptions", "vgend_sched_" + "parked", "vgend_sched_" + "resumes", "vgend_" + "dedup", "vgend_strategy_" + "dedup", "vgend_" + "inflight"} {
 		if strings.Contains(body, gone) {
 			t.Errorf("fleet exposition still carries %s", gone)
 		}
@@ -108,11 +109,11 @@ func TestFleetAggregatesSchedulerMetrics(t *testing.T) {
 // does not dilute it.
 func TestAggregateSweepWeightedOccupancy(t *testing.T) {
 	a := serve.Aggregate([]serve.Metrics{
-		{SchedMaxBatch: 4, Sweeps: 30, SweptTasks: 60, Preemptions: 3, Resumes: 3},
+		{SchedMaxBatch: 4, Sweeps: 30, SweptTasks: 60},
 		{SchedMaxBatch: 0, Sweeps: 0},
-		{SchedMaxBatch: 2, Sweeps: 10, SweptTasks: 10, Preemptions: 1, Resumes: 1},
+		{SchedMaxBatch: 2, Sweeps: 10, SweptTasks: 10},
 	})
-	if a.SchedMaxBatch != 6 || a.Sweeps != 40 || a.Preemptions != 4 || a.Resumes != 4 {
+	if a.SchedMaxBatch != 6 || a.Sweeps != 40 || a.SweptTasks != 70 {
 		t.Fatalf("scheduler sums wrong: %+v", a)
 	}
 	// (60 + 10) / 40 = 1.75

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -170,8 +171,9 @@ func currentSurface(t *testing.T) []string {
 // controller's JSON keys, families and per-replica families, the
 // fleet's model-swap counter, the session page-lease keys and families,
 // the hedge, failover and circuit-breaker counters, keys and families,
-// and the admission chain's, autoscaler's and replica drain's keys
-// (shed_by_* map leaves included), families and phase.
+// the admission chain's, autoscaler's and replica drain's keys
+// (shed_by_* map leaves included), families and phase, and the
+// engine's preemption and single-flight keys and families.
 var retiredSurfacePrefixes = []string{
 	"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total",
 	"prefix_pinned_", "prefix_leases", "vgend_prefix_pinned_", "vgend_prefix_leases_total", "vgend_replica_prefix_pinned_pages",
@@ -180,11 +182,26 @@ var retiredSurfacePrefixes = []string{
 	"shed", "budget", "normal", "drains", "scale_", "autoscale_", "mean_decode_ms", "state", "admission",
 	"vgend_shed_total", "vgend_fleet_shed", "vgend_fleet_drains_total", "vgend_fleet_scale_",
 	"vgend_fleet_mean_decode_ms", "vgend_replica_draining",
+	"sched_parked", "sched_preemptions", "sched_resumes", "dedup_hits",
+	"vgend_sched_parked", "vgend_sched_preemptions_total", "vgend_sched_resumes_total",
+	"vgend_replica_sched_preemptions_total", "vgend_dedup_hits_total", "vgend_strategy_dedup_hits_total",
+	"vgend_inflight",
+}
+
+// retiredSurfacePaths lists retired JSON keys by full path, for a leaf
+// name a surviving key still uses: the engine's single-flight
+// population "inflight" is gone, while a replica's routed-but-unanswered
+// count cluster.per_replica[].inflight stays.
+var retiredSurfacePaths = []string{
+	"engine.inflight", "cluster.fleet.inflight", "cluster.per_replica[].engine.inflight",
 }
 
 // retiredSurface reports whether a surface line names a retired metric.
 func retiredSurface(line string) bool {
 	name := strings.Fields(line)[2]
+	if slices.Contains(retiredSurfacePaths, name) {
+		return true
+	}
 	leaf := name[strings.LastIndexByte(name, '.')+1:]
 	for _, p := range retiredSurfacePrefixes {
 		if strings.HasPrefix(leaf, p) {

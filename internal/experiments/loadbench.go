@@ -21,10 +21,10 @@ import (
 // nothing else in flight) and loaded (the same shorts while a
 // background client keeps exactly one long decode in flight
 // throughout) — and the row reports the loaded / unloaded p95 ratio. A
-// dispatcher that ran each admitted decode to completion would make a
-// short wait for the long's entire remainder; the scheduler preempts
-// the long at the next sweep boundary and the ratio stays near 1. CI
-// pins that bound.
+// dispatcher that ran one decode at a time would make a short wait for
+// the long's entire remainder; the continuous batcher admits the short
+// into a free batch slot at the next sweep boundary, so it runs beside
+// the long and the ratio stays near 1. CI pins that bound.
 
 // The latency-under-load scenario's sizes. Nobody varies them: the
 // gate, the benchmark and evalbench all measure this one scenario.
@@ -37,14 +37,9 @@ const (
 	// behind.
 	loadShortTokens, loadLongTokens = 12, 192
 	// loadThinkTime is the client pause between shorts: the arrival gap
-	// that lets the long decode accumulate residency, as interactive
-	// traffic does.
+	// of interactive traffic, so each short arrives while the long
+	// decode is mid-flight rather than queued behind the previous short.
 	loadThinkTime = 2 * time.Millisecond
-	// loadPreemptQuantum is the scheduler's residency bound in sweeps —
-	// above the typical short decode's step count, so shorts run to
-	// completion once admitted, but small enough that a resumed long
-	// decode yields within about a millisecond of a short arriving.
-	loadPreemptQuantum = 4
 	// loadBenchSeedBase seeds the measured shorts; both phases reuse it
 	// so they decode the identical request set.
 	loadBenchSeedBase = 1000
@@ -60,15 +55,16 @@ type LoadBenchRow struct {
 	// LatencyRatio is LoadedP95MS / UnloadedP95MS — the gated number.
 	LatencyRatio float64
 	// LongDecodes counts background long decodes completed during the
-	// loaded phase; Preemptions/Resumes are the scheduler's counters
-	// after it.
-	LongDecodes          int
-	Preemptions, Resumes uint64
+	// loaded phase. Sweeps and SweptTasks are the scheduler's counters
+	// over that phase: SweptTasks > Sweeps means some sweep stepped two
+	// decodes at once, a short beside the long.
+	LongDecodes        int
+	Sweeps, SweptTasks uint64
 }
 
-// LoadBench runs the two-phase scenario on an engine with one worker
-// and one batch slot, so a short can only run if the long decode
-// yields the engine mid-flight.
+// LoadBench runs the two-phase scenario on an engine with two workers
+// and the default batch width, so a short joins the running batch
+// beside the long decode instead of waiting for it.
 func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	if len(prompts) < 2 {
 		return LoadBenchRow{}, fmt.Errorf("load bench needs at least 2 prompts, got %d", len(prompts))
@@ -85,9 +81,7 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	runtime.GC()
 	longPrompt, shortPrompts := prompts[0], prompts[1:]
 	eng := serve.NewEngine(m, serve.Config{
-		Workers: 1, MaxBatch: 1,
-		PreemptQuantum: loadPreemptQuantum,
-		QueueSize:      4 * loadShorts, CacheSize: -1,
+		Workers: 2, QueueSize: 4 * loadShorts, CacheSize: -1,
 	})
 	defer eng.Close()
 	ctx := context.Background()
@@ -143,7 +137,7 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	// Loaded phase: a background client keeps exactly one long NTP
 	// decode in flight (re-issuing as each completes) until the last
 	// short is answered.
-	preBefore := eng.Metrics().Preemptions
+	before := eng.Metrics()
 	var stop atomic.Bool
 	longStarted := make(chan struct{})
 	var startOnce sync.Once
@@ -193,8 +187,8 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	row := LoadBenchRow{
 		Shorts:      loadShorts,
 		LongDecodes: longDecodes,
-		Preemptions: mt.Preemptions - preBefore,
-		Resumes:     mt.Resumes,
+		Sweeps:      mt.Sweeps - before.Sweeps,
+		SweptTasks:  mt.SweptTasks - before.SweptTasks,
 	}
 	row.UnloadedMeanMS, row.UnloadedP95MS = meanAndP95(unloaded)
 	row.LoadedMeanMS, row.LoadedP95MS = meanAndP95(loaded)

@@ -6,9 +6,8 @@ import (
 
 // This file is the single home of prompt-key canonicalization. Every
 // layer that keys on a prompt — the decoder's own conditioning, the
-// serving layer's result-cache and single-flight keys, and the prefix
-// trie — derives its key through these helpers, so the key spaces can
-// never drift apart.
+// serving layer's result-cache key, and the prefix trie — derives its
+// key through these helpers, so the key spaces can never drift apart.
 
 // CanonicalPromptIDs renders a natural-language description into the
 // exact token-id sequence the decoder conditions on: <bos> plus the

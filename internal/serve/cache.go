@@ -11,7 +11,7 @@ import (
 // given (model, prompt, options) — see core.Options.Seed — and an
 // Engine is bound to exactly one model, so the prompt plus the full
 // options struct (which embeds the seed) is a complete key. The prompt
-// component is the canonical packed token-id key (Engine.requestKey via
+// component is the canonical packed token-id key (Engine.canonicalize via
 // model.PromptKeyString), not the raw request string: spellings that
 // tokenize identically decode identically and share one entry.
 type cacheKey struct {

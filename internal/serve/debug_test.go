@@ -150,11 +150,12 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 	}
 }
 
-// TestSpanTreeShape: the recorded span tree of a preempted request has
-// the canonical shape — request root, queue span, decode span with
-// park spans nested under it — and the response reports its queue_ms.
-// Run under -race in CI, this also exercises concurrent span claims
-// from sweep workers against debug-endpoint snapshots.
+// TestSpanTreeShape: the recorded span tree of a request has the
+// canonical shape — request root, one queue span, one decode span with
+// its session_prep and sweep spans — and a request that waited behind
+// a full batch reports its queue_ms. Run under -race in CI, this also
+// exercises concurrent span claims from sweep workers against
+// debug-endpoint snapshots.
 func TestSpanTreeShape(t *testing.T) {
 	m, prompts := fixture(t)
 	// The step hook holds the first decode in its first sweep until the
@@ -163,8 +164,7 @@ func TestSpanTreeShape(t *testing.T) {
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	open := func() { releaseOnce.Do(func() { close(release) }) }
-	e := NewEngine(m, Config{Workers: 1, MaxBatch: 1,
-		PreemptQuantum: 1, CacheSize: -1,
+	e := NewEngine(m, Config{Workers: 1, MaxBatch: 1, CacheSize: -1,
 		StepFault: func(ctx context.Context) error {
 			select {
 			case <-release:
@@ -179,9 +179,8 @@ func TestSpanTreeShape(t *testing.T) {
 	defer ts.Close()
 	defer open()
 
-	// Two concurrent decodes against one batch slot with a 1-sweep
-	// quantum: whichever holds the slot parks as soon as the other
-	// waits, so both traces should show preemption.
+	// Two concurrent decodes against one batch slot: the second waits
+	// in the queue until the first retires.
 	var wg sync.WaitGroup
 	ids := []string{"shape-a", "shape-b"}
 	status := make([]int, len(ids))
@@ -214,7 +213,9 @@ func TestSpanTreeShape(t *testing.T) {
 		}
 	}
 
-	parks := 0
+	if queueMS[1] <= 0 {
+		t.Errorf("request %s waited behind a full batch but reports queue_ms=%g", ids[1], queueMS[1])
+	}
 	for _, id := range ids {
 		snap, ok := tracer.Lookup(id)
 		if !ok {
@@ -243,18 +244,6 @@ func TestSpanTreeShape(t *testing.T) {
 		if len(byKind[trace.KindSweep]) == 0 {
 			t.Errorf("trace %s: no sweep spans\n%s", id, snap.Tree())
 		}
-		for _, park := range byKind[trace.KindPark] {
-			parks++
-			if park.Parent != decode.Index {
-				t.Errorf("trace %s: park span not nested under decode\n%s", id, snap.Tree())
-			}
-			if park.EndMS < 0 {
-				t.Errorf("trace %s: park span never closed\n%s", id, snap.Tree())
-			}
-		}
-	}
-	if parks == 0 {
-		t.Error("no park spans across both traces; preemption never traced")
 	}
 
 	// Every ended span kind feeds the phase sums.

@@ -5,26 +5,22 @@
 // An Engine owns a continuous scheduler over one trained model: every
 // in-flight decode advances one verification sweep at a time through
 // the step-wise core API, requests join the running batch the moment a
-// slot frees and leave it the step they finish, and long decodes are
-// preempted — set aside after a sweep, holding their own decode state,
-// and skipped by later sweeps — whenever shorter work is waiting, then
-// resumed round-robin. That keeps the verifier's batch full (the
-// regime where speculative decoding actually pays) and keeps one long
-// generation from serializing every short request behind it. Around
-// the scheduler sit a bounded request queue with explicit
+// slot frees and leave it the step they finish, and a decode keeps its
+// slot from admission to retirement. That keeps the verifier's batch
+// full — the regime where speculative decoding actually pays — so a
+// short request runs beside a long one instead of behind it. Around
+// the scheduler sit a bounded FIFO request queue with explicit
 // backpressure, an LRU cache keyed on (model, prompt, options, seed)
-// that short-circuits repeat generations, a single-flight table that
-// collapses concurrent identical submissions onto one decode, and a
-// shared prefix cache (model.TrieCache, a token-prefix trie) that
-// reuses prompt-derived session state across requests — including
-// partial reuse, where a prompt sharing only a token prefix with
-// earlier traffic forks the cached prefix session and prepares just
-// the suffix. Decoding stays deterministic per seed regardless of
-// scheduling: each request carries its own RNG seed in core.Options,
-// preemption falls only between verification sweeps (which the
-// step-wise loop makes output-invariant by construction), and decodes
-// share nothing but the read-only model and the immutable cached
-// sessions.
+// that short-circuits repeat generations, and a shared prefix cache
+// (model.TrieCache, a token-prefix trie) that reuses prompt-derived
+// session state across requests — including partial reuse, where a
+// prompt sharing only a token prefix with earlier traffic forks the
+// cached prefix session and prepares just the suffix. Decoding stays
+// deterministic per seed regardless of scheduling: each request carries
+// its own RNG seed in core.Options, admission and retirement fall only
+// between verification sweeps (which the step-wise loop makes
+// output-invariant by construction), and decodes share nothing but the
+// read-only model and the immutable cached sessions.
 //
 // Requests choose their decoding strategy per call
 // (core.Options.Strategy), so one daemon serves NTP, Medusa, Ours and
@@ -36,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -64,14 +61,9 @@ var (
 type Config struct {
 	// MaxBatch caps concurrently running decodes — the batch the
 	// per-sweep verification is batched across (default
-	// max(8, 2×Workers)). Requests past it queue, and parked decodes
-	// wait for a slot.
+	// max(8, 2×Workers)). Requests past it queue until a running decode
+	// retires.
 	MaxBatch int
-	// PreemptQuantum is how many verification sweeps a decode may hold
-	// a batch slot while other requests are waiting before it is
-	// preempted: parked, its slot handed over, resumed round-robin. 0
-	// selects the default (64); negative disables preemption.
-	PreemptQuantum int
 	// Workers is the per-sweep decode parallelism (default GOMAXPROCS).
 	Workers int
 	// QueueSize bounds the pending-request queue (default 256). A full
@@ -81,11 +73,6 @@ type Config struct {
 	// default (512), negative disables caching (the benchmark harness
 	// disables it so every decode pays its simulated cost).
 	CacheSize int
-	// PrefixCacheBytes caps the shared prompt-session trie's estimated
-	// retained memory (0 selects model.DefaultTrieBytes). The trie only
-	// changes how much session preparation is recomputed, never the
-	// output (pinned by the differential harness in internal/experiments).
-	PrefixCacheBytes int64
 	// StepFault, if set, is the fault-injection plane: it is consulted
 	// once per verification sweep of every running decode. A returned
 	// error aborts the decode with that error (a crashed replica); a
@@ -108,9 +95,6 @@ func (c Config) withDefaults() Config {
 		if c.MaxBatch < 8 {
 			c.MaxBatch = 8
 		}
-	}
-	if c.PreemptQuantum == 0 {
-		c.PreemptQuantum = 64
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
@@ -156,24 +140,19 @@ type Request struct {
 // Response is the outcome of one Request.
 type Response struct {
 	// Result is the generation (possibly partial if Err is a context
-	// error). Cached and deduplicated responses share one Result value
-	// across callers — treat it as immutable.
+	// error). Cached responses share one Result value across callers —
+	// treat it as immutable.
 	Result *core.Result
 	// Cached reports an LRU short-circuit (no decode ran).
 	Cached bool
-	// Deduped reports a single-flight share: an identical request was
-	// already decoding, and this response rode along on its result
-	// (no extra decode ran).
-	Deduped bool
 	// Err is the per-request error (context cancellation, ErrClosed).
 	Err error
-	// Wall is the decode's own step time (zero for cached responses;
-	// the leader's decode time for deduplicated ones).
+	// Wall is the decode's own step time (zero for cached responses).
 	Wall time.Duration
 	// QueueWait is how long the request sat in the bounded queue before
-	// a scheduler slot picked it up (zero for cache hits; the leader's
-	// wait for deduplicated responses). Always recorded — it needs no
-	// tracer — so clients can split wall time into queue vs decode.
+	// a scheduler slot picked it up (zero for cache hits). Always
+	// recorded — it needs no tracer — so clients can split wall time
+	// into queue vs decode.
 	QueueWait time.Duration
 	// Strategy is the canonical display name of the strategy that
 	// decoded this response ("NTP", "Medusa", "Ours", "PromptLookup").
@@ -201,19 +180,9 @@ type task struct {
 	// the Response; qspan is the queue span when the request is traced.
 	wait  time.Duration
 	qspan *trace.Span
-	// key is the request's canonical cache key (always set); fl carries
-	// the single-flight registration when this task leads one, and the
-	// scheduler resolves the flight on completion.
+	// key is the request's canonical cache key, under which retire
+	// stores the result.
 	key cacheKey
-	fl  *flight
-}
-
-// flight is one in-progress decode that identical concurrent requests
-// share: followers block on done and read resp — x/sync/singleflight
-// semantics, including error sharing.
-type flight struct {
-	done chan struct{}
-	resp *Response
 }
 
 // Engine dispatches generation requests through the continuous
@@ -222,11 +191,8 @@ type Engine struct {
 	m        *model.Model
 	cfg      Config
 	queue    chan *task
-	cache    *lruCache // nil when disabled
-	sessions *model.TrieCache
-
-	flightMu sync.Mutex // guards inflight
-	inflight map[cacheKey]*flight
+	cache    *lruCache        // nil when disabled
+	sessions *model.TrieCache // at model.DefaultTrieBytes
 
 	// memoMu guards keyMemo, a prompt-string → canonical-token-ids memo
 	// so repeat submissions (the result LRU's whole clientele) skip BPE
@@ -255,8 +221,7 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		m:        m,
 		cfg:      cfg,
 		queue:    make(chan *task, cfg.QueueSize),
-		sessions: model.NewTrieCache(cfg.PrefixCacheBytes),
-		inflight: map[cacheKey]*flight{},
+		sessions: model.NewTrieCache(0),
 		keyMemo:  map[string][]int{},
 		quit:     make(chan struct{}),
 	}
@@ -306,24 +271,24 @@ func (e *Engine) generateBatch(ctx context.Context, reqs []Request, block bool) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	started := make([]pending, len(reqs))
+	tasks := make([]*task, len(reqs))
 	out := make([]*Response, len(reqs))
 	for i, req := range reqs {
-		p, resp, err := e.start(ctx, req, block)
+		t, resp, err := e.start(ctx, req, block)
 		switch {
 		case err != nil:
 			out[i] = &Response{Err: err}
 		case resp != nil:
 			out[i] = resp
 		default:
-			started[i] = p
+			tasks[i] = t
 		}
 	}
-	for i, p := range started {
-		if out[i] != nil {
+	for i, t := range tasks {
+		if t == nil {
 			continue
 		}
-		resp, err := e.wait(ctx, p, block)
+		resp, err := e.wait(ctx, t)
 		if resp == nil {
 			resp = &Response{Err: err}
 		}
@@ -340,18 +305,27 @@ func (e *Engine) TryGenerateBatch(ctx context.Context, reqs []Request) []*Respon
 	return e.generateBatch(ctx, reqs, false)
 }
 
-// modelMismatch reports a request naming a backbone other than this
-// engine's (matching the fleet's spellings: config name or the
-// daemon-flag alias without "-sim", case-folded). A single engine must
-// refuse such requests rather than silently answer with the wrong
-// model — the same contract a fleet enforces by routing.
-func (e *Engine) modelMismatch(req Request) error {
-	if req.Model == "" {
-		return nil
+// ModelKeys lists the spellings a request's model field may use to
+// name a backbone whose config name is name: the config name,
+// case-folded, plus the daemon-flag alias without the "-sim" suffix
+// ("CodeT5p-sim" answers to "codet5p-sim" and "codet5p"). A request's
+// model matches when its case-folded spelling is one of them — the one
+// rule an Engine checks and a fleet routes by.
+func ModelKeys(name string) []string {
+	lower := strings.ToLower(name)
+	keys := []string{lower}
+	if trimmed := strings.TrimSuffix(lower, "-sim"); trimmed != lower {
+		keys = append(keys, trimmed)
 	}
-	want := strings.ToLower(req.Model)
-	own := strings.ToLower(e.m.Config().Name)
-	if want == own || want == strings.TrimSuffix(own, "-sim") {
+	return keys
+}
+
+// modelMismatch reports a request naming a backbone other than this
+// engine's (see ModelKeys). A single engine must refuse such requests
+// rather than silently answer with the wrong model — the same contract
+// a fleet enforces by routing.
+func (e *Engine) modelMismatch(req Request) error {
+	if req.Model == "" || slices.Contains(ModelKeys(e.m.Config().Name), strings.ToLower(req.Model)) {
 		return nil
 	}
 	return fmt.Errorf("%w: %q (this engine serves %s)", ErrUnknownModel, req.Model, e.m.Config().Name)
@@ -361,47 +335,35 @@ func (e *Engine) submit(ctx context.Context, req Request, block bool) (*Response
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p, resp, err := e.start(ctx, req, block)
+	t, resp, err := e.start(ctx, req, block)
 	if resp != nil || err != nil {
 		return resp, err
 	}
-	return e.wait(ctx, p, block)
+	return e.wait(ctx, t)
 }
 
-// pending is a started submission: the task it leads or the flight it
-// joined (exactly one is set), plus the canonical request a follower
-// resubmits when its leader's fate was not its own.
-type pending struct {
-	req Request
-	ids []int
-	key cacheKey
-	t   *task
-	f   *flight
-}
-
-// start runs a submission up to the wait: the model check, accounting
-// and the result LRU (a hit comes back as resp), then startOrJoin.
-func (e *Engine) start(ctx context.Context, req Request, block bool) (p pending, resp *Response, err error) {
+// start runs a submission up to the wait: the model check, accounting,
+// the result LRU (a hit comes back as resp), then the enqueue.
+func (e *Engine) start(ctx context.Context, req Request, block bool) (*task, *Response, error) {
 	if err := e.modelMismatch(req); err != nil {
-		return p, nil, err
+		return nil, nil, err
 	}
 	// Canonical options make equivalently-spelled requests share cache
-	// entries and flights (see core.Options.Canonical).
+	// entries (see core.Options.Canonical).
 	req.Options = req.Options.Canonical()
 	e.st.request(req.Options.StrategyLabel())
 	ids, key := e.canonicalize(req)
 	if resp := e.cacheLookup(req, key); resp != nil {
-		return p, resp, nil
+		return nil, resp, nil
 	}
-	p = pending{req: req, ids: ids, key: key}
-	p.t, p.f, err = e.startOrJoin(ctx, req, ids, key, block)
-	return p, nil, err
+	t, err := e.enqueue(ctx, req, ids, key, block)
+	return t, nil, err
 }
 
 // canonicalize tokenizes a request's prompt exactly once, returning the
 // canonical token ids (which the scheduler decodes from) and the derived
-// cache/single-flight key. Both go through the same shared helpers the
-// decoder and the prefix trie key on (model.CanonicalPromptIDs +
+// cache key. Both go through the same shared helpers the decoder and
+// the prefix trie key on (model.CanonicalPromptIDs +
 // model.PromptKeyString): spellings that tokenize identically — and
 // therefore decode identically — share one entry, and the serving key
 // space can never drift from the decoder's. Options must already be
@@ -443,130 +405,22 @@ func (e *Engine) canonicalIDs(prompt string) []int {
 	return ids
 }
 
-// requestKey is canonicalize for callers that only need the key.
-func (e *Engine) requestKey(req Request) cacheKey {
-	_, key := e.canonicalize(req)
-	return key
-}
-
-// wait blocks on a started submission's outcome. A follower whose
-// flight fails with the LEADER's context error — the leader's client
-// went away, not ours — or with the leader's queue-full bounce retries
-// with a fresh submission rather than inheriting a fate it did not
-// cause; each retry either becomes the new leader (decoding under this
-// caller's own live context) or joins a newer flight, so the loop
-// always makes progress.
-func (e *Engine) wait(ctx context.Context, p pending, block bool) (*Response, error) {
-	for p.f != nil {
-		resp := waitFlight(ctx, p.f)
-		if !leaderAborted(resp, ctx) && !leaderBounced(resp) {
-			return resp, resp.Err
-		}
-		var err error
-		if p.t, p.f, err = e.startOrJoin(ctx, p.req, p.ids, p.key, block); err != nil {
-			return nil, err
-		}
-	}
-	if p.req.OnStep != nil {
+// wait blocks on a submitted task's outcome.
+func (e *Engine) wait(ctx context.Context, t *task) (*Response, error) {
+	if t.req.OnStep != nil {
 		// No early return for streaming requests: the caller's OnStep
 		// state must not outlive this call while a sweep can still
 		// invoke it (see Request.OnStep).
-		resp := <-p.t.done
+		resp := <-t.done
 		return resp, resp.Err
 	}
 	select {
-	case resp := <-p.t.done:
+	case resp := <-t.done:
 		return resp, resp.Err
 	case <-ctx.Done():
 		// The task stays queued; the scheduler will observe the dead
 		// context and discard it into the buffered done channel.
 		return nil, ctx.Err()
-	}
-}
-
-// leaderAborted reports a follower outcome that reflects the flight
-// leader's context dying while this caller's own context is still
-// live. Non-context errors stay shared (deterministic decodes fail
-// identically on retry), as do this caller's own context errors.
-func leaderAborted(resp *Response, ctx context.Context) bool {
-	if resp.Err == nil || ctx.Err() != nil {
-		return false
-	}
-	return errors.Is(resp.Err, context.Canceled) || errors.Is(resp.Err, context.DeadlineExceeded)
-}
-
-// leaderBounced reports a follower outcome where the flight leader's
-// SUBMISSION bounced off a full queue. That fate belongs to the
-// leader's arrival, not to the decode (none ever ran), so followers
-// retry on their own behalf and face the queue themselves rather than
-// inheriting a rejection they were never charged for. Each retry
-// either leads a fresh submission (whose own ErrQueueFull it
-// rightfully owns) or joins a newer flight, so the retry loop always
-// makes progress.
-func leaderBounced(resp *Response) bool {
-	return errors.Is(resp.Err, ErrQueueFull)
-}
-
-// startOrJoin is the single-flight gate in front of the queue. The
-// first submission of a (prompt, options, seed) becomes the leader: its
-// task is enqueued carrying a registered flight. Identical submissions
-// arriving while the leader is in flight become followers: they get
-// the flight to wait on instead of a task, and no second decode runs.
-// Streaming requests bypass the gate entirely.
-func (e *Engine) startOrJoin(ctx context.Context, req Request, ids []int, key cacheKey, block bool) (*task, *flight, error) {
-	if req.OnStep != nil {
-		t, err := e.enqueue(ctx, req, ids, block, key, nil)
-		return t, nil, err
-	}
-	e.flightMu.Lock()
-	if f, ok := e.inflight[key]; ok {
-		e.flightMu.Unlock()
-		e.st.dedupHit(req.Options.StrategyLabel())
-		return nil, f, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[key] = f
-	e.flightMu.Unlock()
-	t, err := e.enqueue(ctx, req, ids, block, key, f)
-	if err != nil {
-		// Resolve the flight so followers that joined between the
-		// registration and this failure do not hang; they share the
-		// submission error (x/sync/singleflight semantics).
-		e.resolveFlight(key, f, &Response{Err: err})
-		return nil, nil, err
-	}
-	return t, nil, nil
-}
-
-// resolveFlight publishes a leader's outcome to its followers and
-// retires the registration. The map delete precedes the broadcast so a
-// request arriving after completion starts a fresh decode (or hits the
-// LRU) instead of joining a finished flight.
-func (e *Engine) resolveFlight(key cacheKey, f *flight, resp *Response) {
-	e.flightMu.Lock()
-	delete(e.inflight, key)
-	e.flightMu.Unlock()
-	f.resp = resp
-	close(f.done)
-}
-
-// waitFlight blocks a follower on its leader's outcome. The response
-// is a per-follower copy (the Result pointer is shared and immutable)
-// flagged Deduped; a follower whose own context dies first detaches
-// with the context error.
-func waitFlight(ctx context.Context, f *flight) *Response {
-	sp := trace.FromContext(ctx).Start(trace.SpanFromContext(ctx), trace.KindSingleFlight, "")
-	select {
-	case <-f.done:
-		r := *f.resp
-		r.Deduped = true
-		sp.SetAttr("outcome", "shared")
-		sp.End()
-		return &r
-	case <-ctx.Done():
-		sp.SetAttr("outcome", "canceled")
-		sp.End()
-		return &Response{Err: ctx.Err()}
 	}
 }
 
@@ -588,8 +442,8 @@ func (e *Engine) cacheLookup(req Request, key cacheKey) *Response {
 // send so Close's write lock cannot proceed while a submission is in
 // flight — after Close acquires it, the queue's contents are final and
 // can be drained exactly once.
-func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, block bool, key cacheKey, fl *flight) (*task, error) {
-	t := &task{req: req, promptIDs: ids, ctx: ctx, done: make(chan *Response, 1), key: key, fl: fl}
+func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, key cacheKey, block bool) (*task, error) {
+	t := &task{req: req, promptIDs: ids, ctx: ctx, done: make(chan *Response, 1), key: key}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
@@ -643,14 +497,4 @@ func (t *task) pickedUp() {
 		t.qspan.End()
 		t.qspan = nil
 	}
-}
-
-// finish delivers a task's response, resolving its single-flight first
-// so followers observe the outcome even if the leading caller already
-// detached.
-func (e *Engine) finish(t *task, resp *Response) {
-	if t.fl != nil {
-		e.resolveFlight(t.key, t.fl, resp)
-	}
-	t.done <- resp
 }

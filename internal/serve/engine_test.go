@@ -352,209 +352,9 @@ func TestCloseDrainsThenRejects(t *testing.T) {
 	}
 }
 
-// TestSingleFlightDedup is the dedup acceptance scenario: N concurrent
-// identical submissions (same prompt+options+seed) perform exactly one
-// decode. The single worker is wedged behind a gated streaming request
-// first, so every follower provably joins while the leader is still in
-// flight — no timing luck involved — and the race detector sees the
-// whole exchange.
-func TestSingleFlightDedup(t *testing.T) {
-	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, CacheSize: -1})
-	defer eng.Close()
-	ctx := context.Background()
-
-	release := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
-	gate := func(core.StepEvent) {
-		once.Do(func() { close(started) })
-		<-release
-	}
-	gatedErr := make(chan error, 1)
-	go func() {
-		_, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: testOptions(1), OnStep: gate})
-		gatedErr <- err
-	}()
-	<-started // worker stalled: everything below queues behind it
-
-	const clients = 8
-	req := Request{Prompt: prompts[1], Options: testOptions(7)}
-	resps := make([]*Response, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			resp, err := eng.Generate(ctx, req)
-			if err != nil {
-				t.Errorf("client %d: %v", c, err)
-				return
-			}
-			resps[c] = resp
-		}(c)
-	}
-	// All clients must be registered (leader) or joined (followers)
-	// before the worker is released.
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		mt := eng.Metrics()
-		if mt.DedupHits == clients-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dedup joins never completed: %+v", mt)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if err := <-gatedErr; err != nil {
-		t.Fatalf("gated request failed: %v", err)
-	}
-
-	leaders, followers := 0, 0
-	for c, resp := range resps {
-		if resp == nil || resp.Result == nil {
-			t.Fatalf("client %d got no result", c)
-		}
-		if resp.Result != resps[0].Result {
-			t.Errorf("client %d does not share the single decode's Result", c)
-		}
-		if resp.Deduped {
-			followers++
-		} else {
-			leaders++
-		}
-	}
-	if leaders != 1 || followers != clients-1 {
-		t.Errorf("leaders=%d followers=%d, want 1/%d", leaders, followers, clients-1)
-	}
-	mt := eng.Metrics()
-	// Exactly two decodes ran in total: the gated one and the shared one.
-	if mt.Completed != 2 {
-		t.Errorf("completed=%d, want exactly 2 (gate + one shared decode)", mt.Completed)
-	}
-	if mt.DedupHits != clients-1 {
-		t.Errorf("dedup_hits=%d, want %d", mt.DedupHits, clients-1)
-	}
-	if mt.Inflight != 0 {
-		t.Errorf("inflight=%d after completion, want 0", mt.Inflight)
-	}
-	// A later identical request starts fresh (the flight was retired);
-	// with the LRU disabled it really decodes again.
-	again, err := eng.Generate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Deduped || again.Cached {
-		t.Errorf("post-completion request joined a dead flight: %+v", again)
-	}
-	if again.Result.Text != resps[0].Result.Text {
-		t.Error("re-decode diverged from the shared decode")
-	}
-}
-
-// TestDedupLeaderCancelFollowerSurvives: a follower must not inherit
-// the leader's context cancellation — when the leader's client goes
-// away mid-flight, the follower retries under its own live context and
-// still gets a full result.
-func TestDedupLeaderCancelFollowerSurvives(t *testing.T) {
-	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1, QueueSize: 16, CacheSize: -1})
-	defer eng.Close()
-
-	release := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
-	gate := func(core.StepEvent) {
-		once.Do(func() { close(started) })
-		<-release
-	}
-	gatedErr := make(chan error, 1)
-	go func() {
-		_, err := eng.Generate(context.Background(), Request{Prompt: prompts[0], Options: testOptions(1), OnStep: gate})
-		gatedErr <- err
-	}()
-	<-started // worker wedged: the leader below stays queued
-
-	req := Request{Prompt: prompts[1], Options: testOptions(7)}
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := eng.Generate(leaderCtx, req)
-		leaderErr <- err
-	}()
-	// The leader is registered once its flight exists.
-	waitFor := func(cond func(Metrics) bool, what string) {
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			if cond(eng.Metrics()) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never happened", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(func(mt Metrics) bool { return mt.Inflight == 1 }, "leader registration")
-
-	followerResp := make(chan *Response, 1)
-	followerErr := make(chan error, 1)
-	go func() {
-		resp, err := eng.Generate(context.Background(), req)
-		followerResp <- resp
-		followerErr <- err
-	}()
-	waitFor(func(mt Metrics) bool { return mt.DedupHits == 1 }, "follower join")
-
-	cancelLeader()
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader err=%v, want context.Canceled", err)
-	}
-	close(release) // worker drains the gate, then the dead leader task, then the retry
-
-	if err := <-followerErr; err != nil {
-		t.Fatalf("follower inherited the leader's fate: %v", err)
-	}
-	resp := <-followerResp
-	if resp == nil || resp.Result == nil || resp.Result.Text == "" {
-		t.Fatalf("follower got no result: %+v", resp)
-	}
-	direct := core.NewDecoder(m).Generate(prompts[1], testOptions(7))
-	if resp.Result.Text != direct.Text {
-		t.Error("follower's retried decode diverges from direct decode")
-	}
-}
-
-// TestDedupWithinBatch: identical items inside one GenerateBatch share
-// one decode too (the flight registers at submission, before waiting).
-func TestDedupWithinBatch(t *testing.T) {
-	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 2, CacheSize: -1})
-	defer eng.Close()
-	reqs := []Request{
-		{Prompt: prompts[2], Options: testOptions(3)},
-		{Prompt: prompts[2], Options: testOptions(3)},
-		{Prompt: prompts[2], Options: testOptions(4)}, // different seed: own decode
-	}
-	resps := eng.GenerateBatch(context.Background(), reqs)
-	for i, resp := range resps {
-		if resp.Err != nil {
-			t.Fatalf("item %d: %v", i, resp.Err)
-		}
-	}
-	if resps[0].Result.Text != resps[1].Result.Text {
-		t.Error("identical batch items diverged")
-	}
-	mt := eng.Metrics()
-	if mt.Completed != 2 || mt.DedupHits != 1 {
-		t.Errorf("completed=%d dedup_hits=%d, want 2/1", mt.Completed, mt.DedupHits)
-	}
-}
-
-// TestCacheSharedAcrossStrategySpellings: the LRU and single-flight
-// keys are canonicalized, so "pl", "prompt-lookup" and the display
-// name share one cache entry.
+// TestCacheSharedAcrossStrategySpellings: the LRU keys are
+// canonicalized, so "pl", "prompt-lookup" and the display name share
+// one cache entry.
 func TestCacheSharedAcrossStrategySpellings(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{Workers: 1, CacheSize: 8})
@@ -651,15 +451,18 @@ func TestPrefixCacheModesByteIdentical(t *testing.T) {
 }
 
 // TestRequestKeyCanonical pins the shared-helper key path: requests
-// whose prompts tokenize identically must share one result-cache entry
-// and one single-flight key, because the key is the canonical token-id
-// packing, not the raw string.
+// whose prompts tokenize identically must share one result-cache entry,
+// because the key is the canonical token-id packing, not the raw
+// string.
 func TestRequestKeyCanonical(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{Workers: 1})
 	defer eng.Close()
-	a := eng.requestKey(Request{Prompt: prompts[0], Options: testOptions(1)})
-	b := eng.requestKey(Request{Prompt: prompts[0], Options: testOptions(1)})
+	key := func(prompt string) cacheKey {
+		_, k := eng.canonicalize(Request{Prompt: prompt, Options: testOptions(1)})
+		return k
+	}
+	a, b := key(prompts[0]), key(prompts[0])
 	if a != b {
 		t.Fatal("identical requests produced different keys")
 	}
@@ -667,7 +470,7 @@ func TestRequestKeyCanonical(t *testing.T) {
 	if a.prompt != model.PromptKeyString(ids) {
 		t.Fatal("request key does not go through the shared canonicalization helper")
 	}
-	if c := eng.requestKey(Request{Prompt: prompts[0] + "!", Options: testOptions(1)}); c == a {
+	if c := key(prompts[0] + "!"); c == a {
 		t.Fatal("distinct prompts share a key")
 	}
 }
@@ -733,91 +536,6 @@ func TestQueueWaitAccounting(t *testing.T) {
 	}
 	if mt.QueueWaitMaxSeconds <= 0 || mt.QueueWaitMaxSeconds > mt.QueueWaitSeconds {
 		t.Errorf("queue_wait_max_s=%f out of range (sum %f)", mt.QueueWaitMaxSeconds, mt.QueueWaitSeconds)
-	}
-}
-
-// TestDedupLeaderBouncedFollowerRetries: a single-flight leader that
-// bounces off a full queue must not take its follower down with it.
-// The follower joined a flight whose decode never ran, so it retries on
-// its own behalf (leaderBounced) and, once the queue drains, decodes
-// the same bytes as a direct decode. The window between the leader's
-// flight registration and its bounce is held open by taking e.mu, which
-// enqueue needs, until the follower has joined.
-func TestDedupLeaderBouncedFollowerRetries(t *testing.T) {
-	m, prompts := fixture(t)
-	block := make(chan struct{})
-	e := NewEngine(m, Config{Workers: 1, QueueSize: 1, MaxBatch: 1, CacheSize: -1,
-		StepFault: func(ctx context.Context) error {
-			select {
-			case <-block:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}})
-	defer e.Close()
-	// On any exit: let the window close, then unwedge the decodes so
-	// Close can drain.
-	release := sync.OnceFunc(func() { close(block) })
-	defer release()
-	inflight := func() int {
-		e.flightMu.Lock()
-		defer e.flightMu.Unlock()
-		return len(e.inflight)
-	}
-
-	// Wedge one decode in the batch, then fill the 1-slot queue.
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for seed := int64(0); seed < 2; seed++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = e.Generate(ctx, Request{Prompt: prompts[0], Options: testOptions(seed)})
-		}()
-		if seed == 0 {
-			waitFor(t, "first request never reached the batch", func() bool { return e.Metrics().SchedRunning == 1 })
-		}
-	}
-	waitFor(t, "queue never saturated", func() bool { return e.QueueDepth() == 1 })
-
-	req := Request{Prompt: prompts[1], Options: testOptions(7)}
-	e.mu.Lock()
-	unlock := sync.OnceFunc(e.mu.Unlock)
-	defer unlock()
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := e.TryGenerate(ctx, req)
-		leaderErr <- err
-	}()
-	waitFor(t, "leader never registered its flight", func() bool { return inflight() == 3 })
-	type outcome struct {
-		resp *Response
-		err  error
-	}
-	follower := make(chan outcome, 1)
-	go func() {
-		resp, err := e.Generate(ctx, req)
-		follower <- outcome{resp, err}
-	}()
-	waitFor(t, "follower never joined the flight", func() bool { return e.Metrics().DedupHits == 1 })
-	unlock()
-
-	if err := <-leaderErr; !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("leader err=%v, want ErrQueueFull", err)
-	}
-	release()
-	got := <-follower
-	if got.err != nil {
-		t.Fatalf("follower inherited the leader's bounce: %v", got.err)
-	}
-	direct := core.NewDecoder(m).Generate(req.Prompt, req.Options)
-	if got.resp.Result == nil || got.resp.Result.Text != direct.Text {
-		t.Error("follower's retried decode diverges from the direct decode")
-	}
-	if rej := e.Metrics().Rejected; rej != 1 {
-		t.Errorf("rejected=%d, want 1 (the leader only)", rej)
 	}
 }
 

@@ -59,13 +59,6 @@ func (s *stats) cacheHit(label string) {
 	s.strategy(label).CacheHits++
 }
 
-func (s *stats) dedupHit(label string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m.DedupHits++
-	s.strategy(label).DedupHits++
-}
-
 // queueWait accounts the delay between a task entering the queue and
 // the scheduler admitting it (recorded for every dequeued task, including
 // ones whose context died while waiting — that wait is precisely the
@@ -84,10 +77,10 @@ func (s *stats) sweep(n int) {
 	s.m.SweptTasks += uint64(n)
 }
 
-func (s *stats) schedGauges(running, parked int) {
+func (s *stats) schedRunning(running int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m.SchedRunning, s.m.SchedParked = running, parked
+	s.m.SchedRunning = running
 }
 
 func (s *stats) complete(label string, res *core.Result, wall time.Duration) {
@@ -139,14 +132,12 @@ func (s *stats) snapshot() Metrics {
 // snapshot, keyed by the strategy's display name ("NTP", "Medusa",
 // "Ours", "PromptLookup"). Tagged like Metrics.
 type StrategyMetrics struct {
-	// Requests counts submissions (including cache and dedup hits).
+	// Requests counts submissions (including cache hits).
 	Requests uint64 `json:"requests" prom:"vgend_strategy_requests_total" help:"Submissions per decoding strategy."`
-	// Completed counts finished decodes (cache/dedup hits excluded).
+	// Completed counts finished decodes (cache hits excluded).
 	Completed uint64 `json:"completed" prom:"vgend_strategy_completed_total" help:"Finished decodes per strategy."`
 	// CacheHits counts LRU short-circuits.
 	CacheHits uint64 `json:"cache_hits" prom:"vgend_strategy_cache_hits_total" help:"Result LRU hits per strategy."`
-	// DedupHits counts single-flight shares (no decode ran).
-	DedupHits uint64 `json:"dedup_hits" prom:"vgend_strategy_dedup_hits_total" help:"Single-flight shares per strategy."`
 	// Steps, RawTokens (markers included), CleanTokens and SimSeconds are
 	// the sums the rates below divide; window a rate from their deltas.
 	Steps       uint64  `json:"steps" prom:"vgend_strategy_steps_total" help:"Decoding steps (forward passes) per strategy."`
@@ -198,8 +189,8 @@ type StrategyMetrics struct {
 //   - replica:"<family>" — a second family the field is exported under
 //     per replica in a fleet's exposition, reusing help.
 type Metrics struct {
-	Requests  uint64 `json:"requests" prom:"vgend_requests_total" help:"Generation submissions, including cache and dedup hits."`
-	Completed uint64 `json:"completed" prom:"vgend_completed_total" help:"Finished decodes (cache/dedup hits excluded)."`
+	Requests  uint64 `json:"requests" prom:"vgend_requests_total" help:"Generation submissions, including cache hits."`
+	Completed uint64 `json:"completed" prom:"vgend_completed_total" help:"Finished decodes (cache hits excluded)."`
 	Canceled  uint64 `json:"canceled" prom:"vgend_canceled_total" help:"Decodes ended by context cancellation."`
 	Failed    uint64 `json:"failed" prom:"vgend_failed_total" help:"Decodes ended by non-context errors."`
 	// Rejected counts TryGenerate backpressure rejections (HTTP 503s).
@@ -219,12 +210,6 @@ type Metrics struct {
 	// CacheEntries is the current LRU population.
 	CacheEntries int `json:"cache_entries" prom:"vgend_cache_entries" help:"Current result LRU population."`
 
-	// DedupHits counts single-flight shares: concurrent identical
-	// submissions that rode along on one decode.
-	DedupHits uint64 `json:"dedup_hits" prom:"vgend_dedup_hits_total" help:"Single-flight shares of identical in-flight requests."`
-	// Inflight is the current single-flight table population.
-	Inflight int `json:"inflight" prom:"vgend_inflight" help:"Current single-flight table population."`
-
 	// PrefixCacheHits counts exact whole-prompt session reuses;
 	// PrefixCachePartialHits counts partial reuses (a cached strict
 	// token prefix was forked over the uncached suffix);
@@ -242,23 +227,17 @@ type Metrics struct {
 	QueueDepth int `json:"queue_depth" prom:"vgend_queue_depth" replica:"vgend_replica_queue_depth" help:"Requests waiting in the queue."`
 	Workers    int `json:"workers" prom:"vgend_workers" help:"Decoder worker pool size."`
 
-	// SchedMaxBatch is the running batch's slot count.
-	// SchedRunning/SchedParked are the scheduler's current batch
-	// membership and parked-decode count; SchedOccupancy is
+	// SchedMaxBatch is the running batch's slot count. SchedRunning is
+	// the scheduler's current batch membership; SchedOccupancy is
 	// running/MaxBatch. Sweeps counts verification sweeps, SweptTasks
 	// the decodes they stepped, and MeanSweepOccupancy their ratio —
 	// the utilization the continuous batcher exists to raise.
-	// Preemptions counts decodes parked mid-flight to make room;
-	// Resumes counts their returns to the batch.
 	SchedMaxBatch      int     `json:"sched_max_batch" prom:"vgend_sched_max_batch" help:"Continuous-scheduler batch slots."`
 	SchedRunning       int     `json:"sched_running" prom:"vgend_sched_running" help:"Decodes currently in the running batch."`
-	SchedParked        int     `json:"sched_parked" prom:"vgend_sched_parked" help:"Preempted decodes parked awaiting a slot."`
 	SchedOccupancy     float64 `json:"sched_occupancy" prom:"vgend_sched_occupancy" replica:"vgend_replica_sched_occupancy" help:"Running decodes over batch slots." agg:"derived"`
 	Sweeps             uint64  `json:"sched_sweeps" prom:"vgend_sched_sweeps_total" help:"Verification sweeps over the running batch."`
 	SweptTasks         uint64  `json:"sched_swept_tasks" prom:"vgend_sched_swept_tasks_total" help:"Decodes stepped, summed over verification sweeps."`
 	MeanSweepOccupancy float64 `json:"sched_mean_sweep_occupancy" prom:"vgend_sched_mean_sweep_occupancy" help:"Decodes stepped per verification sweep." agg:"derived"`
-	Preemptions        uint64  `json:"sched_preemptions" prom:"vgend_sched_preemptions_total" replica:"vgend_replica_sched_preemptions_total" help:"Decodes preempted (parked awaiting a slot)."`
-	Resumes            uint64  `json:"sched_resumes" prom:"vgend_sched_resumes_total" help:"Parked decodes resumed into the batch."`
 
 	// CleanTokens, RawTokens (markers included), Steps, WallSeconds and
 	// SimSeconds are the sums the rates below divide. The rates are
@@ -337,9 +316,6 @@ func (e *Engine) Metrics() Metrics {
 	if e.cache != nil {
 		m.CacheEntries = e.cache.len()
 	}
-	e.flightMu.Lock()
-	m.Inflight = len(e.inflight)
-	e.flightMu.Unlock()
 	st := e.sessions.SessionStats()
 	m.PrefixCacheHits = st.Hits
 	m.PrefixCachePartialHits = st.PartialHits

@@ -9,30 +9,25 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // This file is the continuous scheduler. One goroutine owns the batch
 // membership; each iteration it
 //
-//  1. admits queued requests and resumes parked decodes into free
-//     batch slots (up to MaxBatch), alternating between the two
-//     sources so neither starves,
+//  1. admits queued requests, in arrival order, into free batch slots
+//     (up to MaxBatch),
 //  2. runs one verification sweep — every running decode advances
 //     exactly one core.DecodeState.Step, parallelized across up to
 //     Workers goroutines (on real hardware this is the single batched
-//     tree-verification forward pass over all in-flight requests),
-//  3. retires finished decodes (their slots free immediately), and
-//  4. preempts decodes that have held a slot for PreemptQuantum
-//     sweeps while other work is waiting: the decode moves to the
-//     parked list, where sweeps skip it, and re-enters round-robin.
+//     tree-verification forward pass over all in-flight requests), and
+//  3. retires finished decodes (their slots free immediately).
 //
 // Requests therefore join and leave the running batch at every
-// verification step, and a long decode can never serialize short
-// requests behind it for more than a quantum. A parked decode keeps
-// its core.DecodeState — session included — untouched, and preemption
-// falls only between sweeps, which the step-wise decode loop makes
-// output-invariant, so scheduling never changes bytes.
+// verification step. A decode holds its slot from admission to
+// retirement; when every slot is held, a queued request waits for the
+// next retirement. Admission and retirement fall only between sweeps,
+// which the step-wise decode loop makes output-invariant, so
+// scheduling never changes bytes.
 
 // schedTask is one decode's residency in the continuous scheduler.
 type schedTask struct {
@@ -54,25 +49,16 @@ type schedTask struct {
 	// wall accumulates this decode's own step time — busy time, not
 	// residency: the decode shares the engine with the whole batch.
 	wall time.Duration
-	// residency counts sweeps since admission or last resume — the
-	// preemption clock.
-	residency int
-	// park is the open preemption span while the decode sits parked
-	// (nil untraced or running); parks counts preemptions for the
-	// decode span's attrs.
-	park  *trace.Span
-	parks int
 }
 
 // scheduler is the continuous dispatch loop. It exits once quit is
-// closed and every queued, running and parked decode has been retired
-// (Close drains).
+// closed and every queued and running decode has been retired (Close
+// drains).
 func (e *Engine) scheduler() {
 	defer e.wg.Done()
 	dec := core.NewDecoder(e.m).WithSessionCache(e.sessions)
-	var running, parked, retired []*schedTask
+	var running, retired []*schedTask
 	quitting := false
-	fromParked := false
 
 	admit := func(t *task) {
 		wait := time.Since(t.enqueued)
@@ -80,44 +66,6 @@ func (e *Engine) scheduler() {
 		t.pickedUp()
 		e.st.queueWait(wait)
 		running = append(running, &schedTask{t: t, label: t.req.Options.StrategyLabel()})
-	}
-	resume := func() {
-		x := parked[0]
-		parked = parked[1:]
-		x.residency = 0
-		x.park.End()
-		x.park = nil
-		e.st.count(&e.st.m.Resumes)
-		running = append(running, x)
-	}
-	// admitOne fills one free slot, alternating between the queue and
-	// the parked set when both have work so sustained arrivals cannot
-	// starve parked decodes (or vice versa). Reports whether a slot
-	// was filled.
-	admitOne := func() bool {
-		tryQueue := func() bool {
-			select {
-			case t := <-e.queue:
-				admit(t)
-				return true
-			default:
-				return false
-			}
-		}
-		if fromParked && len(parked) > 0 {
-			fromParked = false
-			resume()
-			return true
-		}
-		if tryQueue() {
-			fromParked = len(parked) > 0
-			return true
-		}
-		if len(parked) > 0 {
-			resume()
-			return true
-		}
-		return false
 	}
 
 	for {
@@ -128,12 +76,18 @@ func (e *Engine) scheduler() {
 			default:
 			}
 		}
-		for len(running) < e.cfg.MaxBatch && admitOne() {
+	fill:
+		for len(running) < e.cfg.MaxBatch {
+			select {
+			case t := <-e.queue:
+				admit(t)
+			default:
+				break fill
+			}
 		}
 		if len(running) == 0 {
-			// Nothing runnable (parked is empty too, or admitOne would
-			// have resumed): block for work, or finish the drain.
-			e.st.schedGauges(0, len(parked))
+			// Nothing runnable: block for work, or finish the drain.
+			e.st.schedRunning(0)
 			if quitting {
 				select {
 				case t := <-e.queue:
@@ -151,28 +105,16 @@ func (e *Engine) scheduler() {
 			}
 			continue
 		}
-		e.st.schedGauges(len(running), len(parked))
+		e.st.schedRunning(len(running))
 
 		e.sweep(dec, running)
 
-		// Retire finished decodes; preempt over-quantum residents when
-		// other work is waiting for a slot.
-		waiters := len(e.queue) > 0 || len(parked) > 0
 		keep := running[:0]
 		retired = retired[:0]
 		for _, x := range running {
-			switch {
-			case x.done:
+			if x.done {
 				retired = append(retired, x)
-			case waiters && e.cfg.PreemptQuantum > 0 && x.residency >= e.cfg.PreemptQuantum:
-				x.parks++
-				if tr := trace.FromContext(x.t.ctx); tr != nil {
-					x.park = tr.Start(x.st.TraceSpan(), trace.KindPark, "")
-					x.park.SetAttrInt("residency", int64(x.residency))
-				}
-				e.st.count(&e.st.m.Preemptions)
-				parked = append(parked, x)
-			default:
+			} else {
 				keep = append(keep, x)
 			}
 		}
@@ -180,11 +122,11 @@ func (e *Engine) scheduler() {
 			running[i] = nil
 		}
 		running = keep
-		// Publish the post-sweep gauges BEFORE delivering retired
+		// Publish the post-sweep gauge BEFORE delivering retired
 		// responses: a client acting on its response (scraping metrics,
 		// submitting a follow-up) must never observe its own finished
 		// decode still occupying a batch slot.
-		e.st.schedGauges(len(running), len(parked))
+		e.st.schedRunning(len(running))
 		for i, x := range retired {
 			e.retire(x)
 			retired[i] = nil
@@ -204,8 +146,8 @@ func (e *Engine) scheduler() {
 
 // sweep advances every running decode one verification step,
 // fanned out over up to Workers goroutines. The barrier at the end is
-// the step boundary: admission, retirement and preemption all happen
-// against a quiesced batch.
+// the step boundary: admission and retirement happen against a
+// quiesced batch.
 func (e *Engine) sweep(dec *core.Decoder, running []*schedTask) {
 	e.st.sweep(len(running))
 	if len(running) == 1 || e.cfg.Workers <= 1 {
@@ -266,27 +208,22 @@ func (e *Engine) stepOne(dec *core.Decoder, x *schedTask) bool {
 			return true
 		}
 	}
-	x.residency++
 	return x.st.Step()
 }
 
-// retire finalizes a finished decode and delivers its Response — to
-// the submitting caller and, when the task leads a single-flight, to
-// every follower sharing it.
+// retire finalizes a finished decode and delivers its Response to the
+// submitting caller.
 func (e *Engine) retire(x *schedTask) {
 	if x.st == nil {
 		// Never began: cancelled while queued, or an unknown strategy.
 		if errors.Is(x.beginErr, context.Canceled) || errors.Is(x.beginErr, context.DeadlineExceeded) {
 			e.st.count(&e.st.m.Canceled)
-			e.finish(x.t, &Response{Err: x.beginErr, Strategy: x.label, QueueWait: x.t.wait})
+			x.t.done <- &Response{Err: x.beginErr, Strategy: x.label, QueueWait: x.t.wait}
 			return
 		}
 		e.st.count(&e.st.m.Failed)
-		e.finish(x.t, &Response{Result: &core.Result{}, Err: x.beginErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
+		x.t.done <- &Response{Result: &core.Result{}, Err: x.beginErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
 		return
-	}
-	if sp := x.st.TraceSpan(); sp != nil && x.parks > 0 {
-		sp.SetAttrInt("parks", int64(x.parks))
 	}
 	if x.faultErr != nil {
 		// Injected fault mid-decode: the state is abandoned, not
@@ -300,7 +237,7 @@ func (e *Engine) retire(x *schedTask) {
 		} else {
 			e.st.count(&e.st.m.Failed)
 		}
-		e.finish(x.t, &Response{Result: &core.Result{}, Err: x.faultErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
+		x.t.done <- &Response{Result: &core.Result{}, Err: x.faultErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
 		return
 	}
 	res, err := x.st.Finish()
@@ -310,12 +247,12 @@ func (e *Engine) retire(x *schedTask) {
 		} else {
 			e.st.count(&e.st.m.Failed)
 		}
-		e.finish(x.t, &Response{Result: res, Err: err, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
+		x.t.done <- &Response{Result: res, Err: err, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
 		return
 	}
 	if e.cache != nil && x.t.req.OnStep == nil {
 		e.cache.add(x.t.key, res)
 	}
 	e.st.complete(x.label, res, x.wall)
-	e.finish(x.t, &Response{Result: res, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait})
+	x.t.done <- &Response{Result: res, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func TestContinuousBackpressure(t *testing.T) {
 		req := Request{Prompt: prompts[1], Options: testOptions(int64(successes))}
 		req.Options = req.Options.Canonical()
 		ids, key := eng.canonicalize(req)
-		_, err := eng.enqueue(ctx, req, ids, false, key, nil)
+		_, err := eng.enqueue(ctx, req, ids, key, false)
 		if err == nil {
 			successes++
 		} else if errors.Is(err, ErrQueueFull) && successes >= 1 {
@@ -94,96 +95,105 @@ func TestContinuousBackpressure(t *testing.T) {
 	}
 }
 
-// TestContinuousPreemptionRoundRobin: with one batch slot, a tight
-// quantum and waiters present, a long decode must be preempted and
-// resumed — repeatedly — and every request (long included) must still
-// produce exactly the bytes a direct decoder produces — linear, tree
-// and lookup strategies alike. This is the serving-layer pin on
-// "scheduling and preemption never change outputs".
-func TestContinuousPreemptionRoundRobin(t *testing.T) {
+// TestContinuousFIFO: a decode keeps its batch slot until it finishes,
+// and the queue is first in, first out. With one batch slot and four
+// shorts queued in a known order behind a gated long NTP decode that
+// runs past 64 sweeps, every request's steps form one unbroken run, in
+// arrival order with the long first, and every response is byte for
+// byte what a direct decoder produces — linear, tree and lookup
+// strategies alike. This is the serving-layer pin on "scheduling never
+// changes outputs".
+func TestContinuousFIFO(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{
-		Workers: 1, MaxBatch: 1, PreemptQuantum: 2,
-		QueueSize: 16, CacheSize: -1,
-	})
+	eng := NewEngine(m, Config{Workers: 1, MaxBatch: 1, QueueSize: 16, CacheSize: -1})
 	defer eng.Close()
 
-	long := Request{Prompt: prompts[0], Options: core.Options{Strategy: "ntp", MaxNewTokens: 96, Seed: 7}}
-	shorts := make([]Request, 4)
-	for i := range shorts {
-		strat := []string{"ours", "ours-tree", "prompt-lookup", "ours"}[i]
-		shorts[i] = Request{Prompt: prompts[i+1], Options: core.Options{Strategy: strat, MaxNewTokens: 16, Seed: int64(i)}}
+	// Greedy NTP on this prompt decodes about 150 tokens, one per sweep.
+	reqs := []Request{{Prompt: prompts[1], Options: core.Options{Strategy: "ntp", MaxNewTokens: 192}}}
+	for i, strat := range []string{"ours", "ours-tree", "prompt-lookup", "ours"} {
+		reqs = append(reqs, Request{Prompt: prompts[i+2], Options: core.Options{Strategy: strat, MaxNewTokens: 16, Seed: int64(i)}})
 	}
-	var wg sync.WaitGroup
-	resps := make([]*Response, len(shorts)+1)
-	run := func(i int, req Request) {
-		defer wg.Done()
-		resp, err := eng.Generate(context.Background(), req)
-		if err != nil {
-			t.Errorf("request %d: %v", i, err)
-			return
-		}
-		resps[i] = resp
-	}
-	// Gate the long decode's first step until the shorts are provably
-	// queued: preemption only fires when waiters exist, and on this tiny
-	// model an ungated 96-token decode can finish before the shorts'
-	// goroutines ever reach the queue.
+	// Every step event appends its request's index, so order is the
+	// sequence the sweeps stepped the requests in. The long decode's
+	// first step holds the only slot until the shorts are queued.
+	var mu sync.Mutex
+	var order []int
 	release := make(chan struct{})
 	var once sync.Once
 	longStarted := make(chan struct{})
-	long.OnStep = func(core.StepEvent) {
-		once.Do(func() {
-			close(longStarted)
-			<-release
-		})
-	}
-	wg.Add(1)
-	go run(0, long)
-	<-longStarted // the single slot is wedged mid-sweep by the gate
-	for i, req := range shorts {
-		wg.Add(1)
-		go run(i+1, req)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for eng.Metrics().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("shorts never reached the queue")
+	for i := range reqs {
+		reqs[i].OnStep = func(core.StepEvent) {
+			if i == 0 {
+				once.Do(func() {
+					close(longStarted)
+					<-release
+				})
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
 		}
-		time.Sleep(time.Millisecond)
+	}
+	var wg sync.WaitGroup
+	resps := make([]*Response, len(reqs))
+	run := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := eng.Generate(context.Background(), reqs[i])
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			resps[i] = resp
+		}()
+	}
+	run(0)
+	<-longStarted
+	for i := 1; i < len(reqs); i++ {
+		run(i)
+		waitFor(t, "short never reached the queue", func() bool { return eng.QueueDepth() == i })
 	}
 	close(release)
 	wg.Wait()
-
-	mt := eng.Metrics()
-	if mt.Preemptions < 1 || mt.Resumes < 1 {
-		t.Fatalf("preemptions=%d resumes=%d, want both >=1", mt.Preemptions, mt.Resumes)
+	if t.Failed() {
+		return
 	}
-	if mt.Sweeps == 0 || mt.MeanSweepOccupancy <= 0 {
-		t.Fatalf("sweep accounting missing: %+v", mt)
+
+	if steps := resps[0].Result.Steps; steps <= 64 {
+		t.Fatalf("long decode took %d sweeps; it must run past 64 to outlast a preemption quantum", steps)
+	}
+	var runs []int
+	for _, i := range order {
+		if len(runs) == 0 || runs[len(runs)-1] != i {
+			runs = append(runs, i)
+		}
+	}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(runs, want) {
+		t.Fatalf("sweeps stepped requests in runs %v, want each unbroken in arrival order %v", runs, want)
 	}
 	dec := core.NewDecoder(m)
-	for i, req := range append([]Request{long}, shorts...) {
+	for i, req := range reqs {
 		want, err := dec.GenerateCtx(context.Background(), req.Prompt, req.Options)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resps[i] == nil || resps[i].Result.Text != want.Text {
-			t.Fatalf("request %d: preempted decode diverged from direct decode", i)
+		if resps[i].Result.Text != want.Text {
+			t.Fatalf("request %d: engine decode diverged from direct decode", i)
 		}
 	}
 }
 
-// TestSchedulerChurnSoak is the join/leave/preempt churn soak behind
-// the sched-soak CI job (run under -race -shuffle=on there): many
-// clients, mixed long/short/streaming/cancelled traffic, a tiny
-// quantum and a small batch, then a full accounting check — every
-// submission reaches exactly one terminal state, nothing hangs, no
-// single-flight registration outlives its decode.
+// TestSchedulerChurnSoak is the join/leave churn soak behind the
+// sched-soak CI job (run under -race -shuffle=on there): many clients,
+// mixed long/short/streaming/cancelled traffic and a small batch, so
+// decodes join and leave the batch at nearly every sweep, then a full
+// accounting check — every submission reaches exactly one terminal
+// state, nothing hangs, and the scheduler drains clean.
 func TestSchedulerChurnSoak(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{
-		Workers: 2, MaxBatch: 2, PreemptQuantum: 1,
+		Workers: 2, MaxBatch: 2,
 		QueueSize: 64, CacheSize: -1,
 	})
 
@@ -249,14 +259,11 @@ func TestSchedulerChurnSoak(t *testing.T) {
 	if mt.Failed != 0 {
 		t.Fatalf("failed=%d, want 0", mt.Failed)
 	}
-	if mt.Preemptions < 1 || mt.Resumes < 1 {
-		t.Fatalf("churn soak saw no preemption (preemptions=%d resumes=%d)", mt.Preemptions, mt.Resumes)
+	if mt.SweptTasks <= mt.Sweeps {
+		t.Fatalf("churn soak never batched two decodes (sweeps=%d swept_tasks=%d)", mt.Sweeps, mt.SweptTasks)
 	}
-	if mt.Inflight != 0 {
-		t.Fatalf("single-flight registrations leaked after drain: %d", mt.Inflight)
-	}
-	if mt.SchedRunning != 0 || mt.SchedParked != 0 {
-		t.Fatalf("scheduler drained dirty: running=%d parked=%d", mt.SchedRunning, mt.SchedParked)
+	if mt.SchedRunning != 0 {
+		t.Fatalf("scheduler drained dirty: running=%d", mt.SchedRunning)
 	}
 }
 
@@ -264,9 +271,9 @@ func TestSchedulerChurnSoak(t *testing.T) {
 // to end: occupancy gauges bounded by MaxBatch, sweep occupancy
 // positive after traffic, the Prometheus families present, every JSON
 // key the repo benchmark scrapes present, and the names that went with
-// the micro-batch pool, the per-mode alias and the page leases absent
-// from both shapes (spelled in halves so a grep for the retired names
-// finds nothing).
+// the micro-batch pool, the per-mode alias, the page leases, preemption
+// and single-flight absent from both shapes (spelled in halves so a
+// grep for the retired names finds nothing).
 func TestContinuousMetricsSurface(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{Workers: 2, MaxBatch: 4, CacheSize: -1})
@@ -289,14 +296,15 @@ func TestContinuousMetricsSurface(t *testing.T) {
 	var b strings.Builder
 	eng.WritePrometheusTo(&b, 1)
 	for _, fam := range []string{
-		"vgend_sched_sweeps_total", "vgend_sched_preemptions_total",
-		"vgend_sched_occupancy", "vgend_sched_parked",
+		"vgend_sched_sweeps_total", "vgend_sched_running",
+		"vgend_sched_occupancy", "vgend_sched_mean_sweep_occupancy",
 	} {
 		if !strings.Contains(b.String(), fam) {
 			t.Fatalf("prometheus output missing %s", fam)
 		}
 	}
-	for _, fam := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`, "vgend_prefix_" + "pinned", "vgend_prefix_" + "leases"} {
+	for _, fam := range []string{"vgend_batches_total", "vgend_mean_batch" + "_size", "vgend_sched" + "_info", `scheduler="`, "vgend_prefix_" + "pinned", "vgend_prefix_" + "leases",
+		"vgend_sched_" + "preemptions", "vgend_sched_" + "parked", "vgend_sched_" + "resumes", "vgend_" + "dedup", "vgend_" + "inflight"} {
 		if strings.Contains(b.String(), fam) {
 			t.Errorf("prometheus output still carries %s", fam)
 		}
@@ -311,14 +319,16 @@ func TestContinuousMetricsSurface(t *testing.T) {
 	}
 	// The engine-section keys benchmark/metrics.go and benchmark/scrape.go
 	// read (the fleet body carries the same key set: see cluster's
-	// TestFleetAggregatesSchedulerMetrics).
+	// TestFleetAggregatesSchedulerMetrics). The benchmark also reads the
+	// retired preemption and single-flight counters, which are absent
+	// and so read 0.
 	for _, key := range []string{
 		"requests", "completed", "rejected", "steps", "clean_tokens",
 		"queue_wait_s", "queue_wait_max_s", "wall_seconds",
-		"cache_hits", "dedup_hits",
+		"cache_hits",
 		"prefix_cache_hits", "prefix_partial_hits", "prefix_cache_misses",
 		"prefix_tokens_saved", "prefix_cache_entries",
-		"sched_sweeps", "sched_mean_sweep_occupancy", "sched_preemptions",
+		"sched_sweeps", "sched_mean_sweep_occupancy",
 		"accept_depth_hist", "tree_nodes_total", "tree_budget_total",
 		"grammar_pruned_nodes", "grammar_draft_tokens", "per_strategy",
 	} {
@@ -326,7 +336,8 @@ func TestContinuousMetricsSurface(t *testing.T) {
 			t.Errorf("engine /metrics body lacks %q, which benchmark/metrics.go reads", key)
 		}
 	}
-	for _, key := range []string{"batches", "mean_batch" + "_size", "scheduler", "per" + "_mode", "prefix_" + "pinned_pages", "prefix_" + "pinned_bytes", "prefix_" + "leases"} {
+	for _, key := range []string{"batches", "mean_batch" + "_size", "scheduler", "per" + "_mode", "prefix_" + "pinned_pages", "prefix_" + "pinned_bytes", "prefix_" + "leases",
+		"dedup" + "_hits", "in" + "flight", "sched_" + "parked", "sched_" + "preemptions", "sched_" + "resumes"} {
 		if _, ok := body[key]; ok {
 			t.Errorf("engine /metrics body still carries %q", key)
 		}

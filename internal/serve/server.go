@@ -26,9 +26,9 @@ const maxBatchPrompts = 128
 const maxBodyBytes = 1 << 20
 
 // maxNewTokensCap bounds one generation's max_new_tokens; a bigger (or
-// negative) value gets a 400. A decode's cost grows with its length and
-// the scheduler preempts long decodes but never ends one early, so the
-// wire must not let one request buy unbounded work. The cap sits well
+// negative) value gets a 400. A decode's cost grows with its length,
+// and it holds its batch slot until it finishes, so the wire must not
+// let one request buy unbounded work or an unbounded slot. The cap sits well
 // above every built-in model's default length (at most 2000 tokens)
 // and above what any shipped client asks for.
 const maxNewTokensCap = 4096

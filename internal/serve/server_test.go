@@ -363,7 +363,7 @@ func TestServerMetricsPrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE vgend_requests_total counter",
 		"vgend_requests_total 1",
-		"vgend_dedup_hits_total 0",
+		"vgend_cache_hits_total 0",
 		"vgend_queue_wait_seconds_total",
 		"vgend_queue_wait_max_seconds",
 		"vgend_prefix_cache_misses_total 1",

@@ -25,17 +25,15 @@ import (
 // Span kinds double as the phase labels of the
 // vgend_phase_seconds_total{phase} metric family.
 const (
-	KindRequest      = "request"       // root: one per served request
-	KindRouter       = "router"        // cluster routing decision
-	KindAttempt      = "attempt"       // the request's attempt on a replica (primary/steal)
-	KindSingleFlight = "single_flight" // follower waiting on a dedup leader
-	KindQueue        = "queue"         // enqueue -> scheduler pickup
-	KindDecode       = "decode"        // BeginDecode -> Finish
-	KindSessionPrep  = "session_prep"  // prompt prefill / trie attach
-	KindSweep        = "sweep"         // one draft+verify verification sweep
-	KindPark         = "park"          // preemption park -> resume
-	KindDraft        = "draft"         // phase-only: drafting time inside sweeps
-	KindVerify       = "verify"        // phase-only: verification forward time
+	KindRequest     = "request"      // root: one per served request
+	KindRouter      = "router"       // cluster routing decision
+	KindAttempt     = "attempt"      // the request's attempt on a replica (primary/steal)
+	KindQueue       = "queue"        // enqueue -> scheduler pickup
+	KindDecode      = "decode"       // BeginDecode -> Finish
+	KindSessionPrep = "session_prep" // prompt prefill / trie attach
+	KindSweep       = "sweep"        // one draft+verify verification sweep
+	KindDraft       = "draft"        // phase-only: drafting time inside sweeps
+	KindVerify      = "verify"       // phase-only: verification forward time
 )
 
 // Attr is one key/value annotation on a span. Values are stored as
