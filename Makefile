@@ -68,10 +68,12 @@ golden:
 # one trie and stepped in a reshuffled round-robin} × the full strategy
 # matrix, tree strategies included), plus the tree
 # losslessness proof (greedy lookup-tree == linear prompt-lookup ==
-# NTP, byte for byte): the gates that make the prefix cache,
-# interleaved batching and tree drafting admissible at all.
+# NTP, byte for byte), plus the per-decode memo answering every prefix
+# of the fixture decodes exactly as the memo-less model calls do: the
+# gates that make the prefix cache, interleaved batching, tree drafting
+# and the memo admissible at all.
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless' -v ./internal/experiments/ ./internal/core/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical' -v ./internal/experiments/ ./internal/core/ ./internal/model/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length

@@ -157,10 +157,10 @@ func (o Options) StrategyLabel() string {
 // defaults the decoder would apply, and knobs the strategy ignores —
 // TreeBudget without a tree drafter, DisableIntegrity without the
 // integrity check — are zeroed. Decoding behaviour is unchanged — the
-// serving layer canonicalizes before using Options as a cache or
-// single-flight key so "pl", "prompt-lookup" and "PromptLookup" (or
-// top_k 3 and no top_k) share one entry. Unknown strategy names pass
-// through untouched and fail at decode time as before.
+// serving layer canonicalizes before using Options as a cache key so
+// "pl", "prompt-lookup" and "PromptLookup" (or top_k 3 and no top_k)
+// share one entry. Unknown strategy names pass through untouched and
+// fail at decode time as before.
 func (o Options) Canonical() Options {
 	s, ok := spec.Named(o.strategyName())
 	if !ok {
@@ -415,13 +415,14 @@ func (d *Decoder) generate(ctx context.Context, promptIDs []int, opts Options, o
 }
 
 // sampleBase draws the base token (greedy at temperature 0), demoting
-// candidates that would complete a repeated n-gram.
-func (d *Decoder) sampleBase(dist model.Dist, opts Options, rng *rand.Rand, rep *repState) int {
+// candidates that would complete a repeated n-gram. weights is the
+// decode's sampling scratch.
+func (d *Decoder) sampleBase(dist model.Dist, opts Options, rng *rand.Rand, rep *repState, weights *[]float64) int {
 	pick := func() int {
 		if opts.Temperature <= 0 {
 			return dist.Argmax()
 		}
-		return dist.Sample(opts.Temperature, rng.Float64())
+		return dist.Sample(opts.Temperature, rng.Float64(), weights)
 	}
 	id := pick()
 	if tokenizer.IsSpecial(id) || !rep.wouldRepeat(id) {
@@ -470,7 +471,7 @@ func (d *Decoder) sampleBase(dist model.Dist, opts Options, rng *rand.Rand, rep 
 // which changes nothing about outputs — their scores could only be
 // discarded. The simulated cost model charges the step exactly like
 // its linear counterpart.
-func (d *Decoder) accept(gen *model.Gen, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options) ([]int, int, spec.DraftStats) {
+func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options) ([]int, int, spec.DraftStats) {
 	dr := strat.Drafter.Draft(spec.DraftCtx{
 		Gen:     gen,
 		Seq:     seq,
@@ -493,7 +494,7 @@ func (d *Decoder) accept(gen *model.Gen, seq, prefix []int, fw model.Forward, st
 		// whole tree, and its length is bounded by the drafter's.
 		t = tree.New(0)
 		var buf [16]int
-		ids := walkChain(gen, t, tree.Root, ctx, dr.Chain, strat.Verifier, params, buf[:0])
+		ids := walkChain(gen, memo, t, tree.Root, ctx, dr.Chain, strat.Verifier, params, buf[:0])
 		if len(ids) == 0 {
 			return prefix, 0, dr.Stats
 		}
@@ -520,7 +521,7 @@ func (d *Decoder) accept(gen *model.Gen, seq, prefix []int, fw model.Forward, st
 			// One verification distribution per surviving parent: the
 			// base posterior after the path its children would extend.
 			path = t.PathTokens(n, path[:0])
-			ver := gen.BaseDist(append(ctx, path...))
+			ver := gen.BaseDistMemo(append(ctx, path...), memo)
 			for _, c := range kids {
 				tok := t.Node(c).Token
 				if strat.Verifier.Accept(ver, []int{tok}, params) < 0 {
@@ -539,7 +540,7 @@ func (d *Decoder) accept(gen *model.Gen, seq, prefix []int, fw model.Forward, st
 	if !dr.Chain.Empty() {
 		for _, leaf := range leaves {
 			if t.Node(leaf).Token != tokenizer.EosID {
-				accepted = walkChain(gen, t, leaf, t.PathTokens(leaf, ctx), dr.Chain, strat.Verifier, params, accepted)
+				accepted = walkChain(gen, memo, t, leaf, t.PathTokens(leaf, ctx), dr.Chain, strat.Verifier, params, accepted)
 			}
 		}
 	}
@@ -562,13 +563,13 @@ func (d *Decoder) accept(gen *model.Gen, seq, prefix []int, fw model.Forward, st
 // posterior, adds the verifier's choice to the tree, and ends at the
 // first rejection, <eos>, an exhausted chain or a full tree. The
 // accepted node ids are appended to out.
-func walkChain(gen *model.Gen, t *tree.Tree, from int, walk []int, chain spec.Chain, v spec.Verifier, params spec.VerifyParams, out []int) []int {
+func walkChain(gen *model.Gen, memo *model.Memo, t *tree.Tree, from int, walk []int, chain spec.Chain, v spec.Verifier, params spec.VerifyParams, out []int) []int {
 	for cur := from; ; {
 		cands := chain.Candidates(t.Depth(cur))
 		if len(cands) == 0 {
 			return out
 		}
-		choice := v.Accept(gen.BaseDist(walk), cands, params)
+		choice := v.Accept(gen.BaseDistMemo(walk, memo), cands, params)
 		if choice < 0 {
 			return out
 		}

@@ -15,17 +15,18 @@ import (
 // This file is the step-wise decode API: the same loop generate() runs
 // internally, exposed one verification sweep at a time so an external
 // scheduler can interleave many decodes — step every in-flight request
-// once, retire the finished, skip the over-quantum for a while —
+// once, retire the finished, admit the queued into the freed slots —
 // instead of dedicating a goroutine to each from start to finish. All
 // loop state lives in the DecodeState, including its own immutable
-// session (*Gen), so a decode can sit unstepped for any number of
-// sweeps and continue with byte-identical output: the sequence of
-// (Forward, sample, accept, finalize) operations is exactly the one the
-// monolithic loop would have run, however the steps of many decodes
-// interleave. generate() itself is just BeginDecode +
-// Step-to-completion + Finish, which makes that identity true by
-// construction rather than by test alone (the interleaving
-// differential gate in internal/experiments pins it anyway).
+// session (*Gen) and the Memo of what its model calls computed, so a
+// decode can sit unstepped for any number of sweeps and continue with
+// byte-identical output: the sequence of (Forward, sample, accept,
+// finalize) operations is exactly the one the monolithic loop would
+// have run, however the steps of many decodes interleave. generate()
+// itself is just BeginDecode + Step-to-completion + Finish, which makes
+// that identity true by construction rather than by test alone (the
+// interleaving differential gate in internal/experiments pins it
+// anyway).
 
 // DecodeState is one in-flight decode. Create with Decoder.BeginDecode,
 // advance with Step until it reports completion, collect with Finish.
@@ -41,6 +42,10 @@ type DecodeState struct {
 	onStep StepFn
 	rng    *rand.Rand
 	gen    *model.Gen
+	// memo is what this decode's model calls already computed (nil
+	// once finished); weights is its sampling scratch.
+	memo    *model.Memo
+	weights []float64
 
 	seq      []int
 	res      *Result
@@ -88,7 +93,9 @@ func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options
 		res:      &Result{},
 		stepCost: d.stepCostMS(strat),
 		rep:      repState{seen: map[uint64]bool{}},
+		memo:     new(model.Memo),
 	}
+	s.memo.NextStep(s.seq)
 	if tr := trace.FromContext(ctx); tr != nil {
 		s.tr = tr
 		s.span = tr.Start(trace.SpanFromContext(ctx), trace.KindDecode, opts.Strategy)
@@ -142,9 +149,9 @@ func (s *DecodeState) Step() bool {
 	// draft from them (NTP, prompt lookup) get a base-only pass.
 	var fw model.Forward
 	if s.strat.Drafter.NeedsHeads() {
-		fw = gen.Forward(s.seq)
+		fw = gen.ForwardMemo(s.seq, s.memo)
 	} else {
-		fw = model.Forward{Base: gen.BaseDist(s.seq)}
+		fw = model.Forward{Base: gen.BaseDistMemo(s.seq, s.memo)}
 	}
 	res.Steps++
 	res.SimulatedMS += s.stepCost
@@ -157,14 +164,14 @@ func (s *DecodeState) Step() bool {
 	}
 
 	// The base model's own prediction is always kept.
-	base := d.sampleBase(fw.Base, opts, s.rng, &s.rep)
+	base := d.sampleBase(fw.Base, opts, s.rng, &s.rep, &s.weights)
 	accepted := []int{base}
 
 	prunedBefore := res.GrammarPruned
 	if base != tokenizer.EosID {
 		var nodes int
 		var gs spec.DraftStats
-		accepted, nodes, gs = d.accept(gen, s.seq, accepted, fw, s.strat, opts)
+		accepted, nodes, gs = d.accept(gen, s.memo, s.seq, accepted, fw, s.strat, opts)
 		res.TreeNodes += nodes
 		res.GrammarPruned += gs.PrunedNodes
 		res.GrammarDraftTokens += gs.GrammarTokens
@@ -227,6 +234,7 @@ func (s *DecodeState) Step() bool {
 		}
 	}
 	res.AcceptedPerStep = append(res.AcceptedPerStep, len(accepted))
+	s.memo.NextStep(s.seq)
 	if sweep != nil {
 		sweep.SetAttrInt("accepted", int64(len(accepted)))
 		sweep.End()
@@ -244,6 +252,7 @@ func (s *DecodeState) Step() bool {
 func (s *DecodeState) Finish() (*Result, error) {
 	if !s.finished {
 		s.finished = true
+		s.memo, s.weights = nil, nil
 		s.res.CleanTokens = stripSpecials(s.res.Tokens)
 		s.res.Text = s.d.m.Tokenizer().DecodeClean(s.res.Tokens)
 		if s.span != nil {

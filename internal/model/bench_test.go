@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,4 +65,30 @@ func BenchmarkBaseDist(b *testing.B) {
 	for i := 0; b.Loop(); i++ {
 		g.BaseDist(ctxs[i%len(ctxs)])
 	}
+}
+
+// BenchmarkBaseDistMemo is BaseDist through a decode's memo. On "hit"
+// the memo has seen every keyword context of the decode (posteriors
+// are not reused: the step boundary lies past every context), the
+// steady state of a decode; on "miss" every op starts a fresh memo.
+func BenchmarkBaseDistMemo(b *testing.B) {
+	g, seq := decode()
+	ctxs := positions(g, seq)
+	b.Run("hit", func(b *testing.B) {
+		mm := new(model.Memo)
+		for _, ctx := range ctxs {
+			g.BaseDistMemo(ctx, mm)
+		}
+		mm.NextStep(append(slices.Clone(seq), tokenizer.EosID))
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			g.BaseDistMemo(ctxs[i%len(ctxs)], mm)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			g.BaseDistMemo(ctxs[i%len(ctxs)], new(model.Memo))
+		}
+	})
 }

@@ -16,9 +16,11 @@
 // tracks reproducing the orderings.
 //
 // A prompt's conditioning state is a session (*Gen), immutable once
-// built, so each decode simply holds its own. TrieCache shares sessions
-// across decodes by token prefix, forking a cached prefix over only the
-// uncached suffix, and evicts by byte budget in LRU order.
+// built, so each decode simply holds its own. A decode's mutable state
+// lives beside it in its own Memo, which remembers what the decode's
+// model calls already computed. TrieCache shares sessions across decodes
+// by token prefix, forking a cached prefix over only the uncached
+// suffix, and evicts by byte budget in LRU order.
 package model
 
 import (
@@ -121,27 +123,34 @@ func (d Dist) TopK(k int) []int {
 }
 
 // Sample draws a token at the given temperature using u ∈ [0,1).
-// Temperature 0 (or below) is greedy. The CDF is walked in ascending id
-// order over the tempered weights p^(1/T); the weights are recomputed on
-// the walk rather than stored (math.Pow is deterministic).
-func (d Dist) Sample(temp, u float64) int {
+// Temperature 0 (or below) is greedy. The tempered weights p^(1/T) are
+// computed once, in ascending id order, into *weights — the caller's
+// scratch, grown as needed and reused across calls (nil: a throwaway) —
+// and the CDF is walked over them in the same order.
+func (d Dist) Sample(temp, u float64, weights *[]float64) int {
 	if temp <= 0 {
 		return d.Argmax()
 	}
+	if weights == nil {
+		weights = new([]float64)
+	}
 	inv := 1.0 / temp
+	w := (*weights)[:0]
 	total := 0.0
 	for _, e := range d.e {
-		total += math.Pow(e.v, inv)
+		w = append(w, math.Pow(e.v, inv))
+		total += w[len(w)-1]
 	}
+	*weights = w
 	if total <= 0 {
 		return d.Argmax()
 	}
 	target := u * total
 	acc := 0.0
-	for _, e := range d.e {
-		acc += math.Pow(e.v, inv)
+	for i, x := range w {
+		acc += x
 		if target < acc {
-			return int(e.id)
+			return int(d.e[i].id)
 		}
 	}
 	return int(d.e[len(d.e)-1].id)

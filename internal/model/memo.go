@@ -1,0 +1,222 @@
+package model
+
+import (
+	"math"
+	"slices"
+	"unsafe"
+)
+
+// Memo is one decode's memory of what its base model already computed.
+// A session (*Gen) is shared and immutable; a Memo is the decode's own
+// mutable state beside it, passed to ForwardMemo and BaseDistMemo. It
+// caches two pure functions of the session and the context, so every
+// distribution it returns equals the memo-less call's bit for bit:
+//
+//   - The keyword expert's factors per keyword context: the id-sorted
+//     run of each supported id's best probability p over the prompt's
+//     keywords, replaced by its factor Pow(kwFloor+p, PromptBlend) once
+//     a table has asked for it. The keyword tables reach back only as
+//     far as their top ladder level r, so the key is the last r tokens
+//     of the keyword view plus min(len, r) — exact, not a hash. Most of
+//     a decode's keyword contexts repeat one it has seen.
+//   - The base posteriors computed since the last step boundary
+//     (NextStep), keyed by their context beyond it. The posterior that
+//     rejected the step's last draft token is the next step's base
+//     distribution, and a tree leaf's chain walk starts from the
+//     posterior the sweep already built for it.
+//
+// A Memo serves one decode: every sequence passed to it between two
+// NextStep calls is a prefix of, or extends, the sequence given to the
+// earlier one. It holds at most memoCap bytes. The zero Memo is ready to
+// use; it is not safe for concurrent use.
+type Memo struct {
+	gen *Gen // the session the cached values belong to
+
+	kwReach int             // r: the keyword tables' longest context
+	kwIdx   map[kwKey]kwRun // keyword context → its run in kwSlab
+	kwSlab  []entry
+
+	bound int    // the sequence length at the last NextStep
+	posts []post // posteriors since bound, in order of computation
+	toks  []int  // the posts' contexts beyond bound, back to back
+	spare []int  // NextStep's second toks buffer
+
+	bytes int // kwSlab plus the posts' supports, in bytes
+}
+
+// memoCap bounds a Memo's cached bytes. A 512-token decode holds about
+// 0.2 MB on average and 0.6 MB at most (CodeLlama-sim, the bench
+// prompts); past the cap the keyword runs start over and posteriors are
+// not kept.
+const memoCap = 1 << 20
+
+// kwKey is a keyword view as far as the keyword tables see it: its last
+// n = min(len, r) tokens.
+type kwKey struct {
+	n   int32
+	ids [maxReach]int32
+}
+
+// kwFactor returns the keyword factor of a keyword evidence entry,
+// Pow(kwFloor+p, eta), computing it on first use. An entry's value is
+// the id's best keyword probability p >= 0 until then and the factor
+// negated from then on: every factor is positive, and negation is exact,
+// so the factor is read back bit for bit.
+func kwFactor(e *entry, eta float64) float64 {
+	if e.v >= 0 {
+		e.v = -math.Pow(kwFloor+e.v, eta)
+	}
+	return -e.v
+}
+
+// kwRun is one keyword context's factors: kwSlab[start:start+n].
+type kwRun struct{ start, n int32 }
+
+// post is one posterior and its context beyond the boundary,
+// toks[off:off+n].
+type post struct {
+	off, n int
+	d      Dist
+}
+
+var entryBytes = int(unsafe.Sizeof(entry{}))
+
+// bind points the memo at g, dropping whatever it held for another
+// session.
+func (mm *Memo) bind(g *Gen) {
+	if mm.gen == g {
+		return
+	}
+	bound := mm.bound
+	*mm = Memo{gen: g, bound: bound, kwReach: g.m.kw.levels[len(g.m.kw.levels)-1]}
+}
+
+// NextStep marks seq as the new step boundary. Posteriors whose context
+// extends seq are kept, re-keyed beyond it; the rest are dropped.
+func (mm *Memo) NextStep(seq []int) {
+	extends := len(seq) >= mm.bound
+	var cut []int
+	if extends {
+		cut = seq[mm.bound:]
+	}
+	kept, spare := mm.posts[:0], mm.spare[:0]
+	for _, p := range mm.posts {
+		ctx := mm.toks[p.off : p.off+p.n]
+		if extends && len(ctx) >= len(cut) && slices.Equal(ctx[:len(cut)], cut) {
+			kept = append(kept, post{off: len(spare), n: len(ctx) - len(cut), d: p.d})
+			spare = append(spare, ctx[len(cut):]...)
+		} else {
+			mm.bytes -= len(p.d.e) * entryBytes
+		}
+	}
+	clear(mm.posts[len(kept):]) // release the dropped supports
+	mm.posts, mm.toks, mm.spare = kept, spare, mm.toks
+	mm.bound = len(seq)
+}
+
+// posterior returns the base posterior kept for seq, if any.
+func (mm *Memo) posterior(seq []int) (Dist, bool) {
+	if len(seq) < mm.bound {
+		return Dist{}, false
+	}
+	beyond := seq[mm.bound:]
+	for _, p := range mm.posts {
+		if p.n == len(beyond) && slices.Equal(mm.toks[p.off:p.off+p.n], beyond) {
+			return p.d, true
+		}
+	}
+	return Dist{}, false
+}
+
+// keep records d as the base posterior for seq, within the cap.
+func (mm *Memo) keep(seq []int, d Dist) {
+	size := len(d.e) * entryBytes
+	if len(seq) < mm.bound || mm.bytes+size > memoCap {
+		return
+	}
+	beyond := seq[mm.bound:]
+	mm.posts = append(mm.posts, post{off: len(mm.toks), n: len(beyond), d: d})
+	mm.toks = append(mm.toks, beyond...)
+	mm.bytes += size
+}
+
+// key returns view's keyword context.
+func (mm *Memo) key(view []int) kwKey {
+	k := kwKey{n: int32(min(len(view), mm.kwReach))}
+	for i, id := range view[len(view)-int(k.n):] {
+		k.ids[i] = int32(id)
+	}
+	return k
+}
+
+// keepFactors records the factors of keyword context k and returns the
+// kept run (fac itself when it would not fit). At the cap the keyword
+// runs start over.
+func (mm *Memo) keepFactors(k kwKey, fac []entry) []entry {
+	size := len(fac) * entryBytes
+	if mm.bytes+size > memoCap {
+		mm.bytes -= len(mm.kwSlab) * entryBytes
+		mm.kwSlab = mm.kwSlab[:0]
+		clear(mm.kwIdx)
+		if mm.bytes+size > memoCap {
+			return fac
+		}
+	}
+	if mm.kwIdx == nil {
+		mm.kwIdx = map[kwKey]kwRun{}
+	}
+	start := len(mm.kwSlab)
+	mm.kwIdx[k] = kwRun{start: int32(start), n: int32(len(fac))}
+	mm.kwSlab = append(mm.kwSlab, fac...)
+	mm.bytes += size
+	return mm.kwSlab[start:]
+}
+
+// kwFactors returns the keyword expert's evidence for a keyword view:
+// the id-sorted run of every id some keyword supports (read each one's
+// factor with kwFactor), empty when no keyword predicts at all. Ids
+// outside the run take m.kwFloorPow. The run is valid until the next
+// prediction call on sc or mm.
+func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []entry {
+	var k kwKey
+	if mm != nil {
+		k = mm.key(view)
+		if run, ok := mm.kwIdx[k]; ok {
+			return mm.kwSlab[run.start : run.start+run.n]
+		}
+	}
+	// Each token keeps its best supporting evidence across the prompt's
+	// keywords (max, not mean: averaging dilutes the one keyword that
+	// knows the answer with the many that don't).
+	sc.fac = sc.fac[:0]
+	for _, seed := range g.seeds {
+		sc.kw = g.m.kw.predict(sc.kw[:0], view, seed)
+		sc.fac, sc.merged = maxMerge(sc.merged[:0], sc.fac, sc.kw), sc.fac
+	}
+	if mm != nil {
+		return mm.keepFactors(k, sc.fac)
+	}
+	return sc.fac
+}
+
+// maxMerge appends to dst the union of an id-sorted evidence run and an
+// id-sorted prediction, each id with the larger of its probabilities (a
+// missing one counts as zero).
+func maxMerge(dst, a, b []entry) []entry {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(a) && a[i].id < b[j].id:
+			dst = append(dst, a[i])
+			i++
+		case i == len(a) || b[j].id < a[i].id:
+			dst = append(dst, entry{b[j].id, max(0, b[j].v)})
+			j++
+		default:
+			dst = append(dst, entry{a[i].id, max(a[i].v, b[j].v)})
+			i++
+			j++
+		}
+	}
+	return dst
+}

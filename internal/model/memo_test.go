@@ -1,0 +1,226 @@
+package model
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/tokenizer"
+)
+
+// TestMemoByteIdentical decodes the fixture prompts under all three
+// schemes and checks, for every prefix of each decode, that the memo's
+// answers equal the memo-less calls bit for bit. One memo serves each
+// decode; its contexts are visited in shuffled order and then revisited,
+// with step boundaries advancing in between, and then step by step the
+// way the decoding loop drives it: a base pass, a chain of verification
+// posteriors beyond it, a boundary at an accepted length.
+func TestMemoByteIdentical(t *testing.T) {
+	// A fourth example shares keywords (8, register, synchronous, reset)
+	// with the fixture's, so keywords disagree and the max matters.
+	examples := append(slices.Clone(trainExamples), Example{
+		Prompt: "Create an 8-bit register with synchronous reset.",
+		Code: `module register8 (
+    input clk,
+    input reset,
+    input [7:0] d,
+    output reg [7:0] q
+);
+    always @(posedge clk) begin
+        if (reset) q <= 8'd0;
+        else q <= d;
+    end
+endmodule
+`,
+	})
+	var corpus []string
+	for _, ex := range examples {
+		corpus = append(corpus, FormatPrompt(ex.Prompt)+ex.Code)
+	}
+	tk := tokenizer.Train(corpus, 400)
+	for _, scheme := range []Scheme{SchemeNTP, SchemeMedusa, SchemeOurs} {
+		m := Train(tk, smallCfg(), scheme, examples)
+		kwHits, kwCalls, postHits := 0, 0, 0
+		for p, ex := range examples {
+			prompt := CanonicalPromptIDs(m.tok, ex.Prompt)
+			g := m.NewGen(prompt)
+			full := slices.Clone(prompt)
+			for len(full) < len(prompt)+150 {
+				next := g.BaseDist(full).Argmax()
+				if next == tokenizer.EosID {
+					break
+				}
+				full = append(full, next)
+			}
+			ctxs := make([][]int, 0, len(full)-len(prompt)+1)
+			for n := len(prompt); n <= len(full); n++ {
+				ctxs = append(ctxs, full[:n])
+			}
+			check := func(mm *Memo, seq []int) {
+				t.Helper()
+				_, kept := mm.posterior(seq)
+				if kept {
+					postHits++
+				}
+				kwCalls++
+				view := kwViewOf(g, seq)
+				if _, ok := mm.kwIdx[mm.key(view)]; ok {
+					kwHits++
+				}
+				sameForward(t, "BaseDistMemo", Forward{Base: g.BaseDist(seq)}, Forward{Base: g.BaseDistMemo(seq, mm)})
+				if scheme != SchemeNTP {
+					sameForward(t, "ForwardMemo", g.Forward(seq), g.ForwardMemo(seq, mm))
+				}
+				sameFactors(t, g, mm, view)
+				if mm.bytes > memoCap {
+					t.Fatalf("memo holds %d bytes, cap %d", mm.bytes, memoCap)
+				}
+			}
+
+			newMemo := func() *Memo {
+				mm := new(Memo)
+				mm.bind(g)
+				return mm
+			}
+			mm := newMemo()
+			rng := rand.New(rand.NewSource(int64(p)))
+			order := rng.Perm(len(ctxs))
+			for pass := 0; pass < 2; pass++ {
+				bound := len(prompt)
+				for i, o := range order {
+					if i%9 == 0 {
+						mm.NextStep(full[:bound])
+						bound = min(len(full), bound+1+rng.Intn(8))
+					}
+					check(mm, ctxs[o])
+				}
+				mm.NextStep(full[:len(prompt)]) // a shorter boundary drops everything
+			}
+
+			mm = newMemo()
+			mm.NextStep(full[:len(prompt)])
+			for n := len(prompt); n < len(full); {
+				check(mm, full[:n])
+				walk := min(len(full), n+1+rng.Intn(6))
+				for w := n + 1; w <= walk; w++ {
+					check(mm, full[:w])
+				}
+				n = min(walk, n+1+rng.Intn(walk-n))
+				mm.NextStep(full[:n])
+			}
+		}
+		t.Logf("%v: %d of %d calls found their keyword factors, %d reused a posterior", scheme, kwHits, kwCalls, postHits)
+		if kwHits == 0 || postHits == 0 {
+			t.Fatalf("%v: the memo was never used (%d keyword hits, %d posterior hits)", scheme, kwHits, postHits)
+		}
+	}
+}
+
+// sameFactors fails unless the keyword evidence the memo holds (or
+// builds) for view is the definition's: per id, the largest probability
+// any of the prompt's keywords gives it, bit for bit.
+func sameFactors(t *testing.T, g *Gen, mm *Memo, view []int) {
+	t.Helper()
+	best := map[int32]float64{}
+	for _, seed := range g.seeds {
+		for _, e := range g.m.kw.predict(nil, view, seed) {
+			best[e.id] = max(best[e.id], e.v)
+		}
+	}
+	fac := g.kwFactors(new(scratch), mm, view)
+	if len(fac) != len(best) {
+		t.Fatalf("keyword evidence: %d ids, want %d", len(fac), len(best))
+	}
+	eta := g.m.cfg.PromptBlend
+	for i, f := range fac {
+		p, ok := best[f.id]
+		if !ok || math.Float64bits(kwFactor(&fac[i], eta)) != math.Float64bits(math.Pow(kwFloor+p, eta)) {
+			t.Fatalf("keyword factor for id %d: %v, want Pow(kwFloor+%v)", f.id, kwFactor(&fac[i], eta), p)
+		}
+	}
+}
+
+// kwViewOf is the keyword view baseAt builds for seq.
+func kwViewOf(g *Gen, seq []int) []int {
+	view := g.clippedView(new(scratch), seq)
+	for len(view) > 0 && view[len(view)-1] == tokenizer.FragID {
+		view = view[:len(view)-1]
+	}
+	return view
+}
+
+// TestMemoKeyExact pins the keyword key: views that differ only beyond
+// the keyword tables' reach r share a key and the same factors, views
+// that differ within it never share one. r is the top ladder level, so
+// KwCtx 5 reaches 4 back.
+func TestMemoKeyExact(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	for _, c := range []struct{ kwCtx, reach int }{{2, 2}, {5, 4}} {
+		cfg := smallCfg()
+		cfg.KwCtx = c.kwCtx
+		m := Train(tk, cfg, SchemeNTP, trainExamples)
+		g := m.NewGen(CanonicalPromptIDs(tk, trainExamples[1].Prompt))
+		mm := new(Memo)
+		mm.bind(g)
+		if mm.kwReach != c.reach {
+			t.Fatalf("KwCtx %d: reach %d, want %d", c.kwCtx, mm.kwReach, c.reach)
+		}
+		code := tk.Encode(trainExamples[1].Code)
+		tail := code[len(code)-c.reach:]
+		x, y := code[0], code[0]+1 // two different tokens
+		for _, tc := range []struct {
+			name string
+			a, b []int
+			same bool
+		}{
+			{"empty", nil, nil, true},
+			{"length 0 vs 1, token 0", nil, []int{0}, false},
+			{"length 1", tail[c.reach-1:], tail[c.reach-1:], true},
+			{"length 1 vs 2", tail[c.reach-1:], tail[c.reach-2:], false},
+			{"length r", tail, tail, true},
+			{"length r-1 vs r", tail[1:], tail, false},
+			{"beyond r", append([]int{x}, tail...), append([]int{y}, tail...), true},
+			{"much longer", code, tail, true},
+			{"within r, oldest", append([]int{x}, tail[1:]...), append([]int{y}, tail[1:]...), false},
+			{"within r, newest", append(slices.Clone(tail[1:]), x), append(slices.Clone(tail[1:]), y), false},
+		} {
+			if got := mm.key(tc.a) == mm.key(tc.b); got != tc.same {
+				t.Errorf("KwCtx %d, %s: same key %v, want %v", c.kwCtx, tc.name, got, tc.same)
+			}
+			if !tc.same {
+				continue
+			}
+			fa := g.kwFactors(new(scratch), nil, tc.a)
+			fb := g.kwFactors(new(scratch), nil, tc.b)
+			if !slices.Equal(fa, fb) {
+				t.Errorf("KwCtx %d, %s: one key, different factors", c.kwCtx, tc.name)
+			}
+		}
+	}
+}
+
+// TestMemoCap: the memo never holds more than memoCap bytes; at the cap
+// the keyword runs start over, and a posterior that would cross it is
+// not kept.
+func TestMemoCap(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	m := Train(tk, smallCfg(), SchemeNTP, trainExamples)
+	mm := new(Memo)
+	mm.bind(m.NewGen(CanonicalPromptIDs(tk, trainExamples[0].Prompt)))
+	run := make([]entry, memoCap/entryBytes/3)
+	for i := range 7 {
+		mm.keepFactors(mm.key([]int{i}), run)
+		if mm.bytes > memoCap {
+			t.Fatalf("after %d runs the memo holds %d bytes, cap %d", i+1, mm.bytes, memoCap)
+		}
+	}
+	if _, ok := mm.kwIdx[mm.key([]int{6})]; !ok || len(mm.kwIdx) > 3 {
+		t.Fatalf("keyword runs after the cap: %d, newest kept %v", len(mm.kwIdx), ok)
+	}
+	before := mm.bytes
+	mm.keep([]int{1}, Dist{e: make([]entry, memoCap/entryBytes)})
+	if mm.bytes != before || len(mm.posts) != 0 {
+		t.Fatalf("a posterior past the cap was kept")
+	}
+}

@@ -144,6 +144,9 @@ type Model struct {
 	kwDF map[string]int
 	// trained counts examples consumed (diagnostics).
 	trained int
+	// kwFloorPow is the keyword factor of an id no keyword supports,
+	// Pow(kwFloor, PromptBlend).
+	kwFloorPow float64
 }
 
 // New creates an empty model bound to a tokenizer; use Train / TrainMore
@@ -154,7 +157,7 @@ func New(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 	}
 	m := &Model{cfg: cfg, scheme: scheme, tok: tk,
 		base: newNgramTable(cfg.Order), kw: newNgramTable(cfg.KwCtx),
-		kwDF: map[string]int{}}
+		kwDF: map[string]int{}, kwFloorPow: math.Pow(kwFloor, cfg.PromptBlend)}
 	if scheme != SchemeNTP {
 		m.heads = make([]*ngramTable, cfg.NumHeads)
 		for i := range m.heads {
@@ -480,12 +483,13 @@ func trailIdx(seq []int) int {
 // Gen, which the prefix trie shares across concurrent decodes, so each
 // Forward or BaseDist call takes one from scratchPool and returns it.
 type scratch struct {
-	view []int     // the filtered context view
-	tbl  []entry   // the distribution being built
-	kw   []entry   // one keyword expert's prediction
-	kwd  []float64 // per tbl entry: the keyword experts' best probability
-	out  []entry   // Forward's finished distributions, back to back
-	ends []int     // where each of them ends in out
+	view   []int   // the filtered context view
+	tbl    []entry // the distribution being built
+	kw     []entry // one keyword expert's prediction
+	fac    []entry // the keyword evidence being built
+	merged []entry // kwFactors' second buffer
+	out    []entry // Forward's finished distributions, back to back
+	ends   []int   // where each of them ends in out
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -503,32 +507,67 @@ func (g *Gen) clippedView(sc *scratch, seq []int) []int {
 
 // Forward runs one step of the model over seq (prompt + generated). All
 // the distributions it returns share one allocation.
-func (g *Gen) Forward(seq []int) Forward {
+func (g *Gen) Forward(seq []int) Forward { return g.ForwardMemo(seq, nil) }
+
+// ForwardMemo is Forward remembering into mm (nil: Forward): the base
+// distribution may be one mm kept, the heads are always computed.
+func (g *Gen) ForwardMemo(seq []int, mm *Memo) Forward {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	if mm != nil {
+		mm.bind(g)
+	}
 	matchJ, matchK := g.findInduction(seq)
 	fview := g.clippedView(sc, seq)
-	sc.out = append(sc.out[:0], g.baseAt(sc, seq, fview, matchJ, matchK)...)
-	sc.ends = append(sc.ends[:0], len(sc.out))
+	base, kept := Dist{}, false
+	if mm != nil {
+		base, kept = mm.posterior(seq)
+	}
+	sc.out, sc.ends = sc.out[:0], sc.ends[:0]
+	if !kept {
+		sc.out = append(sc.out, g.baseAt(sc, mm, seq, fview, matchJ, matchK)...)
+		sc.ends = append(sc.ends, len(sc.out))
+	}
 	for i, h := range g.m.heads {
 		sc.out = append(sc.out, g.distAt(sc, h, seq, fview, matchJ, matchK, i+2)...)
 		sc.ends = append(sc.ends, len(sc.out))
 	}
 	all := slices.Clone(sc.out)
-	fw := Forward{Base: Dist{e: all[:sc.ends[0]:sc.ends[0]]}, Heads: make([]Dist, len(g.m.heads))}
-	for i := range fw.Heads {
-		lo, hi := sc.ends[i], sc.ends[i+1]
+	lo, ends := 0, sc.ends
+	if !kept {
+		lo, ends = ends[0], ends[1:]
+		base = Dist{e: all[:lo:lo]}
+		if mm != nil {
+			mm.keep(seq, base)
+		}
+	}
+	fw := Forward{Base: base, Heads: make([]Dist, len(g.m.heads))}
+	for i, hi := range ends {
 		fw.Heads[i] = Dist{e: all[lo:hi:hi]}
+		lo = hi
 	}
 	return fw
 }
 
 // BaseDist returns the base model's next-token distribution.
-func (g *Gen) BaseDist(seq []int) Dist {
+func (g *Gen) BaseDist(seq []int) Dist { return g.BaseDistMemo(seq, nil) }
+
+// BaseDistMemo is BaseDist remembering into mm (nil: BaseDist).
+func (g *Gen) BaseDistMemo(seq []int, mm *Memo) Dist {
+	if mm != nil {
+		mm.bind(g)
+		if d, ok := mm.posterior(seq); ok {
+			return d
+		}
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	matchJ, matchK := g.findInduction(seq)
-	return Dist{e: slices.Clone(g.baseAt(sc, seq, g.clippedView(sc, seq), matchJ, matchK))}
+	d := Dist{e: slices.Clone(g.baseAt(sc, mm, seq, g.clippedView(sc, seq), matchJ, matchK))}
+	if mm != nil {
+		mm.keep(seq, d)
+	}
+	return d
 }
 
 // kwFloor is the probability floor applied to the keyword expert so
@@ -537,7 +576,7 @@ const kwFloor = 0.02
 
 // baseAt combines the base table with keyword conditioning (product of
 // experts) and the shared induction match. The result lives in sc.tbl.
-func (g *Gen) baseAt(sc *scratch, seq, fview []int, matchJ, matchK int) []entry {
+func (g *Gen) baseAt(sc *scratch, mm *Memo, seq, fview []int, matchJ, matchK int) []entry {
 	table := g.m.base.predict(sc.tbl[:0], fview, 0)
 	// Strip trailing FRAG markers for the keyword view.
 	kwView := fview
@@ -545,45 +584,26 @@ func (g *Gen) baseAt(sc *scratch, seq, fview []int, matchJ, matchK int) []entry 
 		kwView = kwView[:len(kwView)-1]
 	}
 	if len(g.seeds) > 0 && g.m.cfg.PromptBlend > 0 && len(table) > 1 {
-		// Each token keeps its best supporting evidence across the
-		// prompt's keywords (max, not mean: averaging dilutes the one
-		// keyword that knows the answer with the many that don't).
-		kwd := slices.Grow(sc.kwd[:0], len(table))[:len(table)]
-		clear(kwd)
-		sc.kwd = kwd
-		hits := 0
-		for _, seed := range g.seeds {
-			sc.kw = g.m.kw.predict(sc.kw[:0], kwView, seed)
-			if len(sc.kw) == 0 {
-				continue
-			}
-			hits++
-			i := 0 // both runs are id-sorted: one merge pass
-			for _, e := range sc.kw {
-				for i < len(table) && table[i].id < e.id {
-					i++
-				}
-				if i == len(table) {
-					break
-				}
-				if table[i].id == e.id && e.v > kwd[i] {
-					kwd[i] = e.v
-				}
-			}
-		}
-		if hits > 0 {
+		if fac := g.kwFactors(sc, mm, kwView); len(fac) > 0 {
 			// Pool-preserving product of experts: conditioning
 			// redistributes mass WITHIN content tokens; the base's
 			// structural balance (probability of [FRAG]/<eos>
 			// machinery vs content) is its own to decide.
-			eta := g.m.cfg.PromptBlend
 			contentMass, newMass := 0.0, 0.0
+			j := 0 // both runs are id-sorted: one merge pass
 			for i, e := range table {
 				if tokenizer.IsSpecial(int(e.id)) {
 					continue
 				}
 				contentMass += e.v
-				table[i].v = e.v * math.Pow(kwFloor+kwd[i], eta)
+				for j < len(fac) && fac[j].id < e.id {
+					j++
+				}
+				f := g.m.kwFloorPow
+				if j < len(fac) && fac[j].id == e.id {
+					f = kwFactor(&fac[j], g.m.cfg.PromptBlend)
+				}
+				table[i].v = e.v * f
 				newMass += table[i].v
 			}
 			if newMass > 0 {

@@ -82,12 +82,12 @@ func TestDistBasics(t *testing.T) {
 	if math.Abs(h-want) > 1e-12 {
 		t.Fatalf("Entropy = %f, want %f", h, want)
 	}
-	if d.Sample(0, 0.99) != 7 {
+	if d.Sample(0, 0.99, nil) != 7 {
 		t.Fatal("temperature 0 must be greedy")
 	}
 	// u walks the CDF over sorted ids at temperature 1.
-	if d.Sample(1, 0.0) != 7 || d.Sample(1, 0.999) != 9 {
-		t.Fatalf("Sample edges: %d %d", d.Sample(1, 0.0), d.Sample(1, 0.999))
+	if d.Sample(1, 0.0, nil) != 7 || d.Sample(1, 0.999, nil) != 9 {
+		t.Fatalf("Sample edges: %d %d", d.Sample(1, 0.0, nil), d.Sample(1, 0.999, nil))
 	}
 }
 
@@ -100,7 +100,7 @@ func TestSampleProperty(t *testing.T) {
 		if temp > 4 {
 			temp = 4
 		}
-		id := d.Sample(temp, u)
+		id := d.Sample(temp, u, nil)
 		return id >= 1 && id <= 3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -143,7 +143,7 @@ func TestDistMatchesSortedDefinitions(t *testing.T) {
 				break
 			}
 		}
-		return d.Sample(0.7, u) == want
+		return d.Sample(0.7, u, nil) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

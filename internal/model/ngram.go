@@ -112,7 +112,7 @@ func ladder(maxCtx int) []int {
 	for k := 0; k <= maxCtx && k <= 4; k++ {
 		out = append(out, k)
 	}
-	for _, k := range []int{6, 8, 12, 16} {
+	for _, k := range []int{6, 8, 12, maxReach} {
 		if k <= maxCtx {
 			out = append(out, k)
 		}
@@ -120,7 +120,10 @@ func ladder(maxCtx int) []int {
 	return out
 }
 
-// maxLevels is the longest ladder (ladder(16)).
+// maxReach is the longest context any ladder reaches.
+const maxReach = 16
+
+// maxLevels is the longest ladder (ladder(maxReach)).
 const maxLevels = 9
 
 func newNgramTable(maxCtx int) *ngramTable {
