@@ -133,8 +133,10 @@ cover:
 # n-gram table (equal to the map reference, thaw→refreeze the
 # identity), the Verilog lexer, the full parser (no-panic,
 # *SyntaxError contract, and the prefix-soundness invariant the
-# grammar oracle rests on) and the
-# draft-tree arena (insert/walk/longest-accepted-path invariants),
+# grammar oracle rests on), the
+# draft-tree arena (insert/walk/longest-accepted-path invariants) and
+# the BPE encoder (ids equal to the per-merge rescan it replaced,
+# Decode(Encode(s)) == s),
 # each for a short budget on top of the committed seed corpora
 # (testdata/fuzz/). Run longer locally with FUZZTIME=5m.
 FUZZTIME ?= 15s
@@ -144,6 +146,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/
+	$(GO) test -run '^$$' -fuzz FuzzEncode -fuzztime $(FUZZTIME) ./internal/tokenizer/
 
 # Engine wall-clock throughput + the strategy matrix (every strategy's
 # speed, accepted length and tree columns) + scheduler-load smoke + the

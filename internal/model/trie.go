@@ -50,16 +50,10 @@ type TrieCache struct {
 
 	hits, partialHits, misses uint64
 	tokensSaved               uint64
-	depthHits                 [TrieDepthBuckets]uint64
 }
 
 // DefaultTrieBytes is the byte budget selected by NewTrieCache(0).
 const DefaultTrieBytes = 64 << 20
-
-// TrieDepthBuckets sizes the per-depth hit histogram: bucket i counts
-// hits whose matched prefix depth d satisfies 2^i <= d < 2^(i+1)
-// (bucket 0 additionally holds d == 1; the last bucket is open-ended).
-const TrieDepthBuckets = 12
 
 // trieNode is one radix-trie node: the edge span from its parent, the
 // cumulative prefix depth, and optionally the prepared session for the
@@ -92,19 +86,6 @@ func NewTrieCache(maxBytes int64) *TrieCache {
 
 // spanBytes is the accounted weight of an edge label.
 func spanBytes(span []int) int64 { return int64(len(span))*8 + 48 }
-
-// depthBucket maps a matched prefix depth to its histogram bucket.
-func depthBucket(d int) int {
-	b := 0
-	for d > 1 {
-		d >>= 1
-		b++
-	}
-	if b >= TrieDepthBuckets {
-		b = TrieDepthBuckets - 1
-	}
-	return b
-}
 
 // Gen returns the prepared session for promptIDs: the cached session on
 // an exact prefix hit, a copy-on-extend fork of the longest cached
@@ -139,14 +120,12 @@ func (c *TrieCache) GenDepth(m *Model, promptIDs []int) (*Gen, int) {
 	case best != nil && depth == len(promptIDs):
 		c.hits++
 		c.tokensSaved += uint64(depth)
-		c.depthHits[depthBucket(depth)]++
 		g := best.gen
 		c.mu.Unlock()
 		return g, depth
 	case best != nil:
 		c.partialHits++
 		c.tokensSaved += uint64(depth)
-		c.depthHits[depthBucket(depth)]++
 	default:
 		c.misses++
 	}
@@ -386,15 +365,6 @@ func (c *TrieCache) SessionStats() SessionStats {
 		Entries:     c.lru.Len(),
 		Bytes:       c.bytes,
 	}
-}
-
-// DepthHits returns the per-depth histogram of prefix reuse: bucket i
-// counts hits (exact and partial) whose matched depth d had
-// 2^i <= d < 2^(i+1), with depth 1 in bucket 0.
-func (c *TrieCache) DepthHits() [TrieDepthBuckets]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.depthHits
 }
 
 // Len reports the current number of cached sessions.

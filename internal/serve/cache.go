@@ -9,11 +9,10 @@ import (
 
 // cacheKey identifies one generation. Decoding is fully deterministic
 // given (model, prompt, options) — see core.Options.Seed — and an
-// Engine is bound to exactly one model, so the prompt plus the full
-// options struct (which embeds the seed) is a complete key. The prompt
-// component is the canonical packed token-id key (Engine.canonicalize via
-// model.PromptKeyString), not the raw request string: spellings that
-// tokenize identically decode identically and share one entry.
+// Engine is bound to exactly one model, so the prompt text plus the
+// canonical options struct (which embeds the seed) is a complete key.
+// BPE round-trips losslessly, so distinct texts never share token ids
+// and the text key loses no sharing.
 type cacheKey struct {
 	prompt string
 	opts   core.Options

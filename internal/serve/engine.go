@@ -10,8 +10,9 @@
 // full — the regime where speculative decoding actually pays — so a
 // short request runs beside a long one instead of behind it. Around
 // the scheduler sit a bounded FIFO request queue with explicit
-// backpressure, an LRU cache keyed on (model, prompt, options, seed)
-// that short-circuits repeat generations, and a shared prefix cache
+// backpressure, an LRU cache keyed on the prompt text and canonical
+// options (seed included) that short-circuits repeat generations
+// before the prompt is tokenized, and a shared prefix cache
 // (model.TrieCache, a token-prefix trie) that reuses prompt-derived
 // session state across requests — including partial reuse, where a
 // prompt sharing only a token prefix with earlier traffic forks the
@@ -167,9 +168,8 @@ type Response struct {
 // task is one queued request with its completion channel.
 type task struct {
 	req Request
-	// promptIDs is the prompt's canonical tokenization, computed once at
-	// submission (it also derives key); the scheduler decodes from it
-	// directly instead of re-encoding the prompt text.
+	// promptIDs is the prompt's canonical tokenization, computed once
+	// at submission after a cache miss; the scheduler decodes from it.
 	promptIDs []int
 	ctx       context.Context
 	done      chan *Response // buffered(1): the scheduler never blocks on delivery
@@ -194,15 +194,6 @@ type Engine struct {
 	cache    *lruCache        // nil when disabled
 	sessions *model.TrieCache // at model.DefaultTrieBytes
 
-	// memoMu guards keyMemo, a prompt-string → canonical-token-ids memo
-	// so repeat submissions (the result LRU's whole clientele) skip BPE
-	// re-tokenization on the hot path. Reset wholesale when full —
-	// cheaper than LRU bookkeeping and just as effective on the repeat-
-	// heavy traffic it exists for. The cached slices are shared and
-	// never mutated (decodes copy before appending).
-	memoMu  sync.RWMutex
-	keyMemo map[string][]int
-
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -222,7 +213,6 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 		cfg:      cfg,
 		queue:    make(chan *task, cfg.QueueSize),
 		sessions: model.NewTrieCache(0),
-		keyMemo:  map[string][]int{},
 		quit:     make(chan struct{}),
 	}
 	if cfg.CacheSize > 0 {
@@ -343,7 +333,8 @@ func (e *Engine) submit(ctx context.Context, req Request, block bool) (*Response
 }
 
 // start runs a submission up to the wait: the model check, accounting,
-// the result LRU (a hit comes back as resp), then the enqueue.
+// the result LRU (a hit comes back as resp), then tokenization and the
+// enqueue.
 func (e *Engine) start(ctx context.Context, req Request, block bool) (*task, *Response, error) {
 	if err := e.modelMismatch(req); err != nil {
 		return nil, nil, err
@@ -352,57 +343,13 @@ func (e *Engine) start(ctx context.Context, req Request, block bool) (*task, *Re
 	// entries (see core.Options.Canonical).
 	req.Options = req.Options.Canonical()
 	e.st.request(req.Options.StrategyLabel())
-	ids, key := e.canonicalize(req)
+	key := cacheKey{prompt: req.Prompt, opts: req.Options}
 	if resp := e.cacheLookup(req, key); resp != nil {
 		return nil, resp, nil
 	}
+	ids := model.CanonicalPromptIDs(e.m.Tokenizer(), req.Prompt)
 	t, err := e.enqueue(ctx, req, ids, key, block)
 	return t, nil, err
-}
-
-// canonicalize tokenizes a request's prompt exactly once, returning the
-// canonical token ids (which the scheduler decodes from) and the derived
-// cache key. Both go through the same shared helpers the decoder and
-// the prefix trie key on (model.CanonicalPromptIDs +
-// model.PromptKeyString): spellings that tokenize identically — and
-// therefore decode identically — share one entry, and the serving key
-// space can never drift from the decoder's. Options must already be
-// canonical.
-func (e *Engine) canonicalize(req Request) ([]int, cacheKey) {
-	ids := e.canonicalIDs(req.Prompt)
-	return ids, cacheKey{prompt: model.PromptKeyString(ids), opts: req.Options}
-}
-
-// keyMemoCap bounds the tokenization memo's entry count and
-// keyMemoMaxPrompt its per-entry size (see Engine.keyMemo). Together
-// they cap retained memo heap at a few MiB: prompts past the size cut
-// are tokenized every time instead of pinning megabytes of string per
-// slot, which is the right trade — the memo exists for short repeated
-// prompts, not one-off bulk payloads.
-const (
-	keyMemoCap       = 4096
-	keyMemoMaxPrompt = 4 << 10
-)
-
-// canonicalIDs tokenizes a prompt through the memo.
-func (e *Engine) canonicalIDs(prompt string) []int {
-	e.memoMu.RLock()
-	ids, ok := e.keyMemo[prompt]
-	e.memoMu.RUnlock()
-	if ok {
-		return ids
-	}
-	ids = model.CanonicalPromptIDs(e.m.Tokenizer(), prompt)
-	if len(prompt) > keyMemoMaxPrompt {
-		return ids
-	}
-	e.memoMu.Lock()
-	if len(e.keyMemo) >= keyMemoCap {
-		clear(e.keyMemo)
-	}
-	e.keyMemo[prompt] = ids
-	e.memoMu.Unlock()
-	return ids
 }
 
 // wait blocks on a submitted task's outcome.

@@ -450,65 +450,46 @@ func TestPrefixCacheModesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRequestKeyCanonical pins the shared-helper key path: requests
-// whose prompts tokenize identically must share one result-cache entry,
-// because the key is the canonical token-id packing, not the raw
-// string.
-func TestRequestKeyCanonical(t *testing.T) {
+// TestCacheKeyIsPromptText pins the result cache's key: the prompt
+// text plus canonical options. A repeat comes back Cached; texts that
+// differ by a trailing space, an embedded NUL or a rune each decode into
+// their own entry, the empty prompt included, and so do "K" and U+212A
+// KELVIN SIGN, which case folding and NFKC would merge; strategy aliases
+// share one.
+func TestCacheKeyIsPromptText(t *testing.T) {
 	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1})
+	eng := NewEngine(m, Config{Workers: 1, CacheSize: 16})
 	defer eng.Close()
-	key := func(prompt string) cacheKey {
-		_, k := eng.canonicalize(Request{Prompt: prompt, Options: testOptions(1)})
-		return k
+	gen := func(prompt, strategy string) *Response {
+		t.Helper()
+		resp, err := eng.Generate(context.Background(), Request{Prompt: prompt,
+			Options: core.Options{Strategy: strategy, MaxNewTokens: 8, Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	a, b := key(prompts[0]), key(prompts[0])
-	if a != b {
-		t.Fatal("identical requests produced different keys")
+	p := prompts[0]
+	variants := []string{p, p + " ", strings.Replace(p, " ", "\x00", 1), p + " — schnell ✓", "",
+		"K" + p, "\u212A" + p}
+	for _, v := range variants {
+		if gen(v, "ours").Cached {
+			t.Errorf("%q shared another prompt's entry", v)
+		}
 	}
-	ids := model.CanonicalPromptIDs(m.Tokenizer(), prompts[0])
-	if a.prompt != model.PromptKeyString(ids) {
-		t.Fatal("request key does not go through the shared canonicalization helper")
+	for _, v := range variants {
+		if !gen(v, "ours").Cached {
+			t.Errorf("repeat of %q was not a cache hit", v)
+		}
 	}
-	if c := key(prompts[0] + "!"); c == a {
-		t.Fatal("distinct prompts share a key")
+	first := gen(p, "prompt-lookup")
+	for _, alias := range []string{"pl", "PromptLookup"} {
+		if resp := gen(p, alias); !resp.Cached || resp.Result != first.Result {
+			t.Errorf("strategy alias %q did not share the entry", alias)
+		}
 	}
-}
-
-// TestKeyMemoBounded pins the tokenization memo's memory discipline:
-// repeat prompts hit the memo (same backing slice comes back), the
-// memo resets wholesale at its entry cap instead of growing without
-// bound, and oversized prompts are never admitted — they would pin
-// megabytes of string per slot for traffic the memo wasn't built for.
-func TestKeyMemoBounded(t *testing.T) {
-	m, prompts := fixture(t)
-	eng := NewEngine(m, Config{Workers: 1})
-	defer eng.Close()
-	a := eng.canonicalIDs(prompts[0])
-	b := eng.canonicalIDs(prompts[0])
-	if len(a) > 0 && &a[0] != &b[0] {
-		t.Error("repeat prompt re-tokenized instead of hitting the memo")
-	}
-	big := strings.Repeat(prompts[0]+" ", keyMemoMaxPrompt/len(prompts[0])+2)
-	eng.canonicalIDs(big)
-	eng.memoMu.RLock()
-	_, kept := eng.keyMemo[big]
-	n := len(eng.keyMemo)
-	eng.memoMu.RUnlock()
-	if kept {
-		t.Errorf("prompt of %d bytes admitted to the memo (cap %d)", len(big), keyMemoMaxPrompt)
-	}
-	if n != 1 {
-		t.Errorf("memo holds %d entries, want just the small prompt", n)
-	}
-	for i := 0; i < keyMemoCap; i++ {
-		eng.canonicalIDs(fmt.Sprintf("%s #%d", prompts[0], i))
-	}
-	eng.memoMu.RLock()
-	n = len(eng.keyMemo)
-	eng.memoMu.RUnlock()
-	if n > keyMemoCap {
-		t.Errorf("memo grew to %d entries past its cap %d", n, keyMemoCap)
+	if got, want := eng.cache.len(), len(variants)+1; got != want {
+		t.Errorf("cache holds %d entries, want %d", got, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 // TestContinuousBackpressure: with one batch slot wedged by a gated
@@ -49,8 +50,8 @@ func TestContinuousBackpressure(t *testing.T) {
 	for {
 		req := Request{Prompt: prompts[1], Options: testOptions(int64(successes))}
 		req.Options = req.Options.Canonical()
-		ids, key := eng.canonicalize(req)
-		_, err := eng.enqueue(ctx, req, ids, key, false)
+		ids := model.CanonicalPromptIDs(m.Tokenizer(), req.Prompt)
+		_, err := eng.enqueue(ctx, req, ids, cacheKey{prompt: req.Prompt, opts: req.Options}, false)
 		if err == nil {
 			successes++
 		} else if errors.Is(err, ErrQueueFull) && successes >= 1 {

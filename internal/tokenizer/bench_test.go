@@ -1,0 +1,42 @@
+package tokenizer_test
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/dataset"
+	"repro/internal/model"
+	"repro/internal/tokenizer"
+)
+
+// served trains the tokenizer vgend serves at its default flags.
+var served = sync.OnceValue(func() *tokenizer.Tokenizer {
+	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 3400})
+	var corpus []string
+	for _, ex := range examples[:min(len(examples), 1500)] {
+		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
+	}
+	return tokenizer.Train(corpus, model.CodeLlamaSim().VocabSize)
+})
+
+// BenchmarkEncode encodes the templated prompt text the engine encodes
+// per request: a bench prompt, and a fleet_shared_prefix-shaped one
+// (three bench prompts as a shared stem, then a unique tail).
+func BenchmarkEncode(b *testing.B) {
+	tk := served()
+	p := bench.All()
+	fleet := fmt.Sprintf("%s\n%s\n%s\nVariant %d: name the module top_v%d.", p[0].Prompt, p[7].Prompt, p[19].Prompt, 1, 1)
+	for _, c := range []struct{ name, desc string }{{"bench", p[0].Prompt}, {"fleet", fleet}} {
+		text := model.FormatPrompt(c.desc)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ids []int
+			for b.Loop() {
+				ids = tk.Encode(text)
+			}
+			b.ReportMetric(float64(len(ids)), "tokens")
+		})
+	}
+}

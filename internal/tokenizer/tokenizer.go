@@ -115,8 +115,9 @@ func pretokenize(text string) []string {
 // Encode tokenizes text into BPE ids (no <bos>/<eos> are added).
 func (t *Tokenizer) Encode(text string) []int {
 	var out []int
+	var m merger
 	for _, word := range pretokenize(text) {
-		out = append(out, t.encodeWord(word)...)
+		out = m.encode(t.ranks, word, out)
 	}
 	return out
 }
@@ -128,28 +129,106 @@ func (t *Tokenizer) EncodeWithMarkers(text string) []int {
 	return append(ids, EosID)
 }
 
-func (t *Tokenizer) encodeWord(word string) []int {
-	ids := make([]int, 0, len(word))
-	for i := 0; i < len(word); i++ {
-		ids = append(ids, NumSpecial+int(word[i]))
+// merger applies a word's merges in rank order: the earliest-learned
+// pair present first, the leftmost of equal pairs first. Candidate
+// pairs wait in a binary min-heap and each merge pushes only its two
+// new neighbour pairs, so a word of n bytes costs O(n log n) rank
+// lookups instead of a rescan of the word per merge. The word is a
+// linked list of symbols indexed by their first byte; the slices are
+// scratch reused across the words of one Encode.
+type merger struct {
+	id         []int // token of the symbol starting at byte i; -1 once merged into its left neighbour
+	prev, next []int // start of the neighbouring symbol; -1 and len(word) at the ends
+	heap       []pair
+}
+
+// pair is a merge candidate: the ids a and b of the adjacent symbols
+// starting at byte pos, and rank, the id they merge into.
+type pair struct{ rank, pos, a, b int }
+
+func (a pair) less(b pair) bool { return a.rank < b.rank || a.rank == b.rank && a.pos < b.pos }
+
+// encode appends word's ids to out.
+func (m *merger) encode(ranks map[[2]int]int, word string, out []int) []int {
+	n := len(word)
+	if n == 1 {
+		return append(out, NumSpecial+int(word[0]))
 	}
-	// Repeatedly apply the earliest-learned merge present.
-	for len(ids) >= 2 {
-		best, bestAt := -1, -1
-		for i := 0; i+1 < len(ids); i++ {
-			if id, ok := t.ranks[[2]int{ids[i], ids[i+1]}]; ok {
-				if best == -1 || id < best {
-					best, bestAt = id, i
-				}
-			}
+	m.id, m.prev, m.next, m.heap = m.id[:0], m.prev[:0], m.next[:0], m.heap[:0]
+	for i := 0; i < n; i++ {
+		m.id = append(m.id, NumSpecial+int(word[i]))
+		m.prev = append(m.prev, i-1)
+		m.next = append(m.next, i+1)
+	}
+	for i := 0; i+1 < n; i++ {
+		m.push(ranks, i, i+1)
+	}
+	for len(m.heap) > 0 {
+		p := m.pop()
+		i := p.pos
+		j := m.next[i]
+		if m.id[i] != p.a || j == n || m.id[j] != p.b {
+			continue // a merge since the push changed one side of this pair
 		}
-		if best == -1 {
+		m.id[i], m.id[j] = p.rank, -1
+		k := m.next[j]
+		m.next[i] = k
+		if k < n {
+			m.prev[k] = i
+			m.push(ranks, i, k)
+		}
+		if h := m.prev[i]; h >= 0 {
+			m.push(ranks, h, i)
+		}
+	}
+	for i := 0; i < n; i = m.next[i] {
+		out = append(out, m.id[i])
+	}
+	return out
+}
+
+// push queues the pair of symbols starting at bytes i and j when the
+// vocabulary merges it.
+func (m *merger) push(ranks map[[2]int]int, i, j int) {
+	a, b := m.id[i], m.id[j]
+	r, ok := ranks[[2]int{a, b}]
+	if !ok {
+		return
+	}
+	h := append(m.heap, pair{r, i, a, b})
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !h[c].less(h[p]) {
 			break
 		}
-		ids[bestAt] = best
-		ids = append(ids[:bestAt+1], ids[bestAt+2:]...)
+		h[c], h[p] = h[p], h[c]
+		c = p
 	}
-	return ids
+	m.heap = h
+}
+
+// pop removes and returns the lowest-ranked, leftmost candidate.
+func (m *merger) pop() pair {
+	h := m.heap
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	m.heap = h
+	return top
 }
 
 // Decode renders token ids back into text. Special tokens render as

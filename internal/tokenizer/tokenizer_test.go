@@ -2,6 +2,7 @@ package tokenizer
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -133,5 +134,67 @@ func TestVerilogIdentifierStaysWhole(t *testing.T) {
 	ids := tk.Encode("posedge")
 	if len(ids) != 1 {
 		t.Fatalf("'posedge' encodes to %d tokens (%v), want 1", len(ids), ids)
+	}
+}
+
+// referenceEncode is the encoder Encode replaced, kept as its test
+// oracle: per word, rescan every adjacent pair, apply the earliest-
+// learned merge present (leftmost on a tie), repeat until none applies.
+// It is quadratic in word length.
+func referenceEncode(t *Tokenizer, text string) []int {
+	var out []int
+	for _, word := range pretokenize(text) {
+		ids := make([]int, 0, len(word))
+		for i := 0; i < len(word); i++ {
+			ids = append(ids, NumSpecial+int(word[i]))
+		}
+		for len(ids) >= 2 {
+			best, bestAt := -1, -1
+			for i := 0; i+1 < len(ids); i++ {
+				if id, ok := t.ranks[[2]int{ids[i], ids[i+1]}]; ok {
+					if best == -1 || id < best {
+						best, bestAt = id, i
+					}
+				}
+			}
+			if best == -1 {
+				break
+			}
+			ids[bestAt] = best
+			ids = append(ids[:bestAt+1], ids[bestAt+2:]...)
+		}
+		out = append(out, ids...)
+	}
+	return out
+}
+
+// FuzzEncode holds Encode to the reference loop id for id and to a
+// lossless round trip, over the committed seeds (testdata/fuzz/) and
+// whatever the fuzzer derives from them.
+func FuzzEncode(f *testing.F) {
+	tk := Train(append(sampleCorpus, strings.Repeat("reg regreg data_in ", 8)), 400)
+	f.Fuzz(func(t *testing.T, s string) {
+		got := tk.Encode(s)
+		if want := referenceEncode(tk, s); !slices.Equal(got, want) {
+			t.Fatalf("Encode(%q) = %v, reference %v", s, got, want)
+		}
+		if back := tk.Decode(got); back != s {
+			t.Fatalf("Decode(Encode(%q)) = %q", s, back)
+		}
+	})
+}
+
+// TestEncodeLongWord encodes one 256 KiB identifier. The reference loop
+// rescans the word once per merge, which at this length runs past go
+// test's default timeout; Encode must finish, round-trip and merge.
+func TestEncodeLongWord(t *testing.T) {
+	tk := Train(sampleCorpus, 400)
+	word := strings.Repeat("data_out", 32<<10)
+	ids := tk.Encode(word)
+	if got := tk.Decode(ids); got != word {
+		t.Fatal("long word did not round-trip")
+	}
+	if len(ids) >= len(word)/2 {
+		t.Fatalf("long word encoded to %d ids for %d bytes: merges did not apply", len(ids), len(word))
 	}
 }
