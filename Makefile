@@ -57,7 +57,7 @@ sched-soak:
 # counts pinned before the drafters shared one Draft contract, at 1, 2
 # and 8 procs. Then the allocation gate: each of the nine strategies
 # stays within 1.25x of its measured heap allocations per clean token
-# (ntp 3.5, ours 9.6 ... grammar-tree 98.6; the table is in
+# (ntp 3.5, ours 7.4 ... grammar-tree 95.4; the table is in
 # allocs_test.go). Regenerate the fixtures deliberately with:
 # go test -run TestGolden ./internal/core/ -update
 golden:
@@ -69,11 +69,14 @@ golden:
 # matrix, tree strategies included), plus the tree
 # losslessness proof (greedy lookup-tree == linear prompt-lookup ==
 # NTP, byte for byte), plus the per-decode memo answering every prefix
-# of the fixture decodes exactly as the memo-less model calls do: the
-# gates that make the prefix cache, interleaved batching, tree drafting
-# and the memo admissible at all.
+# of the fixture decodes exactly as the memo-less model calls do, plus
+# the scatter predict kernel equal bit for bit to the merge loop it
+# replaced on every table and context of the fixture corpus, and every
+# on-demand head candidate list equal to TopK of the dense head: the
+# gates that make the prefix cache, interleaved batching, tree drafting,
+# the memo and the predict kernel admissible at all.
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical' -v ./internal/experiments/ ./internal/core/ ./internal/model/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestPredictMatchesReference|TestHeadCandsExact' -v ./internal/experiments/ ./internal/core/ ./internal/model/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length
@@ -131,7 +134,8 @@ cover:
 
 # Native fuzzing smoke: the trie lookup/insert invariant, the frozen
 # n-gram table (equal to the map reference, thaw→refreeze the
-# identity), the Verilog lexer, the full parser (no-panic,
+# identity), the scatter predict kernel (equal bit for bit to the merge
+# loop it replaced), the Verilog lexer, the full parser (no-panic,
 # *SyntaxError contract, and the prefix-soundness invariant the
 # grammar oracle rests on), the
 # draft-tree arena (insert/walk/longest-accepted-path invariants) and
@@ -143,6 +147,7 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTrieLookupInsert -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzFrozenTable -fuzztime $(FUZZTIME) ./internal/model/
+	$(GO) test -run '^$$' -fuzz FuzzPredict -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/

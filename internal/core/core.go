@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"time"
 
 	"repro/internal/core/spec"
 	"repro/internal/core/spec/tree"
@@ -211,6 +212,11 @@ type Result struct {
 	// GrammarDraftTokens totals the draft nodes contributed by
 	// synthesized grammar constructs across the decode.
 	GrammarDraftTokens int
+	// HeadCalls totals the head distributions built across the decode.
+	// A step builds only the heads its drafter reads, so this is at
+	// most Steps × the model's head count (zero for headless
+	// strategies).
+	HeadCalls int
 }
 
 // TokensPerSecond returns the simulated generation speed for this
@@ -471,7 +477,11 @@ func (d *Decoder) sampleBase(dist model.Dist, opts Options, rng *rand.Rand, rep 
 // which changes nothing about outputs — their scores could only be
 // discarded. The simulated cost model charges the step exactly like
 // its linear counterpart.
-func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options) ([]int, int, spec.DraftStats) {
+func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options, clk *draftClock) ([]int, int, spec.DraftStats) {
+	if _, none := strat.Drafter.(spec.NoDraft); none {
+		return prefix, 0, spec.DraftStats{} // nothing to draft, nothing to time
+	}
+	t0 := clk.start()
 	dr := strat.Drafter.Draft(spec.DraftCtx{
 		Gen:     gen,
 		Seq:     seq,
@@ -479,6 +489,7 @@ func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw
 		Forward: fw,
 		TopK:    opts.TopK,
 	}, opts.TreeBudget)
+	clk.stop(t0)
 	t := dr.Tree
 	if t == nil && dr.Chain.Empty() || t != nil && t.DraftNodes() == 0 {
 		return prefix, 0, dr.Stats // nothing proposed
@@ -494,7 +505,7 @@ func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw
 		// whole tree, and its length is bounded by the drafter's.
 		t = tree.New(0)
 		var buf [16]int
-		ids := walkChain(gen, memo, t, tree.Root, ctx, dr.Chain, strat.Verifier, params, buf[:0])
+		ids := walkChain(gen, memo, t, tree.Root, ctx, dr.Chain, strat.Verifier, params, clk, buf[:0])
 		if len(ids) == 0 {
 			return prefix, 0, dr.Stats
 		}
@@ -540,7 +551,7 @@ func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw
 	if !dr.Chain.Empty() {
 		for _, leaf := range leaves {
 			if t.Node(leaf).Token != tokenizer.EosID {
-				accepted = walkChain(gen, memo, t, leaf, t.PathTokens(leaf, ctx), dr.Chain, strat.Verifier, params, accepted)
+				accepted = walkChain(gen, memo, t, leaf, t.PathTokens(leaf, ctx), dr.Chain, strat.Verifier, params, clk, accepted)
 			}
 		}
 	}
@@ -562,10 +573,13 @@ func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw
 // the chain's candidates for each next position against the base
 // posterior, adds the verifier's choice to the tree, and ends at the
 // first rejection, <eos>, an exhausted chain or a full tree. The
-// accepted node ids are appended to out.
-func walkChain(gen *model.Gen, memo *model.Memo, t *tree.Tree, from int, walk []int, chain spec.Chain, v spec.Verifier, params spec.VerifyParams, out []int) []int {
+// accepted node ids are appended to out. Reading a position's
+// candidates may build a head: that is drafting, on clk.
+func walkChain(gen *model.Gen, memo *model.Memo, t *tree.Tree, from int, walk []int, chain spec.Chain, v spec.Verifier, params spec.VerifyParams, clk *draftClock, out []int) []int {
 	for cur := from; ; {
+		t0 := clk.start()
 		cands := chain.Candidates(t.Depth(cur))
+		clk.stop(t0)
 		if len(cands) == 0 {
 			return out
 		}
@@ -581,6 +595,25 @@ func walkChain(gen *model.Gen, memo *model.Memo, t *tree.Tree, from int, walk []
 		if choice == tokenizer.EosID {
 			return out
 		}
+	}
+}
+
+// draftClock sums the wall time one traced step spends drafting: the
+// drafter's Draft call and every read of the chain's candidates, which
+// builds the heads the walk reaches. A nil clock (an untraced decode)
+// reads no time at all.
+type draftClock struct{ d time.Duration }
+
+func (c *draftClock) start() time.Time {
+	if c == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (c *draftClock) stop(t0 time.Time) {
+	if c != nil {
+		c.d += time.Since(t0)
 	}
 }
 

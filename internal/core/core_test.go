@@ -289,7 +289,7 @@ func TestAcceptDraftShapes(t *testing.T) {
 		{"empty tree drafts nothing", tree.New(opts.TreeBudget), base},
 	} {
 		strat := spec.Strategy{Name: "fixed", Drafter: fixedDrafter{spec.Draft{Tree: c.tree, Chain: chain}}, Verifier: spec.GreedyExact{}}
-		got, nodes, _ := d.accept(gen, nil, seq, append([]int(nil), base...), model.Forward{}, strat, opts)
+		got, nodes, _ := d.accept(gen, nil, seq, append([]int(nil), base...), model.Forward{}, strat, opts, nil)
 		if !slices.Equal(got, c.want) || nodes != 0 {
 			t.Errorf("%s: accepted %v with %d nodes, want %v with 0", c.name, got, nodes, c.want)
 		}

@@ -9,7 +9,7 @@ type NoDraft struct{}
 // Name identifies the drafter.
 func (NoDraft) Name() string { return "no-draft" }
 
-// NeedsHeads reports that no head distributions are consumed.
+// NeedsHeads reports that no head candidates are consumed.
 func (NoDraft) NeedsHeads() bool { return false }
 
 // Draft proposes nothing.
@@ -23,14 +23,14 @@ type MedusaHeads struct{}
 // Name identifies the drafter.
 func (MedusaHeads) Name() string { return "medusa-heads" }
 
-// NeedsHeads reports that head distributions are required.
+// NeedsHeads reports that head candidates are required.
 func (MedusaHeads) NeedsHeads() bool { return true }
 
-// Draft exposes the step's head distributions as the chain; a model
-// with no trained heads (an NTP backbone asked to decode medusa-style)
-// proposes nothing at all.
+// Draft exposes the step's heads as the chain; a model with no trained
+// heads (an NTP backbone asked to decode medusa-style) proposes nothing
+// at all.
 func (MedusaHeads) Draft(dc DraftCtx, _ int) Draft {
-	return Draft{Chain: Chain{Heads: dc.Forward.Heads, TopK: dc.TopK}}
+	return Draft{Chain: Chain{Heads: dc.Forward, TopK: dc.TopK}}
 }
 
 // Prompt-lookup shape: matches shorter than lookupMinMatch fire on
@@ -58,7 +58,7 @@ type PromptLookup struct{}
 // Name identifies the drafter.
 func (PromptLookup) Name() string { return "prompt-lookup" }
 
-// NeedsHeads reports that no head distributions are consumed: an
+// NeedsHeads reports that no head candidates are consumed: an
 // n-gram scan is free next to a forward pass, which is the whole appeal
 // of self-speculative drafting.
 func (PromptLookup) NeedsHeads() bool { return false }

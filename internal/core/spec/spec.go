@@ -54,9 +54,11 @@ type DraftCtx struct {
 	// base token, at minimum. Draft position i proposes the token at
 	// sequence offset len(Seq)+len(Prefix)+i.
 	Prefix []int
-	// Forward is this step's forward pass. Heads is populated only when
-	// the strategy's Drafter reports NeedsHeads. (Prompt metadata such
-	// as the prompt length is available through Gen.)
+	// Forward is this step's forward pass. It has heads only when the
+	// strategy's Drafter reports NeedsHeads; a head is built the first
+	// time a drafter reads its candidates (Forward.Cands), so a drafter
+	// pays for the heads it reads. (Prompt metadata such as the prompt
+	// length is available through Gen.)
 	Forward model.Forward
 	// TopK bounds candidates per draft position (Options.TopK).
 	TopK int
@@ -76,9 +78,10 @@ type Draft struct {
 // Chain supplies position-conditioned candidates: at most one of Heads
 // and Run is set. The zero Chain proposes nothing.
 type Chain struct {
-	// Heads are the head distributions; position i proposes head i's
-	// top TopK tokens, best first.
-	Heads []model.Dist
+	// Heads is the step's forward pass; position i proposes head i's
+	// top TopK tokens, best first (Heads.Cands(i, TopK)). A walk that
+	// stops at position i never builds the heads past it.
+	Heads model.Forward
 	TopK  int
 	// Run is a lookup continuation; position i proposes Run[i] alone.
 	Run []int
@@ -90,14 +93,14 @@ func (c Chain) Candidates(i int) []int {
 	if i < len(c.Run) {
 		return c.Run[i : i+1]
 	}
-	if i < len(c.Heads) {
-		return c.Heads[i].TopK(c.TopK)
+	if i < c.Heads.NumHeads() {
+		return c.Heads.Cands(i, c.TopK)
 	}
 	return nil
 }
 
 // Empty reports whether the chain proposes nothing at any position.
-func (c Chain) Empty() bool { return len(c.Run) == 0 && len(c.Heads) == 0 }
+func (c Chain) Empty() bool { return len(c.Run) == 0 && c.Heads.NumHeads() == 0 }
 
 // DraftStats reports what grammar constraint did to one step's draft
 // tree — the numerators behind the serve/cluster grammar metrics.
@@ -115,9 +118,9 @@ type DraftStats struct {
 type Drafter interface {
 	// Name identifies the drafter in docs and diagnostics.
 	Name() string
-	// NeedsHeads reports whether the drafter consumes head
-	// distributions: when false the decoder skips computing them — a
-	// forward pass is base-only, and the cost model charges no heads.
+	// NeedsHeads reports whether the drafter consumes head candidates:
+	// when false the decoder's forward pass is base-only, and the cost
+	// model charges no heads.
 	NeedsHeads() bool
 	// Draft proposes this step's draft; a tree holds at most budget
 	// draft nodes (>= 1) and never extends past an <eos> token.

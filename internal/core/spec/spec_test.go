@@ -238,10 +238,10 @@ func TestNoDraftAndAcceptNone(t *testing.T) {
 }
 
 func TestMedusaHeadsChain(t *testing.T) {
-	fw := model.Forward{Heads: []model.Dist{
+	fw := model.NewForward(model.Dist{},
 		dist(map[int]float64{1: 0.6, 2: 0.4}),
 		dist(map[int]float64{3: 1.0}),
-	}}
+	)
 	chain := (MedusaHeads{}).Draft(DraftCtx{Forward: fw, TopK: 2}, 0).Chain
 	if got := chain.Candidates(0); len(got) != 2 || got[0] != 1 {
 		t.Fatalf("head 0 candidates = %v", got)

@@ -106,11 +106,11 @@ func (td treeDrafter) Draft(dc DraftCtx, budget int) Draft {
 	if td.span > 0 {
 		runs = lookupRuns(dc.sequence(), lookupMinMatch, td.span, td.branches)
 	}
-	var heads []model.Dist
+	var heads model.Forward
 	if td.heads {
-		heads = dc.Forward.Heads
+		heads = dc.Forward
 	}
-	if len(runs) == 0 && len(heads) == 0 && (!td.grammar || dc.Gen == nil) {
+	if len(runs) == 0 && heads.NumHeads() == 0 && (!td.grammar || dc.Gen == nil) {
 		return Draft{}
 	}
 	var oracle *grammar.Step
@@ -170,21 +170,18 @@ func (td treeDrafter) Draft(dc DraftCtx, budget int) Draft {
 	return d
 }
 
-// growHeads expands the root through the first staticHeadLevels head
-// distributions at full top-k width, honouring the budget, never
-// extending past <eos>, and (with an oracle) withholding candidates
-// whose path text cannot parse. Deeper positions belong to the chain.
-func growHeads(t *tree.Tree, heads []model.Dist, topK int, oracle *grammar.Step, tok *tokenizer.Tokenizer, st *DraftStats) {
+// growHeads expands the root through the first staticHeadLevels heads
+// at full top-k width, honouring the budget, never extending past
+// <eos>, and (with an oracle) withholding candidates whose path text
+// cannot parse. Deeper positions belong to the chain.
+func growHeads(t *tree.Tree, heads model.Forward, topK int, oracle *grammar.Step, tok *tokenizer.Tokenizer, st *DraftStats) {
 	type extNode struct {
 		id  int
 		ext string
 	}
 	frontier := []extNode{{tree.Root, ""}}
-	for d, head := range heads {
-		if d >= staticHeadLevels {
-			return
-		}
-		cands := head.TopK(topK)
+	for d := range min(heads.NumHeads(), staticHeadLevels) {
+		cands := heads.Cands(d, topK)
 		if len(cands) == 0 {
 			return
 		}

@@ -70,11 +70,11 @@ func TestRegisteredInfo(t *testing.T) {
 }
 
 func TestMedusaTreeBuild(t *testing.T) {
-	fw := model.Forward{Heads: []model.Dist{
+	fw := model.NewForward(model.Dist{},
 		dist(map[int]float64{10: 0.5, 11: 0.3, 12: 0.2}),
 		dist(map[int]float64{20: 0.6, 21: 0.4}),
 		dist(map[int]float64{30: 1.0}),
-	}}
+	)
 	d := medusaTree.Draft(DraftCtx{Forward: fw, TopK: 3}, DefaultTreeBudget)
 	tr := d.Tree
 	if tr == nil {
@@ -127,10 +127,10 @@ func TestMedusaTreeBuild(t *testing.T) {
 }
 
 func TestMedusaTreeStopsAtEos(t *testing.T) {
-	fw := model.Forward{Heads: []model.Dist{
+	fw := model.NewForward(model.Dist{},
 		dist(map[int]float64{tokenizer.EosID: 1.0}),
 		dist(map[int]float64{20: 1.0}),
-	}}
+	)
 	tr := medusaTree.Draft(DraftCtx{Forward: fw, TopK: 1}, DefaultTreeBudget).Tree
 	if tr.DraftNodes() != 1 {
 		t.Fatalf("draft nodes = %d, want 1 (nothing extends past <eos>)", tr.DraftNodes())
@@ -198,10 +198,10 @@ func TestLookupTreeBuildsSharedPrefixBranches(t *testing.T) {
 
 func TestHybridTreeUnionsBranches(t *testing.T) {
 	seq := []int{7, 8, 9, 40, 41, 99, 7, 8, 9}
-	fw := model.Forward{Heads: []model.Dist{
+	fw := model.NewForward(model.Dist{},
 		dist(map[int]float64{40: 0.6, 90: 0.4}), // 40 dedups into the lookup chain
 		dist(map[int]float64{91: 1.0}),
-	}}
+	)
 	d := hybridTree.Draft(DraftCtx{Seq: seq, Forward: fw, TopK: 2}, DefaultTreeBudget)
 	tr := d.Tree
 	if tr == nil {

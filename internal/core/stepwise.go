@@ -61,9 +61,11 @@ type DecodeState struct {
 	// Tracing state: nil when the request context carries no trace, in
 	// which case every use below is a single nil check. Draft/verify
 	// time is accumulated locally per sweep and folded into the
-	// tracer's phase sums once, at Finish.
+	// tracer's phase sums once, at Finish; clock is the sweep's draft
+	// clock.
 	tr       *trace.Trace
 	span     *trace.Span
+	clock    draftClock
 	draftDur time.Duration
 	verifDur time.Duration
 }
@@ -138,15 +140,23 @@ func (s *DecodeState) Step() bool {
 	}
 	d, gen, opts, res, tk := s.d, s.gen, s.opts, s.res, s.d.m.Tokenizer()
 
+	// A traced sweep splits its model work in two: drafting (the
+	// drafter's Draft and every head it builds, on the draft clock) and
+	// verification (the base posterior, every per-position posterior
+	// and the rest of the exchange).
 	var sweep *trace.Span
+	var clk *draftClock
 	var phaseT0 time.Time
 	if s.tr != nil {
 		sweep = s.tr.Start(s.span, trace.KindSweep, "")
+		s.clock = draftClock{}
+		clk = &s.clock
 		phaseT0 = time.Now()
 	}
 
-	// Head distributions cost work to build; strategies that do not
-	// draft from them (NTP, prompt lookup) get a base-only pass.
+	// Strategies that do not draft from heads (NTP, prompt lookup) get a
+	// base-only pass; the others get heads built as the drafter reads
+	// them.
 	var fw model.Forward
 	if s.strat.Drafter.NeedsHeads() {
 		fw = gen.ForwardMemo(s.seq, s.memo)
@@ -156,13 +166,6 @@ func (s *DecodeState) Step() bool {
 	res.Steps++
 	res.SimulatedMS += s.stepCost
 
-	var verif time.Duration
-	if sweep != nil {
-		verif = time.Since(phaseT0)
-		s.verifDur += verif
-		phaseT0 = time.Now()
-	}
-
 	// The base model's own prediction is always kept.
 	base := d.sampleBase(fw.Base, opts, s.rng, &s.rep, &s.weights)
 	accepted := []int{base}
@@ -171,7 +174,7 @@ func (s *DecodeState) Step() bool {
 	if base != tokenizer.EosID {
 		var nodes int
 		var gs spec.DraftStats
-		accepted, nodes, gs = d.accept(gen, s.memo, s.seq, accepted, fw, s.strat, opts)
+		accepted, nodes, gs = d.accept(gen, s.memo, s.seq, accepted, fw, s.strat, opts, clk)
 		res.TreeNodes += nodes
 		res.GrammarPruned += gs.PrunedNodes
 		res.GrammarDraftTokens += gs.GrammarTokens
@@ -179,11 +182,18 @@ func (s *DecodeState) Step() bool {
 			res.TreeBudget += opts.TreeBudget
 		}
 	}
+	heads := fw.HeadCalls()
+	res.HeadCalls += heads
 	if sweep != nil {
-		draft := time.Since(phaseT0)
+		draft := clk.d
+		verif := time.Since(phaseT0) - draft
 		s.draftDur += draft
+		s.verifDur += verif
 		sweep.SetAttrInt("verify_us", verif.Microseconds())
 		sweep.SetAttrInt("draft_us", draft.Microseconds())
+		if heads > 0 {
+			sweep.SetAttrInt("head_calls", int64(heads))
+		}
 		if pruned := res.GrammarPruned - prunedBefore; pruned > 0 {
 			sweep.SetAttrInt("grammar_pruned", int64(pruned))
 		}

@@ -155,3 +155,71 @@ func TestStepwiseUnknownStrategy(t *testing.T) {
 		t.Fatal("unknown strategy did not error")
 	}
 }
+
+// TestStepwiseDraftVerifySplit: a traced sweep charges the drafter's
+// work (its Draft and every head it builds) to draft_us and the rest of
+// the model work (the base posterior, every per-position posterior) to
+// verify_us. NTP drafts nothing, so its draft time is exactly zero; an
+// ours decode drafts, and its sweeps' head_calls add up to the Result's
+// exact count, which is below every head of every step.
+func TestStepwiseDraftVerifySplit(t *testing.T) {
+	for _, c := range []struct {
+		scheme   model.Scheme
+		strategy string
+	}{
+		{model.SchemeNTP, "ntp"},
+		{model.SchemeOurs, "ours"},
+	} {
+		m := trained(t, c.scheme)
+		d := NewDecoder(m)
+		ids := model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[1].Prompt)
+		tracer := trace.New(trace.Config{})
+		tr := tracer.StartTrace(trace.NewID())
+		st, err := d.BeginDecode(trace.NewContext(context.Background(), tr), ids, Options{Strategy: c.strategy, Temperature: 0.5, Seed: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !st.Step() {
+		}
+		res, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := map[string]int{}
+		sweeps := 0
+		for _, sp := range tr.SnapshotNow().Spans {
+			if sp.Kind != trace.KindSweep {
+				continue
+			}
+			sweeps++
+			for _, a := range sp.Attrs {
+				v, err := strconv.Atoi(a.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sums[a.Key] += v
+				if c.strategy == "ntp" && (a.Key == "draft_us" && v != 0 || a.Key == "head_calls") {
+					t.Fatalf("ntp sweep drafted: %s=%d", a.Key, v)
+				}
+			}
+		}
+		if sweeps != res.Steps || sums["verify_us"] == 0 {
+			t.Fatalf("%s: %d sweeps for %d steps, verify_us sum %d", c.strategy, sweeps, res.Steps, sums["verify_us"])
+		}
+		phases := tracer.PhaseSeconds()
+		if c.strategy == "ntp" {
+			if res.HeadCalls != 0 || phases[trace.KindDraft] != 0 {
+				t.Fatalf("ntp: head calls %d, draft phase %v s", res.HeadCalls, phases[trace.KindDraft])
+			}
+			continue
+		}
+		if sums["draft_us"] == 0 || phases[trace.KindDraft] == 0 {
+			t.Fatalf("ours: no draft time (draft_us sum %d, phase %v s)", sums["draft_us"], phases[trace.KindDraft])
+		}
+		if sums["head_calls"] != res.HeadCalls || res.HeadCalls == 0 || res.HeadCalls >= res.Steps*m.NumHeads() {
+			t.Fatalf("ours: head_calls sum %d, Result.HeadCalls %d, %d steps × %d heads", sums["head_calls"], res.HeadCalls, res.Steps, m.NumHeads())
+		}
+		t.Logf("ours: %d steps, %d head calls (%.2f of every head), draft %d µs, verify %d µs",
+			res.Steps, res.HeadCalls, float64(res.HeadCalls)/float64(res.Steps*m.NumHeads()), sums["draft_us"], sums["verify_us"])
+	}
+}

@@ -45,14 +45,54 @@ func positions(g *model.Gen, seq []int) [][]int {
 	return out
 }
 
-// BenchmarkForward is one full forward pass (base plus ten heads), the
-// per-step model cost of a head-drafting strategy.
+// BenchmarkForward is one full forward pass without a memo (the base
+// plus every head built to its top 3), the per-step model cost of a
+// head-drafting strategy that reads every head.
 func BenchmarkForward(b *testing.B) {
 	g, seq := decode()
 	ctxs := positions(g, seq)
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		g.Forward(ctxs[i%len(ctxs)])
+	}
+}
+
+// BenchmarkForwardMemo is the same full pass through a decode's memo:
+// each op starts a step at its position, takes the pass and reads every
+// head's top 3, so the heads build into the memo's storage and the
+// keyword factors are the memo's steady state.
+func BenchmarkForwardMemo(b *testing.B) {
+	g, seq := decode()
+	ctxs := positions(g, seq)
+	mm := new(model.Memo)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		ctx := ctxs[i%len(ctxs)]
+		mm.NextStep(ctx)
+		fw := g.ForwardMemo(ctx, mm)
+		for h := range fw.NumHeads() {
+			fw.Cands(h, 3)
+		}
+	}
+}
+
+// BenchmarkPredict is one n-gram prediction over a decode position's
+// context view, by table: the base table, the keyword table under one
+// keyword, and the heads in turn.
+func BenchmarkPredict(b *testing.B) {
+	g, seq := decode()
+	var views [][]int
+	for _, ctx := range positions(g, seq) {
+		views = append(views, g.View(ctx))
+	}
+	for _, kind := range []string{"base", "kw", "head"} {
+		b.Run(kind, func(b *testing.B) {
+			predict := g.Predictor(kind)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				predict(views[i%len(views)])
+			}
+		})
 	}
 }
 

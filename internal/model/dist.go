@@ -96,30 +96,36 @@ func (d Dist) Argmax() int {
 // TopK returns the k most probable token ids in descending probability
 // (ties by ascending id), by partial selection over the support.
 func (d Dist) TopK(k int) []int {
+	return d.TopKTo(make([]int, 0, max(0, min(k, len(d.e)))), k)
+}
+
+// TopKTo is TopK appending to dst, so a caller that keeps dst reads
+// candidates without allocating.
+func (d Dist) TopKTo(dst []int, k int) []int {
 	k = max(0, min(k, len(d.e)))
-	out := make([]int, 0, k) // support indices until the final pass
 	if k == 0 {
-		return out
+		return dst
 	}
+	base := len(dst) // dst[base:] holds support indices until the final pass
 	for i, e := range d.e {
-		if len(out) == k {
+		if len(dst)-base == k {
 			// Ascending ids: an equal probability loses to the incumbent.
-			if e.v <= d.e[out[k-1]].v {
+			if e.v <= d.e[dst[len(dst)-1]].v {
 				continue
 			}
-			out = out[:k-1]
+			dst = dst[:len(dst)-1]
 		}
-		j := len(out)
-		out = append(out, i)
-		for ; j > 0 && d.e[out[j-1]].v < e.v; j-- {
-			out[j] = out[j-1]
+		j := len(dst)
+		dst = append(dst, i)
+		for ; j > base && d.e[dst[j-1]].v < e.v; j-- {
+			dst[j] = dst[j-1]
 		}
-		out[j] = i
+		dst[j] = i
 	}
-	for j, i := range out {
-		out[j] = int(d.e[i].id)
+	for j := base; j < len(dst); j++ {
+		dst[j] = int(d.e[dst[j]].id)
 	}
-	return out
+	return dst
 }
 
 // Sample draws a token at the given temperature using u ∈ [0,1).

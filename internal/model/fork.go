@@ -56,8 +56,8 @@ func (s *idSet) add(id int) {
 }
 
 // Forkable reports whether this session carries the resumable state
-// Fork needs. Sessions from NewGen (and their forks) are forkable;
-// session-free diagnostic Gens (Model.BaseDist and friends) are not.
+// Fork needs. Sessions from NewGen (and their forks) are forkable; a
+// Gen built by hand is not.
 func (g *Gen) Forkable() bool { return g.fork != nil }
 
 // Fork returns the prepared session for the prompt that extends g's

@@ -149,7 +149,7 @@ func TestForkZeroExtensionShares(t *testing.T) {
 // TestForkNonForkablePanics pins the contract for diagnostic sessions.
 func TestForkNonForkablePanics(t *testing.T) {
 	m, prompts := forkFixture(t)
-	g := &Gen{m: m, promptLen: 3, clipOff: true}
+	g := &Gen{m: m, promptLen: 3}
 	if g.Forkable() {
 		t.Fatal("diagnostic session claims forkability")
 	}

@@ -25,6 +25,10 @@ import (
 //     distribution, and a tree leaf's chain walk starts from the
 //     posterior the sweep already built for it.
 //
+// It also owns the storage of the current step's heads: the view and
+// induction match ForwardMemo captured, and each head's candidates once
+// a drafter has asked for them.
+//
 // A Memo serves one decode: every sequence passed to it between two
 // NextStep calls is a prefix of, or extends, the sequence given to the
 // earlier one. It holds at most memoCap bytes. The zero Memo is ready to
@@ -42,6 +46,8 @@ type Memo struct {
 	spare []int  // NextStep's second toks buffer
 
 	bytes int // kwSlab plus the posts' supports, in bytes
+
+	heads headSet // the last ForwardMemo's heads
 }
 
 // memoCap bounds a Memo's cached bytes. A 512-token decode holds about
@@ -187,36 +193,24 @@ func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []entry {
 	}
 	// Each token keeps its best supporting evidence across the prompt's
 	// keywords (max, not mean: averaging dilutes the one keyword that
-	// knows the answer with the many that don't).
-	sc.fac = sc.fac[:0]
+	// knows the answer with the many that don't): every keyword's
+	// prediction is scattered into sc.best, keeping the larger value.
+	best := &sc.best
+	best.fit(g.m.kw.idBound)
+	lo, hi := len(best.seen), -1
 	for _, seed := range g.seeds {
-		sc.kw = g.m.kw.predict(sc.kw[:0], view, seed)
-		sc.fac, sc.merged = maxMerge(sc.merged[:0], sc.fac, sc.kw), sc.fac
+		sc.kw = g.m.kw.predict(&sc.acc, sc.kw[:0], view, seed)
+		for _, e := range sc.kw {
+			best.v[e.id] = max(best.v[e.id], e.v)
+			best.seen[e.id>>6] |= 1 << (e.id & 63)
+		}
+		if len(sc.kw) > 0 {
+			lo, hi = min(lo, int(sc.kw[0].id>>6)), max(hi, int(sc.kw[len(sc.kw)-1].id>>6))
+		}
 	}
+	sc.fac, _ = best.gather(sc.fac[:0], lo, hi)
 	if mm != nil {
 		return mm.keepFactors(k, sc.fac)
 	}
 	return sc.fac
-}
-
-// maxMerge appends to dst the union of an id-sorted evidence run and an
-// id-sorted prediction, each id with the larger of its probabilities (a
-// missing one counts as zero).
-func maxMerge(dst, a, b []entry) []entry {
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || i < len(a) && a[i].id < b[j].id:
-			dst = append(dst, a[i])
-			i++
-		case i == len(a) || b[j].id < a[i].id:
-			dst = append(dst, entry{b[j].id, max(0, b[j].v)})
-			j++
-		default:
-			dst = append(dst, entry{a[i].id, max(a[i].v, b[j].v)})
-			i++
-			j++
-		}
-	}
-	return dst
 }

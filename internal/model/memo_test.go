@@ -124,7 +124,7 @@ func sameFactors(t *testing.T, g *Gen, mm *Memo, view []int) {
 	t.Helper()
 	best := map[int32]float64{}
 	for _, seed := range g.seeds {
-		for _, e := range g.m.kw.predict(nil, view, seed) {
+		for _, e := range g.m.kw.predict(new(accum), nil, view, seed) {
 			best[e.id] = max(best[e.id], e.v)
 		}
 	}

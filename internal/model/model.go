@@ -366,11 +366,8 @@ type Gen struct {
 	// (verbatim module headers in VGen-style prompts). Induction
 	// proposals from these positions may bypass the support gate.
 	codePos []bool
-	// clipOff disables prompt clipping (session-free diagnostic use
-	// where the whole sequence is context).
-	clipOff bool
 	// fork is the resumable preparation tail for copy-on-extend forks
-	// (nil for session-free diagnostic Gens — see Forkable).
+	// (nil only on a Gen built by hand — see Forkable).
 	fork *forkState
 }
 
@@ -429,13 +426,106 @@ func isContentToken(text string) bool {
 	return false
 }
 
-// Forward is one simulated forward pass: the base distribution and all
-// head distributions for the current sequence. The induction-copy match
-// is shared across base and heads, mirroring how Medusa heads reuse the
-// backbone's last hidden state.
+// Forward is one step's pass of the model over a sequence: the base
+// posterior, and the decoding heads' candidates. In the paper (§III) a
+// head is a small layer over the backbone's last hidden state; here
+// each head is its own n-gram table, walked over the step's filtered
+// context view and blended with the base's induction match. A drafter
+// reads a head only through its top candidates, and a linear walk
+// stops at its first rejection, so each head is built the first time
+// Cands asks for it and a head nobody asks for costs nothing. The zero
+// Forward has no heads.
 type Forward struct {
 	Base  Dist
-	Heads []Dist
+	heads *headSet
+}
+
+// NumHeads returns the number of heads the pass drafts from (0 for a
+// base-only pass or a model without heads).
+func (f Forward) NumHeads() int {
+	if f.heads == nil {
+		return 0
+	}
+	return len(f.heads.cands)
+}
+
+// Cands returns head i's k most probable token ids, best first with
+// ties by ascending id: the TopK(k) of head i's distribution. The head
+// is built the first time it is asked for. The slice belongs to the
+// pass (to its Memo, through ForwardMemo) and stays valid until the
+// next ForwardMemo on that Memo; callers must not modify it.
+func (f Forward) Cands(i, k int) []int { return f.heads.topK(i, k) }
+
+// HeadCalls returns how many head distributions the pass has built.
+func (f Forward) HeadCalls() int {
+	if f.heads == nil {
+		return 0
+	}
+	return f.heads.calls
+}
+
+// NewForward builds a pass from explicit distributions, for tests and
+// tools; its Cands read the given heads.
+func NewForward(base Dist, heads ...Dist) Forward {
+	return Forward{Base: base, heads: &headSet{fixed: heads, cands: make([]headCands, len(heads))}}
+}
+
+// headSet is one pass's heads: what building one needs (the step's
+// sequence, its filtered view and induction match) and each head's
+// candidates once built.
+type headSet struct {
+	g              *Gen
+	seq            []int // the step's sequence; finish reads its prompt part
+	view           []int // the step's filtered context view, owned
+	matchJ, matchK int
+	fixed          []Dist // NewForward's heads; nil for a model pass
+	cands          []headCands
+	calls          int // head distributions built
+}
+
+// headCands is one head's top candidates: ids is its TopK(k), and k is
+// 0 until the head is built.
+type headCands struct {
+	k   int
+	ids []int
+}
+
+// reset points h at a new step, keeping its storage.
+func (h *headSet) reset(g *Gen, seq, view []int, matchJ, matchK int) {
+	h.g, h.seq, h.matchJ, h.matchK = g, seq, matchJ, matchK
+	h.view = append(h.view[:0], view...)
+	n := len(g.m.heads)
+	if cap(h.cands) < n {
+		h.cands = make([]headCands, n)
+	}
+	h.cands = h.cands[:n]
+	for i := range h.cands {
+		h.cands[i].k = 0
+	}
+	h.calls = 0
+}
+
+// topK returns head i's top k candidates, building the head when it
+// has not been built for k yet. TopK's order is total, so the top k of
+// a head built for a larger k are a prefix of its candidates.
+func (h *headSet) topK(i, k int) []int {
+	if k <= 0 {
+		return nil
+	}
+	c := &h.cands[i]
+	if c.k == 0 || k > c.k && len(c.ids) == c.k {
+		var d Dist
+		if h.fixed != nil {
+			d = h.fixed[i]
+		} else {
+			sc := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(sc) // d lives in sc until TopKTo has read it
+			d = Dist{e: h.g.headAt(sc, i, h.seq, h.view, h.matchJ, h.matchK)}
+			h.calls++
+		}
+		c.ids, c.k = d.TopKTo(slices.Grow(c.ids[:0], min(k, len(d.e))), k), k
+	}
+	return c.ids[:min(k, len(c.ids))]
 }
 
 // filterCap bounds the filtered context view (must exceed the longest
@@ -481,15 +571,15 @@ func trailIdx(seq []int) int {
 
 // scratch is one prediction call's working memory. It cannot live on
 // Gen, which the prefix trie shares across concurrent decodes, so each
-// Forward or BaseDist call takes one from scratchPool and returns it.
+// model call and each head build takes one from scratchPool and returns
+// it.
 type scratch struct {
-	view   []int   // the filtered context view
-	tbl    []entry // the distribution being built
-	kw     []entry // one keyword expert's prediction
-	fac    []entry // the keyword evidence being built
-	merged []entry // kwFactors' second buffer
-	out    []entry // Forward's finished distributions, back to back
-	ends   []int   // where each of them ends in out
+	view []int   // the filtered context view
+	acc  accum   // predict's accumulator
+	best accum   // kwFactors' per-id maximum over the keywords
+	tbl  []entry // the distribution being built
+	kw   []entry // one keyword expert's prediction
+	fac  []entry // the keyword evidence being built
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -497,7 +587,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // clippedView builds the context view respecting the prompt clip into
 // sc.view.
 func (g *Gen) clippedView(sc *scratch, seq []int) []int {
-	if !g.clipOff && g.promptLen > promptAnchor {
+	if g.promptLen > promptAnchor {
 		// Tokens before promptLen-promptAnchor are invisible to contexts.
 		seq = seq[g.promptLen-promptAnchor:]
 	}
@@ -505,46 +595,47 @@ func (g *Gen) clippedView(sc *scratch, seq []int) []int {
 	return sc.view
 }
 
-// Forward runs one step of the model over seq (prompt + generated). All
-// the distributions it returns share one allocation.
-func (g *Gen) Forward(seq []int) Forward { return g.ForwardMemo(seq, nil) }
+// fullPassTopK is the candidate width Forward builds every head to:
+// the decoders' default.
+const fullPassTopK = 3
 
-// ForwardMemo is Forward remembering into mm (nil: Forward): the base
-// distribution may be one mm kept, the heads are always computed.
+// Forward is the full pass over seq (prompt + generated) without a
+// memo: the base posterior and every head built to its top
+// fullPassTopK candidates.
+func (g *Gen) Forward(seq []int) Forward {
+	fw := g.ForwardMemo(seq, nil)
+	for i := range fw.NumHeads() {
+		fw.Cands(i, fullPassTopK)
+	}
+	return fw
+}
+
+// ForwardMemo returns the pass over seq remembering into mm (nil: none).
+// The base posterior may be one mm kept; the heads are built on demand
+// into mm's storage, which the next ForwardMemo on mm reuses.
 func (g *Gen) ForwardMemo(seq []int, mm *Memo) Forward {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	matchJ, matchK := g.findInduction(seq)
+	view := g.clippedView(sc, seq)
+	var h *headSet
 	if mm != nil {
 		mm.bind(g)
+		h = &mm.heads
+	} else {
+		h = new(headSet)
 	}
-	matchJ, matchK := g.findInduction(seq)
-	fview := g.clippedView(sc, seq)
-	base, kept := Dist{}, false
+	h.reset(g, seq, view, matchJ, matchK)
+	fw := Forward{heads: h}
 	if mm != nil {
-		base, kept = mm.posterior(seq)
-	}
-	sc.out, sc.ends = sc.out[:0], sc.ends[:0]
-	if !kept {
-		sc.out = append(sc.out, g.baseAt(sc, mm, seq, fview, matchJ, matchK)...)
-		sc.ends = append(sc.ends, len(sc.out))
-	}
-	for i, h := range g.m.heads {
-		sc.out = append(sc.out, g.distAt(sc, h, seq, fview, matchJ, matchK, i+2)...)
-		sc.ends = append(sc.ends, len(sc.out))
-	}
-	all := slices.Clone(sc.out)
-	lo, ends := 0, sc.ends
-	if !kept {
-		lo, ends = ends[0], ends[1:]
-		base = Dist{e: all[:lo:lo]}
-		if mm != nil {
-			mm.keep(seq, base)
+		if d, ok := mm.posterior(seq); ok {
+			fw.Base = d
+			return fw
 		}
 	}
-	fw := Forward{Base: base, Heads: make([]Dist, len(g.m.heads))}
-	for i, hi := range ends {
-		fw.Heads[i] = Dist{e: all[lo:hi:hi]}
-		lo = hi
+	fw.Base = Dist{e: slices.Clone(g.baseAt(sc, mm, seq, view, matchJ, matchK))}
+	if mm != nil {
+		mm.keep(seq, fw.Base)
 	}
 	return fw
 }
@@ -577,7 +668,7 @@ const kwFloor = 0.02
 // baseAt combines the base table with keyword conditioning (product of
 // experts) and the shared induction match. The result lives in sc.tbl.
 func (g *Gen) baseAt(sc *scratch, mm *Memo, seq, fview []int, matchJ, matchK int) []entry {
-	table := g.m.base.predict(sc.tbl[:0], fview, 0)
+	table := g.m.base.predict(&sc.acc, sc.tbl[:0], fview, 0)
 	// Strip trailing FRAG markers for the keyword view.
 	kwView := fview
 	for len(kwView) > 0 && kwView[len(kwView)-1] == tokenizer.FragID {
@@ -654,12 +745,13 @@ func (g *Gen) copyBoost(table []entry) {
 	}
 }
 
-// distAt blends a head table with the shared induction match. The
-// result lives in sc.tbl.
-func (g *Gen) distAt(sc *scratch, t *ngramTable, seq, fview []int, matchJ, matchK, offset int) []entry {
-	table := t.predict(sc.tbl[:0], fview, 0)
+// headAt builds head i's distribution: its table's prediction, copy
+// boosted, blended with the step's induction match at the head's
+// offset. The result lives in sc.tbl.
+func (g *Gen) headAt(sc *scratch, i int, seq, fview []int, matchJ, matchK int) []entry {
+	table := g.m.heads[i].predict(&sc.acc, sc.tbl[:0], fview, 0)
 	g.copyBoost(table)
-	sc.tbl = g.finish(table, seq, matchJ, matchK, offset)
+	sc.tbl = g.finish(table, seq, matchJ, matchK, i+2)
 	return sc.tbl
 }
 
@@ -755,20 +847,6 @@ func (g *Gen) findInduction(seq []int) (int, int) {
 		}
 	}
 	return -1, 0
-}
-
-// BaseDist is a session-free convenience used by tests and tools: the
-// whole sequence is treated as prompt (self-echo allowed, no keyword
-// conditioning).
-func (m *Model) BaseDist(seq []int) Dist {
-	g := &Gen{m: m, promptLen: len(seq), clipOff: true}
-	return g.BaseDist(seq)
-}
-
-// Forward is a session-free convenience wrapper (tests/tools).
-func (m *Model) Forward(seq []int) Forward {
-	g := &Gen{m: m, promptLen: len(seq), clipOff: true}
-	return g.Forward(seq)
 }
 
 // NumSeeds reports the number of active (IDF-surviving) keyword seeds —

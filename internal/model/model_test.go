@@ -3,6 +3,7 @@ package model
 import (
 	"maps"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -158,7 +159,7 @@ func TestTrainNTPPredictsCorpusPatterns(t *testing.T) {
 	}
 	// After "always @(" the corpus always continues with "posedge".
 	seq := tk.Encode("    always @(")
-	d := m.BaseDist(seq)
+	d := m.NewGen(seq).BaseDist(seq)
 	next := d.Argmax()
 	tok := tk.Token(next)
 	if tok != "posedge" && tok != "pos" {
@@ -202,7 +203,7 @@ func TestJointTrainingPollutesBase(t *testing.T) {
 			promptLen := len(ids)
 			ids = append(ids, encode(ex.Code)...)
 			for p := promptLen + 20; p < len(ids); p += 3 {
-				total += Dist{e: m.base.predict(nil, filterTail(nil, ids[:p]), 0)}.Entropy()
+				total += Dist{e: m.base.predict(new(accum), nil, filterTail(nil, ids[:p]), 0)}.Entropy()
 				n++
 			}
 		}
@@ -266,9 +267,14 @@ func TestForwardShape(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
 	m := Train(tk, smallCfg(), SchemeOurs, trainExamples)
 	seq := tk.Encode(FormatPrompt("Create a 2-to-1 multiplexer."))
-	fw := m.Forward(seq)
-	if len(fw.Heads) != 10 {
-		t.Fatalf("heads = %d", len(fw.Heads))
+	fw := m.NewGen(seq).Forward(seq)
+	if fw.NumHeads() != 10 || fw.HeadCalls() != 10 {
+		t.Fatalf("heads = %d, built %d", fw.NumHeads(), fw.HeadCalls())
+	}
+	for i := range fw.NumHeads() {
+		if len(fw.Cands(i, fullPassTopK)) == 0 {
+			t.Fatalf("head %d proposes nothing", i)
+		}
 	}
 	if len(fw.Base.e) == 0 {
 		t.Fatal("empty base distribution")
@@ -300,25 +306,40 @@ func TestTrainMoreIncremental(t *testing.T) {
 }
 
 // sameForward fails unless two forward passes agree bit for bit on
-// every entry of the base and every head distribution.
+// every entry of the base and of every head distribution their captured
+// state builds, and on every head's candidates.
 func sameForward(t *testing.T, what string, a, b Forward) {
 	t.Helper()
-	same := func(x, y Dist) bool {
-		return slices.EqualFunc(x.e, y.e, func(p, q entry) bool {
-			return p.id == q.id && math.Float64bits(p.v) == math.Float64bits(q.v)
-		})
-	}
-	if !same(a.Base, b.Base) {
+	if !sameDist(a.Base, b.Base) {
 		t.Fatalf("%s: base distributions differ", what)
 	}
-	if len(a.Heads) != len(b.Heads) {
-		t.Fatalf("%s: %d heads vs %d", what, len(a.Heads), len(b.Heads))
+	if a.NumHeads() != b.NumHeads() {
+		t.Fatalf("%s: %d heads vs %d", what, a.NumHeads(), b.NumHeads())
 	}
-	for i := range a.Heads {
-		if !same(a.Heads[i], b.Heads[i]) {
+	for i := range a.NumHeads() {
+		if !sameDist(denseHead(a, i), denseHead(b, i)) {
 			t.Fatalf("%s: head %d distributions differ", what, i)
 		}
+		for _, k := range []int{1, 3, 8} {
+			if !slices.Equal(a.Cands(i, k), b.Cands(i, k)) {
+				t.Fatalf("%s: head %d top %d: %v vs %v", what, i, k, a.Cands(i, k), b.Cands(i, k))
+			}
+		}
 	}
+}
+
+// sameDist reports whether two distributions are equal bit for bit.
+func sameDist(x, y Dist) bool {
+	return slices.EqualFunc(x.e, y.e, func(p, q entry) bool {
+		return p.id == q.id && math.Float64bits(p.v) == math.Float64bits(q.v)
+	})
+}
+
+// denseHead builds head i's whole distribution from the state a model
+// pass captured.
+func denseHead(fw Forward, i int) Dist {
+	h := fw.heads
+	return Dist{e: slices.Clone(h.g.headAt(new(scratch), i, h.seq, h.view, h.matchJ, h.matchK))}
 }
 
 // TestNgramDeterminism: two trainings on the same data, and repeated
@@ -345,4 +366,73 @@ func TestSchemeString(t *testing.T) {
 	if SchemeNTP.String() != "NTP" || SchemeMedusa.String() != "Medusa" || SchemeOurs.String() != "Ours" {
 		t.Fatal("scheme names wrong")
 	}
+}
+
+// referenceHead builds head i's whole distribution for seq from scratch,
+// with the merge reference predictor: the dense head Cands must agree
+// with.
+func referenceHead(g *Gen, seq []int, i int) Dist {
+	sc := new(scratch)
+	view := g.clippedView(sc, seq)
+	matchJ, matchK := g.findInduction(seq)
+	table := referencePredict(g.m.heads[i], nil, view, 0)
+	g.copyBoost(table)
+	return Dist{e: g.finish(table, seq, matchJ, matchK, i+2)}
+}
+
+// TestHeadCandsExact decodes the fixture prompts under both head
+// schemes, greedy and sampled, the way the decoding loop drives a memo:
+// a pass, a chain walk that reads each head's candidates and verifies
+// them against the posterior after everything accepted so far, then the
+// step boundary. At every step, after the walk, every head is asked for
+// its top 1, 3 and 8 in shuffled head and k order, with verification
+// calls in between, and must equal TopK of the dense reference head.
+func TestHeadCandsExact(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	steps := 0
+	for _, scheme := range []Scheme{SchemeMedusa, SchemeOurs} {
+		m := Train(tk, smallCfg(), scheme, trainExamples)
+		for p, ex := range trainExamples {
+			prompt := CanonicalPromptIDs(tk, ex.Prompt)
+			g := m.NewGen(prompt)
+			for _, temp := range []float64{0, 0.8} {
+				rng := rand.New(rand.NewSource(int64(p)))
+				mm := new(Memo)
+				seq := slices.Clone(prompt)
+				mm.NextStep(seq)
+				for len(seq) < len(prompt)+120 {
+					fw := g.ForwardMemo(seq, mm)
+					base := fw.Base.Sample(temp, rng.Float64(), nil)
+					if base == tokenizer.EosID {
+						break
+					}
+					walk := append(slices.Clone(seq), base)
+					for i := range fw.NumHeads() {
+						post := g.BaseDistMemo(walk, mm)
+						if c := fw.Cands(i, 3); !slices.Contains(c, post.Argmax()) || post.Argmax() == tokenizer.EosID {
+							break
+						}
+						walk = append(walk, post.Argmax())
+					}
+					for _, i := range rng.Perm(fw.NumHeads()) {
+						ref := referenceHead(g, seq, i)
+						for _, j := range rng.Perm(3) {
+							k := []int{1, 3, 8}[j]
+							if got, want := fw.Cands(i, k), ref.TopK(k); !slices.Equal(got, want) {
+								t.Fatalf("%v prompt %d step %d: head %d top %d = %v, want %v", scheme, p, steps, i, k, got, want)
+							}
+						}
+						g.BaseDistMemo(walk[:len(seq)+1+rng.Intn(len(walk)-len(seq))], mm)
+					}
+					seq = walk
+					mm.NextStep(seq)
+					steps++
+				}
+			}
+		}
+	}
+	if steps < 50 {
+		t.Fatalf("only %d steps compared", steps)
+	}
+	t.Logf("%d steps compared", steps)
 }

@@ -26,6 +26,9 @@ type ngramTable struct {
 	counts []tally
 	// frozen[i] is level i compiled; empty during TrainMore.
 	frozen []level
+	// idBound is 1 + the largest successor id, set at freeze: predict's
+	// accumulator covers the ids below it.
+	idBound int
 }
 
 // tally is one level in training form: the contexts in order of first
@@ -123,9 +126,6 @@ func ladder(maxCtx int) []int {
 // maxReach is the longest context any ladder reaches.
 const maxReach = 16
 
-// maxLevels is the longest ladder (ladder(maxReach)).
-const maxLevels = 9
-
 func newNgramTable(maxCtx int) *ngramTable {
 	levels := ladder(maxCtx)
 	return &ngramTable{levels: levels, frozen: make([]level, len(levels))}
@@ -197,6 +197,9 @@ func (t *ngramTable) freeze() {
 	for i := range t.counts {
 		t.frozen[i] = freezeLevel(t.counts[i])
 		t.counts[i] = tally{}
+		for _, e := range t.frozen[i].slab {
+			t.idBound = max(t.idBound, int(e.id)+1)
+		}
 	}
 	t.counts = nil
 }
@@ -283,18 +286,58 @@ func (l *level) thaw() tally {
 // cannot leak into sharp predictions.
 const wbScale = 0.15
 
+// accum is a dense per-id accumulator and a bitmap of the ids it holds,
+// the working memory of predict's scatter. Both are all zero between
+// uses, and they grow once to the largest id bound they have seen.
+type accum struct {
+	v    []float64
+	seen []uint64
+}
+
+// fit grows the accumulator to cover ids below bound.
+func (a *accum) fit(bound int) {
+	if len(a.v) < bound {
+		a.v = make([]float64, bound)
+		a.seen = make([]uint64, (bound+63)/64)
+	}
+}
+
+// gather appends the ids marked in bitmap words lo..hi to dst in
+// ascending order, each with its accumulated value, clearing each slot
+// as it reads it. It also returns the values' sum, taken in that order.
+func (a *accum) gather(dst []entry, lo, hi int) ([]entry, float64) {
+	n := 0
+	for w := lo; w <= hi; w++ {
+		n += bits.OnesCount64(a.seen[w])
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	out, total := dst[start:], 0.0
+	j := 0
+	for w := lo; w <= hi; w++ {
+		for b := a.seen[w]; b != 0; b &= b - 1 {
+			id := w<<6 | bits.TrailingZeros64(b)
+			out[j] = entry{int32(id), a.v[id]}
+			total += a.v[id]
+			a.v[id] = 0
+			j++
+		}
+		a.seen[w] = 0
+	}
+	return dst, total
+}
+
 // predict appends to dst the interpolated distribution for the next
 // token given ctx, using tempered Witten-Bell confidence at each ladder
 // level (seed selects a keyword-conditioned table; 0 the plain one).
-// The appended run is sorted by id and normalized in ascending id order;
-// each id's mass is summed over the levels longest context first, the
-// order the backoff walk visits them, so every value is reproducible
-// bit for bit.
-func (t *ngramTable) predict(dst []entry, ctx []int, seed uint64) []entry {
-	// The backoff walk picks the contributing levels, longest first.
-	var runs [maxLevels][]entry
-	var scale, totals [maxLevels]float64
-	n := 0
+// The appended run is sorted by id and normalized in ascending id order.
+// Each contributing level's run is scattered into acc in the order the
+// backoff walk visits the levels, longest context first, so every id's
+// mass is summed in that order and every value is reproducible bit for
+// bit; the run is then gathered in ascending id order.
+func (t *ngramTable) predict(acc *accum, dst []entry, ctx []int, seed uint64) []entry {
+	acc.fit(t.idBound)
+	lo, hi := len(acc.seen), -1 // the bitmap words touched
 	weight := 1.0
 	for i := len(t.levels) - 1; i >= 0; i-- {
 		k := t.levels[i]
@@ -310,36 +353,26 @@ func (t *ngramTable) predict(dst []entry, ctx []int, seed uint64) []entry {
 		if k == 0 {
 			keep = 1 // terminal level keeps all remaining mass
 		}
-		runs[n], scale[n], totals[n] = l.slab[s.start:s.start+s.n], weight*keep, s.total
-		n++
+		scale, total := weight*keep, s.total
+		run := l.slab[s.start : s.start+s.n]
+		for _, e := range run {
+			acc.v[e.id] += scale * (e.v / total)
+			acc.seen[e.id>>6] |= 1 << (e.id & 63)
+		}
+		lo, hi = min(lo, int(run[0].id>>6)), max(hi, int(run[len(run)-1].id>>6))
 		weight *= 1 - keep
 		if weight < 1e-9 {
 			break
 		}
 	}
-	// Merge the id-sorted runs.
 	start := len(dst)
-	for {
-		var next int32
-		found := false
-		for _, r := range runs[:n] {
-			if len(r) > 0 && (!found || r[0].id < next) {
-				next, found = r[0].id, true
-			}
+	dst, total := acc.gather(dst, lo, hi)
+	// normalize, with the sum gather took in the same ascending order.
+	if total > 0 {
+		for i := range dst[start:] {
+			dst[start+i].v /= total
 		}
-		if !found {
-			break
-		}
-		acc := 0.0
-		for j, r := range runs[:n] {
-			if len(r) > 0 && r[0].id == next {
-				acc += scale[j] * (r[0].v / totals[j])
-				runs[j] = r[1:]
-			}
-		}
-		dst = append(dst, entry{next, acc})
 	}
-	normalize(dst[start:])
 	return dst
 }
 

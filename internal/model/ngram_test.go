@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/frag"
 	"repro/internal/tokenizer"
 )
 
@@ -166,19 +167,19 @@ func TestFrozenMatchesReference(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNTP, SchemeMedusa, SchemeOurs} {
 		m, ref := trainWithRef(tk, scheme, trainExamples)
 		gens, seqs := decodeContexts(m)
-		sc := new(scratch)
+		sc, acc := new(scratch), new(accum)
 		kwHits, polluted := 0, 0
 		for i, seq := range seqs {
 			g := gens[i]
 			view := g.clippedView(sc, seq)
 			want, frac := ref[m.base].predict(view, 0)
-			sameAsRef(t, scheme.String()+" base", m.base.predict(nil, view, 0), want)
+			sameAsRef(t, scheme.String()+" base", m.base.predict(acc, nil, view, 0), want)
 			if frac {
 				polluted++
 			}
 			for h, head := range m.heads {
 				want, _ := ref[head].predict(view, 0)
-				sameAsRef(t, fmt.Sprintf("%v head %d", scheme, h), head.predict(nil, view, 0), want)
+				sameAsRef(t, fmt.Sprintf("%v head %d", scheme, h), head.predict(acc, nil, view, 0), want)
 			}
 			kwView := view
 			for len(kwView) > 0 && kwView[len(kwView)-1] == tokenizer.FragID {
@@ -186,7 +187,7 @@ func TestFrozenMatchesReference(t *testing.T) {
 			}
 			for _, seed := range g.seeds {
 				want, _ := ref[m.kw].predict(kwView, seed)
-				sameAsRef(t, scheme.String()+" keyword", m.kw.predict(nil, kwView, seed), want)
+				sameAsRef(t, scheme.String()+" keyword", m.kw.predict(acc, nil, kwView, seed), want)
 				if len(want) > 0 {
 					kwHits++
 				}
@@ -250,11 +251,12 @@ func FuzzFrozenTable(f *testing.F) {
 			hist = append(hist, next)
 		}
 		tbl.freeze()
+		acc := new(accum)
 		for p := 0; p <= len(hist); p++ {
 			ctx := hist[max(0, p-8):p]
 			for _, seed := range seeds {
 				want, _ := ref.predict(ctx, seed)
-				sameAsRef(t, "frozen", tbl.predict(nil, ctx, seed), want)
+				sameAsRef(t, "frozen", tbl.predict(acc, nil, ctx, seed), want)
 			}
 		}
 		frozen := slices.Clone(tbl.frozen)
@@ -265,6 +267,160 @@ func FuzzFrozenTable(f *testing.F) {
 		tbl.freeze()
 		if !reflect.DeepEqual(frozen, tbl.frozen) {
 			t.Fatal("thaw→refreeze changed the frozen table")
+		}
+	})
+}
+
+// referencePredict is predict as an n-way merge of the contributing
+// levels' id-sorted runs, the loop the scatter kernel replaced: each
+// id's mass is summed over the levels longest context first.
+// TestPredictMatchesReference and FuzzPredict hold the kernel equal to
+// it bit for bit.
+func referencePredict(t *ngramTable, dst []entry, ctx []int, seed uint64) []entry {
+	const maxLevels = 9 // len(ladder(maxReach))
+	var runs [maxLevels][]entry
+	var scale, totals [maxLevels]float64
+	n := 0
+	weight := 1.0
+	for i := len(t.levels) - 1; i >= 0; i-- {
+		k := t.levels[i]
+		if k > len(ctx) {
+			continue
+		}
+		l := &t.frozen[i]
+		s := l.find(ctxHash(ctx, k, seed))
+		if s == nil || s.total <= 0 {
+			continue
+		}
+		keep := s.total / (s.total + wbScale*float64(s.n))
+		if k == 0 {
+			keep = 1
+		}
+		runs[n], scale[n], totals[n] = l.slab[s.start:s.start+s.n], weight*keep, s.total
+		n++
+		weight *= 1 - keep
+		if weight < 1e-9 {
+			break
+		}
+	}
+	start := len(dst)
+	for {
+		var next int32
+		found := false
+		for _, r := range runs[:n] {
+			if len(r) > 0 && (!found || r[0].id < next) {
+				next, found = r[0].id, true
+			}
+		}
+		if !found {
+			break
+		}
+		acc := 0.0
+		for j, r := range runs[:n] {
+			if len(r) > 0 && r[0].id == next {
+				acc += scale[j] * (r[0].v / totals[j])
+				runs[j] = r[1:]
+			}
+		}
+		dst = append(dst, entry{next, acc})
+	}
+	normalize(dst[start:])
+	return dst
+}
+
+// sameEntries fails unless two predictions are equal bit for bit.
+func sameEntries(t *testing.T, what string, got, want []entry) {
+	t.Helper()
+	if !sameDist(Dist{e: got}, Dist{e: want}) {
+		t.Fatalf("%s: kernel %v, reference %v", what, got, want)
+	}
+}
+
+// TestPredictMatchesReference runs the scatter kernel and the merge
+// reference over every table of the three schemes — the base, the
+// keyword table under each seed, every head — on every context of the
+// fixture corpus (each prefix of each training sequence) and of the
+// fixture prompts' greedy decodes. One accumulator serves every call,
+// so a slot left dirty by one prediction shows in the next.
+func TestPredictMatchesReference(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	acc, sc := new(accum), new(scratch)
+	for _, scheme := range []Scheme{SchemeNTP, SchemeMedusa, SchemeOurs} {
+		m := Train(tk, smallCfg(), scheme, trainExamples)
+		var views [][]int
+		var seeds [][]uint64
+		for _, ex := range trainExamples {
+			ids := append([]int{tokenizer.BosID}, tk.Encode(FormatPrompt(ex.Prompt))...)
+			code := tk.Encode(ex.Code)
+			if scheme.UsesFrags() {
+				var err error
+				if code, err = frag.EncodeWithFrags(tk, ex.Code); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids = append(ids, code...)
+			var kw []uint64
+			for _, w := range Keywords(ex.Prompt) {
+				kw = append(kw, kwSeed(w))
+			}
+			for p := 0; p <= len(ids); p++ {
+				views, seeds = append(views, filterTail(nil, ids[:p])), append(seeds, kw)
+			}
+		}
+		gens, seqs := decodeContexts(m)
+		for i, seq := range seqs {
+			views, seeds = append(views, slices.Clone(gens[i].clippedView(sc, seq))), append(seeds, gens[i].seeds)
+		}
+		preds := 0
+		for i, view := range views {
+			sameEntries(t, scheme.String()+" base", m.base.predict(acc, nil, view, 0), referencePredict(m.base, nil, view, 0))
+			for h, head := range m.heads {
+				sameEntries(t, fmt.Sprintf("%v head %d", scheme, h), head.predict(acc, nil, view, 0), referencePredict(head, nil, view, 0))
+			}
+			kwView := view
+			for len(kwView) > 0 && kwView[len(kwView)-1] == tokenizer.FragID {
+				kwView = kwView[:len(kwView)-1]
+			}
+			for _, seed := range seeds[i] {
+				sameEntries(t, scheme.String()+" keyword", m.kw.predict(acc, nil, kwView, seed), referencePredict(m.kw, nil, kwView, seed))
+			}
+			preds += 1 + len(m.heads) + len(seeds[i])
+		}
+		t.Logf("%v: %d contexts, %d predictions", scheme, len(views), preds)
+	}
+}
+
+// FuzzPredict builds a full-ladder table from weighted observations
+// (each 3-byte group: the next id, spanning four bitmap words, its
+// weight and its seed; the context is everything observed before it)
+// and holds the scatter kernel equal to the merge reference, bit for
+// bit, on every context under every seed. The accumulator is sized for
+// a larger vocabulary than the table's and shared by every call.
+func FuzzPredict(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 7, 0, 2, 7, 0, 1, 7, 0, 2, 7, 0, 1, 7, 0})
+	f.Add([]byte{63, 1, 0, 64, 2, 0, 127, 3, 1, 128, 4, 2, 255, 5, 0, 0, 6, 1})
+	seeds := []uint64{0, 7, 0xdeadbeef}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl := newNgramTable(maxReach)
+		tbl.thaw()
+		var hist []int
+		for i := 0; i+3 <= len(data) && i < 3*256; i += 3 {
+			next := int(data[i])
+			weight := float64(data[i+1]%16+1) / 8
+			seed := seeds[int(data[i+2])%len(seeds)]
+			ctx := hist[max(0, len(hist)-maxReach):]
+			tbl.addSeeded(ctx, next, weight, seed)
+			hist = append(hist, next)
+		}
+		tbl.freeze()
+		acc := new(accum)
+		acc.fit(1024)
+		for p := 0; p <= len(hist); p++ {
+			ctx := hist[max(0, p-maxReach):p]
+			for _, seed := range seeds {
+				sameEntries(t, "kernel", tbl.predict(acc, nil, ctx, seed), referencePredict(tbl, nil, ctx, seed))
+			}
 		}
 	})
 }
