@@ -69,7 +69,8 @@ golden:
 # matrix, tree strategies included), plus the tree
 # losslessness proof (greedy lookup-tree == linear prompt-lookup ==
 # NTP, byte for byte), plus the per-decode memo answering every prefix
-# of the fixture decodes exactly as the memo-less model calls do, plus
+# of the fixture decodes exactly as a fresh memo computes each one from
+# scratch, plus
 # the scatter predict kernel equal bit for bit to the merge loop it
 # replaced on every table and context of the fixture corpus, and every
 # on-demand head candidate list equal to TopK of the dense head: the
@@ -155,7 +156,9 @@ fuzz:
 
 # Engine wall-clock throughput + the strategy matrix (every strategy's
 # speed, accepted length and tree columns) + scheduler-load smoke + the
-# model's per-call Forward/BaseDist cost (ns, B and allocs per op), then
+# model's per-call cost — Forward, ForwardMemo and BaseDistMemo (the
+# BenchmarkBaseDist alternative matches BenchmarkBaseDistMemo's hit and
+# miss rows) — in ns, B and allocs per op, then
 # one evalbench process — one corpus, each model trained once — for the
 # structured rows: the grammar comparison, the sim-pass-rate tier and
 # the tracing on/off rows. CI

@@ -144,7 +144,7 @@ func speedOf(m *model.Model, prompts []string, opts core.Options) float64 {
 	var secs []float64
 	for i, prompt := range prompts {
 		greedy := dec.Generate(prompt, opts)
-		sampled := dec.Generate(prompt, core.Options{Strategy: opts.Strategy, Temperature: 0.8, Seed: int64(i), DisableIntegrity: opts.DisableIntegrity, TopK: opts.TopK, Epsilon: opts.Epsilon, Delta: opts.Delta})
+		sampled := dec.Generate(prompt, core.Options{Strategy: opts.Strategy, Temperature: 0.8, Seed: int64(i), TopK: opts.TopK, Epsilon: opts.Epsilon, Delta: opts.Delta})
 		tokens = append(tokens, len(greedy.CleanTokens), len(sampled.CleanTokens))
 		secs = append(secs, greedy.SimulatedMS/1000, sampled.SimulatedMS/1000)
 	}
@@ -263,8 +263,9 @@ func BenchmarkFig6(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-// BenchmarkAblationIntegrity isolates the [FRAG] integrity check:
-// the "ours" strategy with and without truncation.
+// BenchmarkAblationIntegrity isolates the [FRAG] integrity check on
+// the Ours-trained model: the "ours" strategy with truncation, and
+// "medusa" — the same drafter and verifier without it.
 func BenchmarkAblationIntegrity(b *testing.B) {
 	setup(b)
 	m := models["CodeLlama/Ours"]
@@ -272,7 +273,7 @@ func BenchmarkAblationIntegrity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		with := speedOf(m, prompts, core.Options{Strategy: "ours"})
-		without := speedOf(m, prompts, core.Options{Strategy: "ours", DisableIntegrity: true})
+		without := speedOf(m, prompts, core.Options{Strategy: "medusa"})
 		fnW, synW := evalQuality(m, bench.RTLLM(), 2)
 		b.ReportMetric(with, "with_tok/s")
 		b.ReportMetric(without, "without_tok/s")

@@ -72,7 +72,7 @@ func main() {
 	if *strategy == "" {
 		*strategy = *schemeName
 	}
-	if _, err := core.ResolveStrategy(*strategy, false); err != nil {
+	if _, err := core.ResolveStrategy(*strategy); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}

@@ -228,7 +228,7 @@ func main() {
 			fail(err)
 		}
 		if spec.strategy != "" {
-			if _, err := core.ResolveStrategy(spec.strategy, false); err != nil {
+			if _, err := core.ResolveStrategy(spec.strategy); err != nil {
 				fail(err)
 			}
 		}

@@ -10,13 +10,16 @@ import (
 )
 
 // TestMakefileGatesResolve lints the gates themselves. `go test -run
-// 'A|B'` passes with "no tests to run" when A and B no longer exist, so
-// a renamed or moved test silently turns its gate green: here every
-// alternative of every -run pattern in the Makefile must match at least
-// one func Test… in the packages that line names. .PHONY must list
-// exactly the defined targets, so a deleted target cannot linger there.
-// And since CI runs `make <target>` over a list, that list must be
-// `make ci`'s.
+// 'A|B'` passes with "no tests to run" when A and B no longer exist,
+// and `-bench`/`-fuzz` patterns that match nothing exit 0 just the
+// same, so a renamed or moved test, benchmark or fuzz target silently
+// turns its gate green: here every alternative of every -run pattern
+// in the Makefile must match at least one func Test… in the packages
+// that line names, every -bench alternative a func Benchmark…, and
+// every -fuzz pattern exactly one func Fuzz… (go test refuses more).
+// .PHONY must list exactly the defined targets, so a deleted target
+// cannot linger there. And since CI runs `make <target>` over a list,
+// that list must be `make ci`'s.
 func TestMakefileGatesResolve(t *testing.T) {
 	raw, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -24,16 +27,18 @@ func TestMakefileGatesResolve(t *testing.T) {
 	}
 	makefile := strings.ReplaceAll(string(raw), "\\\n", " ")
 
-	runFlag := regexp.MustCompile(`-run\s+(?:'([^']*)'|(\S+))`)
-	checked := 0
+	flags := []struct {
+		kind string // the func prefix the flag's pattern selects
+		re   *regexp.Regexp
+	}{
+		{"Test", regexp.MustCompile(`-run[=\s]+(?:'([^']*)'|(\S+))`)},
+		{"Benchmark", regexp.MustCompile(`-bench[=\s]+(?:'([^']*)'|(\S+))`)},
+		{"Fuzz", regexp.MustCompile(`-fuzz[=\s]+(?:'([^']*)'|(\S+))`)},
+	}
+	checked := map[string]int{}
 	for _, line := range strings.Split(makefile, "\n") {
-		m := runFlag.FindStringSubmatch(line)
-		if !strings.Contains(line, "$(GO) test") || m == nil {
+		if !strings.Contains(line, "$(GO) test") {
 			continue
-		}
-		pattern := strings.ReplaceAll(m[1]+m[2], "$$", "$")
-		if pattern == "^$" {
-			continue // benchmark and fuzz lines run no tests on purpose
 		}
 		var pkgs []string
 		for _, field := range strings.Fields(line) {
@@ -41,21 +46,41 @@ func TestMakefileGatesResolve(t *testing.T) {
 				pkgs = append(pkgs, field)
 			}
 		}
-		names := testFuncs(t, pkgs)
-		for _, alt := range strings.Split(pattern, "|") {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("-run alternative %q: %v", alt, err)
+		for _, f := range flags {
+			m := f.re.FindStringSubmatch(line)
+			if m == nil {
 				continue
 			}
-			if !slices.ContainsFunc(names, re.MatchString) {
-				t.Errorf("-run alternative %q matches no test in %v:\n  %s", alt, pkgs, strings.TrimSpace(line))
+			pattern := strings.ReplaceAll(m[1]+m[2], "$$", "$")
+			if pattern == "^$" {
+				continue // benchmark and fuzz lines run no tests on purpose
 			}
-			checked++
+			names := funcs(t, f.kind, pkgs)
+			alts := strings.Split(pattern, "|")
+			if f.kind == "Fuzz" {
+				alts = []string{pattern}
+			}
+			for _, alt := range alts {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("-%s alternative %q: %v", f.kind, alt, err)
+					continue
+				}
+				n := 0
+				for _, name := range names {
+					if re.MatchString(name) {
+						n++
+					}
+				}
+				if n == 0 || f.kind == "Fuzz" && n > 1 {
+					t.Errorf("%q matches %d func %s… in %v:\n  %s", alt, n, f.kind, pkgs, strings.TrimSpace(line))
+				}
+				checked[f.kind]++
+			}
 		}
 	}
-	if checked < 20 {
-		t.Fatalf("checked only %d -run alternatives; the Makefile parse is broken", checked)
+	if checked["Test"] < 20 || checked["Benchmark"] < 3 || checked["Fuzz"] < 5 {
+		t.Fatalf("checked only %v pattern alternatives; the Makefile parse is broken", checked)
 	}
 
 	var ci, phony, targets []string
@@ -89,12 +114,12 @@ func TestMakefileGatesResolve(t *testing.T) {
 	}
 }
 
-// testFuncs lists the func Test… names declared in the _test.go files
-// of pkgs (Makefile spellings: "./internal/serve/", or "./..." for
-// every package).
-func testFuncs(t *testing.T, pkgs []string) []string {
+// funcs lists the func <kind>… names (kind "Test", "Benchmark" or
+// "Fuzz") declared in the _test.go files of pkgs (Makefile spellings:
+// "./internal/serve/", or "./..." for every package).
+func funcs(t *testing.T, kind string, pkgs []string) []string {
 	t.Helper()
-	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	decl := regexp.MustCompile(`(?m)^func (` + kind + `\w*)\(`)
 	var names []string
 	scan := func(path string) {
 		src, err := os.ReadFile(path)

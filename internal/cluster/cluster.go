@@ -139,7 +139,7 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("cluster: replica %d has no model", i)
 		}
 		if spec.DefaultStrategy != "" {
-			if _, err := core.ResolveStrategy(spec.DefaultStrategy, false); err != nil {
+			if _, err := core.ResolveStrategy(spec.DefaultStrategy); err != nil {
 				return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 			}
 		}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
@@ -48,11 +49,15 @@ func TestGateAllocsDecode(t *testing.T) {
 		d := NewDecoder(m).WithSessionCache(model.NewTrieCache(0))
 		ids := model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[1].Prompt)
 		opts := Options{Strategy: c.strategy, Temperature: 0.5, Seed: 1}
-		clean := len(d.GenerateFrom(ids, opts).CleanTokens)
+		res, err := runDecode(context.Background(), d, ids, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := len(res.CleanTokens)
 		if clean == 0 {
 			t.Fatalf("%s: empty decode", c.strategy)
 		}
-		perToken := testing.AllocsPerRun(10, func() { d.GenerateFrom(ids, opts) }) / float64(clean)
+		perToken := testing.AllocsPerRun(10, func() { runDecode(context.Background(), d, ids, opts, nil) }) / float64(clean)
 		bound := 1.25 * c.measured
 		t.Logf("%s: %.1f allocs per clean token over %d clean tokens (bound %.1f)", c.strategy, perToken, clean, bound)
 		if perToken > bound {

@@ -49,15 +49,14 @@ import (
 )
 
 // ResolveStrategy resolves a strategy name ("ntp", "medusa", "ours",
-// "prompt-lookup" or an alias — see spec.Named) to its pairing,
-// honouring the integrity ablation for strategies that carry the check.
-func ResolveStrategy(name string, disableIntegrity bool) (spec.Strategy, error) {
+// "prompt-lookup" or an alias — see spec.Named) to its pairing. The
+// paper's "without integrity" ablation is a name too: "medusa" is
+// "ours" without the [FRAG] integrity check, decoded on whichever
+// model the caller trained.
+func ResolveStrategy(name string) (spec.Strategy, error) {
 	s, ok := spec.Named(name)
 	if !ok {
 		return spec.Strategy{}, fmt.Errorf("unknown strategy %q (want one of %v)", name, spec.Names())
-	}
-	if disableIntegrity {
-		s = spec.WithoutIntegrity(s)
 	}
 	return s, nil
 }
@@ -102,9 +101,6 @@ type Options struct {
 	// tree-drafting strategies (medusa-tree, lookup-tree, ours-tree);
 	// <= 0 selects spec.DefaultTreeBudget. Linear strategies ignore it.
 	TreeBudget int
-	// DisableIntegrity ablates the [FRAG] integrity check of the
-	// strategies that carry it (used by the ablation benchmarks).
-	DisableIntegrity bool
 	// Seed drives the sampling RNG; decodes are fully deterministic
 	// given (model, prompt, options).
 	Seed int64
@@ -155,13 +151,12 @@ func (o Options) StrategyLabel() string {
 // Canonical rewrites the options so equivalent decodes compare equal:
 // the strategy is expressed by its canonical display name (aliases and
 // the empty spelling of "ntp" collapse onto it), unset knobs take the
-// defaults the decoder would apply, and knobs the strategy ignores —
-// TreeBudget without a tree drafter, DisableIntegrity without the
-// integrity check — are zeroed. Decoding behaviour is unchanged — the
-// serving layer canonicalizes before using Options as a cache key so
-// "pl", "prompt-lookup" and "PromptLookup" (or top_k 3 and no top_k)
-// share one entry. Unknown strategy names pass through untouched and
-// fail at decode time as before.
+// defaults the decoder would apply, and a knob the strategy ignores —
+// TreeBudget without a tree drafter — is zeroed. Decoding behaviour is
+// unchanged — the serving layer canonicalizes before using Options as
+// a cache key so "pl", "prompt-lookup" and "PromptLookup" (or top_k 3
+// and no top_k) share one entry. Unknown strategy names pass through
+// untouched and fail at decode time as before.
 func (o Options) Canonical() Options {
 	s, ok := spec.Named(o.strategyName())
 	if !ok {
@@ -171,9 +166,6 @@ func (o Options) Canonical() Options {
 	o.Strategy = s.Name
 	if !spec.IsTree(s.Drafter) {
 		o.TreeBudget = 0
-	}
-	if _, wrapped := s.Verifier.(spec.Integrity); !wrapped {
-		o.DisableIntegrity = false
 	}
 	return o
 }
@@ -364,60 +356,21 @@ func (d *Decoder) WithSessionCache(c *model.TrieCache) *Decoder {
 
 // Generate produces a completion for a natural-language description.
 // The prompt is wrapped in the same Alpaca-style template used in
-// training. It panics on an unknown Options.Strategy name — the only
-// error the background context can produce — so the error-less
-// convenience API cannot silently return an empty Result; use
-// GenerateCtx to receive the error instead.
+// training, and the decode runs to completion on the background
+// context: BeginDecode, Step until done, Finish. It panics on an
+// unknown Options.Strategy name — the only error the background
+// context can produce — so the error-less convenience API cannot
+// silently return an empty Result; BeginDecode, the one entry that
+// takes a context or a StepFn, returns the error instead.
 func (d *Decoder) Generate(desc string, opts Options) *Result {
-	res, err := d.GenerateCtx(context.Background(), desc, opts)
+	st, err := d.BeginDecode(context.Background(), model.CanonicalPromptIDs(d.m.Tokenizer(), desc), opts, nil)
 	if err != nil {
 		panic(err)
-	}
-	return res
-}
-
-// GenerateCtx is Generate with cancellation: if ctx is cancelled
-// mid-decode the partial Result generated so far is returned together
-// with the context's error.
-func (d *Decoder) GenerateCtx(ctx context.Context, desc string, opts Options) (*Result, error) {
-	return d.GenerateStream(ctx, desc, opts, nil)
-}
-
-// GenerateStream is GenerateCtx with per-step observation: onStep (if
-// non-nil) is invoked after every decoding step with the tokens that
-// step emitted. Serving-layer NDJSON streaming is built on this.
-func (d *Decoder) GenerateStream(ctx context.Context, desc string, opts Options, onStep StepFn) (*Result, error) {
-	promptIDs := model.CanonicalPromptIDs(d.m.Tokenizer(), desc)
-	return d.generate(ctx, promptIDs, opts, onStep)
-}
-
-// GenerateFrom decodes starting from explicit prompt token ids. Like
-// Generate it panics on an unknown Options.Strategy name.
-func (d *Decoder) GenerateFrom(promptIDs []int, opts Options) *Result {
-	res, err := d.generate(context.Background(), promptIDs, opts, nil)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// generate is the decoding loop shared by all entry points, expressed
-// through the step-wise API: BeginDecode, Step to completion, Finish.
-// The loop itself — strategy-agnostic drafting, acceptance screening,
-// repetition guard, budget and stop conditions, streaming — lives in
-// DecodeState.Step (stepwise.go), so the monolithic path and a
-// scheduler driving steps one at a time are the same code and produce
-// byte-identical output by construction. The context is polled once
-// per forward pass: cancellation surfaces after at most one simulated
-// step, with the partial Result intact.
-func (d *Decoder) generate(ctx context.Context, promptIDs []int, opts Options, onStep StepFn) (*Result, error) {
-	st, err := d.BeginDecode(ctx, promptIDs, opts, onStep)
-	if err != nil {
-		return &Result{}, err
 	}
 	for !st.Step() {
 	}
-	return st.Finish()
+	res, _ := st.Finish() // the background context is never cancelled
+	return res
 }
 
 // sampleBase draws the base token (greedy at temperature 0), demoting

@@ -218,11 +218,14 @@ func TestCleanTokensHaveNoSpecials(t *testing.T) {
 	}
 }
 
+// TestAblationDisableIntegrity: the paper's "without integrity"
+// ablation is the medusa pairing decoded on the Ours-trained model —
+// ours' drafter and verifier without the [FRAG] check.
 func TestAblationDisableIntegrity(t *testing.T) {
 	m := trained(t, model.SchemeOurs)
 	d := NewDecoder(m)
 	with := d.Generate(trainExamples[0].Prompt, Options{Strategy: "ours"})
-	without := d.Generate(trainExamples[0].Prompt, Options{Strategy: "ours", DisableIntegrity: true})
+	without := d.Generate(trainExamples[0].Prompt, Options{Strategy: "medusa"})
 	if without.TruncatedTokens != 0 {
 		t.Fatalf("integrity disabled but truncated %d tokens", without.TruncatedTokens)
 	}
@@ -243,7 +246,7 @@ func TestStepCostModel(t *testing.T) {
 		"ntp": wantNTP, "prompt-lookup": wantNTP, "lookup-tree": wantNTP, "grammar-lookup-tree": wantNTP,
 		"medusa": wantSpec, "ours": wantSpec, "medusa-tree": wantSpec, "ours-tree": wantSpec, "grammar-tree": wantSpec,
 	} {
-		s, err := ResolveStrategy(name, false)
+		s, err := ResolveStrategy(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +277,7 @@ func TestAcceptDraftShapes(t *testing.T) {
 	ctx := append([]int(nil), seq...)
 	var greedy []int
 	for range 4 {
-		id := gen.BaseDist(ctx).Argmax()
+		id := gen.BaseDistMemo(ctx, new(model.Memo)).Argmax()
 		greedy = append(greedy, id)
 		ctx = append(ctx, id)
 	}
@@ -289,7 +292,7 @@ func TestAcceptDraftShapes(t *testing.T) {
 		{"empty tree drafts nothing", tree.New(opts.TreeBudget), base},
 	} {
 		strat := spec.Strategy{Name: "fixed", Drafter: fixedDrafter{spec.Draft{Tree: c.tree, Chain: chain}}, Verifier: spec.GreedyExact{}}
-		got, nodes, _ := d.accept(gen, nil, seq, append([]int(nil), base...), model.Forward{}, strat, opts, nil)
+		got, nodes, _ := d.accept(gen, new(model.Memo), seq, append([]int(nil), base...), model.Forward{}, strat, opts, nil)
 		if !slices.Equal(got, c.want) || nodes != 0 {
 			t.Errorf("%s: accepted %v with %d nodes, want %v with 0", c.name, got, nodes, c.want)
 		}
@@ -311,25 +314,15 @@ func TestNoRepeatGuardBreaksCycles(t *testing.T) {
 	}
 }
 
-func TestGenerateFromMatchesGenerate(t *testing.T) {
-	m := trained(t, model.SchemeNTP)
-	d := NewDecoder(m)
-	tk := m.Tokenizer()
-	desc := trainExamples[2].Prompt
-	a := d.Generate(desc, Options{Strategy: "ntp"})
-	ids := append([]int{tokenizer.BosID}, tk.Encode(model.FormatPrompt(desc))...)
-	b := d.GenerateFrom(ids, Options{Strategy: "ntp"})
-	if a.Text != b.Text {
-		t.Fatal("Generate and GenerateFrom disagree")
-	}
-}
-
+// TestGenerateCtxCancelledBeforeStart: a decode begun on a context
+// already cancelled does no work and returns the empty Result with the
+// context's error.
 func TestGenerateCtxCancelledBeforeStart(t *testing.T) {
 	m := trained(t, model.SchemeOurs)
 	d := NewDecoder(m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := d.GenerateCtx(ctx, trainExamples[0].Prompt, Options{Strategy: "ours"})
+	res, err := runDecode(ctx, d, promptIDs(m, 0), Options{Strategy: "ours"}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
@@ -338,13 +331,16 @@ func TestGenerateCtxCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// TestGenerateCtxCancelMidDecodeReturnsPartial: a context cancelled
+// from the onStep observer ends the decode at the next Step with the
+// partial Result intact.
 func TestGenerateCtxCancelMidDecodeReturnsPartial(t *testing.T) {
 	m := trained(t, model.SchemeNTP) // one token per step: many steps
 	d := NewDecoder(m)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	steps := 0
-	res, err := d.GenerateStream(ctx, trainExamples[0].Prompt, Options{Strategy: "ntp"}, func(StepEvent) {
+	res, err := runDecode(ctx, d, promptIDs(m, 0), Options{Strategy: "ntp"}, func(StepEvent) {
 		steps++
 		if steps == 3 {
 			cancel()
@@ -366,11 +362,13 @@ func TestGenerateCtxCancelMidDecodeReturnsPartial(t *testing.T) {
 	}
 }
 
+// TestGenerateStreamEventsMatchResult: the onStep events of a decode
+// reassemble its Result, one event per step.
 func TestGenerateStreamEventsMatchResult(t *testing.T) {
 	m := trained(t, model.SchemeOurs)
 	d := NewDecoder(m)
 	var events []StepEvent
-	res, err := d.GenerateStream(context.Background(), trainExamples[1].Prompt, Options{Strategy: "ours"},
+	res, err := runDecode(context.Background(), d, promptIDs(m, 1), Options{Strategy: "ours"},
 		func(ev StepEvent) { events = append(events, ev) })
 	if err != nil {
 		t.Fatal(err)
@@ -395,17 +393,22 @@ func TestGenerateStreamEventsMatchResult(t *testing.T) {
 	}
 }
 
+// TestGenerateCtxBackgroundMatchesGenerate: a decode on a live,
+// cancellable context with an observer attached produces the bytes
+// Generate does.
 func TestGenerateCtxBackgroundMatchesGenerate(t *testing.T) {
 	m := trained(t, model.SchemeOurs)
 	d := NewDecoder(m)
 	opts := Options{Strategy: "ours", Temperature: 0.5, Seed: 11}
 	plain := d.Generate(trainExamples[2].Prompt, opts)
-	ctxed, err := d.GenerateCtx(context.Background(), trainExamples[2].Prompt, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := runDecode(ctx, d, promptIDs(m, 2), opts, func(StepEvent) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Text != ctxed.Text || plain.Steps != ctxed.Steps {
-		t.Fatal("GenerateCtx diverges from Generate")
+	if plain.Text != ctxed.Text || plain.Steps != ctxed.Steps || !slices.Equal(plain.Tokens, ctxed.Tokens) {
+		t.Fatal("a decode with a context and an observer diverges from Generate")
 	}
 }
 
@@ -467,12 +470,9 @@ func TestStrategySpellingsDecodeIdentically(t *testing.T) {
 func TestUnknownStrategyErrors(t *testing.T) {
 	m := trained(t, model.SchemeOurs)
 	d := NewDecoder(m)
-	res, err := d.GenerateCtx(context.Background(), trainExamples[0].Prompt, Options{Strategy: "warp"})
-	if err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	if res == nil || len(res.Tokens) != 0 {
-		t.Fatalf("unknown strategy produced work: %+v", res)
+	st, err := d.BeginDecode(context.Background(), promptIDs(m, 0), Options{Strategy: "warp"}, nil)
+	if err == nil || st != nil {
+		t.Fatalf("unknown strategy accepted: %v, %v", st, err)
 	}
 	// The error-less convenience API must fail loudly, not return an
 	// empty Result that poisons downstream math.
@@ -518,8 +518,7 @@ func TestOptionsCanonical(t *testing.T) {
 		{Options{Strategy: "ours"}, Options{Strategy: "ours", TopK: 3}, true},
 		{Options{Strategy: "ours"}, Options{Strategy: "ours", Epsilon: 0.3, Delta: 1.2}, true},
 		{Options{Strategy: "ours"}, Options{Strategy: "ours", TopK: 4}, false},
-		{Options{Strategy: "medusa"}, Options{Strategy: "medusa", DisableIntegrity: true}, true},
-		{Options{Strategy: "ours"}, Options{Strategy: "ours", DisableIntegrity: true}, false},
+		{Options{Strategy: "ours"}, Options{Strategy: "medusa"}, false}, // the integrity ablation
 		{Options{Strategy: "ours"}, Options{Strategy: "ours", TreeBudget: 5}, true},
 		{Options{Strategy: "ours-tree"}, Options{Strategy: "ours-tree", TreeBudget: spec.DefaultTreeBudget}, true},
 		{Options{Strategy: "ours-tree"}, Options{Strategy: "ours-tree", TreeBudget: 5}, false},

@@ -159,16 +159,6 @@ type Strategy struct {
 	Verifier Verifier
 }
 
-// WithoutIntegrity strips the [FRAG] integrity wrapper from the
-// strategy's verifier, if present — the ablation switch behind
-// core.Options.DisableIntegrity.
-func WithoutIntegrity(s Strategy) Strategy {
-	if w, ok := s.Verifier.(Integrity); ok {
-		s.Verifier = w.Inner
-	}
-	return s
-}
-
 // IsTree reports whether d drafts branching trees — the tree
 // strategies' node budget applies to it.
 func IsTree(d Drafter) bool {

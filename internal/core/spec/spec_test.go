@@ -203,14 +203,11 @@ func TestNamedRegistry(t *testing.T) {
 	if _, isWrapped := s.Verifier.(Integrity); !isWrapped {
 		t.Fatal("ours verifier not integrity-wrapped")
 	}
-	plain := WithoutIntegrity(s)
-	if _, isWrapped := plain.Verifier.(Integrity); isWrapped {
-		t.Fatal("WithoutIntegrity left the wrapper on")
-	}
-	// WithoutIntegrity on an unwrapped strategy is a no-op.
-	ntp, _ := Named("ntp")
-	if got := WithoutIntegrity(ntp); got.Verifier != ntp.Verifier {
-		t.Fatal("WithoutIntegrity mutated an unwrapped strategy")
+	// The "without integrity" ablation is medusa's row: ours' drafter
+	// and its verifier with the wrapper taken off.
+	medusa, _ := Named("medusa")
+	if medusa.Drafter != s.Drafter || medusa.Verifier != s.Verifier.(Integrity).Inner {
+		t.Fatalf("medusa %+v is not ours %+v without its integrity check", medusa, s)
 	}
 	if len(Names()) != 9 {
 		t.Fatalf("Names() = %v", Names())

@@ -30,13 +30,9 @@ func TestTreeStrategiesRegistered(t *testing.T) {
 			t.Errorf("Named(%q) drafted from nothing: %+v", name, d)
 		}
 	}
-	// ours-tree composes with the integrity ablation like ours does.
 	s, _ := Named("ours-tree")
 	if _, wrapped := s.Verifier.(Integrity); !wrapped {
 		t.Fatal("ours-tree verifier not integrity-wrapped")
-	}
-	if _, wrapped := WithoutIntegrity(s).Verifier.(Integrity); wrapped {
-		t.Fatal("WithoutIntegrity left ours-tree wrapped")
 	}
 }
 

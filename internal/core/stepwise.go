@@ -12,17 +12,17 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the step-wise decode API: the same loop generate() runs
-// internally, exposed one verification sweep at a time so an external
-// scheduler can interleave many decodes — step every in-flight request
-// once, retire the finished, admit the queued into the freed slots —
-// instead of dedicating a goroutine to each from start to finish. All
+// This file is the step-wise decode API: the decoding loop, exposed one
+// verification sweep at a time so an external scheduler can interleave
+// many decodes — step every in-flight request once, retire the
+// finished, admit the queued into the freed slots — instead of
+// dedicating a goroutine to each from start to finish. All
 // loop state lives in the DecodeState, including its own immutable
 // session (*Gen) and the Memo of what its model calls computed, so a
 // decode can sit unstepped for any number of sweeps and continue with
 // byte-identical output: the sequence of (Forward, sample, accept,
 // finalize) operations is exactly the one the monolithic loop would
-// have run, however the steps of many decodes interleave. generate()
+// have run, however the steps of many decodes interleave. Generate
 // itself is just BeginDecode + Step-to-completion + Finish, which makes
 // that identity true by construction rather than by test alone (the
 // interleaving differential gate in internal/experiments pins it
@@ -71,16 +71,19 @@ type DecodeState struct {
 }
 
 // BeginDecode prepares a resumable decode from explicit prompt token
-// ids. The only error is an unknown Options.Strategy name — the same
-// contract as generate. The prompt session is prepared (or taken from
-// the session cache) immediately, so the first Step pays no
-// preparation cost.
+// ids; it is the one entry into a decode that takes a context (polled
+// once per Step: cancellation ends the decode with its partial Result
+// and the context's error) or an onStep observer (called after every
+// Step with the tokens it emitted; NDJSON streaming is built on it).
+// The only error is an unknown Options.Strategy name. The prompt
+// session is prepared (or taken from the session cache) immediately,
+// so the first Step pays no preparation cost.
 func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options, onStep StepFn) (*DecodeState, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.withDefaults(d.m)
-	strat, err := ResolveStrategy(opts.strategyName(), opts.DisableIntegrity)
+	strat, err := ResolveStrategy(opts.strategyName())
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +286,7 @@ func (s *DecodeState) Finish() (*Result, error) {
 }
 
 // TraceSpan exposes the decode's span (nil when untraced) so the
-// scheduler can nest park spans under it.
+// scheduler can close it for a decode that faulted before Finish.
 func (s *DecodeState) TraceSpan() *trace.Span { return s.span }
 
 // sessionGen prepares the prompt session, through the session cache

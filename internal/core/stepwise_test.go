@@ -11,6 +11,23 @@ import (
 	"repro/internal/trace"
 )
 
+// runDecode drives a decode to completion the way Generate does, on
+// the given context and observer.
+func runDecode(ctx context.Context, d *Decoder, ids []int, opts Options, onStep StepFn) (*Result, error) {
+	st, err := d.BeginDecode(ctx, ids, opts, onStep)
+	if err != nil {
+		return nil, err
+	}
+	for !st.Step() {
+	}
+	return st.Finish()
+}
+
+// promptIDs is fixture prompt i as Generate tokenizes it.
+func promptIDs(m *model.Model, i int) []int {
+	return model.CanonicalPromptIDs(m.Tokenizer(), trainExamples[i].Prompt)
+}
+
 // TestStepwiseMatchesGenerate: many decodes alive at once on one shared
 // trie, stepped round-robin in an order reshuffled every round — the
 // interleaving the continuous scheduler produces — must each be
@@ -25,10 +42,7 @@ func TestStepwiseMatchesGenerate(t *testing.T) {
 	for _, strat := range []string{"ntp", "medusa", "ours", "prompt-lookup", "ours-tree"} {
 		for seed := int64(0); seed < 3; seed++ {
 			opts := Options{Strategy: strat, MaxNewTokens: 48, Seed: seed}
-			want, err := d.GenerateCtx(context.Background(), trainExamples[1].Prompt, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := d.Generate(trainExamples[1].Prompt, opts)
 			st, err := d.BeginDecode(context.Background(), ids, opts, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -26,7 +26,7 @@ var decode = sync.OnceValues(func() (*model.Gen, []int) {
 	g := m.NewGen(prompt)
 	seq := append([]int(nil), prompt...)
 	for len(seq) < len(prompt)+100 {
-		next := g.BaseDist(seq).Argmax()
+		next := g.BaseDistMemo(seq, new(model.Memo)).Argmax()
 		if next == tokenizer.EosID {
 			break
 		}
@@ -45,9 +45,9 @@ func positions(g *model.Gen, seq []int) [][]int {
 	return out
 }
 
-// BenchmarkForward is one full forward pass without a memo (the base
+// BenchmarkForward is one full forward pass on a fresh memo (the base
 // plus every head built to its top 3), the per-step model cost of a
-// head-drafting strategy that reads every head.
+// head-drafting strategy that reads every head, from scratch.
 func BenchmarkForward(b *testing.B) {
 	g, seq := decode()
 	ctxs := positions(g, seq)
@@ -96,21 +96,12 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkBaseDist is one base-model posterior, the per-position cost
-// of verification and of NTP decoding.
-func BenchmarkBaseDist(b *testing.B) {
-	g, seq := decode()
-	ctxs := positions(g, seq)
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		g.BaseDist(ctxs[i%len(ctxs)])
-	}
-}
-
-// BenchmarkBaseDistMemo is BaseDist through a decode's memo. On "hit"
-// the memo has seen every keyword context of the decode (posteriors
-// are not reused: the step boundary lies past every context), the
-// steady state of a decode; on "miss" every op starts a fresh memo.
+// BenchmarkBaseDistMemo is one base-model posterior, the per-position
+// cost of verification and of NTP decoding. On "hit" the memo has seen
+// every keyword context of the decode (posteriors are not reused: the
+// step boundary lies past every context), the steady state of a
+// decode; on "miss" every op starts a fresh memo, the cost from
+// scratch.
 func BenchmarkBaseDistMemo(b *testing.B) {
 	g, seq := decode()
 	ctxs := positions(g, seq)

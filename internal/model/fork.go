@@ -36,7 +36,7 @@ type forkState struct {
 // descends from: NewGen is literally a Fork of it, so "fresh build" and
 // "fork chain" cannot diverge — they are the same code path.
 func (m *Model) emptyGen() *Gen {
-	return &Gen{m: m, codePos: []bool{}, fork: &forkState{}}
+	return &Gen{m: m, codePos: []bool{}}
 }
 
 // idSet is a set of token ids as a bitset.
@@ -55,11 +55,6 @@ func (s *idSet) add(id int) {
 	(*s)[w] |= 1 << (uint(id) & 63)
 }
 
-// Forkable reports whether this session carries the resumable state
-// Fork needs. Sessions from NewGen (and their forks) are forkable; a
-// Gen built by hand is not.
-func (g *Gen) Forkable() bool { return g.fork != nil }
-
 // Fork returns the prepared session for the prompt that extends g's
 // prompt by extra — copy-on-extend: g itself is never mutated (it may
 // be shared by concurrent decoders and other forks), and only the
@@ -68,13 +63,7 @@ func (g *Gen) Forkable() bool { return g.fork != nil }
 // field for field, to m.NewGen(fullPrompt): NewGen is itself a Fork
 // from the empty session, and the differential/fuzz harnesses pin the
 // equivalence (byte-identical decodes) on top of that.
-//
-// Fork panics on a session without fork state (see Forkable); the
-// prefix-trie cache only ever stores forkable sessions.
 func (g *Gen) Fork(extra []int) *Gen {
-	if g.fork == nil {
-		panic("model: Fork of a non-forkable session (use NewGen-derived sessions)")
-	}
 	if len(extra) == 0 {
 		return g // zero extension: the shared immutable session IS the result
 	}
@@ -142,7 +131,7 @@ func (g *Gen) Fork(extra []int) *Gen {
 	}
 	// Save the resumable state BEFORE the final flush: that flush is
 	// provisional (the line it judges may keep growing in a deeper fork).
-	ng.fork = &forkState{cleanText: cleanText, lineStart: lineStart, pendingLine: line.String()}
+	ng.fork = forkState{cleanText: cleanText, lineStart: lineStart, pendingLine: line.String()}
 	flush(n)
 	return ng
 }
@@ -174,8 +163,6 @@ func (g *Gen) MemBytes() int64 {
 	b += int64(len(g.seeds)) * 8
 	b += int64(len(g.promptToks)) * 8
 	b += int64(len(g.codePos))
-	if g.fork != nil {
-		b += int64(len(g.fork.cleanText)) + int64(len(g.fork.pendingLine)) + 48
-	}
+	b += int64(len(g.fork.cleanText)) + int64(len(g.fork.pendingLine)) + 48
 	return b
 }

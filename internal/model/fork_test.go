@@ -36,17 +36,12 @@ func genEquiv(t *testing.T, got, want *Gen, id string) {
 			t.Fatalf("%s: codePos[%d] = %v, want %v", id, i, got.codePos[i], want.codePos[i])
 		}
 	}
-	if (got.fork == nil) != (want.fork == nil) {
-		t.Fatalf("%s: forkability mismatch", id)
+	if got.fork.cleanText != want.fork.cleanText {
+		t.Fatalf("%s: cleanText diverged\n got %q\nwant %q", id, got.fork.cleanText, want.fork.cleanText)
 	}
-	if want.fork != nil {
-		if got.fork.cleanText != want.fork.cleanText {
-			t.Fatalf("%s: cleanText diverged\n got %q\nwant %q", id, got.fork.cleanText, want.fork.cleanText)
-		}
-		if got.fork.lineStart != want.fork.lineStart || got.fork.pendingLine != want.fork.pendingLine {
-			t.Fatalf("%s: line state (%d,%q), want (%d,%q)", id,
-				got.fork.lineStart, got.fork.pendingLine, want.fork.lineStart, want.fork.pendingLine)
-		}
+	if got.fork.lineStart != want.fork.lineStart || got.fork.pendingLine != want.fork.pendingLine {
+		t.Fatalf("%s: line state (%d,%q), want (%d,%q)", id,
+			got.fork.lineStart, got.fork.pendingLine, want.fork.lineStart, want.fork.pendingLine)
 	}
 }
 
@@ -64,9 +59,7 @@ func genFingerprint(g *Gen) uint64 {
 	for _, b := range g.codePos {
 		fmt.Fprintf(h, "%v;", b)
 	}
-	if g.fork != nil {
-		fmt.Fprintf(h, "txt=%q;ls=%d;pl=%q", g.fork.cleanText, g.fork.lineStart, g.fork.pendingLine)
-	}
+	fmt.Fprintf(h, "txt=%q;ls=%d;pl=%q", g.fork.cleanText, g.fork.lineStart, g.fork.pendingLine)
 	return h.Sum64()
 }
 
@@ -144,21 +137,6 @@ func TestForkZeroExtensionShares(t *testing.T) {
 	if g.Fork(nil) != g {
 		t.Fatal("zero-length fork did not share the session")
 	}
-}
-
-// TestForkNonForkablePanics pins the contract for diagnostic sessions.
-func TestForkNonForkablePanics(t *testing.T) {
-	m, prompts := forkFixture(t)
-	g := &Gen{m: m, promptLen: 3}
-	if g.Forkable() {
-		t.Fatal("diagnostic session claims forkability")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Fork of a non-forkable session did not panic")
-		}
-	}()
-	g.Fork(prompts[0][:2])
 }
 
 // TestForkMemBytesGrows sanity-checks the byte estimator the trie's

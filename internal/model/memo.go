@@ -8,9 +8,11 @@ import (
 
 // Memo is one decode's memory of what its base model already computed.
 // A session (*Gen) is shared and immutable; a Memo is the decode's own
-// mutable state beside it, passed to ForwardMemo and BaseDistMemo. It
-// caches two pure functions of the session and the context, so every
-// distribution it returns equals the memo-less call's bit for bit:
+// mutable state beside it, and every model call takes one:
+// ForwardMemo and BaseDistMemo (Gen.Forward, a one-off pass, makes a
+// fresh one). It caches two pure functions of the session and the
+// context, so every distribution it returns equals, bit for bit, the
+// one a fresh Memo computes from scratch:
 //
 //   - The keyword expert's factors per keyword context: the id-sorted
 //     run of each supported id's best probability p over the prompt's
@@ -184,12 +186,9 @@ func (mm *Memo) keepFactors(k kwKey, fac []entry) []entry {
 // outside the run take m.kwFloorPow. The run is valid until the next
 // prediction call on sc or mm.
 func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []entry {
-	var k kwKey
-	if mm != nil {
-		k = mm.key(view)
-		if run, ok := mm.kwIdx[k]; ok {
-			return mm.kwSlab[run.start : run.start+run.n]
-		}
+	k := mm.key(view)
+	if run, ok := mm.kwIdx[k]; ok {
+		return mm.kwSlab[run.start : run.start+run.n]
 	}
 	// Each token keeps its best supporting evidence across the prompt's
 	// keywords (max, not mean: averaging dilutes the one keyword that
@@ -209,8 +208,5 @@ func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []entry {
 		}
 	}
 	sc.fac, _ = best.gather(sc.fac[:0], lo, hi)
-	if mm != nil {
-		return mm.keepFactors(k, sc.fac)
-	}
-	return sc.fac
+	return mm.keepFactors(k, sc.fac)
 }

@@ -11,11 +11,12 @@ import (
 
 // TestMemoByteIdentical decodes the fixture prompts under all three
 // schemes and checks, for every prefix of each decode, that the memo's
-// answers equal the memo-less calls bit for bit. One memo serves each
-// decode; its contexts are visited in shuffled order and then revisited,
-// with step boundaries advancing in between, and then step by step the
-// way the decoding loop drives it: a base pass, a chain of verification
-// posteriors beyond it, a boundary at an accepted length.
+// answers equal bit for bit the ones a fresh Memo computes from scratch
+// for that call alone. One memo serves each decode; its contexts are
+// visited in shuffled order and then revisited, with step boundaries
+// advancing in between, and then step by step the way the decoding loop
+// drives it: a base pass, a chain of verification posteriors beyond
+// it, a boundary at an accepted length.
 func TestMemoByteIdentical(t *testing.T) {
 	// A fourth example shares keywords (8, register, synchronous, reset)
 	// with the fixture's, so keywords disagree and the max matters.
@@ -47,7 +48,7 @@ endmodule
 			g := m.NewGen(prompt)
 			full := slices.Clone(prompt)
 			for len(full) < len(prompt)+150 {
-				next := g.BaseDist(full).Argmax()
+				next := baseDist(g, full).Argmax()
 				if next == tokenizer.EosID {
 					break
 				}
@@ -68,7 +69,7 @@ endmodule
 				if _, ok := mm.kwIdx[mm.key(view)]; ok {
 					kwHits++
 				}
-				sameForward(t, "BaseDistMemo", Forward{Base: g.BaseDist(seq)}, Forward{Base: g.BaseDistMemo(seq, mm)})
+				sameForward(t, "BaseDistMemo", Forward{Base: baseDist(g, seq)}, Forward{Base: g.BaseDistMemo(seq, mm)})
 				if scheme != SchemeNTP {
 					sameForward(t, "ForwardMemo", g.Forward(seq), g.ForwardMemo(seq, mm))
 				}
@@ -78,12 +79,7 @@ endmodule
 				}
 			}
 
-			newMemo := func() *Memo {
-				mm := new(Memo)
-				mm.bind(g)
-				return mm
-			}
-			mm := newMemo()
+			mm := boundMemo(g)
 			rng := rand.New(rand.NewSource(int64(p)))
 			order := rng.Perm(len(ctxs))
 			for pass := 0; pass < 2; pass++ {
@@ -98,7 +94,7 @@ endmodule
 				mm.NextStep(full[:len(prompt)]) // a shorter boundary drops everything
 			}
 
-			mm = newMemo()
+			mm = boundMemo(g)
 			mm.NextStep(full[:len(prompt)])
 			for n := len(prompt); n < len(full); {
 				check(mm, full[:n])
@@ -115,6 +111,14 @@ endmodule
 			t.Fatalf("%v: the memo was never used (%d keyword hits, %d posterior hits)", scheme, kwHits, postHits)
 		}
 	}
+}
+
+// boundMemo returns a fresh Memo bound to g, as the first model call on
+// it would leave it.
+func boundMemo(g *Gen) *Memo {
+	mm := new(Memo)
+	mm.bind(g)
+	return mm
 }
 
 // sameFactors fails unless the keyword evidence the memo holds (or
@@ -161,8 +165,7 @@ func TestMemoKeyExact(t *testing.T) {
 		cfg.KwCtx = c.kwCtx
 		m := Train(tk, cfg, SchemeNTP, trainExamples)
 		g := m.NewGen(CanonicalPromptIDs(tk, trainExamples[1].Prompt))
-		mm := new(Memo)
-		mm.bind(g)
+		mm := boundMemo(g)
 		if mm.kwReach != c.reach {
 			t.Fatalf("KwCtx %d: reach %d, want %d", c.kwCtx, mm.kwReach, c.reach)
 		}
@@ -191,8 +194,10 @@ func TestMemoKeyExact(t *testing.T) {
 			if !tc.same {
 				continue
 			}
-			fa := g.kwFactors(new(scratch), nil, tc.a)
-			fb := g.kwFactors(new(scratch), nil, tc.b)
+			// Each side on a memo of its own, so neither reads the
+			// other's run.
+			fa := g.kwFactors(new(scratch), boundMemo(g), tc.a)
+			fb := g.kwFactors(new(scratch), boundMemo(g), tc.b)
 			if !slices.Equal(fa, fb) {
 				t.Errorf("KwCtx %d, %s: one key, different factors", c.kwCtx, tc.name)
 			}
@@ -206,8 +211,7 @@ func TestMemoKeyExact(t *testing.T) {
 func TestMemoCap(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
 	m := Train(tk, smallCfg(), SchemeNTP, trainExamples)
-	mm := new(Memo)
-	mm.bind(m.NewGen(CanonicalPromptIDs(tk, trainExamples[0].Prompt)))
+	mm := boundMemo(m.NewGen(CanonicalPromptIDs(tk, trainExamples[0].Prompt)))
 	run := make([]entry, memoCap/entryBytes/3)
 	for i := range 7 {
 		mm.keepFactors(mm.key([]int{i}), run)

@@ -366,9 +366,8 @@ type Gen struct {
 	// (verbatim module headers in VGen-style prompts). Induction
 	// proposals from these positions may bypass the support gate.
 	codePos []bool
-	// fork is the resumable preparation tail for copy-on-extend forks
-	// (nil only on a Gen built by hand — see Forkable).
-	fork *forkState
+	// fork is the resumable preparation tail for copy-on-extend forks.
+	fork forkState
 }
 
 // NewGen prepares a generation session for a prompt (token ids). The
@@ -599,65 +598,51 @@ func (g *Gen) clippedView(sc *scratch, seq []int) []int {
 // the decoders' default.
 const fullPassTopK = 3
 
-// Forward is the full pass over seq (prompt + generated) without a
-// memo: the base posterior and every head built to its top
-// fullPassTopK candidates.
+// Forward is the full pass over seq (prompt + generated) on a fresh
+// Memo: the base posterior and every head built to its top fullPassTopK
+// candidates.
 func (g *Gen) Forward(seq []int) Forward {
-	fw := g.ForwardMemo(seq, nil)
+	mm := new(Memo)
+	mm.NextStep(seq)
+	fw := g.ForwardMemo(seq, mm)
 	for i := range fw.NumHeads() {
 		fw.Cands(i, fullPassTopK)
 	}
 	return fw
 }
 
-// ForwardMemo returns the pass over seq remembering into mm (nil: none).
-// The base posterior may be one mm kept; the heads are built on demand
-// into mm's storage, which the next ForwardMemo on mm reuses.
+// ForwardMemo returns the pass over seq remembering into mm. The base
+// posterior may be one mm kept; the heads are built on demand into mm's
+// storage, which the next ForwardMemo on mm reuses.
 func (g *Gen) ForwardMemo(seq []int, mm *Memo) Forward {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	mm.bind(g)
 	matchJ, matchK := g.findInduction(seq)
 	view := g.clippedView(sc, seq)
-	var h *headSet
-	if mm != nil {
-		mm.bind(g)
-		h = &mm.heads
-	} else {
-		h = new(headSet)
-	}
-	h.reset(g, seq, view, matchJ, matchK)
-	fw := Forward{heads: h}
-	if mm != nil {
-		if d, ok := mm.posterior(seq); ok {
-			fw.Base = d
-			return fw
-		}
+	mm.heads.reset(g, seq, view, matchJ, matchK)
+	fw := Forward{heads: &mm.heads}
+	if d, ok := mm.posterior(seq); ok {
+		fw.Base = d
+		return fw
 	}
 	fw.Base = Dist{e: slices.Clone(g.baseAt(sc, mm, seq, view, matchJ, matchK))}
-	if mm != nil {
-		mm.keep(seq, fw.Base)
-	}
+	mm.keep(seq, fw.Base)
 	return fw
 }
 
-// BaseDist returns the base model's next-token distribution.
-func (g *Gen) BaseDist(seq []int) Dist { return g.BaseDistMemo(seq, nil) }
-
-// BaseDistMemo is BaseDist remembering into mm (nil: BaseDist).
+// BaseDistMemo returns the base model's next-token distribution over
+// seq, remembering into mm.
 func (g *Gen) BaseDistMemo(seq []int, mm *Memo) Dist {
-	if mm != nil {
-		mm.bind(g)
-		if d, ok := mm.posterior(seq); ok {
-			return d
-		}
+	mm.bind(g)
+	if d, ok := mm.posterior(seq); ok {
+		return d
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	matchJ, matchK := g.findInduction(seq)
 	d := Dist{e: slices.Clone(g.baseAt(sc, mm, seq, g.clippedView(sc, seq), matchJ, matchK))}
-	if mm != nil {
-		mm.keep(seq, d)
-	}
+	mm.keep(seq, d)
 	return d
 }
 

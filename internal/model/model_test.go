@@ -159,7 +159,7 @@ func TestTrainNTPPredictsCorpusPatterns(t *testing.T) {
 	}
 	// After "always @(" the corpus always continues with "posedge".
 	seq := tk.Encode("    always @(")
-	d := m.NewGen(seq).BaseDist(seq)
+	d := baseDist(m.NewGen(seq), seq)
 	next := d.Argmax()
 	tok := tk.Token(next)
 	if tok != "posedge" && tok != "pos" {
@@ -251,7 +251,7 @@ func TestInductionCopyEchoesHeader(t *testing.T) {
 	g := m.NewGen(promptIDs)
 	seq := append([]int(nil), promptIDs...)
 	for i := 0; i < 12; i++ {
-		next := g.BaseDist(seq).Argmax()
+		next := baseDist(g, seq).Argmax()
 		if next == tokenizer.EosID {
 			break
 		}
@@ -304,6 +304,10 @@ func TestTrainMoreIncremental(t *testing.T) {
 		t.Fatal("incremental training did not grow the table")
 	}
 }
+
+// baseDist is g's base posterior over seq computed from scratch: a
+// fresh Memo remembers nothing.
+func baseDist(g *Gen, seq []int) Dist { return g.BaseDistMemo(seq, new(Memo)) }
 
 // sameForward fails unless two forward passes agree bit for bit on
 // every entry of the base and of every head distribution their captured

@@ -149,7 +149,7 @@ func decodeContexts(m *Model) (gens []*Gen, seqs [][]int) {
 		seq := slices.Clone(prompt)
 		for len(seq) < len(prompt)+150 {
 			gens, seqs = append(gens, g), append(seqs, slices.Clone(seq))
-			next := g.BaseDist(seq).Argmax()
+			next := baseDist(g, seq).Argmax()
 			if next == tokenizer.EosID {
 				break
 			}

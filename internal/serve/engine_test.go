@@ -152,8 +152,9 @@ func TestCacheHitMissAccounting(t *testing.T) {
 }
 
 // TestCacheFoldsSpelledDefaults: a request spelling out a default the
-// decoder applies anyway (top_k 3, ε 0.3 / δ 1.2, the integrity
-// ablation on a strategy without the check) decodes identically, so it
+// decoder applies anyway (top_k 3, ε 0.3 / δ 1.2) or a knob its
+// strategy ignores (a tree budget on linear medusa) decodes
+// identically, so it
 // must hit the entry the unset spelling stored.
 func TestCacheFoldsSpelledDefaults(t *testing.T) {
 	m, prompts := fixture(t)
@@ -170,7 +171,7 @@ func TestCacheFoldsSpelledDefaults(t *testing.T) {
 		case 1:
 			spelled.Epsilon, spelled.Delta = 0.3, 1.2
 		case 2:
-			spelled.DisableIntegrity = true
+			spelled.TreeBudget = 5
 		}
 		if _, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: unset}); err != nil {
 			t.Fatal(err)

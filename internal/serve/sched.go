@@ -212,47 +212,38 @@ func (e *Engine) stepOne(dec *core.Decoder, x *schedTask) bool {
 }
 
 // retire finalizes a finished decode and delivers its Response to the
-// submitting caller.
+// submitting caller. A decode that ended in an error is counted
+// canceled when the error is its context's and failed otherwise, and
+// answered with what it produced: the partial Result of a finished
+// decode, an empty one when it never began or was abandoned.
 func (e *Engine) retire(x *schedTask) {
-	if x.st == nil {
+	var res *core.Result
+	var err error
+	switch {
+	case x.st == nil:
 		// Never began: cancelled while queued, or an unknown strategy.
-		if errors.Is(x.beginErr, context.Canceled) || errors.Is(x.beginErr, context.DeadlineExceeded) {
-			e.st.count(&e.st.m.Canceled)
-			x.t.done <- &Response{Err: x.beginErr, Strategy: x.label, QueueWait: x.t.wait}
-			return
-		}
-		e.st.count(&e.st.m.Failed)
-		x.t.done <- &Response{Result: &core.Result{}, Err: x.beginErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
-		return
-	}
-	if x.faultErr != nil {
+		res, err = &core.Result{}, x.beginErr
+	case x.faultErr != nil:
 		// Injected fault mid-decode: the state is abandoned, not
 		// finished; only its span needs closing.
 		if sp := x.st.TraceSpan(); sp != nil {
 			sp.SetAttr("error", x.faultErr.Error())
 			sp.End()
 		}
-		if errors.Is(x.faultErr, context.Canceled) || errors.Is(x.faultErr, context.DeadlineExceeded) {
-			e.st.count(&e.st.m.Canceled)
-		} else {
-			e.st.count(&e.st.m.Failed)
+		res, err = &core.Result{}, x.faultErr
+	default:
+		res, err = x.st.Finish()
+	}
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		e.st.count(&e.st.m.Canceled)
+	case err != nil:
+		e.st.count(&e.st.m.Failed)
+	default:
+		if e.cache != nil && x.t.req.OnStep == nil {
+			e.cache.add(x.t.key, res)
 		}
-		x.t.done <- &Response{Result: &core.Result{}, Err: x.faultErr, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
-		return
+		e.st.complete(x.label, res, x.wall)
 	}
-	res, err := x.st.Finish()
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			e.st.count(&e.st.m.Canceled)
-		} else {
-			e.st.count(&e.st.m.Failed)
-		}
-		x.t.done <- &Response{Result: res, Err: err, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
-		return
-	}
-	if e.cache != nil && x.t.req.OnStep == nil {
-		e.cache.add(x.t.key, res)
-	}
-	e.st.complete(x.label, res, x.wall)
-	x.t.done <- &Response{Result: res, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
+	x.t.done <- &Response{Result: res, Err: err, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
 }

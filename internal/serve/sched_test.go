@@ -175,11 +175,7 @@ func TestContinuousFIFO(t *testing.T) {
 	}
 	dec := core.NewDecoder(m)
 	for i, req := range reqs {
-		want, err := dec.GenerateCtx(context.Background(), req.Prompt, req.Options)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resps[i].Result.Text != want.Text {
+		if want := dec.Generate(req.Prompt, req.Options); resps[i].Result.Text != want.Text {
 			t.Fatalf("request %d: engine decode diverged from direct decode", i)
 		}
 	}

@@ -202,7 +202,7 @@ func (gr GenerateRequest) options() (core.Options, error) {
 	opts.Strategy = cmp.Or(gr.Strategy, gr.Mode, "ours")
 	// Validate at the API edge so a typo is a 400, not a queued
 	// request that fails at decode time.
-	if _, err := core.ResolveStrategy(opts.Strategy, false); err != nil {
+	if _, err := core.ResolveStrategy(opts.Strategy); err != nil {
 		return core.Options{}, err
 	}
 	return opts, nil
