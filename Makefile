@@ -38,12 +38,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Continuous-scheduler churn soak: join/leave cycling through a small
-# batch (with a clean drain), FIFO admission with the
+# batch (with a clean drain, after which no worker goroutine may
+# outlive Close), FIFO admission with the
 # engine-vs-direct-decode byte-identity check, backpressure and the
 # step-wise decode API (interleaved decodes on one trie, the
 # session_prep trie_hit_depth) under the race detector, shuffled so
 # admission order varies run to run. The explicit -timeout turns a
-# wedged scheduler (a sweep that never returns, a queued request never
+# wedged scheduler (a step that never returns, a queued request never
 # admitted) into a fast failure instead of a hung CI runner.
 sched-soak:
 	$(GO) test -race -shuffle=on -timeout 600s \

@@ -23,8 +23,8 @@
 // run against their self-checking testbenches, and the rows report
 // sim-pass rate next to syntax rate per strategy. "load" measures
 // short-request p95 with one long decode in flight, the shorts running
-// beside it in the continuous batch, and prints how many loaded-phase
-// sweeps ran and how many decodes they stepped. "trace"
+// beside it in the continuous batch, and prints how many short steps
+// ended between two steps of one long decode. "trace"
 // prices the tracing layer: the same decode workload runs with tracing
 // off and on, the rows report best-of-N throughput for each, and the
 // run fails if the two modes' generations are not byte-identical.
@@ -123,9 +123,9 @@ var experimentTable = []experiment{
 			return err
 		}
 		s.doc.Load = []experiments.LoadBenchRow{row}
-		fmt.Fprintf(s.out, "  shorts=%3d  unloaded p95=%7.3fms  loaded p95=%7.3fms  ratio=%.2f  sweeps=%d  swept_tasks=%d  long_decodes=%d\n\n",
+		fmt.Fprintf(s.out, "  shorts=%3d  unloaded p95=%7.3fms  loaded p95=%7.3fms  ratio=%.2f  interleaved=%d  long_decodes=%d\n\n",
 			row.Shorts, row.UnloadedP95MS, row.LoadedP95MS,
-			row.LatencyRatio, row.Sweeps, row.SweptTasks, row.LongDecodes)
+			row.LatencyRatio, row.Interleaved, row.LongDecodes)
 		return nil
 	}},
 	{"trace", "Trace bench — decode throughput with tracing off vs on, plus byte-identity", runTrace},

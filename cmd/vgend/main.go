@@ -57,8 +57,9 @@
 // [-max-batch N] [-cache N] [-replicas N] [-models specs]
 // [-steal] [-list-strategies] [-trace] [-pprof] [-log text|json|off]
 //
-// Dispatch is a continuous scheduler: requests join and leave the
-// running batch at every verification sweep, so a short request runs
+// Dispatch is a continuous scheduler: -workers persistent workers step
+// the resident decodes in turn, and requests join and leave the batch
+// at each decode's own step boundary, so a short request runs
 // beside a long decode instead of behind it. A decode keeps its slot
 // until it finishes; when all -max-batch slots are held, a queued
 // request waits, in arrival order, for the next one to free. Prompt

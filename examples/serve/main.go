@@ -27,8 +27,8 @@ func main() {
 	tk := tokenizer.Train(texts, cfg.VocabSize)
 	m := model.Train(tk, cfg, model.SchemeOurs, examples)
 
-	// 2. Start an engine: a continuous scheduler stepping the running
-	// batch one verification sweep at a time, and an LRU over completed
+	// 2. Start an engine: persistent workers stepping the resident
+	// decodes one verification step at a time, and an LRU over completed
 	// generations. vgend serves exactly this over HTTP.
 	eng := serve.NewEngine(m, serve.Config{Workers: 4, CacheSize: 64})
 	defer eng.Close()

@@ -23,7 +23,7 @@ import (
 // throughout) — and the row reports the loaded / unloaded p95 ratio. A
 // dispatcher that ran one decode at a time would make a short wait for
 // the long's entire remainder; the continuous batcher admits the short
-// into a free batch slot at the next sweep boundary, so it runs beside
+// into a free batch slot at the next step boundary, so it runs beside
 // the long and the ratio stays near 1. CI pins that bound.
 
 // The latency-under-load scenario's sizes. Nobody varies them: the
@@ -55,11 +55,42 @@ type LoadBenchRow struct {
 	// LatencyRatio is LoadedP95MS / UnloadedP95MS — the gated number.
 	LatencyRatio float64
 	// LongDecodes counts background long decodes completed during the
-	// loaded phase. Sweeps and SweptTasks are the scheduler's counters
-	// over that phase: SweptTasks > Sweeps means some sweep stepped two
-	// decodes at once, a short beside the long.
-	LongDecodes        int
-	Sweeps, SweptTasks uint64
+	// loaded phase. Interleaved counts the short-decode steps that ended
+	// between two steps of one long decode: with none, no short ever
+	// advanced beside the long.
+	LongDecodes, Interleaved int
+}
+
+// stepOrder records, in the order their steps end, which decode each
+// step belonged to: a long decode's number, or -1 for a short.
+type stepOrder struct {
+	mu  sync.Mutex
+	ids []int
+}
+
+func (o *stepOrder) add(id int) {
+	o.mu.Lock()
+	o.ids = append(o.ids, id)
+	o.mu.Unlock()
+}
+
+// interleaved counts the short steps that ended between two steps of
+// the same long decode.
+func (o *stepOrder) interleaved() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n, shorts, long := 0, 0, -1
+	for _, id := range o.ids {
+		switch {
+		case id < 0:
+			shorts++
+		case id == long:
+			n, shorts = n+shorts, 0
+		default:
+			long, shorts = id, 0
+		}
+	}
+	return n
 }
 
 // LoadBench runs the two-phase scenario on an engine with two workers
@@ -85,6 +116,7 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	})
 	defer eng.Close()
 	ctx := context.Background()
+	var order stepOrder
 	shortReq := func(i int, seed int64) serve.Request {
 		return serve.Request{
 			Prompt: shortPrompts[i%len(shortPrompts)],
@@ -92,6 +124,7 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 				Strategy: "ours", Temperature: 0.6,
 				MaxNewTokens: loadShortTokens, Seed: seed,
 			},
+			OnStep: func(core.StepEvent) { order.add(-1) },
 		}
 	}
 	// Warm the session cache over the whole prompt set so neither phase
@@ -137,7 +170,6 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 	// Loaded phase: a background client keeps exactly one long NTP
 	// decode in flight (re-issuing as each completes) until the last
 	// short is answered.
-	before := eng.Metrics()
 	var stop atomic.Bool
 	longStarted := make(chan struct{})
 	var startOnce sync.Once
@@ -153,7 +185,10 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 				},
 				// The first step of the first long decode opens the gate:
 				// shorts are only measured against a genuinely loaded engine.
-				OnStep: func(core.StepEvent) { startOnce.Do(func() { close(longStarted) }) },
+				OnStep: func(core.StepEvent) {
+					startOnce.Do(func() { close(longStarted) })
+					order.add(n)
+				},
 			}
 			resp, err := eng.Generate(ctx, req)
 			if err != nil || resp.Err != nil {
@@ -183,12 +218,10 @@ func LoadBench(m *model.Model, prompts []string) (LoadBenchRow, error) {
 		return LoadBenchRow{}, err
 	}
 
-	mt := eng.Metrics()
 	row := LoadBenchRow{
 		Shorts:      loadShorts,
 		LongDecodes: longDecodes,
-		Sweeps:      mt.Sweeps - before.Sweeps,
-		SweptTasks:  mt.SweptTasks - before.SweptTasks,
+		Interleaved: order.interleaved(),
 	}
 	row.UnloadedMeanMS, row.UnloadedP95MS = meanAndP95(unloaded)
 	row.LoadedMeanMS, row.LoadedP95MS = meanAndP95(loaded)

@@ -102,38 +102,14 @@ func (c *TrieCache) Gen(m *Model, promptIDs []int) *Gen {
 // the forked prefix's length on a partial hit, 0 on a miss (and for a
 // foreign model, which bypasses the cache).
 func (c *TrieCache) GenDepth(m *Model, promptIDs []int) (*Gen, int) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = m
-	} else if c.m != m {
-		// Foreign model: sessions would be wrong, skip the cache.
-		c.mu.Unlock()
-		return m.NewGen(promptIDs), 0
-	}
-	best, depth := c.lookupLocked(promptIDs)
-	c.clock++
-	if best != nil {
-		best.touch = c.clock
-		c.lru.MoveToFront(best.el)
-	}
+	hit, parent, depth, ok := c.lookup(m, promptIDs)
 	switch {
-	case best != nil && depth == len(promptIDs):
-		c.hits++
-		c.tokensSaved += uint64(depth)
-		g := best.gen
-		c.mu.Unlock()
-		return g, depth
-	case best != nil:
-		c.partialHits++
-		c.tokensSaved += uint64(depth)
-	default:
-		c.misses++
+	case !ok:
+		// Foreign model: sessions would be wrong, skip the cache.
+		return m.NewGen(promptIDs), 0
+	case hit != nil:
+		return hit, depth
 	}
-	var parent *Gen
-	if best != nil {
-		parent = best.gen
-	}
-	c.mu.Unlock()
 
 	// Build outside the lock: session preparation is the expensive part
 	// and must not serialize concurrent decoders. Forking reads only the
@@ -146,16 +122,7 @@ func (c *TrieCache) GenDepth(m *Model, promptIDs []int) (*Gen, int) {
 	} else {
 		g = m.NewGen(promptIDs)
 	}
-
-	c.mu.Lock()
-	leaf, split := c.insertLocked(promptIDs, g)
-	g = leaf.gen
-	stemDepth := 0
-	if split != nil && split.gen == nil {
-		stemDepth = split.depth
-	}
-	c.evictLocked(leaf)
-	c.mu.Unlock()
+	g, stemDepth := c.insert(promptIDs, g)
 
 	if stemDepth > 0 {
 		// The insert split an existing edge: promptIDs[:stemDepth] is a
@@ -173,17 +140,75 @@ func (c *TrieCache) GenDepth(m *Model, promptIDs []int) (*Gen, int) {
 		} else {
 			gs = m.NewGen(promptIDs[:stemDepth])
 		}
-		c.mu.Lock()
-		if n := c.nodeAtLocked(promptIDs[:stemDepth]); n != nil && n.gen == nil {
-			c.clock++
-			n.gen, n.genBytes, n.touch = gs, gs.MemBytes(), c.clock
-			n.el = c.lru.PushFront(n)
-			c.bytes += n.genBytes
-			c.evictLocked(nil)
-		}
-		c.mu.Unlock()
+		c.attachStem(promptIDs[:stemDepth], gs)
 	}
 	return g, depth
+}
+
+// The three critical sections of GenDepth each unlock by defer, so a
+// panic inside one (a caller may recover it) never leaves the cache
+// locked for every later lookup.
+
+// lookup binds the cache to m on first use and finds promptIDs' longest
+// cached prefix, counting the outcome: hit is the session on an exact
+// hit; otherwise parent (nil on a miss) is the session to fork from at
+// depth. ok is false for a foreign model.
+func (c *TrieCache) lookup(m *Model, promptIDs []int) (hit, parent *Gen, depth int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = m
+	} else if c.m != m {
+		return nil, nil, 0, false
+	}
+	best, depth := c.lookupLocked(promptIDs)
+	c.clock++
+	if best != nil {
+		best.touch = c.clock
+		c.lru.MoveToFront(best.el)
+	}
+	switch {
+	case best != nil && depth == len(promptIDs):
+		c.hits++
+		c.tokensSaved += uint64(depth)
+		return best.gen, nil, depth, true
+	case best != nil:
+		c.partialHits++
+		c.tokensSaved += uint64(depth)
+		return nil, best.gen, depth, true
+	}
+	c.misses++
+	return nil, nil, 0, true
+}
+
+// insert attaches g for promptIDs and returns the session the node
+// holds (an earlier concurrent build's, if one won) and, when the
+// insert split an edge into a new structural node, that node's depth.
+func (c *TrieCache) insert(promptIDs []int, g *Gen) (*Gen, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	leaf, split := c.insertLocked(promptIDs, g)
+	g = leaf.gen
+	stemDepth := 0
+	if split != nil && split.gen == nil {
+		stemDepth = split.depth
+	}
+	c.evictLocked(leaf)
+	return g, stemDepth
+}
+
+// attachStem gives the structural node at stem its session gs, unless
+// it has been evicted or given one meanwhile.
+func (c *TrieCache) attachStem(stem []int, gs *Gen) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := c.nodeAtLocked(stem); n != nil && n.gen == nil {
+		c.clock++
+		n.gen, n.genBytes, n.touch = gs, gs.MemBytes(), c.clock
+		n.el = c.lru.PushFront(n)
+		c.bytes += n.genBytes
+		c.evictLocked(nil)
+	}
 }
 
 // lookupLocked walks the trie along promptIDs and returns the deepest

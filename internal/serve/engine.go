@@ -2,11 +2,15 @@
 // decoder and its consumers: the vgend HTTP daemon, the benchmark
 // harness (internal/experiments) and in-process embedders.
 //
-// An Engine owns a continuous scheduler over one trained model: every
-// in-flight decode advances one verification sweep at a time through
-// the step-wise core API, requests join the running batch the moment a
-// slot frees and leave it the step they finish, and a decode keeps its
-// slot from admission to retirement. That keeps the verifier's batch
+// An Engine owns a continuous scheduler over one trained model:
+// persistent workers advance every in-flight decode one verification
+// step at a time through the step-wise core API, requests join the
+// running batch the moment a slot frees and leave it the step they
+// finish, and a decode keeps its slot from admission to retirement.
+// Each decode has its own step boundary — no batch-wide barrier — so
+// one slow step idles no other worker, and a decode alone in the ready
+// ring is paced so it cannot lap a slower step running beside it. That
+// keeps the verifier's batch
 // full — the regime where speculative decoding actually pays — so a
 // short request runs beside a long one instead of behind it. Around
 // the scheduler sit a bounded FIFO request queue with explicit
@@ -19,7 +23,7 @@
 // cached prefix session and prepares just the suffix. Decoding stays
 // deterministic per seed regardless of scheduling: each request carries
 // its own RNG seed in core.Options, admission and retirement fall only
-// between verification sweeps (which the step-wise loop makes
+// between verification steps (which the step-wise loop makes
 // output-invariant by construction), and decodes share nothing but the
 // read-only model and the immutable cached sessions.
 //
@@ -60,12 +64,12 @@ var (
 
 // Config sizes an Engine. Zero values select defaults.
 type Config struct {
-	// MaxBatch caps concurrently running decodes — the batch the
-	// per-sweep verification is batched across (default
-	// max(8, 2×Workers)). Requests past it queue until a running decode
-	// retires.
+	// MaxBatch caps resident decodes — the ones holding a batch slot,
+	// stepped in turn from the ready ring (default max(8, 2×Workers)).
+	// Requests past it queue until a resident decode retires.
 	MaxBatch int
-	// Workers is the per-sweep decode parallelism (default GOMAXPROCS).
+	// Workers is the number of persistent worker goroutines, each
+	// stepping one decode at a time (default GOMAXPROCS).
 	Workers int
 	// QueueSize bounds the pending-request queue (default 256). A full
 	// queue blocks Generate and rejects TryGenerate.
@@ -75,13 +79,17 @@ type Config struct {
 	// disables it so every decode pays its simulated cost).
 	CacheSize int
 	// StepFault, if set, is the fault-injection plane: it is consulted
-	// once per verification sweep of every running decode. A returned
-	// error aborts the decode with that error (a crashed replica); a
-	// hook that blocks wedges the decode — and, because sweeps are
-	// synchronous, the whole scheduler — until it returns (a hung
-	// replica); a hook that sleeps models a slow one. Hooks MUST honour
-	// ctx and return once it dies, or Close can wedge behind them. Tests
-	// use it to fault or wedge a decode mid-flight (serve's debug
+	// once per verification step of every resident decode, on the
+	// worker stepping it. A returned error aborts the decode with that
+	// error (a crashed replica), and so does a panic. A hook that
+	// blocks wedges the decode and the one worker holding it until it
+	// returns (a hung forward pass): the other workers go on stepping
+	// the rest of the batch once the wedged step has outrun the
+	// scheduler's pacing (10 ms), so with Workers: 1 it stalls the
+	// engine.
+	// A hook that sleeps models a slow step. Hooks MUST honour ctx and
+	// return once it dies, or Close can wedge behind them. Tests use it
+	// to fault, panic or wedge a decode mid-flight (serve's debug
 	// surface, the fleet's steal-queue cancellation and per-request
 	// errors); nil in production.
 	StepFault func(ctx context.Context) error
@@ -115,7 +123,7 @@ type Request struct {
 	// greedily with the "ntp" strategy and model defaults.
 	Options core.Options
 	// OnStep, if set, streams decoding steps as they complete. The
-	// callback runs on a sweep goroutine; streaming requests bypass
+	// callback runs on a worker goroutine; streaming requests bypass
 	// the cache on both read and write (a cache hit has no steps to
 	// replay, and a stored result would lie about having streamed).
 	// Because the callback typically captures caller-owned state (an
@@ -172,7 +180,7 @@ type task struct {
 	// at submission after a cache miss; the scheduler decodes from it.
 	promptIDs []int
 	ctx       context.Context
-	done      chan *Response // buffered(1): the scheduler never blocks on delivery
+	done      chan *Response // buffered(1): a worker never blocks on delivery
 	// enqueued is when the task entered the queue; the scheduler
 	// accounts the pickup delay as queue-wait time.
 	enqueued time.Time
@@ -194,8 +202,9 @@ type Engine struct {
 	cache    *lruCache        // nil when disabled
 	sessions *model.TrieCache // at model.DefaultTrieBytes
 
+	sc   sched // the workers' shared state (sched.go)
 	quit chan struct{}
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // the workers
 
 	mu     sync.RWMutex // guards closed and the enqueue/Close handoff
 	closed bool
@@ -203,9 +212,9 @@ type Engine struct {
 	st stats
 }
 
-// NewEngine starts the scheduler over m. The model must be fully
-// trained before the first request: sweeps read it concurrently and
-// model training is not synchronized with reads.
+// NewEngine starts the scheduler's Workers goroutines over m. The model
+// must be fully trained before the first request: workers read it
+// concurrently and model training is not synchronized with reads.
 func NewEngine(m *model.Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
@@ -218,16 +227,21 @@ func NewEngine(m *model.Model, cfg Config) *Engine {
 	if cfg.CacheSize > 0 {
 		e.cache = newLRUCache(cfg.CacheSize)
 	}
+	e.sc.ready.buf = make([]*schedTask, cfg.MaxBatch)
+	e.sc.wake = make(chan struct{}, 1)
+	e.sc.stepping = make([]inflight, cfg.Workers)
 	e.st.init()
-	e.wg.Add(1)
-	go e.scheduler()
+	e.wg.Add(cfg.Workers)
+	for w := range cfg.Workers {
+		go e.worker(w)
+	}
 	return e
 }
 
 // Model exposes the engine's model (the HTTP layer reports its name).
 func (e *Engine) Model() *model.Model { return e.m }
 
-// Workers reports the per-sweep decode parallelism.
+// Workers reports the worker goroutine count.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // QueueDepth reports the number of requests waiting in the queue (not
@@ -356,7 +370,7 @@ func (e *Engine) start(ctx context.Context, req Request, block bool) (*task, *Re
 func (e *Engine) wait(ctx context.Context, t *task) (*Response, error) {
 	if t.req.OnStep != nil {
 		// No early return for streaming requests: the caller's OnStep
-		// state must not outlive this call while a sweep can still
+		// state must not outlive this call while a worker can still
 		// invoke it (see Request.OnStep).
 		resp := <-t.done
 		return resp, resp.Err
@@ -365,7 +379,7 @@ func (e *Engine) wait(ctx context.Context, t *task) (*Response, error) {
 	case resp := <-t.done:
 		return resp, resp.Err
 	case <-ctx.Done():
-		// The task stays queued; the scheduler will observe the dead
+		// The task stays queued; a worker will observe the dead
 		// context and discard it into the buffered done channel.
 		return nil, ctx.Err()
 	}
@@ -401,6 +415,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, key cacheK
 	if block {
 		select {
 		case e.queue <- t:
+			e.kick()
 			return t, nil
 		case <-ctx.Done():
 			t.qspan.SetAttr("outcome", "canceled")
@@ -410,6 +425,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, key cacheK
 	}
 	select {
 	case e.queue <- t:
+		e.kick()
 		return t, nil
 	default:
 		t.qspan.SetAttr("outcome", "queue_full")
@@ -420,7 +436,7 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, key cacheK
 }
 
 // Close stops accepting requests, drains everything already queued
-// through the scheduler, and waits for it to exit. Safe to call once.
+// through the workers, and joins them. Safe to call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -431,13 +447,13 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.mu.Unlock()
 	// No submission can be mid-send now: enqueue holds the read lock
-	// across its send, and closed gates new ones. Signal the scheduler
+	// across its send, and closed gates new ones. Signal the workers
 	// to drain what remains and exit.
 	close(e.quit)
 	e.wg.Wait()
 }
 
-// pickedUp closes the task's queue span at scheduler pickup.
+// pickedUp closes the task's queue span at admission.
 func (t *task) pickedUp() {
 	if t.qspan != nil {
 		t.qspan.SetAttrInt("wait_us", t.wait.Microseconds())

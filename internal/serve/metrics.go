@@ -70,6 +70,8 @@ func (s *stats) queueWait(d time.Duration) {
 	s.m.QueueWaitMaxSeconds = max(s.m.QueueWaitMaxSeconds, d.Seconds())
 }
 
+// sweep accounts one scheduled decode step taken with n decodes
+// resident.
 func (s *stats) sweep(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,15 +231,17 @@ type Metrics struct {
 
 	// SchedMaxBatch is the running batch's slot count. SchedRunning is
 	// the scheduler's current batch membership; SchedOccupancy is
-	// running/MaxBatch. Sweeps counts verification sweeps, SweptTasks
-	// the decodes they stepped, and MeanSweepOccupancy their ratio —
-	// the utilization the continuous batcher exists to raise.
+	// running/MaxBatch. The sweep names outlive the barrier sweep:
+	// Sweeps counts scheduled decode steps, SweptTasks sums the
+	// resident decodes at each, and MeanSweepOccupancy, their ratio, is
+	// the mean residency per step — the utilization the continuous
+	// batcher exists to raise.
 	SchedMaxBatch      int     `json:"sched_max_batch" prom:"vgend_sched_max_batch" help:"Continuous-scheduler batch slots."`
 	SchedRunning       int     `json:"sched_running" prom:"vgend_sched_running" help:"Decodes currently in the running batch."`
 	SchedOccupancy     float64 `json:"sched_occupancy" prom:"vgend_sched_occupancy" replica:"vgend_replica_sched_occupancy" help:"Running decodes over batch slots." agg:"derived"`
-	Sweeps             uint64  `json:"sched_sweeps" prom:"vgend_sched_sweeps_total" help:"Verification sweeps over the running batch."`
-	SweptTasks         uint64  `json:"sched_swept_tasks" prom:"vgend_sched_swept_tasks_total" help:"Decodes stepped, summed over verification sweeps."`
-	MeanSweepOccupancy float64 `json:"sched_mean_sweep_occupancy" prom:"vgend_sched_mean_sweep_occupancy" help:"Decodes stepped per verification sweep." agg:"derived"`
+	Sweeps             uint64  `json:"sched_sweeps" prom:"vgend_sched_sweeps_total" help:"Scheduled decode steps."`
+	SweptTasks         uint64  `json:"sched_swept_tasks" prom:"vgend_sched_swept_tasks_total" help:"Resident decodes, summed over scheduled decode steps."`
+	MeanSweepOccupancy float64 `json:"sched_mean_sweep_occupancy" prom:"vgend_sched_mean_sweep_occupancy" help:"Mean resident decodes per scheduled decode step." agg:"derived"`
 
 	// CleanTokens, RawTokens (markers included), Steps, WallSeconds and
 	// SimSeconds are the sums the rates below divide. The rates are
@@ -265,7 +269,7 @@ type Metrics struct {
 	GrammarPrunedNodes uint64 `json:"grammar_pruned_nodes" prom:"vgend_grammar_pruned_nodes_total" help:"Draft nodes withheld by the grammar syntax oracle."`
 	GrammarDraftTokens uint64 `json:"grammar_draft_tokens" prom:"vgend_grammar_draft_tokens_total" help:"Draft nodes contributed by synthesized grammar constructs."`
 	// WallSeconds is summed decode step time (busy time, not
-	// wall-clock span: with W sweep workers it accrues up to W seconds
+	// wall-clock span: with W workers it accrues up to W seconds
 	// per second); SimSeconds is the same decodes' simulated GPU time.
 	WallSeconds float64 `json:"wall_seconds" prom:"vgend_wall_seconds_total" help:"Summed worker decode time in seconds."`
 	SimSeconds  float64 `json:"sim_seconds" prom:"vgend_sim_seconds_total" help:"Summed simulated GPU decode time in seconds."`

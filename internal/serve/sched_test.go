@@ -5,14 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // TestContinuousBackpressure: with one batch slot wedged by a gated
@@ -39,9 +44,9 @@ func TestContinuousBackpressure(t *testing.T) {
 		_, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: testOptions(1), OnStep: gate})
 		gatedErr <- err
 	}()
-	<-started // the only slot is wedged mid-sweep
+	<-started // the only slot is wedged mid-step
 
-	// With the batch full and the scheduler blocked inside the sweep,
+	// With the batch full and the only worker blocked inside the step,
 	// exactly QueueSize (= 1) more submissions fit. Direct internal
 	// enqueues avoid blocking this goroutine on responses nobody can
 	// produce yet.
@@ -184,14 +189,19 @@ func TestContinuousFIFO(t *testing.T) {
 // TestSchedulerChurnSoak is the join/leave churn soak behind the
 // sched-soak CI job (run under -race -shuffle=on there): many clients,
 // mixed long/short/streaming/cancelled traffic and a small batch, so
-// decodes join and leave the batch at nearly every sweep, then a full
+// decodes join and leave the batch at nearly every step, then a full
 // accounting check — every submission reaches exactly one terminal
-// state, nothing hangs, and the scheduler drains clean.
+// state, nothing hangs, some decode stepped between two steps of
+// another, the scheduler drains clean, and once Close returns every
+// worker goroutine has exited.
 func TestSchedulerChurnSoak(t *testing.T) {
 	m, prompts := fixture(t)
+	baseline := runtime.NumGoroutine()
+	var steps stepLog
 	eng := NewEngine(m, Config{
 		Workers: 2, MaxBatch: 2,
 		QueueSize: 64, CacheSize: -1,
+		StepFault: steps.hook,
 	})
 
 	const clients, perClient = 6, 5
@@ -208,7 +218,7 @@ func TestSchedulerChurnSoak(t *testing.T) {
 					Prompt:  prompts[(c*perClient+i)%len(prompts)],
 					Options: core.Options{Strategy: "ours", MaxNewTokens: 8 + rng.Intn(40), Seed: int64(c*100 + i)},
 				}
-				ctx := context.Background()
+				ctx := context.WithValue(context.Background(), stepID{}, c*perClient+i)
 				var cancel context.CancelFunc
 				switch rng.Intn(4) {
 				case 0: // streaming
@@ -256,12 +266,14 @@ func TestSchedulerChurnSoak(t *testing.T) {
 	if mt.Failed != 0 {
 		t.Fatalf("failed=%d, want 0", mt.Failed)
 	}
-	if mt.SweptTasks <= mt.Sweeps {
-		t.Fatalf("churn soak never batched two decodes (sweeps=%d swept_tasks=%d)", mt.Sweeps, mt.SweptTasks)
+	if !steps.interleaved() {
+		t.Fatal("churn soak never stepped a decode between two steps of another")
 	}
 	if mt.SchedRunning != 0 {
 		t.Fatalf("scheduler drained dirty: running=%d", mt.SchedRunning)
 	}
+	waitFor(t, "goroutines never fell back to the pre-engine baseline after Close: a worker leaked",
+		func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
 // TestContinuousMetricsSurface sanity-checks the scheduler fields end
@@ -338,5 +350,185 @@ func TestContinuousMetricsSurface(t *testing.T) {
 		if _, ok := body[key]; ok {
 			t.Errorf("engine /metrics body still carries %q", key)
 		}
+	}
+}
+
+// stepID carries, on a request's context, the number stepLog records.
+type stepID struct{}
+
+// stepLog is a StepFault hook that records, in the order steps begin,
+// the stepID of each step's request.
+type stepLog struct {
+	mu  sync.Mutex
+	ids []int
+}
+
+func (l *stepLog) hook(ctx context.Context) error {
+	id, _ := ctx.Value(stepID{}).(int)
+	l.mu.Lock()
+	l.ids = append(l.ids, id)
+	l.mu.Unlock()
+	return nil
+}
+
+// interleaved reports whether some request stepped between two steps
+// of another.
+func (l *stepLog) interleaved() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	last := make(map[int]int)
+	for i, id := range l.ids {
+		if j, ok := last[id]; ok && j < i-1 {
+			return true
+		}
+		last[id] = i
+	}
+	return false
+}
+
+// faultKey marks, on its context, the request a test's StepFault hook
+// acts on.
+type faultKey struct{}
+
+// TestWorkerContainsPanic: a decode that panics mid-step is abandoned
+// like an injected fault. Its caller gets an error carrying the panic
+// value, Failed counts it, HTTP answers 500 and its decode span carries
+// the error, while every other request in flight gets the bytes a
+// direct decode produces and the workers go on serving.
+func TestWorkerContainsPanic(t *testing.T) {
+	m, prompts := fixture(t)
+	// A marked request panics on its third step, so it dies mid-decode
+	// beside the others; armed makes every request panic on its first.
+	var armed atomic.Bool
+	eng := NewEngine(m, Config{Workers: 2, MaxBatch: 4, CacheSize: -1,
+		StepFault: func(ctx context.Context) error {
+			if n, ok := ctx.Value(faultKey{}).(*atomic.Int32); (ok && n.Add(1) == 3) || armed.Load() {
+				panic("injected step panic")
+			}
+			return nil
+		}})
+	defer eng.Close()
+
+	const bad = 2
+	reqs := make([]Request, 6)
+	errs := make([]error, len(reqs))
+	resps := make([]*Response, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		reqs[i] = Request{Prompt: prompts[i], Options: testOptions(int64(i))}
+		ctx := context.Background()
+		if i == bad {
+			ctx = context.WithValue(ctx, faultKey{}, new(atomic.Int32))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = eng.Generate(ctx, reqs[i])
+		}()
+	}
+	wg.Wait()
+	dec := core.NewDecoder(m)
+	for i, req := range reqs {
+		if i == bad {
+			if errs[i] == nil || !strings.Contains(errs[i].Error(), "injected step panic") {
+				t.Fatalf("panicking request: err = %v, want the panic value", errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Fatalf("request %d beside the panic: %v", i, errs[i])
+		}
+		if want := dec.Generate(req.Prompt, req.Options); resps[i].Result.Text != want.Text {
+			t.Fatalf("request %d beside the panic diverged from a direct decode", i)
+		}
+	}
+	if mt := eng.Metrics(); mt.Failed != 1 || mt.Completed != uint64(len(reqs)-1) {
+		t.Fatalf("failed=%d completed=%d, want 1 and %d", mt.Failed, mt.Completed, len(reqs)-1)
+	}
+
+	// Over HTTP: the panic is a 500 and its decode span says why; the
+	// next request is served normally.
+	tracer := trace.New(trace.Config{})
+	ts := httptest.NewServer(NewServer(eng).WithTracer(tracer).Handler())
+	defer ts.Close()
+	armed.Store(true)
+	if resp := postBody(t, ts.URL, "panic-1", map[string]any{"prompt": prompts[0], "seed": 7}); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d for a panicking decode, want 500", resp.StatusCode)
+	}
+	armed.Store(false)
+	snap, ok := tracer.Lookup("panic-1")
+	if !ok {
+		t.Fatal("trace panic-1 not recorded")
+	}
+	var spanErr string
+	for _, sp := range snap.Spans {
+		for _, a := range sp.Attrs {
+			if sp.Kind == trace.KindDecode && a.Key == "error" {
+				spanErr = a.Value
+			}
+		}
+	}
+	if !strings.Contains(spanErr, "injected step panic") {
+		t.Errorf("decode span error = %q, want the panic value\n%s", spanErr, snap.Tree())
+	}
+	if resp := postBody(t, ts.URL, "after-panic", map[string]any{"prompt": prompts[1], "seed": 8}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d after a contained panic, want 200", resp.StatusCode)
+	}
+}
+
+// TestWedgedDecodeCostsOneWorker: a StepFault hook that blocks holds
+// only the worker stepping its decode. With two workers a second
+// request completes, byte-identical to a direct decode, while the first
+// is wedged; once released the first finishes too, and Close returns.
+func TestWedgedDecodeCostsOneWorker(t *testing.T) {
+	m, prompts := fixture(t)
+	release := make(chan struct{})
+	wedged := make(chan struct{})
+	var once sync.Once
+	eng := NewEngine(m, Config{Workers: 2, MaxBatch: 4, CacheSize: -1,
+		StepFault: func(ctx context.Context) error {
+			if ctx.Value(faultKey{}) == nil {
+				return nil
+			}
+			once.Do(func() { close(wedged) })
+			select {
+			case <-release:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}})
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := eng.Generate(context.WithValue(context.Background(), faultKey{}, true),
+			Request{Prompt: prompts[0], Options: testOptions(1)})
+		first <- err
+	}()
+	select {
+	case <-wedged:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first request never reached its step hook")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req := Request{Prompt: prompts[1], Options: testOptions(2)}
+	resp, err := eng.Generate(ctx, req)
+	if err != nil {
+		t.Fatalf("second request behind a wedged decode: %v", err)
+	}
+	if want := core.NewDecoder(m).Generate(req.Prompt, req.Options); resp.Result.Text != want.Text {
+		t.Fatal("second request diverged from a direct decode")
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("released request: %v", err)
+	}
+	closed := make(chan struct{})
+	go func() { eng.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned")
 	}
 }

@@ -374,7 +374,7 @@ func (s *Server) streamGenerate(w http.ResponseWriter, r *http.Request, req Requ
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	req.OnStep = func(ev core.StepEvent) {
-		// Runs on an engine sweep goroutine. Safe: for streaming
+		// Runs on an engine worker goroutine. Safe: for streaming
 		// requests TryGenerate does not return — even when the client
 		// disconnects mid-decode — until the decode is finished and
 		// this callback can no longer fire, so the handler goroutine

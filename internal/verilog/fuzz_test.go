@@ -57,8 +57,11 @@ func FuzzLexer(f *testing.F) {
 			if tok.Kind == TokKeyword && !IsKeyword(tok.Text) {
 				t.Fatalf("token %d: keyword kind for non-keyword %q", i, tok.Text)
 			}
-			if tok.Kind == TokIdent && IsKeyword(tok.Text) {
-				t.Fatalf("token %d: identifier kind for keyword %q", i, tok.Text)
+			if tok.Kind == TokIdent && IsKeyword(tok.Text) && !tok.Escaped {
+				t.Fatalf("token %d: unescaped identifier kind for keyword %q", i, tok.Text)
+			}
+			if tok.Escaped && tok.Kind != TokIdent {
+				t.Fatalf("token %d: kind %v marked escaped", i, tok.Kind)
 			}
 			if tok.Kind == TokDirective && !strings.HasPrefix(tok.Text, "`") {
 				t.Fatalf("token %d: directive %q missing backtick", i, tok.Text)

@@ -172,7 +172,7 @@ func (l *Lexer) Next() (Token, error) {
 		if l.pos == start {
 			return Token{}, l.errf("empty escaped identifier")
 		}
-		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Line: line, Col: col}, nil
+		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Line: line, Col: col, Escaped: true}, nil
 
 	case c == '$':
 		l.advance()

@@ -43,6 +43,33 @@ func TestLexBasics(t *testing.T) {
 	}
 }
 
+// TestLexEscapedIdentifiers: an escaped identifier lexes as TokIdent
+// with the backslash dropped and Escaped set, even when it spells a
+// keyword (Verilog allows `\module` as a name); only the escape sets
+// Escaped.
+func TestLexEscapedIdentifiers(t *testing.T) {
+	for _, c := range []struct {
+		src     string
+		kind    TokenKind
+		text    string
+		escaped bool
+	}{
+		{`\module`, TokIdent, "module", true},
+		{`\bus[3]`, TokIdent, "bus[3]", true},
+		{`\escaped$id`, TokIdent, "escaped$id", true},
+		{"module", TokKeyword, "module", false},
+		{"mod", TokIdent, "mod", false},
+	} {
+		toks, err := Lex(c.src)
+		if err != nil || len(toks) != 1 {
+			t.Fatalf("Lex(%q) = %v, %v; want one token", c.src, toks, err)
+		}
+		if tk := toks[0]; tk.Kind != c.kind || tk.Text != c.text || tk.Escaped != c.escaped {
+			t.Errorf("Lex(%q) = %v escaped=%v, want %v %q escaped=%v", c.src, tk, tk.Escaped, c.kind, c.text, c.escaped)
+		}
+	}
+}
+
 func TestLexComments(t *testing.T) {
 	src := `
 // line comment

@@ -68,6 +68,9 @@ type Token struct {
 	Text string
 	Line int // 1-based line number
 	Col  int // 1-based column number
+	// Escaped marks an escaped identifier (`\name`, Text without the
+	// backslash): the one way an identifier may spell a keyword.
+	Escaped bool
 }
 
 // String renders the token for diagnostics.
