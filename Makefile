@@ -13,8 +13,9 @@ SHELL := /bin/bash
 COVER_FLOOR := 87.0
 COVER_PKGS := ./internal/model/ ./internal/serve/
 # Separate floor for the cluster layer (routing, dispatch and work
-# stealing over a fixed replica set). Recorded at 91.9% once the
-# admission chain, autoscaler and drain were deleted.
+# stealing inside each model group of a fixed replica set). Recorded at
+# 91.9% once the admission chain, autoscaler and drain were deleted,
+# and at 92.7% once the route-time spill and -steal were.
 CLUSTER_COVER_FLOOR := 80.0
 
 .PHONY: build test race sched-soak golden differential grammar-gate cover fuzz bench bench-smoke loadgate trace-gate fmt fmt-check vet loc serve serve-fleet ci
@@ -28,7 +29,8 @@ test:
 # The whole suite under the race detector. Shuffled test order catches
 # inter-test state leaks; the race detector covers the fleet's
 # concurrent fail-fast load scenario (cluster.TestFailFastLoadAccounted),
-# its work stealing (TestSteal*) and the scheduler's FIFO admission
+# its always-on, in-group work stealing (TestSteal*, including
+# TestStealStaysInGroup on a two-model fleet) and the scheduler's FIFO admission
 # behind a decode that keeps its slot (serve.TestContinuousFIFO). The
 # root package's
 # TestMakefileGatesResolve rides here: every -run alternative below
@@ -198,9 +200,10 @@ loc:
 serve:
 	$(GO) run ./cmd/vgend
 
-# Train once, serve a 4-replica fleet with work stealing.
+# Train once, serve a 4-replica fleet: one model group, whose idle
+# members steal a backlogged sibling's overflow.
 serve-fleet:
-	$(GO) run ./cmd/vgend -replicas 4 -steal
+	$(GO) run ./cmd/vgend -replicas 4
 
 # The CI matrix in .github/workflows/ci.yml lists exactly these targets
 # (TestMakefileGatesResolve holds the two lists equal).

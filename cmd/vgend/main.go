@@ -31,31 +31,33 @@
 // flight recorder, so a slow or failed request is debuggable from
 // /debug/requests?id=<X-Request-ID> alone.
 //
-// Fleet mode starts when -replicas > 1, -models lists more than one
-// spec (or one with a default strategy), or -steal is set; with none
-// of those the daemon runs the exact single-engine path of previous
-// releases. The replicas are built at startup and never change.
-// Replica specs are model[:scheme[:default-strategy]], e.g.
+// -models names what the daemon serves as replica specs
+// model[:scheme[:default-strategy]] (default codellama:ours; a spec
+// without a scheme means ours). Fleet mode starts when -replicas > 1,
+// or -models lists more than one spec or one with a default strategy;
+// otherwise the daemon runs the exact single-engine path of previous
+// releases. The replicas are built at startup and never change, e.g.
 //
-//	vgend -replicas 4 -steal
-//	vgend -models codellama:ours,codet5p:ntp:prompt-lookup
+//	vgend -replicas 4
+//	vgend -models codellama,codet5p:ntp:prompt-lookup
 //
-// Requests are routed per prefix-affinity consistent hashing (with a
-// least-loaded fallback), so shared-prefix traffic concentrates where
-// its caches are warm; a request that finds its replica's queue full
-// gets an explicit 503 with a Retry-After header.
+// Requests are routed per prefix-affinity consistent hashing, so
+// shared-prefix traffic concentrates where its caches are warm; a
+// request that finds its replica's queue full gets an explicit 503
+// with a Retry-After header.
 //
 // Each request gets exactly one attempt, on the replica the router (or
-// a stealer) picked: replicas sharing a (model, scheme) pair decode with
-// the same immutable model, so a request that fails would fail the same
-// way on a sibling, and its error comes back as itself. -steal lets
-// idle replicas pull queued overflow from affinity hotspots, observable
-// via /metrics (vgend_fleet_steals_total, vgend_replica_stolen_total).
+// a stealer) picked. Replicas with the same model, scheme and default
+// strategy form a group: they decode with one immutable model, and an
+// idle member steals queued overflow from a backlogged sibling,
+// observable via /metrics (vgend_fleet_steals_total,
+// vgend_replica_stolen_total). A request never leaves its group, so a
+// steal decodes the bytes routing chose, and a request that fails
+// would fail the same way on a sibling; its error comes back as itself.
 //
-// Usage: vgend [-addr :8080] [-model codellama|codet5p] [-scheme ours]
-// [-items 3400] [-seed N] [-workers N] [-queue N]
-// [-max-batch N] [-cache N] [-replicas N] [-models specs]
-// [-steal] [-list-strategies] [-trace] [-pprof] [-log text|json|off]
+// Usage: vgend [-addr :8080] [-models codellama:ours] [-items 3400]
+// [-seed N] [-workers N] [-queue N] [-max-batch N] [-cache N]
+// [-replicas N] [-list-strategies] [-trace] [-pprof] [-log text|json|off]
 //
 // Dispatch is a continuous scheduler: -workers persistent workers step
 // the resident decodes in turn, and requests join and leave the batch
@@ -124,16 +126,13 @@ func parseScheme(name string) (model.Scheme, error) {
 	return 0, fmt.Errorf("unknown scheme %q (want ours, medusa or ntp)", name)
 }
 
-// parseModels splits -models ("codellama:ours,codet5p:ntp:prompt-lookup")
-// into replica specs; defaults fill omitted fields.
-func parseModels(s, defaultModel, defaultScheme string) ([]replicaSpec, error) {
-	if s == "" {
-		return []replicaSpec{{model: defaultModel, scheme: defaultScheme}}, nil
-	}
+// parseModels splits -models ("codellama,codet5p:ntp:prompt-lookup")
+// into replica specs; an omitted scheme is ours.
+func parseModels(s string) ([]replicaSpec, error) {
 	var specs []replicaSpec
 	for _, entry := range strings.Split(s, ",") {
 		parts := strings.Split(strings.TrimSpace(entry), ":")
-		spec := replicaSpec{model: parts[0], scheme: defaultScheme}
+		spec := replicaSpec{model: parts[0], scheme: "ours"}
 		if len(parts) > 1 && parts[1] != "" {
 			spec.scheme = parts[1]
 		}
@@ -177,8 +176,6 @@ const (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	modelName := flag.String("model", "codellama", "backbone: codellama or codet5p")
-	schemeName := flag.String("scheme", "ours", "training scheme: ours, medusa or ntp")
 	items := flag.Int("items", 3400, "corpus items to train on")
 	seed := flag.Int64("seed", 1, "corpus/training seed")
 	workers := flag.Int("workers", 0, "decoder workers per replica (0 = GOMAXPROCS)")
@@ -187,8 +184,7 @@ func main() {
 	cache := flag.Int("cache", 512, "LRU cache entries per replica (negative disables)")
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
-	modelsFlag := flag.String("models", "", "replica specs model[:scheme[:strategy]], comma-separated (empty: -model/-scheme)")
-	steal := flag.Bool("steal", false, "fleet: let idle replicas steal queued overflow from affinity hotspots")
+	modelsFlag := flag.String("models", "codellama:ours", "replica specs model[:scheme[:strategy]], comma-separated; model codellama or codet5p, scheme ours (default), medusa or ntp")
 	traceOn := flag.Bool("trace", true, "per-request tracing: flight recorder behind /debug/requests and /debug/trace, vgend_phase_seconds_total in /metrics")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logMode := flag.String("log", "text", "structured logging: text, json or off")
@@ -207,7 +203,7 @@ func main() {
 		return
 	}
 
-	specs, err := parseModels(*modelsFlag, *modelName, *schemeName)
+	specs, err := parseModels(*modelsFlag)
 	if err != nil {
 		fail(err)
 	}
@@ -235,10 +231,7 @@ func main() {
 		}
 		resolved[i] = resolvedSpec{replicaSpec: spec, cfg: cfg, sch: scheme}
 	}
-	// -steal is an explicit ask for the cluster layer, even with one
-	// replica: silently ignoring it would leave the operator believing
-	// it is active.
-	fleetMode := *replicas > 1 || len(specs) > 1 || specs[0].strategy != "" || *steal
+	fleetMode := *replicas > 1 || len(specs) > 1 || specs[0].strategy != ""
 	n := *replicas
 	if n < len(specs) {
 		n = len(specs)
@@ -300,12 +293,12 @@ func main() {
 				DefaultStrategy: spec.strategy,
 			}
 		}
-		fleet, err := cluster.New(replicaSpecs, cluster.Config{Steal: *steal})
+		fleet, err := cluster.New(replicaSpecs, cluster.Config{})
 		if err != nil {
 			fail(err)
 		}
 		backend, closeBackend = fleet, fleet.Close
-		logInfo("serving fleet", "replicas", n, "steal", *steal, "addr", *addr)
+		logInfo("serving fleet", "replicas", n, "addr", *addr)
 	}
 
 	server := serve.NewBackendServer(backend).WithPprof(*pprofOn)

@@ -29,10 +29,11 @@ const vgendTestArgs = "VGEND_TEST_ARGS"
 // daemon-wide -tree-budget (a request carries its own "tree_budget"),
 // the -hedge-after flag that went with hedged dispatch, and the
 // admission-chain and autoscaler flags that went with the fixed
-// replica set, and the scheduler's -preempt-quantum and the trie's
+// replica set, the scheduler's -preempt-quantum and the trie's
 // -prefix-cache-bytes (a decode keeps its slot until it finishes; the
-// trie budget is a constant). Each exits 2 as an undefined flag before
-// training starts.
+// trie budget is a constant), -steal (work stealing inside a model
+// group is always on), and -model/-scheme (-models names both). Each
+// exits 2 as an undefined flag before training starts.
 func TestRetiredFlagsRefused(t *testing.T) {
 	for _, args := range []string{
 		"-prefix-cache trie",
@@ -49,6 +50,9 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		"-max-replicas 4",
 		"-preempt-quantum 4",
 		"-prefix-cache-bytes 1024",
+		"-steal",
+		"-model x",
+		"-scheme y",
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), vgendTestArgs+"="+args)

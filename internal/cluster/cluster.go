@@ -8,16 +8,19 @@
 // else:
 //
 //   - Routing: which replica serves a request. Prefix-affinity
-//     consistent hashing (rendezvous form) with a least-loaded
-//     fallback, so shared-prefix workloads concentrate on one replica
-//     where its result LRU and prefix trie can actually hit.
+//     consistent hashing (rendezvous form), so shared-prefix workloads
+//     concentrate on one replica where its result LRU and prefix trie
+//     can actually hit.
 //   - Dispatch: each request gets one attempt, on the routed replica
-//     or on an idle sibling that steals it from an affinity hotspot
-//     (dispatch.go); nothing is retried on another replica, because a
-//     decode is fully determined by (prompt, options, seed) and every
-//     replica of a (model, scheme) pair shares one immutable model, so a
-//     fault belongs to the request. A full queue answers ErrQueueFull,
-//     which the HTTP layer turns into 503 with a Retry-After header.
+//     or on an idle sibling of its model group that steals it from an
+//     affinity hotspot (dispatch.go). Work stealing is the fleet's one
+//     way to rebalance, and it never leaves the group, so a steal
+//     decodes exactly the bytes routing would have. Nothing is retried
+//     on another replica, because a decode is fully determined by
+//     (prompt, options, seed) and every replica of a group shares one
+//     immutable model, so a fault belongs to the request. A full queue
+//     answers ErrQueueFull, which the HTTP layer turns into 503 with a
+//     Retry-After header.
 //   - Aggregation: fleet-level metrics — per-replica engine snapshots
 //     plus fleet-wide sums and routing/steal counters — in JSON and
 //     Prometheus forms.
@@ -65,11 +68,6 @@ type Config struct {
 	// Router picks replicas (nil: prefix-affinity, the only policy;
 	// tests plug fixed choices in here).
 	Router Router
-	// Steal enables work stealing: a routed request whose replica is
-	// backlogged is offered to a fleet-wide queue that any idle replica
-	// may serve, so prefix-affinity hotspots hand overflow to idle
-	// siblings instead of queueing behind the hot set.
-	Steal bool
 }
 
 // Replica is one running fleet member. Its engine, model and scheme
@@ -81,6 +79,10 @@ type Replica struct {
 	scheme          string
 
 	eng *serve.Engine
+	// stealq is the steal queue of the replica's group: the replicas
+	// sharing its *model.Model and DefaultStrategy, which decode any
+	// request to the same bytes. nil for a group of one.
+	stealq chan *stealJob
 
 	routed   atomic.Uint64 // requests routed here
 	inflight atomic.Int64  // routed and not yet answered
@@ -96,7 +98,7 @@ func (r *Replica) Name() string { return r.name }
 func (r *Replica) Engine() *serve.Engine { return r.eng }
 
 // load is the replica's current backlog: queued plus routed-but-
-// unanswered requests. Routers order replicas by it.
+// unanswered requests. The steal threshold reads it.
 func (r *Replica) load() int {
 	return r.Engine().QueueDepth() + int(r.inflight.Load())
 }
@@ -109,7 +111,6 @@ type Fleet struct {
 	byModel  map[string][]*Replica
 
 	router Router
-	stealq chan *stealJob
 	quit   chan struct{}
 	wg     sync.WaitGroup
 
@@ -119,13 +120,13 @@ type Fleet struct {
 }
 
 // New builds and starts a fleet: one engine per spec, plus one steal
-// loop per replica when cfg.Steal is set.
+// queue per group of two or more replicas and one stealer per member.
 func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: fleet needs at least one replica")
 	}
 	if cfg.Router == nil {
-		cfg.Router = newPrefixAffinity()
+		cfg.Router = prefixAffinity{}
 	}
 	f := &Fleet{
 		byModel: map[string][]*Replica{},
@@ -144,6 +145,11 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 			}
 		}
 	}
+	type groupKey struct {
+		m        *model.Model
+		strategy string
+	}
+	groups := map[groupKey][]*Replica{}
 	for i, spec := range specs {
 		name := spec.Name
 		if name == "" {
@@ -160,10 +166,16 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 		for _, key := range serve.ModelKeys(r.modelName) {
 			f.byModel[key] = append(f.byModel[key], r)
 		}
+		k := groupKey{spec.Model, spec.DefaultStrategy}
+		groups[k] = append(groups[k], r)
 	}
-	if cfg.Steal {
-		f.stealq = make(chan *stealJob, stealQueueCap)
-		for _, r := range f.replicas {
+	for _, members := range groups {
+		if len(members) < 2 {
+			continue
+		}
+		q := make(chan *stealJob, stealQueueCap)
+		for _, r := range members {
+			r.stealq = q
 			f.wg.Add(1)
 			go f.stealer(r)
 		}
@@ -225,8 +237,8 @@ func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) 
 }
 
 // withDefaultStrategy applies the serving replica's default-strategy
-// substitution — at send time, not route time, because a stealer may
-// serve on a different replica than the routed one.
+// substitution. A stealer shares the routed replica's default, so
+// applying it at send time gives the bytes routing chose.
 func withDefaultStrategy(req serve.Request, r *Replica) serve.Request {
 	if r.defaultStrategy != "" && req.NoExplicitStrategy {
 		req.Options.Strategy = r.defaultStrategy

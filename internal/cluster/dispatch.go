@@ -12,10 +12,11 @@ import (
 
 // This file is the path between routing and the replica engines: one
 // attempt per request, on the routed replica or on an idle sibling that
-// stole it from the fleet-wide overflow queue. A failed attempt is not
+// stole it from its group's overflow queue. A failed attempt is not
 // retried elsewhere (the package comment says why): its error comes
-// back to the client as itself. With one replica the path is a single
-// engine call — the byte-identity guarantee rides on that.
+// back to the client as itself. A replica alone in its group has no
+// queue, so its path is a single engine call — the byte-identity
+// guarantee rides on that.
 
 // outcome is one attempt's result.
 type outcome struct {
@@ -96,12 +97,12 @@ func firstErr(resp *serve.Response, err error) error {
 
 // --- work stealing ---
 
-// stealQueueCap bounds the fleet-wide overflow queue; a full queue
-// falls back to direct dispatch on the routed replica.
+// stealQueueCap bounds a group's overflow queue; a full queue falls
+// back to direct dispatch on the routed replica.
 const stealQueueCap = 64
 
-// stealJob is one routed request parked on the fleet-wide queue for
-// whichever replica frees up first (possibly the routed one itself).
+// stealJob is one routed request parked on its group's queue for
+// whichever member frees up first (possibly the routed one itself).
 type stealJob struct {
 	ctx    context.Context
 	req    serve.Request
@@ -135,22 +136,22 @@ func stealCapacity(r *Replica) int {
 	return w
 }
 
-// serveRouted runs a routed request: steal-queue diversion when the
-// routed replica is backlogged and stealing is on, otherwise (and as
-// the fallback) one attempt on the routed replica.
+// serveRouted runs a routed request: diversion to its group's steal
+// queue when the routed replica is backlogged, otherwise (and as the
+// fallback) one attempt on the routed replica.
 func (f *Fleet) serveRouted(ctx context.Context, req serve.Request, r *Replica, wait bool) (*serve.Response, *Replica, error) {
 	direct := func() (*serve.Response, *Replica, error) {
 		resp, err := f.sendTraced(ctx, req, r, wait, rolePrimary)
 		return resp, r, err
 	}
-	if f.stealq == nil || r.load() <= stealThreshold(r) {
+	if r.stealq == nil || r.load() <= stealThreshold(r) {
 		return direct()
 	}
 	job := &stealJob{ctx: ctx, req: req, routed: r, wait: wait, done: make(chan outcome, 1)}
 	select {
-	case f.stealq <- job:
+	case r.stealq <- job:
 	default:
-		// Overflow queue full: the fleet is saturated everywhere,
+		// Overflow queue full: the group is saturated everywhere,
 		// queue on the routed replica as usual.
 		return direct()
 	}
@@ -172,9 +173,10 @@ func (f *Fleet) serveRouted(ctx context.Context, req serve.Request, r *Replica, 
 	}
 }
 
-// stealer pulls overflow work whenever its replica has spare capacity.
-// The poll tick bounds how stale the capacity check can be; the claim
-// CAS keeps service exactly-once against the submitter's fallbacks.
+// stealer pulls its group's overflow work whenever its replica has
+// spare capacity. The poll tick bounds how stale the capacity check can
+// be; the claim CAS keeps service exactly-once against the submitter's
+// fallbacks.
 func (f *Fleet) stealer(r *Replica) {
 	defer f.wg.Done()
 	tick := time.NewTicker(time.Millisecond)
@@ -201,7 +203,7 @@ func (f *Fleet) stealer(r *Replica) {
 		select {
 		case <-f.quit:
 			return
-		case job := <-f.stealq:
+		case job := <-r.stealq:
 			if job.claim() {
 				job.done <- f.serveStolen(r, job)
 			}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/serve"
 )
 
@@ -25,9 +26,9 @@ func (w *wedgeFault) hook(ctx context.Context) error {
 	return nil
 }
 
-// newFaultyFleet builds n identical replicas whose engines each carry
-// a wedge hook.
-func newFaultyFleet(tb testing.TB, n int, cfg Config, engCfg serve.Config) (*Fleet, []*wedgeFault) {
+// newFaultyFleet builds n identical replicas — one steal group — whose
+// engines each carry a wedge hook.
+func newFaultyFleet(tb testing.TB, n int, engCfg serve.Config) (*Fleet, []*wedgeFault) {
 	tb.Helper()
 	m, _ := fixture(tb)
 	faults := make([]*wedgeFault, n)
@@ -38,7 +39,7 @@ func newFaultyFleet(tb testing.TB, n int, cfg Config, engCfg serve.Config) (*Fle
 		ec.StepFault = faults[i].hook
 		specs[i] = ReplicaSpec{Model: m, Engine: ec}
 	}
-	f, err := New(specs, cfg)
+	f, err := New(specs, Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func newFaultyFleet(tb testing.TB, n int, cfg Config, engCfg serve.Config) (*Fle
 // served by a replica other than the routed one, and all succeed.
 func TestStealRebalances(t *testing.T) {
 	_, prompts := fixture(t)
-	f, _ := newFaultyFleet(t, 3, Config{Steal: true}, serve.Config{Workers: 1, CacheSize: -1})
+	f, _ := newFaultyFleet(t, 3, serve.Config{Workers: 1, CacheSize: -1})
 
 	const burst = 18
 	var wg sync.WaitGroup
@@ -86,13 +87,17 @@ func TestStealRebalances(t *testing.T) {
 	}
 }
 
-// TestStealJobContextCancel: a job parked on the steal queue whose
-// client gives up is answered with the context error, exactly once.
+// TestStealJobContextCancel: a job parked on its group's steal queue
+// whose client gives up is answered with the context error, exactly
+// once.
 func TestStealJobContextCancel(t *testing.T) {
 	_, prompts := fixture(t)
-	f, faults := newFaultyFleet(t, 1, Config{Steal: true}, serve.Config{Workers: 1, QueueSize: 8, CacheSize: -1})
-	// Wedge the only replica so nothing drains and jobs pile up.
-	faults[0].on.Store(true)
+	f, faults := newFaultyFleet(t, 2, serve.Config{Workers: 1, QueueSize: 8, CacheSize: -1})
+	// Wedge both replicas of the group so nothing drains and jobs pile
+	// up on the steal queue.
+	for _, w := range faults {
+		w.on.Store(true)
+	}
 
 	var wg sync.WaitGroup
 	outcomes := make([]error, 6)
@@ -115,12 +120,87 @@ func TestStealJobContextCancel(t *testing.T) {
 	}
 	for i, err := range outcomes {
 		if err == nil {
-			t.Errorf("request %d: nil error from a wedged single-replica fleet", i)
+			t.Errorf("request %d: nil error from a wedged fleet", i)
 		} else if !errors.Is(err, context.Canceled) {
 			t.Errorf("request %d: %v, want context.Canceled", i, err)
 		}
 	}
-	faults[0].on.Store(false)
+	for _, w := range faults {
+		w.on.Store(false)
+	}
+}
+
+// TestStealStaysInGroup: stealing never crosses a group. In a fleet of
+// two CodeT5p-sim and two CodeLlama-sim replicas, a burst naming each
+// model is served only by replicas of that model — never answered
+// ErrUnknownModel by a sibling that stole it across models — and every
+// result is byte-identical to a direct decode on the named model.
+func TestStealStaysInGroup(t *testing.T) {
+	m, prompts := fixture(t)
+	engCfg := serve.Config{Workers: 1, CacheSize: -1}
+	f, err := New([]ReplicaSpec{
+		{Name: "t5-a", Model: m, Engine: engCfg},
+		{Name: "llama-a", Model: fixLlama, Engine: engCfg},
+		{Name: "t5-b", Model: m, Engine: engCfg},
+		{Name: "llama-b", Model: fixLlama, Engine: engCfg},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	serves := map[string]*model.Model{"t5-a": m, "t5-b": m, "llama-a": fixLlama, "llama-b": fixLlama}
+
+	const burst = 12
+	type item struct {
+		m    *model.Model
+		req  serve.Request
+		resp *serve.Response
+		err  error
+	}
+	var items []*item
+	for _, tc := range []struct {
+		name string
+		m    *model.Model
+	}{{"codet5p", m}, {"codellama", fixLlama}} {
+		for i := 0; i < burst; i++ {
+			opts := core.Options{Strategy: "ntp", Temperature: 0.6, MaxNewTokens: 48, Seed: int64(i)}
+			items = append(items, &item{m: tc.m, req: serve.Request{Prompt: prompts[4], Model: tc.name, Options: opts}})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, it := range items {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			it.resp, it.err = f.Generate(context.Background(), it.req)
+		}()
+	}
+	wg.Wait()
+	decoders := map[*model.Model]*core.Decoder{m: core.NewDecoder(m), fixLlama: core.NewDecoder(fixLlama)}
+	for i, it := range items {
+		if err := firstErr(it.resp, it.err); err != nil {
+			t.Errorf("item %d (%s): %v", i, it.req.Model, err)
+			continue
+		}
+		if serves[it.resp.Replica] != it.m {
+			t.Errorf("item %d (%s): served by %s", i, it.req.Model, it.resp.Replica)
+		}
+		if direct := decoders[it.m].Generate(it.req.Prompt, it.req.Options); it.resp.Result.Text != direct.Text {
+			t.Errorf("item %d (%s): output diverges from a direct decode on the named model", i, it.req.Model)
+		}
+	}
+	// Both groups rebalanced their burst: stealing ran, inside them.
+	fm := f.Metrics()
+	stolen := map[*model.Model]uint64{}
+	for _, r := range fm.PerReplica {
+		stolen[serves[r.Name]] += r.Stolen
+	}
+	if stolen[m] == 0 || stolen[fixLlama] == 0 {
+		t.Errorf("steals per group: codet5p %d, codellama %d; want both > 0", stolen[m], stolen[fixLlama])
+	}
+	if fm.UnknownModel != 0 {
+		t.Errorf("unknown_model=%d, want 0", fm.UnknownModel)
+	}
 }
 
 // --- a request's own error ---
@@ -141,14 +221,14 @@ func (s *sweepFault) hook(context.Context) error {
 }
 
 // newSweepFleet builds one replica per hook.
-func newSweepFleet(tb testing.TB, cfg Config, faults ...*sweepFault) *Fleet {
+func newSweepFleet(tb testing.TB, faults ...*sweepFault) *Fleet {
 	tb.Helper()
 	m, _ := fixture(tb)
 	specs := make([]ReplicaSpec, len(faults))
 	for i, sf := range faults {
 		specs[i] = ReplicaSpec{Model: m, Engine: serve.Config{Workers: 1, CacheSize: -1, StepFault: sf.hook}}
 	}
-	f, err := New(specs, cfg)
+	f, err := New(specs, Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -246,7 +326,7 @@ func TestFleetRequestErrorNotReplayed(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sf := &sweepFault{failAt: c.failAt}
-			f := newSweepFleet(t, Config{}, sf, sf)
+			f := newSweepFleet(t, sf, sf)
 			err := c.run(t, f)
 			if err == nil {
 				t.Fatalf("err = %v, want the request's own error", err)

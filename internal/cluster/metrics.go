@@ -38,9 +38,6 @@ type Metrics struct {
 	Requests uint64 `json:"requests" prom:"vgend_fleet_requests_total" help:"Fleet submissions before routing."`
 	// UnknownModel counts routing failures.
 	UnknownModel uint64 `json:"unknown_model" prom:"vgend_fleet_unknown_model_total" help:"Requests naming a model no replica serves."`
-	// AffinityPicks/SpillPicks split prefix-affinity routing decisions.
-	AffinityPicks uint64 `json:"affinity_picks" prom:"vgend_fleet_affinity_picks_total" help:"Prefix-affinity picks kept on the affine replica."`
-	SpillPicks    uint64 `json:"spill_picks" prom:"vgend_fleet_spill_picks_total" help:"Prefix-affinity picks spilled to least-loaded."`
 	// Steals counts requests served by a non-routed replica.
 	Steals uint64 `json:"steals" prom:"vgend_fleet_steals_total" help:"Requests served by a non-routed replica (work stealing)."`
 	// Fleet aggregates every replica engine's counters (serve.Aggregate),
@@ -58,9 +55,6 @@ func (f *Fleet) Metrics() Metrics {
 		Requests:     f.requests.Load(),
 		UnknownModel: f.unknownModel.Load(),
 		Steals:       f.steals.Load(),
-	}
-	if p, ok := f.router.(*prefixAffinity); ok {
-		m.AffinityPicks, m.SpillPicks = p.affine.Load(), p.spill.Load()
 	}
 	engines := make([]serve.Metrics, 0, len(f.replicas))
 	for _, r := range f.replicas {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sync/atomic"
 )
 
 // Router picks the replica that serves one request from the candidates
@@ -27,7 +26,7 @@ func NewRouter(name string) (Router, error) {
 	if name != "" && name != routerName {
 		return nil, fmt.Errorf("unknown router %q (want %s)", name, routerName)
 	}
-	return newPrefixAffinity(), nil
+	return prefixAffinity{}, nil
 }
 
 // affinityPrefixLen bounds how much of the prompt feeds the routing
@@ -61,52 +60,17 @@ func routeScore(key, name string) uint64 {
 // score wins. Rendezvous gives the two properties the fleet needs with
 // no ring state: a key maps to the same replica on every request, and
 // adding or removing a replica remaps only the keys that hashed to it.
-// A loaded-affine escape hatch falls back to the least-loaded replica
-// when the affine one is drowning while siblings idle — affinity is a
-// cache optimization, not a correctness rule, and pinning a hot prefix
-// to a wedged replica would turn the optimization into a hotspot.
-type prefixAffinity struct {
-	affine atomic.Uint64 // picks that stayed on the affine replica
-	spill  atomic.Uint64 // picks that fell back to least-loaded
-}
+// The pick never reads load: a hot prefix is rebalanced at service
+// time, by its replica's model group stealing the overflow
+// (dispatch.go), not by routing it away from its warm caches.
+type prefixAffinity struct{}
 
-func newPrefixAffinity() *prefixAffinity { return &prefixAffinity{} }
-
-func (p *prefixAffinity) Pick(key string, candidates []*Replica) *Replica {
+func (prefixAffinity) Pick(key string, candidates []*Replica) *Replica {
 	best := candidates[0]
 	bestScore := routeScore(key, best.name)
 	for _, r := range candidates[1:] {
 		if s := routeScore(key, r.name); s > bestScore {
 			best, bestScore = r, s
-		}
-	}
-	// Spill when the affine replica has a real backlog and some sibling
-	// is at most half as loaded: the handoff cost (cold caches there)
-	// is then smaller than the queueing cost here.
-	if load := best.load(); load > spillMinLoad {
-		least := leastLoaded(candidates)
-		if least != best && 2*least.load() < load {
-			p.spill.Add(1)
-			return least
-		}
-	}
-	p.affine.Add(1)
-	return best
-}
-
-// spillMinLoad is the backlog (queued + inflight) below which the
-// affine replica is always kept: tiny queues drain faster than a cold
-// cache rebuilds.
-const spillMinLoad = 4
-
-// leastLoaded returns the candidate with the smallest backlog, ties
-// broken by fleet order (deterministic).
-func leastLoaded(candidates []*Replica) *Replica {
-	best := candidates[0]
-	bestLoad := best.load()
-	for _, r := range candidates[1:] {
-		if l := r.load(); l < bestLoad {
-			best, bestLoad = r, l
 		}
 	}
 	return best

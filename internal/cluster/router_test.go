@@ -6,8 +6,8 @@ import (
 	"repro/internal/serve"
 )
 
-// Edge-case coverage for router.go: rendezvous determinism and tie
-// behavior, and the spill escape hatch at saturation.
+// Edge-case coverage for router.go: rendezvous determinism, tie
+// behavior, and a pick that load never moves.
 
 // TestRendezvousDeterministicAndOrderIndependent: the rendezvous pick
 // is a pure function of (key, candidate names) — repeated calls agree,
@@ -16,7 +16,7 @@ import (
 func TestRendezvousDeterministicAndOrderIndependent(t *testing.T) {
 	f := newFleet(t, 5, nil, serve.Config{Workers: 1, CacheSize: -1})
 	reps := f.Replicas()
-	router := newPrefixAffinity()
+	router := prefixAffinity{}
 	perms := [][]int{
 		{0, 1, 2, 3, 4},
 		{4, 3, 2, 1, 0},
@@ -54,8 +54,8 @@ func TestRendezvousScoreTies(t *testing.T) {
 	// must win for every key, whichever twin comes first.
 	f := newFleet(t, 2, nil, serve.Config{Workers: 1, CacheSize: -1})
 	r := f.Replicas()[0]
-	twin := &Replica{name: r.Name(), eng: r.Engine()} // Pick reads load via the engine
-	router := newPrefixAffinity()
+	twin := &Replica{name: r.Name()}
+	router := prefixAffinity{}
 	for _, key := range []string{"", "a", "tie-break"} {
 		if got := router.Pick(key, []*Replica{r, twin}); got != r {
 			t.Errorf("key %q: tie broken toward the later candidate", key)
@@ -66,45 +66,20 @@ func TestRendezvousScoreTies(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedSaturationTies: with every replica equally saturated
-// there is no better sibling — leastLoaded keeps fleet order and the
-// affinity router stays affine rather than spilling (2*least < load
-// can never hold when loads are equal).
-func TestLeastLoadedSaturationTies(t *testing.T) {
+// TestAffinityIgnoresLoad: the pick is a function of the key and the
+// candidate names alone. A drowning affine replica keeps its keys —
+// rebalancing is the steal queue's job, at service time — so a prompt
+// family's caches never split under load.
+func TestAffinityIgnoresLoad(t *testing.T) {
 	f := newFleet(t, 4, nil, serve.Config{Workers: 1, CacheSize: -1})
 	reps := f.Replicas()
-	for _, r := range reps {
-		r.inflight.Add(int64(spillMinLoad + 4)) // uniformly saturated, above spillMinLoad
-	}
-	defer func() {
-		for _, r := range reps {
-			r.inflight.Add(-int64(spillMinLoad + 4))
-		}
-	}()
-	if got := leastLoaded(reps); got != reps[0] {
-		t.Errorf("uniform saturation: leastLoaded picked %s, want fleet-order first %s", got.Name(), reps[0].Name())
-	}
-	router := newPrefixAffinity()
+	router := prefixAffinity{}
 	for _, key := range []string{"a", "b", "c", "d", "e", "f"} {
-		affineWant := router.Pick(key, reps)
-		_ = affineWant
-	}
-	if spills := router.spill.Load(); spills != 0 {
-		t.Errorf("uniformly saturated fleet spilled %d picks — spill must need an idle sibling", spills)
-	}
-
-	// And the spill fires exactly when it should: affine drowning,
-	// sibling near-idle.
-	spillRouter := newPrefixAffinity()
-	key := "spill-me"
-	affine := spillRouter.Pick(key, reps) // all equal: stays affine
-	affine.inflight.Add(64)
-	defer affine.inflight.Add(-64)
-	least := leastLoaded(reps)
-	if got := spillRouter.Pick(key, reps); got != least {
-		t.Errorf("drowning affine replica not spilled (got %s, want %s)", got.Name(), least.Name())
-	}
-	if spills := spillRouter.spill.Load(); spills != 1 {
-		t.Errorf("spill counter = %d, want 1", spills)
+		affine := router.Pick(key, reps)
+		affine.inflight.Add(64)
+		if got := router.Pick(key, reps); got != affine {
+			t.Errorf("key %q: drowning affine replica %s lost its key to %s", key, affine.Name(), got.Name())
+		}
+		affine.inflight.Add(-64)
 	}
 }

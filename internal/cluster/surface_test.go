@@ -172,8 +172,10 @@ func currentSurface(t *testing.T) []string {
 // fleet's model-swap counter, the session page-lease keys and families,
 // the hedge, failover and circuit-breaker counters, keys and families,
 // the admission chain's, autoscaler's and replica drain's keys
-// (shed_by_* map leaves included), families and phase, and the
-// engine's preemption and single-flight keys and families.
+// (shed_by_* map leaves included), families and phase, the engine's
+// preemption and single-flight keys and families, and the router's
+// affinity/spill pick keys and families (the pick is pure rendezvous;
+// only work stealing rebalances).
 var retiredSurfacePrefixes = []string{
 	"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total",
 	"prefix_pinned_", "prefix_leases", "vgend_prefix_pinned_", "vgend_prefix_leases_total", "vgend_replica_prefix_pinned_pages",
@@ -186,6 +188,7 @@ var retiredSurfacePrefixes = []string{
 	"vgend_sched_parked", "vgend_sched_preemptions_total", "vgend_sched_resumes_total",
 	"vgend_replica_sched_preemptions_total", "vgend_dedup_hits_total", "vgend_strategy_dedup_hits_total",
 	"vgend_inflight",
+	"affinity_picks", "spill_picks", "vgend_fleet_affinity_picks_total", "vgend_fleet_spill_picks_total",
 }
 
 // retiredSurfacePaths lists retired JSON keys by full path, for a leaf
