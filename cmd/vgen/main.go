@@ -5,8 +5,9 @@
 // Usage: vgen [-scheme ours|medusa|ntp] [-strategy NAME] [-tree-budget N]
 // [-items N] [-temp T] "prompt"
 //
-// -strategy overrides the scheme's natural decoding mode with any
-// registered strategy (vgen -list-strategies prints them all); e.g.
+// Without -strategy the model decodes with the method it was trained
+// for (its scheme); -strategy overrides that with any registered
+// strategy (vgen -list-strategies prints them all); e.g.
 // "-scheme ntp -strategy prompt-lookup" accelerates the plain NTP
 // backbone with self-speculative drafting, and "-strategy medusa-tree"
 // drafts a branching candidate tree per step (-tree-budget caps its
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	schemeName := flag.String("scheme", "ours", "training scheme: ours, medusa or ntp")
-	strategy := flag.String("strategy", "", "decoding strategy by registry name (default: the one named like -scheme; see -list-strategies)")
+	strategy := flag.String("strategy", "", "decoding strategy by registry name (empty: the serving model's own method; see -list-strategies)")
 	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget per step for tree strategies (0 = default)")
 	items := flag.Int("items", 3400, "corpus items")
 	temp := flag.Float64("temp", 0, "sampling temperature (0 = greedy)")
@@ -43,6 +44,12 @@ func main() {
 		os.Exit(2)
 	}
 	prompt := strings.Join(flag.Args(), " ")
+	if *strategy != "" {
+		if _, err := core.ResolveStrategy(*strategy); err != nil {
+			fmt.Fprintf(os.Stderr, "%v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	var scheme model.Scheme
 	switch *schemeName {
@@ -69,13 +76,6 @@ func main() {
 	tk := tokenizer.Train(corpus, cfg.VocabSize)
 	m := model.Train(tk, cfg, scheme, examples)
 
-	if *strategy == "" {
-		*strategy = *schemeName
-	}
-	if _, err := core.ResolveStrategy(*strategy); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
-	}
 	dec := core.NewDecoder(m)
 	res := dec.Generate(prompt, core.Options{
 		Strategy:    *strategy,

@@ -296,7 +296,7 @@ func main() {
 	addr := flag.String("addr", "http://localhost:8080", "vgend base URL")
 	n := flag.Int("n", 2, "repeats of the whole prompt list (fresh seeds per repeat)")
 	c := flag.Int("c", 4, "concurrent in-flight requests")
-	strategy := flag.String("strategy", "", "decoding strategy to request (empty: server default)")
+	strategy := flag.String("strategy", "", "decoding strategy to request (empty: the serving model's own method)")
 	modelName := flag.String("model", "", "backbone to request in fleet mode")
 	treeBudget := flag.Int("tree-budget", 0, "draft-tree node budget to request (0: server default)")
 	maxRetries := flag.Int("max-retries", 5, "resubmissions per request after shed responses")

@@ -9,11 +9,12 @@
 //	POST /v1/generate  — {"prompt": "..."} or {"prompts": [...]};
 //	                     {"strategy": "ntp"|"medusa"|"ours"|
 //	                     "prompt-lookup"} routes the request to any
-//	                     registered decoding strategy ("mode" is an
-//	                     alias of the field; default "ours");
-//	                     {"model": "codellama"} targets one backbone in
-//	                     fleet mode; {"stream": true} switches to
-//	                     NDJSON streaming (single prompt).
+//	                     registered decoding strategy (default: the
+//	                     serving model's own method); {"model":
+//	                     "codellama"} targets one backbone in fleet
+//	                     mode; {"stream": true} switches to NDJSON
+//	                     streaming (single prompt). An unknown field is
+//	                     a 400.
 //	GET  /healthz      — liveness plus model/pool (or fleet) identity.
 //	GET  /metrics      — engine counters (fleet mode adds per-replica
 //	                     detail, routing and steal counters). JSON by
@@ -31,15 +32,16 @@
 // flight recorder, so a slow or failed request is debuggable from
 // /debug/requests?id=<X-Request-ID> alone.
 //
-// -models names what the daemon serves as replica specs
-// model[:scheme[:default-strategy]] (default codellama:ours; a spec
-// without a scheme means ours). Fleet mode starts when -replicas > 1,
-// or -models lists more than one spec or one with a default strategy;
-// otherwise the daemon runs the exact single-engine path of previous
-// releases. The replicas are built at startup and never change, e.g.
+// -models names what the daemon serves as replica specs model[:scheme]
+// (default codellama:ours; a spec without a scheme means ours). A
+// request that names no strategy decodes with its replica's scheme:
+// ntp, medusa or ours. Fleet mode starts when -replicas > 1 or -models
+// lists more than one spec; otherwise the daemon runs the exact
+// single-engine path of previous releases. The replicas are built at
+// startup and never change, e.g.
 //
 //	vgend -replicas 4
-//	vgend -models codellama,codet5p:ntp:prompt-lookup
+//	vgend -models codellama,codet5p:ntp
 //
 // Requests are routed per prefix-affinity consistent hashing, so
 // shared-prefix traffic concentrates where its caches are warm; a
@@ -47,11 +49,10 @@
 // with a Retry-After header.
 //
 // Each request gets exactly one attempt, on the replica the router (or
-// a stealer) picked. Replicas with the same model, scheme and default
-// strategy form a group: they decode with one immutable model, and an
-// idle member steals queued overflow from a backlogged sibling,
-// observable via /metrics (vgend_fleet_steals_total,
-// vgend_replica_stolen_total). A request never leaves its group, so a
+// a stealer) picked. Replicas with the same model and scheme form a
+// group: they decode with one immutable model, and an idle member
+// steals queued overflow from a backlogged sibling, observable via
+// /metrics (vgend_fleet_steals_total, vgend_replica_stolen_total). A request never leaves its group, so a
 // steal decodes the bytes routing chose, and a request that fails
 // would fail the same way on a sibling; its error comes back as itself.
 //
@@ -101,7 +102,7 @@ import (
 
 // replicaSpec is one parsed -models entry.
 type replicaSpec struct {
-	model, scheme, strategy string
+	model, scheme string
 }
 
 func parseModelConfig(name string) (model.Config, error) {
@@ -126,8 +127,8 @@ func parseScheme(name string) (model.Scheme, error) {
 	return 0, fmt.Errorf("unknown scheme %q (want ours, medusa or ntp)", name)
 }
 
-// parseModels splits -models ("codellama,codet5p:ntp:prompt-lookup")
-// into replica specs; an omitted scheme is ours.
+// parseModels splits -models ("codellama,codet5p:ntp") into replica
+// specs; an omitted scheme is ours.
 func parseModels(s string) ([]replicaSpec, error) {
 	var specs []replicaSpec
 	for _, entry := range strings.Split(s, ",") {
@@ -136,11 +137,8 @@ func parseModels(s string) ([]replicaSpec, error) {
 		if len(parts) > 1 && parts[1] != "" {
 			spec.scheme = parts[1]
 		}
-		if len(parts) > 2 && parts[2] != "" {
-			spec.strategy = parts[2]
-		}
-		if len(parts) > 3 {
-			return nil, fmt.Errorf("bad replica spec %q (want model[:scheme[:strategy]])", entry)
+		if len(parts) > 2 {
+			return nil, fmt.Errorf("bad replica spec %q (want model[:scheme])", entry)
 		}
 		specs = append(specs, spec)
 	}
@@ -184,7 +182,7 @@ func main() {
 	cache := flag.Int("cache", 512, "LRU cache entries per replica (negative disables)")
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
-	modelsFlag := flag.String("models", "codellama:ours", "replica specs model[:scheme[:strategy]], comma-separated; model codellama or codet5p, scheme ours (default), medusa or ntp")
+	modelsFlag := flag.String("models", "codellama:ours", "replica specs model[:scheme], comma-separated; model codellama or codet5p, scheme ours (default), medusa or ntp")
 	traceOn := flag.Bool("trace", true, "per-request tracing: flight recorder behind /debug/requests and /debug/trace, vgend_phase_seconds_total in /metrics")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logMode := flag.String("log", "text", "structured logging: text, json or off")
@@ -224,14 +222,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if spec.strategy != "" {
-			if _, err := core.ResolveStrategy(spec.strategy); err != nil {
-				fail(err)
-			}
-		}
 		resolved[i] = resolvedSpec{replicaSpec: spec, cfg: cfg, sch: scheme}
 	}
-	fleetMode := *replicas > 1 || len(specs) > 1 || specs[0].strategy != ""
+	fleetMode := *replicas > 1 || len(specs) > 1
 	n := *replicas
 	if n < len(specs) {
 		n = len(specs)
@@ -287,10 +280,9 @@ func main() {
 		for i := range replicaSpecs {
 			spec := resolved[i%len(resolved)]
 			replicaSpecs[i] = cluster.ReplicaSpec{
-				Name:            fmt.Sprintf("r%d:%s/%s", i, spec.model, spec.scheme),
-				Model:           trained[spec.model+"/"+spec.sch.String()],
-				Engine:          engCfg,
-				DefaultStrategy: spec.strategy,
+				Name:   fmt.Sprintf("r%d:%s/%s", i, spec.model, spec.scheme),
+				Model:  trained[spec.model+"/"+spec.sch.String()],
+				Engine: engCfg,
 			}
 		}
 		fleet, err := cluster.New(replicaSpecs, cluster.Config{})

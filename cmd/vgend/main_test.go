@@ -33,7 +33,10 @@ const vgendTestArgs = "VGEND_TEST_ARGS"
 // -prefix-cache-bytes (a decode keeps its slot until it finishes; the
 // trie budget is a constant), -steal (work stealing inside a model
 // group is always on), and -model/-scheme (-models names both). Each
-// exits 2 as an undefined flag before training starts.
+// exits 2 as an undefined flag before training starts. So does a
+// -models spec that still carries the retired third component, a
+// per-replica default strategy (a replica decodes a request naming no
+// strategy with its model's own method).
 func TestRetiredFlagsRefused(t *testing.T) {
 	for _, args := range []string{
 		"-prefix-cache trie",
@@ -53,6 +56,7 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		"-steal",
 		"-model x",
 		"-scheme y",
+		"-models codellama:ours:prompt-lookup",
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), vgendTestArgs+"="+args)
@@ -62,7 +66,11 @@ func TestRetiredFlagsRefused(t *testing.T) {
 			t.Errorf("vgend %s: err=%v, want exit status 2\n%s", args, err, out)
 			continue
 		}
-		if want := "flag provided but not defined: " + strings.Fields(args)[0]; !strings.Contains(string(out), want) {
+		want := "flag provided but not defined: " + strings.Fields(args)[0]
+		if strings.HasPrefix(args, "-models") {
+			want = "bad replica spec"
+		}
+		if !strings.Contains(string(out), want) {
 			t.Errorf("vgend %s: output lacks %q:\n%s", args, want, out)
 		}
 		if strings.Contains(string(out), "building corpus") {

@@ -1,7 +1,8 @@
 // Package cluster is the serving fleet above internal/serve: N
 // replicas — each its own serve.Engine wrapping its own model instance
-// (possibly different backbones, training schemes or default decoding
-// strategies) — behind one front door.
+// (possibly different backbones or training schemes) — behind one
+// front door. A request that names no strategy decodes with the
+// serving replica's model's own method.
 //
 // The member set is fixed when New builds it: no replica joins, leaves
 // or drains while the fleet runs. Three concerns live here and nowhere
@@ -39,7 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/trace"
@@ -56,11 +56,6 @@ type ReplicaSpec struct {
 	Model *model.Model
 	// Engine sizes the replica's serve.Engine.
 	Engine serve.Config
-	// DefaultStrategy, when set, replaces the wire default ("ours") for
-	// requests that named neither a mode nor a strategy (see
-	// serve.Request.NoExplicitStrategy). It is the only consumer of
-	// that flag. Explicit choices always win.
-	DefaultStrategy string
 }
 
 // Config assembles a Fleet.
@@ -73,15 +68,14 @@ type Config struct {
 // Replica is one running fleet member. Its engine, model and scheme
 // are fixed when it is built.
 type Replica struct {
-	name            string
-	defaultStrategy string
-	modelName       string
-	scheme          string
+	name      string
+	modelName string
+	scheme    string
 
 	eng *serve.Engine
 	// stealq is the steal queue of the replica's group: the replicas
-	// sharing its *model.Model and DefaultStrategy, which decode any
-	// request to the same bytes. nil for a group of one.
+	// sharing its *model.Model, which decode any request to the same
+	// bytes. nil for a group of one.
 	stealq chan *stealJob
 
 	routed   atomic.Uint64 // requests routed here
@@ -139,35 +133,24 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 		if spec.Model == nil {
 			return nil, fmt.Errorf("cluster: replica %d has no model", i)
 		}
-		if spec.DefaultStrategy != "" {
-			if _, err := core.ResolveStrategy(spec.DefaultStrategy); err != nil {
-				return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
-			}
-		}
 	}
-	type groupKey struct {
-		m        *model.Model
-		strategy string
-	}
-	groups := map[groupKey][]*Replica{}
+	groups := map[*model.Model][]*Replica{}
 	for i, spec := range specs {
 		name := spec.Name
 		if name == "" {
 			name = fmt.Sprintf("r%d:%s/%s", i, spec.Model.Config().Name, spec.Model.Scheme().String())
 		}
 		r := &Replica{
-			name:            name,
-			modelName:       spec.Model.Config().Name,
-			scheme:          spec.Model.Scheme().String(),
-			defaultStrategy: spec.DefaultStrategy,
-			eng:             serve.NewEngine(spec.Model, spec.Engine),
+			name:      name,
+			modelName: spec.Model.Config().Name,
+			scheme:    spec.Model.Scheme().String(),
+			eng:       serve.NewEngine(spec.Model, spec.Engine),
 		}
 		f.replicas = append(f.replicas, r)
 		for _, key := range serve.ModelKeys(r.modelName) {
 			f.byModel[key] = append(f.byModel[key], r)
 		}
-		k := groupKey{spec.Model, spec.DefaultStrategy}
-		groups[k] = append(groups[k], r)
+		groups[spec.Model] = append(groups[spec.Model], r)
 	}
 	for _, members := range groups {
 		if len(members) < 2 {
@@ -234,16 +217,6 @@ func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) 
 	sp.End()
 	r.routed.Add(1)
 	return r, nil
-}
-
-// withDefaultStrategy applies the serving replica's default-strategy
-// substitution. A stealer shares the routed replica's default, so
-// applying it at send time gives the bytes routing chose.
-func withDefaultStrategy(req serve.Request, r *Replica) serve.Request {
-	if r.defaultStrategy != "" && req.NoExplicitStrategy {
-		req.Options.Strategy = r.defaultStrategy
-	}
-	return req
 }
 
 // tag stamps the serving replica's name on resp. Every engine Response

@@ -21,6 +21,7 @@ var (
 	fixOnce    sync.Once
 	fixModel   *model.Model // CodeT5p-sim / Ours
 	fixNTP     *model.Model // CodeT5p-sim / NTP
+	fixMedusa  *model.Model // CodeT5p-sim / Medusa
 	fixLlama   *model.Model // CodeLlama-sim / NTP (second backbone for model routing)
 	fixPrompts []string
 )
@@ -37,6 +38,7 @@ func fixture(tb testing.TB) (*model.Model, []string) {
 		tk := tokenizer.Train(texts, cfg.VocabSize)
 		fixModel = model.Train(tk, cfg, model.SchemeOurs, examples)
 		fixNTP = model.Train(tk, cfg, model.SchemeNTP, examples)
+		fixMedusa = model.Train(tk, cfg, model.SchemeMedusa, examples)
 		llamaCfg := model.CodeLlamaSim()
 		fixLlama = model.Train(tokenizer.Train(texts, llamaCfg.VocabSize), llamaCfg, model.SchemeNTP, examples)
 		for _, ex := range examples[:24] {
@@ -241,42 +243,92 @@ func TestModelRouting(t *testing.T) {
 	}
 }
 
-// TestReplicaDefaultStrategy: a replica configured with its own
-// default strategy substitutes it for requests that named nothing, and
-// never overrides an explicit choice.
+// TestReplicaDefaultStrategy: a replica's default strategy is its
+// model's own method. In a fleet of two Ours and two Medusa replicas, a
+// burst of strategy-less requests routed to each group is answered
+// with that group's method — Ours by the Ours replicas, Medusa by the
+// Medusa ones — and byte-identical to a direct decode on the routed
+// model: a steal stays inside the group, so the thief's model and
+// method are the routed replica's. An explicit strategy is never
+// overridden.
 func TestReplicaDefaultStrategy(t *testing.T) {
-	_, prompts := fixture(t)
+	m, prompts := fixture(t)
+	engCfg := serve.Config{Workers: 1, CacheSize: -1}
 	f, err := New([]ReplicaSpec{
-		{Model: fixNTP, Engine: serve.Config{Workers: 1, CacheSize: -1}, DefaultStrategy: "prompt-lookup"},
+		{Name: "ours-a", Model: m, Engine: engCfg},
+		{Name: "medusa-a", Model: fixMedusa, Engine: engCfg},
+		{Name: "ours-b", Model: m, Engine: engCfg},
+		{Name: "medusa-b", Model: fixMedusa, Engine: engCfg},
 	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	serves := map[string]*model.Model{"ours-a": m, "ours-b": m, "medusa-a": fixMedusa, "medusa-b": fixMedusa}
+	own := map[*model.Model]string{m: "Ours", fixMedusa: "Medusa"}
 
-	// No explicit choice: the replica default applies.
-	resp, err := f.Generate(context.Background(), serve.Request{
-		Prompt: prompts[0], Options: core.Options{Strategy: "ours", MaxNewTokens: 32}, NoExplicitStrategy: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// One prompt whose routed replica is in each group.
+	hot := map[*model.Model]string{}
+	for _, p := range prompts {
+		if g := serves[f.router.Pick(affinityKey(p), f.replicas).name]; hot[g] == "" {
+			hot[g] = p
+		}
 	}
-	if resp.Strategy != "PromptLookup" {
-		t.Errorf("defaulted request decoded with %q, want PromptLookup", resp.Strategy)
+	if len(hot) != 2 {
+		t.Fatalf("no fixture prompt routes to each group: %v", hot)
 	}
+	const burst = 12
+	type item struct {
+		m    *model.Model
+		req  serve.Request
+		resp *serve.Response
+		err  error
+	}
+	var items []*item
+	for g, p := range hot {
+		for i := 0; i < burst; i++ {
+			opts := core.Options{Temperature: 0.6, MaxNewTokens: 48, Seed: int64(i)}
+			items = append(items, &item{m: g, req: serve.Request{Prompt: p, Options: opts}})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, it := range items {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			it.resp, it.err = f.Generate(context.Background(), it.req)
+		}()
+	}
+	wg.Wait()
+	decoders := map[*model.Model]*core.Decoder{m: core.NewDecoder(m), fixMedusa: core.NewDecoder(fixMedusa)}
+	for i, it := range items {
+		if err := firstErr(it.resp, it.err); err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+		if serves[it.resp.Replica] != it.m || it.resp.Strategy != own[it.m] {
+			t.Errorf("item %d for the %s group: served by %s with %s", i, own[it.m], it.resp.Replica, it.resp.Strategy)
+		}
+		if direct := decoders[it.m].Generate(it.req.Prompt, it.req.Options); it.resp.Result.Text != direct.Text {
+			t.Errorf("item %d: output diverges from a direct decode on the routed model", i)
+		}
+	}
+	stolen := map[*model.Model]uint64{}
+	for _, r := range f.Metrics().PerReplica {
+		stolen[serves[r.Name]] += r.Stolen
+	}
+	if stolen[m] == 0 || stolen[fixMedusa] == 0 {
+		t.Errorf("steals per group: ours %d, medusa %d; want both > 0", stolen[m], stolen[fixMedusa])
+	}
+
 	// Explicit choice: untouched.
-	resp, err = f.Generate(context.Background(), serve.Request{
-		Prompt: prompts[0], Options: core.Options{Strategy: "ntp", MaxNewTokens: 32},
+	resp, err := f.Generate(context.Background(), serve.Request{
+		Prompt: hot[fixMedusa], Options: core.Options{Strategy: "ntp", MaxNewTokens: 32},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Strategy != "NTP" {
 		t.Errorf("explicit request decoded with %q, want NTP", resp.Strategy)
-	}
-	// An unknown default is a construction error, not a decode-time one.
-	if _, err := New([]ReplicaSpec{{Model: fixNTP, DefaultStrategy: "warp"}}, Config{}); err == nil {
-		t.Error("unknown DefaultStrategy accepted at construction")
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 func postGen(t *testing.T, url, id, prompt string, seed int64) (map[string]any, *http.Response) {
 	t.Helper()
 	body, _ := json.Marshal(map[string]any{
-		"prompt": prompt, "mode": "ours", "temperature": 0.6,
+		"prompt": prompt, "strategy": "ours", "temperature": 0.6,
 		"max_new_tokens": 48, "seed": seed,
 	})
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/generate", bytes.NewReader(body))

@@ -71,16 +71,15 @@ func (f *Fleet) sendTraced(ctx context.Context, req serve.Request, r *Replica, w
 	return resp, err
 }
 
-// send submits req to one replica's engine with its default-strategy
-// substitution applied.
+// send submits req to one replica's engine.
 func (f *Fleet) send(ctx context.Context, req serve.Request, r *Replica, wait bool) (*serve.Response, error) {
 	r.serving.Add(1)
 	defer r.serving.Add(-1)
 	eng := r.Engine()
 	if wait {
-		return eng.Generate(ctx, withDefaultStrategy(req, r))
+		return eng.Generate(ctx, req)
 	}
-	return eng.TryGenerate(ctx, withDefaultStrategy(req, r))
+	return eng.TryGenerate(ctx, req)
 }
 
 // firstErr collapses the two error channels of an engine call: the

@@ -15,9 +15,6 @@ type ReplicaMetrics struct {
 	Name   string `json:"name"`
 	Model  string `json:"model"`
 	Scheme string `json:"scheme"`
-	// DefaultStrategy is the replica's substitution for requests that
-	// named no strategy (empty = fleet default).
-	DefaultStrategy string `json:"default_strategy,omitempty"`
 	// Routed counts requests the router sent here; Inflight is how many
 	// of them are not yet answered; Stolen counts requests served here
 	// that were routed elsewhere (work stealing).
@@ -61,14 +58,13 @@ func (f *Fleet) Metrics() Metrics {
 		em := r.Engine().Metrics()
 		engines = append(engines, em)
 		m.PerReplica = append(m.PerReplica, ReplicaMetrics{
-			Name:            r.name,
-			Model:           r.modelName,
-			Scheme:          r.scheme,
-			DefaultStrategy: r.defaultStrategy,
-			Routed:          r.routed.Load(),
-			Inflight:        r.inflight.Load(),
-			Stolen:          r.stolen.Load(),
-			Engine:          em,
+			Name:     r.name,
+			Model:    r.modelName,
+			Scheme:   r.scheme,
+			Routed:   r.routed.Load(),
+			Inflight: r.inflight.Load(),
+			Stolen:   r.stolen.Load(),
+			Engine:   em,
 		})
 	}
 	m.Fleet = serve.Aggregate(engines)

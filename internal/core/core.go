@@ -35,7 +35,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -49,10 +48,10 @@ import (
 )
 
 // ResolveStrategy resolves a strategy name ("ntp", "medusa", "ours",
-// "prompt-lookup" or an alias — see spec.Named) to its pairing. The
-// paper's "without integrity" ablation is a name too: "medusa" is
-// "ours" without the [FRAG] integrity check, decoded on whichever
-// model the caller trained.
+// "prompt-lookup", ... or a display name — see spec.Named) to its
+// pairing. The paper's "without integrity" ablation is a name too:
+// "medusa" is "ours" without the [FRAG] integrity check, decoded on
+// whichever model the caller trained.
 func ResolveStrategy(name string) (spec.Strategy, error) {
 	s, ok := spec.Named(name)
 	if !ok {
@@ -67,12 +66,11 @@ func ResolveStrategy(name string) (spec.Strategy, error) {
 // ResolveStrategy accepts.
 func StrategyListing() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %-14s %-13s %-18s %-5s %-6s %s\n",
-		"name", "display", "drafter", "verifier", "tree", "heads", "aliases")
+	fmt.Fprintf(&b, "%-14s %-14s %-13s %-18s %-5s %s\n",
+		"name", "display", "drafter", "verifier", "tree", "heads")
 	for _, in := range spec.Registered() {
-		fmt.Fprintf(&b, "%-14s %-14s %-13s %-18s %-5v %-6v %s\n",
-			in.Canonical, in.Display, in.Drafter, in.Verifier, in.Tree, in.NeedsHeads,
-			strings.Join(in.Aliases, ", "))
+		fmt.Fprintf(&b, "%-14s %-14s %-13s %-18s %-5v %v\n",
+			in.Canonical, in.Display, in.Drafter, in.Verifier, in.Tree, in.NeedsHeads)
 	}
 	return b.String()
 }
@@ -80,7 +78,8 @@ func StrategyListing() string {
 // Options controls one decode call. Zero values select defaults.
 type Options struct {
 	// Strategy selects the decoding strategy by name ("ntp", "medusa",
-	// "ours", "prompt-lookup"; see spec.Named). Empty selects "ntp".
+	// "ours", "prompt-lookup"; see spec.Named). Empty selects the
+	// model's own method (see ForModel).
 	Strategy string
 	// Temperature 0 decodes greedily; >0 samples the base token.
 	Temperature float64
@@ -106,13 +105,35 @@ type Options struct {
 	Seed int64
 }
 
-// withDefaults fills every unset knob the decoder defaults, the token
-// budget from the model's MaxTokens.
+// withDefaults fills every unset knob the decoder defaults, the
+// strategy and the token budget from the model.
 func (o Options) withDefaults(m *model.Model) Options {
+	o = o.ForModel(m)
 	if o.MaxNewTokens == 0 {
 		o.MaxNewTokens = m.Config().MaxTokens
 	}
 	return o.knobDefaults()
+}
+
+// ForModel resolves an empty Strategy to the method m was trained for,
+// as the paper's Table II pairs them: an NTP model decodes with "ntp",
+// a Medusa model with "medusa", an Ours model (mask ablation included)
+// with "ours". A named strategy is kept as it is. This is the one place
+// a default strategy is stated; the decoder and the serving engine's
+// cache key both apply it.
+func (o Options) ForModel(m *model.Model) Options {
+	if o.Strategy != "" {
+		return o
+	}
+	switch m.Scheme() {
+	case model.SchemeMedusa:
+		o.Strategy = "medusa"
+	case model.SchemeOurs, model.SchemeOursNoMask:
+		o.Strategy = "ours"
+	default:
+		o.Strategy = "ntp"
+	}
+	return o
 }
 
 // knobDefaults fills the model-independent defaults. Each is stated
@@ -133,32 +154,30 @@ func (o Options) knobDefaults() Options {
 	return o
 }
 
-// strategyName is the name the options select: Strategy, or "ntp" when
-// it is empty.
-func (o Options) strategyName() string { return cmp.Or(o.Strategy, "ntp") }
-
 // StrategyLabel returns the canonical display name of the strategy
 // these options select ("NTP", "Medusa", "Ours", "PromptLookup") —
 // the key serving metrics and benchmark tables group by. An unknown
-// Strategy name is returned verbatim so the error stays visible.
+// (or empty) Strategy name is returned verbatim so the error stays
+// visible.
 func (o Options) StrategyLabel() string {
-	if s, ok := spec.Named(o.strategyName()); ok {
+	if s, ok := spec.Named(o.Strategy); ok {
 		return s.Name
 	}
 	return o.Strategy
 }
 
 // Canonical rewrites the options so equivalent decodes compare equal:
-// the strategy is expressed by its canonical display name (aliases and
-// the empty spelling of "ntp" collapse onto it), unset knobs take the
+// the strategy is expressed by its canonical display name (both of its
+// spellings, in any case, collapse onto it), unset knobs take the
 // defaults the decoder would apply, and a knob the strategy ignores —
 // TreeBudget without a tree drafter — is zeroed. Decoding behaviour is
 // unchanged — the serving layer canonicalizes before using Options as
-// a cache key so "pl", "prompt-lookup" and "PromptLookup" (or top_k 3
-// and no top_k) share one entry. Unknown strategy names pass through
-// untouched and fail at decode time as before.
+// a cache key so "prompt-lookup" and "PromptLookup" (or top_k 3 and no
+// top_k) share one entry. An empty strategy names no model's method
+// yet (resolve it with ForModel first); it and unknown names pass
+// through untouched, and an unknown one fails at decode time.
 func (o Options) Canonical() Options {
-	s, ok := spec.Named(o.strategyName())
+	s, ok := spec.Named(o.Strategy)
 	if !ok {
 		return o
 	}

@@ -444,14 +444,14 @@ func TestPromptLookupGreedyLossless(t *testing.T) {
 func TestStrategySpellingsDecodeIdentically(t *testing.T) {
 	// The paper's three methods decode the same bytes however their
 	// strategy is spelled: canonical name, display name (what a scheme
-	// prints as) and, for ntp, the empty default.
+	// prints as) and, on the model trained for it, the empty default.
 	for _, c := range []struct {
 		scheme    model.Scheme
 		spellings []string
 	}{
 		{model.SchemeNTP, []string{"ntp", "NTP", ""}},
-		{model.SchemeMedusa, []string{"medusa", "Medusa"}},
-		{model.SchemeOurs, []string{"ours", "Ours"}},
+		{model.SchemeMedusa, []string{"medusa", "Medusa", ""}},
+		{model.SchemeOurs, []string{"ours", "Ours", ""}},
 	} {
 		m := trained(t, c.scheme)
 		d := NewDecoder(m)
@@ -487,7 +487,8 @@ func TestUnknownStrategyErrors(t *testing.T) {
 	if got := (Options{Strategy: "prompt-lookup"}).StrategyLabel(); got != "PromptLookup" {
 		t.Fatalf("StrategyLabel = %q", got)
 	}
-	if got := (Options{}).StrategyLabel(); got != "NTP" {
+	// An empty strategy names no method until a model resolves it.
+	if got := (Options{}).StrategyLabel(); got != "" {
 		t.Fatalf("empty StrategyLabel = %q", got)
 	}
 }
@@ -495,9 +496,9 @@ func TestUnknownStrategyErrors(t *testing.T) {
 func TestOptionsCanonical(t *testing.T) {
 	// Every spelling of one strategy collapses onto one value…
 	spellings := []Options{
-		{Strategy: "pl", Seed: 3},
 		{Strategy: "prompt-lookup", Seed: 3},
 		{Strategy: "PromptLookup", Seed: 3},
+		{Strategy: "PROMPT-LOOKUP", Seed: 3},
 	}
 	want := spellings[0].Canonical()
 	for i, o := range spellings {
@@ -505,9 +506,21 @@ func TestOptionsCanonical(t *testing.T) {
 			t.Errorf("spelling %d canonicalized to %+v, want %+v", i, got, want)
 		}
 	}
-	// …and the empty spelling collapses onto ntp.
-	if (Options{}).Canonical() != (Options{Strategy: "ntp"}).Canonical() {
-		t.Error("empty and named spellings of NTP diverge")
+	// …and the empty spelling resolves to the model's own method: the
+	// one it was trained for, the mask ablation decoding as Ours.
+	for scheme, own := range map[model.Scheme]string{
+		model.SchemeNTP:        "NTP",
+		model.SchemeMedusa:     "Medusa",
+		model.SchemeOurs:       "Ours",
+		model.SchemeOursNoMask: "Ours",
+	} {
+		m := model.New(tokenizer.Train(corpusText(), 300), smallCfg(), scheme)
+		if got := (Options{}).ForModel(m).Canonical().Strategy; got != own {
+			t.Errorf("%v model: empty strategy resolves to %q, want %q", scheme, got, own)
+		}
+		if got := (Options{Strategy: "prompt-lookup"}).ForModel(m).Strategy; got != "prompt-lookup" {
+			t.Errorf("%v model: named strategy rewritten to %q", scheme, got)
+		}
 	}
 	// Spelled-out defaults and knobs the strategy ignores fold onto the
 	// unset spelling; knobs that change the decode do not.
@@ -535,6 +548,10 @@ func TestOptionsCanonical(t *testing.T) {
 	b := d.Generate(trainExamples[0].Prompt, opts.Canonical())
 	if a.Text != b.Text || a.Steps != b.Steps {
 		t.Error("canonical options decode differently")
+	}
+	opts.Strategy = ""
+	if c := d.Generate(trainExamples[0].Prompt, opts); c.Text != a.Text || c.Steps != a.Steps {
+		t.Error("the empty strategy decodes differently from the model's own")
 	}
 	// Unknown names pass through for decode-time failure.
 	if got := (Options{Strategy: "warp"}).Canonical().Strategy; got != "warp" {

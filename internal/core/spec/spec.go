@@ -167,9 +167,9 @@ func IsTree(d Drafter) bool {
 }
 
 // registry is the single source of truth for named strategies: one
-// row per strategy with its canonical lookup name and any aliases. The
-// display name (Strategy.Name) is accepted automatically, since
-// lookups lowercase their input.
+// row per strategy with its canonical lookup name. A strategy answers
+// to exactly two spellings, in any case: that name and its display name
+// (Strategy.Name).
 //
 // ntp is conventional next-token decoding: no drafts, one token per
 // forward pass. medusa is vanilla Medusa: trained heads draft, typical
@@ -190,44 +190,40 @@ func IsTree(d Drafter) bool {
 // rows stay byte-identical to NTP at temperature 0.
 var registry = []struct {
 	canonical string
-	aliases   []string
 	strategy  Strategy
 }{
-	{"ntp", nil, Strategy{"NTP", NoDraft{}, AcceptNone{}}},
-	{"medusa", nil, Strategy{"Medusa", MedusaHeads{}, TypicalAcceptance{}}},
-	{"ours", nil, Strategy{"Ours", MedusaHeads{}, Integrity{TypicalAcceptance{}}}},
-	{"prompt-lookup", []string{"promptlookup", "pl"}, Strategy{"PromptLookup", PromptLookup{}, GreedyExact{}}},
-	{"medusa-tree", []string{"medusatree", "mt"}, Strategy{"MedusaTree", medusaTree, TypicalAcceptance{}}},
-	{"lookup-tree", []string{"lookuptree", "lt"}, Strategy{"LookupTree", lookupTree, GreedyExact{}}},
-	{"ours-tree", []string{"ourstree", "tree"}, Strategy{"OursTree", hybridTree, Integrity{TypicalAcceptance{}}}},
-	{"grammar-tree", []string{"grammartree", "gt", "grammar"}, Strategy{"GrammarTree", grammarTree, Integrity{TypicalAcceptance{}}}},
-	{"grammar-lookup-tree", []string{"grammarlookuptree", "glt"}, Strategy{"GrammarLookupTree", grammarLookupTree, GreedyExact{}}},
+	{"ntp", Strategy{"NTP", NoDraft{}, AcceptNone{}}},
+	{"medusa", Strategy{"Medusa", MedusaHeads{}, TypicalAcceptance{}}},
+	{"ours", Strategy{"Ours", MedusaHeads{}, Integrity{TypicalAcceptance{}}}},
+	{"prompt-lookup", Strategy{"PromptLookup", PromptLookup{}, GreedyExact{}}},
+	{"medusa-tree", Strategy{"MedusaTree", medusaTree, TypicalAcceptance{}}},
+	{"lookup-tree", Strategy{"LookupTree", lookupTree, GreedyExact{}}},
+	{"ours-tree", Strategy{"OursTree", hybridTree, Integrity{TypicalAcceptance{}}}},
+	{"grammar-tree", Strategy{"GrammarTree", grammarTree, Integrity{TypicalAcceptance{}}}},
+	{"grammar-lookup-tree", Strategy{"GrammarLookupTree", grammarLookupTree, GreedyExact{}}},
 }
 
-// named maps normalized strategy names (and aliases) to strategies,
-// derived from registry.
+// named maps normalized strategy names to strategies, derived from
+// registry.
 var named = func() map[string]Strategy {
 	out := map[string]Strategy{}
 	for _, e := range registry {
 		out[e.canonical] = e.strategy
 		out[strings.ToLower(e.strategy.Name)] = e.strategy
-		for _, a := range e.aliases {
-			out[a] = e.strategy
-		}
 	}
 	return out
 }()
 
 // Named resolves a strategy by name, case-insensitively. Canonical
 // names are listed by Names; display names ("Ours", "PromptLookup")
-// and registered aliases ("pl") are accepted too.
+// are accepted too.
 func Named(name string) (Strategy, bool) {
 	s, ok := named[strings.ToLower(strings.TrimSpace(name))]
 	return s, ok
 }
 
 // Names returns the canonical strategy names, sorted — the vocabulary
-// accepted by Named (aliases excluded). Derived from the registry, so
+// accepted by Named (display names excluded). Derived from the registry, so
 // new strategies appear here (and in error messages) automatically.
 func Names() []string {
 	out := make([]string, 0, len(registry))
@@ -246,8 +242,6 @@ type Info struct {
 	// Display is the strategy's display name ("LookupTree"), also
 	// accepted by Named.
 	Display string
-	// Aliases are the extra registered spellings ("lt").
-	Aliases []string
 	// Drafter and Verifier name the pairing's halves.
 	Drafter, Verifier string
 	// Tree reports a tree drafter (branching multi-candidate drafts).
@@ -264,7 +258,6 @@ func Registered() []Info {
 		out = append(out, Info{
 			Canonical:  e.canonical,
 			Display:    s.Name,
-			Aliases:    append([]string(nil), e.aliases...),
 			Drafter:    s.Drafter.Name(),
 			Verifier:   s.Verifier.Name(),
 			Tree:       IsTree(s.Drafter),

@@ -188,13 +188,16 @@ func TestPromptLookupDraftUsesPrefix(t *testing.T) {
 }
 
 func TestNamedRegistry(t *testing.T) {
-	for _, name := range []string{"ntp", "NTP", "medusa", "Ours", "prompt-lookup", "PromptLookup", "pl"} {
+	for _, name := range []string{"ntp", "NTP", "medusa", "Ours", "prompt-lookup", "PromptLookup", "promptlookup"} {
 		if _, ok := Named(name); !ok {
 			t.Errorf("Named(%q) not found", name)
 		}
 	}
-	if _, ok := Named("warp"); ok {
-		t.Error("Named accepted an unknown strategy")
+	// A strategy answers to its canonical and display names only.
+	for _, name := range []string{"warp", "", "pl", "mt", "lt", "tree", "gt", "grammar", "glt"} {
+		if _, ok := Named(name); ok {
+			t.Errorf("Named accepted %q", name)
+		}
 	}
 	s, _ := Named("ours")
 	if s.Name != "Ours" || !s.Drafter.NeedsHeads() {

@@ -106,10 +106,6 @@ func (t *Tree) Len() int { return len(t.nodes) }
 // the node-budget numerator the serving metrics report.
 func (t *Tree) DraftNodes() int { return len(t.nodes) - 1 }
 
-// Budget returns the node budget the tree was created with (<= 0
-// unbounded).
-func (t *Tree) Budget() int { return t.budget }
-
 // Full reports whether the node budget is exhausted.
 func (t *Tree) Full() bool { return t.budget > 0 && t.DraftNodes() >= t.budget }
 

@@ -10,9 +10,9 @@ import (
 
 func TestTreeStrategiesRegistered(t *testing.T) {
 	for name, display := range map[string]string{
-		"medusa-tree": "MedusaTree", "mt": "MedusaTree",
-		"lookup-tree": "LookupTree", "lt": "LookupTree", "LookupTree": "LookupTree",
-		"ours-tree": "OursTree", "tree": "OursTree",
+		"medusa-tree": "MedusaTree", "MedusaTree": "MedusaTree",
+		"lookup-tree": "LookupTree", "LookupTree": "LookupTree",
+		"ours-tree": "OursTree", "OURSTREE": "OursTree",
 	} {
 		s, ok := Named(name)
 		if !ok {
@@ -60,8 +60,8 @@ func TestRegisteredInfo(t *testing.T) {
 	if ntp := byName["ntp"]; ntp.Tree {
 		t.Fatalf("ntp info claims a tree drafter: %+v", ntp)
 	}
-	if pl := byName["prompt-lookup"]; len(pl.Aliases) == 0 {
-		t.Fatalf("prompt-lookup info lost its aliases: %+v", pl)
+	if pl := byName["prompt-lookup"]; pl.Display != "PromptLookup" {
+		t.Fatalf("prompt-lookup info = %+v", pl)
 	}
 }
 

@@ -83,7 +83,7 @@ func (d *Decoder) BeginDecode(ctx context.Context, promptIDs []int, opts Options
 		ctx = context.Background()
 	}
 	opts = opts.withDefaults(d.m)
-	strat, err := ResolveStrategy(opts.strategyName())
+	strat, err := ResolveStrategy(opts.Strategy)
 	if err != nil {
 		return nil, err
 	}

@@ -18,9 +18,9 @@ func TestStrategyListing(t *testing.T) {
 			t.Errorf("listing missing strategy %q:\n%s", name, out)
 		}
 	}
-	for _, alias := range []string{"lt", "mt", "pl"} {
-		if !strings.Contains(out, alias) {
-			t.Errorf("listing missing alias %q", alias)
+	for _, in := range spec.Registered() {
+		if !strings.Contains(out, in.Display) {
+			t.Errorf("listing missing display name %q", in.Display)
 		}
 	}
 }

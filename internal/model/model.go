@@ -834,10 +834,6 @@ func (g *Gen) findInduction(seq []int) (int, int) {
 	return -1, 0
 }
 
-// NumSeeds reports the number of active (IDF-surviving) keyword seeds —
-// diagnostics for tools and tests.
-func (g *Gen) NumSeeds() int { return len(g.seeds) }
-
 // PromptLen reports the number of prompt tokens the session was
 // prepared with (drafters use it to tell prompt from generated text).
 func (g *Gen) PromptLen() int { return g.promptLen }
@@ -846,6 +842,3 @@ func (g *Gen) PromptLen() int { return g.promptLen }
 // decode the generated region back into text to consult the syntax
 // oracle, and encode synthesized constructs into draft chains.
 func (g *Gen) Tokenizer() *tokenizer.Tokenizer { return g.m.tok }
-
-// KwDF exposes a keyword's document frequency (diagnostics).
-func (m *Model) KwDF(w string) int { return m.kwDF[w] }

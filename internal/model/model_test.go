@@ -238,6 +238,41 @@ func TestJointTrainingPollutesBase(t *testing.T) {
 	}
 }
 
+// TestLambdaZeroIsNTP: joint training at λ = 0 moves the backbone by
+// nothing, so a Medusa model trained with Lambda 0 has the NTP model's
+// base table exactly: every level holds the same contexts in the same
+// slots, with the same successors and bit-identical counts and totals.
+func TestLambdaZeroIsNTP(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	cfg := smallCfg()
+	cfg.Lambda = 0
+	ntp := Train(tk, cfg, SchemeNTP, trainExamples)
+	medusa := Train(tk, cfg, SchemeMedusa, trainExamples)
+	a, b := ntp.base, medusa.base
+	if !slices.Equal(a.levels, b.levels) || a.idBound != b.idBound {
+		t.Fatalf("ladders %v / %v, id bounds %d / %d", a.levels, b.levels, a.idBound, b.idBound)
+	}
+	for i, k := range a.levels {
+		la, lb := a.frozen[i], b.frozen[i]
+		if la.ctxs != lb.ctxs || len(la.slots) != len(lb.slots) || len(la.slab) != len(lb.slab) {
+			t.Fatalf("level %d (k=%d): %d contexts, %d slots, %d successors; Medusa at λ=0 has %d, %d, %d",
+				i, k, la.ctxs, len(la.slots), len(la.slab), lb.ctxs, len(lb.slots), len(lb.slab))
+		}
+		for j, sa := range la.slots {
+			sb := lb.slots[j]
+			if sa.key != sb.key || sa.start != sb.start || sa.n != sb.n || math.Float64bits(sa.total) != math.Float64bits(sb.total) {
+				t.Fatalf("level %d (k=%d) slot %d: %+v, Medusa at λ=0 has %+v", i, k, j, sa, sb)
+			}
+		}
+		for j, ea := range la.slab {
+			eb := lb.slab[j]
+			if ea.id != eb.id || math.Float64bits(ea.v) != math.Float64bits(eb.v) {
+				t.Fatalf("level %d (k=%d) successor %d: %+v, Medusa at λ=0 has %+v", i, k, j, ea, eb)
+			}
+		}
+	}
+}
+
 func TestInductionCopyEchoesHeader(t *testing.T) {
 	// A VGen-style prompt spells out the module header verbatim; the
 	// model must echo it (name included) even though the exact header

@@ -161,8 +161,13 @@ func (t *ngramTable) addSeeded(ctx []int, next int, weight float64, seed uint64)
 // Joint-training interference uses it to pollute the longest contexts
 // without bleeding into the low-order backoff levels: gradient
 // interference perturbs a transformer's behaviour at specific contexts,
-// it does not rewrite its global token statistics.
+// it does not rewrite its global token statistics. A weight-0
+// observation records nothing: predict's backoff counts successor
+// types, so even an empty entry would move the distribution.
 func (t *ngramTable) addRange(ctx []int, next int, weight float64, loK int, seed uint64) {
+	if weight == 0 {
+		return
+	}
 	for i, k := range t.levels {
 		if k > len(ctx) || k < loK {
 			continue

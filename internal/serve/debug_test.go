@@ -96,7 +96,7 @@ func TestRequestIDEchoedOnErrorPaths(t *testing.T) {
 		defer e.Close()
 		ts := httptest.NewServer(NewServer(e).Handler())
 		defer ts.Close()
-		resp := postBody(t, ts.URL, "", map[string]any{"prompt": prompts[0], "mode": "bogus"})
+		resp := postBody(t, ts.URL, "", map[string]any{"prompt": prompts[0], "strategy": "bogus"})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d, want 400", resp.StatusCode)
 		}
@@ -190,7 +190,7 @@ func TestSpanTreeShape(t *testing.T) {
 		go func(i int, id string) {
 			defer wg.Done()
 			resp := postBody(t, ts.URL, id, map[string]any{
-				"prompt": prompts[i], "mode": "ours", "temperature": 0.6,
+				"prompt": prompts[i], "strategy": "ours", "temperature": 0.6,
 				"max_new_tokens": 48, "seed": i,
 			})
 			status[i] = resp.StatusCode
@@ -270,7 +270,7 @@ func TestPhaseMetricsExposed(t *testing.T) {
 	ts := httptest.NewServer(NewServer(e).WithTracer(tracer).Handler())
 	defer ts.Close()
 	resp := postBody(t, ts.URL, "", map[string]any{
-		"prompt": prompts[0], "mode": "ours", "temperature": 0.6, "max_new_tokens": 32, "seed": 1})
+		"prompt": prompts[0], "strategy": "ours", "temperature": 0.6, "max_new_tokens": 32, "seed": 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("generate status = %d", resp.StatusCode)
 	}

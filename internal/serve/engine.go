@@ -29,7 +29,8 @@
 //
 // Requests choose their decoding strategy per call
 // (core.Options.Strategy), so one daemon serves NTP, Medusa, Ours and
-// PromptLookup traffic side by side with per-strategy metrics.
+// PromptLookup traffic side by side with per-strategy metrics; a
+// request that names none decodes with its model's own method.
 package serve
 
 import (
@@ -120,7 +121,7 @@ type Request struct {
 	// training prompt template by the decoder).
 	Prompt string
 	// Options forwards to core.Decoder; the zero value decodes
-	// greedily with the "ntp" strategy and model defaults.
+	// greedily with the model's own method and defaults.
 	Options core.Options
 	// OnStep, if set, streams decoding steps as they complete. The
 	// callback runs on a worker goroutine; streaming requests bypass
@@ -138,12 +139,6 @@ type Request struct {
 	// one model — ignores it; a cluster.Fleet routes on it and fails
 	// with ErrUnknownModel when no replica serves the name.
 	Model string
-	// NoExplicitStrategy marks a request that named no strategy (under
-	// either wire spelling) — its Options carry the wire default "ours"
-	// (GenerateRequest.options). Engines ignore it; a fleet replica
-	// configured with its own DefaultStrategy substitutes that for such
-	// requests. Explicit choices are never overridden.
-	NoExplicitStrategy bool
 }
 
 // Response is the outcome of one Request.
@@ -165,8 +160,8 @@ type Response struct {
 	QueueWait time.Duration
 	// Strategy is the canonical display name of the strategy that
 	// decoded this response ("NTP", "Medusa", "Ours", "PromptLookup").
-	// It reflects per-replica default-strategy substitution, which the
-	// submitting request cannot see.
+	// For a request that named none it is the serving model's own
+	// method, which the submitting request cannot see.
 	Strategy string
 	// Replica names the fleet replica that served this response (empty
 	// outside fleet mode).
@@ -354,8 +349,9 @@ func (e *Engine) start(ctx context.Context, req Request, block bool) (*task, *Re
 		return nil, nil, err
 	}
 	// Canonical options make equivalently-spelled requests share cache
-	// entries (see core.Options.Canonical).
-	req.Options = req.Options.Canonical()
+	// entries (see core.Options.Canonical); a request naming no strategy
+	// shares the entry of the model's own method.
+	req.Options = req.Options.ForModel(e.m).Canonical()
 	e.st.request(req.Options.StrategyLabel())
 	key := cacheKey{prompt: req.Prompt, opts: req.Options}
 	if resp := e.cacheLookup(req, key); resp != nil {

@@ -42,6 +42,20 @@ func fixture(tb testing.TB) (*model.Model, []string) {
 	return fixModel, fixPrompts
 }
 
+// schemeFixtures trains, once and only for the tests that ask, a Medusa
+// and an NTP model on the fixture's corpus and tokenizer.
+func schemeFixtures(tb testing.TB) (medusa, ntp *model.Model) {
+	tb.Helper()
+	fixture(tb)
+	return trainSchemes()
+}
+
+var trainSchemes = sync.OnceValues(func() (medusa, ntp *model.Model) {
+	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 700})
+	cfg, tk := model.CodeT5pSim(), fixModel.Tokenizer()
+	return model.Train(tk, cfg, model.SchemeMedusa, examples), model.Train(tk, cfg, model.SchemeNTP, examples)
+})
+
 func testOptions(seed int64) core.Options {
 	return core.Options{Strategy: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: seed}
 }
@@ -354,8 +368,9 @@ func TestCloseDrainsThenRejects(t *testing.T) {
 }
 
 // TestCacheSharedAcrossStrategySpellings: the LRU keys are
-// canonicalized, so "pl", "prompt-lookup" and the display name share
-// one cache entry.
+// canonicalized, so "prompt-lookup" and the display name, in any case,
+// share one cache entry, and so do the empty strategy and the model's
+// own method.
 func TestCacheSharedAcrossStrategySpellings(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{Workers: 1, CacheSize: 8})
@@ -368,25 +383,26 @@ func TestCacheSharedAcrossStrategySpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alias := range []string{"pl", "PromptLookup", "promptlookup"} {
-		resp, err := eng.Generate(ctx, mk(alias))
+	for _, spelling := range []string{"PromptLookup", "promptlookup", "PROMPT-LOOKUP"} {
+		resp, err := eng.Generate(ctx, mk(spelling))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resp.Cached || resp.Result != first.Result {
-			t.Errorf("spelling %q did not share the cached decode", alias)
+			t.Errorf("spelling %q did not share the cached decode", spelling)
 		}
 	}
-	// The empty spelling of ntp shares too.
-	if _, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: core.Options{MaxNewTokens: 32, Seed: 6}}); err != nil {
+	// The empty strategy is the model's own method (the fixture is an
+	// Ours model) and shares its entry.
+	if _, err := eng.Generate(ctx, mk("")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Generate(ctx, Request{Prompt: prompts[0], Options: core.Options{Strategy: "ntp", MaxNewTokens: 32, Seed: 6}})
+	resp, err := eng.Generate(ctx, mk("ours"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Cached {
-		t.Error("empty and named spellings of NTP did not share a cache entry")
+	if !resp.Cached || resp.Strategy != "Ours" {
+		t.Errorf("empty and named spellings of Ours did not share a cache entry (cached=%v, strategy %q)", resp.Cached, resp.Strategy)
 	}
 	if got := eng.Metrics().Completed; got != 2 {
 		t.Errorf("completed=%d, want 2 (one per distinct decode)", got)
@@ -455,8 +471,8 @@ func TestPrefixCacheModesByteIdentical(t *testing.T) {
 // text plus canonical options. A repeat comes back Cached; texts that
 // differ by a trailing space, an embedded NUL or a rune each decode into
 // their own entry, the empty prompt included, and so do "K" and U+212A
-// KELVIN SIGN, which case folding and NFKC would merge; strategy aliases
-// share one.
+// KELVIN SIGN, which case folding and NFKC would merge; spellings of
+// one strategy share one.
 func TestCacheKeyIsPromptText(t *testing.T) {
 	m, prompts := fixture(t)
 	eng := NewEngine(m, Config{Workers: 1, CacheSize: 16})
@@ -484,9 +500,9 @@ func TestCacheKeyIsPromptText(t *testing.T) {
 		}
 	}
 	first := gen(p, "prompt-lookup")
-	for _, alias := range []string{"pl", "PromptLookup"} {
-		if resp := gen(p, alias); !resp.Cached || resp.Result != first.Result {
-			t.Errorf("strategy alias %q did not share the entry", alias)
+	for _, spelling := range []string{"PromptLookup", "PROMPT-LOOKUP"} {
+		if resp := gen(p, spelling); !resp.Cached || resp.Result != first.Result {
+			t.Errorf("strategy spelling %q did not share the entry", spelling)
 		}
 	}
 	if got, want := eng.cache.len(), len(variants)+1; got != want {

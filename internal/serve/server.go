@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,18 +121,16 @@ func (s *Server) Handler() http.Handler {
 }
 
 // GenerateRequest is the POST /v1/generate body. Exactly one of Prompt
-// and Prompts must be set.
+// and Prompts must be set; a field it does not define is a 400.
 type GenerateRequest struct {
 	// Prompt decodes a single description.
 	Prompt string `json:"prompt,omitempty"`
 	// Prompts decodes a batch; results align index-for-index.
 	Prompts []string `json:"prompts,omitempty"`
-	// Mode is an alias of Strategy (the field's older name); Strategy
-	// wins when both are set.
-	Mode string `json:"mode,omitempty"`
-	// Strategy selects a decoding strategy by registry name ("ntp",
-	// "medusa", "ours", "prompt-lookup", ...; see core.StrategyListing).
-	// A request naming none decodes with "ours".
+	// Strategy selects a decoding strategy by registry or display name
+	// ("ntp", "medusa", "ours", "prompt-lookup", ...; see
+	// core.StrategyListing). A request naming none decodes with the
+	// serving model's own method (core.Options.ForModel).
 	Strategy string `json:"strategy,omitempty"`
 	// Temperature 0 decodes greedily.
 	Temperature float64 `json:"temperature,omitempty"`
@@ -192,20 +189,21 @@ func (gr GenerateRequest) options() (core.Options, error) {
 	if gr.MaxNewTokens < 0 || gr.MaxNewTokens > maxNewTokensCap {
 		return core.Options{}, fmt.Errorf("max_new_tokens must be in [0, %d], got %d", maxNewTokensCap, gr.MaxNewTokens)
 	}
-	opts := core.Options{
+	// Validate at the API edge so a typo is a 400, not a queued
+	// request that fails at decode time.
+	if gr.Strategy != "" {
+		if _, err := core.ResolveStrategy(gr.Strategy); err != nil {
+			return core.Options{}, err
+		}
+	}
+	return core.Options{
+		Strategy:     gr.Strategy,
 		Temperature:  gr.Temperature,
 		MaxNewTokens: gr.MaxNewTokens,
 		TopK:         gr.TopK,
 		TreeBudget:   gr.TreeBudget,
 		Seed:         gr.Seed,
-	}
-	opts.Strategy = cmp.Or(gr.Strategy, gr.Mode, "ours")
-	// Validate at the API edge so a typo is a 400, not a queued
-	// request that fails at decode time.
-	if _, err := core.ResolveStrategy(opts.Strategy); err != nil {
-		return core.Options{}, err
-	}
-	return opts, nil
+	}, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -218,18 +216,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// resultJSON renders one response. The mode label prefers the
-// response's own strategy (which reflects per-replica default-strategy
-// substitution) and falls back to the request-side label.
-func resultJSON(resp *Response, requestLabel string) GenerateResult {
+// resultJSON renders one response, labelled with the strategy that
+// decoded it.
+func resultJSON(resp *Response) GenerateResult {
 	res := resp.Result
-	label := resp.Strategy
-	if label == "" {
-		label = requestLabel
-	}
 	return GenerateResult{
 		Text:             res.Text,
-		Mode:             label,
+		Mode:             resp.Strategy,
 		Tokens:           len(res.CleanTokens),
 		Steps:            res.Steps,
 		MeanAccepted:     res.MeanAccepted(),
@@ -249,7 +242,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var gr GenerateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&gr); err != nil {
+	// An unknown field (a retired one, or a typo) is a 400 naming it,
+	// not a silently different decode.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&gr); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -269,16 +266,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	modeName := opts.StrategyLabel()
 	mkReq := func(prompt string, o core.Options) Request {
-		return Request{
-			Prompt:  prompt,
-			Options: o,
-			Model:   gr.Model,
-			// Replica default-strategy substitution applies only when
-			// the caller named no strategy under either spelling.
-			NoExplicitStrategy: gr.Mode == "" && gr.Strategy == "",
-		}
+		return Request{Prompt: prompt, Options: o, Model: gr.Model}
 	}
 
 	switch {
@@ -292,7 +281,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			s.writeEngineError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resultJSON(resp, modeName))
+		writeJSON(w, http.StatusOK, resultJSON(resp))
 	default:
 		if len(gr.Prompts) > maxBatchPrompts {
 			writeError(w, http.StatusBadRequest,
@@ -317,7 +306,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 				s.writeEngineError(w, resp.Err)
 				return
 			}
-			results = append(results, resultJSON(resp, modeName))
+			results = append(results, resultJSON(resp))
 		}
 		writeJSON(w, http.StatusOK, map[string][]GenerateResult{"results": results})
 	}
@@ -395,7 +384,7 @@ func (s *Server) streamGenerate(w http.ResponseWriter, r *http.Request, req Requ
 		}
 		return
 	}
-	out := resultJSON(resp, req.Options.StrategyLabel())
+	out := resultJSON(resp)
 	_ = enc.Encode(streamLine{Done: true, Result: &out})
 	if flusher != nil {
 		flusher.Flush()

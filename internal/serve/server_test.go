@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 func testServer(t *testing.T, cfg Config) (*httptest.Server, *Engine) {
@@ -54,7 +55,7 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 
 func TestServerSingleGenerate(t *testing.T) {
 	srv, eng := testServer(t, Config{Workers: 2})
-	req := GenerateRequest{Prompt: fixPrompts[0], Mode: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: 100}
+	req := GenerateRequest{Prompt: fixPrompts[0], Strategy: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: 100}
 	resp := postJSON(t, srv.URL+"/v1/generate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -88,7 +89,7 @@ func TestServerBatchGenerate(t *testing.T) {
 	srv, eng := testServer(t, Config{Workers: 4, CacheSize: -1})
 	prompts := fixPrompts[:8]
 	resp := postJSON(t, srv.URL+"/v1/generate", GenerateRequest{
-		Prompts: prompts, Mode: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: 40,
+		Prompts: prompts, Strategy: "ours", Temperature: 0.6, MaxNewTokens: 48, Seed: 40,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -121,7 +122,7 @@ func TestServerConcurrentLoadAndMetrics(t *testing.T) {
 			defer wg.Done()
 			raw, _ := json.Marshal(GenerateRequest{
 				// Half the clients repeat a prompt+seed so the cache sees hits.
-				Prompt: fixPrompts[c%4], Mode: "ours", Temperature: 0.6,
+				Prompt: fixPrompts[c%4], Strategy: "ours", Temperature: 0.6,
 				MaxNewTokens: 48, Seed: int64(c % 4),
 			})
 			resp, err := http.Post(srv.URL+"/v1/generate", "application/json", bytes.NewReader(raw))
@@ -287,34 +288,30 @@ func TestServerStrategyField(t *testing.T) {
 		t.Errorf("unknown strategy: status %d, want 400", bad.StatusCode)
 	}
 
-	// The wire spellings: "mode" is an alias of "strategy" (same cache
-	// key, same bytes), and a request naming neither decodes with ours
-	// and is marked as having made no explicit choice.
-	rec := &recordingBackend{Engine: NewEngine(eng.Model(), Config{Workers: 1, CacheSize: 8})}
-	defer rec.Close()
-	rsrv := httptest.NewServer(NewBackendServer(rec).Handler())
-	defer rsrv.Close()
+	// The wire spellings: a strategy's canonical and display names, in
+	// any case, share one cache key and the same bytes; a request naming
+	// none decodes with the model's own method (the fixture is an Ours
+	// model) and shares that key too.
+	csrv, _ := testServer(t, Config{Workers: 1, CacheSize: 8})
 	var first GenerateResult
 	for i, tc := range []struct {
-		body         GenerateRequest
+		strategy     string
 		label        string
-		noExplicit   bool
 		cachedAsPrev bool
 	}{
-		{GenerateRequest{Mode: "medusa"}, "Medusa", false, false},
-		{GenerateRequest{Strategy: "medusa"}, "Medusa", false, true},
-		{GenerateRequest{Mode: "ntp", Strategy: "medusa"}, "Medusa", false, true},
-		{GenerateRequest{}, "Ours", true, false},
+		{"ours", "Ours", false},
+		{"Ours", "Ours", true},
+		{"OURS", "Ours", true},
+		{"", "Ours", true},
 	} {
-		tc.body.Prompt, tc.body.MaxNewTokens, tc.body.Seed = fixPrompts[1], 32, 5
-		resp := postJSON(t, rsrv.URL+"/v1/generate", tc.body)
+		body := GenerateRequest{Prompt: fixPrompts[1], Strategy: tc.strategy, MaxNewTokens: 32, Seed: 5}
+		resp := postJSON(t, csrv.URL+"/v1/generate", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("spelling %d: status %d", i, resp.StatusCode)
 		}
 		got := decodeBody[GenerateResult](t, resp)
-		if got.Mode != tc.label || rec.last.NoExplicitStrategy != tc.noExplicit {
-			t.Errorf("spelling %d: label %q explicit=%v, want %q explicit=%v",
-				i, got.Mode, !rec.last.NoExplicitStrategy, tc.label, !tc.noExplicit)
+		if got.Mode != tc.label {
+			t.Errorf("spelling %d: label %q, want %q", i, got.Mode, tc.label)
 		}
 		if i == 0 {
 			first = got
@@ -325,23 +322,60 @@ func TestServerStrategyField(t *testing.T) {
 	}
 }
 
-// recordingBackend is an Engine that remembers the last single request
-// the HTTP layer handed it.
-type recordingBackend struct {
-	*Engine
-	last Request
-}
-
-func (b *recordingBackend) TryGenerate(ctx context.Context, req Request) (*Response, error) {
-	b.last = req
-	return b.Engine.TryGenerate(ctx, req)
+// TestDefaultStrategyIsModelsOwn: a request that names no strategy
+// decodes with the method its model was trained for. A Medusa-trained
+// engine answers it with Medusa, whose heads draft and get accepted —
+// not with Ours, whose [FRAG] integrity check would throw every draft
+// away on a model that never emits a marker. An NTP-trained engine
+// answers with NTP, the same text any head strategy gives on a model
+// without heads.
+func TestDefaultStrategyIsModelsOwn(t *testing.T) {
+	medusa, ntp := schemeFixtures(t)
+	for _, tc := range []struct {
+		m     *model.Model
+		label string
+	}{{medusa, "Medusa"}, {ntp, "NTP"}} {
+		eng := NewEngine(tc.m, Config{Workers: 1, CacheSize: -1})
+		srv := httptest.NewServer(NewServer(eng).Handler())
+		t.Cleanup(func() {
+			srv.Close()
+			eng.Close()
+		})
+		for seed := int64(0); seed < 4; seed++ {
+			body := GenerateRequest{Prompt: fixPrompts[seed], MaxNewTokens: 48, Seed: seed}
+			got := decodeBody[GenerateResult](t, postJSON(t, srv.URL+"/v1/generate", body))
+			direct, err := eng.Generate(context.Background(), Request{Prompt: body.Prompt,
+				Options: core.Options{MaxNewTokens: 48, Seed: seed}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Mode != tc.label || direct.Strategy != tc.label {
+				t.Errorf("%s model, seed %d: labels %q (wire) and %q (engine)", tc.label, seed, got.Mode, direct.Strategy)
+			}
+			own := core.NewDecoder(tc.m).Generate(body.Prompt, core.Options{Strategy: strings.ToLower(tc.label), MaxNewTokens: 48, Seed: seed})
+			if got.Text != own.Text || direct.Result.Text != own.Text {
+				t.Errorf("%s model, seed %d: strategy-less text differs from the model's own method", tc.label, seed)
+			}
+			switch tc.label {
+			case "Medusa":
+				if acc := direct.Result.MeanAccepted(); acc <= 1 {
+					t.Errorf("Medusa model, seed %d: mean accepted %.3f, want > 1", seed, acc)
+				}
+			case "NTP":
+				ours := core.NewDecoder(tc.m).Generate(body.Prompt, core.Options{Strategy: "ours", MaxNewTokens: 48, Seed: seed})
+				if got.Text != ours.Text {
+					t.Errorf("NTP model, seed %d: text differs from an ours decode, which drafts nothing without heads", seed)
+				}
+			}
+		}
+	}
 }
 
 func TestServerMetricsPrometheus(t *testing.T) {
 	srv, _ := testServer(t, Config{Workers: 2, CacheSize: 8})
 	// Generate something so counters are non-trivial.
 	postJSON(t, srv.URL+"/v1/generate", GenerateRequest{
-		Prompt: fixPrompts[0], Mode: "ours", MaxNewTokens: 32, Seed: 2,
+		Prompt: fixPrompts[0], Strategy: "ours", MaxNewTokens: 32, Seed: 2,
 	}).Body.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
@@ -428,39 +462,35 @@ func TestServerRequestValidation(t *testing.T) {
 	srv, _ := testServer(t, Config{Workers: 1})
 	cases := []struct {
 		name string
-		body GenerateRequest
+		body any
+		// field, when set, is the unknown field the error must name.
+		field string
 	}{
-		{"neither prompt nor prompts", GenerateRequest{}},
-		{"both prompt and prompts", GenerateRequest{Prompt: "a", Prompts: []string{"b"}}},
-		{"unknown mode", GenerateRequest{Prompt: "a", Mode: "warp"}},
-		{"unknown strategy behind a valid mode", GenerateRequest{Prompt: "a", Mode: "ours", Strategy: "warp"}},
-		{"stream with batch", GenerateRequest{Prompts: []string{"a", "b"}, Stream: true}},
-		{"oversized batch", GenerateRequest{Prompts: make([]string, maxBatchPrompts+1)}},
+		{"neither prompt nor prompts", GenerateRequest{}, ""},
+		{"both prompt and prompts", GenerateRequest{Prompt: "a", Prompts: []string{"b"}}, ""},
+		{"unknown strategy", GenerateRequest{Prompt: "a", Strategy: "warp"}, ""},
+		{"retired short alias", GenerateRequest{Prompt: "a", Strategy: "pl"}, ""},
+		{"stream with batch", GenerateRequest{Prompts: []string{"a", "b"}, Stream: true}, ""},
+		{"oversized batch", GenerateRequest{Prompts: make([]string, maxBatchPrompts+1)}, ""},
+		// Unknown fields are refused, not ignored: a client still
+		// sending the retired "mode" alias, a retired admission field
+		// or a typo gets a 400 naming it instead of a silently
+		// different decode.
+		{"retired mode alias", map[string]any{"prompt": "a", "mode": "medusa"}, "mode"},
+		{"typo", map[string]any{"prompt": "a", "temprature": 0.5}, "temprature"},
+		{"retired admission field", map[string]any{"prompt": "a", "seed": 3, "priority": "urgent"}, "priority"},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, srv.URL+"/v1/generate", tc.body)
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
-		}
-	}
-	// The retired admission fields are ignored, not refused: a body that
-	// still carries "priority" and "client" is served exactly like the
-	// same body without them, so old clients keep working.
-	var texts []string
-	for _, body := range []map[string]any{
-		{"prompt": "a", "seed": 3, "priority": "urgent", "client": "old"},
-		{"prompt": "a", "seed": 3},
-	} {
-		resp := postJSON(t, srv.URL+"/v1/generate", body)
-		if resp.StatusCode != http.StatusOK {
 			resp.Body.Close()
-			t.Fatalf("%v: status %d, want 200", body, resp.StatusCode)
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+			continue
 		}
-		texts = append(texts, decodeBody[GenerateResult](t, resp).Text)
-	}
-	if texts[0] != texts[1] {
-		t.Errorf("retired fields changed the text: %q vs %q", texts[0], texts[1])
+		body := decodeBody[map[string]string](t, resp)
+		if tc.field != "" && !strings.Contains(body["error"], `"`+tc.field+`"`) {
+			t.Errorf("%s: error %q does not name the field %q", tc.name, body["error"], tc.field)
+		}
 	}
 	getResp, err := http.Get(srv.URL + "/v1/generate")
 	if err != nil {
