@@ -13,9 +13,10 @@ SHELL := /bin/bash
 COVER_FLOOR := 87.0
 COVER_PKGS := ./internal/model/ ./internal/serve/
 # Separate floor for the cluster layer (routing, dispatch and work
-# stealing inside each model group of a fixed replica set). Recorded at
-# 91.9% once the admission chain, autoscaler and drain were deleted,
-# and at 92.7% once the route-time spill and -steal were.
+# stealing through each model group's shared queue, over a fixed
+# replica set). Recorded at 91.9% once the admission chain, autoscaler
+# and drain were deleted, and at 92.7% once the route-time spill and
+# -steal were.
 CLUSTER_COVER_FLOOR := 80.0
 
 .PHONY: build test race sched-soak golden differential grammar-gate cover fuzz bench bench-smoke loadgate trace-gate fmt fmt-check vet loc serve serve-fleet ci
@@ -29,10 +30,11 @@ test:
 # The whole suite under the race detector. Shuffled test order catches
 # inter-test state leaks; the race detector covers the fleet's
 # concurrent fail-fast load scenario (cluster.TestFailFastLoadAccounted),
-# its always-on, in-group work stealing (TestSteal*, including
-# TestStealStaysInGroup on a two-model fleet) and the scheduler's FIFO admission
-# behind a decode that keeps its slot (serve.TestContinuousFIFO). The
-# root package's
+# work stealing through a model group's shared queue
+# (TestWedgedMemberStrandsNoWork: a wedged replica strands nothing
+# behind it; TestIdleFleetRunsNoPollers: an idle fleet runs only its
+# workers) and the scheduler's FIFO admission behind a decode that
+# keeps its slot (serve.TestContinuousFIFO). The root package's
 # TestMakefileGatesResolve rides here: every -run alternative below
 # must still name a test, .PHONY must list exactly the defined targets,
 # and the ci list must equal the CI matrix.
@@ -42,16 +44,18 @@ race:
 # Continuous-scheduler churn soak: join/leave cycling through a small
 # batch (with a clean drain, after which no worker goroutine may
 # outlive Close), FIFO admission with the
-# engine-vs-direct-decode byte-identity check, backpressure and the
+# engine-vs-direct-decode byte-identity check, backpressure, the
 # step-wise decode API (interleaved decodes on one trie, the
-# session_prep trie_hit_depth) under the race detector, shuffled so
-# admission order varies run to run. The explicit -timeout turns a
+# session_prep trie_hit_depth) and a fleet group's shared queue (a
+# wedged replica's sibling serves everything queued behind it, byte
+# for byte; an idle fleet runs only its workers) under the race
+# detector, shuffled so admission order varies run to run. The explicit -timeout turns a
 # wedged scheduler (a step that never returns, a queued request never
 # admitted) into a fast failure instead of a hung CI runner.
 sched-soak:
 	$(GO) test -race -shuffle=on -timeout 600s \
-		-run 'TestContinuous|TestSchedulerChurnSoak|TestStepwise' \
-		-v ./internal/serve/ ./internal/core/
+		-run 'TestContinuous|TestSchedulerChurnSoak|TestStepwise|TestWedgedMemberStrandsNoWork|TestIdleFleetRunsNoPollers' \
+		-v ./internal/serve/ ./internal/core/ ./internal/cluster/
 
 # Byte-identical decode outputs through the drafter/verifier pipeline:
 # ntp/medusa/ours against fixtures captured from the pre-refactor
@@ -200,8 +204,9 @@ loc:
 serve:
 	$(GO) run ./cmd/vgend
 
-# Train once, serve a 4-replica fleet: one model group, whose idle
-# members steal a backlogged sibling's overflow.
+# Train once, serve a 4-replica fleet: one model group sharing one
+# request queue, so an idle member takes up whatever waits behind a
+# busy sibling.
 serve-fleet:
 	$(GO) run ./cmd/vgend -replicas 4
 

@@ -15,9 +15,10 @@
 // workload (the PrefixBench families) is replayed — the traffic shape
 // the daemon's prefix caches and affinity routing are built for. -n
 // repeats the whole list with fresh seeds; -c bounds in-flight
-// requests. -stream consumes responses as NDJSON; a shed received after
-// partial stream output counts as a failed attempt (backed off and
-// resubmitted like any 429/503), never as a success. Every request
+// requests. -stream consumes responses as NDJSON. vgend sheds a
+// streamed request with a 503 before any body byte, like any other; an
+// error line inside a 200 stream is a terminal failed attempt — never
+// a success, never resubmitted. Every request
 // decodes to its model's natural end (a generation stops at
 // endmodule), so decode length is set by the prompt, the strategy and
 // the seed. Exit status is non-zero if any request ultimately failed.
@@ -143,16 +144,9 @@ type attemptOutcome int
 
 const (
 	attemptOK   attemptOutcome = iota // final result received
-	attemptShed                       // 429 or queue-full: back off and resubmit
+	attemptShed                       // 429 or 503: back off and resubmit
 	attemptFail                       // terminal: transport error, bad status, broken stream
 )
-
-// retryableStreamError reports whether a final NDJSON error line names
-// a queue-full condition — the stream-mode equivalent of a 503 status,
-// delivered in-band because response headers were already on the wire.
-func retryableStreamError(msg string) bool {
-	return strings.Contains(msg, "queue full")
-}
 
 // attemptResult is one HTTP exchange's verdict: the outcome, the
 // backoff hint for sheds, the server-echoed request ID (printed with
@@ -167,12 +161,13 @@ type attemptResult struct {
 	decodeMS float64
 }
 
-// attemptOnce performs one HTTP exchange and classifies it. For
-// streaming requests the verdict must look past partial output: step
-// lines already received do NOT make the attempt a success — a 429/503
-// status, a final NDJSON error line, or a stream that ends without a
-// result line all mean the generation was not delivered, however many
-// bytes preceded the failure. Only an explicit final result line counts.
+// attemptOnce performs one HTTP exchange and classifies it. A 429/503
+// status is a shed, streamed or not: the status precedes any body. For
+// a 200 stream the verdict must look past partial output: step lines
+// already received do NOT make the attempt a success — a final NDJSON
+// error line or a stream that ends without a result line means the
+// generation was not delivered, however many bytes preceded the
+// failure. Only an explicit final result line counts.
 func attemptOnce(client *http.Client, addr string, req generateRequest) attemptResult {
 	body, _ := json.Marshal(req)
 	resp, err := client.Post(addr+"/v1/generate", "application/json", bytes.NewReader(body))
@@ -225,11 +220,6 @@ func attemptOnce(client *http.Client, addr string, req generateRequest) attemptR
 	}
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests, resp.StatusCode == http.StatusServiceUnavailable:
-		// Shed after partial stream output is still a shed: the attempt
-		// failed, whatever fragment of the decode made it onto the wire.
-		if steps > 0 {
-			fmt.Fprintf(os.Stderr, "vgenc: shed (status %d) after %d streamed steps; retrying%s\n", resp.StatusCode, steps, reqID(id))
-		}
 		return attemptResult{outcome: attemptShed, backoff: backoff, id: id}
 	case resp.StatusCode != http.StatusOK:
 		fmt.Fprintf(os.Stderr, "vgenc: status %d%s\n", resp.StatusCode, reqID(id))
@@ -238,13 +228,8 @@ func attemptOnce(client *http.Client, addr string, req generateRequest) attemptR
 		var out generateResult
 		_ = json.Unmarshal(final.Result, &out)
 		return attemptResult{outcome: attemptOK, id: id, queueMS: out.QueueMS, decodeMS: out.WallMS}
-	case sawDone && retryableStreamError(final.Error):
-		if steps > 0 {
-			fmt.Fprintf(os.Stderr, "vgenc: shed in-stream after %d steps (%s); retrying%s\n", steps, final.Error, reqID(id))
-		}
-		return attemptResult{outcome: attemptShed, backoff: backoff, id: id}
 	case sawDone:
-		fmt.Fprintf(os.Stderr, "vgenc: stream error: %s%s\n", final.Error, reqID(id))
+		fmt.Fprintf(os.Stderr, "vgenc: stream error after %d steps: %s%s\n", steps, final.Error, reqID(id))
 		return attemptResult{outcome: attemptFail, id: id}
 	default:
 		fmt.Fprintf(os.Stderr, "vgenc: stream ended after %d steps without a result line%s\n", steps, reqID(id))
@@ -253,8 +238,7 @@ func attemptOnce(client *http.Client, addr string, req generateRequest) attemptR
 }
 
 // replayOne submits one generation, backing off per Retry-After on shed
-// responses — a 429/503 status or its in-stream equivalent — up to
-// maxRetries resubmissions.
+// responses — a 429/503 status — up to maxRetries resubmissions.
 func replayOne(client *http.Client, addr string, req generateRequest, maxRetries int) result {
 	start := time.Now()
 	var res result

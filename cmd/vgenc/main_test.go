@@ -70,42 +70,30 @@ func TestReplayHonoursRetryAfter(t *testing.T) {
 }
 
 // TestStreamShedAfterPartialOutputIsFailedAttempt pins the stream-mode
-// retry accounting: a shed that arrives after step lines are already on
-// the wire — as a 429 status with a partial NDJSON body, or as an
-// in-stream error line under a 200 — is a failed attempt to back off
-// and resubmit, never a success. A bare done line without a result must
-// not pass for one either.
+// accounting: an error line that arrives after step lines are already
+// on the wire — a queue-full one included — is a terminal failed
+// attempt. It is never a success and never resubmitted: vgend sheds
+// with a 503 before any body byte, so a 200 stream that errors has
+// already been admitted and decoded, and would fail the same way again.
 func TestStreamShedAfterPartialOutputIsFailedAttempt(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		enc := json.NewEncoder(w)
-		switch calls.Add(1) {
-		case 1:
-			// Shed status, but with partial stream output in the body.
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			_ = enc.Encode(map[string]any{"step": 1, "text": "module m"})
-			_ = enc.Encode(map[string]any{"step": 2, "text": "module m;"})
-		case 2:
-			// 200 with steps, then the shed arrives as a final error line.
-			_ = enc.Encode(map[string]any{"step": 1, "text": "module m"})
-			_ = enc.Encode(map[string]any{"done": true, "error": "serve: request queue full"})
-		default:
-			_ = enc.Encode(map[string]any{"step": 1, "text": "module m"})
-			_ = enc.Encode(map[string]any{"done": true, "result": map[string]any{"text": "module m; endmodule"}})
-		}
+		_ = enc.Encode(map[string]any{"step": 1, "text": "module m"})
+		_ = enc.Encode(map[string]any{"done": true, "error": "serve: request queue full"})
 	}))
 	defer srv.Close()
 
 	res := replayOne(srv.Client(), srv.URL, generateRequest{Prompt: "p", Stream: true}, 5)
-	if !res.ok {
-		t.Fatal("replay did not succeed after shed attempts")
+	if res.ok {
+		t.Fatal("replay claimed success from a stream that ended in an error line")
 	}
-	if res.retries != 2 {
-		t.Fatalf("retries = %d, want 2 (both partial-output sheds must count as failed attempts)", res.retries)
+	if res.retries != 0 {
+		t.Fatalf("retries = %d, want 0 (an in-stream error is terminal, not a shed)", res.retries)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls, want 3", got)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("server saw %d calls, want 1", got)
 	}
 }
 

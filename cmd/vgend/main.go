@@ -23,8 +23,8 @@
 //	                     Tracing mode adds vgend_phase_seconds_total.
 //	GET  /debug/requests — flight recorder: the last traces plus the
 //	                     always-retained slowest ones; ?id= returns one
-//	                     request's full span tree (-trace mode).
-//	GET  /debug/trace  — one recorded trace as a raw JSON snapshot.
+//	                     request's raw trace snapshot and its rendered
+//	                     span tree (-trace mode).
 //	GET  /debug/pprof/ — net/http/pprof profiles (behind -pprof).
 //
 // Every response carries an X-Request-ID header (echoing the caller's,
@@ -45,16 +45,18 @@
 //
 // Requests are routed per prefix-affinity consistent hashing, so
 // shared-prefix traffic concentrates where its caches are warm; a
-// request that finds its replica's queue full gets an explicit 503
+// request that finds its group's queue full gets an explicit 503
 // with a Retry-After header.
 //
-// Each request gets exactly one attempt, on the replica the router (or
-// a stealer) picked. Replicas with the same model and scheme form a
-// group: they decode with one immutable model, and an idle member
-// steals queued overflow from a backlogged sibling, observable via
-// /metrics (vgend_fleet_steals_total, vgend_replica_stolen_total). A request never leaves its group, so a
-// steal decodes the bytes routing chose, and a request that fails
-// would fail the same way on a sibling; its error comes back as itself.
+// Each request gets exactly one attempt, submitted to the replica the
+// router picked. Replicas with the same model and scheme form a group:
+// they decode with one immutable model and share one request queue
+// (-queue per replica), so a member with a free batch slot takes up
+// work waiting behind a busy sibling — a steal, observable via /metrics
+// (vgend_fleet_steals_total, vgend_replica_stolen_total). A request
+// never leaves its group, so a steal decodes the bytes routing chose,
+// and a request that fails would fail the same way on a sibling; its
+// error comes back as itself.
 //
 // Usage: vgend [-addr :8080] [-models codellama:ours] [-items 3400]
 // [-seed N] [-workers N] [-queue N] [-max-batch N] [-cache N]
@@ -183,7 +185,7 @@ func main() {
 	listStrategies := flag.Bool("list-strategies", false, "print the registered decoding strategies and exit")
 	replicas := flag.Int("replicas", 1, "fleet size (replicas cycle through -models specs)")
 	modelsFlag := flag.String("models", "codellama:ours", "replica specs model[:scheme], comma-separated; model codellama or codet5p, scheme ours (default), medusa or ntp")
-	traceOn := flag.Bool("trace", true, "per-request tracing: flight recorder behind /debug/requests and /debug/trace, vgend_phase_seconds_total in /metrics")
+	traceOn := flag.Bool("trace", true, "per-request tracing: flight recorder behind /debug/requests, vgend_phase_seconds_total in /metrics")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logMode := flag.String("log", "text", "structured logging: text, json or off")
 	flag.Parse()

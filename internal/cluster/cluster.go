@@ -12,16 +12,19 @@
 //     consistent hashing (rendezvous form), so shared-prefix workloads
 //     concentrate on one replica where its result LRU and prefix trie
 //     can actually hit.
-//   - Dispatch: each request gets one attempt, on the routed replica
-//     or on an idle sibling of its model group that steals it from an
-//     affinity hotspot (dispatch.go). Work stealing is the fleet's one
-//     way to rebalance, and it never leaves the group, so a steal
-//     decodes exactly the bytes routing would have. Nothing is retried
-//     on another replica, because a decode is fully determined by
-//     (prompt, options, seed) and every replica of a group shares one
-//     immutable model, so a fault belongs to the request. A full queue
-//     answers ErrQueueFull, which the HTTP layer turns into 503 with a
-//     Retry-After header.
+//   - Dispatch: each request gets one attempt, submitted to the routed
+//     replica (dispatch.go). The replicas sharing one *model.Model form
+//     a group with one shared request queue (serve.NewGroup): any
+//     member with a free batch slot admits the queue's head at its own
+//     step boundary, so an idle sibling steals work queued behind a
+//     busy or wedged replica. That is the fleet's one way to rebalance,
+//     it runs no goroutine of its own, and it never leaves the group,
+//     so a steal decodes exactly the bytes routing would have. Nothing
+//     is retried on another replica, because a decode is fully
+//     determined by (prompt, options, seed) and every replica of a
+//     group shares one immutable model, so a fault belongs to the
+//     request. A full queue answers ErrQueueFull, which the HTTP layer
+//     turns into 503 with a Retry-After header.
 //   - Aggregation: fleet-level metrics — per-replica engine snapshots
 //     plus fleet-wide sums and routing/steal counters — in JSON and
 //     Prometheus forms.
@@ -52,7 +55,8 @@ type ReplicaSpec struct {
 	Name string
 	// Model is the trained backbone this replica decodes with.
 	// Replicas may share one *model.Model (it is read-only after
-	// training); each still gets its own engine and caches.
+	// training); each still gets its own engine and caches, and the
+	// replicas sharing one form a group with one request queue.
 	Model *model.Model
 	// Engine sizes the replica's serve.Engine.
 	Engine serve.Config
@@ -73,15 +77,9 @@ type Replica struct {
 	scheme    string
 
 	eng *serve.Engine
-	// stealq is the steal queue of the replica's group: the replicas
-	// sharing its *model.Model, which decode any request to the same
-	// bytes. nil for a group of one.
-	stealq chan *stealJob
 
-	routed   atomic.Uint64 // requests routed here
-	inflight atomic.Int64  // routed and not yet answered
-	serving  atomic.Int64  // submitted to this replica's engine right now
-	stolen   atomic.Uint64 // requests served here that were routed elsewhere
+	routed atomic.Uint64 // requests routed here
+	stolen atomic.Uint64 // requests decoded here that were routed elsewhere
 }
 
 // Name returns the replica's identity.
@@ -91,30 +89,23 @@ func (r *Replica) Name() string { return r.name }
 // directly).
 func (r *Replica) Engine() *serve.Engine { return r.eng }
 
-// load is the replica's current backlog: queued plus routed-but-
-// unanswered requests. The steal threshold reads it.
-func (r *Replica) load() int {
-	return r.Engine().QueueDepth() + int(r.inflight.Load())
-}
-
-// Fleet owns the replicas and fronts them with routing and work
-// stealing. The member set (replicas, byModel) is written only by New,
-// so the hot path reads it without a lock.
+// Fleet owns the replicas and fronts them with routing. The member set
+// (replicas, byModel, byEngine) is written only by New, so the hot
+// path reads it without a lock.
 type Fleet struct {
 	replicas []*Replica
 	byModel  map[string][]*Replica
+	byEngine map[*serve.Engine]*Replica
 
 	router Router
-	quit   chan struct{}
-	wg     sync.WaitGroup
 
 	requests     atomic.Uint64 // fleet submissions, before routing
 	unknownModel atomic.Uint64 // requests naming a model no replica serves
 	steals       atomic.Uint64 // requests served by a non-routed replica
 }
 
-// New builds and starts a fleet: one engine per spec, plus one steal
-// queue per group of two or more replicas and one stealer per member.
+// New builds and starts a fleet: one engine per spec, the engines of
+// the specs sharing a *model.Model built as one group.
 func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: fleet needs at least one replica")
@@ -123,9 +114,9 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 		cfg.Router = prefixAffinity{}
 	}
 	f := &Fleet{
-		byModel: map[string][]*Replica{},
-		router:  cfg.Router,
-		quit:    make(chan struct{}),
+		byModel:  map[string][]*Replica{},
+		byEngine: map[*serve.Engine]*Replica{},
+		router:   cfg.Router,
 	}
 	// Validate every spec before starting any engine, so an error
 	// leaves nothing running.
@@ -134,7 +125,20 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("cluster: replica %d has no model", i)
 		}
 	}
-	groups := map[*model.Model][]*Replica{}
+	groups := map[*model.Model][]int{} // spec indices per model
+	for i, spec := range specs {
+		groups[spec.Model] = append(groups[spec.Model], i)
+	}
+	engines := make([]*serve.Engine, len(specs))
+	for m, idx := range groups {
+		cfgs := make([]serve.Config, len(idx))
+		for k, i := range idx {
+			cfgs[k] = specs[i].Engine
+		}
+		for k, e := range serve.NewGroup(m, cfgs...) {
+			engines[idx[k]] = e
+		}
+	}
 	for i, spec := range specs {
 		name := spec.Name
 		if name == "" {
@@ -144,23 +148,12 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 			name:      name,
 			modelName: spec.Model.Config().Name,
 			scheme:    spec.Model.Scheme().String(),
-			eng:       serve.NewEngine(spec.Model, spec.Engine),
+			eng:       engines[i],
 		}
 		f.replicas = append(f.replicas, r)
+		f.byEngine[r.eng] = r
 		for _, key := range serve.ModelKeys(r.modelName) {
 			f.byModel[key] = append(f.byModel[key], r)
-		}
-		groups[spec.Model] = append(groups[spec.Model], r)
-	}
-	for _, members := range groups {
-		if len(members) < 2 {
-			continue
-		}
-		q := make(chan *stealJob, stealQueueCap)
-		for _, r := range members {
-			r.stealq = q
-			f.wg.Add(1)
-			go f.stealer(r)
 		}
 	}
 	return f, nil
@@ -169,11 +162,8 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 // Replicas returns the fleet members in construction order.
 func (f *Fleet) Replicas() []*Replica { return slices.Clone(f.replicas) }
 
-// Close stops the stealers, then drains and stops every replica
-// engine.
+// Close drains and stops every replica engine.
 func (f *Fleet) Close() {
-	close(f.quit)
-	f.wg.Wait()
 	for _, r := range f.replicas {
 		r.Engine().Close()
 	}
@@ -193,11 +183,7 @@ func (f *Fleet) candidates(modelName string) ([]*Replica, error) {
 	return nil, fmt.Errorf("%w: %q", serve.ErrUnknownModel, modelName)
 }
 
-// route picks the serving replica. The replica's inflight counter is
-// incremented HERE, not at submission, so load-aware routers see each
-// routed-but-not-yet-submitted request — in particular, items earlier
-// in a batch raise the load later items are routed by. Every caller
-// must decrement after the engine answers.
+// route picks the replica a request is submitted to.
 func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) {
 	f.requests.Add(1)
 	var sp *trace.Span
@@ -211,22 +197,11 @@ func (f *Fleet) route(ctx context.Context, req serve.Request) (*Replica, error) 
 		return nil, err
 	}
 	r := f.router.Pick(affinityKey(req.Prompt), cands)
-	r.inflight.Add(1)
 	sp.SetAttr("replica", r.name)
 	sp.SetAttrInt("candidates", int64(len(cands)))
 	sp.End()
 	r.routed.Add(1)
 	return r, nil
-}
-
-// tag stamps the serving replica's name on resp. Every engine Response
-// belongs to its one caller (a cache hit shares only its Result), so
-// the stamp goes on in place.
-func tag(resp *serve.Response, r *Replica) *serve.Response {
-	if resp != nil {
-		resp.Replica = r.name
-	}
-	return resp
 }
 
 // Generate routes one request and blocks for a queue slot if the
@@ -246,22 +221,12 @@ func (f *Fleet) generate(ctx context.Context, req serve.Request, wait bool) (*se
 	if err != nil {
 		return nil, err
 	}
-	return f.serveItem(ctx, req, r, wait)
+	return f.send(ctx, req, r, wait)
 }
 
-// serveItem serves one routed request and releases the inflight count
-// route took for it.
-func (f *Fleet) serveItem(ctx context.Context, req serve.Request, r *Replica, wait bool) (*serve.Response, error) {
-	defer r.inflight.Add(-1)
-	resp, served, err := f.serveRouted(ctx, req, r, wait)
-	return tag(resp, served), err
-}
-
-// GenerateBatch routes every item first, so items earlier in the batch
-// raise the load later ones are routed by, then serves the items
-// concurrently, each on the single-request path (stealing included),
-// and returns responses index-for-index with per-item failures on
-// Response.Err.
+// GenerateBatch serves the items concurrently, each on the
+// single-request path, and returns responses index-for-index with
+// per-item failures on Response.Err.
 func (f *Fleet) GenerateBatch(ctx context.Context, reqs []serve.Request) []*serve.Response {
 	return f.generateBatch(ctx, reqs, true)
 }
@@ -274,26 +239,14 @@ func (f *Fleet) TryGenerateBatch(ctx context.Context, reqs []serve.Request) []*s
 
 func (f *Fleet) generateBatch(ctx context.Context, reqs []serve.Request, wait bool) []*serve.Response {
 	out := make([]*serve.Response, len(reqs))
-	routed := make([]*Replica, len(reqs))
-	for i, req := range reqs {
-		r, err := f.route(ctx, req)
-		if err != nil {
-			out[i] = &serve.Response{Err: err}
-			continue
-		}
-		routed[i] = r
-	}
 	// One goroutine per item, as the engine's batch path holds one task
 	// per item; the HTTP layer caps a batch's length.
 	var wg sync.WaitGroup
-	for i, r := range routed {
-		if r == nil {
-			continue
-		}
+	for i, req := range reqs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := f.serveItem(ctx, reqs[i], r, wait)
+			resp, err := f.generate(ctx, req, wait)
 			if err != nil {
 				if resp == nil {
 					resp = &serve.Response{}

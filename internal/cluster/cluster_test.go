@@ -70,30 +70,17 @@ func newFleet(tb testing.TB, n int, router Router, engCfg serve.Config) *Fleet {
 }
 
 // Test-local routers, plugged in through the Router seam: round-robin
-// for a deterministic spread, least-loaded to see load at routing time,
-// and seeded random as the control prefix affinity must beat.
+// for a deterministic spread, and seeded random as the control prefix
+// affinity must beat.
 type (
-	roundRobinRouter  struct{ n atomic.Uint64 }
-	leastLoadedRouter struct{}
-	randomRouter      struct{ rng *rand.Rand } // single-goroutine use
+	roundRobinRouter struct{ n atomic.Uint64 }
+	randomRouter     struct{ rng *rand.Rand } // single-goroutine use
 )
 
 func (r *roundRobinRouter) Pick(_ string, c []*Replica) *Replica {
 	return c[(r.n.Add(1)-1)%uint64(len(c))]
 }
 func (r randomRouter) Pick(_ string, c []*Replica) *Replica { return c[r.rng.Intn(len(c))] }
-
-// Pick returns the candidate with the smallest backlog, ties broken by
-// fleet order.
-func (leastLoadedRouter) Pick(_ string, c []*Replica) *Replica {
-	best := c[0]
-	for _, r := range c[1:] {
-		if r.load() < best.load() {
-			best = r
-		}
-	}
-	return best
-}
 
 // TestSingleReplicaByteIdentical is the golden determinism gate at the
 // fleet layer: a 1-replica fleet must produce byte-identical output to
@@ -436,30 +423,6 @@ func TestBatchRoutesAndReassembles(t *testing.T) {
 	}
 	if routed != 12 {
 		t.Errorf("routed %d, want 12", routed)
-	}
-}
-
-// TestBatchLoadVisibleToRouter: items earlier in one batch must raise
-// the load later items are routed by — otherwise a load-aware router
-// sees an idle fleet for every item and concentrates the whole batch
-// on one replica. With inflight counted at routing time, least-loaded
-// splits an idle fleet's batch evenly.
-func TestBatchLoadVisibleToRouter(t *testing.T) {
-	_, prompts := fixture(t)
-	f := newFleet(t, 3, leastLoadedRouter{}, serve.Config{Workers: 2, CacheSize: -1})
-	reqs := make([]serve.Request, 12)
-	for i := range reqs {
-		reqs[i] = serve.Request{Prompt: prompts[i%6], Options: testOptions(int64(i))}
-	}
-	for i, resp := range f.GenerateBatch(context.Background(), reqs) {
-		if resp.Err != nil {
-			t.Fatalf("item %d: %v", i, resp.Err)
-		}
-	}
-	for _, r := range f.Replicas() {
-		if got := r.routed.Load(); got != 4 {
-			t.Errorf("replica %s routed %d of 12, want an even 4", r.Name(), got)
-		}
 	}
 }
 

@@ -44,7 +44,8 @@ func postGen(t *testing.T, url, id, prompt string, seed int64) (map[string]any, 
 	return out, resp
 }
 
-// fetchTrace pulls one recorded trace from the flight recorder.
+// fetchTrace pulls one recorded trace from the flight recorder: the
+// raw snapshot under "trace", the rendered tree under "tree".
 func fetchTrace(t *testing.T, url, id string) (trace.Snapshot, string, int) {
 	t.Helper()
 	resp, err := http.Get(url + "/debug/requests?id=" + id)
@@ -195,23 +196,5 @@ func TestDebugSurfaceFleetRequest(t *testing.T) {
 	}
 	if decode.DurMS < 0 {
 		t.Errorf("decode span still open\n%s", tree)
-	}
-
-	// The raw-trace endpoint serves the same snapshot.
-	rresp, err := http.Get(ts.URL + "/debug/trace?id=" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rresp.Body.Close()
-	if rresp.StatusCode != http.StatusOK {
-		t.Errorf("/debug/trace status = %d", rresp.StatusCode)
-	}
-	var raw trace.Snapshot
-	if err := json.NewDecoder(rresp.Body).Decode(&raw); err != nil {
-		t.Fatalf("/debug/trace body: %v", err)
-	}
-	if raw.ID != id || len(raw.Spans) != len(snap.Spans) {
-		t.Errorf("/debug/trace snapshot diverges: id=%q spans=%d, want id=%q spans=%d",
-			raw.ID, len(raw.Spans), id, len(snap.Spans))
 	}
 }

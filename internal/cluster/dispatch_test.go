@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,7 +28,7 @@ func (w *wedgeFault) hook(ctx context.Context) error {
 	return nil
 }
 
-// newFaultyFleet builds n identical replicas — one steal group — whose
+// newFaultyFleet builds n identical replicas — one group — whose
 // engines each carry a wedge hook.
 func newFaultyFleet(tb testing.TB, n int, engCfg serve.Config) (*Fleet, []*wedgeFault) {
 	tb.Helper()
@@ -47,11 +49,24 @@ func newFaultyFleet(tb testing.TB, n int, engCfg serve.Config) (*Fleet, []*wedge
 	return f, faults
 }
 
+// waitFor polls ok until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !ok() {
+		t.Fatal(what)
+	}
+}
+
 // --- work stealing ---
 
 // TestStealRebalances: when prefix affinity concentrates a burst on
-// one replica, idle siblings pull the overflow — some requests are
-// served by a replica other than the routed one, and all succeed.
+// one replica, idle siblings admit the overflow from the group's
+// queue — some requests are served by a replica other than the routed
+// one, and all succeed.
 func TestStealRebalances(t *testing.T) {
 	_, prompts := fixture(t)
 	f, _ := newFaultyFleet(t, 3, serve.Config{Workers: 1, CacheSize: -1})
@@ -87,14 +102,14 @@ func TestStealRebalances(t *testing.T) {
 	}
 }
 
-// TestStealJobContextCancel: a job parked on its group's steal queue
-// whose client gives up is answered with the context error, exactly
-// once.
-func TestStealJobContextCancel(t *testing.T) {
+// TestQueuedRequestContextCancel: a request waiting in its group's
+// queue whose client gives up is answered with the context error,
+// exactly once.
+func TestQueuedRequestContextCancel(t *testing.T) {
 	_, prompts := fixture(t)
 	f, faults := newFaultyFleet(t, 2, serve.Config{Workers: 1, QueueSize: 8, CacheSize: -1})
-	// Wedge both replicas of the group so nothing drains and jobs pile
-	// up on the steal queue.
+	// Wedge both replicas of the group so nothing drains and requests
+	// pile up in the group's queue.
 	for _, w := range faults {
 		w.on.Store(true)
 	}
@@ -116,7 +131,7 @@ func TestStealJobContextCancel(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled steal jobs never unblocked their clients")
+		t.Fatal("cancelled queued requests never unblocked their clients")
 	}
 	for i, err := range outcomes {
 		if err == nil {
@@ -127,6 +142,143 @@ func TestStealJobContextCancel(t *testing.T) {
 	}
 	for _, w := range faults {
 		w.on.Store(false)
+	}
+}
+
+// TestWedgedMemberStrandsNoWork: a replica wedged mid-decode holds
+// that one decode and nothing else. In a group of two replicas with
+// one worker each, every later request routed to the wedged replica is
+// admitted from the shared queue by its sibling — however few are
+// waiting — and decodes byte-identically to a direct decode; the
+// wedged decode completes once released.
+func TestWedgedMemberStrandsNoWork(t *testing.T) {
+	m, prompts := fixture(t)
+	prompt := prompts[5]
+	routed := prefixAffinity{}.Pick(affinityKey(prompt), []*Replica{{name: "a"}, {name: "b"}}).name
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	wedge := func(ctx context.Context) error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	var specs []ReplicaSpec
+	for _, name := range []string{"a", "b"} {
+		cfg := serve.Config{Workers: 1, CacheSize: -1}
+		if name == routed {
+			cfg.StepFault = wedge
+		}
+		specs = append(specs, ReplicaSpec{Name: name, Model: m, Engine: cfg})
+	}
+	f, err := New(specs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	first := make(chan error, 1)
+	go func() {
+		resp, err := f.Generate(ctx, serve.Request{Prompt: prompt, Options: testOptions(100)})
+		first <- firstErr(resp, err)
+	}()
+	select {
+	case <-entered:
+	case <-ctx.Done():
+		t.Fatal("the routed replica never began the first decode")
+	}
+
+	const n = 6
+	resps := make([]*serve.Response, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = f.Generate(ctx, serve.Request{Prompt: prompt, Options: testOptions(int64(i))})
+		}()
+	}
+	wg.Wait()
+	dec := core.NewDecoder(m)
+	for i := range n {
+		if err := firstErr(resps[i], errs[i]); err != nil {
+			t.Fatalf("request %d stranded behind the wedged replica: %v", i, err)
+		}
+		if resps[i].Replica == routed {
+			t.Errorf("request %d served by the wedged replica %s", i, routed)
+		}
+		if direct := dec.Generate(prompt, testOptions(int64(i))); resps[i].Result.Text != direct.Text {
+			t.Errorf("request %d: output diverges from a direct decode", i)
+		}
+	}
+	if got := f.Metrics().Steals; got != n {
+		t.Errorf("steals = %d, want %d", got, n)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Errorf("the released decode: %v", err)
+	}
+}
+
+// ownGoroutines counts the live goroutines this module's code started,
+// once the count has held still for a few polls: a fleet's engine
+// workers among them, and nothing a test binary's HTTP plumbing leaves
+// winding down.
+func ownGoroutines() int {
+	count := func() int {
+		buf := make([]byte, 1<<20)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				return strings.Count(string(buf[:n]), "\ncreated by repro/internal/")
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	last, same := count(), 0
+	for deadline := time.Now().Add(2 * time.Second); same < 3 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if n := count(); n == last {
+			same++
+		} else {
+			last, same = n, 0
+		}
+	}
+	return last
+}
+
+// TestIdleFleetRunsNoPollers: an idle fleet runs only its engines'
+// workers. A four-replica, one-group fleet adds exactly ΣWorkers
+// goroutines and leaves none behind after Close.
+func TestIdleFleetRunsNoPollers(t *testing.T) {
+	m, _ := fixture(t)
+	base := ownGoroutines()
+	workers := []int{1, 2, 1, 3}
+	var specs []ReplicaSpec
+	sum := 0
+	for _, w := range workers {
+		specs = append(specs, ReplicaSpec{Model: m, Engine: serve.Config{Workers: w}})
+		sum += w
+	}
+	f, err := New(specs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ownGoroutines() - base; got != sum {
+		t.Errorf("idle fleet added %d goroutines, want %d (its workers)", got, sum)
+	}
+	f.Close()
+	if got := ownGoroutines() - base; got != 0 {
+		t.Errorf("%d goroutines outlived Close", got)
 	}
 }
 

@@ -15,12 +15,11 @@ type ReplicaMetrics struct {
 	Name   string `json:"name"`
 	Model  string `json:"model"`
 	Scheme string `json:"scheme"`
-	// Routed counts requests the router sent here; Inflight is how many
-	// of them are not yet answered; Stolen counts requests served here
-	// that were routed elsewhere (work stealing).
-	Routed   uint64 `json:"routed"`
-	Inflight int64  `json:"inflight"`
-	Stolen   uint64 `json:"stolen" prom:"vgend_replica_stolen_total" help:"Requests served here that were routed elsewhere."`
+	// Routed counts requests the router sent here; Stolen counts
+	// requests decoded here that were routed elsewhere (work stealing
+	// through the group's shared queue).
+	Routed uint64 `json:"routed"`
+	Stolen uint64 `json:"stolen" prom:"vgend_replica_stolen_total" help:"Requests served here that were routed elsewhere."`
 	// Engine is the replica engine's own snapshot; the exposition
 	// carries its replica-tagged fields.
 	Engine serve.Metrics `json:"engine" families:"replica"`
@@ -58,13 +57,12 @@ func (f *Fleet) Metrics() Metrics {
 		em := r.Engine().Metrics()
 		engines = append(engines, em)
 		m.PerReplica = append(m.PerReplica, ReplicaMetrics{
-			Name:     r.name,
-			Model:    r.modelName,
-			Scheme:   r.scheme,
-			Routed:   r.routed.Load(),
-			Inflight: r.inflight.Load(),
-			Stolen:   r.stolen.Load(),
-			Engine:   em,
+			Name:   r.name,
+			Model:  r.modelName,
+			Scheme: r.scheme,
+			Routed: r.routed.Load(),
+			Stolen: r.stolen.Load(),
+			Engine: em,
 		})
 	}
 	m.Fleet = serve.Aggregate(engines)

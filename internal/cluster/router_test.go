@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/serve"
@@ -67,19 +69,45 @@ func TestRendezvousScoreTies(t *testing.T) {
 }
 
 // TestAffinityIgnoresLoad: the pick is a function of the key and the
-// candidate names alone. A drowning affine replica keeps its keys —
-// rebalancing is the steal queue's job, at service time — so a prompt
-// family's caches never split under load.
+// candidate names alone. A drowning replica keeps its keys —
+// rebalancing is the group queue's job, at admission — so a prompt
+// family's caches never split under load. The load is real: every
+// replica is wedged on one decode, and a backlog waits in the group
+// queue behind the one the keys were first picked on.
 func TestAffinityIgnoresLoad(t *testing.T) {
-	f := newFleet(t, 4, nil, serve.Config{Workers: 1, CacheSize: -1})
+	_, prompts := fixture(t)
+	f, faults := newFaultyFleet(t, 4, serve.Config{Workers: 1, MaxBatch: 1, QueueSize: 16, CacheSize: -1})
+	for _, w := range faults {
+		w.on.Store(true)
+	}
 	reps := f.Replicas()
 	router := prefixAffinity{}
-	for _, key := range []string{"a", "b", "c", "d", "e", "f"} {
-		affine := router.Pick(key, reps)
-		affine.inflight.Add(64)
-		if got := router.Pick(key, reps); got != affine {
-			t.Errorf("key %q: drowning affine replica %s lost its key to %s", key, affine.Name(), got.Name())
-		}
-		affine.inflight.Add(-64)
+	keys := []string{"a", "b", "c", "d", "e", "f"}
+	before := make([]*Replica, len(keys))
+	for i, key := range keys {
+		before[i] = router.Pick(key, reps)
 	}
+
+	drowning := before[0]
+	const backlog = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := range len(reps) + backlog {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = drowning.Engine().TryGenerate(ctx, serve.Request{Prompt: prompts[0], Options: testOptions(int64(i))})
+		}()
+	}
+	waitFor(t, "no backlog formed behind the wedged replicas", func() bool {
+		return drowning.Engine().QueueDepth() == backlog
+	})
+	for i, key := range keys {
+		if got := router.Pick(key, reps); got != before[i] {
+			t.Errorf("key %q: replica %s lost its key to %s under a backlog", key, before[i].Name(), got.Name())
+		}
+	}
+	cancel()
+	wg.Wait()
 }

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -173,9 +172,11 @@ func currentSurface(t *testing.T) []string {
 // the hedge, failover and circuit-breaker counters, keys and families,
 // the admission chain's, autoscaler's and replica drain's keys
 // (shed_by_* map leaves included), families and phase, the engine's
-// preemption and single-flight keys and families, and the router's
+// preemption and single-flight keys and families, the router's
 // affinity/spill pick keys and families (the pick is pure rendezvous;
-// only work stealing rebalances).
+// only work stealing rebalances), and every "inflight" key: the
+// engine's single-flight population and a replica's
+// routed-but-unanswered count, which only the steal threshold read.
 var retiredSurfacePrefixes = []string{
 	"adapt", "vgend_adapt_", "vgend_replica_adapt_", "swaps", "vgend_fleet_swaps_total",
 	"prefix_pinned_", "prefix_leases", "vgend_prefix_pinned_", "vgend_prefix_leases_total", "vgend_replica_prefix_pinned_pages",
@@ -187,24 +188,13 @@ var retiredSurfacePrefixes = []string{
 	"sched_parked", "sched_preemptions", "sched_resumes", "dedup_hits",
 	"vgend_sched_parked", "vgend_sched_preemptions_total", "vgend_sched_resumes_total",
 	"vgend_replica_sched_preemptions_total", "vgend_dedup_hits_total", "vgend_strategy_dedup_hits_total",
-	"vgend_inflight",
+	"vgend_inflight", "inflight",
 	"affinity_picks", "spill_picks", "vgend_fleet_affinity_picks_total", "vgend_fleet_spill_picks_total",
-}
-
-// retiredSurfacePaths lists retired JSON keys by full path, for a leaf
-// name a surviving key still uses: the engine's single-flight
-// population "inflight" is gone, while a replica's routed-but-unanswered
-// count cluster.per_replica[].inflight stays.
-var retiredSurfacePaths = []string{
-	"engine.inflight", "cluster.fleet.inflight", "cluster.per_replica[].engine.inflight",
 }
 
 // retiredSurface reports whether a surface line names a retired metric.
 func retiredSurface(line string) bool {
 	name := strings.Fields(line)[2]
-	if slices.Contains(retiredSurfacePaths, name) {
-		return true
-	}
 	leaf := name[strings.LastIndexByte(name, '.')+1:]
 	for _, p := range retiredSurfacePrefixes {
 		if strings.HasPrefix(leaf, p) {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,9 +14,9 @@ import (
 // This file is the server's debuggability surface: the request-ID
 // middleware (every response path, including 503 backpressure, carries
 // X-Request-ID), per-request trace assembly for
-// /v1/generate, structured request logging, the /debug/requests and
-// /debug/trace flight-recorder endpoints, and the per-phase duration
-// metric family fed by the tracer.
+// /v1/generate, structured request logging, the /debug/requests
+// flight-recorder endpoint, and the per-phase duration metric family
+// fed by the tracer.
 
 // RequestIDHeader is the request/trace correlation header. A caller may
 // supply its own ID; otherwise the server mints one. The header is
@@ -109,9 +108,9 @@ type debugRequestSummary struct {
 
 // handleDebugRequests lists the flight recorder's contents (the last N
 // completed request traces plus the always-retained slowest-K), or with
-// ?id= returns one trace in full: the span snapshots and a rendered
-// tree, enough to reconstruct a request's whole dispatch/queue/decode
-// history from this endpoint alone.
+// ?id= returns one trace in full: the raw snapshot under "trace" and a
+// rendered tree under "tree", enough to reconstruct a request's whole
+// dispatch/queue/decode history from this endpoint alone.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("id"); id != "" {
 		snap, ok := s.tracer.Lookup(id)
@@ -141,22 +140,6 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 		"requests":       rows,
 		"traces_started": s.tracer.TracesStarted(),
 	})
-}
-
-// handleDebugTrace returns one recorded trace as a raw snapshot
-// (machine-readable counterpart of /debug/requests?id=).
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing id parameter"))
-		return
-	}
-	snap, ok := s.tracer.Lookup(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no recorded trace %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // writePhasePrometheus appends the tracer-fed per-phase duration family

@@ -349,7 +349,7 @@ func TestDebugEndpointsAbsentWithoutTracer(t *testing.T) {
 	defer e.Close()
 	ts := httptest.NewServer(NewServer(e).Handler())
 	defer ts.Close()
-	for _, path := range []string{"/debug/requests", "/debug/trace?id=x", "/debug/pprof/"} {
+	for _, path := range []string{"/debug/requests", "/debug/pprof/"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -10,11 +10,12 @@
 // Each decode has its own step boundary — no batch-wide barrier — so
 // one slow step idles no other worker, and a decode alone in the ready
 // ring is paced so it cannot lap a slower step running beside it. That
-// keeps the verifier's batch
-// full — the regime where speculative decoding actually pays — so a
-// short request runs beside a long one instead of behind it. Around
-// the scheduler sit a bounded FIFO request queue with explicit
-// backpressure, an LRU cache keyed on the prompt text and canonical
+// keeps the verifier's batch full — the regime where speculative
+// decoding actually pays — so a short request runs beside a long one
+// instead of behind it. Around the scheduler sit a bounded FIFO request
+// queue with explicit backpressure (shared by the engines of one model
+// group, NewGroup, so any member admits what waits behind a busy
+// sibling), an LRU cache keyed on the prompt text and canonical
 // options (seed included) that short-circuits repeat generations
 // before the prompt is tokenized, and a shared prefix cache
 // (model.TrieCache, a token-prefix trie) that reuses prompt-derived
@@ -41,6 +42,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -91,8 +93,8 @@ type Config struct {
 	// A hook that sleeps models a slow step. Hooks MUST honour ctx and
 	// return once it dies, or Close can wedge behind them. Tests use it
 	// to fault, panic or wedge a decode mid-flight (serve's debug
-	// surface, the fleet's steal-queue cancellation and per-request
-	// errors); nil in production.
+	// surface, a fleet member wedged while its group's queue drains
+	// through a sibling, and per-request errors); nil in production.
 	StepFault func(ctx context.Context) error
 }
 
@@ -163,6 +165,9 @@ type Response struct {
 	// For a request that named none it is the serving model's own
 	// method, which the submitting request cannot see.
 	Strategy string
+	// Engine is the engine that answered: the group member that decoded
+	// the request, or the engine whose result LRU held it.
+	Engine *Engine
 	// Replica names the fleet replica that served this response (empty
 	// outside fleet mode).
 	Replica string
@@ -176,6 +181,9 @@ type task struct {
 	promptIDs []int
 	ctx       context.Context
 	done      chan *Response // buffered(1): a worker never blocks on delivery
+	// via is the engine the request was submitted to: its QueueDepth
+	// counts the task until admission, and its LRU stores the result.
+	via *Engine
 	// enqueued is when the task entered the queue; the scheduler
 	// accounts the pickup delay as queue-wait time.
 	enqueued time.Time
@@ -193,7 +201,8 @@ type task struct {
 type Engine struct {
 	m        *model.Model
 	cfg      Config
-	queue    chan *task
+	g        *group
+	queued   atomic.Int64     // tasks submitted here, not yet admitted
 	cache    *lruCache        // nil when disabled
 	sessions *model.TrieCache // at model.DefaultTrieBytes
 
@@ -207,30 +216,59 @@ type Engine struct {
 	st stats
 }
 
-// NewEngine starts the scheduler's Workers goroutines over m. The model
-// must be fully trained before the first request: workers read it
-// concurrently and model training is not synchronized with reads.
+// group is the bounded request queue the engines of one model share.
+// Every member admits the queue's head at its own step boundaries, so
+// a member idle for any reason takes up work submitted through a busy
+// or wedged sibling, and the group's FIFO admission is the
+// scheduler's.
+type group struct {
+	queue   chan *task
+	members []*Engine
+}
+
+// NewEngine starts the scheduler's Workers goroutines over m: a group
+// of one. The model must be fully trained before the first request:
+// workers read it concurrently and model training is not synchronized
+// with reads.
 func NewEngine(m *model.Model, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{
-		m:        m,
-		cfg:      cfg,
-		queue:    make(chan *task, cfg.QueueSize),
-		sessions: model.NewTrieCache(0),
-		quit:     make(chan struct{}),
+	return NewGroup(m, cfg)[0]
+}
+
+// NewGroup starts one engine per config over m, all sharing one
+// request queue that holds the sum of their QueueSize. A request
+// submitted to any member is decoded by whichever member admits it
+// (Response.Engine); each engine keeps its own result LRU, prefix trie
+// and metrics, and Close on each as usual.
+func NewGroup(m *model.Model, cfgs ...Config) []*Engine {
+	g := &group{}
+	size := 0
+	for _, cfg := range cfgs {
+		cfg = cfg.withDefaults()
+		e := &Engine{
+			m:        m,
+			cfg:      cfg,
+			g:        g,
+			sessions: model.NewTrieCache(0),
+			quit:     make(chan struct{}),
+		}
+		if cfg.CacheSize > 0 {
+			e.cache = newLRUCache(cfg.CacheSize)
+		}
+		e.sc.ready.buf = make([]*schedTask, cfg.MaxBatch)
+		e.sc.wake = make(chan struct{}, 1)
+		e.sc.stepping = make([]inflight, cfg.Workers)
+		e.st.init()
+		g.members = append(g.members, e)
+		size += cfg.QueueSize
 	}
-	if cfg.CacheSize > 0 {
-		e.cache = newLRUCache(cfg.CacheSize)
+	g.queue = make(chan *task, size)
+	for _, e := range g.members {
+		e.wg.Add(e.cfg.Workers)
+		for w := range e.cfg.Workers {
+			go e.worker(w)
+		}
 	}
-	e.sc.ready.buf = make([]*schedTask, cfg.MaxBatch)
-	e.sc.wake = make(chan struct{}, 1)
-	e.sc.stepping = make([]inflight, cfg.Workers)
-	e.st.init()
-	e.wg.Add(cfg.Workers)
-	for w := range cfg.Workers {
-		go e.worker(w)
-	}
-	return e
+	return g.members
 }
 
 // Model exposes the engine's model (the HTTP layer reports its name).
@@ -239,9 +277,10 @@ func (e *Engine) Model() *model.Model { return e.m }
 // Workers reports the worker goroutine count.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// QueueDepth reports the number of requests waiting in the queue (not
-// yet admitted by the scheduler).
-func (e *Engine) QueueDepth() int { return len(e.queue) }
+// QueueDepth reports the number of requests submitted to this engine
+// that wait in its group's queue (not yet admitted by any member); the
+// members' depths sum to the queue's length.
+func (e *Engine) QueueDepth() int { return max(0, int(e.queued.Load())) }
 
 // Generate runs one request, blocking for a queue slot if the engine is
 // saturated. The returned error (context cancellation, ErrClosed) is
@@ -389,18 +428,19 @@ func (e *Engine) cacheLookup(req Request, key cacheKey) *Response {
 	}
 	if res, ok := e.cache.get(key); ok {
 		e.st.cacheHit(req.Options.StrategyLabel())
-		return &Response{Result: res, Cached: true, Strategy: req.Options.StrategyLabel()}
+		return &Response{Result: res, Cached: true, Strategy: req.Options.StrategyLabel(), Engine: e}
 	}
 	e.st.count(&e.st.m.CacheMisses)
 	return nil
 }
 
-// enqueue places a task on the bounded queue. The read lock spans the
-// send so Close's write lock cannot proceed while a submission is in
-// flight — after Close acquires it, the queue's contents are final and
-// can be drained exactly once.
+// enqueue places a task on the group's bounded queue. The read lock
+// spans the send so Close's write lock cannot proceed while a
+// submission is in flight — after Close acquires it, nothing more can
+// enter the queue through this engine, and its workers drain the queue
+// before they exit, so every task is admitted exactly once.
 func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, key cacheKey, block bool) (*task, error) {
-	t := &task{req: req, promptIDs: ids, ctx: ctx, done: make(chan *Response, 1), key: key}
+	t := &task{req: req, promptIDs: ids, ctx: ctx, done: make(chan *Response, 1), key: key, via: e}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
@@ -410,29 +450,30 @@ func (e *Engine) enqueue(ctx context.Context, req Request, ids []int, key cacheK
 	t.enqueued = time.Now()
 	if block {
 		select {
-		case e.queue <- t:
-			e.kick()
-			return t, nil
+		case e.g.queue <- t:
 		case <-ctx.Done():
 			t.qspan.SetAttr("outcome", "canceled")
 			t.qspan.End()
 			return nil, ctx.Err()
 		}
+	} else {
+		select {
+		case e.g.queue <- t:
+		default:
+			t.qspan.SetAttr("outcome", "queue_full")
+			t.qspan.End()
+			e.st.count(&e.st.m.Rejected)
+			return nil, ErrQueueFull
+		}
 	}
-	select {
-	case e.queue <- t:
-		e.kick()
-		return t, nil
-	default:
-		t.qspan.SetAttr("outcome", "queue_full")
-		t.qspan.End()
-		e.st.count(&e.st.m.Rejected)
-		return nil, ErrQueueFull
-	}
+	e.queued.Add(1)
+	e.g.wake(e)
+	return t, nil
 }
 
 // Close stops accepting requests, drains everything already queued
-// through the workers, and joins them. Safe to call more than once.
+// (in the whole group) through the workers, and joins them. Safe to
+// call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {

@@ -314,7 +314,7 @@ func (m *Metrics) derive() {
 // Metrics snapshots the engine's counters.
 func (e *Engine) Metrics() Metrics {
 	m := e.st.snapshot()
-	m.QueueDepth = len(e.queue)
+	m.QueueDepth = e.QueueDepth()
 	m.Workers = e.cfg.Workers
 	m.SchedMaxBatch = e.cfg.MaxBatch
 	if e.cache != nil {

@@ -11,11 +11,12 @@ import (
 	"repro/internal/core"
 )
 
-// This file is the continuous scheduler. NewEngine starts Workers
-// persistent worker goroutines; Close joins them. Resident decodes —
-// the ones holding a batch slot, at most MaxBatch — wait their turn in
-// one FIFO ready ring. At each step boundary a worker admits queued
-// requests into free slots (first in first out, at the ring's tail),
+// This file is the continuous scheduler. NewGroup starts each
+// engine's Workers persistent worker goroutines; Close joins them.
+// Resident decodes — the ones holding a batch slot, at most MaxBatch —
+// wait their turn in one FIFO ready ring per engine. At each step
+// boundary a worker admits requests from its group's queue into free
+// slots (first in first out, at the ring's tail),
 // puts the decode it just stepped back at the tail, or retires it if it
 // finished, and takes the ring's head for its next step.
 //
@@ -75,7 +76,8 @@ type sched struct {
 	steps    uint64
 	stepping []inflight
 	// wake (buffered, 1) rouses one idle worker: sent after an enqueue
-	// and whenever a worker leaves work behind in the ring or exits.
+	// in the group (group.wake) and whenever a worker leaves work
+	// behind in the ring or exits.
 	wake chan struct{}
 }
 
@@ -113,12 +115,53 @@ func (e *Engine) kick() {
 	}
 }
 
+// wake rouses the group for a task just enqueued through e: e alone
+// while it can admit the whole queue at once, so an idle engine keeps
+// the decodes routed to it (and its prefix trie their prompts), else
+// one idle worker of every member.
+func (g *group) wake(e *Engine) {
+	e.kick()
+	if len(g.members) == 1 || e.admitsQueue() {
+		return
+	}
+	for _, m := range g.members {
+		if m != e {
+			m.kick()
+		}
+	}
+}
+
+// admitsQueue reports whether e has a worker between steps and free
+// batch slots for every queued task: its next step boundary, due
+// without waiting on a running step, admits the whole queue.
+func (e *Engine) admitsQueue() bool {
+	s := &e.sc
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.cfg.MaxBatch-s.resident < len(e.g.queue) {
+		return false
+	}
+	for _, r := range s.stepping {
+		if r.step == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // worker w steps decodes until Close has drained the engine.
 func (e *Engine) worker(w int) {
 	defer e.wg.Done()
 	dec := core.NewDecoder(e.m).WithSessionCache(e.sessions)
 	paced := time.NewTimer(time.Hour)
 	paced.Stop()
+	// A new worker has freed no slot, so it has no step boundary yet:
+	// it waits to be woken rather than take queued work its group
+	// routed to another member.
+	select {
+	case <-e.sc.wake:
+	case <-e.quit:
+	}
 	var x *schedTask
 	for {
 		if x = e.next(w, x, paced); x == nil {
@@ -180,9 +223,13 @@ func (e *Engine) next(w int, x *schedTask, paced *time.Timer) *schedTask {
 		quit := e.quit
 		select {
 		case <-e.quit:
-			if s.resident == 0 && len(e.queue) == 0 {
-				// Drained: nothing can be enqueued after Close. Pass
-				// the news on to the next idle worker.
+			if s.resident == 0 {
+				if len(e.g.queue) > 0 {
+					continue // queued through a sibling since admit
+				}
+				// Drained: nothing can be enqueued through this engine
+				// after Close. Pass the news on to the next idle
+				// worker.
 				e.kick()
 				return nil
 			}
@@ -217,17 +264,18 @@ func (s *sched) lapsUntil(x *schedTask, now time.Time) time.Time {
 	return until
 }
 
-// admit moves queued requests, in arrival order, into free batch slots
-// at the ring's tail. Called with e.sc.mu held.
+// admit moves queued requests of the group, in arrival order, into
+// free batch slots at the ring's tail. Called with e.sc.mu held.
 func (e *Engine) admit() {
 	s := &e.sc
 	for s.resident < e.cfg.MaxBatch {
 		var t *task
 		select {
-		case t = <-e.queue:
+		case t = <-e.g.queue:
 		default:
 			return
 		}
+		t.via.queued.Add(-1)
 		t.wait = time.Since(t.enqueued)
 		t.pickedUp()
 		e.st.queueWait(t.wait)
@@ -298,7 +346,9 @@ func (e *Engine) stepOne(dec *core.Decoder, x *schedTask) (done bool) {
 // submitting caller. A decode that ended in an error is counted
 // canceled when the error is its context's and failed otherwise, and
 // answered with what it produced: the partial Result of a finished
-// decode, an empty one when it never began or was abandoned.
+// decode, an empty one when it never began or was abandoned. The
+// decoding engine counts the outcome; a result goes into the LRU of the
+// engine the request was submitted to, where its repeats arrive.
 func (e *Engine) retire(x *schedTask) {
 	var res *core.Result
 	var err error
@@ -325,10 +375,10 @@ func (e *Engine) retire(x *schedTask) {
 	case err != nil:
 		e.st.count(&e.st.m.Failed)
 	default:
-		if e.cache != nil && x.t.req.OnStep == nil {
-			e.cache.add(x.t.key, res)
+		if c := x.t.via.cache; c != nil && x.t.req.OnStep == nil {
+			c.add(x.t.key, res)
 		}
 		e.st.complete(x.label, res, x.wall)
 	}
-	x.t.done <- &Response{Result: res, Err: err, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait}
+	x.t.done <- &Response{Result: res, Err: err, Wall: x.wall, Strategy: x.label, QueueWait: x.t.wait, Engine: e}
 }

@@ -532,3 +532,62 @@ func TestWedgedDecodeCostsOneWorker(t *testing.T) {
 		t.Fatal("Close never returned")
 	}
 }
+
+// TestGroupCloseDrainsQueue: a group member drains the shared queue
+// before its workers exit, even with work queued through it and its
+// sibling wedged. Both members hold one gated decode each and the
+// rest of the requests wait in the queue; once Close has begun on the
+// submitting member and its gate opens, it alone answers everything
+// but the wedged decode, and every request completes exactly once
+// across the group.
+func TestGroupCloseDrainsQueue(t *testing.T) {
+	m, prompts := fixture(t)
+	gate := func(open chan struct{}) func(context.Context) error {
+		return func(ctx context.Context) error {
+			select {
+			case <-open:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+	}
+	openA, openB := make(chan struct{}), make(chan struct{})
+	engs := NewGroup(m,
+		Config{Workers: 1, MaxBatch: 1, CacheSize: -1, StepFault: gate(openA)},
+		Config{Workers: 1, MaxBatch: 1, CacheSize: -1, StepFault: gate(openB)})
+	a, b := engs[0], engs[1]
+
+	const n = 6
+	done := make(chan error, n)
+	for i := range n {
+		go func() {
+			_, err := a.Generate(context.Background(), Request{Prompt: prompts[i], Options: testOptions(int64(i))})
+			done <- err
+		}()
+	}
+	waitFor(t, "the group never filled both batches and queued the rest",
+		func() bool { return a.QueueDepth() == n-2 && a.Metrics().SchedRunning+b.Metrics().SchedRunning == 2 })
+	closed := make(chan struct{})
+	go func() { a.Close(); close(closed) }()
+	close(openA)
+	for range n - 1 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("request: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a closing member stranded work in its group's queue")
+		}
+	}
+	<-closed
+	close(openB)
+	if err := <-done; err != nil {
+		t.Errorf("the sibling's request: %v", err)
+	}
+	b.Close()
+	if got := a.Metrics().Completed + b.Metrics().Completed; got != n {
+		t.Errorf("completed %d across the group, want %d", got, n)
+	}
+}

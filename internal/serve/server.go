@@ -75,7 +75,7 @@ func NewBackendServer(b Backend) *Server {
 
 // WithTracer enables request tracing: every /v1/generate request is
 // assembled into a span tree, recorded in the tracer's flight
-// recorder, and exposed at /debug/requests and /debug/trace; per-kind
+// recorder, and exposed at /debug/requests; per-kind
 // phase sums feed the vgend_phase_seconds_total metric family.
 func (s *Server) WithTracer(t *trace.Tracer) *Server {
 	s.tracer = t
@@ -108,7 +108,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	if s.tracer != nil {
 		mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-		mux.HandleFunc("/debug/trace", s.handleDebugTrace)
 	}
 	if s.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
