@@ -235,14 +235,22 @@ func main() {
 	// One corpus; one tokenizer per backbone; one trained model per
 	// distinct (backbone, scheme) pair — replicas sharing a pair share
 	// the immutable trained model but keep their own engine and caches.
+	// Each stage logs its own elapsed time, so start-up breaks down
+	// into corpus, tokenizers and models without a profiler.
 	logInfo("building corpus", "items", *items)
-	start := time.Now()
+	lap := time.Now()
+	elapsed := func() string {
+		d := time.Since(lap)
+		lap = time.Now()
+		return d.Round(time.Millisecond).String()
+	}
 	examples, stats := dataset.BuildCorpus(dataset.CorpusOptions{Seed: *seed, Items: *items})
 	var corpus []string
 	limit := min(len(examples), 1500)
 	for _, ex := range examples[:limit] {
 		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
 	}
+	logInfo("corpus built", "corpus", fmt.Sprint(stats), "elapsed", elapsed())
 	toks := map[string]*tokenizer.Tokenizer{}
 	trained := map[string]*model.Model{}
 	for _, spec := range resolved {
@@ -254,11 +262,11 @@ func main() {
 		if tk == nil {
 			tk = tokenizer.Train(corpus, spec.cfg.VocabSize)
 			toks[spec.model] = tk
+			logInfo("tokenizer trained", "model", spec.cfg.Name, "vocab", tk.VocabSize(), "elapsed", elapsed())
 		}
-		logInfo("training model", "model", spec.cfg.Name, "scheme", spec.sch.String())
 		trained[key] = model.Train(tk, spec.cfg, spec.sch, examples)
+		logInfo("model trained", "model", spec.cfg.Name, "scheme", spec.sch.String(), "elapsed", elapsed())
 	}
-	logInfo("training done", "corpus", fmt.Sprint(stats), "elapsed", time.Since(start).Round(time.Millisecond).String())
 
 	engCfg := serve.Config{
 		Workers:   *workers,

@@ -258,7 +258,9 @@ func InsertFrags(src string) (string, error) {
 
 // EncodeWithFrags tokenizes src into BPE ids with FragID markers around
 // every significant token — the id-level form used to build training
-// labels and to drive the decoder's integrity check.
+// labels and to drive the decoder's integrity check. It shares no state
+// between calls and only reads tk, so it is safe for concurrent use:
+// model training prepares its examples on several goroutines at once.
 func EncodeWithFrags(tk *tokenizer.Tokenizer, src string) ([]int, error) {
 	sig, err := SignificantTokens(src)
 	if err != nil {

@@ -11,17 +11,34 @@ import (
 	"repro/internal/tokenizer"
 )
 
-// decode trains the model vgend serves at its default flags and returns
-// a session plus a decode of the first bench prompt: the prompt and 100
-// greedy tokens.
-var decode = sync.OnceValues(func() (*model.Gen, []int) {
+// vgendCorpus is what vgend trains its model on at its default flags:
+// the corpus and CodeLlama-sim's tokenizer.
+var vgendCorpus = sync.OnceValues(func() (*tokenizer.Tokenizer, []model.Example) {
 	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 3400})
 	var corpus []string
 	for _, ex := range examples[:min(len(examples), 1500)] {
 		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
 	}
-	cfg := model.CodeLlamaSim()
-	m := model.Train(tokenizer.Train(corpus, cfg.VocabSize), cfg, model.SchemeOurs, examples)
+	return tokenizer.Train(corpus, model.CodeLlamaSim().VocabSize), examples
+})
+
+// BenchmarkTrain is one training of the model vgend serves at its
+// default flags (CodeLlama-sim, Ours) on vgend's corpus: the bulk of
+// vgend's start-up.
+func BenchmarkTrain(b *testing.B) {
+	tk, examples := vgendCorpus()
+	b.ReportAllocs()
+	for b.Loop() {
+		model.Train(tk, model.CodeLlamaSim(), model.SchemeOurs, examples)
+	}
+}
+
+// decode trains the model vgend serves at its default flags and returns
+// a session plus a decode of the first bench prompt: the prompt and 100
+// greedy tokens.
+var decode = sync.OnceValues(func() (*model.Gen, []int) {
+	tk, examples := vgendCorpus()
+	m := model.Train(tk, model.CodeLlamaSim(), model.SchemeOurs, examples)
 	prompt := model.CanonicalPromptIDs(m.Tokenizer(), bench.All()[0].Prompt)
 	g := m.NewGen(prompt)
 	seq := append([]int(nil), prompt...)

@@ -1,10 +1,13 @@
 package model
 
 import (
+	"iter"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/frag"
 	"repro/internal/tokenizer"
@@ -60,7 +63,8 @@ type Config struct {
 	// HeadCtx is the context length available to decoding heads
 	// (heads are small MLPs in Medusa; shorter context models that).
 	HeadCtx int
-	// NumHeads is the number of decoding heads appended (paper: 10).
+	// NumHeads is the number of decoding heads appended (paper: 10), at
+	// most 255.
 	NumHeads int
 	// VocabSize is the BPE vocabulary target for this model.
 	VocabSize int
@@ -142,7 +146,8 @@ type Model struct {
 	// prompt contained it (document frequency for inference-time IDF
 	// filtering of uninformative keywords such as clk or rst).
 	kwDF map[string]int
-	// trained counts examples consumed (diagnostics).
+	// trained counts examples consumed; the next example's ordinal is
+	// trained+1.
 	trained int
 	// kwFloorPow is the keyword factor of an id no keyword supports,
 	// Pow(kwFloor, PromptBlend).
@@ -154,6 +159,9 @@ type Model struct {
 func New(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 	if cfg.KwCtx <= 0 {
 		cfg.KwCtx = 2
+	}
+	if cfg.NumHeads > math.MaxUint8 {
+		panic("model: more than 255 decoding heads")
 	}
 	m := &Model{cfg: cfg, scheme: scheme, tok: tk,
 		base: newNgramTable(cfg.Order), kw: newNgramTable(cfg.KwCtx),
@@ -190,157 +198,309 @@ func (m *Model) NumHeads() int { return len(m.heads) }
 func (m *Model) TrainedExamples() int { return m.trained }
 
 // TrainMore ingests additional examples incrementally — the data-size
-// sweep of Table I trains once per subset boundary and keeps going. The
-// tables are thawed into their training form for the call and frozen
-// again at its end.
+// sweep of Table I trains once per subset boundary and keeps going.
+//
+// Training runs in three stages:
+//  1. every example is prepared (tokenized, frag-encoded, its context
+//     view, keyword seeds and head-label depths built) by
+//     GOMAXPROCS workers;
+//  2. one pass in example order numbers the examples — an example's
+//     ordinal picks the heads it trains — and counts keyword document
+//     frequencies;
+//  3. every table (base, kw, each head) is one unit of work: a worker
+//     thaws it into its training form, replays every prepared
+//     example's observations for that table in example order and
+//     freezes it again, so GOMAXPROCS workers keep at most GOMAXPROCS
+//     tables in tally form at once. The units run in phases (see
+//     phases), and the tallies a phase drops are collected before the
+//     next phase starts.
+//
+// No table reads another while it trains, so each sees exactly the
+// (context, next, weight) sequence one pass over the examples, one at a
+// time, would give it, adds its float counts in that order and comes
+// out bit for bit the same at any GOMAXPROCS and however the examples
+// are split across calls.
 func (m *Model) TrainMore(examples []Example) {
-	tables := append([]*ngramTable{m.base, m.kw}, m.heads...)
-	for _, t := range tables {
-		t.thaw()
-	}
-	for _, ex := range examples {
-		m.trainOne(ex)
-	}
-	for _, t := range tables {
-		t.freeze()
+	for _, phase := range m.phases(m.prepareAll(examples)) {
+		parallelFor(len(phase), func(i int) {
+			u := phase[i]
+			u.t.thaw()
+			u.train()
+			u.t.freeze()
+		})
+		// The phase's tallies are garbage now and most of the heap. Left
+		// to the collector's pacing, they would be freed whenever its
+		// next cycle happened to start, and the process's peak memory
+		// would depend on that timing; collected here, the peak is the
+		// largest phase's working set, the same on every run.
+		runtime.GC()
 	}
 }
 
-// trainOne updates the count tables for a single example according to
-// the model's scheme.
-func (m *Model) trainOne(ex Example) {
-	promptIDs := append([]int{tokenizer.BosID}, m.tok.Encode(FormatPrompt(ex.Prompt))...)
+// prepareAll runs stages 1 and 2 of TrainMore: it prepares every
+// example in parallel, then numbers them and counts their keywords in
+// example order.
+func (m *Model) prepareAll(examples []Example) []prepared {
+	prep := make([]prepared, len(examples))
+	parallelFor(len(examples), func(i int) { prep[i] = m.prepare(examples[i]) })
+	for i := range prep {
+		p := &prep[i]
+		if p.code == nil {
+			continue
+		}
+		m.trained++
+		if p.depth != nil {
+			p.heads = m.headSubset(m.trained)
+		}
+		for _, w := range p.keywords {
+			m.kwDF[w]++
+		}
+	}
+	return prep
+}
 
-	var codeIDs []int
+// unit is one table and the replay of its observations into its
+// training form.
+type unit struct {
+	t     *ngramTable
+	train func()
+}
+
+// phases lists one unit per table, in the phases they train in. The
+// base and keyword tables carry most of the observations and most of
+// the tally memory: they train first, side by side, and the heads
+// train once both are frozen.
+func (m *Model) phases(prep []prepared) [][]unit {
+	phases := [][]unit{{{m.base, func() { m.trainBase(prep) }}, {m.kw, func() { m.trainKw(prep) }}}}
+	if len(m.heads) == 0 {
+		return phases
+	}
+	heads := make([]unit, len(m.heads))
+	for i, t := range m.heads {
+		heads[i] = unit{t, func() { m.trainHead(prep, i+1) }}
+	}
+	return append(phases, heads)
+}
+
+// parallelFor calls f(0) … f(n-1) on GOMAXPROCS goroutines, each taking
+// the next index as it finishes one, and returns when all are done.
+func parallelFor(n int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// prepared is one example ready to be replayed into the tables.
+type prepared struct {
+	// code is the code region's ids — [FRAG]-enriched under a frag
+	// scheme — and <eos>. It is nil for an example the scheme cannot
+	// parse (the dataset pipeline should have filtered it), which trains
+	// nothing and takes no ordinal.
+	code []int
+	// view is the context view the tables train on: the prompt's last
+	// promptAnchor tokens, then code without its [FRAG] markers.
+	// Contexts are hashed over this FRAG-filtered view — markers are
+	// positional decorations a transformer would attend through, and
+	// keeping them in the window would halve the enriched model's
+	// context reach — while markers remain first-class prediction
+	// targets. Deeper prompt prose is example-specific, and long context
+	// levels would latch onto coincidental phrase overlaps across
+	// prompts; the constant anchor ("### Response:\n") is all of the
+	// prompt a context sees.
+	view   []int
+	anchor int // prompt tokens at the head of view
+	// depth[s] is how many heads learn a label at code position s: head
+	// i (1-based) learns code[s+i] there iff i <= depth[s]. Nil without
+	// heads.
+	depth []uint8
+	// heads[i] reports whether head i (1-based) trains on the example.
+	// Nil without heads.
+	heads    []bool
+	keywords []string
+	seeds    []uint64 // kwSeed of each keyword
+}
+
+// prepare tokenizes one example and builds everything its observations
+// are replayed from.
+func (m *Model) prepare(ex Example) prepared {
+	var code []int
 	if m.scheme.UsesFrags() {
 		ids, err := frag.EncodeWithFrags(m.tok, ex.Code)
 		if err != nil {
-			return // unparsable example: dataset pipeline should have filtered it
+			return prepared{}
 		}
-		codeIDs = ids
+		code = ids
 	} else {
-		codeIDs = m.tok.Encode(ex.Code)
+		code = m.tok.Encode(ex.Code)
 	}
-	codeIDs = append(codeIDs, tokenizer.EosID)
-
-	full := append(append([]int{}, promptIDs...), codeIDs...)
-	codeStart := len(promptIDs)
-	m.trained++
-
-	// Contexts are hashed over the FRAG-FILTERED view of the sequence:
-	// [FRAG] markers are positional decorations a transformer would
-	// attend through, and keeping them in the window would halve the
-	// enriched model's effective context reach. Markers remain
-	// first-class PREDICTION TARGETS. flen[p] is the filtered length
-	// of full[:p], so filtAll[:flen[p]] is the context before p.
-	filtAll := make([]int, 0, len(full))
-	flen := make([]int, len(full)+1)
-	for p, id := range full {
-		flen[p] = len(filtAll)
+	code = append(code, tokenizer.EosID)
+	// The prompt holds no [FRAG]: Encode never yields a special id.
+	prompt := append([]int{tokenizer.BosID}, m.tok.Encode(FormatPrompt(ex.Prompt))...)
+	anchor := prompt[max(0, len(prompt)-promptAnchor):]
+	p := prepared{code: code, view: make([]int, 0, len(anchor)+len(code)), anchor: len(anchor)}
+	p.view = append(p.view, anchor...)
+	for _, id := range code {
 		if id != tokenizer.FragID {
-			filtAll = append(filtAll, id)
+			p.view = append(p.view, id)
 		}
 	}
-	flen[len(full)] = len(filtAll)
-
-	// Keyword-conditioned tables: the prompt's content words each
-	// learn their own successor statistics, giving the model real
-	// prompt conditioning (its attention analogue).
-	seeds := make([]uint64, 0, maxKeywords)
-	for _, w := range Keywords(ex.Prompt) {
-		seeds = append(seeds, kwSeed(w))
-		m.kwDF[w]++
+	// The prompt's content words each condition the keyword table: the
+	// model's prompt attention analogue.
+	p.keywords = Keywords(ex.Prompt)
+	for _, w := range p.keywords {
+		p.seeds = append(p.seeds, kwSeed(w))
 	}
-
-	// ctxAt builds the filtered context before position p, with the
-	// trailing run of FRAG markers (capped at 2) retained: the tables
-	// must distinguish "just opened/closed a fragment" states, or a
-	// generated marker would not change the context and decoding could
-	// loop on markers forever. Contexts are clipped to the code region
-	// plus a short constant anchor ("### Response:\n") — deeper prompt
-	// prose is example-specific and long context levels would latch
-	// onto coincidental phrase overlaps across prompts.
-	clip := flen[codeStart] - promptAnchor
-	if clip < 0 {
-		clip = 0
+	if len(m.heads) == 0 {
+		return p
 	}
-	ctxBuf := make([]int, 0, len(full)+2)
-	ctxAt := func(p int) []int {
-		lo := clip
-		ctxBuf = append(ctxBuf[:0], filtAll[lo:flen[p]]...)
-		trail := 0
-		for j := p - 1; j >= 0 && full[j] == tokenizer.FragID && trail < 2; j-- {
-			trail++
-			ctxBuf = append(ctxBuf, tokenizer.FragID)
-		}
-		return ctxBuf
-	}
-
-	// Targets are code-region only — the Alpaca format masks loss on
-	// the instruction, so the model never learns to produce prompt
-	// prose (contexts may still reach back into the prompt tail, which
-	// anchors the response start).
-	for p := codeStart; p < len(full); p++ {
-		ctx := ctxAt(p)
-		m.base.add(ctx, full[p], 1)
-		// The keyword tables use the content-only view (a trailing
-		// [FRAG] would collapse every fragment boundary into the same
-		// two-token context) and learn content targets only — they are
-		// the task-identity expert, agnostic about marker machinery.
-		if full[p] != tokenizer.FragID {
-			kwCtx := filtAll[clip:flen[p]]
-			for _, seed := range seeds {
-				m.kw.addSeeded(kwCtx, full[p], 1, seed)
-			}
-		}
-	}
-	if m.scheme == SchemeNTP {
-		return
-	}
-
-	// Heads: label matrix over the code region (paper Fig. 4).
-	labels := frag.BuildLabels(codeIDs, m.cfg.NumHeads)
+	// Heads: label matrix over the code region (paper Fig. 4). A row is
+	// [PAD] from where the shift runs off the code on and [IGNORE] past
+	// a position's last fragment boundary on, so the rows with a label
+	// are always a prefix and their count is all a position keeps.
+	labels := frag.BuildLabels(code, len(m.heads))
 	if m.scheme == SchemeOurs { // SchemeOursNoMask ablates exactly this line
 		frag.MaskLabelsParallel(labels)
 	}
-	loK := m.cfg.Order - 2
-	if loK < 1 {
-		loK = 1
+	p.depth = make([]uint8, len(code))
+	for s := range code {
+		d := 0
+		for d < len(m.heads) && labels[d+1][s] != tokenizer.PadID && labels[d+1][s] != tokenizer.IgnoreID {
+			d++
+		}
+		p.depth[s] = uint8(d)
 	}
-	pollution := make([]float64, m.cfg.NumHeads+1)
-	trainHead := make([]bool, m.cfg.NumHeads+1)
-	for i := 1; i <= m.cfg.NumHeads; i++ {
-		pollution[i] = m.cfg.Lambda * math.Pow(m.cfg.Gamma, float64(i))
-		// The γ^i loss decay (eq. 2) barely trains deep heads; the
-		// count-based analogue is per-head example subsampling: head i
-		// sees a γ^(i-1) fraction of the data. The syntax-enriched
-		// scheme tolerates this (its [IGNORE]-masked deep-head task is
-		// small and easy — the paper's "more robust heads" claim);
-		// vanilla Medusa's deep heads stay underfit and noisy.
-		h := uint64(m.trained)*2654435761 + uint64(i)*97
-		trainHead[i] = float64(h%1000) < 1000*math.Pow(m.cfg.Gamma, float64(i-1))
-	}
-	for s := 0; s < len(codeIDs); s++ {
-		ctx := ctxAt(codeStart + s)
-		for i := 1; i <= m.cfg.NumHeads; i++ {
-			target := labels[i][s]
-			if target == tokenizer.PadID || target == tokenizer.IgnoreID {
-				continue
+	return p
+}
+
+// contexts yields each code position s with the context the tables
+// learn code[s] in: the view before s plus its trailing run of [FRAG]
+// markers, capped at 2. The tables must tell "just opened/closed a
+// fragment" states apart, or a generated marker would not change the
+// context and decoding could loop on markers forever. Every ladder
+// level reaches at most maxReach tokens back, so the view is cut to its
+// last maxReach tokens: each level hashes the same context and fits it
+// exactly when it fits the whole. The context is valid until the next
+// position.
+func (p *prepared) contexts() iter.Seq2[int, []int] {
+	return func(yield func(int, []int) bool) {
+		var buf [maxReach + 2]int
+		v, trail := p.anchor, 0
+		for s, id := range p.code {
+			ctx := p.view[max(0, v-maxReach):v]
+			if trail > 0 {
+				ctx = append(append(buf[:0], ctx...), tokenizer.FragID)
+				if trail > 1 {
+					ctx = append(ctx, tokenizer.FragID)
+				}
 			}
-			if !trainHead[i] {
-				continue
+			if !yield(s, ctx) {
+				return
 			}
-			m.heads[i-1].add(ctx, target, 1)
-			// Medusa-2 joint training: the head loss also moves the
-			// backbone (weight λ·γ^i, eq. 2). For the syntax-enriched
-			// scheme the [IGNORE] mask removes most of this
-			// cross-fragment interference — exactly the paper's
-			// explanation of its quality advantage. Interference lands
-			// on the longest context orders only: it perturbs specific
-			// contexts rather than global token statistics.
-			m.base.addRange(ctx, target, pollution[i], loK, 0)
+			if id == tokenizer.FragID {
+				trail++
+			} else {
+				v, trail = v+1, 0
+			}
 		}
 	}
+}
+
+// trainBase replays the base table's observations: each example's code
+// tokens (targets are code-region only — the Alpaca format masks loss
+// on the instruction), then its heads' interference.
+func (m *Model) trainBase(prep []prepared) {
+	loK := max(m.cfg.Order-2, 1)
+	pollution := make([]float64, len(m.heads)+1)
+	for i := 1; i < len(pollution); i++ {
+		pollution[i] = m.cfg.Lambda * math.Pow(m.cfg.Gamma, float64(i))
+	}
+	for j := range prep {
+		p := &prep[j]
+		for s, ctx := range p.contexts() {
+			m.base.add(ctx, p.code[s], 1)
+		}
+		if p.depth == nil {
+			continue
+		}
+		// Medusa-2 joint training: the head loss also moves the backbone
+		// (weight λ·γ^i, eq. 2). For the syntax-enriched scheme the
+		// [IGNORE] mask removes most of this cross-fragment interference
+		// — exactly the paper's explanation of its quality advantage.
+		// Interference lands on the longest context orders only: it
+		// perturbs specific contexts rather than global token statistics.
+		for s, ctx := range p.contexts() {
+			for i := 1; i <= int(p.depth[s]); i++ {
+				if p.heads[i] {
+					m.base.addRange(ctx, p.code[s+i], pollution[i], loK, 0)
+				}
+			}
+		}
+	}
+}
+
+// trainKw replays the keyword table's observations. It learns each
+// keyword's successor statistics over the content-only view (a
+// trailing [FRAG] would collapse every fragment boundary into the same
+// two-token context) and content targets only: it is the task-identity
+// expert, agnostic about marker machinery.
+func (m *Model) trainKw(prep []prepared) {
+	for j := range prep {
+		p := &prep[j]
+		for s, ctx := range p.contexts() {
+			if p.code[s] == tokenizer.FragID {
+				continue
+			}
+			for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
+				ctx = ctx[:len(ctx)-1]
+			}
+			for _, seed := range p.seeds {
+				m.kw.addSeeded(ctx, p.code[s], 1, seed)
+			}
+		}
+	}
+}
+
+// trainHead replays head i's (1-based) observations: the label i tokens
+// ahead, wherever the position keeps one, in the examples the head
+// trains on.
+func (m *Model) trainHead(prep []prepared, i int) {
+	t := m.heads[i-1]
+	for j := range prep {
+		p := &prep[j]
+		if p.heads == nil || !p.heads[i] {
+			continue
+		}
+		for s, ctx := range p.contexts() {
+			if int(p.depth[s]) >= i {
+				t.add(ctx, p.code[s+i], 1)
+			}
+		}
+	}
+}
+
+// headSubset reports, indexed by head (1-based), which heads train on
+// the example with the given ordinal. The γ^i loss decay (eq. 2) barely
+// trains deep heads; the count-based analogue is per-head example
+// subsampling: head i sees a γ^(i-1) fraction of the data. The
+// syntax-enriched scheme tolerates this (its [IGNORE]-masked deep-head
+// task is small and easy — the paper's "more robust heads" claim);
+// vanilla Medusa's deep heads stay underfit and noisy.
+func (m *Model) headSubset(ordinal int) []bool {
+	heads := make([]bool, len(m.heads)+1)
+	for i := 1; i < len(heads); i++ {
+		h := uint64(ordinal)*2654435761 + uint64(i)*97
+		heads[i] = float64(h%1000) < 1000*math.Pow(m.cfg.Gamma, float64(i-1))
+	}
+	return heads
 }
 
 // maxInduction is the longest suffix the induction-copy mechanism

@@ -13,13 +13,21 @@ import (
 // Counts are float64 so weighted (joint-training interference) updates
 // compose cleanly with ordinary observations.
 //
-// A table has two forms. During a TrainMore call each level is a tally,
-// cheap to update (counts). At the end of the call every level is
-// frozen into flat, pointer-free arrays (frozen) and its tally dropped,
-// so the garbage collector never walks a trained model; prediction reads
-// only the frozen form. The next TrainMore thaws the arrays back into
-// tallies with every count and total exactly as they were, so training
-// in several calls equals training in one.
+// A table has two forms. While TrainMore trains it each level is a
+// tally, cheap to update (counts). Once the table has seen the call's
+// examples every level is frozen into flat, pointer-free arrays
+// (frozen) and its tally dropped, so the garbage collector never walks
+// a trained model; prediction reads only the frozen form. The next
+// TrainMore thaws the arrays back into tallies with every count and
+// total exactly as they were, so training in several calls equals
+// training in one.
+//
+// Each table trains on one worker of its own: it is thawed, fed its
+// observations in example order and frozen without ever reading
+// another table, so its counts are summed in the same order and come
+// out bit for bit the same at any GOMAXPROCS. With GOMAXPROCS workers,
+// at most GOMAXPROCS tables of a model are in tally form at once; the
+// rest are frozen or not yet thawed.
 type ngramTable struct {
 	levels []int // ascending context lengths
 	// counts[i] tallies level i's observations; nil outside TrainMore.
@@ -34,13 +42,33 @@ type ngramTable struct {
 // tally is one level in training form: the contexts in order of first
 // observation, indexed by the hash of their last levels[i] tokens.
 type tally struct {
-	index   map[uint64]int32 // context hash → position in ctxs
-	ctxs    []succ
+	index map[uint64]int32 // context hash → position in ctxs
+	// ctxs holds the contexts in chunks of chunkLen. A growing tally
+	// adds a chunk, never copying the contexts it holds, so it leaves
+	// no outgrown arrays behind for the collector.
+	ctxs    [][]succ
+	n       int // contexts held
 	entries int // successor entries over all ctxs
 }
 
+const chunkLen = 1 << 10
+
 func newTally(ctxs int) tally {
-	return tally{index: make(map[uint64]int32, ctxs), ctxs: make([]succ, 0, ctxs)}
+	return tally{index: make(map[uint64]int32, ctxs)}
+}
+
+// at returns the context at position n.
+func (c *tally) at(n int32) *succ { return &c.ctxs[n/chunkLen][n%chunkLen] }
+
+// push appends a context and returns its position.
+func (c *tally) push(s succ) int32 {
+	if c.n%chunkLen == 0 {
+		c.ctxs = append(c.ctxs, make([]succ, 0, chunkLen))
+	}
+	last := &c.ctxs[len(c.ctxs)-1]
+	*last = append(*last, s)
+	c.n++
+	return int32(c.n - 1)
 }
 
 // succ is one context's successor counts and their total. Most contexts
@@ -176,11 +204,10 @@ func (t *ngramTable) addRange(ctx []int, next int, weight float64, loK int, seed
 		c := &t.counts[i]
 		n, ok := c.index[h]
 		if !ok {
-			n = int32(len(c.ctxs))
+			n = c.push(succ{key: h})
 			c.index[h] = n
-			c.ctxs = append(c.ctxs, succ{key: h})
 		}
-		if c.ctxs[n].add(int32(next), weight) {
+		if c.at(n).add(int32(next), weight) {
 			c.entries++
 		}
 	}
@@ -234,25 +261,27 @@ func (l *level) find(key uint64) *slot {
 
 func freezeLevel(c tally) level {
 	var l level
-	if len(c.ctxs) == 0 {
+	if c.n == 0 {
 		return l
 	}
 	l.slab = make([]entry, 0, c.entries)
-	b := bits.Len(uint(2*len(c.ctxs) - 1)) // 2^b >= 2·len(ctxs)
+	b := bits.Len(uint(2*c.n - 1)) // 2^b >= 2·c.n
 	l.slots = make([]slot, 1<<b)
 	l.shift = uint(64 - b)
-	l.ctxs = len(c.ctxs)
+	l.ctxs = c.n
 	mask := len(l.slots) - 1
-	for _, s := range c.ctxs {
-		start := len(l.slab)
-		l.slab = append(l.slab, s.run...)
-		run := l.slab[start:]
-		slices.SortFunc(run, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
-		i := l.home(s.key)
-		for l.slots[i].n != 0 {
-			i = (i + 1) & mask
+	for _, chunk := range c.ctxs {
+		for _, s := range chunk {
+			start := len(l.slab)
+			l.slab = append(l.slab, s.run...)
+			run := l.slab[start:]
+			slices.SortFunc(run, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+			i := l.home(s.key)
+			for l.slots[i].n != 0 {
+				i = (i + 1) & mask
+			}
+			l.slots[i] = slot{key: s.key, total: s.total, start: int32(start), n: int32(len(run))}
 		}
-		l.slots[i] = slot{key: s.key, total: s.total, start: int32(start), n: int32(len(run))}
 	}
 	return l
 }
@@ -276,9 +305,9 @@ func (l *level) thaw() tally {
 			continue
 		}
 		s := l.slots[i-1]
-		c.index[s.key] = int32(len(c.ctxs))
-		c.ctxs = append(c.ctxs, succ{key: s.key, total: s.total, run: slices.Clone(l.slab[s.start : s.start+s.n])})
-		c.ctxs[len(c.ctxs)-1].indexIfLong()
+		n := c.push(succ{key: s.key, total: s.total, run: slices.Clone(l.slab[s.start : s.start+s.n])})
+		c.index[s.key] = n
+		c.at(n).indexIfLong()
 	}
 	return c
 }

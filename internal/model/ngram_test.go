@@ -5,7 +5,9 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/frag"
@@ -53,12 +55,14 @@ func refOf(t *ngramTable) *refTable {
 	r := &refTable{levels: t.levels}
 	for _, c := range t.counts {
 		m := map[uint64]*refSucc{}
-		for _, s := range c.ctxs {
-			counts := map[int]float64{}
-			for _, e := range s.run {
-				counts[int(e.id)] = e.v
+		for _, chunk := range c.ctxs {
+			for _, s := range chunk {
+				counts := map[int]float64{}
+				for _, e := range s.run {
+					counts[int(e.id)] = e.v
+				}
+				m[s.key] = &refSucc{total: s.total, counts: counts}
 			}
-			m[s.key] = &refSucc{total: s.total, counts: counts}
 		}
 		r.orders = append(r.orders, m)
 	}
@@ -121,21 +125,19 @@ func sameAsRef(t *testing.T, what string, got []entry, want map[int]float64) {
 	}
 }
 
-// trainWithRef trains like Train and also returns every table's
-// tallies, taken just before the freeze, in reference form.
+// trainWithRef trains like Train, one table after another, and also
+// returns every table's tallies, taken just before the freeze, in
+// reference form.
 func trainWithRef(tk *tokenizer.Tokenizer, scheme Scheme, examples []Example) (*Model, map[*ngramTable]*refTable) {
 	m := New(tk, smallCfg(), scheme)
-	tables := append([]*ngramTable{m.base, m.kw}, m.heads...)
-	for _, t := range tables {
-		t.thaw()
-	}
-	for _, ex := range examples {
-		m.trainOne(ex)
-	}
 	ref := map[*ngramTable]*refTable{}
-	for _, t := range tables {
-		ref[t] = refOf(t)
-		t.freeze()
+	for _, phase := range m.phases(m.prepareAll(examples)) {
+		for _, u := range phase {
+			u.t.thaw()
+			u.train()
+			ref[u.t] = refOf(u.t)
+			u.t.freeze()
+		}
 	}
 	return m, ref
 }
@@ -203,23 +205,87 @@ func TestFrozenMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTrainMoreRefreeze: training in two calls, with a thaw and refreeze
-// between them, builds exactly the model one call builds.
+// TestTallyAcrossChunks trains a level past several tally chunks, in
+// one call and in two with a thaw between them that falls mid-chunk:
+// every context keeps its total, and both tables freeze to the same
+// arrays.
+func TestTallyAcrossChunks(t *testing.T) {
+	n := 3*chunkLen + 5
+	observe := func(tb *ngramTable, lo, hi int) {
+		tb.thaw()
+		for i := lo; i < hi; i++ {
+			tb.add([]int{i % n}, i%7, 1)
+		}
+		tb.freeze()
+	}
+	one, two := newNgramTable(1), newNgramTable(1)
+	observe(one, 0, 2*n)
+	observe(two, 0, n+chunkLen/2)
+	observe(two, n+chunkLen/2, 2*n)
+	if !reflect.DeepEqual(one, two) {
+		t.Fatal("training in two calls froze to other arrays than one call")
+	}
+	l := &one.frozen[1]
+	if l.ctxs != n {
+		t.Fatalf("%d contexts, want %d", l.ctxs, n)
+	}
+	for c := range n {
+		if s := l.find(ctxHash([]int{c}, 1, 0)); s == nil || s.total != 2 {
+			t.Fatalf("context %d: record %+v, want total 2", c, s)
+		}
+	}
+}
+
+// TestTrainMoreRefreeze is the exactness gate of parallel training:
+// for every scheme, a model trained at GOMAXPROCS 1 or 4, in one call or
+// in two with a thaw and refreeze between them, is the model one call
+// at GOMAXPROCS 1 builds, float bits included. The first example is
+// long, so at GOMAXPROCS 4 its preparation finishes after the short
+// ones behind it: numbering examples in completion order instead of
+// example order gives the heads other examples and fails. An
+// unparsable example in the middle trains nothing under a frag scheme
+// and takes no ordinal.
 func TestTrainMoreRefreeze(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
-	var examples []Example
-	for i := 0; i < 4; i++ {
-		examples = append(examples, trainExamples...)
+	var long strings.Builder
+	for range 8 {
+		for _, ex := range trainExamples {
+			long.WriteString(ex.Code)
+		}
 	}
-	whole := Train(tk, smallCfg(), SchemeOurs, examples)
-	split := Train(tk, smallCfg(), SchemeOurs, examples[:5])
-	split.TrainMore(examples[5:])
-	if !reflect.DeepEqual(whole, split) {
-		t.Fatal("Train(a∪b) and Train(a)+TrainMore(b) built different models")
+	examples := []Example{{Prompt: "Create every register and counter.", Code: long.String()}}
+	examples = append(examples, trainExamples...)
+	examples = append(examples, trainExamples...)
+	broken := Example{Prompt: "Create a broken module.", Code: "module broken (\n"}
+	examples = append(examples, broken)
+	examples = append(examples, trainExamples...)
+	examples = append(examples, trainExamples...)
+	if _, err := frag.EncodeWithFrags(tk, examples[0].Code); err != nil {
+		t.Fatalf("the long example does not parse: %v", err)
 	}
-	gens, seqs := decodeContexts(whole)
-	for i, seq := range seqs {
-		sameForward(t, "split", gens[i].Forward(seq), split.NewGen(seq[:gens[i].promptLen]).Forward(seq))
+	if _, err := frag.EncodeWithFrags(tk, broken.Code); err == nil {
+		t.Fatal("the broken example parses")
+	}
+	train := func(scheme Scheme, procs, split int) *Model {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m := Train(tk, smallCfg(), scheme, examples[:split])
+		if split < len(examples) {
+			m.TrainMore(examples[split:])
+		}
+		return m
+	}
+	for _, scheme := range []Scheme{SchemeNTP, SchemeMedusa, SchemeOurs, SchemeOursNoMask} {
+		want := train(scheme, 1, len(examples))
+		for _, procs := range []int{1, 4} {
+			for _, split := range []int{len(examples), 5} {
+				if procs == 1 && split == len(examples) {
+					continue
+				}
+				if got := train(scheme, procs, split); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v at GOMAXPROCS %d, split at %d: not the model one call at GOMAXPROCS 1 builds", scheme, procs, split)
+				}
+			}
+		}
 	}
 }
 

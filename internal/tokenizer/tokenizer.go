@@ -112,7 +112,9 @@ func pretokenize(text string) []string {
 	return out
 }
 
-// Encode tokenizes text into BPE ids (no <bos>/<eos> are added).
+// Encode tokenizes text into BPE ids (no <bos>/<eos> are added). It
+// only reads the trained vocabulary, so it is safe for concurrent use:
+// model training encodes its examples on several goroutines at once.
 func (t *Tokenizer) Encode(text string) []int {
 	var out []int
 	var m merger
@@ -122,7 +124,8 @@ func (t *Tokenizer) Encode(text string) []int {
 	return out
 }
 
-// EncodeWithMarkers wraps Encode with <bos> ... <eos>.
+// EncodeWithMarkers wraps Encode with <bos> ... <eos>. Like Encode, it
+// is safe for concurrent use.
 func (t *Tokenizer) EncodeWithMarkers(text string) []int {
 	ids := []int{BosID}
 	ids = append(ids, t.Encode(text)...)
