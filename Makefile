@@ -141,8 +141,8 @@ cover:
 	{ echo "cluster coverage below floor" >&2; exit 1; }
 
 # Native fuzzing smoke: the trie lookup/insert invariant, the frozen
-# n-gram table (equal to the map reference, thaw→refreeze the
-# identity), the scatter predict kernel (equal bit for bit to the merge
+# n-gram table (its tallies and its frozen predictor equal to the map
+# reference), the scatter predict kernel (equal bit for bit to the merge
 # loop it replaced), the Verilog lexer, the full parser (no-panic,
 # *SyntaxError contract, and the prefix-soundness invariant the
 # grammar oracle rests on), the

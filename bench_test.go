@@ -48,16 +48,8 @@ func setup(b *testing.B) {
 	b.Helper()
 	setupOnce.Do(func() {
 		benchEx, _ = dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: benchItems})
-		var texts []string
-		limit := len(benchEx)
-		if limit > 1500 {
-			limit = 1500
-		}
-		for _, ex := range benchEx[:limit] {
-			texts = append(texts, model.FormatPrompt(ex.Prompt)+ex.Code)
-		}
-		benchTk = tokenizer.Train(texts, model.CodeLlamaSim().VocabSize)
-		benchTk5p = tokenizer.Train(texts, model.CodeT5pSim().VocabSize)
+		benchTk = model.TrainTokenizer(model.CodeLlamaSim(), benchEx)
+		benchTk5p = model.TrainTokenizer(model.CodeT5pSim(), benchEx)
 		models = map[string]*model.Model{}
 		for _, scheme := range []model.Scheme{model.SchemeOurs, model.SchemeOursNoMask, model.SchemeMedusa, model.SchemeNTP} {
 			models["CodeLlama/"+scheme.String()] = model.Train(benchTk, model.CodeLlamaSim(), scheme, benchEx)

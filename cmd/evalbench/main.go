@@ -231,7 +231,7 @@ func parseTemps(list string) ([]float64, error) {
 }
 
 // parseSizes reads -sizes: data-size numerators over 4, increasing
-// (Table I trains each size incrementally on top of the previous one).
+// (Table I lists its sizes from the smallest up).
 func parseSizes(list string) ([]int, error) {
 	var out []int
 	for _, field := range strings.Split(list, ",") {

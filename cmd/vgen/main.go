@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/tokenizer"
 )
 
 func main() {
@@ -51,30 +50,17 @@ func main() {
 		}
 	}
 
-	var scheme model.Scheme
-	switch *schemeName {
-	case "ours":
-		scheme = model.SchemeOurs
-	case "medusa":
-		scheme = model.SchemeMedusa
-	case "ntp":
-		scheme = model.SchemeNTP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *schemeName)
+	scheme, err := model.ParseScheme(*schemeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
 
 	fmt.Fprintf(os.Stderr, "# building corpus (%d items) and training %v model...\n", *items, scheme)
 	examples, stats := dataset.BuildCorpus(dataset.CorpusOptions{Seed: *seed, Items: *items})
 	fmt.Fprintf(os.Stderr, "# %s\n", stats)
-	var corpus []string
-	limit := min(len(examples), 1500)
-	for _, ex := range examples[:limit] {
-		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
-	}
 	cfg := model.CodeLlamaSim()
-	tk := tokenizer.Train(corpus, cfg.VocabSize)
-	m := model.Train(tk, cfg, scheme, examples)
+	m := model.Train(model.TrainTokenizer(cfg, examples), cfg, scheme, examples)
 
 	dec := core.NewDecoder(m)
 	res := dec.Generate(prompt, core.Options{

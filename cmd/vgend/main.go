@@ -117,18 +117,6 @@ func parseModelConfig(name string) (model.Config, error) {
 	return model.Config{}, fmt.Errorf("unknown model %q (want codellama or codet5p)", name)
 }
 
-func parseScheme(name string) (model.Scheme, error) {
-	switch name {
-	case "ours":
-		return model.SchemeOurs, nil
-	case "medusa":
-		return model.SchemeMedusa, nil
-	case "ntp":
-		return model.SchemeNTP, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want ours, medusa or ntp)", name)
-}
-
 // parseModels splits -models ("codellama,codet5p:ntp") into replica
 // specs; an omitted scheme is ours.
 func parseModels(s string) ([]replicaSpec, error) {
@@ -220,7 +208,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		scheme, err := parseScheme(spec.scheme)
+		scheme, err := model.ParseScheme(spec.scheme)
 		if err != nil {
 			fail(err)
 		}
@@ -245,11 +233,6 @@ func main() {
 		return d.Round(time.Millisecond).String()
 	}
 	examples, stats := dataset.BuildCorpus(dataset.CorpusOptions{Seed: *seed, Items: *items})
-	var corpus []string
-	limit := min(len(examples), 1500)
-	for _, ex := range examples[:limit] {
-		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
-	}
 	logInfo("corpus built", "corpus", fmt.Sprint(stats), "elapsed", elapsed())
 	toks := map[string]*tokenizer.Tokenizer{}
 	trained := map[string]*model.Model{}
@@ -260,7 +243,7 @@ func main() {
 		}
 		tk := toks[spec.model]
 		if tk == nil {
-			tk = tokenizer.Train(corpus, spec.cfg.VocabSize)
+			tk = model.TrainTokenizer(spec.cfg, examples)
 			toks[spec.model] = tk
 			logInfo("tokenizer trained", "model", spec.cfg.Name, "vocab", tk.VocabSize(), "elapsed", elapsed())
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/tokenizer"
 )
 
 func main() {
@@ -17,13 +16,8 @@ func main() {
 	fmt.Println("corpus:", stats)
 
 	// 2. Train a BPE tokenizer and the syntax-enriched ("Ours") model.
-	var texts []string
-	for _, ex := range examples {
-		texts = append(texts, model.FormatPrompt(ex.Prompt)+ex.Code)
-	}
 	cfg := model.CodeLlamaSim()
-	tk := tokenizer.Train(texts, cfg.VocabSize)
-	m := model.Train(tk, cfg, model.SchemeOurs, examples)
+	m := model.Train(model.TrainTokenizer(cfg, examples), cfg, model.SchemeOurs, examples)
 
 	// 3. Generate with fragment-aligned speculative decoding.
 	dec := core.NewDecoder(m)

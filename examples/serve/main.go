@@ -12,20 +12,14 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/serve"
-	"repro/internal/tokenizer"
 )
 
 func main() {
 	// 1. Train the syntax-enriched model (same recipe as quickstart).
 	examples, stats := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 7, Items: 2000})
 	fmt.Println("corpus:", stats)
-	var texts []string
-	for _, ex := range examples {
-		texts = append(texts, model.FormatPrompt(ex.Prompt)+ex.Code)
-	}
 	cfg := model.CodeLlamaSim()
-	tk := tokenizer.Train(texts, cfg.VocabSize)
-	m := model.Train(tk, cfg, model.SchemeOurs, examples)
+	m := model.Train(model.TrainTokenizer(cfg, examples), cfg, model.SchemeOurs, examples)
 
 	// 2. Start an engine: persistent workers stepping the resident
 	// decodes one verification step at a time, and an LRU over completed

@@ -9,18 +9,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/tokenizer"
 	"repro/internal/verilog"
 )
 
 func main() {
 	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 3, Items: 2400})
-	var texts []string
-	for _, ex := range examples {
-		texts = append(texts, model.FormatPrompt(ex.Prompt)+ex.Code)
-	}
 	cfg := model.CodeLlamaSim()
-	tk := tokenizer.Train(texts, cfg.VocabSize)
+	tk := model.TrainTokenizer(cfg, examples)
 
 	prompt := `Create a simple Verilog module named "data_register" that takes a 4-bit input data_in and assigns it to a 4-bit output data_out using a non-blocking assignment on the positive edge of the clock clk.`
 

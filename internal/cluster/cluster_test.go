@@ -12,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/serve"
-	"repro/internal/tokenizer"
 )
 
 // The fixture trains one small model shared by every test; fleets and
@@ -30,17 +29,13 @@ func fixture(tb testing.TB) (*model.Model, []string) {
 	tb.Helper()
 	fixOnce.Do(func() {
 		examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 700})
-		var texts []string
-		for _, ex := range examples {
-			texts = append(texts, model.FormatPrompt(ex.Prompt)+ex.Code)
-		}
 		cfg := model.CodeT5pSim()
-		tk := tokenizer.Train(texts, cfg.VocabSize)
+		tk := model.TrainTokenizer(cfg, examples)
 		fixModel = model.Train(tk, cfg, model.SchemeOurs, examples)
 		fixNTP = model.Train(tk, cfg, model.SchemeNTP, examples)
 		fixMedusa = model.Train(tk, cfg, model.SchemeMedusa, examples)
 		llamaCfg := model.CodeLlamaSim()
-		fixLlama = model.Train(tokenizer.Train(texts, llamaCfg.VocabSize), llamaCfg, model.SchemeNTP, examples)
+		fixLlama = model.Train(model.TrainTokenizer(llamaCfg, examples), llamaCfg, model.SchemeNTP, examples)
 		for _, ex := range examples[:24] {
 			fixPrompts = append(fixPrompts, ex.Prompt)
 		}

@@ -288,12 +288,11 @@ type StepFn func(StepEvent)
 // A Decoder is stateless: all per-decode state (RNG, generation
 // session, repetition tracker) lives on the stack of each call, so a
 // single Decoder — or many Decoders sharing one Model — may decode
-// concurrently, provided the Model is no longer being trained. An
-// optional model.TrieCache (WithSessionCache) shares prompt-derived
-// session state across decodes: identical prompts reuse one session
-// and prompts sharing a token prefix fork it mid-prompt. Gen values
-// are immutable after construction and a forked session equals a
-// fresh build, so the cache changes nothing about outputs.
+// concurrently. An optional model.TrieCache (WithSessionCache) shares
+// prompt-derived session state across decodes: identical prompts reuse
+// one session and prompts sharing a token prefix fork it mid-prompt.
+// Gen values are immutable after construction and a forked session
+// equals a fresh build, so the cache changes nothing about outputs.
 type Decoder struct {
 	m        *model.Model
 	sessions *model.TrieCache // nil: every decode prepares its own session

@@ -514,7 +514,7 @@ func TestOptionsCanonical(t *testing.T) {
 		model.SchemeOurs:       "Ours",
 		model.SchemeOursNoMask: "Ours",
 	} {
-		m := model.New(tokenizer.Train(corpusText(), 300), smallCfg(), scheme)
+		m := model.Train(tokenizer.Train(corpusText(), 300), smallCfg(), scheme, nil)
 		if got := (Options{}).ForModel(m).Canonical().Strategy; got != own {
 			t.Errorf("%v model: empty strategy resolves to %q, want %q", scheme, got, own)
 		}

@@ -156,17 +156,7 @@ func NewRunner(setup Setup) *Runner {
 		models: map[string]*model.Model{},
 	}
 	for _, cfg := range setup.Models {
-		var corpus []string
-		// Tokenizers train on a bounded sample of the corpus text for
-		// speed; BPE merges converge long before the full corpus.
-		limit := len(examples)
-		if limit > 1500 {
-			limit = 1500
-		}
-		for _, ex := range examples[:limit] {
-			corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
-		}
-		r.toks[cfg.Name] = tokenizer.Train(corpus, cfg.VocabSize)
+		r.toks[cfg.Name] = model.TrainTokenizer(cfg, examples)
 	}
 	return r
 }
@@ -290,21 +280,27 @@ func cellFrom(modelName string, size int, benchmark, method string, fn, syn []me
 	}
 }
 
-// RunTable1 trains each scheme incrementally through the data-size
-// sweep and evaluates the quality grid at each boundary.
-func (r *Runner) RunTable1() []QualityCell {
+// RunTable1 evaluates the quality grid at each data size, training
+// each scheme on each size's subset from scratch. The full-corpus size
+// decodes the model Model memoises, so it is trained once per process.
+func (r *Runner) RunTable1() []QualityCell { return r.table1(r.setup.SizeNumerators) }
+
+// table1 is RunTable1 over the given data-size numerators.
+func (r *Runner) table1(sizes []int) []QualityCell {
 	var cells []QualityCell
 	rtllm := bench.RTLLM()
 	vgen := bench.VGen()
 	for _, cfg := range r.setup.Models {
 		tk := r.toks[cfg.Name]
 		for _, scheme := range Schemes {
-			m := model.New(tk, cfg, scheme)
-			prev := 0
-			for _, num := range r.setup.SizeNumerators {
+			for _, num := range sizes {
 				sub := dataset.Subset(r.examples, num, 4)
-				m.TrainMore(sub[prev:])
-				prev = len(sub)
+				var m *model.Model
+				if len(sub) == len(r.examples) {
+					m = r.Model(cfg, scheme)
+				} else {
+					m = model.Train(tk, cfg, scheme, sub)
+				}
 				for _, suite := range []struct {
 					name  string
 					probs []bench.Problem

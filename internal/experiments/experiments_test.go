@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,7 @@ func quickSetup() Setup {
 var (
 	testRunner = sync.OnceValue(func() *Runner { return NewRunner(quickSetup()) })
 	testMatrix = sync.OnceValue(func() []StrategyRow { return testRunner().RunStrategyMatrix() })
+	testTable1 = sync.OnceValue(func() []QualityCell { return testRunner().RunTable1() })
 )
 
 func TestRunnerBuildsCorpus(t *testing.T) {
@@ -280,7 +282,7 @@ func TestTable1SmokeAndFig6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	cells := testRunner().RunTable1()
+	cells := testTable1()
 	// 1 model × 1 size × 3 methods × 2 benchmarks.
 	if len(cells) != 6 {
 		t.Fatalf("cells = %d, want 6", len(cells))
@@ -293,6 +295,39 @@ func TestTable1SmokeAndFig6(t *testing.T) {
 	slice := Fig6(cells, model.CodeLlamaSim().Name)
 	if len(slice) != 6 {
 		t.Fatalf("Fig6 slice = %d", len(slice))
+	}
+}
+
+// TestTable1Sizes runs Table I at half and full size. Each scheme's
+// half-size model is trained from scratch on its subset; the full-size
+// cells decode the Runner's memoised models and so must equal the
+// full-size-only run's.
+func TestTable1Sizes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	r := testRunner()
+	cells := r.table1([]int{2, 4})
+	// 1 model × 2 sizes × 3 methods × 2 benchmarks.
+	if len(cells) != 12 {
+		t.Fatalf("cells = %d, want 12", len(cells))
+	}
+	half := len(r.examples) / 2
+	var full []QualityCell
+	for _, c := range cells {
+		switch c.DataSize {
+		case half:
+			if c.SynPass1 < 0 || c.SynPass1 > 100 || c.FuncPass10 < c.FuncPass1 {
+				t.Fatalf("implausible cell: %+v", c)
+			}
+		case len(r.examples):
+			full = append(full, c)
+		default:
+			t.Fatalf("cell at data size %d, want %d or %d", c.DataSize, half, len(r.examples))
+		}
+	}
+	if want := testTable1(); !reflect.DeepEqual(full, want) {
+		t.Fatalf("full-size cells differ from the full-size-only run:\n got %+v\nwant %+v", full, want)
 	}
 }
 

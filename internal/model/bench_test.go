@@ -15,11 +15,7 @@ import (
 // the corpus and CodeLlama-sim's tokenizer.
 var vgendCorpus = sync.OnceValues(func() (*tokenizer.Tokenizer, []model.Example) {
 	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 3400})
-	var corpus []string
-	for _, ex := range examples[:min(len(examples), 1500)] {
-		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
-	}
-	return tokenizer.Train(corpus, model.CodeLlamaSim().VocabSize), examples
+	return model.TrainTokenizer(model.CodeLlamaSim(), examples), examples
 })
 
 // BenchmarkTrain is one training of the model vgend serves at its

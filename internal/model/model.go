@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"iter"
 	"math"
 	"runtime"
@@ -133,6 +134,36 @@ func FormatPrompt(desc string) string {
 	return "### Instruction:\n" + desc + "\n### Response:\n"
 }
 
+// tokenizerSample is how many of the corpus's first examples a BPE
+// vocabulary trains on: the merges converge long before the full
+// corpus.
+const tokenizerSample = 1500
+
+// TrainTokenizer trains cfg's BPE vocabulary the way every model is
+// built: on FormatPrompt(prompt)+code of the first 1,500 examples.
+func TrainTokenizer(cfg Config, examples []Example) *tokenizer.Tokenizer {
+	examples = examples[:min(len(examples), tokenizerSample)]
+	texts := make([]string, len(examples))
+	for i, ex := range examples {
+		texts[i] = FormatPrompt(ex.Prompt) + ex.Code
+	}
+	return tokenizer.Train(texts, cfg.VocabSize)
+}
+
+// ParseScheme reads a scheme by its command-line name: ours, medusa or
+// ntp.
+func ParseScheme(name string) (Scheme, error) {
+	switch name {
+	case "ours":
+		return SchemeOurs, nil
+	case "medusa":
+		return SchemeMedusa, nil
+	case "ntp":
+		return SchemeNTP, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want ours, medusa or ntp)", name)
+}
+
 // Model is a trained simulated LM: a base table, per-head tables and a
 // keyword-conditioned table for prompt attention.
 type Model struct {
@@ -146,17 +177,17 @@ type Model struct {
 	// prompt contained it (document frequency for inference-time IDF
 	// filtering of uninformative keywords such as clk or rst).
 	kwDF map[string]int
-	// trained counts examples consumed; the next example's ordinal is
-	// trained+1.
+	// trained counts the examples the model trained on; an example the
+	// scheme cannot parse does not count.
 	trained int
 	// kwFloorPow is the keyword factor of an id no keyword supports,
 	// Pow(kwFloor, PromptBlend).
 	kwFloorPow float64
 }
 
-// New creates an empty model bound to a tokenizer; use Train / TrainMore
-// to feed it examples.
-func New(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
+// newModel returns an untrained model bound to a tokenizer, every
+// table empty and in tally form.
+func newModel(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 	if cfg.KwCtx <= 0 {
 		cfg.KwCtx = 2
 	}
@@ -175,10 +206,43 @@ func New(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 	return m
 }
 
-// Train builds a model from scratch over the examples.
+// Train builds a model over the examples. It is the only way to build
+// one, and the model it returns is frozen: nothing writes it again, so
+// any number of goroutines may decode with it at once.
+//
+// Training runs in three stages:
+//  1. every example is prepared (tokenized, frag-encoded, its context
+//     view, keyword seeds and head-label depths built) by
+//     GOMAXPROCS workers;
+//  2. one pass in example order numbers the examples — an example's
+//     ordinal picks the heads it trains — and counts keyword document
+//     frequencies;
+//  3. every table (base, kw, each head) is one unit of work: a worker
+//     replays every prepared example's observations for that table in
+//     example order and freezes it, so GOMAXPROCS workers keep at most
+//     GOMAXPROCS tables' tallies at once. The units run in phases (see
+//     phases), and the tallies a phase drops are collected before the
+//     next phase starts.
+//
+// No table reads another while it trains, so each sees exactly the
+// (context, next, weight) sequence one pass over the examples, one at a
+// time, would give it, adds its float counts in that order and comes
+// out bit for bit the same at any GOMAXPROCS.
 func Train(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples []Example) *Model {
-	m := New(tk, cfg, scheme)
-	m.TrainMore(examples)
+	m := newModel(tk, cfg, scheme)
+	for _, phase := range m.phases(m.prepareAll(examples)) {
+		parallelFor(len(phase), func(i int) {
+			u := phase[i]
+			u.train()
+			u.t.freeze()
+		})
+		// The phase's tallies are garbage now and most of the heap. Left
+		// to the collector's pacing, they would be freed whenever its
+		// next cycle happened to start, and the process's peak memory
+		// would depend on that timing; collected here, the peak is the
+		// largest phase's working set, the same on every run.
+		runtime.GC()
+	}
 	return m
 }
 
@@ -194,50 +258,7 @@ func (m *Model) Tokenizer() *tokenizer.Tokenizer { return m.tok }
 // NumHeads returns the number of decoding heads (0 for NTP models).
 func (m *Model) NumHeads() int { return len(m.heads) }
 
-// TrainedExamples returns how many examples the model has consumed.
-func (m *Model) TrainedExamples() int { return m.trained }
-
-// TrainMore ingests additional examples incrementally — the data-size
-// sweep of Table I trains once per subset boundary and keeps going.
-//
-// Training runs in three stages:
-//  1. every example is prepared (tokenized, frag-encoded, its context
-//     view, keyword seeds and head-label depths built) by
-//     GOMAXPROCS workers;
-//  2. one pass in example order numbers the examples — an example's
-//     ordinal picks the heads it trains — and counts keyword document
-//     frequencies;
-//  3. every table (base, kw, each head) is one unit of work: a worker
-//     thaws it into its training form, replays every prepared
-//     example's observations for that table in example order and
-//     freezes it again, so GOMAXPROCS workers keep at most GOMAXPROCS
-//     tables in tally form at once. The units run in phases (see
-//     phases), and the tallies a phase drops are collected before the
-//     next phase starts.
-//
-// No table reads another while it trains, so each sees exactly the
-// (context, next, weight) sequence one pass over the examples, one at a
-// time, would give it, adds its float counts in that order and comes
-// out bit for bit the same at any GOMAXPROCS and however the examples
-// are split across calls.
-func (m *Model) TrainMore(examples []Example) {
-	for _, phase := range m.phases(m.prepareAll(examples)) {
-		parallelFor(len(phase), func(i int) {
-			u := phase[i]
-			u.t.thaw()
-			u.train()
-			u.t.freeze()
-		})
-		// The phase's tallies are garbage now and most of the heap. Left
-		// to the collector's pacing, they would be freed whenever its
-		// next cycle happened to start, and the process's peak memory
-		// would depend on that timing; collected here, the peak is the
-		// largest phase's working set, the same on every run.
-		runtime.GC()
-	}
-}
-
-// prepareAll runs stages 1 and 2 of TrainMore: it prepares every
+// prepareAll runs stages 1 and 2 of Train: it prepares every
 // example in parallel, then numbers them and counts their keywords in
 // example order.
 func (m *Model) prepareAll(examples []Example) []prepared {

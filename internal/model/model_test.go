@@ -323,23 +323,6 @@ func TestForwardShape(t *testing.T) {
 	}
 }
 
-func TestTrainMoreIncremental(t *testing.T) {
-	tk := tokenizer.Train(corpusText(), 400)
-	m := New(tk, smallCfg(), SchemeNTP)
-	m.TrainMore(trainExamples[:1])
-	if m.TrainedExamples() != 1 {
-		t.Fatalf("trained = %d", m.TrainedExamples())
-	}
-	size1 := m.base.size()
-	m.TrainMore(trainExamples[1:])
-	if m.TrainedExamples() != 3 {
-		t.Fatalf("trained = %d", m.TrainedExamples())
-	}
-	if m.base.size() <= size1 {
-		t.Fatal("incremental training did not grow the table")
-	}
-}
-
 // baseDist is g's base posterior over seq computed from scratch: a
 // fresh Memo remembers nothing.
 func baseDist(g *Gen, seq []int) Dist { return g.BaseDistMemo(seq, new(Memo)) }

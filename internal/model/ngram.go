@@ -13,26 +13,24 @@ import (
 // Counts are float64 so weighted (joint-training interference) updates
 // compose cleanly with ordinary observations.
 //
-// A table has two forms. While TrainMore trains it each level is a
-// tally, cheap to update (counts). Once the table has seen the call's
-// examples every level is frozen into flat, pointer-free arrays
-// (frozen) and its tally dropped, so the garbage collector never walks
-// a trained model; prediction reads only the frozen form. The next
-// TrainMore thaws the arrays back into tallies with every count and
-// total exactly as they were, so training in several calls equals
-// training in one.
+// A table has two forms. Train builds it as tallies, one per level,
+// cheap to update (counts). Once the table has seen every example each
+// level is frozen into flat, pointer-free arrays (frozen) and its tally
+// dropped, so the garbage collector never walks a trained model.
+// Prediction reads only the frozen form, and a table is frozen exactly
+// once: nothing writes it afterwards.
 //
-// Each table trains on one worker of its own: it is thawed, fed its
+// Each table trains on one worker of its own: it is fed its
 // observations in example order and frozen without ever reading
 // another table, so its counts are summed in the same order and come
 // out bit for bit the same at any GOMAXPROCS. With GOMAXPROCS workers,
-// at most GOMAXPROCS tables of a model are in tally form at once; the
-// rest are frozen or not yet thawed.
+// at most GOMAXPROCS tables of a model hold observations in tally form
+// at once; the rest are frozen or still empty.
 type ngramTable struct {
 	levels []int // ascending context lengths
-	// counts[i] tallies level i's observations; nil outside TrainMore.
+	// counts[i] tallies level i's observations; nil once frozen.
 	counts []tally
-	// frozen[i] is level i compiled; empty during TrainMore.
+	// frozen[i] is level i compiled; nil until the freeze.
 	frozen []level
 	// idBound is 1 + the largest successor id, set at freeze: predict's
 	// accumulator covers the ids below it.
@@ -52,10 +50,6 @@ type tally struct {
 }
 
 const chunkLen = 1 << 10
-
-func newTally(ctxs int) tally {
-	return tally{index: make(map[uint64]int32, ctxs)}
-}
 
 // at returns the context at position n.
 func (c *tally) at(n int32) *succ { return &c.ctxs[n/chunkLen][n%chunkLen] }
@@ -100,20 +94,13 @@ func (s *succ) add(id int32, weight float64) bool {
 	s.run = append(s.run, entry{id, weight})
 	if s.index != nil {
 		s.index[id] = int32(len(s.run) - 1)
+	} else if len(s.run) > linearMax {
+		s.index = make(map[int32]int32, 2*len(s.run))
+		for j, e := range s.run {
+			s.index[e.id] = int32(j)
+		}
 	}
-	s.indexIfLong()
 	return true
-}
-
-// indexIfLong builds the id index once the run outgrows linearMax.
-func (s *succ) indexIfLong() {
-	if s.index != nil || len(s.run) <= linearMax {
-		return
-	}
-	s.index = make(map[int32]int32, 2*len(s.run))
-	for j, e := range s.run {
-		s.index[e.id] = int32(j)
-	}
 }
 
 // level is one ladder level frozen: open-addressed context records
@@ -154,9 +141,14 @@ func ladder(maxCtx int) []int {
 // maxReach is the longest context any ladder reaches.
 const maxReach = 16
 
+// newNgramTable returns an empty table in tally form.
 func newNgramTable(maxCtx int) *ngramTable {
-	levels := ladder(maxCtx)
-	return &ngramTable{levels: levels, frozen: make([]level, len(levels))}
+	t := &ngramTable{levels: ladder(maxCtx)}
+	t.counts = make([]tally, len(t.levels))
+	for i := range t.counts {
+		t.counts[i].index = map[uint64]int32{}
+	}
+	return t
 }
 
 // ctxHash hashes the last k elements of ctx (FNV-1a over token ids),
@@ -213,19 +205,10 @@ func (t *ngramTable) addRange(ctx []int, next int, weight float64, loK int, seed
 	}
 }
 
-// thaw turns the frozen levels back into tallies, releasing each level's
-// arrays as its tally is built.
-func (t *ngramTable) thaw() {
-	t.counts = make([]tally, len(t.levels))
-	for i := range t.frozen {
-		t.counts[i] = t.frozen[i].thaw()
-		t.frozen[i] = level{}
-	}
-}
-
 // freeze compiles the tallies, dropping each level's tally once compiled
 // so the two forms of the whole table never coexist.
 func (t *ngramTable) freeze() {
+	t.frozen = make([]level, len(t.counts))
 	for i := range t.counts {
 		t.frozen[i] = freezeLevel(t.counts[i])
 		t.counts[i] = tally{}
@@ -284,32 +267,6 @@ func freezeLevel(c tally) level {
 		}
 	}
 	return l
-}
-
-// thaw rebuilds the level's tally, counts and totals bit for bit and
-// contexts in their order of first observation, so a refreeze reproduces
-// the level exactly.
-func (l *level) thaw() tally {
-	c := newTally(l.ctxs)
-	c.entries = len(l.slab)
-	// Runs lie in the slab in order of first observation: visiting them
-	// by start restores it.
-	at := make([]int32, len(l.slab)) // 1 + the slot whose run starts here
-	for i, s := range l.slots {
-		if s.n != 0 {
-			at[s.start] = int32(i) + 1
-		}
-	}
-	for _, i := range at {
-		if i == 0 {
-			continue
-		}
-		s := l.slots[i-1]
-		n := c.push(succ{key: s.key, total: s.total, run: slices.Clone(l.slab[s.start : s.start+s.n])})
-		c.index[s.key] = n
-		c.at(n).indexIfLong()
-	}
-	return c
 }
 
 // wbScale tempers the Witten-Bell novelty estimate: a level with total

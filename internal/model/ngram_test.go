@@ -129,11 +129,10 @@ func sameAsRef(t *testing.T, what string, got []entry, want map[int]float64) {
 // returns every table's tallies, taken just before the freeze, in
 // reference form.
 func trainWithRef(tk *tokenizer.Tokenizer, scheme Scheme, examples []Example) (*Model, map[*ngramTable]*refTable) {
-	m := New(tk, smallCfg(), scheme)
+	m := newModel(tk, smallCfg(), scheme)
 	ref := map[*ngramTable]*refTable{}
 	for _, phase := range m.phases(m.prepareAll(examples)) {
 		for _, u := range phase {
-			u.t.thaw()
 			u.train()
 			ref[u.t] = refOf(u.t)
 			u.t.freeze()
@@ -205,27 +204,16 @@ func TestFrozenMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTallyAcrossChunks trains a level past several tally chunks, in
-// one call and in two with a thaw between them that falls mid-chunk:
-// every context keeps its total, and both tables freeze to the same
-// arrays.
+// TestTallyAcrossChunks trains a level past several tally chunks:
+// every context keeps its total through the freeze.
 func TestTallyAcrossChunks(t *testing.T) {
 	n := 3*chunkLen + 5
-	observe := func(tb *ngramTable, lo, hi int) {
-		tb.thaw()
-		for i := lo; i < hi; i++ {
-			tb.add([]int{i % n}, i%7, 1)
-		}
-		tb.freeze()
+	tb := newNgramTable(1)
+	for i := range 2 * n {
+		tb.add([]int{i % n}, i%7, 1)
 	}
-	one, two := newNgramTable(1), newNgramTable(1)
-	observe(one, 0, 2*n)
-	observe(two, 0, n+chunkLen/2)
-	observe(two, n+chunkLen/2, 2*n)
-	if !reflect.DeepEqual(one, two) {
-		t.Fatal("training in two calls froze to other arrays than one call")
-	}
-	l := &one.frozen[1]
+	tb.freeze()
+	l := &tb.frozen[1]
 	if l.ctxs != n {
 		t.Fatalf("%d contexts, want %d", l.ctxs, n)
 	}
@@ -236,16 +224,15 @@ func TestTallyAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestTrainMoreRefreeze is the exactness gate of parallel training:
-// for every scheme, a model trained at GOMAXPROCS 1 or 4, in one call or
-// in two with a thaw and refreeze between them, is the model one call
-// at GOMAXPROCS 1 builds, float bits included. The first example is
+// TestTrainDeterministic is the exactness gate of parallel training:
+// for every scheme, a model trained at GOMAXPROCS 4 is the model
+// GOMAXPROCS 1 builds, float bits included. The first example is
 // long, so at GOMAXPROCS 4 its preparation finishes after the short
 // ones behind it: numbering examples in completion order instead of
 // example order gives the heads other examples and fails. An
 // unparsable example in the middle trains nothing under a frag scheme
 // and takes no ordinal.
-func TestTrainMoreRefreeze(t *testing.T) {
+func TestTrainDeterministic(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
 	var long strings.Builder
 	for range 8 {
@@ -266,25 +253,13 @@ func TestTrainMoreRefreeze(t *testing.T) {
 	if _, err := frag.EncodeWithFrags(tk, broken.Code); err == nil {
 		t.Fatal("the broken example parses")
 	}
-	train := func(scheme Scheme, procs, split int) *Model {
+	train := func(scheme Scheme, procs int) *Model {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		m := Train(tk, smallCfg(), scheme, examples[:split])
-		if split < len(examples) {
-			m.TrainMore(examples[split:])
-		}
-		return m
+		return Train(tk, smallCfg(), scheme, examples)
 	}
 	for _, scheme := range []Scheme{SchemeNTP, SchemeMedusa, SchemeOurs, SchemeOursNoMask} {
-		want := train(scheme, 1, len(examples))
-		for _, procs := range []int{1, 4} {
-			for _, split := range []int{len(examples), 5} {
-				if procs == 1 && split == len(examples) {
-					continue
-				}
-				if got := train(scheme, procs, split); !reflect.DeepEqual(got, want) {
-					t.Errorf("%v at GOMAXPROCS %d, split at %d: not the model one call at GOMAXPROCS 1 builds", scheme, procs, split)
-				}
-			}
+		if got, want := train(scheme, 4), train(scheme, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v at GOMAXPROCS 4: not the model GOMAXPROCS 1 builds", scheme)
 		}
 	}
 }
@@ -292,9 +267,9 @@ func TestTrainMoreRefreeze(t *testing.T) {
 // FuzzFrozenTable feeds weighted observations (any loK, three seeds) to
 // a table and to the map reference. Each 4-byte group is one
 // observation: the next token, its weight, loK and the seed; the context
-// is everything observed before it. The frozen predictor must equal the
-// reference on every context, thawing must restore the reference's
-// counts exactly, and thaw→refreeze must rebuild the same arrays.
+// is everything observed before it. The tallies must hold the
+// reference's counts exactly, and the frozen predictor must equal the
+// reference on every context.
 func FuzzFrozenTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 7, 0, 0, 2, 7, 0, 0, 1, 7, 0, 0, 2, 7, 0, 0})              // a repeating pair
@@ -304,7 +279,6 @@ func FuzzFrozenTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxCtx = 6
 		tbl, ref := newNgramTable(maxCtx), newRefTable(maxCtx)
-		tbl.thaw()
 		var hist []int
 		for i := 0; i+4 <= len(data) && i < 4*256; i += 4 {
 			next := int(data[i] % (2 * linearMax)) // short and indexed runs
@@ -316,6 +290,9 @@ func FuzzFrozenTable(f *testing.F) {
 			ref.addRange(ctx, next, weight, loK, seed)
 			hist = append(hist, next)
 		}
+		if tallied := refOf(tbl); !reflect.DeepEqual(tallied, ref) {
+			t.Fatal("the tallies do not hold the reference's counts")
+		}
 		tbl.freeze()
 		acc := new(accum)
 		for p := 0; p <= len(hist); p++ {
@@ -324,15 +301,6 @@ func FuzzFrozenTable(f *testing.F) {
 				want, _ := ref.predict(ctx, seed)
 				sameAsRef(t, "frozen", tbl.predict(acc, nil, ctx, seed), want)
 			}
-		}
-		frozen := slices.Clone(tbl.frozen)
-		tbl.thaw()
-		if thawed := refOf(tbl); !reflect.DeepEqual(thawed, ref) {
-			t.Fatal("thaw did not restore the training counts")
-		}
-		tbl.freeze()
-		if !reflect.DeepEqual(frozen, tbl.frozen) {
-			t.Fatal("thaw→refreeze changed the frozen table")
 		}
 	})
 }
@@ -469,7 +437,6 @@ func FuzzPredict(f *testing.F) {
 	seeds := []uint64{0, 7, 0xdeadbeef}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl := newNgramTable(maxReach)
-		tbl.thaw()
 		var hist []int
 		for i := 0; i+3 <= len(data) && i < 3*256; i += 3 {
 			next := int(data[i])

@@ -227,9 +227,7 @@ type group struct {
 }
 
 // NewEngine starts the scheduler's Workers goroutines over m: a group
-// of one. The model must be fully trained before the first request:
-// workers read it concurrently and model training is not synchronized
-// with reads.
+// of one.
 func NewEngine(m *model.Model, cfg Config) *Engine {
 	return NewGroup(m, cfg)[0]
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/tokenizer"
 )
 
 // The fixture trains one small model shared by every test; engines are
@@ -28,13 +27,8 @@ func fixture(tb testing.TB) (*model.Model, []string) {
 	tb.Helper()
 	fixOnce.Do(func() {
 		examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 700})
-		var texts []string
-		for _, ex := range examples {
-			texts = append(texts, model.FormatPrompt(ex.Prompt)+ex.Code)
-		}
 		cfg := model.CodeT5pSim()
-		tk := tokenizer.Train(texts, cfg.VocabSize)
-		fixModel = model.Train(tk, cfg, model.SchemeOurs, examples)
+		fixModel = model.Train(model.TrainTokenizer(cfg, examples), cfg, model.SchemeOurs, examples)
 		for _, ex := range examples[:24] {
 			fixPrompts = append(fixPrompts, ex.Prompt)
 		}

@@ -32,6 +32,17 @@ const maxBodyBytes = 1 << 20
 // and above what any shipped client asks for.
 const maxNewTokensCap = 4096
 
+// maxTopK and maxTreeBudget bound a request's top_k and tree_budget for
+// the same reason: every decoding step drafts top_k candidates per
+// head position and grows a draft tree of up to tree_budget nodes, so
+// a step's cost grows with both, and unbounded values let one request
+// buy unbounded drafting work per step. The caps sit well above the
+// defaults (top_k 3, a 96-node tree).
+const (
+	maxTopK       = 32
+	maxTreeBudget = 1024
+)
+
 // Backend is what the HTTP layer serves: a single Engine or a
 // multi-replica cluster.Fleet. Generation goes through the fail-fast
 // submission paths (backpressure must surface, not block the handler);
@@ -136,12 +147,13 @@ type GenerateRequest struct {
 	// MaxNewTokens bounds the generation (0 = model default); negative
 	// or above maxNewTokensCap is a 400.
 	MaxNewTokens int `json:"max_new_tokens,omitempty"`
-	// TopK is candidates per head position (0 = default 3).
+	// TopK is candidates per head position (0 = default 3); negative or
+	// above maxTopK is a 400.
 	TopK int `json:"top_k,omitempty"`
 	// TreeBudget caps draft-tree nodes per decoding step for the tree
 	// strategies (medusa-tree, lookup-tree, ours-tree); 0 selects the
-	// decoder default.
-	// Negative is a 400. Linear strategies ignore it.
+	// decoder default. Negative or above maxTreeBudget is a 400. Linear
+	// strategies ignore it.
 	TreeBudget int `json:"tree_budget,omitempty"`
 	// Seed fixes the sampling RNG; generations are deterministic given
 	// (prompt, options, seed).
@@ -182,11 +194,17 @@ type GenerateResult struct {
 }
 
 func (gr GenerateRequest) options() (core.Options, error) {
-	if gr.TreeBudget < 0 {
-		return core.Options{}, fmt.Errorf("tree_budget must be >= 0, got %d", gr.TreeBudget)
-	}
-	if gr.MaxNewTokens < 0 || gr.MaxNewTokens > maxNewTokensCap {
-		return core.Options{}, fmt.Errorf("max_new_tokens must be in [0, %d], got %d", maxNewTokensCap, gr.MaxNewTokens)
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"max_new_tokens", gr.MaxNewTokens, maxNewTokensCap},
+		{"top_k", gr.TopK, maxTopK},
+		{"tree_budget", gr.TreeBudget, maxTreeBudget},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return core.Options{}, fmt.Errorf("%q must be in [0, %d], got %d", f.name, f.max, f.v)
+		}
 	}
 	// Validate at the API edge so a typo is a 400, not a queued
 	// request that fails at decode time.

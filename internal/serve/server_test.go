@@ -463,7 +463,7 @@ func TestServerRequestValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		body any
-		// field, when set, is the unknown field the error must name.
+		// field, when set, is the field the error must name.
 		field string
 	}{
 		{"neither prompt nor prompts", GenerateRequest{}, ""},
@@ -479,6 +479,13 @@ func TestServerRequestValidation(t *testing.T) {
 		{"retired mode alias", map[string]any{"prompt": "a", "mode": "medusa"}, "mode"},
 		{"typo", map[string]any{"prompt": "a", "temprature": 0.5}, "temprature"},
 		{"retired admission field", map[string]any{"prompt": "a", "seed": 3, "priority": "urgent"}, "priority"},
+		// Every knob that sizes a decode's work is bounded.
+		{"negative max_new_tokens", GenerateRequest{Prompt: "a", MaxNewTokens: -1}, "max_new_tokens"},
+		{"max_new_tokens over cap", GenerateRequest{Prompt: "a", MaxNewTokens: maxNewTokensCap + 1}, "max_new_tokens"},
+		{"negative top_k", GenerateRequest{Prompt: "a", TopK: -1}, "top_k"},
+		{"top_k over cap", GenerateRequest{Prompt: "a", TopK: maxTopK + 1}, "top_k"},
+		{"negative tree_budget", GenerateRequest{Prompt: "a", Strategy: "medusa-tree", TreeBudget: -1}, "tree_budget"},
+		{"tree_budget over cap", GenerateRequest{Prompt: "a", Strategy: "medusa-tree", TreeBudget: maxTreeBudget + 1}, "tree_budget"},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, srv.URL+"/v1/generate", tc.body)
@@ -491,6 +498,14 @@ func TestServerRequestValidation(t *testing.T) {
 		if tc.field != "" && !strings.Contains(body["error"], `"`+tc.field+`"`) {
 			t.Errorf("%s: error %q does not name the field %q", tc.name, body["error"], tc.field)
 		}
+	}
+	// At the caps a request decodes.
+	atCap := GenerateRequest{Prompt: fixPrompts[0], Strategy: "medusa-tree", MaxNewTokens: 16,
+		TopK: maxTopK, TreeBudget: maxTreeBudget, Seed: 1}
+	resp := postJSON(t, srv.URL+"/v1/generate", atCap)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("top_k and tree_budget at their caps: status %d, want 200", resp.StatusCode)
 	}
 	getResp, err := http.Get(srv.URL + "/v1/generate")
 	if err != nil {

@@ -14,11 +14,7 @@ import (
 // served trains the tokenizer vgend serves at its default flags.
 var served = sync.OnceValue(func() *tokenizer.Tokenizer {
 	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 3400})
-	var corpus []string
-	for _, ex := range examples[:min(len(examples), 1500)] {
-		corpus = append(corpus, model.FormatPrompt(ex.Prompt)+ex.Code)
-	}
-	return tokenizer.Train(corpus, model.CodeLlamaSim().VocabSize)
+	return model.TrainTokenizer(model.CodeLlamaSim(), examples)
 })
 
 // BenchmarkEncode encodes the templated prompt text the engine encodes

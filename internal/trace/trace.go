@@ -1,7 +1,7 @@
 // Package trace is a zero-dependency request-tracing layer for the
 // serving stack: a Tracer owns per-span-kind duration sums and a
-// flight recorder; each request assembles one Trace out of Spans
-// claimed lock-cheaply from a fixed slot array via an atomic cursor.
+// flight recorder; each request assembles one Trace out of at most
+// Config.MaxSpans Spans, appended under the trace's lock.
 //
 // Every method on *Tracer, *Trace and *Span is nil-safe: with tracing
 // disabled the request path carries nil pointers and every call is a
@@ -45,8 +45,8 @@ type Attr struct {
 
 // Span is one timed region of a request. Spans are created via
 // Trace.Start and closed with End; attributes may be set until the
-// owning Trace is snapshotted. The zero slot index is reserved for
-// the root, and Parent == -1 marks a root span.
+// owning Trace is snapshotted. Index 0 is the root, and Parent == -1
+// marks a root span.
 type Span struct {
 	tr     *Trace
 	index  int32
@@ -60,8 +60,8 @@ type Span struct {
 
 // Config sizes a Tracer.
 type Config struct {
-	// MaxSpans bounds the per-trace slot array; spans started past the
-	// bound are counted as dropped, not recorded. Default 256.
+	// MaxSpans bounds the spans one trace records; spans started past
+	// the bound are counted as dropped, not recorded. Default 256.
 	MaxSpans int
 	// RingSize bounds the completed-trace ring. Default 256.
 	RingSize int
@@ -121,12 +121,7 @@ func (t *Tracer) StartTrace(id string) *Trace {
 		id = NewID()
 	}
 	t.started.Add(1)
-	return &Trace{
-		tracer: t,
-		id:     id,
-		start:  time.Now(),
-		spans:  make([]*Span, t.cfg.MaxSpans),
-	}
+	return &Trace{tracer: t, id: id, start: time.Now()}
 }
 
 // AddPhase folds a duration into the per-kind accumulator directly —
@@ -180,21 +175,18 @@ func (t *Tracer) Lookup(id string) (Snapshot, bool) {
 	return t.rec.lookup(id)
 }
 
-// Trace is one request's span tree. The slot array is fixed at
-// creation; spans claim slots with an atomic cursor so concurrent
-// attempt goroutines never contend on a lock to start a span. A
-// single mutex guards span field writes and snapshots — span bodies
-// are touched far less often than slots are claimed.
+// Trace is one request's span tree. One mutex guards the span list,
+// the drop count, span field writes and snapshots: a request starts a
+// handful of spans, so goroutines starting them at once contend only
+// briefly.
 type Trace struct {
 	tracer *Tracer
 	id     string
 	start  time.Time
 
-	next    atomic.Int32
-	dropped atomic.Int64
-
 	mu       sync.Mutex
-	spans    []*Span
+	spans    []*Span // at most tracer.cfg.MaxSpans
+	dropped  int64
 	end      time.Time
 	status   string
 	finished bool
@@ -210,33 +202,24 @@ func (tr *Trace) ID() string {
 
 // Start opens a span under parent (nil parent = child of the root, or
 // the root itself if none exists yet). Returns nil — a no-op span —
-// on a nil trace or when the slot array is exhausted.
+// on a nil trace or once the trace holds MaxSpans spans.
 func (tr *Trace) Start(parent *Span, kind, name string) *Span {
 	if tr == nil {
 		return nil
 	}
-	slot := tr.next.Add(1) - 1
-	if int(slot) >= len(tr.spans) {
-		tr.dropped.Add(1)
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.spans) >= tr.tracer.cfg.MaxSpans {
+		tr.dropped++
 		return nil
 	}
-	pidx := int32(-1)
+	s := &Span{tr: tr, index: int32(len(tr.spans)), parent: -1, kind: kind, name: name, start: time.Now()}
 	if parent != nil && parent.tr == tr {
-		pidx = parent.index
-	} else if slot > 0 {
-		pidx = 0 // orphan spans hang off the root rather than floating
+		s.parent = parent.index
+	} else if s.index > 0 {
+		s.parent = 0 // orphan spans hang off the root rather than floating
 	}
-	s := &Span{
-		tr:     tr,
-		index:  slot,
-		parent: pidx,
-		kind:   kind,
-		name:   name,
-		start:  time.Now(),
-	}
-	tr.mu.Lock()
-	tr.spans[slot] = s
-	tr.mu.Unlock()
+	tr.spans = append(tr.spans, s)
 	return s
 }
 
@@ -270,12 +253,14 @@ func (tr *Trace) AddPhase(kind string, d time.Duration) {
 	tr.tracer.AddPhase(kind, d)
 }
 
-// Dropped reports how many span starts overflowed the slot array.
+// Dropped reports how many span starts overflowed MaxSpans.
 func (tr *Trace) Dropped() int64 {
 	if tr == nil {
 		return 0
 	}
-	return tr.dropped.Load()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.dropped
 }
 
 // End closes the span and folds its duration into the tracer's
@@ -359,20 +344,12 @@ func (tr *Trace) SnapshotNow() Snapshot {
 		ID:      tr.id,
 		Start:   tr.start,
 		Status:  tr.status,
-		Dropped: tr.dropped.Load(),
+		Dropped: tr.dropped,
 	}
 	if !tr.end.IsZero() {
 		snap.DurationMS = float64(tr.end.Sub(tr.start)) / float64(time.Millisecond)
 	}
-	n := int(tr.next.Load())
-	if n > len(tr.spans) {
-		n = len(tr.spans)
-	}
-	for i := 0; i < n; i++ {
-		s := tr.spans[i]
-		if s == nil {
-			continue // slot claimed but body not yet published
-		}
+	for _, s := range tr.spans {
 		ss := SpanSnapshot{
 			Index:   int(s.index),
 			Parent:  int(s.parent),
