@@ -165,8 +165,9 @@ fuzz:
 # speed, accepted length and tree columns) + scheduler-load smoke + the
 # model's per-call cost — Forward, ForwardMemo and BaseDistMemo (the
 # BenchmarkBaseDist alternative matches BenchmarkBaseDistMemo's hit and
-# miss rows) — and one training of vgend's model on vgend's corpus
-# (BenchmarkTrain), in ns, B and allocs per op, then
+# miss rows) — and each stage of vgend's start-up at its default flags
+# (BenchmarkBuildCorpus, BenchmarkTrainTokenizer, and BenchmarkTrain:
+# one training of vgend's model), in ns, B and allocs per op, then
 # one evalbench process — one corpus, each model trained once — for the
 # structured rows: the grammar comparison, the sim-pass-rate tier and
 # the tracing on/off rows. CI
@@ -174,7 +175,7 @@ fuzz:
 # (pipefail: a failing benchmark must not hide behind tee). Run
 # `go test -bench=. ./...` for the full paper harness.
 bench:
-	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkTrain' -benchtime=1x ./... | tee bench_output.txt
+	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus' -benchtime=1x ./... | tee bench_output.txt
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback

@@ -191,7 +191,8 @@ func TestSubsetFractions(t *testing.T) {
 	if len(quarter) != len(examples)/4 || len(half) != len(examples)/2 {
 		t.Fatalf("subset sizes wrong: %d %d of %d", len(quarter), len(half), len(examples))
 	}
-	// Prefix property (incremental training depends on it).
+	// Prefix property: each smaller size's examples are the start of
+	// every larger size's, so the sweep only adds data.
 	for i := range quarter {
 		if quarter[i].Code != half[i].Code {
 			t.Fatal("subsets are not prefixes")

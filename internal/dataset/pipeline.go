@@ -311,8 +311,7 @@ func BuildCorpus(opts CorpusOptions) ([]model.Example, Stats) {
 
 // Subset returns the first fraction of examples (numerator/denominator)
 // — the paper's 1/4, 2/4, 3/4, 4/4 data-size sweep. Examples are
-// already shuffled by construction, so prefixes are unbiased samples,
-// and prefix subsets allow incremental training.
+// already shuffled by construction, so prefixes are unbiased samples.
 func Subset(examples []model.Example, numerator, denominator int) []model.Example {
 	n := len(examples) * numerator / denominator
 	return examples[:n]

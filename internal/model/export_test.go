@@ -1,10 +1,15 @@
 package model
 
-import "slices"
+import (
+	"fmt"
+	"slices"
 
-// This file exposes internals to the benchmarks in package model_test,
-// which train on the dataset package and so cannot live in package
-// model.
+	"repro/internal/tokenizer"
+)
+
+// This file exposes internals to the benchmarks and tests in package
+// model_test, which train on the dataset package and so cannot live in
+// package model.
 
 // View returns the filtered context view g's tables read for seq.
 func (g *Gen) View(seq []int) []int { return slices.Clone(g.clippedView(new(scratch), seq)) }
@@ -28,5 +33,98 @@ func (g *Gen) Predictor(kind string) func(view []int) int {
 		}
 		dst = t.predict(acc, dst[:0], view, seed)
 		return len(dst)
+	}
+}
+
+// LevelContexts is one level of one table: the contexts it froze and
+// the distinct exact contexts its observations held.
+type LevelContexts struct {
+	Table         string // "base", "kw" or "head <i>" (1-based)
+	K             int    // the level's context length
+	Frozen, Exact int
+}
+
+// ContextCounts trains a model and reports, for every level of every
+// table, its frozen context count beside the number of distinct exact
+// contexts observed there: the table's seed and the context's last K
+// ids themselves, no hash. The observations are those trainBase,
+// trainKw and trainHead make, replayed from a second preparation of the
+// examples (the base's pollution lands on contexts its own observations
+// already hold).
+func ContextCounts(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples []Example) []LevelContexts {
+	m := Train(tk, cfg, scheme, examples)
+	prep := newModel(tk, cfg, scheme).prepareAll(examples)
+	exact := map[*ngramTable]*exactContexts{}
+	see := func(t *ngramTable, ctx []int, seed uint64) {
+		e := exact[t]
+		if e == nil {
+			e = &exactContexts{seeds: map[uint64]int32{}, child: map[uint64]int32{}}
+			exact[t] = e
+		}
+		e.see(ctx[max(0, len(ctx)-t.levels[len(t.levels)-1]):], seed)
+	}
+	for j := range prep {
+		p := &prep[j]
+		for s, ctx := range p.contexts() {
+			see(m.base, ctx, 0)
+			for i, t := range m.heads {
+				if p.heads[i+1] && int(p.depth[s]) > i {
+					see(t, ctx, 0)
+				}
+			}
+			if p.code[s] == tokenizer.FragID {
+				continue
+			}
+			for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
+				ctx = ctx[:len(ctx)-1]
+			}
+			for _, seed := range p.seeds {
+				see(m.kw, ctx, seed)
+			}
+		}
+	}
+	var out []LevelContexts
+	report := func(name string, t *ngramTable) {
+		for i, k := range t.levels {
+			out = append(out, LevelContexts{name, k, t.frozen[i].ctxs, exact[t].distinct[k]})
+		}
+	}
+	report("base", m.base)
+	report("kw", m.kw)
+	for i, t := range m.heads {
+		report(fmt.Sprintf("head %d", i+1), t)
+	}
+	return out
+}
+
+// exactContexts interns one table's contexts as a trie: a node is a
+// seed and a run of a context's newest ids, and its child by id extends
+// the run by the next older id. Nodes are numbered from 1 as they are
+// made, and distinct[d] counts the nodes of depth d: the distinct
+// contexts of d ids.
+type exactContexts struct {
+	seeds    map[uint64]int32 // seed → its root
+	child    map[uint64]int32 // node<<32 | id → child
+	nodes    int32
+	distinct [maxReach + 1]int
+}
+
+// see interns every suffix of ctx under seed.
+func (e *exactContexts) see(ctx []int, seed uint64) {
+	node, ok := e.seeds[seed]
+	if !ok {
+		e.nodes++
+		node, e.seeds[seed] = e.nodes, e.nodes
+		e.distinct[0]++
+	}
+	for d := 1; d <= len(ctx); d++ {
+		key := uint64(node)<<32 | uint64(uint32(ctx[len(ctx)-d]))
+		next, ok := e.child[key]
+		if !ok {
+			e.nodes++
+			next, e.child[key] = e.nodes, e.nodes
+			e.distinct[d]++
+		}
+		node = next
 	}
 }

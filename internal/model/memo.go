@@ -197,8 +197,9 @@ func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []entry {
 	best := &sc.best
 	best.fit(g.m.kw.idBound)
 	lo, hi := len(best.seen), -1
+	hs := g.m.kw.hashes(view)
 	for _, seed := range g.seeds {
-		sc.kw = g.m.kw.predict(&sc.acc, sc.kw[:0], view, seed)
+		sc.kw = g.m.kw.predictHashed(&sc.acc, sc.kw[:0], &hs, seed)
 		for _, e := range sc.kw {
 			best.v[e.id] = max(best.v[e.id], e.v)
 			best.seen[e.id>>6] |= 1 << (e.id & 63)

@@ -459,9 +459,13 @@ func (m *Model) trainBase(prep []prepared) {
 		// Interference lands on the longest context orders only: it
 		// perturbs specific contexts rather than global token statistics.
 		for s, ctx := range p.contexts() {
+			if p.depth[s] == 0 {
+				continue
+			}
+			hs := m.base.hashes(ctx)
 			for i := 1; i <= int(p.depth[s]); i++ {
 				if p.heads[i] {
-					m.base.addRange(ctx, p.code[s+i], pollution[i], loK, 0)
+					m.base.observe(&hs, p.code[s+i], pollution[i], loK, 0)
 				}
 			}
 		}
@@ -483,8 +487,9 @@ func (m *Model) trainKw(prep []prepared) {
 			for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
 				ctx = ctx[:len(ctx)-1]
 			}
+			hs := m.kw.hashes(ctx)
 			for _, seed := range p.seeds {
-				m.kw.addSeeded(ctx, p.code[s], 1, seed)
+				m.kw.observe(&hs, p.code[s], 1, 0, seed)
 			}
 		}
 	}

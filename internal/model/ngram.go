@@ -38,9 +38,15 @@ type ngramTable struct {
 }
 
 // tally is one level in training form: the contexts in order of first
-// observation, indexed by the hash of their last levels[i] tokens.
+// observation, and an index from their keys to their positions.
 type tally struct {
-	index map[uint64]int32 // context hash → position in ctxs
+	// index is an open-addressed table of positions in ctxs, each stored
+	// as position+1 (0 marks an empty slot), probed linearly from the
+	// key's Fibonacci hash and kept at most half full. A probe compares
+	// the key the context holds. At four bytes a slot, the index's
+	// outgrown arrays are a small fraction of the tally.
+	index []int32
+	shift uint // 64 − log2(len(index))
 	// ctxs holds the contexts in chunks of chunkLen. A growing tally
 	// adds a chunk, never copying the contexts it holds, so it leaves
 	// no outgrown arrays behind for the collector.
@@ -63,6 +69,41 @@ func (c *tally) push(s succ) int32 {
 	*last = append(*last, s)
 	c.n++
 	return int32(c.n - 1)
+}
+
+// get returns the context with the given key, adding it if it is new.
+func (c *tally) get(key uint64) *succ {
+	if 2*(c.n+1) > len(c.index) {
+		c.grow()
+	}
+	mask := len(c.index) - 1
+	for i := int((key * fibMul) >> c.shift); ; i = (i + 1) & mask {
+		p := c.index[i]
+		if p == 0 {
+			p = c.push(succ{key: key}) + 1
+			c.index[i] = p
+			return c.at(p - 1)
+		}
+		if s := c.at(p - 1); s.key == key {
+			return s
+		}
+	}
+}
+
+// grow doubles the index (to chunkLen slots at first) and reinserts
+// every context.
+func (c *tally) grow() {
+	b := max(bits.Len(uint(len(c.index))), bits.Len(chunkLen-1))
+	c.index = make([]int32, 1<<b)
+	c.shift = uint(64 - b)
+	mask := len(c.index) - 1
+	for p := range int32(c.n) {
+		i := int((c.at(p).key * fibMul) >> c.shift)
+		for c.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.index[i] = p + 1
+	}
 }
 
 // succ is one context's successor counts and their total. Most contexts
@@ -141,65 +182,91 @@ func ladder(maxCtx int) []int {
 // maxReach is the longest context any ladder reaches.
 const maxReach = 16
 
+// maxLevels is the most levels a ladder has: len(ladder(maxReach)).
+const maxLevels = 9
+
 // newNgramTable returns an empty table in tally form.
 func newNgramTable(maxCtx int) *ngramTable {
 	t := &ngramTable{levels: ladder(maxCtx)}
 	t.counts = make([]tally, len(t.levels))
-	for i := range t.counts {
-		t.counts[i].index = map[uint64]int32{}
-	}
 	return t
 }
 
-// ctxHash hashes the last k elements of ctx (FNV-1a over token ids),
-// mixed with a caller-provided seed (keyword-conditioned tables use the
-// keyword hash as seed; plain tables use 0).
-func ctxHash(ctx []int, k int, seed uint64) uint64 {
-	h := uint64(14695981039346656037) ^ seed
-	start := len(ctx) - k
-	for i := start; i < len(ctx); i++ {
-		v := uint64(ctx[i])
-		for s := 0; s < 32; s += 8 {
-			h ^= (v >> uint(s)) & 0xFF
-			h *= 1099511628211
+// ctxHashes is a context's hash at every ladder level that fits it:
+// h[i] hashes its last levels[i] ids, for the first n levels.
+//
+// One pass hashes the context from its newest id to its oldest, each id
+// folded in by an FNV-1a step, and the hash of its last k ids is the
+// state after k steps, so every level's hash falls out of that pass.
+// The key a table files the context under mixes in the table's seed (a
+// keyword's kwSeed; 0 for a plain table) afterwards: fmix(h ^ fmix(seed)).
+// The seed is mixed on its own first because kwSeed is an FNV hash too:
+// xored in raw, a keyword pair's seed difference can cancel a context
+// pair's hash difference, and two (keyword, context) pairs collide.
+type ctxHashes struct {
+	h [maxLevels]uint64
+	n int
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashes hashes ctx at every level of t that fits it.
+func (t *ngramTable) hashes(ctx []int) ctxHashes {
+	var hs ctxHashes
+	h, j := uint64(fnvOffset), len(ctx)
+	for _, k := range t.levels {
+		if k > len(ctx) {
+			break
 		}
+		for ; j > len(ctx)-k; j-- {
+			h = (h ^ uint64(ctx[j-1])) * fnvPrime
+		}
+		hs.h[hs.n] = h
+		hs.n++
 	}
+	return hs
+}
+
+// fmix is MurmurHash3's 64-bit finalizer: a bijection whose every output
+// bit depends on every input bit.
+func fmix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 
 // add records one (context, next) observation with the given weight at
 // every ladder level that fits the context.
 func (t *ngramTable) add(ctx []int, next int, weight float64) {
-	t.addSeeded(ctx, next, weight, 0)
+	hs := t.hashes(ctx)
+	t.observe(&hs, next, weight, 0, 0)
 }
 
-func (t *ngramTable) addSeeded(ctx []int, next int, weight float64, seed uint64) {
-	t.addRange(ctx, next, weight, 0, seed)
-}
-
-// addRange records the observation only at ladder levels >= loK.
-// Joint-training interference uses it to pollute the longest contexts
+// observe records one observation of next after the context hashed to
+// hs, at the ladder levels >= loK, in the table seeded by seed.
+// Joint-training interference uses loK to pollute the longest contexts
 // without bleeding into the low-order backoff levels: gradient
 // interference perturbs a transformer's behaviour at specific contexts,
 // it does not rewrite its global token statistics. A weight-0
 // observation records nothing: predict's backoff counts successor
 // types, so even an empty entry would move the distribution.
-func (t *ngramTable) addRange(ctx []int, next int, weight float64, loK int, seed uint64) {
+func (t *ngramTable) observe(hs *ctxHashes, next int, weight float64, loK int, seed uint64) {
 	if weight == 0 {
 		return
 	}
-	for i, k := range t.levels {
-		if k > len(ctx) || k < loK {
+	ms := fmix(seed)
+	for i := range hs.n {
+		if t.levels[i] < loK {
 			continue
 		}
-		h := ctxHash(ctx, k, seed)
 		c := &t.counts[i]
-		n, ok := c.index[h]
-		if !ok {
-			n = c.push(succ{key: h})
-			c.index[h] = n
-		}
-		if c.at(n).add(int32(next), weight) {
+		if c.get(fmix(hs.h[i]^ms)).add(int32(next), weight) {
 			c.entries++
 		}
 	}
@@ -327,21 +394,24 @@ func (a *accum) gather(dst []entry, lo, hi int) ([]entry, float64) {
 // mass is summed in that order and every value is reproducible bit for
 // bit; the run is then gathered in ascending id order.
 func (t *ngramTable) predict(acc *accum, dst []entry, ctx []int, seed uint64) []entry {
+	hs := t.hashes(ctx)
+	return t.predictHashed(acc, dst, &hs, seed)
+}
+
+// predictHashed is predict over a context already hashed by t.hashes.
+func (t *ngramTable) predictHashed(acc *accum, dst []entry, hs *ctxHashes, seed uint64) []entry {
 	acc.fit(t.idBound)
 	lo, hi := len(acc.seen), -1 // the bitmap words touched
 	weight := 1.0
-	for i := len(t.levels) - 1; i >= 0; i-- {
-		k := t.levels[i]
-		if k > len(ctx) {
-			continue
-		}
+	ms := fmix(seed)
+	for i := hs.n - 1; i >= 0; i-- {
 		l := &t.frozen[i]
-		s := l.find(ctxHash(ctx, k, seed))
+		s := l.find(fmix(hs.h[i] ^ ms))
 		if s == nil || s.total <= 0 {
 			continue
 		}
 		keep := s.total / (s.total + wbScale*float64(s.n))
-		if k == 0 {
+		if t.levels[i] == 0 {
 			keep = 1 // terminal level keeps all remaining mass
 		}
 		scale, total := weight*keep, s.total

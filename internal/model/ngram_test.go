@@ -14,6 +14,17 @@ import (
 	"repro/internal/tokenizer"
 )
 
+// ctxKey is the key of ctx's last k ids in a table seeded by seed,
+// hashed on its own: the per-level hash the one-pass ctxHashes must
+// reproduce at every level.
+func ctxKey(ctx []int, k int, seed uint64) uint64 {
+	h := uint64(fnvOffset)
+	for i := len(ctx) - 1; i >= len(ctx)-k; i-- {
+		h = (h ^ uint64(ctx[i])) * fnvPrime
+	}
+	return fmix(h ^ fmix(seed))
+}
+
 // refTable is the map form the frozen tables replaced, kept as the
 // reference predictor: per level, context hash → successor counts.
 type refTable struct {
@@ -39,7 +50,7 @@ func (r *refTable) addRange(ctx []int, next int, weight float64, loK int, seed u
 		if k > len(ctx) || k < loK {
 			continue
 		}
-		h := ctxHash(ctx, k, seed)
+		h := ctxKey(ctx, k, seed)
 		s := r.orders[i][h]
 		if s == nil {
 			s = &refSucc{counts: map[int]float64{}}
@@ -80,7 +91,7 @@ func (r *refTable) predict(ctx []int, seed uint64) (out map[int]float64, fractio
 		if k > len(ctx) {
 			continue
 		}
-		s := r.orders[i][ctxHash(ctx, k, seed)]
+		s := r.orders[i][ctxKey(ctx, k, seed)]
 		if s == nil || s.total <= 0 {
 			continue
 		}
@@ -218,7 +229,7 @@ func TestTallyAcrossChunks(t *testing.T) {
 		t.Fatalf("%d contexts, want %d", l.ctxs, n)
 	}
 	for c := range n {
-		if s := l.find(ctxHash([]int{c}, 1, 0)); s == nil || s.total != 2 {
+		if s := l.find(ctxKey([]int{c}, 1, 0)); s == nil || s.total != 2 {
 			t.Fatalf("context %d: record %+v, want total 2", c, s)
 		}
 	}
@@ -286,7 +297,8 @@ func FuzzFrozenTable(f *testing.F) {
 			loK := int(data[i+2] % 8)
 			seed := seeds[int(data[i+3])%len(seeds)]
 			ctx := hist[max(0, len(hist)-8):]
-			tbl.addRange(ctx, next, weight, loK, seed)
+			hs := tbl.hashes(ctx)
+			tbl.observe(&hs, next, weight, loK, seed)
 			ref.addRange(ctx, next, weight, loK, seed)
 			hist = append(hist, next)
 		}
@@ -311,7 +323,6 @@ func FuzzFrozenTable(f *testing.F) {
 // TestPredictMatchesReference and FuzzPredict hold the kernel equal to
 // it bit for bit.
 func referencePredict(t *ngramTable, dst []entry, ctx []int, seed uint64) []entry {
-	const maxLevels = 9 // len(ladder(maxReach))
 	var runs [maxLevels][]entry
 	var scale, totals [maxLevels]float64
 	n := 0
@@ -322,7 +333,7 @@ func referencePredict(t *ngramTable, dst []entry, ctx []int, seed uint64) []entr
 			continue
 		}
 		l := &t.frozen[i]
-		s := l.find(ctxHash(ctx, k, seed))
+		s := l.find(ctxKey(ctx, k, seed))
 		if s == nil || s.total <= 0 {
 			continue
 		}
@@ -443,7 +454,8 @@ func FuzzPredict(f *testing.F) {
 			weight := float64(data[i+1]%16+1) / 8
 			seed := seeds[int(data[i+2])%len(seeds)]
 			ctx := hist[max(0, len(hist)-maxReach):]
-			tbl.addSeeded(ctx, next, weight, seed)
+			hs := tbl.hashes(ctx)
+			tbl.observe(&hs, next, weight, 0, seed)
 			hist = append(hist, next)
 		}
 		tbl.freeze()

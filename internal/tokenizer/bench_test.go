@@ -11,10 +11,15 @@ import (
 	"repro/internal/tokenizer"
 )
 
+// vgendExamples builds the corpus vgend trains on at its default flags.
+var vgendExamples = sync.OnceValue(func() []model.Example {
+	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 3400})
+	return examples
+})
+
 // served trains the tokenizer vgend serves at its default flags.
 var served = sync.OnceValue(func() *tokenizer.Tokenizer {
-	examples, _ := dataset.BuildCorpus(dataset.CorpusOptions{Seed: 1, Items: 3400})
-	return model.TrainTokenizer(model.CodeLlamaSim(), examples)
+	return model.TrainTokenizer(model.CodeLlamaSim(), vgendExamples())
 })
 
 // BenchmarkEncode encodes the templated prompt text the engine encodes

@@ -14,7 +14,6 @@ package tokenizer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -258,8 +257,17 @@ func (t *Tokenizer) DecodeClean(ids []int) string {
 }
 
 // Train learns a BPE vocabulary of the given total size (including the
-// reserved specials and the 256 byte tokens) from a corpus. Ties in
-// pair frequency break lexicographically so training is deterministic.
+// reserved specials and the 256 byte tokens) from a corpus. Each merge
+// is the most frequent adjacent pair over the corpus's words, chosen
+// by a total order: count descending, then the merged text ascending,
+// then the pair's ids ascending (left, then right). Training is
+// deterministic, and stops early once no pair occurs twice.
+//
+// The counts wait in a lazy max-heap: an entry is the count its pair
+// had when pushed, and is re-checked against the current count when it
+// surfaces. A merge is applied only to the words the pair's word list
+// names, so one costs time in the occurrences it touches, not in the
+// corpus.
 func Train(corpus []string, vocabSize int) *Tokenizer {
 	t := &Tokenizer{ranks: map[[2]int]int{}}
 	for b := 0; b < 256; b++ {
@@ -268,25 +276,74 @@ func Train(corpus []string, vocabSize int) *Tokenizer {
 	if vocabSize <= t.VocabSize() {
 		return t
 	}
+	tr := &trainer{t: t, index: map[uint64]int32{}}
+	tr.count(corpus)
+	for t.VocabSize() < vocabSize {
+		best, ok := tr.pop()
+		if !ok {
+			break // nothing worth merging
+		}
+		p := &tr.pairs[best]
+		newID := t.VocabSize()
+		t.pieces = append(t.pieces, p.text)
+		t.ranks[[2]int{p.a, p.b}] = newID
+		tr.merge(best, newID)
+	}
+	return t
+}
 
-	// Collect word frequencies.
+// trainer holds Train's working state: the corpus's distinct words and
+// every adjacent pair's count.
+type trainer struct {
+	t     *Tokenizer
+	words []trainWord
+	// pairs holds every pair seen; index maps a<<32|b to pair (a, b).
+	pairs []pairStat
+	index map[uint64]int32
+	heap  []heapEntry
+	// merges counts the merges applied; a pair whose pushed equals it
+	// already waits in touched for its fresh heap entry.
+	merges  int
+	touched []int32
+}
+
+type trainWord struct {
+	ids  []int
+	freq int
+}
+
+// pairStat is one adjacent pair's count over the corpus and the words
+// it occurs in. The list names every word that holds the pair, each
+// once, and may name words the pair has since left: a pair's count only
+// grows in the merge that made one of its ids, so that merge is the
+// only one that appends to its list, a word at a time.
+type pairStat struct {
+	a, b   int
+	text   string // the merged token's text
+	count  int
+	words  []int32
+	pushed int
+}
+
+// heapEntry is a pair and the count it had when pushed.
+type heapEntry struct {
+	count int
+	pair  int32
+}
+
+// count collects the corpus's word frequencies and their pairs' counts,
+// and heaps every pair.
+func (tr *trainer) count(corpus []string) {
 	wordFreq := map[string]int{}
 	for _, doc := range corpus {
 		for _, w := range pretokenize(doc) {
 			wordFreq[w]++
 		}
 	}
-	type word struct {
-		ids  []int
-		freq int
-	}
-	words := make([]word, 0, len(wordFreq))
-	keys := make([]string, 0, len(wordFreq))
-	for w := range wordFreq {
-		keys = append(keys, w)
-	}
-	sort.Strings(keys)
-	for _, w := range keys {
+	// The words may come in map order: the merge order is total, so
+	// which pair merges next never depends on where it sits in pairs or
+	// in the heap.
+	for w, freq := range wordFreq {
 		if len(w) < 2 {
 			continue
 		}
@@ -294,62 +351,142 @@ func Train(corpus []string, vocabSize int) *Tokenizer {
 		for i := 0; i < len(w); i++ {
 			ids[i] = NumSpecial + int(w[i])
 		}
-		words = append(words, word{ids: ids, freq: wordFreq[w]})
+		tr.words = append(tr.words, trainWord{ids: ids, freq: freq})
 	}
-
-	pairCount := map[[2]int]int{}
-	recount := func() {
-		clear(pairCount)
-		for _, w := range words {
-			for i := 0; i+1 < len(w.ids); i++ {
-				pairCount[[2]int{w.ids[i], w.ids[i+1]}] += w.freq
-			}
+	for wi, w := range tr.words {
+		for i := 0; i+1 < len(w.ids); i++ {
+			tr.add(w.ids[i], w.ids[i+1], w.freq, int32(wi))
 		}
 	}
-	recount()
+	tr.heap = make([]heapEntry, len(tr.pairs))
+	for i, p := range tr.pairs {
+		tr.heap[i] = heapEntry{p.count, int32(i)}
+	}
+	for i := len(tr.heap)/2 - 1; i >= 0; i-- {
+		tr.down(i)
+	}
+	tr.touched = tr.touched[:0]
+}
 
-	for t.VocabSize() < vocabSize {
-		// Pick the most frequent pair; break ties by token text.
-		var best [2]int
-		bestN := 0
-		for p, n := range pairCount {
-			if n > bestN {
-				best, bestN = p, n
+// add moves pair (a, b)'s count by delta for an occurrence in word wi.
+// A pair whose count grows is marked for a fresh heap entry.
+func (tr *trainer) add(a, b, delta int, wi int32) {
+	key := uint64(a)<<32 | uint64(b)
+	pi, ok := tr.index[key]
+	if !ok {
+		pi = int32(len(tr.pairs))
+		tr.pairs = append(tr.pairs, pairStat{a: a, b: b, text: tr.t.Token(a) + tr.t.Token(b), pushed: -1})
+		tr.index[key] = pi
+	}
+	p := &tr.pairs[pi]
+	p.count += delta
+	if delta <= 0 {
+		return
+	}
+	if n := len(p.words); n == 0 || p.words[n-1] != wi {
+		p.words = append(p.words, wi)
+	}
+	if p.pushed != tr.merges {
+		p.pushed = tr.merges
+		tr.touched = append(tr.touched, pi)
+	}
+}
+
+// merge rewrites every occurrence of pair best as newID, left to right
+// within each word, updating the neighbouring pairs' counts, then heaps
+// the pairs whose counts grew.
+func (tr *trainer) merge(best int32, newID int) {
+	tr.merges++
+	p := &tr.pairs[best]
+	a, b, words := p.a, p.b, p.words
+	p.words = nil
+	for _, wi := range words {
+		w := &tr.words[wi]
+		for i := 0; i+1 < len(w.ids); i++ {
+			if w.ids[i] != a || w.ids[i+1] != b {
 				continue
 			}
-			if n == bestN && n > 0 {
-				if t.Token(p[0])+t.Token(p[1]) < t.Token(best[0])+t.Token(best[1]) {
-					best = p
-				}
+			if i > 0 {
+				tr.add(w.ids[i-1], w.ids[i], -w.freq, wi)
+				tr.add(w.ids[i-1], newID, w.freq, wi)
 			}
-		}
-		if bestN < 2 {
-			break // nothing worth merging
-		}
-		newID := t.VocabSize()
-		t.pieces = append(t.pieces, t.Token(best[0])+t.Token(best[1]))
-		t.ranks[best] = newID
-
-		// Apply the merge in place and update pair counts locally.
-		for wi := range words {
-			w := &words[wi]
-			for i := 0; i+1 < len(w.ids); i++ {
-				if w.ids[i] != best[0] || w.ids[i+1] != best[1] {
-					continue
-				}
-				if i > 0 {
-					pairCount[[2]int{w.ids[i-1], w.ids[i]}] -= w.freq
-					pairCount[[2]int{w.ids[i-1], newID}] += w.freq
-				}
-				if i+2 < len(w.ids) {
-					pairCount[[2]int{w.ids[i+1], w.ids[i+2]}] -= w.freq
-					pairCount[[2]int{newID, w.ids[i+2]}] += w.freq
-				}
-				w.ids[i] = newID
-				w.ids = append(w.ids[:i+1], w.ids[i+2:]...)
+			if i+2 < len(w.ids) {
+				tr.add(w.ids[i+1], w.ids[i+2], -w.freq, wi)
+				tr.add(newID, w.ids[i+2], w.freq, wi)
 			}
+			w.ids[i] = newID
+			w.ids = append(w.ids[:i+1], w.ids[i+2:]...)
 		}
-		delete(pairCount, best)
 	}
-	return t
+	tr.pairs[best].count = 0 // its overlapping occurrences (aaa) moved it too
+	for _, pi := range tr.touched {
+		tr.push(heapEntry{tr.pairs[pi].count, pi})
+	}
+	tr.touched = tr.touched[:0]
+}
+
+// pop returns the first pair in Train's order, or false when no pair
+// occurs twice. Every pair with a positive count has an entry at least
+// its count (a count only falls between pushes), so the first entry
+// that is current is the first pair; a stale one is pushed again at its
+// current count.
+func (tr *trainer) pop() (int32, bool) {
+	for len(tr.heap) > 0 {
+		top := tr.heap[0]
+		last := len(tr.heap) - 1
+		tr.heap[0] = tr.heap[last]
+		tr.heap = tr.heap[:last]
+		tr.down(0)
+		n := tr.pairs[top.pair].count
+		if n == top.count {
+			return top.pair, n >= 2
+		}
+		if n > 0 {
+			tr.push(heapEntry{n, top.pair})
+		}
+	}
+	return 0, false
+}
+
+// before reports whether x comes before y in Train's merge order.
+func (tr *trainer) before(x, y heapEntry) bool {
+	if x.count != y.count {
+		return x.count > y.count
+	}
+	px, py := &tr.pairs[x.pair], &tr.pairs[y.pair]
+	if px.text != py.text {
+		return px.text < py.text
+	}
+	return px.a < py.a || px.a == py.a && px.b < py.b
+}
+
+func (tr *trainer) push(e heapEntry) {
+	h := append(tr.heap, e)
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !tr.before(h[c], h[p]) {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		c = p
+	}
+	tr.heap = h
+}
+
+func (tr *trainer) down(i int) {
+	h := tr.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && tr.before(h[r], h[c]) {
+			c = r
+		}
+		if !tr.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
