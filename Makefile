@@ -148,7 +148,8 @@ cover:
 # grammar oracle rests on), the
 # draft-tree arena (insert/walk/longest-accepted-path invariants) and
 # the BPE encoder (ids equal to the per-merge rescan it replaced,
-# Decode(Encode(s)) == s),
+# Decode(Encode(s)) == s) and the [FRAG] segmenter (the lexer's
+# segmentation equal to the regexp segmenter it replaced),
 # each for a short budget on top of the committed seed corpora
 # (testdata/fuzz/). Run longer locally with FUZZTIME=5m.
 FUZZTIME ?= 15s
@@ -160,14 +161,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/
 	$(GO) test -run '^$$' -fuzz FuzzEncode -fuzztime $(FUZZTIME) ./internal/tokenizer/
+	$(GO) test -run '^$$' -fuzz FuzzSegment -fuzztime $(FUZZTIME) ./internal/frag/
 
 # Engine wall-clock throughput + the strategy matrix (every strategy's
 # speed, accepted length and tree columns) + scheduler-load smoke + the
 # model's per-call cost — Forward, ForwardMemo and BaseDistMemo (the
 # BenchmarkBaseDist alternative matches BenchmarkBaseDistMemo's hit and
 # miss rows) — and each stage of vgend's start-up at its default flags
-# (BenchmarkBuildCorpus, BenchmarkTrainTokenizer, and BenchmarkTrain:
-# one training of vgend's model), in ns, B and allocs per op, then
+# (BenchmarkBuildCorpus, BenchmarkTrainTokenizer, BenchmarkTrain: one
+# training of vgend's model, and BenchmarkEncodeWithFrags: the [FRAG]
+# encoding of vgend's corpus), in ns, B and allocs per op, then
 # one evalbench process — one corpus, each model trained once — for the
 # structured rows: the grammar comparison, the sim-pass-rate tier and
 # the tracing on/off rows. CI
@@ -175,7 +178,7 @@ fuzz:
 # (pipefail: a failing benchmark must not hide behind tee). Run
 # `go test -bench=. ./...` for the full paper harness.
 bench:
-	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus' -benchtime=1x ./... | tee bench_output.txt
+	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus|BenchmarkEncodeWithFrags' -benchtime=1x ./... | tee bench_output.txt
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/frag"
-	"repro/internal/verilog"
 )
 
 func main() {
@@ -32,29 +31,24 @@ func main() {
 			exit = 1
 			continue
 		}
-		src := string(data)
-		if err := verilog.Check(src); err != nil {
+		// One parse is the syntax check and the significant tokens.
+		s, err := frag.Analyze(string(data))
+		if err != nil {
 			fmt.Printf("%s: FAIL: %v\n", path, err)
 			exit = 1
 			continue
 		}
 		fmt.Printf("%s: OK\n", path)
 		if *showTokens {
-			set, err := frag.SignificantTokens(src)
-			if err == nil {
-				var toks []string
-				for t := range set {
-					toks = append(toks, t)
-				}
-				sort.Strings(toks)
-				fmt.Printf("  significant tokens (%d): %v\n", len(toks), toks)
+			var toks []string
+			for t := range s.Significant() {
+				toks = append(toks, t)
 			}
+			sort.Strings(toks)
+			fmt.Printf("  significant tokens (%d): %v\n", len(toks), toks)
 		}
 		if *showFrags {
-			annotated, err := frag.InsertFrags(src)
-			if err == nil {
-				fmt.Println(annotated)
-			}
+			fmt.Println(s.Annotated())
 		}
 	}
 	os.Exit(exit)

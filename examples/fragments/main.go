@@ -23,13 +23,14 @@ endmodule
 `
 
 func main() {
-	// Fig. 3(B): significant tokens = AST keywords + extra keywords.
-	set, err := frag.SignificantTokens(src)
+	// Fig. 3(B): significant tokens = AST keywords + extra keywords,
+	// flagged on the tokens the parser lexed.
+	s, err := frag.Analyze(src)
 	if err != nil {
 		panic(err)
 	}
 	var toks []string
-	for t := range set {
+	for t := range s.Significant() {
 		if len(t) > 2 { // show the interesting ones
 			toks = append(toks, t)
 		}
@@ -38,13 +39,12 @@ func main() {
 	fmt.Println("significant tokens:", toks)
 
 	// Fig. 3(C): the [FRAG]-annotated source.
-	annotated, _ := frag.InsertFrags(src)
 	fmt.Println("\n--- [FRAG]-annotated ---")
-	fmt.Println(annotated)
+	fmt.Println(s.Annotated())
 
 	// Fig. 4: the syntax-enriched label matrix.
 	tk := tokenizer.Train([]string{src}, 400)
-	ids, _ := frag.EncodeWithFrags(tk, src)
+	ids := s.Encode(tk)
 	labels := frag.BuildSyntaxEnrichedLabels(ids, 10)
 	fr := frag.IgnoredFraction(labels)
 	fmt.Println("--- [IGNORE] fraction per head (grows for later heads) ---")

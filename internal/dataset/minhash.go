@@ -1,7 +1,9 @@
 package dataset
 
 import (
-	"hash/fnv"
+	"slices"
+
+	"repro/internal/parallel"
 )
 
 // minhashSize is the signature length (number of hash permutations).
@@ -21,19 +23,31 @@ const shingleSize = 3
 // MinHash + Jaccard; 0.85 is the conventional near-duplicate cut).
 const jaccardThreshold = 0.92
 
-// shingles returns the set of hashed word 3-grams of a document.
-func shingles(text string) map[uint64]bool {
+// FNV-64a's offset basis and prime: shingles and band keys are FNV-64a
+// hashes, computed inline.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// shingles returns the distinct hashed word 3-grams of a document, in
+// ascending order. A shingle's hash is the FNV-64a hash of its words,
+// each followed by a 0 byte.
+func shingles(text string) []uint64 {
 	words := fields(text)
-	out := map[uint64]bool{}
+	out := make([]uint64, 0, max(0, len(words)-shingleSize+1))
 	for i := 0; i+shingleSize <= len(words); i++ {
-		h := fnv.New64a()
-		for j := 0; j < shingleSize; j++ {
-			h.Write([]byte(words[i+j]))
-			h.Write([]byte{0})
+		h := uint64(fnvOffset)
+		for _, w := range words[i : i+shingleSize] {
+			for j := 0; j < len(w); j++ {
+				h = (h ^ uint64(w[j])) * fnvPrime
+			}
+			h *= fnvPrime // the 0 byte
 		}
-		out[h.Sum64()] = true
+		out = append(out, h)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // fields splits on whitespace without allocating per-rune.
@@ -61,12 +75,12 @@ func fields(s string) []string {
 
 // signature computes the MinHash signature of a shingle set using
 // minhashSize cheap xorshift-derived permutations.
-func signature(sh map[uint64]bool) [minhashSize]uint64 {
+func signature(sh []uint64) [minhashSize]uint64 {
 	var sig [minhashSize]uint64
 	for i := range sig {
 		sig[i] = ^uint64(0)
 	}
-	for s := range sh {
+	for _, s := range sh {
 		x := s
 		for i := 0; i < minhashSize; i++ {
 			// Per-permutation mixing: multiply-xorshift with distinct
@@ -97,11 +111,10 @@ func estJaccard(a, b [minhashSize]uint64) float64 {
 // Deduplicate removes near-duplicate documents (Jaccard ≥ threshold on
 // MinHash signatures, candidates found via LSH banding), keeping the
 // first occurrence. It returns the surviving indices in input order.
+// The signatures are computed on every core.
 func Deduplicate(docs []string) []int {
 	sigs := make([][minhashSize]uint64, len(docs))
-	for i, d := range docs {
-		sigs[i] = signature(shingles(d))
-	}
+	parallel.For(len(docs), func(i int) { sigs[i] = signature(shingles(docs[i])) })
 	buckets := map[uint64][]int{}
 	dropped := make([]bool, len(docs))
 	for i := range docs {
@@ -109,16 +122,15 @@ func Deduplicate(docs []string) []int {
 			continue
 		}
 		for b := 0; b < lshBands; b++ {
-			h := fnv.New64a()
+			// The FNV-64a hash of the band's values, little-endian.
+			h := uint64(fnvOffset)
 			for r := 0; r < lshRows; r++ {
 				v := sigs[i][b*lshRows+r]
-				var buf [8]byte
 				for k := 0; k < 8; k++ {
-					buf[k] = byte(v >> uint(8*k))
+					h = (h ^ v>>uint(8*k)&0xff) * fnvPrime
 				}
-				h.Write(buf[:])
 			}
-			key := h.Sum64() ^ uint64(b)<<56
+			key := h ^ uint64(b)<<56
 			for _, j := range buckets[key] {
 				if !dropped[i] && !dropped[j] && estJaccard(sigs[i], sigs[j]) >= jaccardThreshold {
 					dropped[i] = true

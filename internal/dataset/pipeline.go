@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/model"
+	"repro/internal/parallel"
 	"repro/internal/verilog"
 )
 
@@ -205,6 +206,11 @@ func Describe(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return describe(f, src), nil
+}
+
+// describe is Describe of src parsed as f.
+func describe(f *verilog.SourceFile, src string) string {
 	m := f.Modules[0]
 	var ins, outs []string
 	for _, p := range m.Ports {
@@ -244,7 +250,7 @@ func Describe(src string) (string, error) {
 		d += " using case-based selection"
 	}
 	d += "."
-	return d, nil
+	return d
 }
 
 // Refine runs the full Fig. 2 refinement over raw files: split, filter,
@@ -275,23 +281,33 @@ func Refine(files []string, summaries map[string]string, stats Stats) ([]Item, S
 	}
 	stats.AfterDedup = len(deduped)
 
-	var out []Item
-	for _, src := range deduped {
-		if verilog.Check(src) != nil {
-			continue // syntax gate (Stagira substitute)
-		}
-		name := moduleNameOf(src)
-		if desc, ok := summaries[name]; ok {
-			out = append(out, Item{Desc: desc, Code: src, Family: "summarized"})
-			stats.WithSummaries++
-			continue
-		}
-		desc, err := Describe(src)
+	// The syntax gate (Stagira substitute) and the descriptions run on
+	// every core, one module at a time; a module that fails the gate
+	// keeps an empty item.
+	items := make([]Item, len(deduped))
+	parallel.For(len(deduped), func(i int) {
+		src := deduped[i]
+		f, err := verilog.Parse(src)
 		if err != nil {
+			return
+		}
+		if desc, ok := summaries[moduleNameOf(src)]; ok {
+			items[i] = Item{Desc: desc, Code: src, Family: "summarized"}
+		} else {
+			items[i] = Item{Desc: describe(f, src), Code: src, Family: "described"}
+		}
+	})
+	var out []Item
+	for _, it := range items {
+		switch it.Family {
+		case "summarized":
+			stats.WithSummaries++
+		case "described":
+			stats.Described++
+		default:
 			continue
 		}
-		out = append(out, Item{Desc: desc, Code: src, Family: "described"})
-		stats.Described++
+		out = append(out, it)
 	}
 	stats.SyntaxClean = len(out)
 	return out, stats

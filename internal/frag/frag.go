@@ -4,20 +4,22 @@
 //  1. syntactically significant tokens are identified from the Verilog
 //     AST (leaf identifiers and literals) plus a fixed extra-keyword
 //     list (module, endmodule, operators, ...);
-//  2. a regular expression segments source code into fragments and
-//     wraps each significant token with the special [FRAG] marker;
+//  2. the source is segmented at its lexer tokens, and each
+//     significant token is wrapped with the special [FRAG] marker (the
+//     paper segments with a regular expression; the parser has already
+//     lexed the source, so its tokens are reused);
 //  3. syntax-enriched label matrices are constructed for Medusa-style
 //     multi-head training: head i's label row is the base row shifted
 //     left by i, padded with [PAD], and positions beyond the last
 //     [FRAG] along the head dimension are masked with [IGNORE].
 //
-// The [IGNORE] masking is provided in two equivalent implementations: a
-// straightforward per-column reference and the paper's vectorized
-// reverse sweep (Fig. 4, right panel), which the tests prove equivalent.
+// The [IGNORE] masking is the paper's vectorized reverse sweep (Fig. 4,
+// right panel), which the tests hold to a per-column reference. Model
+// training needs only each position's count of labelled head rows,
+// which HeadDepths computes without the matrix.
 package frag
 
 import (
-	"regexp"
 	"strings"
 
 	"repro/internal/tokenizer"
@@ -44,32 +46,18 @@ var extraOperators = []string{
 	"(", ")", ";",
 }
 
-// ExtraKeywords returns the fixed supplementary keyword set (a copy).
-func ExtraKeywords() map[string]bool {
-	out := make(map[string]bool, len(extraKeywords)+len(extraOperators))
+// extra is the set of extraKeywords and extraOperators. It is built
+// once and only read.
+var extra = func() map[string]bool {
+	set := make(map[string]bool, len(extraKeywords)+len(extraOperators))
 	for _, k := range extraKeywords {
-		out[k] = true
+		set[k] = true
 	}
 	for _, k := range extraOperators {
-		out[k] = true
+		set[k] = true
 	}
-	return out
-}
-
-// SignificantTokens parses src and returns the union of AST-derived
-// keywords (identifiers and literal spellings from leaf nodes) and the
-// extra keyword list — the paper's Fig. 3 "Significant Tokens".
-func SignificantTokens(src string) (map[string]bool, error) {
-	f, err := verilog.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	set := ExtraKeywords()
-	for _, m := range f.Modules {
-		collectModuleTokens(m, set)
-	}
-	return set, nil
-}
+	return set
+}()
 
 func collectModuleTokens(m *verilog.Module, set map[string]bool) {
 	set[m.Name] = true
@@ -197,92 +185,108 @@ func collectExprTokens(e verilog.Expr, set map[string]bool) {
 	}
 }
 
-// tokenRE matches candidate significant tokens in source order: sized
-// literals, identifiers, numbers and operators/punctuation. It is the
-// regex segmenter of Fig. 3.
-var tokenRE = regexp.MustCompile(
-	`[0-9]*'[sS]?[bodhBODH][0-9a-fA-FxXzZ?_]+` + // based literals
-		`|[A-Za-z_$][A-Za-z0-9_$]*` + // identifiers & keywords
-		`|[0-9][0-9_]*` + // plain numbers
-		`|<<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||~&|~\||~\^|\^~|\*\*` +
-		`|[()+\-*/%&|^~!?=<>;]`, // single-char operators, ( ) ;
-)
-
-// Piece is one segment of source text produced by Segment.
-type Piece struct {
-	Text        string
-	Significant bool
+// Source is one Verilog source lexed and parsed once, and the spans of
+// its significant tokens. Every token whose spelling is an AST leaf's
+// or on the extra list is significant, wherever it occurs, so a module
+// name is wrapped in its instantiations too. Comments, string literals
+// and compiler-directive lines are not tokens the fragments are made
+// of, and nothing inside them is wrapped.
+type Source struct {
+	src   string
+	spans [][2]int // byte ranges of the significant tokens, in order
 }
 
-// Segment splits src into pieces, marking each significant token.
-// Concatenating the piece texts reproduces src exactly.
-func Segment(src string, significant map[string]bool) []Piece {
-	var out []Piece
-	last := 0
-	for _, loc := range tokenRE.FindAllStringIndex(src, -1) {
-		tok := src[loc[0]:loc[1]]
-		if !significant[tok] {
-			continue
-		}
-		if loc[0] > last {
-			out = append(out, Piece{Text: src[last:loc[0]]})
-		}
-		out = append(out, Piece{Text: tok, Significant: true})
-		last = loc[1]
-	}
-	if last < len(src) {
-		out = append(out, Piece{Text: src[last:]})
-	}
-	return out
-}
-
-// InsertFrags returns src with every significant token wrapped in
-// [FRAG] markers — the textual form shown in Fig. 3(C).
-func InsertFrags(src string) (string, error) {
-	sig, err := SignificantTokens(src)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	for _, p := range Segment(src, sig) {
-		if p.Significant {
-			sb.WriteString("[FRAG]")
-			sb.WriteString(p.Text)
-			sb.WriteString("[FRAG]")
-		} else {
-			sb.WriteString(p.Text)
-		}
-	}
-	return sb.String(), nil
-}
-
-// EncodeWithFrags tokenizes src into BPE ids with FragID markers around
-// every significant token — the id-level form used to build training
-// labels and to drive the decoder's integrity check. It shares no state
-// between calls and only reads tk, so it is safe for concurrent use:
-// model training prepares its examples on several goroutines at once.
-func EncodeWithFrags(tk *tokenizer.Tokenizer, src string) ([]int, error) {
-	sig, err := SignificantTokens(src)
+// Analyze parses src and finds its significant tokens.
+func Analyze(src string) (*Source, error) {
+	f, toks, err := verilog.ParseWithTokens(src)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeSegmented(tk, Segment(src, sig)), nil
+	leaves := map[string]bool{}
+	for _, m := range f.Modules {
+		collectModuleTokens(m, leaves)
+	}
+	return newSource(src, toks, leaves), nil
 }
 
-// EncodeSegmented encodes pre-segmented pieces, wrapping significant
-// pieces with FragID.
-func EncodeSegmented(tk *tokenizer.Tokenizer, pieces []Piece) []int {
-	var out []int
-	for _, p := range pieces {
-		if p.Significant {
-			out = append(out, tokenizer.FragID)
-			out = append(out, tk.Encode(p.Text)...)
-			out = append(out, tokenizer.FragID)
+// newSource keeps each token of src spelled like one of leaves or on
+// the extra list.
+func newSource(src string, toks []verilog.Token, leaves map[string]bool) *Source {
+	s := &Source{src: src}
+	for _, t := range toks {
+		if t.Kind == verilog.TokString || t.Kind == verilog.TokDirective || !extra[t.Text] && !leaves[t.Text] {
 			continue
 		}
-		out = append(out, tk.Encode(p.Text)...)
+		start := t.Off
+		if t.Escaped {
+			start++ // the spelling follows the backslash
+		}
+		s.spans = append(s.spans, [2]int{start, start + len(t.Text)})
 	}
-	return out
+	return s
+}
+
+// Significant returns the distinct spellings of the source's
+// significant tokens — the paper's Fig. 3(B) "Significant Tokens" as
+// they occur in this source.
+func (s *Source) Significant() map[string]bool {
+	set := map[string]bool{}
+	for _, sp := range s.spans {
+		set[s.src[sp[0]:sp[1]]] = true
+	}
+	return set
+}
+
+// Annotated returns the source with every significant token wrapped in
+// [FRAG] markers — the textual form shown in Fig. 3(C).
+func (s *Source) Annotated() string {
+	var sb strings.Builder
+	last := 0
+	for _, sp := range s.spans {
+		sb.WriteString(s.src[last:sp[0]])
+		sb.WriteString("[FRAG]" + s.src[sp[0]:sp[1]] + "[FRAG]")
+		last = sp[1]
+	}
+	sb.WriteString(s.src[last:])
+	return sb.String()
+}
+
+// Encode tokenizes the source into BPE ids with FragID markers around
+// every significant token — the id-level form of Annotated.
+func (s *Source) Encode(tk *tokenizer.Tokenizer) []int {
+	var out []int
+	last := 0
+	for _, sp := range s.spans {
+		out = tk.AppendEncode(out, s.src[last:sp[0]])
+		out = append(out, tokenizer.FragID)
+		out = tk.AppendEncode(out, s.src[sp[0]:sp[1]])
+		out = append(out, tokenizer.FragID)
+		last = sp[1]
+	}
+	return tk.AppendEncode(out, s.src[last:])
+}
+
+// InsertFrags parses src and returns it with every significant token
+// wrapped in [FRAG] markers (see Source.Annotated).
+func InsertFrags(src string) (string, error) {
+	s, err := Analyze(src)
+	if err != nil {
+		return "", err
+	}
+	return s.Annotated(), nil
+}
+
+// EncodeWithFrags parses src and tokenizes it with [FRAG] markers (see
+// Source.Encode) — the id-level form used to build training labels and
+// to drive the decoder's integrity check. It shares no state between
+// calls and only reads tk, so it is safe for concurrent use: model
+// training prepares its examples on several goroutines at once.
+func EncodeWithFrags(tk *tokenizer.Tokenizer, src string) ([]int, error) {
+	s, err := Analyze(src)
+	if err != nil {
+		return nil, err
+	}
+	return s.Encode(tk), nil
 }
 
 // StripFrags removes FragID markers from a token sequence (the cleanup

@@ -5,9 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/tokenizer"
+	"repro/internal/verilog"
 )
 
 const dataRegisterSrc = `module data_register (
@@ -22,10 +22,11 @@ endmodule
 `
 
 func TestSignificantTokens(t *testing.T) {
-	set, err := SignificantTokens(dataRegisterSrc)
+	s, err := Analyze(dataRegisterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := s.Significant()
 	for _, want := range []string{
 		"data_register", "clk", "data_in", "data_out", // AST identifiers
 		"module", "endmodule", "reg", "posedge", "begin", "end", // extra keywords
@@ -64,12 +65,12 @@ func TestInsertFragsShape(t *testing.T) {
 }
 
 func TestSegmentReconstructs(t *testing.T) {
-	sig, err := SignificantTokens(dataRegisterSrc)
+	s, err := Analyze(dataRegisterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	for _, p := range Segment(dataRegisterSrc, sig) {
+	for _, p := range s.Pieces() {
 		sb.WriteString(p.Text)
 	}
 	if sb.String() != dataRegisterSrc {
@@ -77,17 +78,53 @@ func TestSegmentReconstructs(t *testing.T) {
 	}
 }
 
+// verilogSpellings are the token spellings randomSource draws from.
+var verilogSpellings = []string{
+	"module", "endmodule", "assign", "always", "begin", "end", "if", "else",
+	"a", "b_1", "data_out", "$display", "\\esc+id", "`define W 8",
+	"0", "42", "4'b10x0", "8'hFF", "'d15", "\"s\"", "// note\n", "/* c */",
+	"<<<", ">>>", "<=", "==", "~^", "(", ")", ";", ",", "[", "]", "@", "?", "=", "+",
+}
+
+// randomSource joins random spellings with random whitespace.
+func randomSource(rng *rand.Rand) string {
+	var sb strings.Builder
+	for range rng.Intn(40) {
+		sb.WriteString(verilogSpellings[rng.Intn(len(verilogSpellings))])
+		sb.WriteString([]string{" ", "", "\n", "\t "}[rng.Intn(4)])
+	}
+	return sb.String()
+}
+
 func TestSegmentReconstructsProperty(t *testing.T) {
-	sig := ExtraKeywords()
-	f := func(s string) bool {
+	rng := rand.New(rand.NewSource(3))
+	lexed := 0
+	for trial := 0; trial < 300; trial++ {
+		src := randomSource(rng)
+		toks, err := verilog.Lex(src)
+		if err != nil {
+			continue
+		}
+		lexed++
+		// Every other token's spelling significant too: wrapped and
+		// plain identifiers mix.
+		leaves := map[string]bool{}
+		for i, tok := range toks {
+			if i%2 == 0 {
+				leaves[tok.Text] = true
+			}
+		}
+		s := newSource(src, toks, leaves)
 		var sb strings.Builder
-		for _, p := range Segment(s, sig) {
+		for _, p := range s.Pieces() {
 			sb.WriteString(p.Text)
 		}
-		return sb.String() == s
+		if sb.String() != src {
+			t.Fatalf("pieces of %q reassemble to %q", src, sb.String())
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	if lexed < 200 {
+		t.Fatalf("only %d of 300 random sources lexed", lexed)
 	}
 }
 
@@ -134,12 +171,43 @@ func TestBuildLabelsShiftAndPad(t *testing.T) {
 	}
 }
 
+// maskLabelsSequential applies the [IGNORE] masking in the obvious
+// per-column way: for every sequence position, head rows beyond the
+// last [FRAG] along the head dimension are replaced with [IGNORE], so
+// the labels visible at that position always end on a complete
+// syntactic fragment. Columns whose head rows contain no [FRAG] at all
+// are left untouched (there is no fragment boundary to align to).
+//
+// It is the reference implementation that validates the paper's
+// vectorized algorithm (MaskLabelsParallel).
+func maskLabelsSequential(labels [][]int) {
+	if len(labels) < 2 {
+		return
+	}
+	heads := len(labels) - 1
+	s := len(labels[0])
+	for p := 0; p < s; p++ {
+		lastFrag := 0
+		for i := 1; i <= heads; i++ {
+			if labels[i][p] == tokenizer.FragID {
+				lastFrag = i
+			}
+		}
+		if lastFrag == 0 {
+			continue
+		}
+		for i := lastFrag + 1; i <= heads; i++ {
+			labels[i][p] = tokenizer.IgnoreID
+		}
+	}
+}
+
 func TestMaskLabelsKnownExample(t *testing.T) {
 	F := tokenizer.FragID
 	// Sequence: F a b F c  (token ids 100,101,102 arbitrary)
 	l0 := []int{F, 100, 101, F, 102}
 	labels := BuildLabels(l0, 3)
-	MaskLabelsSequential(labels)
+	maskLabelsSequential(labels)
 	// Column 0: head rows were [100,101,F] -> last FRAG at head 3: keep all.
 	if labels[3][0] != F {
 		t.Errorf("col0 head3 = %d, want FRAG", labels[3][0])
@@ -182,7 +250,7 @@ func TestParallelMatchesSequentialProperty(t *testing.T) {
 		}
 		a := BuildLabels(l0, heads)
 		b := cloneMatrix(a)
-		MaskLabelsSequential(a)
+		maskLabelsSequential(a)
 		MaskLabelsParallel(b)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("trial %d: sequential and parallel disagree\nseq: %v\npar: %v\nl0: %v heads=%d",
@@ -224,7 +292,7 @@ func TestMaskNoFragsNoChange(t *testing.T) {
 
 func TestMaskEmptyAndTiny(t *testing.T) {
 	MaskLabelsParallel(nil)
-	MaskLabelsSequential(nil)
+	maskLabelsSequential(nil)
 	labels := BuildLabels([]int{}, 3)
 	MaskLabelsParallel(labels) // must not panic
 	one := BuildLabels([]int{tokenizer.FragID}, 0)
@@ -234,11 +302,49 @@ func TestMaskEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestExtraKeywordsCopied(t *testing.T) {
-	a := ExtraKeywords()
-	a["module"] = false
-	b := ExtraKeywords()
-	if !b["module"] {
-		t.Fatal("ExtraKeywords returns shared state")
+// rowDepths counts, per column of a label matrix, the head rows before
+// the first [PAD] or [IGNORE].
+func rowDepths(labels [][]int) []uint8 {
+	out := make([]uint8, len(labels[0]))
+	for p := range out {
+		d := 0
+		for d+1 < len(labels) && labels[d+1][p] != tokenizer.PadID && labels[d+1][p] != tokenizer.IgnoreID {
+			d++
+		}
+		out[p] = uint8(d)
+	}
+	return out
+}
+
+func TestHeadDepths(t *testing.T) {
+	// Sequences shaped like training code: runs of [FRAG] (a fragment
+	// closing where the next opens) and a trailing <eos>.
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		var l0 []int
+		for range rng.Intn(120) {
+			if rng.Float64() < 0.2 {
+				for range 1 + rng.Intn(3) {
+					l0 = append(l0, tokenizer.FragID)
+				}
+			} else {
+				l0 = append(l0, tokenizer.NumSpecial+rng.Intn(100))
+			}
+		}
+		l0 = append(l0, tokenizer.EosID)
+		heads := rng.Intn(13)
+		labels := BuildLabels(l0, heads)
+		if got, want := HeadDepths(l0, heads, false), rowDepths(labels); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d unmasked: depths %v, rows %v\nl0: %v heads=%d", trial, got, want, l0, heads)
+		}
+		seq, par := cloneMatrix(labels), cloneMatrix(labels)
+		maskLabelsSequential(seq)
+		MaskLabelsParallel(par)
+		got := HeadDepths(l0, heads, true)
+		for name, m := range map[string][][]int{"sequential": seq, "parallel": par} {
+			if want := rowDepths(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d masked (%s): depths %v, rows %v\nl0: %v heads=%d", trial, name, got, want, l0, heads)
+			}
+		}
 	}
 }

@@ -26,37 +26,6 @@ func BuildLabels(l0 []int, numHeads int) [][]int {
 	return labels
 }
 
-// MaskLabelsSequential applies the [IGNORE] masking in the obvious
-// per-column way: for every sequence position, head rows beyond the
-// last [FRAG] along the head dimension are replaced with [IGNORE], so
-// the labels visible at that position always end on a complete
-// syntactic fragment. Columns whose head rows contain no [FRAG] at all
-// are left untouched (there is no fragment boundary to align to).
-//
-// It is the reference implementation used to validate the paper's
-// vectorized algorithm (MaskLabelsParallel).
-func MaskLabelsSequential(labels [][]int) {
-	if len(labels) < 2 {
-		return
-	}
-	heads := len(labels) - 1
-	s := len(labels[0])
-	for p := 0; p < s; p++ {
-		lastFrag := 0
-		for i := 1; i <= heads; i++ {
-			if labels[i][p] == tokenizer.FragID {
-				lastFrag = i
-			}
-		}
-		if lastFrag == 0 {
-			continue
-		}
-		for i := lastFrag + 1; i <= heads; i++ {
-			labels[i][p] = tokenizer.IgnoreID
-		}
-	}
-}
-
 // MaskLabelsParallel is the paper's parallel algorithm (Fig. 4, right):
 // a boolean has-frag mask is initialized from all head rows, then heads
 // are swept in reverse; positions whose mask is still set when the
@@ -120,6 +89,33 @@ func BuildSyntaxEnrichedLabels(l0 []int, numHeads int) [][]int {
 	labels := BuildLabels(l0, numHeads)
 	MaskLabelsParallel(labels)
 	return labels
+}
+
+// HeadDepths returns, for each position p of l0, the number of head
+// rows of the label matrix that hold a label there: head i (1-based)
+// has one at p iff i <= depth[p]. It is the count of leading rows
+// before the first [PAD] or [IGNORE] in column p of
+// BuildSyntaxEnrichedLabels(l0, numHeads) — of BuildLabels(l0, numHeads)
+// when mask is false — computed in O(len(l0)·numHeads) without the
+// matrix. Those rows are a prefix of the column: [PAD] only follows
+// where the shift runs off l0, and [IGNORE] only follows the column's
+// last [FRAG]. l0 must hold no [PAD] or [IGNORE], and numHeads must
+// be at most 255.
+func HeadDepths(l0 []int, numHeads int, mask bool) []uint8 {
+	depth := make([]uint8, len(l0))
+	for p := range l0 {
+		d := min(numHeads, len(l0)-1-p) // rows before the [PAD]s
+		if mask {
+			for i := d; i >= 1; i-- {
+				if l0[p+i] == tokenizer.FragID {
+					d = i // rows past the last [FRAG] are [IGNORE]
+					break
+				}
+			}
+		}
+		depth[p] = uint8(d)
+	}
+	return depth
 }
 
 // IgnoredFraction reports, per head row, the fraction of positions

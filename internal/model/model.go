@@ -8,9 +8,9 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/frag"
+	"repro/internal/parallel"
 	"repro/internal/tokenizer"
 )
 
@@ -231,7 +231,7 @@ func newModel(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 func Train(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples []Example) *Model {
 	m := newModel(tk, cfg, scheme)
 	for _, phase := range m.phases(m.prepareAll(examples)) {
-		parallelFor(len(phase), func(i int) {
+		parallel.For(len(phase), func(i int) {
 			u := phase[i]
 			u.train()
 			u.t.freeze()
@@ -263,7 +263,7 @@ func (m *Model) NumHeads() int { return len(m.heads) }
 // example order.
 func (m *Model) prepareAll(examples []Example) []prepared {
 	prep := make([]prepared, len(examples))
-	parallelFor(len(examples), func(i int) { prep[i] = m.prepare(examples[i]) })
+	parallel.For(len(examples), func(i int) { prep[i] = m.prepare(examples[i]) })
 	for i := range prep {
 		p := &prep[i]
 		if p.code == nil {
@@ -301,23 +301,6 @@ func (m *Model) phases(prep []prepared) [][]unit {
 		heads[i] = unit{t, func() { m.trainHead(prep, i+1) }}
 	}
 	return append(phases, heads)
-}
-
-// parallelFor calls f(0) … f(n-1) on GOMAXPROCS goroutines, each taking
-// the next index as it finishes one, and returns when all are done.
-func parallelFor(n int, f func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(n, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // prepared is one example ready to be replayed into the tables.
@@ -365,7 +348,7 @@ func (m *Model) prepare(ex Example) prepared {
 	}
 	code = append(code, tokenizer.EosID)
 	// The prompt holds no [FRAG]: Encode never yields a special id.
-	prompt := append([]int{tokenizer.BosID}, m.tok.Encode(FormatPrompt(ex.Prompt))...)
+	prompt := m.tok.AppendEncode([]int{tokenizer.BosID}, FormatPrompt(ex.Prompt))
 	anchor := prompt[max(0, len(prompt)-promptAnchor):]
 	p := prepared{code: code, view: make([]int, 0, len(anchor)+len(code)), anchor: len(anchor)}
 	p.view = append(p.view, anchor...)
@@ -383,22 +366,10 @@ func (m *Model) prepare(ex Example) prepared {
 	if len(m.heads) == 0 {
 		return p
 	}
-	// Heads: label matrix over the code region (paper Fig. 4). A row is
-	// [PAD] from where the shift runs off the code on and [IGNORE] past
-	// a position's last fragment boundary on, so the rows with a label
-	// are always a prefix and their count is all a position keeps.
-	labels := frag.BuildLabels(code, len(m.heads))
-	if m.scheme == SchemeOurs { // SchemeOursNoMask ablates exactly this line
-		frag.MaskLabelsParallel(labels)
-	}
-	p.depth = make([]uint8, len(code))
-	for s := range code {
-		d := 0
-		for d < len(m.heads) && labels[d+1][s] != tokenizer.PadID && labels[d+1][s] != tokenizer.IgnoreID {
-			d++
-		}
-		p.depth[s] = uint8(d)
-	}
+	// Heads: the label matrix over the code region (paper Fig. 4). A
+	// position keeps only how many head rows hold a label there; the
+	// masking of SchemeOurs is all SchemeOursNoMask ablates.
+	p.depth = frag.HeadDepths(code, len(m.heads), m.scheme == SchemeOurs)
 	return p
 }
 

@@ -2,6 +2,7 @@ package tokenizer_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -39,5 +40,21 @@ func BenchmarkEncode(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(ids)), "tokens")
 		})
+	}
+}
+
+// TestWordTableMatchesMerge holds every entry of the word table of
+// vgend's tokenizer to the heap merge's encoding of its word, the
+// encoding Encode gave every word before the table.
+func TestWordTableMatchesMerge(t *testing.T) {
+	tk := served()
+	table := tokenizer.WordTable(tk)
+	if len(table) < 1000 {
+		t.Fatalf("word table holds %d words", len(table))
+	}
+	for w, ids := range table {
+		if want := tokenizer.MergeEncode(tk, w); !slices.Equal(ids, want) {
+			t.Fatalf("word %q: table %v, merge %v", w, ids, want)
+		}
 	}
 }

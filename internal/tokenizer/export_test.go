@@ -8,3 +8,17 @@ var TrainReference = trainReference
 
 // Vocab returns a tokenizer's pieces and merge ranks.
 func Vocab(t *Tokenizer) ([]string, map[[2]int]int) { return t.pieces, t.ranks }
+
+// WordTable returns a tokenizer's word table, each word with its ids.
+func WordTable(t *Tokenizer) map[string][]int {
+	out := make(map[string][]int, len(t.words))
+	for w, s := range t.words {
+		out[w] = t.wordIDs[s.off : s.off+s.n]
+	}
+	return out
+}
+
+// MergeEncode encodes one word by merging, without the word table.
+func MergeEncode(t *Tokenizer, word string) []int {
+	return new(merger).encode(t.ranks, word, nil)
+}

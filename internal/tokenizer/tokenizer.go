@@ -49,7 +49,15 @@ type Tokenizer struct {
 	// ranks maps a merged pair to the id of the merged token; lower id
 	// means the merge was learned earlier and applies first.
 	ranks map[[2]int]int
+	// words is the word table: each training word of two or more bytes
+	// and where its ids sit in wordIDs. Train leaves every word at the
+	// ids the merges made of it, which are the ids merger gives it.
+	words   map[string]span
+	wordIDs []int
 }
+
+// span locates a word's ids in Tokenizer.wordIDs.
+type span struct{ off, n int32 }
 
 // VocabSize returns the total number of token ids, including specials.
 func (t *Tokenizer) VocabSize() int { return NumSpecial + len(t.pieces) }
@@ -72,55 +80,70 @@ func (t *Tokenizer) Token(id int) string {
 // production BPE tokenizers.
 func pretokenize(text string) []string {
 	var out []string
-	i := 0
-	n := len(text)
-	class := func(c byte) int {
-		switch {
-		case c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
-			return 1
-		case c >= '0' && c <= '9':
-			return 2
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			return 3
-		default:
-			return 0
-		}
-	}
-	for i < n {
-		c := class(text[i])
-		if c == 0 {
-			out = append(out, text[i:i+1])
-			i++
-			continue
-		}
-		j := i + 1
-		if c == 1 {
-			// Identifier run: letters may be followed by digits too
-			// (a1, b101, data_out2).
-			for j < n && (class(text[j]) == 1 || class(text[j]) == 2) {
-				j++
-			}
-		} else {
-			for j < n && class(text[j]) == c {
-				j++
-			}
-		}
+	for i := 0; i < len(text); {
+		j := wordEnd(text, i)
 		out = append(out, text[i:j])
 		i = j
 	}
 	return out
 }
 
+// class is a byte's pretokenize class: 1 identifier, 2 digit, 3
+// whitespace, 0 a unit of its own.
+func class(c byte) int {
+	switch {
+	case c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
+		return 1
+	case c >= '0' && c <= '9':
+		return 2
+	case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		return 3
+	}
+	return 0
+}
+
+// wordEnd returns the end of the word unit that starts at text[i].
+func wordEnd(text string, i int) int {
+	c := class(text[i])
+	j := i + 1
+	for c != 0 && j < len(text) {
+		// Identifier runs take digits too (a1, b101, data_out2).
+		if d := class(text[j]); d != c && (c != 1 || d != 2) {
+			break
+		}
+		j++
+	}
+	return j
+}
+
 // Encode tokenizes text into BPE ids (no <bos>/<eos> are added). It
 // only reads the trained vocabulary, so it is safe for concurrent use:
 // model training encodes its examples on several goroutines at once.
 func (t *Tokenizer) Encode(text string) []int {
-	var out []int
+	return t.AppendEncode(nil, text)
+}
+
+// AppendEncode appends text's ids to dst and returns the extended
+// slice. A word the tokenizer was trained on is looked up in the word
+// table; any other word is merged (see merger). Like Encode, it is
+// safe for concurrent use.
+func (t *Tokenizer) AppendEncode(dst []int, text string) []int {
 	var m merger
-	for _, word := range pretokenize(text) {
-		out = m.encode(t.ranks, word, out)
+	for i := 0; i < len(text); {
+		j := wordEnd(text, i)
+		word := text[i:j]
+		i = j
+		if len(word) == 1 {
+			dst = append(dst, NumSpecial+int(word[0]))
+			continue
+		}
+		if w, ok := t.words[word]; ok {
+			dst = append(dst, t.wordIDs[w.off:w.off+w.n]...)
+			continue
+		}
+		dst = m.encode(t.ranks, word, dst)
 	}
-	return out
+	return dst
 }
 
 // EncodeWithMarkers wraps Encode with <bos> ... <eos>. Like Encode, it
@@ -289,6 +312,7 @@ func Train(corpus []string, vocabSize int) *Tokenizer {
 		t.ranks[[2]int{p.a, p.b}] = newID
 		tr.merge(best, newID)
 	}
+	tr.table()
 	return t
 }
 
@@ -308,6 +332,7 @@ type trainer struct {
 }
 
 type trainWord struct {
+	word string
 	ids  []int
 	freq int
 }
@@ -351,7 +376,7 @@ func (tr *trainer) count(corpus []string) {
 		for i := 0; i < len(w); i++ {
 			ids[i] = NumSpecial + int(w[i])
 		}
-		tr.words = append(tr.words, trainWord{ids: ids, freq: freq})
+		tr.words = append(tr.words, trainWord{word: w, ids: ids, freq: freq})
 	}
 	for wi, w := range tr.words {
 		for i := 0; i+1 < len(w.ids); i++ {
@@ -366,6 +391,23 @@ func (tr *trainer) count(corpus []string) {
 		tr.down(i)
 	}
 	tr.touched = tr.touched[:0]
+}
+
+// table freezes the training words' final ids into the tokenizer's
+// word table.
+func (tr *trainer) table() {
+	n := 0
+	for _, w := range tr.words {
+		n += len(w.ids)
+	}
+	t := tr.t
+	t.words = make(map[string]span, len(tr.words))
+	t.wordIDs = make([]int, 0, n)
+	for _, w := range tr.words {
+		// A clone: the key would otherwise hold its whole document.
+		t.words[strings.Clone(w.word)] = span{int32(len(t.wordIDs)), int32(len(w.ids))}
+		t.wordIDs = append(t.wordIDs, w.ids...)
+	}
 }
 
 // add moves pair (a, b)'s count by delta for an occurrence in word wi.

@@ -169,10 +169,14 @@ func referenceEncode(t *Tokenizer, text string) []int {
 }
 
 // FuzzEncode holds Encode to the reference loop id for id and to a
-// lossless round trip, over the committed seeds (testdata/fuzz/) and
-// whatever the fuzzer derives from them.
+// lossless round trip, over the committed seeds (testdata/fuzz/), the
+// training words added below, and whatever the fuzzer derives from
+// them.
 func FuzzEncode(f *testing.F) {
 	tk := Train(append(sampleCorpus, strings.Repeat("reg regreg data_in ", 8)), 400)
+	// Training words: Encode takes their ids from the word table.
+	f.Add("regreg")
+	f.Add("reg regreg\tdata_in;")
 	f.Fuzz(func(t *testing.T, s string) {
 		got := tk.Encode(s)
 		if want := referenceEncode(tk, s); !slices.Equal(got, want) {

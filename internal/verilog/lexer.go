@@ -34,7 +34,9 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the entire input, excluding the final EOF token.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// Verilog runs about four bytes a token; a third holds most sources
+	// without growing.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -145,9 +147,9 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{}, err
 	}
 	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Line: l.line, Col: l.col}, nil
+		return Token{Kind: TokEOF, Line: l.line, Col: l.col, Off: l.pos}, nil
 	}
-	line, col := l.line, l.col
+	line, col, off := l.line, l.col, l.pos
 	c := l.peek()
 
 	switch {
@@ -161,7 +163,7 @@ func (l *Lexer) Next() (Token, error) {
 		if IsKeyword(text) {
 			kind = TokKeyword
 		}
-		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+		return Token{Kind: kind, Text: text, Line: line, Col: col, Off: off}, nil
 
 	case c == '\\': // escaped identifier: backslash up to whitespace
 		l.advance()
@@ -172,7 +174,7 @@ func (l *Lexer) Next() (Token, error) {
 		if l.pos == start {
 			return Token{}, l.errf("empty escaped identifier")
 		}
-		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Line: line, Col: col, Escaped: true}, nil
+		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Line: line, Col: col, Off: off, Escaped: true}, nil
 
 	case c == '$':
 		l.advance()
@@ -183,7 +185,7 @@ func (l *Lexer) Next() (Token, error) {
 		if l.pos == start {
 			return Token{}, l.errf("bare '$'")
 		}
-		return Token{Kind: TokSysName, Text: "$" + l.src[start:l.pos], Line: line, Col: col}, nil
+		return Token{Kind: TokSysName, Text: l.src[off:l.pos], Line: line, Col: col, Off: off}, nil
 
 	case c == '`':
 		// Compiler directive: consume through end of line.
@@ -191,7 +193,7 @@ func (l *Lexer) Next() (Token, error) {
 		for l.pos < len(l.src) && l.peek() != '\n' {
 			l.advance()
 		}
-		return Token{Kind: TokDirective, Text: strings.TrimSpace(l.src[start:l.pos]), Line: line, Col: col}, nil
+		return Token{Kind: TokDirective, Text: strings.TrimSpace(l.src[start:l.pos]), Line: line, Col: col, Off: off}, nil
 
 	case c == '"':
 		l.advance()
@@ -225,10 +227,10 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			sb.WriteByte(ch)
 		}
-		return Token{Kind: TokString, Text: sb.String(), Line: line, Col: col}, nil
+		return Token{Kind: TokString, Text: sb.String(), Line: line, Col: col, Off: off}, nil
 
 	case isDigit(c) || c == '\'':
-		return l.lexNumber(line, col)
+		return l.lexNumber(line, col, off)
 	}
 
 	// Operators and punctuation.
@@ -238,23 +240,23 @@ func (l *Lexer) Next() (Token, error) {
 			for range op {
 				l.advance()
 			}
-			return Token{Kind: TokOp, Text: op, Line: line, Col: col}, nil
+			return Token{Kind: TokOp, Text: op, Line: line, Col: col, Off: off}, nil
 		}
 	}
 	switch c {
 	case '+', '-', '*', '/', '%', '<', '>', '!', '~', '&', '|', '^', '=':
 		l.advance()
-		return Token{Kind: TokOp, Text: string(c), Line: line, Col: col}, nil
+		return Token{Kind: TokOp, Text: string(c), Line: line, Col: col, Off: off}, nil
 	case '(', ')', '[', ']', '{', '}', ';', ',', ':', '.', '#', '@', '?':
 		l.advance()
-		return Token{Kind: TokPunct, Text: string(c), Line: line, Col: col}, nil
+		return Token{Kind: TokPunct, Text: string(c), Line: line, Col: col, Off: off}, nil
 	}
 	return Token{}, l.errf("unexpected character %q", string(c))
 }
 
 // lexNumber scans decimal literals and based literals such as 4'b10_x0,
 // 8'hFF, 'd15. The size part, if present, has already not been consumed.
-func (l *Lexer) lexNumber(line, col int) (Token, error) {
+func (l *Lexer) lexNumber(line, col, off int) (Token, error) {
 	start := l.pos
 	for l.pos < len(l.src) && (isDigit(l.peek()) || l.peek() == '_') {
 		l.advance()
@@ -282,5 +284,5 @@ func (l *Lexer) lexNumber(line, col int) (Token, error) {
 	} else if l.pos == start {
 		return Token{}, l.errf("malformed number")
 	}
-	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Line: line, Col: col}, nil
+	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Line: line, Col: col, Off: off}, nil
 }

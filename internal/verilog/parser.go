@@ -15,12 +15,24 @@ type Parser struct {
 
 // Parse lexes and parses a complete Verilog source text.
 func Parse(src string) (*SourceFile, error) {
+	f, _, err := ParseWithTokens(src)
+	return f, err
+}
+
+// ParseWithTokens is Parse that also hands back the tokens it lexed, in
+// source order and without the final EOF token, so a caller that needs
+// both the tree and the token stream lexes the source once.
+func ParseWithTokens(src string) (*SourceFile, []Token, error) {
 	toks, err := Lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &Parser{toks: toks}
-	return p.parseSourceFile()
+	f, err := p.parseSourceFile()
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, toks, nil
 }
 
 // Check reports whether src parses without error. It is the corpus

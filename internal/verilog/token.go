@@ -68,6 +68,7 @@ type Token struct {
 	Text string
 	Line int // 1-based line number
 	Col  int // 1-based column number
+	Off  int // byte offset of the token's first byte in the source
 	// Escaped marks an escaped identifier (`\name`, Text without the
 	// backslash): the one way an identifier may spell a keyword.
 	Escaped bool
