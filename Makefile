@@ -82,9 +82,17 @@ golden:
 # replaced on every table and context of the fixture corpus, and every
 # on-demand head candidate list equal to TopK of the dense head: the
 # gates that make the prefix cache, interleaved batching, tree drafting,
-# the memo and the predict kernel admissible at all.
+# the memo and the predict kernel admissible at all. Then training's
+# exactness gates: a model trained at GOMAXPROCS 4 is, float bits
+# included, the model GOMAXPROCS 1 builds (TestTrainDeterministic); every
+# table's frozen predictions, the keyword table's under every seed of
+# its parts, equal bit for bit those of a map reference fed each
+# example's observations straight (TestFrozenMatchesReference); and on
+# vgend's corpus every level of every table holds exactly as many
+# contexts as its observations held distinct ones, so no two context
+# keys collide (TestContextKeysExact).
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestPredictMatchesReference|TestHeadCandsExact' -v ./internal/experiments/ ./internal/core/ ./internal/model/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact' -v ./internal/experiments/ ./internal/core/ ./internal/model/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/parallel"
@@ -97,46 +98,126 @@ func signature(sh []uint64) [minhashSize]uint64 {
 	return sig
 }
 
-// estJaccard estimates Jaccard similarity from two signatures.
-func estJaccard(a, b [minhashSize]uint64) float64 {
-	same := 0
+// maxDiffer is the most signature values two near duplicates differ
+// in: the Jaccard estimate, the share of values two signatures agree
+// on, reaches jaccardThreshold exactly when no more than maxDiffer
+// differ.
+var maxDiffer = func() int {
+	d := 0
+	for float64(minhashSize-d-1)/float64(minhashSize) >= jaccardThreshold {
+		d++
+	}
+	return d
+}()
+
+// nearDuplicate reports whether two signatures' Jaccard estimate
+// reaches jaccardThreshold. It stops at the first value past maxDiffer
+// that differs.
+func nearDuplicate(a, b *[minhashSize]uint64) bool {
+	differ := 0
 	for i := range a {
-		if a[i] == b[i] {
-			same++
+		if a[i] != b[i] {
+			if differ++; differ > maxDiffer {
+				return false
+			}
 		}
 	}
-	return float64(same) / float64(minhashSize)
+	return true
+}
+
+// bandKeys returns the LSH key of each band of a signature: the
+// FNV-64a hash of the band's values, little-endian.
+func bandKeys(sig *[minhashSize]uint64) [lshBands]uint64 {
+	var keys [lshBands]uint64
+	for b := range keys {
+		h := uint64(fnvOffset)
+		for r := 0; r < lshRows; r++ {
+			v := sig[b*lshRows+r]
+			for k := 0; k < 8; k++ {
+				h = (h ^ v>>uint(8*k)&0xff) * fnvPrime
+			}
+		}
+		keys[b] = h
+	}
+	return keys
+}
+
+// dupPair is a near-duplicate pair of documents, earlier j < later i.
+type dupPair struct{ i, j int32 }
+
+// bandDuplicates returns the near-duplicate pairs band b finds among the
+// documents docs (ascending): those sharing the band's key whose
+// signatures' Jaccard estimate reaches the threshold. A pair that shares
+// an earlier band too is left to that band, so each pair is tested once
+// over all bands.
+func bandDuplicates(sigs [][minhashSize]uint64, keys [][lshBands]uint64, docs []int32, b int) []dupPair {
+	// The documents sharing a key are a list through prev, latest first.
+	latest := make(map[uint64]int32, len(docs))
+	prev := make([]int32, len(keys))
+	var out []dupPair
+	for _, i := range docs {
+		ki := &keys[i]
+		j, ok := latest[ki[b]]
+		if !ok {
+			j = -1
+		}
+		prev[i], latest[ki[b]] = j, i
+	pairs:
+		for ; j >= 0; j = prev[j] {
+			for e := range b {
+				if ki[e] == keys[j][e] {
+					continue pairs
+				}
+			}
+			if nearDuplicate(&sigs[i], &sigs[j]) {
+				out = append(out, dupPair{i, j})
+			}
+		}
+	}
+	return out
 }
 
 // Deduplicate removes near-duplicate documents (Jaccard ≥ threshold on
 // MinHash signatures, candidates found via LSH banding), keeping the
-// first occurrence. It returns the surviving indices in input order.
-// The signatures are computed on every core.
+// first occurrence: a document is dropped when it is a near duplicate of
+// an earlier document that was kept. It returns the surviving indices in
+// input order.
+//
+// A document whose signature repeats an earlier one's is dropped
+// without a search: its signature's first document is either kept, and
+// so a kept near duplicate, or dropped for a kept near duplicate of its
+// own, which is then one of the copy's too. A dropped document never
+// drops another, so the search runs over each signature's first
+// document alone. The signatures and each band's near-duplicate pairs
+// are found on every core; only the pass over the pairs, which depends
+// on order, runs serially.
 func Deduplicate(docs []string) []int {
 	sigs := make([][minhashSize]uint64, len(docs))
-	parallel.For(len(docs), func(i int) { sigs[i] = signature(shingles(docs[i])) })
-	buckets := map[uint64][]int{}
+	keys := make([][lshBands]uint64, len(docs))
+	parallel.For(len(docs), func(i int) {
+		sigs[i] = signature(shingles(docs[i]))
+		keys[i] = bandKeys(&sigs[i])
+	})
 	dropped := make([]bool, len(docs))
+	first := make(map[[lshBands]uint64]int32, len(docs))
+	var distinct []int32
 	for i := range docs {
-		if dropped[i] {
+		if f, ok := first[keys[i]]; ok && sigs[f] == sigs[i] {
+			dropped[i] = true
 			continue
 		}
-		for b := 0; b < lshBands; b++ {
-			// The FNV-64a hash of the band's values, little-endian.
-			h := uint64(fnvOffset)
-			for r := 0; r < lshRows; r++ {
-				v := sigs[i][b*lshRows+r]
-				for k := 0; k < 8; k++ {
-					h = (h ^ v>>uint(8*k)&0xff) * fnvPrime
-				}
-			}
-			key := h ^ uint64(b)<<56
-			for _, j := range buckets[key] {
-				if !dropped[i] && !dropped[j] && estJaccard(sigs[i], sigs[j]) >= jaccardThreshold {
-					dropped[i] = true
-				}
-			}
-			buckets[key] = append(buckets[key], i)
+		first[keys[i]] = int32(i)
+		distinct = append(distinct, int32(i))
+	}
+	bands := make([][]dupPair, lshBands)
+	parallel.For(lshBands, func(b int) { bands[b] = bandDuplicates(sigs, keys, distinct, b) })
+	pairs := slices.Concat(bands...)
+	// In ascending order of the later document, every earlier one's fate
+	// is settled before a pair reads it.
+	slices.SortFunc(pairs, func(x, y dupPair) int { return cmp.Compare(x.i, y.i) })
+	for _, p := range pairs {
+		if !dropped[p.j] {
+			dropped[p.i] = true
 		}
 	}
 	var keep []int

@@ -45,12 +45,12 @@ type LevelContexts struct {
 }
 
 // ContextCounts trains a model and reports, for every level of every
-// table, its frozen context count beside the number of distinct exact
-// contexts observed there: the table's seed and the context's last K
-// ids themselves, no hash. The observations are those trainBase,
-// trainKw and trainHead make, replayed from a second preparation of the
-// examples (the base's pollution lands on contexts its own observations
-// already hold).
+// table, its frozen context count over every part beside the number of
+// distinct exact contexts observed there: the table's seed and the
+// context's last K ids themselves, no hash. The observations are those
+// trainBase, trainKwPart and trainHead make, replayed from a second
+// preparation of the examples (the base's pollution lands on contexts
+// its own observations already hold).
 func ContextCounts(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples []Example) []LevelContexts {
 	m := Train(tk, cfg, scheme, examples)
 	prep := newModel(tk, cfg, scheme).prepareAll(examples)
@@ -86,7 +86,7 @@ func ContextCounts(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples 
 	var out []LevelContexts
 	report := func(name string, t *ngramTable) {
 		for i, k := range t.levels {
-			out = append(out, LevelContexts{name, k, t.frozen[i].ctxs, exact[t].distinct[k]})
+			out = append(out, LevelContexts{name, k, t.contexts(i), exact[t].distinct[k]})
 		}
 	}
 	report("base", m.base)

@@ -172,7 +172,7 @@ type Model struct {
 	tok    *tokenizer.Tokenizer
 	base   *ngramTable
 	heads  []*ngramTable
-	kw     *ngramTable // seeded by prompt-keyword hashes
+	kw     *ngramTable // seeded by prompt-keyword hashes, split into parts by seed
 	// kwDF counts, per keyword, the number of training examples whose
 	// prompt contained it (document frequency for inference-time IDF
 	// filtering of uninformative keywords such as clk or rst).
@@ -195,7 +195,7 @@ func newModel(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 		panic("model: more than 255 decoding heads")
 	}
 	m := &Model{cfg: cfg, scheme: scheme, tok: tk,
-		base: newNgramTable(cfg.Order), kw: newNgramTable(cfg.KwCtx),
+		base: newNgramTable(cfg.Order), kw: newSplitTable(cfg.KwCtx, kwPartBits),
 		kwDF: map[string]int{}, kwFloorPow: math.Pow(kwFloor, cfg.PromptBlend)}
 	if scheme != SchemeNTP {
 		m.heads = make([]*ngramTable, cfg.NumHeads)
@@ -217,31 +217,32 @@ func newModel(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 //  2. one pass in example order numbers the examples — an example's
 //     ordinal picks the heads it trains — and counts keyword document
 //     frequencies;
-//  3. every table (base, kw, each head) is one unit of work: a worker
-//     replays every prepared example's observations for that table in
-//     example order and freezes it, so GOMAXPROCS workers keep at most
-//     GOMAXPROCS tables' tallies at once. The units run in phases (see
-//     phases), and the tallies a phase drops are collected before the
-//     next phase starts.
+//  3. the tables train in units of work, run by GOMAXPROCS workers in
+//     phases (see phases). A unit replays, in example order, every
+//     prepared example's observations for the levels it owns — a range
+//     of the base's levels, one part of the keyword table, or a whole
+//     head — and freezes them. The tallies a phase drops are collected
+//     before the next phase starts.
 //
-// No table reads another while it trains, so each sees exactly the
-// (context, next, weight) sequence one pass over the examples, one at a
-// time, would give it, adds its float counts in that order and comes
-// out bit for bit the same at any GOMAXPROCS.
+// No unit reads another's levels while it trains, so each context sees
+// exactly the (next, weight) sequence one pass over the examples, one
+// at a time, would give it, adds its float counts in that order and
+// comes out bit for bit the same at any GOMAXPROCS.
 func Train(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples []Example) *Model {
 	m := newModel(tk, cfg, scheme)
 	for _, phase := range m.phases(m.prepareAll(examples)) {
-		parallel.For(len(phase), func(i int) {
-			u := phase[i]
-			u.train()
-			u.t.freeze()
-		})
+		parallel.For(len(phase), func(i int) { phase[i]() })
 		// The phase's tallies are garbage now and most of the heap. Left
 		// to the collector's pacing, they would be freed whenever its
 		// next cycle happened to start, and the process's peak memory
 		// would depend on that timing; collected here, the peak is the
 		// largest phase's working set, the same on every run.
 		runtime.GC()
+	}
+	m.base.seal()
+	m.kw.seal()
+	for _, t := range m.heads {
+		t.seal()
 	}
 	return m
 }
@@ -280,25 +281,37 @@ func (m *Model) prepareAll(examples []Example) []prepared {
 	return prep
 }
 
-// unit is one table and the replay of its observations into its
-// training form.
-type unit struct {
-	t     *ngramTable
-	train func()
-}
+// kwPartBits sets the keyword table's split: 2^kwPartBits parts, a
+// unit of training work each. It is a constant, so a model's layout is
+// the same at any GOMAXPROCS.
+const kwPartBits = 3
 
-// phases lists one unit per table, in the phases they train in. The
-// base and keyword tables carry most of the observations and most of
-// the tally memory: they train first, side by side, and the heads
-// train once both are frozen.
-func (m *Model) phases(prep []prepared) [][]unit {
-	phases := [][]unit{{{m.base, func() { m.trainBase(prep) }}, {m.kw, func() { m.trainKw(prep) }}}}
+// phases lists the units of training work in the phases they run in.
+// The base and keyword tables carry most of the observations and most
+// of the tally memory: they train first, side by side, and the heads
+// train once both are frozen. The base is two units, which start
+// first: the levels below the pollution's reach (plain observations
+// only) and the levels it reaches (plain observations and pollution).
+// The keyword table is one unit per part; its parts are small, and fill
+// in on whichever worker comes free.
+func (m *Model) phases(prep []prepared) [][]func() {
+	cut := m.pollutionCut()
+	n := len(m.base.levels)
+	var first []func()
+	if cut < n {
+		first = append(first, func() { m.trainBase(prep, cut, n) })
+	}
+	first = append(first, func() { m.trainBase(prep, 0, cut) })
+	for p, groups := range m.kwParts(prep) {
+		first = append(first, func() { m.trainKwPart(prep, p, groups) })
+	}
+	phases := [][]func(){first}
 	if len(m.heads) == 0 {
 		return phases
 	}
-	heads := make([]unit, len(m.heads))
-	for i, t := range m.heads {
-		heads[i] = unit{t, func() { m.trainHead(prep, i+1) }}
+	heads := make([]func(), len(m.heads))
+	for i := range m.heads {
+		heads[i] = func() { m.trainHead(prep, i+1) }
 	}
 	return append(phases, heads)
 }
@@ -406,11 +419,22 @@ func (p *prepared) contexts() iter.Seq2[int, []int] {
 	}
 }
 
-// trainBase replays the base table's observations: each example's code
-// tokens (targets are code-region only — the Alpaca format masks loss
-// on the instruction), then its heads' interference.
-func (m *Model) trainBase(prep []prepared) {
-	loK := max(m.cfg.Order-2, 1)
+// pollutionCut returns the index of the first base level joint-training
+// interference reaches: the levels of contexts of at least Order-2 ids
+// (and never the unigram level).
+func (m *Model) pollutionCut() int {
+	cut, _ := slices.BinarySearch(m.base.levels, max(m.cfg.Order-2, 1))
+	return cut
+}
+
+// trainBase replays the base table's observations at its levels
+// lo ≤ i < hi and freezes them: each example's code tokens (targets are
+// code-region only — the Alpaca format masks loss on the instruction),
+// then its heads' interference.
+func (m *Model) trainBase(prep []prepared, lo, hi int) {
+	t := m.base
+	ladder := t.levels[:hi] // hashing stops at the unit's longest level
+	polluted := max(lo, m.pollutionCut())
 	pollution := make([]float64, len(m.heads)+1)
 	for i := 1; i < len(pollution); i++ {
 		pollution[i] = m.cfg.Lambda * math.Pow(m.cfg.Gamma, float64(i))
@@ -418,9 +442,10 @@ func (m *Model) trainBase(prep []prepared) {
 	for j := range prep {
 		p := &prep[j]
 		for s, ctx := range p.contexts() {
-			m.base.add(ctx, p.code[s], 1)
+			hs := hashLevels(ladder, ctx)
+			t.counts.observe(&hs, p.code[s], 1, lo, hi, 0)
 		}
-		if p.depth == nil {
+		if p.depth == nil || polluted >= hi {
 			continue
 		}
 		// Medusa-2 joint training: the head loss also moves the backbone
@@ -433,36 +458,85 @@ func (m *Model) trainBase(prep []prepared) {
 			if p.depth[s] == 0 {
 				continue
 			}
-			hs := m.base.hashes(ctx)
+			hs := hashLevels(ladder, ctx)
 			for i := 1; i <= int(p.depth[s]); i++ {
 				if p.heads[i] {
-					m.base.observe(&hs, p.code[s+i], pollution[i], loK, 0)
+					t.counts.observe(&hs, p.code[s+i], pollution[i], polluted, hi, 0)
 				}
 			}
 		}
 	}
+	t.freezeLevels(lo, hi)
 }
 
-// trainKw replays the keyword table's observations. It learns each
-// keyword's successor statistics over the content-only view (a
-// trailing [FRAG] would collapse every fragment boundary into the same
-// two-token context) and content targets only: it is the task-identity
-// expert, agnostic about marker machinery.
-func (m *Model) trainKw(prep []prepared) {
+// kwGroup is one keyword seed and the examples whose prompts hold it, in
+// example order.
+type kwGroup struct {
+	seed     uint64
+	examples []int32
+}
+
+// kwParts groups the examples by keyword seed, the seeds in order of
+// first occurrence, and deals each group to its seed's keyword part.
+func (m *Model) kwParts(prep []prepared) [][]kwGroup {
+	var groups []kwGroup
+	at := map[uint64]int{}
 	for j := range prep {
-		p := &prep[j]
-		for s, ctx := range p.contexts() {
-			if p.code[s] == tokenizer.FragID {
-				continue
+		for _, seed := range prep[j].seeds {
+			g, ok := at[seed]
+			if !ok {
+				g = len(groups)
+				at[seed] = g
+				groups = append(groups, kwGroup{seed: seed})
 			}
-			for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
-				ctx = ctx[:len(ctx)-1]
-			}
-			hs := m.kw.hashes(ctx)
-			for _, seed := range p.seeds {
-				m.kw.observe(&hs, p.code[s], 1, 0, seed)
+			groups[g].examples = append(groups[g].examples, int32(j))
+		}
+	}
+	parts := make([][]kwGroup, len(m.kw.parts))
+	for _, g := range groups {
+		p := m.kw.partOf(fmix(g.seed))
+		parts[p] = append(parts[p], g)
+	}
+	return parts
+}
+
+// trainKwPart builds keyword part p from its keywords' groups. The
+// keyword table learns each keyword's successor statistics over the
+// content-only view (a trailing [FRAG] would collapse every fragment
+// boundary into the same two-token context) and content targets only:
+// it is the task-identity expert, agnostic about marker machinery.
+//
+// A keyword's contexts are its own (their keys mix in its seed), so the
+// part learns one keyword at a time: it replays the keyword's examples
+// in order into tallies small enough to stay in cache, appends their
+// contexts to the part's levels and resets them for the next keyword.
+// Each context sees the observations one pass over the examples would
+// give it, in the same order.
+func (m *Model) trainKwPart(prep []prepared, p int, groups []kwGroup) {
+	t := m.kw
+	counts := make(tallies, len(t.levels))
+	bufs := make([]levelBuf, len(t.levels))
+	for _, g := range groups {
+		for _, j := range g.examples {
+			ex := &prep[j]
+			for s, ctx := range ex.contexts() {
+				if ex.code[s] == tokenizer.FragID {
+					continue
+				}
+				for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
+					ctx = ctx[:len(ctx)-1]
+				}
+				hs := t.hashes(ctx)
+				counts.observe(&hs, ex.code[s], 1, 0, len(counts), g.seed)
 			}
 		}
+		for i := range counts {
+			bufs[i].take(&counts[i])
+			counts[i].reset()
+		}
+	}
+	for i := range bufs {
+		t.parts[p][i] = bufs[i].level()
 	}
 }
 
@@ -482,6 +556,7 @@ func (m *Model) trainHead(prep []prepared, i int) {
 			}
 		}
 	}
+	t.freezeLevels(0, len(t.levels))
 }
 
 // headSubset reports, indexed by head (1-based), which heads train on

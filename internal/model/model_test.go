@@ -253,7 +253,7 @@ func TestLambdaZeroIsNTP(t *testing.T) {
 		t.Fatalf("ladders %v / %v, id bounds %d / %d", a.levels, b.levels, a.idBound, b.idBound)
 	}
 	for i, k := range a.levels {
-		la, lb := a.frozen[i], b.frozen[i]
+		la, lb := a.parts[0][i], b.parts[0][i]
 		if la.ctxs != lb.ctxs || len(la.slots) != len(lb.slots) || len(la.slab) != len(lb.slab) {
 			t.Fatalf("level %d (k=%d): %d contexts, %d slots, %d successors; Medusa at λ=0 has %d, %d, %d",
 				i, k, la.ctxs, len(la.slots), len(la.slab), lb.ctxs, len(lb.slots), len(lb.slab))

@@ -15,24 +15,32 @@ import (
 //
 // A table has two forms. Train builds it as tallies, one per level,
 // cheap to update (counts). Once the table has seen every example each
-// level is frozen into flat, pointer-free arrays (frozen) and its tally
+// level is frozen into flat, pointer-free arrays (level) and its tally
 // dropped, so the garbage collector never walks a trained model.
 // Prediction reads only the frozen form, and a table is frozen exactly
 // once: nothing writes it afterwards.
 //
-// Each table trains on one worker of its own: it is fed its
-// observations in example order and frozen without ever reading
-// another table, so its counts are summed in the same order and come
-// out bit for bit the same at any GOMAXPROCS. With GOMAXPROCS workers,
-// at most GOMAXPROCS tables of a model hold observations in tally form
-// at once; the rest are frozen or still empty.
+// A key mixes in the table's seed, so the contexts of different seeds
+// never meet, and a table may be split by seed into parts: a seed's
+// contexts all live in part partOf(fmix(seed)), a ladder of levels
+// of its own. The keyword table is split this way, a part per unit of
+// training work, and each part builds one keyword at a time in a small
+// tally it reuses (see trainKwPart). The base and head tables have one
+// part and train in their table's own tallies (counts).
+//
+// Every level trains on one worker: it is fed its observations in
+// example order and frozen without ever reading another table, so its
+// counts are summed in the same order and come out bit for bit the same
+// at any GOMAXPROCS.
 type ngramTable struct {
 	levels []int // ascending context lengths
-	// counts[i] tallies level i's observations; nil once frozen.
-	counts []tally
-	// frozen[i] is level i compiled; nil until the freeze.
-	frozen []level
-	// idBound is 1 + the largest successor id, set at freeze: predict's
+	// counts[i] tallies level i of a one-part table's observations; nil
+	// for a split table, and once the table is sealed.
+	counts tallies
+	// parts[p][i] is level i of part p frozen: empty until its freeze.
+	parts     [][]level
+	partShift uint // 64 − log2(len(parts)); see partOf
+	// idBound is 1 + the largest successor id, set at the seal: predict's
 	// accumulator covers the ids below it.
 	idBound int
 }
@@ -57,16 +65,24 @@ type tally struct {
 
 const chunkLen = 1 << 10
 
+// tallies is the training form of a table's levels: tallies[i] counts
+// level i.
+type tallies []tally
+
 // at returns the context at position n.
 func (c *tally) at(n int32) *succ { return &c.ctxs[n/chunkLen][n%chunkLen] }
 
-// push appends a context and returns its position.
-func (c *tally) push(s succ) int32 {
-	if c.n%chunkLen == 0 {
+// push appends a context and returns its position. A chunk kept by
+// reset is refilled in place, each context reusing the run storage of
+// the one it replaces.
+func (c *tally) push(key uint64) int32 {
+	if c.n/chunkLen == len(c.ctxs) {
 		c.ctxs = append(c.ctxs, make([]succ, 0, chunkLen))
 	}
-	last := &c.ctxs[len(c.ctxs)-1]
-	*last = append(*last, s)
+	chunk := &c.ctxs[c.n/chunkLen]
+	*chunk = (*chunk)[:len(*chunk)+1]
+	s := &(*chunk)[len(*chunk)-1]
+	*s = succ{key: key, run: s.run[:0]}
 	c.n++
 	return int32(c.n - 1)
 }
@@ -80,13 +96,21 @@ func (c *tally) get(key uint64) *succ {
 	for i := int((key * fibMul) >> c.shift); ; i = (i + 1) & mask {
 		p := c.index[i]
 		if p == 0 {
-			p = c.push(succ{key: key}) + 1
+			p = c.push(key) + 1
 			c.index[i] = p
 			return c.at(p - 1)
 		}
 		if s := c.at(p - 1); s.key == key {
 			return s
 		}
+	}
+}
+
+// add counts one observation of id after the context with the given
+// key.
+func (c *tally) add(key uint64, id int32, weight float64) {
+	if c.get(key).add(id, weight) {
+		c.entries++
 	}
 }
 
@@ -104,6 +128,34 @@ func (c *tally) grow() {
 		}
 		c.index[i] = p + 1
 	}
+}
+
+// reset empties the tally and keeps its storage: the index at its size,
+// and the chunks with their contexts' runs for push to reuse.
+func (c *tally) reset() {
+	clear(c.index)
+	for i := range c.ctxs {
+		c.ctxs[i] = c.ctxs[i][:0]
+	}
+	c.n, c.entries = 0, 0
+}
+
+// emit appends the tally's contexts to *slab in order of first
+// observation, each run sorted by id, passes put each one's record, and
+// returns 1 + the largest successor id it emitted (0 if none).
+func (c *tally) emit(slab *[]entry, put func(slot)) int {
+	bound := 0
+	for _, chunk := range c.ctxs {
+		for _, s := range chunk {
+			start := len(*slab)
+			*slab = append(*slab, s.run...)
+			run := (*slab)[start:]
+			slices.SortFunc(run, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+			bound = max(bound, int(run[len(run)-1].id)+1)
+			put(slot{key: s.key, total: s.total, start: int32(start), n: int32(len(run))})
+		}
+	}
+	return bound
 }
 
 // succ is one context's successor counts and their total. Most contexts
@@ -147,13 +199,14 @@ func (s *succ) add(id int32, weight float64) bool {
 // level is one ladder level frozen: open-addressed context records
 // (linear probing from a Fibonacci hash, load at most 1/2) over one slab
 // holding each context's successor counts as a run sorted by id. Runs
-// and slot insertions follow the order of first observation, so the
-// layout is a function of the training data alone.
+// and slot insertions follow the order the contexts were emitted in, so
+// the layout is a function of the training data alone.
 type level struct {
 	slots []slot
 	shift uint // 64 − log2(len(slots))
 	slab  []entry
 	ctxs  int // occupied slots
+	bound int // 1 + the largest successor id in slab
 }
 
 // slot is one context record: its hash, total count and successor run
@@ -185,12 +238,28 @@ const maxReach = 16
 // maxLevels is the most levels a ladder has: len(ladder(maxReach)).
 const maxLevels = 9
 
-// newNgramTable returns an empty table in tally form.
+// newNgramTable returns an empty one-part table in tally form.
 func newNgramTable(maxCtx int) *ngramTable {
-	t := &ngramTable{levels: ladder(maxCtx)}
-	t.counts = make([]tally, len(t.levels))
+	t := newSplitTable(maxCtx, 0)
+	t.counts = make(tallies, len(t.levels))
 	return t
 }
+
+// newSplitTable returns an empty table split by seed into 2^partBits
+// parts, whose units train them in tallies of their own.
+func newSplitTable(maxCtx, partBits int) *ngramTable {
+	t := &ngramTable{levels: ladder(maxCtx), partShift: uint(64 - partBits)}
+	t.parts = make([][]level, 1<<partBits)
+	for p := range t.parts {
+		t.parts[p] = make([]level, len(t.levels))
+	}
+	return t
+}
+
+// partOf returns the index of the part that holds the contexts of the
+// seed whose fmix is ms. A one-part table's shift is 64, which sends
+// every seed to part 0.
+func (t *ngramTable) partOf(ms uint64) uint64 { return ms >> t.partShift }
 
 // ctxHashes is a context's hash at every ladder level that fits it:
 // h[i] hashes its last levels[i] ids, for the first n levels.
@@ -214,10 +283,13 @@ const (
 )
 
 // hashes hashes ctx at every level of t that fits it.
-func (t *ngramTable) hashes(ctx []int) ctxHashes {
+func (t *ngramTable) hashes(ctx []int) ctxHashes { return hashLevels(t.levels, ctx) }
+
+// hashLevels hashes ctx at every level of a ladder that fits it.
+func hashLevels(levels, ctx []int) ctxHashes {
 	var hs ctxHashes
 	h, j := uint64(fnvOffset), len(ctx)
-	for _, k := range t.levels {
+	for _, k := range levels {
 		if k > len(ctx) {
 			break
 		}
@@ -242,48 +314,49 @@ func fmix(h uint64) uint64 {
 }
 
 // add records one (context, next) observation with the given weight at
-// every ladder level that fits the context.
+// every ladder level of a one-part table that fits the context.
 func (t *ngramTable) add(ctx []int, next int, weight float64) {
 	hs := t.hashes(ctx)
-	t.observe(&hs, next, weight, 0, 0)
+	t.counts.observe(&hs, next, weight, 0, len(t.levels), 0)
 }
 
 // observe records one observation of next after the context hashed to
-// hs, at the ladder levels >= loK, in the table seeded by seed.
-// Joint-training interference uses loK to pollute the longest contexts
-// without bleeding into the low-order backoff levels: gradient
-// interference perturbs a transformer's behaviour at specific contexts,
-// it does not rewrite its global token statistics. A weight-0
+// hs, under seed, at the ladder levels lo ≤ i < hi that fit the
+// context. Joint-training interference pollutes only the levels of the
+// longest contexts, without bleeding into the low-order backoff levels:
+// gradient interference perturbs a transformer's behaviour at specific
+// contexts, it does not rewrite its global token statistics. A weight-0
 // observation records nothing: predict's backoff counts successor
 // types, so even an empty entry would move the distribution.
-func (t *ngramTable) observe(hs *ctxHashes, next int, weight float64, loK int, seed uint64) {
+func (ts tallies) observe(hs *ctxHashes, next int, weight float64, lo, hi int, seed uint64) {
 	if weight == 0 {
 		return
 	}
 	ms := fmix(seed)
-	for i := range hs.n {
-		if t.levels[i] < loK {
-			continue
-		}
-		c := &t.counts[i]
-		if c.get(fmix(hs.h[i]^ms)).add(int32(next), weight) {
-			c.entries++
-		}
+	for i := lo; i < min(hi, hs.n); i++ {
+		ts[i].add(fmix(hs.h[i]^ms), int32(next), weight)
 	}
 }
 
-// freeze compiles the tallies, dropping each level's tally once compiled
-// so the two forms of the whole table never coexist.
-func (t *ngramTable) freeze() {
-	t.frozen = make([]level, len(t.counts))
-	for i := range t.counts {
-		t.frozen[i] = freezeLevel(t.counts[i])
+// freezeLevels compiles levels lo ≤ i < hi of a one-part table, dropping
+// each level's tally once compiled so the two forms of a level never
+// coexist. Units that train disjoint levels may freeze them at once.
+func (t *ngramTable) freezeLevels(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		t.parts[0][i] = freezeLevel(&t.counts[i])
 		t.counts[i] = tally{}
-		for _, e := range t.frozen[i].slab {
-			t.idBound = max(t.idBound, int(e.id)+1)
+	}
+}
+
+// seal ends a table's training once every level is frozen: it drops the
+// emptied tallies and bounds the successor ids.
+func (t *ngramTable) seal() {
+	t.counts = nil
+	for _, part := range t.parts {
+		for i := range part {
+			t.idBound = max(t.idBound, part[i].bound)
 		}
 	}
-	t.counts = nil
 }
 
 // fibMul is 2^64/φ: multiplying by it spreads the hash's entropy into
@@ -309,30 +382,76 @@ func (l *level) find(key uint64) *slot {
 	}
 }
 
-func freezeLevel(c tally) level {
-	var l level
-	if c.n == 0 {
-		return l
+// newLevel returns a level with room for n contexts and no contexts in
+// it yet.
+func newLevel(n int) level {
+	if n == 0 {
+		return level{}
 	}
-	l.slab = make([]entry, 0, c.entries)
-	b := bits.Len(uint(2*c.n - 1)) // 2^b >= 2·c.n
-	l.slots = make([]slot, 1<<b)
-	l.shift = uint(64 - b)
-	l.ctxs = c.n
+	b := bits.Len(uint(2*n - 1)) // 2^b >= 2n
+	return level{slots: make([]slot, 1<<b), shift: uint(64 - b)}
+}
+
+// insert files a context's record in its slot.
+func (l *level) insert(r slot) {
 	mask := len(l.slots) - 1
-	for _, chunk := range c.ctxs {
-		for _, s := range chunk {
-			start := len(l.slab)
-			l.slab = append(l.slab, s.run...)
-			run := l.slab[start:]
-			slices.SortFunc(run, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
-			i := l.home(s.key)
-			for l.slots[i].n != 0 {
-				i = (i + 1) & mask
-			}
-			l.slots[i] = slot{key: s.key, total: s.total, start: int32(start), n: int32(len(run))}
+	i := l.home(r.key)
+	for l.slots[i].n != 0 {
+		i = (i + 1) & mask
+	}
+	l.slots[i] = r
+	l.ctxs++
+}
+
+// freezeLevel compiles one tally into a level.
+func freezeLevel(c *tally) level {
+	l := newLevel(c.n)
+	if c.n > 0 {
+		l.slab = make([]entry, 0, c.entries)
+		l.bound = c.emit(&l.slab, l.insert)
+	}
+	return l
+}
+
+// levelBuf gathers a level from a run of tallies, one after another. A
+// tally knows its context and successor counts before it emits, so each
+// take is kept in arrays of exactly its size, and the level is built
+// once the last is in, when its own size is known too.
+type levelBuf struct {
+	recs       [][]slot  // each take's context records, starts in its runs
+	runs       [][]entry // each take's runs, sorted by id
+	n, entries int       // contexts and successor entries taken
+	bound      int       // 1 + the largest successor id taken
+}
+
+// take appends c's contexts.
+func (b *levelBuf) take(c *tally) {
+	if c.n == 0 {
+		return
+	}
+	recs, runs := make([]slot, 0, c.n), make([]entry, 0, c.entries)
+	b.bound = max(b.bound, c.emit(&runs, func(r slot) { recs = append(recs, r) }))
+	b.recs, b.runs = append(b.recs, recs), append(b.runs, runs)
+	b.n += c.n
+	b.entries += c.entries
+}
+
+// level compiles the taken contexts, in the order taken, into a level.
+func (b *levelBuf) level() level {
+	if b.n == 0 {
+		return level{}
+	}
+	l := newLevel(b.n)
+	l.slab = make([]entry, 0, b.entries)
+	for k, recs := range b.recs {
+		off := int32(len(l.slab))
+		l.slab = append(l.slab, b.runs[k]...)
+		for _, r := range recs {
+			r.start += off
+			l.insert(r)
 		}
 	}
+	l.bound = b.bound
 	return l
 }
 
@@ -404,8 +523,9 @@ func (t *ngramTable) predictHashed(acc *accum, dst []entry, hs *ctxHashes, seed 
 	lo, hi := len(acc.seen), -1 // the bitmap words touched
 	weight := 1.0
 	ms := fmix(seed)
+	part := t.parts[t.partOf(ms)]
 	for i := hs.n - 1; i >= 0; i-- {
-		l := &t.frozen[i]
+		l := &part[i]
 		s := l.find(fmix(hs.h[i] ^ ms))
 		if s == nil || s.total <= 0 {
 			continue
@@ -441,8 +561,17 @@ func (t *ngramTable) predictHashed(acc *accum, dst []entry, hs *ctxHashes, seed 
 // (used by tests and diagnostics).
 func (t *ngramTable) size() int {
 	n := 0
-	for _, l := range t.frozen {
-		n += l.ctxs
+	for i := range t.levels {
+		n += t.contexts(i)
+	}
+	return n
+}
+
+// contexts returns level i's context count over every part.
+func (t *ngramTable) contexts(i int) int {
+	n := 0
+	for _, part := range t.parts {
+		n += part[i].ctxs
 	}
 	return n
 }

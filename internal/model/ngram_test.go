@@ -25,6 +25,13 @@ func ctxKey(ctx []int, k int, seed uint64) uint64 {
 	return fmix(h ^ fmix(seed))
 }
 
+// freeze compiles and seals a one-part table, as a unit that owns all
+// of its levels does.
+func (t *ngramTable) freeze() {
+	t.freezeLevels(0, len(t.levels))
+	t.seal()
+}
+
 // refTable is the map form the frozen tables replaced, kept as the
 // reference predictor: per level, context hash → successor counts.
 type refTable struct {
@@ -45,7 +52,13 @@ func newRefTable(maxCtx int) *refTable {
 	return r
 }
 
+// addRange records one observation of next after ctx, under seed, at
+// the levels of at least loK ids that fit it. Like the table, it records
+// nothing of a weight-0 observation.
 func (r *refTable) addRange(ctx []int, next int, weight float64, loK int, seed uint64) {
+	if weight == 0 {
+		return
+	}
 	for i, k := range r.levels {
 		if k > len(ctx) || k < loK {
 			continue
@@ -136,17 +149,53 @@ func sameAsRef(t *testing.T, what string, got []entry, want map[int]float64) {
 	}
 }
 
-// trainWithRef trains like Train, one table after another, and also
-// returns every table's tallies, taken just before the freeze, in
-// reference form.
+// trainWithRef trains a model and, from a second preparation of the
+// examples, replays every table's observations straight into the map
+// reference, one example at a time: its base observations, then its
+// pollution, its keyword observations and its heads'. The reference
+// shares nothing with the code under test past the preparation: not
+// its tallies, its hashing, its keyword parts nor its units.
 func trainWithRef(tk *tokenizer.Tokenizer, scheme Scheme, examples []Example) (*Model, map[*ngramTable]*refTable) {
-	m := newModel(tk, smallCfg(), scheme)
-	ref := map[*ngramTable]*refTable{}
-	for _, phase := range m.phases(m.prepareAll(examples)) {
-		for _, u := range phase {
-			u.train()
-			ref[u.t] = refOf(u.t)
-			u.t.freeze()
+	cfg := smallCfg()
+	m := Train(tk, cfg, scheme, examples)
+	base, kw := newRefTable(cfg.Order), newRefTable(m.cfg.KwCtx)
+	ref := map[*ngramTable]*refTable{m.base: base, m.kw: kw}
+	heads := make([]*refTable, len(m.heads))
+	for i, h := range m.heads {
+		heads[i] = newRefTable(cfg.HeadCtx)
+		ref[h] = heads[i]
+	}
+	loK := max(cfg.Order-2, 1)
+	prep := newModel(tk, cfg, scheme).prepareAll(examples)
+	for j := range prep {
+		p := &prep[j]
+		for s, ctx := range p.contexts() {
+			base.addRange(ctx, p.code[s], 1, 0, 0)
+		}
+		for s, ctx := range p.contexts() {
+			for i := 1; p.depth != nil && i <= int(p.depth[s]); i++ {
+				if p.heads[i] {
+					base.addRange(ctx, p.code[s+i], cfg.Lambda*math.Pow(cfg.Gamma, float64(i)), loK, 0)
+				}
+			}
+		}
+		for s, ctx := range p.contexts() {
+			if p.code[s] == tokenizer.FragID {
+				continue
+			}
+			for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
+				ctx = ctx[:len(ctx)-1]
+			}
+			for _, seed := range p.seeds {
+				kw.addRange(ctx, p.code[s], 1, 0, seed)
+			}
+		}
+		for s, ctx := range p.contexts() {
+			for i, h := range heads {
+				if p.heads[i+1] && int(p.depth[s]) > i {
+					h.addRange(ctx, p.code[s+i+1], 1, 0, 0)
+				}
+			}
 		}
 	}
 	return m, ref
@@ -224,7 +273,7 @@ func TestTallyAcrossChunks(t *testing.T) {
 		tb.add([]int{i % n}, i%7, 1)
 	}
 	tb.freeze()
-	l := &tb.frozen[1]
+	l := &tb.parts[0][1]
 	if l.ctxs != n {
 		t.Fatalf("%d contexts, want %d", l.ctxs, n)
 	}
@@ -232,6 +281,32 @@ func TestTallyAcrossChunks(t *testing.T) {
 		if s := l.find(ctxKey([]int{c}, 1, 0)); s == nil || s.total != 2 {
 			t.Fatalf("context %d: record %+v, want total 2", c, s)
 		}
+	}
+}
+
+// TestTallyReset fills a tally past several chunks, with runs long
+// enough to be indexed, resets it and refills it with other keys (and
+// a few of the old ones): it must freeze to exactly the level a fresh
+// tally given the second fill freezes to. A stale index slot, context
+// or successor left by the reset shows in the layout or the counts.
+func TestTallyReset(t *testing.T) {
+	fill := func(c *tally, keys, ids int, salt uint64) {
+		for i := range keys * ids {
+			c.add(fmix(uint64(i%keys)+salt), int32(i/keys), float64(i%3+1)/2)
+		}
+	}
+	var reused, fresh tally
+	fill(&reused, 3*chunkLen+5, 2*linearMax, 0)
+	reused.reset()
+	fill(&reused, chunkLen+7, 3, 3*chunkLen)
+	fill(&fresh, chunkLen+7, 3, 3*chunkLen)
+	got, want := freezeLevel(&reused), freezeLevel(&fresh)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset tally froze to %d contexts, %d successors; a fresh one to %d, %d",
+			got.ctxs, len(got.slab), want.ctxs, len(want.slab))
+	}
+	if want.ctxs != chunkLen+7 || len(want.slab) != 3*(chunkLen+7) {
+		t.Fatalf("fresh tally froze to %d contexts, %d successors", want.ctxs, len(want.slab))
 	}
 }
 
@@ -298,7 +373,8 @@ func FuzzFrozenTable(f *testing.F) {
 			seed := seeds[int(data[i+3])%len(seeds)]
 			ctx := hist[max(0, len(hist)-8):]
 			hs := tbl.hashes(ctx)
-			tbl.observe(&hs, next, weight, loK, seed)
+			lo, _ := slices.BinarySearch(tbl.levels, loK) // the first level of at least loK ids
+			tbl.counts.observe(&hs, next, weight, lo, len(tbl.levels), seed)
 			ref.addRange(ctx, next, weight, loK, seed)
 			hist = append(hist, next)
 		}
@@ -332,7 +408,7 @@ func referencePredict(t *ngramTable, dst []entry, ctx []int, seed uint64) []entr
 		if k > len(ctx) {
 			continue
 		}
-		l := &t.frozen[i]
+		l := &t.parts[t.partOf(fmix(seed))][i]
 		s := l.find(ctxKey(ctx, k, seed))
 		if s == nil || s.total <= 0 {
 			continue
@@ -455,7 +531,7 @@ func FuzzPredict(f *testing.F) {
 			seed := seeds[int(data[i+2])%len(seeds)]
 			ctx := hist[max(0, len(hist)-maxReach):]
 			hs := tbl.hashes(ctx)
-			tbl.observe(&hs, next, weight, 0, seed)
+			tbl.counts.observe(&hs, next, weight, 0, len(tbl.levels), seed)
 			hist = append(hist, next)
 		}
 		tbl.freeze()
