@@ -90,9 +90,14 @@ golden:
 # example's observations straight (TestFrozenMatchesReference); and on
 # vgend's corpus every level of every table holds exactly as many
 # contexts as its observations held distinct ones, so no two context
-# keys collide (TestContextKeysExact).
+# keys collide (TestContextKeysExact). Under those, the one level
+# builder every training unit uses: a level built from several takes of
+# a tally, reset between them as a keyword part resets it between its
+# keywords, is exactly the level one tally of all their observations
+# builds (TestLevelBufTakes), and a reset tally refilled builds exactly
+# the level a fresh one does (TestTallyReset).
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact' -v ./internal/experiments/ ./internal/core/ ./internal/model/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact|TestLevelBufTakes|TestTallyReset' -v ./internal/experiments/ ./internal/core/ ./internal/model/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length
@@ -149,8 +154,8 @@ cover:
 	{ echo "cluster coverage below floor" >&2; exit 1; }
 
 # Native fuzzing smoke: the trie lookup/insert invariant, the frozen
-# n-gram table (its tallies and its frozen predictor equal to the map
-# reference), the scatter predict kernel (equal bit for bit to the merge
+# n-gram table (a training unit's tallies, and the predictor over the
+# levels it builds, equal to the map reference), the scatter predict kernel (equal bit for bit to the merge
 # loop it replaced), the Verilog lexer, the full parser (no-panic,
 # *SyntaxError contract, and the prefix-soundness invariant the
 # grammar oracle rests on), the

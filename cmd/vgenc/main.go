@@ -261,17 +261,12 @@ func replayOne(client *http.Client, addr string, req generateRequest, maxRetries
 	}
 }
 
-func percentile(sorted []time.Duration, p float64) time.Duration {
+// percentile returns the element at rank p·(n−1), rounded down, of n
+// sorted values (the zero value if there are none).
+func percentile[T any](sorted []T, p float64) T {
 	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-func percentileF(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	return sorted[int(p*float64(len(sorted)-1))]
 }
@@ -346,8 +341,8 @@ func main() {
 	// their time — queued behind the batch, or decoding. Zeros mean the
 	// server predates the queue_ms response field.
 	fmt.Printf("phases: queue p50=%.2fms p95=%.2fms | decode p50=%.2fms p95=%.2fms\n",
-		percentileF(queueMS, 0.50), percentileF(queueMS, 0.95),
-		percentileF(decodeMS, 0.50), percentileF(decodeMS, 0.95))
+		percentile(queueMS, 0.50), percentile(queueMS, 0.95),
+		percentile(decodeMS, 0.50), percentile(decodeMS, 0.95))
 	if failed > 0 {
 		os.Exit(1)
 	}

@@ -50,13 +50,10 @@ func Begin(base string) *Step {
 		return s // unlexable beyond repair: disabled, passes everything
 	}
 	toks, ends := pl.Toks, pl.Ends
-	if !pl.Pending {
-		// A final complete token touching the end of the base may still
-		// grow when the extension's first bytes arrive — keep it in the
-		// re-lexed tail, not the frozen stream.
-		if n := len(toks); n > 0 && ends[n-1] == len(base) && verilog.ExtendableKind(toks[n-1].Kind) {
-			toks, ends = toks[:n-1], ends[:n-1]
-		}
+	if pl.OpenSeam(len(base)) {
+		// The extension's first bytes may grow the final token: keep it
+		// in the re-lexed tail, not the frozen stream.
+		toks, ends = toks[:len(toks)-1], ends[:len(ends)-1]
 	}
 	s.stable = toks
 	if n := len(ends); n > 0 {
@@ -114,12 +111,8 @@ func (s *Step) check(ext string) verilog.PrefixStatus {
 	toks = append(toks, pl.Toks...)
 	s.scratch = toks
 	st := verilog.CheckTokenPrefix(toks, pl.Pending)
-	if st == verilog.PrefixInvalid && !pl.Pending {
-		// Mirror CheckPrefix's seam rule: drop an extendable final token
-		// that touches the end before condemning the stream.
-		if n := len(pl.Toks); n > 0 && pl.Ends[n-1] == len(tail) && verilog.ExtendableKind(pl.Toks[n-1].Kind) {
-			st = verilog.CheckTokenPrefix(toks[:len(toks)-1], true)
-		}
+	if st == verilog.PrefixInvalid && pl.OpenSeam(len(tail)) {
+		st = verilog.CheckTokenPrefix(toks[:len(toks)-1], true)
 	}
 	return st
 }

@@ -48,7 +48,7 @@ type LevelContexts struct {
 // table, its frozen context count over every part beside the number of
 // distinct exact contexts observed there: the table's seed and the
 // context's last K ids themselves, no hash. The observations are those
-// trainBase, trainKwPart and trainHead make, replayed from a second
+// the base, keyword and head replays make, replayed from a second
 // preparation of the examples (the base's pollution lands on contexts
 // its own observations already hold).
 func ContextCounts(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples []Example) []LevelContexts {

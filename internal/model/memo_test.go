@@ -155,52 +155,49 @@ func kwViewOf(g *Gen, seq []int) []int {
 }
 
 // TestMemoKeyExact pins the keyword key: views that differ only beyond
-// the keyword tables' reach r share a key and the same factors, views
-// that differ within it never share one. r is the top ladder level, so
-// KwCtx 5 reaches 4 back.
+// the keyword table's reach r share a key and the same factors, views
+// that differ within it never share one. r is the top ladder level,
+// kwCtx.
 func TestMemoKeyExact(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
-	for _, c := range []struct{ kwCtx, reach int }{{2, 2}, {5, 4}} {
-		cfg := smallCfg()
-		cfg.KwCtx = c.kwCtx
-		m := Train(tk, cfg, SchemeNTP, trainExamples)
-		g := m.NewGen(CanonicalPromptIDs(tk, trainExamples[1].Prompt))
-		mm := boundMemo(g)
-		if mm.kwReach != c.reach {
-			t.Fatalf("KwCtx %d: reach %d, want %d", c.kwCtx, mm.kwReach, c.reach)
+	const reach = kwCtx
+	m := Train(tk, smallCfg(), SchemeNTP, trainExamples)
+	g := m.NewGen(CanonicalPromptIDs(tk, trainExamples[1].Prompt))
+	mm := boundMemo(g)
+	if mm.kwReach != reach {
+		t.Fatalf("reach %d, want %d", mm.kwReach, reach)
+	}
+	code := tk.Encode(trainExamples[1].Code)
+	tail := code[len(code)-reach:]
+	x, y := code[0], code[0]+1 // two different tokens
+	for _, tc := range []struct {
+		name string
+		a, b []int
+		same bool
+	}{
+		{"empty", nil, nil, true},
+		{"length 0 vs 1, token 0", nil, []int{0}, false},
+		{"length 1", tail[reach-1:], tail[reach-1:], true},
+		{"length 1 vs 2", tail[reach-1:], tail[reach-2:], false},
+		{"length r", tail, tail, true},
+		{"length r-1 vs r", tail[1:], tail, false},
+		{"beyond r", append([]int{x}, tail...), append([]int{y}, tail...), true},
+		{"much longer", code, tail, true},
+		{"within r, oldest", append([]int{x}, tail[1:]...), append([]int{y}, tail[1:]...), false},
+		{"within r, newest", append(slices.Clone(tail[1:]), x), append(slices.Clone(tail[1:]), y), false},
+	} {
+		if got := mm.key(tc.a) == mm.key(tc.b); got != tc.same {
+			t.Errorf("%s: same key %v, want %v", tc.name, got, tc.same)
 		}
-		code := tk.Encode(trainExamples[1].Code)
-		tail := code[len(code)-c.reach:]
-		x, y := code[0], code[0]+1 // two different tokens
-		for _, tc := range []struct {
-			name string
-			a, b []int
-			same bool
-		}{
-			{"empty", nil, nil, true},
-			{"length 0 vs 1, token 0", nil, []int{0}, false},
-			{"length 1", tail[c.reach-1:], tail[c.reach-1:], true},
-			{"length 1 vs 2", tail[c.reach-1:], tail[c.reach-2:], false},
-			{"length r", tail, tail, true},
-			{"length r-1 vs r", tail[1:], tail, false},
-			{"beyond r", append([]int{x}, tail...), append([]int{y}, tail...), true},
-			{"much longer", code, tail, true},
-			{"within r, oldest", append([]int{x}, tail[1:]...), append([]int{y}, tail[1:]...), false},
-			{"within r, newest", append(slices.Clone(tail[1:]), x), append(slices.Clone(tail[1:]), y), false},
-		} {
-			if got := mm.key(tc.a) == mm.key(tc.b); got != tc.same {
-				t.Errorf("KwCtx %d, %s: same key %v, want %v", c.kwCtx, tc.name, got, tc.same)
-			}
-			if !tc.same {
-				continue
-			}
-			// Each side on a memo of its own, so neither reads the
-			// other's run.
-			fa := g.kwFactors(new(scratch), boundMemo(g), tc.a)
-			fb := g.kwFactors(new(scratch), boundMemo(g), tc.b)
-			if !slices.Equal(fa, fb) {
-				t.Errorf("KwCtx %d, %s: one key, different factors", c.kwCtx, tc.name)
-			}
+		if !tc.same {
+			continue
+		}
+		// Each side on a memo of its own, so neither reads the other's
+		// run.
+		fa := g.kwFactors(new(scratch), boundMemo(g), tc.a)
+		fb := g.kwFactors(new(scratch), boundMemo(g), tc.b)
+		if !slices.Equal(fa, fb) {
+			t.Errorf("%s: one key, different factors", tc.name)
 		}
 	}
 }

@@ -87,8 +87,6 @@ type Config struct {
 	// appear in the prompt (identifier copying — fine-tuned LLMs
 	// strongly prefer echoing the names their prompt spelled out).
 	PromptCopyBoost float64
-	// KwCtx is the context length of the keyword-conditioned tables.
-	KwCtx int
 	// StepLatencyMS is the simulated cost of one forward pass of the
 	// backbone — the GPU cost model. Calibrated so the NTP baseline
 	// reproduces the paper's tokens/s (83.13 for CodeLlama ⇒ 12.03 ms).
@@ -105,7 +103,7 @@ func CodeLlamaSim() Config {
 	return Config{
 		Name: "CodeLlama-sim", Order: 12, HeadCtx: 3, NumHeads: 10,
 		VocabSize: 2048, Lambda: 0.127, Gamma: 0.8, CopyStrength: 0.55,
-		PromptBlend: 0.6, KwCtx: 2, PromptCopyBoost: 4.0,
+		PromptBlend: 0.6, PromptCopyBoost: 4.0,
 		StepLatencyMS: 12.03, HeadLatencyMS: 0.07, MaxTokens: 2000,
 	}
 }
@@ -116,7 +114,7 @@ func CodeT5pSim() Config {
 	return Config{
 		Name: "CodeT5p-sim", Order: 4, HeadCtx: 2, NumHeads: 10,
 		VocabSize: 1024, Lambda: 0.127, Gamma: 0.8, CopyStrength: 0.35,
-		PromptBlend: 0.4, KwCtx: 2, PromptCopyBoost: 2.2,
+		PromptBlend: 0.4, PromptCopyBoost: 2.2,
 		StepLatencyMS: 10.91, HeadLatencyMS: 0.06, MaxTokens: 1200,
 	}
 }
@@ -186,21 +184,18 @@ type Model struct {
 }
 
 // newModel returns an untrained model bound to a tokenizer, every
-// table empty and in tally form.
+// table empty.
 func newModel(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
-	if cfg.KwCtx <= 0 {
-		cfg.KwCtx = 2
-	}
 	if cfg.NumHeads > math.MaxUint8 {
 		panic("model: more than 255 decoding heads")
 	}
 	m := &Model{cfg: cfg, scheme: scheme, tok: tk,
-		base: newNgramTable(cfg.Order), kw: newSplitTable(cfg.KwCtx, kwPartBits),
+		base: newNgramTable(cfg.Order, 0), kw: newNgramTable(kwCtx, kwPartBits),
 		kwDF: map[string]int{}, kwFloorPow: math.Pow(kwFloor, cfg.PromptBlend)}
 	if scheme != SchemeNTP {
 		m.heads = make([]*ngramTable, cfg.NumHeads)
 		for i := range m.heads {
-			m.heads[i] = newNgramTable(cfg.HeadCtx)
+			m.heads[i] = newNgramTable(cfg.HeadCtx, 0)
 		}
 	}
 	return m
@@ -218,11 +213,11 @@ func newModel(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme) *Model {
 //     ordinal picks the heads it trains — and counts keyword document
 //     frequencies;
 //  3. the tables train in units of work, run by GOMAXPROCS workers in
-//     phases (see phases). A unit replays, in example order, every
-//     prepared example's observations for the levels it owns — a range
-//     of the base's levels, one part of the keyword table, or a whole
-//     head — and freezes them. The tallies a phase drops are collected
-//     before the next phase starts.
+//     phases (see phases). A unit owns some levels — a range of the
+//     base's, one part of the keyword table, or a whole head — and the
+//     tallies it counts them in; it replays its examples into them and
+//     builds each level once (see trainLevels). The tallies a phase
+//     drops are collected before the next phase starts.
 //
 // No unit reads another's levels while it trains, so each context sees
 // exactly the (next, weight) sequence one pass over the examples, one
@@ -286,34 +281,93 @@ func (m *Model) prepareAll(examples []Example) []prepared {
 // the same at any GOMAXPROCS.
 const kwPartBits = 3
 
+// kwCtx is the context length of the keyword-conditioned table.
+const kwCtx = 2
+
 // phases lists the units of training work in the phases they run in.
 // The base and keyword tables carry most of the observations and most
 // of the tally memory: they train first, side by side, and the heads
 // train once both are frozen. The base is two units, which start
-// first: the levels below the pollution's reach (plain observations
-// only) and the levels it reaches (plain observations and pollution).
-// The keyword table is one unit per part; its parts are small, and fill
-// in on whichever worker comes free.
+// first: the levels below the reach of joint-training interference
+// (contexts of at least Order-2 ids, never the unigram level) and the
+// levels it reaches. They replay one group, every example, as each
+// head does. The keyword table is one unit per part, whose groups are
+// its keywords; its parts are small, and fill in on whichever worker
+// comes free.
 func (m *Model) phases(prep []prepared) [][]func() {
-	cut := m.pollutionCut()
+	all := []group{{examples: make([]int32, len(prep))}}
+	for j := range prep {
+		all[0].examples[j] = int32(j)
+	}
+	cut, _ := slices.BinarySearch(m.base.levels, max(m.cfg.Order-2, 1))
+	pollution := make([]float64, len(m.heads)+1)
+	for i := 1; i < len(pollution); i++ {
+		pollution[i] = m.cfg.Lambda * math.Pow(m.cfg.Gamma, float64(i))
+	}
+	base := func(lo, hi int) func() {
+		r := baseReplay{lo, max(lo, cut), pollution}
+		return func() { trainLevels(prep, m.base, 0, lo, hi, all, r.replay) }
+	}
 	n := len(m.base.levels)
 	var first []func()
 	if cut < n {
-		first = append(first, func() { m.trainBase(prep, cut, n) })
+		first = append(first, base(cut, n))
 	}
-	first = append(first, func() { m.trainBase(prep, 0, cut) })
+	first = append(first, base(0, cut))
 	for p, groups := range m.kwParts(prep) {
-		first = append(first, func() { m.trainKwPart(prep, p, groups) })
+		first = append(first, func() { trainLevels(prep, m.kw, p, 0, len(m.kw.levels), groups, replayKw) })
 	}
 	phases := [][]func(){first}
 	if len(m.heads) == 0 {
 		return phases
 	}
 	heads := make([]func(), len(m.heads))
-	for i := range m.heads {
-		heads[i] = func() { m.trainHead(prep, i+1) }
+	for i, t := range m.heads {
+		heads[i] = func() { trainLevels(prep, t, 0, 0, len(t.levels), all, headReplay(i+1).replay) }
 	}
 	return append(phases, heads)
+}
+
+// group is a run of examples a unit replays under one seed, in example
+// order: a keyword and the examples whose prompts hold it, or every
+// example (seed 0).
+type group struct {
+	seed     uint64
+	examples []int32
+}
+
+// trainLevels is a unit of training work: it builds levels lo ≤ i < hi
+// of part p of t in tallies it owns, replay counting one example's
+// observations under its group's seed at the levels of the ladder that
+// fit. For each group in turn it replays the group's examples in order
+// into the tallies, takes their contexts into the levels' builders and
+// resets them; after the last group it drops the tallies and builds
+// each level once. A group's contexts are its own (their keys mix in
+// its seed), so each context sees the observations one pass over the
+// examples would give it, in the same order, and a one-group unit lays
+// its levels out in the order its tallies first saw their contexts.
+func trainLevels(prep []prepared, t *ngramTable, p, lo, hi int, groups []group,
+	replay func(counts tallies, ladder []int, ex *prepared, seed uint64)) {
+	ladder := t.levels[:hi] // hashing stops at the unit's longest level
+	counts := make(tallies, hi)
+	bufs := make([]levelBuf, hi)
+	for _, g := range groups {
+		for _, j := range g.examples {
+			replay(counts, ladder, &prep[j], g.seed)
+		}
+		n := 0
+		for i := lo; i < hi; i++ {
+			n += counts[i].n
+		}
+		recs := make([]slot, 0, n) // the group's records at every level
+		for i := lo; i < hi; i++ {
+			recs = bufs[i].take(&counts[i], recs)
+			counts[i].reset()
+		}
+	}
+	for i := lo; i < hi; i++ {
+		t.parts[p][i] = bufs[i].level()
+	}
 }
 
 // prepared is one example ready to be replayed into the tables.
@@ -419,67 +473,47 @@ func (p *prepared) contexts() iter.Seq2[int, []int] {
 	}
 }
 
-// pollutionCut returns the index of the first base level joint-training
-// interference reaches: the levels of contexts of at least Order-2 ids
-// (and never the unigram level).
-func (m *Model) pollutionCut() int {
-	cut, _ := slices.BinarySearch(m.base.levels, max(m.cfg.Order-2, 1))
-	return cut
+// baseReplay replays the base table's observations at levels lo ≤ i:
+// each example's code tokens (targets are code-region only — the Alpaca
+// format masks loss on the instruction), then its heads' interference
+// at levels polluted ≤ i, head i's weighing pollution[i].
+type baseReplay struct {
+	lo, polluted int
+	pollution    []float64
 }
 
-// trainBase replays the base table's observations at its levels
-// lo ≤ i < hi and freezes them: each example's code tokens (targets are
-// code-region only — the Alpaca format masks loss on the instruction),
-// then its heads' interference.
-func (m *Model) trainBase(prep []prepared, lo, hi int) {
-	t := m.base
-	ladder := t.levels[:hi] // hashing stops at the unit's longest level
-	polluted := max(lo, m.pollutionCut())
-	pollution := make([]float64, len(m.heads)+1)
-	for i := 1; i < len(pollution); i++ {
-		pollution[i] = m.cfg.Lambda * math.Pow(m.cfg.Gamma, float64(i))
+func (r baseReplay) replay(counts tallies, ladder []int, p *prepared, _ uint64) {
+	hi := len(ladder)
+	for s, ctx := range p.contexts() {
+		hs := hashLevels(ladder, ctx)
+		counts.observe(&hs, p.code[s], 1, r.lo, hi, 0)
 	}
-	for j := range prep {
-		p := &prep[j]
-		for s, ctx := range p.contexts() {
-			hs := hashLevels(ladder, ctx)
-			t.counts.observe(&hs, p.code[s], 1, lo, hi, 0)
-		}
-		if p.depth == nil || polluted >= hi {
+	if p.depth == nil || r.polluted >= hi {
+		return
+	}
+	// Medusa-2 joint training: the head loss also moves the backbone
+	// (weight λ·γ^i, eq. 2). For the syntax-enriched scheme the
+	// [IGNORE] mask removes most of this cross-fragment interference
+	// — exactly the paper's explanation of its quality advantage.
+	// Interference lands on the longest context orders only: it
+	// perturbs specific contexts rather than global token statistics.
+	for s, ctx := range p.contexts() {
+		if p.depth[s] == 0 {
 			continue
 		}
-		// Medusa-2 joint training: the head loss also moves the backbone
-		// (weight λ·γ^i, eq. 2). For the syntax-enriched scheme the
-		// [IGNORE] mask removes most of this cross-fragment interference
-		// — exactly the paper's explanation of its quality advantage.
-		// Interference lands on the longest context orders only: it
-		// perturbs specific contexts rather than global token statistics.
-		for s, ctx := range p.contexts() {
-			if p.depth[s] == 0 {
-				continue
-			}
-			hs := hashLevels(ladder, ctx)
-			for i := 1; i <= int(p.depth[s]); i++ {
-				if p.heads[i] {
-					t.counts.observe(&hs, p.code[s+i], pollution[i], polluted, hi, 0)
-				}
+		hs := hashLevels(ladder, ctx)
+		for i := 1; i <= int(p.depth[s]); i++ {
+			if p.heads[i] {
+				counts.observe(&hs, p.code[s+i], r.pollution[i], r.polluted, hi, 0)
 			}
 		}
 	}
-	t.freezeLevels(lo, hi)
-}
-
-// kwGroup is one keyword seed and the examples whose prompts hold it, in
-// example order.
-type kwGroup struct {
-	seed     uint64
-	examples []int32
 }
 
 // kwParts groups the examples by keyword seed, the seeds in order of
 // first occurrence, and deals each group to its seed's keyword part.
-func (m *Model) kwParts(prep []prepared) [][]kwGroup {
-	var groups []kwGroup
+func (m *Model) kwParts(prep []prepared) [][]group {
+	var groups []group
 	at := map[uint64]int{}
 	for j := range prep {
 		for _, seed := range prep[j].seeds {
@@ -487,12 +521,12 @@ func (m *Model) kwParts(prep []prepared) [][]kwGroup {
 			if !ok {
 				g = len(groups)
 				at[seed] = g
-				groups = append(groups, kwGroup{seed: seed})
+				groups = append(groups, group{seed: seed})
 			}
 			groups[g].examples = append(groups[g].examples, int32(j))
 		}
 	}
-	parts := make([][]kwGroup, len(m.kw.parts))
+	parts := make([][]group, len(m.kw.parts))
 	for _, g := range groups {
 		p := m.kw.partOf(fmix(g.seed))
 		parts[p] = append(parts[p], g)
@@ -500,63 +534,40 @@ func (m *Model) kwParts(prep []prepared) [][]kwGroup {
 	return parts
 }
 
-// trainKwPart builds keyword part p from its keywords' groups. The
-// keyword table learns each keyword's successor statistics over the
-// content-only view (a trailing [FRAG] would collapse every fragment
-// boundary into the same two-token context) and content targets only:
-// it is the task-identity expert, agnostic about marker machinery.
-//
-// A keyword's contexts are its own (their keys mix in its seed), so the
-// part learns one keyword at a time: it replays the keyword's examples
-// in order into tallies small enough to stay in cache, appends their
-// contexts to the part's levels and resets them for the next keyword.
-// Each context sees the observations one pass over the examples would
-// give it, in the same order.
-func (m *Model) trainKwPart(prep []prepared, p int, groups []kwGroup) {
-	t := m.kw
-	counts := make(tallies, len(t.levels))
-	bufs := make([]levelBuf, len(t.levels))
-	for _, g := range groups {
-		for _, j := range g.examples {
-			ex := &prep[j]
-			for s, ctx := range ex.contexts() {
-				if ex.code[s] == tokenizer.FragID {
-					continue
-				}
-				for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
-					ctx = ctx[:len(ctx)-1]
-				}
-				hs := t.hashes(ctx)
-				counts.observe(&hs, ex.code[s], 1, 0, len(counts), g.seed)
-			}
+// replayKw replays the keyword table's observations under a keyword's
+// seed. The keyword table learns each keyword's successor statistics
+// over the content-only view (a trailing [FRAG] would collapse every
+// fragment boundary into the same two-token context) and content
+// targets only: it is the task-identity expert, agnostic about marker
+// machinery.
+func replayKw(counts tallies, ladder []int, p *prepared, seed uint64) {
+	for s, ctx := range p.contexts() {
+		if p.code[s] == tokenizer.FragID {
+			continue
 		}
-		for i := range counts {
-			bufs[i].take(&counts[i])
-			counts[i].reset()
+		for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
+			ctx = ctx[:len(ctx)-1]
 		}
-	}
-	for i := range bufs {
-		t.parts[p][i] = bufs[i].level()
+		hs := hashLevels(ladder, ctx)
+		counts.observe(&hs, p.code[s], 1, 0, len(counts), seed)
 	}
 }
 
-// trainHead replays head i's (1-based) observations: the label i tokens
-// ahead, wherever the position keeps one, in the examples the head
-// trains on.
-func (m *Model) trainHead(prep []prepared, i int) {
-	t := m.heads[i-1]
-	for j := range prep {
-		p := &prep[j]
-		if p.heads == nil || !p.heads[i] {
-			continue
-		}
-		for s, ctx := range p.contexts() {
-			if int(p.depth[s]) >= i {
-				t.add(ctx, p.code[s+i], 1)
-			}
+// headReplay replays head i's (1-based) observations: the label i
+// tokens ahead, wherever the position keeps one, in the examples the
+// head trains on.
+type headReplay int
+
+func (i headReplay) replay(counts tallies, ladder []int, p *prepared, _ uint64) {
+	if p.heads == nil || !p.heads[i] {
+		return
+	}
+	for s, ctx := range p.contexts() {
+		if headReplay(p.depth[s]) >= i {
+			hs := hashLevels(ladder, ctx)
+			counts.observe(&hs, p.code[s+int(i)], 1, 0, len(counts), 0)
 		}
 	}
-	t.freezeLevels(0, len(t.levels))
 }
 
 // headSubset reports, indexed by head (1-based), which heads train on

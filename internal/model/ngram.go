@@ -13,31 +13,27 @@ import (
 // Counts are float64 so weighted (joint-training interference) updates
 // compose cleanly with ordinary observations.
 //
-// A table has two forms. Train builds it as tallies, one per level,
-// cheap to update (counts). Once the table has seen every example each
-// level is frozen into flat, pointer-free arrays (level) and its tally
-// dropped, so the garbage collector never walks a trained model.
-// Prediction reads only the frozen form, and a table is frozen exactly
-// once: nothing writes it afterwards.
+// A table is its frozen levels: flat, pointer-free arrays (level) that
+// the garbage collector never walks. It is built by units of training
+// work (see trainLevels), each of which owns the tallies it counts in
+// (tally, cheap to update) and builds its levels once it has seen its
+// last example. Prediction reads only the frozen levels, and each is
+// built exactly once: nothing writes it afterwards.
 //
 // A key mixes in the table's seed, so the contexts of different seeds
 // never meet, and a table may be split by seed into parts: a seed's
 // contexts all live in part partOf(fmix(seed)), a ladder of levels
 // of its own. The keyword table is split this way, a part per unit of
-// training work, and each part builds one keyword at a time in a small
-// tally it reuses (see trainKwPart). The base and head tables have one
-// part and train in their table's own tallies (counts).
+// training work; the base and head tables have one part.
 //
-// Every level trains on one worker: it is fed its observations in
-// example order and frozen without ever reading another table, so its
+// Every level trains in one unit: it is fed its observations in
+// example order and built without ever reading another table, so its
 // counts are summed in the same order and come out bit for bit the same
 // at any GOMAXPROCS.
 type ngramTable struct {
 	levels []int // ascending context lengths
-	// counts[i] tallies level i of a one-part table's observations; nil
-	// for a split table, and once the table is sealed.
-	counts tallies
-	// parts[p][i] is level i of part p frozen: empty until its freeze.
+	// parts[p][i] is level i of part p frozen: empty until its unit
+	// builds it.
 	parts     [][]level
 	partShift uint // 64 − log2(len(parts)); see partOf
 	// idBound is 1 + the largest successor id, set at the seal: predict's
@@ -65,8 +61,8 @@ type tally struct {
 
 const chunkLen = 1 << 10
 
-// tallies is the training form of a table's levels: tallies[i] counts
-// level i.
+// tallies is a unit's training form of a table's levels: tallies[i]
+// counts level i.
 type tallies []tally
 
 // at returns the context at position n.
@@ -238,16 +234,9 @@ const maxReach = 16
 // maxLevels is the most levels a ladder has: len(ladder(maxReach)).
 const maxLevels = 9
 
-// newNgramTable returns an empty one-part table in tally form.
-func newNgramTable(maxCtx int) *ngramTable {
-	t := newSplitTable(maxCtx, 0)
-	t.counts = make(tallies, len(t.levels))
-	return t
-}
-
-// newSplitTable returns an empty table split by seed into 2^partBits
-// parts, whose units train them in tallies of their own.
-func newSplitTable(maxCtx, partBits int) *ngramTable {
+// newNgramTable returns a table with every level empty, split by seed
+// into 2^partBits parts.
+func newNgramTable(maxCtx, partBits int) *ngramTable {
 	t := &ngramTable{levels: ladder(maxCtx), partShift: uint(64 - partBits)}
 	t.parts = make([][]level, 1<<partBits)
 	for p := range t.parts {
@@ -313,13 +302,6 @@ func fmix(h uint64) uint64 {
 	return h
 }
 
-// add records one (context, next) observation with the given weight at
-// every ladder level of a one-part table that fits the context.
-func (t *ngramTable) add(ctx []int, next int, weight float64) {
-	hs := t.hashes(ctx)
-	t.counts.observe(&hs, next, weight, 0, len(t.levels), 0)
-}
-
 // observe records one observation of next after the context hashed to
 // hs, under seed, at the ladder levels lo ≤ i < hi that fit the
 // context. Joint-training interference pollutes only the levels of the
@@ -338,20 +320,9 @@ func (ts tallies) observe(hs *ctxHashes, next int, weight float64, lo, hi int, s
 	}
 }
 
-// freezeLevels compiles levels lo ≤ i < hi of a one-part table, dropping
-// each level's tally once compiled so the two forms of a level never
-// coexist. Units that train disjoint levels may freeze them at once.
-func (t *ngramTable) freezeLevels(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t.parts[0][i] = freezeLevel(&t.counts[i])
-		t.counts[i] = tally{}
-	}
-}
-
-// seal ends a table's training once every level is frozen: it drops the
-// emptied tallies and bounds the successor ids.
+// seal ends a table's training once every level is built: it bounds
+// the successor ids.
 func (t *ngramTable) seal() {
-	t.counts = nil
 	for _, part := range t.parts {
 		for i := range part {
 			t.idBound = max(t.idBound, part[i].bound)
@@ -403,53 +374,49 @@ func (l *level) insert(r slot) {
 	l.ctxs++
 }
 
-// freezeLevel compiles one tally into a level.
-func freezeLevel(c *tally) level {
-	l := newLevel(c.n)
-	if c.n > 0 {
-		l.slab = make([]entry, 0, c.entries)
-		l.bound = c.emit(&l.slab, l.insert)
-	}
-	return l
-}
-
-// levelBuf gathers a level from a run of tallies, one after another. A
-// tally knows its context and successor counts before it emits, so each
-// take is kept in arrays of exactly its size, and the level is built
-// once the last is in, when its own size is known too.
+// levelBuf builds a level from a run of tallies, one after another: the
+// one way a level is built. A tally knows its context and successor
+// counts before it emits, so each take's runs are kept in an array of
+// exactly their size, and the level is built once the last is in, when
+// its own size is known too.
 type levelBuf struct {
-	recs       [][]slot  // each take's context records, starts in its runs
-	runs       [][]entry // each take's runs, sorted by id
-	n, entries int       // contexts and successor entries taken
-	bound      int       // 1 + the largest successor id taken
+	recs  [][]slot  // each take's context records, starts in its runs
+	runs  [][]entry // each take's runs, sorted by id
+	n     int       // contexts taken
+	bound int       // 1 + the largest successor id taken
 }
 
-// take appends c's contexts.
-func (b *levelBuf) take(c *tally) {
+// take appends c's contexts, adding their records to recs, which it
+// returns: a unit's takes of one group share one array of records.
+func (b *levelBuf) take(c *tally, recs []slot) []slot {
 	if c.n == 0 {
-		return
+		return recs
 	}
-	recs, runs := make([]slot, 0, c.n), make([]entry, 0, c.entries)
+	start, runs := len(recs), make([]entry, 0, c.entries)
 	b.bound = max(b.bound, c.emit(&runs, func(r slot) { recs = append(recs, r) }))
-	b.recs, b.runs = append(b.recs, recs), append(b.runs, runs)
+	b.recs, b.runs = append(b.recs, recs[start:]), append(b.runs, runs)
 	b.n += c.n
-	b.entries += c.entries
+	return recs
 }
 
 // level compiles the taken contexts, in the order taken, into a level.
+// A single take's runs already are the slab and are not copied.
 func (b *levelBuf) level() level {
 	if b.n == 0 {
 		return level{}
 	}
 	l := newLevel(b.n)
-	l.slab = make([]entry, 0, b.entries)
+	l.slab = b.runs[0]
+	if len(b.runs) > 1 {
+		l.slab = slices.Concat(b.runs...)
+	}
+	off := int32(0) // the take's runs' start in the slab
 	for k, recs := range b.recs {
-		off := int32(len(l.slab))
-		l.slab = append(l.slab, b.runs[k]...)
 		for _, r := range recs {
 			r.start += off
 			l.insert(r)
 		}
+		off += int32(len(b.runs[k]))
 	}
 	l.bound = b.bound
 	return l

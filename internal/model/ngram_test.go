@@ -25,11 +25,22 @@ func ctxKey(ctx []int, k int, seed uint64) uint64 {
 	return fmix(h ^ fmix(seed))
 }
 
-// freeze compiles and seals a one-part table, as a unit that owns all
-// of its levels does.
-func (t *ngramTable) freeze() {
-	t.freezeLevels(0, len(t.levels))
+// trainTable builds and seals a one-part table as a one-group unit that
+// owns all of its levels does, observe counting its observations in the
+// unit's tallies.
+func trainTable(maxCtx int, observe func(counts tallies, ladder []int)) *ngramTable {
+	t := newNgramTable(maxCtx, 0)
+	trainLevels(make([]prepared, 1), t, 0, 0, len(t.levels), []group{{examples: []int32{0}}},
+		func(counts tallies, ladder []int, _ *prepared, _ uint64) { observe(counts, ladder) })
 	t.seal()
+	return t
+}
+
+// build builds the level of one tally's contexts.
+func build(c *tally) level {
+	var b levelBuf
+	b.take(c, nil)
+	return b.level()
 }
 
 // refTable is the map form the frozen tables replaced, kept as the
@@ -74,10 +85,11 @@ func (r *refTable) addRange(ctx []int, next int, weight float64, loK int, seed u
 	}
 }
 
-// refOf rebuilds the reference form from a table's tallies.
-func refOf(t *ngramTable) *refTable {
-	r := &refTable{levels: t.levels}
-	for _, c := range t.counts {
+// refOf rebuilds the reference form from the tallies of a ladder's
+// levels.
+func refOf(levels []int, counts tallies) *refTable {
+	r := &refTable{levels: levels}
+	for _, c := range counts {
 		m := map[uint64]*refSucc{}
 		for _, chunk := range c.ctxs {
 			for _, s := range chunk {
@@ -158,7 +170,7 @@ func sameAsRef(t *testing.T, what string, got []entry, want map[int]float64) {
 func trainWithRef(tk *tokenizer.Tokenizer, scheme Scheme, examples []Example) (*Model, map[*ngramTable]*refTable) {
 	cfg := smallCfg()
 	m := Train(tk, cfg, scheme, examples)
-	base, kw := newRefTable(cfg.Order), newRefTable(m.cfg.KwCtx)
+	base, kw := newRefTable(cfg.Order), newRefTable(kwCtx)
 	ref := map[*ngramTable]*refTable{m.base: base, m.kw: kw}
 	heads := make([]*refTable, len(m.heads))
 	for i, h := range m.heads {
@@ -268,11 +280,12 @@ func TestFrozenMatchesReference(t *testing.T) {
 // every context keeps its total through the freeze.
 func TestTallyAcrossChunks(t *testing.T) {
 	n := 3*chunkLen + 5
-	tb := newNgramTable(1)
-	for i := range 2 * n {
-		tb.add([]int{i % n}, i%7, 1)
-	}
-	tb.freeze()
+	tb := trainTable(1, func(counts tallies, ladder []int) {
+		for i := range 2 * n {
+			hs := hashLevels(ladder, []int{i % n})
+			counts.observe(&hs, i%7, 1, 0, len(counts), 0)
+		}
+	})
 	l := &tb.parts[0][1]
 	if l.ctxs != n {
 		t.Fatalf("%d contexts, want %d", l.ctxs, n)
@@ -300,13 +313,45 @@ func TestTallyReset(t *testing.T) {
 	reused.reset()
 	fill(&reused, chunkLen+7, 3, 3*chunkLen)
 	fill(&fresh, chunkLen+7, 3, 3*chunkLen)
-	got, want := freezeLevel(&reused), freezeLevel(&fresh)
+	got, want := build(&reused), build(&fresh)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reset tally froze to %d contexts, %d successors; a fresh one to %d, %d",
 			got.ctxs, len(got.slab), want.ctxs, len(want.slab))
 	}
 	if want.ctxs != chunkLen+7 || len(want.slab) != 3*(chunkLen+7) {
 		t.Fatalf("fresh tally froze to %d contexts, %d successors", want.ctxs, len(want.slab))
+	}
+}
+
+// TestLevelBufTakes splits one tally's observations by key across
+// several takes, resetting the tally between them as a keyword part
+// does between its keywords: the level the takes build must be the
+// level one tally of all the observations builds. Every key of a take
+// is first seen before any key of the next, so the one tally emits its
+// keys in the takes' order. Each take records its contexts after
+// another level's records in the array it is given, and its run starts
+// hold only once moved past the runs taken before it.
+func TestLevelBufTakes(t *testing.T) {
+	var whole, part tally
+	var b levelBuf
+	const takes = 4
+	for k := range takes {
+		keys, ids := chunkLen/2+k, 2+8*k // the last take's runs are indexed
+		for i := range keys * ids {
+			key, id, w := fmix(uint64(k*chunkLen+i%keys)), int32((i/keys)*5%97), float64(i%3+1)/2
+			whole.add(key, id, w)
+			part.add(key, id, w)
+		}
+		b.take(&part, make([]slot, k, k+part.n))
+		part.reset()
+	}
+	got, want := b.level(), build(&whole)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d takes built %d contexts, %d successors; one tally %d, %d",
+			takes, got.ctxs, len(got.slab), want.ctxs, len(want.slab))
+	}
+	if len(b.runs) != takes || want.ctxs != takes*chunkLen/2+takes*(takes-1)/2 {
+		t.Fatalf("%d takes of %d contexts", len(b.runs), want.ctxs)
 	}
 }
 
@@ -364,24 +409,25 @@ func FuzzFrozenTable(f *testing.F) {
 	seeds := []uint64{0, 7, 0xdeadbeef}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxCtx = 6
-		tbl, ref := newNgramTable(maxCtx), newRefTable(maxCtx)
+		ref := newRefTable(maxCtx)
 		var hist []int
-		for i := 0; i+4 <= len(data) && i < 4*256; i += 4 {
-			next := int(data[i] % (2 * linearMax)) // short and indexed runs
-			weight := float64(data[i+1]%16+1) / 8
-			loK := int(data[i+2] % 8)
-			seed := seeds[int(data[i+3])%len(seeds)]
-			ctx := hist[max(0, len(hist)-8):]
-			hs := tbl.hashes(ctx)
-			lo, _ := slices.BinarySearch(tbl.levels, loK) // the first level of at least loK ids
-			tbl.counts.observe(&hs, next, weight, lo, len(tbl.levels), seed)
-			ref.addRange(ctx, next, weight, loK, seed)
-			hist = append(hist, next)
-		}
-		if tallied := refOf(tbl); !reflect.DeepEqual(tallied, ref) {
-			t.Fatal("the tallies do not hold the reference's counts")
-		}
-		tbl.freeze()
+		tbl := trainTable(maxCtx, func(counts tallies, ladder []int) {
+			for i := 0; i+4 <= len(data) && i < 4*256; i += 4 {
+				next := int(data[i] % (2 * linearMax)) // short and indexed runs
+				weight := float64(data[i+1]%16+1) / 8
+				loK := int(data[i+2] % 8)
+				seed := seeds[int(data[i+3])%len(seeds)]
+				ctx := hist[max(0, len(hist)-8):]
+				hs := hashLevels(ladder, ctx)
+				lo, _ := slices.BinarySearch(ref.levels, loK) // the first level of at least loK ids
+				counts.observe(&hs, next, weight, lo, len(counts), seed)
+				ref.addRange(ctx, next, weight, loK, seed)
+				hist = append(hist, next)
+			}
+			if tallied := refOf(ref.levels, counts); !reflect.DeepEqual(tallied, ref) {
+				t.Fatal("the tallies do not hold the reference's counts")
+			}
+		})
 		acc := new(accum)
 		for p := 0; p <= len(hist); p++ {
 			ctx := hist[max(0, p-8):p]
@@ -523,18 +569,18 @@ func FuzzPredict(f *testing.F) {
 	f.Add([]byte{63, 1, 0, 64, 2, 0, 127, 3, 1, 128, 4, 2, 255, 5, 0, 0, 6, 1})
 	seeds := []uint64{0, 7, 0xdeadbeef}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tbl := newNgramTable(maxReach)
 		var hist []int
-		for i := 0; i+3 <= len(data) && i < 3*256; i += 3 {
-			next := int(data[i])
-			weight := float64(data[i+1]%16+1) / 8
-			seed := seeds[int(data[i+2])%len(seeds)]
-			ctx := hist[max(0, len(hist)-maxReach):]
-			hs := tbl.hashes(ctx)
-			tbl.counts.observe(&hs, next, weight, 0, len(tbl.levels), seed)
-			hist = append(hist, next)
-		}
-		tbl.freeze()
+		tbl := trainTable(maxReach, func(counts tallies, ladder []int) {
+			for i := 0; i+3 <= len(data) && i < 3*256; i += 3 {
+				next := int(data[i])
+				weight := float64(data[i+1]%16+1) / 8
+				seed := seeds[int(data[i+2])%len(seeds)]
+				ctx := hist[max(0, len(hist)-maxReach):]
+				hs := hashLevels(ladder, ctx)
+				counts.observe(&hs, next, weight, 0, len(counts), seed)
+				hist = append(hist, next)
+			}
+		})
 		acc := new(accum)
 		acc.fit(1024)
 		for p := 0; p <= len(hist); p++ {

@@ -103,16 +103,19 @@ func LexPrefix(src string) PrefixLex {
 	}
 }
 
-// ExtendableKind reports whether appending bytes directly after a
-// token of this kind could grow it into a different, longer token
-// ("alw"+"ays", "4'b1"+"0", "<"+"="). Punctuation is always a single
-// rune and a closed string cannot reopen; everything else can grow.
-func ExtendableKind(k TokenKind) bool {
-	switch k {
-	case TokPunct, TokString:
+// OpenSeam states the seam rule of a prefix check: it reports whether
+// the last complete token of pl, lexed from srcLen bytes, ends at the
+// input's end with a kind that can still grow ("alw"+"ays", "4'b1"+"0",
+// "<"+"="), so that the stream is judged without it, as an open stream.
+// Punctuation is always a single rune and a closed string cannot
+// reopen; every other kind can grow.
+func (pl *PrefixLex) OpenSeam(srcLen int) bool {
+	n := len(pl.Toks)
+	if pl.Pending || n == 0 || pl.Ends[n-1] != srcLen {
 		return false
 	}
-	return true
+	k := pl.Toks[n-1].Kind
+	return k != TokPunct && k != TokString
 }
 
 // CheckPrefix classifies src as a prefix of a parsable source file.
@@ -122,12 +125,8 @@ func CheckPrefix(src string) PrefixStatus {
 		return PrefixInvalid
 	}
 	st := CheckTokenPrefix(pl.Toks, pl.Pending)
-	if st == PrefixInvalid && !pl.Pending {
-		// The final token touches the end of the input and could still
-		// grow into something else — judge only the stable stream.
-		if n := len(pl.Toks); n > 0 && pl.Ends[n-1] == len(src) && ExtendableKind(pl.Toks[n-1].Kind) {
-			st = CheckTokenPrefix(pl.Toks[:n-1], true)
-		}
+	if st == PrefixInvalid && pl.OpenSeam(len(src)) {
+		st = CheckTokenPrefix(pl.Toks[:len(pl.Toks)-1], true)
 	}
 	return st
 }
