@@ -157,8 +157,9 @@ cover:
 # n-gram table (a training unit's tallies, and the predictor over the
 # levels it builds, equal to the map reference), the scatter predict kernel (equal bit for bit to the merge
 # loop it replaced), the Verilog lexer, the full parser (no-panic,
-# *SyntaxError contract, and the prefix-soundness invariant the
-# grammar oracle rests on), the
+# *SyntaxError contract, the prefix-soundness invariant the grammar
+# oracle rests on, and verilog.Inspect visiting every node of each
+# tree it builds, checked against a reflection walk), the
 # draft-tree arena (insert/walk/longest-accepted-path invariants) and
 # the BPE encoder (ids equal to the per-merge rescan it replaced,
 # Decode(Encode(s)) == s) and the [FRAG] segmenter (the lexer's

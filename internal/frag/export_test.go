@@ -16,8 +16,6 @@ func SegmentRegexp(src string) ([]Piece, error) {
 	for k := range extra {
 		set[k] = true
 	}
-	for _, m := range f.Modules {
-		collectModuleTokens(m, set)
-	}
+	collectLeaves(f, set)
 	return segmentRegexp(src, set), nil
 }

@@ -2,8 +2,10 @@
 // (§III-C, Figs. 3 and 4):
 //
 //  1. syntactically significant tokens are identified from the Verilog
-//     AST (leaf identifiers and literals) plus a fixed extra-keyword
-//     list (module, endmodule, operators, ...);
+//     AST: its leaves (declared names, identifiers and literals, the
+//     values of delays included), found by one verilog.Inspect walk,
+//     plus a fixed extra-keyword list (module, endmodule, operators,
+//     ...);
 //  2. the source is segmented at its lexer tokens, and each
 //     significant token is wrapped with the special [FRAG] marker (the
 //     paper segments with a regular expression; the parser has already
@@ -59,32 +61,24 @@ var extra = func() map[string]bool {
 	return set
 }()
 
-func collectModuleTokens(m *verilog.Module, set map[string]bool) {
-	set[m.Name] = true
-	for _, p := range m.Ports {
-		set[p.Name] = true
-	}
-	for _, it := range m.Items {
-		switch v := it.(type) {
+// collectLeaves adds to set the spellings of the AST leaves under n:
+// every declared name, and every identifier and number, delays
+// included.
+func collectLeaves(n verilog.Node, set map[string]bool) {
+	verilog.Inspect(n, func(n verilog.Node) bool {
+		switch v := n.(type) {
+		case *verilog.Module:
+			set[v.Name] = true
+		case *verilog.Port:
+			set[v.Name] = true
 		case *verilog.NetDecl:
 			for _, dn := range v.Names {
 				set[dn.Name] = true
-				collectExprTokens(dn.Init, set)
 			}
 		case *verilog.ParamDecl:
-			for _, n := range v.Names {
-				set[n] = true
+			for _, name := range v.Names {
+				set[name] = true
 			}
-			for _, e := range v.Values {
-				collectExprTokens(e, set)
-			}
-		case *verilog.ContAssign:
-			collectExprTokens(v.LHS, set)
-			collectExprTokens(v.RHS, set)
-		case *verilog.AlwaysBlock:
-			collectStmtTokens(v.Body, set)
-		case *verilog.InitialBlock:
-			collectStmtTokens(v.Body, set)
 		case *verilog.Instance:
 			set[v.ModName] = true
 			set[v.InstName] = true
@@ -92,97 +86,14 @@ func collectModuleTokens(m *verilog.Module, set map[string]bool) {
 				if c.Port != "" {
 					set[c.Port] = true
 				}
-				collectExprTokens(c.Expr, set)
 			}
+		case *verilog.Ident:
+			set[v.Name] = true
+		case *verilog.Number:
+			set[v.Text] = true
 		}
-	}
-}
-
-func collectStmtTokens(s verilog.Stmt, set map[string]bool) {
-	switch v := s.(type) {
-	case nil:
-	case *verilog.Block:
-		for _, st := range v.Stmts {
-			collectStmtTokens(st, set)
-		}
-	case *verilog.Assign:
-		collectExprTokens(v.LHS, set)
-		collectExprTokens(v.RHS, set)
-	case *verilog.If:
-		collectExprTokens(v.Cond, set)
-		collectStmtTokens(v.Then, set)
-		collectStmtTokens(v.Else, set)
-	case *verilog.Case:
-		collectExprTokens(v.Expr, set)
-		for _, item := range v.Items {
-			for _, e := range item.Exprs {
-				collectExprTokens(e, set)
-			}
-			collectStmtTokens(item.Body, set)
-		}
-	case *verilog.For:
-		collectStmtTokens(v.Init, set)
-		collectExprTokens(v.Cond, set)
-		collectStmtTokens(v.Step, set)
-		collectStmtTokens(v.Body, set)
-	case *verilog.While:
-		collectExprTokens(v.Cond, set)
-		collectStmtTokens(v.Body, set)
-	case *verilog.Repeat:
-		collectExprTokens(v.Count, set)
-		collectStmtTokens(v.Body, set)
-	case *verilog.Forever:
-		collectStmtTokens(v.Body, set)
-	case *verilog.DelayStmt:
-		collectExprTokens(v.Delay, set)
-		collectStmtTokens(v.Body, set)
-	case *verilog.EventCtrlStmt:
-		for _, it := range v.Items {
-			collectExprTokens(it.Expr, set)
-		}
-		collectStmtTokens(v.Body, set)
-	case *verilog.SysCall:
-		for _, e := range v.Args {
-			collectExprTokens(e, set)
-		}
-	}
-}
-
-func collectExprTokens(e verilog.Expr, set map[string]bool) {
-	switch v := e.(type) {
-	case nil:
-	case *verilog.Ident:
-		set[v.Name] = true
-	case *verilog.Number:
-		set[v.Text] = true
-	case *verilog.Unary:
-		collectExprTokens(v.X, set)
-	case *verilog.Binary:
-		collectExprTokens(v.X, set)
-		collectExprTokens(v.Y, set)
-	case *verilog.Ternary:
-		collectExprTokens(v.Cond, set)
-		collectExprTokens(v.TrueE, set)
-		collectExprTokens(v.FalseE, set)
-	case *verilog.Concat:
-		for _, p := range v.Parts {
-			collectExprTokens(p, set)
-		}
-	case *verilog.Repl:
-		collectExprTokens(v.Count, set)
-		collectExprTokens(v.X, set)
-	case *verilog.Index:
-		collectExprTokens(v.X, set)
-		collectExprTokens(v.Idx, set)
-	case *verilog.RangeSel:
-		collectExprTokens(v.X, set)
-		collectExprTokens(v.MSB, set)
-		collectExprTokens(v.LSB, set)
-	case *verilog.SysFuncCall:
-		for _, a := range v.Args {
-			collectExprTokens(a, set)
-		}
-	}
+		return true
+	})
 }
 
 // Source is one Verilog source lexed and parsed once, and the spans of
@@ -203,9 +114,7 @@ func Analyze(src string) (*Source, error) {
 		return nil, err
 	}
 	leaves := map[string]bool{}
-	for _, m := range f.Modules {
-		collectModuleTokens(m, leaves)
-	}
+	collectLeaves(f, leaves)
 	return newSource(src, toks, leaves), nil
 }
 

@@ -39,6 +39,21 @@ func TestSignificantTokens(t *testing.T) {
 	if set[","] || set["["] || set["@"] {
 		t.Error("',', '[' and '@' should not be significant (Fig. 3)")
 	}
+
+	// A delay's value is an AST leaf wherever the delay stands: on a
+	// continuous assignment and inside a procedural one.
+	for src, delay := range map[string]string{
+		"module m(input a, output y); assign #2 y = a; endmodule":         "2",
+		"module m(input b); reg x; initial begin x = #3 b; end endmodule": "3",
+	} {
+		s, err := Analyze(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Significant()[delay] {
+			t.Errorf("%q: delay %q is not significant", src, delay)
+		}
+	}
 }
 
 func TestInsertFragsShape(t *testing.T) {

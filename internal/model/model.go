@@ -341,9 +341,10 @@ type group struct {
 // observations under its group's seed at the levels of the ladder that
 // fit. For each group in turn it replays the group's examples in order
 // into the tallies, takes their contexts into the levels' builders and
-// resets them; after the last group it drops the tallies and builds
-// each level once. A group's contexts are its own (their keys mix in
-// its seed), so each context sees the observations one pass over the
+// resets them; after the last group it builds each level once, from the
+// takes and the tallies as the last group left them, so a one-group
+// unit copies no record. A group's contexts are its own (their keys mix
+// in its seed), so each context sees the observations one pass over the
 // examples would give it, in the same order, and a one-group unit lays
 // its levels out in the order its tallies first saw their contexts.
 func trainLevels(prep []prepared, t *ngramTable, p, lo, hi int, groups []group,
@@ -351,9 +352,12 @@ func trainLevels(prep []prepared, t *ngramTable, p, lo, hi int, groups []group,
 	ladder := t.levels[:hi] // hashing stops at the unit's longest level
 	counts := make(tallies, hi)
 	bufs := make([]levelBuf, hi)
-	for _, g := range groups {
+	for k, g := range groups {
 		for _, j := range g.examples {
 			replay(counts, ladder, &prep[j], g.seed)
+		}
+		if k == len(groups)-1 {
+			break // the levels are built from the last group's tallies
 		}
 		n := 0
 		for i := lo; i < hi; i++ {
@@ -366,7 +370,7 @@ func trainLevels(prep []prepared, t *ngramTable, p, lo, hi int, groups []group,
 		}
 	}
 	for i := lo; i < hi; i++ {
-		t.parts[p][i] = bufs[i].level()
+		t.parts[p][i] = bufs[i].level(&counts[i])
 	}
 }
 

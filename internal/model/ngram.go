@@ -377,8 +377,8 @@ func (l *level) insert(r slot) {
 // levelBuf builds a level from a run of tallies, one after another: the
 // one way a level is built. A tally knows its context and successor
 // counts before it emits, so each take's runs are kept in an array of
-// exactly their size, and the level is built once the last is in, when
-// its own size is known too.
+// exactly their size, and the level is built from the last tally, which
+// is not taken, once its own size is known too.
 type levelBuf struct {
 	recs  [][]slot  // each take's context records, starts in its runs
 	runs  [][]entry // each take's runs, sorted by id
@@ -399,26 +399,28 @@ func (b *levelBuf) take(c *tally, recs []slot) []slot {
 	return recs
 }
 
-// level compiles the taken contexts, in the order taken, into a level.
-// A single take's runs already are the slab and are not copied.
-func (b *levelBuf) level() level {
-	if b.n == 0 {
+// level compiles the taken contexts, in the order taken, and then
+// last's into a level. The takes' runs are copied into the slab; last
+// emits its runs after them and its records straight into the slots.
+func (b *levelBuf) level(last *tally) level {
+	if b.n+last.n == 0 {
 		return level{}
 	}
-	l := newLevel(b.n)
-	l.slab = b.runs[0]
-	if len(b.runs) > 1 {
-		l.slab = slices.Concat(b.runs...)
+	l := newLevel(b.n + last.n)
+	size := last.entries
+	for _, runs := range b.runs {
+		size += len(runs)
 	}
-	off := int32(0) // the take's runs' start in the slab
+	l.slab = make([]entry, 0, size)
 	for k, recs := range b.recs {
+		off := int32(len(l.slab)) // the take's runs' start in the slab
+		l.slab = append(l.slab, b.runs[k]...)
 		for _, r := range recs {
 			r.start += off
 			l.insert(r)
 		}
-		off += int32(len(b.runs[k]))
 	}
-	l.bound = b.bound
+	l.bound = max(b.bound, last.emit(&l.slab, l.insert))
 	return l
 }
 

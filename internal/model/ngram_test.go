@@ -36,11 +36,11 @@ func trainTable(maxCtx int, observe func(counts tallies, ladder []int)) *ngramTa
 	return t
 }
 
-// build builds the level of one tally's contexts.
+// build builds the level of one tally's contexts, as a one-group unit
+// does.
 func build(c *tally) level {
 	var b levelBuf
-	b.take(c, nil)
-	return b.level()
+	return b.level(c)
 }
 
 // refTable is the map form the frozen tables replaced, kept as the
@@ -325,32 +325,35 @@ func TestTallyReset(t *testing.T) {
 
 // TestLevelBufTakes splits one tally's observations by key across
 // several takes, resetting the tally between them as a keyword part
-// does between its keywords: the level the takes build must be the
-// level one tally of all the observations builds. Every key of a take
-// is first seen before any key of the next, so the one tally emits its
-// keys in the takes' order. Each take records its contexts after
-// another level's records in the array it is given, and its run starts
-// hold only once moved past the runs taken before it.
+// does between its keywords, and builds the level from the last part
+// without taking it: the level must be the level one tally of all the
+// observations builds. Every key of a take is first seen before any key
+// of the next, so the one tally emits its keys in the takes' order.
+// Each take records its contexts after another level's records in the
+// array it is given, and its run starts hold only once moved past the
+// runs taken before it.
 func TestLevelBufTakes(t *testing.T) {
 	var whole, part tally
 	var b levelBuf
-	const takes = 4
-	for k := range takes {
-		keys, ids := chunkLen/2+k, 2+8*k // the last take's runs are indexed
+	const parts = 4
+	for k := range parts {
+		if k > 0 {
+			b.take(&part, make([]slot, k, k+part.n))
+			part.reset()
+		}
+		keys, ids := chunkLen/2+k, 2+8*k // the last part's runs are indexed
 		for i := range keys * ids {
 			key, id, w := fmix(uint64(k*chunkLen+i%keys)), int32((i/keys)*5%97), float64(i%3+1)/2
 			whole.add(key, id, w)
 			part.add(key, id, w)
 		}
-		b.take(&part, make([]slot, k, k+part.n))
-		part.reset()
 	}
-	got, want := b.level(), build(&whole)
+	got, want := b.level(&part), build(&whole)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%d takes built %d contexts, %d successors; one tally %d, %d",
-			takes, got.ctxs, len(got.slab), want.ctxs, len(want.slab))
+		t.Fatalf("%d parts built %d contexts, %d successors; one tally %d, %d",
+			parts, got.ctxs, len(got.slab), want.ctxs, len(want.slab))
 	}
-	if len(b.runs) != takes || want.ctxs != takes*chunkLen/2+takes*(takes-1)/2 {
+	if len(b.runs) != parts-1 || want.ctxs != parts*chunkLen/2+parts*(parts-1)/2 {
 		t.Fatalf("%d takes of %d contexts", len(b.runs), want.ctxs)
 	}
 }

@@ -2,9 +2,9 @@ package verilog
 
 // This file defines the abstract syntax tree for the supported Verilog
 // subset. The tree is deliberately close to the concrete syntax: the
-// fragment layer (package frag) walks it to collect syntactically
-// significant tokens, and the simulator (package verilog/sim) elaborates
-// it directly.
+// fragment layer (package frag) collects syntactically significant
+// tokens from it with Inspect, and the simulator (package verilog/sim)
+// elaborates it directly.
 
 // Node is implemented by every AST node.
 type Node interface {
@@ -153,11 +153,14 @@ func (d *NetDecl) Pos() int { return d.Line }
 func (d *NetDecl) item()    {}
 
 // ParamDecl declares parameters or localparams with constant values.
+// The parser folds each value once, in declaration order, and keeps the
+// result in Folded: a value that does not fold is a syntax error.
 type ParamDecl struct {
 	Line       int
 	Localparam bool
 	Names      []string
 	Values     []Expr
+	Folded     []int64 // Folded[i] is Values[i]'s constant value
 }
 
 // Pos implements Node.

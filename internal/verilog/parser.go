@@ -161,7 +161,7 @@ func (p *Parser) parseModule() (*Module, error) {
 				return nil, err
 			}
 			p.params[pn.Text] = cv
-			m.Items = append(m.Items, &ParamDecl{Line: pn.Line, Names: []string{pn.Text}, Values: []Expr{val}})
+			m.Items = append(m.Items, &ParamDecl{Line: pn.Line, Names: []string{pn.Text}, Values: []Expr{val}, Folded: []int64{cv}})
 			if p.accept(TokPunct, ",") {
 				continue
 			}
@@ -478,6 +478,7 @@ func (p *Parser) parseParamDecl() (*ParamDecl, error) {
 		p.params[nameTok.Text] = cv
 		d.Names = append(d.Names, nameTok.Text)
 		d.Values = append(d.Values, val)
+		d.Folded = append(d.Folded, cv)
 		if p.accept(TokPunct, ",") {
 			continue
 		}

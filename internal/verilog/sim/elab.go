@@ -7,8 +7,10 @@ import (
 	"repro/internal/verilog"
 )
 
-// ElabError reports an elaboration failure (unknown module, unsupported
-// construct, non-constant parameter, ...).
+// ElabError reports an elaboration failure (unknown module, unknown
+// identifier, unsupported lvalue, ...). A parameter that does not fold
+// to a constant never gets here: the parser folds every parameter and
+// rejects one that does not fold as a syntax error.
 type ElabError struct {
 	Where string
 	Msg   string
@@ -234,18 +236,13 @@ func (e *elaborator) instantiate(mod *verilog.Module, name string, parent *Scope
 		parent.Kids = append(parent.Kids, sc)
 	}
 
-	// Pass 1: parameters, then port signals, then net declarations.
+	// Pass 1: parameters (as the parser folded them), then port
+	// signals, then net declarations.
 	for _, it := range mod.Items {
-		pd, ok := it.(*verilog.ParamDecl)
-		if !ok {
-			continue
-		}
-		for i, pn := range pd.Names {
-			v, err := e.constExpr(sc, pd.Values[i])
-			if err != nil {
-				return nil, err
+		if pd, ok := it.(*verilog.ParamDecl); ok {
+			for i, pn := range pd.Names {
+				sc.Params[pn] = pd.Folded[i]
 			}
-			sc.Params[pn] = v
 		}
 	}
 	for _, port := range mod.Ports {
@@ -350,7 +347,7 @@ func (e *elaborator) addSignal(sc *Scope, name string, w, left, right int, kind 
 
 func (e *elaborator) addContAssign(sc *Scope, ca *verilog.ContAssign) error {
 	deps := map[*Signal]bool{}
-	if err := collectExprDeps(sc, ca.RHS, deps); err != nil {
+	if err := collectDeps(sc, ca.RHS, deps); err != nil {
 		return err
 	}
 	if err := collectLHSIndexDeps(sc, ca.LHS, deps); err != nil {
@@ -385,7 +382,7 @@ func (e *elaborator) addProc(sc *Scope, kind procKind, body verilog.Stmt, name s
 	p := &Proc{name: name, kind: kind, scope: sc, body: body, id: len(e.d.Procs)}
 	// Precompute @* sensitivity: every signal read by the body.
 	deps := map[*Signal]bool{}
-	if err := collectStmtDeps(sc, body, deps); err != nil {
+	if err := collectDeps(sc, body, deps); err != nil {
 		return err
 	}
 	for dep := range deps {
@@ -441,7 +438,7 @@ func (e *elaborator) addInstance(sc *Scope, inst *verilog.Instance) error {
 		switch port.Dir {
 		case verilog.PortInput:
 			deps := map[*Signal]bool{}
-			if err := collectExprDeps(sc, conn.Expr, deps); err != nil {
+			if err := collectDeps(sc, conn.Expr, deps); err != nil {
 				return err
 			}
 			expr := conn.Expr
@@ -492,75 +489,6 @@ func (e *elaborator) addInstance(sc *Scope, inst *verilog.Instance) error {
 	return nil
 }
 
-// constExpr folds a constant expression using the scope's parameters.
-func (e *elaborator) constExpr(sc *Scope, expr verilog.Expr) (int64, error) {
-	switch v := expr.(type) {
-	case *verilog.Number:
-		if v.B != 0 {
-			return 0, &ElabError{Where: sc.Name, Msg: "x/z in constant expression"}
-		}
-		return int64(v.A), nil
-	case *verilog.Ident:
-		if val, ok := sc.Params[v.Name]; ok {
-			return val, nil
-		}
-		return 0, &ElabError{Where: sc.Name, Msg: fmt.Sprintf("%q is not a parameter", v.Name)}
-	case *verilog.Unary:
-		x, err := e.constExpr(sc, v.X)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "-":
-			return -x, nil
-		case "+":
-			return x, nil
-		case "~":
-			return ^x, nil
-		case "!":
-			if x == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		}
-	case *verilog.Binary:
-		x, err := e.constExpr(sc, v.X)
-		if err != nil {
-			return 0, err
-		}
-		y, err := e.constExpr(sc, v.Y)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "+":
-			return x + y, nil
-		case "-":
-			return x - y, nil
-		case "*":
-			return x * y, nil
-		case "/":
-			if y != 0 {
-				return x / y, nil
-			}
-		case "<<":
-			return x << uint(y&63), nil
-		case ">>":
-			return int64(uint64(x) >> uint(y&63)), nil
-		}
-	case *verilog.Ternary:
-		c, err := e.constExpr(sc, v.Cond)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return e.constExpr(sc, v.TrueE)
-		}
-		return e.constExpr(sc, v.FalseE)
-	}
-	return 0, &ElabError{Where: sc.Name, Msg: "unsupported constant expression"}
-}
-
 // checkLValue verifies that an expression has lvalue shape.
 func checkLValue(e verilog.Expr) error {
 	switch v := e.(type) {
@@ -581,74 +509,6 @@ func checkLValue(e verilog.Expr) error {
 	return fmt.Errorf("%T cannot be assigned", e)
 }
 
-// collectExprDeps records every signal read by e into deps.
-func collectExprDeps(sc *Scope, e verilog.Expr, deps map[*Signal]bool) error {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *verilog.Ident:
-		if _, isParam := sc.Params[v.Name]; isParam {
-			return nil
-		}
-		sig := sc.lookup(v.Name)
-		if sig == nil {
-			return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("unknown identifier %q", v.Name)}
-		}
-		deps[sig] = true
-		return nil
-	case *verilog.Number, *verilog.StringLit:
-		return nil
-	case *verilog.Unary:
-		return collectExprDeps(sc, v.X, deps)
-	case *verilog.Binary:
-		if err := collectExprDeps(sc, v.X, deps); err != nil {
-			return err
-		}
-		return collectExprDeps(sc, v.Y, deps)
-	case *verilog.Ternary:
-		if err := collectExprDeps(sc, v.Cond, deps); err != nil {
-			return err
-		}
-		if err := collectExprDeps(sc, v.TrueE, deps); err != nil {
-			return err
-		}
-		return collectExprDeps(sc, v.FalseE, deps)
-	case *verilog.Concat:
-		for _, p := range v.Parts {
-			if err := collectExprDeps(sc, p, deps); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *verilog.Repl:
-		if err := collectExprDeps(sc, v.Count, deps); err != nil {
-			return err
-		}
-		return collectExprDeps(sc, v.X, deps)
-	case *verilog.Index:
-		if err := collectExprDeps(sc, v.X, deps); err != nil {
-			return err
-		}
-		return collectExprDeps(sc, v.Idx, deps)
-	case *verilog.RangeSel:
-		if err := collectExprDeps(sc, v.X, deps); err != nil {
-			return err
-		}
-		if err := collectExprDeps(sc, v.MSB, deps); err != nil {
-			return err
-		}
-		return collectExprDeps(sc, v.LSB, deps)
-	case *verilog.SysFuncCall:
-		for _, a := range v.Args {
-			if err := collectExprDeps(sc, a, deps); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("unsupported expression %T", e)}
-}
-
 // collectLHSIndexDeps records signals read by index/range expressions on
 // the left-hand side (the target can move when they change).
 func collectLHSIndexDeps(sc *Scope, e verilog.Expr, deps map[*Signal]bool) error {
@@ -656,15 +516,15 @@ func collectLHSIndexDeps(sc *Scope, e verilog.Expr, deps map[*Signal]bool) error
 	case *verilog.Ident:
 		return nil
 	case *verilog.Index:
-		if err := collectExprDeps(sc, v.Idx, deps); err != nil {
+		if err := collectDeps(sc, v.Idx, deps); err != nil {
 			return err
 		}
 		return collectLHSIndexDeps(sc, v.X, deps)
 	case *verilog.RangeSel:
-		if err := collectExprDeps(sc, v.MSB, deps); err != nil {
+		if err := collectDeps(sc, v.MSB, deps); err != nil {
 			return err
 		}
-		if err := collectExprDeps(sc, v.LSB, deps); err != nil {
+		if err := collectDeps(sc, v.LSB, deps); err != nil {
 			return err
 		}
 		return collectLHSIndexDeps(sc, v.X, deps)
@@ -679,89 +539,39 @@ func collectLHSIndexDeps(sc *Scope, e verilog.Expr, deps map[*Signal]bool) error
 	return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("unsupported lvalue %T", e)}
 }
 
-// collectStmtDeps records every signal read anywhere in a statement —
-// the @* sensitivity approximation (slightly wider than the LRM's, which
-// is harmless: extra wakeups converge to the same values).
-func collectStmtDeps(sc *Scope, s verilog.Stmt, deps map[*Signal]bool) error {
-	switch v := s.(type) {
-	case nil:
-		return nil
-	case *verilog.Block:
-		for _, st := range v.Stmts {
-			if err := collectStmtDeps(sc, st, deps); err != nil {
-				return err
+// collectDeps records every signal read under n into deps. An
+// assignment target contributes only the signals its selects read (the
+// target moves when they change), and a delay contributes nothing. Over
+// a statement this is the @* sensitivity approximation (slightly wider
+// than the LRM's, which is harmless: extra wakeups converge to the same
+// values).
+func collectDeps(sc *Scope, n verilog.Node, deps map[*Signal]bool) error {
+	var err error
+	verilog.Inspect(n, func(n verilog.Node) bool {
+		if err != nil {
+			return false
+		}
+		switch v := n.(type) {
+		case *verilog.Ident:
+			if _, isParam := sc.Params[v.Name]; isParam {
+				return false
 			}
-		}
-		return nil
-	case *verilog.Assign:
-		if err := collectExprDeps(sc, v.RHS, deps); err != nil {
-			return err
-		}
-		return collectLHSIndexDeps(sc, v.LHS, deps)
-	case *verilog.If:
-		if err := collectExprDeps(sc, v.Cond, deps); err != nil {
-			return err
-		}
-		if err := collectStmtDeps(sc, v.Then, deps); err != nil {
-			return err
-		}
-		return collectStmtDeps(sc, v.Else, deps)
-	case *verilog.Case:
-		if err := collectExprDeps(sc, v.Expr, deps); err != nil {
-			return err
-		}
-		for _, item := range v.Items {
-			for _, e := range item.Exprs {
-				if err := collectExprDeps(sc, e, deps); err != nil {
-					return err
-				}
+			sig := sc.lookup(v.Name)
+			if sig == nil {
+				err = &ElabError{Where: sc.Name, Msg: fmt.Sprintf("unknown identifier %q", v.Name)}
+				return false
 			}
-			if err := collectStmtDeps(sc, item.Body, deps); err != nil {
-				return err
+			deps[sig] = true
+		case *verilog.Assign:
+			if err = collectDeps(sc, v.RHS, deps); err == nil {
+				err = collectLHSIndexDeps(sc, v.LHS, deps)
 			}
+			return false
+		case *verilog.DelayStmt:
+			err = collectDeps(sc, v.Body, deps)
+			return false
 		}
-		return nil
-	case *verilog.For:
-		if err := collectStmtDeps(sc, v.Init, deps); err != nil {
-			return err
-		}
-		if err := collectExprDeps(sc, v.Cond, deps); err != nil {
-			return err
-		}
-		if err := collectStmtDeps(sc, v.Step, deps); err != nil {
-			return err
-		}
-		return collectStmtDeps(sc, v.Body, deps)
-	case *verilog.While:
-		if err := collectExprDeps(sc, v.Cond, deps); err != nil {
-			return err
-		}
-		return collectStmtDeps(sc, v.Body, deps)
-	case *verilog.Repeat:
-		if err := collectExprDeps(sc, v.Count, deps); err != nil {
-			return err
-		}
-		return collectStmtDeps(sc, v.Body, deps)
-	case *verilog.Forever:
-		return collectStmtDeps(sc, v.Body, deps)
-	case *verilog.DelayStmt:
-		return collectStmtDeps(sc, v.Body, deps)
-	case *verilog.EventCtrlStmt:
-		for _, item := range v.Items {
-			if err := collectExprDeps(sc, item.Expr, deps); err != nil {
-				return err
-			}
-		}
-		return collectStmtDeps(sc, v.Body, deps)
-	case *verilog.SysCall:
-		for _, a := range v.Args {
-			if err := collectExprDeps(sc, a, deps); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *verilog.NullStmt:
-		return nil
-	}
-	return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("unsupported statement %T", s)}
+		return true
+	})
+	return err
 }

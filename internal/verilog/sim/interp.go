@@ -197,7 +197,7 @@ func (c *procCtx) exec(sc *Scope, st verilog.Stmt) {
 		} else {
 			for _, it := range v.Items {
 				deps := map[*Signal]bool{}
-				if err := collectExprDeps(sc, it.Expr, deps); err != nil {
+				if err := collectDeps(sc, it.Expr, deps); err != nil {
 					c.fail(err)
 				}
 				sw := &sensWait{edge: it.Edge, expr: it.Expr, sc: sc, last: c.evalMust(sc, it.Expr)}

@@ -783,6 +783,23 @@ endmodule`
 	}
 }
 
+// TestSimulatesEveryParsedParameter runs parameters folded with
+// operators (**, %, >) beyond the arithmetic core: the simulator reads
+// the values the parser folded, so whatever parses also elaborates.
+func TestSimulatesEveryParsedParameter(t *testing.T) {
+	src := `
+module tb;
+  parameter W = 2**3;
+  localparam M = W % 3;
+  localparam B = (W > 4);
+  initial $display("%0d %0d %0d", W, M, M + B);
+endmodule`
+	r := mustRun(t, src, "tb")
+	if got := strings.TrimSpace(r.Output); got != "8 2 3" {
+		t.Fatalf("output %q, want %q", got, "8 2 3")
+	}
+}
+
 func TestForeverClockWithDisableByFinish(t *testing.T) {
 	src := `
 module tb;
