@@ -160,7 +160,9 @@ cover:
 # *SyntaxError contract, the prefix-soundness invariant the grammar
 # oracle rests on, and verilog.Inspect visiting every node of each
 # tree it builds, checked against a reflection walk), the
-# draft-tree arena (insert/walk/longest-accepted-path invariants) and
+# draft-tree arena (insert/walk/longest-accepted-path invariants), the
+# lookup drafters' shared suffix-match scan (the linear and tree runs
+# equal the two loops it replaced, <bos> boundaries included), and
 # the BPE encoder (ids equal to the per-merge rescan it replaced,
 # Decode(Encode(s)) == s) and the [FRAG] segmenter (the lexer's
 # segmentation equal to the regexp segmenter it replaced),
@@ -174,6 +176,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/
+	$(GO) test -run '^$$' -fuzz FuzzLookupScan -fuzztime $(FUZZTIME) ./internal/core/spec/
 	$(GO) test -run '^$$' -fuzz FuzzEncode -fuzztime $(FUZZTIME) ./internal/tokenizer/
 	$(GO) test -run '^$$' -fuzz FuzzSegment -fuzztime $(FUZZTIME) ./internal/frag/
 

@@ -286,7 +286,7 @@ func main() {
 		logInfo("serving fleet", "replicas", n, "addr", *addr)
 	}
 
-	server := serve.NewBackendServer(backend).WithPprof(*pprofOn)
+	server := serve.NewServer(backend).WithPprof(*pprofOn)
 	if *traceOn {
 		server = server.WithTracer(trace.New(trace.Config{}))
 	}

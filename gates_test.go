@@ -1,6 +1,9 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -152,4 +155,134 @@ func funcs(t *testing.T, kind string, pkgs []string) []string {
 		}
 	}
 	return names
+}
+
+// testOnlyAllowed lists the declarations TestNoTestOnlyExports lets
+// stand with no non-test caller, each with its reason. A key is the
+// declaring package's directory and the name, with the receiver type
+// for a method; a directory alone allows its whole package.
+var testOnlyAllowed = map[string]string{
+	"internal/verilog.CheckPrefix":          "the grammar oracle's reference semantics (TestCheckMatchesCheckPrefix)",
+	"internal/promtest":                     "a package of test helpers for other packages' tests",
+	"internal/model.NewDist":                "builds fixtures in other packages' tests",
+	"internal/model.NewForward":             "builds fixtures in other packages' tests",
+	"internal/core/spec/tree.Tree.Validate": "the arena invariant other packages' tests assert",
+	"internal/tokenizer.UnkID":              "a reserved id: the vocabulary's first ids are fixed",
+	"internal/verilog/sim.eventHeap.Swap":   "part of heap.Interface, called by container/heap",
+}
+
+// TestNoTestOnlyExports keeps the production surface what production
+// calls. A go/parser name scan over the module: every exported name
+// declared outside benchmark/ (function, method, type, variable or
+// constant) must be referenced by some non-test file of the module,
+// and every unexported package-level name by some non-test file of its
+// own package. A reference inside the name's own declaration (a
+// recursive call, a self-referential type) does not count. The match
+// is by name alone, so it is conservative: a method shares its name
+// with every field and method of that spelling. What only tests need
+// belongs in the package's export_test.go.
+func TestNoTestOnlyExports(t *testing.T) {
+	type decl struct{ dir, key, name string }
+	var decls []decl
+	used := map[string]bool{}  // exported names referenced by non-test code
+	local := map[string]bool{} // dir + "." + name, referenced in dir
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		scan := func(n ast.Node, self ...*ast.Ident) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || slices.ContainsFunc(self, func(s *ast.Ident) bool { return s.Name == id.Name }) {
+					return true
+				}
+				used[id.Name] = true
+				local[dir+"."+id.Name] = true
+				return true
+			})
+		}
+		declare := func(id *ast.Ident, recv string) {
+			if id.Name == "_" || id.Name == "init" || id.Name == "main" || strings.HasPrefix(dir, "benchmark") {
+				return
+			}
+			key := dir + "." + id.Name
+			if recv != "" {
+				key = dir + "." + recv + "." + id.Name
+			}
+			decls = append(decls, decl{dir, key, id.Name})
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				recv := ""
+				if d.Recv != nil {
+					typ := d.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					if idx, ok := typ.(*ast.IndexExpr); ok {
+						typ = idx.X
+					}
+					recv = typ.(*ast.Ident).Name
+				}
+				declare(d.Name, recv)
+				scan(d, d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declare(s.Name, "")
+						scan(s, s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declare(id, "")
+						}
+						scan(s, s.Names...)
+					default:
+						scan(s)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{} // the allowlist entries some declaration needs
+	for _, d := range decls {
+		if ast.IsExported(d.name) && used[d.name] || !ast.IsExported(d.name) && local[d.dir+"."+d.name] {
+			continue
+		}
+		switch {
+		case testOnlyAllowed[d.key] != "":
+			allowed[d.key] = true
+		case testOnlyAllowed[d.dir] != "":
+			allowed[d.dir] = true
+		case ast.IsExported(d.name):
+			t.Errorf("%s is exported but no non-test code references it", d.key)
+		default:
+			t.Errorf("%s has no non-test reference in its package", d.key)
+		}
+	}
+	for key := range testOnlyAllowed {
+		if !allowed[key] {
+			t.Errorf("allowlist entry %s is stale: nothing it names lacks a non-test reference", key)
+		}
+	}
 }

@@ -38,7 +38,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,9 +80,6 @@ type Replica struct {
 	routed atomic.Uint64 // requests routed here
 	stolen atomic.Uint64 // requests decoded here that were routed elsewhere
 }
-
-// Name returns the replica's identity.
-func (r *Replica) Name() string { return r.name }
 
 // Engine exposes the replica's engine (tests read its metrics
 // directly).
@@ -159,9 +155,6 @@ func New(specs []ReplicaSpec, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Replicas returns the fleet members in construction order.
-func (f *Fleet) Replicas() []*Replica { return slices.Clone(f.replicas) }
-
 // Close drains and stops every replica engine.
 func (f *Fleet) Close() {
 	for _, r := range f.replicas {
@@ -224,15 +217,9 @@ func (f *Fleet) generate(ctx context.Context, req serve.Request, wait bool) (*se
 	return f.send(ctx, req, r, wait)
 }
 
-// GenerateBatch serves the items concurrently, each on the
-// single-request path, and returns responses index-for-index with
-// per-item failures on Response.Err.
-func (f *Fleet) GenerateBatch(ctx context.Context, reqs []serve.Request) []*serve.Response {
-	return f.generateBatch(ctx, reqs, true)
-}
-
-// TryGenerateBatch implements serve.Backend: GenerateBatch with
-// fail-fast backpressure per item.
+// TryGenerateBatch implements serve.Backend: it serves the items
+// concurrently, each on the fail-fast single-request path, and returns
+// responses index-for-index with per-item failures on Response.Err.
 func (f *Fleet) TryGenerateBatch(ctx context.Context, reqs []serve.Request) []*serve.Response {
 	return f.generateBatch(ctx, reqs, false)
 }

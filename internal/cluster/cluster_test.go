@@ -117,7 +117,7 @@ func TestPrefixAffinityConcentrates(t *testing.T) {
 		}
 	}
 	nonzero := 0
-	for _, r := range f.Replicas() {
+	for _, r := range f.replicas {
 		if r.routed.Load() > 0 {
 			nonzero++
 			if got := r.routed.Load(); got != 6 {
@@ -215,7 +215,7 @@ func TestModelRouting(t *testing.T) {
 			t.Errorf("engine on %q: err=%v, want ErrUnknownModel", tc.name, err)
 		}
 	}
-	for _, r := range f.Replicas() {
+	for _, r := range f.replicas {
 		if got := r.routed.Load(); got != 2 {
 			t.Errorf("replica %s routed %d requests, want 2 (its two spellings)", r.name, got)
 		}
@@ -401,7 +401,7 @@ func TestBatchRoutesAndReassembles(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = serve.Request{Prompt: prompts[i%6], Options: testOptions(int64(i))}
 	}
-	resps := f.GenerateBatch(context.Background(), reqs)
+	resps := f.generateBatch(context.Background(), reqs, true)
 	dec := core.NewDecoder(m)
 	for i, resp := range resps {
 		if resp.Err != nil {
@@ -413,7 +413,7 @@ func TestBatchRoutesAndReassembles(t *testing.T) {
 		}
 	}
 	var routed uint64
-	for _, r := range f.Replicas() {
+	for _, r := range f.replicas {
 		routed += r.routed.Load()
 	}
 	if routed != 12 {

@@ -92,9 +92,9 @@ func TestDebugSurfaceFleetRequest(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 2, firstRouter{}, serve.Config{Workers: 1, CacheSize: -1})
 	tracer := trace.New(trace.Config{})
-	ts := httptest.NewServer(serve.NewBackendServer(f).WithTracer(tracer).Handler())
+	ts := httptest.NewServer(serve.NewServer(f).WithTracer(tracer).Handler())
 	defer ts.Close()
-	routed := f.Replicas()[0].Name()
+	routed := f.replicas[0].name
 
 	const id = "e2e-fleet-request"
 	out, resp := postGen(t, ts.URL, id, prompts[1], 1)

@@ -27,7 +27,7 @@ func TestFleetHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(serve.NewBackendServer(f).Handler())
+	srv := httptest.NewServer(serve.NewServer(f).Handler())
 	t.Cleanup(func() {
 		srv.Close()
 		f.Close()

@@ -22,7 +22,7 @@ import (
 func TestFleetPrometheusExpositionWellFormed(t *testing.T) {
 	_, prompts := fixture(t)
 	f := newFleet(t, 2, nil, serve.Config{Workers: 1, CacheSize: 8})
-	ts := httptest.NewServer(serve.NewBackendServer(f).WithTracer(trace.New(trace.Config{})).Handler())
+	ts := httptest.NewServer(serve.NewServer(f).WithTracer(trace.New(trace.Config{})).Handler())
 	defer ts.Close()
 
 	for seed := int64(0); seed < 3; seed++ {

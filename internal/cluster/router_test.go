@@ -17,7 +17,7 @@ import (
 // affinity independent of how a replica list was assembled).
 func TestRendezvousDeterministicAndOrderIndependent(t *testing.T) {
 	f := newFleet(t, 5, nil, serve.Config{Workers: 1, CacheSize: -1})
-	reps := f.Replicas()
+	reps := f.replicas
 	router := prefixAffinity{}
 	perms := [][]int{
 		{0, 1, 2, 3, 4},
@@ -32,7 +32,7 @@ func TestRendezvousDeterministicAndOrderIndependent(t *testing.T) {
 			for i, p := range perm {
 				cands[i] = reps[p]
 			}
-			got := router.Pick(key, cands).Name()
+			got := router.Pick(key, cands).name
 			if want == "" {
 				want = got
 			}
@@ -41,9 +41,9 @@ func TestRendezvousDeterministicAndOrderIndependent(t *testing.T) {
 			}
 		}
 		// Determinism across repeated calls.
-		cands := f.Replicas()
+		cands := f.replicas
 		if a, b := router.Pick(key, cands), router.Pick(key, cands); a != b {
-			t.Errorf("key %q: repeated picks disagree (%s vs %s)", key, a.Name(), b.Name())
+			t.Errorf("key %q: repeated picks disagree (%s vs %s)", key, a.name, b.name)
 		}
 	}
 }
@@ -55,8 +55,8 @@ func TestRendezvousScoreTies(t *testing.T) {
 	// Same name → identical score by construction; first occurrence
 	// must win for every key, whichever twin comes first.
 	f := newFleet(t, 2, nil, serve.Config{Workers: 1, CacheSize: -1})
-	r := f.Replicas()[0]
-	twin := &Replica{name: r.Name()}
+	r := f.replicas[0]
+	twin := &Replica{name: r.name}
 	router := prefixAffinity{}
 	for _, key := range []string{"", "a", "tie-break"} {
 		if got := router.Pick(key, []*Replica{r, twin}); got != r {
@@ -80,7 +80,7 @@ func TestAffinityIgnoresLoad(t *testing.T) {
 	for _, w := range faults {
 		w.on.Store(true)
 	}
-	reps := f.Replicas()
+	reps := f.replicas
 	router := prefixAffinity{}
 	keys := []string{"a", "b", "c", "d", "e", "f"}
 	before := make([]*Replica, len(keys))
@@ -105,7 +105,7 @@ func TestAffinityIgnoresLoad(t *testing.T) {
 	})
 	for i, key := range keys {
 		if got := router.Pick(key, reps); got != before[i] {
-			t.Errorf("key %q: replica %s lost its key to %s under a backlog", key, before[i].Name(), got.Name())
+			t.Errorf("key %q: replica %s lost its key to %s under a backlog", key, before[i].name, got.name)
 		}
 	}
 	cancel()

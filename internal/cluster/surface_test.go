@@ -152,7 +152,7 @@ func currentSurface(t *testing.T) []string {
 	lines := scrapeSurface(t, "engine", es.URL)
 
 	f := newFleet(t, 2, &roundRobinRouter{}, engCfg)
-	fs := httptest.NewServer(serve.NewBackendServer(f).WithTracer(trace.New(trace.Config{})).Handler())
+	fs := httptest.NewServer(serve.NewServer(f).WithTracer(trace.New(trace.Config{})).Handler())
 	defer fs.Close()
 	for i := 0; i < 2*len(surfaceStrategies); i++ {
 		if code := post(fs.URL, i); code != http.StatusOK {

@@ -1,6 +1,10 @@
 package spec
 
-import "repro/internal/tokenizer"
+import (
+	"slices"
+
+	"repro/internal/tokenizer"
+)
 
 // NoDraft proposes nothing: the strategy decodes one token per forward
 // pass (conventional NTP decoding).
@@ -77,51 +81,50 @@ func (dc DraftCtx) sequence() []int {
 	return append(seq, dc.Prefix...)
 }
 
-// lookupRun finds the longest suffix of seq (capped at maxLookupSuffix)
-// that re-occurs earlier in seq, preferring the most recent occurrence,
-// and returns up to maxSpan historical tokens that followed it.
-func lookupRun(seq []int, minMatch, maxSpan int) []int {
+// lookupScan is the one suffix-match scan both lookup drafters draft
+// from. It matches suffixes of seq (the current suffix includes the
+// just-sampled base token) against seq's history: suffix lengths
+// longest-first, from maxLookupSuffix down to minMatch, and within a
+// length, match ends newest-first, so the first occurrence is the
+// longest, most recent one. For each occurrence it calls yield with
+// the up to maxSpan tokens that followed it, cut at the first
+// historical <bos> (a boundary lookahead must not cross), and stops
+// when yield returns false. A run aliases seq, so yield must not
+// write to it.
+func lookupScan(seq []int, minMatch, maxSpan int, yield func(run []int) bool) {
 	n := len(seq)
 	if n < minMatch+minLookupHistory {
-		return nil
+		return
 	}
-	maxK := maxLookupSuffix
-	if maxK > n-1 {
-		maxK = n - 1
-	}
-	for k := maxK; k >= minMatch; k-- {
+	for k := min(maxLookupSuffix, n-1); k >= minMatch; k-- {
 		suffix := seq[n-k:]
 		// j is the match end; j <= n-2 keeps at least one continuation
-		// token of history, and scanning downward prefers recency.
+		// token of history. Most ends differ from the suffix's last
+		// token, so that test rejects them before the full compare.
 		for j := n - 2; j >= k-1; j-- {
-			match := true
-			for x := 0; x < k; x++ {
-				if seq[j-k+1+x] != suffix[x] {
-					match = false
-					break
-				}
-			}
-			if !match {
+			if seq[j] != seq[n-1] || !slices.Equal(seq[j-k+1:j+1], suffix) {
 				continue
 			}
-			end := j + 1 + maxSpan
-			if end > n {
-				end = n
+			end := min(j+1+maxSpan, n)
+			if b := slices.Index(seq[j+1:end], tokenizer.BosID); b >= 0 {
+				end = j + 1 + b
 			}
-			run := make([]int, 0, end-j-1)
-			for _, id := range seq[j+1 : end] {
-				// Never re-propose sequence machinery: a historical
-				// <bos> marks a boundary lookahead must not cross.
-				if id == tokenizer.BosID {
-					break
-				}
-				run = append(run, id)
+			if !yield(seq[j+1 : end : end]) {
+				return
 			}
-			if len(run) == 0 {
-				return nil
-			}
-			return run
 		}
 	}
-	return nil
+}
+
+// lookupRun is the linear draft: the continuation of the scan's first
+// occurrence, or nil when that continuation is empty.
+func lookupRun(seq []int, minMatch, maxSpan int) (run []int) {
+	lookupScan(seq, minMatch, maxSpan, func(r []int) bool {
+		run = r
+		return false
+	})
+	if len(run) == 0 {
+		return nil
+	}
+	return run
 }

@@ -37,9 +37,6 @@ type Context struct {
 	lastClosedCtrl string // "if"/"for"/"while"/"repeat"/"@" when the last token closed that group's '('
 }
 
-// Depth returns the number of open constructs.
-func (c Context) Depth() int { return len(c.stack) }
-
 // opens maps opening keywords to their closers.
 var opens = map[string]string{
 	"module":   "endmodule",

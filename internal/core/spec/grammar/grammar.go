@@ -34,8 +34,8 @@ type Step struct {
 	base      string
 	tailStart int // byte offset the unstable tail begins at
 	stable    []verilog.Token
-	enabled   bool
-	ctx       Context
+	enabled   bool    // base is a viable prefix; else Check passes everything and Constructs proposes nothing
+	ctx       Context // partial-parse context scanned from the stable tokens
 	memo      map[string]verilog.PrefixStatus
 	scratch   []verilog.Token
 }
@@ -73,18 +73,6 @@ func Begin(base string) *Step {
 	s.ctx = scanContext(pl.Toks)
 	return s
 }
-
-// Enabled reports whether the oracle classified its base as a viable
-// prefix. When false, Check passes everything and Constructs proposes
-// nothing.
-func (s *Step) Enabled() bool { return s.enabled }
-
-// Base returns the base text the step was created over.
-func (s *Step) Base() string { return s.base }
-
-// Context returns the partial-parse context scanned from the stable
-// token stream (nesting, ports, clock/reset nets, header position).
-func (s *Step) Context() Context { return s.ctx }
 
 // Check classifies base+ext as a prefix of a parsable source file,
 // re-lexing only the unstable tail plus ext. Results are memoized per

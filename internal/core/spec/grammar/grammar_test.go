@@ -33,11 +33,11 @@ func TestCheckMatchesCheckPrefix(t *testing.T) {
 			for _, ext := range probes {
 				got := s.Check(ext)
 				want := verilog.CheckPrefix(src[:cut] + ext)
-				if s.Enabled() && got != want {
+				if s.enabled && got != want {
 					t.Fatalf("%s cut %d ext %q: Step.Check=%v CheckPrefix=%v\nbase tail: %q",
 						p.ID, cut, ext, got, want, tail(src[:cut], 40))
 				}
-				if !s.Enabled() && got != verilog.PrefixValid {
+				if !s.enabled && got != verilog.PrefixValid {
 					t.Fatalf("%s cut %d: disabled oracle pruned %q", p.ID, cut, ext)
 				}
 			}
@@ -68,7 +68,7 @@ func TestBeginDisables(t *testing.T) {
 		"module m; assign = a; x", // interior parse error
 	} {
 		s := Begin(base)
-		if s.Enabled() {
+		if s.enabled {
 			t.Errorf("Begin(%q): oracle enabled on a doomed base", base)
 		}
 		if st := s.Check(" anything"); st != verilog.PrefixValid {
@@ -79,7 +79,7 @@ func TestBeginDisables(t *testing.T) {
 		}
 	}
 	for _, base := range []string{"", "module", "module m; alw", "module m; /* note"} {
-		if s := Begin(base); !s.Enabled() {
+		if s := Begin(base); !s.enabled {
 			t.Errorf("Begin(%q): oracle disabled on a viable base", base)
 		}
 	}
@@ -89,25 +89,25 @@ func TestScanContext(t *testing.T) {
 	base := "module counter(input clk, input rst_n, output reg [3:0] q);\n" +
 		"    always @(posedge clk) begin\n        if (rst_n) q <= 4'd0;\n"
 	s := Begin(base)
-	if !s.Enabled() {
+	if !s.enabled {
 		t.Fatal("oracle disabled on a viable base")
 	}
-	c := s.Context()
+	c := s.ctx
 	if c.Clock != "clk" || c.Reset != "rst_n" {
 		t.Errorf("clock/reset = %q/%q, want clk/rst_n", c.Clock, c.Reset)
 	}
 	if want := []string{"clk", "rst_n", "q"}; strings.Join(c.Ports, ",") != strings.Join(want, ",") {
 		t.Errorf("ports = %v, want %v", c.Ports, want)
 	}
-	if c.Depth() != 2 { // module + begin
-		t.Errorf("depth = %d, want 2", c.Depth())
+	if len(c.stack) != 2 { // module + begin
+		t.Errorf("depth = %d, want 2", len(c.stack))
 	}
 	if c.InHeader {
 		t.Error("InHeader after the header closed")
 	}
 
 	h := Begin("module m(input a, ")
-	if hc := h.Context(); !hc.InHeader {
+	if hc := h.ctx; !hc.InHeader {
 		t.Error("InHeader not detected inside the port list")
 	}
 
@@ -136,7 +136,7 @@ func TestConstructs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		s := Begin(tc.base)
-		if !s.Enabled() {
+		if !s.enabled {
 			t.Fatalf("%s: oracle disabled", tc.name)
 		}
 		cs := s.Constructs()

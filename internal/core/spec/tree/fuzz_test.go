@@ -27,7 +27,7 @@ func FuzzDraftTree(f *testing.F) {
 		}
 		tr := New(budget)
 		for i := 0; i+1 < len(data); i += 2 {
-			parent := int(data[i]) % tr.Len()
+			parent := int(data[i]) % len(tr.nodes)
 			token := int(data[i+1])
 			id, added := tr.Add(parent, token, OriginHead)
 			if added {

@@ -99,9 +99,6 @@ func New(budget int) *Tree {
 	return t
 }
 
-// Len returns the node count including the root sentinel.
-func (t *Tree) Len() int { return len(t.nodes) }
-
 // DraftNodes returns the number of draft proposals (root excluded) —
 // the node-budget numerator the serving metrics report.
 func (t *Tree) DraftNodes() int { return len(t.nodes) - 1 }
@@ -177,15 +174,6 @@ func (t *Tree) PathTokens(id int, buf []int) []int {
 		buf[l], buf[r] = buf[r], buf[l]
 	}
 	return buf
-}
-
-// Walk visits every node except the root in index order (parents before
-// children, insertion order within a level's parent). It exists for
-// audits, dumps and the fuzz harness.
-func (t *Tree) Walk(fn func(id int, n Node)) {
-	for i := 1; i < len(t.nodes); i++ {
-		fn(i, t.nodes[i])
-	}
 }
 
 // Validate checks the arena invariants — parent precedes child, depth

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/core/spec/grammar"
@@ -215,72 +216,21 @@ func growHeads(t *tree.Tree, heads model.Forward, topK int, oracle *grammar.Step
 	}
 }
 
-// lookupRuns is the multi-match generalization of lookupRun: it scans
-// suffix lengths longest-first and, within a length, occurrences
-// newest-first — the order of the linear scan, so whenever lookupRun
-// returns a run, that run is runs[0] — collecting up to maxBranches
-// distinct continuation runs. The one divergence is deliberate: an
-// occurrence with an empty continuation (its history is all <bos>
-// boundary) makes lookupRun abort the whole search, while this scan
-// skips it and keeps looking — the tree may draft where linear gives
-// up, never the reverse.
-func lookupRuns(seq []int, minMatch, maxSpan, maxBranches int) [][]int {
-	n := len(seq)
-	if n < minMatch+minLookupHistory {
-		return nil
-	}
-	maxK := maxLookupSuffix
-	if maxK > n-1 {
-		maxK = n - 1
-	}
-	var runs [][]int
-	seen := map[string]bool{}
-	for k := maxK; k >= minMatch && len(runs) < maxBranches; k-- {
-		suffix := seq[n-k:]
-		for j := n - 2; j >= k-1 && len(runs) < maxBranches; j-- {
-			match := true
-			for x := 0; x < k; x++ {
-				if seq[j-k+1+x] != suffix[x] {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			end := j + 1 + maxSpan
-			if end > n {
-				end = n
-			}
-			run := make([]int, 0, end-j-1)
-			for _, id := range seq[j+1 : end] {
-				if id == tokenizer.BosID {
-					break
-				}
-				run = append(run, id)
-			}
-			if len(run) == 0 {
-				continue
-			}
-			key := runKey(run)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
+// lookupRuns is the tree's lookup half: the first maxBranches distinct
+// non-empty continuations of the scan, in its order, so whenever
+// lookupRun returns a run, that run is runs[0]. The one divergence is
+// deliberate: an occurrence with an empty continuation (its history is
+// all <bos> boundary) makes lookupRun give up, while this scan skips it
+// and keeps looking — the tree may draft where linear gives up, never
+// the reverse.
+func lookupRuns(seq []int, minMatch, maxSpan, maxBranches int) (runs [][]int) {
+	lookupScan(seq, minMatch, maxSpan, func(run []int) bool {
+		if len(run) > 0 && !slices.ContainsFunc(runs, func(r []int) bool { return slices.Equal(r, run) }) {
 			runs = append(runs, run)
 		}
-	}
+		return len(runs) < maxBranches
+	})
 	return runs
-}
-
-// runKey spells a run for dedup (token ids are small; a byte-ish string
-// key beats hashing maps of slices).
-func runKey(run []int) string {
-	b := make([]byte, 0, len(run)*3)
-	for _, id := range run {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16))
-	}
-	return string(b)
 }
 
 // beginOracle decodes the generated region (everything after the

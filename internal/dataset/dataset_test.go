@@ -143,10 +143,11 @@ func TestDescribe(t *testing.T) {
   always @(posedge clk) dout <= din;
 endmodule
 `
-	desc, err := Describe(src)
+	f, err := verilog.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	desc := describe(f, src)
 	for _, want := range []string{"widget", "8-bit din", "8-bit dout", "clocked"} {
 		if !strings.Contains(desc, want) {
 			t.Errorf("description missing %q: %s", want, desc)

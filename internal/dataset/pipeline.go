@@ -10,7 +10,9 @@ import (
 	"repro/internal/verilog"
 )
 
-// CorpusOptions controls synthetic corpus generation.
+// CorpusOptions controls synthetic corpus generation. The noise the
+// raw files carry for the refinement stages is fixed: dupFraction and
+// junkFiles.
 type CorpusOptions struct {
 	// Seed drives all randomness (corpus generation is deterministic).
 	Seed int64
@@ -18,24 +20,21 @@ type CorpusOptions struct {
 	// refinement (the paper's 136,134; default 13,600 — a 1/10-scale
 	// corpus that trains in seconds while preserving family coverage).
 	Items int
-	// DupFraction injects exact duplicates into the raw files to
-	// exercise the MinHash deduplication stage (GitHub scrapes are full
-	// of vendored copies). Default 0.08.
-	DupFraction float64
-	// JunkFiles injects comment-only and truncated files to exercise
-	// the filtering stages. Default 0.05 of file count.
-	JunkFiles float64
 }
+
+// The raw files carry injected noise for the refinement stages to
+// remove: exact duplicates of a dupFraction of the items, for the
+// MinHash deduplication stage (GitHub scrapes are full of vendored
+// copies), and comment-only or truncated files, junkFiles of the file
+// count, for the filtering stages.
+const (
+	dupFraction = 0.08
+	junkFiles   = 0.05
+)
 
 func (o CorpusOptions) withDefaults() CorpusOptions {
 	if o.Items == 0 {
 		o.Items = 13600
-	}
-	if o.DupFraction == 0 {
-		o.DupFraction = 0.08
-	}
-	if o.JunkFiles == 0 {
-		o.JunkFiles = 0.05
 	}
 	return o
 }
@@ -100,7 +99,7 @@ func GenerateRaw(opts CorpusOptions) ([]string, map[string]string, Stats) {
 	for _, it := range items {
 		cur.WriteString(it.Code)
 		cur.WriteString("\n")
-		if r.Float64() < opts.DupFraction {
+		if r.Float64() < dupFraction {
 			cur.WriteString(it.Code) // vendored duplicate
 			cur.WriteString("\n")
 		}
@@ -112,7 +111,7 @@ func GenerateRaw(opts CorpusOptions) ([]string, map[string]string, Stats) {
 	flush()
 
 	// Junk files: comment-only and truncated modules.
-	junk := int(float64(len(files)) * opts.JunkFiles)
+	junk := int(float64(len(files)) * junkFiles)
 	for i := 0; i < junk; i++ {
 		if i%2 == 0 {
 			files = append(files, "// placeholder file\n// nothing but comments here\n// (c) 2024\n")
@@ -197,19 +196,10 @@ func moduleNameOf(src string) string {
 	return rest
 }
 
-// Describe is the GPT-4 substitute: it generates a structural
-// functional description from the parsed module interface (name, port
-// directions and widths) plus coarse behavioural cues (clocked vs
-// combinational, presence of case/if structure).
-func Describe(src string) (string, error) {
-	f, err := verilog.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return describe(f, src), nil
-}
-
-// describe is Describe of src parsed as f.
+// describe is the GPT-4 substitute: it generates a structural
+// functional description of src, parsed as f, from the module
+// interface (name, port directions and widths) plus coarse behavioural
+// cues (clocked vs combinational, presence of case/if structure).
 func describe(f *verilog.SourceFile, src string) string {
 	m := f.Modules[0]
 	var ins, outs []string

@@ -23,7 +23,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -55,8 +54,6 @@ type Setup struct {
 	Temps []float64
 	// SpeedPrompts is the prompt count for Table II (paper: 575).
 	SpeedPrompts int
-	// Workers caps evaluation parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Default returns the full-scale setup used by cmd/evalbench.
@@ -83,13 +80,6 @@ func Quick() Setup {
 		Temps:          []float64{0.4},
 		SpeedPrompts:   24,
 	}
-}
-
-func (s Setup) workers() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Schemes compared everywhere, in the paper's column order. Each is
@@ -195,7 +185,7 @@ func (r *Runner) Stats() dataset.Stats { return r.stats }
 // disabled: every decode must pay its simulated cost, and no schedule
 // here repeats a (prompt, options) pair anyway.
 func (r *Runner) decode(m *model.Model, reqs []serve.Request) []*serve.Response {
-	eng := serve.NewEngine(m, serve.Config{Workers: r.setup.workers(), CacheSize: -1})
+	eng := serve.NewEngine(m, serve.Config{CacheSize: -1})
 	defer eng.Close()
 	resps := eng.GenerateBatch(context.Background(), reqs)
 	for _, resp := range resps {

@@ -175,16 +175,6 @@ func (s *Source) Encode(tk *tokenizer.Tokenizer) []int {
 	return tk.AppendEncode(out, s.src[last:])
 }
 
-// InsertFrags parses src and returns it with every significant token
-// wrapped in [FRAG] markers (see Source.Annotated).
-func InsertFrags(src string) (string, error) {
-	s, err := Analyze(src)
-	if err != nil {
-		return "", err
-	}
-	return s.Annotated(), nil
-}
-
 // EncodeWithFrags parses src and tokenizes it with [FRAG] markers (see
 // Source.Encode) — the id-level form used to build training labels and
 // to drive the decoder's integrity check. It shares no state between
@@ -196,17 +186,4 @@ func EncodeWithFrags(tk *tokenizer.Tokenizer, src string) ([]int, error) {
 		return nil, err
 	}
 	return s.Encode(tk), nil
-}
-
-// StripFrags removes FragID markers from a token sequence (the cleanup
-// applied to decoder output before evaluation).
-func StripFrags(ids []int) []int {
-	out := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if id == tokenizer.FragID {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
 }

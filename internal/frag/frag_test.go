@@ -57,10 +57,11 @@ func TestSignificantTokens(t *testing.T) {
 }
 
 func TestInsertFragsShape(t *testing.T) {
-	out, err := InsertFrags(dataRegisterSrc)
+	s, err := Analyze(dataRegisterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := s.Annotated()
 	for _, want := range []string{
 		"[FRAG]module[FRAG]",
 		"[FRAG]data_register[FRAG]",
@@ -70,7 +71,7 @@ func TestInsertFragsShape(t *testing.T) {
 		"[FRAG]endmodule[FRAG]",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("InsertFrags output missing %q\n%s", want, out)
+			t.Errorf("Annotated output missing %q\n%s", want, out)
 		}
 	}
 	// Removing markers must reproduce the original source.
@@ -160,9 +161,6 @@ func TestEncodeWithFragsRoundtrip(t *testing.T) {
 	}
 	if got := tk.DecodeClean(ids); got != dataRegisterSrc {
 		t.Fatalf("DecodeClean mismatch:\n%q", got)
-	}
-	if got := tk.Decode(StripFrags(ids)); got != dataRegisterSrc {
-		t.Fatalf("StripFrags mismatch:\n%q", got)
 	}
 }
 

@@ -128,3 +128,37 @@ func (e *exactContexts) see(ctx []int, seed uint64) {
 		node = next
 	}
 }
+
+// Len reports the current number of cached sessions.
+func (c *TrieCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
+}
+
+// Bytes reports the cache's estimated retained memory.
+func (c *TrieCache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
+// Walk visits every session-bearing node as (prefix token ids, session):
+// the concurrency soak re-derives each node's prefix and checks the
+// stored session against a fresh build. The
+// callback runs under the cache lock; it must not call back in.
+func (c *TrieCache) Walk(fn func(prefix []int, g *Gen)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var rec func(n *trieNode, prefix []int)
+	rec = func(n *trieNode, prefix []int) {
+		prefix = append(prefix, n.span...)
+		if n.gen != nil {
+			fn(append([]int(nil), prefix...), n.gen)
+		}
+		for _, child := range n.children {
+			rec(child, prefix)
+		}
+	}
+	rec(c.root, nil)
+}

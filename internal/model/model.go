@@ -650,16 +650,6 @@ func isContentOrCodePunct(text string) bool {
 // isWhitespaceTok reports whether a token is pure whitespace.
 func isWhitespaceTok(text string) bool { return strings.TrimSpace(text) == "" }
 
-// allDigits reports whether s consists solely of decimal digits.
-func allDigits(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return len(s) > 0
-}
-
 // isContentToken reports whether a token piece carries identifier-like
 // content (worth copy-boosting). Whitespace and punctuation are not.
 func isContentToken(text string) bool {

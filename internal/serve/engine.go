@@ -269,9 +269,6 @@ func NewGroup(m *model.Model, cfgs ...Config) []*Engine {
 	return g.members
 }
 
-// Model exposes the engine's model (the HTTP layer reports its name).
-func (e *Engine) Model() *model.Model { return e.m }
-
 // Workers reports the worker goroutine count.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 

@@ -73,14 +73,9 @@ type Server struct {
 	pprof   bool
 }
 
-// NewServer wraps a single engine for HTTP serving.
-func NewServer(e *Engine) *Server {
-	return NewBackendServer(e)
-}
-
-// NewBackendServer wraps any Backend (an Engine or a cluster.Fleet)
-// for HTTP serving.
-func NewBackendServer(b Backend) *Server {
+// NewServer wraps a Backend (an Engine or a cluster.Fleet) for HTTP
+// serving.
+func NewServer(b Backend) *Server {
 	return &Server{backend: b, start: time.Now()}
 }
 
@@ -105,9 +100,6 @@ func (s *Server) WithPprof(on bool) *Server {
 	s.pprof = on
 	return s
 }
-
-// Tracer exposes the server's tracer (nil when tracing is off).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // Handler returns the route mux, wrapped in the request-ID/logging
 // middleware so every response path — including 503 backpressure —

@@ -61,7 +61,7 @@ func TestServerSingleGenerate(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	got := decodeBody[GenerateResult](t, resp)
-	direct := core.NewDecoder(eng.Model()).Generate(fixPrompts[0], testOptions(100))
+	direct := core.NewDecoder(eng.m).Generate(fixPrompts[0], testOptions(100))
 	if got.Text != direct.Text {
 		t.Errorf("HTTP text diverges from direct decode")
 	}
@@ -99,7 +99,7 @@ func TestServerBatchGenerate(t *testing.T) {
 	if len(results) != len(prompts) {
 		t.Fatalf("results = %d, want %d", len(results), len(prompts))
 	}
-	dec := core.NewDecoder(eng.Model())
+	dec := core.NewDecoder(eng.m)
 	for i, r := range results {
 		direct := dec.Generate(prompts[i], testOptions(40+int64(i)))
 		if r.Text != direct.Text {
@@ -276,7 +276,7 @@ func TestServerStrategyField(t *testing.T) {
 	if got.Mode != "PromptLookup" {
 		t.Errorf("mode label %q, want PromptLookup", got.Mode)
 	}
-	direct := core.NewDecoder(eng.Model()).Generate(fixPrompts[0],
+	direct := core.NewDecoder(eng.m).Generate(fixPrompts[0],
 		core.Options{Strategy: "prompt-lookup", MaxNewTokens: 48, Seed: 5})
 	if got.Text != direct.Text {
 		t.Error("HTTP prompt-lookup decode diverges from direct decode")

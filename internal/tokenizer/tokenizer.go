@@ -146,14 +146,6 @@ func (t *Tokenizer) AppendEncode(dst []int, text string) []int {
 	return dst
 }
 
-// EncodeWithMarkers wraps Encode with <bos> ... <eos>. Like Encode, it
-// is safe for concurrent use.
-func (t *Tokenizer) EncodeWithMarkers(text string) []int {
-	ids := []int{BosID}
-	ids = append(ids, t.Encode(text)...)
-	return append(ids, EosID)
-}
-
 // merger applies a word's merges in rank order: the earliest-learned
 // pair present first, the leftmost of equal pairs first. Candidate
 // pairs wait in a binary min-heap and each merge pushes only its two

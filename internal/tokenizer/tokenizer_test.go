@@ -87,14 +87,6 @@ func TestSpecialTokens(t *testing.T) {
 	}
 }
 
-func TestEncodeWithMarkers(t *testing.T) {
-	tk := Train(sampleCorpus, 300)
-	ids := tk.EncodeWithMarkers("wire x;")
-	if ids[0] != BosID || ids[len(ids)-1] != EosID {
-		t.Fatalf("markers missing: %v", ids)
-	}
-}
-
 func TestPretokenize(t *testing.T) {
 	got := pretokenize("assign y_out = a1 + 3'b101;")
 	want := []string{"assign", " ", "y_out", " ", "=", " ", "a1", " ", "+", " ", "3", "'", "b101", ";"}

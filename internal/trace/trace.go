@@ -192,14 +192,6 @@ type Trace struct {
 	finished bool
 }
 
-// ID returns the trace's request ID ("" on nil).
-func (tr *Trace) ID() string {
-	if tr == nil {
-		return ""
-	}
-	return tr.id
-}
-
 // Start opens a span under parent (nil parent = child of the root, or
 // the root itself if none exists yet). Returns nil — a no-op span —
 // on a nil trace or once the trace holds MaxSpans spans.
@@ -253,16 +245,6 @@ func (tr *Trace) AddPhase(kind string, d time.Duration) {
 	tr.tracer.AddPhase(kind, d)
 }
 
-// Dropped reports how many span starts overflowed MaxSpans.
-func (tr *Trace) Dropped() int64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.dropped
-}
-
 // End closes the span and folds its duration into the tracer's
 // per-kind phase sums. Idempotent.
 func (s *Span) End() {
@@ -300,14 +282,6 @@ func (s *Span) SetAttr(key, value string) {
 // SetAttrInt annotates the span with an integer value.
 func (s *Span) SetAttrInt(key string, value int64) {
 	s.SetAttr(key, fmt.Sprintf("%d", value))
-}
-
-// Kind returns the span's kind ("" on nil).
-func (s *Span) Kind() string {
-	if s == nil {
-		return ""
-	}
-	return s.kind
 }
 
 // Snapshot is an immutable view of a trace for JSON/debug rendering.

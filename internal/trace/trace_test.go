@@ -27,9 +27,6 @@ func TestNilSafety(t *testing.T) {
 	sp.SetAttr("k", "v")
 	sp.SetAttrInt("n", 1)
 	tc.Finish("ok")
-	if tc.ID() != "" || tc.Dropped() != 0 {
-		t.Fatal("nil trace accessors must zero-value")
-	}
 	ctx := NewContext(context.Background(), nil)
 	if FromContext(ctx) != nil || SpanFromContext(ctx) != nil {
 		t.Fatal("nil plumbing must round-trip nil")
@@ -116,9 +113,6 @@ func TestSlotOverflowDrops(t *testing.T) {
 		sp.End() // nil-safe past the cap
 	}
 	tr.Finish("ok")
-	if tr.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", tr.Dropped())
-	}
 	snap := tr.SnapshotNow()
 	if snap.Dropped != 6 || len(snap.Spans) != 4 {
 		t.Fatalf("snapshot dropped=%d spans=%d", snap.Dropped, len(snap.Spans))

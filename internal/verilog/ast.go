@@ -201,14 +201,25 @@ type InitialBlock struct {
 func (a *InitialBlock) Pos() int { return a.Line }
 func (a *InitialBlock) item()    {}
 
-// Instance is a module instantiation with named or positional
-// connections.
+// Instance is a module instantiation with optional parameter overrides
+// and named or positional connections.
 type Instance struct {
 	Line     int
 	ModName  string
+	Params   []ParamOverride // #( ... ), all named or all ordered
 	InstName string
 	ByName   bool
 	Conns    []Connection
+}
+
+// ParamOverride is one parameter override of an Instance: #(.W(4))
+// names its parameter, #(4) overrides the module's parameters in
+// declaration order. The parser folds the value in the instantiating
+// module's parameters, as it folds ParamDecl values.
+type ParamOverride struct {
+	Name   string // empty for ordered
+	Value  Expr
+	Folded int64
 }
 
 // Connection is one port connection of an Instance.

@@ -22,6 +22,7 @@ var parserSeeds = []string{
 	"endmodule module",
 	"module m; wire [3:0] w = {2{2'b01}}; endmodule",
 	"module m(input a, output y, z); reg x; assign #2 y = a, z = ~a; initial x = #3 a; endmodule",
+	"module sub; parameter W = 8, D = 1; endmodule\nmodule m; parameter N = 2; sub #(.W(N**3), .D(N)) u(); sub #(N+1, 4) v(); endmodule",
 }
 
 // FuzzParser feeds arbitrary source text to the full parser and checks

@@ -178,3 +178,19 @@ func maskBits(w int) uint64 {
 
 // maskTo truncates v to w bits.
 func maskTo(v uint64, w int) uint64 { return v & maskBits(w) }
+
+// IntPow returns base**exp modulo 2^64 by squaring, at most two
+// multiplications per bit of exp. The constant folder and the
+// simulator's ** both use it: wrapping arithmetic makes the result
+// right for a signed base too, and its low w bits are base**exp modulo
+// 2^w.
+func IntPow(base, exp uint64) uint64 {
+	r := uint64(1)
+	for ; exp > 0; exp >>= 1 {
+		if exp&1 == 1 {
+			r *= base
+		}
+		base *= base
+	}
+	return r
+}

@@ -54,8 +54,6 @@ func (p *Parser) at(kind TokenKind, text string) bool {
 	return t.Kind == kind && t.Text == text
 }
 
-func (p *Parser) atKeyword(kw string) bool { return p.at(TokKeyword, kw) }
-
 func (p *Parser) next() Token {
 	t := p.cur()
 	p.pos++
@@ -156,7 +154,7 @@ func (p *Parser) parseModule() (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			cv, err := p.evalConst(val)
+			cv, err := Fold(val, p.params)
 			if err != nil {
 				return nil, err
 			}
@@ -384,11 +382,11 @@ func (p *Parser) parseRange() (Range, error) {
 	if _, err := p.expect(TokPunct, "]"); err != nil {
 		return Range{}, err
 	}
-	msb, err := p.evalConst(msbE)
+	msb, err := Fold(msbE, p.params)
 	if err != nil {
 		return Range{}, err
 	}
-	lsb, err := p.evalConst(lsbE)
+	lsb, err := Fold(lsbE, p.params)
 	if err != nil {
 		return Range{}, err
 	}
@@ -471,7 +469,7 @@ func (p *Parser) parseParamDecl() (*ParamDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		cv, err := p.evalConst(val)
+		cv, err := Fold(val, p.params)
 		if err != nil {
 			return nil, err
 		}
@@ -532,29 +530,17 @@ func (p *Parser) parseInstance() (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Parameter overrides are accepted and ignored: #( ... )
+	out := &Instance{Line: mod.Line, ModName: mod.Text}
 	if p.accept(TokPunct, "#") {
-		if _, err := p.expect(TokPunct, "("); err != nil {
+		if out.Params, err = p.parseParamOverrides(); err != nil {
 			return nil, err
-		}
-		depth := 1
-		for depth > 0 {
-			t := p.next()
-			switch {
-			case t.Kind == TokEOF:
-				return nil, p.errAt(t, "unterminated parameter override")
-			case t.Kind == TokPunct && t.Text == "(":
-				depth++
-			case t.Kind == TokPunct && t.Text == ")":
-				depth--
-			}
 		}
 	}
 	inst, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	out := &Instance{Line: mod.Line, ModName: mod.Text, InstName: inst.Text}
+	out.InstName = inst.Text
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return nil, err
 	}
@@ -614,6 +600,53 @@ func (p *Parser) parseInstance() (*Instance, error) {
 		return nil, err
 	}
 	if _, err := p.expect(TokPunct, ";"); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// parseParamOverrides parses an instance's parameter overrides after
+// the '#': (.W(4), .D(2)) by name or (4, 2) in order, each value folded
+// in the instantiating module's parameters.
+func (p *Parser) parseParamOverrides() ([]ParamOverride, error) {
+	if _, err := p.expect(TokPunct, "("); err != nil {
+		return nil, err
+	}
+	named := p.at(TokPunct, ".")
+	var out []ParamOverride
+	for {
+		var o ParamOverride
+		if named {
+			if _, err := p.expect(TokPunct, "."); err != nil {
+				return nil, err
+			}
+			name, err := p.expectIdent()
+			if err != nil {
+				return nil, err
+			}
+			o.Name = name.Text
+			if _, err := p.expect(TokPunct, "("); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if o.Value, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
+		if o.Folded, err = Fold(o.Value, p.params); err != nil {
+			return nil, err
+		}
+		if named {
+			if _, err := p.expect(TokPunct, ")"); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, o)
+		if !p.accept(TokPunct, ",") {
+			break
+		}
+	}
+	if _, err := p.expect(TokPunct, ")"); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -1245,10 +1278,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	return nil, p.errAt(t, "unexpected %s in expression", describe(t))
 }
 
-// evalConst folds a constant expression using the module's parameter
-// environment. It implements 2-state arithmetic only; x/z digits in
-// constant contexts are an error.
-func (p *Parser) evalConst(e Expr) (int64, error) {
+// Fold evaluates a constant expression in a parameter environment: the
+// parser folds every parameter value, range bound and instance override
+// in the parameters declared before it, and the simulator re-folds a
+// module's parameters in an instance's overrides. It implements
+// 2-state arithmetic only; x/z digits in constant contexts are an
+// error.
+func Fold(e Expr, params map[string]int64) (int64, error) {
 	switch v := e.(type) {
 	case *Number:
 		if v.B != 0 {
@@ -1256,12 +1292,12 @@ func (p *Parser) evalConst(e Expr) (int64, error) {
 		}
 		return int64(v.A), nil
 	case *Ident:
-		if val, ok := p.params[v.Name]; ok {
+		if val, ok := params[v.Name]; ok {
 			return val, nil
 		}
 		return 0, &SyntaxError{Line: v.Line, Msg: fmt.Sprintf("identifier %q is not a constant parameter", v.Name)}
 	case *Unary:
-		x, err := p.evalConst(v.X)
+		x, err := Fold(v.X, params)
 		if err != nil {
 			return 0, err
 		}
@@ -1280,11 +1316,11 @@ func (p *Parser) evalConst(e Expr) (int64, error) {
 		}
 		return 0, &SyntaxError{Line: v.Line, Msg: fmt.Sprintf("unary %q not allowed in constant expression", v.Op)}
 	case *Binary:
-		x, err := p.evalConst(v.X)
+		x, err := Fold(v.X, params)
 		if err != nil {
 			return 0, err
 		}
-		y, err := p.evalConst(v.Y)
+		y, err := Fold(v.Y, params)
 		if err != nil {
 			return 0, err
 		}
@@ -1310,11 +1346,10 @@ func (p *Parser) evalConst(e Expr) (int64, error) {
 		case ">>":
 			return int64(uint64(x) >> uint(y&63)), nil
 		case "**":
-			r := int64(1)
-			for i := int64(0); i < y; i++ {
-				r *= x
+			if y < 0 {
+				return 1, nil
 			}
-			return r, nil
+			return int64(IntPow(uint64(x), uint64(y))), nil
 		case "==":
 			return b2i(x == y), nil
 		case "!=":
@@ -1340,14 +1375,14 @@ func (p *Parser) evalConst(e Expr) (int64, error) {
 		}
 		return 0, &SyntaxError{Line: v.Line, Msg: fmt.Sprintf("operator %q not allowed in constant expression", v.Op)}
 	case *Ternary:
-		c, err := p.evalConst(v.Cond)
+		c, err := Fold(v.Cond, params)
 		if err != nil {
 			return 0, err
 		}
 		if c != 0 {
-			return p.evalConst(v.TrueE)
+			return Fold(v.TrueE, params)
 		}
-		return p.evalConst(v.FalseE)
+		return Fold(v.FalseE, params)
 	}
 	return 0, &SyntaxError{Line: e.Pos(), Msg: "expression is not constant"}
 }

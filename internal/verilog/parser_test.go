@@ -1,8 +1,10 @@
 package verilog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 const dataRegisterSrc = `
@@ -425,5 +427,80 @@ endmodule`
 	d := f.Modules[0].Items[0].(*NetDecl)
 	if !d.Names[0].IsArray || d.Names[0].ARng.Width() != 16 {
 		t.Fatalf("mem decl = %+v", d.Names[0])
+	}
+}
+
+// TestFoldPowBySquaring: the folder evaluates ** by squaring, so a
+// 19-digit exponent folds at once (a multiplication per unit of the
+// exponent would take centuries), and every small case folds to what
+// that multiplication loop gives, a negative exponent's 1 included.
+func TestFoldPowBySquaring(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		f, err := Parse("module m; parameter W = 1**4611686018427387904; endmodule")
+		if err == nil && f.Modules[0].Items[0].(*ParamDecl).Folded[0] != 1 {
+			err = fmt.Errorf("folded %v, want 1", f.Modules[0].Items[0].(*ParamDecl).Folded)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("1**4611686018427387904 did not fold within 1 s")
+	}
+
+	for x := int64(-5); x <= 5; x++ {
+		for y := int64(-3); y <= 70; y++ {
+			want := int64(1)
+			for i := int64(0); i < y; i++ {
+				want *= x
+			}
+			src := fmt.Sprintf("module m; parameter P = (%d)**(%d); endmodule", x, y)
+			f, err := Parse(src)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			if got := f.Modules[0].Items[0].(*ParamDecl).Folded[0]; got != want {
+				t.Errorf("(%d)**(%d) folded to %d, want %d", x, y, got, want)
+			}
+		}
+	}
+}
+
+// TestParseInstanceParamOverrides: an instance keeps its #( ... )
+// overrides, named or ordered, each folded in the instantiating
+// module's parameters.
+func TestParseInstanceParamOverrides(t *testing.T) {
+	f, err := Parse("module m; parameter N = 3; sub #(.W(N+1), .D(2)) u(); sub #(N**2, 5) v(); sub w(); endmodule")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]ParamOverride{
+		{{Name: "W", Folded: 4}, {Name: "D", Folded: 2}},
+		{{Folded: 9}, {Folded: 5}},
+		nil,
+	}
+	for i, it := range f.Modules[0].Items[1:] {
+		inst := it.(*Instance)
+		if len(inst.Params) != len(want[i]) {
+			t.Fatalf("%s: %d overrides, want %d", inst.InstName, len(inst.Params), len(want[i]))
+		}
+		for j, o := range inst.Params {
+			if o.Name != want[i][j].Name || o.Folded != want[i][j].Folded || o.Value == nil {
+				t.Errorf("%s override %d = {%q %d}, want {%q %d}", inst.InstName, j, o.Name, o.Folded, want[i][j].Name, want[i][j].Folded)
+			}
+		}
+	}
+	for _, bad := range []string{
+		"module m; sub #(.W(x)) u(); endmodule", // not a constant
+		"module m; sub #(.W(1), 2) u(); endmodule",
+		"module m; sub #() u(); endmodule",
+	} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("%q parsed", bad)
+		}
 	}
 }

@@ -2,15 +2,19 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/verilog"
 )
 
 // ElabError reports an elaboration failure (unknown module, unknown
-// identifier, unsupported lvalue, ...). A parameter that does not fold
-// to a constant never gets here: the parser folds every parameter and
-// rejects one that does not fold as a syntax error.
+// identifier, unsupported lvalue, a parameter override that names no
+// parameter, ...). A parameter that does not fold to a constant only
+// gets here when an instance's overrides make it fail (a division by
+// an overridden zero): the parser folds every parameter at the
+// module's defaults and rejects one that does not fold as a syntax
+// error.
 type ElabError struct {
 	Where string
 	Msg   string
@@ -174,7 +178,7 @@ func Elaborate(files []*verilog.SourceFile, top string) (*Design, error) {
 	}
 	d := &Design{}
 	e := &elaborator{lib: lib, d: d, depth: 0}
-	sc, err := e.instantiate(mod, top, nil)
+	sc, err := e.instantiate(mod, top, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +223,9 @@ type elaborator struct {
 
 const maxHierDepth = 64
 
-func (e *elaborator) instantiate(mod *verilog.Module, name string, parent *Scope) (*Scope, error) {
+// instantiate elaborates mod as the scope name under parent; inst is
+// the instantiation (nil for the top), whose parameter overrides apply.
+func (e *elaborator) instantiate(mod *verilog.Module, name string, parent *Scope, inst *verilog.Instance) (*Scope, error) {
 	if e.depth++; e.depth > maxHierDepth {
 		return nil, &ElabError{Where: name, Msg: "instantiation too deep (recursive modules?)"}
 	}
@@ -236,13 +242,34 @@ func (e *elaborator) instantiate(mod *verilog.Module, name string, parent *Scope
 		parent.Kids = append(parent.Kids, sc)
 	}
 
-	// Pass 1: parameters (as the parser folded them), then port
-	// signals, then net declarations.
+	// Pass 1: parameters, then port signals, then net declarations. A
+	// parameter keeps the value the parser folded unless inst overrides
+	// it; from the first override on, every later parameter is re-folded
+	// in the overridden values. Port and net ranges keep the widths the
+	// parser folded at the module's defaults.
+	overrides, err := paramOverrides(mod, name, inst)
+	if err != nil {
+		return nil, err
+	}
+	refold := false
 	for _, it := range mod.Items {
-		if pd, ok := it.(*verilog.ParamDecl); ok {
-			for i, pn := range pd.Names {
-				sc.Params[pn] = pd.Folded[i]
+		pd, ok := it.(*verilog.ParamDecl)
+		if !ok {
+			continue
+		}
+		for i, pn := range pd.Names {
+			v, over := overrides[pn]
+			switch {
+			case over:
+				refold = true
+			case refold:
+				if v, err = verilog.Fold(pd.Values[i], sc.Params); err != nil {
+					return nil, &ElabError{Where: name, Msg: err.Error()}
+				}
+			default:
+				v = pd.Folded[i]
 			}
+			sc.Params[pn] = v
 		}
 	}
 	for _, port := range mod.Ports {
@@ -393,12 +420,44 @@ func (e *elaborator) addProc(sc *Scope, kind procKind, body verilog.Stmt, name s
 	return nil
 }
 
+// paramOverrides maps each parameter inst overrides to its folded
+// value: a named override to the parameter it names, an ordered one to
+// mod's parameters in declaration order. A localparam cannot be
+// overridden, so an override that reaches no parameter is an error.
+func paramOverrides(mod *verilog.Module, name string, inst *verilog.Instance) (map[string]int64, error) {
+	if inst == nil || len(inst.Params) == 0 {
+		return nil, nil
+	}
+	var params []string
+	for _, it := range mod.Items {
+		if pd, ok := it.(*verilog.ParamDecl); ok && !pd.Localparam {
+			params = append(params, pd.Names...)
+		}
+	}
+	out := map[string]int64{}
+	for i, o := range inst.Params {
+		pn := o.Name
+		if pn == "" && i < len(params) {
+			pn = params[i]
+		}
+		if !slices.Contains(params, pn) {
+			what := fmt.Sprintf("override of %q", o.Name)
+			if o.Name == "" {
+				what = fmt.Sprintf("ordered override %d", i+1)
+			}
+			return nil, &ElabError{Where: name, Msg: fmt.Sprintf("%s names no parameter of module %s", what, mod.Name)}
+		}
+		out[pn] = o.Folded
+	}
+	return out, nil
+}
+
 func (e *elaborator) addInstance(sc *Scope, inst *verilog.Instance) error {
 	mod, ok := e.lib[inst.ModName]
 	if !ok {
 		return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("unknown module %q", inst.ModName)}
 	}
-	child, err := e.instantiate(mod, sc.Name+"."+inst.InstName, sc)
+	child, err := e.instantiate(mod, sc.Name+"."+inst.InstName, sc, inst)
 	if err != nil {
 		return err
 	}

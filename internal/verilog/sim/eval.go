@@ -145,7 +145,7 @@ func (s *Simulator) evalCtx(sc *Scope, e verilog.Expr, w int) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			return applyBin(v.Op, x, y), nil
+			return binaryOp(v.Op)(x, y), nil
 		case "<<", ">>", "<<<", ">>>":
 			x, err := s.evalCtx(sc, v.X, w)
 			if err != nil {
@@ -155,7 +155,7 @@ func (s *Simulator) evalCtx(sc *Scope, e verilog.Expr, w int) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			return applyBin(v.Op, x, n), nil
+			return binaryOp(v.Op)(x, n), nil
 		}
 	case *verilog.Unary:
 		switch v.Op {
@@ -206,35 +206,40 @@ func (s *Simulator) evalCtx(sc *Scope, e verilog.Expr, w int) (Value, error) {
 	return out, nil
 }
 
-// applyBin dispatches a context-widened binary operation.
-func applyBin(op string, x, y Value) Value {
+// binaryOp maps an arithmetic, bitwise or shift operator to the
+// function that computes it, and any other operator to nil. It is the
+// one operator table of both evaluation paths: evalBinary's
+// self-determined one and evalCtx's context-widened one.
+func binaryOp(op string) func(x, y Value) Value {
 	switch op {
 	case "+":
-		return Add(x, y)
+		return Add
 	case "-":
-		return Sub(x, y)
+		return Sub
 	case "*":
-		return Mul(x, y)
+		return Mul
 	case "/":
-		return Div(x, y)
+		return Div
 	case "%":
-		return Mod(x, y)
+		return Mod
+	case "**":
+		return Pow
 	case "&":
-		return And(x, y)
+		return And
 	case "|":
-		return Or(x, y)
+		return Or
 	case "^":
-		return Xor(x, y)
+		return Xor
 	case "~^", "^~":
-		return Xnor(x, y)
+		return Xnor
 	case "<<", "<<<":
-		return Shl(x, y)
+		return Shl
 	case ">>":
-		return Shr(x, y)
+		return Shr
 	case ">>>":
-		return Sshr(x, y)
+		return Sshr
 	}
-	return X(x.W)
+	return nil
 }
 
 // eval computes the current value of an expression in a scope.
@@ -515,35 +520,8 @@ func (s *Simulator) evalBinary(sc *Scope, v *verilog.Binary) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch v.Op {
-	case "+":
-		return Add(x, y), nil
-	case "-":
-		return Sub(x, y), nil
-	case "*":
-		return Mul(x, y), nil
-	case "/":
-		return Div(x, y), nil
-	case "%":
-		return Mod(x, y), nil
-	case "**":
-		return Pow(x, y), nil
-	case "&":
-		return And(x, y), nil
-	case "|":
-		return Or(x, y), nil
-	case "^":
-		return Xor(x, y), nil
-	case "~^", "^~":
-		return Xnor(x, y), nil
-	case "<<":
-		return Shl(x, y), nil
-	case ">>":
-		return Shr(x, y), nil
-	case "<<<":
-		return Shl(x, y), nil
-	case ">>>":
-		return Sshr(x, y), nil
+	if op := binaryOp(v.Op); op != nil {
+		return op(x, y), nil
 	}
 	return Value{}, rte(sc.Name, "unsupported binary operator %q", v.Op)
 }

@@ -218,16 +218,6 @@ func (c *procCtx) exec(sc *Scope, st verilog.Stmt) {
 	}
 }
 
-// localName recovers the scope-local name of a signal (its hierarchical
-// name minus the scope prefix).
-func localName(sc *Scope, sig *Signal) string {
-	prefix := sc.Name + "."
-	if len(sig.Name) > len(prefix) && sig.Name[:len(prefix)] == prefix {
-		return sig.Name[len(prefix):]
-	}
-	return sig.Name
-}
-
 func (c *procCtx) execCase(sc *Scope, v *verilog.Case) {
 	// Per the LRM, all case expressions size to the widest involved.
 	w, err := c.s.exprWidth(sc, v.Expr)

@@ -8,19 +8,22 @@ import (
 )
 
 // Options controls resource limits for a simulation run. Zero values
-// select the defaults.
+// select the defaults. Two limits are fixed: maxDeltas and maxOutput.
 type Options struct {
 	// MaxTime aborts the run when simulated time would exceed it.
 	MaxTime uint64
 	// MaxSteps caps the total number of process activations plus
 	// combinational evaluations (runaway protection).
 	MaxSteps int
-	// MaxDeltas caps activity within a single time slot (zero-delay
-	// oscillation protection).
-	MaxDeltas int
-	// MaxOutput caps the number of bytes $display may produce.
-	MaxOutput int
 }
+
+const (
+	// maxDeltas caps activity within a single time slot (zero-delay
+	// oscillation protection).
+	maxDeltas = 100_000
+	// maxOutput caps the number of bytes $display may produce.
+	maxOutput = 1 << 20
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxTime == 0 {
@@ -28,12 +31,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 4_000_000
-	}
-	if o.MaxDeltas == 0 {
-		o.MaxDeltas = 100_000
-	}
-	if o.MaxOutput == 0 {
-		o.MaxOutput = 1 << 20
 	}
 	return o
 }
@@ -192,7 +189,7 @@ func (s *Simulator) runTimeSlot() error {
 	deltas := 0
 	bumpDelta := func() error {
 		deltas++
-		if deltas > s.opts.MaxDeltas {
+		if deltas > maxDeltas {
 			return rte("scheduler", "zero-delay oscillation: %d deltas at time %d", deltas, s.now)
 		}
 		return nil

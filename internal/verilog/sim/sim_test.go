@@ -29,7 +29,7 @@ func TestValueBasics(t *testing.T) {
 		t.Fatalf("v = %v", v)
 	}
 	x := X(4)
-	if !x.HasXZ() || x.IsDefined() {
+	if !x.HasXZ() || x.A != 0xf || x.B != 0xf {
 		t.Fatalf("x = %v", x)
 	}
 	if got := v.String(); got != "4'b1010" {
@@ -38,7 +38,7 @@ func TestValueBasics(t *testing.T) {
 	if got := X(2).String(); got != "2'bxx" {
 		t.Errorf("X String = %q", got)
 	}
-	if got := Z(2).String(); got != "2'bzz" {
+	if got := (Value{W: 2, B: 3}).String(); got != "2'bzz" {
 		t.Errorf("Z String = %q", got)
 	}
 }
@@ -956,5 +956,44 @@ endmodule`
 	r := mustRun(t, src, "tb")
 	if !r.Passed() {
 		t.Fatalf("output: %q", r.Output)
+	}
+}
+
+// TestPowIsExact: ** is exact modulo 2^w for any exponent, not only
+// for the first 64 multiplications.
+func TestPowIsExact(t *testing.T) {
+	if got := Pow(FromUint64(3, 8), FromUint64(100, 8)); got.A != 209 {
+		t.Errorf("3**100 in 8 bits = %d, want 209", got.A)
+	}
+	three := FromUint64(3, 64)
+	if p64, p65 := Pow(three, FromUint64(64, 64)), Pow(three, FromUint64(65, 64)); p65.A != 3*p64.A {
+		t.Errorf("3**65 = %d, want 3 * 3**64 = %d", p65.A, 3*p64.A)
+	}
+	r := mustRun(t, "module tb; reg [7:0] a, e, r; initial begin a = 3; e = 100; r = a ** e; $display(\"%0d\", r); end endmodule", "tb")
+	if r.Output != "209\n" {
+		t.Errorf("simulated 3**100 printed %q, want 209", r.Output)
+	}
+}
+
+// TestInstanceParameterOverrides: each instance elaborates with its
+// own overrides, named or ordered, and a parameter derived from an
+// overridden one follows it; an override that reaches no parameter (an
+// unknown name, a localparam, one ordered value too many) is an
+// ElabError.
+func TestInstanceParameterOverrides(t *testing.T) {
+	sub := "module sub; parameter W = 8; parameter D = 1; localparam M = W * 2; initial $display(\"%0d %0d %0d\", W, D, M); endmodule\n"
+	r := mustRun(t, sub+"module tb; sub #(.W(4)) u(); sub #(2, 3) v(); sub w(); endmodule", "tb")
+	if want := "4 1 8\n2 3 4\n8 1 16\n"; r.Output != want {
+		t.Errorf("output %q, want %q", r.Output, want)
+	}
+	for _, tb := range []string{
+		"module tb; sub #(.X(4)) u(); endmodule",
+		"module tb; sub #(.M(4)) u(); endmodule",
+		"module tb; sub #(1, 2, 3) u(); endmodule",
+	} {
+		_, err := RunSource(sub+tb, "tb", Options{})
+		if _, ok := err.(*ElabError); !ok {
+			t.Errorf("%s: error %v, want an ElabError", tb, err)
+		}
 	}
 }

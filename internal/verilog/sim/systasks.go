@@ -31,7 +31,7 @@ func (c *procCtx) execSysCall(sc *Scope, v *verilog.SysCall) {
 }
 
 func (c *procCtx) writeOutput(text string) {
-	if c.s.out.Len()+len(text) > c.s.opts.MaxOutput {
+	if c.s.out.Len()+len(text) > maxOutput {
 		c.failf("output limit exceeded")
 	}
 	c.s.out.WriteString(text)

@@ -12,6 +12,8 @@ package sim
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/verilog"
 )
 
 // Value is a 4-state logic vector of width W (1..64). Bit i is decoded
@@ -34,9 +36,6 @@ func mask(w int) uint64 {
 // X returns an all-x value of width w.
 func X(w int) Value { return Value{W: w, A: mask(w), B: mask(w)} }
 
-// Z returns an all-z value of width w.
-func Z(w int) Value { return Value{W: w, A: 0, B: mask(w)} }
-
 // FromUint64 builds a fully defined value from the low w bits of v.
 func FromUint64(v uint64, w int) Value { return Value{W: w, A: v & mask(w)} }
 
@@ -52,9 +51,6 @@ func Bool(b bool) Value {
 	}
 	return FromUint64(0, 1)
 }
-
-// IsDefined reports whether no bit is x or z.
-func (v Value) IsDefined() bool { return v.B == 0 }
 
 // HasXZ reports whether any bit is x or z.
 func (v Value) HasXZ() bool { return v.B != 0 }
@@ -332,13 +328,7 @@ func Pow(x, y Value) Value {
 	if x.HasXZ() || y.HasXZ() {
 		return X(w)
 	}
-	base := x.Uint64()
-	exp := y.Uint64()
-	r := uint64(1)
-	for i := uint64(0); i < exp && i < 64; i++ {
-		r = r * base & mask(w)
-	}
-	return Value{W: w, A: r & mask(w)}
+	return Value{W: w, A: verilog.IntPow(x.Uint64(), y.Uint64()) & mask(w)}
 }
 
 // --- Shifts ---

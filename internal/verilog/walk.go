@@ -30,6 +30,9 @@ func Inspect(n Node, f func(Node) bool) {
 	case *InitialBlock:
 		Inspect(v.Body, f)
 	case *Instance:
+		for _, o := range v.Params {
+			Inspect(o.Value, f)
+		}
 		for _, c := range v.Conns {
 			Inspect(c.Expr, f)
 		}
