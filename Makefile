@@ -164,8 +164,10 @@ cover:
 # lookup drafters' shared suffix-match scan (the linear and tree runs
 # equal the two loops it replaced, <bos> boundaries included), and
 # the BPE encoder (ids equal to the per-merge rescan it replaced,
-# Decode(Encode(s)) == s) and the [FRAG] segmenter (the lexer's
-# segmentation equal to the regexp segmenter it replaced),
+# Decode(Encode(s)) == s), the [FRAG] segmenter (the lexer's
+# segmentation equal to the regexp segmenter it replaced) and the
+# functional oracle (CheckFunction on arbitrary designs against the
+# benchmark testbenches returns a verdict and never panics),
 # each for a short budget on top of the committed seed corpora
 # (testdata/fuzz/). Run longer locally with FUZZTIME=5m.
 FUZZTIME ?= 15s
@@ -179,6 +181,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLookupScan -fuzztime $(FUZZTIME) ./internal/core/spec/
 	$(GO) test -run '^$$' -fuzz FuzzEncode -fuzztime $(FUZZTIME) ./internal/tokenizer/
 	$(GO) test -run '^$$' -fuzz FuzzSegment -fuzztime $(FUZZTIME) ./internal/frag/
+	$(GO) test -run '^$$' -fuzz FuzzCheckFunction -fuzztime $(FUZZTIME) ./internal/bench/
 
 # Engine wall-clock throughput + the strategy matrix (every strategy's
 # speed, accepted length and tree columns) + scheduler-load smoke + the

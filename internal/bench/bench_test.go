@@ -123,3 +123,17 @@ func TestExtractFirstModule(t *testing.T) {
 		t.Fatalf("unterminated extract = %q", got)
 	}
 }
+
+// FuzzCheckFunction runs arbitrary designs against the benchmark's
+// testbenches, seeded with every reference paired with its problem:
+// whatever the design, CheckFunction returns a verdict and never
+// panics (the simulator's step and time limits bound every run).
+func FuzzCheckFunction(f *testing.F) {
+	problems := All()
+	for i, p := range problems {
+		f.Add(p.Ref, uint(i))
+	}
+	f.Fuzz(func(t *testing.T, design string, i uint) {
+		CheckFunction(design, problems[i%uint(len(problems))])
+	})
+}

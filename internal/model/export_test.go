@@ -162,3 +162,12 @@ func (c *TrieCache) Walk(fn func(prefix []int, g *Gen)) {
 	}
 	rec(c.root, nil)
 }
+
+// size returns the total number of distinct contexts across levels.
+func (t *ngramTable) size() int {
+	n := 0
+	for i := range t.levels {
+		n += t.contexts(i)
+	}
+	return n
+}

@@ -526,16 +526,6 @@ func (t *ngramTable) predictHashed(acc *accum, dst []entry, hs *ctxHashes, seed 
 	return dst
 }
 
-// size returns the total number of distinct contexts across levels
-// (used by tests and diagnostics).
-func (t *ngramTable) size() int {
-	n := 0
-	for i := range t.levels {
-		n += t.contexts(i)
-	}
-	return n
-}
-
 // contexts returns level i's context count over every part.
 func (t *ngramTable) contexts(i int) int {
 	n := 0

@@ -1,5 +1,7 @@
 package tokenizer
 
+import "strings"
+
 // This file exposes internals to the tests in package tokenizer_test,
 // which build vgend's corpus and so cannot live in package tokenizer.
 
@@ -21,4 +23,14 @@ func WordTable(t *Tokenizer) map[string][]int {
 // MergeEncode encodes one word by merging, without the word table.
 func MergeEncode(t *Tokenizer, word string) []int {
 	return new(merger).encode(t.ranks, word, nil)
+}
+
+// Decode renders token ids back into text. Special tokens render as
+// their bracketed names; use DecodeClean to drop them.
+func (t *Tokenizer) Decode(ids []int) string {
+	var sb strings.Builder
+	for _, id := range ids {
+		sb.WriteString(t.Token(id))
+	}
+	return sb.String()
 }

@@ -248,16 +248,6 @@ func (m *merger) pop() pair {
 	return top
 }
 
-// Decode renders token ids back into text. Special tokens render as
-// their bracketed names; use DecodeClean to drop them.
-func (t *Tokenizer) Decode(ids []int) string {
-	var sb strings.Builder
-	for _, id := range ids {
-		sb.WriteString(t.Token(id))
-	}
-	return sb.String()
-}
-
 // DecodeClean renders ids dropping all special tokens — the "cleaned
 // code" of the paper's Fig. 2 output path.
 func (t *Tokenizer) DecodeClean(ids []int) string {

@@ -76,7 +76,6 @@ type CombProc struct {
 	name   string
 	run    func(sim *Simulator) error
 	queued bool
-	id     int
 }
 
 // procKind distinguishes always from initial processes.
@@ -87,8 +86,9 @@ const (
 	procInitial
 )
 
-// Proc is a procedural process (always or initial block) executed by a
-// dedicated goroutine in lockstep with the scheduler.
+// Proc is a procedural process (always or initial block), run as an
+// iter.Pull coroutine that the scheduler resumes and that yields each
+// time it blocks.
 type Proc struct {
 	name  string
 	kind  procKind
@@ -97,25 +97,16 @@ type Proc struct {
 	// starSens holds the precomputed @* sensitivity of the body.
 	starSens []*Signal
 
-	resume chan bool // true = run, false = kill
-	report chan procReport
-	id     int
+	next func() (procReport, bool) // resume until the next block; false once ended
+	stop func()
+	err  error // the runtime error that ended the process, if any
 }
 
-type reportKind int
-
-const (
-	reportBlockedEvent reportKind = iota
-	reportBlockedDelay
-	reportDone
-	reportError
-)
-
+// procReport is what a blocked process waits on: the armed
+// sensitivity of an event control, or, when sens is empty, a delay.
 type procReport struct {
-	kind  reportKind
 	sens  []*sensWait
 	delay uint64
-	err   error
 }
 
 // sensWait is one armed sensitivity entry of a blocked process.
@@ -381,32 +372,32 @@ func (e *elaborator) addContAssign(sc *Scope, ca *verilog.ContAssign) error {
 		return err
 	}
 	lhs, rhs := ca.LHS, ca.RHS
-	scope := sc
-	cp := &CombProc{
-		name: fmt.Sprintf("%s.assign@%d", sc.Name, ca.Line),
-		id:   len(e.d.Combs),
-	}
-	cp.run = func(s *Simulator) error {
-		w, err := s.lvalueWidth(scope, lhs)
+	e.addComb(fmt.Sprintf("%s.assign@%d", sc.Name, ca.Line), deps, func(s *Simulator) error {
+		w, err := s.lvalueWidth(sc, lhs)
 		if err != nil {
 			return err
 		}
-		v, err := s.evalCtx(scope, rhs, w)
+		v, err := s.eval(sc, rhs, w)
 		if err != nil {
 			return err
 		}
-		return s.store(scope, lhs, v, false)
-	}
+		return s.store(sc, lhs, v, false)
+	})
+	return nil
+}
+
+// addComb registers a combinational process that runs once at time
+// zero and again whenever one of deps changes.
+func (e *elaborator) addComb(name string, deps map[*Signal]bool, run func(*Simulator) error) {
+	cp := &CombProc{name: name, run: run}
 	e.d.Combs = append(e.d.Combs, cp)
 	for dep := range deps {
 		dep.combs = append(dep.combs, cp)
 	}
-	// Evaluate once at time zero even if no dependency ever changes.
-	return nil
 }
 
 func (e *elaborator) addProc(sc *Scope, kind procKind, body verilog.Stmt, name string) error {
-	p := &Proc{name: name, kind: kind, scope: sc, body: body, id: len(e.d.Procs)}
+	p := &Proc{name: name, kind: kind, scope: sc, body: body}
 	// Precompute @* sensitivity: every signal read by the body.
 	deps := map[*Signal]bool{}
 	if err := collectDeps(sc, body, deps); err != nil {
@@ -500,47 +491,23 @@ func (e *elaborator) addInstance(sc *Scope, inst *verilog.Instance) error {
 			if err := collectDeps(sc, conn.Expr, deps); err != nil {
 				return err
 			}
-			expr := conn.Expr
-			outer := sc
-			cp := &CombProc{
-				name: fmt.Sprintf("%s.port_in.%s", child.Name, port.Name),
-				id:   len(e.d.Combs),
-			}
-			cp.run = func(s *Simulator) error {
-				v, err := s.eval(outer, expr)
+			e.addComb(fmt.Sprintf("%s.port_in.%s", child.Name, port.Name), deps, func(s *Simulator) error {
+				v, err := s.eval(sc, conn.Expr, 0)
 				if err != nil {
 					return err
 				}
 				s.setSignal(inner, 0, v.Extend(inner.W))
 				return nil
-			}
-			e.d.Combs = append(e.d.Combs, cp)
-			for dep := range deps {
-				dep.combs = append(dep.combs, cp)
-			}
+			})
 		case verilog.PortOutput:
-			if err := checkLValue(conn.Expr); err != nil {
-				return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("output port %q connected to non-lvalue: %v", port.Name, err)}
-			}
-			expr := conn.Expr
-			outer := sc
-			cp := &CombProc{
-				name: fmt.Sprintf("%s.port_out.%s", child.Name, port.Name),
-				id:   len(e.d.Combs),
-			}
-			cp.run = func(s *Simulator) error {
-				return s.store(outer, expr, inner.Words[0], false)
-			}
-			e.d.Combs = append(e.d.Combs, cp)
-			inner.combs = append(inner.combs, cp)
-			// LHS indices may also move the target.
-			deps := map[*Signal]bool{}
+			// The outer target moves when its selects change.
+			deps := map[*Signal]bool{inner: true}
 			if err := collectLHSIndexDeps(sc, conn.Expr, deps); err != nil {
-				return err
+				return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("output port %q connected to non-lvalue: %s", port.Name, err.(*ElabError).Msg)}
 			}
-			for dep := range deps {
-				dep.combs = append(dep.combs, cp)
-			}
+			e.addComb(fmt.Sprintf("%s.port_out.%s", child.Name, port.Name), deps, func(s *Simulator) error {
+				return s.store(sc, conn.Expr, inner.Words[0], false)
+			})
 		default:
 			return &ElabError{Where: sc.Name, Msg: "inout ports are not supported"}
 		}
@@ -548,28 +515,10 @@ func (e *elaborator) addInstance(sc *Scope, inst *verilog.Instance) error {
 	return nil
 }
 
-// checkLValue verifies that an expression has lvalue shape.
-func checkLValue(e verilog.Expr) error {
-	switch v := e.(type) {
-	case *verilog.Ident:
-		return nil
-	case *verilog.Index:
-		return checkLValue(v.X)
-	case *verilog.RangeSel:
-		return checkLValue(v.X)
-	case *verilog.Concat:
-		for _, p := range v.Parts {
-			if err := checkLValue(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("%T cannot be assigned", e)
-}
-
 // collectLHSIndexDeps records signals read by index/range expressions on
-// the left-hand side (the target can move when they change).
+// the left-hand side (the target can move when they change). It fails,
+// always with an *ElabError, on an expression that is no lvalue or
+// reads an unknown name.
 func collectLHSIndexDeps(sc *Scope, e verilog.Expr, deps map[*Signal]bool) error {
 	switch v := e.(type) {
 	case *verilog.Ident:

@@ -92,7 +92,7 @@ func (s *Simulator) exprWidth(sc *Scope, e verilog.Expr) (int, error) {
 		}
 		return total, nil
 	case *verilog.Repl:
-		cnt, err := s.eval(sc, v.Count)
+		cnt, err := s.eval(sc, v.Count, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -109,11 +109,11 @@ func (s *Simulator) exprWidth(sc *Scope, e verilog.Expr) (int, error) {
 		}
 		return 1, nil
 	case *verilog.RangeSel:
-		msbV, err := s.eval(sc, v.MSB)
+		msbV, err := s.eval(sc, v.MSB, 0)
 		if err != nil {
 			return 0, err
 		}
-		lsbV, err := s.eval(sc, v.LSB)
+		lsbV, err := s.eval(sc, v.LSB, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -128,88 +128,8 @@ func (s *Simulator) exprWidth(sc *Scope, e verilog.Expr) (int, error) {
 	return 0, rte(sc.Name, "unsupported expression %T", e)
 }
 
-// evalCtx evaluates e with a context width (LRM context-determined
-// sizing): arithmetic/bitwise operands widen to the context before the
-// operation so carries and borrows are preserved, e.g. in
-// {cout, sum} = a + b + cin.
-func (s *Simulator) evalCtx(sc *Scope, e verilog.Expr, w int) (Value, error) {
-	switch v := e.(type) {
-	case *verilog.Binary:
-		switch v.Op {
-		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			x, err := s.evalCtx(sc, v.X, w)
-			if err != nil {
-				return Value{}, err
-			}
-			y, err := s.evalCtx(sc, v.Y, w)
-			if err != nil {
-				return Value{}, err
-			}
-			return binaryOp(v.Op)(x, y), nil
-		case "<<", ">>", "<<<", ">>>":
-			x, err := s.evalCtx(sc, v.X, w)
-			if err != nil {
-				return Value{}, err
-			}
-			n, err := s.eval(sc, v.Y)
-			if err != nil {
-				return Value{}, err
-			}
-			return binaryOp(v.Op)(x, n), nil
-		}
-	case *verilog.Unary:
-		switch v.Op {
-		case "~":
-			x, err := s.evalCtx(sc, v.X, w)
-			if err != nil {
-				return Value{}, err
-			}
-			return Not(x), nil
-		case "-":
-			x, err := s.evalCtx(sc, v.X, w)
-			if err != nil {
-				return Value{}, err
-			}
-			return Neg(x), nil
-		case "+":
-			return s.evalCtx(sc, v.X, w)
-		}
-	case *verilog.Ternary:
-		c, err := s.eval(sc, v.Cond)
-		if err != nil {
-			return Value{}, err
-		}
-		t, known := c.Truth()
-		if !known {
-			a, err := s.evalCtx(sc, v.TrueE, w)
-			if err != nil {
-				return Value{}, err
-			}
-			b, err := s.evalCtx(sc, v.FalseE, w)
-			if err != nil {
-				return Value{}, err
-			}
-			return Merge(a, b), nil
-		}
-		if t {
-			return s.evalCtx(sc, v.TrueE, w)
-		}
-		return s.evalCtx(sc, v.FalseE, w)
-	}
-	out, err := s.eval(sc, e)
-	if err != nil {
-		return Value{}, err
-	}
-	if out.W < w {
-		out = out.Extend(w)
-	}
-	return out, nil
-}
-
 // binaryOp maps an arithmetic, bitwise or shift operator to the
-// function that computes it, and any other operator to nil. It is the
-// one operator table of both evaluation paths: evalBinary's
-// self-determined one and evalCtx's context-widened one.
+// function that computes it, and any other operator to nil.
 func binaryOp(op string) func(x, y Value) Value {
 	switch op {
 	case "+":
@@ -242,11 +162,19 @@ func binaryOp(op string) func(x, y Value) Value {
 	return nil
 }
 
-// eval computes the current value of an expression in a scope.
-func (s *Simulator) eval(sc *Scope, e verilog.Expr) (Value, error) {
+// eval computes the current value of an expression in a scope at
+// context width w (LRM context-determined sizing; 0 means
+// self-determined). The operands of arithmetic and bitwise operators,
+// of ~, - and +, the arms of ?: and a shift's left operand take w, so
+// they widen before the operation and carries and borrows are kept,
+// as in {cout, sum} = a + b + cin. Every other expression, ** and
+// shift counts included, is evaluated at its own width and then
+// widened to w.
+func (s *Simulator) eval(sc *Scope, e verilog.Expr, w int) (Value, error) {
+	var out Value
 	switch v := e.(type) {
 	case *verilog.Number:
-		return Value{W: v.Width, A: v.A, B: v.B, Signed: v.Signed}, nil
+		out = Value{W: v.Width, A: v.A, B: v.B, Signed: v.Signed}
 
 	case *verilog.StringLit:
 		// Verilog string literals are bit vectors of 8 bits per char.
@@ -257,15 +185,12 @@ func (s *Simulator) eval(sc *Scope, e verilog.Expr) (Value, error) {
 		for i := 0; i < len(v.Val); i++ {
 			a = a<<8 | uint64(v.Val[i])
 		}
-		w := 8 * len(v.Val)
-		if w == 0 {
-			w = 8
-		}
-		return FromUint64(a, w), nil
+		out = FromUint64(a, max(8*len(v.Val), 8))
 
 	case *verilog.Ident:
 		if pv, ok := sc.Params[v.Name]; ok {
-			return FromInt64(pv, 32), nil
+			out = FromInt64(pv, 32)
+			break
 		}
 		sig := sc.lookup(v.Name)
 		if sig == nil {
@@ -274,86 +199,96 @@ func (s *Simulator) eval(sc *Scope, e verilog.Expr) (Value, error) {
 		if sig.IsArray {
 			return Value{}, rte(sc.Name, "memory %q used without an index", v.Name)
 		}
-		out := sig.Words[0]
+		out = sig.Words[0]
 		out.Signed = sig.Signed
-		return out, nil
 
 	case *verilog.Unary:
-		x, err := s.eval(sc, v.X)
+		xw := 0
+		if v.Op == "~" || v.Op == "-" || v.Op == "+" {
+			xw = w
+		}
+		x, err := s.eval(sc, v.X, xw)
 		if err != nil {
 			return Value{}, err
 		}
 		switch v.Op {
 		case "+":
-			return x, nil
+			out = x
 		case "-":
-			return Neg(x), nil
+			out = Neg(x)
 		case "~":
-			return Not(x), nil
+			out = Not(x)
 		case "!":
-			t, known := x.Truth()
-			if !known {
-				return X(1), nil
+			out = X(1)
+			if t, known := x.Truth(); known {
+				out = Bool(!t)
 			}
-			return Bool(!t), nil
 		case "&":
-			return ReduceAnd(x), nil
+			out = ReduceAnd(x)
 		case "|":
-			return ReduceOr(x), nil
+			out = ReduceOr(x)
 		case "^":
-			return ReduceXor(x), nil
+			out = ReduceXor(x)
 		case "~&":
-			return Not(ReduceAnd(x)), nil
+			out = Not(ReduceAnd(x))
 		case "~|":
-			return Not(ReduceOr(x)), nil
+			out = Not(ReduceOr(x))
 		case "~^", "^~":
-			return Not(ReduceXor(x)), nil
+			out = Not(ReduceXor(x))
+		default:
+			return Value{}, rte(sc.Name, "unsupported unary operator %q", v.Op)
 		}
-		return Value{}, rte(sc.Name, "unsupported unary operator %q", v.Op)
 
 	case *verilog.Binary:
-		return s.evalBinary(sc, v)
+		var err error
+		if out, err = s.evalBinary(sc, v, w); err != nil {
+			return Value{}, err
+		}
 
 	case *verilog.Ternary:
-		c, err := s.eval(sc, v.Cond)
+		c, err := s.eval(sc, v.Cond, 0)
 		if err != nil {
 			return Value{}, err
 		}
 		t, known := c.Truth()
-		if !known {
-			a, err := s.eval(sc, v.TrueE)
-			if err != nil {
+		if known {
+			arm := v.FalseE
+			if t {
+				arm = v.TrueE
+			}
+			if out, err = s.eval(sc, arm, w); err != nil {
 				return Value{}, err
 			}
-			b, err := s.eval(sc, v.FalseE)
-			if err != nil {
-				return Value{}, err
-			}
-			return Merge(a, b), nil
+			break
 		}
-		if t {
-			return s.eval(sc, v.TrueE)
+		a, err := s.eval(sc, v.TrueE, w)
+		if err != nil {
+			return Value{}, err
 		}
-		return s.eval(sc, v.FalseE)
+		b, err := s.eval(sc, v.FalseE, w)
+		if err != nil {
+			return Value{}, err
+		}
+		out = Merge(a, b)
 
 	case *verilog.Concat:
 		parts := make([]Value, len(v.Parts))
-		w := 0
+		total := 0
 		for i, p := range v.Parts {
-			pv, err := s.eval(sc, p)
+			pv, err := s.eval(sc, p, 0)
 			if err != nil {
 				return Value{}, err
 			}
 			parts[i] = pv
-			w += pv.W
+			total += pv.W
 		}
-		if w > 64 {
+		if total > 64 {
 			return Value{}, rte(sc.Name, "concatenation wider than 64 bits")
 		}
-		return Concat(parts), nil
+		out = Concat(parts)
 
 	case *verilog.Repl:
-		cnt, err := s.eval(sc, v.Count)
+		cnt, err := s.eval(sc, v.Count, 0)
 		if err != nil {
 			return Value{}, err
 		}
@@ -361,80 +296,43 @@ func (s *Simulator) eval(sc *Scope, e verilog.Expr) (Value, error) {
 			return Value{}, rte(sc.Name, "x/z replication count")
 		}
 		n := int(cnt.Uint64())
-		xv, err := s.eval(sc, v.X)
+		xv, err := s.eval(sc, v.X, 0)
 		if err != nil {
 			return Value{}, err
 		}
 		if n < 0 || n*xv.W > 64 {
 			return Value{}, rte(sc.Name, "replication wider than 64 bits")
 		}
-		parts := make([]Value, n)
-		for i := range parts {
-			parts[i] = xv
+		if n > 0 {
+			parts := make([]Value, n)
+			for i := range parts {
+				parts[i] = xv
+			}
+			out = Concat(parts)
 		}
-		if n == 0 {
-			return Value{W: 0}, nil
-		}
-		return Concat(parts), nil
 
 	case *verilog.Index:
-		// Memory word read?
-		if id, ok := v.X.(*verilog.Ident); ok {
-			if sig := sc.lookup(id.Name); sig != nil && sig.IsArray {
-				idx, err := s.eval(sc, v.Idx)
-				if err != nil {
-					return Value{}, err
-				}
-				if idx.HasXZ() {
-					return X(sig.W), nil
-				}
-				wi := sig.wordIndex(int(idx.Int64()))
-				if wi < 0 {
-					return X(sig.W), nil
-				}
-				out := sig.Words[wi]
-				out.Signed = sig.Signed
-				return out, nil
-			}
-		}
-		base, err := s.eval(sc, v.X)
-		if err != nil {
+		var err error
+		if out, err = s.evalIndex(sc, v); err != nil {
 			return Value{}, err
 		}
-		idx, err := s.eval(sc, v.Idx)
-		if err != nil {
-			return Value{}, err
-		}
-		if idx.HasXZ() {
-			return X(1), nil
-		}
-		off := int(idx.Int64())
-		if id, ok := v.X.(*verilog.Ident); ok {
-			if sig := sc.lookup(id.Name); sig != nil {
-				off = sig.bitOffset(off)
-			}
-		}
-		if off < 0 || off >= base.W {
-			return X(1), nil
-		}
-		a, b := base.Bit(off)
-		return Value{W: 1, A: a, B: b}, nil
 
 	case *verilog.RangeSel:
-		base, err := s.eval(sc, v.X)
+		base, err := s.eval(sc, v.X, 0)
 		if err != nil {
 			return Value{}, err
 		}
-		msbV, err := s.eval(sc, v.MSB)
+		msbV, err := s.eval(sc, v.MSB, 0)
 		if err != nil {
 			return Value{}, err
 		}
-		lsbV, err := s.eval(sc, v.LSB)
+		lsbV, err := s.eval(sc, v.LSB, 0)
 		if err != nil {
 			return Value{}, err
 		}
 		if msbV.HasXZ() || lsbV.HasXZ() {
-			return X(1), nil
+			out = X(1)
+			break
 		}
 		hi, lo := int(msbV.Int64()), int(lsbV.Int64())
 		if id, ok := v.X.(*verilog.Ident); ok {
@@ -445,22 +343,78 @@ func (s *Simulator) eval(sc *Scope, e verilog.Expr) (Value, error) {
 		if hi < lo {
 			hi, lo = lo, hi
 		}
-		return Slice(base, hi, lo), nil
+		out = Slice(base, hi, lo)
 
 	case *verilog.SysFuncCall:
-		return s.evalSysFunc(sc, v)
+		var err error
+		if out, err = s.evalSysFunc(sc, v); err != nil {
+			return Value{}, err
+		}
+
+	default:
+		return Value{}, rte(sc.Name, "unsupported expression %T", e)
 	}
-	return Value{}, rte(sc.Name, "unsupported expression %T", e)
+	if out.W < w {
+		out = out.Extend(w)
+	}
+	return out, nil
 }
 
-func (s *Simulator) evalBinary(sc *Scope, v *verilog.Binary) (Value, error) {
-	// Short-circuitable logical operators.
-	if v.Op == "&&" || v.Op == "||" {
-		x, err := s.eval(sc, v.X)
+// evalIndex evaluates a bit select or a memory word read at its own
+// width.
+func (s *Simulator) evalIndex(sc *Scope, v *verilog.Index) (Value, error) {
+	id, _ := v.X.(*verilog.Ident)
+	var sig *Signal
+	if id != nil {
+		sig = sc.lookup(id.Name)
+	}
+	if sig != nil && sig.IsArray {
+		idx, err := s.eval(sc, v.Idx, 0)
 		if err != nil {
 			return Value{}, err
 		}
-		y, err := s.eval(sc, v.Y)
+		if idx.HasXZ() {
+			return X(sig.W), nil
+		}
+		wi := sig.wordIndex(int(idx.Int64()))
+		if wi < 0 {
+			return X(sig.W), nil
+		}
+		out := sig.Words[wi]
+		out.Signed = sig.Signed
+		return out, nil
+	}
+	base, err := s.eval(sc, v.X, 0)
+	if err != nil {
+		return Value{}, err
+	}
+	idx, err := s.eval(sc, v.Idx, 0)
+	if err != nil {
+		return Value{}, err
+	}
+	if idx.HasXZ() {
+		return X(1), nil
+	}
+	off := int(idx.Int64())
+	if sig != nil {
+		off = sig.bitOffset(off)
+	}
+	if off < 0 || off >= base.W {
+		return X(1), nil
+	}
+	a, b := base.Bit(off)
+	return Value{W: 1, A: a, B: b}, nil
+}
+
+// evalBinary evaluates a binary operator at context width w (see eval).
+func (s *Simulator) evalBinary(sc *Scope, v *verilog.Binary, w int) (Value, error) {
+	// Short-circuitable logical operators.
+	if v.Op == "&&" || v.Op == "||" {
+		x, err := s.eval(sc, v.X, 0)
+		if err != nil {
+			return Value{}, err
+		}
+		y, err := s.eval(sc, v.Y, 0)
 		if err != nil {
 			return Value{}, err
 		}
@@ -498,25 +452,30 @@ func (s *Simulator) evalBinary(sc *Scope, v *verilog.Binary) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if wy > wx {
-			wx = wy
-		}
-		x, err := s.evalCtx(sc, v.X, wx)
+		wx = max(wx, wy)
+		x, err := s.eval(sc, v.X, wx)
 		if err != nil {
 			return Value{}, err
 		}
-		y, err := s.evalCtx(sc, v.Y, wx)
+		y, err := s.eval(sc, v.Y, wx)
 		if err != nil {
 			return Value{}, err
 		}
 		return compareBin(v.Op, x, y), nil
 	}
 
-	x, err := s.eval(sc, v.X)
+	xw, yw := w, w
+	switch v.Op {
+	case "**":
+		xw, yw = 0, 0
+	case "<<", ">>", "<<<", ">>>":
+		yw = 0
+	}
+	x, err := s.eval(sc, v.X, xw)
 	if err != nil {
 		return Value{}, err
 	}
-	y, err := s.eval(sc, v.Y)
+	y, err := s.eval(sc, v.Y, yw)
 	if err != nil {
 		return Value{}, err
 	}
@@ -577,7 +536,7 @@ func (s *Simulator) evalSysFunc(sc *Scope, v *verilog.SysFuncCall) (Value, error
 		if len(v.Args) != 1 {
 			return Value{}, rte(sc.Name, "$signed wants 1 argument")
 		}
-		x, err := s.eval(sc, v.Args[0])
+		x, err := s.eval(sc, v.Args[0], 0)
 		if err != nil {
 			return Value{}, err
 		}
@@ -587,7 +546,7 @@ func (s *Simulator) evalSysFunc(sc *Scope, v *verilog.SysFuncCall) (Value, error
 		if len(v.Args) != 1 {
 			return Value{}, rte(sc.Name, "$unsigned wants 1 argument")
 		}
-		x, err := s.eval(sc, v.Args[0])
+		x, err := s.eval(sc, v.Args[0], 0)
 		if err != nil {
 			return Value{}, err
 		}
@@ -597,7 +556,7 @@ func (s *Simulator) evalSysFunc(sc *Scope, v *verilog.SysFuncCall) (Value, error
 		if len(v.Args) != 1 {
 			return Value{}, rte(sc.Name, "$clog2 wants 1 argument")
 		}
-		x, err := s.eval(sc, v.Args[0])
+		x, err := s.eval(sc, v.Args[0], 0)
 		if err != nil {
 			return Value{}, err
 		}

@@ -4,12 +4,13 @@ import (
 	"repro/internal/verilog"
 )
 
-// procCtx is the per-goroutine execution context of a procedural block.
-// All its methods run on the process goroutine; they communicate with
+// procCtx is the execution context of a procedural block. All its
+// methods run inside the process coroutine; they hand control back to
 // the scheduler only through block().
 type procCtx struct {
 	s          *Simulator
 	p          *Proc
+	yield      func(procReport) bool
 	blockCount int
 	loopGuard  int
 }
@@ -30,17 +31,17 @@ func (c *procCtx) guard() {
 
 // evalMust evaluates an expression, panicking on error.
 func (c *procCtx) evalMust(sc *Scope, e verilog.Expr) Value {
-	v, err := c.s.eval(sc, e)
+	v, err := c.s.eval(sc, e, 0)
 	if err != nil {
 		c.fail(err)
 	}
 	return v
 }
 
-// block reports rep to the scheduler and parks until resumed.
+// block yields rep to the scheduler and parks until resumed; a process
+// the scheduler stops unwinds from here.
 func (c *procCtx) block(rep procReport) {
-	c.p.report <- rep
-	if !<-c.p.resume {
+	if !c.yield(rep) {
 		panic(killToken{})
 	}
 	c.blockCount++
@@ -48,14 +49,14 @@ func (c *procCtx) block(rep procReport) {
 }
 
 func (c *procCtx) waitDelay(d uint64) {
-	c.block(procReport{kind: reportBlockedDelay, delay: d})
+	c.block(procReport{delay: d})
 }
 
 func (c *procCtx) waitEvent(items []*sensWait) {
 	if len(items) == 0 {
 		c.failf("event control with empty sensitivity")
 	}
-	c.block(procReport{kind: reportBlockedEvent, sens: items})
+	c.block(procReport{sens: items})
 }
 
 // exec interprets one statement.
@@ -77,7 +78,7 @@ func (c *procCtx) exec(sc *Scope, st verilog.Stmt) {
 		if err != nil {
 			c.fail(err)
 		}
-		val, err := c.s.evalCtx(sc, v.RHS, w)
+		val, err := c.s.eval(sc, v.RHS, w)
 		if err != nil {
 			c.fail(err)
 		}
@@ -235,7 +236,7 @@ func (c *procCtx) execCase(sc *Scope, v *verilog.Case) {
 			}
 		}
 	}
-	sel, err := c.s.evalCtx(sc, v.Expr, w)
+	sel, err := c.s.eval(sc, v.Expr, w)
 	if err != nil {
 		c.fail(err)
 	}
@@ -246,7 +247,7 @@ func (c *procCtx) execCase(sc *Scope, v *verilog.Case) {
 			continue
 		}
 		for _, e := range item.Exprs {
-			ev, err := c.s.evalCtx(sc, e, w)
+			ev, err := c.s.eval(sc, e, w)
 			if err != nil {
 				c.fail(err)
 			}

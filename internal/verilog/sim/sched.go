@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"iter"
 	"strings"
 
 	"repro/internal/verilog"
@@ -74,14 +75,6 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(timedEvent)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// procState tracks the lifecycle of a procedural goroutine.
-type procState int
-
-const (
-	stateBlocked procState = iota // waiting on resume channel
-	stateDone                     // goroutine exited
-)
-
 // Simulator executes an elaborated Design.
 type Simulator struct {
 	d    *Design
@@ -94,8 +87,6 @@ type Simulator struct {
 	combQ    []*CombProc
 	nbaQ     []nbaUpdate
 
-	states map[*Proc]procState
-
 	out      strings.Builder
 	finished bool
 	steps    int
@@ -105,7 +96,7 @@ type Simulator struct {
 
 // New creates a simulator for a design.
 func New(d *Design, opts Options) *Simulator {
-	return &Simulator{d: d, opts: opts.withDefaults(), states: map[*Proc]procState{}, rng: 0x9E3779B97F4A7C15}
+	return &Simulator{d: d, opts: opts.withDefaults(), rng: 0x9E3779B97F4A7C15}
 }
 
 // Run elaborates files, finds or uses the given top module, and runs the
@@ -259,7 +250,7 @@ func (s *Simulator) applyDeclInits(sc *Scope) error {
 			if dn.Init == nil {
 				continue
 			}
-			v, err := s.eval(sc, dn.Init)
+			v, err := s.eval(sc, dn.Init, 0)
 			if err != nil {
 				return err
 			}
@@ -277,36 +268,27 @@ func (s *Simulator) applyDeclInits(sc *Scope) error {
 	return nil
 }
 
-// --- Procedural process goroutines (lockstep handshake) ---
+// --- Procedural processes (iter.Pull coroutines) ---
 
 // killToken and finishToken are panic sentinels used inside process
-// goroutines; they never escape this package.
+// coroutines; they never escape this package.
 type killToken struct{}
 type finishToken struct{}
 
-// simPanic wraps a runtime error raised inside a process goroutine.
+// simPanic wraps a runtime error raised inside a process coroutine.
 type simPanic struct{ err error }
 
+// startProc makes p a coroutine that runs its body until it blocks,
+// yielding what it waits on. It ends when its body does, on $finish,
+// on a runtime error (kept on p.err) or when the scheduler stops it.
 func (s *Simulator) startProc(p *Proc) {
-	p.resume = make(chan bool)
-	p.report = make(chan procReport)
-	s.states[p] = stateBlocked
-	go func() {
-		if !<-p.resume {
-			return
-		}
-		ctx := &procCtx{s: s, p: p}
+	p.next, p.stop = iter.Pull(func(yield func(procReport) bool) {
+		ctx := &procCtx{s: s, p: p, yield: yield}
 		defer func() {
-			r := recover()
-			switch r := r.(type) {
-			case nil:
-				p.report <- procReport{kind: reportDone}
-			case killToken:
-				// scheduler told us to die: exit silently
-			case finishToken:
-				p.report <- procReport{kind: reportDone}
+			switch r := recover().(type) {
+			case nil, killToken, finishToken:
 			case simPanic:
-				p.report <- procReport{kind: reportError, err: r.err}
+				p.err = r.err
 			default:
 				panic(r)
 			}
@@ -318,32 +300,26 @@ func (s *Simulator) startProc(p *Proc) {
 				return
 			}
 			if ctx.blockCount == before {
-				panic(simPanic{rte(p.name, "always block executes without any timing control")})
+				ctx.failf("always block executes without any timing control")
 			}
 		}
-	}()
+	})
 }
 
-// resumeProc hands control to a process goroutine and handles its report.
+// resumeProc runs a process until it blocks or ends, and arms what it
+// blocked on.
 func (s *Simulator) resumeProc(p *Proc) error {
-	if s.states[p] == stateDone {
-		return nil
-	}
 	if err := s.countStep(); err != nil {
 		return err
 	}
-	p.resume <- true
-	rep := <-p.report
-	switch rep.kind {
-	case reportDone:
-		s.states[p] = stateDone
-	case reportError:
-		s.states[p] = stateDone
-		return rep.err
-	case reportBlockedDelay:
+	rep, ok := p.next()
+	switch {
+	case !ok:
+		return p.err
+	case len(rep.sens) == 0:
 		s.seq++
 		heap.Push(&s.events, timedEvent{t: s.now + rep.delay, seq: s.seq, proc: p})
-	case reportBlockedEvent:
+	default:
 		w := &waiter{proc: p, items: rep.sens}
 		seen := map[*Signal]bool{}
 		for _, item := range rep.sens {
@@ -358,12 +334,11 @@ func (s *Simulator) resumeProc(p *Proc) error {
 	return nil
 }
 
-// killAll terminates every still-blocked process goroutine.
+// killAll stops every process coroutine that has not ended.
 func (s *Simulator) killAll() {
-	for p, st := range s.states {
-		if st == stateBlocked {
-			p.resume <- false
-			s.states[p] = stateDone
+	for _, p := range s.d.Procs {
+		if p.stop != nil {
+			p.stop()
 		}
 	}
 }

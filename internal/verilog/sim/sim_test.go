@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -525,6 +526,38 @@ endmodule`
 	}
 }
 
+// TestRunsLeaveNoProcessRunning ends a run in each way it can end
+// with processes still blocked, and checks that none of their
+// coroutines outlives Run.
+func TestRunsLeaveNoProcessRunning(t *testing.T) {
+	const blocked = `
+module tb;
+  reg clk = 0, never = 0, r;
+  initial @(posedge never) $display("woke");
+  always #1 clk = ~clk;
+`
+	cases := []struct {
+		name, body string
+		opts       Options
+		err        string
+	}{
+		{"finish", "initial #10 $finish;", Options{}, ""},
+		{"max time", "", Options{MaxTime: 50}, "max time"},
+		{"step limit", "", Options{MaxSteps: 50}, "step limit"},
+		{"runaway always", "always r = 1;", Options{}, "without any timing control"},
+	}
+	base := runtime.NumGoroutine()
+	for _, c := range cases {
+		_, err := RunSource(blocked+c.body+"\nendmodule", "tb", c.opts)
+		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.err)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("%s: %d goroutines after Run, %d before", c.name, n, base)
+		}
+	}
+}
+
 func TestZeroDelayOscillationDetected(t *testing.T) {
 	// A combinational ring with defined values oscillates in zero time.
 	// (With x inputs a 4-state simulator settles at x instead, so the
@@ -588,6 +621,16 @@ func TestUnknownModuleError(t *testing.T) {
 	_, err := RunSource(src, "tb", Options{})
 	if err == nil {
 		t.Fatal("expected unknown module error")
+	}
+}
+
+func TestOutputPortToNonLValue(t *testing.T) {
+	src := `module sub(output y); assign y = 1'b1; endmodule
+module tb; reg a, b; sub u(.y(a + b)); endmodule`
+	_, err := RunSource(src, "tb", Options{})
+	want := `sim: tb: output port "y" connected to non-lvalue: unsupported lvalue *verilog.Binary`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
 	}
 }
 

@@ -59,7 +59,7 @@ func (s *Simulator) resolveStore(sc *Scope, lhs verilog.Expr, val Value) ([]nbaU
 		if sig == nil {
 			return nil, rte(sc.Name, "unknown assignment target %q", id.Name)
 		}
-		idx, err := s.eval(sc, v.Idx)
+		idx, err := s.eval(sc, v.Idx, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -94,11 +94,11 @@ func (s *Simulator) resolveStore(sc *Scope, lhs verilog.Expr, val Value) ([]nbaU
 		if sig.IsArray {
 			return nil, rte(sc.Name, "part-select on memory %q", id.Name)
 		}
-		msbV, err := s.eval(sc, v.MSB)
+		msbV, err := s.eval(sc, v.MSB, 0)
 		if err != nil {
 			return nil, err
 		}
-		lsbV, err := s.eval(sc, v.LSB)
+		lsbV, err := s.eval(sc, v.LSB, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -167,11 +167,11 @@ func (s *Simulator) lvalueWidth(sc *Scope, lhs verilog.Expr) (int, error) {
 		}
 		return 1, nil
 	case *verilog.RangeSel:
-		msbV, err := s.eval(sc, v.MSB)
+		msbV, err := s.eval(sc, v.MSB, 0)
 		if err != nil {
 			return 0, err
 		}
-		lsbV, err := s.eval(sc, v.LSB)
+		lsbV, err := s.eval(sc, v.LSB, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -274,7 +274,7 @@ func (s *Simulator) checkWaiter(w *waiter, sig *Signal) bool {
 			trig = true
 			continue
 		}
-		nv, err := s.eval(item.sc, item.expr)
+		nv, err := s.eval(item.sc, item.expr, 0)
 		if err != nil {
 			continue // conservatively ignore: the process re-raises on wake
 		}
