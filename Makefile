@@ -162,7 +162,9 @@ cover:
 # tree it builds, checked against a reflection walk), the
 # draft-tree arena (insert/walk/longest-accepted-path invariants), the
 # lookup drafters' shared suffix-match scan (the linear and tree runs
-# equal the two loops it replaced, <bos> boundaries included), and
+# equal the two loops it replaced, <bos> boundaries included), the
+# model's one-pass induction match (equal to the k-by-k prompt rescan it
+# replaced, ties to the latest match, on every prefix), and
 # the BPE encoder (ids equal to the per-merge rescan it replaced,
 # Decode(Encode(s)) == s), the [FRAG] segmenter (the lexer's
 # segmentation equal to the regexp segmenter it replaced) and the
@@ -175,6 +177,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTrieLookupInsert -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzFrozenTable -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzPredict -fuzztime $(FUZZTIME) ./internal/model/
+	$(GO) test -run '^$$' -fuzz FuzzFindInduction -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/
@@ -198,7 +201,7 @@ fuzz:
 # (pipefail: a failing benchmark must not hide behind tee). Run
 # `go test -bench=. ./...` for the full paper harness.
 bench:
-	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus|BenchmarkEncodeWithFrags' -benchtime=1x ./... | tee bench_output.txt
+	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkSample|BenchmarkFindInduction|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus|BenchmarkEncodeWithFrags' -benchtime=1x ./... | tee bench_output.txt
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback

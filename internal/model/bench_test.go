@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -135,4 +136,36 @@ func BenchmarkBaseDistMemo(b *testing.B) {
 			g.BaseDistMemo(ctxs[i%len(ctxs)], new(model.Memo))
 		}
 	})
+}
+
+// BenchmarkSample is one temperature sample from a decode position's
+// base posterior: T = 0.5, where each tempered weight is a square, and
+// T = 0.4, where it is math.Pow(p, 2.5).
+func BenchmarkSample(b *testing.B) {
+	g, seq := decode()
+	var posts []model.Dist
+	for _, ctx := range positions(g, seq) {
+		posts = append(posts, g.BaseDistMemo(ctx, new(model.Memo)))
+	}
+	for _, temp := range []float64{0.5, 0.4} {
+		b.Run(fmt.Sprintf("T=%g", temp), func(b *testing.B) {
+			var w []float64
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				posts[i%len(posts)].Sample(temp, float64(i%997)/997, &w)
+			}
+		})
+	}
+}
+
+// BenchmarkFindInduction is one induction match of a decode position's
+// suffix against the prompt, the search every base posterior starts
+// with.
+func BenchmarkFindInduction(b *testing.B) {
+	g, seq := decode()
+	ctxs := positions(g, seq)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		g.FindInduction(ctxs[i%len(ctxs)])
+	}
 }

@@ -144,8 +144,16 @@ func (d Dist) Sample(temp, u float64, weights *[]float64) int {
 	w := (*weights)[:0]
 	total := 0.0
 	for _, e := range d.e {
-		w = append(w, math.Pow(e.v, inv))
-		total += w[len(w)-1]
+		// At T = 0.5 the weight is p*p, bit for bit math.Pow(p, 2): that
+		// squares p's Frexp mantissa once and scales it by a power of two,
+		// the same one rounding whenever the square is normal. Scaling to
+		// a subnormal rounds twice, so such a square takes math.Pow.
+		x := e.v * e.v
+		if inv != 2 || !(x >= 0x1p-1022 && x <= math.MaxFloat64) {
+			x = math.Pow(e.v, inv)
+		}
+		w = append(w, x)
+		total += x
 	}
 	*weights = w
 	if total <= 0 {

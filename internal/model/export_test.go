@@ -14,6 +14,10 @@ import (
 // View returns the filtered context view g's tables read for seq.
 func (g *Gen) View(seq []int) []int { return slices.Clone(g.clippedView(new(scratch), seq)) }
 
+// FindInduction is the session's induction match for seq: the match's
+// end in the prompt and its length, or (-1, 0).
+func (g *Gen) FindInduction(seq []int) (int, int) { return g.findInduction(seq) }
+
 // Predictor returns one op of predict over a view for a table kind:
 // "base", "kw" (under the session's first keyword seed) or "head" (the
 // heads in turn). Every op predicts into one reused buffer and

@@ -20,7 +20,10 @@ import (
 //     a table has asked for it. The keyword tables reach back only as
 //     far as their top ladder level r, so the key is the last r tokens
 //     of the keyword view plus min(len, r) — exact, not a hash. Most of
-//     a decode's keyword contexts repeat one it has seen.
+//     a decode's keyword contexts repeat one it has seen. Runs are
+//     appended into chunks that never grow in place, so a run never
+//     moves and nothing is copied as the memo fills: a run that does
+//     not fit the current chunk opens one at least twice its size.
 //   - The base posteriors computed since the last step boundary
 //     (NextStep), keyed by their context beyond it. The posterior that
 //     rejected the step's last draft token is the next step's base
@@ -38,16 +41,16 @@ import (
 type Memo struct {
 	gen *Gen // the session the cached values belong to
 
-	kwReach int             // r: the keyword tables' longest context
-	kwIdx   map[kwKey]kwRun // keyword context → its run in kwSlab
-	kwSlab  []entry
+	kwReach int               // r: the keyword tables' longest context
+	kwIdx   map[kwKey][]entry // keyword context → its run, in a chunk
+	kwChunk []entry           // the chunk new runs are appended to
 
 	bound int    // the sequence length at the last NextStep
 	posts []post // posteriors since bound, in order of computation
 	toks  []int  // the posts' contexts beyond bound, back to back
 	spare []int  // NextStep's second toks buffer
 
-	bytes int // kwSlab plus the posts' supports, in bytes
+	bytes int // the keyword runs plus the posts' supports, in bytes
 
 	heads headSet // the last ForwardMemo's heads
 }
@@ -57,6 +60,9 @@ type Memo struct {
 // prompts); past the cap the keyword runs start over and posteriors are
 // not kept.
 const memoCap = 1 << 20
+
+// kwChunkMin is the smallest keyword chunk, in entries.
+const kwChunkMin = 64
 
 // kwKey is a keyword view as far as the keyword tables see it: its last
 // n = min(len, r) tokens.
@@ -76,9 +82,6 @@ func kwFactor(e *entry, eta float64) float64 {
 	}
 	return -e.v
 }
-
-// kwRun is one keyword context's factors: kwSlab[start:start+n].
-type kwRun struct{ start, n int32 }
 
 // post is one posterior and its context beyond the boundary,
 // toks[off:off+n].
@@ -163,21 +166,27 @@ func (mm *Memo) key(view []int) kwKey {
 func (mm *Memo) keepFactors(k kwKey, fac []entry) []entry {
 	size := len(fac) * entryBytes
 	if mm.bytes+size > memoCap {
-		mm.bytes -= len(mm.kwSlab) * entryBytes
-		mm.kwSlab = mm.kwSlab[:0]
+		for _, run := range mm.kwIdx {
+			mm.bytes -= len(run) * entryBytes
+		}
+		mm.kwChunk = mm.kwChunk[:0]
 		clear(mm.kwIdx)
 		if mm.bytes+size > memoCap {
 			return fac
 		}
 	}
 	if mm.kwIdx == nil {
-		mm.kwIdx = map[kwKey]kwRun{}
+		mm.kwIdx = map[kwKey][]entry{}
 	}
-	start := len(mm.kwSlab)
-	mm.kwIdx[k] = kwRun{start: int32(start), n: int32(len(fac))}
-	mm.kwSlab = append(mm.kwSlab, fac...)
+	if cap(mm.kwChunk)-len(mm.kwChunk) < len(fac) {
+		mm.kwChunk = make([]entry, 0, max(2*cap(mm.kwChunk), len(fac), kwChunkMin))
+	}
+	start := len(mm.kwChunk)
+	mm.kwChunk = append(mm.kwChunk, fac...)
+	run := mm.kwChunk[start:len(mm.kwChunk):len(mm.kwChunk)]
+	mm.kwIdx[k] = run
 	mm.bytes += size
-	return mm.kwSlab[start:]
+	return run
 }
 
 // kwFactors returns the keyword expert's evidence for a keyword view:
@@ -188,7 +197,7 @@ func (mm *Memo) keepFactors(k kwKey, fac []entry) []entry {
 func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []entry {
 	k := mm.key(view)
 	if run, ok := mm.kwIdx[k]; ok {
-		return mm.kwSlab[run.start : run.start+run.n]
+		return run
 	}
 	// Each token keeps its best supporting evidence across the prompt's
 	// keywords (max, not mean: averaging dilutes the one keyword that

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/tokenizer"
 )
@@ -223,5 +224,39 @@ func TestMemoCap(t *testing.T) {
 	mm.keep([]int{1}, Dist{e: make([]entry, memoCap/entryBytes)})
 	if mm.bytes != before || len(mm.posts) != 0 {
 		t.Fatalf("a posterior past the cap was kept")
+	}
+}
+
+// TestMemoRunsStayPut: a keyword run, once kept, never moves. Later
+// misses that open new chunks leave the run returned for a context at
+// the same address, with the same values, and the memo hands out that
+// same run on the next hit.
+func TestMemoRunsStayPut(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	m := Train(tk, smallCfg(), SchemeNTP, trainExamples)
+	prompt := CanonicalPromptIDs(tk, trainExamples[1].Prompt)
+	g := m.NewGen(prompt)
+	mm := boundMemo(g)
+	view := kwViewOf(g, prompt)
+	run := g.kwFactors(new(scratch), mm, view)
+	if len(run) == 0 {
+		t.Fatal("the fixture prompt's keyword view has no keyword evidence")
+	}
+	want := slices.Clone(run)
+	chunks := 0
+	for i := range 6 {
+		before := unsafe.SliceData(mm.kwChunk)
+		room := cap(mm.kwChunk) - len(mm.kwChunk)
+		mm.keepFactors(mm.key([]int{-1, i}), make([]entry, room+1))
+		if unsafe.SliceData(mm.kwChunk) != before {
+			chunks++
+		}
+	}
+	again := g.kwFactors(new(scratch), mm, view)
+	if unsafe.SliceData(again) != unsafe.SliceData(run) || !slices.Equal(run, want) || !slices.Equal(again, want) {
+		t.Fatal("a kept keyword run moved or changed when later runs were kept")
+	}
+	if chunks < 6 {
+		t.Fatalf("%d of 6 misses opened a chunk", chunks)
 	}
 }

@@ -1029,7 +1029,10 @@ func (g *Gen) finish(table []entry, seq []int, matchJ, matchK, offset int) []ent
 
 // findInduction locates the longest (k >= minInduction) re-occurrence
 // of the sequence suffix inside the prompt region; returns the match
-// end position and length, or (-1, 0).
+// end position and length, or (-1, 0). Of equally long matches the
+// latest one wins. One pass walks the end j down from the last
+// candidate, counting at each j how far back the prompt agrees with the
+// suffix, and stops once no earlier j can match longer.
 //
 // Two deliberate choices: the search is restricted to the prompt
 // (matching self-generated text replays structural patterns and derails
@@ -1049,26 +1052,22 @@ func (g *Gen) findInduction(seq []int) (int, int) {
 		sn++
 		suffix[maxInduction-sn] = seq[i]
 	}
-	limit := g.promptLen - 1
-	if limit > n-2 {
-		limit = n - 2
+	if sn < minInduction {
+		return -1, 0
 	}
-	for k := min(sn, maxInduction); k >= minInduction; k-- {
-		suf := suffix[maxInduction-k:]
-		for j := limit; j >= k-1; j-- {
-			match := true
-			for x := 0; x < k; x++ {
-				if seq[j-k+1+x] != suf[x] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return j, k
-			}
+	// A match must beat bestK; one ending at j is at most j+1 long, and
+	// none is longer than sn.
+	bestJ, bestK := -1, 0
+	for j := min(g.promptLen-1, n-2); j >= bestK && bestK < sn; j-- {
+		k := 0
+		for k < sn && k <= j && seq[j-k] == suffix[maxInduction-1-k] {
+			k++
+		}
+		if k >= minInduction && k > bestK {
+			bestJ, bestK = j, k
 		}
 	}
-	return -1, 0
+	return bestJ, bestK
 }
 
 // PromptLen reports the number of prompt tokens the session was
