@@ -64,7 +64,7 @@ sched-soak:
 # counts pinned before the drafters shared one Draft contract, at 1, 2
 # and 8 procs. Then the allocation gate: each of the nine strategies
 # stays within 1.25x of its measured heap allocations per clean token
-# (ntp 3.5, ours 7.4 ... grammar-tree 95.4; the table is in
+# (ntp 3.5, ours 7.4 ... grammar-tree 48.5; the table is in
 # allocs_test.go). Regenerate the fixtures deliberately with:
 # go test -run TestGolden ./internal/core/ -update
 golden:
@@ -77,7 +77,9 @@ golden:
 # losslessness proof (greedy lookup-tree == linear prompt-lookup ==
 # NTP, byte for byte), plus the per-decode memo answering every prefix
 # of the fixture decodes exactly as a fresh memo computes each one from
-# scratch, plus
+# scratch, plus the per-decode syntax oracle answering every probe of
+# every grammar decode step exactly as one built from scratch over the
+# same text (TestStateMatchesScratch), plus
 # the scatter predict kernel equal bit for bit to the merge loop it
 # replaced on every table and context of the fixture corpus, and every
 # on-demand head candidate list equal to TopK of the dense head: the
@@ -97,7 +99,7 @@ golden:
 # builds (TestLevelBufTakes), and a reset tally refilled builds exactly
 # the level a fresh one does (TestTallyReset).
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact|TestLevelBufTakes|TestTallyReset' -v ./internal/experiments/ ./internal/core/ ./internal/model/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestStateMatchesScratch|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact|TestLevelBufTakes|TestTallyReset' -v ./internal/experiments/ ./internal/core/ ./internal/model/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length
@@ -164,7 +166,10 @@ cover:
 # lookup drafters' shared suffix-match scan (the linear and tree runs
 # equal the two loops it replaced, <bos> boundaries included), the
 # model's one-pass induction match (equal to the k-by-k prompt rescan it
-# replaced, ties to the latest match, on every prefix), and
+# replaced, ties to the latest match, on every prefix), the syntax
+# oracle a decode carries across its steps (one grammar.State through
+# appends, cuts and splices, every probe equal to a fresh state's and to
+# verilog.CheckPrefix), and
 # the BPE encoder (ids equal to the per-merge rescan it replaced,
 # Decode(Encode(s)) == s), the [FRAG] segmenter (the lexer's
 # segmentation equal to the regexp segmenter it replaced) and the
@@ -182,6 +187,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz FuzzDraftTree -fuzztime $(FUZZTIME) ./internal/core/spec/tree/
 	$(GO) test -run '^$$' -fuzz FuzzLookupScan -fuzztime $(FUZZTIME) ./internal/core/spec/
+	$(GO) test -run '^$$' -fuzz FuzzGrammarState -fuzztime $(FUZZTIME) ./internal/core/spec/grammar/
 	$(GO) test -run '^$$' -fuzz FuzzEncode -fuzztime $(FUZZTIME) ./internal/tokenizer/
 	$(GO) test -run '^$$' -fuzz FuzzSegment -fuzztime $(FUZZTIME) ./internal/frag/
 	$(GO) test -run '^$$' -fuzz FuzzCheckFunction -fuzztime $(FUZZTIME) ./internal/bench/
@@ -190,7 +196,9 @@ fuzz:
 # speed, accepted length and tree columns) + scheduler-load smoke + the
 # model's per-call cost — Forward, ForwardMemo and BaseDistMemo (the
 # BenchmarkBaseDist alternative matches BenchmarkBaseDistMemo's hit and
-# miss rows) — and each stage of vgend's start-up at its default flags
+# miss rows) — the syntax oracle's cost over one recorded grammar-tree
+# decode (BenchmarkGrammarDecode: one carried state against a fresh
+# Begin per step) and each stage of vgend's start-up at its default flags
 # (BenchmarkBuildCorpus, BenchmarkTrainTokenizer, BenchmarkTrain: one
 # training of vgend's model, and BenchmarkEncodeWithFrags: the [FRAG]
 # encoding of vgend's corpus), in ns, B and allocs per op, then
@@ -201,7 +209,7 @@ fuzz:
 # (pipefail: a failing benchmark must not hide behind tee). Run
 # `go test -bench=. ./...` for the full paper harness.
 bench:
-	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkSample|BenchmarkFindInduction|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus|BenchmarkEncodeWithFrags' -benchtime=1x ./... | tee bench_output.txt
+	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkSample|BenchmarkFindInduction|BenchmarkGrammarDecode|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus|BenchmarkEncodeWithFrags' -benchtime=1x ./... | tee bench_output.txt
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/core/spec"
+	"repro/internal/core/spec/grammar"
 	"repro/internal/core/spec/tree"
 	"repro/internal/model"
 	"repro/internal/tokenizer"
@@ -448,7 +449,7 @@ func (d *Decoder) sampleBase(dist model.Dist, opts Options, rng *rand.Rand, rep 
 // which changes nothing about outputs — their scores could only be
 // discarded. The simulated cost model charges the step exactly like
 // its linear counterpart.
-func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options, clk *draftClock) ([]int, int, spec.DraftStats) {
+func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, oracle *grammar.State, seq, prefix []int, fw model.Forward, strat spec.Strategy, opts Options, clk *draftClock) ([]int, int, spec.DraftStats) {
 	if _, none := strat.Drafter.(spec.NoDraft); none {
 		return prefix, 0, spec.DraftStats{} // nothing to draft, nothing to time
 	}
@@ -459,6 +460,7 @@ func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, seq, prefix []int, fw
 		Prefix:  prefix,
 		Forward: fw,
 		TopK:    opts.TopK,
+		Grammar: oracle,
 	}, opts.TreeBudget)
 	clk.stop(t0)
 	t := dr.Tree

@@ -71,7 +71,7 @@ func smallCfg() model.Config {
 	return cfg
 }
 
-func trained(t *testing.T, scheme model.Scheme) *model.Model {
+func trained(t testing.TB, scheme model.Scheme) *model.Model {
 	t.Helper()
 	tk := tokenizer.Train(corpusText(), 500)
 	return model.Train(tk, smallCfg(), scheme, trainExamples)
@@ -292,7 +292,7 @@ func TestAcceptDraftShapes(t *testing.T) {
 		{"empty tree drafts nothing", tree.New(opts.TreeBudget), base},
 	} {
 		strat := spec.Strategy{Name: "fixed", Drafter: fixedDrafter{spec.Draft{Tree: c.tree, Chain: chain}}, Verifier: spec.GreedyExact{}}
-		got, nodes, _ := d.accept(gen, new(model.Memo), seq, append([]int(nil), base...), model.Forward{}, strat, opts, nil)
+		got, nodes, _ := d.accept(gen, new(model.Memo), nil, seq, append([]int(nil), base...), model.Forward{}, strat, opts, nil)
 		if !slices.Equal(got, c.want) || nodes != 0 {
 			t.Errorf("%s: accepted %v with %d nodes, want %v with 0", c.name, got, nodes, c.want)
 		}

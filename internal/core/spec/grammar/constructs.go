@@ -65,107 +65,114 @@ var closes = map[string]string{
 // conventionally followed by "begin".
 var ctrlKeywords = map[string]bool{"if": true, "for": true, "while": true, "repeat": true}
 
-// scanContext runs one linear pass over the stable token stream,
-// tracking the construct nesting stack, the module header position,
-// declared ports (with clock/reset detection), and whether the final
-// token closed a control group. It is deliberately tolerant: tokens
-// that do not fit the expected shape are skipped, never faulted — the
-// prefix check, not this scan, decides viability.
-func scanContext(toks []verilog.Token) Context {
-	var c Context
-	var (
-		parenDepth   int
-		bracketDepth int
-		armCtrl      string // ctrl keyword (or "@") awaiting its '('
-		ctrl         []struct {
-			kw    string
-			depth int
-		}
-		pendingDir  string // "input"/"output"/"inout" while collecting port names
-		awaitName   bool   // just saw "module", expecting its name
-		headerArmed bool   // inside "module name ... ;" — parens here are the header
-		curLine     = -1
-		lineIndent  int
-	)
-	for _, t := range toks {
-		if t.Line != curLine {
-			curLine, lineIndent = t.Line, t.Col-1
-		}
-		justClosed := ""
-		newArm := "" // the arm survives exactly one token: kw then '('
-		switch {
-		case t.Kind == verilog.TokKeyword:
-			switch {
-			case t.Text == "module":
-				awaitName = true
-				c.stack = append(c.stack, frame{kw: "module", indent: lineIndent})
-			case opens[t.Text] != "":
-				c.stack = append(c.stack, frame{kw: t.Text, indent: lineIndent})
-			case closes[t.Text] != "":
-				if n := len(c.stack); n > 0 && closeMatches(c.stack[n-1].kw, t.Text) {
-					c.stack = c.stack[:n-1]
-				}
-			case t.Text == "input" || t.Text == "output" || t.Text == "inout":
-				pendingDir = t.Text
-			case ctrlKeywords[t.Text]:
-				newArm = t.Text
-			}
-		case t.Kind == verilog.TokIdent:
-			if awaitName {
-				awaitName = false
-				headerArmed = true
-			} else if pendingDir != "" && bracketDepth == 0 {
-				c.Ports = append(c.Ports, t.Text)
-				low := strings.ToLower(t.Text)
-				if pendingDir == "input" {
-					if c.Clock == "" && (strings.Contains(low, "clk") || strings.Contains(low, "clock")) {
-						c.Clock = t.Text
-					}
-					if c.Reset == "" && (strings.Contains(low, "rst") || strings.Contains(low, "reset")) {
-						c.Reset = t.Text
-					}
-				}
-			}
-		case t.Kind == verilog.TokPunct:
-			switch t.Text {
-			case "(":
-				parenDepth++
-				if armCtrl != "" {
-					ctrl = append(ctrl, struct {
-						kw    string
-						depth int
-					}{armCtrl, parenDepth})
-				}
-			case ")":
-				if n := len(ctrl); n > 0 && ctrl[n-1].depth == parenDepth {
-					justClosed = ctrl[n-1].kw
-					ctrl = ctrl[:n-1]
-				}
-				if parenDepth > 0 {
-					parenDepth--
-				}
-				if headerArmed && parenDepth == 0 {
-					pendingDir = ""
-				}
-			case "[":
-				bracketDepth++
-			case "]":
-				if bracketDepth > 0 {
-					bracketDepth--
-				}
-			case ";":
-				pendingDir = ""
-				headerArmed = false
-			case "@":
-				newArm = "@"
-			}
-		}
-		armCtrl = newArm
-		c.lastClosedCtrl = justClosed
-		c.LastKind, c.LastText = t.Kind, t.Text
-	}
-	c.InHeader = headerArmed && parenDepth > 0
+// scanner is the context scan's state between tokens: one linear pass
+// over a token stream, tracking the construct nesting stack, the module
+// header position, declared ports (with clock/reset detection), and
+// whether the last token closed a control group. It is deliberately
+// tolerant: tokens that do not fit the expected shape are skipped,
+// never faulted — the prefix check, not this scan, decides viability.
+// The zero scanner starts a stream.
+type scanner struct {
+	c            Context
+	parenDepth   int
+	bracketDepth int
+	armCtrl      string // ctrl keyword (or "@") awaiting its '('
+	ctrl         []ctrlGroup
+	pendingDir   string // "input"/"output"/"inout" while collecting port names
+	awaitName    bool   // just saw "module", expecting its name
+	headerArmed  bool   // inside "module name ... ;" — parens here are the header
+	curLine      int    // line of the last token (0 before the first)
+	lineIndent   int
+}
+
+// ctrlGroup is an open control group's '(' and the keyword before it.
+type ctrlGroup struct {
+	kw    string
+	depth int
+}
+
+// context is the scanned context after the last token stepped.
+func (sc *scanner) context() Context {
+	c := sc.c
+	c.InHeader = sc.headerArmed && sc.parenDepth > 0
 	return c
+}
+
+// step advances the scan over one token.
+func (sc *scanner) step(t verilog.Token) {
+	c := &sc.c
+	if t.Line != sc.curLine {
+		sc.curLine, sc.lineIndent = t.Line, t.Col-1
+	}
+	justClosed := ""
+	newArm := "" // the arm survives exactly one token: kw then '('
+	switch {
+	case t.Kind == verilog.TokKeyword:
+		switch {
+		case t.Text == "module":
+			sc.awaitName = true
+			c.stack = append(c.stack, frame{kw: "module", indent: sc.lineIndent})
+		case opens[t.Text] != "":
+			c.stack = append(c.stack, frame{kw: t.Text, indent: sc.lineIndent})
+		case closes[t.Text] != "":
+			if n := len(c.stack); n > 0 && closeMatches(c.stack[n-1].kw, t.Text) {
+				c.stack = c.stack[:n-1]
+			}
+		case t.Text == "input" || t.Text == "output" || t.Text == "inout":
+			sc.pendingDir = t.Text
+		case ctrlKeywords[t.Text]:
+			newArm = t.Text
+		}
+	case t.Kind == verilog.TokIdent:
+		if sc.awaitName {
+			sc.awaitName = false
+			sc.headerArmed = true
+		} else if sc.pendingDir != "" && sc.bracketDepth == 0 {
+			c.Ports = append(c.Ports, t.Text)
+			low := strings.ToLower(t.Text)
+			if sc.pendingDir == "input" {
+				if c.Clock == "" && (strings.Contains(low, "clk") || strings.Contains(low, "clock")) {
+					c.Clock = t.Text
+				}
+				if c.Reset == "" && (strings.Contains(low, "rst") || strings.Contains(low, "reset")) {
+					c.Reset = t.Text
+				}
+			}
+		}
+	case t.Kind == verilog.TokPunct:
+		switch t.Text {
+		case "(":
+			sc.parenDepth++
+			if sc.armCtrl != "" {
+				sc.ctrl = append(sc.ctrl, ctrlGroup{sc.armCtrl, sc.parenDepth})
+			}
+		case ")":
+			if n := len(sc.ctrl); n > 0 && sc.ctrl[n-1].depth == sc.parenDepth {
+				justClosed = sc.ctrl[n-1].kw
+				sc.ctrl = sc.ctrl[:n-1]
+			}
+			if sc.parenDepth > 0 {
+				sc.parenDepth--
+			}
+			if sc.headerArmed && sc.parenDepth == 0 {
+				sc.pendingDir = ""
+			}
+		case "[":
+			sc.bracketDepth++
+		case "]":
+			if sc.bracketDepth > 0 {
+				sc.bracketDepth--
+			}
+		case ";":
+			sc.pendingDir = ""
+			sc.headerArmed = false
+		case "@":
+			newArm = "@"
+		}
+	}
+	sc.armCtrl = newArm
+	c.lastClosedCtrl = justClosed
+	c.LastKind, c.LastText = t.Kind, t.Text
 }
 
 // closeMatches reports whether closer pops an open kw frame (all three
@@ -182,8 +189,8 @@ const maxCloseIndent = 16
 // chains (end/endcase/.../endmodule, indentation matched to the
 // opening lines) at statement boundaries. Every candidate is validated
 // through Check before it is returned, so a proposal can never be a
-// doomed continuation. A disabled Step proposes nothing.
-func (s *Step) Constructs() []string {
+// doomed continuation. A disabled step proposes nothing.
+func (s *State) Constructs() []string {
 	if !s.enabled {
 		return nil
 	}

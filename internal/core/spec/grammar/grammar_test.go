@@ -10,7 +10,7 @@ import (
 
 // TestCheckMatchesCheckPrefix pins the incremental oracle to the
 // reference implementation: for cuts of real bench sources and a set
-// of probe extensions (viable, doomed, mid-token), Step.Check must
+// of probe extensions (viable, doomed, mid-token), State.Check must
 // agree with verilog.CheckPrefix over the concatenated text.
 func TestCheckMatchesCheckPrefix(t *testing.T) {
 	probes := []string{
@@ -34,7 +34,7 @@ func TestCheckMatchesCheckPrefix(t *testing.T) {
 				got := s.Check(ext)
 				want := verilog.CheckPrefix(src[:cut] + ext)
 				if s.enabled && got != want {
-					t.Fatalf("%s cut %d ext %q: Step.Check=%v CheckPrefix=%v\nbase tail: %q",
+					t.Fatalf("%s cut %d ext %q: Check=%v CheckPrefix=%v\nbase tail: %q",
 						p.ID, cut, ext, got, want, tail(src[:cut], 40))
 				}
 				if !s.enabled && got != verilog.PrefixValid {
@@ -112,8 +112,7 @@ func TestScanContext(t *testing.T) {
 	}
 
 	// The range expression's identifiers must not be captured as ports.
-	pl := verilog.LexPrefix("module m(input [WIDTH-1:0] data_in, ")
-	if rc := scanContext(pl.Toks); strings.Join(rc.Ports, ",") != "data_in" {
+	if rc := Begin("module m #(parameter WIDTH = 8) (input [WIDTH-1:0] data_in, ").ctx; strings.Join(rc.Ports, ",") != "data_in" {
 		t.Errorf("ports = %v, want [data_in]", rc.Ports)
 	}
 }

@@ -30,13 +30,16 @@
 //
 // Implementations must be stateless and safe for concurrent use: one
 // Strategy value is shared by every decoder worker in a serving pool.
-// Per-step state lives in the Draft a Drafter returns.
+// Per-step state lives in the Draft a Drafter returns; per-decode state
+// — the syntax oracle's grammar.State — lives in the DraftCtx, owned by
+// the decode like its model.Memo.
 package spec
 
 import (
 	"sort"
 	"strings"
 
+	"repro/internal/core/spec/grammar"
 	"repro/internal/core/spec/tree"
 	"repro/internal/model"
 )
@@ -62,6 +65,9 @@ type DraftCtx struct {
 	Forward model.Forward
 	// TopK bounds candidates per draft position (Options.TopK).
 	TopK int
+	// Grammar is the decode's syntax oracle, which grammar drafters
+	// advance by each step's text (nil: they draft ungated).
+	Grammar *grammar.State
 }
 
 // Draft is one step's proposal. With a nil Tree the Chain is walked

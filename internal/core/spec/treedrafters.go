@@ -114,7 +114,7 @@ func (td treeDrafter) Draft(dc DraftCtx, budget int) Draft {
 	if len(runs) == 0 && heads.NumHeads() == 0 && (!td.grammar || dc.Gen == nil) {
 		return Draft{}
 	}
-	var oracle *grammar.Step
+	var oracle *grammar.State
 	var tok *tokenizer.Tokenizer
 	if td.grammar {
 		oracle, tok = beginOracle(dc)
@@ -175,7 +175,7 @@ func (td treeDrafter) Draft(dc DraftCtx, budget int) Draft {
 // at full top-k width, honouring the budget, never extending past
 // <eos>, and (with an oracle) withholding candidates whose path text
 // cannot parse. Deeper positions belong to the chain.
-func growHeads(t *tree.Tree, heads model.Forward, topK int, oracle *grammar.Step, tok *tokenizer.Tokenizer, st *DraftStats) {
+func growHeads(t *tree.Tree, heads model.Forward, topK int, oracle *grammar.State, tok *tokenizer.Tokenizer, st *DraftStats) {
 	type extNode struct {
 		id  int
 		ext string
@@ -235,26 +235,27 @@ func lookupRuns(seq []int, minMatch, maxSpan, maxBranches int) (runs [][]int) {
 
 // beginOracle decodes the generated region (everything after the
 // prompt, plus the tokens already accepted this step) back into text
-// and opens the syntax oracle over it, returning it with the tokenizer
-// that renders candidate text. Both are nil when the context carries
-// no session or tokenizer (pure-drafter unit tests).
-func beginOracle(dc DraftCtx) (*grammar.Step, *tokenizer.Tokenizer) {
+// and opens the decode's syntax oracle over it, returning it with the
+// tokenizer that renders candidate text. Both are nil when the context
+// carries no session, tokenizer or oracle (pure-drafter unit tests).
+func beginOracle(dc DraftCtx) (*grammar.State, *tokenizer.Tokenizer) {
 	if dc.Gen == nil {
 		return nil, nil
 	}
 	tok := dc.Gen.Tokenizer()
-	if tok == nil {
+	if tok == nil || dc.Grammar == nil {
 		return nil, nil
 	}
 	start := min(dc.Gen.PromptLen(), len(dc.Seq))
 	var sb strings.Builder
+	sb.Grow(8 * (len(dc.Seq) - start + len(dc.Prefix)))
 	for _, id := range dc.Seq[start:] {
 		sb.WriteString(tokenText(tok, id))
 	}
 	for _, id := range dc.Prefix {
 		sb.WriteString(tokenText(tok, id))
 	}
-	return grammar.Begin(sb.String()), tok
+	return dc.Grammar.Begin(sb.String()), tok
 }
 
 // tokenText renders one token id's surface text; specials ([FRAG],

@@ -31,11 +31,23 @@ type TypicalAcceptance struct{}
 func (TypicalAcceptance) Name() string { return "typical" }
 
 // Accept returns the first candidate passing the typical-acceptance
-// threshold, or -1 when every candidate fails.
+// threshold, or -1 when every candidate fails. The threshold is never
+// above ε, so p > ε passes (for δ not NaN) and p = 0 fails (for ε, δ ≥
+// 0) whatever the entropy; it is computed once, for a candidate between.
 func (TypicalAcceptance) Accept(ver model.Dist, cands []int, p VerifyParams) int {
-	threshold := math.Min(p.Epsilon, p.Delta*math.Exp(-ver.Entropy()))
+	threshold, known := 0.0, false
 	for _, c := range cands {
-		if ver.Prob(c) > threshold {
+		pc := ver.Prob(c)
+		if pc > p.Epsilon && !math.IsNaN(p.Delta) {
+			return c
+		}
+		if pc == 0 && p.Epsilon >= 0 && p.Delta >= 0 {
+			continue
+		}
+		if !known {
+			threshold, known = math.Min(p.Epsilon, p.Delta*math.Exp(-ver.Entropy())), true
+		}
+		if pc > threshold {
 			return c
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core/spec"
+	"repro/internal/core/spec/grammar"
 	"repro/internal/model"
 	"repro/internal/tokenizer"
 	"repro/internal/trace"
@@ -43,9 +44,12 @@ type DecodeState struct {
 	rng    *rand.Rand
 	gen    *model.Gen
 	// memo is what this decode's model calls already computed (nil
-	// once finished); weights is its sampling scratch.
+	// once finished); weights is its sampling scratch; oracle is its
+	// syntax oracle, advanced by each step's text (emptied once
+	// finished).
 	memo    *model.Memo
 	weights []float64
+	oracle  grammar.State
 
 	seq      []int
 	res      *Result
@@ -177,7 +181,7 @@ func (s *DecodeState) Step() bool {
 	if base != tokenizer.EosID {
 		var nodes int
 		var gs spec.DraftStats
-		accepted, nodes, gs = d.accept(gen, s.memo, s.seq, accepted, fw, s.strat, opts, clk)
+		accepted, nodes, gs = d.accept(gen, s.memo, &s.oracle, s.seq, accepted, fw, s.strat, opts, clk)
 		res.TreeNodes += nodes
 		res.GrammarPruned += gs.PrunedNodes
 		res.GrammarDraftTokens += gs.GrammarTokens
@@ -265,7 +269,7 @@ func (s *DecodeState) Step() bool {
 func (s *DecodeState) Finish() (*Result, error) {
 	if !s.finished {
 		s.finished = true
-		s.memo, s.weights = nil, nil
+		s.memo, s.weights, s.oracle = nil, nil, grammar.State{}
 		s.res.CleanTokens = stripSpecials(s.res.Tokens)
 		s.res.Text = s.d.m.Tokenizer().DecodeClean(s.res.Tokens)
 		if s.span != nil {

@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"fmt"
+	"maps"
 )
 
 // Parser converts a token stream into a SourceFile. It performs the
@@ -11,6 +12,13 @@ type Parser struct {
 	toks   []Token
 	pos    int
 	params map[string]int64
+	// quiet marks a prefix check, which reads only whether the parse
+	// failed and where: every failure is errPrefix, formatting nothing.
+	// Its toks[0] has stream index base, and it appends to marks (if
+	// set) each checkpoint it passes at an index in (base, below).
+	quiet       bool
+	base, below int
+	marks       *[]Checkpoint
 }
 
 // Parse lexes and parses a complete Verilog source text.
@@ -28,7 +36,7 @@ func ParseWithTokens(src string) (*SourceFile, []Token, error) {
 		return nil, nil, err
 	}
 	p := &Parser{toks: toks}
-	f, err := p.parseSourceFile()
+	f, err := p.sourceFrom(Checkpoint{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,24 +94,66 @@ func (p *Parser) expectIdent() (Token, error) {
 	return t, nil
 }
 
-func describe(t Token) string {
+// describe names a token in a message, formatted only with one.
+type describe Token
+
+func (t describe) String() string {
 	if t.Kind == TokEOF {
 		return "end of input"
 	}
 	return fmt.Sprintf("%q", t.Text)
 }
 
+// errPrefix is every failure of a prefix check (Parser.quiet).
+var errPrefix = &SyntaxError{Msg: "not a source prefix"}
+
 func (p *Parser) errAt(t Token, format string, args ...any) error {
+	if p.quiet {
+		return errPrefix
+	}
 	return &SyntaxError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *Parser) parseSourceFile() (*SourceFile, error) {
+// setParam records a folded parameter. A prefix check writes a copy:
+// a checkpoint may hold the map.
+func (p *Parser) setParam(name string, v int64) {
+	if p.quiet {
+		p.params = maps.Clone(p.params)
+	}
+	p.params[name] = v
+}
+
+// mark records a checkpoint at the current position, standing at site.
+func (p *Parser) mark(site cpSite) {
+	at := p.base + p.pos
+	if p.marks == nil || at <= p.base || at >= p.below {
+		return
+	}
+	cp := Checkpoint{Pos: at, site: site}
+	if site >= sitePorts {
+		cp.params = p.params
+	}
+	*p.marks = append(*p.marks, cp)
+}
+
+// sourceFrom parses the source file on from cp. A parse resumed inside
+// a module finishes it in a scratch Module.
+func (p *Parser) sourceFrom(cp Checkpoint) (*SourceFile, error) {
 	f := &SourceFile{}
+	site := cp.site
+	if site >= sitePorts {
+		p.params = cp.params
+		if err := p.moduleRest(&Module{}, site == sitePorts); err != nil {
+			return nil, err
+		}
+		site = siteBetween
+	}
 	for {
+		p.mark(site)
 		t := p.cur()
 		switch {
 		case t.Kind == TokEOF:
-			if len(f.Modules) == 0 {
+			if site == siteStart {
 				return nil, p.errAt(t, "no module found")
 			}
 			return f, nil
@@ -116,6 +166,7 @@ func (p *Parser) parseSourceFile() (*SourceFile, error) {
 				return nil, err
 			}
 			f.Modules = append(f.Modules, m)
+			site = siteBetween
 		default:
 			return nil, p.errAt(t, "expected 'module', found %s", describe(t))
 		}
@@ -158,7 +209,7 @@ func (p *Parser) parseModule() (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.params[pn.Text] = cv
+			p.setParam(pn.Text, cv)
 			m.Items = append(m.Items, &ParamDecl{Line: pn.Line, Names: []string{pn.Text}, Values: []Expr{val}, Folded: []int64{cv}})
 			if p.accept(TokPunct, ",") {
 				continue
@@ -171,31 +222,45 @@ func (p *Parser) parseModule() (*Module, error) {
 	}
 
 	// Port header: ANSI (directions inline) or non-ANSI (names only).
-	if p.accept(TokPunct, "(") {
-		if !p.at(TokPunct, ")") {
-			if err := p.parsePortHeader(m); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
+	ports := p.accept(TokPunct, "(") && !p.accept(TokPunct, ")")
+	if !ports {
+		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
+	if err := p.moduleRest(m, ports); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
 
+// moduleRest parses the rest of module m: with ports, the rest of its
+// port list and the ");" closing it, then its items through endmodule.
+// Each port name and each item starts at a checkpoint.
+func (p *Parser) moduleRest(m *Module, ports bool) error {
+	if ports {
+		if err := p.parsePortHeader(m); err != nil {
+			return err
+		}
+		if _, err := p.expect(TokPunct, ")"); err != nil {
+			return err
+		}
+		if _, err := p.expect(TokPunct, ";"); err != nil {
+			return err
+		}
+	}
 	for {
+		p.mark(siteItems)
 		t := p.cur()
 		if t.Kind == TokEOF {
-			return nil, p.errAt(t, "unexpected end of input inside module %q", m.Name)
+			return p.errAt(t, "unexpected end of input inside module %q", m.Name)
 		}
 		if p.accept(TokKeyword, "endmodule") {
-			return m, nil
+			return nil
 		}
 		items, err := p.parseModuleItem(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.Items = append(m.Items, items...)
 	}
@@ -205,7 +270,9 @@ func (p *Parser) parseModule() (*Module, error) {
 // direction keyword it parses ANSI declarations; bare identifiers give
 // non-ANSI placeholder ports completed later by body declarations.
 func (p *Parser) parsePortHeader(m *Module) error {
-	// Current ANSI declaration state, inherited by subsequent names.
+	// Current ANSI declaration state, inherited by subsequent names. It
+	// shapes only the ports, never whether the list parses, so a check
+	// resumed at a name's checkpoint starts it afresh.
 	dir := PortInput
 	kind := NetWire
 	signed := false
@@ -213,6 +280,7 @@ func (p *Parser) parsePortHeader(m *Module) error {
 	var rng Range
 	sawDir := false
 	for {
+		p.mark(sitePorts)
 		t := p.cur()
 		if t.Kind == TokKeyword && (t.Text == "input" || t.Text == "output" || t.Text == "inout") {
 			sawDir = true
@@ -473,7 +541,7 @@ func (p *Parser) parseParamDecl() (*ParamDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.params[nameTok.Text] = cv
+		p.setParam(nameTok.Text, cv)
 		d.Names = append(d.Names, nameTok.Text)
 		d.Values = append(d.Values, val)
 		d.Folded = append(d.Folded, cv)

@@ -18,7 +18,7 @@ package verilog
 //     it errors while positioned at end-of-input the consumed tokens
 //     were a viable prefix (some continuation exists), while an error
 //     at an interior token condemns the stream no matter what follows.
-//     CheckTokenPrefix turns that into a PrefixStatus.
+//     ResumePrefix turns that into a PrefixStatus.
 //
 // The one wrinkle is the seam: a prefix may end inside what will
 // become a longer token ("alw" → "always", "<" → "<="), so a final
@@ -80,8 +80,18 @@ type PrefixLex struct {
 // the very end of the input is reported as Pending instead of an
 // error, since more text could complete the token being scanned.
 func LexPrefix(src string) PrefixLex {
-	lx := NewLexer(src)
 	var pl PrefixLex
+	pl.LexAt(src, 0, 1, 1)
+	return pl
+}
+
+// LexAt lexes src as a source prefix that continues a longer text at
+// byte offset off, line and column: it appends src's complete tokens to
+// pl with their offsets, ends and positions in the longer text, and
+// sets Pending and Err for src's end.
+func (pl *PrefixLex) LexAt(src string, off, line, col int) {
+	lx := &Lexer{src: src, line: line, col: col}
+	pl.Pending, pl.Err = false, nil
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -93,13 +103,14 @@ func LexPrefix(src string) PrefixLex {
 			} else {
 				pl.Err = err
 			}
-			return pl
+			return
 		}
 		if t.Kind == TokEOF {
-			return pl
+			return
 		}
+		t.Off += off
 		pl.Toks = append(pl.Toks, t)
-		pl.Ends = append(pl.Ends, lx.pos)
+		pl.Ends = append(pl.Ends, off+lx.pos)
 	}
 }
 
@@ -124,32 +135,53 @@ func CheckPrefix(src string) PrefixStatus {
 	if pl.Err != nil {
 		return PrefixInvalid
 	}
-	st := CheckTokenPrefix(pl.Toks, pl.Pending)
-	if st == PrefixInvalid && pl.OpenSeam(len(src)) {
-		st = CheckTokenPrefix(pl.Toks[:len(pl.Toks)-1], true)
-	}
-	return st
+	return ResumePrefix(Checkpoint{}, pl.Toks, pl.Pending, pl.OpenSeam(len(src)), nil, 0)
 }
 
-// CheckTokenPrefix reports whether toks could begin a parsable source
-// file. open marks a stream whose tail is still growing (the source
-// ended mid-token, or the caller dropped an extendable final token):
-// an open stream that parses completely is only Valid, since the text
-// behind it is not complete as written.
-func CheckTokenPrefix(toks []Token, open bool) PrefixStatus {
-	p := &Parser{toks: toks}
-	_, err := p.parseSourceFile()
+// A Checkpoint is a prefix check's parser state between modules, or
+// before a module item or port-list name; the zero one is the start.
+// The parser reads one token ahead and never moves back, so the state
+// at Pos depends on tokens [0, Pos], Pos included (the item before may
+// end only on seeing it: an if without else), and resuming there
+// classifies any stream that agrees through token Pos exactly.
+type Checkpoint struct {
+	Pos    int // stream index of the token the parse resumes at
+	site   cpSite
+	params map[string]int64 // the module's parameters; never written once held here
+}
+
+// cpSite is where in the grammar a checkpoint stands.
+type cpSite uint8
+
+const (
+	siteStart   cpSite = iota // before any module is complete
+	siteBetween               // between modules, after at least one
+	sitePorts                 // before a name in a module's port list
+	siteItems                 // before a module item or endmodule
+)
+
+// ResumePrefix classifies the stream resumed at cp whose tokens from
+// cp.Pos on are toks: open reports that its text is still growing
+// (it ended inside an unfinished token), and seam that its last token
+// can (PrefixLex.OpenSeam), so a stream it condemns is judged again
+// without that token. When marks is non-nil, each checkpoint the parse
+// passes after cp.Pos and below stream index below is appended to it.
+func ResumePrefix(cp Checkpoint, toks []Token, open, seam bool, marks *[]Checkpoint, below int) PrefixStatus {
+	p := &Parser{toks: toks, quiet: true, base: cp.Pos, below: below, marks: marks}
+	_, err := p.sourceFrom(cp)
 	switch {
 	case err == nil && !open:
 		return PrefixComplete
-	case err == nil:
-		return PrefixValid
-	case p.pos >= len(p.toks):
+	case err == nil || p.pos >= len(p.toks):
 		// Every parse error raised while positioned at end-of-input —
 		// "unexpected end of input inside module", "unterminated
 		// begin/end block", "expected ';', found end of input" — means
 		// the tokens consumed so far were viable.
 		return PrefixValid
+	case seam && p.pos == len(toks)-1:
+		// A failure before the last token would fail the stream without
+		// it at the same token; one at the last token is worth a look.
+		return ResumePrefix(cp, toks[:len(toks)-1], true, false, nil, 0)
 	}
 	return PrefixInvalid
 }
