@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,15 +126,97 @@ func TestExtractFirstModule(t *testing.T) {
 }
 
 // FuzzCheckFunction runs arbitrary designs against the benchmark's
-// testbenches, seeded with every reference paired with its problem:
-// whatever the design, CheckFunction returns a verdict and never
-// panics (the simulator's step and time limits bound every run).
+// testbenches, seeded with every reference paired with its problem, with
+// its parameterised wrappers (paramWrappers) and with ranges too wide
+// for the simulator (overflowDesigns): whatever the design,
+// CheckFunction returns a verdict and never panics (the simulator's
+// step and time limits bound every run), either on the design or, by
+// checkWithRest, with the modules after its first one beside the
+// testbench.
 func FuzzCheckFunction(f *testing.F) {
 	problems := All()
 	for i, p := range problems {
 		f.Add(p.Ref, uint(i))
 	}
+	for i, p := range problems {
+		for _, w := range append(paramWrappers(p), overflowDesigns(p)...) {
+			f.Add(w, uint(i))
+		}
+	}
 	f.Fuzz(func(t *testing.T, design string, i uint) {
-		CheckFunction(design, problems[i%uint(len(problems))])
+		p := problems[i%uint(len(problems))]
+		CheckFunction(design, p)
+		checkWithRest(design, p)
 	})
+}
+
+// checkWithRest is CheckFunction with the modules after the design's
+// first one placed beside the testbench, so that a wrapper reaches the
+// modules it instantiates.
+func checkWithRest(design string, p Problem) bool {
+	first := ExtractFirstModule(design)
+	p.Testbench = design[strings.Index(design, first)+len(first):] + "\n" + p.Testbench
+	return CheckFunction(first, p)
+}
+
+// paramWrappers returns three designs whose first module is p's DUT, a
+// parameterised wrapper that reaches p's reference, renamed p.Module
+// + "_core" and given parameters its ranges read, through overrides:
+// named, ordered, and two levels deep, through a middle module whose
+// override folds in its own overridden parameter (K = 3 there, where
+// its default K = 1 would fold W to 8).
+func paramWrappers(p Problem) []string {
+	f, err := verilog.Parse(p.Ref)
+	if err != nil {
+		panic(err)
+	}
+	var conns []string
+	for _, port := range f.Modules[0].Ports {
+		conns = append(conns, fmt.Sprintf(".%s(%s)", port.Name, port.Name))
+	}
+	ports := p.Ref[len("module "+p.Module) : strings.Index(p.Ref, ";")+1]
+	inst := fmt.Sprintf(" u(%s);\nendmodule\n", strings.Join(conns, ", "))
+	core := "module " + p.Module + "_core #(parameter W = 8, parameter D = 4)" +
+		strings.Replace(p.Ref[len("module "+p.Module):], "endmodule", "  wire [W-1:0] pad_w;\n  reg [W-1:0] pad_m [0:D-1];\nendmodule", 1)
+	wrapper := func(name, params, body string) string {
+		return "module " + name + " #(" + params + ")" + ports + "\n  " + body + inst
+	}
+	return []string{
+		wrapper(p.Module, "parameter N = 2", "localparam M = N * 2;\n  "+p.Module+"_core #(.W(M * 4), .D(N + 1))") + core,
+		wrapper(p.Module, "parameter N = 2", "localparam M = N * 2;\n  "+p.Module+"_core #(M + 4, N)") + core,
+		wrapper(p.Module, "parameter N = 2", p.Module+"_mid #(.K(N + 1))") +
+			wrapper(p.Module+"_mid", "parameter K = 1", p.Module+"_core #(.W(K * 8), .D(K))") + core,
+	}
+}
+
+// overflowDesigns returns p's reference with a memory and, apart, a
+// vector whose range spans more than an int, and a wrapper whose
+// override widens the reference's padding past 64 bits: each an error,
+// never a panic.
+func overflowDesigns(p Problem) []string {
+	widen := strings.Replace(paramWrappers(p)[0], ".W(M * 4)", ".W(M * 25)", 1)
+	return []string{
+		strings.Replace(p.Ref, "endmodule", "  reg [7:0] m [-4611686018427387904:4611686018427387904];\nendmodule", 1),
+		strings.Replace(p.Ref, "endmodule", "  wire [4611686018427387904:-4611686018427387904] w;\nendmodule", 1),
+		widen,
+	}
+}
+
+// TestParamWrappersPass: every reference still passes its testbench
+// behind each of its parameterised wrappers, so each override (named,
+// ordered, two levels deep) reaches the module it names with the
+// value it folds to; every overflow design fails without a panic.
+func TestParamWrappersPass(t *testing.T) {
+	for _, p := range All() {
+		for i, w := range paramWrappers(p) {
+			if !checkWithRest(w, p) {
+				t.Errorf("%s: wrapper %d fails its testbench", p.ID, i)
+			}
+		}
+		for i, d := range overflowDesigns(p) {
+			if checkWithRest(d, p) {
+				t.Errorf("%s: overflow design %d passes its testbench", p.ID, i)
+			}
+		}
+	}
 }

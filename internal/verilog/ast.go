@@ -1,5 +1,7 @@
 package verilog
 
+import "fmt"
+
 // This file defines the abstract syntax tree for the supported Verilog
 // subset. The tree is deliberately close to the concrete syntax: the
 // fragment layer (package frag) collects syntactically significant
@@ -73,17 +75,47 @@ func (k NetKind) String() string {
 	return "?"
 }
 
-// Range is a bit range [MSB:LSB] with constant bounds.
+// Range is a bit range [MSB:LSB], or a memory's word range, as written:
+// MSBExpr and LSBExpr are its bound expressions, and MSB and LSB their
+// values at the module's default parameters (what the parser checks and
+// the dataset describes). The simulator folds the expressions again in
+// each instance's parameters. Inspect does not visit the bounds.
 type Range struct {
-	MSB, LSB int
+	MSB, LSB         int
+	MSBExpr, LSBExpr Expr
 }
 
-// Width returns the number of bits the range spans.
+// MaxWords is the deepest memory the front-end and simulator support.
+const MaxWords = 1 << 20
+
+// Width returns the number of indices the range spans, or a number
+// below 1 when that does not fit an int.
 func (r Range) Width() int {
-	if r.MSB >= r.LSB {
-		return r.MSB - r.LSB + 1
+	return int(uint64(max(r.MSB, r.LSB))-uint64(min(r.MSB, r.LSB))) + 1
+}
+
+// FoldRange folds the bounds of a range as written in params and checks
+// its span: a vector spans at most MaxWidth bits, a memory at most
+// MaxWords words. It is the one range rule: the parser applies it at the
+// module's defaults, the simulator at each instance's parameters.
+func FoldRange(msbE, lsbE Expr, params map[string]int64, memory bool) (Range, error) {
+	msb, err := Fold(msbE, params)
+	if err != nil {
+		return Range{}, err
 	}
-	return r.LSB - r.MSB + 1
+	lsb, err := Fold(lsbE, params)
+	if err != nil {
+		return Range{}, err
+	}
+	r := Range{MSB: int(msb), LSB: int(lsb), MSBExpr: msbE, LSBExpr: lsbE}
+	limit, unit := MaxWidth, "bits"
+	if memory {
+		limit, unit = MaxWords, "words"
+	}
+	if w := r.Width(); w < 1 || w > limit {
+		return Range{}, &SyntaxError{Line: msbE.Pos(), Msg: fmt.Sprintf("range [%d:%d] spans more than %d %s", r.MSB, r.LSB, limit, unit)}
+	}
+	return r, nil
 }
 
 // Port is a module port declaration (ANSI or non-ANSI style normalized).
@@ -153,14 +185,14 @@ func (d *NetDecl) Pos() int { return d.Line }
 func (d *NetDecl) item()    {}
 
 // ParamDecl declares parameters or localparams with constant values.
-// The parser folds each value once, in declaration order, and keeps the
-// result in Folded: a value that does not fold is a syntax error.
+// The parser folds each value at the module's defaults, in declaration
+// order, and rejects one that does not fold; each instance folds it
+// again in its own parameters.
 type ParamDecl struct {
 	Line       int
 	Localparam bool
 	Names      []string
 	Values     []Expr
-	Folded     []int64 // Folded[i] is Values[i]'s constant value
 }
 
 // Pos implements Node.
@@ -214,12 +246,11 @@ type Instance struct {
 
 // ParamOverride is one parameter override of an Instance: #(.W(4))
 // names its parameter, #(4) overrides the module's parameters in
-// declaration order. The parser folds the value in the instantiating
-// module's parameters, as it folds ParamDecl values.
+// declaration order. Its value folds in the instantiating instance's
+// parameters.
 type ParamOverride struct {
-	Name   string // empty for ordered
-	Value  Expr
-	Folded int64
+	Name  string // empty for ordered
+	Value Expr
 }
 
 // Connection is one port connection of an Instance.

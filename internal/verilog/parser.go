@@ -5,9 +5,11 @@ import (
 	"maps"
 )
 
-// Parser converts a token stream into a SourceFile. It performs the
-// constant folding needed to resolve ranges and parameter values, so the
-// resulting AST carries concrete bit widths.
+// Parser converts a token stream into a SourceFile. It folds every
+// parameter value, range bound and instance override at the module's
+// defaults, to reject a source whose constants do not fold or whose
+// ranges are too wide; the tree keeps the expressions as written, and
+// each Range its bounds' values at the defaults beside them.
 type Parser struct {
 	toks   []Token
 	pos    int
@@ -210,7 +212,7 @@ func (p *Parser) parseModule() (*Module, error) {
 				return nil, err
 			}
 			p.setParam(pn.Text, cv)
-			m.Items = append(m.Items, &ParamDecl{Line: pn.Line, Names: []string{pn.Text}, Values: []Expr{val}, Folded: []int64{cv}})
+			m.Items = append(m.Items, &ParamDecl{Line: pn.Line, Names: []string{pn.Text}, Values: []Expr{val}})
 			if p.accept(TokPunct, ",") {
 				continue
 			}
@@ -305,7 +307,7 @@ func (p *Parser) parsePortHeader(m *Module) error {
 				signed = true
 			}
 			if p.at(TokPunct, "[") {
-				r, err := p.parseRange()
+				r, err := p.parseRange(false)
 				if err != nil {
 					return err
 				}
@@ -402,7 +404,7 @@ func (p *Parser) parsePortDecl(m *Module) ([]Item, error) {
 	hasRng := false
 	var rng Range
 	if p.at(TokPunct, "[") {
-		r, err := p.parseRange()
+		r, err := p.parseRange(false)
 		if err != nil {
 			return nil, err
 		}
@@ -432,7 +434,9 @@ func (p *Parser) parsePortDecl(m *Module) ([]Item, error) {
 	return nil, nil
 }
 
-func (p *Parser) parseRange() (Range, error) {
+// parseRange parses [msb:lsb] and checks it at the defaults: a memory's
+// word range against MaxWords, a vector's against MaxWidth.
+func (p *Parser) parseRange(memory bool) (Range, error) {
 	if _, err := p.expect(TokPunct, "["); err != nil {
 		return Range{}, err
 	}
@@ -450,19 +454,7 @@ func (p *Parser) parseRange() (Range, error) {
 	if _, err := p.expect(TokPunct, "]"); err != nil {
 		return Range{}, err
 	}
-	msb, err := Fold(msbE, p.params)
-	if err != nil {
-		return Range{}, err
-	}
-	lsb, err := Fold(lsbE, p.params)
-	if err != nil {
-		return Range{}, err
-	}
-	r := Range{MSB: int(msb), LSB: int(lsb)}
-	if r.Width() > MaxWidth {
-		return Range{}, p.errAt(p.cur(), "range [%d:%d] wider than supported %d bits", r.MSB, r.LSB, MaxWidth)
-	}
-	return r, nil
+	return FoldRange(msbE, lsbE, p.params, memory)
 }
 
 func (p *Parser) parseNetDecl() (*NetDecl, error) {
@@ -478,7 +470,7 @@ func (p *Parser) parseNetDecl() (*NetDecl, error) {
 	}
 	d.Signed = p.accept(TokKeyword, "signed") || d.Kind == NetInteger
 	if p.at(TokPunct, "[") {
-		r, err := p.parseRange()
+		r, err := p.parseRange(false)
 		if err != nil {
 			return nil, err
 		}
@@ -491,7 +483,7 @@ func (p *Parser) parseNetDecl() (*NetDecl, error) {
 		}
 		dn := DeclName{Name: nameTok.Text}
 		if p.at(TokPunct, "[") {
-			r, err := p.parseRange()
+			r, err := p.parseRange(true)
 			if err != nil {
 				return nil, err
 			}
@@ -521,7 +513,7 @@ func (p *Parser) parseParamDecl() (*ParamDecl, error) {
 	d := &ParamDecl{Line: t.Line, Localparam: t.Text == "localparam"}
 	// Optional range on parameters is accepted and ignored.
 	if p.at(TokPunct, "[") {
-		if _, err := p.parseRange(); err != nil {
+		if _, err := p.parseRange(false); err != nil {
 			return nil, err
 		}
 	}
@@ -544,7 +536,6 @@ func (p *Parser) parseParamDecl() (*ParamDecl, error) {
 		p.setParam(nameTok.Text, cv)
 		d.Names = append(d.Names, nameTok.Text)
 		d.Values = append(d.Values, val)
-		d.Folded = append(d.Folded, cv)
 		if p.accept(TokPunct, ",") {
 			continue
 		}
@@ -674,8 +665,8 @@ func (p *Parser) parseInstance() (*Instance, error) {
 }
 
 // parseParamOverrides parses an instance's parameter overrides after
-// the '#': (.W(4), .D(2)) by name or (4, 2) in order, each value folded
-// in the instantiating module's parameters.
+// the '#': (.W(4), .D(2)) by name or (4, 2) in order. Each value must
+// fold in the instantiating module's parameters.
 func (p *Parser) parseParamOverrides() ([]ParamOverride, error) {
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return nil, err
@@ -701,7 +692,7 @@ func (p *Parser) parseParamOverrides() ([]ParamOverride, error) {
 		if o.Value, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		if o.Folded, err = Fold(o.Value, p.params); err != nil {
+		if _, err = Fold(o.Value, p.params); err != nil {
 			return nil, err
 		}
 		if named {
@@ -1348,8 +1339,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 
 // Fold evaluates a constant expression in a parameter environment: the
 // parser folds every parameter value, range bound and instance override
-// in the parameters declared before it, and the simulator re-folds a
-// module's parameters in an instance's overrides. It implements
+// in the parameters declared before it, and the simulator folds each of
+// them again in an instance's own parameters. It implements
 // 2-state arithmetic only; x/z digits in constant contexts are an
 // error.
 func Fold(e Expr, params map[string]int64) (int64, error) {

@@ -438,8 +438,10 @@ func TestFoldPowBySquaring(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		f, err := Parse("module m; parameter W = 1**4611686018427387904; endmodule")
-		if err == nil && f.Modules[0].Items[0].(*ParamDecl).Folded[0] != 1 {
-			err = fmt.Errorf("folded %v, want 1", f.Modules[0].Items[0].(*ParamDecl).Folded)
+		if err == nil {
+			if got := firstParam(t, f); got != 1 {
+				err = fmt.Errorf("folded %d, want 1", got)
+			}
 		}
 		done <- err
 	}()
@@ -463,24 +465,39 @@ func TestFoldPowBySquaring(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
-			if got := f.Modules[0].Items[0].(*ParamDecl).Folded[0]; got != want {
+			if got := firstParam(t, f); got != want {
 				t.Errorf("(%d)**(%d) folded to %d, want %d", x, y, got, want)
 			}
 		}
 	}
 }
 
+// firstParam folds the value of f's first parameter, which names no
+// other parameter.
+func firstParam(t *testing.T, f *SourceFile) int64 {
+	t.Helper()
+	v, err := Fold(f.Modules[0].Items[0].(*ParamDecl).Values[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestParseInstanceParamOverrides: an instance keeps its #( ... )
-// overrides, named or ordered, each folded in the instantiating
-// module's parameters.
+// overrides, named or ordered, each value as written and foldable in
+// the instantiating module's parameters.
 func TestParseInstanceParamOverrides(t *testing.T) {
 	f, err := Parse("module m; parameter N = 3; sub #(.W(N+1), .D(2)) u(); sub #(N**2, 5) v(); sub w(); endmodule")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]ParamOverride{
-		{{Name: "W", Folded: 4}, {Name: "D", Folded: 2}},
-		{{Folded: 9}, {Folded: 5}},
+	type override struct {
+		name string
+		v    int64
+	}
+	want := [][]override{
+		{{"W", 4}, {"D", 2}},
+		{{"", 9}, {"", 5}},
 		nil,
 	}
 	for i, it := range f.Modules[0].Items[1:] {
@@ -489,8 +506,9 @@ func TestParseInstanceParamOverrides(t *testing.T) {
 			t.Fatalf("%s: %d overrides, want %d", inst.InstName, len(inst.Params), len(want[i]))
 		}
 		for j, o := range inst.Params {
-			if o.Name != want[i][j].Name || o.Folded != want[i][j].Folded || o.Value == nil {
-				t.Errorf("%s override %d = {%q %d}, want {%q %d}", inst.InstName, j, o.Name, o.Folded, want[i][j].Name, want[i][j].Folded)
+			v, err := Fold(o.Value, map[string]int64{"N": 3})
+			if o.Name != want[i][j].name || err != nil || v != want[i][j].v {
+				t.Errorf("%s override %d = {%q %d %v}, want {%q %d}", inst.InstName, j, o.Name, v, err, want[i][j].name, want[i][j].v)
 			}
 		}
 	}
@@ -501,6 +519,33 @@ func TestParseInstanceParamOverrides(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("%q parsed", bad)
+		}
+	}
+}
+
+// TestRangeSpanChecks: a vector range spans at most MaxWidth bits and a
+// memory at most MaxWords words, checked without overflow whatever the
+// bounds; a memory deeper than 64 words is no vector.
+func TestRangeSpanChecks(t *testing.T) {
+	for src, ok := range map[string]bool{
+		"module m; wire [63:0] w; endmodule":                                          true,
+		"module m; wire [0:63] w; endmodule":                                          true,
+		"module m; wire [64:0] w; endmodule":                                          false,
+		"module m; wire [-1:63] w; endmodule":                                         false,
+		"module m; wire [4611686018427387904:-4611686018427387904] w; endmodule":      false,
+		"module m; wire [9223372036854775807:-9223372036854775807-1] w; endmodule":    false,
+		"module m(input [0:64] a); endmodule":                                         false,
+		"module m; parameter [64:0] P = 1; endmodule":                                 false,
+		"module m; reg [7:0] m [0:255]; endmodule":                                    true,
+		"module m; reg [7:0] m [1048575:0]; endmodule":                                true,
+		"module m; reg [7:0] m [0:1048576]; endmodule":                                false,
+		"module m; reg [7:0] m [-4611686018427387904:4611686018427387904]; endmodule": false,
+		"module m; parameter D = 1 << 62; reg [7:0] m [-D:D]; endmodule":              false,
+		"module m; reg [64:0] m [0:1]; endmodule":                                     false,
+	} {
+		_, err := Parse(src)
+		if _, syntax := err.(*SyntaxError); ok != (err == nil) || err != nil && !syntax {
+			t.Errorf("%s: error %v, want ok %v", src, err, ok)
 		}
 	}
 }

@@ -10,11 +10,9 @@ import (
 
 // ElabError reports an elaboration failure (unknown module, unknown
 // identifier, unsupported lvalue, a parameter override that names no
-// parameter, ...). A parameter that does not fold to a constant only
-// gets here when an instance's overrides make it fail (a division by
-// an overridden zero): the parser folds every parameter at the
-// module's defaults and rejects one that does not fold as a syntax
-// error.
+// parameter, a parameter declared twice, ...). A constant that does not
+// fold, or a range too wide, gets here only when an instance's overrides
+// make it so (#(.W(100))): at the defaults it is a syntax error.
 type ElabError struct {
 	Where string
 	Msg   string
@@ -233,76 +231,16 @@ func (e *elaborator) instantiate(mod *verilog.Module, name string, parent *Scope
 		parent.Kids = append(parent.Kids, sc)
 	}
 
-	// Pass 1: parameters, then port signals, then net declarations. A
-	// parameter keeps the value the parser folded unless inst overrides
-	// it; from the first override on, every later parameter is re-folded
-	// in the overridden values. Port and net ranges keep the widths the
-	// parser folded at the module's defaults.
-	overrides, err := paramOverrides(mod, name, inst)
-	if err != nil {
+	// Pass 1: parameters, ports and nets, folded as written.
+	if err := e.declare(sc, inst); err != nil {
 		return nil, err
-	}
-	refold := false
-	for _, it := range mod.Items {
-		pd, ok := it.(*verilog.ParamDecl)
-		if !ok {
-			continue
-		}
-		for i, pn := range pd.Names {
-			v, over := overrides[pn]
-			switch {
-			case over:
-				refold = true
-			case refold:
-				if v, err = verilog.Fold(pd.Values[i], sc.Params); err != nil {
-					return nil, &ElabError{Where: name, Msg: err.Error()}
-				}
-			default:
-				v = pd.Folded[i]
-			}
-			sc.Params[pn] = v
-		}
-	}
-	for _, port := range mod.Ports {
-		w, left, right := 1, 0, 0
-		if port.HasRng {
-			w, left, right = port.Rng.Width(), port.Rng.MSB, port.Rng.LSB
-		}
-		e.addSignal(sc, port.Name, w, left, right, port.Kind, port.Signed, false, 0, 0)
-	}
-	for _, it := range mod.Items {
-		nd, ok := it.(*verilog.NetDecl)
-		if !ok {
-			continue
-		}
-		w, left, right := 1, 0, 0
-		if nd.Kind == verilog.NetInteger {
-			w, left, right = 32, 31, 0
-		}
-		if nd.HasRng {
-			w, left, right = nd.Rng.Width(), nd.Rng.MSB, nd.Rng.LSB
-		}
-		for _, dn := range nd.Names {
-			if dn.IsArray {
-				lo, hi := dn.ARng.MSB, dn.ARng.LSB
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if hi-lo+1 > 1<<20 {
-					return nil, &ElabError{Where: sc.Name + "." + dn.Name, Msg: "memory too large"}
-				}
-				e.addSignal(sc, dn.Name, w, left, right, nd.Kind, nd.Signed, true, lo, hi)
-				continue
-			}
-			e.addSignal(sc, dn.Name, w, left, right, nd.Kind, nd.Signed, false, 0, 0)
-		}
 	}
 
 	// Pass 2: behaviour.
 	for _, it := range mod.Items {
 		switch item := it.(type) {
 		case *verilog.ParamDecl, *verilog.NetDecl:
-			// handled above (initializers handled at sim start)
+			// declared in pass 1 (initializers applied at sim start)
 		case *verilog.ContAssign:
 			if err := e.addContAssign(sc, item); err != nil {
 				return nil, err
@@ -324,6 +262,81 @@ func (e *elaborator) instantiate(mod *verilog.Module, name string, parent *Scope
 		}
 	}
 	return sc, nil
+}
+
+// declare elaborates sc's parameters, ports and nets as written: a
+// parameter folds in those declared before it unless inst overrides it,
+// and every range folds in the final values. A parameter declared twice
+// is an error, so at the defaults those are the values the parser saw.
+func (e *elaborator) declare(sc *Scope, inst *verilog.Instance) error {
+	overrides, err := paramOverrides(sc, inst)
+	if err != nil {
+		return err
+	}
+	for _, it := range sc.Module.Items {
+		pd, ok := it.(*verilog.ParamDecl)
+		if !ok {
+			continue
+		}
+		for i, pn := range pd.Names {
+			if _, dup := sc.Params[pn]; dup {
+				return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("parameter %q declared twice", pn)}
+			}
+			v, over := overrides[pn]
+			if !over {
+				if v, err = verilog.Fold(pd.Values[i], sc.Params); err != nil {
+					return &ElabError{Where: sc.Name, Msg: err.Error()}
+				}
+			}
+			sc.Params[pn] = v
+		}
+	}
+	for _, port := range sc.Module.Ports {
+		var r verilog.Range
+		if port.HasRng {
+			if r, err = sc.foldRange(port.Name, port.Rng, false); err != nil {
+				return err
+			}
+		}
+		e.addSignal(sc, port.Name, r.Width(), r.MSB, r.LSB, port.Kind, port.Signed, false, 0, 0)
+	}
+	for _, it := range sc.Module.Items {
+		nd, ok := it.(*verilog.NetDecl)
+		if !ok {
+			continue
+		}
+		var r verilog.Range
+		if nd.Kind == verilog.NetInteger {
+			r.MSB = 31
+		}
+		if nd.HasRng {
+			if r, err = sc.foldRange(nd.Names[0].Name, nd.Rng, false); err != nil {
+				return err
+			}
+		}
+		for _, dn := range nd.Names {
+			if !dn.IsArray {
+				e.addSignal(sc, dn.Name, r.Width(), r.MSB, r.LSB, nd.Kind, nd.Signed, false, 0, 0)
+				continue
+			}
+			a, err := sc.foldRange(dn.Name, dn.ARng, true)
+			if err != nil {
+				return err
+			}
+			e.addSignal(sc, dn.Name, r.Width(), r.MSB, r.LSB, nd.Kind, nd.Signed, true, min(a.MSB, a.LSB), max(a.MSB, a.LSB))
+		}
+	}
+	return nil
+}
+
+// foldRange folds r's bound expressions in sc's parameters and checks
+// its span; name is the declared name an error reports.
+func (sc *Scope) foldRange(name string, r verilog.Range, memory bool) (verilog.Range, error) {
+	r, err := verilog.FoldRange(r.MSBExpr, r.LSBExpr, sc.Params, memory)
+	if err != nil {
+		return r, &ElabError{Where: sc.Name + "." + name, Msg: err.Error()}
+	}
+	return r, nil
 }
 
 func (e *elaborator) addSignal(sc *Scope, name string, w, left, right int, kind verilog.NetKind, signed, isArray bool, alo, ahi int) *Signal {
@@ -373,15 +386,16 @@ func (e *elaborator) addContAssign(sc *Scope, ca *verilog.ContAssign) error {
 	}
 	lhs, rhs := ca.LHS, ca.RHS
 	e.addComb(fmt.Sprintf("%s.assign@%d", sc.Name, ca.Line), deps, func(s *Simulator) error {
-		w, err := s.lvalueWidth(sc, lhs)
+		slots, err := s.resolve(sc, lhs, true, nil)
 		if err != nil {
 			return err
 		}
-		v, err := s.eval(sc, rhs, w)
+		v, err := s.eval(sc, rhs, width(slots))
 		if err != nil {
 			return err
 		}
-		return s.store(sc, lhs, v, false)
+		s.write(slots, v, false)
+		return nil
 	})
 	return nil
 }
@@ -411,14 +425,16 @@ func (e *elaborator) addProc(sc *Scope, kind procKind, body verilog.Stmt, name s
 	return nil
 }
 
-// paramOverrides maps each parameter inst overrides to its folded
-// value: a named override to the parameter it names, an ordered one to
-// mod's parameters in declaration order. A localparam cannot be
-// overridden, so an override that reaches no parameter is an error.
-func paramOverrides(mod *verilog.Module, name string, inst *verilog.Instance) (map[string]int64, error) {
+// paramOverrides maps each parameter inst overrides to its value,
+// folded in the parent instance's parameters: a named override to the
+// parameter it names, an ordered one to sc's module's parameters in
+// declaration order. A localparam cannot be overridden, so an override
+// that reaches no parameter is an error.
+func paramOverrides(sc *Scope, inst *verilog.Instance) (map[string]int64, error) {
 	if inst == nil || len(inst.Params) == 0 {
 		return nil, nil
 	}
+	mod := sc.Module
 	var params []string
 	for _, it := range mod.Items {
 		if pd, ok := it.(*verilog.ParamDecl); ok && !pd.Localparam {
@@ -436,9 +452,13 @@ func paramOverrides(mod *verilog.Module, name string, inst *verilog.Instance) (m
 			if o.Name == "" {
 				what = fmt.Sprintf("ordered override %d", i+1)
 			}
-			return nil, &ElabError{Where: name, Msg: fmt.Sprintf("%s names no parameter of module %s", what, mod.Name)}
+			return nil, &ElabError{Where: sc.Name, Msg: fmt.Sprintf("%s names no parameter of module %s", what, mod.Name)}
 		}
-		out[pn] = o.Folded
+		v, err := verilog.Fold(o.Value, sc.Parent.Params)
+		if err != nil {
+			return nil, &ElabError{Where: sc.Name, Msg: err.Error()}
+		}
+		out[pn] = v
 	}
 	return out, nil
 }
@@ -506,7 +526,12 @@ func (e *elaborator) addInstance(sc *Scope, inst *verilog.Instance) error {
 				return &ElabError{Where: sc.Name, Msg: fmt.Sprintf("output port %q connected to non-lvalue: %s", port.Name, err.(*ElabError).Msg)}
 			}
 			e.addComb(fmt.Sprintf("%s.port_out.%s", child.Name, port.Name), deps, func(s *Simulator) error {
-				return s.store(sc, conn.Expr, inner.Words[0], false)
+				slots, err := s.resolve(sc, conn.Expr, false, nil)
+				if err != nil {
+					return err
+				}
+				s.write(slots, inner.Words[0], false)
+				return nil
 			})
 		default:
 			return &ElabError{Where: sc.Name, Msg: "inout ports are not supported"}

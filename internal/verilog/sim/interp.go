@@ -74,41 +74,32 @@ func (c *procCtx) exec(sc *Scope, st verilog.Stmt) {
 		}
 
 	case *verilog.Assign:
-		w, err := c.s.lvalueWidth(sc, v.LHS)
+		slots, err := c.s.resolve(sc, v.LHS, true, nil)
 		if err != nil {
 			c.fail(err)
 		}
-		val, err := c.s.eval(sc, v.RHS, w)
+		val, err := c.s.eval(sc, v.RHS, width(slots))
 		if err != nil {
 			c.fail(err)
 		}
 		switch {
 		case v.NonBlocking && v.Delay != nil:
-			// q <= #d rhs: resolve target now, land at now+d.
+			// q <= #d rhs: the target resolved now lands at now+d.
 			d := c.evalMust(sc, v.Delay)
-			upd, err := c.s.resolveStore(sc, v.LHS, val)
-			if err != nil {
-				c.fail(err)
-			}
-			t := c.s.now + d.Uint64()
-			c.s.scheduleAt(t, func(s *Simulator) {
-				s.nbaQ = append(s.nbaQ, upd...)
+			c.s.scheduleAt(c.s.now+d.Uint64(), func(s *Simulator) {
+				s.write(slots, val, true)
 			})
-		case v.NonBlocking:
-			if err := c.s.store(sc, v.LHS, val, true); err != nil {
-				c.fail(err)
-			}
 		case v.Delay != nil:
-			// x = #d rhs: RHS evaluated before the wait per LRM.
+			// x = #d rhs: RHS evaluated before the wait per LRM, the
+			// target resolved again after it.
 			d := c.evalMust(sc, v.Delay)
 			c.waitDelay(d.Uint64())
-			if err := c.s.store(sc, v.LHS, val, false); err != nil {
+			if slots, err = c.s.resolve(sc, v.LHS, false, nil); err != nil {
 				c.fail(err)
 			}
+			c.s.write(slots, val, false)
 		default:
-			if err := c.s.store(sc, v.LHS, val, false); err != nil {
-				c.fail(err)
-			}
+			c.s.write(slots, val, v.NonBlocking)
 		}
 
 	case *verilog.If:

@@ -757,6 +757,37 @@ endmodule`
 	}
 }
 
+// TestDelayedAssignTargets: q <= #d rhs resolves its target when it is
+// scheduled ([3:0], though sel is x when it lands); x = #d rhs resolves
+// it again after the wait, where x/z part-select bounds take nothing,
+// as on an output port (r), and a select that moved during the wait
+// lands where it points then (x, [1:0] when scheduled, [0:0] after).
+// The same x/z bounds in an assignment without a delay are an error.
+func TestDelayedAssignTargets(t *testing.T) {
+	src := `
+module tb;
+  reg [7:0] q, r, x;
+  reg [2:0] sel;
+  initial begin
+    q = 0; r = 0; x = 0; sel = 3;
+    q[sel:0] <= #2 8'hff;
+    r[sel:0] = #2 8'hff;
+    sel = 1;
+    x[sel:0] = #1 8'hff;
+    $display("%b %b %b", q, r, x);
+  end
+  initial begin #1 sel = 3'bx; #1 sel = 0; end
+endmodule`
+	r := mustRun(t, src, "tb")
+	if want := "00001111 00000000 00000001\n"; r.Output != want {
+		t.Errorf("output %q, want %q", r.Output, want)
+	}
+	_, err := RunSource("module tb; reg [7:0] r; reg [2:0] sel; initial r[sel:0] = 1; endmodule", "tb", Options{})
+	if err == nil || !strings.Contains(err.Error(), "x/z part-select bounds") {
+		t.Errorf("x/z bounds in an assignment: error %v", err)
+	}
+}
+
 func TestReductionOperators(t *testing.T) {
 	src := `
 module tb;
@@ -827,8 +858,8 @@ endmodule`
 }
 
 // TestSimulatesEveryParsedParameter runs parameters folded with
-// operators (**, %, >) beyond the arithmetic core: the simulator reads
-// the values the parser folded, so whatever parses also elaborates.
+// operators (**, %, >) beyond the arithmetic core: the simulator folds
+// them with the parser's folder, so whatever parses also elaborates.
 func TestSimulatesEveryParsedParameter(t *testing.T) {
 	src := `
 module tb;
@@ -1020,23 +1051,67 @@ func TestPowIsExact(t *testing.T) {
 
 // TestInstanceParameterOverrides: each instance elaborates with its
 // own overrides, named or ordered, and a parameter derived from an
-// overridden one follows it; an override that reaches no parameter (an
-// unknown name, a localparam, one ordered value too many) is an
-// ElabError.
+// overridden one follows it, as do the port, net and memory ranges
+// that read it; an override's value folds in the parent instance's
+// parameters, overridden ones included. An override that reaches no
+// parameter (an unknown name, a localparam, one ordered value too
+// many), one that widens a range past its limit, and a parameter
+// declared twice are ElabErrors.
 func TestInstanceParameterOverrides(t *testing.T) {
 	sub := "module sub; parameter W = 8; parameter D = 1; localparam M = W * 2; initial $display(\"%0d %0d %0d\", W, D, M); endmodule\n"
 	r := mustRun(t, sub+"module tb; sub #(.W(4)) u(); sub #(2, 3) v(); sub w(); endmodule", "tb")
 	if want := "4 1 8\n2 3 4\n8 1 16\n"; r.Output != want {
 		t.Errorf("output %q, want %q", r.Output, want)
 	}
-	for _, tb := range []string{
-		"module tb; sub #(.X(4)) u(); endmodule",
-		"module tb; sub #(.M(4)) u(); endmodule",
-		"module tb; sub #(1, 2, 3) u(); endmodule",
+	for _, c := range []struct{ src, want string }{
+		{`module sub #(parameter W = 8) (input [W-1:0] a, output [W-1:0] y);
+  assign y = a + 1;
+endmodule
+module tb;
+  reg [7:0] a; wire [7:0] y;
+  sub #(.W(4)) u(.a(a), .y(y));
+  initial begin a = 15; #1 $display("y=%0d", y); end
+endmodule`, "y=0\n"},
+		{`module mem #(parameter D = 4, parameter W = 8) (input [1:0] addr, output [W-1:0] q);
+  reg [W-1:0] m [0:D-1];
+  initial m[1] = 8'hff;
+  assign q = m[addr];
+endmodule
+module tb;
+  wire [7:0] q;
+  mem #(2, 3) u(.addr(2'd1), .q(q));
+  initial begin #1 $display("q=%0d", q); end
+endmodule`, "q=7\n"},
+		{`module sub #(parameter W = 8) (); initial $display("W=%0d", W); endmodule
+module mid #(parameter N = 8) (); sub #(.W(N*2)) s(); endmodule
+module tb; mid #(.N(3)) m(); endmodule`, "W=6\n"},
 	} {
-		_, err := RunSource(sub+tb, "tb", Options{})
+		if r := mustRun(t, c.src, "tb"); r.Output != c.want {
+			t.Errorf("%s:\noutput %q, want %q", c.src, r.Output, c.want)
+		}
+	}
+	wide := "module w #(parameter W = 8, D = 4) (input [W-1:0] a); reg [7:0] m [1:D]; endmodule\n"
+	for _, src := range []string{
+		sub + "module tb; sub #(.X(4)) u(); endmodule",
+		sub + "module tb; sub #(.M(4)) u(); endmodule",
+		sub + "module tb; sub #(1, 2, 3) u(); endmodule",
+		wide + "module tb; w #(.W(100)) u(.a(1'b0)); endmodule",
+		wide + "module tb; w #(.W(-63)) u(.a(1'b0)); endmodule",
+		wide + "module tb; w #(.D((1 << 20) + 1)) u(.a(1'b0)); endmodule",
+		wide + "module tb; w #(.D(-4611686018427387904)) u(.a(1'b0)); endmodule",
+		"module tb; parameter P = 1; wire [P:0] a; parameter P = 2; endmodule",
+	} {
+		_, err := RunSource(src, "tb", Options{})
 		if _, ok := err.(*ElabError); !ok {
-			t.Errorf("%s: error %v, want an ElabError", tb, err)
+			t.Errorf("%s: error %v, want an ElabError", src, err)
+		}
+	}
+	for _, src := range []string{
+		wide + "module tb; w #(.W(64), .D(16)) u(.a(1'b0)); endmodule",
+		wide + "module tb; w #(.W(-62)) u(.a(1'b0)); endmodule",
+	} {
+		if _, err := RunSource(src, "tb", Options{}); err != nil {
+			t.Errorf("%s: %v", src, err)
 		}
 	}
 }

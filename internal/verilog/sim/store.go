@@ -12,196 +12,149 @@ type nbaUpdate struct {
 	word int
 	mask uint64 // bits of the word to overwrite
 	a, b uint64 // new plane bits, pre-shifted
-	noop bool   // invalid index at schedule time: discard silently
 }
 
-// store writes val to an lvalue. When nba is true the write is deferred
-// to the NBA region; otherwise it takes effect immediately (blocking
-// assignment / continuous assignment semantics).
-func (s *Simulator) store(sc *Scope, lhs verilog.Expr, val Value, nba bool) error {
-	upd, err := s.resolveStore(sc, lhs, val)
-	if err != nil {
-		return err
+// slot is where w bits of a resolved assignment target land: bits
+// [off, off+w) of word word of sig or, with sig nil, nowhere (a select
+// whose index is x/z or out of range, whose bits a concatenation still
+// counts).
+type slot struct {
+	sig          *Signal
+	word, off, w int
+}
+
+// resolve resolves an lvalue once, appending its slots to dst MSB first;
+// the target's width is the sum of theirs. An x/z part-select bound is
+// an error when strict (an assignment's target, and every part of a
+// concatenation) and a target that takes nothing otherwise (a bare
+// output-port connection, and a target resolved again after an
+// intra-assignment delay).
+func (s *Simulator) resolve(sc *Scope, lhs verilog.Expr, strict bool, dst []slot) ([]slot, error) {
+	switch v := lhs.(type) {
+	case *verilog.Ident:
+		sig, err := targetSignal(sc, v, "")
+		if err != nil {
+			return nil, err
+		}
+		if sig.IsArray {
+			return nil, rte(sc.Name, "cannot assign whole memory %q", v.Name)
+		}
+		return append(dst, slot{sig: sig, w: sig.W}), nil
+
+	case *verilog.Index:
+		sig, err := targetSignal(sc, v.X, "index")
+		if err != nil {
+			return nil, err
+		}
+		idx, err := s.eval(sc, v.Idx, 0)
+		if err != nil {
+			return nil, err
+		}
+		sl := slot{sig: sig, w: 1}
+		if sig.IsArray {
+			sl.w, sl.word = sig.W, sig.wordIndex(int(idx.Int64()))
+		} else {
+			sl.off = sig.bitOffset(int(idx.Int64()))
+		}
+		if idx.HasXZ() || sl.word < 0 || sl.off < 0 {
+			sl.sig = nil
+		}
+		return append(dst, sl), nil
+
+	case *verilog.RangeSel:
+		sig, err := targetSignal(sc, v.X, "range select")
+		if err != nil {
+			return nil, err
+		}
+		if sig.IsArray {
+			return nil, rte(sc.Name, "part-select on memory %q", v.X.(*verilog.Ident).Name)
+		}
+		msbV, err := s.eval(sc, v.MSB, 0)
+		if err != nil {
+			return nil, err
+		}
+		lsbV, err := s.eval(sc, v.LSB, 0)
+		if err != nil {
+			return nil, err
+		}
+		if msbV.HasXZ() || lsbV.HasXZ() {
+			if strict {
+				return nil, rte(sc.Name, "x/z part-select bounds on lvalue")
+			}
+			return dst, nil
+		}
+		msb, lsb := int(msbV.Int64()), int(lsbV.Int64())
+		hi, lo := sig.bitOffset(msb), sig.bitOffset(lsb)
+		if hi < lo {
+			hi, lo = lo, hi
+		}
+		if lo < 0 {
+			return append(dst, slot{w: max(msb, lsb) - min(msb, lsb) + 1}), nil
+		}
+		return append(dst, slot{sig: sig, off: lo, w: hi - lo + 1}), nil
+
+	case *verilog.Concat:
+		n := len(dst)
+		for _, p := range v.Parts {
+			var err error
+			if dst, err = s.resolve(sc, p, true, dst); err != nil {
+				return nil, err
+			}
+		}
+		if width(dst[n:]) > 64 {
+			return nil, rte(sc.Name, "lvalue concatenation wider than 64 bits")
+		}
+		return dst, nil
 	}
-	for _, u := range upd {
-		if u.noop {
+	return nil, rte(sc.Name, "unsupported lvalue %T", lhs)
+}
+
+// targetSignal returns the signal x names, where x is an assignment
+// target or the target of its select sel.
+func targetSignal(sc *Scope, x verilog.Expr, sel string) (*Signal, error) {
+	id, ok := x.(*verilog.Ident)
+	if !ok {
+		return nil, rte(sc.Name, "unsupported nested lvalue %s", sel)
+	}
+	sig := sc.lookup(id.Name)
+	if sig == nil {
+		return nil, rte(sc.Name, "unknown assignment target %q", id.Name)
+	}
+	return sig, nil
+}
+
+// width returns the number of bits slots take.
+func width(slots []slot) int {
+	w := 0
+	for _, sl := range slots {
+		w += sl.w
+	}
+	return w
+}
+
+// write splits val, extended to the slots' width, across them MSB
+// first: into their signals at once or, with nba, into the NBA region.
+func (s *Simulator) write(slots []slot, val Value, nba bool) {
+	pos := width(slots)
+	ev := val.Extend(pos)
+	for _, sl := range slots {
+		pos -= sl.w
+		if sl.sig == nil {
 			continue
 		}
+		m := mask(sl.w)
+		u := nbaUpdate{sig: sl.sig, word: sl.word, mask: m << uint(sl.off),
+			a: (ev.A >> uint(pos) & m) << uint(sl.off), b: (ev.B >> uint(pos) & m) << uint(sl.off)}
 		if nba {
 			s.nbaQ = append(s.nbaQ, u)
 		} else {
 			s.applyUpdate(u)
 		}
 	}
-	return nil
-}
-
-// resolveStore flattens an lvalue into word-level masked updates.
-func (s *Simulator) resolveStore(sc *Scope, lhs verilog.Expr, val Value) ([]nbaUpdate, error) {
-	switch v := lhs.(type) {
-	case *verilog.Ident:
-		sig := sc.lookup(v.Name)
-		if sig == nil {
-			return nil, rte(sc.Name, "unknown assignment target %q", v.Name)
-		}
-		if sig.IsArray {
-			return nil, rte(sc.Name, "cannot assign whole memory %q", v.Name)
-		}
-		ev := val.Extend(sig.W)
-		return []nbaUpdate{{sig: sig, word: 0, mask: mask(sig.W), a: ev.A & mask(sig.W), b: ev.B & mask(sig.W)}}, nil
-
-	case *verilog.Index:
-		id, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return nil, rte(sc.Name, "unsupported nested lvalue index")
-		}
-		sig := sc.lookup(id.Name)
-		if sig == nil {
-			return nil, rte(sc.Name, "unknown assignment target %q", id.Name)
-		}
-		idx, err := s.eval(sc, v.Idx, 0)
-		if err != nil {
-			return nil, err
-		}
-		if idx.HasXZ() {
-			return []nbaUpdate{{noop: true}}, nil
-		}
-		i := int(idx.Int64())
-		if sig.IsArray {
-			wi := sig.wordIndex(i)
-			if wi < 0 {
-				return []nbaUpdate{{noop: true}}, nil
-			}
-			ev := val.Extend(sig.W)
-			return []nbaUpdate{{sig: sig, word: wi, mask: mask(sig.W), a: ev.A & mask(sig.W), b: ev.B & mask(sig.W)}}, nil
-		}
-		off := sig.bitOffset(i)
-		if off < 0 {
-			return []nbaUpdate{{noop: true}}, nil
-		}
-		a, b := val.Bit(0)
-		return []nbaUpdate{{sig: sig, word: 0, mask: 1 << uint(off), a: a << uint(off), b: b << uint(off)}}, nil
-
-	case *verilog.RangeSel:
-		id, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return nil, rte(sc.Name, "unsupported nested lvalue range select")
-		}
-		sig := sc.lookup(id.Name)
-		if sig == nil {
-			return nil, rte(sc.Name, "unknown assignment target %q", id.Name)
-		}
-		if sig.IsArray {
-			return nil, rte(sc.Name, "part-select on memory %q", id.Name)
-		}
-		msbV, err := s.eval(sc, v.MSB, 0)
-		if err != nil {
-			return nil, err
-		}
-		lsbV, err := s.eval(sc, v.LSB, 0)
-		if err != nil {
-			return nil, err
-		}
-		if msbV.HasXZ() || lsbV.HasXZ() {
-			return []nbaUpdate{{noop: true}}, nil
-		}
-		hi := sig.bitOffset(int(msbV.Int64()))
-		lo := sig.bitOffset(int(lsbV.Int64()))
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		if hi < 0 || lo < 0 {
-			return []nbaUpdate{{noop: true}}, nil
-		}
-		w := hi - lo + 1
-		ev := val.Extend(w)
-		m := mask(w) << uint(lo)
-		return []nbaUpdate{{sig: sig, word: 0, mask: m, a: (ev.A & mask(w)) << uint(lo), b: (ev.B & mask(w)) << uint(lo)}}, nil
-
-	case *verilog.Concat:
-		// MSB-first split of val across the parts.
-		total := 0
-		widths := make([]int, len(v.Parts))
-		for i, p := range v.Parts {
-			w, err := s.lvalueWidth(sc, p)
-			if err != nil {
-				return nil, err
-			}
-			widths[i] = w
-			total += w
-		}
-		if total > 64 {
-			return nil, rte(sc.Name, "lvalue concatenation wider than 64 bits")
-		}
-		ev := val.Extend(total)
-		var out []nbaUpdate
-		pos := total
-		for i, p := range v.Parts {
-			pos -= widths[i]
-			part := Slice(ev, pos+widths[i]-1, pos)
-			upd, err := s.resolveStore(sc, p, part)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, upd...)
-		}
-		return out, nil
-	}
-	return nil, rte(sc.Name, "unsupported lvalue %T", lhs)
-}
-
-// lvalueWidth returns the store width of an lvalue part.
-func (s *Simulator) lvalueWidth(sc *Scope, lhs verilog.Expr) (int, error) {
-	switch v := lhs.(type) {
-	case *verilog.Ident:
-		sig := sc.lookup(v.Name)
-		if sig == nil {
-			return 0, rte(sc.Name, "unknown assignment target %q", v.Name)
-		}
-		return sig.W, nil
-	case *verilog.Index:
-		if id, ok := v.X.(*verilog.Ident); ok {
-			if sig := sc.lookup(id.Name); sig != nil && sig.IsArray {
-				return sig.W, nil
-			}
-		}
-		return 1, nil
-	case *verilog.RangeSel:
-		msbV, err := s.eval(sc, v.MSB, 0)
-		if err != nil {
-			return 0, err
-		}
-		lsbV, err := s.eval(sc, v.LSB, 0)
-		if err != nil {
-			return 0, err
-		}
-		if msbV.HasXZ() || lsbV.HasXZ() {
-			return 0, rte(sc.Name, "x/z part-select bounds on lvalue")
-		}
-		hi, lo := int(msbV.Int64()), int(lsbV.Int64())
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return hi - lo + 1, nil
-	case *verilog.Concat:
-		total := 0
-		for _, p := range v.Parts {
-			w, err := s.lvalueWidth(sc, p)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		return total, nil
-	}
-	return 0, rte(sc.Name, "unsupported lvalue %T", lhs)
 }
 
 // applyUpdate performs a masked word write and propagates the change.
 func (s *Simulator) applyUpdate(u nbaUpdate) {
-	if u.noop {
-		return
-	}
 	cur := u.sig.Words[u.word]
 	newA := cur.A&^u.mask | u.a
 	newB := cur.B&^u.mask | u.b

@@ -5,8 +5,11 @@ package verilog
 // of n's children in field order. It reaches every node the parser
 // builds: ports, items, statements and expressions, including those
 // inside CaseItem, DeclName, Connection and SensItem, and every delay.
-// Nil children are skipped. This is the one place the shape of the tree
-// is spelled out; collectors elsewhere are visitors over it.
+// Nil children are skipped. It does not visit a Range's bound
+// expressions: frag collects its significant tokens through Inspect,
+// so visiting them would change the fragments, and with them the
+// training bytes. This is the one place the shape of the tree is
+// spelled out; collectors elsewhere are visitors over it.
 func Inspect(n Node, f func(Node) bool) {
 	if n == nil || !f(n) {
 		return
