@@ -97,9 +97,17 @@ golden:
 # a tally, reset between them as a keyword part resets it between its
 # keywords, is exactly the level one tally of all their observations
 # builds (TestLevelBufTakes), and a reset tally refilled builds exactly
-# the level a fresh one does (TestTallyReset).
+# the level a fresh one does (TestTallyReset). Last, the functional
+# oracle's own differential: every problem's bench is generated from its
+# reference and compares the design against it, so every single-site
+# mutant of every reference (arithmetic, logic, relational boundary,
+# constant flip, inversion removal, clock edge, blocking vs
+# non-blocking) that still parses must fail its bench unless it is on
+# the committed equivalent list (TestTestbenchesKillMutants), and every
+# problem's ports must fit the clk/rst/data stimulus rule, a port it
+# cannot drive being an error (TestBenchPortConvention).
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestStateMatchesScratch|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact|TestLevelBufTakes|TestTallyReset' -v ./internal/experiments/ ./internal/core/ ./internal/model/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestStateMatchesScratch|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact|TestLevelBufTakes|TestTallyReset|TestTestbenchesKillMutants|TestBenchPortConvention' -v ./internal/experiments/ ./internal/core/ ./internal/model/ ./internal/bench/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length
@@ -174,7 +182,8 @@ cover:
 # Decode(Encode(s)) == s), the [FRAG] segmenter (the lexer's
 # segmentation equal to the regexp segmenter it replaced) and the
 # functional oracle (CheckFunction on arbitrary designs against the
-# benchmark testbenches returns a verdict and never panics),
+# benches generated from the references returns a verdict and never
+# panics),
 # each for a short budget on top of the committed seed corpora
 # (testdata/fuzz/). Run longer locally with FUZZTIME=5m.
 FUZZTIME ?= 15s

@@ -20,8 +20,8 @@
 // counterpart; each grammar-constrained strategy beside the ungated
 // tree drafter it extends. "sim" is the simulation-in-the-loop quality
 // tier: greedy decodes of every benchmark problem are elaborated and
-// run against their self-checking testbenches, and the rows report
-// sim-pass rate next to syntax rate per strategy. "load" measures
+// run against the testbenches generated from the references, and the
+// rows report sim-pass rate next to syntax rate per strategy. "load" measures
 // short-request p95 with one long decode in flight, the shorts running
 // beside it in the continuous batch, and prints how many short steps
 // ended between two steps of one long decode. "trace"

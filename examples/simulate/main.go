@@ -1,5 +1,5 @@
-// Simulate: drive the event-driven Verilog simulator directly — a
-// self-checking FSM testbench, the way benchmark functional checks run.
+// Simulate: drive the event-driven Verilog simulator directly on a
+// self-checking FSM testbench.
 package main
 
 import (
@@ -58,5 +58,5 @@ func main() {
 		panic(err)
 	}
 	fmt.Print(res.Output)
-	fmt.Printf("finished at t=%d, passed=%v\n", res.Time, res.Passed())
+	fmt.Printf("finished at t=%d\n", res.Time)
 }

@@ -1,14 +1,20 @@
 // Package bench defines the evaluation benchmarks: an RTLLM-like suite
 // of 29 design problems and a VGen-like suite of 17 low-level prompts,
 // matching the sizes (and therefore the pass-rate granularity) of the
-// benchmarks used in the paper. Each problem carries a prompt, a
-// reference implementation and a self-checking testbench; a generated
-// design is syntactically correct when it parses (iverilog-compile
-// analogue) and functionally correct when its testbench simulation
-// prints TEST PASSED (iverilog-run analogue).
+// benchmarks used in the paper. Each problem carries a prompt and a
+// reference implementation; its testbench is generated from the
+// reference (testbench.go), a differential bench that runs the design
+// beside a copy of the reference on one stimulus and compares every
+// output. A generated design is syntactically correct when it parses
+// (iverilog-compile analogue) and functionally correct when it matches
+// the reference at every sample point of that bench (iverilog-run
+// analogue).
 package bench
 
 import (
+	"fmt"
+	"hash/fnv"
+	"strconv"
 	"strings"
 
 	"repro/internal/verilog"
@@ -26,10 +32,12 @@ type Problem struct {
 	// Module is the required DUT module name (the testbench
 	// instantiates it by this name).
 	Module string
-	// Ref is a reference implementation; the test suite asserts that
-	// every reference passes its own testbench.
+	// Ref is the reference implementation, and the answer the
+	// testbench checks against.
 	Ref string
-	// Testbench is a self-checking bench printing TEST PASSED/FAILED.
+	// Testbench is the differential bench generated from Ref: a copy
+	// of Ref and module tb, which prints TEST FAILED at the first
+	// mismatch and TEST PASSED at the end.
 	Testbench string
 }
 
@@ -56,9 +64,19 @@ func CheckSyntax(design string) bool {
 
 // CheckFunction reports whether the generated design passes the
 // problem's testbench — the paper's functional-correctness criterion.
+// The verdict is the bench's alone: its pass line, the first in the
+// source, is rewritten to carry a hash of the whole source, design
+// included, so no design can print it.
 func CheckFunction(design string, p Problem) bool {
-	src := ExtractFirstModule(design) + "\n" + p.Testbench
-	f, err := verilog.Parse(src)
+	pass := strconv.Quote(passLine)
+	if !strings.Contains(p.Testbench, pass) {
+		return false
+	}
+	src := p.Testbench + "\n" + ExtractFirstModule(design)
+	h := fnv.New64a()
+	h.Write([]byte(src))
+	key := fmt.Sprintf("%s %016x", passLine, h.Sum64())
+	f, err := verilog.Parse(strings.Replace(src, pass, strconv.Quote(key), 1))
 	if err != nil {
 		return false
 	}
@@ -66,10 +84,7 @@ func CheckFunction(design string, p Problem) bool {
 		MaxTime:  2_000_000,
 		MaxSteps: 2_000_000,
 	})
-	if err != nil {
-		return false
-	}
-	return r.Passed()
+	return err == nil && strings.Contains(r.Output, key+"\n")
 }
 
 // All returns both suites concatenated (RTLLM first).

@@ -87,6 +87,59 @@ func TestBrokenDesignsFail(t *testing.T) {
 		if CheckFunction("module ( broken", p) {
 			t.Errorf("%s: garbage must not pass function", p.ID)
 		}
+		// The verdict is the bench's: a design that prints the pass
+		// line itself, with or without ending the run, fails.
+		for _, initial := range []string{
+			`$display("TEST PASSED");`,
+			`begin $display("TEST PASSED"); $finish; end`,
+		} {
+			if d := tiedDesign(p, initial); CheckFunction(d, p) {
+				t.Errorf("%s: a design printing the pass line passes:\n%s", p.ID, d)
+			}
+		}
+	}
+}
+
+// tiedDesign returns p's module with every output tied to 0 and one
+// initial block.
+func tiedDesign(p Problem, initial string) string {
+	f, err := verilog.Parse(p.Ref)
+	if err != nil {
+		panic(err)
+	}
+	var ports, body []string
+	for _, port := range f.Modules[0].Ports {
+		ports = append(ports, fmt.Sprintf("%s %s%s", port.Dir, rng(port), port.Name))
+		if port.Dir == verilog.PortOutput {
+			body = append(body, "  assign "+port.Name+" = 0;\n")
+		}
+	}
+	return fmt.Sprintf("module %s(%s);\n%s  initial %s\nendmodule\n", p.Module, strings.Join(ports, ", "), strings.Join(body, ""), initial)
+}
+
+// TestBenchPortConvention: every problem's ports fit the stimulus rule
+// (clk, rst, data inputs, outputs), and a port the rule cannot drive
+// is an error, never a bench that drives it as data.
+func TestBenchPortConvention(t *testing.T) {
+	for _, p := range All() {
+		if _, err := testbench(p.Ref); err != nil {
+			t.Errorf("%s: %v", p.ID, err)
+		}
+	}
+	for _, ref := range []string{
+		"module m(input clock, input d, output q); endmodule",
+		"module m(input clk, input rst_n, input d, output q); endmodule",
+		"module m(input clk, input reset, input d, output q); endmodule",
+		"module m(input clk_in, input d, output q); endmodule",
+		"module m(input [1:0] clk, input d, output q); endmodule",
+		"module m(input clk, input [1:0] rst, input d, output q); endmodule",
+		"module m(input rst, input d, output q); endmodule",
+		"module m(inout [7:0] bus, output q); endmodule",
+		"module m(input a, input b); endmodule",
+	} {
+		if tb, err := testbench(ref); err == nil {
+			t.Errorf("%s: the port rule drives it:\n%s", ref, tb)
+		}
 	}
 }
 
@@ -125,8 +178,9 @@ func TestExtractFirstModule(t *testing.T) {
 	}
 }
 
-// FuzzCheckFunction runs arbitrary designs against the benchmark's
-// testbenches, seeded with every reference paired with its problem, with
+// FuzzCheckFunction runs arbitrary designs against the benches
+// generated from the references (each a copy of the reference beside
+// the design), seeded with every reference paired with its problem, with
 // its parameterised wrappers (paramWrappers) and with ranges too wide
 // for the simulator (overflowDesigns): whatever the design,
 // CheckFunction returns a verdict and never panics (the simulator's
@@ -151,11 +205,11 @@ func FuzzCheckFunction(f *testing.F) {
 }
 
 // checkWithRest is CheckFunction with the modules after the design's
-// first one placed beside the testbench, so that a wrapper reaches the
+// first one placed after the testbench, so that a wrapper reaches the
 // modules it instantiates.
 func checkWithRest(design string, p Problem) bool {
 	first := ExtractFirstModule(design)
-	p.Testbench = design[strings.Index(design, first)+len(first):] + "\n" + p.Testbench
+	p.Testbench += "\n" + design[strings.Index(design, first)+len(first):]
 	return CheckFunction(first, p)
 }
 

@@ -3,11 +3,11 @@ package bench
 // RTLLM returns the RTLLM-like suite: 29 natural-language design
 // problems in the flavour of the RTLLM benchmark (arithmetic blocks,
 // counters, FSMs, memories), each with a reference design and a
-// self-checking testbench. The suite size matches RTLLM's 29 designs so
+// testbench generated from it. The suite size matches RTLLM's 29 designs so
 // Pass Rate granularity (multiples of 1/29 = 3.45%) is comparable.
 func RTLLM() []Problem { return rtllmProblems }
 
-var rtllmProblems = []Problem{
+var rtllmProblems = withTestbenches([]Problem{
 	{
 		ID: "rtllm/adder_8bit", Suite: "RTLLM", Module: "adder_8bit",
 		Prompt: "Please act as a professional Verilog designer. Implement an 8-bit adder module named adder_8bit with carry. Inputs: a (8-bit), b (8-bit), cin. Outputs: sum (8-bit), cout. The design computes {cout, sum} = a + b + cin.",
@@ -21,27 +21,6 @@ var rtllmProblems = []Problem{
     assign {cout, sum} = a + b + cin;
 endmodule
 `,
-		Testbench: `module tb;
-  reg [7:0] a, b;
-  reg cin;
-  wire [7:0] sum;
-  wire cout;
-  integer i, errors;
-  reg [8:0] want;
-  adder_8bit dut(.a(a), .b(b), .cin(cin), .sum(sum), .cout(cout));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      a = $random; b = $random; cin = i[0];
-      #1;
-      want = {1'b0, a} + {1'b0, b} + {8'd0, cin};
-      if ({cout, sum} !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/adder_16bit", Suite: "RTLLM", Module: "adder_16bit",
@@ -52,23 +31,6 @@ endmodule
     output [15:0] sum
 );
     assign sum = a + b;
-endmodule
-`,
-		Testbench: `module tb;
-  reg [15:0] a, b;
-  wire [15:0] sum;
-  integer i, errors;
-  adder_16bit dut(.a(a), .b(b), .sum(sum));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      a = $random; b = $random;
-      #1;
-      if (sum !== (a + b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -85,25 +47,6 @@ endmodule
     assign borrow = (a < b);
 endmodule
 `,
-		Testbench: `module tb;
-  reg [7:0] a, b;
-  wire [7:0] diff;
-  wire borrow;
-  integer i, errors;
-  sub_8bit dut(.a(a), .b(b), .diff(diff), .borrow(borrow));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      a = $random; b = $random;
-      #1;
-      if (diff !== (a - b)) errors = errors + 1;
-      if (borrow !== (a < b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/mult_4bit", Suite: "RTLLM", Module: "mult_4bit",
@@ -114,27 +57,6 @@ endmodule
     output [7:0] p
 );
     assign p = a * b;
-endmodule
-`,
-		Testbench: `module tb;
-  reg [3:0] a, b;
-  wire [7:0] p;
-  integer i, j, errors;
-  reg [7:0] want;
-  mult_4bit dut(.a(a), .b(b), .p(p));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 16; i = i + 1) begin
-      for (j = 0; j < 16; j = j + 1) begin
-        a = i[3:0]; b = j[3:0];
-        #1;
-        want = i[7:0] * j[7:0];
-        if (p !== want) errors = errors + 1;
-      end
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -151,24 +73,6 @@ endmodule
     assign eq = (a == b);
     assign gt = (a > b);
     assign lt = (a < b);
-endmodule
-`,
-		Testbench: `module tb;
-  reg [7:0] a, b;
-  wire eq, gt, lt;
-  integer i, errors;
-  comparator_8bit dut(.a(a), .b(b), .eq(eq), .gt(gt), .lt(lt));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 80; i = i + 1) begin
-      a = $random; b = $random;
-      if (i < 10) b = a; // cover equality
-      #1;
-      if (eq !== (a == b) || gt !== (a > b) || lt !== (a < b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -191,31 +95,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg [1:0] op;
-  reg [7:0] a, b;
-  wire [7:0] y;
-  integer i, errors;
-  reg [7:0] want;
-  alu_8bit dut(.op(op), .a(a), .b(b), .y(y));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 80; i = i + 1) begin
-      op = i[1:0]; a = $random; b = $random;
-      #1;
-      case (op)
-        2'b00: want = a + b;
-        2'b01: want = a - b;
-        2'b10: want = a & b;
-        default: want = a | b;
-      endcase
-      if (y !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/mux2to1_8bit", Suite: "RTLLM", Module: "mux2to1_8bit",
@@ -227,24 +106,6 @@ endmodule
     output [7:0] y
 );
     assign y = sel ? b : a;
-endmodule
-`,
-		Testbench: `module tb;
-  reg [7:0] a, b;
-  reg sel;
-  wire [7:0] y;
-  integer i, errors;
-  mux2to1_8bit dut(.a(a), .b(b), .sel(sel), .y(y));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 40; i = i + 1) begin
-      a = $random; b = $random; sel = i[0];
-      #1;
-      if (y !== (sel ? b : a)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -269,31 +130,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg [7:0] d0, d1, d2, d3;
-  reg [1:0] sel;
-  wire [7:0] y;
-  integer i, errors;
-  reg [7:0] want;
-  mux4to1_8bit dut(.d0(d0), .d1(d1), .d2(d2), .d3(d3), .sel(sel), .y(y));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 40; i = i + 1) begin
-      d0 = $random; d1 = $random; d2 = $random; d3 = $random; sel = i[1:0];
-      #1;
-      case (sel)
-        2'b00: want = d0;
-        2'b01: want = d1;
-        2'b10: want = d2;
-        default: want = d3;
-      endcase
-      if (y !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/decoder_3to8", Suite: "RTLLM", Module: "decoder_3to8",
@@ -307,26 +143,6 @@ endmodule
         if (!en) y = 8'd0;
         else y = 8'd1 << sel;
     end
-endmodule
-`,
-		Testbench: `module tb;
-  reg [2:0] sel;
-  reg en;
-  wire [7:0] y;
-  integer i, errors;
-  reg [7:0] want;
-  decoder_3to8 dut(.sel(sel), .en(en), .y(y));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 16; i = i + 1) begin
-      sel = i[2:0]; en = i[3];
-      #1;
-      if (en) want = 8'd1 << sel; else want = 8'd0;
-      if (y !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -350,32 +166,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg [3:0] req;
-  wire [1:0] grant;
-  wire valid;
-  integer i, errors;
-  reg [1:0] want;
-  reg wantv;
-  priority_encoder_4bit dut(.req(req), .grant(grant), .valid(valid));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 16; i = i + 1) begin
-      req = i[3:0];
-      #1;
-      wantv = (req != 4'd0);
-      if (req[3]) want = 2'd3;
-      else if (req[2]) want = 2'd2;
-      else if (req[1]) want = 2'd1;
-      else want = 2'd0;
-      if (valid !== wantv) errors = errors + 1;
-      else if (wantv && grant !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/parity_8bit", Suite: "RTLLM", Module: "parity_8bit",
@@ -387,23 +177,6 @@ endmodule
     assign parity = ^data;
 endmodule
 `,
-		Testbench: `module tb;
-  reg [7:0] data;
-  wire parity;
-  integer i, errors;
-  parity_8bit dut(.data(data), .parity(parity));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      data = $random;
-      #1;
-      if (parity !== (^data)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/bin2gray_8bit", Suite: "RTLLM", Module: "bin2gray_8bit",
@@ -413,23 +186,6 @@ endmodule
     output [7:0] gray
 );
     assign gray = bin ^ (bin >> 1);
-endmodule
-`,
-		Testbench: `module tb;
-  reg [7:0] bin;
-  wire [7:0] gray;
-  integer i, errors;
-  bin2gray_8bit dut(.bin(bin), .gray(gray));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      bin = $random;
-      #1;
-      if (gray !== (bin ^ (bin >> 1))) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -445,27 +201,6 @@ endmodule
         if (rst) q <= 8'd0;
         else q <= q + 8'd1;
     end
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, rst;
-  wire [7:0] q;
-  reg [7:0] golden;
-  integer i, errors;
-  counter_8bit dut(.clk(clk), .rst(rst), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; errors = 0; golden = 8'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    for (i = 0; i < 40; i = i + 1) begin
-      @(posedge clk); #1;
-      golden = golden + 8'd1;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -485,29 +220,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst, up;
-  wire [3:0] q;
-  reg [3:0] golden;
-  integer i, errors;
-  updown_counter_4bit dut(.clk(clk), .rst(rst), .up(up), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; up = 1; errors = 0; golden = 4'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    for (i = 0; i < 40; i = i + 1) begin
-      @(negedge clk);
-      up = (i < 20) || (i[0]);
-      @(posedge clk); #1;
-      if (up) golden = golden + 4'd1; else golden = golden - 4'd1;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/ring_counter_4bit", Suite: "RTLLM", Module: "ring_counter_4bit",
@@ -521,28 +233,6 @@ endmodule
         if (rst) q <= 4'b0001;
         else q <= {q[2:0], q[3]};
     end
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, rst;
-  wire [3:0] q;
-  reg [3:0] golden;
-  integer i, errors;
-  ring_counter_4bit dut(.clk(clk), .rst(rst), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; errors = 0; golden = 4'b0001;
-    @(posedge clk); #1;
-    rst = 0;
-    if (q !== golden) errors = errors + 1;
-    for (i = 0; i < 20; i = i + 1) begin
-      @(posedge clk); #1;
-      golden = {golden[2:0], golden[3]};
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -561,27 +251,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst;
-  wire [3:0] q;
-  reg [3:0] golden;
-  integer i, errors;
-  counter_mod10 dut(.clk(clk), .rst(rst), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; errors = 0; golden = 4'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    for (i = 0; i < 35; i = i + 1) begin
-      @(posedge clk); #1;
-      if (golden == 4'd9) golden = 4'd0; else golden = golden + 4'd1;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/shift_reg_8bit", Suite: "RTLLM", Module: "shift_reg_8bit",
@@ -592,35 +261,6 @@ endmodule
     output reg [7:0] q
 );
     always @(posedge clk) q <= {q[6:0], din};
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, din;
-  wire [7:0] q;
-  reg [7:0] golden;
-  integer i, errors;
-  reg [31:0] r;
-  shift_reg_8bit dut(.clk(clk), .din(din), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; din = 0; errors = 0;
-    // Flush unknown state with 8 known shifts first.
-    for (i = 0; i < 8; i = i + 1) begin
-      @(negedge clk); din = 1'b0;
-      @(posedge clk); #1;
-    end
-    golden = 8'd0;
-    for (i = 0; i < 40; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      din = r[0];
-      @(posedge clk); #1;
-      golden = {golden[6:0], din};
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -635,24 +275,6 @@ endmodule
     assign result = data >> amount;
 endmodule
 `,
-		Testbench: `module tb;
-  reg [7:0] data;
-  reg [2:0] amount;
-  wire [7:0] result;
-  integer i, errors;
-  barrel_shifter_8bit dut(.data(data), .amount(amount), .result(result));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 64; i = i + 1) begin
-      data = $random; amount = i[2:0];
-      #1;
-      if (result !== (data >> amount)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/edge_detector", Suite: "RTLLM", Module: "edge_detector",
@@ -665,34 +287,6 @@ endmodule
     reg sig_d;
     always @(posedge clk) sig_d <= sig;
     assign pulse = sig & ~sig_d;
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, sig;
-  wire pulse;
-  reg prev;
-  integer i, errors;
-  reg [31:0] r;
-  edge_detector dut(.clk(clk), .sig(sig), .pulse(pulse));
-  initial begin
-    clk = 0; sig = 0; errors = 0;
-    // settle one cycle so sig_d is known
-    @(negedge clk); sig = 0;
-    @(posedge clk); #1;
-    prev = 0;
-    for (i = 0; i < 40; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      sig = r[0];
-      #1;
-      if (pulse !== (sig & ~prev)) errors = errors + 1;
-      @(posedge clk); #1;
-      prev = sig;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-  always #5 clk = ~clk;
 endmodule
 `,
 	},
@@ -712,28 +306,6 @@ endmodule
     assign clk_out = cnt[1];
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst;
-  wire clk_out;
-  reg [1:0] golden;
-  integer i, errors;
-  clk_div4 dut(.clk(clk), .rst(rst), .clk_out(clk_out));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; errors = 0; golden = 2'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    if (clk_out !== golden[1]) errors = errors + 1;
-    for (i = 0; i < 24; i = i + 1) begin
-      @(posedge clk); #1;
-      golden = golden + 2'd1;
-      if (clk_out !== golden[1]) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/pwm_8bit", Suite: "RTLLM", Module: "pwm_8bit",
@@ -750,29 +322,6 @@ endmodule
         else cnt <= cnt + 8'd1;
     end
     assign pwm_out = (cnt < duty);
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, rst;
-  reg [7:0] duty;
-  wire pwm_out;
-  reg [7:0] golden;
-  integer i, errors;
-  pwm_8bit dut(.clk(clk), .rst(rst), .duty(duty), .pwm_out(pwm_out));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; duty = 8'd100; errors = 0; golden = 8'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    if (pwm_out !== (golden < duty)) errors = errors + 1;
-    for (i = 0; i < 60; i = i + 1) begin
-      @(posedge clk); #1;
-      golden = golden + 8'd1;
-      if (pwm_out !== (golden < duty)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -801,31 +350,6 @@ endmodule
     assign seen = (state == S3);
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst, din;
-  wire seen;
-  reg [2:0] window;
-  integer i, errors;
-  reg [31:0] r;
-  seq_det_101 dut(.clk(clk), .rst(rst), .din(din), .seen(seen));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; din = 0; errors = 0; window = 3'b000;
-    @(posedge clk); #1;
-    rst = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      din = r[0];
-      @(posedge clk); #1;
-      window = {window[1:0], din};
-      if (seen !== (window == 3'b101)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/register_8bit_en", Suite: "RTLLM", Module: "register_8bit_en",
@@ -839,31 +363,6 @@ endmodule
     always @(posedge clk) begin
         if (en) q <= d;
     end
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, en;
-  reg [7:0] d;
-  wire [7:0] q;
-  reg [7:0] golden;
-  integer i, errors;
-  register_8bit_en dut(.clk(clk), .en(en), .d(d), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; errors = 0;
-    @(negedge clk); en = 1; d = 8'd55;
-    @(posedge clk); #1;
-    golden = 8'd55;
-    for (i = 0; i < 40; i = i + 1) begin
-      @(negedge clk);
-      d = $random; en = i[0];
-      @(posedge clk); #1;
-      if (en) golden = d;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -883,30 +382,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst, en;
-  reg [15:0] din;
-  wire [15:0] acc;
-  reg [15:0] golden;
-  integer i, errors;
-  accumulator_16bit dut(.clk(clk), .rst(rst), .en(en), .din(din), .acc(acc));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; en = 0; din = 16'd0; errors = 0; golden = 16'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    for (i = 0; i < 40; i = i + 1) begin
-      @(negedge clk);
-      din = $random; en = (i % 3 != 0);
-      @(posedge clk); #1;
-      if (en) golden = golden + din;
-      if (acc !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/regfile_16x8", Suite: "RTLLM", Module: "regfile_16x8",
@@ -924,32 +399,6 @@ endmodule
         if (we) mem[waddr] <= wdata;
     end
     assign rdata = mem[raddr];
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, we;
-  reg [3:0] waddr, raddr;
-  reg [7:0] wdata;
-  wire [7:0] rdata;
-  integer i, errors;
-  regfile_16x8 dut(.clk(clk), .we(we), .waddr(waddr), .raddr(raddr), .wdata(wdata), .rdata(rdata));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; we = 1; errors = 0;
-    for (i = 0; i < 16; i = i + 1) begin
-      @(negedge clk);
-      waddr = i[3:0]; wdata = i[7:0] * 8'd7 + 8'd3;
-      @(posedge clk); #1;
-    end
-    we = 0;
-    for (i = 0; i < 16; i = i + 1) begin
-      raddr = i[3:0];
-      #1;
-      if (rdata !== (i[7:0] * 8'd7 + 8'd3)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -991,56 +440,6 @@ endmodule
     assign full = (count == 4'd8);
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst, push, pop;
-  reg [7:0] din;
-  wire [7:0] dout;
-  wire empty, full;
-  integer i, errors;
-  reg [7:0] expect0, expect1, expect2;
-  fifo_8x8 dut(.clk(clk), .rst(rst), .push(push), .pop(pop), .din(din), .dout(dout), .empty(empty), .full(full));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; push = 0; pop = 0; din = 8'd0; errors = 0;
-    @(posedge clk); #1;
-    rst = 0;
-    if (empty !== 1'b1 || full !== 1'b0) errors = errors + 1;
-    // push three known values
-    expect0 = 8'd17; expect1 = 8'd34; expect2 = 8'd51;
-    @(negedge clk); push = 1; din = expect0;
-    @(posedge clk); #1;
-    @(negedge clk); din = expect1;
-    @(posedge clk); #1;
-    @(negedge clk); din = expect2;
-    @(posedge clk); #1;
-    @(negedge clk); push = 0;
-    #1;
-    if (empty !== 1'b0) errors = errors + 1;
-    if (dout !== expect0) errors = errors + 1;
-    // pop them in order
-    @(negedge clk); pop = 1;
-    @(posedge clk); #1;
-    if (dout !== expect1) errors = errors + 1;
-    @(posedge clk); #1;
-    if (dout !== expect2) errors = errors + 1;
-    @(posedge clk); #1;
-    @(negedge clk); pop = 0;
-    #1;
-    if (empty !== 1'b1) errors = errors + 1;
-    // fill to full
-    @(negedge clk); push = 1;
-    for (i = 0; i < 8; i = i + 1) begin
-      din = i[7:0];
-      @(posedge clk); #1;
-    end
-    @(negedge clk); push = 0;
-    #1;
-    if (full !== 1'b1) errors = errors + 1;
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/sat_counter_3bit", Suite: "RTLLM", Module: "sat_counter_3bit",
@@ -1059,32 +458,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst, inc, dec;
-  wire [2:0] cnt;
-  reg [2:0] golden;
-  integer i, errors;
-  reg [31:0] r;
-  sat_counter_3bit dut(.clk(clk), .rst(rst), .inc(inc), .dec(dec), .cnt(cnt));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; inc = 0; dec = 0; errors = 0; golden = 3'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      inc = r[0]; dec = r[1];
-      @(posedge clk); #1;
-      if (inc && !dec && golden != 3'd7) golden = golden + 3'd1;
-      else if (dec && !inc && golden != 3'd0) golden = golden - 3'd1;
-      if (cnt !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "rtllm/abs_8bit", Suite: "RTLLM", Module: "abs_8bit",
@@ -1094,25 +467,6 @@ endmodule
     output [7:0] y
 );
     assign y = (x < 0) ? -x : x;
-endmodule
-`,
-		Testbench: `module tb;
-  reg signed [7:0] x;
-  wire [7:0] y;
-  integer i, errors;
-  reg [7:0] want;
-  abs_8bit dut(.x(x), .y(y));
-  initial begin
-    errors = 0;
-    for (i = -100; i < 100; i = i + 7) begin
-      x = i[7:0];
-      #1;
-      if (i < 0) want = (-i); else want = i[7:0];
-      if (y !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -1129,23 +483,5 @@ endmodule
     assign max_o = (a > b) ? a : b;
 endmodule
 `,
-		Testbench: `module tb;
-  reg [7:0] a, b;
-  wire [7:0] min_o, max_o;
-  integer i, errors;
-  minmax_8bit dut(.a(a), .b(b), .min_o(min_o), .max_o(max_o));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 60; i = i + 1) begin
-      a = $random; b = $random;
-      #1;
-      if (min_o !== ((a < b) ? a : b)) errors = errors + 1;
-      if (max_o !== ((a > b) ? a : b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
-}
+})

@@ -7,29 +7,12 @@ package bench
 // Rate granularity 1/17 = 5.88%).
 func VGen() []Problem { return vgenProblems }
 
-var vgenProblems = []Problem{
+var vgenProblems = withTestbenches([]Problem{
 	{
 		ID: "vgen/simple_wire", Suite: "VGen", Module: "simple_wire",
 		Prompt: "Complete the Verilog module below. It is a simple wire that connects input in_a to output out_a.\nmodule simple_wire(input in_a, output out_a);",
 		Ref: `module simple_wire(input in_a, output out_a);
     assign out_a = in_a;
-endmodule
-`,
-		Testbench: `module tb;
-  reg in_a;
-  wire out_a;
-  integer i, errors;
-  simple_wire dut(.in_a(in_a), .out_a(out_a));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 8; i = i + 1) begin
-      in_a = i[0];
-      #1;
-      if (out_a !== in_a) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -40,46 +23,12 @@ endmodule
     assign out = a & b;
 endmodule
 `,
-		Testbench: `module tb;
-  reg a, b;
-  wire out;
-  integer i, errors;
-  and_gate dut(.a(a), .b(b), .out(out));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 4; i = i + 1) begin
-      a = i[0]; b = i[1];
-      #1;
-      if (out !== (a & b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/or_gate", Suite: "VGen", Module: "or_gate",
 		Prompt: "Complete the Verilog module below. It is a 2-input or gate driving out from inputs a and b.\nmodule or_gate(input a, input b, output out);",
 		Ref: `module or_gate(input a, input b, output out);
     assign out = a | b;
-endmodule
-`,
-		Testbench: `module tb;
-  reg a, b;
-  wire out;
-  integer i, errors;
-  or_gate dut(.a(a), .b(b), .out(out));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 4; i = i + 1) begin
-      a = i[0]; b = i[1];
-      #1;
-      if (out !== (a | b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -90,23 +39,6 @@ endmodule
     assign out = a ^ b;
 endmodule
 `,
-		Testbench: `module tb;
-  reg a, b;
-  wire out;
-  integer i, errors;
-  xor_gate dut(.a(a), .b(b), .out(out));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 4; i = i + 1) begin
-      a = i[0]; b = i[1];
-      #1;
-      if (out !== (a ^ b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/not_gate", Suite: "VGen", Module: "not_gate",
@@ -115,45 +47,12 @@ endmodule
     assign out = ~in_a;
 endmodule
 `,
-		Testbench: `module tb;
-  reg in_a;
-  wire out;
-  integer errors;
-  not_gate dut(.in_a(in_a), .out(out));
-  initial begin
-    errors = 0;
-    in_a = 0; #1;
-    if (out !== 1'b1) errors = errors + 1;
-    in_a = 1; #1;
-    if (out !== 1'b0) errors = errors + 1;
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/nand_gate", Suite: "VGen", Module: "nand_gate",
 		Prompt: "Complete the Verilog module below. It is a 2-input nand gate driving out from inputs a and b.\nmodule nand_gate(input a, input b, output out);",
 		Ref: `module nand_gate(input a, input b, output out);
     assign out = ~(a & b);
-endmodule
-`,
-		Testbench: `module tb;
-  reg a, b;
-  wire out;
-  integer i, errors;
-  nand_gate dut(.a(a), .b(b), .out(out));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 4; i = i + 1) begin
-      a = i[0]; b = i[1];
-      #1;
-      if (out !== ~(a & b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -165,23 +64,6 @@ endmodule
     assign c = a & b;
 endmodule
 `,
-		Testbench: `module tb;
-  reg a, b;
-  wire s, c;
-  integer i, errors;
-  half_adder dut(.a(a), .b(b), .s(s), .c(c));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 4; i = i + 1) begin
-      a = i[0]; b = i[1];
-      #1;
-      if (s !== (a ^ b) || c !== (a & b)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/full_adder", Suite: "VGen", Module: "full_adder",
@@ -191,48 +73,12 @@ endmodule
     assign cout = (a & b) | (a & cin) | (b & cin);
 endmodule
 `,
-		Testbench: `module tb;
-  reg a, b, cin;
-  wire s, cout;
-  integer i, errors;
-  reg [1:0] want;
-  full_adder dut(.a(a), .b(b), .cin(cin), .s(s), .cout(cout));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 8; i = i + 1) begin
-      a = i[0]; b = i[1]; cin = i[2];
-      #1;
-      want = {1'b0, a} + {1'b0, b} + {1'b0, cin};
-      if ({cout, s} !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/mux_1bit", Suite: "VGen", Module: "mux_1bit",
 		Prompt: "Complete the Verilog module below. It is a 1-bit 2-to-1 mux: out is b when sel is high, else a.\nmodule mux_1bit(input a, input b, input sel, output out);",
 		Ref: `module mux_1bit(input a, input b, input sel, output out);
     assign out = sel ? b : a;
-endmodule
-`,
-		Testbench: `module tb;
-  reg a, b, sel;
-  wire out;
-  integer i, errors;
-  mux_1bit dut(.a(a), .b(b), .sel(sel), .out(out));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 8; i = i + 1) begin
-      a = i[0]; b = i[1]; sel = i[2];
-      #1;
-      if (out !== (sel ? b : a)) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -245,60 +91,12 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg d, en;
-  wire q;
-  integer errors;
-  d_latch dut(.d(d), .en(en), .q(q));
-  initial begin
-    errors = 0;
-    en = 1; d = 1; #1;
-    if (q !== 1'b1) errors = errors + 1;
-    d = 0; #1;
-    if (q !== 1'b0) errors = errors + 1;
-    en = 0; d = 1; #1;
-    if (q !== 1'b0) errors = errors + 1; // held
-    d = 0; en = 1; #1;
-    if (q !== 1'b0) errors = errors + 1;
-    d = 1; #1;
-    if (q !== 1'b1) errors = errors + 1;
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/dff", Suite: "VGen", Module: "dff",
 		Prompt: "Complete the Verilog module below. It is a D flip-flop capturing d into q on the rising edge of clk.\nmodule dff(input clk, input d, output reg q);",
 		Ref: `module dff(input clk, input d, output reg q);
     always @(posedge clk) q <= d;
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, d;
-  wire q;
-  integer i, errors;
-  reg golden;
-  reg [31:0] r;
-  dff dut(.clk(clk), .d(d), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; errors = 0;
-    @(negedge clk); d = 1'b1;
-    @(posedge clk); #1;
-    golden = 1'b1;
-    for (i = 0; i < 20; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      d = r[0];
-      @(posedge clk); #1;
-      golden = d;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -312,33 +110,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst, d;
-  wire q;
-  integer i, errors;
-  reg golden;
-  reg [31:0] r;
-  dff_rst dut(.clk(clk), .rst(rst), .d(d), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; d = 1; errors = 0;
-    @(posedge clk); #1;
-    golden = 1'b0;
-    if (q !== golden) errors = errors + 1;
-    rst = 0;
-    for (i = 0; i < 20; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      d = r[0]; rst = (i % 5 == 4);
-      @(posedge clk); #1;
-      if (rst) golden = 1'b0; else golden = d;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/t_ff", Suite: "VGen", Module: "t_ff",
@@ -348,32 +119,6 @@ endmodule
         if (rst) q <= 1'b0;
         else if (t) q <= ~q;
     end
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, rst, t;
-  wire q;
-  integer i, errors;
-  reg golden;
-  reg [31:0] r;
-  t_ff dut(.clk(clk), .rst(rst), .t(t), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; t = 0; errors = 0;
-    @(posedge clk); #1;
-    golden = 1'b0;
-    rst = 0;
-    for (i = 0; i < 24; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      t = r[0];
-      @(posedge clk); #1;
-      if (t) golden = ~golden;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -387,61 +132,12 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst;
-  wire [2:0] q;
-  reg [2:0] golden;
-  integer i, errors;
-  counter_3bit dut(.clk(clk), .rst(rst), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; errors = 0; golden = 3'd0;
-    @(posedge clk); #1;
-    rst = 0;
-    for (i = 0; i < 20; i = i + 1) begin
-      @(posedge clk); #1;
-      golden = golden + 3'd1;
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/shift_4bit", Suite: "VGen", Module: "shift_4bit",
 		Prompt: "Complete the Verilog module below. It is a 4-bit left shift register: on each rising edge of clk the register shifts left and serial input sin enters at bit 0; the state drives q.\nmodule shift_4bit(input clk, input sin, output reg [3:0] q);",
 		Ref: `module shift_4bit(input clk, input sin, output reg [3:0] q);
     always @(posedge clk) q <= {q[2:0], sin};
-endmodule
-`,
-		Testbench: `module tb;
-  reg clk, sin;
-  wire [3:0] q;
-  reg [3:0] golden;
-  integer i, errors;
-  reg [31:0] r;
-  shift_4bit dut(.clk(clk), .sin(sin), .q(q));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; sin = 0; errors = 0;
-    for (i = 0; i < 4; i = i + 1) begin
-      @(negedge clk); sin = 1'b0;
-      @(posedge clk); #1;
-    end
-    golden = 4'd0;
-    for (i = 0; i < 20; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      sin = r[0];
-      @(posedge clk); #1;
-      golden = {golden[2:0], sin};
-      if (q !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
 endmodule
 `,
 	},
@@ -459,33 +155,6 @@ endmodule
     end
 endmodule
 `,
-		Testbench: `module tb;
-  reg a, b, c, d;
-  reg [1:0] sel;
-  wire out;
-  integer i, errors;
-  reg want;
-  reg [31:0] r;
-  mux4_case dut(.a(a), .b(b), .c(c), .d(d), .sel(sel), .out(out));
-  initial begin
-    errors = 0;
-    for (i = 0; i < 32; i = i + 1) begin
-      r = $random;
-      a = r[0]; b = r[1]; c = r[2]; d = r[3]; sel = i[1:0];
-      #1;
-      case (sel)
-        2'b00: want = a;
-        2'b01: want = b;
-        2'b10: want = c;
-        default: want = d;
-      endcase
-      if (out !== want) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
 	{
 		ID: "vgen/fsm_toggle", Suite: "VGen", Module: "fsm_toggle",
@@ -499,31 +168,5 @@ endmodule
     assign state_out = state;
 endmodule
 `,
-		Testbench: `module tb;
-  reg clk, rst, go;
-  wire state_out;
-  reg golden;
-  integer i, errors;
-  reg [31:0] r;
-  fsm_toggle dut(.clk(clk), .rst(rst), .go(go), .state_out(state_out));
-  always #5 clk = ~clk;
-  initial begin
-    clk = 0; rst = 1; go = 0; errors = 0;
-    @(posedge clk); #1;
-    golden = 1'b0;
-    rst = 0;
-    for (i = 0; i < 24; i = i + 1) begin
-      @(negedge clk);
-      r = $random;
-      go = r[0];
-      @(posedge clk); #1;
-      if (go) golden = ~golden;
-      if (state_out !== golden) errors = errors + 1;
-    end
-    if (errors == 0) $display("TEST PASSED"); else $display("TEST FAILED %0d", errors);
-    $finish;
-  end
-endmodule
-`,
 	},
-}
+})

@@ -57,6 +57,25 @@ func TestCheckMatchesCheckPrefix(t *testing.T) {
 	}
 }
 
+// TestPrefixFoldFailureFormatsNothing: a prefix check that fails in a
+// fold (a range too wide, a bound that is no parameter) formats no
+// message. Each source costs 33 allocations, all of them the lex and
+// the parse up to the failing range; formatting the message cost 3
+// more.
+func TestPrefixFoldFailureFormatsNothing(t *testing.T) {
+	for _, src := range []string{
+		"module m; wire [3:0] w; wire [70:0] v;",
+		"module m; wire [3:0] w; wire [N:0] v;",
+	} {
+		if st := verilog.CheckPrefix(src); st != verilog.PrefixInvalid {
+			t.Fatalf("CheckPrefix(%q) = %v, want invalid", src, st)
+		}
+		if n := testing.AllocsPerRun(50, func() { verilog.CheckPrefix(src) }); n > 33 {
+			t.Errorf("CheckPrefix(%q): %v allocations, want at most 33", src, n)
+		}
+	}
+}
+
 // TestBeginDisables pins the safety valve: an unlexable or doomed base
 // disables the oracle, which then passes everything and proposes
 // nothing.

@@ -1,13 +1,13 @@
 // SimBench is the simulation-in-the-loop quality tier: instead of
 // stopping at "does it parse", every generated design is elaborated
-// and run against the benchmark problem's self-checking testbench via
-// the event-driven simulator, and the row reports what fraction of
-// designs actually print TEST PASSED. The axis compares decoding
-// strategies on the same trained backbones, so the column answers the
-// paper's "speed and quality, all in one" claim directly: a drafting
-// strategy that accelerated decoding by accepting sloppier tokens
-// would show up here as a sim-pass-rate drop even when syntax rates
-// stay flat.
+// and run against the benchmark problem's testbench (generated from
+// its reference) via the event-driven simulator, and the row reports
+// what fraction of designs match the reference throughout. The axis
+// compares decoding strategies on the same trained backbones, so the
+// column answers the paper's "speed and quality, all in one" claim
+// directly: a drafting strategy that accelerated decoding by accepting
+// sloppier tokens would show up here as a sim-pass-rate drop even when
+// syntax rates stay flat.
 package experiments
 
 import (
@@ -34,8 +34,8 @@ type SimBenchRow struct {
 	// Problems is the benchmark problem count (both suites).
 	Problems int
 	// SyntaxOK counts designs that parse (the old quality ceiling);
-	// SimPassed counts designs whose testbench simulation printed TEST
-	// PASSED (the new, stricter floor).
+	// SimPassed counts designs that pass their testbench simulation
+	// (the new, stricter floor).
 	SyntaxOK, SimPassed int
 	// SyntaxRate/SimPassRate are the corresponding percentages.
 	SyntaxRate, SimPassRate float64

@@ -99,11 +99,16 @@ func (r Range) Width() int {
 // MaxWords words. It is the one range rule: the parser applies it at the
 // module's defaults, the simulator at each instance's parameters.
 func FoldRange(msbE, lsbE Expr, params map[string]int64, memory bool) (Range, error) {
-	msb, err := Fold(msbE, params)
+	return foldRange(msbE, lsbE, params, memory, false)
+}
+
+// foldRange is FoldRange, failing as fold does.
+func foldRange(msbE, lsbE Expr, params map[string]int64, memory, quiet bool) (Range, error) {
+	msb, err := fold(msbE, params, quiet)
 	if err != nil {
 		return Range{}, err
 	}
-	lsb, err := Fold(lsbE, params)
+	lsb, err := fold(lsbE, params, quiet)
 	if err != nil {
 		return Range{}, err
 	}
@@ -113,6 +118,9 @@ func FoldRange(msbE, lsbE Expr, params map[string]int64, memory bool) (Range, er
 		limit, unit = MaxWords, "words"
 	}
 	if w := r.Width(); w < 1 || w > limit {
+		if quiet {
+			return Range{}, errPrefix
+		}
 		return Range{}, &SyntaxError{Line: msbE.Pos(), Msg: fmt.Sprintf("range [%d:%d] spans more than %d %s", r.MSB, r.LSB, limit, unit)}
 	}
 	return r, nil

@@ -207,7 +207,7 @@ func (p *Parser) parseModule() (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			cv, err := Fold(val, p.params)
+			cv, err := fold(val, p.params, p.quiet)
 			if err != nil {
 				return nil, err
 			}
@@ -454,7 +454,7 @@ func (p *Parser) parseRange(memory bool) (Range, error) {
 	if _, err := p.expect(TokPunct, "]"); err != nil {
 		return Range{}, err
 	}
-	return FoldRange(msbE, lsbE, p.params, memory)
+	return foldRange(msbE, lsbE, p.params, memory, p.quiet)
 }
 
 func (p *Parser) parseNetDecl() (*NetDecl, error) {
@@ -529,7 +529,7 @@ func (p *Parser) parseParamDecl() (*ParamDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		cv, err := Fold(val, p.params)
+		cv, err := fold(val, p.params, p.quiet)
 		if err != nil {
 			return nil, err
 		}
@@ -692,7 +692,7 @@ func (p *Parser) parseParamOverrides() ([]ParamOverride, error) {
 		if o.Value, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		if _, err = Fold(o.Value, p.params); err != nil {
+		if _, err = fold(o.Value, p.params, p.quiet); err != nil {
 			return nil, err
 		}
 		if named {
@@ -1344,19 +1344,37 @@ func (p *Parser) parsePrimary() (Expr, error) {
 // 2-state arithmetic only; x/z digits in constant contexts are an
 // error.
 func Fold(e Expr, params map[string]int64) (int64, error) {
+	return fold(e, params, false)
+}
+
+// foldErr is a failed fold's error: errPrefix when quiet (a prefix
+// check reads only that the parse failed), so that nothing is
+// formatted there, else the message.
+func foldErr(quiet bool, line int, msg string, arg ...string) error {
+	if quiet {
+		return errPrefix
+	}
+	if len(arg) > 0 {
+		msg = fmt.Sprintf(msg, arg[0])
+	}
+	return &SyntaxError{Line: line, Msg: msg}
+}
+
+// fold is Fold, failing with foldErr.
+func fold(e Expr, params map[string]int64, quiet bool) (int64, error) {
 	switch v := e.(type) {
 	case *Number:
 		if v.B != 0 {
-			return 0, &SyntaxError{Line: v.Line, Msg: "x/z digits not allowed in constant expression"}
+			return 0, foldErr(quiet, v.Line, "x/z digits not allowed in constant expression")
 		}
 		return int64(v.A), nil
 	case *Ident:
 		if val, ok := params[v.Name]; ok {
 			return val, nil
 		}
-		return 0, &SyntaxError{Line: v.Line, Msg: fmt.Sprintf("identifier %q is not a constant parameter", v.Name)}
+		return 0, foldErr(quiet, v.Line, "identifier %q is not a constant parameter", v.Name)
 	case *Unary:
-		x, err := Fold(v.X, params)
+		x, err := fold(v.X, params, quiet)
 		if err != nil {
 			return 0, err
 		}
@@ -1373,13 +1391,13 @@ func Fold(e Expr, params map[string]int64) (int64, error) {
 			}
 			return 0, nil
 		}
-		return 0, &SyntaxError{Line: v.Line, Msg: fmt.Sprintf("unary %q not allowed in constant expression", v.Op)}
+		return 0, foldErr(quiet, v.Line, "unary %q not allowed in constant expression", v.Op)
 	case *Binary:
-		x, err := Fold(v.X, params)
+		x, err := fold(v.X, params, quiet)
 		if err != nil {
 			return 0, err
 		}
-		y, err := Fold(v.Y, params)
+		y, err := fold(v.Y, params, quiet)
 		if err != nil {
 			return 0, err
 		}
@@ -1392,12 +1410,12 @@ func Fold(e Expr, params map[string]int64) (int64, error) {
 			return x * y, nil
 		case "/":
 			if y == 0 {
-				return 0, &SyntaxError{Line: v.Line, Msg: "division by zero in constant expression"}
+				return 0, foldErr(quiet, v.Line, "division by zero in constant expression")
 			}
 			return x / y, nil
 		case "%":
 			if y == 0 {
-				return 0, &SyntaxError{Line: v.Line, Msg: "modulo by zero in constant expression"}
+				return 0, foldErr(quiet, v.Line, "modulo by zero in constant expression")
 			}
 			return x % y, nil
 		case "<<":
@@ -1432,18 +1450,18 @@ func Fold(e Expr, params map[string]int64) (int64, error) {
 		case "||":
 			return b2i(x != 0 || y != 0), nil
 		}
-		return 0, &SyntaxError{Line: v.Line, Msg: fmt.Sprintf("operator %q not allowed in constant expression", v.Op)}
+		return 0, foldErr(quiet, v.Line, "operator %q not allowed in constant expression", v.Op)
 	case *Ternary:
-		c, err := Fold(v.Cond, params)
+		c, err := fold(v.Cond, params, quiet)
 		if err != nil {
 			return 0, err
 		}
 		if c != 0 {
-			return Fold(v.TrueE, params)
+			return fold(v.TrueE, params, quiet)
 		}
-		return Fold(v.FalseE, params)
+		return fold(v.FalseE, params, quiet)
 	}
-	return 0, &SyntaxError{Line: e.Pos(), Msg: "expression is not constant"}
+	return 0, foldErr(quiet, e.Pos(), "expression is not constant")
 }
 
 func b2i(b bool) int64 {

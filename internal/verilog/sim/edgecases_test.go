@@ -54,7 +54,7 @@ module tb;
         $display("unreachable");
     end
 endmodule`, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output %q missing TEST PASSED", r.Output)
 	}
 	for _, banned := range []string{"unreachable", "late"} {

@@ -47,12 +47,6 @@ type Result struct {
 	Finished bool
 }
 
-// Passed reports whether the testbench printed the TEST PASSED marker —
-// the functional-correctness contract used by the benchmark suites.
-func (r *Result) Passed() bool {
-	return strings.Contains(r.Output, "TEST PASSED")
-}
-
 // timedEvent is a heap entry: either a process wake-up or a deferred
 // function (delayed non-blocking updates).
 type timedEvent struct {

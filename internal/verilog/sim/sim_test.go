@@ -4,9 +4,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/verilog"
 )
+
+// passed reports whether a self-checking test printed TEST PASSED.
+func passed(r *Result) bool { return strings.Contains(r.Output, "TEST PASSED") }
 
 func mustRun(t *testing.T, src, top string) *Result {
 	t.Helper()
@@ -115,7 +119,7 @@ module dff(input clk, input [3:0] d, output reg [3:0] q);
   always @(posedge clk) q <= d;
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 	if !r.Finished {
@@ -141,7 +145,7 @@ module tb;
   always @(posedge clk) b <= a;
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -167,7 +171,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -203,7 +207,7 @@ module mux4(input [3:0] a, b, input [1:0] sel, output reg [3:0] y);
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -225,7 +229,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -252,7 +256,7 @@ module counter(input clk, rst, output reg [7:0] q);
     else q <= q + 8'd1;
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -294,7 +298,7 @@ module regfile(input clk, we, input [3:0] waddr, raddr, input [7:0] wdata, outpu
   assign rdata = mem[raddr];
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -327,7 +331,7 @@ module fa(input a, b, cin, output s, cout);
   assign cout = (a & b) | (a & cin) | (b & cin);
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -348,7 +352,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -367,7 +371,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -400,7 +404,7 @@ module prio(input [3:0] req, output reg [1:0] grant);
     endcase
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -420,7 +424,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -465,7 +469,7 @@ module dff(input clk, input [3:0] d, output reg [3:0] q);
   always @(posedge clk) q <= d;
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -488,7 +492,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -509,7 +513,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -546,13 +550,29 @@ module tb;
 		{"step limit", "", Options{MaxSteps: 50}, "step limit"},
 		{"runaway always", "always r = 1;", Options{}, "without any timing control"},
 	}
+	// A goroutine an earlier test left may still be exiting: the
+	// baseline is taken once the count has stopped falling, and after
+	// each Run the count has until a deadline to come back to it, so
+	// only a process that outlives Run fails.
 	base := runtime.NumGoroutine()
+	for {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n >= base {
+			break
+		}
+		base = n
+	}
 	for _, c := range cases {
 		_, err := RunSource(blocked+c.body+"\nendmodule", "tb", c.opts)
 		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.err)
 		}
-		if n := runtime.NumGoroutine(); n != base {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > base {
 			t.Errorf("%s: %d goroutines after Run, %d before", c.name, n, base)
 		}
 	}
@@ -651,7 +671,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -683,7 +703,7 @@ module shreg(clk, din, q);
   always @(posedge clk) q <= {q[2:0], din};
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -731,7 +751,7 @@ module det101(input clk, rst, din, output seen);
   assign seen = (state == S101);
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -752,7 +772,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -803,7 +823,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -823,7 +843,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -852,7 +872,7 @@ module pipe #(parameter W = 8) (input clk, input [W-1:0] d, output reg [W-1:0] q
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -890,7 +910,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -914,7 +934,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -932,7 +952,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -954,7 +974,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -1007,7 +1027,7 @@ module tb;
   end
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }
@@ -1028,7 +1048,7 @@ module buf_cell(input a, output y);
   assign y = a;
 endmodule`
 	r := mustRun(t, src, "tb")
-	if !r.Passed() {
+	if !passed(r) {
 		t.Fatalf("output: %q", r.Output)
 	}
 }

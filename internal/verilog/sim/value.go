@@ -5,8 +5,8 @@
 // needed by self-checking testbenches ($display, $time, $finish, ...).
 //
 // It is the repository's substitute for Icarus Verilog in the paper's
-// functional evaluation: a generated design is "functionally correct"
-// when its benchmark testbench runs to completion and prints TEST PASSED.
+// functional evaluation: package bench runs each generated design
+// beside its problem's reference under a testbench generated from it.
 package sim
 
 import (
