@@ -92,7 +92,11 @@ golden:
 # example's observations straight (TestFrozenMatchesReference); and on
 # vgend's corpus every level of every table holds exactly as many
 # contexts as its observations held distinct ones, so no two context
-# keys collide (TestContextKeysExact). Under those, the one level
+# keys collide (TestContextKeysExact), and every keyword run above
+# level 0 holds only ids of its keyword's level-0 run, the support the
+# keyword expert resolves a decode's evidence over (TestKwSupportNested),
+# whose factors its Pow cache returns bit for bit (TestFactorCacheExact).
+# Under those, the one level
 # builder every training unit uses: a level built from several takes of
 # a tally, reset between them as a keyword part resets it between its
 # keywords, is exactly the level one tally of all their observations
@@ -107,7 +111,7 @@ golden:
 # problem's ports must fit the clk/rst/data stimulus rule, a port it
 # cannot drive being an error (TestBenchPortConvention).
 differential:
-	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestStateMatchesScratch|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact|TestLevelBufTakes|TestTallyReset|TestTestbenchesKillMutants|TestBenchPortConvention' -v ./internal/experiments/ ./internal/core/ ./internal/model/ ./internal/bench/
+	$(GO) test -run 'TestDifferentialCacheModes|TestTreeLosslessGate|TestForkedSessionByteIdentical|TestLookupTreeGreedyLossless|TestMemoByteIdentical|TestStateMatchesScratch|TestPredictMatchesReference|TestHeadCandsExact|TestTrainDeterministic|TestFrozenMatchesReference|TestContextKeysExact|TestKwSupportNested|TestFactorCacheExact|TestLevelBufTakes|TestTallyReset|TestTestbenchesKillMutants|TestBenchPortConvention' -v ./internal/experiments/ ./internal/core/ ./internal/model/ ./internal/bench/
 
 # The grammar-constrained-drafting gate: (1) the accepted-length claim
 # — grammar-pruned trees must beat plain ours-tree mean accepted length
@@ -218,7 +222,7 @@ fuzz:
 # (pipefail: a failing benchmark must not hide behind tee). Run
 # `go test -bench=. ./...` for the full paper harness.
 bench:
-	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkSample|BenchmarkFindInduction|BenchmarkGrammarDecode|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus|BenchmarkEncodeWithFrags' -benchtime=1x ./... | tee bench_output.txt
+	set -o pipefail; $(GO) test -run '^$$' -bench='BenchmarkEngine|BenchmarkStrategyMatrix|BenchmarkLoadBench|BenchmarkForward|BenchmarkBaseDist|BenchmarkKwFactors|BenchmarkSample|BenchmarkFindInduction|BenchmarkGrammarDecode|BenchmarkTrain|BenchmarkTrainTokenizer|BenchmarkBuildCorpus|BenchmarkEncodeWithFrags' -benchtime=1x ./... | tee bench_output.txt
 	set -o pipefail; $(GO) run ./cmd/evalbench -quick -exp grammar,sim,trace -json evalbench_rows.json | tee -a bench_output.txt
 
 # The repo benchmark's smoke pass: real vgend processes over loopback

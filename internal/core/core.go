@@ -492,6 +492,7 @@ func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, oracle *grammar.State
 	var leaves []int
 	queue := []int{tree.Root}
 	var kids, path []int
+	cand := []int{0} // the child being screened
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -507,8 +508,8 @@ func (d *Decoder) accept(gen *model.Gen, memo *model.Memo, oracle *grammar.State
 			path = t.PathTokens(n, path[:0])
 			ver := gen.BaseDistMemo(append(ctx, path...), memo)
 			for _, c := range kids {
-				tok := t.Node(c).Token
-				if strat.Verifier.Accept(ver, []int{tok}, params) < 0 {
+				cand[0] = t.Node(c).Token
+				if strat.Verifier.Accept(ver, cand, params) < 0 {
 					continue
 				}
 				kept++

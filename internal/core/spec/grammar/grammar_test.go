@@ -58,14 +58,16 @@ func TestCheckMatchesCheckPrefix(t *testing.T) {
 }
 
 // TestPrefixFoldFailureFormatsNothing: a prefix check that fails in a
-// fold (a range too wide, a bound that is no parameter) formats no
-// message. Each source costs 33 allocations, all of them the lex and
-// the parse up to the failing range; formatting the message cost 3
-// more.
+// fold (a range too wide, a bound that is no parameter) or at a token
+// the parser expected to differ (`)` for `]`) formats no message. Each
+// source costs 33 allocations, all of them the lex and the parse up to
+// the failing range; formatting a fold's message cost 3 more, and
+// boxing an expect's message arguments 2.
 func TestPrefixFoldFailureFormatsNothing(t *testing.T) {
 	for _, src := range []string{
 		"module m; wire [3:0] w; wire [70:0] v;",
 		"module m; wire [3:0] w; wire [N:0] v;",
+		"module m; wire [3:0] w; wire [7:0) v;",
 	} {
 		if st := verilog.CheckPrefix(src); st != verilog.PrefixInvalid {
 			t.Fatalf("CheckPrefix(%q) = %v, want invalid", src, st)

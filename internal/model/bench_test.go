@@ -110,6 +110,24 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkKwFactors is one keyword-run miss of the keyword expert at a
+// decode position: the decode's keywords already resolved, the view's
+// run built from them, the per-keyword walks and the max over keywords.
+// A memo miss of the base posterior pays it for every keyword context
+// its decode has not yet seen.
+func BenchmarkKwFactors(b *testing.B) {
+	g, seq := decode()
+	var views [][]int
+	for _, ctx := range positions(g, seq) {
+		views = append(views, g.View(ctx))
+	}
+	miss := g.KwMiss()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		miss(views[i%len(views)])
+	}
+}
+
 // BenchmarkBaseDistMemo is one base-model posterior, the per-position
 // cost of verification and of NTP decoding. On "hit" the memo has seen
 // every keyword context of the decode (posteriors are not reused: the

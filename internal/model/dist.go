@@ -27,6 +27,8 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sync/atomic"
+	"unsafe"
 )
 
 // entry is one (token id, value) pair: a successor count in a frozen
@@ -43,6 +45,18 @@ type entry struct {
 // it are bitwise repeatable. A Dist is immutable; copies share storage.
 type Dist struct {
 	e []entry
+	// h is where a posterior the model built keeps its entropy once
+	// computed, for every copy: the bits of H in h.v, stored atomically,
+	// 0 until then (an entropy of +0 is recomputed). Nil elsewhere.
+	h *entry
+}
+
+// newPosterior returns a distribution over a copy of e that keeps its
+// entropy, in one allocation with its support.
+func newPosterior(e []entry) Dist {
+	buf := make([]entry, len(e)+1)
+	copy(buf, e)
+	return Dist{e: buf[:len(e):len(e)], h: &buf[len(e)]}
 }
 
 // NewDist builds a distribution from an id→probability map, taken as
@@ -70,13 +84,25 @@ func (d Dist) find(id int) (int, bool) {
 }
 
 // Entropy returns the Shannon entropy (nats) of the distribution — the
-// H(p_base) term of the paper's typical-acceptance rule (eq. 1).
+// H(p_base) term of the paper's typical-acceptance rule (eq. 1). A
+// posterior computes it once: a tree sweep screens each child of a
+// parent against the parent's posterior.
 func (d Dist) Entropy() float64 {
+	var kept *uint64
+	if d.h != nil {
+		kept = (*uint64)(unsafe.Pointer(&d.h.v))
+		if b := atomic.LoadUint64(kept); b != 0 {
+			return math.Float64frombits(b)
+		}
+	}
 	h := 0.0
 	for _, e := range d.e {
 		if e.v > 0 {
 			h -= e.v * math.Log(e.v)
 		}
+	}
+	if kept != nil {
+		atomic.StoreUint64(kept, math.Float64bits(h))
 	}
 	return h
 }

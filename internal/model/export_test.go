@@ -40,6 +40,92 @@ func (g *Gen) Predictor(kind string) func(view []int) int {
 	}
 }
 
+// KwMiss returns one op of the keyword expert's miss path over a view
+// (its trailing [FRAG] markers stripped, as the base posterior strips
+// them): each op forgets the runs its memo holds, so the view's run is
+// built again from the decode's resolved keywords. It returns the run's
+// length.
+func (g *Gen) KwMiss() func(view []int) int {
+	mm, sc := new(Memo), new(scratch)
+	mm.bind(g)
+	return func(view []int) int {
+		for len(view) > 0 && view[len(view)-1] == tokenizer.FragID {
+			view = view[:len(view)-1]
+		}
+		clear(mm.kwIdx)
+		mm.kwChunk, mm.bytes = mm.kwChunk[:0], 0
+		return len(g.kwFactors(sc, mm, view))
+	}
+}
+
+// Fixture is the package's own training fixture: a tokenizer trained on
+// its examples, its small config, and the examples.
+func Fixture() (*tokenizer.Tokenizer, Config, []Example) {
+	return tokenizer.Train(corpusText(), 400), smallCfg(), trainExamples
+}
+
+// KwNesting trains a model and replays its keyword observations,
+// probing each keyword context at every level of the ladder that fits
+// it, as the keyword expert's walk does. It reports how many distinct
+// runs above level 0 the probes reach, how many of those hold an id
+// their keyword's level-0 run does not, and how many probed contexts
+// lose all but 1e-9 of their mass above level 0, which a walk would
+// then never reach.
+func KwNesting(tk *tokenizer.Tokenizer, cfg Config, scheme Scheme, examples []Example) (reached, outside, early int) {
+	m := Train(tk, cfg, scheme, examples)
+	t := m.kw
+	h0 := t.hashes(nil).h[0]
+	level0 := map[uint64]map[int32]bool{} // seed → its level-0 ids
+	seen := map[*slot]bool{}
+	for _, p := range newModel(tk, cfg, scheme).prepareAll(examples) {
+		for s, ctx := range p.contexts() {
+			if p.code[s] == tokenizer.FragID {
+				continue
+			}
+			for len(ctx) > 0 && ctx[len(ctx)-1] == tokenizer.FragID {
+				ctx = ctx[:len(ctx)-1]
+			}
+			hs := t.hashes(ctx)
+			for _, seed := range p.seeds {
+				ms := fmix(seed)
+				part := t.parts[t.partOf(ms)]
+				ids, ok := level0[seed]
+				if !ok {
+					ids = map[int32]bool{}
+					if r := part[0].find(fmix(h0 ^ ms)); r != nil {
+						for _, e := range part[0].slab[r.start : r.start+r.n] {
+							ids[e.id] = true
+						}
+					}
+					level0[seed] = ids
+				}
+				weight := 1.0
+				for i := hs.n - 1; i > 0; i-- {
+					r := part[i].find(fmix(hs.h[i] ^ ms))
+					if r == nil {
+						continue
+					}
+					if !seen[r] {
+						seen[r] = true
+						reached++
+						for _, e := range part[i].slab[r.start : r.start+r.n] {
+							if !ids[e.id] {
+								outside++
+								break
+							}
+						}
+					}
+					weight *= 1 - r.total/(r.total+wbScale*float64(r.n))
+				}
+				if weight < 1e-9 {
+					early++
+				}
+			}
+		}
+	}
+	return reached, outside, early
+}
+
 // LevelContexts is one level of one table: the contexts it froze and
 // the distinct exact contexts its observations held.
 type LevelContexts struct {

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 )
@@ -14,16 +14,21 @@ import (
 // context, so every distribution it returns equals, bit for bit, the
 // one a fresh Memo computes from scratch:
 //
-//   - The keyword expert's factors per keyword context: the id-sorted
-//     run of each supported id's best probability p over the prompt's
-//     keywords, replaced by its factor Pow(kwFloor+p, PromptBlend) once
-//     a table has asked for it. The keyword tables reach back only as
-//     far as their top ladder level r, so the key is the last r tokens
-//     of the keyword view plus min(len, r) — exact, not a hash. Most of
-//     a decode's keyword contexts repeat one it has seen. Runs are
-//     appended into chunks that never grow in place, so a run never
-//     moves and nothing is copied as the memo fills: a run that does
-//     not fit the current chunk opens one at least twice its size.
+//   - The keyword expert's evidence per keyword context: each support
+//     id's best probability p over the prompt's keywords, replaced by its
+//     factor Pow(kwFloor+p, PromptBlend) once a table has asked for it.
+//     The support is the decode's own, resolved at its first miss: every
+//     id some keyword's level-0 run holds, in ascending order, which
+//     every keyword context's evidence falls within. A run holds one
+//     value per support id and no ids, 8 B an entry, so every run of a
+//     decode has the support's length and reads against one id list.
+//     The keyword tables reach back only as far as their top ladder
+//     level r, so the key is the last r tokens of the keyword view plus
+//     min(len, r) — exact, not a hash. Most of a decode's keyword
+//     contexts repeat one it has seen. Runs are filled in place in
+//     chunks that never grow, so a run never moves and nothing is copied
+//     as the memo fills: a run that does not fit the current chunk opens
+//     one at least twice its size.
 //   - The base posteriors computed since the last step boundary
 //     (NextStep), keyed by their context beyond it. The posterior that
 //     rejected the step's last draft token is the next step's base
@@ -36,14 +41,15 @@ import (
 //
 // A Memo serves one decode: every sequence passed to it between two
 // NextStep calls is a prefix of, or extends, the sequence given to the
-// earlier one. It holds at most memoCap bytes. The zero Memo is ready to
-// use; it is not safe for concurrent use.
+// earlier one. It holds at most memoCap bytes of runs and posteriors.
+// The zero Memo is ready to use; it is not safe for concurrent use.
 type Memo struct {
 	gen *Gen // the session the cached values belong to
 
-	kwReach int               // r: the keyword tables' longest context
-	kwIdx   map[kwKey][]entry // keyword context → its run, in a chunk
-	kwChunk []entry           // the chunk new runs are appended to
+	kwReach int                 // r: the keyword tables' longest context
+	kw      *kwSupport          // the session's keywords resolved; nil until the first miss
+	kwIdx   map[kwKey][]float64 // keyword context → its run, in a chunk
+	kwChunk []float64           // the chunk new runs are filled in
 
 	bound int    // the sequence length at the last NextStep
 	posts []post // posteriors since bound, in order of computation
@@ -55,32 +61,108 @@ type Memo struct {
 	heads headSet // the last ForwardMemo's heads
 }
 
-// memoCap bounds a Memo's cached bytes. A 512-token decode holds about
-// 0.2 MB on average and 0.6 MB at most (CodeLlama-sim, the bench
-// prompts); past the cap the keyword runs start over and posteriors are
-// not kept.
+// memoCap bounds a Memo's cached bytes. A greedy decode of up to 512
+// tokens peaks at about 0.1 MB on average and 0.23 MB at most
+// (CodeLlama-sim, every third bench prompt); past the cap the keyword
+// runs start over and posteriors are not kept.
 const memoCap = 1 << 20
 
-// kwChunkMin is the smallest keyword chunk, in entries.
+// kwChunkMin is the smallest keyword chunk, in values.
 const kwChunkMin = 64
 
 // kwKey is a keyword view as far as the keyword tables see it: its last
-// n = min(len, r) tokens.
+// n = min(len, r) tokens, r = kwCtx.
 type kwKey struct {
 	n   int32
-	ids [maxReach]int32
+	ids [kwCtx]int32
 }
 
-// kwFactor returns the keyword factor of a keyword evidence entry,
-// Pow(kwFloor+p, eta), computing it on first use. An entry's value is
-// the id's best keyword probability p >= 0 until then and the factor
-// negated from then on: every factor is positive, and negation is exact,
-// so the factor is read back bit for bit.
-func kwFactor(e *entry, eta float64) float64 {
-	if e.v >= 0 {
-		e.v = -math.Pow(kwFloor+e.v, eta)
+// kwSupport is a session's keywords resolved against the frozen keyword
+// table, the state every miss of a decode starts from.
+//
+// A keyword's observations are each filed at every level of the ladder
+// that fits their context, and no two (keyword, context) pairs share a
+// key (TestContextKeysExact), so each of a keyword's longer contexts
+// holds a subset of the ids its level-0 context (the empty one) holds
+// (TestKwSupportNested). Its prediction's support is therefore within
+// its level-0 run, and the expert's is within the support: the union of
+// those runs.
+type kwSupport struct {
+	ids   []int32     // the support, ascending
+	seeds []kwSeedRun // the keywords with a level-0 run, in prompt order
+}
+
+// kwSeedRun is one keyword resolved: the key mix of its seed, the
+// levels of its part, and its level-0 run, each entry's probability
+// there and its position in the support.
+type kwSeedRun struct {
+	ms   uint64
+	part []level
+	ids  []int32   // the level-0 run's ids, ascending
+	q    []float64 // q[k] is ids[k]'s count over the level-0 total
+	at   []int32   // at[k] is ids[k]'s position in the support
+}
+
+// support returns the session's keywords resolved, resolving them on
+// the first call with acc's help.
+func (mm *Memo) support(acc *accum) *kwSupport {
+	if mm.kw != nil {
+		return mm.kw
 	}
-	return -e.v
+	g, t := mm.gen, mm.gen.m.kw
+	sup := &kwSupport{seeds: make([]kwSeedRun, 0, len(g.seeds))}
+	h0 := t.hashes(nil).h[0] // the empty context's hash
+	level0 := func(s *kwSeedRun) *slot { return s.part[0].find(fmix(h0 ^ s.ms)) }
+	n := 0
+	acc.fit(t.idBound)
+	lo, hi := len(acc.seen), -1 // the bitmap words marked
+	for _, seed := range g.seeds {
+		ms := fmix(seed)
+		s := kwSeedRun{ms: ms, part: t.parts[t.partOf(ms)]}
+		r := level0(&s)
+		if r == nil || r.total <= 0 {
+			continue // an untrained keyword: it supports nothing
+		}
+		sup.seeds = append(sup.seeds, s)
+		run := s.part[0].slab[r.start : r.start+r.n]
+		n += len(run)
+		for _, e := range run {
+			acc.seen[e.id>>6] |= 1 << (e.id & 63)
+		}
+		lo, hi = min(lo, int(run[0].id>>6)), max(hi, int(run[len(run)-1].id>>6))
+	}
+	// The support in ascending order, each id's position parked in acc.v
+	// until every run entry has read its own.
+	size := 0
+	for w := lo; w <= hi; w++ {
+		size += bits.OnesCount64(acc.seen[w])
+	}
+	buf := make([]int32, size+2*n) // the support, then each run's ids and positions
+	sup.ids, buf = buf[:0:size], buf[size:]
+	for w := lo; w <= hi; w++ {
+		for b := acc.seen[w]; b != 0; b &= b - 1 {
+			id := w<<6 | bits.TrailingZeros64(b)
+			acc.v[id] = float64(len(sup.ids))
+			sup.ids = append(sup.ids, int32(id))
+		}
+		acc.seen[w] = 0
+	}
+	q := make([]float64, n)
+	for i := range sup.seeds {
+		s := &sup.seeds[i]
+		r := level0(s)
+		m := int(r.n)
+		s.ids, s.at, s.q = buf[:m:m], buf[m:2*m:2*m], q[:m:m]
+		buf, q = buf[2*m:], q[m:]
+		for k, e := range s.part[0].slab[r.start : r.start+r.n] {
+			s.ids[k], s.at[k], s.q[k] = e.id, int32(acc.v[e.id]), e.v/r.total
+		}
+	}
+	for _, id := range sup.ids {
+		acc.v[id] = 0
+	}
+	mm.kw = sup
+	return sup
 }
 
 // post is one posterior and its context beyond the boundary,
@@ -91,6 +173,9 @@ type post struct {
 }
 
 var entryBytes = int(unsafe.Sizeof(entry{}))
+
+// valueBytes is a keyword run's cost per support id.
+const valueBytes = 8
 
 // bind points the memo at g, dropping whatever it held for another
 // session.
@@ -160,63 +245,104 @@ func (mm *Memo) key(view []int) kwKey {
 	return k
 }
 
-// keepFactors records the factors of keyword context k and returns the
-// kept run (fac itself when it would not fit). At the cap the keyword
-// runs start over.
-func (mm *Memo) keepFactors(k kwKey, fac []entry) []entry {
-	size := len(fac) * entryBytes
+// newRun returns a zeroed run of n values filed under keyword context
+// k. At the cap the keyword runs start over; a run that would not fit
+// even then is not kept.
+func (mm *Memo) newRun(k kwKey, n int) []float64 {
+	size := n * valueBytes
 	if mm.bytes+size > memoCap {
 		for _, run := range mm.kwIdx {
-			mm.bytes -= len(run) * entryBytes
+			mm.bytes -= len(run) * valueBytes
 		}
 		mm.kwChunk = mm.kwChunk[:0]
 		clear(mm.kwIdx)
 		if mm.bytes+size > memoCap {
-			return fac
+			return make([]float64, n)
 		}
 	}
 	if mm.kwIdx == nil {
-		mm.kwIdx = map[kwKey][]entry{}
+		mm.kwIdx = map[kwKey][]float64{}
 	}
-	if cap(mm.kwChunk)-len(mm.kwChunk) < len(fac) {
-		mm.kwChunk = make([]entry, 0, max(2*cap(mm.kwChunk), len(fac), kwChunkMin))
+	if cap(mm.kwChunk)-len(mm.kwChunk) < n {
+		mm.kwChunk = make([]float64, 0, max(2*cap(mm.kwChunk), n, kwChunkMin))
 	}
 	start := len(mm.kwChunk)
-	mm.kwChunk = append(mm.kwChunk, fac...)
-	run := mm.kwChunk[start:len(mm.kwChunk):len(mm.kwChunk)]
+	mm.kwChunk = mm.kwChunk[:start+n]
+	run := mm.kwChunk[start : start+n : start+n]
+	clear(run) // a chunk the cap emptied still holds its old runs
 	mm.kwIdx[k] = run
 	mm.bytes += size
 	return run
 }
 
-// kwFactors returns the keyword expert's evidence for a keyword view:
-// the id-sorted run of every id some keyword supports (read each one's
-// factor with kwFactor), empty when no keyword predicts at all. Ids
-// outside the run take m.kwFloorPow. The run is valid until the next
-// prediction call on sc or mm.
-func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []entry {
+// kwFactors returns the keyword expert's evidence for a keyword view: a
+// run aligned with mm.kw.ids, each id's best probability over the
+// prompt's keywords (read each one's factor with scratch.factor), empty
+// when no keyword is trained. Ids outside the support take
+// m.kwFloorPow, as does an id of the support no keyword predicts here
+// (its value is 0). The run is valid until the next prediction call on
+// mm.
+//
+// Each token keeps its best supporting evidence across the prompt's
+// keywords (max, not mean: averaging dilutes the one keyword that knows
+// the answer with the many that don't). Each keyword's prediction is
+// predictHashed's, by the same float operations in the same order: its
+// levels above 0 are scattered into sc.acc, longest context first, and
+// its level-0 run, which holds every id they hold, is walked twice in
+// ascending id order, once to add level 0 (each count over the level's
+// total, divided once per decode) and sum the normaliser, once to
+// divide and keep the larger value in the run.
+func (g *Gen) kwFactors(sc *scratch, mm *Memo, view []int) []float64 {
 	k := mm.key(view)
 	if run, ok := mm.kwIdx[k]; ok {
 		return run
 	}
-	// Each token keeps its best supporting evidence across the prompt's
-	// keywords (max, not mean: averaging dilutes the one keyword that
-	// knows the answer with the many that don't): every keyword's
-	// prediction is scattered into sc.best, keeping the larger value.
-	best := &sc.best
-	best.fit(g.m.kw.idBound)
-	lo, hi := len(best.seen), -1
-	hs := g.m.kw.hashes(view)
-	for _, seed := range g.seeds {
-		sc.kw = g.m.kw.predictHashed(&sc.acc, sc.kw[:0], &hs, seed)
-		for _, e := range sc.kw {
-			best.v[e.id] = max(best.v[e.id], e.v)
-			best.seen[e.id>>6] |= 1 << (e.id & 63)
+	sup := mm.support(&sc.acc)
+	if len(sup.ids) == 0 {
+		return nil
+	}
+	best := mm.newRun(k, len(sup.ids))
+	t := g.m.kw
+	sc.acc.fit(t.idBound)
+	acc := sc.acc.v
+	hs := t.hashes(view)
+	for _, s := range sup.seeds {
+		weight := 1.0
+		for i := hs.n - 1; i > 0 && weight >= 1e-9; i-- {
+			l := &s.part[i]
+			r := l.find(fmix(hs.h[i] ^ s.ms))
+			if r == nil || r.total <= 0 {
+				continue
+			}
+			keep := r.total / (r.total + wbScale*float64(r.n))
+			scale, total := weight*keep, r.total
+			for _, e := range l.slab[r.start : r.start+r.n] {
+				acc[e.id] += scale * (e.v / total)
+			}
+			weight *= 1 - keep
 		}
-		if len(sc.kw) > 0 {
-			lo, hi = min(lo, int(sc.kw[0].id>>6)), max(hi, int(sc.kw[len(sc.kw)-1].id>>6))
+		total := 0.0
+		if weight >= 1e-9 { // level 0 keeps all the remaining mass
+			for k, id := range s.ids {
+				acc[id] += weight * s.q[k]
+				total += acc[id]
+			}
+		} else {
+			for _, id := range s.ids {
+				total += acc[id]
+			}
+		}
+		for k, id := range s.ids {
+			p := acc[id]
+			acc[id] = 0
+			if total > 0 {
+				p /= total
+			}
+			// max(best[j], p): p is never NaN or -0.
+			if j := s.at[k]; p > best[j] {
+				best[j] = p
+			}
 		}
 	}
-	sc.fac, _ = best.gather(sc.fac[:0], lo, hi)
-	return mm.keepFactors(k, sc.fac)
+	return best
 }

@@ -124,7 +124,10 @@ func boundMemo(g *Gen) *Memo {
 
 // sameFactors fails unless the keyword evidence the memo holds (or
 // builds) for view is the definition's: per id, the largest probability
-// any of the prompt's keywords gives it, bit for bit.
+// any of the prompt's keywords gives it, bit for bit. The memo's run
+// holds a value for every id of the decode's support, in the order of
+// mm.kw.ids: the definition's probability for an id it predicts, 0 for
+// the rest, whose factor is then the floor's.
 func sameFactors(t *testing.T, g *Gen, mm *Memo, view []int) {
 	t.Helper()
 	best := map[int32]float64{}
@@ -133,16 +136,30 @@ func sameFactors(t *testing.T, g *Gen, mm *Memo, view []int) {
 			best[e.id] = max(best[e.id], e.v)
 		}
 	}
-	fac := g.kwFactors(new(scratch), mm, view)
-	if len(fac) != len(best) {
-		t.Fatalf("keyword evidence: %d ids, want %d", len(fac), len(best))
-	}
-	eta := g.m.cfg.PromptBlend
-	for i, f := range fac {
-		p, ok := best[f.id]
-		if !ok || math.Float64bits(kwFactor(&fac[i], eta)) != math.Float64bits(math.Pow(kwFloor+p, eta)) {
-			t.Fatalf("keyword factor for id %d: %v, want Pow(kwFloor+%v)", f.id, kwFactor(&fac[i], eta), p)
+	sc := new(scratch)
+	fac := g.kwFactors(sc, mm, view)
+	if len(best) == 0 {
+		if len(fac) != 0 {
+			t.Fatalf("keyword evidence: %d values, want none", len(fac))
 		}
+		return
+	}
+	ids := mm.kw.ids
+	if len(fac) != len(ids) {
+		t.Fatalf("keyword evidence: %d values for %d support ids", len(fac), len(ids))
+	}
+	eta, found := g.m.cfg.PromptBlend, 0
+	for i, id := range ids {
+		p, ok := best[id]
+		if ok {
+			found++
+		}
+		if got, want := sc.factor(&fac[i], eta), math.Pow(kwFloor+p, eta); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("keyword factor for id %d: %v, want Pow(kwFloor+%v) = %v", id, got, p, want)
+		}
+	}
+	if found != len(best) {
+		t.Fatalf("keyword evidence: %d of %d predicted ids in the support", found, len(best))
 	}
 }
 
@@ -210,9 +227,8 @@ func TestMemoCap(t *testing.T) {
 	tk := tokenizer.Train(corpusText(), 400)
 	m := Train(tk, smallCfg(), SchemeNTP, trainExamples)
 	mm := boundMemo(m.NewGen(CanonicalPromptIDs(tk, trainExamples[0].Prompt)))
-	run := make([]entry, memoCap/entryBytes/3)
 	for i := range 7 {
-		mm.keepFactors(mm.key([]int{i}), run)
+		mm.newRun(mm.key([]int{i}), memoCap/valueBytes/3)
 		if mm.bytes > memoCap {
 			t.Fatalf("after %d runs the memo holds %d bytes, cap %d", i+1, mm.bytes, memoCap)
 		}
@@ -247,7 +263,7 @@ func TestMemoRunsStayPut(t *testing.T) {
 	for i := range 6 {
 		before := unsafe.SliceData(mm.kwChunk)
 		room := cap(mm.kwChunk) - len(mm.kwChunk)
-		mm.keepFactors(mm.key([]int{-1, i}), make([]entry, room+1))
+		mm.newRun(mm.key([]int{-1, i}), room+1)
 		if unsafe.SliceData(mm.kwChunk) != before {
 			chunks++
 		}
@@ -258,5 +274,74 @@ func TestMemoRunsStayPut(t *testing.T) {
 	}
 	if chunks < 6 {
 		t.Fatalf("%d of 6 misses opened a chunk", chunks)
+	}
+}
+
+// TestFactorCacheExact: the factor cache returns math.Pow bit for bit,
+// through misses and hits, across random probabilities at both models'
+// exponents in one scratch (the scratch pool serves every model), in
+// slots two inputs share, and read through factor's in-place memo.
+func TestFactorCacheExact(t *testing.T) {
+	sc := new(scratch)
+	check := func(x, eta float64) {
+		t.Helper()
+		if got, want := sc.pows.pow(x, eta), math.Pow(x, eta); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pow(%v, %v) = %v, want %v", x, eta, got, want)
+		}
+	}
+	etas := []float64{CodeLlamaSim().PromptBlend, CodeT5pSim().PromptBlend}
+	if etas[0] == etas[1] {
+		t.Fatalf("both models blend at %v", etas[0])
+	}
+	rng := rand.New(rand.NewSource(1))
+	ps := []float64{0, 1, 0.5, 1.0 / 3}
+	for range 3 * powSlots {
+		ps = append(ps, rng.Float64())
+	}
+	for round := range 3 { // the first round misses, the later ones mostly hit
+		for i, p := range ps {
+			check(kwFloor+p, etas[(i+round)%2])
+		}
+	}
+
+	// Pairs of inputs that share a slot, one pair per exponent and one
+	// across them, each evicting the other in turn, and one input that
+	// shares a slot with itself at the other exponent.
+	slot := func(x, eta float64) uint64 { return sc.pows.slot(math.Float64bits(x), math.Float64bits(eta)) }
+	for {
+		if x := kwFloor + rng.Float64(); slot(x, etas[0]) == slot(x, etas[1]) {
+			for range 3 {
+				check(x, etas[0])
+				check(x, etas[1])
+			}
+			break
+		}
+	}
+	partner := func(x, eta, eta2 float64) float64 {
+		for {
+			if y := kwFloor + rng.Float64(); y != x && slot(y, eta2) == slot(x, eta) {
+				return y
+			}
+		}
+	}
+	for _, pair := range [][2]float64{{etas[0], etas[0]}, {etas[1], etas[1]}, {etas[0], etas[1]}} {
+		x := kwFloor + rng.Float64()
+		y := partner(x, pair[0], pair[1])
+		for range 3 {
+			check(x, pair[0])
+			check(y, pair[1])
+		}
+	}
+
+	for _, p := range ps[:64] {
+		for _, eta := range etas {
+			v := p
+			want := math.Pow(kwFloor+p, eta)
+			for range 2 { // computed, then read back
+				if got := sc.factor(&v, eta); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("factor(%v, %v) = %v, want %v", p, eta, got, want)
+				}
+			}
+		}
 	}
 }

@@ -810,12 +810,50 @@ func trailIdx(seq []int) int {
 // model call and each head build takes one from scratchPool and returns
 // it.
 type scratch struct {
-	view []int   // the filtered context view
-	acc  accum   // predict's accumulator
-	best accum   // kwFactors' per-id maximum over the keywords
-	tbl  []entry // the distribution being built
-	kw   []entry // one keyword expert's prediction
-	fac  []entry // the keyword evidence being built
+	view []int    // the filtered context view
+	acc  accum    // predict's and kwFactors' accumulator
+	tbl  []entry  // the distribution being built
+	pows powCache // the keyword factors computed lately
+}
+
+// powCache is a direct-mapped cache of math.Pow, keyed by the bits of
+// both arguments, so what it returns is math.Pow's result bit for bit.
+// Keyword probabilities repeat across a decode's runs and across
+// decodes: under an offline_linear-shaped served load, 67 % of factor
+// calls hit its 1,024 slots (73 % at 4,096, 84 % at 16,384, each slot
+// 24 B in every pooled scratch). Its arguments' bits are never both
+// zero (the keyword factor's base is at least kwFloor), so an empty slot
+// matches no call. One cache serves models of every exponent:
+// scratchPool is shared.
+type powCache [powSlots]struct{ x, y, r uint64 }
+
+const powBits = 10
+const powSlots = 1 << powBits
+
+// slot returns the index of the slot that caches Pow(x, y), given the
+// bits of x and y.
+func (*powCache) slot(xb, yb uint64) uint64 { return ((xb ^ yb) * fibMul) >> (64 - powBits) }
+
+// pow returns math.Pow(x, y).
+func (c *powCache) pow(x, y float64) float64 {
+	xb, yb := math.Float64bits(x), math.Float64bits(y)
+	s := &c[c.slot(xb, yb)]
+	if s.x != xb || s.y != yb {
+		s.x, s.y, s.r = xb, yb, math.Float64bits(math.Pow(x, y))
+	}
+	return math.Float64frombits(s.r)
+}
+
+// factor returns the keyword factor of a keyword run's value,
+// Pow(kwFloor+p, eta), computing it on first use. The value is the id's
+// best keyword probability p >= 0 until then and the factor negated from
+// then on: every factor is positive, and negation is exact, so the
+// factor is read back bit for bit.
+func (sc *scratch) factor(v *float64, eta float64) float64 {
+	if *v >= 0 {
+		*v = -sc.pows.pow(kwFloor+*v, eta)
+	}
+	return -*v
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -863,7 +901,7 @@ func (g *Gen) ForwardMemo(seq []int, mm *Memo) Forward {
 		fw.Base = d
 		return fw
 	}
-	fw.Base = Dist{e: slices.Clone(g.baseAt(sc, mm, seq, view, matchJ, matchK))}
+	fw.Base = newPosterior(g.baseAt(sc, mm, seq, view, matchJ, matchK))
 	mm.keep(seq, fw.Base)
 	return fw
 }
@@ -878,7 +916,7 @@ func (g *Gen) BaseDistMemo(seq []int, mm *Memo) Dist {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	matchJ, matchK := g.findInduction(seq)
-	d := Dist{e: slices.Clone(g.baseAt(sc, mm, seq, g.clippedView(sc, seq), matchJ, matchK))}
+	d := newPosterior(g.baseAt(sc, mm, seq, g.clippedView(sc, seq), matchJ, matchK))
 	mm.keep(seq, d)
 	return d
 }
@@ -903,18 +941,19 @@ func (g *Gen) baseAt(sc *scratch, mm *Memo, seq, fview []int, matchJ, matchK int
 			// structural balance (probability of [FRAG]/<eos>
 			// machinery vs content) is its own to decide.
 			contentMass, newMass := 0.0, 0.0
-			j := 0 // both runs are id-sorted: one merge pass
+			ids := mm.kw.ids // fac's ids
+			j := 0           // both are id-sorted: one merge pass
 			for i, e := range table {
 				if tokenizer.IsSpecial(int(e.id)) {
 					continue
 				}
 				contentMass += e.v
-				for j < len(fac) && fac[j].id < e.id {
+				for j < len(ids) && ids[j] < e.id {
 					j++
 				}
 				f := g.m.kwFloorPow
-				if j < len(fac) && fac[j].id == e.id {
-					f = kwFactor(&fac[j], g.m.cfg.PromptBlend)
+				if j < len(ids) && ids[j] == e.id {
+					f = sc.factor(&fac[j], g.m.cfg.PromptBlend)
 				}
 				table[i].v = e.v * f
 				newMass += table[i].v

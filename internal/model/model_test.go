@@ -458,3 +458,38 @@ func TestHeadCandsExact(t *testing.T) {
 	}
 	t.Logf("%d steps compared", steps)
 }
+
+// TestPosteriorKeepsEntropy: a posterior computes its entropy once and
+// every copy reads it back, bit for bit the entropy of the same support
+// computed afresh.
+func TestPosteriorKeepsEntropy(t *testing.T) {
+	tk := tokenizer.Train(corpusText(), 400)
+	m := Train(tk, smallCfg(), SchemeOurs, trainExamples)
+	prompt := CanonicalPromptIDs(tk, trainExamples[1].Prompt)
+	g := m.NewGen(prompt)
+	mm := boundMemo(g)
+	checked := 0
+	for n := len(prompt); n <= len(prompt)+3; n++ {
+		seq := append(slices.Clone(prompt), tk.Encode(trainExamples[1].Code)[:n-len(prompt)]...)
+		d := g.BaseDistMemo(seq, mm)
+		want := math.Float64bits(Dist{e: d.e}.Entropy())
+		if d.h == nil || d.h.v != 0 {
+			t.Fatalf("a fresh posterior keeps no entropy yet")
+		}
+		for range 2 {
+			if got := math.Float64bits(d.Entropy()); got != want {
+				t.Fatalf("entropy %x, want %x", got, want)
+			}
+		}
+		if want != 0 && math.Float64bits(d.h.v) != want {
+			t.Fatalf("the posterior kept %x, want %x", math.Float64bits(d.h.v), want)
+		}
+		if copied := g.BaseDistMemo(seq, mm); math.Float64bits(copied.Entropy()) != want || copied.h != d.h {
+			t.Fatalf("the memo's copy does not share the kept entropy")
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no posterior checked")
+	}
+}

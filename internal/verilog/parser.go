@@ -81,6 +81,9 @@ func (p *Parser) accept(kind TokenKind, text string) bool {
 func (p *Parser) expect(kind TokenKind, text string) (Token, error) {
 	t := p.cur()
 	if t.Kind != kind || t.Text != text {
+		if p.quiet {
+			return t, errPrefix // before the arguments are boxed
+		}
 		return t, p.errAt(t, "expected %q, found %s", text, describe(t))
 	}
 	p.pos++
@@ -90,6 +93,9 @@ func (p *Parser) expect(kind TokenKind, text string) (Token, error) {
 func (p *Parser) expectIdent() (Token, error) {
 	t := p.cur()
 	if t.Kind != TokIdent {
+		if p.quiet {
+			return t, errPrefix
+		}
 		return t, p.errAt(t, "expected identifier, found %s", describe(t))
 	}
 	p.pos++
